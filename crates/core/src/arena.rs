@@ -164,9 +164,21 @@ impl ContArena {
     /// "malformed frame". The null handle and map misses report as frame
     /// errors.
     pub fn try_resolve(&self, handle: Word) -> Result<Cont, RehydrateError> {
+        self.resolve_with(handle, CapsuleRegistry::instantiate)
+    }
+
+    /// [`ContArena::try_resolve`] with the caller choosing how a frame is
+    /// instantiated — the run path goes through its processor's own
+    /// constructor memo, so resolving a frame takes no registry lock.
+    pub(crate) fn resolve_with(
+        &self,
+        handle: Word,
+        instantiate: impl FnOnce(&CapsuleRegistry, &ppm_pm::Frame) -> Result<Cont, RehydrateError>,
+    ) -> Result<Cont, RehydrateError> {
         if let Some((mem, registry)) = self.rehydrate.as_ref() {
             if ppm_pm::is_frame_at(mem, handle as Addr) {
-                return registry.rehydrate(mem, handle);
+                let frame = ppm_pm::read_frame(mem, handle as Addr)?;
+                return instantiate(registry, &frame);
             }
         }
         self.get(handle)

@@ -239,6 +239,8 @@ impl CapsuleSet {
             def.name,
             move |args| {
                 let (state, k) = decode_state::<T>(def.name, args)?;
+                // A refcount move per rehydration on a line all processors
+                // share: the known residual (README, Performance § Scaling).
                 let body = body.clone();
                 Ok(capsule(def.name, move |ctx| {
                     body(&state, k, ctx).map(Step::into_next)

@@ -320,25 +320,21 @@ impl CapsuleRegistry {
         self.inner.read().entries.is_empty()
     }
 
+    /// The constructor for `frame`'s capsule id: one read lock and one
+    /// `Arc` clone, which [`CtorCache`] pays once per id.
+    fn ctor_of(&self, frame: &Frame) -> Result<CapsuleCtor, RehydrateError> {
+        match self.inner.read().entries.get(&frame.capsule_id) {
+            Some(e) => Ok(e.ctor.clone()),
+            None => Err(RehydrateError::UnknownCapsule {
+                addr: frame.addr,
+                capsule_id: frame.capsule_id,
+            }),
+        }
+    }
+
     /// Rehydrates a decoded frame into a runnable capsule.
     pub fn instantiate(&self, frame: &Frame) -> Result<Cont, RehydrateError> {
-        let ctor = {
-            let inner = self.inner.read();
-            match inner.entries.get(&frame.capsule_id) {
-                Some(e) => e.ctor.clone(),
-                None => {
-                    return Err(RehydrateError::UnknownCapsule {
-                        addr: frame.addr,
-                        capsule_id: frame.capsule_id,
-                    })
-                }
-            }
-        };
-        ctor(&frame.args).map_err(|error| RehydrateError::BadArgs {
-            addr: frame.addr,
-            capsule_id: frame.capsule_id,
-            error,
-        })
+        construct(&self.ctor_of(frame)?, frame)
     }
 
     /// Decodes the frame at `handle` in `mem` and rehydrates it. The
@@ -363,6 +359,45 @@ impl CapsuleRegistry {
             }
         };
         trace(args, out)
+    }
+}
+
+fn construct(ctor: &CapsuleCtor, frame: &Frame) -> Result<Cont, RehydrateError> {
+    ctor(&frame.args).map_err(|error| RehydrateError::BadArgs {
+        addr: frame.addr,
+        capsule_id: frame.capsule_id,
+        error,
+    })
+}
+
+/// One processor's memo of the constructors it has rehydrated through
+/// (owned by its [`crate::runner::InstallCtx`]), so the run path takes no
+/// registry lock and moves no shared refcount per frame-denoted capsule.
+/// Never stale: registry entries are insert-only (re-registering an id
+/// keeps its first constructor), and an id registered after the run
+/// started simply misses here once.
+#[derive(Default)]
+pub(crate) struct CtorCache(HashMap<CapsuleId, CapsuleCtor>);
+
+impl std::fmt::Debug for CtorCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "CtorCache({} ids)", self.0.len())
+    }
+}
+
+impl CtorCache {
+    /// [`CapsuleRegistry::instantiate`], asking `registry` only on a miss.
+    pub(crate) fn instantiate(
+        &mut self,
+        registry: &CapsuleRegistry,
+        frame: &Frame,
+    ) -> Result<Cont, RehydrateError> {
+        use std::collections::hash_map::Entry as Slot;
+        let ctor = match self.0.entry(frame.capsule_id) {
+            Slot::Occupied(hit) => hit.into_mut(),
+            Slot::Vacant(miss) => miss.insert(registry.ctor_of(frame)?),
+        };
+        construct(ctor, frame)
     }
 }
 
@@ -540,6 +575,36 @@ mod tests {
         reg.register(0x300, "same", |_| Ok(crate::capsule::end_capsule()));
         reg.register(0x300, "same", |_| Ok(crate::capsule::end_capsule()));
         assert_eq!(reg.len(), 1);
+    }
+
+    /// What keeps a processor's `CtorCache` never stale: a miss is not
+    /// memoised (an id registered after the run started resolves on the
+    /// next try), and re-registration keeps the first constructor (so a
+    /// cached one is the registry's one forever).
+    #[test]
+    fn ctor_cache_sees_late_registration_and_first_constructor_wins() {
+        let reg = CapsuleRegistry::new();
+        let mem = PersistentMemory::new(256, 8);
+        store_frame(&mem, 16, 0x310, &[]);
+        let frame = ppm_pm::read_frame(&mem, 16).expect("frame");
+        let mut cache = CtorCache::default();
+
+        let err = expect_err(cache.instantiate(&reg, &frame));
+        assert!(
+            matches!(err, RehydrateError::UnknownCapsule { .. }),
+            "{err}"
+        );
+        reg.register(0x310, "late", |_| Ok(capsule("first", |_| Ok(Next::End))));
+        let name = |r: Result<Cont, RehydrateError>| r.expect("rehydrates").name().to_string();
+        assert_eq!(name(cache.instantiate(&reg, &frame)), "first");
+
+        reg.register(0x310, "late", |_| Ok(capsule("second", |_| Ok(Next::End))));
+        assert_eq!(name(reg.instantiate(&frame)), "first");
+        assert_eq!(name(cache.instantiate(&reg, &frame)), "first");
+        assert_eq!(
+            name(CtorCache::default().instantiate(&reg, &frame)),
+            "first"
+        );
     }
 
     #[test]

@@ -25,9 +25,11 @@ use ppm_pm::{Addr, Fault, PmResult, ProcCtx, Word};
 use crate::arena::{ContArena, NULL_HANDLE};
 use crate::capsule::{Cont, Next};
 use crate::machine::ProcMeta;
+use crate::registry::CtorCache;
 
-/// Per-processor installation state: where the restart pointer lives and
-/// which swap slot receives the next thread-continuation closure.
+/// Per-processor installation state: where the restart pointer lives,
+/// which swap slot receives the next thread-continuation closure, and the
+/// rehydration constructors this processor has already looked up.
 #[derive(Debug)]
 pub struct InstallCtx {
     active: Addr,
@@ -35,6 +37,7 @@ pub struct InstallCtx {
     slot_b: Addr,
     use_a: bool,
     gen: Word,
+    ctors: CtorCache,
 }
 
 impl InstallCtx {
@@ -46,6 +49,7 @@ impl InstallCtx {
             slot_b: meta.slot_b,
             use_a: true,
             gen: 1,
+            ctors: CtorCache::default(),
         }
     }
 
@@ -208,7 +212,7 @@ fn run_body_and_install(
             Ok(Step::Next(c))
         }
         Next::JumpHandle(h) => {
-            let c = resolve_handle(arena, h, cur.name());
+            let c = resolve_handle(arena, install, h, cur.name());
             note_frame_provenance(ctx, h);
             install.install_handle(ctx, h)?;
             Ok(Step::Next(c))
@@ -241,7 +245,7 @@ fn run_body_and_install(
             // frame handle goes straight into the deque and the
             // continuation resolves through the arena (rehydrating from
             // its frame on first touch).
-            let cont_c = resolve_handle(arena, cont, cur.name());
+            let cont_c = resolve_handle(arena, install, cont, cur.name());
             let target = match fork_wrap {
                 Some(w) => w(child, cont_c, Some(cont)),
                 None => panic_no_scheduler(cur.name()),
@@ -266,8 +270,10 @@ pub fn note_frame_provenance(ctx: &mut ProcCtx, handle: Word) {
     }
 }
 
-fn resolve_handle(arena: &ContArena, handle: Word, from: &str) -> Cont {
-    arena.resolve(handle).unwrap_or_else(|| {
+fn resolve_handle(arena: &ContArena, install: &mut InstallCtx, handle: Word, from: &str) -> Cont {
+    let ctors = &mut install.ctors;
+    let resolved = arena.resolve_with(handle, |registry, frame| ctors.instantiate(registry, frame));
+    resolved.unwrap_or_else(|_| {
         panic!("capsule `{from}` jumped to dangling continuation handle {handle} — scheduler bug")
     })
 }

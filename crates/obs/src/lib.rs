@@ -43,7 +43,8 @@ use std::sync::{Arc, Mutex};
 
 pub use aggregate::{inject_label, merge_scrapes};
 pub use metrics::{
-    Counter, CounterSource, Gauge, GaugeSource, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS,
+    Counter, CounterSource, Gauge, GaugeSource, Histogram, HistogramCells, HistogramSource,
+    MetricsRegistry, HISTOGRAM_BUCKETS,
 };
 pub use profile::{expand_manifest, folded_stacks, Analysis, SpanExec, TraceSet};
 pub use server::{http_get, BodyFn, MetricsServer};

@@ -67,36 +67,18 @@ impl Gauge {
 /// Number of histogram buckets: upper bounds `2^0 .. 2^(N-2)` plus `+Inf`.
 pub const HISTOGRAM_BUCKETS: usize = 23;
 
-#[derive(Debug)]
-struct HistogramInner {
+/// The cells of one histogram, usable inline (no `Arc`): a subsystem
+/// keeping one histogram per processor embeds them in its per-processor
+/// block and exports their sum via [`MetricsRegistry::histogram_fn`].
+#[derive(Debug, Default)]
+pub struct HistogramCells {
     /// Non-cumulative per-bucket counts (rendered cumulatively).
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     sum: AtomicU64,
     count: AtomicU64,
 }
 
-/// Log₂-bucketed histogram of `u64` observations (latencies in µs, run
-/// lengths in pages, capsule work in transfers). Fixed bucket layout
-/// keeps `observe` allocation-free and merge-friendly.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramInner>);
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram(Arc::new(HistogramInner {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }))
-    }
-}
-
-impl Histogram {
-    /// A histogram not (yet) attached to any registry.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
+impl HistogramCells {
     /// Index of the first bucket whose upper bound covers `v`.
     fn bucket_of(v: u64) -> usize {
         if v <= 1 {
@@ -110,9 +92,41 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn observe(&self, v: u64) {
-        self.0.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Log₂-bucketed histogram of `u64` observations (latencies in µs, run
+/// lengths in pages, capsule work in transfers). Fixed bucket layout
+/// keeps `observe` allocation-free and merge-friendly.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram(Arc<HistogramCells>);
+
+impl Histogram {
+    /// A histogram not (yet) attached to any registry.
+    pub fn new() -> Self {
+        Histogram::default()
+    }
+
+    /// Records one observation.
+    #[inline]
+    pub fn observe(&self, v: u64) {
+        self.0.observe(v);
+    }
+
+    /// Adds every observation recorded in `cells` (merging per-processor
+    /// cells into one series at scrape time).
+    pub fn absorb(&self, cells: &HistogramCells) {
+        let add = |to: &AtomicU64, from: &AtomicU64| {
+            to.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
+        };
+        for (to, from) in self.0.buckets.iter().zip(&cells.buckets) {
+            add(to, from);
+        }
+        add(&self.0.sum, &cells.sum);
+        add(&self.0.count, &cells.count);
     }
 
     /// Total observations.
@@ -172,6 +186,8 @@ impl Histogram {
 pub type CounterSource = Arc<dyn Fn() -> u64 + Send + Sync>;
 /// Collector closure producing a gauge value on scrape.
 pub type GaugeSource = Arc<dyn Fn() -> f64 + Send + Sync>;
+/// Collector closure producing a histogram's contents on scrape.
+pub type HistogramSource = Arc<dyn Fn() -> Histogram + Send + Sync>;
 
 enum MetricValue {
     Counter(Counter),
@@ -179,6 +195,7 @@ enum MetricValue {
     Histogram(Histogram),
     CounterFn(CounterSource),
     GaugeFn(GaugeSource),
+    HistogramFn(HistogramSource),
 }
 
 impl MetricValue {
@@ -186,7 +203,7 @@ impl MetricValue {
         match self {
             MetricValue::Counter(_) | MetricValue::CounterFn(_) => "counter",
             MetricValue::Gauge(_) | MetricValue::GaugeFn(_) => "gauge",
-            MetricValue::Histogram(_) => "histogram",
+            MetricValue::Histogram(_) | MetricValue::HistogramFn(_) => "histogram",
         }
     }
 }
@@ -335,19 +352,6 @@ impl MetricsRegistry {
         )
     }
 
-    /// Registers (replacing any previous entry for the series) an
-    /// already-constructed histogram handle — for distributions owned by
-    /// other subsystems.
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        h: Histogram,
-    ) {
-        self.register(name, help, labels, MetricValue::Histogram(h));
-    }
-
     /// Registers (replacing any previous entry for the series) a counter
     /// whose value is read from `f` at scrape time — for monotone counts
     /// owned by other subsystems (e.g. `MemStats` atomics).
@@ -371,6 +375,20 @@ impl MetricsRegistry {
         f: impl Fn() -> f64 + Send + Sync + 'static,
     ) {
         self.register(name, help, labels, MetricValue::GaugeFn(Arc::new(f)));
+    }
+
+    /// Registers (replacing any previous entry for the series) a
+    /// histogram whose contents are built by `f` at scrape time — for
+    /// distributions another subsystem keeps in several
+    /// [`HistogramCells`] and exports as one series.
+    pub fn histogram_fn(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        f: impl Fn() -> Histogram + Send + Sync + 'static,
+    ) {
+        self.register(name, help, labels, MetricValue::HistogramFn(Arc::new(f)));
     }
 
     /// Renders every registered series in the Prometheus text exposition
@@ -461,30 +479,34 @@ fn render_entry(out: &mut String, e: &MetricEntry) {
             label_block(&e.labels, None),
             fmt_value(f())
         )),
-        MetricValue::Histogram(h) => {
-            for (le, cum) in h.cumulative() {
-                let le_str = if le == u64::MAX {
-                    "+Inf".to_string()
-                } else {
-                    le.to_string()
-                };
-                out.push_str(&format!(
-                    "{name}_bucket{} {cum}\n",
-                    label_block(&e.labels, Some(("le", &le_str)))
-                ));
-            }
-            out.push_str(&format!(
-                "{name}_sum{} {}\n",
-                label_block(&e.labels, None),
-                h.sum()
-            ));
-            out.push_str(&format!(
-                "{name}_count{} {}\n",
-                label_block(&e.labels, None),
-                h.count()
-            ));
-        }
+        MetricValue::Histogram(h) => render_histogram(out, e, h),
+        MetricValue::HistogramFn(f) => render_histogram(out, e, &f()),
     }
+}
+
+fn render_histogram(out: &mut String, e: &MetricEntry, h: &Histogram) {
+    let name = &e.name;
+    for (le, cum) in h.cumulative() {
+        let le_str = if le == u64::MAX {
+            "+Inf".to_string()
+        } else {
+            le.to_string()
+        };
+        out.push_str(&format!(
+            "{name}_bucket{} {cum}\n",
+            label_block(&e.labels, Some(("le", &le_str)))
+        ));
+    }
+    out.push_str(&format!(
+        "{name}_sum{} {}\n",
+        label_block(&e.labels, None),
+        h.sum()
+    ));
+    out.push_str(&format!(
+        "{name}_count{} {}\n",
+        label_block(&e.labels, None),
+        h.count()
+    ));
 }
 
 #[cfg(test)]

@@ -11,8 +11,11 @@
 //! The tracker is a bitmap of [`PAGE_WORDS`]-word pages (one 4 KiB OS
 //! page each, matching the mapping's `msync` granularity) maintained by
 //! [`crate::mem::PersistentMemory`]: every applied mutation — costed or
-//! uncosted, word or block — marks its page(s) with one relaxed
-//! `fetch_or`. Marking is monotone and race-free in the "never lose a
+//! uncosted, word or block — marks its page(s): one relaxed load of the
+//! bitmap word, and a relaxed `fetch_or` only when the bit reads clear
+//! (a bitmap word covers 256 KiB of the file, so an unconditional RMW
+//! would bounce its line between every processor writing that range).
+//! Marking is monotone and race-free in the "never lose a
 //! page" direction at any time; the *drain* ([`DirtyTracker::drain`])
 //! clears bits as it collects them and is therefore exact only while the
 //! machine is quiescent (no concurrent stores), which is precisely when
@@ -64,11 +67,22 @@ impl DirtyTracker {
 
     /// Marks the page containing `addr` dirty. Out-of-range addresses are
     /// ignored (the store they describe would have panicked first).
+    ///
+    /// Test-before-set: the `fetch_or` runs only when the bit reads clear.
+    /// Callers mark *after* their (SeqCst) write of the word, so a skipped
+    /// mark cannot lose the page: the bit read set, so the drain that
+    /// clears it does so after this read — hence after the word was
+    /// written — and that drain's flush, which follows its clear, covers
+    /// the word. Which stores a *racing* drain's runs account for is still
+    /// exact only under quiescence, as the module docs say.
     #[inline]
     pub fn mark(&self, addr: Addr) {
         if addr < self.len_words {
             let page = addr / PAGE_WORDS;
-            self.bits[page / 64].fetch_or(1 << (page % 64), Ordering::Relaxed);
+            let (word, bit) = (&self.bits[page / 64], 1 << (page % 64));
+            if word.load(Ordering::Relaxed) & bit == 0 {
+                word.fetch_or(bit, Ordering::Relaxed);
+            }
         }
     }
 
@@ -234,6 +248,39 @@ mod tests {
         let t = DirtyTracker::new(4 * PAGE_WORDS);
         t.mark_range(100, 0);
         assert_eq!(t.dirty_pages(), 0);
+    }
+
+    /// Test-before-set under contention: two threads mark different pages
+    /// of one bitmap word at the same moment, both with the other's bit
+    /// possibly already visible — neither page may be lost, and a mark
+    /// after a drain must take the `fetch_or` branch again.
+    #[test]
+    fn test_before_set_never_loses_a_page() {
+        use std::sync::Barrier;
+        let t = DirtyTracker::new(64 * PAGE_WORDS); // one bitmap word
+        for round in 0..200 {
+            let (a, b) = (round % 64, (round + 7) % 64);
+            let gate = Barrier::new(2);
+            std::thread::scope(|s| {
+                for page in [a, b] {
+                    let (t, gate) = (&t, &gate);
+                    s.spawn(move || {
+                        gate.wait();
+                        t.mark(page * PAGE_WORDS + 3);
+                        t.mark(page * PAGE_WORDS + 4); // bit now reads set: skipped
+                    });
+                }
+            });
+            // Seven pages apart: never adjacent, so always two runs.
+            let want = [a.min(b), a.max(b)].map(|page| (page * PAGE_WORDS, PAGE_WORDS));
+            assert_eq!(t.drain(), want, "round {round}");
+            assert_eq!(t.dirty_pages(), 0);
+        }
+        t.mark(5 * PAGE_WORDS);
+        assert_eq!(t.drain(), vec![(5 * PAGE_WORDS, PAGE_WORDS)]);
+        t.mark(5 * PAGE_WORDS); // the drain cleared the bit: dirty again
+        assert!(t.is_dirty(5 * PAGE_WORDS));
+        assert_eq!(t.drain(), vec![(5 * PAGE_WORDS, PAGE_WORDS)]);
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! path the runtime uses. Direct access here is for machine setup, test
 //! oracles, and result extraction.
 //!
+//! **What a word access touches.** A `load`: the word. An applied
+//! `store`/`cam`: the word, at most one dirty-bitmap word *load* (durable
+//! backends; the `fetch_or` runs once per page per drain, see
+//! [`crate::dirty`]) and one read-mostly flag, `has_observer`. No lock is
+//! taken unless an observer is installed: the instruments must not
+//! serialize the processors they measure (`tools/lint_invariants.sh`, 4).
+//!
 //! Where the words physically live is a [`MemBackend`] decision:
 //! [`PersistentMemory::new`] keeps the original in-process atomics
 //! ([`crate::backend::VolatileBackend`]), while
@@ -27,7 +34,7 @@
 //!   reconstructed); it exists only so the non-fault-tolerant ABP baseline
 //!   scheduler can be implemented for comparison.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -89,10 +96,15 @@ pub struct PersistentMemory {
     len: usize,
     block_size: usize,
     observer: RwLock<Option<WriteObserver>>,
+    /// Whether `observer` holds `Some`: the one word the mutation path
+    /// reads before it may touch the lock. Written only by
+    /// [`PersistentMemory::set_observer`], under the write lock.
+    has_observer: AtomicBool,
     /// Page-granular dirty bitmap feeding [`PersistentMemory::flush_dirty`].
     /// Present only when the backend asks for it (durable backends whose
-    /// flush cost scales with the synced range); `None` keeps volatile
-    /// word traffic free of the extra atomic.
+    /// flush cost scales with the synced range). A tracked store loads its
+    /// page's bitmap word, and `fetch_or`s it the first time the page is
+    /// dirtied after a drain; `None` (volatile backends) skips both.
     dirty: Option<DirtyTracker>,
     /// Observability hook: per-run flushed-page counts land here when the
     /// owning machine has wired a registry histogram (see
@@ -142,6 +154,7 @@ impl PersistentMemory {
             len,
             block_size,
             observer: RwLock::new(None),
+            has_observer: AtomicBool::new(false),
             dirty,
             dirty_hist: RwLock::new(None),
         }
@@ -257,15 +270,27 @@ impl PersistentMemory {
     /// Installs a write observer (see [`WriteObserver`]). Pass `None` to
     /// remove. Observation is best-effort ordering-wise across addresses,
     /// but per-address it sees every applied mutation exactly once with
-    /// the true previous value.
+    /// the true previous value. A mutation that starts after this call
+    /// returned is observed (`Some`) / not observed (`None`); one racing
+    /// the call may land on either side.
     pub fn set_observer(&self, obs: Option<WriteObserver>) {
-        *self.observer.write() = obs;
+        let mut slot = self.observer.write();
+        // Release, paired with the Acquire load in `observe`. The flag
+        // flips under the write lock: a mutator that reads `true` then
+        // finds the slot settled behind the read lock, one that reads
+        // `false` counts as before the install (after the removal).
+        self.has_observer.store(obs.is_some(), Ordering::Release);
+        *slot = obs;
     }
 
     #[inline]
     fn observe(&self, addr: Addr, prev: Word, new: Word) {
-        if let Some(obs) = self.observer.read().as_ref() {
-            obs(addr, prev, new);
+        if self.has_observer.load(Ordering::Acquire) {
+            // hot-path-ok: only while an observer is installed; the
+            // unobserved path stops at the flag load above.
+            if let Some(obs) = self.observer.read().as_ref() {
+                obs(addr, prev, new);
+            }
         }
     }
 
@@ -299,6 +324,8 @@ impl PersistentMemory {
     #[inline]
     pub fn store(&self, addr: Addr, value: Word) {
         let prev = self.words()[addr].swap(value, Ordering::SeqCst);
+        // Word first, then the bit: `DirtyTracker::mark` skips its RMW on
+        // a set bit, sound only because the word is already written.
         self.mark_dirty(addr);
         self.observe(addr, prev, value);
     }
@@ -341,12 +368,15 @@ impl PersistentMemory {
     /// this).
     #[inline]
     pub fn fetch_add(&self, addr: Addr, delta: Word) -> Word {
+        let prev = self.words()[addr].fetch_add(delta, Ordering::SeqCst);
         self.mark_dirty(addr);
-        self.words()[addr].fetch_add(delta, Ordering::SeqCst)
+        prev
     }
 
-    /// Copies the block containing no part of cost accounting: reads
-    /// `dst.len()` words starting at `addr` (setup/oracle use).
+    /// Reads `dst.len()` consecutive words starting at `addr` into `dst`.
+    /// Uncosted here: [`crate::ProcCtx::read_block_into`] charges the block
+    /// transfer and then calls this; setup code and oracles call it
+    /// directly.
     pub fn read_range(&self, addr: Addr, dst: &mut [Word]) {
         for (i, d) in dst.iter_mut().enumerate() {
             *d = self.load(addr + i);
@@ -468,6 +498,80 @@ mod tests {
         m.set_observer(None);
         m.store(2, 1);
         assert_eq!(log.lock().len(), 3);
+    }
+
+    /// The flag-guarded fast path keeps `set_observer`'s contract under
+    /// concurrent writers: everything issued after the barrier that
+    /// follows `set_observer(Some)` is logged exactly once with its true
+    /// previous value, nothing after the barrier that follows
+    /// `set_observer(None)`, and mutations racing either call land on one
+    /// side or the other — never twice, never with a wrong previous value.
+    #[test]
+    fn observer_contract_holds_under_concurrent_writers() {
+        use parking_lot::Mutex;
+        use std::sync::Barrier;
+        const WRITERS: usize = 2;
+        const N: usize = 64;
+        // Each writer owns four N-word phases: racing the install,
+        // observed, racing the removal, unobserved.
+        let m = PersistentMemory::new(WRITERS * 4 * N, 8);
+        let log: Arc<Mutex<Vec<(Addr, Word, Word)>>> = Arc::default();
+        let gate = Barrier::new(WRITERS + 1);
+        let at = |w: usize, phase: usize, i: usize| (w * 4 + phase) * N + i;
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (m, gate) = (&m, &gate);
+                s.spawn(move || {
+                    gate.wait(); // the installer starts
+                    for i in 0..N {
+                        m.store(at(w, 0, i), 1);
+                    }
+                    gate.wait(); // set_observer(Some) has returned
+                    for i in 0..N {
+                        let a = at(w, 1, i);
+                        m.store(a, 10);
+                        m.cam(a, 10, 11); // applies
+                        m.cam(a, 10, 12); // stale: does not apply
+                        assert!(m.cas_unsafe_under_faults(a, 11, 13));
+                    }
+                    gate.wait(); // the remover starts
+                    for i in 0..N {
+                        m.store(at(w, 2, i), 1);
+                    }
+                    gate.wait(); // set_observer(None) has returned
+                    for i in 0..N {
+                        m.store(at(w, 3, i), 1);
+                        m.cam(at(w, 3, i), 1, 2);
+                    }
+                });
+            }
+            let sink = log.clone();
+            gate.wait();
+            m.set_observer(Some(Arc::new(move |a, p, n| sink.lock().push((a, p, n)))));
+            gate.wait();
+            gate.wait();
+            m.set_observer(None);
+            gate.wait();
+        });
+        let log = log.lock();
+        let seen = |addr: Addr| -> Vec<(Word, Word)> {
+            let of_addr = log.iter().filter(|(a, ..)| *a == addr);
+            of_addr.map(|&(_, p, n)| (p, n)).collect()
+        };
+        for w in 0..WRITERS {
+            for i in 0..N {
+                assert_eq!(
+                    seen(at(w, 1, i)),
+                    vec![(0, 10), (10, 11), (11, 13)],
+                    "applied mutations only, once each, true previous values"
+                );
+                assert!(seen(at(w, 3, i)).is_empty(), "observed after removal");
+                for racing in [0, 2] {
+                    let got = seen(at(w, racing, i));
+                    assert!(got.is_empty() || got == vec![(0, 1)], "{got:?}");
+                }
+            }
+        }
     }
 
     /// A volatile backend that opts into dirty tracking, for exercising

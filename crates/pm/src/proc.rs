@@ -444,8 +444,7 @@ impl ProcCtx {
         self.capsule_work += 1;
         self.stats.record_write(self.proc);
         if !self.war_exempt {
-            let stats = self.stats.clone();
-            self.war.on_write_block(addr, src.len(), &stats);
+            self.war.on_write_block(addr, src.len(), &self.stats);
         }
         self.mem.write_range(addr, src);
         Ok(())

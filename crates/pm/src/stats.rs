@@ -14,12 +14,15 @@
 //!
 //! All counters are relaxed atomics: they are monotone event counts whose
 //! exact interleaving does not matter, and contention on them must not
-//! perturb the concurrency being measured.
+//! perturb the concurrency being measured. Everything recorded per access
+//! or per capsule lives in the recording processor's own [`ProcStats`]
+//! (one cache-line-aligned block each); machine-wide figures — `W_f`, the
+//! empirical `C`, the capsule-work distribution — are merged when read.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ppm_obs::{Histogram, MetricsRegistry};
+use ppm_obs::{Histogram, HistogramCells, MetricsRegistry};
 
 /// One processor's counters, padded to a cache line: at `P = 8`+ (and in
 /// sharded runs, where every worker process hammers its own slice of the
@@ -52,23 +55,25 @@ pub struct ProcStats {
     /// size `B` and perfectly sequential frames this approaches
     /// `staged_words / B`.
     pub staged_persists: AtomicU64,
+    /// Maximum capsule work (external transfers in one successful capsule
+    /// run) this processor completed; the maximum over processors is the
+    /// empirical `C`.
+    pub max_capsule_work: AtomicU64,
+    /// Distribution of this processor's per-capsule work (external
+    /// transfers per completed capsule run) — summed over processors, the
+    /// shape behind the empirical `C`.
+    pub capsule_work: HistogramCells,
 }
 
 /// Shared, thread-safe statistics for one machine instance.
 #[derive(Debug)]
 pub struct MemStats {
     per_proc: Vec<ProcStats>,
-    /// Maximum capsule work (external transfers in one successful capsule
-    /// run) observed anywhere; this is the empirical `C`.
-    max_capsule_work: AtomicU64,
     /// Write-after-read conflicts observed (only counted in `Record` mode;
     /// `Strict` panics instead).
     war_conflicts: AtomicU64,
     /// Ephemeral well-formedness violations observed (`Record` mode).
     wellformed_violations: AtomicU64,
-    /// Distribution of per-capsule work (external transfers per completed
-    /// capsule run) — the shape behind the empirical `C`.
-    capsule_work: Histogram,
 }
 
 impl MemStats {
@@ -76,10 +81,8 @@ impl MemStats {
     pub fn new(procs: usize) -> Self {
         MemStats {
             per_proc: (0..procs).map(|_| ProcStats::default()).collect(),
-            max_capsule_work: AtomicU64::new(0),
             war_conflicts: AtomicU64::new(0),
             wellformed_violations: AtomicU64::new(0),
-            capsule_work: Histogram::new(),
         }
     }
 
@@ -124,16 +127,25 @@ impl MemStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a completed capsule and its work; updates the empirical
-    /// maximum capsule work `C`.
+    /// Records a completed capsule and its work; updates `proc`'s share
+    /// of the empirical maximum capsule work `C` and of its distribution.
     #[inline]
     pub fn record_capsule_completion(&self, proc: usize, capsule_work: u64) {
-        self.per_proc[proc]
-            .capsule_completions
-            .fetch_add(1, Ordering::Relaxed);
-        self.max_capsule_work
+        let p = &self.per_proc[proc];
+        p.capsule_completions.fetch_add(1, Ordering::Relaxed);
+        p.max_capsule_work
             .fetch_max(capsule_work, Ordering::Relaxed);
-        self.capsule_work.observe(capsule_work);
+        p.capsule_work.observe(capsule_work);
+    }
+
+    /// The distribution of per-capsule work over all processors, merged
+    /// now from the per-processor cells (what `ppm_capsule_work` exports).
+    pub fn capsule_work(&self) -> Histogram {
+        let merged = Histogram::new();
+        for p in &self.per_proc {
+            merged.absorb(&p.capsule_work);
+        }
+        merged
     }
 
     /// Records processor `proc`'s pool cursor after an allocation,
@@ -192,6 +204,7 @@ impl MemStats {
                 pool_peak: p.pool_peak.load(Ordering::Relaxed),
                 staged_words: p.staged_words.load(Ordering::Relaxed),
                 staged_persists: p.staged_persists.load(Ordering::Relaxed),
+                max_capsule_work: p.max_capsule_work.load(Ordering::Relaxed),
             };
             s.total_reads += ps.reads;
             s.total_writes += ps.writes;
@@ -202,9 +215,9 @@ impl MemStats {
             s.staged_words += ps.staged_words;
             s.staged_persists += ps.staged_persists;
             s.max_pool_peak = s.max_pool_peak.max(ps.pool_peak);
+            s.max_capsule_work = s.max_capsule_work.max(ps.max_capsule_work);
             s.per_proc.push(ps);
         }
-        s.max_capsule_work = self.max_capsule_work.load(Ordering::Relaxed);
         s.war_conflicts = self.war_conflicts.load(Ordering::Relaxed);
         s.wellformed_violations = self.wellformed_violations.load(Ordering::Relaxed);
         s
@@ -315,7 +328,7 @@ impl MemStats {
             "ppm_max_capsule_work",
             "empirical maximum capsule work C (transfers in one capsule run)",
             &[],
-            move || stats.max_capsule_work.load(Ordering::Relaxed) as f64,
+            move || stats.snapshot().max_capsule_work as f64,
         );
         let stats = self.clone();
         reg.counter_fn(
@@ -331,11 +344,12 @@ impl MemStats {
             &[],
             move || stats.wellformed_violations.load(Ordering::Relaxed),
         );
-        reg.register_histogram(
+        let stats = self.clone();
+        reg.histogram_fn(
             "ppm_capsule_work",
             "distribution of external transfers per completed capsule run",
             &[],
-            self.capsule_work.clone(),
+            move || stats.capsule_work(),
         );
     }
 }
@@ -361,6 +375,8 @@ pub struct ProcSnapshot {
     pub staged_words: u64,
     /// Coalesced block persists charged for staged words.
     pub staged_persists: u64,
+    /// Largest capsule work this processor completed.
+    pub max_capsule_work: u64,
 }
 
 /// Point-in-time copy of a machine's statistics.
@@ -466,6 +482,70 @@ mod tests {
         s.record_capsule_completion(0, 3);
         s.record_capsule_completion(0, 9);
         assert_eq!(s.snapshot().max_capsule_work, 9);
+    }
+
+    #[test]
+    fn capsule_statistics_merge_across_processors() {
+        let s = MemStats::new(3);
+        for (proc, work) in [(0, 5), (1, 40), (1, 2), (2, 9), (2, 0)] {
+            s.record_capsule_completion(proc, work);
+        }
+        let snap = s.snapshot();
+        let per_proc: Vec<u64> = snap.per_proc.iter().map(|p| p.max_capsule_work).collect();
+        assert_eq!(per_proc, vec![5, 40, 9]);
+        assert_eq!(snap.max_capsule_work, 40, "C is the max over processors");
+        let merged = s.capsule_work();
+        assert_eq!(merged.count(), snap.capsule_completions);
+        assert_eq!(merged.sum(), 5 + 40 + 2 + 9);
+        // One shared histogram fed the same observations reads the same.
+        let shared = Histogram::new();
+        for work in [5, 40, 2, 9, 0] {
+            shared.observe(work);
+        }
+        assert_eq!(merged.cumulative(), shared.cumulative());
+    }
+
+    /// The exported families, by name and type: per-processor state must
+    /// not leak into the scrape surface as new or renamed series (README's
+    /// metric table, `tools/recording_rules.yml` and the dashboard key on
+    /// these names).
+    #[test]
+    fn exported_families_match_the_golden_list() {
+        let reg = MetricsRegistry::new();
+        let stats = Arc::new(MemStats::new(2));
+        stats.record_capsule_completion(1, 3);
+        stats.register_into(&reg);
+        let text = reg.render();
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        assert_eq!(
+            families,
+            [
+                "ppm_reads_total counter",
+                "ppm_writes_total counter",
+                "ppm_soft_faults_total counter",
+                "ppm_hard_faults_total counter",
+                "ppm_capsule_runs_total counter",
+                "ppm_capsule_completions_total counter",
+                "ppm_staged_words_total counter",
+                "ppm_staged_persists_total counter",
+                "ppm_pool_peak_words gauge",
+                "ppm_work_total counter",
+                "ppm_frame_coalesce_ratio gauge",
+                "ppm_max_capsule_work gauge",
+                "ppm_war_conflicts_total counter",
+                "ppm_wellformed_violations_total counter",
+                "ppm_capsule_work histogram",
+            ]
+        );
+        // One unlabelled capsule-work series, not one per processor.
+        assert!(text.contains("\nppm_max_capsule_work 3\n"), "{text}");
+        assert!(text.contains("\nppm_capsule_work_count 1\n"), "{text}");
+        assert!(text.contains("\nppm_capsule_work_bucket{le=\"4\"} 1\n"));
+        let buckets = text.matches("ppm_capsule_work_bucket{le=").count();
+        assert_eq!(buckets, ppm_obs::HISTOGRAM_BUCKETS);
     }
 
     #[test]

@@ -1170,6 +1170,39 @@ mod tests {
         }
     }
 
+    /// The transition checker rides the write observer, which the word
+    /// path now reaches through a flag instead of a lock: on a P = 2
+    /// machine, with both processors' threads mutating deque entries at
+    /// once, a legal transition passes and an illegal one still panics.
+    #[test]
+    fn transition_checker_still_panics_at_p2() {
+        use crate::entry::{pack, EntryVal};
+        let machine = Machine::new(ppm_pm::PmConfig::parallel(2, 1 << 20));
+        let done = DoneFlag::new(&machine);
+        let mut cfg = SchedConfig::with_slots(64);
+        cfg.check_transitions = true;
+        let s = Sched::new(&machine, done, &cfg);
+        let gate = std::sync::Barrier::new(2);
+        let (legal, illegal) = std::thread::scope(|scope| {
+            let write = |proc: usize, to: EntryVal| {
+                let (mem, entry, gate) = (s.mem(), s.deques()[proc].entry(0), &gate);
+                scope.spawn(move || {
+                    gate.wait();
+                    mem.store(entry, pack(1, to));
+                })
+            };
+            // Both entries start Empty: Empty→Local is a ✓ cell of Figure
+            // 4, Empty→Job is not.
+            let legal = write(0, EntryVal::Local);
+            let illegal = write(1, EntryVal::Job { handle: 7 });
+            (legal.join(), illegal.join())
+        });
+        assert!(legal.is_ok());
+        let panic = illegal.expect_err("Empty -> Job must trip the checker");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("illegal Figure 4 entry transition"), "{msg}");
+    }
+
     #[test]
     fn single_proc_has_no_victims() {
         let machine = Machine::new(ppm_pm::PmConfig::parallel(1, 1 << 18));

@@ -5,9 +5,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ppm::core::{comp_step, par_all, Machine};
+use ppm::core::{comp_step, par_all, Comp, Machine};
 use ppm::pm::{MemStats, PmConfig, ProcCtx};
-use ppm::sched::{Runtime, SchedConfig};
+use ppm::sched::{Runtime, SchedConfig, SimSched};
 use proptest::prelude::*;
 
 /// One thread's worth of recording work, generated by proptest.
@@ -285,18 +285,23 @@ fn validate_prometheus(text: &str) {
     }
 }
 
+/// A flat fan-out of `n` one-write leaves over a fresh region of `m`.
+fn leaves(m: &Machine, n: usize) -> Comp {
+    let out = m.alloc_region(n);
+    par_all(
+        (0..n)
+            .map(|i| comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(out.at(i), 1)))
+            .collect(),
+    )
+}
+
 /// The live exporter output of a machine that actually ran work parses
 /// as valid Prometheus text — families grouped, HELP/TYPE present,
 /// histograms cumulative.
 #[test]
 fn exporter_output_is_valid_prometheus_text() {
     let m = Machine::new(PmConfig::parallel(4, 1 << 20));
-    let out = m.alloc_region(64);
-    let comp = par_all(
-        (0..64)
-            .map(|i| comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(out.at(i), 1)))
-            .collect(),
-    );
+    let comp = leaves(&m, 64);
     let rt = Runtime::new(m, SchedConfig::with_slots(1 << 10));
     let rep = rt.run_or_replay(&comp);
     assert!(rep.completed());
@@ -321,6 +326,74 @@ fn exporter_output_is_valid_prometheus_text() {
             "missing family {family} in:\n{text}"
         );
     }
+}
+
+/// The unlabelled sample `name` in a rendered scrape.
+fn sample(text: &str, name: &str) -> u64 {
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+    let value = line.unwrap_or_else(|| panic!("no sample {name} in:\n{text}"));
+    value.parse().expect("integer sample")
+}
+
+/// Per-processor capsule statistics merge back into exactly what the one
+/// shared set used to hold: `C` is the max over processors, and the
+/// exported `ppm_capsule_work` histogram counts every completion and sums
+/// every completed capsule's work — which, in a run without faults, is
+/// all the work there is.
+fn assert_capsule_statistics_merge(m: &Machine, procs: usize) {
+    let snap = m.snapshot();
+    assert_eq!(snap.per_proc.len(), procs);
+    let busy = snap.per_proc.iter().filter(|p| p.capsule_completions > 0);
+    assert!(busy.count() > 1, "work was not shared: {snap:?}");
+    let per_proc_max = snap.per_proc.iter().map(|p| p.max_capsule_work).max();
+    assert_eq!(Some(snap.max_capsule_work), per_proc_max);
+    assert_eq!(
+        snap.capsule_restarts(),
+        0,
+        "the run was meant to be faultless"
+    );
+
+    let text = m.obs().registry().render();
+    validate_prometheus(&text);
+    assert_eq!(sample(&text, "ppm_max_capsule_work"), snap.max_capsule_work);
+    assert_eq!(
+        sample(&text, "ppm_capsule_work_count"),
+        snap.capsule_completions
+    );
+    assert_eq!(sample(&text, "ppm_capsule_work_sum"), snap.total_work());
+    // Bucket layout unchanged: 2^0 .. 2^21, then +Inf, one series.
+    let les: Vec<&str> = text
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("ppm_capsule_work_bucket{le=\"")?
+                .split('"')
+                .next()
+        })
+        .collect();
+    let mut want: Vec<String> = (0..22).map(|i| (1u64 << i).to_string()).collect();
+    want.push("+Inf".into());
+    assert_eq!(les, want);
+}
+
+#[test]
+fn merged_capsule_statistics_on_a_deterministic_p4_simulation() {
+    let m = Machine::new(PmConfig::parallel(4, 1 << 20));
+    let comp = leaves(&m, 64);
+    let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(1 << 10));
+    sim.run_seeded(11, 200_000);
+    assert!(sim.finish().completed);
+    assert_capsule_statistics_merge(&m, 4);
+}
+
+#[test]
+fn merged_capsule_statistics_on_a_real_p2_run() {
+    let m = Machine::new(PmConfig::parallel(2, 1 << 20));
+    let comp = leaves(&m, 4096);
+    let rt = Runtime::new(m, SchedConfig::with_slots(1 << 13));
+    assert!(rt.run_or_replay(&comp).completed());
+    assert_capsule_statistics_merge(rt.machine(), 2);
 }
 
 /// A scrape served over HTTP matches the in-process render modulo

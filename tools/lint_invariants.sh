@@ -27,6 +27,19 @@
 #      only place raw pointers are allowed, and every site there carries
 #      a SAFETY: justification (also enforced by
 #      clippy::undocumented_unsafe_blocks workspace-wide).
+#
+#   4. The hot path takes no lock. The model's instruments (write
+#      observer, statistics, dirty bits) are free in the paper; here they
+#      must at least not serialize the processors they measure. The
+#      bodies of the per-access and per-capsule functions — in crates/pm:
+#      PersistentMemory::{load,store,cam,cas_unsafe_under_faults,
+#      mark_dirty} and the `observe` helper they call, DirtyTracker::mark,
+#      MemStats::record_*, ProcCtx::{pread,pwrite,pcam,read_block_into,
+#      write_block,stage_write,flush_staged,fault_point} — may not
+#      contain `.read()`, `.write()`, `.lock()` or `.clone()` (a lock, or
+#      a refcount RMW on a line every processor shares) unless a
+#      `hot-path-ok:` justification sits within the six lines above. The
+#      one expected exception is the observer call behind its flag check.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -96,8 +109,38 @@ if [ -n "$missing" ]; then
     err "unsafe site in crates/pm without a SAFETY: comment within 6 lines:" "$missing"
 fi
 
+# --- 4. hot path takes no lock ---------------------------------------------
+# hot_path_scan FILE 'name|name|...': prints every lock/clone call inside
+# the bodies of the named functions (brace-matched from the `fn` line)
+# that has no hot-path-ok: marker within the six lines above it.
+hot_path_scan() {
+    awk -v names="$2" '
+        /hot-path-ok:/ { ok = NR }
+        !infn && $0 ~ ("fn (" names ")[(<]") { infn = 1; depth = 0; opened = 0 }
+        infn && $0 !~ /^[ \t]*\/\// {
+            if ($0 ~ /\.(read|write|lock|clone)\(\)/ && (ok == 0 || NR - ok > 6))
+                print FILENAME ":" NR ": " $0
+            line = $0
+            depth += gsub(/\{/, "", line)
+            if (depth > 0) opened = 1
+            depth -= gsub(/\}/, "", line)
+            if (opened && depth <= 0) infn = 0
+        }
+    ' "$1"
+}
+hits=$(
+    hot_path_scan crates/pm/src/mem.rs 'load|store|cam|cas_unsafe_under_faults|mark_dirty|observe'
+    hot_path_scan crates/pm/src/dirty.rs 'mark'
+    hot_path_scan crates/pm/src/stats.rs 'record_[a-z_]*'
+    hot_path_scan crates/pm/src/proc.rs \
+        'pread|pwrite|pcam|read_block_into|write_block|stage_write|flush_staged|fault_point'
+)
+if [ -n "$hits" ]; then
+    err "lock or refcount clone on the per-access / per-capsule path without a hot-path-ok: justification within 6 lines:" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free)"
