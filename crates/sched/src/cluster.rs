@@ -54,20 +54,9 @@
 //!
 //! ## Entry points: [`ClusterBuilder`]
 //!
-//! One builder replaces the old free functions (now thin deprecated
-//! shims):
-//!
-//! | old | new |
-//! |---|---|
-//! | `init(path, &cfg, &build)` | `ClusterBuilder::new(path).machine(pm).workers(n).init(&build)` |
-//! | `init_observed(path, &cfg, &build)` | `…​.observe(&build)` |
-//! | `run_coordinator(path, &cfg, &build, spawn)` | `…​.run(&build, spawn)` |
-//! | `Runtime::sharded(path, &cfg, &build, spawn)` | `…​.run(&build, spawn)` |
-//! | *(new)* service mode | `…​.service(true).spawn(&build, spawn)` → [`crate::ServiceHandle`] |
-//!
-//! Every other `ClusterConfig` knob has a matching builder method
-//! (`lease_ms`, `deque_slots`, `seed`, `victim_strategy`, `pool_words`,
-//! `deadline`, `checkpoint_every`, `service_config`).
+//! The builder *is* the configuration; its four terminals (`init`,
+//! `observe`, `run`, `spawn`) are listed on the type. `run` and `spawn`
+//! hand the worker fleet to the one [`crate::supervisor::Supervisor`].
 //!
 //! ## Work distribution and completion
 //!
@@ -108,7 +97,7 @@
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ppm_core::registry::frame_args;
 use ppm_core::{capsule, DoneFlag, Machine, Next};
@@ -123,6 +112,7 @@ use crate::driver::{
 };
 use crate::entry::{pack, EntryVal};
 use crate::service::{InjectorQueue, ServiceConfig, ServiceHandle};
+use crate::supervisor::Supervisor;
 
 /// Default lease validity window for worker heartbeats.
 pub const DEFAULT_LEASE_MS: u64 = 1500;
@@ -385,127 +375,14 @@ impl ShardDomain {
 }
 
 // ====================================================================
-// Cluster configuration
-// ====================================================================
-
-/// Coordinator-side configuration of a sharded run. The pieces every
-/// attacher must agree on (shard count, deque slots, victim seed, lease
-/// interval) are persisted in the machine file's cluster header, so
-/// workers configure themselves from the file alone.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Machine shape — `pm.procs` is the *total* processor count, split
-    /// evenly across shards.
-    pub pm: ppm_pm::PmConfig,
-    /// Number of worker processes (fault domains).
-    pub shards: usize,
-    /// Lease validity window in milliseconds.
-    pub lease_ms: u64,
-    /// Deque slots per processor.
-    pub deque_slots: usize,
-    /// Victim-selection seed.
-    pub seed: u64,
-    /// Victim-selection policy of every shard's steal loop. Persisted in
-    /// the cluster header's seed word (top two bits), so attaching
-    /// workers pick it up from the machine file alone.
-    pub victim_strategy: crate::capsules::VictimStrategy,
-    /// Per-processor pool words (`None` = machine default).
-    pub pool_words: Option<usize>,
-    /// Overall coordinator deadline: past it, remaining workers are
-    /// killed and the session reports incomplete (callers then finish
-    /// via [`recover`]).
-    pub deadline: Duration,
-    /// Service mode: a durable injector queue of this shape is installed
-    /// in the machine file, root planting is skipped, and workers pull
-    /// jobs continuously (see [`crate::service`]). `None` = batch run.
-    pub service: Option<ServiceConfig>,
-    /// Cross-process checkpoint cadence: when set, the coordinator
-    /// periodically requests a cluster-wide quiesce (barrier in the
-    /// superblock) and the elected performer shard runs the checkpoint.
-    /// `None` = no cross-process checkpoints.
-    pub checkpoint_every: Option<Duration>,
-}
-
-impl ClusterConfig {
-    /// A config over a machine shape and shard count, with defaults for
-    /// the rest.
-    pub fn new(pm: ppm_pm::PmConfig, shards: usize) -> Self {
-        ClusterConfig {
-            pm,
-            shards,
-            lease_ms: DEFAULT_LEASE_MS,
-            deque_slots: SchedConfig::default().deque_slots,
-            seed: SchedConfig::default().seed,
-            victim_strategy: crate::capsules::VictimStrategy::default(),
-            pool_words: None,
-            deadline: Duration::from_secs(300),
-            service: None,
-            checkpoint_every: None,
-        }
-    }
-
-    /// Turns on service mode with the given injector-queue shape.
-    pub fn with_service(mut self, service: ServiceConfig) -> Self {
-        self.service = Some(service);
-        self
-    }
-
-    /// Sets the cross-process checkpoint cadence.
-    pub fn with_checkpoint_every(mut self, every: Duration) -> Self {
-        self.checkpoint_every = Some(every);
-        self
-    }
-
-    /// Sets the victim-selection policy.
-    pub fn with_victim_strategy(mut self, v: crate::capsules::VictimStrategy) -> Self {
-        self.victim_strategy = v;
-        self
-    }
-
-    /// Sets the lease window.
-    pub fn with_lease_ms(mut self, ms: u64) -> Self {
-        self.lease_ms = ms;
-        self
-    }
-
-    /// Sets the deque size.
-    pub fn with_slots(mut self, slots: usize) -> Self {
-        self.deque_slots = slots;
-        self
-    }
-
-    /// Sets explicit per-processor pool sizing. Size for the shard's own
-    /// work *plus* adoption headroom: a survivor may re-drive a dead
-    /// sibling's frontier out of its own pools.
-    pub fn with_pool_words(mut self, words: usize) -> Self {
-        self.pool_words = Some(words);
-        self
-    }
-
-    /// Sets the coordinator deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    fn header(&self) -> ppm_pm::ClusterHeader {
-        ppm_pm::ClusterHeader {
-            shards: self.shards as u64,
-            lease_ms: self.lease_ms,
-            deque_slots: self.deque_slots as u64,
-            seed: self.victim_strategy.pack_into_seed(self.seed),
-        }
-    }
-}
-
-// ====================================================================
 // Builder — the one entry point
 // ====================================================================
 
-/// Builds every flavor of multi-process session over one machine file —
-/// the single entry point the old free functions ([`init`],
-/// [`init_observed`], [`run_coordinator`], `Runtime::sharded`) now
-/// deprecate into. Configure, then pick a terminal:
+/// Builds every flavor of multi-process session over one machine file.
+/// The pieces every attacher must agree on (shard count, deque slots,
+/// victim seed and policy, lease interval) are persisted in the machine
+/// file's cluster header, so workers configure themselves from the file
+/// alone. Configure, then pick a terminal:
 ///
 /// * [`ClusterBuilder::init`] — prepare the file, return nothing
 ///   (external supervisor launches the workers);
@@ -543,7 +420,7 @@ pub struct ClusterBuilder {
     victim_strategy: crate::capsules::VictimStrategy,
     pool_words: Option<usize>,
     deadline: Duration,
-    checkpoint_every: Option<Duration>,
+    pub(crate) checkpoint_every: Option<Duration>,
     service: bool,
     service_config: ServiceConfig,
 }
@@ -607,14 +484,17 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets explicit per-processor pool sizing (see
-    /// [`ClusterConfig::with_pool_words`]).
+    /// Sets explicit per-processor pool sizing. Size for the shard's own
+    /// work *plus* adoption headroom: a survivor may re-drive a dead
+    /// sibling's frontier out of its own pools.
     pub fn pool_words(mut self, words: usize) -> Self {
         self.pool_words = Some(words);
         self
     }
 
-    /// Sets the coordinator deadline of batch runs.
+    /// Sets the coordinator deadline of batch runs: past it, remaining
+    /// workers are killed and the session reports incomplete (callers
+    /// then finish via [`recover`]).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = deadline;
         self
@@ -642,26 +522,25 @@ impl ClusterBuilder {
         self
     }
 
-    /// The equivalent [`ClusterConfig`] (errors without a machine shape).
-    fn config(&self) -> io::Result<ClusterConfig> {
-        let pm = self.pm.clone().ok_or_else(|| {
+    /// The machine shape, or the error every terminal reports without one.
+    fn pm(&self) -> io::Result<&ppm_pm::PmConfig> {
+        self.pm.as_ref().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "ClusterBuilder needs a machine shape: call .machine(PmConfig)",
             )
-        })?;
-        let mut cfg = ClusterConfig::new(pm, self.shards);
-        cfg.lease_ms = self.lease_ms;
-        cfg.deque_slots = self.deque_slots;
-        cfg.seed = self.seed;
-        cfg.victim_strategy = self.victim_strategy;
-        cfg.pool_words = self.pool_words;
-        cfg.deadline = self.deadline;
-        cfg.checkpoint_every = self.checkpoint_every;
-        if self.service {
-            cfg.service = Some(self.service_config);
+        })
+    }
+
+    /// The cluster header every attacher configures itself from. The
+    /// victim policy rides in the seed word's top two bits.
+    fn header(&self) -> ppm_pm::ClusterHeader {
+        ppm_pm::ClusterHeader {
+            shards: self.shards as u64,
+            lease_ms: self.lease_ms,
+            deque_slots: self.deque_slots as u64,
+            seed: self.victim_strategy.pack_into_seed(self.seed),
         }
-        Ok(cfg)
     }
 
     /// Creates and fully prepares the machine file — superblock, cluster
@@ -671,8 +550,7 @@ impl ClusterBuilder {
     /// supervisor, and tests.
     #[cfg(unix)]
     pub fn init(&self, build: &ShardBuild) -> io::Result<()> {
-        let (machine, _session) = init_machine(&self.path, &self.config()?, build)?;
-        machine.flush()
+        self.observe(build).map(drop)
     }
 
     /// [`ClusterBuilder::init`] returning an observer handle: a custom
@@ -682,21 +560,31 @@ impl ClusterBuilder {
     /// [`ClusterSummary`].
     #[cfg(unix)]
     pub fn observe(&self, build: &ShardBuild) -> io::Result<ClusterObserver> {
-        observe_impl(&self.path, &self.config()?, build)
+        observe_impl(self, build, ppm_pm::system_clock())
     }
 
     /// Batch terminal: prepares the file, spawns one worker process per
     /// shard via `spawn_worker` (receives the shard index; the command
-    /// must end up calling [`run_worker`] for it), observes to
-    /// completion or deadline, and reports. See the old
-    /// [`run_coordinator`] docs for the full protocol.
+    /// must end up calling [`run_worker`] for it — typically the current
+    /// executable with a `worker` argument), and then *supervises*:
+    /// reaping worker exits (tombstoning the leases of the dead so
+    /// survivors adopt immediately), pacing cross-process checkpoints,
+    /// and enforcing the deadline.
+    ///
+    /// The returned [`SessionReport`] carries a [`ClusterSummary`]; its
+    /// `run.completed` reflects the persisted completion flag. On an
+    /// incomplete outcome (all workers dead, or deadline) the machine
+    /// file is left crashed-in-run; [`recover`] finishes the computation
+    /// single-process.
     #[cfg(unix)]
     pub fn run(
         &self,
         build: &ShardBuild,
         spawn_worker: impl FnMut(usize) -> std::process::Command,
     ) -> io::Result<SessionReport> {
-        coordinate(&self.path, &self.config()?, build, spawn_worker)
+        let mut sup = Supervisor::launch(self, build, spawn_worker, ppm_pm::system_clock())?;
+        sup.wait_exit(self.deadline);
+        sup.finish()
     }
 
     /// Service terminal (implies [`ClusterBuilder::service`]): prepares
@@ -709,36 +597,11 @@ impl ClusterBuilder {
     pub fn spawn(
         &self,
         build: &ShardBuild,
-        mut spawn_worker: impl FnMut(usize) -> std::process::Command,
+        spawn_worker: impl FnMut(usize) -> std::process::Command,
     ) -> io::Result<ServiceHandle> {
-        let mut cfg = self.config()?;
-        if cfg.service.is_none() {
-            cfg.service = Some(self.service_config);
-        }
-        let map = ShardMap::new(cfg.pm.procs, cfg.shards);
-        let observer = observe_impl(&self.path, &cfg, build)?;
-        let queue = observer
-            .service_queue()
-            .expect("service session always installs an injector queue");
-        let metrics = Obs::metrics_port_from_env()
-            .and_then(|p| serve_aggregate(observer.machine(), map, cfg.lease_ms, p));
-        let mut children: Vec<Option<std::process::Child>> = Vec::with_capacity(map.shards);
-        for s in 0..map.shards {
-            match spawn_worker(s).spawn() {
-                Ok(child) => children.push(Some(child)),
-                Err(e) => {
-                    kill_all(&mut children);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(ServiceHandle::new(
-            observer,
-            queue,
-            children,
-            cfg.checkpoint_every,
-            metrics,
-        ))
+        let service = self.clone().service(true);
+        Supervisor::launch(&service, build, spawn_worker, ppm_pm::system_clock())
+            .map(ServiceHandle::new)
     }
 }
 
@@ -750,6 +613,8 @@ impl ClusterBuilder {
 /// flag, scheduler deques, shard-completion flags, report blocks, the
 /// finale/check/arrive frames, and the per-shard sub-roots.
 struct ClusterSession {
+    /// The shard geometry the session was built for.
+    map: ShardMap,
     done: DoneFlag,
     sched: Arc<Sched>,
     flags: Region,
@@ -870,6 +735,7 @@ fn build_session(
         .collect();
 
     ClusterSession {
+        map,
         done,
         sched,
         flags,
@@ -879,12 +745,45 @@ fn build_session(
     }
 }
 
+/// The cluster header of an existing sharded machine file.
+fn read_header(machine: &Machine) -> io::Result<ppm_pm::ClusterHeader> {
+    machine
+        .mem()
+        .backend()
+        .read_cluster_header()
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "machine file has no cluster header (not a sharded run)",
+            )
+        })
+}
+
+/// [`build_session`] as an attacher of an existing file replays it:
+/// scheduler shape from the cluster header, injector shape from the
+/// service header (absent on batch files).
+fn replay_session(
+    machine: &Machine,
+    header: &ppm_pm::ClusterHeader,
+    map: ShardMap,
+    domain: Option<Arc<ShardDomain>>,
+    build: &ShardBuild,
+) -> ClusterSession {
+    let backend = machine.mem().backend();
+    let service = backend.read_service_header().map(|h| ServiceConfig {
+        slots: h.slots as usize,
+        job_words: h.job_words as usize,
+    });
+    let (slots, seed) = (header.deque_slots as usize, header.seed);
+    build_session(machine, map, slots, seed, domain, service, build)
+}
+
 /// Plants shard `s`'s sub-root as the initial `job` entry of the shard's
 /// first deque — the same planted shape recovery uses, so every
 /// processor's ordinary `findWork` picks it up.
-fn plant_roots(machine: &Machine, session: &ClusterSession, map: ShardMap) {
+fn plant_roots(machine: &Machine, session: &ClusterSession) {
     for (s, root) in session.roots.iter().enumerate() {
-        let p = map.procs_of(s).start;
+        let p = session.map.procs_of(s).start;
         let d = session.sched.deques()[p];
         machine
             .mem()
@@ -947,8 +846,11 @@ pub struct ClusterSummary {
     pub role: ClusterRole,
     /// Per-shard outcomes.
     pub shard_reports: Vec<ShardReport>,
-    /// Shards that died (tombstoned, expired, or exited without seeing
-    /// completion).
+    /// Shards that died, by the one rule every role reports by: the
+    /// lease is tombstoned or expired on the reporter's clock (exactly how
+    /// the workers' monitors judge, so a deployment that never tombstones
+    /// still reports expiry-detected deaths), or the worker exited
+    /// without seeing completion (own processors all hard-faulted).
     pub dead_shards: Vec<usize>,
 }
 
@@ -1002,16 +904,11 @@ fn write_report(
     mem.store(base, state);
 }
 
-fn read_reports(
-    machine: &Machine,
-    reports: Region,
-    flags: Region,
-    map: ShardMap,
-) -> Vec<ShardReport> {
+fn read_reports(machine: &Machine, session: &ClusterSession) -> Vec<ShardReport> {
     let mem = machine.mem();
-    (0..map.shards)
+    (0..session.map.shards)
         .map(|s| {
-            let base = reports.at(s * REPORT_WORDS);
+            let base = session.reports.at(s * REPORT_WORDS);
             let state = mem.load(base);
             let lease = machine.mem().backend().read_lease(s);
             // Worker heartbeats count from 1; the coordinator's seed
@@ -1024,7 +921,7 @@ fn read_reports(
                 started: state >= REPORT_STATE_RUNNING,
                 exited: state >= REPORT_STATE_EXITED,
                 saw_completion: mem.load(base + 1) != 0,
-                subtree_complete: mem.load(flags.at(s)) != 0,
+                subtree_complete: mem.load(session.flags.at(s)) != 0,
                 adopted_jobs: mem.load(base + 2),
                 adopted_locals: mem.load(base + 3),
                 blocked_adoptions: mem.load(base + 4),
@@ -1035,6 +932,55 @@ fn read_reports(
             }
         })
         .collect()
+}
+
+/// The cluster outcome as currently persisted, as `role` sees it at
+/// `now_ms` — the single place [`ClusterSummary::dead_shards`] is judged.
+fn summarize(
+    machine: &Machine,
+    session: &ClusterSession,
+    role: ClusterRole,
+    now_ms: u64,
+) -> ClusterSummary {
+    let shard_reports = read_reports(machine, session);
+    let dead_shards = shard_reports
+        .iter()
+        .filter(|r| {
+            r.lease.is_some_and(|l| l.is_dead(now_ms))
+                || (r.started && r.exited && !r.saw_completion)
+        })
+        .map(|r| r.shard)
+        .collect();
+    ClusterSummary {
+        shards: session.map.shards,
+        procs_per_shard: session.map.procs_per_shard,
+        role,
+        shard_reports,
+        dead_shards,
+    }
+}
+
+/// The [`SessionReport`] of a cluster participant that drove (or
+/// watched) a fresh run; [`recover`] overrides the forensics fields.
+pub(crate) fn cluster_report(
+    machine: &Machine,
+    summary: ClusterSummary,
+    run: Option<RunReport>,
+) -> SessionReport {
+    SessionReport {
+        epoch: machine.epoch(),
+        mode: SessionMode::FreshRun,
+        found_jobs: 0,
+        found_locals: 0,
+        found_taken: 0,
+        live_restart_pointers: 0,
+        resumed: 0,
+        fallback_reason: None,
+        checkpoint_resume: None,
+        cluster: Some(summary),
+        trace: Some(machine.obs().tracer().summary()),
+        run,
+    }
 }
 
 /// Tombstones shard `s`'s lease, preserving the sequence number and
@@ -1190,16 +1136,7 @@ pub fn run_worker_with_clock(
         ppm_pm::FaultConfig::none(),
         ppm_pm::ValidateMode::Strict,
     )?;
-    let header = machine
-        .mem()
-        .backend()
-        .read_cluster_header()
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "machine file has no cluster header (not a sharded run)",
-            )
-        })?;
+    let header = read_header(&machine)?;
     let map = ShardMap::new(machine.procs(), header.shards as usize);
     if shard >= map.shards {
         return Err(io::Error::new(
@@ -1218,23 +1155,7 @@ pub fn run_worker_with_clock(
         .mem()
         .backend()
         .write_lease(shard, &Lease::alive_at(1, header.lease_ms, clock.now_ms()));
-    let service_cfg = machine
-        .mem()
-        .backend()
-        .read_service_header()
-        .map(|h| ServiceConfig {
-            slots: h.slots as usize,
-            job_words: h.job_words as usize,
-        });
-    let session = build_session(
-        &machine,
-        map,
-        header.deque_slots as usize,
-        header.seed,
-        Some(domain.clone()),
-        service_cfg,
-        build,
-    );
+    let session = replay_session(&machine, &header, map, Some(domain.clone()), build);
     if let Some(q) = &session.service {
         // Service mode: victim selection spans live siblings from the
         // start, and the replayed construction must have landed the ring
@@ -1334,18 +1255,13 @@ pub fn run_worker_with_clock(
     // completed shard), a self-tombstone when our own processors all
     // hard-faulted with the run unfinished (siblings should adopt *now*
     // rather than wait out the lease).
-    let final_lease = if completed {
-        Lease {
-            state: LeaseState::Done,
-            seq: u64::MAX,
-            deadline_ms: 0,
-        }
-    } else {
-        Lease {
-            state: LeaseState::Dead,
-            seq: u64::MAX,
-            deadline_ms: 0,
-        }
+    let final_lease = Lease {
+        state: match completed {
+            true => LeaseState::Done,
+            false => LeaseState::Dead,
+        },
+        seq: u64::MAX,
+        deadline_ms: 0,
     };
     let _ = machine.mem().backend().write_lease(shard, &final_lease);
     machine.flush()?;
@@ -1365,29 +1281,13 @@ pub fn run_worker_with_clock(
             .flush_jsonl(ppm_obs::shard_trace_path(&base, shard));
     }
 
-    let summary = ClusterSummary {
-        shards: map.shards,
-        procs_per_shard: map.procs_per_shard,
-        role: ClusterRole::Worker(shard),
-        shard_reports: read_reports(&machine, session.reports, session.flags, map),
-        dead_shards: (0..map.shards)
-            .filter(|s| domain.is_adoptable(*s))
-            .collect(),
-    };
-    Ok(SessionReport {
-        epoch: machine.epoch(),
-        mode: SessionMode::FreshRun,
-        found_jobs: 0,
-        found_locals: 0,
-        found_taken: 0,
-        live_restart_pointers: 0,
-        resumed: 0,
-        fallback_reason: None,
-        checkpoint_resume: None,
-        cluster: Some(summary),
-        trace: Some(obs.tracer().summary()),
-        run: Some(run),
-    })
+    let summary = summarize(
+        &machine,
+        &session,
+        ClusterRole::Worker(shard),
+        clock.now_ms(),
+    );
+    Ok(cluster_report(&machine, summary, Some(run)))
 }
 
 /// The worker's combined heartbeat + sibling monitor: renews this
@@ -1448,51 +1348,18 @@ fn lease_monitor_loop(
 // Coordinator
 // ====================================================================
 
-/// Creates and fully prepares a sharded machine file — superblock,
-/// cluster header, session frames, planted sub-roots, seeded leases —
-/// without spawning or monitoring anything. [`run_coordinator`] builds
-/// on this; it is public for coordinator-less deployments (workers
-/// launched by an external supervisor) and tests.
 #[cfg(unix)]
-#[deprecated(note = "use ClusterBuilder::new(path).machine(pm).workers(n)….init(&build)")]
-pub fn init(
-    path: impl AsRef<std::path::Path>,
-    cfg: &ClusterConfig,
+pub(crate) fn observe_impl(
+    builder: &ClusterBuilder,
     build: &ShardBuild,
-) -> io::Result<()> {
-    let (machine, _session) = init_machine(path, cfg, build)?;
-    machine.flush()
-}
-
-/// [`init`] returning an observer handle: a custom coordinator (one that
-/// wants its own spawn, kill, or progress logic — e.g. a fault-injection
-/// harness) keeps this to watch the completion flag, read progress
-/// through the shared mapping, tombstone the leases of workers whose
-/// deaths it learns about out-of-band, and assemble the final
-/// [`ClusterSummary`].
-#[cfg(unix)]
-#[deprecated(note = "use ClusterBuilder::new(path).machine(pm).workers(n)….observe(&build)")]
-pub fn init_observed(
-    path: impl AsRef<std::path::Path>,
-    cfg: &ClusterConfig,
-    build: &ShardBuild,
+    clock: ppm_pm::SharedClock,
 ) -> io::Result<ClusterObserver> {
-    observe_impl(path, cfg, build)
-}
-
-#[cfg(unix)]
-fn observe_impl(
-    path: impl AsRef<std::path::Path>,
-    cfg: &ClusterConfig,
-    build: &ShardBuild,
-) -> io::Result<ClusterObserver> {
-    let map = ShardMap::new(cfg.pm.procs, cfg.shards);
-    let (machine, session) = init_machine(path, cfg, build)?;
+    let (machine, session) = init_machine(builder, build, clock.now_ms())?;
     Ok(ClusterObserver {
         machine,
         session,
-        map,
-        lease_ms: cfg.lease_ms,
+        lease_ms: builder.lease_ms,
+        clock,
     })
 }
 
@@ -1501,8 +1368,10 @@ fn observe_impl(
 pub struct ClusterObserver {
     machine: Machine,
     session: ClusterSession,
-    map: ShardMap,
     lease_ms: u64,
+    /// Judges lease expiry in [`ClusterObserver::summary`] and drives the
+    /// [`Supervisor`]; the system clock outside tests.
+    clock: ppm_pm::SharedClock,
 }
 
 impl ClusterObserver {
@@ -1523,7 +1392,12 @@ impl ClusterObserver {
 
     /// The cluster's shard geometry.
     pub fn map(&self) -> &ShardMap {
-        &self.map
+        &self.session.map
+    }
+
+    /// The coordinator clock's current reading.
+    pub(crate) fn now_ms(&self) -> u64 {
+        self.clock.now_ms()
     }
 
     /// Sets the global completion flag (service shutdown: workers notice
@@ -1558,44 +1432,50 @@ impl ClusterObserver {
         );
     }
 
-    /// Starts the aggregated Prometheus scrape endpoint on `port` (see
-    /// [`run_coordinator`]'s `PPM_METRICS_PORT` handling): worker
+    /// Starts the aggregated Prometheus scrape endpoint on `port` (what
+    /// [`Supervisor::launch`] does for `PPM_METRICS_PORT`): worker
     /// scrapes are fetched from `port + 1 + shard` and labeled, lease
     /// telemetry is read live from the shared superblock, and a dead
     /// worker keeps contributing its last-seen series. `None` when the
     /// port cannot be bound.
     pub fn serve_metrics(&self, port: u16) -> Option<MetricsServer> {
-        serve_aggregate(&self.machine, self.map, self.lease_ms, port)
+        serve_aggregate(&self.machine, self.session.map, self.lease_ms, port)
     }
 
-    /// The cluster outcome as currently persisted. Dead shards are
-    /// judged exactly like the workers' monitors judge them — tombstone
-    /// *or* lease expiry — so a coordinator-less deployment that never
-    /// tombstones still reports expiry-detected deaths; a worker that
-    /// exited without seeing completion (own processors all
-    /// hard-faulted) also counts.
+    /// The cluster outcome as currently persisted (see [`ClusterSummary`]
+    /// for the dead-shard rule), judged on this observer's clock.
     pub fn summary(&self) -> ClusterSummary {
-        let shard_reports = read_reports(
+        summarize(
             &self.machine,
-            self.session.reports,
-            self.session.flags,
-            self.map,
-        );
-        let now = ppm_pm::now_ms();
-        let dead_shards = shard_reports
-            .iter()
-            .filter(|r| {
-                r.lease.map(|l| l.is_dead(now)).unwrap_or(false)
-                    || (r.started && r.exited && !r.saw_completion)
-            })
-            .map(|r| r.shard)
-            .collect();
-        ClusterSummary {
-            shards: self.map.shards,
-            procs_per_shard: self.map.procs_per_shard,
-            role: ClusterRole::Coordinator,
-            shard_reports,
-            dead_shards,
+            &self.session,
+            ClusterRole::Coordinator,
+            self.clock.now_ms(),
+        )
+    }
+
+    /// The coordinator's [`RunReport`]: completion is the persisted flag,
+    /// a shard whose worker never saw it counts as a dead processor.
+    pub(crate) fn run_report(&self, summary: &ClusterSummary, elapsed: Duration) -> RunReport {
+        RunReport {
+            completed: self.is_done(),
+            outcomes: summary
+                .shard_reports
+                .iter()
+                .map(|r| match r.saw_completion {
+                    true => ProcOutcome::Halted,
+                    false => ProcOutcome::Dead,
+                })
+                .collect(),
+            stats: self.machine.stats().snapshot(),
+            elapsed,
+            deque_dump: self
+                .session
+                .sched
+                .deques()
+                .iter()
+                .map(|d| crate::deque::render(self.machine.mem(), d))
+                .collect(),
+            checkpoints: Default::default(),
         }
     }
 
@@ -1611,7 +1491,7 @@ impl ClusterObserver {
         }
         if let Some(path) = Obs::trace_file_from_env() {
             let _ = self.machine.obs().tracer().flush_jsonl(&path);
-            write_trace_manifest(&path, self.map.shards);
+            write_trace_manifest(&path, self.session.map.shards);
         }
         Ok(())
     }
@@ -1619,19 +1499,20 @@ impl ClusterObserver {
 
 #[cfg(unix)]
 fn init_machine(
-    path: impl AsRef<std::path::Path>,
-    cfg: &ClusterConfig,
+    builder: &ClusterBuilder,
     build: &ShardBuild,
+    now_ms: u64,
 ) -> io::Result<(Machine, ClusterSession)> {
-    let map = ShardMap::new(cfg.pm.procs, cfg.shards);
-    let machine = match cfg.pool_words {
-        Some(w) => Machine::create_durable_with_pool_words(cfg.pm.clone(), w, &path)?,
-        None => Machine::create_durable(cfg.pm.clone(), &path)?,
+    let pm = builder.pm()?.clone();
+    let map = ShardMap::new(pm.procs, builder.shards);
+    let machine = match builder.pool_words {
+        Some(w) => Machine::create_durable_with_pool_words(pm, w, &builder.path)?,
+        None => Machine::create_durable(pm, &builder.path)?,
     };
     if !machine
         .mem()
         .backend()
-        .write_cluster_header(&cfg.header())?
+        .write_cluster_header(&builder.header())?
     {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -1641,10 +1522,10 @@ fn init_machine(
     let session = build_session(
         &machine,
         map,
-        cfg.deque_slots,
-        cfg.seed,
+        builder.deque_slots,
+        builder.seed,
         None,
-        cfg.service,
+        builder.service.then_some(builder.service_config),
         build,
     );
     match &session.service {
@@ -1663,264 +1544,15 @@ fn init_machine(
                 ));
             }
         }
-        None => plant_roots(&machine, &session, map),
+        None => plant_roots(&machine, &session),
     }
+    let seed_lease = Lease::alive_at(0, builder.lease_ms * STARTUP_LEASE_FACTOR, now_ms);
     for s in 0..map.shards {
-        machine
-            .mem()
-            .backend()
-            .write_lease(s, &Lease::alive(0, cfg.lease_ms * STARTUP_LEASE_FACTOR))?;
+        machine.mem().backend().write_lease(s, &seed_lease)?;
     }
     // Everything a worker needs is durable before any worker exists.
     machine.flush()?;
     Ok((machine, session))
-}
-
-/// SIGKILLs and reaps every still-tracked child.
-#[cfg(unix)]
-fn kill_all(children: &mut [Option<std::process::Child>]) {
-    for slot in children.iter_mut() {
-        if let Some(child) = slot {
-            let _ = child.kill();
-            let _ = child.wait();
-            *slot = None;
-        }
-    }
-}
-
-/// Coordinator-side quiesce pacing: raises the superblock request word
-/// when `every` has elapsed and the previous round released (or timed
-/// out — a performer that died mid-round must not wedge the cadence
-/// forever). The performer is the lowest shard holding a live, unexpired
-/// lease; every live shard acks, only the performer checkpoints.
-#[cfg(unix)]
-fn request_quiesce_if_due(
-    machine: &Machine,
-    map: ShardMap,
-    every: Duration,
-    seq: &mut u64,
-    last: &mut Instant,
-) {
-    if last.elapsed() < every {
-        return;
-    }
-    let backend = machine.mem().backend();
-    let released = backend.read_quiesce_word(ppm_pm::service::QUIESCE_REL_OFFSET) >= *seq;
-    if !released && last.elapsed() < every.saturating_mul(3) {
-        return;
-    }
-    let now = ppm_pm::now_ms();
-    let performer = (0..map.shards).find(|s| {
-        matches!(backend.read_lease(*s),
-                 Some(l) if l.state == LeaseState::Alive && !l.is_dead(now))
-    });
-    let Some(performer) = performer else {
-        *last = Instant::now();
-        return;
-    };
-    *seq += 1;
-    backend.write_quiesce_word(
-        ppm_pm::service::QUIESCE_REQ_OFFSET,
-        ppm_pm::service::pack_quiesce_req(*seq, performer),
-    );
-    *last = Instant::now();
-    let requested = *seq;
-    machine
-        .obs()
-        .tracer()
-        .record_with(TraceKind::Checkpoint, None, None, || {
-            format!("cluster quiesce {requested} requested (performer shard {performer})")
-        });
-}
-
-/// Creates a sharded run and drives it to completion: prepares the
-/// machine file via [`init`]'s path (superblock, cluster header, session
-/// frames, one planted sub-root per shard, seeded leases), spawns the
-/// `N` worker processes via `spawn_worker` (which receives the shard
-/// index and must return a command that ends up calling [`run_worker`]
-/// for it — typically the current executable with a `worker` argument),
-/// and then *observes*: reaping worker exits (tombstoning the leases of
-/// the dead so survivors adopt immediately), watching the completion
-/// flag, and enforcing the deadline.
-///
-/// The returned [`SessionReport`] carries a [`ClusterSummary`]; its
-/// `run.completed` reflects the persisted completion flag. On an
-/// incomplete outcome (all workers dead, or deadline) the machine file is
-/// left crashed-in-run; [`recover`] finishes the computation
-/// single-process.
-#[cfg(unix)]
-#[deprecated(note = "use ClusterBuilder::new(path).machine(pm).workers(n)….run(&build, spawn)")]
-pub fn run_coordinator(
-    path: impl AsRef<std::path::Path>,
-    cfg: &ClusterConfig,
-    build: &ShardBuild,
-    spawn_worker: impl FnMut(usize) -> std::process::Command,
-) -> io::Result<SessionReport> {
-    coordinate(path, cfg, build, spawn_worker)
-}
-
-#[cfg(unix)]
-fn coordinate(
-    path: impl AsRef<std::path::Path>,
-    cfg: &ClusterConfig,
-    build: &ShardBuild,
-    mut spawn_worker: impl FnMut(usize) -> std::process::Command,
-) -> io::Result<SessionReport> {
-    let start = Instant::now();
-    let map = ShardMap::new(cfg.pm.procs, cfg.shards);
-    let (machine, session) = init_machine(path, cfg, build)?;
-    let obs = machine.obs().clone();
-    obs.tracer()
-        .record_with(TraceKind::RunStart, None, None, || {
-            format!(
-                "coordinator: {} shards x {} procs",
-                map.shards, map.procs_per_shard
-            )
-        });
-    // Aggregated scrape surface (workers serve `port + 1 + shard`).
-    let _metrics =
-        Obs::metrics_port_from_env().and_then(|p| serve_aggregate(&machine, map, cfg.lease_ms, p));
-
-    // Spawn, killing the partial fleet if any spawn fails: leaking live
-    // workers past an Err would leave them running against a file the
-    // caller may immediately hand to `recover`, which scrubs deques
-    // under them.
-    let mut children: Vec<Option<std::process::Child>> = Vec::with_capacity(map.shards);
-    for s in 0..map.shards {
-        match spawn_worker(s).spawn() {
-            Ok(child) => children.push(Some(child)),
-            Err(e) => {
-                kill_all(&mut children);
-                return Err(e);
-            }
-        }
-    }
-
-    let poll = Duration::from_millis(20);
-    let mut quiesce_seq = 0u64;
-    let mut last_quiesce = Instant::now();
-    let deadline_hit = loop {
-        // Reap exits; a worker that exited without completing the run is
-        // dead — tombstone its lease so survivors adopt immediately
-        // instead of waiting out the expiry. A try_wait error counts as
-        // an exit (the child is unobservable; the lease expiry would
-        // catch it anyway).
-        for (s, slot) in children.iter_mut().enumerate() {
-            if let Some(child) = slot {
-                if child.try_wait().map(|st| st.is_some()).unwrap_or(true) {
-                    *slot = None;
-                    let lease = machine.mem().backend().read_lease(s);
-                    let done_lease = matches!(
-                        lease,
-                        Some(Lease {
-                            state: LeaseState::Done,
-                            ..
-                        })
-                    );
-                    if !done_lease {
-                        tombstone_lease(&machine, s);
-                        obs.tracer().record_with(
-                            TraceKind::ShardDead,
-                            Some(s as u32),
-                            None,
-                            || format!("worker process for shard {s} exited before completion"),
-                        );
-                    }
-                }
-            }
-        }
-        if let Some(every) = cfg.checkpoint_every {
-            request_quiesce_if_due(&machine, map, every, &mut quiesce_seq, &mut last_quiesce);
-        }
-        let done = session.done.is_set(machine.mem());
-        let live = children.iter().filter(|c| c.is_some()).count();
-        if done && live == 0 {
-            break false;
-        }
-        if !done && live == 0 {
-            break false; // every fault domain died; caller recovers
-        }
-        if start.elapsed() > cfg.deadline {
-            kill_all(&mut children);
-            break true;
-        }
-        std::thread::sleep(poll);
-    };
-
-    let completed = session.done.is_set(machine.mem());
-    machine.flush()?;
-    if completed {
-        machine.mark_clean()?;
-    }
-
-    let shard_reports = read_reports(&machine, session.reports, session.flags, map);
-    let now = ppm_pm::now_ms();
-    let dead_shards: Vec<usize> = shard_reports
-        .iter()
-        .filter(|r| {
-            r.lease.map(|l| l.is_dead(now)).unwrap_or(false) || (r.started && !r.saw_completion)
-        })
-        .map(|r| r.shard)
-        .collect();
-    let outcomes = shard_reports
-        .iter()
-        .map(|r| {
-            if r.saw_completion {
-                ProcOutcome::Halted
-            } else {
-                ProcOutcome::Dead
-            }
-        })
-        .collect();
-    let deque_dump = session
-        .sched
-        .deques()
-        .iter()
-        .map(|d| crate::deque::render(machine.mem(), d))
-        .collect();
-    let summary = ClusterSummary {
-        shards: map.shards,
-        procs_per_shard: map.procs_per_shard,
-        role: ClusterRole::Coordinator,
-        shard_reports,
-        dead_shards,
-    };
-    let _ = deadline_hit; // recorded implicitly: incomplete + dead shards
-    obs.tracer().record(
-        TraceKind::RunEnd,
-        None,
-        None,
-        if completed {
-            "cluster run completed"
-        } else {
-            "cluster run incomplete (recover to finish)"
-        },
-    );
-    if let Some(path) = Obs::trace_file_from_env() {
-        let _ = obs.tracer().flush_jsonl(&path);
-        write_trace_manifest(&path, map.shards);
-    }
-    Ok(SessionReport {
-        epoch: machine.epoch(),
-        mode: SessionMode::FreshRun,
-        found_jobs: 0,
-        found_locals: 0,
-        found_taken: 0,
-        live_restart_pointers: 0,
-        resumed: 0,
-        fallback_reason: None,
-        checkpoint_resume: None,
-        cluster: Some(summary),
-        trace: Some(obs.tracer().summary()),
-        run: Some(RunReport {
-            completed,
-            outcomes,
-            stats: machine.stats().snapshot(),
-            elapsed: start.elapsed(),
-            deque_dump,
-            checkpoints: Default::default(),
-        }),
-    })
 }
 
 /// Writes `<trace>.manifest`: one line per trace artifact of the run —
@@ -1970,16 +1602,7 @@ fn write_trace_manifest(base: &std::path::Path, shards: usize) {
 #[cfg(unix)]
 pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Result<SessionReport> {
     let machine = Machine::reopen(&path)?;
-    let header = machine
-        .mem()
-        .backend()
-        .read_cluster_header()
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "machine file has no cluster header (not a sharded run)",
-            )
-        })?;
+    let header = read_header(&machine)?;
     let map = ShardMap::new(machine.procs(), header.shards as usize);
     // Recovery appends to the coordinator-side span sidecar: the epoch
     // bits in its span ids keep them disjoint from the crashed epoch's,
@@ -1991,23 +1614,7 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
             machine.obs().set_span_sink(std::sync::Arc::new(sink));
         }
     }
-    let service_cfg = machine
-        .mem()
-        .backend()
-        .read_service_header()
-        .map(|h| ServiceConfig {
-            slots: h.slots as usize,
-            job_words: h.job_words as usize,
-        });
-    let session = build_session(
-        &machine,
-        map,
-        header.deque_slots as usize,
-        header.seed,
-        None,
-        service_cfg,
-        build,
-    );
+    let session = replay_session(&machine, &header, map, None, build);
     let (found_jobs, found_locals, found_taken, live_restart_pointers) =
         crash_forensics(&machine, &session.sched);
     machine
@@ -2020,31 +1627,23 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
                 map.shards
             )
         });
-    // Reports are re-read once the run is over, so subtree flags reflect
-    // what recovery itself finished.
-    let summary = |machine: &Machine, dead: Vec<usize>| ClusterSummary {
-        shards: map.shards,
-        procs_per_shard: map.procs_per_shard,
-        role: ClusterRole::Recovery,
-        shard_reports: read_reports(machine, session.reports, session.flags, map),
-        dead_shards: dead,
-    };
-
-    if session.done.is_set(machine.mem()) {
-        return Ok(SessionReport {
-            epoch: machine.epoch(),
-            mode: SessionMode::AlreadyComplete,
+    // Summarized once the run is over, so subtree flags reflect what
+    // recovery itself finished.
+    let forensics = |mode, run| {
+        let now = ppm_pm::now_ms();
+        let summary = summarize(&machine, &session, ClusterRole::Recovery, now);
+        SessionReport {
+            mode,
             found_jobs,
             found_locals,
             found_taken,
             live_restart_pointers,
-            resumed: 0,
-            fallback_reason: None,
-            checkpoint_resume: None,
-            cluster: Some(summary(&machine, Vec::new())),
-            trace: Some(machine.obs().tracer().summary()),
-            run: None,
-        });
+            ..cluster_report(&machine, summary, run)
+        }
+    };
+
+    if session.done.is_set(machine.mem()) {
+        return Ok(forensics(SessionMode::AlreadyComplete, None));
     }
 
     let harvest = harvest_frontier(&machine, &session.sched);
@@ -2074,7 +1673,7 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
                 format!("service ring scavenged: {rescued} slots normalized")
             });
     } else {
-        plant_roots(&machine, &session, map);
+        plant_roots(&machine, &session);
     }
     let seats: Vec<ProcSeat> = (0..machine.procs())
         .map(|proc| ProcSeat {
@@ -2131,24 +1730,14 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
         write_trace_manifest(&base, map.shards);
     }
 
-    let dead = (0..map.shards).collect();
+    let mode = match resume {
+        true => SessionMode::Resumed,
+        false => SessionMode::Replayed,
+    };
     Ok(SessionReport {
-        epoch: machine.epoch(),
-        mode: if resume {
-            SessionMode::Resumed
-        } else {
-            SessionMode::Replayed
-        },
-        found_jobs,
-        found_locals,
-        found_taken,
-        live_restart_pointers,
         resumed: if resume { seeds.len() } else { 0 },
         fallback_reason,
-        checkpoint_resume: None,
-        cluster: Some(summary(&machine, dead)),
-        trace: Some(machine.obs().tracer().summary()),
-        run: Some(run),
+        ..forensics(mode, Some(run))
     })
 }
 
@@ -2237,14 +1826,80 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The single dead-shard rule, judged on the observer's clock: a
+    /// worker that attached (`RUNNING`) but has not exited is alive for as
+    /// long as its lease is — judging by `started && !saw_completion`
+    /// alone would call every still-running worker dead.
+    #[cfg(unix)]
     #[test]
-    fn cluster_config_header_round_trip() {
-        let cfg = ClusterConfig::new(PmConfig::parallel(8, 1 << 20), 4)
-            .with_lease_ms(700)
-            .with_slots(1 << 12);
-        let h = cfg.header();
+    fn running_shard_with_a_live_lease_is_not_reported_dead() {
+        let file = ppm_pm::TempMachineFile::new("cluster-summary-rule");
+        let build: ShardBuild = Arc::new(|_machine, _s, arrive| arrive);
+        let clock = Arc::new(ppm_pm::VirtualClock::starting_at(10_000));
+        let builder = ClusterBuilder::new(file.path())
+            .machine(PmConfig::parallel(2, 1 << 20))
+            .workers(2)
+            .lease_ms(500);
+        let observer = observe_impl(&builder, &build, clock.clone()).expect("init cluster file");
+
+        // Shard 0 attached and heartbeats; shard 1 ran its processors to
+        // death and left without seeing completion.
+        let domain = ShardDomain::new(*observer.map(), 0);
+        let reports = observer.session.reports;
+        let backend = observer.machine().mem().backend();
+        write_report(
+            observer.machine(),
+            reports,
+            0,
+            REPORT_STATE_RUNNING,
+            false,
+            &domain,
+            0,
+        );
+        let _ = backend.write_lease(0, &Lease::alive_at(3, 500, observer.now_ms()));
+        write_report(
+            observer.machine(),
+            reports,
+            1,
+            REPORT_STATE_EXITED,
+            false,
+            &domain,
+            1,
+        );
+
+        let summary = observer.summary();
+        assert_eq!(summary.role, ClusterRole::Coordinator);
+        let r0 = &summary.shard_reports[0];
+        assert!(r0.started && !r0.exited && !r0.saw_completion);
+        assert_eq!(
+            summary.dead_shards,
+            vec![1],
+            "only the exited shard is dead"
+        );
+
+        // Same persisted state, later on the clock: the lease expired.
+        clock.advance(501);
+        assert_eq!(observer.summary().dead_shards, vec![0, 1]);
+    }
+
+    #[test]
+    fn cluster_builder_header_round_trip() {
+        let h = ClusterBuilder::new("unused.ppm")
+            .machine(PmConfig::parallel(8, 1 << 20))
+            .workers(4)
+            .lease_ms(700)
+            .deque_slots(1 << 12)
+            .seed(0x1234)
+            .victim_strategy(crate::capsules::VictimStrategy::LeastLoaded)
+            .header();
         assert_eq!(h.shards, 4);
         assert_eq!(h.lease_ms, 700);
         assert_eq!(h.deque_slots, 1 << 12);
+        assert_eq!(h.seed & !(0b11 << 62), 0x1234, "seed bits survive");
+        assert_eq!(
+            crate::capsules::VictimStrategy::unpack_from_seed(h.seed),
+            crate::capsules::VictimStrategy::LeastLoaded,
+            "victim policy rides in the seed word's top bits"
+        );
     }
 }

@@ -1133,9 +1133,19 @@ mod tests {
         let n = 32;
         let r = m.alloc_region(n);
         let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(1024));
+        // Lockstep on the single-threaded stepper: on OS threads the
+        // survivor can finish the work before a doomed processor reaches
+        // its scheduled access, and the death count becomes a race.
+        let mut sim = crate::sim::SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(1024));
+        sim.run_to_completion(1 << 20);
+        let rep = sim.finish();
         assert!(rep.completed);
-        assert_eq!(rep.dead_procs(), 3);
+        let dead = rep
+            .outcomes
+            .iter()
+            .filter(|o| **o == Some(ProcOutcome::Dead));
+        assert_eq!(dead.count(), 3);
+        assert_eq!(rep.outcomes[3], Some(ProcOutcome::Halted));
         for i in 0..n {
             assert_eq!(m.mem().load(r.at(i)), i as u64 + 1, "task {i}");
         }

@@ -32,8 +32,10 @@
 //!   processes attach to one `MAP_SHARED` machine file as independent
 //!   fault domains, with a lease-based cross-process liveness oracle and
 //!   dead-shard adoption through the ordinary steal protocol
-//!   ([`cluster::ClusterBuilder`] is the one entry point; the old free
-//!   functions survive as deprecated shims).
+//!   ([`cluster::ClusterBuilder`] is the one entry point).
+//! * [`supervisor`] — the one clock-driven [`Supervisor`] loop behind
+//!   every multi-process session: reap exited workers, tombstone their
+//!   leases, pace cross-process checkpoints.
 //! * [`service`] — service mode over the cluster: a durable MPMC
 //!   injector queue in the machine file from which live shards pull jobs
 //!   continuously, live-shard deque stealing, and the
@@ -56,12 +58,13 @@ pub mod model;
 pub mod runtime;
 pub mod service;
 pub mod sim;
+pub mod supervisor;
 
 pub use capsules::{Sched, SchedConfig, VictimStrategy};
 pub use checkpoint::{CheckpointPolicy, CheckpointSummary, CheckpointTrigger};
 pub use cluster::{
-    ClusterBuilder, ClusterConfig, ClusterObserver, ClusterRole, ClusterSummary, ShardBuild,
-    ShardDomain, ShardReport, DEFAULT_LEASE_MS,
+    ClusterBuilder, ClusterObserver, ClusterRole, ClusterSummary, ShardBuild, ShardDomain,
+    ShardReport, DEFAULT_LEASE_MS,
 };
 pub use deque::{build_deques, check_invariant, render, snapshot, DequeAddrs, DequeSnapshot};
 pub use driver::{
@@ -72,3 +75,4 @@ pub use entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal};
 pub use runtime::{Runtime, RuntimeConfig};
 pub use service::{InjectorQueue, JobReport, JobStatus, JobTicket, ServiceConfig, ServiceHandle};
 pub use sim::{SimEvent, SimOp, SimReport, SimSched};
+pub use supervisor::Supervisor;

@@ -186,46 +186,6 @@ impl Runtime {
         })
     }
 
-    /// Runs a sharded multi-process session: creates the durable machine
-    /// file at `path`, plants one sub-root per shard, spawns
-    /// `cfg.shards` worker processes (via `spawn_worker`, which receives
-    /// the shard index and returns the command that will call
-    /// [`crate::cluster::run_worker`] for it), and monitors the run —
-    /// leases, worker exits, the completion flag — until it completes or
-    /// the deadline fires. Workers form independent fault domains:
-    /// killing one mid-run costs bounded replay while the survivors
-    /// adopt its deque frontier and the run keeps going. See
-    /// [`crate::cluster`] for the full protocol.
-    #[cfg(unix)]
-    #[deprecated(
-        note = "use cluster::ClusterBuilder::new(path).machine(pm).workers(n)….run(&build, spawn)"
-    )]
-    pub fn sharded(
-        path: impl AsRef<std::path::Path>,
-        cfg: &crate::cluster::ClusterConfig,
-        build: &crate::cluster::ShardBuild,
-        spawn_worker: impl FnMut(usize) -> std::process::Command,
-    ) -> std::io::Result<SessionReport> {
-        let mut b = crate::cluster::ClusterBuilder::new(path)
-            .machine(cfg.pm.clone())
-            .workers(cfg.shards)
-            .lease_ms(cfg.lease_ms)
-            .deque_slots(cfg.deque_slots)
-            .seed(cfg.seed)
-            .victim_strategy(cfg.victim_strategy)
-            .deadline(cfg.deadline);
-        if let Some(w) = cfg.pool_words {
-            b = b.pool_words(w);
-        }
-        if let Some(every) = cfg.checkpoint_every {
-            b = b.checkpoint_every(every);
-        }
-        if let Some(svc) = cfg.service {
-            b = b.service(true).service_config(svc);
-        }
-        b.run(build, spawn_worker)
-    }
-
     /// Starts a persistent job service: creates the durable machine file
     /// at `path` with an injector queue of `workers * procs_per_shard`
     /// model processors, spawns the worker processes, and returns a live

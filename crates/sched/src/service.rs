@@ -64,18 +64,18 @@ use ppm_core::registry::frame_args;
 use ppm_core::{capsule, capsule_unchecked, sched_capsule, CapsuleId, Cont, Machine, Next};
 use ppm_obs::{Counter, Obs, TraceKind};
 use ppm_pm::service::{
-    pack_quiesce_req, ring_words, slot_checksum, slot_claimant, slot_epoch, slot_phase, slot_state,
-    QUIESCE_REL_OFFSET, QUIESCE_REQ_OFFSET,
+    ring_words, slot_checksum, slot_claimant, slot_epoch, slot_phase, slot_state,
 };
 use ppm_pm::{
-    is_frame_at, store_frame, Lease, LeaseState, PersistentMemory, Region, ServiceHeader,
-    ServiceState, ShardMap, SlotPhase, Word,
+    is_frame_at, store_frame, LeaseState, PersistentMemory, Region, ServiceHeader, ServiceState,
+    SlotPhase, Word,
 };
 
 use crate::capsules::Sched;
 use crate::cluster::{ClusterObserver, ClusterSummary, ShardReport};
 use crate::driver::SessionReport;
 use crate::entry::{pack, tag_of, EntryVal};
+use crate::supervisor::Supervisor;
 
 /// Word offset of the entry frame inside a slot's workspace.
 const WS_ENTRY_OFF: usize = 0;
@@ -924,46 +924,31 @@ fn done_check(
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 
 /// The coordinator's handle on a running job service: submit jobs, await
-/// their tickets, watch worker health (reaping dead workers and rescuing
-/// their claimed jobs), pace cross-process checkpoints, and wind the
-/// service down. Created by
-/// [`crate::cluster::ClusterBuilder::spawn`].
+/// their tickets, watch worker health (the [`Supervisor`] sweep plus the
+/// rescue of jobs claimed by dead shards), and wind the service down.
+/// Created by [`crate::cluster::ClusterBuilder::spawn`].
 pub struct ServiceHandle {
-    observer: ClusterObserver,
+    sup: Supervisor,
     queue: Arc<InjectorQueue>,
-    children: Vec<Option<std::process::Child>>,
     state: ServiceState,
-    quiesce_every: Option<Duration>,
-    last_quiesce: Instant,
-    quiesce_seq: u64,
-    /// The coordinator's aggregated scrape endpoint (`PPM_METRICS_PORT`),
-    /// held so it answers for the whole service lifetime.
-    _metrics: Option<ppm_obs::MetricsServer>,
 }
 
 impl ServiceHandle {
-    pub(crate) fn new(
-        observer: ClusterObserver,
-        queue: Arc<InjectorQueue>,
-        children: Vec<Option<std::process::Child>>,
-        quiesce_every: Option<Duration>,
-        metrics: Option<ppm_obs::MetricsServer>,
-    ) -> Self {
+    pub(crate) fn new(sup: Supervisor) -> Self {
+        let queue = sup
+            .observer()
+            .service_queue()
+            .expect("service session always installs an injector queue");
         ServiceHandle {
-            observer,
+            sup,
             queue,
-            children,
             state: ServiceState::Accepting,
-            quiesce_every,
-            last_quiesce: Instant::now(),
-            quiesce_seq: 0,
-            _metrics: metrics,
         }
     }
 
     /// The observer half (progress reads, lease table, metrics).
     pub fn observer(&self) -> &ClusterObserver {
-        &self.observer
+        self.sup.observer()
     }
 
     /// The injector queue (direct submit/status access for tests and
@@ -991,7 +976,7 @@ impl ServiceHandle {
             ));
         }
         let id = self
-            .observer
+            .observer()
             .machine()
             .registry()
             .id_of(kind)
@@ -1024,7 +1009,7 @@ impl ServiceHandle {
                         claimant,
                         claim_epoch,
                         elapsed: start.elapsed(),
-                        cluster: Some(self.observer.summary()),
+                        cluster: Some(self.observer().summary()),
                     });
                 }
                 JobStatus::Lost => {
@@ -1049,81 +1034,28 @@ impl ServiceHandle {
         }
     }
 
-    /// One health sweep: reap exited workers (tombstoning their leases so
-    /// survivors adopt immediately), rescue injector slots claimed by
-    /// dead shards, and pace the cross-process checkpoint quiesce.
+    /// One health sweep: the [`Supervisor::tick`] (reap exited workers,
+    /// tombstone their leases, pace the cross-process checkpoint
+    /// quiesce), then rescue injector slots claimed by dead shards.
     pub fn tick(&mut self) {
-        for (s, slot) in self.children.iter_mut().enumerate() {
-            if let Some(child) = slot {
-                if child.try_wait().map(|st| st.is_some()).unwrap_or(true) {
-                    *slot = None;
-                    let done_lease = matches!(
-                        self.observer.lease(s),
-                        Some(Lease {
-                            state: LeaseState::Done,
-                            ..
-                        })
-                    );
-                    if !done_lease {
-                        self.observer.tombstone(s);
-                    }
-                }
-            }
-        }
-        let machine = self.observer.machine();
-        let map = *self.observer.map();
-        let backend = machine.mem().backend();
-        let now = ppm_pm::now_ms();
-        let shard_dead = |shard: usize| match backend.read_lease(shard) {
-            Some(l) => l.is_dead(now) || l.state == LeaseState::Done,
-            None => false,
+        self.sup.tick();
+        let observer = self.sup.observer();
+        let (map, now) = (*observer.map(), observer.now_ms());
+        let shard_dead = |shard: usize| {
+            observer
+                .lease(shard)
+                .is_some_and(|l| l.is_dead(now) || l.state == LeaseState::Done)
         };
         self.queue
             .rescue(|claimant| claimant < map.procs() && shard_dead(map.shard_of(claimant)));
-        self.maybe_request_quiesce(map, now);
     }
 
-    /// Raises the superblock quiesce request when the cadence is due and
-    /// the previous round has released (or timed out — a performer that
-    /// died mid-round must not wedge the cadence forever).
-    fn maybe_request_quiesce(&mut self, map: ShardMap, now: u64) {
-        let Some(every) = self.quiesce_every else {
-            return;
-        };
-        if self.last_quiesce.elapsed() < every {
-            return;
-        }
-        let machine = self.observer.machine();
-        let backend = machine.mem().backend();
-        let released = backend.read_quiesce_word(QUIESCE_REL_OFFSET) >= self.quiesce_seq;
-        if !released && self.last_quiesce.elapsed() < every.saturating_mul(3) {
-            return;
-        }
-        // Elect the lowest shard holding a live, unexpired lease. Every
-        // live shard acks; only the performer runs the checkpoint.
-        let performer = (0..map.shards).find(|s| {
-            matches!(backend.read_lease(*s),
-                     Some(l) if l.state == LeaseState::Alive && !l.is_dead(now))
-        });
-        let Some(performer) = performer else {
-            self.last_quiesce = Instant::now();
-            return;
-        };
-        self.quiesce_seq += 1;
-        backend.write_quiesce_word(
-            QUIESCE_REQ_OFFSET,
-            pack_quiesce_req(self.quiesce_seq, performer),
-        );
-        self.last_quiesce = Instant::now();
-        machine
-            .obs()
-            .tracer()
-            .record_with(TraceKind::Checkpoint, None, None, || {
-                format!(
-                    "cluster quiesce {} requested (performer shard {performer})",
-                    self.quiesce_seq
-                )
-            });
+    /// Moves the service to `state`, here and in the durable header every
+    /// attacher reads.
+    fn set_state(&mut self, state: ServiceState) {
+        self.state = state;
+        let backend = self.observer().machine().mem().backend();
+        let _ = backend.write_service_header(&self.queue.header(state));
     }
 
     /// Stops accepting submissions and waits (up to `timeout`) for the
@@ -1131,13 +1063,7 @@ impl ServiceHandle {
     /// still accepts [`ServiceHandle::shutdown`] or a return to service
     /// by a fresh handle.
     pub fn drain(&mut self, timeout: Duration) -> io::Result<()> {
-        self.state = ServiceState::Draining;
-        let _ = self
-            .observer
-            .machine()
-            .mem()
-            .backend()
-            .write_service_header(&self.queue.header(ServiceState::Draining));
+        self.set_state(ServiceState::Draining);
         let start = Instant::now();
         while self.queue.depth() > 0 {
             self.tick();
@@ -1156,21 +1082,7 @@ impl ServiceHandle {
     /// fault-injection hook service examples and tests use. Jobs the
     /// shard had claimed are rescued on the next sweep.
     pub fn kill_worker(&mut self, shard: usize) -> io::Result<()> {
-        let child = self
-            .children
-            .get_mut(shard)
-            .and_then(Option::take)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("no live worker for shard {shard}"),
-                )
-            })?;
-        let mut child = child;
-        let _ = child.kill();
-        let _ = child.wait();
-        self.observer.tombstone(shard);
-        Ok(())
+        self.sup.kill_worker(shard)
     }
 
     /// Stops the service: marks the header `Stopped`, sets the global
@@ -1178,53 +1090,9 @@ impl ServiceHandle {
     /// worker exits (killing stragglers after a grace period), and
     /// returns the final session report.
     pub fn shutdown(mut self) -> io::Result<SessionReport> {
-        self.state = ServiceState::Stopped;
-        let _ = self
-            .observer
-            .machine()
-            .mem()
-            .backend()
-            .write_service_header(&self.queue.header(ServiceState::Stopped));
-        self.observer.set_done();
-        let start = Instant::now();
-        loop {
-            for slot in self.children.iter_mut() {
-                if let Some(child) = slot {
-                    if child.try_wait().map(|st| st.is_some()).unwrap_or(true) {
-                        *slot = None;
-                    }
-                }
-            }
-            if self.children.iter().all(|c| c.is_none()) {
-                break;
-            }
-            if start.elapsed() > SHUTDOWN_GRACE {
-                for slot in self.children.iter_mut() {
-                    if let Some(child) = slot {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        *slot = None;
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        self.observer.finish()?;
-        let machine = self.observer.machine();
-        Ok(SessionReport {
-            epoch: machine.epoch(),
-            mode: crate::driver::SessionMode::FreshRun,
-            found_jobs: 0,
-            found_locals: 0,
-            found_taken: 0,
-            live_restart_pointers: 0,
-            resumed: 0,
-            fallback_reason: None,
-            checkpoint_resume: None,
-            cluster: Some(self.observer.summary()),
-            trace: Some(machine.obs().tracer().summary()),
-            run: None,
-        })
+        self.set_state(ServiceState::Stopped);
+        self.observer().set_done();
+        self.sup.wait_exit(SHUTDOWN_GRACE);
+        self.sup.finish()
     }
 }

@@ -53,8 +53,8 @@ mod scenario {
     use ppm::algs::{samplesort_pool_words, SampleSort};
     use ppm::core::Machine;
     use ppm::pm::{PmConfig, Region, TempMachineFile, Word};
-    use ppm::sched::cluster::{self, ClusterBuilder, ClusterObserver, ShardBuild};
-    use ppm::sched::SessionMode;
+    use ppm::sched::cluster::{self, ClusterBuilder, ShardBuild};
+    use ppm::sched::{SessionMode, Supervisor};
 
     const PROCS_PER_SHARD: usize = 2;
     const WORDS: usize = 1 << 23;
@@ -175,12 +175,6 @@ mod scenario {
         let file = TempMachineFile::new(&format!("sharded-fault-{attempt}"));
         let outputs = Arc::new(Mutex::new(vec![None; ppm::pm::MAX_SHARDS]));
         let build = build(outputs.clone());
-        let observer = cluster_builder(file.path(), shards)
-            .observe(&build)
-            .expect("init");
-        let metrics_port = ppm::obs::Obs::metrics_port_from_env();
-        let _metrics = metrics_port.and_then(|p| observer.serve_metrics(p));
-
         // Each attempt is a fresh machine file: clear the previous
         // attempt's span sidecars so a recovery-appended coordinator file
         // can't leak stale spans into this attempt's DAG.
@@ -192,21 +186,23 @@ mod scenario {
         }
 
         let exe = std::env::current_exe().expect("current_exe");
-        let mut children: Vec<std::process::Child> = (0..shards)
-            .map(|s| {
-                std::process::Command::new(&exe)
-                    .arg("worker")
-                    .arg(file.path())
-                    .arg(s.to_string())
-                    .spawn()
-                    .expect("spawn worker")
-            })
-            .collect();
+        let mut sup = Supervisor::launch(
+            &cluster_builder(file.path(), shards),
+            &build,
+            |s| {
+                let mut cmd = std::process::Command::new(&exe);
+                cmd.arg("worker").arg(file.path()).arg(s.to_string());
+                cmd
+            },
+            ppm::pm::system_clock(),
+        )
+        .expect("launch");
+        let metrics_port = ppm::obs::Obs::metrics_port_from_env();
 
         // Kill the last shard's worker once its own output is half full.
         let victim = shards - 1;
         let victim_out = outputs.lock().unwrap()[victim].expect("builder ran");
-        let killed = wait_and_kill(&observer, victim_out, &mut children[victim]);
+        let killed = wait_and_kill(&mut sup, victim, victim_out);
         println!(
             "attempt {attempt}: victim shard {victim} {}",
             if killed {
@@ -215,71 +211,44 @@ mod scenario {
                 "finished before the kill window"
             }
         );
-        if killed {
-            observer.tombstone(victim);
-        }
 
-        // Wait for the survivors (or, with one worker, nobody) to finish.
-        // A kill can land in one of the narrow unadoptable windows (the
-        // victim mid-steal or mid-push, its thread's restart pointer a
-        // process-local closure): survivors refuse that adoption and the
-        // run stalls — past the deadline we degrade to recovery instead.
+        // Supervise the survivors (or, with one worker, nobody) until
+        // the run completes. A kill can land in one of the narrow
+        // unadoptable windows (the victim mid-steal or mid-push, its
+        // thread's restart pointer a process-local closure): survivors
+        // refuse that adoption and the run stalls — past the deadline we
+        // degrade to recovery instead.
         let deadline = Instant::now() + Duration::from_secs(45);
         let mut last_scrape = String::new();
         let mut next_scrape = Instant::now();
-        let mut done = loop {
-            if observer.is_done() {
-                break true;
-            }
-            let any_alive = children
-                .iter_mut()
-                .any(|c| c.try_wait().expect("try_wait").is_none());
-            if !any_alive || Instant::now() >= deadline {
-                break false;
-            }
+        let done = loop {
+            sup.tick();
+            let done = sup.observer().is_done();
             // Keep the aggregate exporter's per-worker cache warm: each
             // scrape pulls the live workers, so their last-seen counters
-            // survive into post-mortem scrapes after they exit.
+            // survive into post-mortem scrapes after they exit. The one
+            // at completion catches the survivors (most likely) still
+            // alive writing exit reports: final counter values.
             if let Some(port) = metrics_port {
-                if Instant::now() >= next_scrape {
+                if done || Instant::now() >= next_scrape {
                     if let Ok(text) = scrape(port) {
                         last_scrape = text;
                     }
                     next_scrape = Instant::now() + Duration::from_millis(150);
                 }
             }
+            if done || sup.live() == 0 || Instant::now() >= deadline {
+                break done;
+            }
             std::thread::sleep(Duration::from_millis(20));
         };
-        if done {
-            // One more scrape while the survivors are (most likely)
-            // still alive writing exit reports: final counter values.
-            if let Some(port) = metrics_port {
-                if let Ok(text) = scrape(port) {
-                    last_scrape = text;
-                }
-            }
-        }
-        if done {
-            // Let the survivors write their exit reports (they halt as
-            // soon as they read the completion flag) before summarizing.
-            let grace = Instant::now() + Duration::from_secs(10);
-            while Instant::now() < grace
-                && children
-                    .iter_mut()
-                    .any(|c| c.try_wait().expect("try_wait").is_none())
-            {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        for c in children.iter_mut() {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-        done = done && observer.is_done();
+        // Survivors halt as soon as they read the completion flag; let
+        // them write their exit reports. A stalled fleet is killed now.
+        sup.wait_exit(Duration::from_secs(if done { 10 } else { 0 }));
+        let report = sup.finish().expect("flush + mark clean");
 
-        let mut outcome = if done {
-            let summary = observer.summary();
-            observer.finish().expect("flush + mark clean");
+        let mut outcome = if report.completed() {
+            let summary = report.cluster.as_ref().expect("cluster summary");
             let adopted = summary.adopted();
             println!(
                 "run complete: adopted={} blocked={} dead_shards={:?}",
@@ -312,7 +281,6 @@ mod scenario {
             // No survivors (1-worker matrix leg) or a blocked-adoption
             // stall: degrade to single-process recovery — the run must
             // still finish exactly-once.
-            drop(observer);
             println!("survivors could not finish; degrading to cluster::recover");
             let rep = cluster::recover(file.path(), &build).expect("recover");
             assert!(rep.completed(), "recovery must finish the sort");
@@ -440,21 +408,15 @@ mod scenario {
 
     /// Waits until the victim's output region is ~half written, then
     /// SIGKILLs it. Returns false if the victim exits first.
-    fn wait_and_kill(
-        observer: &ClusterObserver,
-        out: Region,
-        victim: &mut std::process::Child,
-    ) -> bool {
+    fn wait_and_kill(sup: &mut Supervisor, victim: usize, out: Region) -> bool {
         let deadline = Instant::now() + Duration::from_secs(60);
+        let fleet = sup.live();
         loop {
             assert!(Instant::now() < deadline, "victim made no progress in 60s");
-            if victim.try_wait().expect("try_wait").is_some() {
-                return false;
-            }
-            if count_written(observer.machine(), out) >= KILL_AT {
-                victim.kill().expect("SIGKILL victim");
-                victim.wait().expect("reap victim");
-                return true;
+            sup.tick();
+            // A reaped victim leaves no one for `kill_worker` to find.
+            if sup.live() < fleet || count_written(sup.observer().machine(), out) >= KILL_AT {
+                return sup.kill_worker(victim).is_ok();
             }
             std::thread::sleep(Duration::from_micros(300));
         }

@@ -2,7 +2,8 @@
 //! `Machine::attach`-style attachments to one machine file inside one
 //! test process (the `MAP_SHARED` mapping makes them exactly as coherent
 //! as separate OS processes — what a real `kill -9` adds is exercised by
-//! `examples/sharded_fault.rs`).
+//! `examples/sharded_fault.rs`), plus one run with real worker processes
+//! under `ClusterBuilder::run`.
 
 #![cfg(unix)]
 
@@ -194,4 +195,65 @@ fn recover_finishes_an_abandoned_cluster_file() {
     // A second recover on the finished file is a no-op.
     let again = cluster::recover(file.path(), &build).unwrap();
     assert_eq!(again.mode, SessionMode::AlreadyComplete);
+}
+
+/// Prefix of the extra argument (`worker=<machine file>:<shard>`) that
+/// [`builder_run_supervises_worker_processes_to_completion`] hands the
+/// worker processes it spawns. To the test harness it is one more name
+/// filter, matching nothing.
+const WORKER_ARG: &str = "worker=";
+
+/// The worker half of the test below: the test binary re-executes itself
+/// with this test selected. In an ordinary test run it has nothing to do.
+#[test]
+fn worker_process_entry() {
+    let Some(arg) = std::env::args().find(|a| a.starts_with(WORKER_ARG)) else {
+        return;
+    };
+    let (path, shard) = arg[WORKER_ARG.len()..]
+        .rsplit_once(':')
+        .expect("<file>:<shard>");
+    let build = marker_build(Arc::new(Mutex::new(vec![None; 2])));
+    let rep = cluster::run_worker(path, shard.parse().unwrap(), &build).unwrap();
+    assert!(rep.completed(), "worker {shard} must see the run complete");
+}
+
+#[test]
+fn builder_run_supervises_worker_processes_to_completion() {
+    let file = TempMachineFile::new("cluster-run");
+    let slices = Arc::new(Mutex::new(vec![None; 2]));
+    let build = marker_build(slices.clone());
+    let exe = std::env::current_exe().unwrap();
+    let rep = cluster_builder(file.path(), 2, 1000)
+        .deadline(std::time::Duration::from_secs(60))
+        .run(&build, |shard| {
+            let mut cmd = std::process::Command::new(&exe);
+            let spec = format!("{WORKER_ARG}{}:{shard}", file.path().display());
+            cmd.args(["worker_process_entry", "--exact", &spec])
+                .stdout(std::process::Stdio::null());
+            cmd
+        })
+        .unwrap();
+
+    assert!(rep.completed(), "the fleet finishes inside the deadline");
+    assert_eq!(rep.mode, SessionMode::FreshRun);
+    let run = rep.run_report();
+    assert_eq!(run.dead_procs(), 0, "every shard saw completion");
+    let summary = rep.cluster.as_ref().unwrap();
+    assert_eq!(summary.role, ClusterRole::Coordinator);
+    assert!(summary.dead_shards.is_empty(), "nobody died");
+    for r in &summary.shard_reports {
+        assert!(r.started && r.exited && r.saw_completion && r.subtree_complete);
+        assert_eq!(
+            r.lease.map(|l| l.state),
+            Some(ppm::pm::LeaseState::Done),
+            "a worker that left a Done lease is not tombstoned by the reap"
+        );
+    }
+
+    // `finish` recorded the clean shutdown: nothing is left to recover.
+    let again = cluster::recover(file.path(), &build).unwrap();
+    assert_eq!(again.mode, SessionMode::AlreadyComplete);
+    let machine = Machine::reopen(file.path()).unwrap();
+    assert_slices_filled(&machine, &slices);
 }

@@ -4,7 +4,7 @@
 
 use ppm::core::{comp_dyn, comp_fork2, comp_nop, comp_step, par_all, Comp, Machine};
 use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm::sched::{ProcOutcome, Runtime, SchedConfig, SessionReport};
+use ppm::sched::{ProcOutcome, Runtime, SchedConfig, SessionReport, SimReport, SimSched};
 
 fn marker_tasks(r: Region, n: usize) -> Comp {
     par_all(
@@ -29,6 +29,17 @@ fn run(m: Machine, comp: &Comp, cfg: SchedConfig) -> (Runtime, SessionReport) {
     let rt = Runtime::new(m, cfg);
     let rep = rt.run_or_replay(comp);
     (rt, rep)
+}
+
+/// Runs a closure computation under the single-threaded [`SimSched`],
+/// every processor stepped round-robin one capsule at a time. Whether a
+/// scheduled hard fault fires before the others finish the work is then
+/// a property of the schedule, not of the OS scheduler: a doomed
+/// processor's access count advances in lockstep with everyone else's.
+fn run_lockstep(m: &Machine, comp: &Comp, cfg: SchedConfig) -> SimReport {
+    let mut sim = SimSched::new_closure(m, comp, &cfg);
+    sim.run_to_completion(1 << 20);
+    sim.finish()
 }
 
 /// An unbalanced recursive computation: a "spine" that forks a leaf at
@@ -126,10 +137,10 @@ fn adversarial_hard_fault_placements_on_root() {
         );
         let n = 32;
         let r = m.alloc_region(n);
-        let (rt, rep) = run(m, &marker_tasks(r, n), SchedConfig::with_slots(1 << 11));
-        assert!(rep.completed(), "death at access {at}");
-        assert_eq!(rep.run_report().outcomes[0], ProcOutcome::Dead);
-        assert_all_marked(rt.machine(), r, n, &format!("death@{at}"));
+        let rep = run_lockstep(&m, &marker_tasks(r, n), SchedConfig::with_slots(1 << 11));
+        assert!(rep.completed, "death at access {at}");
+        assert_eq!(rep.outcomes[0], Some(ProcOutcome::Dead), "death@{at}");
+        assert_all_marked(&m, r, n, &format!("death@{at}"));
     }
 }
 
@@ -147,10 +158,14 @@ fn cascading_deaths_during_recovery() {
     );
     let n = 48;
     let r = m.alloc_region(n);
-    let (rt, rep) = run(m, &marker_tasks(r, n), SchedConfig::with_slots(1 << 11));
-    assert!(rep.completed());
-    assert_eq!(rep.dead_procs(), 3);
-    assert_all_marked(rt.machine(), r, n, "cascade");
+    let rep = run_lockstep(&m, &marker_tasks(r, n), SchedConfig::with_slots(1 << 11));
+    assert!(rep.completed);
+    let dead = rep
+        .outcomes
+        .iter()
+        .filter(|o| **o == Some(ProcOutcome::Dead));
+    assert_eq!(dead.count(), 3);
+    assert_all_marked(&m, r, n, "cascade");
 }
 
 #[test]

@@ -40,6 +40,15 @@
 #      a refcount RMW on a line every processor shares) unless a
 #      `hot-path-ok:` justification sits within the six lines above. The
 #      one expected exception is the observer call behind its flag check.
+#
+#   5. One supervisor. Reaping a dead worker, tombstoning its lease and
+#      pacing the cross-process quiesce is one job (the paper's §6
+#      asynchrony requirement at OS scale) and crates/sched/src/
+#      supervisor.rs does it once. Under crates/, `try_wait(` (the reap)
+#      and a `write_quiesce_word(` of QUIESCE_REQ_OFFSET (the quiesce
+#      request) may each appear in exactly one source file, and no
+#      `#[deprecated` shim or `allow(deprecated)` caller ships: an old
+#      entry point is deleted, not kept beside the new one.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -139,8 +148,26 @@ if [ -n "$hits" ]; then
     err "lock or refcount clone on the per-access / per-capsule path without a hot-path-ok: justification within 6 lines:" "$hits"
 fi
 
+# --- 5. one supervisor ------------------------------------------------------
+exactly_one_file() { # what, newline-separated file list
+    if [ "$(echo "$2" | grep -c .)" -ne 1 ]; then
+        err "$1 must live in exactly one source file under crates/ (the Supervisor); found in:" "${2:-<none>}"
+    fi
+}
+exactly_one_file "the worker reap (try_wait)" \
+    "$(grep -rl "try_wait(" --include="*.rs" crates/ || true)"
+# The request word and its offset may sit on different lines of one call.
+exactly_one_file "the quiesce request (write_quiesce_word of QUIESCE_REQ_OFFSET)" \
+    "$(grep -rl "write_quiesce_word(" --include="*.rs" crates/ | while read -r f; do
+        grep -A2 "write_quiesce_word(" "$f" | grep -q "QUIESCE_REQ_OFFSET" && echo "$f"
+    done)"
+hits=$(grep -rn "#\[deprecated\|allow(deprecated)" --include="*.rs" crates/ || true)
+if [ -n "$hits" ]; then
+    err "deprecated shim or allow(deprecated) caller under crates/ (delete the old path, do not keep it beside the new one):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free, one supervisor)"
