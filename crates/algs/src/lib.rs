@@ -17,14 +17,15 @@
 //! Every algorithm ships with a plain sequential oracle used by the tests
 //! and the experiment harness.
 //!
-//! Every §7 algorithm additionally ships in **registered
-//! persistent-capsule form** ([`PrefixSum::pcomp`], [`Merge::pcomp`],
+//! Every algorithm has exactly one form — **registered persistent
+//! capsules** ([`PrefixSum::pcomp`], [`Merge::pcomp`],
 //! [`MergeSort::pcomp`], [`SampleSort::pcomp`], [`MatMul::pcomp`]): the
-//! same recursions defunctionalized onto the typed `ppm_core::dsl` —
-//! capsule states declared with `persist_struct!`, ids allocated by name
-//! through the registry, frames written by the `fork2`/`jump_to`/
-//! `map_grain` combinators — so a run killed mid-computation (`kill -9`)
-//! is *resumed* from its in-flight deque entries by
+//! recursions defunctionalized onto the typed `ppm_core::dsl` — capsule
+//! states declared with `persist_struct!`, ids allocated by name through
+//! the registry, frames written by the `fork2`/`jump_to`/`map_grain`
+//! combinators — so the code the theorem experiments measure is the code
+//! every session runs, and a run killed mid-computation (`kill -9`) is
+//! *resumed* from its in-flight deque entries by
 //! `ppm_sched::Runtime::run_or_recover` instead of replayed from the
 //! root.
 

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use ppm_core::dsl::{fork_many, CapsuleDef, CapsuleSet, Span, Step, K};
-use ppm_core::{comp_dyn, comp_seq, comp_step, par_all, persist_struct, Comp, Machine, PComp};
+use ppm_core::{persist_struct, Machine, PComp};
 use ppm_pm::{ProcCtx, Region, Word};
 
 use crate::util::{next_pow2, pread_range, pwrite_range};
@@ -75,7 +75,7 @@ fn base_dim(m_eph: usize) -> usize {
 }
 
 /// The base-case body: `c = a·b` for a tile that fits in ephemeral
-/// memory. Shared by both forms.
+/// memory, computed inside one capsule.
 fn mult_base_body(
     ctx: &mut ProcCtx,
     a: MView,
@@ -101,16 +101,7 @@ fn mult_base_body(
     write_view(ctx, c, size, &cv)
 }
 
-/// The base case: one capsule computing `c = a·b` for a tile that fits in
-/// ephemeral memory.
-fn mult_base(a: MView, b: MView, c: MView, size: usize) -> Comp {
-    comp_step("matmul/base", move |ctx: &mut ProcCtx| {
-        mult_base_body(ctx, a, b, c, size)
-    })
-}
-
 /// The elementwise-addition body for rows `[r0, r1)` of `c = t1 + t2`.
-/// Shared by both forms.
 fn add_rows_body(
     ctx: &mut ProcCtx,
     t1: MView,
@@ -129,72 +120,13 @@ fn add_rows_body(
     Ok(())
 }
 
-/// The elementwise addition `c = t1 + t2`, chunked so each capsule fits
-/// the ephemeral memory.
-fn add_views(t1: MView, t2: MView, c: MView, size: usize) -> Comp {
-    comp_dyn("matmul/add", move |ctx: &mut ProcCtx| {
-        let rows_per = (ctx.ephemeral_words() / (4 * size)).max(1);
-        let chunks: Vec<Comp> = (0..size.div_ceil(rows_per))
-            .map(|ch| {
-                comp_step("matmul/add-chunk", move |ctx: &mut ProcCtx| {
-                    let r0 = ch * rows_per;
-                    let r1 = ((ch + 1) * rows_per).min(size);
-                    add_rows_body(ctx, t1, t2, c, size, r0, r1)
-                })
-            })
-            .collect();
-        Ok(par_all(chunks))
-    })
-}
-
-/// Recursive multiply `c = a·b` (`size` is a power of two).
-fn mult_rec(a: MView, b: MView, c: MView, size: usize) -> Comp {
-    comp_dyn("matmul/split", move |ctx: &mut ProcCtx| {
-        if size <= base_dim(ctx.ephemeral_words()) {
-            return Ok(mult_base(a, b, c, size));
-        }
-        let half = size / 2;
-        // Two temporaries, each size×size, from the restart-stable pool.
-        let t1 = MView {
-            region: Region {
-                start: ctx.palloc(size * size),
-                len: size * size,
-            },
-            row0: 0,
-            col0: 0,
-            stride: size,
-        };
-        let t2 = MView {
-            region: Region {
-                start: ctx.palloc(size * size),
-                len: size * size,
-            },
-            row0: 0,
-            col0: 0,
-            stride: size,
-        };
-        // T1 ← first terms, T2 ← second terms of each C quadrant.
-        let mut products = Vec::with_capacity(8);
-        for qi in 0..2 {
-            for qj in 0..2 {
-                let a1 = a.quadrant(qi, 0, half);
-                let b1 = b.quadrant(0, qj, half);
-                products.push(mult_rec(a1, b1, t1.quadrant(qi, qj, half), half));
-                let a2 = a.quadrant(qi, 1, half);
-                let b2 = b.quadrant(1, qj, half);
-                products.push(mult_rec(a2, b2, t2.quadrant(qi, qj, half), half));
-            }
-        }
-        Ok(comp_seq(par_all(products), add_views(t1, t2, c, size)))
-    })
-}
-
 // ====================================================================
-// Registered (typed DSL) matrix multiply
+// The matrix-multiply capsule family (typed DSL)
 // ====================================================================
 
 persist_struct! {
-    /// One recursive multiply task: `c = a·b` over `size × size` views.
+    /// One recursive multiply task: `c = a·b` over `size × size` views
+    /// (`size` is a power of two).
     struct MulState {
         a: MView,
         b: MView,
@@ -213,10 +145,9 @@ persist_struct! {
     }
 }
 
-/// The matrix-multiply capsule family on the typed DSL — the
-/// defunctionalized twin of [`MatMul::comp`]: one multiply capsule whose
-/// eight recursive products fan out through `fork_many`, joined into a
-/// row-parallel addition map.
+/// The matrix-multiply capsule family on the typed DSL: one multiply
+/// capsule whose eight recursive products fan out through `fork_many`,
+/// joined into a row-parallel addition map.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MmCapsules {
     mul: CapsuleDef<MulState>,
@@ -311,13 +242,13 @@ pub fn matmul_pool_words(n: usize, m_eph: usize) -> usize {
         1 << 12
     } else {
         // Temporaries: sum over levels of 2·(nodes)·(size²) = 2n²(2^L − 1)
-        // ≈ 2n³/bd, plus fork closures and join cells (tens of words per
-        // node); 3·n³/bd covers both with slack. The registered form also
-        // writes typed frames for the eight products, the fork-pair tree
-        // and the per-row add map — ≈ 52·size words per node (frames grew
-        // a parent-span provenance word), which sums to ≈ 52·n³/bd² and
-        // dominates at small base dimensions. The
-        // pre-checkpoint sizing (PR 3) doubled both terms because a
+        // ≈ 2n³/bd, plus join cells (tens of words per node); 3·n³/bd
+        // covers both with slack. Every node also writes typed frames for
+        // the eight products, the fork-pair tree and the per-row add map
+        // — ≈ 52·size words per node (frames grew a parent-span
+        // provenance word), which sums to ≈ 52·n³/bd² and dominates at
+        // small base dimensions. The pre-checkpoint sizing (PR 3)
+        // doubled both terms because a
         // crash-resumed (or hard-fault-adopted) run re-allocated above
         // the dead run's watermark; checkpoint GC (`ppm_sched::checkpoint`,
         // on by default) now caps that re-allocation at one epoch's
@@ -383,19 +314,8 @@ impl MatMul {
         out
     }
 
-    /// The multiplication computation.
-    pub fn comp(&self) -> Comp {
-        let v = |region: Region| MView {
-            region,
-            row0: 0,
-            col0: 0,
-            stride: self.n_pad,
-        };
-        mult_rec(v(self.a), v(self.b), v(self.c), self.n_pad)
-    }
-
-    /// The multiplication as registered persistent capsules, for
-    /// `ppm_sched::Runtime::run_or_recover`: every recursive product,
+    /// The multiplication computation as registered persistent capsules,
+    /// for `ppm_sched::Runtime::run_or_recover`: every recursive product,
     /// fork-pair fan-out node, and addition row is a typed frame, so a
     /// killed run resumes mid-recursion.
     pub fn pcomp(&self) -> PComp {
@@ -492,9 +412,10 @@ impl MatMulRect {
         out
     }
 
-    /// The multiplication computation.
-    pub fn comp(&self) -> Comp {
-        self.inner.comp()
+    /// The multiplication computation (the enclosing square's
+    /// [`MatMul::pcomp`]).
+    pub fn pcomp(&self) -> PComp {
+        self.inner.pcomp()
     }
 }
 
@@ -556,16 +477,6 @@ mod tests {
         )
     }
 
-    fn check(n: usize, procs: usize, m_eph: usize, f: FaultConfig) {
-        let rt = runtime_for(n, procs, m_eph, f);
-        let mm = MatMul::new(rt.machine(), n);
-        let (a, b) = (data(1, n), data(2, n));
-        mm.load_inputs(rt.machine(), &a, &b);
-        let rep = rt.run_or_replay(&mm.comp());
-        assert!(rep.completed());
-        assert_eq!(mm.read_output(rt.machine()), matmul_seq(&a, &b, n), "n={n}");
-    }
-
     fn check_registered(n: usize, procs: usize, m_eph: usize, f: FaultConfig) {
         let rt = runtime_for(n, procs, m_eph, f);
         let mm = MatMul::new(rt.machine(), n);
@@ -593,7 +504,9 @@ mod tests {
 
     #[test]
     fn registered_with_soft_faults() {
-        check_registered(16, 2, 64, FaultConfig::soft(0.005, 11));
+        for seed in [3, 11] {
+            check_registered(16, 2, 64, FaultConfig::soft(0.005, seed));
+        }
     }
 
     #[test]
@@ -607,40 +520,9 @@ mod tests {
     }
 
     #[test]
-    fn tiny_fits_one_capsule() {
-        check(4, 1, 256, FaultConfig::none());
-    }
-
-    #[test]
     fn non_power_of_two_dimension() {
-        check(6, 1, 256, FaultConfig::none());
-        check(12, 2, 256, FaultConfig::none());
-    }
-
-    #[test]
-    fn forces_recursion() {
-        // base_dim(64) = 4, so 16x16 recurses two levels.
-        check(16, 2, 64, FaultConfig::none());
-    }
-
-    #[test]
-    fn medium_parallel() {
-        check(32, 4, 256, FaultConfig::none());
-    }
-
-    #[test]
-    fn with_soft_faults() {
-        check(16, 2, 64, FaultConfig::soft(0.005, 3));
-    }
-
-    #[test]
-    fn with_hard_fault() {
-        check(
-            24,
-            3,
-            256,
-            FaultConfig::none().with_scheduled_hard_fault(0, 300),
-        );
+        check_registered(6, 1, 256, FaultConfig::none());
+        check_registered(12, 2, 256, FaultConfig::none());
     }
 
     #[test]
@@ -655,7 +537,7 @@ mod tests {
         let b = data(5, n);
         mm.load_inputs(&m, &eye, &b);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&mm.comp());
+        let rep = rt.run_or_recover(&mm.pcomp());
         assert!(rep.completed());
         assert_eq!(mm.read_output(rt.machine()), b);
     }
@@ -672,7 +554,7 @@ mod tests {
         let b: Vec<u64> = (0..(kk * nc) as u64).map(|i| (i * 3) % 5).collect();
         mm.load_inputs(&m, &a, &b);
         let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&mm.comp());
+        let rep = rt.run_or_recover(&mm.pcomp());
         assert!(rep.completed());
         assert_eq!(
             mm.read_output(rt.machine()),
@@ -697,7 +579,7 @@ mod tests {
             let b: Vec<u64> = (0..(kk * nc) as u64).map(|i| (i * 7) % 13).collect();
             mm.load_inputs(&m, &a, &b);
             let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-            let rep = rt.run_or_replay(&mm.comp());
+            let rep = rt.run_or_recover(&mm.pcomp());
             assert!(rep.completed(), "{mr}x{kk}x{nc}");
             assert_eq!(
                 mm.read_output(rt.machine()),
@@ -710,14 +592,13 @@ mod tests {
     #[test]
     fn work_scales_cubically_at_fixed_m() {
         let work = |n: usize| {
-            let m = Machine::with_pool_words(
+            let rt = crate::util::theorem_runtime(
                 PmConfig::parallel(1, 1 << 23).with_ephemeral_words(64),
                 matmul_pool_words(n, 64),
             );
-            let mm = MatMul::new(&m, n);
-            mm.load_inputs(&m, &data(1, n), &data(2, n));
-            let rt = Runtime::new(m, SchedConfig::with_slots(1 << 13));
-            let rep = rt.run_or_replay(&mm.comp());
+            let mm = MatMul::new(rt.machine(), n);
+            mm.load_inputs(rt.machine(), &data(1, n), &data(2, n));
+            let rep = rt.run_or_recover(&mm.pcomp());
             assert!(rep.completed());
             rep.stats().total_work()
         };

@@ -6,20 +6,23 @@
 //! base case when there are no more than B elements left. We put each of
 //! the binary searches into a capsule, as well as each base case."
 //!
-//! Split points are written to fresh pool allocations (§4.1), so every
-//! capsule writes to locations disjoint from what it reads — write-after-
-//! read conflict free. A binary-search capsule performs O(log n) word
-//! reads, which is the Theorem 7.2 maximum capsule work; base cases are
-//! O(1) block transfers.
+//! The merge capsule (declared with the mergesort family in
+//! [`crate::sort`]) splits *binary* at the median rank — one dual binary
+//! search per split capsule — instead of k ≈ n^{1/3} ways, which would
+//! need a variable-width fan-out frame. Work stays O(n/B + split-search
+//! terms); depth grows to O(log² n) inside a merge.
+//!
+//! Every capsule writes output locations disjoint from what it reads —
+//! write-after-read conflict free. A binary-search capsule performs
+//! O(log n) word reads, which is the Theorem 7.2 maximum capsule work;
+//! base cases are O(1) block transfers.
 
 use std::sync::Arc;
 
 use ppm_core::dsl::K;
 use ppm_core::persist::{Persist, ValueError, WordReader};
-use ppm_core::{comp_dyn, comp_nop, comp_seq, comp_step, par_all, Comp, Machine, PComp};
+use ppm_core::{Machine, PComp};
 use ppm_pm::{Addr, PmResult, ProcCtx, Region, Word};
-
-use crate::util::{ceil_div, pread_range, pwrite_range};
 
 /// A range of a persistent region holding a sorted run of words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,107 +91,6 @@ pub(crate) fn split_rank(ctx: &mut ProcCtx, a: Run, b: Run, r: usize) -> PmResul
     Ok(lo)
 }
 
-/// The sequential base case: one capsule reading both runs and writing the
-/// merged output range.
-fn merge_base(a: Run, b: Run, out: Region, olo: usize) -> Comp {
-    comp_step("merge/base", move |ctx: &mut ProcCtx| {
-        // Empty runs can sit exactly at a region's end; never form their
-        // address.
-        let av = if a.len() > 0 {
-            pread_range(ctx, a.region.at(a.lo), a.len())?
-        } else {
-            Vec::new()
-        };
-        let bv = if b.len() > 0 {
-            pread_range(ctx, b.region.at(b.lo), b.len())?
-        } else {
-            Vec::new()
-        };
-        let mut merged = Vec::with_capacity(av.len() + bv.len());
-        let (mut i, mut j) = (0, 0);
-        while i < av.len() && j < bv.len() {
-            if av[i] <= bv[j] {
-                merged.push(av[i]);
-                i += 1;
-            } else {
-                merged.push(bv[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&av[i..]);
-        merged.extend_from_slice(&bv[j..]);
-        if merged.is_empty() {
-            return Ok(());
-        }
-        pwrite_range(ctx, out.at(olo), &merged)
-    })
-}
-
-/// Merges sorted runs `a` and `b` into `out[olo..olo + |a| + |b|)`.
-/// Reused by mergesort; the public interface is [`Merge`].
-pub(crate) fn merge_runs(a: Run, b: Run, out: Region, olo: usize) -> Comp {
-    comp_dyn("merge/split", move |ctx: &mut ProcCtx| {
-        let n = a.len() + b.len();
-        let bs = base_size(ctx.block_size());
-        if n <= bs {
-            return Ok(merge_base(a, b, out, olo));
-        }
-        // k-way split at ranks i·⌈n/k⌉, k ≈ n^{1/3}.
-        let k = ((n as f64).cbrt().ceil() as usize).clamp(2, n);
-        let piece = ceil_div(n, k);
-        let nsplits = k - 1;
-        // Fresh, restart-stable scratch for the split points.
-        let splits = ctx.palloc(nsplits);
-
-        // Phase 1: the k-1 dual binary searches, in parallel, one capsule
-        // each (O(log n) capsule work).
-        let searches: Vec<Comp> = (0..nsplits)
-            .map(|i| {
-                comp_step("merge/search", move |ctx: &mut ProcCtx| {
-                    let r = ((i + 1) * piece).min(a.len() + b.len());
-                    let sa = split_rank(ctx, a, b, r)?;
-                    ctx.pwrite(splits + i, sa as Word)
-                })
-            })
-            .collect();
-
-        // Phase 2: recurse on each pair of subranges. Each piece's first
-        // capsule reads only its own two boundary words (O(1)).
-        let pieces: Vec<Comp> = (0..k)
-            .map(|i| {
-                comp_dyn("merge/recurse", move |ctx: &mut ProcCtx| {
-                    let n = a.len() + b.len();
-                    let (r0, r1) = ((i * piece).min(n), ((i + 1) * piece).min(n));
-                    let sa0 = if i == 0 {
-                        0
-                    } else {
-                        ctx.pread(splits + (i - 1))? as usize
-                    };
-                    let sa1 = if i + 1 == k {
-                        a.len()
-                    } else {
-                        ctx.pread(splits + i)? as usize
-                    };
-                    let (sb0, sb1) = (r0 - sa0, r1 - sa1);
-                    let sub_a = Run {
-                        region: a.region,
-                        lo: a.lo + sa0,
-                        hi: a.lo + sa1,
-                    };
-                    let sub_b = Run {
-                        region: b.region,
-                        lo: b.lo + sb0,
-                        hi: b.lo + sb1,
-                    };
-                    Ok(merge_runs(sub_a, sub_b, out, olo + r0))
-                })
-            })
-            .collect();
-
-        Ok(comp_seq(par_all(searches), par_all(pieces)))
-    })
-}
-
 /// A merge instance: two sorted input arrays and the output.
 #[derive(Debug, Clone, Copy)]
 pub struct Merge {
@@ -234,29 +136,10 @@ impl Merge {
             .collect()
     }
 
-    /// The merging computation.
-    pub fn comp(&self) -> Comp {
-        if self.la + self.lb == 0 {
-            return comp_nop();
-        }
-        let a = Run {
-            region: self.a,
-            lo: 0,
-            hi: self.la,
-        };
-        let b = Run {
-            region: self.b,
-            lo: 0,
-            hi: self.lb,
-        };
-        merge_runs(a, b, self.out, 0)
-    }
-
-    /// The merge as registered persistent capsules, for
+    /// The merging computation as registered persistent capsules, for
     /// `ppm_sched::Runtime::run_or_recover` (reuses the mergesort
-    /// family's merge capsule — a binary median-rank split, see
-    /// [`crate::MergeSort::pcomp`]'s notes). An empty merge's root is the
-    /// finale itself.
+    /// family's merge capsule — a binary median-rank split, see the
+    /// [module docs](self)). An empty merge's root is the finale itself.
     pub fn pcomp(&self) -> PComp {
         let s = *self;
         Arc::new(move |machine: &Machine, finale: Word| {
@@ -330,18 +213,9 @@ mod tests {
         )
     }
 
-    fn check(la: usize, lb: usize, procs: usize, f: FaultConfig) {
-        let rt = runtime(procs, f);
-        let mg = Merge::new(rt.machine(), la, lb);
-        let (a, b) = (sorted(1, la), sorted(2, lb));
-        mg.load_inputs(rt.machine(), &a, &b);
-        let rep = rt.run_or_replay(&mg.comp());
-        assert!(rep.completed());
-        assert_eq!(
-            mg.read_output(rt.machine()),
-            merge_seq(&a, &b),
-            "la={la} lb={lb}"
-        );
+    /// Pool sized for the un-reclaimed frames of 2n = 2^13 (~7 per word).
+    fn theorem_runtime() -> Runtime {
+        crate::util::theorem_runtime(PmConfig::parallel(1, 1 << 22), 1 << 17)
     }
 
     fn check_registered(la: usize, lb: usize, procs: usize, f: FaultConfig) {
@@ -374,21 +248,13 @@ mod tests {
 
     #[test]
     fn tiny_and_base_cases() {
-        check(0, 5, 1, FaultConfig::none());
-        check(5, 0, 1, FaultConfig::none());
-        check(3, 3, 1, FaultConfig::none());
-        check(16, 16, 1, FaultConfig::none());
+        check_registered(5, 0, 1, FaultConfig::none());
+        check_registered(3, 3, 1, FaultConfig::none());
     }
 
     #[test]
     fn uneven_sizes() {
-        check(1000, 10, 2, FaultConfig::none());
-        check(10, 1000, 2, FaultConfig::none());
-    }
-
-    #[test]
-    fn medium_parallel() {
-        check(1 << 11, 1 << 11, 4, FaultConfig::none());
+        check_registered(10, 1000, 2, FaultConfig::none());
     }
 
     #[test]
@@ -399,7 +265,7 @@ mod tests {
         let mut b = vec![5u64; 300];
         b[299] = 6;
         mg.load_inputs(rt.machine(), &a, &b);
-        let rep = rt.run_or_replay(&mg.comp());
+        let rep = rt.run_or_recover(&mg.pcomp());
         assert!(rep.completed());
         assert_eq!(mg.read_output(rt.machine()), merge_seq(&a, &b));
     }
@@ -407,13 +273,13 @@ mod tests {
     #[test]
     fn with_soft_faults() {
         for seed in 0..3 {
-            check(400, 400, 2, FaultConfig::soft(0.005, seed));
+            check_registered(400, 400, 2, FaultConfig::soft(0.005, seed));
         }
     }
 
     #[test]
     fn with_a_hard_fault() {
-        check(
+        check_registered(
             512,
             512,
             3,
@@ -424,10 +290,10 @@ mod tests {
     #[test]
     fn work_is_linear_in_n() {
         let work = |n: usize| {
-            let rt = runtime(1, FaultConfig::none());
+            let rt = theorem_runtime();
             let mg = Merge::new(rt.machine(), n, n);
             mg.load_inputs(rt.machine(), &sorted(1, n), &sorted(2, n));
-            let rep = rt.run_or_replay(&mg.comp());
+            let rep = rt.run_or_recover(&mg.pcomp());
             assert!(rep.completed());
             rep.stats().total_work()
         };
@@ -441,11 +307,11 @@ mod tests {
 
     #[test]
     fn capsule_work_is_logarithmic() {
-        let rt = runtime(1, FaultConfig::none());
+        let rt = theorem_runtime();
         let n = 1 << 12;
         let mg = Merge::new(rt.machine(), n, n);
         mg.load_inputs(rt.machine(), &sorted(1, n), &sorted(2, n));
-        let rep = rt.run_or_replay(&mg.comp());
+        let rep = rt.run_or_recover(&mg.pcomp());
         assert!(rep.completed());
         // O(log n): 2 reads per bisection step + constants; log2(8192)=13.
         assert!(

@@ -12,9 +12,8 @@
 //! work is O(1); the tree gives O(n/B) work and O(log n) depth —
 //! Theorem 7.1 exactly. Inclusive sums: `out[i] = Σ_{j ≤ i} a[j]`.
 //!
-//! The algorithm ships in two forms: the closure form ([`PrefixSum::comp`])
-//! and the registered persistent form ([`PrefixSum::pcomp`]), built on the
-//! typed `ppm_core::dsl` — three capsules whose frames carry the instance
+//! The computation ([`PrefixSum::pcomp`]) is built on the typed
+//! `ppm_core::dsl` — three capsules whose frames carry the instance
 //! geometry ([`PrefixSum`] itself implements
 //! [`ppm_core::persist::Persist`]), so any number of instances
 //! coexist under the registry-allocated ids and a crashed run resumes
@@ -24,7 +23,7 @@ use std::sync::Arc;
 
 use ppm_core::dsl::{fork2, CapsuleDef, CapsuleSet, Step, K};
 use ppm_core::persist::{Persist, ValueError, WordReader};
-use ppm_core::{comp_dyn, comp_fork2, comp_seq, comp_step, persist_struct, Comp, Machine, PComp};
+use ppm_core::{persist_struct, Machine, PComp};
 use ppm_pm::{PmResult, ProcCtx, Region, Word};
 
 use crate::util::{ceil_div, next_pow2, pread_range, pwrite_range};
@@ -173,70 +172,8 @@ impl PrefixSum {
         pwrite_range(ctx, self.output.at(lo), &out)
     }
 
-    /// The up-sweep computation for `node` covering leaves `[llo, lhi)`.
-    fn upsweep(self, node: usize, llo: usize, lhi: usize) -> Comp {
-        if lhi - llo == 1 {
-            // Leaf: sum one input block, store at sums[node].
-            comp_step("prefix/up-leaf", move |ctx: &mut ProcCtx| {
-                let sum = self.up_leaf_sum(ctx, llo)?;
-                ctx.pwrite(self.sums.at(node), sum)
-            })
-        } else {
-            let mid = llo + (lhi - llo) / 2;
-            let (lc, rc) = (2 * node + 1, 2 * node + 2);
-            let combine = comp_step("prefix/up-combine", move |ctx: &mut ProcCtx| {
-                let l = ctx.pread(self.sums.at(lc))?;
-                let r = ctx.pread(self.sums.at(rc))?;
-                ctx.pwrite(self.sums.at(node), l.wrapping_add(r))
-            });
-            comp_seq(
-                comp_fork2(self.upsweep(lc, llo, mid), self.upsweep(rc, mid, lhi)),
-                combine,
-            )
-        }
-    }
-
-    /// The down-sweep computation: `t` is the sum of all elements left of
-    /// this subtree.
-    fn downsweep(self, node: usize, llo: usize, lhi: usize, t: Word) -> Comp {
-        if lhi - llo == 1 {
-            comp_step("prefix/down-leaf", move |ctx: &mut ProcCtx| {
-                self.down_leaf_body(ctx, llo, t)
-            })
-        } else {
-            // Read the left child's sum, then recurse in parallel with the
-            // appropriate offsets (the read and the fork are one dynamic-
-            // expansion capsule: one read plus the fork's constant work).
-            comp_dyn("prefix/down-split", move |ctx: &mut ProcCtx| {
-                let mid = llo + (lhi - llo) / 2;
-                let (lc, rc) = (2 * node + 1, 2 * node + 2);
-                let left_sum = ctx.pread(self.sums.at(lc))?;
-                Ok(comp_fork2(
-                    self.downsweep(lc, llo, mid, t),
-                    self.downsweep(rc, mid, lhi, t.wrapping_add(left_sum)),
-                ))
-            })
-        }
-    }
-
-    /// The full prefix-sum computation (up-sweep, then down-sweep).
-    pub fn comp(&self) -> Comp {
-        let s = *self;
-        let up = comp_dyn("prefix/up", move |_ctx| Ok(s.upsweep(0, 0, s.leaves)));
-        let down = comp_dyn(
-            "prefix/down",
-            move |_ctx| Ok(s.downsweep(0, 0, s.leaves, 0)),
-        );
-        comp_seq(up, down)
-    }
-
-    /// Convenience wrapper: an `Arc`'d comp for storage in harnesses.
-    pub fn comp_arc(&self) -> Arc<dyn Fn() -> Comp + Send + Sync> {
-        let s = *self;
-        Arc::new(move || s.comp())
-    }
-
-    /// The computation as registered persistent capsules, for
+    /// The full prefix-sum computation (up-sweep, then down-sweep) as
+    /// registered persistent capsules, for
     /// `ppm_sched::Runtime::run_or_recover`. Declares the
     /// `PrefixCapsules` family; frames carry the instance's full
     /// geometry, so any number of prefix-sum instances can coexist on one
@@ -275,7 +212,7 @@ impl PrefixSum {
 }
 
 // ====================================================================
-// Registered persistent-capsule form (typed DSL)
+// The capsule family (typed DSL)
 // ====================================================================
 
 persist_struct! {
@@ -310,10 +247,9 @@ persist_struct! {
     }
 }
 
-/// The prefix-sum capsule family — the defunctionalized twin of
-/// [`PrefixSum::comp`] on the typed DSL. Each tree node is a frame whose
-/// state is the instance geometry plus the node coordinates, which is
-/// what lets a recovering session resume a killed run mid-tree.
+/// The prefix-sum capsule family on the typed DSL. Each tree node is a
+/// frame whose state is the instance geometry plus the node coordinates,
+/// which is what lets a recovering session resume a killed run mid-tree.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PrefixCapsules {
     up: CapsuleDef<UpState>,
@@ -463,58 +399,26 @@ mod tests {
         )
     }
 
-    fn check(n: usize, procs: usize, f: FaultConfig) {
-        let rt = runtime(procs, f);
-        let ps = PrefixSum::new(rt.machine(), n);
-        let data: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(7) % 1000).collect();
-        ps.load_input(rt.machine(), &data);
-        let rep = rt.run_or_replay(&ps.comp());
-        assert!(rep.completed());
-        assert_eq!(
-            ps.read_output(rt.machine()),
-            prefix_sum_seq(&data),
-            "n={n} P={procs}"
-        );
-    }
-
-    #[test]
-    fn small_exact_block() {
-        check(8, 1, FaultConfig::none());
+    /// Pool sized for the un-reclaimed frames of n = 2^16 (~16 per word).
+    fn theorem_runtime() -> Runtime {
+        crate::util::theorem_runtime(PmConfig::parallel(1, 1 << 22), 1 << 21)
     }
 
     #[test]
     fn non_power_of_two_sizes() {
         for n in [1usize, 3, 9, 17, 100, 257] {
-            check(n, 2, FaultConfig::none());
+            check_registered(n, 2, FaultConfig::none());
         }
-    }
-
-    #[test]
-    fn parallel_medium() {
-        check(1 << 12, 4, FaultConfig::none());
-    }
-
-    #[test]
-    fn with_soft_faults() {
-        for seed in 0..3 {
-            check(300, 2, FaultConfig::soft(0.01, seed));
-        }
-    }
-
-    #[test]
-    fn with_a_hard_fault() {
-        let f = FaultConfig::none().with_scheduled_hard_fault(1, 150);
-        check(512, 3, f);
     }
 
     #[test]
     fn work_is_linear_in_n_over_b() {
         // Theorem 7.1: O(n/B) work. Compare faultless work at two sizes.
         let work = |n: usize| {
-            let rt = runtime(1, FaultConfig::none());
+            let rt = theorem_runtime();
             let ps = PrefixSum::new(rt.machine(), n);
             ps.load_input(rt.machine(), &vec![1u64; n]);
-            let rep = rt.run_or_replay(&ps.comp());
+            let rep = rt.run_or_recover(&ps.pcomp());
             assert!(rep.completed());
             rep.stats().total_work()
         };
@@ -528,16 +432,17 @@ mod tests {
 
     #[test]
     fn max_capsule_work_is_constant() {
-        let rt = runtime(1, FaultConfig::none());
-        let ps = PrefixSum::new(rt.machine(), 1 << 10);
-        ps.load_input(rt.machine(), &vec![1u64; 1 << 10]);
-        let rep = rt.run_or_replay(&ps.comp());
-        assert!(rep.completed());
-        assert!(
-            rep.stats().max_capsule_work <= 12,
-            "C = {} should be O(1)",
+        let max_work = |n: usize| {
+            let rt = theorem_runtime();
+            let ps = PrefixSum::new(rt.machine(), n);
+            ps.load_input(rt.machine(), &vec![1u64; n]);
+            let rep = rt.run_or_recover(&ps.pcomp());
+            assert!(rep.completed());
             rep.stats().max_capsule_work
-        );
+        };
+        let (c1, c2) = (max_work(1 << 10), max_work(1 << 16));
+        assert!(c1 <= 12, "C = {c1} should be O(1)");
+        assert_eq!(c1, c2, "C must not grow with n (64x the data)");
     }
 
     #[test]

@@ -22,28 +22,21 @@
 //! All scratch comes from the §4.1 restart-stable pool allocator, so every
 //! capsule writes fresh locations: write-after-read conflict free.
 //!
-//! Both sorts also ship in **registered persistent form** on the typed
+//! Both sorts are registered persistent capsules on the typed
 //! `ppm_core::dsl` ([`MergeSort::pcomp`], [`SampleSort::pcomp`]): every
 //! continuation — including samplesort's nine-phase pipeline, embedded
 //! prefix sum, and per-bucket recursion — is a typed frame in persistent
 //! memory, so a `kill -9`'d run is *resumed* from its in-flight deque
-//! entries by `ppm_sched::Runtime::run_or_recover`. One deviation from
-//! the closure merge: the registered merge splits *binary* at the median
-//! rank (one dual binary search per split capsule — still the
-//! Theorem 7.2 O(log n) capsule-work bound) instead of the
-//! k ≈ n^{1/3}-way split, which would need a variable-width fan-out
-//! frame. Work stays O(n/B + split-search terms); depth grows to
-//! O(log² n) inside a merge.
+//! entries by `ppm_sched::Runtime::run_or_recover`. The merge capsule
+//! splits *binary* at the median rank (see [`crate::merge`]).
 
 use std::sync::Arc;
 
 use ppm_core::dsl::{fork2, jump_to, CapsuleDef, CapsuleSet, Span, Step, K};
-use ppm_core::{
-    comp_dyn, comp_fork2, comp_seq, comp_step, par_all, persist_struct, Comp, Machine, PComp,
-};
+use ppm_core::{persist_struct, Machine, PComp};
 use ppm_pm::{ProcCtx, Region, Word};
 
-use crate::merge::{base_size, merge_runs, split_rank, Run};
+use crate::merge::{base_size, split_rank, Run};
 use crate::prefix::{PrefixCapsules, PrefixSum};
 use crate::util::{ceil_div, pread_range, pwrite_range, BlockScatter};
 
@@ -54,18 +47,6 @@ fn region_at(start: usize, len: usize) -> Region {
 /// The in-capsule sequential sort: read a range, sort it in ephemeral
 /// memory, write it out. O(len/B) capsule work; callers guarantee
 /// `len = O(M)`.
-fn capsule_sort(src: Run, dst: Region, dlo: usize) -> Comp {
-    comp_step("sort/base", move |ctx: &mut ProcCtx| {
-        if src.len() == 0 {
-            return Ok(());
-        }
-        let mut v = pread_range(ctx, src.region.at(src.lo), src.len())?;
-        v.sort_unstable();
-        pwrite_range(ctx, dst.at(dlo), &v)
-    })
-}
-
-/// In-capsule sequential sort body shared by both forms.
 fn sort_base_body(ctx: &mut ProcCtx, src: Run, dst: Region, dlo: usize) -> ppm_pm::PmResult<()> {
     if src.len() == 0 {
         return Ok(());
@@ -73,50 +54,6 @@ fn sort_base_body(ctx: &mut ProcCtx, src: Run, dst: Region, dlo: usize) -> ppm_p
     let mut v = pread_range(ctx, src.region.at(src.lo), src.len())?;
     v.sort_unstable();
     pwrite_range(ctx, dst.at(dlo), &v)
-}
-
-/// Mergesort `src` into `dst[dlo..)`, using `aux[alo..)` (same length) as
-/// scratch. Base cases of up to `M` elements sort inside one capsule.
-pub(crate) fn merge_sort_runs(src: Run, dst: Region, dlo: usize, aux: Region, alo: usize) -> Comp {
-    comp_dyn("sort/msort", move |ctx: &mut ProcCtx| {
-        let n = src.len();
-        let base = ctx.ephemeral_words().max(ctx.block_size());
-        if n <= base {
-            return Ok(capsule_sort(src, dst, dlo));
-        }
-        let mid = n / 2;
-        let left = Run {
-            region: src.region,
-            lo: src.lo,
-            hi: src.lo + mid,
-        };
-        let right = Run {
-            region: src.region,
-            lo: src.lo + mid,
-            hi: src.hi,
-        };
-        // Sort halves into aux (each using the matching dst half as its
-        // own scratch), then merge aux halves into dst.
-        let sort_halves = comp_fork2(
-            merge_sort_runs(left, aux, alo, dst, dlo),
-            merge_sort_runs(right, aux, alo + mid, dst, dlo + mid),
-        );
-        let merged = merge_runs(
-            Run {
-                region: aux,
-                lo: alo,
-                hi: alo + mid,
-            },
-            Run {
-                region: aux,
-                lo: alo + mid,
-                hi: alo + n,
-            },
-            dst,
-            dlo,
-        );
-        Ok(comp_seq(sort_halves, merged))
-    })
 }
 
 /// A mergesort instance.
@@ -157,21 +94,6 @@ impl MergeSort {
             .collect()
     }
 
-    /// The sorting computation.
-    pub fn comp(&self) -> Comp {
-        merge_sort_runs(
-            Run {
-                region: self.input,
-                lo: 0,
-                hi: self.n,
-            },
-            self.output,
-            0,
-            self.aux,
-            0,
-        )
-    }
-
     /// The sorting computation as registered persistent capsules, for
     /// `ppm_sched::Runtime::run_or_recover`. Declares the
     /// `MsortCapsules` family (typed frame states carry the full run
@@ -203,12 +125,13 @@ impl MergeSort {
 }
 
 // ====================================================================
-// Registered (typed DSL) mergesort
+// The mergesort capsule family (typed DSL)
 // ====================================================================
 
 persist_struct! {
     /// Mergesort node state: sort `src` into `dst[dlo..)` using
-    /// `aux[alo..)` (same length) as scratch.
+    /// `aux[alo..)` (same length) as scratch. Base cases of up to `M`
+    /// elements sort inside one capsule.
     pub(crate) struct MsortState {
         pub(crate) src: Run,
         pub(crate) dst: Region,
@@ -228,8 +151,7 @@ persist_struct! {
     }
 }
 
-/// The mergesort capsule family on the typed DSL — the defunctionalized
-/// twin of [`MergeSort::comp`].
+/// The mergesort capsule family on the typed DSL.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MsortCapsules {
     pub(crate) node: CapsuleDef<MsortState>,
@@ -448,8 +370,7 @@ impl Geometry {
 
 persist_struct! {
     /// Scratch regions for one samplesort node, pool-allocated in its
-    /// expansion capsule (restart-stable). Rides in every phase frame of
-    /// the registered form.
+    /// expansion capsule (restart-stable). Rides in every phase frame.
     struct Scratch {
         subsorted: Region,
         row_aux: Region,
@@ -511,8 +432,8 @@ fn node_scratch_words(n: usize) -> usize {
 
 /// Recommended per-processor pool words for samplesorting `n` elements
 /// (covers the worst case of one processor expanding every node, plus the
-/// recursion's own scratch — and, in the registered form, the typed
-/// frames and join cells every phase writes).
+/// recursion's own scratch and the typed frames and join cells every
+/// phase writes).
 ///
 /// **Assumes checkpoint GC** (`ppm_sched::checkpoint`, on by default):
 /// the sizing budgets the live set plus one epoch of churn, relying on
@@ -524,9 +445,9 @@ fn node_scratch_words(n: usize) -> usize {
 pub fn samplesort_pool_words(n: usize) -> usize {
     // Geometric-ish recursion: level ℓ has total size n, so scratch per
     // level is O(n); depth is log_M n, small — 4 levels of scratch is
-    // generous. The registered form additionally writes typed frames for
-    // every fork; the embedded prefix sum over the rows × buckets counts
-    // matrix (cm ≈ n words) dominates at ~12 frame words per counts
+    // generous. Every fork additionally writes typed frames; the
+    // embedded prefix sum over the rows × buckets counts matrix
+    // (cm ≈ n words) dominates at ~12 frame words per counts
     // element per level (~36·n across levels, ~40·n since frames grew a
     // parent-span provenance word). The pre-checkpoint sizing (PR 3)
     // doubled that term because a crash-resumed or hard-fault-adopted run
@@ -537,7 +458,7 @@ pub fn samplesort_pool_words(n: usize) -> usize {
     4 * node_scratch_words(n.max(16)) + 40 * n + (1 << 13)
 }
 
-// ---- Phase bodies shared by the closure and registered forms --------
+// ---- Phase bodies ---------------------------------------------------
 
 /// Phase 2 body: sample every ⌈log n⌉-th element of sorted row `i`.
 fn sample_row_body(ctx: &mut ProcCtx, g: &Geometry, s: &Scratch, i: usize) -> ppm_pm::PmResult<()> {
@@ -667,7 +588,7 @@ fn scatter_base_body(
     sc.flush(ctx)
 }
 
-/// 2D split threshold shared by both forms.
+/// 2D split threshold.
 fn grid_cap(ctx: &ProcCtx) -> usize {
     (ctx.ephemeral_words() / 4).max(64)
 }
@@ -696,10 +617,9 @@ enum Tile {
     SplitJ(usize),
 }
 
-/// The split policy shared by the closure and registered grid drivers:
-/// force bucket splits until the width cap holds (the staging bins must
-/// fit in ephemeral memory), then halve the longer dimension until the
-/// area fits a capsule.
+/// The split policy of the two grid capsules: force bucket splits until
+/// the width cap holds (the staging bins must fit in ephemeral memory),
+/// then halve the longer dimension until the area fits a capsule.
 fn tile_plan(r0: usize, r1: usize, j0: usize, j1: usize, caps: (usize, usize)) -> Tile {
     let (area_cap, jcap) = caps;
     let area = (r1 - r0) * (j1 - j0);
@@ -716,178 +636,8 @@ fn tile_plan(r0: usize, r1: usize, j0: usize, j1: usize, caps: (usize, usize)) -
     }
 }
 
-/// Cache-oblivious transpose: counts (row-major in `bounds` as
-/// differences) → `counts_cm` (column-major). D&C until the submatrix
-/// area fits comfortably in a capsule.
-fn transpose_counts(g: Geometry, s: Scratch, r0: usize, r1: usize, j0: usize, j1: usize) -> Comp {
-    comp_dyn("ssort/transpose", move |ctx: &mut ProcCtx| match tile_plan(
-        r0,
-        r1,
-        j0,
-        j1,
-        tile_caps(ctx, false),
-    ) {
-        Tile::Base => Ok(comp_step(
-            "ssort/transpose-base",
-            move |ctx: &mut ProcCtx| transpose_base_body(ctx, &g, &s, r0, r1, j0, j1),
-        )),
-        Tile::SplitR(rm) => Ok(comp_fork2(
-            transpose_counts(g, s, r0, rm, j0, j1),
-            transpose_counts(g, s, rm, r1, j0, j1),
-        )),
-        Tile::SplitJ(jm) => Ok(comp_fork2(
-            transpose_counts(g, s, r0, r1, j0, jm),
-            transpose_counts(g, s, r0, r1, jm, j1),
-        )),
-    })
-}
-
-/// D&C bucket transpose: move each (row, bucket) segment of `subsorted`
-/// to its destination in `bucketed` via the propagation-blocked base
-/// case. Area proxies element count (segments average ~1 element; skew
-/// only grows one capsule's work, never breaks correctness).
-fn bucket_scatter(g: Geometry, s: Scratch, r0: usize, r1: usize, j0: usize, j1: usize) -> Comp {
-    comp_dyn("ssort/scatter", move |ctx: &mut ProcCtx| {
-        match tile_plan(r0, r1, j0, j1, tile_caps(ctx, true)) {
-            Tile::Base => Ok(comp_step("ssort/scatter-base", move |ctx: &mut ProcCtx| {
-                scatter_base_body(ctx, &g, &s, r0, r1, j0, j1)
-            })),
-            Tile::SplitR(rm) => Ok(comp_fork2(
-                bucket_scatter(g, s, r0, rm, j0, j1),
-                bucket_scatter(g, s, rm, r1, j0, j1),
-            )),
-            Tile::SplitJ(jm) => Ok(comp_fork2(
-                bucket_scatter(g, s, r0, r1, j0, jm),
-                bucket_scatter(g, s, r0, r1, jm, j1),
-            )),
-        }
-    })
-}
-
-/// Samplesort `src` into `dst[dlo..)`. `progress` guards against
-/// degenerate pivots (duplicate-heavy inputs): a bucket as large as its
-/// parent falls back to mergesort.
-fn sample_sort_runs(src: Run, dst: Region, dlo: usize, progress: bool) -> Comp {
-    comp_dyn("ssort/node", move |ctx: &mut ProcCtx| {
-        let n = src.len();
-        let base = ctx.ephemeral_words().max(ctx.block_size());
-        if n <= base {
-            return Ok(capsule_sort(src, dst, dlo));
-        }
-        if !progress {
-            // Degenerate partition (e.g. all-equal keys): mergesort.
-            let aux = region_at(ctx.palloc(n), n);
-            return Ok(merge_sort_runs(src, dst, dlo, aux, 0));
-        }
-        let g = Geometry::new(n);
-        let s = Scratch::alloc(ctx, &g);
-
-        // Phase 1: sort each subarray (mergesort; base cases collapse to
-        // one capsule when the subarray fits in M).
-        let sort_rows: Vec<Comp> = (0..g.rows)
-            .map(|i| {
-                let row = Run {
-                    region: src.region,
-                    lo: src.lo + i * g.sub,
-                    hi: src.lo + i * g.sub + g.row_len(i),
-                };
-                merge_sort_runs(row, s.subsorted, i * g.sub, s.row_aux, i * g.sub)
-            })
-            .collect();
-
-        // Phase 2: sample every ⌈log n⌉-th element of each sorted row.
-        let sample_rows: Vec<Comp> = (0..g.rows)
-            .map(|i| {
-                comp_step("ssort/sample", move |ctx: &mut ProcCtx| {
-                    sample_row_body(ctx, &g, &s, i)
-                })
-            })
-            .collect();
-
-        // Phase 3: sort the samples.
-        let sort_samples = merge_sort_runs(
-            Run {
-                region: s.samples,
-                lo: 0,
-                hi: g.total_samples,
-            },
-            s.samples_sorted,
-            0,
-            s.samples_aux,
-            0,
-        );
-
-        // Phase 4: pick buckets−1 pivots by fixed stride, in chunks.
-        let npiv = g.buckets - 1;
-        let pivot_chunks: Vec<Comp> = (0..ceil_div(npiv.max(1), PIVOT_CHUNK))
-            .map(|c| {
-                comp_step("ssort/pivots", move |ctx: &mut ProcCtx| {
-                    pivot_chunk_body(ctx, &g, &s, c)
-                })
-            })
-            .collect();
-
-        // Phase 5: per-row bucket boundaries (merge row with pivots).
-        let bounds_rows: Vec<Comp> = (0..g.rows)
-            .map(|i| {
-                comp_step("ssort/bounds", move |ctx: &mut ProcCtx| {
-                    bounds_row_body(ctx, &g, &s, i)
-                })
-            })
-            .collect();
-
-        // Phase 6: counts transpose, prefix sums over column-major counts.
-        let transpose = transpose_counts(g, s, 0, g.rows, 0, g.buckets);
-        let b = ctx.block_size();
-        let prefix =
-            PrefixSum::with_regions(s.counts_cm, s.sums, s.sums_tree, g.rows * g.buckets, b).comp();
-
-        // Phase 7: bucket transpose (the key move), then recurse per
-        // bucket into dst.
-        let scatter = bucket_scatter(g, s, 0, g.rows, 0, g.buckets);
-        let recurse: Vec<Comp> = (0..g.buckets)
-            .map(|j| {
-                comp_dyn("ssort/recurse", move |ctx: &mut ProcCtx| {
-                    let start = if j == 0 {
-                        0
-                    } else {
-                        ctx.pread(s.sums.at(j * g.rows - 1))? as usize
-                    };
-                    let end = ctx.pread(s.sums.at((j + 1) * g.rows - 1))? as usize;
-                    if start == end {
-                        return Ok(ppm_core::comp_nop());
-                    }
-                    let bucket = Run {
-                        region: s.bucketed,
-                        lo: start,
-                        hi: end,
-                    };
-                    Ok(sample_sort_runs(
-                        bucket,
-                        dst,
-                        dlo + start,
-                        end - start < g.n,
-                    ))
-                })
-            })
-            .collect();
-
-        Ok(ppm_core::seq_all(vec![
-            par_all(sort_rows),
-            par_all(sample_rows),
-            sort_samples,
-            par_all(pivot_chunks),
-            par_all(bounds_rows),
-            transpose,
-            prefix,
-            scatter,
-            par_all(recurse),
-        ]))
-    })
-}
-
 // ====================================================================
-// Registered (typed DSL) samplesort
+// The samplesort capsule family (typed DSL)
 // ====================================================================
 
 persist_struct! {
@@ -1209,20 +959,6 @@ impl SampleSort {
             .collect()
     }
 
-    /// The sorting computation.
-    pub fn comp(&self) -> Comp {
-        sample_sort_runs(
-            Run {
-                region: self.input,
-                lo: 0,
-                hi: self.n,
-            },
-            self.output,
-            0,
-            true,
-        )
-    }
-
     /// The sorting computation as registered persistent capsules, for
     /// `ppm_sched::Runtime::run_or_recover`: the full nine-phase pipeline
     /// — row sorts, sampling, sample sort, pivots, boundaries, counts
@@ -1290,86 +1026,6 @@ mod tests {
         )
     }
 
-    fn check_mergesort(n: usize, procs: usize, m_eph: usize, f: FaultConfig) {
-        let rt = runtime_for_mergesort(procs, m_eph, f);
-        let ms = MergeSort::new(rt.machine(), n);
-        let input = data(7, n);
-        ms.load_input(rt.machine(), &input);
-        let rep = rt.run_or_replay(&ms.comp());
-        assert!(rep.completed());
-        let mut expect = input;
-        expect.sort_unstable();
-        assert_eq!(ms.read_output(rt.machine()), expect, "mergesort n={n}");
-    }
-
-    fn check_samplesort(n: usize, procs: usize, m_eph: usize, f: FaultConfig) {
-        let rt = runtime_for_samplesort(n, procs, m_eph, f);
-        let ss = SampleSort::new(rt.machine(), n);
-        let input = data(11, n);
-        ss.load_input(rt.machine(), &input);
-        let rep = rt.run_or_replay(&ss.comp());
-        assert!(rep.completed());
-        let mut expect = input;
-        expect.sort_unstable();
-        assert_eq!(ss.read_output(rt.machine()), expect, "samplesort n={n}");
-    }
-
-    #[test]
-    fn mergesort_small_and_base() {
-        check_mergesort(1, 1, 64, FaultConfig::none());
-        check_mergesort(63, 1, 64, FaultConfig::none());
-        check_mergesort(64, 1, 64, FaultConfig::none());
-        check_mergesort(65, 1, 64, FaultConfig::none());
-    }
-
-    #[test]
-    fn mergesort_medium_parallel() {
-        check_mergesort(1 << 12, 4, 256, FaultConfig::none());
-    }
-
-    #[test]
-    fn mergesort_with_soft_faults() {
-        check_mergesort(512, 2, 64, FaultConfig::soft(0.005, 5));
-    }
-
-    #[test]
-    fn samplesort_forces_recursion() {
-        // M = 64 forces the samplesort machinery for n >= 65.
-        check_samplesort(400, 2, 64, FaultConfig::none());
-    }
-
-    #[test]
-    fn samplesort_medium_parallel() {
-        check_samplesort(1 << 12, 4, 64, FaultConfig::none());
-    }
-
-    #[test]
-    fn samplesort_duplicate_heavy_falls_back() {
-        let n = 600;
-        let rt = runtime_for_samplesort(n, 2, 64, FaultConfig::none());
-        let ss = SampleSort::new(rt.machine(), n);
-        let mut input = vec![42u64; n];
-        input[0] = 1;
-        input[n - 1] = 99;
-        ss.load_input(rt.machine(), &input);
-        let rep = rt.run_or_replay(&ss.comp());
-        assert!(rep.completed());
-        let mut expect = input;
-        expect.sort_unstable();
-        assert_eq!(ss.read_output(rt.machine()), expect);
-    }
-
-    #[test]
-    fn samplesort_with_soft_faults() {
-        check_samplesort(500, 2, 64, FaultConfig::soft(0.003, 2));
-    }
-
-    #[test]
-    fn samplesort_with_hard_fault() {
-        let f = FaultConfig::none().with_scheduled_hard_fault(1, 500);
-        check_samplesort(800, 3, 64, f);
-    }
-
     #[test]
     #[should_panic(expected = "n <= M^2")]
     fn samplesort_rejects_oversized_instances() {
@@ -1413,6 +1069,7 @@ mod tests {
     fn registered_mergesort_small_and_base() {
         check_registered_mergesort(1, 1, 64, FaultConfig::none());
         check_registered_mergesort(63, 1, 64, FaultConfig::none());
+        check_registered_mergesort(64, 1, 64, FaultConfig::none());
         check_registered_mergesort(65, 1, 64, FaultConfig::none());
     }
 
@@ -1423,7 +1080,9 @@ mod tests {
 
     #[test]
     fn registered_mergesort_with_soft_faults() {
-        check_registered_mergesort(512, 2, 64, FaultConfig::soft(0.005, 7));
+        for seed in [5, 7] {
+            check_registered_mergesort(512, 2, 64, FaultConfig::soft(0.005, seed));
+        }
     }
 
     #[test]
@@ -1449,7 +1108,9 @@ mod tests {
 
     #[test]
     fn registered_samplesort_with_soft_faults() {
-        check_registered_samplesort(500, 2, 64, FaultConfig::soft(0.003, 9));
+        for seed in [2, 9] {
+            check_registered_samplesort(500, 2, 64, FaultConfig::soft(0.003, seed));
+        }
     }
 
     #[test]
@@ -1488,7 +1149,7 @@ mod tests {
             let rt = runtime_for_samplesort(n, 1, 64, FaultConfig::none());
             let ss = SampleSort::new(rt.machine(), n);
             ss.load_input(rt.machine(), &data(3, n));
-            let rep = rt.run_or_replay(&ss.comp());
+            let rep = rt.run_or_recover(&ss.pcomp());
             assert!(rep.completed());
             rep.stats().total_work()
         };
@@ -1496,7 +1157,7 @@ mod tests {
             let rt = runtime_for_mergesort(1, 64, FaultConfig::none());
             let ms = MergeSort::new(rt.machine(), n);
             ms.load_input(rt.machine(), &data(3, n));
-            let rep = rt.run_or_replay(&ms.comp());
+            let rep = rt.run_or_recover(&ms.pcomp());
             assert!(rep.completed());
             rep.stats().total_work()
         };

@@ -156,6 +156,19 @@ pub fn ceil_div(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
+/// A P = 1 faultless session for the §7 theorem-shape tests: checkpoints
+/// off (frame-pool GC shifts block alignment, and a model cost must
+/// repeat to the digit), so `pool_words` must hold every frame of the run.
+#[cfg(test)]
+pub(crate) fn theorem_runtime(pm: ppm_pm::PmConfig, pool_words: usize) -> ppm_sched::Runtime {
+    ppm_sched::Runtime::volatile(
+        ppm_sched::RuntimeConfig::new(pm)
+            .with_slots(1 << 13)
+            .with_pool_words(pool_words)
+            .with_checkpoint(ppm_sched::CheckpointPolicy::disabled()),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@ use ppm_bench::{banner, f2, header, row, s, BenchReport};
 use ppm_core::{comp_step, par_all, Comp, Machine};
 use ppm_pm::{PmConfig, ProcCtx, Region, ValidateMode};
 use ppm_sched::abp::run_computation_abp;
-use ppm_sched::{Runtime, SchedConfig};
+use ppm_sched::{run_closure, SchedConfig};
 
 fn tasks(r: Region, n: usize, leaf_work: usize) -> Comp {
     par_all(
@@ -52,11 +52,14 @@ fn main() {
         let ft = {
             let m = Machine::new(cfg());
             let r = m.alloc_region(n * leaf_work);
-            let rt = Runtime::new(m, SchedConfig::with_slots(1 << 13));
-            let rep = rt.run_or_replay(&tasks(r, n, leaf_work));
-            assert!(rep.completed());
-            last_scrape = rt.machine().obs().registry().render();
-            rep.stats().total_work()
+            let rep = run_closure(
+                &m,
+                &tasks(r, n, leaf_work),
+                &SchedConfig::with_slots(1 << 13),
+            );
+            assert!(rep.completed);
+            last_scrape = m.obs().registry().render();
+            rep.stats.total_work()
         };
         let abp = {
             let m = Machine::new(cfg());

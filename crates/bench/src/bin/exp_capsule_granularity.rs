@@ -13,7 +13,7 @@
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
 use ppm_core::{comp_step, seq_all, Comp, Machine};
 use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm_sched::{Runtime, SchedConfig};
+use ppm_sched::{run_closure, SchedConfig};
 
 /// The workload: copy `nblocks` blocks from `src` to `dst`, `k` blocks per
 /// capsule.
@@ -70,18 +70,21 @@ fn main() {
             for i in 0..nblocks * b {
                 m.mem().store(src.at(i), i as u64);
             }
-            let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-            let rep = rt.run_or_replay(&chunked_copy(src, dst, nblocks, b, k));
-            assert!(rep.completed(), "k={k} f={f}");
+            let rep = run_closure(
+                &m,
+                &chunked_copy(src, dst, nblocks, b, k),
+                &SchedConfig::with_slots(1 << 11),
+            );
+            assert!(rep.completed, "k={k} f={f}");
             // Verify the copy.
             for i in 0..nblocks * b {
                 assert_eq!(
-                    rt.machine().mem().load(dst.at(i)),
+                    m.mem().load(dst.at(i)),
                     (i as u64).wrapping_mul(3).wrapping_add(1)
                 );
             }
-            results.push((k, rep.stats().clone()));
-            last_scrape = rt.machine().obs().registry().render();
+            results.push((k, rep.stats.clone()));
+            last_scrape = m.obs().registry().render();
         }
         let best = results.iter().map(|(_, st)| st.total_work()).min().unwrap();
         if f == 0.0 {

@@ -9,34 +9,43 @@
 //!
 //! `cargo run --release -p ppm-bench --bin exp_durable_overhead`
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, par_all, Comp, Machine};
-use ppm_pm::{PmConfig, ProcCtx, Region};
-use ppm_sched::{Runtime, SchedConfig};
+use ppm_core::dsl::{CapsuleSet, Span, Step, K};
+use ppm_core::{Machine, PComp};
+use ppm_pm::{PmConfig, Region};
+use ppm_sched::{CheckpointPolicy, Runtime, SchedConfig};
 
 const PROCS: usize = 4;
 const WORDS: usize = 1 << 21;
 const TRIALS: usize = 5;
 
-fn build_comp(out: Region, n: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| {
-                comp_step("work", move |ctx: &mut ProcCtx| {
-                    // A read-modify-chain per task: real external traffic. The
-                    // read stride 17 is odd and n is a power of two, so a
-                    // task never reads the cell it writes (conflict free).
-                    let mut acc = 0u64;
-                    for k in 1..=32 {
-                        acc = acc.wrapping_add(ctx.pread(out.at((i + k * 17) % n))?);
-                    }
-                    ctx.pwrite(out.at(i), acc.wrapping_add(i as u64 + 1))
-                })
-            })
-            .collect(),
-    )
+fn build_comp(out: Region, n: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let work = set.define("work", move |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                // A read-modify-chain per task: real external traffic. The
+                // read stride 17 is odd and n is a power of two, so a
+                // task never reads the cell it writes (conflict free).
+                let mut acc = 0u64;
+                for j in 1..=32 {
+                    acc = acc.wrapping_add(ctx.pread(st.env.at((i + j * 17) % n))?);
+                }
+                ctx.pwrite(st.env.at(i), acc.wrapping_add(i as u64 + 1))?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let tasks = set.map_grain("tasks", 1, work);
+        let all = Span {
+            env: out,
+            lo: 0,
+            hi: n,
+        };
+        tasks.setup(m, &all, K(finale)).0
+    })
 }
 
 struct Measured {
@@ -79,7 +88,11 @@ fn run_trials(cli: &ppm_bench::cli::Cli, n: usize, durable: bool, observed: bool
         };
         let out = m.alloc_region(n);
         let comp = build_comp(out, n);
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
+        // Checkpoints off: this experiment prices the mapping and the
+        // explicit flush boundary; `exp_checkpoint_overhead` prices epochs.
+        let mut sched = SchedConfig::with_slots(1 << 12);
+        sched.checkpoint = CheckpointPolicy::disabled();
+        let rt = Runtime::new(m, sched);
         let server = if observed {
             let obs = rt.machine().obs();
             obs.tracer().enable();
@@ -89,7 +102,7 @@ fn run_trials(cli: &ppm_bench::cli::Cli, n: usize, durable: bool, observed: bool
             None
         };
         let start = Instant::now();
-        let rep = rt.run_or_replay(&comp);
+        let rep = rt.run_or_recover(&comp);
         let elapsed = start.elapsed();
         run_total += elapsed;
         run_min = run_min.min(elapsed);

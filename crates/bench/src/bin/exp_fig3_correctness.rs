@@ -9,7 +9,7 @@
 use ppm_bench::{banner, header, row, s, BenchReport};
 use ppm_core::{comp_dyn, comp_fork2, comp_nop, comp_step, Comp, Machine};
 use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm_sched::{Runtime, SchedConfig};
+use ppm_sched::{run_closure, SchedConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,12 +76,11 @@ fn main() {
             let mut cfg = SchedConfig::with_slots(1 << 11);
             cfg.check_transitions = true;
             cfg.seed = seed;
-            let rt = Runtime::new(m, cfg);
-            let rep = rt.run_or_replay(&random_dag(r, 0, n, seed));
+            let rep = run_closure(&m, &random_dag(r, 0, n, seed), &cfg);
             deaths += rep.dead_procs() as u64;
-            if rep.completed() {
+            if rep.completed {
                 completed += 1;
-                if (0..n).all(|i| rt.machine().mem().load(r.at(i)) == 1) {
+                if (0..n).all(|i| m.mem().load(r.at(i)) == 1) {
                     verified += 1;
                 }
             } else {
@@ -90,7 +89,7 @@ fn main() {
                 verified += 1; // nothing to verify; counted as consistent
                 completed += u64::from(rep.dead_procs() == procs);
             }
-            last_scrape = rt.machine().obs().registry().render();
+            last_scrape = m.obs().registry().render();
         }
         assert_eq!(completed, trials as u64);
         assert_eq!(verified, trials as u64);

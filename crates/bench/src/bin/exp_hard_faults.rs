@@ -10,7 +10,7 @@
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
 use ppm_core::{comp_step, par_all, Comp, Machine};
 use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm_sched::{Runtime, SchedConfig};
+use ppm_sched::{run_closure, SchedConfig};
 
 fn tasks(r: Region, n: usize) -> Comp {
     par_all(
@@ -46,21 +46,20 @@ fn main() {
     let w_baseline = {
         let m = Machine::new(PmConfig::parallel(p, 1 << 23));
         let r = m.alloc_region(n * 8);
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&tasks(r, n));
-        assert!(rep.completed());
+        let rep = run_closure(&m, &tasks(r, n), &SchedConfig::with_slots(1 << 12));
+        assert!(rep.completed);
         row(
             &[
                 s(p),
                 s(0),
-                s(rep.completed()),
-                s(rep.stats().total_work()),
-                s(rep.stats().time()),
+                s(rep.completed),
+                s(rep.stats.total_work()),
+                s(rep.stats.time()),
                 s(true),
             ],
             &W,
         );
-        rep.stats().total_work()
+        rep.stats.total_work()
     };
 
     // Kill 1..P-1 processors at staggered access counts.
@@ -71,21 +70,20 @@ fn main() {
         }
         let m = Machine::new(PmConfig::parallel(p, 1 << 23).with_fault(cfg));
         let r = m.alloc_region(n * 8);
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&tasks(r, n));
-        let verified = (0..n * 8).all(|i| rt.machine().mem().load(r.at(i)) == 1);
+        let rep = run_closure(&m, &tasks(r, n), &SchedConfig::with_slots(1 << 12));
+        let verified = (0..n * 8).all(|i| m.mem().load(r.at(i)) == 1);
         row(
             &[
                 s(p),
                 s(dead),
-                s(rep.completed()),
-                s(rep.stats().total_work()),
-                s(rep.stats().time()),
+                s(rep.completed),
+                s(rep.stats.total_work()),
+                s(rep.stats.time()),
                 s(verified),
             ],
             &W,
         );
-        assert!(rep.completed() && verified, "dead={dead}");
+        assert!(rep.completed && verified, "dead={dead}");
         // A scheduled death may not fire if the run finishes first; at
         // most `dead` processors die, and correctness holds regardless.
         assert!(rep.dead_procs() <= dead);
@@ -111,11 +109,10 @@ fn main() {
                 .with_fault(FaultConfig::none().with_scheduled_hard_fault(victim, at)),
         );
         let r = m.alloc_region(n * 8);
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&tasks(r, n));
-        assert!(rep.completed(), "seed {seed}");
-        ratios.push(rep.stats().total_work() as f64 / w_baseline as f64);
-        last_scrape = rt.machine().obs().registry().render();
+        let rep = run_closure(&m, &tasks(r, n), &SchedConfig::with_slots(1 << 12));
+        assert!(rep.completed, "seed {seed}");
+        ratios.push(rep.stats.total_work() as f64 / w_baseline as f64);
+        last_scrape = m.obs().registry().render();
     }
     let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
     let max = ratios.iter().cloned().fold(0.0f64, f64::max);

@@ -10,7 +10,7 @@
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
 use ppm_core::{comp_step, par_all, Comp, Machine};
 use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm_sched::{Runtime, SchedConfig, VictimStrategy};
+use ppm_sched::{run_closure, SchedConfig, VictimStrategy};
 
 /// A balanced tree of `n` leaf tasks, each performing `leaf_work` writes.
 fn balanced(r: Region, n: usize, leaf_work: usize) -> Comp {
@@ -54,10 +54,13 @@ fn main() {
     for p in [1usize, 2, 4, 8].into_iter().filter(|p| *p <= cli.procs(8)) {
         let m = Machine::new(PmConfig::parallel(p, 1 << 23));
         let r = m.alloc_region(n * leaf_work);
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&balanced(r, n, leaf_work));
-        assert!(rep.completed());
-        let t = rep.stats().time();
+        let rep = run_closure(
+            &m,
+            &balanced(r, n, leaf_work),
+            &SchedConfig::with_slots(1 << 12),
+        );
+        assert!(rep.completed);
+        let t = rep.stats.time();
         if p == 1 {
             t1 = t;
         }
@@ -65,10 +68,10 @@ fn main() {
             &[
                 s(p),
                 s(0.0),
-                s(rep.stats().total_work()),
+                s(rep.stats.total_work()),
                 s(t),
-                s(rep.stats().capsule_restarts()),
-                s(rep.stats().max_capsule_work),
+                s(rep.stats.capsule_restarts()),
+                s(rep.stats.max_capsule_work),
                 f2(t1 as f64 / t as f64),
             ],
             &W1,
@@ -89,29 +92,32 @@ fn main() {
         };
         let m = Machine::new(PmConfig::parallel(4, 1 << 23).with_fault(cfg));
         let r = m.alloc_region(n * leaf_work);
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&balanced(r, n, leaf_work));
-        assert!(rep.completed());
-        last_scrape = rt.machine().obs().registry().render();
+        let rep = run_closure(
+            &m,
+            &balanced(r, n, leaf_work),
+            &SchedConfig::with_slots(1 << 12),
+        );
+        assert!(rep.completed);
+        last_scrape = m.obs().registry().render();
         if f == 0.0 {
-            w0 = rep.stats().total_work();
+            w0 = rep.stats.total_work();
             report.metric("work_f0_words", w0 as f64);
         }
         if f == 0.02 {
             report.metric(
                 "fault_work_overhead_x",
-                rep.stats().total_work() as f64 / w0 as f64,
+                rep.stats.total_work() as f64 / w0 as f64,
             );
         }
         row(
             &[
                 s(4),
                 s(f),
-                s(rep.stats().total_work()),
-                s(rep.stats().time()),
-                s(rep.stats().capsule_restarts()),
-                s(rep.stats().max_capsule_work),
-                f2(rep.stats().total_work() as f64 / w0 as f64),
+                s(rep.stats.total_work()),
+                s(rep.stats.time()),
+                s(rep.stats.capsule_restarts()),
+                s(rep.stats.max_capsule_work),
+                f2(rep.stats.total_work() as f64 / w0 as f64),
             ],
             &W1,
         );
@@ -135,10 +141,9 @@ fn main() {
             victim_strategy: VictimStrategy::LeastLoaded,
             ..SchedConfig::with_slots(1 << 13)
         };
-        let rt = Runtime::new(m, cfg);
-        let rep = rt.run_or_replay(&balanced(r, tasks, 1));
-        assert!(rep.completed());
-        let live = rt.machine().obs().registry().histogram(
+        let rep = run_closure(&m, &balanced(r, tasks, 1), &cfg);
+        assert!(rep.completed);
+        let live = m.obs().registry().histogram(
             "ppm_steal_backoff_us",
             "contention backoff sleeps applied before steal attempts (microseconds)",
         );
@@ -181,10 +186,13 @@ fn main() {
     for f in [0.001, 0.005, 0.01, 0.02] {
         let m = Machine::new(PmConfig::parallel(2, 1 << 23).with_fault(FaultConfig::soft(f, 3)));
         let r = m.alloc_region(n * leaf_work);
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 12));
-        let rep = rt.run_or_replay(&balanced(r, n, leaf_work));
-        assert!(rep.completed());
-        let sx = rep.stats();
+        let rep = run_closure(
+            &m,
+            &balanced(r, n, leaf_work),
+            &SchedConfig::with_slots(1 << 12),
+        );
+        assert!(rep.completed);
+        let sx = &rep.stats;
         let c = sx.max_capsule_work.max(1) as f64;
         let w = sx.total_work() as f64;
         let predicted = (w.ln() / (1.0 / (c * f)).ln()).ceil().max(1.0);

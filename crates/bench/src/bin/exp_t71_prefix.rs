@@ -6,12 +6,17 @@
 //! faulty run verified against the oracle.
 
 use ppm_algs::{prefix_sum_seq, PrefixSum};
-use ppm_bench::{banner, f2, header, row, s, BenchReport};
+use ppm_bench::{banner, f2, header, model_cost_sched, row, s, BenchReport};
 use ppm_core::Machine;
 use ppm_pm::{FaultConfig, PmConfig};
-use ppm_sched::{Runtime, SchedConfig};
+use ppm_sched::Runtime;
 
 const W: [usize; 7] = [8, 4, 7, 10, 9, 5, 8];
+
+/// Per-processor pool: with checkpoint GC off (`model_cost_sched`) every
+/// frame of the run stays allocated — about 125 words per input block,
+/// 4.1M words at n = 2^18.
+const POOL_WORDS: usize = 1 << 23;
 
 fn run_case(n: usize, b: usize, f: f64, scrape: &mut String) -> (f64, u64) {
     let cfg = if f == 0.0 {
@@ -19,16 +24,17 @@ fn run_case(n: usize, b: usize, f: f64, scrape: &mut String) -> (f64, u64) {
     } else {
         FaultConfig::soft(f, 31)
     };
-    let m = Machine::new(
+    let m = Machine::with_pool_words(
         PmConfig::parallel(1, 1 << 24)
             .with_block_size(b)
             .with_fault(cfg),
+        POOL_WORDS,
     );
     let ps = PrefixSum::new(&m, n);
     let data: Vec<u64> = (0..n as u64).map(|i| i % 1000).collect();
     ps.load_input(&m, &data);
-    let rt = Runtime::new(m, SchedConfig::with_slots(1 << 15));
-    let rep = rt.run_or_replay(&ps.comp());
+    let rt = Runtime::new(m, model_cost_sched(1 << 15));
+    let rep = rt.run_or_recover(&ps.pcomp());
     assert!(rep.completed());
     assert_eq!(
         ps.read_output(rt.machine()),

@@ -6,12 +6,17 @@
 //! capsule), plus verified faulty runs.
 
 use ppm_algs::{merge_seq, Merge};
-use ppm_bench::{banner, f2, header, row, s, BenchReport};
+use ppm_bench::{banner, f2, header, model_cost_sched, row, s, BenchReport};
 use ppm_core::Machine;
 use ppm_pm::{FaultConfig, PmConfig};
-use ppm_sched::{Runtime, SchedConfig};
+use ppm_sched::Runtime;
 
 const W: [usize; 8] = [8, 4, 7, 10, 9, 5, 8, 8];
+
+/// Per-processor pool: with checkpoint GC off (`model_cost_sched`) every
+/// frame of the run stays allocated — about 55 words per input block,
+/// 450k words at the largest case.
+const POOL_WORDS: usize = 1 << 20;
 
 fn sorted(seed: u64, n: usize) -> Vec<u64> {
     let mut v: Vec<u64> = (0..n as u64)
@@ -27,16 +32,17 @@ fn run_case(n: usize, b: usize, f: f64, scrape: &mut String) -> (f64, u64) {
     } else {
         FaultConfig::soft(f, 17)
     };
-    let m = Machine::new(
+    let m = Machine::with_pool_words(
         PmConfig::parallel(1, 1 << 24)
             .with_block_size(b)
             .with_fault(cfg),
+        POOL_WORDS,
     );
     let mg = Merge::new(&m, n, n);
     let (a, bb) = (sorted(1, n), sorted(2, n));
     mg.load_inputs(&m, &a, &bb);
-    let rt = Runtime::new(m, SchedConfig::with_slots(1 << 15));
-    let rep = rt.run_or_replay(&mg.comp());
+    let rt = Runtime::new(m, model_cost_sched(1 << 15));
+    let rep = rt.run_or_recover(&mg.pcomp());
     assert!(rep.completed());
     assert_eq!(mg.read_output(rt.machine()), merge_seq(&a, &bb), "n={n}");
     let st = rep.stats();

@@ -9,12 +9,17 @@
 use ppm_algs::sort::samplesort_pool_words;
 use ppm_algs::util::{scatter_naive, BlockScatter};
 use ppm_algs::{MergeSort, SampleSort};
-use ppm_bench::{banner, f2, header, row, s, BenchReport};
+use ppm_bench::{banner, f2, header, model_cost_sched, row, s, BenchReport};
 use ppm_core::Machine;
 use ppm_pm::{Addr, PmConfig, Word};
 use ppm_sched::{Runtime, SchedConfig};
 
 const W: [usize; 8] = [8, 11, 11, 9, 10, 10, 9, 9];
+
+/// Mergesort's per-processor pool: with checkpoint GC off
+/// (`model_cost_sched`) every frame of the run stays allocated — about 41 words per key, 340k words at
+/// n = 2^13.
+const MERGESORT_POOL_WORDS: usize = 1 << 19;
 
 fn data(n: usize) -> Vec<u64> {
     (0..n as u64)
@@ -55,15 +60,16 @@ fn main() {
         expect.sort_unstable();
 
         let w_ms = {
-            let m = Machine::new(
+            let m = Machine::with_pool_words(
                 PmConfig::parallel(1, 1 << 24)
                     .with_block_size(b)
                     .with_ephemeral_words(m_eph),
+                MERGESORT_POOL_WORDS,
             );
             let ms = MergeSort::new(&m, n);
             ms.load_input(&m, &input);
-            let rt = Runtime::new(m, SchedConfig::with_slots(1 << 15));
-            let rep = rt.run_or_replay(&ms.comp());
+            let rt = Runtime::new(m, model_cost_sched(1 << 15));
+            let rep = rt.run_or_recover(&ms.pcomp());
             assert!(rep.completed());
             assert_eq!(ms.read_output(rt.machine()), expect);
             rep.stats().total_work()
@@ -73,12 +79,14 @@ fn main() {
                 PmConfig::parallel(1, 1 << 25)
                     .with_block_size(b)
                     .with_ephemeral_words(m_eph),
-                samplesort_pool_words(n),
+                // The formula budgets for checkpoint GC; without it, add
+                // the un-reclaimed frames (see `samplesort_pool_words`).
+                samplesort_pool_words(n) + 40 * n,
             );
             let ss = SampleSort::new(&m, n);
             ss.load_input(&m, &input);
-            let rt = Runtime::new(m, SchedConfig::with_slots(1 << 16));
-            let rep = rt.run_or_replay(&ss.comp());
+            let rt = Runtime::new(m, model_cost_sched(1 << 16));
+            let rep = rt.run_or_recover(&ss.pcomp());
             assert!(rep.completed());
             assert_eq!(ss.read_output(rt.machine()), expect);
             last_scrape = rt.machine().obs().registry().render();

@@ -6,10 +6,10 @@
 
 use ppm_algs::matmul::matmul_pool_words;
 use ppm_algs::{matmul_seq, MatMul};
-use ppm_bench::{banner, f2, header, row, s, BenchReport};
+use ppm_bench::{banner, f2, header, model_cost_sched, row, s, BenchReport};
 use ppm_core::Machine;
 use ppm_pm::{FaultConfig, PmConfig};
-use ppm_sched::{Runtime, SchedConfig};
+use ppm_sched::Runtime;
 
 const W: [usize; 7] = [5, 6, 7, 11, 13, 7, 8];
 
@@ -31,8 +31,8 @@ fn run_case(n: usize, m_eph: usize, f: f64, verify: bool, scrape: &mut String) -
     let a: Vec<u64> = (0..(n * n) as u64).map(|i| i % 17).collect();
     let bb: Vec<u64> = (0..(n * n) as u64).map(|i| (3 * i) % 13).collect();
     mm.load_inputs(&machine, &a, &bb);
-    let rt = Runtime::new(machine, SchedConfig::with_slots(1 << 14));
-    let rep = rt.run_or_replay(&mm.comp());
+    let rt = Runtime::new(machine, model_cost_sched(1 << 14));
+    let rep = rt.run_or_recover(&mm.pcomp());
     assert!(rep.completed());
     if verify {
         assert_eq!(

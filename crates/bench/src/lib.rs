@@ -1,9 +1,8 @@
 //! # `ppm-bench` — experiment harness for the Parallel-PM reproduction
 //!
 //! One binary per experiment in DESIGN.md's per-experiment index
-//! (`cargo run --release -p ppm-bench --bin exp_<id>`), plus criterion
-//! benches under `benches/`. This library holds the shared table-printing
-//! and measurement helpers.
+//! (`cargo run --release -p ppm-bench --bin exp_<id>`). This library
+//! holds the shared table-printing and measurement helpers.
 
 #![warn(missing_docs)]
 
@@ -13,6 +12,18 @@ pub mod report;
 pub use report::BenchReport;
 
 use std::fmt::Display;
+
+use ppm_sched::{CheckpointPolicy, SchedConfig};
+
+/// Scheduler configuration of the theorem experiments: `slots` deque
+/// slots and checkpoints off — frame-pool GC shifts block alignment
+/// (moving W by fractions of a percent), and a model-cost number must
+/// repeat to the digit. Pools must hold every frame of the run.
+pub fn model_cost_sched(slots: usize) -> SchedConfig {
+    let mut cfg = SchedConfig::with_slots(slots);
+    cfg.checkpoint = CheckpointPolicy::disabled();
+    cfg
+}
 
 /// Prints a fixed-width table row.
 pub fn row(cells: &[String], widths: &[usize]) {

@@ -17,9 +17,8 @@
 //! Handle `0` is reserved as the null handle; machine layout guarantees
 //! address 0 is never allocated.
 //!
-//! Since the persistent-capsule refactor there are two kinds of handle,
-//! and [`ContArena::resolve`] treats the persistent words as the
-//! authority on which is which:
+//! There are two kinds of handle, and [`ContArena::resolve`] treats the
+//! persistent words as the authority on which is which:
 //!
 //! * **Frame handles**: the words at the handle parse as a
 //!   [`ppm_pm::frame`] frame fully describing the closure. These are
@@ -32,11 +31,15 @@
 //!   a cache would not be. This is also what makes frame handles
 //!   survive process death: a fresh process resolves them from
 //!   persistent words alone.
-//! * **Legacy closure handles** ([`ContArena::register`] /
+//! * **Closure handles** ([`ContArena::register`] /
 //!   [`ContArena::register_at`]): the closure content is a process-local
 //!   Rust object; the persistent word is only a marker (never
 //!   frame-shaped). These resolve through the map and die with the
-//!   process.
+//!   process. They back the model-level closure machine
+//!   ([`crate::comp`] — the Figure 3/4 protocol tests and the ABP
+//!   comparison, always fresh in-process runs) and the scheduler's own
+//!   restart pointers; no session accepts a closure computation, and no
+//!   recovery path ever resolves one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -160,7 +163,7 @@ impl ContArena {
     }
 
     /// [`ContArena::resolve`] with the rehydration failure preserved, for
-    /// recovery code that must distinguish "legacy closure" from
+    /// recovery code that must distinguish "process-local closure" from
     /// "malformed frame". The null handle and map misses report as frame
     /// errors.
     pub fn try_resolve(&self, handle: Word) -> Result<Cont, RehydrateError> {

@@ -22,6 +22,19 @@
 //! All combinators produce capsules that are write-after-read conflict free
 //! by construction provided the user bodies are (checked dynamically in
 //! strict mode).
+//!
+//! ## What the closure machine is for
+//!
+//! A [`Comp`] is made of process-local Rust closures: it is the *model's*
+//! machine — the form the paper specifies the Figure 3 scheduler over —
+//! and it dies with its process. It is the reference the scheduler
+//! protocol tests (Figure 3 correctness, Figure 4 transitions,
+//! Theorem 6.2), `SimSched::new_closure` scripts and the ABP baseline run
+//! ad-hoc DAGs on, always as fresh in-process runs
+//! (`ppm_sched::run_closure`). Nothing durable is built from it: the §7
+//! algorithms and every session (`ppm_sched::Runtime`) use the registered
+//! persistent capsules of [`crate::dsl`], which checkpoint, resume and
+//! steal across processes; a `Runtime` does not accept a `Comp`.
 
 use std::sync::Arc;
 

@@ -73,7 +73,8 @@ pub enum RehydrateError {
     /// The words at the handle are not a well-formed frame.
     Frame(FrameError),
     /// The frame decoded but its capsule id has no registered constructor
-    /// (a legacy-closure computation, or a construction-order mismatch).
+    /// (a construction-order mismatch: the recovering process declared
+    /// different capsules than the run that wrote the frame).
     UnknownCapsule {
         /// The frame address.
         addr: ppm_pm::Addr,

@@ -132,8 +132,8 @@ pub struct SchedConfig {
     /// dirty pages, write a resume record (durable machines), and reclaim
     /// dead frame-pool words. Defaults to every
     /// [`crate::checkpoint::DEFAULT_CHECKPOINT_CAPSULES`] capsules;
-    /// ignored by legacy-closure runs, whose continuations cannot be
-    /// traced or re-planted.
+    /// ignored by closure-machine runs ([`crate::run_closure`]), whose
+    /// continuations cannot be traced or re-planted.
     pub checkpoint: crate::checkpoint::CheckpointPolicy,
 }
 

@@ -423,7 +423,7 @@ impl CheckpointCtl {
         })
     }
 
-    /// A control that never checkpoints (legacy-closure runs, plain
+    /// A control that never checkpoints (closure-machine runs, plain
     /// chains).
     pub(crate) fn disabled(machine: &Machine, sched: Arc<Sched>) -> Arc<Self> {
         Self::new(machine, sched, CheckpointPolicy::Disabled)

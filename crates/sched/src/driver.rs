@@ -14,15 +14,19 @@
 //!
 //! ## Entry points
 //!
-//! The session object [`crate::Runtime`] is the one public entry point:
-//! `Runtime::run_or_recover` (registered persistent computations) and
-//! `Runtime::run_or_replay` (legacy closure computations) dispatch to the
-//! fresh-run, persistent-resume, checkpoint-resume, or replay-fallback
-//! paths in this module and return a unified [`SessionReport`]. (The four
-//! deprecated free functions of the pre-session API — `run_computation`,
-//! `run_persistent`, `recover_computation`, `recover_persistent` — have
-//! been removed; [`run_root_thread`] / [`run_root_on`] remain for callers
-//! that instrument a prebuilt scheduler.)
+//! The session object [`crate::Runtime`] is the one entry point for
+//! sessions: `Runtime::run_or_recover` takes a registered persistent
+//! computation and dispatches to the fresh-run, persistent-resume,
+//! checkpoint-resume, or replay-fallback paths in this module, returning
+//! a unified [`SessionReport`].
+//!
+//! The model-level **closure machine** — `ppm_core::comp` DAGs of
+//! process-local Rust closures, the form the paper specifies Figure 3
+//! over — is reachable only as a fresh, in-process run: [`run_closure`]
+//! (and [`run_root_thread`] / [`run_root_on`] for callers that instrument
+//! a prebuilt scheduler). It exists for the scheduler-protocol tests and
+//! the ABP comparison; it never checkpoints, resumes or crosses a process
+//! boundary, and a `Runtime` does not accept it.
 //!
 //! ## Crash recovery across process lifetimes
 //!
@@ -31,24 +35,21 @@
 //! reopened by a fresh process, and fresh OS threads re-attach to the
 //! persisted WS-deques and restart pointers.
 //!
-//! Two recovery paths exist, differing in what a deque entry's handle
-//! *means* to the new process:
+//! Recovery takes one of two routes:
 //!
-//! * **Resume** (for computations built from registered persistent
-//!   capsules): every persisted `job` entry and every running thread's
+//! * **Resume**: every persisted `job` entry and every running thread's
 //!   restart pointer is a frame address ([`ppm_pm::frame`]), so the
 //!   recovering process rehydrates each one through the machine's
 //!   [`ppm_core::CapsuleRegistry`] and re-plants them as jobs on fresh
 //!   deques. Only in-flight work is re-driven; recovery cost is bounded
 //!   by what was lost, not by total work.
-//! * **Replay** (legacy closure computations, and the fallback whenever
-//!   the persisted state is not fully rehydratable — see
-//!   [`FallbackReason`]): the deques are scrubbed back to the §6.3
-//!   initial state and the computation re-runs from its root. Idempotence
-//!   (write-after-read conflict freedom plus CAM test-and-set for
-//!   once-only effects — the §5 discipline) guarantees effects already
-//!   applied by the dead run are not applied again; replay costs work,
-//!   never correctness.
+//! * **Replay** (the fallback whenever the persisted state is not fully
+//!   rehydratable — see [`FallbackReason`]): the deques are scrubbed back
+//!   to the §6.3 initial state and the computation re-runs from its root.
+//!   Idempotence (write-after-read conflict freedom plus CAM test-and-set
+//!   for once-only effects — the §5 discipline) guarantees effects
+//!   already applied by the dead run are not applied again; replay costs
+//!   work, never correctness.
 //!
 //! Either way the machine is flushed before recovery returns, so a second
 //! crash during recovery recovers the same way.
@@ -93,7 +94,7 @@ pub struct RunReport {
     /// (compact form: `T` taken, `J` job, `L` local, `.` empty).
     pub deque_dump: Vec<String>,
     /// What the run's checkpointing did (all zeros when the policy is
-    /// disabled or the run is legacy-closure).
+    /// disabled or the run is a closure-machine run).
     pub checkpoints: CheckpointSummary,
 }
 
@@ -119,7 +120,8 @@ pub enum SessionMode {
     /// the crash frontier.
     Resumed,
     /// State was scrubbed and the computation replayed from its root
-    /// (legacy closures, or an ambiguous crash window — see
+    /// (an unrehydratable frontier or an ambiguous crash window, with no
+    /// checkpoint to fall back to — see
     /// [`SessionReport::fallback_reason`]).
     Replayed,
 }
@@ -132,9 +134,6 @@ pub enum FallbackReason {
     /// No in-flight entries were found; the computation restarts from the
     /// root (it had barely begun, or its frontier died with its thieves).
     NoFrontier,
-    /// The computation is built from process-local Rust closures, which
-    /// cannot be rehydrated by construction.
-    LegacyClosures,
     /// A persisted handle did not rehydrate through the capsule registry.
     Rehydrate {
         /// Which persisted handle failed (deque entry or restart
@@ -192,9 +191,6 @@ impl std::fmt::Display for FallbackReason {
         match self {
             FallbackReason::NoFrontier => {
                 write!(f, "no in-flight entries found; restarting from the root")
-            }
-            FallbackReason::LegacyClosures => {
-                write!(f, "legacy closure computation (no persistent frames)")
             }
             FallbackReason::Rehydrate { what, error } => write!(f, "{what}: {error}"),
             FallbackReason::InvalidTakenRef {
@@ -384,10 +380,14 @@ impl SessionReport {
 // Fresh runs
 // ====================================================================
 
-/// Fresh run of a legacy-closure computation: allocates a completion
-/// flag, plants the root thread on processor 0, and drives all processors
-/// until the flag is set (or everyone is dead).
-pub(crate) fn run_computation_impl(machine: &Machine, comp: &Comp, cfg: &SchedConfig) -> RunReport {
+/// Fresh in-process run of a closure-machine computation (a
+/// `ppm_core::comp` DAG): allocates a completion flag, plants the root
+/// thread on processor 0, and drives all processors until the flag is set
+/// (or everyone is dead). The reference machine of the Figure 3/4
+/// protocol tests and the ABP comparison — closure capsules die with the
+/// process, so there is no checkpointing and no recovery here; sessions
+/// go through [`crate::Runtime::run_or_recover`].
+pub fn run_closure(machine: &Machine, comp: &Comp, cfg: &SchedConfig) -> RunReport {
     let done = DoneFlag::new(machine);
     let root = comp(done.finale());
     run_root_thread(machine, root, done, cfg)
@@ -428,7 +428,7 @@ pub(crate) fn run_persistent_impl(
 /// Closure roots cannot checkpoint (their continuations are untraceable),
 /// so no checkpoint policy applies here.
 pub fn run_root_on(machine: &Machine, sched: &Arc<Sched>, root: Cont, done: DoneFlag) -> RunReport {
-    // Legacy closure root: park it at a fresh address so the restart
+    // Closure root: park it at a fresh address so the restart
     // pointer resolves (in this process only).
     let root_slot = machine.alloc_region(1).start;
     machine.arena().preregister(root_slot, root.clone());
@@ -902,101 +902,6 @@ pub(crate) fn recover_persistent_impl(
     }
 }
 
-/// Resumes a *legacy-closure* computation whose machine came back from
-/// [`Machine::reopen`] after the previous process died mid-run (the
-/// `kill -9` analogue of the paper's all-processors-hard-fault scenario).
-///
-/// The caller must rebuild the machine-setup sequence of the crashed run
-/// deterministically before calling this: the same user
-/// [`Machine::alloc_region`] calls in the same order, the same `comp`, and
-/// the same `cfg` (deque sizing).
-///
-/// Because `comp` capsules are process-local Rust closures (not
-/// registered persistent frames), the persisted deque entries cannot be
-/// rehydrated: they are inspected (the counts are reported), scrubbed,
-/// and the computation replays from its root. Capsule idempotence (the §5
-/// CAM discipline) makes the replay apply each effect exactly once —
-/// work, not effects, is what replay costs. Computations built from
-/// registered capsules resume through [`recover_persistent_impl`]'s path
-/// instead.
-pub(crate) fn recover_computation_impl(
-    machine: &Machine,
-    comp: &Comp,
-    cfg: &SchedConfig,
-) -> SessionReport {
-    // Replay the allocation order of a fresh closure run: completion flag
-    // first, then the scheduler's deques. The Figure 4 transition checker
-    // is deferred past the scrub (scrub stores are machine maintenance,
-    // not entry transitions).
-    let done = DoneFlag::new(machine);
-    let sched = Sched::new(
-        machine,
-        done,
-        &SchedConfig {
-            check_transitions: false,
-            ..cfg.clone()
-        },
-    );
-    let (found_jobs, found_locals, found_taken, live_restart_pointers) =
-        crash_forensics(machine, &sched);
-    machine
-        .obs()
-        .tracer()
-        .record_with(ppm_obs::TraceKind::Recovery, None, None, || {
-            format!(
-                "legacy-closure recovery, epoch {}: replay from root \
-                 ({found_jobs} jobs, {found_locals} locals found)",
-                machine.epoch()
-            )
-        });
-
-    if done.is_set(machine.mem()) {
-        return SessionReport {
-            epoch: machine.epoch(),
-            mode: SessionMode::AlreadyComplete,
-            found_jobs,
-            found_locals,
-            found_taken,
-            live_restart_pointers,
-            resumed: 0,
-            fallback_reason: None,
-            checkpoint_resume: None,
-            cluster: None,
-            trace: None,
-            run: None,
-        };
-    }
-
-    // Legacy runs write no checkpoints, but a registered run may have on
-    // an earlier epoch of this file; the replay resets cursors, so any
-    // such records are now stale.
-    let _ = machine.clear_checkpoint_records();
-    scrub_scheduler_state(machine, &sched, false);
-    if cfg.check_transitions {
-        crate::capsules::install_transition_checker(machine, sched.deques());
-    }
-
-    let root = comp(done.finale());
-    let run = run_root_on(machine, &sched, root, done);
-    machine
-        .flush()
-        .expect("flushing recovered machine to stable storage");
-    SessionReport {
-        epoch: machine.epoch(),
-        mode: SessionMode::Replayed,
-        found_jobs,
-        found_locals,
-        found_taken,
-        live_restart_pointers,
-        resumed: 0,
-        fallback_reason: Some(FallbackReason::LegacyClosures),
-        checkpoint_resume: None,
-        cluster: None,
-        trace: None,
-        run: Some(run),
-    }
-}
-
 fn proc_loop(
     machine: &Machine,
     sched: &Arc<Sched>,
@@ -1056,7 +961,7 @@ mod tests {
         let m = machine(1, FaultConfig::none());
         let r = m.alloc_region(64);
         let comp = par_all((0..8).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(256));
+        let rep = run_closure(&m, &comp, &SchedConfig::with_slots(256));
         assert!(rep.completed);
         assert_eq!(rep.outcomes, vec![ProcOutcome::Halted]);
         for i in 0..8 {
@@ -1069,7 +974,7 @@ mod tests {
         let m = machine(2, FaultConfig::none());
         let r = m.alloc_region(64);
         let comp = comp_fork2(write_marker(r, 0), write_marker(r, 1));
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(256));
+        let rep = run_closure(&m, &comp, &SchedConfig::with_slots(256));
         assert!(rep.completed);
         assert_eq!(m.mem().load(r.at(0)), 1);
         assert_eq!(m.mem().load(r.at(1)), 2);
@@ -1083,7 +988,7 @@ mod tests {
         let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
         let mut cfg = SchedConfig::with_slots(1024);
         cfg.check_transitions = true;
-        let rep = run_computation_impl(&m, &comp, &cfg);
+        let rep = run_closure(&m, &comp, &cfg);
         assert!(rep.completed);
         for i in 0..n {
             assert_eq!(m.mem().load(r.at(i)), i as u64 + 1, "task {i}");
@@ -1097,7 +1002,7 @@ mod tests {
             let n = 48;
             let r = m.alloc_region(n);
             let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
-            let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(1024));
+            let rep = run_closure(&m, &comp, &SchedConfig::with_slots(1024));
             assert!(rep.completed, "seed {seed}");
             assert!(rep.stats.soft_faults > 0, "seed {seed} should see faults");
             for i in 0..n {
@@ -1113,7 +1018,7 @@ mod tests {
         let n = 32;
         let r = m.alloc_region(n);
         let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(1024));
+        let rep = run_closure(&m, &comp, &SchedConfig::with_slots(1024));
         assert!(rep.completed);
         assert_eq!(rep.dead_procs(), 1);
         assert_eq!(rep.outcomes[0], ProcOutcome::Dead);
@@ -1160,7 +1065,7 @@ mod tests {
         });
         let r = m.alloc_region(64);
         let comp = par_all((0..16).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_impl(&m, &comp, &SchedConfig::with_slots(512));
+        let rep = run_closure(&m, &comp, &SchedConfig::with_slots(512));
         assert!(!rep.completed);
         assert_eq!(rep.dead_procs(), 2);
     }
@@ -1169,7 +1074,6 @@ mod tests {
     fn fallback_reasons_render_and_expose_decode_errors() {
         let reasons = [
             FallbackReason::NoFrontier,
-            FallbackReason::LegacyClosures,
             FallbackReason::StealInFlight {
                 victim: 0,
                 slot: 3,

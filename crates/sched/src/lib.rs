@@ -16,7 +16,9 @@
 //! * [`driver`] — one OS thread per model processor; runs fork-join
 //!   computations to completion and reports cost statistics, including
 //!   the cross-process recovery paths (resume via the capsule registry,
-//!   replay from the root).
+//!   replay from the root). [`run_closure`] runs the model-level closure
+//!   machine (`ppm_core::comp` DAGs) fresh and in-process, for the
+//!   Figure 3/4 protocol tests and the ABP comparison.
 //! * [`runtime`] — the user-facing session object: [`Runtime`] wraps a
 //!   machine and dispatches [`Runtime::run_or_recover`] to fresh-run,
 //!   persistent-resume, checkpoint-resume, or replay-fallback internally,
@@ -40,7 +42,7 @@
 //!   injector queue in the machine file from which live shards pull jobs
 //!   continuously, live-shard deque stealing, and the
 //!   [`ServiceHandle`] submit/await/drain/shutdown API
-//!   ([`Runtime::service`] / [`cluster::ClusterBuilder::spawn`]).
+//!   ([`cluster::ClusterBuilder::spawn`]).
 //! * [`abp`] — the CAS-based Arora–Blumofe–Plaxton baseline (not
 //!   fault-tolerant), for the comparison benchmarks.
 
@@ -68,8 +70,8 @@ pub use cluster::{
 };
 pub use deque::{build_deques, check_invariant, render, snapshot, DequeAddrs, DequeSnapshot};
 pub use driver::{
-    run_root_on, run_root_thread, CheckpointResume, FallbackReason, PComp, ProcOutcome, RunReport,
-    SessionMode, SessionReport,
+    run_closure, run_root_on, run_root_thread, CheckpointResume, FallbackReason, PComp,
+    ProcOutcome, RunReport, SessionMode, SessionReport,
 };
 pub use entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal};
 pub use runtime::{Runtime, RuntimeConfig};

@@ -1,12 +1,9 @@
 //! `Runtime`: one session object for running and recovering computations.
 //!
-//! The pre-session API exposed four free functions (`run_computation`,
-//! `run_persistent`, `recover_computation`, `recover_persistent`) and
-//! left the caller to decide which to call — i.e. to re-implement the
-//! "did the previous process crash?" dispatch at every call site. A
-//! [`Runtime`] owns that decision: it wraps a [`Machine`] plus a
-//! [`SchedConfig`], and its one entry point for persistent computations,
-//! [`Runtime::run_or_recover`], dispatches internally to
+//! A [`Runtime`] owns the "did the previous process crash?" decision: it
+//! wraps a [`Machine`] plus a [`SchedConfig`], and its one entry point,
+//! [`Runtime::run_or_recover`], takes a registered persistent computation
+//! and dispatches internally to
 //!
 //! * a **fresh run** when the machine has no crashed predecessor
 //!   (volatile machines, or the creating run of a durable file),
@@ -19,9 +16,9 @@
 //!
 //! and always returns the same unified [`SessionReport`].
 //!
-//! [`Runtime::run_or_replay`] is the equivalent single entry point for
-//! legacy closure computations (which can only ever replay after a
-//! crash).
+//! A session accepts only registered persistent computations. The
+//! model-level closure machine (`ppm_core::comp`) runs fresh and
+//! in-process through [`crate::run_closure`], outside any session.
 //!
 //! ## Sessions and determinism
 //!
@@ -58,14 +55,11 @@
 //! assert_eq!(rt.machine().mem().load(out.at(5)), 6);
 //! ```
 
-use ppm_core::{Comp, Machine};
+use ppm_core::Machine;
 use ppm_pm::PmConfig;
 
 use crate::capsules::SchedConfig;
-use crate::driver::{
-    recover_computation_impl, recover_persistent_impl, run_computation_impl, run_persistent_impl,
-    PComp, SessionReport,
-};
+use crate::driver::{recover_persistent_impl, run_persistent_impl, PComp, SessionReport};
 
 /// Configuration for a [`Runtime`] session: the machine shape plus the
 /// scheduler shape.
@@ -186,31 +180,6 @@ impl Runtime {
         })
     }
 
-    /// Starts a persistent job service: creates the durable machine file
-    /// at `path` with an injector queue of `workers * procs_per_shard`
-    /// model processors, spawns the worker processes, and returns a live
-    /// [`crate::ServiceHandle`] — submit jobs
-    /// ([`crate::ServiceHandle::submit`] → [`crate::JobTicket`]), await
-    /// them exactly-once, and wind the service down with
-    /// [`crate::ServiceHandle::drain`] / [`crate::ServiceHandle::shutdown`].
-    /// Jobs submitted before a crash are recovered and completed
-    /// exactly-once (see [`crate::service`]). This is sugar over
-    /// [`crate::cluster::ClusterBuilder::spawn`], which exposes every
-    /// knob.
-    #[cfg(unix)]
-    pub fn service(
-        path: impl AsRef<std::path::Path>,
-        pm: ppm_pm::PmConfig,
-        workers: usize,
-        build: &crate::cluster::ShardBuild,
-        spawn_worker: impl FnMut(usize) -> std::process::Command,
-    ) -> std::io::Result<crate::ServiceHandle> {
-        crate::cluster::ClusterBuilder::new(path)
-            .machine(pm)
-            .workers(workers)
-            .spawn(build, spawn_worker)
-    }
-
     /// The session's machine (region allocation, oracle reads, flushing).
     pub fn machine(&self) -> &Machine {
         &self.machine
@@ -232,13 +201,13 @@ impl Runtime {
         ppm_obs::Obs::metrics_port_from_env().and_then(|p| self.machine.obs().serve(p).ok())
     }
 
-    /// Session prologue shared by both entry points: when `PPM_TRACE_FILE`
-    /// asks for a trace, open the causal span sidecar
-    /// (`<trace>.spans.jsonl`) and hand it to the machine's [`ppm_obs::Obs`]
-    /// so every processor context streams span records. Origin 0 is the
-    /// coordinator / single-process run; epoch bits keep a recovery run's
-    /// span ids disjoint from the crashed run's persisted parent words, and
-    /// recovery *appends* so one file carries the whole multi-epoch story.
+    /// Session prologue: when `PPM_TRACE_FILE` asks for a trace, open the
+    /// causal span sidecar (`<trace>.spans.jsonl`) and hand it to the
+    /// machine's [`ppm_obs::Obs`] so every processor context streams span
+    /// records. Origin 0 is the coordinator / single-process run; epoch
+    /// bits keep a recovery run's span ids disjoint from the crashed run's
+    /// persisted parent words, and recovery *appends* so one file carries
+    /// the whole multi-epoch story.
     fn attach_span_sink(&self) {
         if let Some(base) = ppm_obs::Obs::trace_file_from_env() {
             let path = ppm_obs::SpanSink::path_for(&base);
@@ -250,9 +219,8 @@ impl Runtime {
         }
     }
 
-    /// Session epilogue shared by both entry points: close the event
-    /// trace (RunEnd, sidecar flush per `PPM_TRACE_FILE`) and embed its
-    /// summary in the report.
+    /// Session epilogue: close the event trace (RunEnd, sidecar flush per
+    /// `PPM_TRACE_FILE`) and embed its summary in the report.
     fn finish_session(&self, mut report: SessionReport) -> SessionReport {
         let obs = self.machine.obs();
         obs.tracer().record(
@@ -330,40 +298,6 @@ impl Runtime {
         self.finish_session(report)
     }
 
-    /// Runs a legacy closure computation: a fresh run on a fresh session,
-    /// a scrub-and-replay recovery on a recovering one. Closure capsules
-    /// cannot be rehydrated, so crash recovery always replays from the
-    /// root (idempotence makes that correct; registered computations
-    /// should prefer [`Runtime::run_or_recover`]).
-    pub fn run_or_replay(&self, comp: &Comp) -> SessionReport {
-        let _metrics = self.auto_metrics();
-        self.attach_span_sink();
-        self.machine
-            .obs()
-            .tracer()
-            .record_with(ppm_obs::TraceKind::RunStart, None, None, || {
-                format!(
-                    "closure session, epoch {} ({})",
-                    self.machine.epoch(),
-                    if self.is_recovery() {
-                        "recovering"
-                    } else {
-                        "fresh"
-                    }
-                )
-            });
-        let report = if self.is_recovery() {
-            recover_computation_impl(&self.machine, comp, &self.sched)
-        } else {
-            let epoch = self.machine.epoch();
-            SessionReport::fresh_run(
-                epoch,
-                run_computation_impl(&self.machine, comp, &self.sched),
-            )
-        };
-        self.finish_session(report)
-    }
-
     /// Forces all stored words to stable storage (no-op for volatile
     /// sessions).
     pub fn flush(&self) -> std::io::Result<()> {
@@ -385,19 +319,28 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::SessionMode;
-    use ppm_core::{comp_step, par_all, Comp};
-    use ppm_pm::{FaultConfig, ProcCtx};
+    use ppm_core::dsl;
+    use ppm_pm::{FaultConfig, Region};
+    use std::sync::Arc;
 
-    fn marker_comp(r: ppm_pm::Region, n: usize) -> Comp {
-        par_all(
-            (0..n)
-                .map(|i| {
-                    comp_step("mark", move |ctx: &mut ProcCtx| {
-                        ctx.pcam(r.at(i), 0, i as u64 + 1)
-                    })
-                })
-                .collect(),
-        )
+    /// Task `i` CAMs marker `i` from unset to `i + 1`: a once-only effect.
+    fn marker_comp(r: Region, n: usize) -> PComp {
+        Arc::new(move |m: &Machine, finale| {
+            let mut set = dsl::CapsuleSet::new(m);
+            let leaf = set.define("mark", |st: &dsl::Span<Region>, k, ctx| {
+                for i in st.lo..st.hi {
+                    ctx.pcam(st.env.at(i), 0, i as u64 + 1)?;
+                }
+                Ok(dsl::Step::Jump(k))
+            });
+            let split = set.map_grain("mark/split", 1, leaf);
+            let all = dsl::Span {
+                env: r,
+                lo: 0,
+                hi: n,
+            };
+            split.setup(m, &all, dsl::K(finale)).0
+        })
     }
 
     #[test]
@@ -408,7 +351,7 @@ mod tests {
         );
         assert!(!rt.is_recovery());
         let r = rt.machine().alloc_region(32);
-        let rep = rt.run_or_replay(&marker_comp(r, 16));
+        let rep = rt.run_or_recover(&marker_comp(r, 16));
         assert_eq!(rep.mode, SessionMode::FreshRun);
         assert!(rep.completed());
         assert_eq!(rep.epoch, 0);
@@ -441,7 +384,7 @@ mod tests {
             let rt = Runtime::create(&path, cfg()).unwrap();
             assert!(!rt.is_recovery());
             let r = rt.machine().alloc_region(32);
-            let rep = rt.run_or_replay(&marker_comp(r, 16));
+            let rep = rt.run_or_recover(&marker_comp(r, 16));
             assert_eq!(rep.mode, SessionMode::FreshRun);
             assert!(!rep.completed(), "the scheduled hard fault kills the run");
         }
@@ -452,13 +395,13 @@ mod tests {
         .unwrap();
         assert!(rt.is_recovery());
         let r = rt.machine().alloc_region(32);
-        let rep = rt.run_or_replay(&marker_comp(r, 16));
-        assert_eq!(rep.mode, SessionMode::Replayed);
+        let rep = rt.run_or_recover(&marker_comp(r, 16));
         assert!(rep.completed());
-        assert!(matches!(
-            rep.fallback_reason,
-            Some(crate::FallbackReason::LegacyClosures)
-        ));
+        match rep.mode {
+            SessionMode::Resumed => assert!(rep.resumed > 0 && rep.fallback_reason.is_none()),
+            SessionMode::Replayed => assert!(rep.fallback_reason.is_some()),
+            other => panic!("a crashed session must resume or replay, got {other:?}"),
+        }
         for i in 0..16 {
             assert_eq!(rt.machine().mem().load(r.at(i)), i as u64 + 1);
         }
@@ -475,12 +418,12 @@ mod tests {
         {
             let rt = Runtime::create(&path, cfg.clone()).unwrap();
             let r = rt.machine().alloc_region(32);
-            assert!(rt.run_or_replay(&marker_comp(r, 8)).completed());
+            assert!(rt.run_or_recover(&marker_comp(r, 8)).completed());
             rt.mark_clean().unwrap();
         }
         let rt = Runtime::open(&path, cfg).unwrap();
         let r = rt.machine().alloc_region(32);
-        let rep = rt.run_or_replay(&marker_comp(r, 8));
+        let rep = rt.run_or_recover(&marker_comp(r, 8));
         assert_eq!(rep.mode, SessionMode::AlreadyComplete);
         assert!(rep.completed() && rep.already_complete());
         assert!(rep.run.is_none());

@@ -178,8 +178,8 @@ pub struct SimSched<'m> {
 }
 
 impl<'m> SimSched<'m> {
-    /// A simulator over a legacy-closure computation (the `comp` is the
-    /// same shape [`crate::Runtime::run_or_replay`] takes). The root
+    /// A simulator over a closure-machine computation (the `comp` is the
+    /// same shape [`crate::run_closure`] takes). The root
     /// thread seats on processor 0; every other processor starts at
     /// `findWork`, per §6.3.
     pub fn new_closure(machine: &'m Machine, comp: &Comp, cfg: &SchedConfig) -> Self {

@@ -2,8 +2,7 @@
 //! and a fresh process *resumes* the persisted deques instead of replaying
 //! the computation from its root.
 //!
-//! This is `examples/crash_recovery.rs` upgraded to the typed persistent
-//! API: the computation is a `ppm_core::dsl` parallel map whose every
+//! The computation is a `ppm_core::dsl` parallel map whose every
 //! continuation is a typed frame in persistent memory, so the recovering
 //! process rehydrates the crash frontier through the capsule registry
 //! (`Runtime::run_or_recover`) and pays only for the work that was lost.

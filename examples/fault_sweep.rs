@@ -36,7 +36,7 @@ fn main() {
         let ps = PrefixSum::new(&machine, n);
         ps.load_input(&machine, &input);
         let rt = Runtime::new(machine, SchedConfig::with_slots(1 << 13));
-        let report = rt.run_or_replay(&ps.comp());
+        let report = rt.run_or_recover(&ps.pcomp());
         assert!(report.completed());
         assert_eq!(ps.read_output(rt.machine()), expected, "f = {f}");
 

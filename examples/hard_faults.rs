@@ -35,7 +35,7 @@ fn main() {
 
     println!("matrix multiply {n}x{n} on 4 procs; procs 1 and 3 will hard-fault\n");
     let rt = Runtime::new(machine, SchedConfig::with_slots(1 << 13));
-    let report = rt.run_or_replay(&mm.comp());
+    let report = rt.run_or_recover(&mm.pcomp());
 
     assert!(report.completed());
     assert_eq!(

@@ -44,7 +44,7 @@ fn main() {
 
     println!("sorting {n} keys on 4 processors; 3 will hard-fault mid-run...");
     let rt = Runtime::new(machine, SchedConfig::with_slots(1 << 14));
-    let report = rt.run_or_replay(&sorter.comp());
+    let report = rt.run_or_recover(&sorter.pcomp());
 
     let mut expected = input.clone();
     expected.sort_unstable();

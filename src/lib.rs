@@ -64,17 +64,26 @@
 //!   re-plants the newest checkpoint's frontier instead of replaying
 //!   from the root — replay distance is bounded by one checkpoint
 //!   epoch (`examples/checkpointed_run.rs`).
-//! * **Replay** (`sched::Runtime::run_or_replay`, also the last-resort
-//!   fallback of `run_or_recover`): legacy closure computations are
-//!   scrubbed and re-driven from the root, relying on capsule idempotence
-//!   for exactly-once effects. `examples/crash_recovery.rs` demonstrates
-//!   this scenario end to end.
+//! * **Replay** (the last-resort fallback of `run_or_recover`, taken
+//!   only when neither the crash frontier nor a checkpoint record
+//!   rehydrates): scheduler state is scrubbed and the computation is
+//!   re-driven from the root, relying on capsule idempotence for
+//!   exactly-once effects. `SessionReport::fallback_reason` says why.
+//!
+//! `run_or_recover` is the one way a session runs a computation. The
+//! model-level closure machine (`core::comp` DAGs of process-local
+//! closures — the form the paper specifies Figure 3 over) runs only
+//! fresh and in-process, through `sched::run_closure`; it backs the
+//! scheduler-protocol tests and the ABP comparison.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use ppm::core::{comp_step, par_all};
-//! use ppm::pm::{FaultConfig, PmConfig, ProcCtx};
+//! use std::sync::Arc;
+//!
+//! use ppm::core::dsl::{CapsuleSet, Span, Step, K};
+//! use ppm::core::{Machine, PComp};
+//! use ppm::pm::{FaultConfig, PmConfig, Region};
 //! use ppm::sched::{Runtime, RuntimeConfig};
 //!
 //! // A session on a 4-processor machine where every persistent access
@@ -86,14 +95,21 @@
 //! );
 //! let out = rt.machine().alloc_region(16);
 //!
-//! // Sixteen parallel tasks, each one idempotent capsule.
-//! let comp = par_all(
-//!     (0..16)
-//!         .map(|i| comp_step("task", move |ctx: &mut ProcCtx| ctx.pwrite(out.at(i), i as u64 + 1)))
-//!         .collect(),
-//! );
+//! // Sixteen parallel tasks, each one idempotent capsule whose
+//! // continuation is a frame in persistent memory.
+//! let pcomp: PComp = Arc::new(move |m: &Machine, finale| {
+//!     let mut set = CapsuleSet::new(m);
+//!     let task = set.define("task", |st: &Span<Region>, k, ctx| {
+//!         for i in st.lo..st.hi {
+//!             ctx.pwrite(st.env.at(i), i as u64 + 1)?;
+//!         }
+//!         Ok(Step::Jump(k))
+//!     });
+//!     let tasks = set.map_grain("tasks", 1, task);
+//!     tasks.setup(m, &Span { env: out, lo: 0, hi: 16 }, K(finale)).0
+//! });
 //!
-//! let report = rt.run_or_replay(&comp);
+//! let report = rt.run_or_recover(&pcomp);
 //! assert!(report.completed());
 //! for i in 0..16 {
 //!     assert_eq!(rt.machine().mem().load(out.at(i)), i as u64 + 1);

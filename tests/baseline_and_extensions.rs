@@ -4,7 +4,7 @@
 use ppm::core::{comp_step, par_all, Comp, Machine};
 use ppm::pm::{PmConfig, ProcCtx, Region};
 use ppm::sched::abp::run_computation_abp;
-use ppm::sched::{Runtime, SchedConfig};
+use ppm::sched::{run_closure, Runtime, SchedConfig};
 
 fn tasks(r: Region, n: usize) -> Comp {
     par_all(
@@ -20,8 +20,7 @@ fn abp_and_fault_tolerant_schedulers_compute_the_same_result() {
     for procs in [1usize, 4] {
         let m1 = Machine::new(PmConfig::parallel(procs, 1 << 21));
         let r1 = m1.alloc_region(n);
-        let rt1 = Runtime::new(m1, SchedConfig::with_slots(1 << 11));
-        assert!(rt1.run_or_replay(&tasks(r1, n)).completed());
+        assert!(run_closure(&m1, &tasks(r1, n), &SchedConfig::with_slots(1 << 11)).completed);
 
         let m2 = Machine::new(PmConfig::parallel(procs, 1 << 21));
         let r2 = m2.alloc_region(n);
@@ -30,7 +29,7 @@ fn abp_and_fault_tolerant_schedulers_compute_the_same_result() {
 
         for i in 0..n {
             assert_eq!(
-                rt1.machine().mem().load(r1.at(i)),
+                m1.mem().load(r1.at(i)),
                 m2.mem().load(r2.at(i)),
                 "P={procs} task {i}"
             );
@@ -46,10 +45,9 @@ fn fault_tolerance_overhead_vs_abp_is_a_constant_factor() {
     let ft = {
         let m = Machine::new(PmConfig::parallel(1, 1 << 21));
         let r = m.alloc_region(n);
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-        let rep = rt.run_or_replay(&tasks(r, n));
-        assert!(rep.completed());
-        rep.stats().total_work()
+        let rep = run_closure(&m, &tasks(r, n), &SchedConfig::with_slots(1 << 11));
+        assert!(rep.completed);
+        rep.stats.total_work()
     };
     let abp = {
         let m = Machine::new(PmConfig::parallel(1, 1 << 21));
@@ -71,10 +69,9 @@ fn asymmetric_pm_accounting_footnote_2() {
     // check the weighted accounting brackets sensibly.
     let m = Machine::new(PmConfig::parallel(2, 1 << 21));
     let r = m.alloc_region(64);
-    let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-    let rep = rt.run_or_replay(&tasks(r, 64));
-    assert!(rep.completed());
-    let st = rep.stats();
+    let rep = run_closure(&m, &tasks(r, 64), &SchedConfig::with_slots(1 << 11));
+    assert!(rep.completed);
+    let st = &rep.stats;
     let w1 = st.asymmetric_work(1);
     let w4 = st.asymmetric_work(4);
     assert_eq!(w1, st.total_work());
@@ -98,7 +95,7 @@ fn read_write_split_is_consistent_and_install_heavy() {
     );
     let ps = ppm::algs::PrefixSum::new(rt.machine(), 1 << 12);
     ps.load_input(rt.machine(), &vec![1u64; 1 << 12]);
-    let rep = rt.run_or_replay(&ps.comp());
+    let rep = rt.run_or_recover(&ps.pcomp());
     assert!(rep.completed());
     let st = rep.stats();
     assert_eq!(st.total_reads + st.total_writes, st.total_work());

@@ -528,28 +528,39 @@ fn replay_from_root_clears_stale_checkpoint_records() {
         ps.load_input(rt.machine(), &input(N));
         assert!(!rt.run_or_recover(&ps.pcomp()).completed());
     }
-    // A legacy-closure session replays from the root, which resets pool
+    // A session that can rehydrate neither the crash frontier nor the
+    // newest record's frontier replays from the root, which resets pool
     // cursors — the stale records' frontiers would dangle, so the replay
-    // must invalidate them.
-    let rt = Runtime::open(&path, prefix_cfg(PmConfig::parallel(1, WORDS))).unwrap();
-    assert!(rt.machine().latest_checkpoint_record().is_some());
-    // Replay the dead run's allocation order so the completion flag lands
-    // on the same (unset) word, then drive a legacy computation over the
-    // instance's own regions.
+    // must invalidate them. The recovering session itself checkpoints
+    // nothing, so any record left afterwards is a stale one.
+    let no_ckpt =
+        prefix_cfg(PmConfig::parallel(1, WORDS)).with_checkpoint(CheckpointPolicy::disabled());
+    let rt = Runtime::open(&path, no_ckpt).unwrap();
+    let stale = rt
+        .machine()
+        .latest_checkpoint_record()
+        .expect("the dying run left a record behind");
+    rt.machine()
+        .mem()
+        .store(rt.machine().proc_meta(0).active, 0xBAAD_F00D);
+    rt.machine()
+        .mem()
+        .store(stale.frontier[0] as usize, 0xBAAD_F00D);
     let ps = PrefixSum::new(rt.machine(), N);
-    let r = ps.output;
-    let comp = ppm::core::par_all(
-        (0..4)
-            .map(|i| {
-                ppm::core::comp_step("mark", move |ctx: &mut ppm::pm::ProcCtx| {
-                    ctx.pcam(r.at(i), 0, i as Word + 1)
-                })
-            })
-            .collect(),
-    );
-    let rep = rt.run_or_replay(&comp);
+    ps.load_input(rt.machine(), &input(N));
+    let rep = rt.run_or_recover(&ps.pcomp());
     assert!(rep.completed());
     assert_eq!(rep.mode, SessionMode::Replayed);
+    assert!(
+        matches!(
+            rep.fallback_reason,
+            Some(ppm::sched::FallbackReason::Rehydrate { .. })
+        ),
+        "the rejected crash frontier is explained: {:?}",
+        rep.fallback_reason
+    );
+    assert!(rep.checkpoint_resume.is_none());
+    assert_eq!(ps.read_output(rt.machine()), prefix_sum_seq(&input(N)));
     assert!(
         rt.machine().latest_checkpoint_record().is_none(),
         "replay-from-root must clear stale checkpoint records"

@@ -232,54 +232,6 @@ fn recovering_a_clean_run_reports_already_complete() {
     let _ = std::fs::remove_file(&path);
 }
 
-#[test]
-fn legacy_closure_session_still_replays_with_unified_report() {
-    // The pre-existing closure path keeps working through the same
-    // session object, and self-describes as a replay.
-    let path = tmp("legacy");
-    let _ = std::fs::remove_file(&path);
-    let build_comp = |r: ppm::pm::Region| {
-        ppm::core::par_all(
-            (0..32)
-                .map(|i| {
-                    ppm::core::comp_step("mark", move |ctx: &mut ppm::pm::ProcCtx| {
-                        ctx.pcam(r.at(i), 0, i as Word + 1)
-                    })
-                })
-                .collect(),
-        )
-    };
-    let markers = {
-        let pm = PmConfig::parallel(1, WORDS)
-            .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, 300));
-        let rt = Runtime::create(&path, cfg_with(pm)).unwrap();
-        let r = rt.machine().alloc_region(64);
-        let rep = rt.run_or_replay(&build_comp(r));
-        assert_eq!(rep.mode, SessionMode::FreshRun);
-        assert!(!rep.completed());
-        r
-    };
-    let rt = Runtime::open(&path, cfg_with(PmConfig::parallel(1, WORDS))).unwrap();
-    let r = rt.machine().alloc_region(64);
-    assert_eq!(r, markers);
-    let rec = rt.run_or_replay(&build_comp(r));
-    assert!(rec.completed());
-    assert_eq!(rec.mode, SessionMode::Replayed);
-    assert_eq!(rec.resumed, 0);
-    assert!(matches!(
-        rec.fallback_reason,
-        Some(ppm::sched::FallbackReason::LegacyClosures)
-    ));
-    for i in 0..32 {
-        assert_eq!(
-            rt.machine().mem().load(r.at(i)),
-            i as Word + 1,
-            "marker {i}"
-        );
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
 // ====================================================================
 // Samplesort and matmul: the newly ported pipelines resume too
 // ====================================================================

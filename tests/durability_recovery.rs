@@ -1,16 +1,18 @@
 //! Crash-recovery integration tests: a durable session whose run is cut
 //! short (every processor hard-faults, the in-process analogue of the
 //! process dying) is reopened and recovered through
-//! `Runtime::run_or_replay`, and every task's once-only effect is applied
-//! exactly once across the two process lifetimes.
+//! `Runtime::run_or_recover`, and every task's once-only effect is applied
+//! exactly once across the two process lifetimes — whether the session
+//! resumed the crash frontier or replayed from the root.
 #![cfg(unix)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ppm::core::{comp_step, par_all, Comp, Machine};
-use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region, Word};
-use ppm::sched::{Runtime, RuntimeConfig, SchedConfig, SessionMode};
+use ppm::core::dsl::{CapsuleSet, Span, Step, K};
+use ppm::core::{Machine, PComp};
+use ppm::pm::{FaultConfig, PmConfig, Region, Word};
+use ppm::sched::{Runtime, RuntimeConfig, SchedConfig, SessionMode, SessionReport};
 
 // Guarded temp paths: removed on drop, so failing assertions clean up too.
 fn tmp(tag: &str) -> ppm::pm::TempMachineFile {
@@ -28,16 +30,39 @@ fn rt_cfg(pm: PmConfig) -> RuntimeConfig {
 }
 
 /// Task `i` CAMs its marker from unset to `i + 1`: a once-only effect.
-fn build_comp(markers: Region) -> Comp {
-    par_all(
-        (0..N)
-            .map(|i| {
-                comp_step("mark", move |ctx: &mut ProcCtx| {
-                    ctx.pcam(markers.at(i), 0, i as Word + 1)
-                })
-            })
-            .collect(),
-    )
+fn build_comp(markers: Region) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let mark = set.define("mark", |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                ctx.pcam(st.env.at(i), 0, i as Word + 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let tasks = set.map_grain("tasks", 1, mark);
+        let all = Span {
+            env: markers,
+            lo: 0,
+            hi: N,
+        };
+        tasks.setup(m, &all, K(finale)).0
+    })
+}
+
+/// A crashed session either resumed its frontier or replayed from the
+/// root for a structured reason; nothing else is a recovery.
+fn assert_recovered(rec: &SessionReport) {
+    match rec.mode {
+        SessionMode::Resumed => {
+            assert!(rec.resumed > 0, "a resume re-plants frontier entries");
+            assert!(rec.fallback_reason.is_none());
+        }
+        SessionMode::Replayed => assert!(
+            rec.fallback_reason.is_some(),
+            "a replay must say why the frontier was not resumable"
+        ),
+        other => panic!("a crashed session must resume or replay, got {other:?}"),
+    }
 }
 
 #[test]
@@ -63,7 +88,7 @@ fn recovery_after_mid_run_stop_applies_every_task_exactly_once() {
         )
         .unwrap();
         let markers = rt.machine().alloc_region(N);
-        let rep = rt.run_or_replay(&build_comp(markers));
+        let rep = rt.run_or_recover(&build_comp(markers));
         assert!(
             !rep.completed(),
             "all processors dead: the run must stop early"
@@ -97,10 +122,10 @@ fn recovery_after_mid_run_stop_applies_every_task_exactly_once() {
             }
         })));
 
-    let rec = rt.run_or_replay(&build_comp(markers));
+    let rec = rt.run_or_recover(&build_comp(markers));
     assert!(!rec.already_complete());
     assert!(rec.completed(), "recovery must finish the computation");
-    assert_eq!(rec.mode, SessionMode::Replayed);
+    assert_recovered(&rec);
     assert!(
         rec.found_in_flight() > 0,
         "a mid-run stop leaves in-flight deque entries behind"
@@ -134,7 +159,7 @@ fn recovery_of_completed_run_reruns_nothing() {
     {
         let rt = Runtime::create(&path, rt_cfg(cfg())).unwrap();
         let markers = rt.machine().alloc_region(N);
-        assert!(rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(rt.run_or_recover(&build_comp(markers)).completed());
         rt.mark_clean().unwrap();
     }
     let rt = Runtime::open(&path, rt_cfg(cfg())).unwrap();
@@ -150,7 +175,7 @@ fn recovery_of_completed_run_reruns_nothing() {
             }
         })));
 
-    let rec = rt.run_or_replay(&build_comp(markers));
+    let rec = rt.run_or_recover(&build_comp(markers));
     assert!(rec.already_complete(), "completion flag is persistent");
     assert!(rec.run.is_none(), "nothing re-driven");
     assert!(rec.completed());
@@ -182,7 +207,7 @@ fn recovery_survives_repeated_crashes() {
         )
         .unwrap();
         let markers = rt.machine().alloc_region(N);
-        assert!(!rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(!rt.run_or_recover(&build_comp(markers)).completed());
     }
     {
         // Second lifetime also dies mid-recovery.
@@ -200,13 +225,13 @@ fn recovery_survives_repeated_crashes() {
         )
         .unwrap();
         let markers = rt.machine().alloc_region(N);
-        let rec = rt.run_or_replay(&build_comp(markers));
+        let rec = rt.run_or_recover(&build_comp(markers));
         assert!(!rec.completed(), "this recovery was itself cut short");
     }
     let rt = Runtime::open(&path, rt_cfg(cfg())).unwrap();
     assert_eq!(rt.machine().epoch(), 3);
     let markers = rt.machine().alloc_region(N);
-    let rec = rt.run_or_replay(&build_comp(markers));
+    let rec = rt.run_or_recover(&build_comp(markers));
     assert!(rec.completed());
     for i in 0..N {
         assert_eq!(
@@ -243,11 +268,11 @@ fn recovery_with_transition_checking_scrubs_without_tripping_the_checker() {
         )
         .unwrap();
         let markers = rt.machine().alloc_region(N);
-        assert!(!rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(!rt.run_or_recover(&build_comp(markers)).completed());
     }
     let rt = Runtime::open(&path, rt_cfg(cfg()).with_sched(scfg)).unwrap();
     let markers = rt.machine().alloc_region(N);
-    let rec = rt.run_or_replay(&build_comp(markers));
+    let rec = rt.run_or_recover(&build_comp(markers));
     assert!(
         rec.completed(),
         "recovery with the checker on must complete"
@@ -268,13 +293,13 @@ fn durable_and_volatile_runs_compute_identical_results() {
     let volatile = {
         let rt = Runtime::new(Machine::new(cfg()), SchedConfig::with_slots(1 << 10));
         let markers = rt.machine().alloc_region(N);
-        assert!(rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(rt.run_or_recover(&build_comp(markers)).completed());
         rt.machine().mem().to_vec(markers.start, N)
     };
     let durable = {
         let rt = Runtime::create(&path, rt_cfg(cfg())).unwrap();
         let markers = rt.machine().alloc_region(N);
-        assert!(rt.run_or_replay(&build_comp(markers)).completed());
+        assert!(rt.run_or_recover(&build_comp(markers)).completed());
         rt.mark_clean().unwrap();
         rt.machine().mem().to_vec(markers.start, N)
     };

@@ -32,7 +32,7 @@ fn prefix_sum_matches_oracle_across_geometries() {
             let ps = PrefixSum::new(rt.machine(), n);
             let data = rand_data(n as u64 ^ b as u64, n, 1 << 20);
             ps.load_input(rt.machine(), &data);
-            let rep = rt.run_or_replay(&ps.comp());
+            let rep = rt.run_or_recover(&ps.pcomp());
             assert!(rep.completed(), "B={b} n={n}");
             assert_eq!(
                 ps.read_output(rt.machine()),
@@ -57,7 +57,7 @@ fn merge_matches_oracle_randomized() {
         a.sort_unstable();
         b.sort_unstable();
         mg.load_inputs(rt.machine(), &a, &b);
-        let rep = rt.run_or_replay(&mg.comp());
+        let rep = rt.run_or_recover(&mg.pcomp());
         assert!(rep.completed(), "seed {seed}");
         assert_eq!(
             mg.read_output(rt.machine()),
@@ -85,7 +85,7 @@ fn both_sorts_agree_with_std_sort_under_faults() {
         );
         let ms = MergeSort::new(rt.machine(), n);
         ms.load_input(rt.machine(), &input);
-        assert!(rt.run_or_replay(&ms.comp()).completed());
+        assert!(rt.run_or_recover(&ms.pcomp()).completed());
         assert_eq!(
             ms.read_output(rt.machine()),
             expect,
@@ -103,7 +103,7 @@ fn both_sorts_agree_with_std_sort_under_faults() {
         );
         let ss = SampleSort::new(rt2.machine(), n);
         ss.load_input(rt2.machine(), &input);
-        assert!(rt2.run_or_replay(&ss.comp()).completed());
+        assert!(rt2.run_or_recover(&ss.pcomp()).completed());
         assert_eq!(
             ss.read_output(rt2.machine()),
             expect,
@@ -134,7 +134,7 @@ fn sort_adversarial_inputs() {
         );
         let ss = SampleSort::new(rt.machine(), n);
         ss.load_input(rt.machine(), input);
-        let rep = rt.run_or_replay(&ss.comp());
+        let rep = rt.run_or_recover(&ss.pcomp());
         assert!(rep.completed(), "input {k}");
         let mut expect = input.clone();
         expect.sort_unstable();
@@ -165,7 +165,7 @@ fn matmul_matches_oracle_with_hard_fault() {
         );
         let mm = MatMul::new(rt.machine(), n);
         mm.load_inputs(rt.machine(), &a, &b);
-        let rep = rt.run_or_replay(&mm.comp());
+        let rep = rt.run_or_recover(&mm.pcomp());
         assert!(rep.completed());
         assert_eq!(mm.read_output(rt.machine()), matmul_seq(&a, &b, n));
         if rep.dead_procs() == 1 {
@@ -188,12 +188,12 @@ fn algorithms_compose_on_one_machine() {
     let ms = MergeSort::new(rt.machine(), n);
     let input = rand_data(5, n, 100);
     ms.load_input(rt.machine(), &input);
-    assert!(rt.run_or_replay(&ms.comp()).completed());
+    assert!(rt.run_or_recover(&ms.pcomp()).completed());
     let sorted = ms.read_output(rt.machine());
 
     let ps = PrefixSum::new(rt.machine(), n);
     ps.load_input(rt.machine(), &sorted);
-    assert!(rt.run_or_replay(&ps.comp()).completed());
+    assert!(rt.run_or_recover(&ps.pcomp()).completed());
     assert_eq!(ps.read_output(rt.machine()), prefix_sum_seq(&sorted));
 }
 

@@ -4,7 +4,7 @@
 
 use ppm::core::{comp_dyn, comp_fork2, comp_nop, comp_step, par_all, Comp, Machine};
 use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm::sched::{ProcOutcome, Runtime, SchedConfig, SessionReport, SimReport, SimSched};
+use ppm::sched::{run_closure, ProcOutcome, SchedConfig, SimReport, SimSched};
 
 fn marker_tasks(r: Region, n: usize) -> Comp {
     par_all(
@@ -22,13 +22,6 @@ fn assert_all_marked(m: &Machine, r: Region, n: usize, tag: &str) {
             "{tag}: task {i} must run exactly once"
         );
     }
-}
-
-/// Runs a closure computation on a fresh session over `m`.
-fn run(m: Machine, comp: &Comp, cfg: SchedConfig) -> (Runtime, SessionReport) {
-    let rt = Runtime::new(m, cfg);
-    let rep = rt.run_or_replay(comp);
-    (rt, rep)
 }
 
 /// Runs a closure computation under the single-threaded [`SimSched`],
@@ -64,9 +57,9 @@ fn balanced_fanout_with_transition_checking_across_proc_counts() {
         let r = m.alloc_region(n);
         let mut cfg = SchedConfig::with_slots(1 << 11);
         cfg.check_transitions = true;
-        let (rt, rep) = run(m, &marker_tasks(r, n), cfg);
-        assert!(rep.completed(), "P={procs}");
-        assert_all_marked(rt.machine(), r, n, &format!("P={procs}"));
+        let rep = run_closure(&m, &marker_tasks(r, n), &cfg);
+        assert!(rep.completed, "P={procs}");
+        assert_all_marked(&m, r, n, &format!("P={procs}"));
     }
 }
 
@@ -75,9 +68,9 @@ fn skewed_spine_distributes_over_steals() {
     let m = Machine::new(PmConfig::parallel(4, 1 << 21));
     let n = 64;
     let r = m.alloc_region(n);
-    let (rt, rep) = run(m, &skewed(r, 0, n), SchedConfig::with_slots(1 << 11));
-    assert!(rep.completed());
-    assert_all_marked(rt.machine(), r, n, "skewed");
+    let rep = run_closure(&m, &skewed(r, 0, n), &SchedConfig::with_slots(1 << 11));
+    assert!(rep.completed);
+    assert_all_marked(&m, r, n, "skewed");
 }
 
 #[test]
@@ -91,10 +84,10 @@ fn randomized_soft_fault_storm() {
         let r = m.alloc_region(n);
         let mut cfg = SchedConfig::with_slots(1 << 11);
         cfg.check_transitions = true;
-        let (rt, rep) = run(m, &marker_tasks(r, n), cfg);
-        assert!(rep.completed(), "seed {seed}");
-        assert!(rep.stats().soft_faults > 0, "seed {seed} must see faults");
-        assert_all_marked(rt.machine(), r, n, &format!("seed {seed}"));
+        let rep = run_closure(&m, &marker_tasks(r, n), &cfg);
+        assert!(rep.completed, "seed {seed}");
+        assert!(rep.stats.soft_faults > 0, "seed {seed} must see faults");
+        assert_all_marked(&m, r, n, &format!("seed {seed}"));
     }
 }
 
@@ -110,9 +103,9 @@ fn mixed_hard_and_soft_faults_random_placement() {
         );
         let n = 48;
         let r = m.alloc_region(n);
-        let (rt, rep) = run(m, &marker_tasks(r, n), SchedConfig::with_slots(1 << 11));
-        if rep.completed() {
-            assert_all_marked(rt.machine(), r, n, &format!("seed {seed}"));
+        let rep = run_closure(&m, &marker_tasks(r, n), &SchedConfig::with_slots(1 << 11));
+        if rep.completed {
+            assert_all_marked(&m, r, n, &format!("seed {seed}"));
             if rep.dead_procs() > 0 {
                 completed_with_deaths += 1;
             }
@@ -182,14 +175,14 @@ fn deep_sequential_chain_under_faults() {
             })
         })
         .collect();
-    let (rt, rep) = run(
-        m,
+    let rep = run_closure(
+        &m,
         &ppm::core::seq_all(chain),
-        SchedConfig::with_slots(1 << 11),
+        &SchedConfig::with_slots(1 << 11),
     );
-    assert!(rep.completed());
+    assert!(rep.completed);
     assert_eq!(
-        rt.machine().mem().load(r.at(199)),
+        m.mem().load(r.at(199)),
         200,
         "each link applied exactly once"
     );
@@ -211,9 +204,9 @@ fn work_term_grows_mildly_with_fault_rate() {
         }));
         let n = 64;
         let r = m.alloc_region(n);
-        let (_rt, rep) = run(m, &marker_tasks(r, n), SchedConfig::with_slots(1 << 11));
-        assert!(rep.completed());
-        rep.stats().total_work()
+        let rep = run_closure(&m, &marker_tasks(r, n), &SchedConfig::with_slots(1 << 11));
+        assert!(rep.completed);
+        rep.stats.total_work()
     };
     let w0 = work(0.0, 0);
     let wf: u64 = (0..5).map(|s| work(0.01, s)).sum::<u64>() / 5;

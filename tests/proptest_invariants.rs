@@ -3,7 +3,7 @@
 use ppm::algs::{merge_seq, prefix_sum_seq, Merge, MergeSort, PrefixSum};
 use ppm::core::{comp_step, par_all, Machine};
 use ppm::pm::{FaultConfig, PmConfig, ProcCtx};
-use ppm::sched::{pack, unpack, EntryKind, EntryVal, Runtime, SchedConfig};
+use ppm::sched::{pack, run_closure, unpack, EntryKind, EntryVal, Runtime, SchedConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -72,7 +72,7 @@ proptest! {
         );
         let ps = PrefixSum::new(rt.machine(), data.len());
         ps.load_input(rt.machine(), &data);
-        prop_assert!(rt.run_or_replay(&ps.comp()).completed());
+        prop_assert!(rt.run_or_recover(&ps.pcomp()).completed());
         prop_assert_eq!(ps.read_output(rt.machine()), prefix_sum_seq(&data));
     }
 
@@ -90,7 +90,7 @@ proptest! {
         );
         let mg = Merge::new(rt.machine(), a.len(), b.len());
         mg.load_inputs(rt.machine(), &a, &b);
-        prop_assert!(rt.run_or_replay(&mg.comp()).completed());
+        prop_assert!(rt.run_or_recover(&mg.pcomp()).completed());
         prop_assert_eq!(mg.read_output(rt.machine()), merge_seq(&a, &b));
     }
 
@@ -103,7 +103,7 @@ proptest! {
         );
         let ms = MergeSort::new(rt.machine(), data.len());
         ms.load_input(rt.machine(), &data);
-        prop_assert!(rt.run_or_replay(&ms.comp()).completed());
+        prop_assert!(rt.run_or_recover(&ms.pcomp()).completed());
         let mut expect = data.clone();
         expect.sort_unstable();
         prop_assert_eq!(ms.read_output(rt.machine()), expect);
@@ -132,10 +132,9 @@ proptest! {
                 .map(|i| comp_step("inc", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
                 .collect(),
         );
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-        prop_assert!(rt.run_or_replay(&comp).completed());
+        prop_assert!(run_closure(&m, &comp, &SchedConfig::with_slots(1 << 11)).completed);
         for i in 0..n {
-            prop_assert_eq!(rt.machine().mem().load(r.at(i)), 1);
+            prop_assert_eq!(m.mem().load(r.at(i)), 1);
         }
     }
 
@@ -154,10 +153,9 @@ proptest! {
                 .map(|i| comp_step("inc", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
                 .collect(),
         );
-        let rt = Runtime::new(m, SchedConfig::with_slots(1 << 11));
-        prop_assert!(rt.run_or_replay(&comp).completed());
+        prop_assert!(run_closure(&m, &comp, &SchedConfig::with_slots(1 << 11)).completed);
         for i in 0..n {
-            prop_assert_eq!(rt.machine().mem().load(r.at(i)), 1);
+            prop_assert_eq!(m.mem().load(r.at(i)), 1);
         }
     }
 }

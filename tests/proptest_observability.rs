@@ -5,8 +5,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ppm::core::{comp_step, par_all, Comp, Machine};
-use ppm::pm::{MemStats, PmConfig, ProcCtx};
+use ppm::core::dsl::{CapsuleSet, Span, Step, K};
+use ppm::core::{Machine, PComp};
+use ppm::pm::{MemStats, PmConfig, Region};
 use ppm::sched::{Runtime, SchedConfig, SimSched};
 use proptest::prelude::*;
 
@@ -286,13 +287,24 @@ fn validate_prometheus(text: &str) {
 }
 
 /// A flat fan-out of `n` one-write leaves over a fresh region of `m`.
-fn leaves(m: &Machine, n: usize) -> Comp {
+fn leaves(m: &Machine, n: usize) -> PComp {
     let out = m.alloc_region(n);
-    par_all(
-        (0..n)
-            .map(|i| comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(out.at(i), 1)))
-            .collect(),
-    )
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("leaf", |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                ctx.pwrite(st.env.at(i), 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let fan = set.map_grain("fan-out", 1, leaf);
+        let all = Span {
+            env: out,
+            lo: 0,
+            hi: n,
+        };
+        fan.setup(m, &all, K(finale)).0
+    })
 }
 
 /// The live exporter output of a machine that actually ran work parses
@@ -303,7 +315,7 @@ fn exporter_output_is_valid_prometheus_text() {
     let m = Machine::new(PmConfig::parallel(4, 1 << 20));
     let comp = leaves(&m, 64);
     let rt = Runtime::new(m, SchedConfig::with_slots(1 << 10));
-    let rep = rt.run_or_replay(&comp);
+    let rep = rt.run_or_recover(&comp);
     assert!(rep.completed());
 
     let text = rt.machine().obs().registry().render();
@@ -381,7 +393,7 @@ fn assert_capsule_statistics_merge(m: &Machine, procs: usize) {
 fn merged_capsule_statistics_on_a_deterministic_p4_simulation() {
     let m = Machine::new(PmConfig::parallel(4, 1 << 20));
     let comp = leaves(&m, 64);
-    let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(1 << 10));
+    let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(1 << 10));
     sim.run_seeded(11, 200_000);
     assert!(sim.finish().completed);
     assert_capsule_statistics_merge(&m, 4);
@@ -392,7 +404,7 @@ fn merged_capsule_statistics_on_a_real_p2_run() {
     let m = Machine::new(PmConfig::parallel(2, 1 << 20));
     let comp = leaves(&m, 4096);
     let rt = Runtime::new(m, SchedConfig::with_slots(1 << 13));
-    assert!(rt.run_or_replay(&comp).completed());
+    assert!(rt.run_or_recover(&comp).completed());
     assert_capsule_statistics_merge(rt.machine(), 2);
 }
 

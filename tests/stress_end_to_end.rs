@@ -26,7 +26,7 @@ fn sort_then_scan_pipeline_survives_combined_adversary() {
     let rt1 = Runtime::new(m1, cfg);
     let ss = SampleSort::new(rt1.machine(), n);
     ss.load_input(rt1.machine(), &input);
-    let rep1 = rt1.run_or_replay(&ss.comp());
+    let rep1 = rt1.run_or_recover(&ss.pcomp());
     assert!(rep1.completed(), "sort must complete");
     let sorted = ss.read_output(rt1.machine());
     let mut expect = input.clone();
@@ -41,7 +41,7 @@ fn sort_then_scan_pipeline_survives_combined_adversary() {
     let rt2 = Runtime::new(m2, SchedConfig::with_slots(1 << 14));
     let ps = PrefixSum::new(rt2.machine(), n);
     ps.load_input(rt2.machine(), &sorted);
-    let rep2 = rt2.run_or_replay(&ps.comp());
+    let rep2 = rt2.run_or_recover(&ps.pcomp());
     assert!(rep2.completed(), "scan must complete");
     assert_eq!(ps.read_output(rt2.machine()), prefix_sum_seq(&sorted));
 

@@ -49,6 +49,16 @@
 #      request) may each appear in exactly one source file, and no
 #      `#[deprecated` shim or `allow(deprecated)` caller ships: an old
 #      entry point is deleted, not kept beside the new one.
+#
+#   6. One algorithm form, one session entry. The §7 theorems are
+#      measured on the code that ships: crates/algs/src builds only
+#      registered persistent capsules (`pcomp()`), so no `fn comp(` and
+#      no `-> Comp` there; and a `Runtime` runs a computation through
+#      `run_or_recover` alone, so `run_or_replay`, `LegacyClosures` and
+#      `recover_computation` appear nowhere under crates/ src/ tests/
+#      examples/. The model-level closure machine (`ppm_core::comp`,
+#      `ppm_sched::run_closure`) stays, for ad-hoc DAGs in the
+#      scheduler-protocol tests.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -166,8 +176,19 @@ if [ -n "$hits" ]; then
     err "deprecated shim or allow(deprecated) caller under crates/ (delete the old path, do not keep it beside the new one):" "$hits"
 fi
 
+# --- 6. one algorithm form, one session entry --------------------------------
+hits=$(grep -rn "fn comp(\|-> Comp" --include="*.rs" crates/algs/src || true)
+if [ -n "$hits" ]; then
+    err "closure form of a §7 algorithm under crates/algs/src (pcomp() is the one form the theorems are measured on):" "$hits"
+fi
+hits=$(grep -rn "run_or_replay\|LegacyClosures\|recover_computation" --include="*.rs" \
+    crates src tests examples || true)
+if [ -n "$hits" ]; then
+    err "second session entry or legacy replay path (Runtime::run_or_recover is the one way a session runs a computation):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free, one supervisor)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free, one supervisor, one algorithm form)"
