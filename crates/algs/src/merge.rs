@@ -6,11 +6,17 @@
 //! base case when there are no more than B elements left. We put each of
 //! the binary searches into a capsule, as well as each base case."
 //!
-//! The merge capsule (declared with the mergesort family in
+//! The merge capsule (its body lives with the mergesort family in
 //! [`crate::sort`]) splits *binary* at the median rank — one dual binary
 //! search per split capsule — instead of k ≈ n^{1/3} ways, which would
 //! need a variable-width fan-out frame. Work stays O(n/B + split-search
 //! terms); depth grows to O(log² n) inside a merge.
+//!
+//! [`Merge::pcomp`] registers that body as `merge/node` with the paper's
+//! base case, `B` elements (`base_size`), so this entry point runs at
+//! Theorem 7.2's `C = O(log n)`. The sorts register the same body as
+//! `msort/merge` with a Θ(M)-element base case (Theorem 7.3's
+//! `C = O(M/B)`).
 //!
 //! Every capsule writes output locations disjoint from what it reads —
 //! write-after-read conflict free. A binary-search capsule performs
@@ -19,8 +25,8 @@
 
 use std::sync::Arc;
 
-use ppm_core::dsl::K;
-use ppm_core::persist::{Persist, ValueError, WordReader};
+use ppm_core::dsl::{CapsuleSet, K};
+use ppm_core::persist::{Persist, ValueError, WordReader, WordSink};
 use ppm_core::{Machine, PComp};
 use ppm_pm::{Addr, PmResult, ProcCtx, Region, Word};
 
@@ -44,7 +50,7 @@ impl Run {
 /// Runs ride inside mergesort/samplesort frame states.
 impl Persist for Run {
     const WORDS: usize = Region::WORDS + 2;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         self.region.encode(out);
         self.lo.encode(out);
         self.hi.encode(out);
@@ -143,11 +149,14 @@ impl Merge {
     pub fn pcomp(&self) -> PComp {
         let s = *self;
         Arc::new(move |machine: &Machine, finale: Word| {
-            let caps = crate::sort::MsortCapsules::declare(machine);
+            let mut set = CapsuleSet::new(machine);
+            let merge = crate::sort::declare_merge(&mut set, "merge/node", |ctx| {
+                base_size(ctx.block_size())
+            });
             if s.la + s.lb == 0 {
                 return finale;
             }
-            caps.merge
+            merge
                 .setup(
                     machine,
                     &crate::sort::MergeState {

@@ -12,6 +12,12 @@
 //! work is O(1); the tree gives O(n/B) work and O(log n) depth —
 //! Theorem 7.1 exactly. Inclusive sums: `out[i] = Σ_{j ≤ i} a[j]`.
 //!
+//! That is [`PrefixSum::new`] / [`PrefixSum::pcomp`]: leaves of one block,
+//! `C = O(1)`. A caller whose own theorem tolerates bigger capsules passes
+//! its capsule size to [`PrefixSum::with_regions`] as `leaf_words` and
+//! gets `C = O(leaf_words / B)` with `n / leaf_words` leaves — samplesort
+//! (Theorem 7.3, `C = O(M/B)`) runs its bucket-offset sums that way.
+//!
 //! The computation ([`PrefixSum::pcomp`]) is built on the typed
 //! `ppm_core::dsl` — three capsules whose frames carry the instance
 //! geometry ([`PrefixSum`] itself implements
@@ -22,7 +28,7 @@
 use std::sync::Arc;
 
 use ppm_core::dsl::{fork2, CapsuleDef, CapsuleSet, Step, K};
-use ppm_core::persist::{Persist, ValueError, WordReader};
+use ppm_core::persist::{Persist, ValueError, WordReader, WordSink};
 use ppm_core::{persist_struct, Machine, PComp};
 use ppm_pm::{PmResult, ProcCtx, Region, Word};
 
@@ -38,9 +44,12 @@ pub struct PrefixSum {
     /// The partial-sums tree (heap-numbered, one word per node).
     sums: Region,
     n: usize,
-    /// Number of leaves (input blocks), padded to a power of two.
+    /// Number of leaves, padded to a power of two.
     leaves: usize,
-    b: usize,
+    /// Input words one leaf capsule sums (up-sweep) or rewrites
+    /// (down-sweep): `B` for [`PrefixSum::new`], the caller's capsule
+    /// size for [`PrefixSum::with_regions`].
+    leaf_words: usize,
 }
 
 /// The instance geometry rides inside every prefix frame. `leaves` is
@@ -49,12 +58,12 @@ pub struct PrefixSum {
 impl Persist for PrefixSum {
     const WORDS: usize = 3 * Region::WORDS + 2;
 
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         self.input.encode(out);
         self.output.encode(out);
         self.sums.encode(out);
         self.n.encode(out);
-        self.b.encode(out);
+        self.leaf_words.encode(out);
     }
 
     fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
@@ -62,14 +71,14 @@ impl Persist for PrefixSum {
         let output = Region::decode(r)?;
         let sums = Region::decode(r)?;
         let n = usize::decode(r)?;
-        let b = usize::decode(r)?;
+        let leaf_words = usize::decode(r)?;
         Ok(PrefixSum {
             input,
             output,
             sums,
             n,
-            leaves: next_pow2(ceil_div(n, b.max(1))),
-            b,
+            leaves: next_pow2(ceil_div(n, leaf_words.max(1))),
+            leaf_words,
         })
     }
 
@@ -92,30 +101,44 @@ impl PrefixSum {
             sums: machine.alloc_region(2 * leaves - 1),
             n,
             leaves,
-            b,
+            leaf_words: b,
         }
     }
 
     /// Words of `sums`-tree scratch needed for an instance of size `n`
-    /// with block size `b` (for callers providing their own regions).
-    pub fn sums_words(n: usize, b: usize) -> usize {
-        2 * next_pow2(ceil_div(n, b)) - 1
+    /// whose leaves cover `leaf_words` inputs each (for callers providing
+    /// their own regions).
+    pub fn sums_words(n: usize, leaf_words: usize) -> usize {
+        2 * next_pow2(ceil_div(n, leaf_words)) - 1
     }
 
     /// Builds an instance over caller-provided regions (e.g. pool
     /// allocations inside a larger algorithm — samplesort's bucket-offset
     /// computation). `sums` must hold [`PrefixSum::sums_words`] words.
-    pub fn with_regions(input: Region, output: Region, sums: Region, n: usize, b: usize) -> Self {
-        assert!(n > 0);
+    ///
+    /// `leaf_words` is the capsule size: each leaf capsule transfers
+    /// `leaf_words / B` blocks, so the instance runs at
+    /// `C = O(leaf_words / B)` — the caller passes what *its* theorem
+    /// tolerates (samplesort: Θ(M), Theorem 7.3), while
+    /// [`PrefixSum::new`] keeps `leaf_words = B` and Theorem 7.1's
+    /// `C = O(1)`.
+    pub fn with_regions(
+        input: Region,
+        output: Region,
+        sums: Region,
+        n: usize,
+        leaf_words: usize,
+    ) -> Self {
+        assert!(n > 0 && leaf_words > 0);
         assert!(input.len >= n && output.len >= n);
-        assert!(sums.len >= Self::sums_words(n, b));
+        assert!(sums.len >= Self::sums_words(n, leaf_words));
         PrefixSum {
             input,
             output,
             sums,
             n,
-            leaves: next_pow2(ceil_div(n, b)),
-            b,
+            leaves: next_pow2(ceil_div(n, leaf_words)),
+            leaf_words,
         }
     }
 
@@ -136,12 +159,12 @@ impl PrefixSum {
 
     /// Element range covered by leaf `l`.
     fn leaf_range(&self, l: usize) -> (usize, usize) {
-        let lo = (l * self.b).min(self.n);
-        let hi = ((l + 1) * self.b).min(self.n);
+        let lo = (l * self.leaf_words).min(self.n);
+        let hi = ((l + 1) * self.leaf_words).min(self.n);
         (lo, hi)
     }
 
-    /// Sums one leaf's input block (an up-sweep leaf body).
+    /// Sums one leaf's input words (an up-sweep leaf body).
     fn up_leaf_sum(&self, ctx: &mut ProcCtx, leaf: usize) -> PmResult<Word> {
         let (lo, hi) = self.leaf_range(leaf);
         Ok(if lo < hi {
@@ -153,7 +176,7 @@ impl PrefixSum {
         })
     }
 
-    /// Writes one leaf's output block given `t`, the sum of everything to
+    /// Writes one leaf's output words given `t`, the sum of everything to
     /// its left (a down-sweep leaf body).
     fn down_leaf_body(self, ctx: &mut ProcCtx, leaf: usize, t: Word) -> PmResult<()> {
         let (lo, hi) = self.leaf_range(leaf);

@@ -22,13 +22,29 @@
 //! All scratch comes from the §4.1 restart-stable pool allocator, so every
 //! capsule writes fresh locations: write-after-read conflict free.
 //!
+//! **Capsule size.** Theorem 7.3 lets sorting run at `C = O(M/B)`, and
+//! both entry points here do, in every phase: row sorts and mergesort
+//! base cases take `M` words, scatter tiles `2M`, and the phases that
+//! would otherwise run one block per capsule — the embedded prefix sum
+//! over the rows × buckets counts matrix, the base case of every merge,
+//! the per-row sampling and boundary passes — take
+//! `util::sort_capsule_words(M, B)` ≈ `M/4` words. That is
+//! what keeps the capsule count at a fraction of a capsule per key
+//! (0.16 at n = 2¹⁷ with the default `(M, B)`, against 3.4 with one-block
+//! leaves) while `C` stays where the row sorts already had it. The same
+//! prefix sum and merge run at their own theorems' `C` — O(1) and
+//! O(log n) — through [`crate::prefix::PrefixSum::pcomp`] and
+//! [`crate::merge::Merge::pcomp`].
+//!
 //! Both sorts are registered persistent capsules on the typed
 //! `ppm_core::dsl` ([`MergeSort::pcomp`], [`SampleSort::pcomp`]): every
 //! continuation — including samplesort's nine-phase pipeline, embedded
 //! prefix sum, and per-bucket recursion — is a typed frame in persistent
 //! memory, so a `kill -9`'d run is *resumed* from its in-flight deque
 //! entries by `ppm_sched::Runtime::run_or_recover`. The merge capsule
-//! splits *binary* at the median rank (see [`crate::merge`]).
+//! (`declare_merge`: one body, registered here with a Θ(M) base case and
+//! in [`crate::merge`] with a one-block one) splits *binary* at the median
+//! rank.
 
 use std::sync::Arc;
 
@@ -38,10 +54,15 @@ use ppm_pm::{ProcCtx, Region, Word};
 
 use crate::merge::{base_size, split_rank, Run};
 use crate::prefix::{PrefixCapsules, PrefixSum};
-use crate::util::{ceil_div, pread_range, pwrite_range, BlockScatter};
+use crate::util::{ceil_div, pread_range, pwrite_range, sort_capsule_words, BlockScatter};
 
 fn region_at(start: usize, len: usize) -> Region {
     Region { start, len }
+}
+
+/// [`sort_capsule_words`] of the machine `ctx` runs on.
+fn capsule_words(ctx: &ProcCtx) -> usize {
+    sort_capsule_words(ctx.ephemeral_words(), ctx.block_size())
 }
 
 /// The in-capsule sequential sort: read a range, sort it in ephemeral
@@ -155,7 +176,6 @@ persist_struct! {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MsortCapsules {
     pub(crate) node: CapsuleDef<MsortState>,
-    pub(crate) merge: CapsuleDef<MergeState>,
 }
 
 impl MsortCapsules {
@@ -164,7 +184,7 @@ impl MsortCapsules {
     pub(crate) fn declare(machine: &Machine) -> MsortCapsules {
         let mut set = CapsuleSet::new(machine);
         let node = set.declare::<MsortState>("msort/node");
-        let merge = set.declare::<MergeState>("msort/merge");
+        let merge = declare_merge(&mut set, "msort/merge", |ctx| base_size(capsule_words(ctx)));
 
         set.body(node, move |st: &MsortState, k, ctx| {
             let n = st.src.len();
@@ -234,83 +254,96 @@ impl MsortCapsules {
             )
         });
 
-        set.body(merge, move |st: &MergeState, k, ctx| {
-            let (a, b) = (st.a, st.b);
-            let n = a.len() + b.len();
-            if n <= base_size(ctx.block_size()) {
-                // Sequential base merge in one capsule (empty runs can sit
-                // at a region's end; never form their address).
-                let av = if a.len() > 0 {
-                    pread_range(ctx, a.region.at(a.lo), a.len())?
-                } else {
-                    Vec::new()
-                };
-                let bv = if b.len() > 0 {
-                    pread_range(ctx, b.region.at(b.lo), b.len())?
-                } else {
-                    Vec::new()
-                };
-                let merged = crate::merge::merge_seq(&av, &bv);
-                if !merged.is_empty() {
-                    pwrite_range(ctx, st.out.at(st.olo), &merged)?;
-                }
-                return Ok(Step::Jump(k));
-            }
-            // Binary split at the median rank: one dual binary search
-            // (O(log n) capsule work), then fork the two sub-merges.
-            let r = n / 2;
-            let sa = split_rank(ctx, a, b, r)?;
-            let sb = r - sa;
-            let (a_l, a_r) = (
-                Run {
-                    region: a.region,
-                    lo: a.lo,
-                    hi: a.lo + sa,
-                },
-                Run {
-                    region: a.region,
-                    lo: a.lo + sa,
-                    hi: a.hi,
-                },
-            );
-            let (b_l, b_r) = (
-                Run {
-                    region: b.region,
-                    lo: b.lo,
-                    hi: b.lo + sb,
-                },
-                Run {
-                    region: b.region,
-                    lo: b.lo + sb,
-                    hi: b.hi,
-                },
-            );
-            fork2(
-                ctx,
-                (
-                    merge,
-                    &MergeState {
-                        a: a_l,
-                        b: b_l,
-                        out: st.out,
-                        olo: st.olo,
-                    },
-                ),
-                (
-                    merge,
-                    &MergeState {
-                        a: a_r,
-                        b: b_r,
-                        out: st.out,
-                        olo: st.olo + r,
-                    },
-                ),
-                k,
-            )
-        });
-
-        MsortCapsules { node, merge }
+        MsortCapsules { node }
     }
+}
+
+/// Declares a merge capsule named `name` whose sequential base case
+/// takes up to `base(ctx)` elements. One body, two registrations: the
+/// sorts pass Θ(M) ([`sort_capsule_words`], Theorem 7.3's `C = O(M/B)`),
+/// [`crate::merge::Merge::pcomp`] passes `base_size(B)` (Theorem 7.2's
+/// `C = O(log n)`).
+pub(crate) fn declare_merge(
+    set: &mut CapsuleSet,
+    name: &'static str,
+    base: fn(&ProcCtx) -> usize,
+) -> CapsuleDef<MergeState> {
+    let merge = set.declare::<MergeState>(name);
+    set.body(merge, move |st: &MergeState, k, ctx| {
+        let (a, b) = (st.a, st.b);
+        let n = a.len() + b.len();
+        if n <= base(ctx) {
+            // Sequential base merge in one capsule (empty runs can sit
+            // at a region's end; never form their address).
+            let av = if a.len() > 0 {
+                pread_range(ctx, a.region.at(a.lo), a.len())?
+            } else {
+                Vec::new()
+            };
+            let bv = if b.len() > 0 {
+                pread_range(ctx, b.region.at(b.lo), b.len())?
+            } else {
+                Vec::new()
+            };
+            let merged = crate::merge::merge_seq(&av, &bv);
+            if !merged.is_empty() {
+                pwrite_range(ctx, st.out.at(st.olo), &merged)?;
+            }
+            return Ok(Step::Jump(k));
+        }
+        // Binary split at the median rank: one dual binary search
+        // (O(log n) capsule work), then fork the two sub-merges.
+        let r = n / 2;
+        let sa = split_rank(ctx, a, b, r)?;
+        let sb = r - sa;
+        let (a_l, a_r) = (
+            Run {
+                region: a.region,
+                lo: a.lo,
+                hi: a.lo + sa,
+            },
+            Run {
+                region: a.region,
+                lo: a.lo + sa,
+                hi: a.hi,
+            },
+        );
+        let (b_l, b_r) = (
+            Run {
+                region: b.region,
+                lo: b.lo,
+                hi: b.lo + sb,
+            },
+            Run {
+                region: b.region,
+                lo: b.lo + sb,
+                hi: b.hi,
+            },
+        );
+        fork2(
+            ctx,
+            (
+                merge,
+                &MergeState {
+                    a: a_l,
+                    b: b_l,
+                    out: st.out,
+                    olo: st.olo,
+                },
+            ),
+            (
+                merge,
+                &MergeState {
+                    a: a_r,
+                    b: b_r,
+                    out: st.out,
+                    olo: st.olo + r,
+                },
+            ),
+            k,
+        )
+    });
+    merge
 }
 
 // ====================================================================
@@ -391,8 +424,7 @@ persist_struct! {
 }
 
 impl Scratch {
-    fn alloc(ctx: &mut ProcCtx, g: &Geometry) -> Scratch {
-        let b = ctx.block_size();
+    fn alloc(ctx: &mut ProcCtx, g: &Geometry, leaf_words: usize) -> Scratch {
         let cm = g.rows * g.buckets;
         Scratch {
             subsorted: region_at(ctx.palloc(g.n), g.n),
@@ -408,32 +440,53 @@ impl Scratch {
             counts_cm: region_at(ctx.palloc(cm), cm),
             sums: region_at(ctx.palloc(cm), cm),
             sums_tree: region_at(
-                ctx.palloc(PrefixSum::sums_words(cm, b)),
-                PrefixSum::sums_words(cm, b),
+                ctx.palloc(PrefixSum::sums_words(cm, leaf_words)),
+                PrefixSum::sums_words(cm, leaf_words),
             ),
             bucketed: region_at(ctx.palloc(g.n), g.n),
         }
     }
 }
 
-/// Pool words one samplesort node of size `n` allocates (for sizing
-/// machine pools).
+/// Pool words one samplesort node of size `n` allocates, on any machine
+/// that can run it (for sizing machine pools). Only the sums tree depends
+/// on `(M, B)`; it is largest where the prefix leaves are smallest, and
+/// `n ≤ M²` ([`SampleSort::new`]) puts [`sort_capsule_words`] — the size
+/// [`Scratch::alloc`] allocates with — above `√n / 8` for every `B`.
 fn node_scratch_words(n: usize) -> usize {
     let g = Geometry::new(n);
     let cm = g.rows * g.buckets;
+    let min_leaf_words = (g.sub / 8).max(1);
     3 * n
         + 3 * g.total_samples
         + g.buckets
         + g.rows * (g.buckets + 1)
         + 2 * cm
-        + PrefixSum::sums_words(cm.max(1), 8)
+        + PrefixSum::sums_words(cm.max(1), min_leaf_words)
         + 64
 }
 
-/// Recommended per-processor pool words for samplesorting `n` elements
-/// (covers the worst case of one processor expanding every node, plus the
-/// recursion's own scratch and the typed frames and join cells every
-/// phase writes).
+/// Frame and join-cell words budgeted per key, on top of the scratch.
+///
+/// Every phase forks over Θ(M)-word capsules, so a recursion level
+/// writes `O(n/M + √n)` frames — not the `O(n/B)` the embedded prefix sum
+/// wrote while its leaves were single blocks (≈ 12 frame words per counts
+/// element then). Measured retain-everything footprints, P = 1, uniform
+/// keys, scratch included: 8.4·n words at n = 2¹⁵ and 7.7·n at n = 2¹⁷
+/// with the default `(M, B)` = (4096, 8) — about 2·n of it frames — but
+/// 74·n at (64, 8), n = 900, and 76·n at n = M² = 4096, because `n/M`
+/// approaches `√n` and a frame is ≈ 40 words. The term is sized for that
+/// smallest legal memory, where the run relies on the epoch GC: with it
+/// every `(n, M, B, P)` of the test matrix finishes below 97 % of the
+/// budget (below 25 % at the default geometry); with 8 the skewed
+/// n = 900 and n = 4096 runs at M = 64 exhaust the pool.
+const FRAME_WORDS_PER_KEY: usize = 40;
+
+/// Recommended per-processor pool words for samplesorting `n` elements:
+/// the scratch of four recursion levels (depth is `log_M n`; the worst
+/// case is one processor expanding every node), 40 words per key
+/// for the typed frames and join cells every phase writes, and a constant
+/// tail for one checkpoint epoch of churn.
 ///
 /// **Assumes checkpoint GC** (`ppm_sched::checkpoint`, on by default):
 /// the sizing budgets the live set plus one epoch of churn, relying on
@@ -441,21 +494,9 @@ fn node_scratch_words(n: usize) -> usize {
 /// frames. A run configured with `CheckpointPolicy::disabled()` that
 /// must survive crash resume or hard-fault adoption re-allocates the
 /// replayed span on top of the dead run's watermark and should budget
-/// roughly an extra `40 * n` words (the pre-GC doubling).
+/// roughly an extra `40 * n` words.
 pub fn samplesort_pool_words(n: usize) -> usize {
-    // Geometric-ish recursion: level ℓ has total size n, so scratch per
-    // level is O(n); depth is log_M n, small — 4 levels of scratch is
-    // generous. Every fork additionally writes typed frames; the
-    // embedded prefix sum over the rows × buckets counts matrix
-    // (cm ≈ n words) dominates at ~12 frame words per counts
-    // element per level (~36·n across levels, ~40·n since frames grew a
-    // parent-span provenance word). The pre-checkpoint sizing (PR 3)
-    // doubled that term because a crash-resumed or hard-fault-adopted run
-    // re-allocated above the dead run's watermark for the whole replayed
-    // span; checkpoint GC (`ppm_sched::checkpoint`, on by default) now
-    // rolls pool cursors back to the live frontier every epoch, capping
-    // re-allocation at one epoch's churn — the constant tail covers it.
-    4 * node_scratch_words(n.max(16)) + 40 * n + (1 << 13)
+    4 * node_scratch_words(n.max(16)) + FRAME_WORDS_PER_KEY * n + (1 << 13)
 }
 
 // ---- Phase bodies ---------------------------------------------------
@@ -489,22 +530,31 @@ fn pivot_chunk_body(
     pwrite_range(ctx, s.pivots.at(lo), &vals)
 }
 
-/// Phase 5 body: bucket boundaries of row `i` (merge row with pivots).
-fn bounds_row_body(ctx: &mut ProcCtx, g: &Geometry, s: &Scratch, i: usize) -> ppm_pm::PmResult<()> {
-    let npiv = g.buckets - 1;
-    let row = pread_range(ctx, s.subsorted.at(i * g.sub), g.row_len(i))?;
-    let piv = pread_range(ctx, s.pivots.at(0), npiv)?;
-    let mut out = Vec::with_capacity(g.buckets + 1);
-    out.push(0u64);
-    let mut pos = 0usize;
-    for p in &piv {
-        while pos < row.len() && row[pos] <= *p {
-            pos += 1;
+/// Phase 5 body: bucket boundaries of rows `[r0, r1)` (merge each row
+/// with the pivots, which are read once for the whole group).
+fn bounds_rows_body(
+    ctx: &mut ProcCtx,
+    g: &Geometry,
+    s: &Scratch,
+    r0: usize,
+    r1: usize,
+) -> ppm_pm::PmResult<()> {
+    let piv = pread_range(ctx, s.pivots.at(0), g.buckets - 1)?;
+    for i in r0..r1 {
+        let row = pread_range(ctx, s.subsorted.at(i * g.sub), g.row_len(i))?;
+        let mut out = Vec::with_capacity(g.buckets + 1);
+        out.push(0u64);
+        let mut pos = 0usize;
+        for p in &piv {
+            while pos < row.len() && row[pos] <= *p {
+                pos += 1;
+            }
+            out.push(pos as Word);
         }
-        out.push(pos as Word);
+        out.push(row.len() as Word);
+        pwrite_range(ctx, s.bounds.at(i * (g.buckets + 1)), &out)?;
     }
-    out.push(row.len() as Word);
-    pwrite_range(ctx, s.bounds.at(i * (g.buckets + 1)), &out)
+    Ok(())
 }
 
 /// Phase 6 base body: transpose counts for the submatrix
@@ -586,6 +636,13 @@ fn scatter_base_body(
         }
     }
     sc.flush(ctx)
+}
+
+/// Rows one capsule of the per-row phases (sampling, boundaries) takes:
+/// as many as fit the sort capsule size, so a phase over `rows` rows is
+/// `rows / row_group` leaf capsules instead of `rows`.
+fn row_group(ctx: &ProcCtx, g: &Geometry) -> usize {
+    (capsule_words(ctx) / g.sub).max(1)
 }
 
 /// 2D split threshold.
@@ -724,10 +781,11 @@ impl SsCapsules {
         });
         let sortrows = set.map_grain("ssort/sortrows", 1, sortrow_leaf);
 
-        // Phase 2: sample each sorted row.
+        // Phase 2: sample each sorted row (span indices are row groups).
         let sample_leaf = set.define("ssort/sample", |st: &Span<SsEnv>, k, ctx| {
             let g = Geometry::new(st.env.n);
-            for i in st.lo..st.hi {
+            let rg = row_group(ctx, &g);
+            for i in st.lo * rg..(st.hi * rg).min(g.rows) {
                 sample_row_body(ctx, &g, &st.env.s, i)?;
             }
             Ok(Step::Jump(k))
@@ -744,12 +802,11 @@ impl SsCapsules {
         });
         let pivots = set.map_grain("ssort/pivot-chunks", 1, pivot_leaf);
 
-        // Phase 5: per-row bucket boundaries.
+        // Phase 5: per-row bucket boundaries (span indices are row groups).
         let bounds_leaf = set.define("ssort/bounds-row", |st: &Span<SsEnv>, k, ctx| {
             let g = Geometry::new(st.env.n);
-            for i in st.lo..st.hi {
-                bounds_row_body(ctx, &g, &st.env.s, i)?;
-            }
+            let rg = row_group(ctx, &g);
+            bounds_rows_body(ctx, &g, &st.env.s, st.lo * rg, (st.hi * rg).min(g.rows))?;
             Ok(Step::Jump(k))
         });
         let bounds = set.map_grain("ssort/bounds-rows", 1, bounds_leaf);
@@ -822,7 +879,10 @@ impl SsCapsules {
                 );
             }
             let g = Geometry::new(n);
-            let s = Scratch::alloc(ctx, &g);
+            // The embedded prefix sum and the merges run at this node's
+            // theorem: Θ(M)-word capsules (Theorem 7.3).
+            let leaf_words = capsule_words(ctx);
+            let s = Scratch::alloc(ctx, &g, leaf_words);
             let env = SsEnv {
                 src: st.src,
                 dst: st.dst,
@@ -843,11 +903,11 @@ impl SsCapsules {
             let k9 = recurse.frame(ctx, &span(0, g.buckets), k)?;
             let k8 = scatter.frame(ctx, &grid, k9)?;
             let cm = g.rows * g.buckets;
-            let pre =
-                PrefixSum::with_regions(s.counts_cm, s.sums, s.sums_tree, cm, ctx.block_size());
+            let pre = PrefixSum::with_regions(s.counts_cm, s.sums, s.sums_tree, cm, leaf_words);
             let k7 = prefix.chain(ctx, pre, k8)?;
             let k6 = transpose.frame(ctx, &grid, k7)?;
-            let k5 = bounds.frame(ctx, &span(0, g.rows), k6)?;
+            let groups = ceil_div(g.rows, row_group(ctx, &g));
+            let k5 = bounds.frame(ctx, &span(0, groups), k6)?;
             let chunks = ceil_div((g.buckets - 1).max(1), PIVOT_CHUNK);
             let k4 = pivots.frame(ctx, &span(0, chunks), k5)?;
             let k3 = msort.node.frame(
@@ -865,7 +925,7 @@ impl SsCapsules {
                 },
                 k4,
             )?;
-            let k2 = samples.frame(ctx, &span(0, g.rows), k3)?;
+            let k2 = samples.frame(ctx, &span(0, groups), k3)?;
             let k1 = sortrows.frame(ctx, &span(0, g.rows), k2)?;
             Ok(Step::Jump(k1))
         });
@@ -1004,13 +1064,16 @@ mod tests {
     }
 
     fn runtime_for_samplesort(n: usize, procs: usize, m_eph: usize, f: FaultConfig) -> Runtime {
+        samplesort_runtime(
+            n,
+            PmConfig::parallel(procs, 1 << 23).with_ephemeral_words(m_eph),
+            f,
+        )
+    }
+
+    fn samplesort_runtime(n: usize, pm: PmConfig, f: FaultConfig) -> Runtime {
         Runtime::new(
-            Machine::with_pool_words(
-                PmConfig::parallel(procs, 1 << 23)
-                    .with_ephemeral_words(m_eph)
-                    .with_fault(f),
-                samplesort_pool_words(n),
-            ),
+            Machine::with_pool_words(pm.with_fault(f), samplesort_pool_words(n)),
             SchedConfig::with_slots(1 << 14),
         )
     }
@@ -1050,7 +1113,10 @@ mod tests {
     }
 
     fn check_registered_samplesort(n: usize, procs: usize, m_eph: usize, f: FaultConfig) {
-        let rt = runtime_for_samplesort(n, procs, m_eph, f);
+        check_samplesort_on(runtime_for_samplesort(n, procs, m_eph, f), n);
+    }
+
+    fn check_samplesort_on(rt: Runtime, n: usize) {
         let ss = SampleSort::new(rt.machine(), n);
         let input = data(23, n);
         ss.load_input(rt.machine(), &input);
@@ -1099,6 +1165,18 @@ mod tests {
     fn registered_samplesort_small_and_recursive() {
         check_registered_samplesort(64, 1, 64, FaultConfig::none());
         check_registered_samplesort(400, 2, 64, FaultConfig::none());
+    }
+
+    #[test]
+    fn registered_samplesort_across_memory_and_block_sizes() {
+        // The capsule size follows (M, B): 16, 64 and 1024 words here. Odd
+        // sizes, so no row, leaf or tile boundary lines up with another.
+        for (n, m_eph, b) in [(1237, 64, 4), (5003, 256, 8), (20_011, 4096, 16)] {
+            let pm = PmConfig::parallel(2, 1 << 23)
+                .with_ephemeral_words(m_eph)
+                .with_block_size(b);
+            check_samplesort_on(samplesort_runtime(n, pm, FaultConfig::none()), n);
+        }
     }
 
     #[test]

@@ -146,6 +146,16 @@ pub fn scatter_naive(
     Ok(())
 }
 
+/// Capsule size, in words, of the inner loops of the two sorts: the
+/// embedded prefix sum's leaves and the base case of the merges. Theorem
+/// 7.3 allows sorting `C = O(M/B)`, so a capsule may move Θ(M) words; a
+/// quarter of the ephemeral memory (the same share the grid tiles take)
+/// leaves room for an input, an output and the staging bins at once.
+/// A multiple of `B`, and at least one block.
+pub(crate) fn sort_capsule_words(m: usize, b: usize) -> usize {
+    (m / 4 / b * b).max(b)
+}
+
 /// Next power of two (≥ 1).
 pub fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()

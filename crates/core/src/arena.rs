@@ -167,7 +167,7 @@ impl ContArena {
     /// "malformed frame". The null handle and map misses report as frame
     /// errors.
     pub fn try_resolve(&self, handle: Word) -> Result<Cont, RehydrateError> {
-        self.resolve_with(handle, CapsuleRegistry::instantiate)
+        self.resolve_with(handle, CapsuleRegistry::instantiate_parts)
     }
 
     /// [`ContArena::try_resolve`] with the caller choosing how a frame is
@@ -176,12 +176,14 @@ impl ContArena {
     pub(crate) fn resolve_with(
         &self,
         handle: Word,
-        instantiate: impl FnOnce(&CapsuleRegistry, &ppm_pm::Frame) -> Result<Cont, RehydrateError>,
+        instantiate: impl FnOnce(&CapsuleRegistry, Addr, Word, &[Word]) -> Result<Cont, RehydrateError>,
     ) -> Result<Cont, RehydrateError> {
         if let Some((mem, registry)) = self.rehydrate.as_ref() {
             if ppm_pm::is_frame_at(mem, handle as Addr) {
-                let frame = ppm_pm::read_frame(mem, handle as Addr)?;
-                return instantiate(registry, &frame);
+                let mut args = [0; ppm_pm::MAX_FRAME_ARGS];
+                let (capsule_id, _, argc) =
+                    ppm_pm::read_frame_into(mem, handle as Addr, &mut args)?;
+                return instantiate(registry, handle as Addr, capsule_id, &args[..argc]);
             }
         }
         self.get(handle)

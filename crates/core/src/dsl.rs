@@ -53,12 +53,12 @@
 
 use std::sync::Arc;
 
-use ppm_pm::{write_frame, PmResult, ProcCtx, Word};
+use ppm_pm::{write_frame, FrameBuf, PmResult, ProcCtx, Word};
 
 use crate::capsule::{capsule, Next};
 use crate::join::fork_join_frames;
 use crate::machine::Machine;
-use crate::persist::{decode_args, FrameDecodeError, Persist, ValueError, WordReader};
+use crate::persist::{decode_args, FrameDecodeError, Persist, ValueError, WordReader, WordSink};
 use crate::registry::{CapsuleId, CapsuleRegistry, CORE_ID_FORK_PAIR};
 
 /// A persistent continuation handle: the address of a capsule frame.
@@ -79,7 +79,7 @@ impl K {
 
 impl Persist for K {
     const WORDS: usize = 1;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         out.push(self.0);
     }
     fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
@@ -158,20 +158,15 @@ impl<T: Persist> CapsuleDef<T> {
         self.name
     }
 
-    fn words(state: &T, k: K) -> Vec<Word> {
-        let mut words = Vec::with_capacity(T::WORDS + 1);
-        state.encode(&mut words);
-        k.encode(&mut words);
-        debug_assert_eq!(words.len(), T::WORDS + 1);
-        words
-    }
-
     /// Writes a frame for this capsule over `state`, continuing with `k`,
     /// from within a running capsule (costed, restart-stable pool
-    /// allocation). Returns the new frame's handle.
+    /// allocation). Returns the new frame's handle. The state encodes
+    /// straight into the frame's stack image: no heap allocation.
     pub fn frame(&self, ctx: &mut ProcCtx, state: &T, k: K) -> PmResult<K> {
-        let words = Self::words(state, k);
-        Ok(K(write_frame(ctx, self.id, &words)? as Word))
+        let mut frame = FrameBuf::new(ctx, self.id);
+        state.encode(&mut frame);
+        k.encode(&mut frame);
+        Ok(K(frame.write(ctx) as Word))
     }
 
     /// Writes a root frame with uncosted setup stores (machine
@@ -179,7 +174,9 @@ impl<T: Persist> CapsuleDef<T> {
     /// recovering run replaying the same setup produces the same handle
     /// and words.
     pub fn setup(&self, machine: &Machine, state: &T, k: K) -> K {
-        let words = Self::words(state, k);
+        let mut words = Vec::with_capacity(T::WORDS + 1);
+        state.encode(&mut words);
+        k.encode(&mut words);
         K(machine.setup_frame(self.id, &words))
     }
 }
@@ -434,7 +431,7 @@ pub struct Span<T> {
 
 impl<T: Persist> Persist for Span<T> {
     const WORDS: usize = T::WORDS + 2;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         self.env.encode(out);
         self.lo.encode(out);
         self.hi.encode(out);
@@ -467,7 +464,7 @@ pub struct Fold<T> {
 
 impl<T: Persist> Persist for Fold<T> {
     const WORDS: usize = T::WORDS + 3;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         self.env.encode(out);
         self.lo.encode(out);
         self.hi.encode(out);
@@ -500,7 +497,7 @@ struct FoldJoin {
 
 impl Persist for FoldJoin {
     const WORDS: usize = 3;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         self.left.encode(out);
         self.right.encode(out);
         self.dst.encode(out);

@@ -26,7 +26,29 @@
 //! construction-determinism contract that lets a recovering process
 //! rehydrate a crashed run's frames.
 
-use ppm_pm::Word;
+use ppm_pm::{FrameBuf, Word};
+
+/// Where [`Persist::encode`] appends words: a `Vec` (setup frames, job
+/// arguments, tests) or the stack image of a frame being written from a
+/// capsule ([`FrameBuf`] — the per-frame path allocates nothing).
+pub trait WordSink {
+    /// Appends one word.
+    fn push(&mut self, w: Word);
+}
+
+impl WordSink for Vec<Word> {
+    #[inline]
+    fn push(&mut self, w: Word) {
+        Vec::push(self, w);
+    }
+}
+
+impl WordSink for FrameBuf {
+    #[inline]
+    fn push(&mut self, w: Word) {
+        FrameBuf::push(self, w);
+    }
+}
 
 /// A value with a fixed-width word encoding, usable as (part of) a
 /// persistent capsule's frame state.
@@ -35,7 +57,7 @@ pub trait Persist: Sized {
     const WORDS: usize;
 
     /// Appends the encoding to `out` (exactly [`Persist::WORDS`] words).
-    fn encode(&self, out: &mut Vec<Word>);
+    fn encode(&self, out: &mut impl WordSink);
 
     /// Decodes the value, consuming exactly [`Persist::WORDS`] words from
     /// the reader.
@@ -228,7 +250,7 @@ pub fn decode_args<T: Persist>(
 
 impl Persist for Word {
     const WORDS: usize = 1;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         out.push(*self);
     }
     fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
@@ -238,7 +260,7 @@ impl Persist for Word {
 
 impl Persist for usize {
     const WORDS: usize = 1;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         out.push(*self as Word);
     }
     fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
@@ -254,7 +276,7 @@ macro_rules! narrow_persist {
     ($($ty:ty => $what:literal),* $(,)?) => {$(
         impl Persist for $ty {
             const WORDS: usize = 1;
-            fn encode(&self, out: &mut Vec<Word>) {
+            fn encode(&self, out: &mut impl WordSink) {
                 out.push(*self as Word);
             }
             fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
@@ -269,7 +291,7 @@ narrow_persist!(u32 => "u32", u16 => "u16", u8 => "u8");
 
 impl Persist for bool {
     const WORDS: usize = 1;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         out.push(*self as Word);
     }
     fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
@@ -286,7 +308,7 @@ impl Persist for bool {
 
 impl Persist for ppm_pm::Region {
     const WORDS: usize = 2;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         out.push(self.start as Word);
         out.push(self.len as Word);
     }
@@ -306,7 +328,7 @@ impl Persist for ppm_pm::Region {
 
 impl Persist for () {
     const WORDS: usize = 0;
-    fn encode(&self, _out: &mut Vec<Word>) {}
+    fn encode(&self, _out: &mut impl WordSink) {}
     fn decode(_r: &mut WordReader<'_>) -> Result<Self, ValueError> {
         Ok(())
     }
@@ -316,7 +338,7 @@ macro_rules! tuple_persist {
     ($($name:ident),+) => {
         impl<$($name: Persist),+> Persist for ($($name,)+) {
             const WORDS: usize = 0 $(+ $name::WORDS)+;
-            fn encode(&self, out: &mut Vec<Word>) {
+            fn encode(&self, out: &mut impl WordSink) {
                 #[allow(non_snake_case)]
                 let ($($name,)+) = self;
                 $($name.encode(out);)+
@@ -340,7 +362,7 @@ tuple_persist!(A, B, C, D);
 
 impl<T: Persist, const N: usize> Persist for [T; N] {
     const WORDS: usize = N * T::WORDS;
-    fn encode(&self, out: &mut Vec<Word>) {
+    fn encode(&self, out: &mut impl WordSink) {
         for v in self {
             v.encode(out);
         }
@@ -403,7 +425,7 @@ macro_rules! persist_struct {
 
         impl $crate::persist::Persist for $name {
             const WORDS: usize = 0 $(+ <$ty as $crate::persist::Persist>::WORDS)*;
-            fn encode(&self, out: &mut Vec<$crate::persist::PersistWord>) {
+            fn encode(&self, out: &mut impl $crate::persist::WordSink) {
                 $($crate::persist::Persist::encode(&self.$field, out);)*
             }
             fn decode(
@@ -420,10 +442,6 @@ macro_rules! persist_struct {
         }
     };
 }
-
-/// The word type [`crate::persist_struct!`] expands against (an alias so the
-/// macro works without the caller importing `ppm_pm`).
-pub type PersistWord = Word;
 
 #[cfg(test)]
 mod tests {

@@ -37,7 +37,7 @@
 use std::collections::HashMap;
 
 use parking_lot::RwLock;
-use ppm_pm::{read_frame, Frame, FrameError, PersistentMemory, Word};
+use ppm_pm::{read_frame, Addr, Frame, FrameError, PersistentMemory, Word};
 
 use crate::capsule::{capsule, Cont, Next};
 use crate::join::JoinCell;
@@ -323,19 +323,27 @@ impl CapsuleRegistry {
 
     /// The constructor for `frame`'s capsule id: one read lock and one
     /// `Arc` clone, which [`CtorCache`] pays once per id.
-    fn ctor_of(&self, frame: &Frame) -> Result<CapsuleCtor, RehydrateError> {
-        match self.inner.read().entries.get(&frame.capsule_id) {
+    fn ctor_of(&self, addr: Addr, capsule_id: CapsuleId) -> Result<CapsuleCtor, RehydrateError> {
+        match self.inner.read().entries.get(&capsule_id) {
             Some(e) => Ok(e.ctor.clone()),
-            None => Err(RehydrateError::UnknownCapsule {
-                addr: frame.addr,
-                capsule_id: frame.capsule_id,
-            }),
+            None => Err(RehydrateError::UnknownCapsule { addr, capsule_id }),
         }
     }
 
     /// Rehydrates a decoded frame into a runnable capsule.
     pub fn instantiate(&self, frame: &Frame) -> Result<Cont, RehydrateError> {
-        construct(&self.ctor_of(frame)?, frame)
+        self.instantiate_parts(frame.addr, frame.capsule_id, &frame.args)
+    }
+
+    /// [`CapsuleRegistry::instantiate`] over a frame's decoded parts (the
+    /// arena reads argument words into a stack buffer, not a [`Frame`]).
+    pub(crate) fn instantiate_parts(
+        &self,
+        addr: Addr,
+        capsule_id: CapsuleId,
+        args: &[Word],
+    ) -> Result<Cont, RehydrateError> {
+        construct(&self.ctor_of(addr, capsule_id)?, addr, capsule_id, args)
     }
 
     /// Decodes the frame at `handle` in `mem` and rehydrates it. The
@@ -363,10 +371,15 @@ impl CapsuleRegistry {
     }
 }
 
-fn construct(ctor: &CapsuleCtor, frame: &Frame) -> Result<Cont, RehydrateError> {
-    ctor(&frame.args).map_err(|error| RehydrateError::BadArgs {
-        addr: frame.addr,
-        capsule_id: frame.capsule_id,
+fn construct(
+    ctor: &CapsuleCtor,
+    addr: Addr,
+    capsule_id: CapsuleId,
+    args: &[Word],
+) -> Result<Cont, RehydrateError> {
+    ctor(args).map_err(|error| RehydrateError::BadArgs {
+        addr,
+        capsule_id,
         error,
     })
 }
@@ -387,18 +400,21 @@ impl std::fmt::Debug for CtorCache {
 }
 
 impl CtorCache {
-    /// [`CapsuleRegistry::instantiate`], asking `registry` only on a miss.
+    /// [`CapsuleRegistry::instantiate_parts`], asking `registry` only on a
+    /// miss.
     pub(crate) fn instantiate(
         &mut self,
         registry: &CapsuleRegistry,
-        frame: &Frame,
+        addr: Addr,
+        capsule_id: CapsuleId,
+        args: &[Word],
     ) -> Result<Cont, RehydrateError> {
         use std::collections::hash_map::Entry as Slot;
-        let ctor = match self.0.entry(frame.capsule_id) {
+        let ctor = match self.0.entry(capsule_id) {
             Slot::Occupied(hit) => hit.into_mut(),
-            Slot::Vacant(miss) => miss.insert(registry.ctor_of(frame)?),
+            Slot::Vacant(miss) => miss.insert(registry.ctor_of(addr, capsule_id)?),
         };
-        construct(ctor, frame)
+        construct(ctor, addr, capsule_id, args)
     }
 }
 
@@ -590,20 +606,26 @@ mod tests {
         let frame = ppm_pm::read_frame(&mem, 16).expect("frame");
         let mut cache = CtorCache::default();
 
-        let err = expect_err(cache.instantiate(&reg, &frame));
+        let err = expect_err(cache.instantiate(&reg, frame.addr, frame.capsule_id, &frame.args));
         assert!(
             matches!(err, RehydrateError::UnknownCapsule { .. }),
             "{err}"
         );
         reg.register(0x310, "late", |_| Ok(capsule("first", |_| Ok(Next::End))));
         let name = |r: Result<Cont, RehydrateError>| r.expect("rehydrates").name().to_string();
-        assert_eq!(name(cache.instantiate(&reg, &frame)), "first");
+        assert_eq!(
+            name(cache.instantiate(&reg, frame.addr, frame.capsule_id, &frame.args)),
+            "first"
+        );
 
         reg.register(0x310, "late", |_| Ok(capsule("second", |_| Ok(Next::End))));
         assert_eq!(name(reg.instantiate(&frame)), "first");
-        assert_eq!(name(cache.instantiate(&reg, &frame)), "first");
         assert_eq!(
-            name(CtorCache::default().instantiate(&reg, &frame)),
+            name(cache.instantiate(&reg, frame.addr, frame.capsule_id, &frame.args)),
+            "first"
+        );
+        assert_eq!(
+            name(CtorCache::default().instantiate(&reg, frame.addr, frame.capsule_id, &frame.args)),
             "first"
         );
     }

@@ -87,13 +87,19 @@ impl InstallCtx {
             (self.active, [self.slot_b as Word, self.gen])
         };
         let b = ctx.block_size();
+        // The arena's map entry is what lets a thief resolve a dead
+        // processor's restart pointer; it takes its shard's lock (ROADMAP
+        // item 2, "Scheduler capsules per fork").
+        // hot-path-ok: `c` is a closure capsule this processor minted for
+        // this one install, so its refcount is on no shared line.
+        let held = c.clone();
         if adjacent && lo / b == (lo + 1) / b {
             // The in-process map entry is uncosted bookkeeping; the costed
             // closure content is the block write below.
-            arena.preregister(slot, c.clone());
+            arena.preregister(slot, held);
             ctx.write_block(lo, &pair)?;
         } else {
-            arena.register_at(ctx, slot, c.clone(), self.gen)?;
+            arena.register_at(ctx, slot, held, self.gen)?;
             ctx.pwrite(self.active, slot as Word)?;
         }
         // Flip only after the install succeeded: a re-run must target the
@@ -220,6 +226,8 @@ fn run_body_and_install(
         Next::End => match on_end {
             Some(sched) => {
                 install.install_jump(ctx, arena, sched)?;
+                // hot-path-ok: the scheduler entry capsule is minted per
+                // processor (`Sched::scheduler_entry` in the driver loop).
                 Ok(Step::Next(sched.clone()))
             }
             None => {
@@ -272,7 +280,9 @@ pub fn note_frame_provenance(ctx: &mut ProcCtx, handle: Word) {
 
 fn resolve_handle(arena: &ContArena, install: &mut InstallCtx, handle: Word, from: &str) -> Cont {
     let ctors = &mut install.ctors;
-    let resolved = arena.resolve_with(handle, |registry, frame| ctors.instantiate(registry, frame));
+    let resolved = arena.resolve_with(handle, |registry, addr, id, args| {
+        ctors.instantiate(registry, addr, id, args)
+    });
     resolved.unwrap_or_else(|_| {
         panic!("capsule `{from}` jumped to dangling continuation handle {handle} — scheduler bug")
     })

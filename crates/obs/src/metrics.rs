@@ -96,6 +96,20 @@ impl HistogramCells {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// [`HistogramCells::observe`] for cells only the calling thread
+    /// writes (a per-processor block): relaxed loads and stores, no
+    /// locked read-modify-write. Concurrent readers see each cell
+    /// monotone, as with `observe`.
+    #[inline]
+    pub fn observe_single_writer(&self, v: u64) {
+        let add = |cell: &AtomicU64, n: u64| {
+            cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        };
+        add(&self.buckets[Self::bucket_of(v)], 1);
+        add(&self.sum, v);
+        add(&self.count, 1);
+    }
 }
 
 /// Log₂-bucketed histogram of `u64` observations (latencies in µs, run

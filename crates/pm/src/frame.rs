@@ -36,10 +36,13 @@
 //! [`crate::mem::PersistentMemory`] words as everything else, so the
 //! backend's [`crate::backend::MemBackend::flush`] boundary covers them.
 //!
-//! Encoding ([`write_frame`]) is costed (through the capsule-boundary
-//! write-combining flush) and restart-stable: the frame address comes
-//! from the processor's §4.1 pool allocator, so a capsule re-run rewrites
-//! the identical words at the identical address. Decoding
+//! Encoding ([`write_frame`], or a [`FrameBuf`] filled word by word) is
+//! costed (through the capsule-boundary write-combining flush) and
+//! restart-stable: the frame address comes from the processor's §4.1 pool
+//! allocator, so a capsule re-run rewrites the identical words at the
+//! identical address. The image — `3 + argc` words — is assembled on the
+//! stack and staged as **one range**: one write-after-read range check,
+//! one counter add, one staging-buffer entry, one range store. Decoding
 //! ([`read_frame`]) is strict: a word that does not carry the magic, an
 //! oversized argument count, or an out-of-bounds frame is a
 //! [`FrameError`], never a panic — recovery code downgrades to
@@ -194,33 +197,76 @@ fn out_of_bounds(addr: Addr, argc: usize) -> FrameError {
     FrameError::OutOfBounds { addr, argc }
 }
 
-/// Writes a frame for `(capsule_id, args)` from within a capsule:
-/// allocates `2 + args.len()` words from the processor's restart-stable
-/// pool and fills them through the write-combining staging buffer
-/// ([`ProcCtx::stage_write`]). The words hit memory immediately — a
-/// frame is readable by its writer the instant this returns — but their
-/// transfer cost is charged at the capsule boundary, where the engine's
-/// [`ProcCtx::flush_staged`] coalesces every frame the capsule wrote
-/// into sequential whole-block persists (§4.1 bump allocation makes
-/// consecutive frames contiguous). Returns the frame address — the
-/// single persistent word that now denotes the continuation. Idempotent
-/// under capsule restart (same address, same words).
-///
-/// Crash-safety is preserved by ordering: a frame handle only escapes
-/// through a costed install or deque write, and the engine flushes the
-/// staging buffer before performing any install.
+/// A frame being assembled on the stack: header, capsule id and parent
+/// span, then up to [`MAX_FRAME_ARGS`] argument words pushed in order.
+/// [`FrameBuf::write`] persists the whole image as one staged range, so
+/// building a frame allocates nothing on the heap.
+#[derive(Debug)]
+pub struct FrameBuf {
+    words: [Word; frame_words(MAX_FRAME_ARGS)],
+    len: usize,
+}
+
+impl FrameBuf {
+    /// Starts a frame for `capsule_id` written by the capsule execution
+    /// `ctx` is running (its span id is the frame's provenance word —
+    /// restart-stable, minted before any soft-fault retry).
+    #[inline]
+    pub fn new(ctx: &ProcCtx, capsule_id: Word) -> Self {
+        let mut words = [0; frame_words(MAX_FRAME_ARGS)];
+        words[1] = capsule_id;
+        words[2] = ctx.cur_span();
+        FrameBuf {
+            words,
+            len: FRAME_ARGS_AT,
+        }
+    }
+
+    /// Appends one argument word.
+    ///
+    /// # Panics
+    /// Panics past [`MAX_FRAME_ARGS`] arguments.
+    #[inline]
+    pub fn push(&mut self, w: Word) {
+        assert!(self.len < self.words.len(), "frame has too many arguments");
+        self.words[self.len] = w;
+        self.len += 1;
+    }
+
+    /// Allocates the frame from the processor's restart-stable pool and
+    /// fills it through the write-combining staging buffer
+    /// ([`ProcCtx::stage_range`]). The words hit memory immediately — a
+    /// frame is readable by its writer the instant this returns — but
+    /// their transfer cost is charged at the capsule boundary, where the
+    /// engine's [`ProcCtx::flush_staged`] coalesces every frame the
+    /// capsule wrote into sequential whole-block persists (§4.1 bump
+    /// allocation makes consecutive frames contiguous). Returns the frame
+    /// address — the single persistent word that now denotes the
+    /// continuation. Idempotent under capsule restart (same address, same
+    /// words).
+    ///
+    /// Crash-safety is preserved by ordering: a frame handle only escapes
+    /// through a costed install or deque write, and the engine flushes
+    /// the staging buffer before performing any install.
+    #[inline]
+    pub fn write(mut self, ctx: &mut ProcCtx) -> Addr {
+        self.words[0] = frame_header(self.len - FRAME_ARGS_AT);
+        let addr = ctx.palloc(self.len);
+        ctx.stage_range(addr, &self.words[..self.len]);
+        addr
+    }
+}
+
+/// Writes a frame for `(capsule_id, args)` from within a capsule: a
+/// [`FrameBuf`] over a ready-made argument slice (see
+/// [`FrameBuf::write`] for cost, restart and crash-ordering rules).
 #[inline]
 pub fn write_frame(ctx: &mut ProcCtx, capsule_id: Word, args: &[Word]) -> PmResult<Addr> {
-    let addr = ctx.palloc(frame_words(args.len()));
-    ctx.stage_write(addr, frame_header(args.len()));
-    ctx.stage_write(addr + 1, capsule_id);
-    // Provenance: the writing execution's span id. Restart-stable (the
-    // span is minted once per execution, before any soft-fault retry).
-    ctx.stage_write(addr + 2, ctx.cur_span());
-    for (i, a) in args.iter().enumerate() {
-        ctx.stage_write(addr + FRAME_ARGS_AT + i, *a);
+    let mut frame = FrameBuf::new(ctx, capsule_id);
+    for a in args {
+        frame.push(*a);
     }
-    Ok(addr)
+    Ok(frame.write(ctx))
 }
 
 /// Stores a frame at a fixed address with uncosted setup writes (machine
@@ -236,11 +282,9 @@ pub fn store_frame(mem: &PersistentMemory, addr: Addr, capsule_id: Word, args: &
     }
 }
 
-/// Decodes the frame at `addr` with uncosted oracle reads (recovery-time
-/// and engine-internal rehydration; the model charges closure loading as
-/// part of the constant restart/install overhead, which the engine already
-/// accounts for).
-pub fn read_frame(mem: &PersistentMemory, addr: Addr) -> Result<Frame, FrameError> {
+/// Validates the header at `addr` and the frame's extent; returns its
+/// argument count.
+fn frame_argc(mem: &PersistentMemory, addr: Addr) -> Result<usize, FrameError> {
     if addr == 0 || addr >= mem.len() {
         return Err(not_a_frame(addr, 0));
     }
@@ -249,17 +293,34 @@ pub fn read_frame(mem: &PersistentMemory, addr: Addr) -> Result<Frame, FrameErro
     if addr + frame_words(argc) > mem.len() {
         return Err(out_of_bounds(addr, argc));
     }
-    let capsule_id = mem.load(addr + 1);
-    let parent_span = mem.load(addr + 2);
-    let args = (0..argc)
-        .map(|i| mem.load(addr + FRAME_ARGS_AT + i))
-        .collect();
+    Ok(argc)
+}
+
+/// Decodes the frame at `addr` with uncosted oracle reads (recovery-time
+/// and engine-internal rehydration; the model charges closure loading as
+/// part of the constant restart/install overhead, which the engine already
+/// accounts for).
+pub fn read_frame(mem: &PersistentMemory, addr: Addr) -> Result<Frame, FrameError> {
+    let argc = frame_argc(mem, addr)?;
     Ok(Frame {
         addr,
-        capsule_id,
-        parent_span,
-        args,
+        capsule_id: mem.load(addr + 1),
+        parent_span: mem.load(addr + 2),
+        args: mem.to_vec(addr + FRAME_ARGS_AT, argc),
     })
+}
+
+/// [`read_frame`] into the caller's buffer — the per-capsule rehydration
+/// path, which allocates nothing. Returns `(capsule id, parent span,
+/// argument count)`; the arguments are `args[..count]`.
+pub fn read_frame_into(
+    mem: &PersistentMemory,
+    addr: Addr,
+    args: &mut [Word; MAX_FRAME_ARGS],
+) -> Result<(Word, Word, usize), FrameError> {
+    let argc = frame_argc(mem, addr)?;
+    mem.read_range(addr + FRAME_ARGS_AT, &mut args[..argc]);
+    Ok((mem.load(addr + 1), mem.load(addr + 2), argc))
 }
 
 /// Whether the word at `addr` looks like a frame header (cheap probe used

@@ -70,8 +70,8 @@ pub use dirty::{DirtyTracker, PageRun, PAGE_WORDS};
 pub use error::{Fault, PmResult};
 pub use fault::{FaultInjector, HeartbeatLiveness, Liveness};
 pub use frame::{
-    frame_words, is_frame_at, read_frame, store_frame, write_frame, Frame, FrameError, FRAME_MAGIC,
-    MAX_FRAME_ARGS,
+    frame_words, is_frame_at, read_frame, read_frame_into, store_frame, write_frame, Frame,
+    FrameBuf, FrameError, FRAME_MAGIC, MAX_FRAME_ARGS,
 };
 pub use layout::{LayoutBuilder, Region};
 pub use lease::{now_ms, ClusterHeader, Lease, LeaseState, ShardMap, MAX_SHARDS};

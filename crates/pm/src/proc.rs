@@ -229,9 +229,7 @@ impl ProcCtx {
     pub fn complete_capsule(&mut self) -> u64 {
         let w = self.capsule_work;
         self.stats.record_capsule_completion(self.proc, w);
-        if let Some(wm) = self.watermark_addr {
-            self.mem.store(wm, self.alloc_cursor as Word);
-        }
+        self.publish_watermark();
         if self.cur_span != 0 {
             if let Some(sink) = &self.span_sink {
                 let dur_us = self
@@ -470,15 +468,26 @@ impl ProcCtx {
     /// performs *after* the boundary flush.
     #[inline]
     pub fn stage_write(&mut self, addr: Addr, value: Word) {
+        self.stage_range(addr, &[value]);
+    }
+
+    /// [`ProcCtx::stage_write`] for a run of consecutive words — a whole
+    /// frame — at the price of one of each step: one WAR range check, one
+    /// counter add, one staging-buffer entry (extended in place when the
+    /// run continues the previous one, as §4.1 bump allocation makes
+    /// consecutive frames do) and one range store.
+    #[inline]
+    pub fn stage_range(&mut self, addr: Addr, words: &[Word]) {
         if !self.war_exempt {
-            self.war.on_write(addr, &self.stats);
+            self.war.on_write_block(addr, words.len(), &self.stats);
         }
-        self.stats.record_staged_word(self.proc);
+        self.stats
+            .record_staged_words(self.proc, words.len() as u64);
         match self.staged.last_mut() {
-            Some((start, len)) if *start + *len == addr => *len += 1,
-            _ => self.staged.push((addr, 1)),
+            Some((start, len)) if *start + *len == addr => *len += words.len(),
+            _ => self.staged.push((addr, words.len())),
         }
-        self.mem.store(addr, value);
+        self.mem.write_range(addr, words);
     }
 
     /// Charges the staged writes of the current capsule as coalesced block
@@ -567,9 +576,22 @@ impl ProcCtx {
     /// frame. A subsequent soft-fault restart rolls the cursor back below
     /// the mirrored value, which is harmless — an over-high watermark
     /// only wastes pool words on resume, never corrupts live frames.
+    ///
+    /// The store is skipped when the word already holds the cursor (most
+    /// capsules allocate nothing — none of the ten scheduler capsules of a
+    /// fork does). That keeps the ordering argument intact: a skipped
+    /// store would have written the value the word has, so after this
+    /// call the persisted watermark equals the cursor either way, and
+    /// therefore still covers every frame an install can publish. The
+    /// comparison reads the word itself, not a cached copy, so the one
+    /// other writer — checkpoint GC rolling the watermark back while this
+    /// processor is parked — cannot make it stale.
     pub fn publish_watermark(&mut self) {
         if let Some(wm) = self.watermark_addr {
-            self.mem.store(wm, self.alloc_cursor as Word);
+            let cursor = self.alloc_cursor as Word;
+            if self.mem.load(wm) != cursor {
+                self.mem.store(wm, cursor);
+            }
         }
     }
 

@@ -28,6 +28,12 @@ use ppm_obs::{Histogram, HistogramCells, MetricsRegistry};
 /// sharded runs, where every worker process hammers its own slice of the
 /// shared `Vec`), false sharing between adjacent processors' counters is
 /// measurable on the read/write hot path.
+///
+/// **Single writer.** A block is written only by the thread driving that
+/// processor's `ProcCtx` (one per processor per run; readers snapshot from
+/// anywhere), so the per-access and per-capsule counters advance with a
+/// relaxed load and store (`bump`, `raise`) instead of a locked
+/// read-modify-write.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct ProcStats {
@@ -65,6 +71,20 @@ pub struct ProcStats {
     pub capsule_work: HistogramCells,
 }
 
+/// Adds `n` to a counter of the calling processor's own [`ProcStats`].
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+/// Raises a running maximum of the calling processor's own [`ProcStats`].
+#[inline]
+fn raise(max: &AtomicU64, v: u64) {
+    if v > max.load(Ordering::Relaxed) {
+        max.store(v, Ordering::Relaxed);
+    }
+}
+
 /// Shared, thread-safe statistics for one machine instance.
 #[derive(Debug)]
 pub struct MemStats {
@@ -94,13 +114,13 @@ impl MemStats {
     /// Records one external read by `proc`.
     #[inline]
     pub fn record_read(&self, proc: usize) {
-        self.per_proc[proc].reads.fetch_add(1, Ordering::Relaxed);
+        bump(&self.per_proc[proc].reads, 1);
     }
 
     /// Records one external write by `proc`.
     #[inline]
     pub fn record_write(&self, proc: usize) {
-        self.per_proc[proc].writes.fetch_add(1, Ordering::Relaxed);
+        bump(&self.per_proc[proc].writes, 1);
     }
 
     /// Records a soft fault on `proc`.
@@ -122,9 +142,7 @@ impl MemStats {
     /// Records the start of a capsule execution (first run or restart).
     #[inline]
     pub fn record_capsule_run(&self, proc: usize) {
-        self.per_proc[proc]
-            .capsule_runs
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.per_proc[proc].capsule_runs, 1);
     }
 
     /// Records a completed capsule and its work; updates `proc`'s share
@@ -132,10 +150,9 @@ impl MemStats {
     #[inline]
     pub fn record_capsule_completion(&self, proc: usize, capsule_work: u64) {
         let p = &self.per_proc[proc];
-        p.capsule_completions.fetch_add(1, Ordering::Relaxed);
-        p.max_capsule_work
-            .fetch_max(capsule_work, Ordering::Relaxed);
-        p.capsule_work.observe(capsule_work);
+        bump(&p.capsule_completions, 1);
+        raise(&p.max_capsule_work, capsule_work);
+        p.capsule_work.observe_single_writer(capsule_work);
     }
 
     /// The distribution of per-capsule work over all processors, merged
@@ -152,25 +169,20 @@ impl MemStats {
     /// keeping the running per-processor peak.
     #[inline]
     pub fn record_pool_cursor(&self, proc: usize, cursor: u64) {
-        self.per_proc[proc]
-            .pool_peak
-            .fetch_max(cursor, Ordering::Relaxed);
+        raise(&self.per_proc[proc].pool_peak, cursor);
     }
 
-    /// Records one word stored through the write-combining staging path.
+    /// Records `words` words stored through the write-combining staging
+    /// path.
     #[inline]
-    pub fn record_staged_word(&self, proc: usize) {
-        self.per_proc[proc]
-            .staged_words
-            .fetch_add(1, Ordering::Relaxed);
+    pub fn record_staged_words(&self, proc: usize, words: u64) {
+        bump(&self.per_proc[proc].staged_words, words);
     }
 
     /// Records one coalesced block persist charged for staged words.
     #[inline]
     pub fn record_staged_persist(&self, proc: usize) {
-        self.per_proc[proc]
-            .staged_persists
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.per_proc[proc].staged_persists, 1);
     }
 
     /// Records a write-after-read conflict (Record mode only).

@@ -1,0 +1,128 @@
+//! Capsule budgets: how many capsules the §7 sorts and a fine-grained
+//! `map_grain` execute, counted — not timed — on a deterministic run
+//! (P = 1, no faults, checkpoints off). The sorts run at the capsule size
+//! Theorem 7.3 allows, `C = O(M/B)`; a change that silently shrinks a
+//! capsule back to one block multiplies these counts by ten and fails
+//! here, in `cargo test`, not only in the wall-clock benchmark.
+
+use std::sync::Arc;
+
+use ppm::algs::{samplesort_pool_words, MergeSort, SampleSort};
+use ppm::core::dsl::{CapsuleSet, Span, Step, K};
+use ppm::core::{Machine, PComp};
+use ppm::pm::{PmConfig, Region, Word};
+use ppm::sched::{CheckpointPolicy, Runtime, RuntimeConfig};
+
+/// A faultless single-processor session on the default `(M, B)`,
+/// checkpoints off: every count below repeats to the digit.
+fn runtime(words: usize, pool_words: usize) -> Runtime {
+    Runtime::volatile(
+        RuntimeConfig::new(PmConfig::parallel(1, words))
+            .with_pool_words(pool_words)
+            .with_checkpoint(CheckpointPolicy::disabled()),
+    )
+}
+
+/// Seeded uniform keys (splitmix64).
+fn keys(n: usize) -> Vec<Word> {
+    let mut s = 7u64;
+    (0..n)
+        .map(|_| {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+        .collect()
+}
+
+fn sorted(mut v: Vec<Word>) -> Vec<Word> {
+    v.sort_unstable();
+    v
+}
+
+#[test]
+fn samplesort_runs_a_quarter_capsule_per_key_and_c_does_not_grow() {
+    let n = 1 << 15;
+    let rt = runtime(1 << 23, samplesort_pool_words(n));
+    let ss = SampleSort::new(rt.machine(), n);
+    let data = keys(n);
+    ss.load_input(rt.machine(), &data);
+    let rep = rt.run_or_recover(&ss.pcomp());
+    assert!(rep.completed());
+    assert_eq!(ss.read_output(rt.machine()), sorted(data));
+    let st = rep.stats();
+    // 3.44·n while the embedded prefix sum had one-block leaves and the
+    // merges one-block base cases.
+    assert!(
+        st.capsule_completions * 4 <= n as u64,
+        "samplesort ran {} capsules for {n} keys: more than n/4",
+        st.capsule_completions
+    );
+    // The row sorts and scatter tiles already moved Θ(M) words per capsule
+    // (C = 3485 on these keys before the coarsening); only the smallest
+    // capsules grew, so the fault term C·f is where it was.
+    assert!(
+        st.max_capsule_work <= 3485 * 105 / 100,
+        "C = {} grew past the row-sort / scatter-tile capsules",
+        st.max_capsule_work
+    );
+}
+
+#[test]
+fn mergesort_runs_a_twentieth_of_a_capsule_per_key() {
+    let n = 1 << 15;
+    let rt = runtime(1 << 22, 1 << 19);
+    let ms = MergeSort::new(rt.machine(), n);
+    let data = keys(n);
+    ms.load_input(rt.machine(), &data);
+    let rep = rt.run_or_recover(&ms.pcomp());
+    assert!(rep.completed());
+    assert_eq!(ms.read_output(rt.machine()), sorted(data));
+    let capsules = rep.stats().capsule_completions;
+    // 4.5·n with one-block merge base cases.
+    assert!(
+        capsules * 20 <= n as u64,
+        "mergesort ran {capsules} capsules for {n} keys: more than n/20"
+    );
+}
+
+#[test]
+fn a_fork_costs_ten_scheduler_capsules_and_a_leaf_49_pool_words() {
+    const GRAIN: usize = 4;
+    let n = 1 << 12;
+    let leaves = (n / GRAIN) as u64;
+    let forks = leaves - 1;
+    let rt = runtime(1 << 20, 1 << 17);
+    let out = rt.machine().alloc_region(n);
+    let pcomp: PComp = Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("budget/leaf", |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                ctx.pwrite(st.env.at(i), i as Word + 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let split = set.map_grain("budget/split", GRAIN, leaf);
+        let all = Span {
+            env: out,
+            lo: 0,
+            hi: n,
+        };
+        split.setup(m, &all, K(finale)).word()
+    });
+    let rep = rt.run_or_recover(&pcomp);
+    assert!(rep.completed());
+    assert!((0..n).all(|i| rt.machine().mem().load(out.at(i)) == i as Word + 1));
+    let st = rep.stats();
+    // The workload's own capsules: 2·leaves − 1 splits and the leaves.
+    let own = 3 * leaves - 1;
+    // Figure 3 per fork: pushBottom, the two join arrivals and the
+    // popBottom that finds the sibling — ten capsules; four more start and
+    // end the run.
+    assert_eq!(st.capsule_completions - own, 10 * forks + 4);
+    // Two 8-word span frames, the join cell and its two arrival frames per
+    // fork: 49 words a leaf, less what the root and the last leaf skip.
+    assert_eq!(st.max_pool_peak, 49 * leaves - 41);
+}

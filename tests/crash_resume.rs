@@ -365,3 +365,163 @@ fn killed_matmul_resumes_mid_recursion() {
         "at least one matmul kill must resume with Resumed mode"
     );
 }
+
+// ====================================================================
+// The Θ(M)-word capsules are restart units too
+// ====================================================================
+
+/// A samplesort whose embedded prefix sum and merges run 64-word
+/// capsules (M = 256, B = 8): a prefix leaf is eight block reads and a
+/// write, a merge base case eight reads and eight writes — room for a
+/// fault to land well inside either.
+const COARSE_N: usize = 5003;
+
+fn coarse_cfg(fault: FaultConfig) -> RuntimeConfig {
+    RuntimeConfig::new(
+        PmConfig::parallel(1, 1 << 22)
+            .with_ephemeral_words(256)
+            .with_fault(fault),
+    )
+    .with_pool_words(samplesort_pool_words(COARSE_N))
+    .with_slots(1 << 13)
+}
+
+/// One frame-denoted capsule of a clean P = 1 run, as seen at the write
+/// that installed it as the restart pointer.
+struct Installed {
+    handle: Word,
+    name: &'static str,
+    args: Vec<Word>,
+    /// Accesses the processor had performed once the install was done.
+    at: u64,
+    /// Accesses until the next install: the body, its frame flush and the
+    /// successor's install.
+    work: u64,
+}
+
+/// The per-capsule trace of a clean run: every restart-pointer write,
+/// decoded while the frame it installs is certainly still in the pool.
+fn clean_run_trace(data: &[Word]) -> Vec<Installed> {
+    let path = tmp("coarse-trace");
+    let rt = Runtime::create(&path, coarse_cfg(FaultConfig::none())).unwrap();
+    let ss = SampleSort::new(rt.machine(), COARSE_N);
+    ss.load_input(rt.machine(), data);
+    let pcomp = ss.pcomp();
+    let machine = rt.machine();
+    let active = machine.proc_meta(0).active;
+    let (mem, stats, registry) = (
+        machine.mem().clone(),
+        machine.stats().clone(),
+        machine.registry().clone(),
+    );
+    let trace = std::sync::Arc::new(std::sync::Mutex::new(Vec::<Installed>::new()));
+    let sink = trace.clone();
+    // The run detaches the observer when it ends.
+    machine
+        .mem()
+        .set_observer(Some(std::sync::Arc::new(move |addr, _prev, new| {
+            if addr != active {
+                return;
+            }
+            let at = stats.snapshot().total_work();
+            let mut trace = sink.lock().unwrap();
+            if let Some(last) = trace.last_mut() {
+                last.work = at - last.at;
+            }
+            // Scheduler capsules install swap slots, not frames: they
+            // delimit the capsule before them and are otherwise skipped.
+            let frame = ppm::pm::read_frame(&mem, new as usize).ok();
+            let name = frame.as_ref().and_then(|f| registry.name_of(f.capsule_id));
+            trace.push(Installed {
+                handle: new,
+                name: name.unwrap_or(""),
+                args: frame.map(|f| f.args).unwrap_or_default(),
+                at,
+                work: 0,
+            });
+        })));
+    assert!(rt.run_or_recover(&pcomp).completed());
+    let trace = std::mem::take(&mut *trace.lock().unwrap());
+    trace
+}
+
+/// Kills a run of the coarse samplesort at access `kill_at` (under
+/// `soft`, if given, on both sides of the crash), reopens the file and
+/// finishes the sort. Returns the recovery report and the restart pointer
+/// the dead run left.
+fn kill_and_recover(
+    tag: &str,
+    data: &[Word],
+    kill_at: u64,
+    soft: Option<FaultConfig>,
+) -> (ppm::sched::SessionReport, Word) {
+    let path = tmp(tag);
+    let base = || soft.clone().unwrap_or_else(FaultConfig::none);
+    let left = {
+        let fault = base().with_scheduled_hard_fault(0, kill_at);
+        let rt = Runtime::create(&path, coarse_cfg(fault)).unwrap();
+        let ss = SampleSort::new(rt.machine(), COARSE_N);
+        ss.load_input(rt.machine(), data);
+        let rep = rt.run_or_recover(&ss.pcomp());
+        assert!(!rep.completed(), "kill_at={kill_at} must land mid-run");
+        rt.machine().active_handle(0)
+    };
+    let rt = Runtime::open(&path, coarse_cfg(base())).unwrap();
+    let ss = SampleSort::new(rt.machine(), COARSE_N);
+    ss.load_input(rt.machine(), data);
+    let rec = rt.run_or_recover(&ss.pcomp());
+    assert!(rec.completed(), "kill_at={kill_at}: recovery must finish");
+    let mut expect = data.to_vec();
+    expect.sort_unstable();
+    assert_eq!(
+        ss.read_output(rt.machine()),
+        expect,
+        "kill_at={kill_at}: recovered sort must match the oracle"
+    );
+    (rec, left)
+}
+
+#[test]
+fn a_kill_inside_a_coarsened_prefix_leaf_or_merge_base_resumes() {
+    let data = ss_input(COARSE_N);
+    let trace = clean_run_trace(&data);
+    let len = |run: &[Word]| (run[3] - run[2]) as usize; // (region, lo, hi)
+                                                         // Frame states: prefix/up = (geometry: 8 words, node, llo, lhi);
+                                                         // msort/merge = (run a, run b, out, olo).
+    let leaf = trace
+        .iter()
+        .filter(|c| c.name == "prefix/up" && c.args[10] - c.args[9] == 1)
+        .max_by_key(|c| c.work)
+        .expect("the clean run sums prefix leaves");
+    let base = trace
+        .iter()
+        .filter(|c| c.name == "msort/merge" && len(&c.args[..4]) + len(&c.args[4..8]) <= 64)
+        .max_by_key(|c| c.work)
+        .expect("the clean run merges base cases");
+    // Both really are Θ(M)-word capsules, not one-block ones.
+    assert!(leaf.work >= 8, "prefix leaf of {} transfers", leaf.work);
+    assert!(base.work >= 12, "merge base of {} transfers", base.work);
+
+    for (tag, capsule) in [("coarse-leaf", leaf), ("coarse-base", base)] {
+        // Half-way through the capsule's own transfers.
+        let kill_at = capsule.at + 1 + capsule.work / 2;
+        let (rec, left) = kill_and_recover(tag, &data, kill_at, None);
+        assert_eq!(
+            left, capsule.handle,
+            "{tag}: the run must die with `{}` as its restart pointer",
+            capsule.name
+        );
+        assert_eq!(rec.mode, SessionMode::Resumed, "{tag}");
+        assert!(rec.resumed > 0, "{tag}");
+
+        // The same two placements on a machine that also soft-faults: the
+        // kill lands at the same access count of a perturbed schedule.
+        for seed in [3, 11, 29] {
+            let soft = FaultConfig::soft(0.02, seed);
+            let (rec, _) = kill_and_recover(&format!("{tag}-s{seed}"), &data, kill_at, Some(soft));
+            if rec.mode == SessionMode::Resumed {
+                assert!(rec.resumed > 0, "{tag} seed {seed}");
+            }
+        }
+    }
+}

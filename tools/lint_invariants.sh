@@ -35,11 +35,16 @@
 #      PersistentMemory::{load,store,cam,cas_unsafe_under_faults,
 #      mark_dirty} and the `observe` helper they call, DirtyTracker::mark,
 #      MemStats::record_*, ProcCtx::{pread,pwrite,pcam,read_block_into,
-#      write_block,stage_write,flush_staged,fault_point} — may not
-#      contain `.read()`, `.write()`, `.lock()` or `.clone()` (a lock, or
-#      a refcount RMW on a line every processor shares) unless a
+#      write_block,stage_write,stage_range,flush_staged,fault_point,
+#      begin_capsule,complete_capsule,publish_watermark}, every WarTracker
+#      method but the cold `grow`, FrameBuf::{new,push,write} and
+#      write_frame; in crates/core: InstallCtx::{install_jump,
+#      install_handle} and run_body_and_install — may not contain
+#      `.read()`, `.write()`, `.lock()` or `.clone()` (a lock, or a
+#      refcount RMW on a line every processor shares) unless a
 #      `hot-path-ok:` justification sits within the six lines above. The
-#      one expected exception is the observer call behind its flag check.
+#      expected exceptions are the observer call behind its flag check and
+#      the engine's clones of a capsule it alone holds.
 #
 #   5. One supervisor. Reaping a dead worker, tombstoning its lease and
 #      pacing the cross-process quiesce is one job (the paper's §6
@@ -59,6 +64,14 @@
 #      examples/. The model-level closure machine (`ppm_core::comp`,
 #      `ppm_sched::run_closure`) stays, for ad-hoc DAGs in the
 #      scheduler-protocol tests.
+#
+#   7. No hashing or heap allocation per access. The write-after-read
+#      check and a frame persist cost a probe and a range store: the same
+#      bodies as rule 4, plus `CapsuleDef::frame` and `read_frame_into`,
+#      may not contain `HashMap`, `Vec::new`, `Vec::with_capacity`, `vec!`,
+#      `.collect()` or `.to_vec()` (same `hot-path-ok:` escape), and
+#      crates/pm/src/validate.rs does not name `HashMap` at all — its table
+#      is open-addressed, reset by a generation bump.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -128,16 +141,16 @@ if [ -n "$missing" ]; then
     err "unsafe site in crates/pm without a SAFETY: comment within 6 lines:" "$missing"
 fi
 
-# --- 4. hot path takes no lock ---------------------------------------------
-# hot_path_scan FILE 'name|name|...': prints every lock/clone call inside
-# the bodies of the named functions (brace-matched from the `fn` line)
-# that has no hot-path-ok: marker within the six lines above it.
-hot_path_scan() {
-    awk -v names="$2" '
+# --- 4. hot path takes no lock / 7. nor hashes, nor allocates ---------------
+# body_scan FILE 'name|name|...' REGEX: prints every line matching REGEX
+# inside the bodies of the named functions (brace-matched from the `fn`
+# line) that has no hot-path-ok: marker within the six lines above it.
+body_scan() {
+    awk -v names="$2" -v bad="$3" '
         /hot-path-ok:/ { ok = NR }
         !infn && $0 ~ ("fn (" names ")[(<]") { infn = 1; depth = 0; opened = 0 }
         infn && $0 !~ /^[ \t]*\/\// {
-            if ($0 ~ /\.(read|write|lock|clone)\(\)/ && (ok == 0 || NR - ok > 6))
+            if ($0 ~ bad && (ok == 0 || NR - ok > 6))
                 print FILENAME ":" NR ": " $0
             line = $0
             depth += gsub(/\{/, "", line)
@@ -147,15 +160,31 @@ hot_path_scan() {
         }
     ' "$1"
 }
-hits=$(
-    hot_path_scan crates/pm/src/mem.rs 'load|store|cam|cas_unsafe_under_faults|mark_dirty|observe'
-    hot_path_scan crates/pm/src/dirty.rs 'mark'
-    hot_path_scan crates/pm/src/stats.rs 'record_[a-z_]*'
-    hot_path_scan crates/pm/src/proc.rs \
-        'pread|pwrite|pcam|read_block_into|write_block|stage_write|flush_staged|fault_point'
-)
+# The per-access and per-capsule bodies, shared by both rules.
+hot_bodies() { # REGEX
+    body_scan crates/pm/src/mem.rs 'load|store|cam|cas_unsafe_under_faults|mark_dirty|observe' "$1"
+    body_scan crates/pm/src/dirty.rs 'mark' "$1"
+    body_scan crates/pm/src/stats.rs 'record_[a-z_]*|bump|raise' "$1"
+    body_scan crates/pm/src/proc.rs \
+        'pread|pwrite|pcam|read_block_into|write_block|stage_write|stage_range|flush_staged|fault_point|begin_capsule|complete_capsule|publish_watermark' "$1"
+    body_scan crates/pm/src/validate.rs \
+        'reset|probe|insert|read|write|conflict|on_read|on_write|on_read_block|on_write_block' "$1"
+    body_scan crates/pm/src/frame.rs 'new|push|write|write_frame' "$1"
+    body_scan crates/core/src/runner.rs 'install_jump|install_handle|run_body_and_install' "$1"
+}
+hits=$(hot_bodies '\.(read|write|lock|clone)\(\)')
 if [ -n "$hits" ]; then
     err "lock or refcount clone on the per-access / per-capsule path without a hot-path-ok: justification within 6 lines:" "$hits"
+fi
+allocs='HashMap|Vec::new|Vec::with_capacity|vec!|\.collect\(|\.to_vec\('
+hits=$(
+    hot_bodies "$allocs"
+    body_scan crates/pm/src/frame.rs 'read_frame_into' "$allocs"
+    body_scan crates/core/src/dsl.rs 'words|frame' "$allocs"
+    grep -n "HashMap" crates/pm/src/validate.rs
+)
+if [ -n "$hits" ]; then
+    err "hashing or heap allocation on the per-access / per-frame path (the WAR check is a probe, a frame persist one range):" "$hits"
 fi
 
 # --- 5. one supervisor ------------------------------------------------------
@@ -191,4 +220,4 @@ if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free, one supervisor, one algorithm form)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form)"
