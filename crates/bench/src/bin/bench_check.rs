@@ -3,61 +3,52 @@
 //!
 //! ```text
 //! cargo run -p ppm-bench --bin bench_check -- \
-//!     --dir=bench_out --baseline=bench/baseline.json [--threshold=1.5] [--update]
+//!     --dir=bench_out --baseline=bench/baseline.json [--update] [--trend]
 //! ```
 //!
-//! The baseline is itself a [`ppm_bench::BenchReport`]-formatted file
-//! whose metric keys are `"<experiment>.<metric>"`. Every baselined
-//! metric is lower-is-better (times, overhead factors); the gate fails
-//! when `current > threshold * baseline`. The threshold is generous
-//! (default 1.5x) and the checked-in baselines themselves carry slack
-//! over measured values, so the gate catches real regressions (3x+)
-//! rather than CI-runner noise. A baselined metric missing from the
-//! current run also fails — it means an experiment stopped emitting.
+//! The baseline is itself a [`ppm_bench::BenchReport`]-formatted file.
+//! Its `metrics` hold each gated key, `"<experiment>.<metric>"`, at the
+//! value that was measured — no slack is folded in. Its `meta` holds a
+//! tolerance, `"tol.<key>"`, for every key that is not deterministic.
+//! A key without one has tolerance 0: the model-cost counts of the
+//! P = 1 and sequential-simulation experiments repeat to the digit, so
+//! any movement, up or down, is a change to the paper's numbers that a
+//! PR has to own by refreshing the baseline. Keys measured on
+//! OS-scheduled threads carry a stated ratio instead. The gate fails
+//! when `|current − baseline| > tol · baseline`, or when a baselined
+//! metric is missing from the current run — an experiment stopped
+//! emitting. Wall-clock metrics are not gated here; `bench/e2e`
+//! measures them with raw samples.
 //!
-//! `--update` rewrites the baseline from the current reports (times the
-//! slack factor), for refreshing after an intentional change. The
-//! scrape-embedded `obs.*` series are excluded — they are run-to-run
-//! nondeterministic observability snapshots, not benchmark results.
+//! `--update` rewrites the baseline's values from the current reports,
+//! keeping the tolerances the old file states (a key new to the
+//! baseline starts at 0). The scrape-embedded `obs.*` series are
+//! excluded — they are run-to-run nondeterministic observability
+//! snapshots, not benchmark results.
 //!
 //! `--trend` prints a GitHub-flavored markdown table of current-vs-
 //! baseline deltas instead of gating — CI appends it to the job summary
 //! (`>> "$GITHUB_STEP_SUMMARY"`) so every run shows where each metric
-//! sits inside its regression allowance. Trend mode always exits 0.
+//! sits inside its tolerance. Trend mode always exits 0.
 
 use std::path::PathBuf;
 use std::process::exit;
 
 use ppm_bench::BenchReport;
 
-/// Slack multiplied into measured values when `--update` writes a new
-/// baseline, so freshly recorded baselines do not sit at the noise edge.
-const UPDATE_SLACK: f64 = 2.0;
-
-/// Slack for wall-clock metrics (`*_ms` / `*_us`): millisecond-scale
-/// timings on shared CI runners routinely vary several-fold with host
-/// load, where the model-cost metrics (transfer counts and their ratios)
-/// are deterministic and can be held to [`UPDATE_SLACK`].
-const WALL_SLACK: f64 = 10.0;
-
-/// Picks the `--update` slack for a metric by its unit suffix. One
-/// exception: the steal-backoff p99 is produced by a deterministic
-/// policy probe and quantized to power-of-two histogram buckets — it is
-/// exactly reproducible despite its wall-clock unit, so it stays tight.
-fn update_slack(key: &str) -> f64 {
-    if key.ends_with("steal_backoff_p99_us") {
-        UPDATE_SLACK
-    } else if key.ends_with("_ms") || key.ends_with("_us") {
-        WALL_SLACK
-    } else {
-        UPDATE_SLACK
-    }
+/// The tolerance `baseline` states for `key`, as a ratio of the
+/// baselined value; 0 when it states none.
+fn tolerance(baseline: &BenchReport, key: &str) -> f64 {
+    baseline
+        .meta
+        .get(&format!("tol.{key}"))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0.0)
 }
 
 struct Args {
     dir: PathBuf,
     baseline: PathBuf,
-    threshold: f64,
     update: bool,
     trend: bool,
 }
@@ -66,7 +57,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         dir: PathBuf::from("."),
         baseline: PathBuf::from("bench/baseline.json"),
-        threshold: 1.5,
         update: false,
         trend: false,
     };
@@ -75,19 +65,12 @@ fn parse_args() -> Args {
             args.dir = PathBuf::from(v);
         } else if let Some(v) = arg.strip_prefix("--baseline=") {
             args.baseline = PathBuf::from(v);
-        } else if let Some(v) = arg.strip_prefix("--threshold=") {
-            args.threshold = v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid --threshold value `{v}`");
-                exit(2);
-            });
         } else if arg == "--update" {
             args.update = true;
         } else if arg == "--trend" {
             args.trend = true;
         } else {
-            eprintln!(
-                "unknown argument `{arg}`; accepted: --dir= --baseline= --threshold= --update --trend"
-            );
+            eprintln!("unknown argument `{arg}`; accepted: --dir= --baseline= --update --trend");
             exit(2);
         }
     }
@@ -114,9 +97,12 @@ fn main() {
         args.dir.display()
     );
 
+    let old = std::fs::read_to_string(&args.baseline)
+        .ok()
+        .and_then(|text| BenchReport::parse(&text));
+
     if args.update {
         let mut baseline = BenchReport::new("baseline");
-        baseline.note("threshold_hint", args.threshold);
         for rep in &reports {
             for (k, v) in &rep.metrics {
                 // Scrape-embedded series (`obs.*`) are observability
@@ -128,7 +114,12 @@ fn main() {
                 if k.starts_with("obs.") {
                     continue;
                 }
-                baseline.metric(format!("{}.{k}", rep.name), v * update_slack(k));
+                let key = format!("{}.{k}", rep.name);
+                let tol = old.as_ref().map_or(0.0, |o| tolerance(o, &key));
+                if tol > 0.0 {
+                    baseline.note(format!("tol.{key}"), tol);
+                }
+                baseline.metric(key, *v);
             }
         }
         if let Some(parent) = args.baseline.parent() {
@@ -139,22 +130,19 @@ fn main() {
             exit(2);
         });
         println!(
-            "baseline rewritten from current reports (x{UPDATE_SLACK} slack, \
-             x{WALL_SLACK} for wall-clock metrics): {}",
+            "baseline rewritten from current reports (raw values, stated tolerances kept): {}",
             args.baseline.display()
         );
         return;
     }
 
-    let text = std::fs::read_to_string(&args.baseline).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {}: {e}", args.baseline.display());
+    let baseline = old.unwrap_or_else(|| {
+        eprintln!(
+            "baseline {} is missing or not a bench report",
+            args.baseline.display()
+        );
         exit(2);
     });
-    let baseline = BenchReport::parse(&text).unwrap_or_else(|| {
-        eprintln!("baseline {} is not a bench report", args.baseline.display());
-        exit(2);
-    });
-
     let current = |key: &str| -> Option<f64> {
         let (exp, metric) = key.split_once('.')?;
         reports
@@ -165,23 +153,22 @@ fn main() {
 
     if args.trend {
         // Markdown for the CI job summary: where each baselined metric
-        // sits relative to its allowance. Lower is better everywhere, so
-        // negative deltas are headroom and >0% is drift toward the gate
-        // (which fires at +{(threshold-1)*100}% past the slack-padded
-        // baseline). Never fails — the gating run below is separate.
-        println!("### Bench trend (gate: {}x baseline)\n", args.threshold);
-        println!("| metric | current | baseline | delta |");
-        println!("|:---|---:|---:|---:|");
+        // sits inside its tolerance. Never fails — the gating run below
+        // is separate.
+        println!("### Bench trend (gate: within tolerance of the baseline)\n");
+        println!("| metric | current | baseline | delta | tolerance |");
+        println!("|:---|---:|---:|---:|---:|");
         for (key, base) in &baseline.metrics {
+            let tol = 100.0 * tolerance(&baseline, key);
             match current(key) {
-                None => println!("| `{key}` | — | {base:.3} | missing |"),
+                None => println!("| `{key}` | — | {base:.3} | missing | ±{tol:.0}% |"),
                 Some(cur) => {
                     let delta = if *base > 0.0 {
                         100.0 * (cur - base) / base
                     } else {
                         0.0
                     };
-                    println!("| `{key}` | {cur:.3} | {base:.3} | {delta:+.1}% |");
+                    println!("| `{key}` | {cur:.3} | {base:.3} | {delta:+.1}% | ±{tol:.0}% |");
                 }
             }
         }
@@ -200,38 +187,36 @@ fn main() {
 
     let mut failures = 0usize;
     println!(
-        "{:<44} {:>12} {:>12} {:>8}  verdict",
-        "metric", "current", "baseline", "ratio"
+        "{:<44} {:>14} {:>14} {:>6}  verdict",
+        "metric", "current", "baseline", "tol"
     );
     for (key, base) in &baseline.metrics {
+        let tol = tolerance(&baseline, key);
         match current(key) {
             None => {
                 failures += 1;
-                println!("{key:<44} {:>12} {base:>12.3} {:>8}  MISSING", "-", "-");
+                println!("{key:<44} {:>14} {base:>14.6} {tol:>6}  MISSING", "-");
             }
             Some(cur) => {
-                let ratio = if *base > 0.0 { cur / base } else { 0.0 };
-                let ok = cur <= base * args.threshold;
+                let ok = (cur - base).abs() <= tol * base.abs();
                 if !ok {
                     failures += 1;
                 }
                 println!(
-                    "{key:<44} {cur:>12.3} {base:>12.3} {ratio:>7.2}x  {}",
-                    if ok { "ok" } else { "REGRESSION" }
+                    "{key:<44} {cur:>14.6} {base:>14.6} {tol:>6}  {}",
+                    if ok { "ok" } else { "MOVED" }
                 );
             }
         }
     }
     if failures > 0 {
         eprintln!(
-            "\nbench_check FAILED: {failures} metric(s) regressed past {}x (or went missing)",
-            args.threshold
+            "\nbench_check FAILED: {failures} metric(s) moved past their tolerance (or went missing)"
         );
         exit(1);
     }
     println!(
-        "\nbench_check passed: all {} baselined metric(s) within {}x",
-        baseline.metrics.len(),
-        args.threshold
+        "\nbench_check passed: all {} baselined metric(s) within tolerance",
+        baseline.metrics.len()
     );
 }

@@ -10,7 +10,7 @@
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
 use ppm_core::{comp_step, par_all, Comp, Machine};
 use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm_sched::{run_closure, SchedConfig, VictimStrategy};
+use ppm_sched::{run_closure, SchedConfig};
 
 /// A balanced tree of `n` leaf tasks, each performing `leaf_work` writes.
 fn balanced(r: Region, n: usize, leaf_work: usize) -> Comp {
@@ -123,41 +123,17 @@ fn main() {
         );
     }
 
-    // --- contention backoff under thief herding ----------------------
+    // --- contention backoff -----------------------------------------
     //
-    // `LeastLoaded` victim selection deliberately herds every idle
-    // processor onto the same (deepest) deque, so their `popTop` CAMs
-    // collide and the randomized exponential backoff engages. The p99
-    // sleep saturates at the backoff cap on a contended run, which is
-    // exactly what the baseline pins: regressions show up as the p99
-    // collapsing to zero (backoff never firing — contention ignored) or
-    // the cap being blown.
+    // Failed `popTop` CAMs engage a randomized exponential backoff. The
+    // baselined p99 comes from a deterministic policy probe — 64
+    // consecutive failed CAMs on a fresh scheduler — so it pins the
+    // window-doubling curve and the cap identically on every host,
+    // instead of measuring how often this machine's OS happens to
+    // interleave two thieves: a regression shows up as the p99 collapsing
+    // to zero (backoff never firing) or the cap being blown.
     {
-        let p = 8;
-        let tasks = 2048;
-        let m = Machine::new(PmConfig::parallel(p, 1 << 23));
-        let r = m.alloc_region(tasks);
-        let cfg = SchedConfig {
-            victim_strategy: VictimStrategy::LeastLoaded,
-            ..SchedConfig::with_slots(1 << 13)
-        };
-        let rep = run_closure(&m, &balanced(r, tasks, 1), &cfg);
-        assert!(rep.completed);
-        let live = m.obs().registry().histogram(
-            "ppm_steal_backoff_us",
-            "contention backoff sleeps applied before steal attempts (microseconds)",
-        );
-        println!("\n-- steal contention backoff (LeastLoaded herding, P = {p}) --");
-        println!(
-            "  live backoff sleeps = {} (OS-schedule dependent; 0 on a serialized host)",
-            live.count()
-        );
-
-        // The baselined p99 comes from a deterministic policy probe — 64
-        // consecutive failed CAMs on a fresh scheduler — so it pins the
-        // window-doubling curve and the cap identically on every host,
-        // instead of measuring how often this machine's OS happens to
-        // interleave two thieves.
+        println!("\n-- steal contention backoff --");
         let m2 = Machine::new(PmConfig::parallel(2, 1 << 18));
         let done = ppm_core::DoneFlag::new(&m2);
         let s = ppm_sched::Sched::new(&m2, done, &SchedConfig::with_slots(64));

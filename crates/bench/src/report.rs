@@ -3,10 +3,10 @@
 //! Every `exp_*` binary emits, alongside its human-readable table, one
 //! JSON file of named numeric metrics. CI uploads these as workflow
 //! artifacts and gates merges on the `bench_check` comparator, which
-//! compares the current metrics against the checked-in
-//! `bench/baseline.json` with a generous regression threshold — so a
-//! change that silently triples the durable-write overhead fails the
-//! build instead of landing unnoticed.
+//! compares the current metrics against the raw values checked in as
+//! `bench/baseline.json`, each within the tolerance that file states
+//! for it — so a change that silently moves a model-cost count fails
+//! the build instead of landing unnoticed.
 //!
 //! The build environment is offline (no serde); the format is
 //! deliberately a flat, restricted JSON subset written and parsed by
@@ -19,10 +19,6 @@
 //!   "metrics": {"run_ms": 12.5, "overhead_x": 1.42}
 //! }
 //! ```
-//!
-//! Metric keys ending in `_ms`, `_ns`, `_x`, or `_words` are
-//! lower-is-better by convention; the comparator treats *all* baselined
-//! metrics as lower-is-better, so only put such metrics in the baseline.
 
 use std::collections::BTreeMap;
 use std::io;

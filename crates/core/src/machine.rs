@@ -323,7 +323,7 @@ impl Machine {
 
     /// The machine's observability handle: the metrics registry every
     /// subsystem over this machine registers into (scraped by
-    /// [`ppm_obs::MetricsServer`]) plus the structured event tracer.
+    /// [`ppm_obs::MetricsServer`]) plus the process's trace stream.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
     }
@@ -412,11 +412,11 @@ impl Machine {
         );
         ctx.set_alloc_pool(self.pools[proc], cursor);
         ctx.set_watermark_addr(Some(self.proc_meta(proc).watermark));
-        // Causal span tracing: every context minted after the runtime
-        // installed a sink emits span records (traced capsules only).
-        // `None` when tracing is off — the per-capsule cost is one
-        // Option check.
-        ctx.set_span_sink(self.obs.span_sink());
+        // Causal span tracing: every context minted after the session
+        // opened the trace stream emits span records (traced capsules
+        // only). `None` when tracing is off — the per-capsule cost is
+        // one Option check.
+        ctx.set_span_sink(self.obs.span_sink().cloned());
         ctx
     }
 

@@ -1,9 +1,8 @@
 //! `ppm-trace` — the causal-trace profiler.
 //!
-//! Ingests one or many span/event JSONL files written by a run (the
+//! Ingests one or many trace streams written by a run (the
 //! coordinator's `<trace>.spans.jsonl`, per-shard
-//! `<trace>.shard<k>.spans.jsonl` siblings, the ring-trace files whose
-//! final `"ts"` line carries drop accounting — or a `<trace>.manifest`
+//! `<trace>.shard<k>.spans.jsonl` siblings — or a `<trace>.manifest`
 //! naming the whole family), reconstructs the capsule DAG across process
 //! boundaries, and reports the paper's cost quantities as observed:
 //! work `W`, depth `D`, parallelism `W/D`, per-phase / per-shard / per-
@@ -158,7 +157,6 @@ fn trace_json(name: &str, a: &Analysis, files: usize) -> String {
         ("useful_work_units", a.useful_work as f64),
         ("wasted_work_units", a.wasted_work as f64),
         ("wasted_ratio", a.wasted_ratio),
-        ("dropped_events", a.dropped_events as f64),
     ];
     let body = metrics
         .iter()

@@ -1,9 +1,10 @@
-//! Span-trace analysis: DAG reconstruction and critical-path profiling.
+//! Trace analysis: DAG reconstruction and critical-path profiling.
 //!
 //! This module is the library behind the `ppm-trace` binary. It ingests
-//! the JSONL span files written by [`crate::SpanSink`] (one per process:
-//! coordinator plus any `.shard<k>` workers), rebuilds the capsule DAG
-//! from the parent edges, and computes the paper's cost quantities on
+//! the JSONL trace streams written by [`crate::SpanSink`] (one per
+//! process: coordinator plus any `.shard<k>` workers), keeps their event
+//! records as a cross-process timeline, rebuilds the capsule DAG from
+//! the spans' parent edges, and computes the paper's cost quantities on
 //! the *observed* run:
 //!
 //! - **W** — observed work, the sum of committed capsule work in
@@ -54,24 +55,38 @@ pub struct SpanExec {
     pub completed: bool,
 }
 
-/// A parsed set of span files, ready for analysis.
+/// One event record (see [`crate::TraceKind`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Event {
+    /// Wall-clock time, microseconds since the UNIX epoch — the spans'
+    /// clock, comparable across the processes of one run.
+    pub t_us: u64,
+    /// The kind's stable name ([`crate::TraceKind::name`]).
+    pub kind: String,
+    /// Emitting process: 0 = coordinator / single process, shard+1 for
+    /// cluster workers.
+    pub origin: u32,
+    /// Shard the event is about, when it is about one.
+    pub shard: Option<u32>,
+    /// Processor the event is about, when it is about one.
+    pub proc: Option<u32>,
+    /// Free-form detail, unescaped.
+    pub detail: String,
+}
+
+/// A parsed set of trace files, ready for analysis.
 #[derive(Debug, Default)]
 pub struct TraceSet {
     /// Every execution seen across all ingested files.
     pub spans: Vec<SpanExec>,
+    /// Every event seen across all ingested files, in file order.
+    pub events: Vec<Event>,
     /// Number of files ingested.
     pub files: usize,
-    /// Ring-buffer drops reported by event-trace summary lines in the
-    /// ingested files (the span stream itself never drops, but the
-    /// sampled event ring does; a nonzero count marks the *event* view
-    /// of the same run as lossy).
-    pub dropped_events: u64,
 }
 
 impl TraceSet {
-    /// Ingests one file of span records, skipping lines that are not
-    /// span records (event-trace files can be passed too; their lines
-    /// are ignored except for trailing drop summaries).
+    /// Ingests one trace file, skipping lines that are not records.
     pub fn ingest_file(&mut self, path: &Path) -> std::io::Result<()> {
         let text = std::fs::read_to_string(path)?;
         self.ingest_str(&text);
@@ -79,7 +94,7 @@ impl TraceSet {
         Ok(())
     }
 
-    /// Ingests span records from raw JSONL text (one object per line).
+    /// Ingests trace records from raw JSONL text (one object per line).
     pub fn ingest_str(&mut self, text: &str) {
         let mut origin = 0u32;
         // Open executions in this file, by id. End records always land
@@ -120,8 +135,18 @@ impl TraceSet {
                         s.completed = true;
                     }
                 }
-                Some("ts") => {
-                    self.dropped_events += field_u64(line, "dropped").unwrap_or(0);
+                Some("ev") => {
+                    let Some(kind) = field_str(line, "kind") else {
+                        continue;
+                    };
+                    self.events.push(Event {
+                        t_us: field_u64(line, "t").unwrap_or(0),
+                        kind: kind.to_string(),
+                        origin,
+                        shard: field_u64(line, "shard").map(|s| s as u32),
+                        proc: field_u64(line, "pr").map(|p| p as u32),
+                        detail: field_escaped(line, "detail").unwrap_or_default(),
+                    });
                 }
                 _ => {}
             }
@@ -134,10 +159,28 @@ impl TraceSet {
     }
 }
 
-/// Expands a trace manifest (written by the sharded coordinator; one
-/// file path per line, relative to the manifest's directory) into the
-/// file set it names. Missing listed files are skipped — a killed
-/// worker may never have opened its span file.
+/// Writes `<base>.manifest` for a cluster of `shards` workers: one line
+/// per trace stream of the run — the coordinator's, then each shard's —
+/// as a path relative to the manifest's own directory (`#` lines are
+/// comments). [`expand_manifest`] reads it back.
+pub fn write_manifest(base: &Path, shards: usize) -> std::io::Result<()> {
+    let mut text = String::from("# ppm trace manifest (consumed by ppm-trace)\n");
+    let streams = std::iter::once(crate::SpanSink::path_for(base))
+        .chain((0..shards).map(|s| crate::SpanSink::shard_path_for(base, s)));
+    for stream in streams {
+        if let Some(name) = stream.file_name() {
+            text.push_str(&name.to_string_lossy());
+            text.push('\n');
+        }
+    }
+    let mut os = base.as_os_str().to_os_string();
+    os.push(".manifest");
+    std::fs::write(PathBuf::from(os), text)
+}
+
+/// Expands a trace manifest (see [`write_manifest`]) into the file set
+/// it names. Missing listed files are skipped — a worker killed before
+/// it attached never opened its stream.
 pub fn expand_manifest(manifest: &Path) -> std::io::Result<Vec<PathBuf>> {
     let base = manifest.parent().map(Path::to_path_buf).unwrap_or_default();
     let text = std::fs::read_to_string(manifest)?;
@@ -179,8 +222,6 @@ pub struct Analysis {
     pub useful_work: u64,
     /// `wasted / (useful + wasted)`; 0 for a crash-free run.
     pub wasted_ratio: f64,
-    /// Ring-buffer event drops carried over from [`TraceSet`].
-    pub dropped_events: u64,
     /// Work (and execution count) per capsule name, descending by work.
     pub per_name: Vec<(String, u64, usize)>,
     /// Work per top-level phase (name prefix before the last `/`),
@@ -198,7 +239,6 @@ impl Analysis {
         let spans = &set.spans;
         let mut a = Analysis {
             spans_total: spans.len(),
-            dropped_events: set.dropped_events,
             ..Analysis::default()
         };
         // Index every execution by id (for parent resolution). Ids are
@@ -363,13 +403,6 @@ impl Analysis {
                 "WARNING: {} span(s) reference a parent not present in the ingested \
                  files — the DAG is incomplete (missing shard file?)",
                 self.unresolved_parents
-            ));
-        }
-        if self.dropped_events > 0 {
-            line(format!(
-                "WARNING: the companion event ring dropped {} event(s) — the sampled \
-                 event view of this run is lossy (raise the ring size or sample rate)",
-                self.dropped_events
             ));
         }
         line(String::new());
@@ -542,6 +575,29 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&rest[..rest.find('"')?])
 }
 
+/// Scans `line` for `"key":"value"` where `value` was JSON-escaped by
+/// the writer, and unescapes it.
+fn field_escaped(line: &str, key: &str) -> Option<String> {
+    let tag = format!("\"{key}\":\"");
+    let mut chars = line[line.find(&tag)? + tag.len()..].chars();
+    let mut out = String::new();
+    loop {
+        match chars.next()? {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                'n' => out.push('\n'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                c => out.push(c),
+            },
+            c => out.push(c),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,17 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_event_summaries_accumulate() {
-        let a = set(
-            "{\"k\":\"ts\",\"recorded\":100,\"dropped\":24,\"seen\":124}\n\
-             {\"k\":\"ts\",\"recorded\":10,\"dropped\":1,\"seen\":11}\n",
-        )
-        .analyze();
-        assert_eq!(a.dropped_events, 25);
-        assert!(a.render_report("t").contains("dropped 25 event(s)"));
-    }
-
-    #[test]
     fn folded_stacks_collapse_and_aggregate() {
         let text = "\
 {\"k\":\"s\",\"t\":1,\"id\":1,\"p\":0,\"f\":64,\"c\":\"r\",\"pr\":0}\n\
@@ -695,14 +740,23 @@ mod tests {
     }
 
     #[test]
-    fn manifest_expansion_skips_missing_files() {
+    fn manifest_round_trips_and_expansion_skips_missing_files() {
         let dir = std::env::temp_dir().join(format!("ppm-manifest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("a.spans.jsonl"), "").unwrap();
-        let man = dir.join("m.manifest");
-        std::fs::write(&man, "# files\na.spans.jsonl\nmissing.spans.jsonl\n").unwrap();
-        let files = expand_manifest(&man).unwrap();
-        assert_eq!(files, vec![dir.join("a.spans.jsonl")]);
+        // The coordinator and shard 1 wrote a stream; shard 0 never did.
+        let base = dir.join("run.jsonl");
+        let streams = [
+            crate::SpanSink::path_for(&base),
+            crate::SpanSink::shard_path_for(&base, 1),
+        ];
+        for p in &streams {
+            std::fs::write(p, "").unwrap();
+        }
+        write_manifest(&base, 2).unwrap();
+        let man = dir.join("run.jsonl.manifest");
+        let listed = std::fs::read_to_string(&man).unwrap();
+        assert_eq!(listed.lines().count(), 4, "comment + one stream per origin");
+        assert_eq!(expand_manifest(&man).unwrap(), streams);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

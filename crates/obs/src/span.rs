@@ -1,4 +1,5 @@
-//! Causal span emission: one JSONL record stream per process.
+//! The trace stream: one line-flushed JSONL record file per process,
+//! carrying both causal spans and runtime events.
 //!
 //! A *span* is one execution of a traced capsule — from the moment the
 //! engine begins running its body (before any soft-fault retries; the
@@ -12,13 +13,18 @@
 //! links back to the producer that wrote it, whatever process or epoch
 //! it lives in.
 //!
-//! Unlike the ring-buffered [`crate::Tracer`], the span sink streams:
-//! every record is appended and flushed line-by-line, so a SIGKILL'd
-//! worker leaves behind every span it started — exactly the runs a
-//! fault-wasted-work analysis needs to see. Span files sit next to the
-//! event trace as `<PPM_TRACE_FILE>.spans.jsonl` (coordinator /
-//! single-process) and `<PPM_TRACE_FILE>.shard<k>.spans.jsonl` (cluster
-//! workers); `ppm-trace` ingests the whole set.
+//! An *event* ([`TraceKind`]) is a point in the runtime's own story —
+//! a session starting, a shard declared dead, an adoption, a
+//! checkpoint, a job changing hands — written into the same file with
+//! the same clock, so the events of every process of a run order
+//! against each other and against the spans around them.
+//!
+//! Nothing is buffered: every record is one `write_all` of one line,
+//! so a SIGKILLed worker leaves behind every span it started and every
+//! event it saw — exactly the runs a fault post-mortem needs. The files
+//! are `<PPM_TRACE_FILE>.spans.jsonl` (coordinator / single-process)
+//! and `<PPM_TRACE_FILE>.shard<k>.spans.jsonl` (cluster workers);
+//! `ppm-trace` ingests the whole set.
 //!
 //! Record shapes (flat JSON, compact keys, one object per line):
 //!
@@ -26,15 +32,18 @@
 //! {"k":"m","origin":0,"epoch":1,"pid":1234}
 //! {"k":"s","t":171234,"id":81064793292668929,"p":0,"f":4096,"c":"alg/prefix/up","pr":2}
 //! {"k":"e","t":171250,"id":81064793292668929,"w":37,"d":16}
+//! {"k":"ev","t":171260,"kind":"shard_dead","shard":3,"detail":"coordinator tombstoned shard 3"}
 //! ```
 //!
-//! `k` is the record kind (`m`eta / `s`tart / `e`nd), `t` a wall-clock
-//! microsecond timestamp (for cross-process ordering), `id`/`p` the
-//! span and parent span ids, `f` the persistent frame address the span
-//! ran from (0 when it ran from a volatile continuation), `c` the
-//! capsule name, `pr` the processor, `w` the capsule's deterministic
-//! work in external-transfer units, and `d` the wall-clock duration in
-//! microseconds.
+//! `k` is the record kind (`m`eta / `s`tart / `e`nd / `ev`ent), `t` a
+//! wall-clock microsecond timestamp (for cross-process ordering),
+//! `id`/`p` the span and parent span ids, `f` the persistent frame
+//! address the span ran from (0 when it ran from a volatile
+//! continuation), `c` the capsule name, `pr` the processor, `w` the
+//! capsule's deterministic work in external-transfer units, and `d` the
+//! wall-clock duration in microseconds. An event carries its `kind`,
+//! the `shard` and `pr` it concerns when it has one, and a free-form
+//! JSON-escaped `detail`.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -52,8 +61,55 @@ use std::sync::Mutex;
 const EPOCH_SHIFT: u32 = 56;
 const ORIGIN_SHIFT: u32 = 48;
 
-/// A streaming, crash-durable span record writer shared by every
-/// `ppm_pm`-level processor context in one OS process.
+/// What happened, for an event record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceKind {
+    /// A scheduler session started driving seats.
+    RunStart,
+    /// A scheduler session finished (completed or stalled).
+    RunEnd,
+    /// A steal attempt won its CAM.
+    Steal,
+    /// A frontier entry of a *remote* (dead) shard was adopted.
+    Adoption,
+    /// An adoption was refused (unresumable remote entry).
+    BlockedAdoption,
+    /// A sibling shard's lease was declared dead.
+    ShardDead,
+    /// A checkpoint quiesce ran.
+    Checkpoint,
+    /// A recovery path executed (resume, checkpoint-resume, replay).
+    Recovery,
+    /// A job was published into the service injector ring.
+    JobSubmitted,
+    /// A worker's claim CAM won a published injector slot.
+    JobClaimed,
+    /// A job's done frame committed (exactly-once completion).
+    JobDone,
+}
+
+impl TraceKind {
+    /// Stable lowercase name, the record's `kind` field.
+    pub fn name(self) -> &'static str {
+        match self {
+            TraceKind::RunStart => "run_start",
+            TraceKind::RunEnd => "run_end",
+            TraceKind::Steal => "steal",
+            TraceKind::Adoption => "adoption",
+            TraceKind::BlockedAdoption => "blocked_adoption",
+            TraceKind::ShardDead => "shard_dead",
+            TraceKind::Checkpoint => "checkpoint",
+            TraceKind::Recovery => "recovery",
+            TraceKind::JobSubmitted => "job_submitted",
+            TraceKind::JobClaimed => "job_claimed",
+            TraceKind::JobDone => "job_done",
+        }
+    }
+}
+
+/// A streaming, crash-durable trace record writer shared by every
+/// `ppm_pm`-level processor context and every event site in one OS
+/// process.
 ///
 /// Thread-safe: the sequence counter is atomic and the file handle is
 /// behind a mutex; each record is a single `write_all` of one line, so
@@ -155,6 +211,30 @@ impl SpanSink {
         self.write_line(&line);
     }
 
+    /// Emits an event record about `shard` / `proc` (when it concerns
+    /// one). `detail` is free text; it is JSON-escaped here.
+    pub fn event(&self, kind: TraceKind, shard: Option<u32>, proc: Option<u32>, detail: &str) {
+        use std::fmt::Write as _;
+        let mut line = format!(
+            "{{\"k\":\"ev\",\"t\":{},\"kind\":\"{}\"",
+            Self::now_us(),
+            kind.name()
+        );
+        if let Some(s) = shard {
+            let _ = write!(line, ",\"shard\":{s}");
+        }
+        if let Some(p) = proc {
+            let _ = write!(line, ",\"pr\":{p}");
+        }
+        if !detail.is_empty() {
+            line.push_str(",\"detail\":\"");
+            push_json_escaped(&mut line, detail);
+            line.push('"');
+        }
+        line.push_str("}\n");
+        self.write_line(&line);
+    }
+
     fn write_line(&self, line: &str) {
         if let Ok(mut f) = self.file.lock() {
             // Best-effort: a full disk must not take the computation
@@ -164,20 +244,37 @@ impl SpanSink {
         }
     }
 
-    /// The span-file path derived from an event-trace path: the
-    /// coordinator / single-process convention `<trace>.spans.jsonl`.
+    /// The stream path of the coordinator / a single-process run,
+    /// derived from the `PPM_TRACE_FILE` base: `<trace>.spans.jsonl`.
     pub fn path_for(trace_file: &Path) -> std::path::PathBuf {
         let mut os = trace_file.as_os_str().to_os_string();
         os.push(".spans.jsonl");
         std::path::PathBuf::from(os)
     }
 
-    /// The span-file path for cluster worker `shard`:
+    /// The stream path of cluster worker `shard`:
     /// `<trace>.shard<k>.spans.jsonl`.
     pub fn shard_path_for(trace_file: &Path, shard: usize) -> std::path::PathBuf {
         let mut os = trace_file.as_os_str().to_os_string();
         os.push(format!(".shard{shard}.spans.jsonl"));
         std::path::PathBuf::from(os)
+    }
+}
+
+/// Appends `s` to `out` as the inside of a JSON string.
+fn push_json_escaped(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
     }
 }
 
@@ -216,6 +313,34 @@ mod tests {
         assert!(lines[0].contains("\"k\":\"m\""));
         assert!(lines[1].contains("\"k\":\"s\"") && lines[1].contains("\"c\":\"alg/test\""));
         assert!(lines[2].contains("\"k\":\"e\"") && lines[2].contains("\"w\":37"));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn events_share_the_stream_and_round_trip_hostile_detail() {
+        let path = tmp("event.jsonl");
+        let sink = SpanSink::create(&path, 2, 1, false).unwrap();
+        let detail = "lease \"Dead\" at C:\\run\nnext\tline\u{1}";
+        let id = sink.mint();
+        sink.start(id, 0, 64, "alg/before", 0);
+        sink.event(TraceKind::ShardDead, Some(3), None, detail);
+        sink.end(id, 5, 1);
+        // Read while the sink is alive: the record is on disk already.
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 4, "one line per record:\n{text}");
+        let mut set = crate::TraceSet::default();
+        set.ingest_str(&text);
+        assert_eq!(set.events.len(), 1);
+        let ev = &set.events[0];
+        assert_eq!((ev.kind.as_str(), ev.origin), ("shard_dead", 2));
+        assert_eq!((ev.shard, ev.proc), (Some(3), None));
+        assert_eq!(ev.detail, detail);
+        assert!(ev.t_us > 0);
+        // The span around it is undisturbed.
+        assert_eq!(set.spans.len(), 1);
+        let s = &set.spans[0];
+        assert!(s.completed && s.work == 5 && s.name == "alg/before" && s.frame == 64);
+        drop(sink);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -34,6 +34,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use ppm_core::{capsule_unchecked, sched_capsule, Cont, DoneFlag, Machine, Next, ProcMeta};
 use ppm_obs::{Counter, Histogram, Obs, TraceKind};
@@ -42,76 +43,6 @@ use ppm_pm::{PersistentMemory, Word};
 use crate::cluster::ShardDomain;
 use crate::deque::{build_deques, DequeAddrs};
 use crate::entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal, MAX_PROCS};
-
-/// How a spinning processor picks its next steal victim.
-///
-/// Figure 3 leaves victim selection unspecified ("a randomly selected
-/// victim"); these are the standard policies, pluggable per run. All
-/// three are ephemeral heuristics — they steer which deque is *probed*,
-/// never whether a probe is *correct* — so a capsule re-run drawing a
-/// different victim is harmless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VictimStrategy {
-    /// Independent uniform draws (splitmix64 over a per-attempt stream):
-    /// the classic randomized work stealing the paper's bounds assume.
-    #[default]
-    Random,
-    /// Cycle through the other processors in index order. Deterministic
-    /// probe spacing: no victim is hit twice before every other victim
-    /// has been probed once — the simplest contention spreader.
-    RoundRobin,
-    /// Probe the processor whose deque is currently deepest (an
-    /// uncosted ephemeral peek at the other deques' `bot` words): the
-    /// idle — least-loaded — thief aims where the most work sits, which
-    /// both rebalances fastest and spreads thieves across distinct
-    /// deep deques instead of hammering one victim at high P.
-    LeastLoaded,
-    /// Prefer victims in the thief's own shard (same process — steals
-    /// resolve through the shared continuation arena, no frame
-    /// rehydration), escalating to sibling shards only when no own-shard
-    /// deque shows depth. Meaningful under live-shard stealing
-    /// ([`crate::cluster::ShardDomain::set_live_stealing`]); without a
-    /// domain every processor is equally local and this degrades to
-    /// [`VictimStrategy::LeastLoaded`].
-    LocalityFirst,
-}
-
-impl VictimStrategy {
-    /// Packs the strategy into the top two bits of a seed word. The
-    /// sharded cluster header persists exactly one victim-selection seed
-    /// word; riding in its top bits lets every attaching worker agree on
-    /// the strategy without a machine-file format change.
-    pub fn pack_into_seed(self, seed: u64) -> u64 {
-        let code = match self {
-            VictimStrategy::Random => 0u64,
-            VictimStrategy::RoundRobin => 1,
-            VictimStrategy::LeastLoaded => 2,
-            VictimStrategy::LocalityFirst => 3,
-        };
-        (seed & !(0b11 << 62)) | (code << 62)
-    }
-
-    /// Inverse of [`VictimStrategy::pack_into_seed`] (unknown codes read
-    /// as `Random`).
-    pub fn unpack_from_seed(seed: u64) -> VictimStrategy {
-        match seed >> 62 {
-            1 => VictimStrategy::RoundRobin,
-            2 => VictimStrategy::LeastLoaded,
-            3 => VictimStrategy::LocalityFirst,
-            _ => VictimStrategy::Random,
-        }
-    }
-
-    /// Stable label for per-strategy metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            VictimStrategy::Random => "random",
-            VictimStrategy::RoundRobin => "round_robin",
-            VictimStrategy::LeastLoaded => "least_loaded",
-            VictimStrategy::LocalityFirst => "locality_first",
-        }
-    }
-}
 
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
@@ -122,8 +53,6 @@ pub struct SchedConfig {
     pub deque_slots: usize,
     /// Seed for deterministic victim selection.
     pub seed: u64,
-    /// Victim-selection policy for the steal loop.
-    pub victim_strategy: VictimStrategy,
     /// Install a write observer asserting the Figure 4 entry-transition
     /// table on every deque mutation (tests and the E11 experiment).
     pub check_transitions: bool,
@@ -142,7 +71,6 @@ impl Default for SchedConfig {
         SchedConfig {
             deque_slots: 1 << 14,
             seed: 0x5EED_CAFE,
-            victim_strategy: VictimStrategy::default(),
             check_transitions: false,
             checkpoint: crate::checkpoint::CheckpointPolicy::default(),
         }
@@ -189,7 +117,8 @@ pub struct Sched {
     /// single-process schedulers — every path below behaves exactly as
     /// before.
     domain: Option<Arc<ShardDomain>>,
-    /// The machine's observability handle (steal trace events flow here).
+    /// The machine's observability handle (steal and adoption events
+    /// flow here).
     obs: Arc<Obs>,
     /// Steal attempts entered (registered as `ppm_steal_attempts_total`).
     steal_attempts: Counter,
@@ -198,17 +127,12 @@ pub struct Sched {
     /// Time from entering the steal loop to winning a steal, µs
     /// (registered as `ppm_steal_latency_us`).
     steal_latency: Histogram,
-    /// The same latency, labeled by the active victim-selection policy
-    /// (registered as `ppm_steal_latency_by_strategy_us`), so runs
-    /// comparing strategies can read each policy's curve from one scrape.
-    steal_latency_by_strategy: Histogram,
-    /// Per-processor µs timestamp of the current steal-loop entry
-    /// (0 = not in the loop). Ephemeral: only feeds the latency metric.
+    /// The steal-latency clock's zero.
+    clock: Instant,
+    /// Per-processor µs reading of `clock` at the current steal-loop
+    /// entry (0 = not in the loop). Ephemeral: only feeds the latency
+    /// metric.
     steal_since: Vec<AtomicU64>,
-    /// Victim-selection policy.
-    strategy: VictimStrategy,
-    /// Per-processor round-robin cursors (ephemeral probe-stream state).
-    rr: Vec<AtomicU64>,
     /// Per-processor consecutive failed `popTop` CAMs since the last won
     /// steal or uncontended probe. Ephemeral: drives only the backoff
     /// window, never correctness.
@@ -276,11 +200,6 @@ impl Sched {
             "ppm_steal_latency_us",
             "time from entering the steal loop to winning a steal (microseconds)",
         );
-        let steal_latency_by_strategy = reg.histogram_with(
-            "ppm_steal_latency_by_strategy_us",
-            "steal-loop-entry-to-win latency per victim-selection policy (microseconds)",
-            &[("strategy", cfg.victim_strategy.name())],
-        );
         let steal_backoff = reg.histogram(
             "ppm_steal_backoff_us",
             "contention backoff sleeps applied before steal attempts (microseconds)",
@@ -312,10 +231,8 @@ impl Sched {
             steal_attempts,
             steals,
             steal_latency,
-            steal_latency_by_strategy,
+            clock: Instant::now(),
             steal_since: (0..p).map(|_| AtomicU64::new(0)).collect(),
-            strategy: cfg.victim_strategy,
-            rr: (0..p).map(|_| AtomicU64::new(0)).collect(),
             contention: (0..p).map(|_| AtomicU64::new(0)).collect(),
             steal_backoff,
             injector: std::sync::OnceLock::new(),
@@ -346,36 +263,36 @@ impl Sched {
     fn note_steal_enter(&self, me: usize) {
         self.steal_attempts.inc();
         if self.steal_since[me].load(Ordering::Relaxed) == 0 {
-            self.steal_since[me].store(self.obs.tracer().now_us().max(1), Ordering::Relaxed);
+            self.steal_since[me].store(self.now_us().max(1), Ordering::Relaxed);
         }
     }
 
-    /// Reports a won steal: latency histogram, counter, sampled trace
-    /// event. `what` distinguishes job steals from dead-owner local
-    /// adoption in the trace.
+    fn now_us(&self) -> u64 {
+        self.clock.elapsed().as_micros() as u64
+    }
+
+    /// Reports a won steal: latency histogram, counter, trace event.
+    /// `what` distinguishes job steals from dead-owner local adoption in
+    /// the trace.
     fn note_steal_win(&self, me: usize, victim: usize, what: &'static str) {
         self.steals.inc();
         self.note_calm(me);
         let since = self.steal_since[me].swap(0, Ordering::Relaxed);
         if since != 0 {
-            let lat = self.obs.tracer().now_us().saturating_sub(since);
-            self.steal_latency.observe(lat);
-            self.steal_latency_by_strategy.observe(lat);
+            self.steal_latency
+                .observe(self.now_us().saturating_sub(since));
         }
-        self.obs
-            .tracer()
-            .record_with(TraceKind::Steal, None, Some(me as u32), || {
-                format!("{what} from proc {victim}")
-            });
+        self.obs.event(TraceKind::Steal, None, Some(me as u32), || {
+            format!("{what} from proc {victim}")
+        });
     }
 
     /// Reports a cross-shard adoption of a dead sibling's frontier entry
-    /// (always traced — these are the recovery-timeline events).
+    /// (the recovery-timeline events).
     fn note_adoption_event(&self, me: usize, owner: usize, what: &'static str) {
         let shard = self.domain.as_ref().map(|d| d.shard_of(owner) as u32);
         self.obs
-            .tracer()
-            .record_with(TraceKind::Adoption, shard, Some(me as u32), || {
+            .event(TraceKind::Adoption, shard, Some(me as u32), || {
                 format!("{what} entry of dead proc {owner}")
             });
     }
@@ -401,31 +318,7 @@ impl Sched {
     }
 
     fn pick_victim(&self, thief: usize, n: u64) -> Option<usize> {
-        let r = match self.strategy {
-            VictimStrategy::Random => splitmix64(self.seed ^ ((thief as u64) << 40) ^ n),
-            // A per-processor cursor: candidate index advances by one per
-            // probe, cycling every other processor before repeating.
-            VictimStrategy::RoundRobin => self.rr[thief].fetch_add(1, Ordering::Relaxed),
-            VictimStrategy::LeastLoaded => {
-                if let Some(v) = self.deepest_victim(thief, false) {
-                    return Some(v);
-                }
-                // No candidate showed any depth (or sharded candidates are
-                // all remote): fall back to rotation so probes still cover
-                // everyone.
-                self.rr[thief].fetch_add(1, Ordering::Relaxed)
-            }
-            VictimStrategy::LocalityFirst => {
-                // Own-shard work first: shared-arena steals, no frame
-                // rehydration. Only when the home shard shows no depth
-                // does the rotation fall through to the domain walk,
-                // which spreads probes across sibling shards.
-                if let Some(v) = self.deepest_victim(thief, true) {
-                    return Some(v);
-                }
-                self.rr[thief].fetch_add(1, Ordering::Relaxed)
-            }
-        };
+        let r = splitmix64(self.seed ^ ((thief as u64) << 40) ^ n);
         if let Some(domain) = &self.domain {
             return domain.pick_victim(thief, r);
         }
@@ -434,33 +327,6 @@ impl Sched {
         }
         let v = r as usize % (self.p - 1);
         Some(if v >= thief { v + 1 } else { v })
-    }
-
-    /// The candidate whose deque is deepest right now, by an uncosted
-    /// ephemeral peek at the `bot` words (victim selection is a probe
-    /// heuristic, not part of the costed computation — like the paper's
-    /// uncosted random draw). Sharded candidates span the own shard only
-    /// (`own_only`, the locality-first home pass, or any domain without
-    /// live stealing); with live stealing enabled the peek widens to
-    /// every processor, remote deque words being plainly readable through
-    /// the shared mapping. `None` when every candidate is empty or
-    /// `P = 1`.
-    fn deepest_victim(&self, thief: usize, own_only: bool) -> Option<usize> {
-        let candidates: Box<dyn Iterator<Item = usize>> = match &self.domain {
-            Some(d) if own_only || !d.live_stealing() => Box::new(d.own_procs()),
-            _ => Box::new(0..self.p),
-        };
-        let mut best: Option<(u64, usize)> = None;
-        for v in candidates {
-            if v == thief {
-                continue;
-            }
-            let depth = self.mem.load(self.deques[v].bot);
-            if depth > 0 && best.map(|(d, _)| depth > d).unwrap_or(true) {
-                best = Some((depth, v));
-            }
-        }
-        best.map(|(_, v)| v)
     }
 
     /// Exponential-backoff sleep before a steal attempt, engaged only
@@ -542,7 +408,7 @@ impl Sched {
                     true
                 } else {
                     d.note_blocked_adoption(owner);
-                    self.obs.tracer().record_with(
+                    self.obs.event(
                         TraceKind::BlockedAdoption,
                         Some(d.shard_of(owner) as u32),
                         None,
@@ -1114,60 +980,6 @@ mod tests {
             seen.insert(s.pick_victim(0, n).unwrap());
         }
         assert_eq!(seen.len(), 3);
-    }
-
-    #[test]
-    fn round_robin_cycles_all_victims_and_never_self() {
-        let machine = Machine::new(ppm_pm::PmConfig::parallel(4, 1 << 20));
-        let done = DoneFlag::new(&machine);
-        let mut cfg = SchedConfig::with_slots(64);
-        cfg.victim_strategy = VictimStrategy::RoundRobin;
-        let s = Sched::new(&machine, done, &cfg);
-        for thief in 0..4 {
-            let seq: Vec<usize> = (0..6).map(|n| s.pick_victim(thief, n).unwrap()).collect();
-            assert!(seq.iter().all(|&v| v != thief && v < 4));
-            // One rotation covers every other processor, then repeats.
-            let first: std::collections::HashSet<usize> = seq[..3].iter().copied().collect();
-            assert_eq!(first.len(), 3);
-            assert_eq!(seq[..3], seq[3..6]);
-        }
-    }
-
-    #[test]
-    fn least_loaded_targets_the_deepest_deque() {
-        let machine = Machine::new(ppm_pm::PmConfig::parallel(4, 1 << 20));
-        let done = DoneFlag::new(&machine);
-        let mut cfg = SchedConfig::with_slots(64);
-        cfg.victim_strategy = VictimStrategy::LeastLoaded;
-        let s = Sched::new(&machine, done, &cfg);
-        // All deques empty: rotation fallback, still never self.
-        let v = s.pick_victim(0, 0).unwrap();
-        assert_ne!(v, 0);
-        // Give proc 2 the deepest deque and proc 1 a shallower one.
-        s.mem.store(s.deques[2].bot, 5);
-        s.mem.store(s.deques[1].bot, 2);
-        for n in 0..8 {
-            assert_eq!(s.pick_victim(0, n), Some(2));
-            assert_eq!(s.pick_victim(3, n), Some(2));
-            // The deepest proc never probes itself: next-deepest wins.
-            assert_eq!(s.pick_victim(2, n), Some(1));
-        }
-    }
-
-    #[test]
-    fn victim_strategy_round_trips_through_seed_top_bits() {
-        for (st, code) in [
-            (VictimStrategy::Random, 0u64),
-            (VictimStrategy::RoundRobin, 1),
-            (VictimStrategy::LeastLoaded, 2),
-            (VictimStrategy::LocalityFirst, 3),
-        ] {
-            let seed = 0x0123_4567_89ab_cdef;
-            let packed = st.pack_into_seed(seed);
-            assert_eq!(VictimStrategy::unpack_from_seed(packed), st);
-            assert_eq!(packed & ((1 << 62) - 1), seed & ((1 << 62) - 1));
-            assert_eq!(packed >> 62, code);
-        }
     }
 
     /// The transition checker rides the write observer, which the word

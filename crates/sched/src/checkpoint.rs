@@ -19,7 +19,9 @@
 //!    pages mutated since the previous boundary (the page-run bitmap of
 //!    [`ppm_pm::dirty`]). The flush cost is proportional to the epoch's
 //!    write footprint, not the file size — which is what makes frequent
-//!    boundaries affordable (`exp_checkpoint_overhead` measures this).
+//!    boundaries affordable (`ppm-e2e` measures both:
+//!    `pm.backend.flush_dirty_us_per_page` and
+//!    `pm.backend.flush_full_ms`).
 //! 2. **A versioned checkpoint record** ([`ppm_pm::CheckpointRecord`]) in
 //!    the superblock page: sequence number, run epoch, capsule count, the
 //!    per-processor *stable pool watermarks*, and the quiesced **deque
@@ -620,12 +622,9 @@ impl CheckpointCtl {
                 }
                 self.run_checkpoint(machine);
             } else {
-                machine
-                    .obs()
-                    .tracer()
-                    .record_with(TraceKind::Checkpoint, None, None, || {
-                        format!("cluster quiesce {seq} skipped: sibling shards never acked")
-                    });
+                machine.obs().event(TraceKind::Checkpoint, None, None, || {
+                    format!("cluster quiesce {seq} skipped: sibling shards never acked")
+                });
             }
             be.write_quiesce_word(QUIESCE_REL_OFFSET, seq);
         } else {
@@ -654,12 +653,9 @@ impl CheckpointCtl {
         let outcome = self.run_checkpoint_inner(machine);
         let us = t0.elapsed().as_micros() as u64;
         self.quiesce_us.observe(us);
-        machine
-            .obs()
-            .tracer()
-            .record_with(TraceKind::Checkpoint, None, None, || {
-                format!("{outcome}; quiesced {us} us")
-            });
+        machine.obs().event(TraceKind::Checkpoint, None, None, || {
+            format!("{outcome}; quiesced {us} us")
+        });
     }
 
     /// Runs under the barrier lock with every live processor parked at a

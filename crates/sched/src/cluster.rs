@@ -380,7 +380,7 @@ impl ShardDomain {
 
 /// Builds every flavor of multi-process session over one machine file.
 /// The pieces every attacher must agree on (shard count, deque slots,
-/// victim seed and policy, lease interval) are persisted in the machine
+/// victim seed, lease interval) are persisted in the machine
 /// file's cluster header, so workers configure themselves from the file
 /// alone. Configure, then pick a terminal:
 ///
@@ -417,7 +417,6 @@ pub struct ClusterBuilder {
     lease_ms: u64,
     deque_slots: usize,
     seed: u64,
-    victim_strategy: crate::capsules::VictimStrategy,
     pool_words: Option<usize>,
     deadline: Duration,
     pub(crate) checkpoint_every: Option<Duration>,
@@ -438,7 +437,6 @@ impl ClusterBuilder {
             lease_ms: DEFAULT_LEASE_MS,
             deque_slots: SchedConfig::default().deque_slots,
             seed: SchedConfig::default().seed,
-            victim_strategy: crate::capsules::VictimStrategy::default(),
             pool_words: None,
             deadline: Duration::from_secs(300),
             checkpoint_every: None,
@@ -475,12 +473,6 @@ impl ClusterBuilder {
     /// Sets the victim-selection seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the victim-selection policy of every shard's steal loop.
-    pub fn victim_strategy(mut self, v: crate::capsules::VictimStrategy) -> Self {
-        self.victim_strategy = v;
         self
     }
 
@@ -532,14 +524,13 @@ impl ClusterBuilder {
         })
     }
 
-    /// The cluster header every attacher configures itself from. The
-    /// victim policy rides in the seed word's top two bits.
+    /// The cluster header every attacher configures itself from.
     fn header(&self) -> ppm_pm::ClusterHeader {
         ppm_pm::ClusterHeader {
             shards: self.shards as u64,
             lease_ms: self.lease_ms,
             deque_slots: self.deque_slots as u64,
-            seed: self.victim_strategy.pack_into_seed(self.seed),
+            seed: self.seed,
         }
     }
 
@@ -637,9 +628,6 @@ fn build_session(
     let cfg = SchedConfig {
         deque_slots,
         seed,
-        // Every attacher decodes the same header seed word, so all
-        // shards run the same policy.
-        victim_strategy: crate::capsules::VictimStrategy::unpack_from_seed(seed),
         check_transitions: false,
         // In-process checkpoint policy stays off in a cluster: sharded
         // checkpoints go through the cross-process quiesce barrier
@@ -978,7 +966,6 @@ pub(crate) fn cluster_report(
         fallback_reason: None,
         checkpoint_resume: None,
         cluster: Some(summary),
-        trace: Some(machine.obs().tracer().summary()),
         run,
     }
 }
@@ -1182,25 +1169,14 @@ pub fn run_worker_with_clock(
         0,
     );
     let obs = machine.obs().clone();
-    // Causal span sidecar: each worker streams to its own
-    // `<trace>.shard<k>.spans.jsonl` with origin `shard + 1` baked into
-    // its span ids, so a capsule stolen or adopted into this shard still
-    // links back to its forker's span in another shard's file.
-    if let Some(base) = Obs::trace_file_from_env() {
-        let spath = ppm_obs::SpanSink::shard_path_for(&base, shard);
-        if let Ok(sink) = ppm_obs::SpanSink::create(
-            &spath,
-            shard as u32 + 1,
-            machine.epoch(),
-            machine.epoch() >= 2,
-        ) {
-            obs.set_span_sink(std::sync::Arc::new(sink));
-        }
-    }
-    obs.tracer()
-        .record_with(TraceKind::RunStart, Some(shard as u32), None, || {
-            format!("worker attached; own procs {:?}", domain.own_procs())
-        });
+    // Each worker streams to its own `<trace>.shard<k>.spans.jsonl` with
+    // origin `shard + 1` baked into its span ids, so a capsule stolen or
+    // adopted into this shard still links back to its forker's span in
+    // another shard's file.
+    obs.open_trace(shard as u32 + 1, machine.epoch());
+    obs.event(TraceKind::RunStart, Some(shard as u32), None, || {
+        format!("worker attached; own procs {:?}", domain.own_procs())
+    });
     // Worker scrape endpoint on `PPM_METRICS_PORT + 1 + shard`; the
     // coordinator aggregates these under `shard` labels. Held to the end
     // of the session so a scraper can watch the shard's whole life.
@@ -1265,21 +1241,13 @@ pub fn run_worker_with_clock(
     };
     let _ = machine.mem().backend().write_lease(shard, &final_lease);
     machine.flush()?;
-    obs.tracer().record(
-        TraceKind::RunEnd,
-        Some(shard as u32),
-        None,
-        if completed {
-            "global completion flag set"
-        } else {
-            "exiting incomplete (own processors dead)"
-        },
-    );
-    if let Some(base) = Obs::trace_file_from_env() {
-        let _ = obs
-            .tracer()
-            .flush_jsonl(ppm_obs::shard_trace_path(&base, shard));
-    }
+    let outcome = match completed {
+        true => "global completion flag set",
+        false => "exiting incomplete (own processors dead)",
+    };
+    obs.event(TraceKind::RunEnd, Some(shard as u32), None, || {
+        outcome.into()
+    });
 
     let summary = summarize(
         &machine,
@@ -1319,17 +1287,12 @@ fn lease_monitor_loop(
             // the next tick sees a consistent record.
             if let Some(lease) = backend.read_lease(s) {
                 if lease.is_dead(now) {
-                    // The oracle's verdict: fold the dead shard into the
-                    // model's isLive and widen the victim set. The Figure
-                    // 3 protocol takes it from here.
-                    for p in domain.map().procs_of(s) {
-                        machine.liveness().mark_dead(p);
-                    }
-                    domain.mark_adoptable(s);
+                    // Recorded before the victim set widens, so in this
+                    // shard's stream the verdict precedes every adoption
+                    // it enables.
                     machine
                         .obs()
-                        .tracer()
-                        .record_with(TraceKind::ShardDead, Some(s as u32), None, || {
+                        .event(TraceKind::ShardDead, Some(s as u32), None, || {
                             format!(
                                 "shard {s} declared dead by shard {} (lease {:?}); procs {:?} adoptable",
                                 domain.shard(),
@@ -1337,6 +1300,13 @@ fn lease_monitor_loop(
                                 domain.map().procs_of(s)
                             )
                         });
+                    // The oracle's verdict: fold the dead shard into the
+                    // model's isLive and widen the victim set. The Figure
+                    // 3 protocol takes it from here.
+                    for p in domain.map().procs_of(s) {
+                        machine.liveness().mark_dead(p);
+                    }
+                    domain.mark_adoptable(s);
                 }
             }
         }
@@ -1355,6 +1325,12 @@ pub(crate) fn observe_impl(
     clock: ppm_pm::SharedClock,
 ) -> io::Result<ClusterObserver> {
     let (machine, session) = init_machine(builder, build, clock.now_ms())?;
+    // The coordinator's own stream, and the manifest naming the stream
+    // of every process this cluster can have — written now, so a killed
+    // coordinator leaves it behind too.
+    if let Some(base) = machine.obs().open_trace(0, machine.epoch()) {
+        let _ = ppm_obs::write_manifest(&base, session.map.shards);
+    }
     Ok(ClusterObserver {
         machine,
         session,
@@ -1424,12 +1400,11 @@ impl ClusterObserver {
     /// tombstone, so [`ShardReport::last_seen`] survives the reap.
     pub fn tombstone(&self, shard: usize) {
         tombstone_lease(&self.machine, shard);
-        self.machine.obs().tracer().record_with(
-            TraceKind::ShardDead,
-            Some(shard as u32),
-            None,
-            || format!("coordinator tombstoned shard {shard}"),
-        );
+        self.machine
+            .obs()
+            .event(TraceKind::ShardDead, Some(shard as u32), None, || {
+                format!("coordinator tombstoned shard {shard}")
+            });
     }
 
     /// Starts the aggregated Prometheus scrape endpoint on `port` (what
@@ -1480,18 +1455,10 @@ impl ClusterObserver {
     }
 
     /// Flushes, and records a clean shutdown when the run completed.
-    /// With `PPM_TRACE_FILE` set, also flushes the coordinator's event
-    /// ring and writes the `<trace>.manifest` naming every trace
-    /// artifact of the run (coordinator + per-shard families) for
-    /// `ppm-trace`.
     pub fn finish(&self) -> io::Result<()> {
         self.machine.flush()?;
         if self.is_done() {
             self.machine.mark_clean()?;
-        }
-        if let Some(path) = Obs::trace_file_from_env() {
-            let _ = self.machine.obs().tracer().flush_jsonl(&path);
-            write_trace_manifest(&path, self.session.map.shards);
         }
         Ok(())
     }
@@ -1555,32 +1522,6 @@ fn init_machine(
     Ok((machine, session))
 }
 
-/// Writes `<trace>.manifest`: one line per trace artifact of the run —
-/// the coordinator's ring file and span sidecar, then each shard's —
-/// in the plain-text format [`ppm_obs::expand_manifest`] reads (paths
-/// relative to the manifest's own directory; `#` comments). Members that
-/// were never written (a worker SIGKILLed before its ring flush) are
-/// listed anyway: expansion skips absent files, and the span sidecars
-/// are streamed per-line so they survive exactly such kills.
-#[cfg(unix)]
-fn write_trace_manifest(base: &std::path::Path, shards: usize) {
-    let mut lines = vec!["# ppm trace manifest (consumed by ppm-trace)".to_string()];
-    let mut push = |p: std::path::PathBuf| {
-        if let Some(n) = p.file_name() {
-            lines.push(n.to_string_lossy().into_owned());
-        }
-    };
-    push(base.to_path_buf());
-    push(ppm_obs::SpanSink::path_for(base));
-    for s in 0..shards {
-        push(ppm_obs::shard_trace_path(base, s));
-        push(ppm_obs::SpanSink::shard_path_for(base, s));
-    }
-    let mut os = base.as_os_str().to_os_string();
-    os.push(".manifest");
-    let _ = std::fs::write(std::path::PathBuf::from(os), lines.join("\n") + "\n");
-}
-
 // ====================================================================
 // Single-process recovery of a cluster file
 // ====================================================================
@@ -1604,23 +1545,17 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
     let machine = Machine::reopen(&path)?;
     let header = read_header(&machine)?;
     let map = ShardMap::new(machine.procs(), header.shards as usize);
-    // Recovery appends to the coordinator-side span sidecar: the epoch
-    // bits in its span ids keep them disjoint from the crashed epoch's,
-    // and re-executed capsules resolve their parents from the persistent
+    // Recovery appends to the coordinator's stream: the epoch bits in its
+    // span ids keep them disjoint from the crashed epoch's, and
+    // re-executed capsules resolve their parents from the persistent
     // frame words — the recovery-resume causal edge.
-    if let Some(base) = Obs::trace_file_from_env() {
-        let spath = ppm_obs::SpanSink::path_for(&base);
-        if let Ok(sink) = ppm_obs::SpanSink::create(&spath, 0, machine.epoch(), true) {
-            machine.obs().set_span_sink(std::sync::Arc::new(sink));
-        }
-    }
+    machine.obs().open_trace(0, machine.epoch());
     let session = replay_session(&machine, &header, map, None, build);
     let (found_jobs, found_locals, found_taken, live_restart_pointers) =
         crash_forensics(&machine, &session.sched);
     machine
         .obs()
-        .tracer()
-        .record_with(TraceKind::Recovery, None, None, || {
+        .event(TraceKind::Recovery, None, None, || {
             format!(
                 "single-process recovery of a {}-shard cluster file: \
                  {found_jobs} jobs, {found_locals} locals, {live_restart_pointers} live restart pointers",
@@ -1666,12 +1601,9 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
         // cluster republished — and let the seats pull what survives
         // through the ordinary injector path.
         let rescued = q.scavenge();
-        machine
-            .obs()
-            .tracer()
-            .record_with(TraceKind::Recovery, None, None, || {
-                format!("service ring scavenged: {rescued} slots normalized")
-            });
+        machine.obs().event(TraceKind::Recovery, None, None, || {
+            format!("service ring scavenged: {rescued} slots normalized")
+        });
     } else {
         plant_roots(&machine, &session);
     }
@@ -1725,10 +1657,6 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
         None => run_attached_seats(&machine, &session.sched, seats, session.done, &ctl),
     };
     machine.flush()?;
-    if let Some(base) = Obs::trace_file_from_env() {
-        let _ = machine.obs().tracer().flush_jsonl(&base);
-        write_trace_manifest(&base, map.shards);
-    }
 
     let mode = match resume {
         true => SessionMode::Resumed,
@@ -1890,16 +1818,10 @@ mod tests {
             .lease_ms(700)
             .deque_slots(1 << 12)
             .seed(0x1234)
-            .victim_strategy(crate::capsules::VictimStrategy::LeastLoaded)
             .header();
         assert_eq!(h.shards, 4);
         assert_eq!(h.lease_ms, 700);
         assert_eq!(h.deque_slots, 1 << 12);
-        assert_eq!(h.seed & !(0b11 << 62), 0x1234, "seed bits survive");
-        assert_eq!(
-            crate::capsules::VictimStrategy::unpack_from_seed(h.seed),
-            crate::capsules::VictimStrategy::LeastLoaded,
-            "victim policy rides in the seed word's top bits"
-        );
+        assert_eq!(h.seed, 0x1234);
     }
 }

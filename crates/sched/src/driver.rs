@@ -256,11 +256,6 @@ pub struct SessionReport {
     /// multi-process sharded run — see [`crate::cluster`]. Carries the
     /// per-shard outcomes, adoption counts, and which fault domains died.
     pub cluster: Option<crate::cluster::ClusterSummary>,
-    /// Summary of the machine's structured event trace over this session
-    /// (see [`ppm_obs::Tracer`]): per-kind event counts, ring occupancy,
-    /// and whether tracing was enabled at all (`PPM_TRACE_FILE`). Filled
-    /// by every `Runtime` and cluster entry point.
-    pub trace: Option<ppm_obs::TraceSummary>,
     /// The driven run's report (`None` only when
     /// [`SessionMode::AlreadyComplete`]).
     pub run: Option<RunReport>,
@@ -295,7 +290,6 @@ impl SessionReport {
             fallback_reason: None,
             checkpoint_resume: None,
             cluster: None,
-            trace: None,
             run: Some(run),
         }
     }
@@ -795,8 +789,7 @@ pub(crate) fn recover_persistent_impl(
         crash_forensics(machine, &sched);
     machine
         .obs()
-        .tracer()
-        .record_with(ppm_obs::TraceKind::Recovery, None, None, || {
+        .event(ppm_obs::TraceKind::Recovery, None, None, || {
             format!(
                 "persistent recovery, epoch {}: {found_jobs} jobs, {found_locals} locals, \
                  {found_taken} taken, {live_restart_pointers} live restart pointers",
@@ -818,7 +811,6 @@ pub(crate) fn recover_persistent_impl(
             fallback_reason: None,
             checkpoint_resume: None,
             cluster: None,
-            trace: None,
             run: None,
         };
     }
@@ -897,7 +889,6 @@ pub(crate) fn recover_persistent_impl(
         fallback_reason,
         checkpoint_resume,
         cluster: None,
-        trace: None,
         run: Some(run),
     }
 }

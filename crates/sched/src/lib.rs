@@ -62,7 +62,7 @@ pub mod service;
 pub mod sim;
 pub mod supervisor;
 
-pub use capsules::{Sched, SchedConfig, VictimStrategy};
+pub use capsules::{Sched, SchedConfig};
 pub use checkpoint::{CheckpointPolicy, CheckpointSummary, CheckpointTrigger};
 pub use cluster::{
     ClusterBuilder, ClusterObserver, ClusterRole, ClusterSummary, ShardBuild, ShardDomain,

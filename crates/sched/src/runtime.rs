@@ -201,45 +201,6 @@ impl Runtime {
         ppm_obs::Obs::metrics_port_from_env().and_then(|p| self.machine.obs().serve(p).ok())
     }
 
-    /// Session prologue: when `PPM_TRACE_FILE` asks for a trace, open the
-    /// causal span sidecar (`<trace>.spans.jsonl`) and hand it to the
-    /// machine's [`ppm_obs::Obs`] so every processor context streams span
-    /// records. Origin 0 is the coordinator / single-process run; epoch
-    /// bits keep a recovery run's span ids disjoint from the crashed run's
-    /// persisted parent words, and recovery *appends* so one file carries
-    /// the whole multi-epoch story.
-    fn attach_span_sink(&self) {
-        if let Some(base) = ppm_obs::Obs::trace_file_from_env() {
-            let path = ppm_obs::SpanSink::path_for(&base);
-            if let Ok(sink) =
-                ppm_obs::SpanSink::create(&path, 0, self.machine.epoch(), self.is_recovery())
-            {
-                self.machine.obs().set_span_sink(std::sync::Arc::new(sink));
-            }
-        }
-    }
-
-    /// Session epilogue: close the event trace (RunEnd, sidecar flush per
-    /// `PPM_TRACE_FILE`) and embed its summary in the report.
-    fn finish_session(&self, mut report: SessionReport) -> SessionReport {
-        let obs = self.machine.obs();
-        obs.tracer().record(
-            ppm_obs::TraceKind::RunEnd,
-            None,
-            None,
-            if report.completed() {
-                "session complete"
-            } else {
-                "session incomplete"
-            },
-        );
-        if let Some(path) = ppm_obs::Obs::trace_file_from_env() {
-            let _ = obs.tracer().flush_jsonl(path);
-        }
-        report.trace = Some(obs.tracer().summary());
-        report
-    }
-
     /// The session's scheduler configuration.
     pub fn sched_config(&self) -> &SchedConfig {
         &self.sched
@@ -271,21 +232,20 @@ impl Runtime {
     /// the [module docs](self)).
     pub fn run_or_recover(&self, pcomp: &PComp) -> SessionReport {
         let _metrics = self.auto_metrics();
-        self.attach_span_sink();
-        self.machine
-            .obs()
-            .tracer()
-            .record_with(ppm_obs::TraceKind::RunStart, None, None, || {
-                format!(
-                    "persistent session, epoch {} ({})",
-                    self.machine.epoch(),
-                    if self.is_recovery() {
-                        "recovering"
-                    } else {
-                        "fresh"
-                    }
-                )
-            });
+        let obs = self.machine.obs();
+        // Origin 0: the single-process stream, `<trace>.spans.jsonl`.
+        obs.open_trace(0, self.machine.epoch());
+        obs.event(ppm_obs::TraceKind::RunStart, None, None, || {
+            format!(
+                "persistent session, epoch {} ({})",
+                self.machine.epoch(),
+                if self.is_recovery() {
+                    "recovering"
+                } else {
+                    "fresh"
+                }
+            )
+        });
         let report = if self.is_recovery() {
             recover_persistent_impl(&self.machine, pcomp, &self.sched)
         } else {
@@ -295,7 +255,12 @@ impl Runtime {
                 run_persistent_impl(&self.machine, pcomp, &self.sched),
             )
         };
-        self.finish_session(report)
+        let outcome = match report.completed() {
+            true => "session complete",
+            false => "session incomplete",
+        };
+        obs.event(ppm_obs::TraceKind::RunEnd, None, None, || outcome.into());
+        report
     }
 
     /// Forces all stored words to stable storage (no-op for volatile

@@ -594,11 +594,9 @@ impl InjectorQueue {
             slot_state(SlotPhase::Published, epoch, 0),
         );
         self.jobs_submitted.inc();
-        self.obs
-            .tracer()
-            .record_with(TraceKind::JobSubmitted, None, None, || {
-                format!("ticket {ticket} published in slot {slot} (epoch {epoch})")
-            });
+        self.obs.event(TraceKind::JobSubmitted, None, None, || {
+            format!("ticket {ticket} published in slot {slot} (epoch {epoch})")
+        });
         Ok(JobTicket {
             slot,
             ticket,
@@ -687,15 +685,13 @@ impl InjectorQueue {
                 .cas_unsafe_under_faults(self.state_addr(s), w, republished)
             {
                 rescued += 1;
-                self.obs
-                    .tracer()
-                    .record_with(TraceKind::JobSubmitted, None, None, || {
-                        format!(
-                            "slot {s} republished at epoch {} (claimant {} dead)",
-                            slot_epoch(republished),
-                            slot_claimant(w)
-                        )
-                    });
+                self.obs.event(TraceKind::JobSubmitted, None, None, || {
+                    format!(
+                        "slot {s} republished at epoch {} (claimant {} dead)",
+                        slot_epoch(republished),
+                        slot_claimant(w)
+                    )
+                });
             }
         }
         rescued
@@ -739,8 +735,7 @@ impl InjectorQueue {
     pub(crate) fn note_claimed(&self, me: usize, slot: usize, ticket: u64) {
         self.jobs_claimed.inc();
         self.obs
-            .tracer()
-            .record_with(TraceKind::JobClaimed, None, Some(me as u32), || {
+            .event(TraceKind::JobClaimed, None, Some(me as u32), || {
                 format!("ticket {ticket} claimed from slot {slot}")
             });
     }
@@ -906,10 +901,9 @@ fn done_check(
         let me = ctx.proc();
         if ctx.pread(state_a as ppm_pm::Addr)? == done_w {
             completed.inc();
-            obs.tracer()
-                .record_with(TraceKind::JobDone, None, Some(me as u32), || {
-                    format!("ticket {ticket} completed (epoch {})", slot_epoch(done_w))
-                });
+            obs.event(TraceKind::JobDone, None, Some(me as u32), || {
+                format!("ticket {ticket} completed (epoch {})", slot_epoch(done_w))
+            });
         }
         Ok(Next::End)
     })

@@ -69,8 +69,7 @@ impl Supervisor {
         observer
             .machine()
             .obs()
-            .tracer()
-            .record_with(TraceKind::RunStart, None, None, || {
+            .event(TraceKind::RunStart, None, None, || {
                 format!(
                     "coordinator: {} shards x {} procs",
                     map.shards, map.procs_per_shard
@@ -165,22 +164,18 @@ impl Supervisor {
 
     /// Ends the session once the workers are gone (see
     /// [`Supervisor::wait_exit`]): flushes, records a clean shutdown when
-    /// the completion flag is set, writes the trace manifest
-    /// ([`ClusterObserver::finish`]) and reports. `run.completed` is the
-    /// persisted completion flag; an incomplete file is left
-    /// crashed-in-run for [`crate::cluster::recover`].
+    /// the completion flag is set ([`ClusterObserver::finish`]) and
+    /// reports. `run.completed` is the persisted completion flag; an
+    /// incomplete file is left crashed-in-run for
+    /// [`crate::cluster::recover`].
     pub fn finish(self) -> io::Result<SessionReport> {
         let observer = self.observer;
-        observer.machine().obs().tracer().record(
-            TraceKind::RunEnd,
-            None,
-            None,
-            if observer.is_done() {
-                "cluster run completed"
-            } else {
-                "cluster run incomplete (recover to finish)"
-            },
-        );
+        let outcome = match observer.is_done() {
+            true => "cluster run completed",
+            false => "cluster run incomplete (recover to finish)",
+        };
+        let obs = observer.machine().obs();
+        obs.event(TraceKind::RunEnd, None, None, || outcome.into());
         observer.finish()?;
         let summary = observer.summary();
         let elapsed = Duration::from_millis(observer.now_ms().saturating_sub(self.started_ms));
@@ -238,12 +233,12 @@ impl Supervisor {
         self.quiesce_seq += 1;
         let seq = self.quiesce_seq;
         backend.write_quiesce_word(QUIESCE_REQ_OFFSET, pack_quiesce_req(seq, performer));
-        self.observer.machine().obs().tracer().record_with(
-            TraceKind::Checkpoint,
-            None,
-            None,
-            || format!("cluster quiesce {seq} requested (performer shard {performer})"),
-        );
+        self.observer
+            .machine()
+            .obs()
+            .event(TraceKind::Checkpoint, None, None, || {
+                format!("cluster quiesce {seq} requested (performer shard {performer})")
+            });
     }
 }
 

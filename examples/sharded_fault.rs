@@ -176,7 +176,7 @@ mod scenario {
         let outputs = Arc::new(Mutex::new(vec![None; ppm::pm::MAX_SHARDS]));
         let build = build(outputs.clone());
         // Each attempt is a fresh machine file: clear the previous
-        // attempt's span sidecars so a recovery-appended coordinator file
+        // attempt's trace streams so a recovery-appended coordinator file
         // can't leak stale spans into this attempt's DAG.
         if let Some(base) = ppm::obs::Obs::trace_file_from_env() {
             let _ = std::fs::remove_file(ppm::obs::SpanSink::path_for(&base));
@@ -311,16 +311,17 @@ mod scenario {
         }
         println!("all {shards} slices sorted exactly-once");
 
-        // Causal-trace acceptance gate (active when PPM_TRACE_FILE is
-        // set): the span sidecars must reconstruct into a *complete* DAG
-        // — every stolen or adopted capsule's parent resolves across the
-        // per-shard files — and the analyzer must see the fault: a kill
-        // replays work (wasted ratio > 0), a crash-free run wastes
-        // nothing. A kill can land with both victim processors parked
-        // between traced capsules (nothing measurably replayed); such an
-        // attempt proves nothing about waste attribution, so it retries
-        // like a kill-before-adoption does.
-        if let Some(waste_shown) = verify_trace(shards, killed) {
+        // Trace acceptance gate (active when PPM_TRACE_FILE is set): the
+        // streams must reconstruct into a *complete* DAG — every stolen
+        // or adopted capsule's parent resolves across the per-shard files
+        // — their events must tell the kill's story in order, and the
+        // analyzer must see the fault: a kill replays work (wasted ratio
+        // > 0), a crash-free run wastes nothing. A kill can land with
+        // both victim processors parked between traced capsules (nothing
+        // measurably replayed); such an attempt proves nothing about
+        // waste attribution, so it retries like a kill-before-adoption
+        // does.
+        if let Some(waste_shown) = verify_trace(shards, killed.then_some(victim), &outcome) {
             if !waste_shown {
                 println!("kill landed between traced capsules (no measurable waste); retrying");
                 outcome.adopted = false;
@@ -330,22 +331,24 @@ mod scenario {
         outcome
     }
 
-    /// Reconstructs the capsule DAG from every span sidecar this run
-    /// wrote and checks it end-to-end. Returns `None` when tracing is
-    /// off, otherwise whether fault waste matched expectation (`killed`
-    /// runs must show waste; crash-free runs must show exactly zero —
-    /// the latter is a hard assert, since no schedule can fake waste).
-    fn verify_trace(shards: usize, killed: bool) -> Option<bool> {
+    /// Reconstructs the capsule DAG and the event timeline from every
+    /// trace stream this run wrote and checks them end-to-end. `killed`
+    /// is the SIGKILLed shard, if the kill landed. Returns `None` when
+    /// tracing is off, otherwise whether fault waste matched expectation
+    /// (killed runs must show waste; crash-free runs must show exactly
+    /// zero — the latter is a hard assert, since no schedule can fake
+    /// waste).
+    fn verify_trace(shards: usize, killed: Option<usize>, outcome: &Outcome) -> Option<bool> {
         let base = ppm::obs::Obs::trace_file_from_env()?;
         let mut set = ppm::obs::TraceSet::default();
         let coord = ppm::obs::SpanSink::path_for(&base);
         if coord.exists() {
-            set.ingest_file(&coord).expect("ingest recovery span file");
+            set.ingest_file(&coord).expect("ingest coordinator stream");
         }
         for s in 0..shards {
             let p = ppm::obs::SpanSink::shard_path_for(&base, s);
             if p.exists() {
-                set.ingest_file(&p).expect("ingest shard span file");
+                set.ingest_file(&p).expect("ingest shard stream");
             }
         }
         let a = set.analyze();
@@ -358,17 +361,67 @@ mod scenario {
             a.parallelism,
             a.wasted_ratio * 100.0,
         );
-        assert!(a.spans_total > 0, "span sidecars must not be empty");
+        assert!(a.spans_total > 0, "trace streams must not be empty");
         assert_eq!(
             a.unresolved_parents, 0,
             "every stolen/adopted span must link to its forker across shard files"
         );
         assert!(a.depth > 0 && a.work >= a.depth);
-        if killed {
+        if let Some(victim) = killed {
+            assert_kill_timeline(&set, victim as u32, outcome);
             Some(a.wasted_ratio > 0.0)
         } else {
             assert_eq!(a.wasted_ratio, 0.0, "crash-free run must waste nothing");
             Some(true)
+        }
+    }
+
+    /// The kill must be legible from the streams alone, in wall-clock
+    /// order across processes: the killed worker's own file still holds
+    /// its `run_start` (nothing is buffered, so SIGKILL loses nothing);
+    /// when survivors adopted, one of them declared the shard dead no
+    /// later than the first adoption from it; when `recover` finished the
+    /// run instead, the coordinator's file holds the `recovery` event.
+    fn assert_kill_timeline(set: &ppm::obs::TraceSet, victim: u32, outcome: &Outcome) {
+        use ppm::obs::Event;
+        // Time of the earliest event of `kind` that `which` selects.
+        let first = |kind: &str, which: &dyn Fn(&Event) -> bool| {
+            set.events
+                .iter()
+                .filter(|e| e.kind == kind && which(e))
+                .map(|e| e.t_us)
+                .min()
+        };
+        let start = first("run_start", &|e| e.origin == victim + 1)
+            .expect("the killed worker's stream must still hold its run_start");
+        if outcome.adopted {
+            // Origin 0 is the coordinator's tombstone; a survivor's
+            // verdict is its own.
+            let by_survivor = |e: &Event| e.origin != 0 && e.shard == Some(victim);
+            let dead = first("shard_dead", &by_survivor).expect("a survivor saw the shard die");
+            let adoption = first("adoption", &by_survivor).expect("a survivor adopted from it");
+            assert!(
+                start < dead && dead <= adoption,
+                "timeline out of order: run_start {start}, shard_dead {dead}, adoption {adoption}"
+            );
+            println!(
+                "trace timeline: shard {victim} declared dead {} us after it attached, \
+                 first adoption {} us later",
+                dead - start,
+                adoption - dead
+            );
+        }
+        if outcome.recovered {
+            let recovery = first("recovery", &|e| e.origin == 0)
+                .expect("the coordinator's stream must hold the recovery event");
+            assert!(
+                start < recovery,
+                "timeline out of order: run_start {start}, recovery {recovery}"
+            );
+            println!(
+                "trace timeline: recovery began {} us after shard {victim} attached",
+                recovery - start
+            );
         }
     }
 

@@ -27,8 +27,9 @@
 //! * [`obs`] (`ppm-obs`) — the observability layer: a typed metrics
 //!   registry every machine carries (`core::Machine::obs`), a
 //!   dependency-free Prometheus text exporter (`obs::MetricsServer`,
-//!   enabled with `PPM_METRICS_PORT`), and ring-buffered structured
-//!   event tracing (`obs::Tracer`, enabled with `PPM_TRACE_FILE`).
+//!   enabled with `PPM_METRICS_PORT`), and one line-flushed trace
+//!   stream of causal spans and runtime events per process
+//!   (`obs::SpanSink`, enabled with `PPM_TRACE_FILE`).
 //!
 //! ## Durability: surviving real crashes, not just simulated faults
 //!

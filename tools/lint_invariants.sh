@@ -44,7 +44,11 @@
 #      refcount RMW on a line every processor shares) unless a
 #      `hot-path-ok:` justification sits within the six lines above. The
 #      expected exceptions are the observer call behind its flag check and
-#      the engine's clones of a capsule it alone holds.
+#      the engine's clones of a capsule it alone holds. An event site with
+#      tracing off is on the same path: in crates/obs, Obs::{event,
+#      span_sink} name no `Mutex`, `RwLock`, `.lock()` or `format!` — the
+#      absent stream costs one load, and the detail text is built by the
+#      caller's closure only once a stream is there to take it.
 #
 #   5. One supervisor. Reaping a dead worker, tombstoning its lease and
 #      pacing the cross-process quiesce is one job (the paper's §6
@@ -72,6 +76,18 @@
 #      `.collect()` or `.to_vec()` (same `hot-path-ok:` escape), and
 #      crates/pm/src/validate.rs does not name `HashMap` at all — its table
 #      is open-addressed, reset by a generation bump.
+#
+#   8. One trace stream. Spans and events go through `SpanSink` into one
+#      line-flushed file per process, opened by `Obs::open_trace` alone:
+#      outside crates/obs/src/span.rs (which defines it) and `tests/`
+#      directories, `SpanSink::create(` appears in exactly one file under
+#      crates/. The event ring it replaced stays gone — `Tracer`,
+#      `.tracer()`, `TraceSummary`, `flush_jsonl`, `PPM_TRACE_SAMPLE` —
+#      and so do the victim strategies and baseline slack nothing ran —
+#      `VictimStrategy`, `WALL_SLACK`: none appears under crates/ src/
+#      examples/ tests/ (`CapsuleTracer`, the checkpoint GC's frame
+#      tracer, is a different thing). `ppm_trace_dropped_total` is named
+#      by no dashboard or recording rule.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -176,6 +192,10 @@ hits=$(hot_bodies '\.(read|write|lock|clone)\(\)')
 if [ -n "$hits" ]; then
     err "lock or refcount clone on the per-access / per-capsule path without a hot-path-ok: justification within 6 lines:" "$hits"
 fi
+hits=$(body_scan crates/obs/src/lib.rs 'event|span_sink' 'Mutex|RwLock|\.lock\(\)|format!')
+if [ -n "$hits" ]; then
+    err "lock or string formatting on an event site's tracing-off path (Obs::event / Obs::span_sink are one load when no stream is open):" "$hits"
+fi
 allocs='HashMap|Vec::new|Vec::with_capacity|vec!|\.collect\(|\.to_vec\('
 hits=$(
     hot_bodies "$allocs"
@@ -216,8 +236,24 @@ if [ -n "$hits" ]; then
     err "second session entry or legacy replay path (Runtime::run_or_recover is the one way a session runs a computation):" "$hits"
 fi
 
+# --- 8. one trace stream ------------------------------------------------------
+openers=$(grep -rl "SpanSink::create(" --include="*.rs" crates/ \
+    | grep -v "/tests/" | grep -v "^crates/obs/src/span.rs$" || true)
+if [ "$openers" != "crates/obs/src/lib.rs" ]; then
+    err "SpanSink::create( must be called from exactly one place, Obs::open_trace in crates/obs/src/lib.rs; found in:" "${openers:-<none>}"
+fi
+hits=$(grep -rn "\bTracer\b\|\.tracer()\|TraceSummary\|flush_jsonl\|PPM_TRACE_SAMPLE\|VictimStrategy\|WALL_SLACK" \
+    --include="*.rs" crates src examples tests || true)
+if [ -n "$hits" ]; then
+    err "a deleted name is back (the event ring, its sampling knob, the victim strategies or the baseline slack):" "$hits"
+fi
+hits=$(grep -rn "ppm_trace_dropped_total" tools/dashboard tools/recording_rules.yml || true)
+if [ -n "$hits" ]; then
+    err "ppm_trace_dropped_total is gone with the event ring; a dashboard or rule still names it:" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream)"
