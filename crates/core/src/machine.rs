@@ -176,14 +176,26 @@ impl Machine {
         pool_words: usize,
         path: impl AsRef<std::path::Path>,
     ) -> std::io::Result<Self> {
-        use ppm_pm::backend::{MmapBackend, Superblock};
-        let sb = Superblock::describe(&cfg, pool_words);
-        let backend = MmapBackend::create(path, sb)?;
-        let mem = Arc::new(PersistentMemory::with_backend(
-            Box::new(backend),
-            cfg.block_size,
-        ));
-        Ok(Self::from_mem(cfg, pool_words, mem, 1))
+        let sb = ppm_pm::Superblock::describe(&cfg, pool_words);
+        let backend = ppm_pm::MmapBackend::create(path, sb)?;
+        Ok(Self::from_backend(backend, sb, cfg.fault, cfg.validate, 1))
+    }
+
+    /// The shared tail of the durable constructors: `backend`, whose file
+    /// carries superblock `sb`, becomes the machine's memory at run epoch
+    /// `epoch`. Shape and pool sizing come from `sb`; the fault adversary
+    /// and validation mode are the run's.
+    #[cfg(unix)]
+    fn from_backend(
+        backend: ppm_pm::MmapBackend,
+        sb: ppm_pm::Superblock,
+        fault: ppm_pm::FaultConfig,
+        validate: ppm_pm::ValidateMode,
+        epoch: u64,
+    ) -> Self {
+        let cfg = sb.to_config().with_fault(fault).with_validate(validate);
+        let mem = PersistentMemory::with_backend(Box::new(backend), cfg.block_size);
+        Self::from_mem(cfg, sb.pool_words as usize, Arc::new(mem), epoch)
     }
 
     /// Reconstructs a machine from a durable file written by an earlier
@@ -212,16 +224,9 @@ impl Machine {
         fault: ppm_pm::FaultConfig,
         validate: ppm_pm::ValidateMode,
     ) -> std::io::Result<Self> {
-        use ppm_pm::backend::MmapBackend;
-        let (backend, found) = MmapBackend::open(path)?;
+        let (backend, found) = ppm_pm::MmapBackend::open(path)?;
         let epoch = found.epoch + 1; // open() recorded this run's attach
-        let cfg = found.to_config().with_fault(fault).with_validate(validate);
-        let pool_words = found.pool_words as usize;
-        let mem = Arc::new(PersistentMemory::with_backend(
-            Box::new(backend),
-            cfg.block_size,
-        ));
-        Ok(Self::from_mem(cfg, pool_words, mem, epoch))
+        Ok(Self::from_backend(backend, found, fault, validate, epoch))
     }
 
     /// Attaches to a durable file as a **secondary attacher** — the
@@ -238,16 +243,9 @@ impl Machine {
         fault: ppm_pm::FaultConfig,
         validate: ppm_pm::ValidateMode,
     ) -> std::io::Result<Self> {
-        use ppm_pm::backend::MmapBackend;
-        let (backend, found) = MmapBackend::attach(path)?;
+        let (backend, found) = ppm_pm::MmapBackend::attach(path)?;
         let epoch = found.epoch; // shared with the creating run
-        let cfg = found.to_config().with_fault(fault).with_validate(validate);
-        let pool_words = found.pool_words as usize;
-        let mem = Arc::new(PersistentMemory::with_backend(
-            Box::new(backend),
-            cfg.block_size,
-        ));
-        Ok(Self::from_mem(cfg, pool_words, mem, epoch))
+        Ok(Self::from_backend(backend, found, fault, validate, epoch))
     }
 
     /// Forces all stored words to stable storage (the backend's durability
@@ -259,7 +257,7 @@ impl Machine {
     /// Flushes and records a clean shutdown in the durable superblock, so
     /// a later [`Machine::reopen`] can tell this run did not crash.
     pub fn mark_clean(&self) -> std::io::Result<()> {
-        self.mem.backend().mark_clean()
+        self.mem.control().mark_clean()
     }
 
     /// Syncs only the pages mutated since the last flush (falls back to a
@@ -269,25 +267,26 @@ impl Machine {
         self.mem.flush_dirty()
     }
 
-    /// Durably stores an epoch-checkpoint record (no-op returning `false`
-    /// on volatile machines). See [`ppm_pm::CheckpointRecord`].
+    /// Durably stores an epoch-checkpoint record (`false`, writing
+    /// nothing, when it outgrows a record slot). See
+    /// [`ppm_pm::CheckpointRecord`].
     pub fn write_checkpoint_record(
         &self,
         record: &ppm_pm::CheckpointRecord,
     ) -> std::io::Result<bool> {
-        self.mem.backend().write_checkpoint(record)
+        self.mem.control().write_checkpoint(record)
     }
 
     /// The newest valid checkpoint record on stable storage, if any.
     pub fn latest_checkpoint_record(&self) -> Option<ppm_pm::CheckpointRecord> {
-        self.mem.backend().latest_checkpoint()
+        self.mem.control().latest_checkpoint()
     }
 
     /// Invalidates all stored checkpoint records (a replay-from-root
     /// recovery resets pool cursors, so old checkpoint frontiers no
     /// longer denote live frames).
     pub fn clear_checkpoint_records(&self) -> std::io::Result<()> {
-        self.mem.backend().clear_checkpoints()
+        self.mem.control().clear_checkpoints()
     }
 
     /// Durable run epoch: 1 for the creating run, incremented on every

@@ -1,34 +1,22 @@
-//! The durable file's superblock.
+//! The superblock and checkpoint-record types.
 //!
-//! The first [`SUPERBLOCK_BYTES`] of a durable machine file describe the
-//! machine stored after them: a magic/version header, the [`crate::PmConfig`]
-//! dimensions and pool sizing needed to rebuild the deterministic address
-//! -space layout, a *run epoch* counting the process lifetimes that have
-//! attached to the file, and a state word distinguishing a clean shutdown
-//! from a crash. All fields are little-endian `u64`s guarded by an FNV-1a
-//! checksum, so a reopen can reject truncated, foreign, or torn files
-//! before mapping any of their words into a machine.
-
-use std::io;
+//! A durable machine file opens with a [`Superblock`] describing the
+//! machine stored after it: the [`crate::PmConfig`] dimensions and pool
+//! sizing needed to rebuild the deterministic address-space layout, a
+//! *run epoch* counting the process lifetimes that have attached to the
+//! file, and a state word distinguishing a clean shutdown from a crash.
+//! Where the two records sit in the file's first page, and how they are
+//! encoded, checksummed and read back, is [`crate::control`]'s business
+//! alone.
 
 use crate::config::PmConfig;
-
-/// Bytes reserved for the superblock at the head of a durable file. One
-/// 4 KiB page: the word array after it stays page-aligned, and a
-/// superblock `msync` touches exactly one page.
-pub const SUPERBLOCK_BYTES: usize = 4096;
-
-/// `b"PPMDUR1\0"` as a little-endian word.
-pub const MAGIC: u64 = u64::from_le_bytes(*b"PPMDUR1\0");
-
-/// Current superblock format version.
-pub const VERSION: u64 = 1;
+use crate::control::{CKPT_MAX_PAYLOAD_WORDS, VERSION};
 
 /// Largest word count a superblock may describe: 2^46 words (the model's
 /// 46-bit handle space, 512 TiB of words). Bounding this keeps the
 /// `words * 8 + SUPERBLOCK_BYTES` file-size arithmetic far from overflow,
-/// so a crafted superblock with an absurd word count is rejected here
-/// instead of wrapping the size check and producing a bogus mapping.
+/// so a crafted superblock with an absurd word count is rejected by the
+/// codec instead of wrapping the size check and producing a bogus mapping.
 pub const MAX_PERSISTENT_WORDS: u64 = 1 << 46;
 
 /// State value: a run is (or was, if it crashed) attached to the file.
@@ -60,26 +48,12 @@ pub struct Superblock {
     pub pool_words: u64,
 }
 
-/// Field count serialized ahead of the checksum.
-const FIELDS: usize = 10; // magic, version, epoch, state, procs, words, eph, block, pool, checksum
-
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
 impl Superblock {
     /// Describes a fresh machine: epoch 1, in-run state.
     ///
     /// # Panics
     /// Panics if the configuration exceeds [`MAX_PERSISTENT_WORDS`] — a
-    /// configuration error, mirroring the reject in [`Superblock::decode`].
+    /// configuration error, mirroring the reject in the codec.
     pub fn describe(cfg: &PmConfig, pool_words: usize) -> Self {
         assert!(
             (cfg.persistent_words as u64) <= MAX_PERSISTENT_WORDS,
@@ -118,100 +92,11 @@ impl Superblock {
     pub fn clean(&self) -> bool {
         self.state == STATE_CLEAN
     }
-
-    /// Serializes into the head of `page` (which must hold at least
-    /// [`SUPERBLOCK_BYTES`]).
-    pub fn encode_into(&self, page: &mut [u8]) {
-        assert!(page.len() >= SUPERBLOCK_BYTES);
-        let mut fields = [
-            MAGIC,
-            self.version,
-            self.epoch,
-            self.state,
-            self.procs,
-            self.persistent_words,
-            self.ephemeral_words,
-            self.block_size,
-            self.pool_words,
-            0,
-        ];
-        fields[FIELDS - 1] = fnv1a(&fields[..FIELDS - 1]);
-        for (i, w) in fields.iter().enumerate() {
-            page[i * 8..(i + 1) * 8].copy_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// Parses and validates the head of `page`.
-    pub fn decode(page: &[u8]) -> io::Result<Self> {
-        if page.len() < FIELDS * 8 {
-            return Err(bad("file too short for a superblock"));
-        }
-        let mut fields = [0u64; FIELDS];
-        for (i, f) in fields.iter_mut().enumerate() {
-            *f = u64::from_le_bytes(page[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
-        }
-        if fields[0] != MAGIC {
-            return Err(bad("not a ppm durable file (bad magic)"));
-        }
-        if fields[FIELDS - 1] != fnv1a(&fields[..FIELDS - 1]) {
-            return Err(bad("superblock checksum mismatch (torn or corrupt)"));
-        }
-        let sb = Superblock {
-            version: fields[1],
-            epoch: fields[2],
-            state: fields[3],
-            procs: fields[4],
-            persistent_words: fields[5],
-            ephemeral_words: fields[6],
-            block_size: fields[7],
-            pool_words: fields[8],
-        };
-        if sb.version != VERSION {
-            return Err(bad(&format!(
-                "unsupported superblock version {} (this build reads {VERSION})",
-                sb.version
-            )));
-        }
-        if sb.block_size == 0 || sb.persistent_words == 0 || sb.procs == 0 {
-            return Err(bad("superblock describes a degenerate machine"));
-        }
-        if sb.persistent_words > MAX_PERSISTENT_WORDS {
-            return Err(bad(&format!(
-                "superblock claims {} persistent words (limit {MAX_PERSISTENT_WORDS})",
-                sb.persistent_words
-            )));
-        }
-        Ok(sb)
-    }
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
 // ====================================================================
 // Checkpoint records
 // ====================================================================
-
-/// `b"PPMCKPT1"` as a little-endian word: the checkpoint-record magic.
-pub const CKPT_MAGIC: u64 = u64::from_le_bytes(*b"PPMCKPT1");
-
-/// Byte offsets (within the superblock page) of the two alternating
-/// checkpoint slots. The superblock proper occupies the first 80 bytes;
-/// the slots use the rest of the page. Writes alternate by sequence
-/// number, so a crash mid-write tears at most the slot being written and
-/// the previous record survives in the other.
-pub const CKPT_SLOT_OFFSETS: [usize; 2] = [1024, 2560];
-
-/// Bytes per checkpoint slot.
-pub const CKPT_SLOT_BYTES: usize = 1536;
-
-/// Header words ahead of the variable-length arrays (magic, seq, epoch,
-/// capsules, procs, frontier_len), plus one trailing checksum word.
-const CKPT_HEADER_WORDS: usize = 6;
-
-/// Largest `procs + frontier` a record can carry.
-pub const CKPT_MAX_PAYLOAD_WORDS: usize = CKPT_SLOT_BYTES / 8 - CKPT_HEADER_WORDS - 1;
 
 /// An epoch checkpoint: the durable resume point a quiesced run records
 /// after reclaiming its frame pools.
@@ -251,85 +136,11 @@ impl CheckpointRecord {
     pub fn slot(&self) -> usize {
         (self.seq % 2) as usize
     }
-
-    /// Serializes into `slot` (at least [`CKPT_SLOT_BYTES`] long).
-    ///
-    /// # Panics
-    /// Panics if the record does not [`CheckpointRecord::fits`] — callers
-    /// skip writing oversized records instead.
-    pub fn encode_into(&self, slot: &mut [u8]) {
-        assert!(slot.len() >= CKPT_SLOT_BYTES);
-        assert!(self.fits(), "checkpoint record exceeds slot capacity");
-        let mut words: Vec<u64> =
-            Vec::with_capacity(CKPT_HEADER_WORDS + 1 + self.watermarks.len() + self.frontier.len());
-        words.extend([
-            CKPT_MAGIC,
-            self.seq,
-            self.epoch,
-            self.capsules,
-            self.watermarks.len() as u64,
-            self.frontier.len() as u64,
-        ]);
-        words.extend(&self.watermarks);
-        words.extend(&self.frontier);
-        words.push(fnv1a(&words));
-        for (i, w) in words.iter().enumerate() {
-            slot[i * 8..(i + 1) * 8].copy_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// Parses and validates one slot. `Ok(None)` for a blank slot (no
-    /// magic), `Err` for a torn or corrupt record.
-    pub fn decode(slot: &[u8]) -> io::Result<Option<Self>> {
-        if slot.len() < CKPT_HEADER_WORDS * 8 {
-            return Err(bad("slot too short for a checkpoint header"));
-        }
-        let word_at = |i: usize| -> u64 {
-            u64::from_le_bytes(slot[i * 8..(i + 1) * 8].try_into().expect("8 bytes"))
-        };
-        if word_at(0) != CKPT_MAGIC {
-            return Ok(None);
-        }
-        if word_at(4).saturating_add(word_at(5)) > CKPT_MAX_PAYLOAD_WORDS as u64 {
-            return Err(bad("checkpoint record claims an oversized payload"));
-        }
-        let procs = word_at(4) as usize;
-        let frontier_len = word_at(5) as usize;
-        let total = CKPT_HEADER_WORDS + procs + frontier_len + 1;
-        if slot.len() < total * 8 {
-            return Err(bad("slot too short for the claimed checkpoint payload"));
-        }
-        let body: Vec<u64> = (0..total - 1).map(word_at).collect();
-        if word_at(total - 1) != fnv1a(&body) {
-            return Err(bad("checkpoint record checksum mismatch (torn write)"));
-        }
-        Ok(Some(CheckpointRecord {
-            seq: word_at(1),
-            epoch: word_at(2),
-            capsules: word_at(3),
-            watermarks: (0..procs).map(|p| word_at(CKPT_HEADER_WORDS + p)).collect(),
-            frontier: (0..frontier_len)
-                .map(|f| word_at(CKPT_HEADER_WORDS + procs + f))
-                .collect(),
-        }))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Superblock {
-        Superblock::describe(&PmConfig::parallel(4, 1 << 20), 1 << 16)
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let sb = sample();
-        let mut page = vec![0u8; SUPERBLOCK_BYTES];
-        sb.encode_into(&mut page);
-        assert_eq!(Superblock::decode(&page).unwrap(), sb);
-    }
 
     #[test]
     fn config_round_trips_through_superblock() {
@@ -346,109 +157,15 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_rejected() {
-        let mut page = vec![0u8; SUPERBLOCK_BYTES];
-        sample().encode_into(&mut page);
-        page[0] ^= 0xFF;
-        assert!(Superblock::decode(&page).is_err());
-    }
-
-    #[test]
-    fn torn_write_rejected_by_checksum() {
-        let mut page = vec![0u8; SUPERBLOCK_BYTES];
-        sample().encode_into(&mut page);
-        page[16] ^= 0x01; // flip one epoch bit
-        let err = Superblock::decode(&page).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-    }
-
-    #[test]
-    fn short_buffer_rejected() {
-        assert!(Superblock::decode(&[0u8; 16]).is_err());
-    }
-
-    #[test]
-    fn absurd_word_count_rejected_despite_valid_checksum() {
-        // A crafted file can carry any fields with a correct checksum; the
-        // word-count bound must reject it before any size arithmetic.
-        let mut sb = sample();
-        sb.persistent_words = u64::MAX / 4;
-        let mut page = vec![0u8; SUPERBLOCK_BYTES];
-        sb.encode_into(&mut page);
-        let err = Superblock::decode(&page).unwrap_err();
-        assert!(err.to_string().contains("limit"), "{err}");
-    }
-
-    fn sample_record(seq: u64) -> CheckpointRecord {
-        CheckpointRecord {
+    fn checkpoint_slots_alternate_by_sequence() {
+        let rec = |seq| CheckpointRecord {
             seq,
             epoch: 3,
             capsules: 12_345,
             watermarks: vec![100, 200, 300],
             frontier: vec![0x4000, 0x4010, 0x8020],
-        }
-    }
-
-    #[test]
-    fn checkpoint_record_round_trips() {
-        let rec = sample_record(7);
-        let mut slot = vec![0u8; CKPT_SLOT_BYTES];
-        rec.encode_into(&mut slot);
-        assert_eq!(CheckpointRecord::decode(&slot).unwrap(), Some(rec));
-    }
-
-    #[test]
-    fn blank_slot_decodes_to_none() {
-        assert_eq!(
-            CheckpointRecord::decode(&vec![0u8; CKPT_SLOT_BYTES]).unwrap(),
-            None
-        );
-    }
-
-    #[test]
-    fn torn_checkpoint_record_is_an_error_not_a_record() {
-        let mut slot = vec![0u8; CKPT_SLOT_BYTES];
-        sample_record(9).encode_into(&mut slot);
-        slot[8 * 8] ^= 0x40; // flip a frontier-handle bit
-        let err = CheckpointRecord::decode(&slot).unwrap_err();
-        assert!(err.to_string().contains("torn"), "{err}");
-    }
-
-    #[test]
-    fn checkpoint_slots_alternate_by_sequence() {
-        assert_eq!(sample_record(6).slot(), 0);
-        assert_eq!(sample_record(7).slot(), 1);
-    }
-
-    #[test]
-    fn oversized_checkpoint_payload_rejected() {
-        let mut rec = sample_record(1);
-        rec.frontier = vec![1; CKPT_MAX_PAYLOAD_WORDS];
-        assert!(!rec.fits());
-        // A crafted slot claiming an absurd payload is rejected before any
-        // out-of-bounds word reads.
-        let mut slot = vec![0u8; CKPT_SLOT_BYTES];
-        sample_record(1).encode_into(&mut slot);
-        slot[5 * 8..6 * 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(CheckpointRecord::decode(&slot).is_err());
-    }
-
-    #[test]
-    fn checkpoint_slots_fit_the_superblock_page() {
-        for off in CKPT_SLOT_OFFSETS {
-            assert!(off >= FIELDS * 8, "slot {off} overlaps the superblock");
-            assert!(off + CKPT_SLOT_BYTES <= SUPERBLOCK_BYTES);
-        }
-        assert!(CKPT_SLOT_OFFSETS[0] + CKPT_SLOT_BYTES <= CKPT_SLOT_OFFSETS[1]);
-    }
-
-    #[test]
-    fn clean_state_round_trips() {
-        let mut sb = sample();
-        assert!(!sb.clean());
-        sb.state = STATE_CLEAN;
-        let mut page = vec![0u8; SUPERBLOCK_BYTES];
-        sb.encode_into(&mut page);
-        assert!(Superblock::decode(&page).unwrap().clean());
+        };
+        assert_eq!(rec(6).slot(), 0);
+        assert_eq!(rec(7).slot(), 1);
     }
 }

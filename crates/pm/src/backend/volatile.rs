@@ -2,50 +2,34 @@
 
 use std::sync::atomic::AtomicU64;
 
-use parking_lot::Mutex;
-
 use super::MemBackend;
-use crate::lease::{ClusterHeader, Lease, MAX_SHARDS};
-use crate::service::{ServiceHeader, QUIESCE_ACK_OFFSET};
+use crate::control::CONTROL_WORDS;
 
 /// Word storage on the process heap. Survives simulated (model-level)
 /// faults, which never actually kill the process; lost on process exit.
 /// This is the backend of every machine built without a path.
 ///
-/// Carries an in-memory cluster-lease table mirroring the superblock-page
-/// layout of the durable backend, so the sharded runtime's liveness logic
-/// is exercisable by single-process tests (simulated fault domains)
-/// without a machine file.
+/// Its control page is one more heap page, so everything written through
+/// [`crate::control::ControlPage`] — a lease table, say — runs the same
+/// codec in a single-process test as on a machine file.
 pub struct VolatileBackend {
     words: Box<[AtomicU64]>,
-    cluster: Mutex<Option<ClusterHeader>>,
-    leases: Mutex<[Option<Lease>; MAX_SHARDS]>,
-    service: Mutex<Option<ServiceHeader>>,
-    /// In-memory mirror of the superblock-page quiesce words (bytes
-    /// 832..1024), indexed by `(byte_off - QUIESCE_ACK_OFFSET) / 8`.
-    quiesce: [AtomicU64; 24],
+    control: Box<[AtomicU64]>,
+}
+
+fn zeroed(len: usize) -> Box<[AtomicU64]> {
+    let mut v = Vec::with_capacity(len);
+    v.resize_with(len, || AtomicU64::new(0));
+    v.into_boxed_slice()
 }
 
 impl VolatileBackend {
     /// Allocates `len` zero-initialized words.
     pub fn new(len: usize) -> Self {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, || AtomicU64::new(0));
         VolatileBackend {
-            words: v.into_boxed_slice(),
-            cluster: Mutex::new(None),
-            leases: Mutex::new([None; MAX_SHARDS]),
-            service: Mutex::new(None),
-            quiesce: std::array::from_fn(|_| AtomicU64::new(0)),
+            words: zeroed(len),
+            control: zeroed(CONTROL_WORDS),
         }
-    }
-
-    fn quiesce_slot(&self, byte_off: usize) -> &AtomicU64 {
-        let idx = byte_off
-            .checked_sub(QUIESCE_ACK_OFFSET)
-            .expect("quiesce offset below the quiesce region")
-            / 8;
-        &self.quiesce[idx]
     }
 }
 
@@ -60,52 +44,16 @@ impl MemBackend for VolatileBackend {
         &self.words
     }
 
-    fn write_cluster_header(&self, header: &ClusterHeader) -> std::io::Result<bool> {
-        *self.cluster.lock() = Some(*header);
-        Ok(true)
-    }
-
-    fn read_cluster_header(&self) -> Option<ClusterHeader> {
-        *self.cluster.lock()
-    }
-
-    fn write_lease(&self, shard: usize, lease: &Lease) -> std::io::Result<()> {
-        self.leases.lock()[shard] = Some(*lease);
-        Ok(())
-    }
-
-    fn read_lease(&self, shard: usize) -> Option<Lease> {
-        self.leases.lock()[shard]
-    }
-
-    fn write_service_header(&self, header: &ServiceHeader) -> std::io::Result<bool> {
-        *self.service.lock() = Some(*header);
-        Ok(true)
-    }
-
-    fn read_service_header(&self) -> Option<ServiceHeader> {
-        *self.service.lock()
-    }
-
-    fn write_quiesce_word(&self, byte_off: usize, val: u64) {
-        self.quiesce_slot(byte_off)
-            .store(val, std::sync::atomic::Ordering::SeqCst);
-    }
-
-    fn read_quiesce_word(&self, byte_off: usize) -> u64 {
-        self.quiesce_slot(byte_off)
-            .load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    fn kind(&self) -> &'static str {
-        "volatile"
+    fn control(&self) -> &[AtomicU64] {
+        &self.control
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lease::LeaseState;
+    use crate::control::ControlPage;
+    use crate::lease::{ClusterHeader, Lease, LeaseState};
     use std::sync::atomic::Ordering;
 
     #[test]
@@ -115,39 +63,42 @@ mod tests {
         assert!(b.words().iter().all(|w| w.load(Ordering::SeqCst) == 0));
         b.words()[3].store(7, Ordering::SeqCst);
         b.flush().unwrap();
-        b.mark_clean().unwrap();
+        ControlPage::of(&b).mark_clean().unwrap();
         assert_eq!(b.words()[3].load(Ordering::SeqCst), 7);
         assert!(b.path().is_none());
-        assert!(b.superblock().is_none());
-        assert_eq!(b.kind(), "volatile");
+        assert!(ControlPage::of(&b).superblock().is_none());
+        assert_eq!(format!("{b:?}"), "VolatileBackend(16 words)");
     }
 
     #[test]
-    fn words_slice_is_stable() {
+    fn words_and_control_slices_are_stable() {
         let b = VolatileBackend::new(4);
         assert_eq!(b.words().as_ptr(), b.words().as_ptr());
+        assert_eq!(b.control().as_ptr(), b.control().as_ptr());
+        assert_eq!(b.control().len(), CONTROL_WORDS);
     }
 
     #[test]
     fn cluster_state_round_trips_in_memory() {
         let b = VolatileBackend::new(4);
-        assert!(b.read_cluster_header().is_none());
-        assert!(b.read_lease(0).is_none());
+        let page = ControlPage::of(&b);
+        assert!(page.cluster_header().is_none());
+        assert!(page.lease(0).is_none());
         let h = ClusterHeader {
             shards: 2,
             lease_ms: 500,
             deque_slots: 64,
             seed: 9,
         };
-        assert!(b.write_cluster_header(&h).unwrap());
-        assert_eq!(b.read_cluster_header(), Some(h));
+        page.write_cluster_header(&h).unwrap();
+        assert_eq!(page.cluster_header(), Some(h));
         let l = Lease {
             state: LeaseState::Alive,
             seq: 1,
             deadline_ms: 42,
         };
-        b.write_lease(1, &l).unwrap();
-        assert_eq!(b.read_lease(1), Some(l));
-        assert!(b.read_lease(0).is_none());
+        page.write_lease(1, &l).unwrap();
+        assert_eq!(page.lease(1), Some(l));
+        assert!(page.lease(0).is_none());
     }
 }

@@ -9,8 +9,8 @@
 //! the dead shard's deque frontier through the ordinary hard-fault steal
 //! path.
 //!
-//! The oracle's persistent state lives in the superblock page of the
-//! machine file, between the superblock proper and the checkpoint slots:
+//! The oracle's persistent state lives in the control page of the
+//! machine file ([`crate::control`] holds the layout and the codec):
 //!
 //! * a [`ClusterHeader`] (written once by the coordinator) recording the
 //!   shard geometry and the scheduler shape every attacher must replay
@@ -24,45 +24,12 @@
 //!   milliseconds; any reader whose clock passes the deadline (or who
 //!   finds a [`LeaseState::Dead`] tombstone written by the coordinator's
 //!   `waitpid` observer) declares the shard dead.
-//!
-//! Both records are word arrays guarded by an FNV-1a checksum, written
-//! through aligned atomic stores — a reader that races a rewrite (or a
-//! crash mid-write) sees a checksum mismatch and keeps its previous view,
-//! the same torn-write discipline as [`super::backend::superblock::CheckpointRecord`].
 
 use crate::word::Word;
 
-/// Byte offset of the cluster header inside the superblock page. The
-/// superblock proper uses the first 80 bytes; the checkpoint slots start
-/// at 1024.
-pub const CLUSTER_HEADER_OFFSET: usize = 128;
-
-/// Byte offset of the first lease slot.
-pub const LEASE_SLOT_OFFSET: usize = 256;
-
-/// Words per lease slot (`state, seq, deadline_ms, checksum`).
-pub const LEASE_SLOT_WORDS: usize = 4;
-
-/// Maximum worker shards a machine file can carry leases for. Bounded by
-/// the superblock page real estate between the header and the first
-/// checkpoint slot: `256 + 16 * 32 = 768 <= 1024`.
+/// Maximum worker shards a machine file can carry leases for: the slot
+/// count of the control page's lease table ([`crate::control::LEASES`]).
 pub const MAX_SHARDS: usize = 16;
-
-/// `b"PPMCLST1"` as a little-endian word: the cluster-header magic.
-pub const CLUSTER_MAGIC: u64 = u64::from_le_bytes(*b"PPMCLST1");
-
-const HEADER_WORDS: usize = 6; // magic, shards, lease_ms, deque_slots, seed, checksum
-
-pub(crate) fn fnv1a(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
 
 /// Milliseconds since the unix epoch — the shared clock of the lease
 /// protocol. All workers of a cluster run on one machine (they share a
@@ -94,43 +61,6 @@ pub struct ClusterHeader {
     pub seed: u64,
 }
 
-impl ClusterHeader {
-    /// Serializes into [`ClusterHeader::words`] checksummed words.
-    pub fn encode(&self) -> [u64; HEADER_WORDS] {
-        let mut w = [
-            CLUSTER_MAGIC,
-            self.shards,
-            self.lease_ms,
-            self.deque_slots,
-            self.seed,
-            0,
-        ];
-        w[HEADER_WORDS - 1] = fnv1a(&w[..HEADER_WORDS - 1]);
-        w
-    }
-
-    /// Parses checksummed words; `None` for a blank or torn header.
-    pub fn decode(words: &[u64]) -> Option<Self> {
-        if words.len() < HEADER_WORDS || words[0] != CLUSTER_MAGIC {
-            return None;
-        }
-        if words[HEADER_WORDS - 1] != fnv1a(&words[..HEADER_WORDS - 1]) {
-            return None;
-        }
-        Some(ClusterHeader {
-            shards: words[1],
-            lease_ms: words[2],
-            deque_slots: words[3],
-            seed: words[4],
-        })
-    }
-
-    /// Number of header words (for backends sizing their reads).
-    pub const fn words() -> usize {
-        HEADER_WORDS
-    }
-}
-
 /// A lease slot's state word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeaseState {
@@ -147,7 +77,7 @@ pub enum LeaseState {
 }
 
 impl LeaseState {
-    fn from_word(w: u64) -> Option<LeaseState> {
+    pub(crate) fn from_word(w: u64) -> Option<LeaseState> {
         match w {
             1 => Some(LeaseState::Alive),
             2 => Some(LeaseState::Done),
@@ -196,38 +126,6 @@ impl Lease {
             LeaseState::Done => false,
         }
     }
-
-    /// Serializes into [`LEASE_SLOT_WORDS`] checksummed words.
-    pub fn encode(&self) -> [u64; LEASE_SLOT_WORDS] {
-        let mut w = [self.state as u64, self.seq, self.deadline_ms, 0];
-        w[LEASE_SLOT_WORDS - 1] = fnv1a(&w[..LEASE_SLOT_WORDS - 1]);
-        w
-    }
-
-    /// Parses checksummed words; `None` for a blank slot or a torn write
-    /// (the reader keeps its previous view in that case).
-    pub fn decode(words: &[u64]) -> Option<Self> {
-        if words.len() < LEASE_SLOT_WORDS {
-            return None;
-        }
-        if words[LEASE_SLOT_WORDS - 1] != fnv1a(&words[..LEASE_SLOT_WORDS - 1]) {
-            return None;
-        }
-        Some(Lease {
-            state: LeaseState::from_word(words[0])?,
-            seq: words[1],
-            deadline_ms: words[2],
-        })
-    }
-}
-
-/// Byte offset of shard `s`'s lease slot inside the superblock page.
-///
-/// # Panics
-/// Panics if `s >= MAX_SHARDS`.
-pub fn lease_slot_offset(s: usize) -> usize {
-    assert!(s < MAX_SHARDS, "shard {s} exceeds MAX_SHARDS {MAX_SHARDS}");
-    LEASE_SLOT_OFFSET + s * LEASE_SLOT_WORDS * 8
 }
 
 /// The static partition of a machine's processors into per-process-group
@@ -293,35 +191,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn header_round_trips_and_rejects_tears() {
-        let h = ClusterHeader {
-            shards: 4,
-            lease_ms: 800,
-            deque_slots: 1 << 14,
-            seed: 0x5EED,
-        };
-        let mut w = h.encode();
-        assert_eq!(ClusterHeader::decode(&w), Some(h));
-        w[2] ^= 1; // tear the lease interval
-        assert_eq!(ClusterHeader::decode(&w), None);
-        assert_eq!(ClusterHeader::decode(&[0u64; HEADER_WORDS]), None);
-    }
-
-    #[test]
-    fn lease_round_trips_and_rejects_tears() {
-        let l = Lease {
-            state: LeaseState::Alive,
-            seq: 41,
-            deadline_ms: 123_456,
-        };
-        let mut w = l.encode();
-        assert_eq!(Lease::decode(&w), Some(l));
-        w[1] ^= 0x10;
-        assert_eq!(Lease::decode(&w), None, "torn lease must not decode");
-        assert_eq!(Lease::decode(&[0u64; LEASE_SLOT_WORDS]), None);
-    }
-
-    #[test]
     fn expiry_and_tombstone_semantics() {
         let now = now_ms();
         let live = Lease::alive(1, 10_000);
@@ -339,19 +208,6 @@ mod tests {
             deadline_ms: 0,
         };
         assert!(!done.is_dead(now), "a completed worker is not adoptable");
-    }
-
-    #[test]
-    fn slots_fit_between_header_and_checkpoint_slots() {
-        const {
-            assert!(CLUSTER_HEADER_OFFSET >= 80);
-            assert!(CLUSTER_HEADER_OFFSET + HEADER_WORDS * 8 <= LEASE_SLOT_OFFSET);
-        }
-        let last_end = lease_slot_offset(MAX_SHARDS - 1) + LEASE_SLOT_WORDS * 8;
-        assert!(
-            last_end <= 1024,
-            "lease slots must end before the first checkpoint slot (got {last_end})"
-        );
     }
 
     #[test]

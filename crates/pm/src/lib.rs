@@ -22,6 +22,10 @@
 //!   "persistent" survives real `kill -9` process deaths, with
 //!   [`mem::PersistentMemory::flush`] (`msync`) as the machine-failure
 //!   durability boundary.
+//! * [`control`] — the one place the machine file's first page is laid
+//!   out and encoded: superblock, checkpoint records, cluster header,
+//!   lease table and service header, all checksummed word records over
+//!   the backend's atomic control page.
 //! * [`fault::FaultInjector`] — a deterministic, seedable adversary that
 //!   faults each processor with probability ≤ `f` at every persistent access
 //!   and can schedule hard faults, plus the liveness oracle
@@ -47,6 +51,7 @@
 pub mod backend;
 pub mod clock;
 pub mod config;
+pub mod control;
 pub mod dirty;
 pub mod error;
 pub mod fault;
@@ -66,6 +71,7 @@ pub use backend::MmapBackend;
 pub use backend::{CheckpointRecord, MemBackend, Superblock, VolatileBackend, SUPERBLOCK_BYTES};
 pub use clock::{system_clock, Clock, SharedClock, SystemClock, VirtualClock};
 pub use config::{FaultConfig, PmConfig, ValidateMode};
+pub use control::{ControlPage, PageView};
 pub use dirty::{DirtyTracker, PageRun, PAGE_WORDS};
 pub use error::{Fault, PmResult};
 pub use fault::{FaultInjector, HeartbeatLiveness, Liveness};

@@ -40,6 +40,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::backend::{MemBackend, VolatileBackend};
+use crate::control::ControlPage;
 use crate::dirty::{DirtyTracker, PAGE_WORDS};
 use crate::word::{Addr, Word};
 
@@ -125,10 +126,8 @@ impl std::fmt::Debug for PersistentMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "PersistentMemory({} words, B={}, backend={})",
-            self.len,
-            self.block_size,
-            self.backend.kind()
+            "PersistentMemory({} words, B={}, backend={:?})",
+            self.len, self.block_size, self.backend
         )
     }
 }
@@ -185,9 +184,10 @@ impl PersistentMemory {
         unsafe { std::slice::from_raw_parts(self.words, self.len) }
     }
 
-    /// The storage backend.
-    pub fn backend(&self) -> &dyn MemBackend {
-        &*self.backend
+    /// Typed access to the backend's control page: superblock, checkpoint
+    /// records, cluster header, leases, service header.
+    pub fn control(&self) -> ControlPage<'_> {
+        ControlPage::of(&*self.backend)
     }
 
     /// Forces all stored words to stable storage (the backend's durability
@@ -583,11 +583,11 @@ mod tests {
         fn words(&self) -> &[AtomicU64] {
             self.0.words()
         }
+        fn control(&self) -> &[AtomicU64] {
+            self.0.control()
+        }
         fn wants_dirty_tracking(&self) -> bool {
             true
-        }
-        fn kind(&self) -> &'static str {
-            "tracking-test"
         }
     }
 

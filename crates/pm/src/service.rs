@@ -1,31 +1,14 @@
 //! Service-mode persistent state: the durable injector-queue header and
-//! the cross-process checkpoint-quiesce words.
+//! the ring-slot state word.
 //!
 //! A *service* run (`ppm-sched`'s `cluster::ClusterBuilder` with
 //! `.service(true)`) keeps a cluster's worker shards alive indefinitely,
 //! feeding them jobs through a durable MPMC **injector ring** in the
 //! ordinary persistent word array. The once-written [`ServiceHeader`]
-//! lives in the superblock page beside the lease table (same FNV-1a
-//! checksum-last discipline as [`crate::lease`]) and records where the
-//! ring and its per-slot frame workspaces sit, so any attaching process
-//! finds the queue from the machine file alone.
-//!
-//! ## Superblock-page real estate
-//!
-//! The lease slots end at byte 768 and the checkpoint slots begin at
-//! 1024; service state fills the gap:
-//!
-//! ```text
-//!   768..832    ServiceHeader (8 checksummed words, coordinator-written)
-//!   832..960    per-shard checkpoint-quiesce ACK words (MAX_SHARDS)
-//!   960..968    quiesce REQ word (seq << 16 | performer shard)
-//!   968..976    quiesce REL word (seq)
-//! ```
-//!
-//! The quiesce words are raw single-writer words, not checksummed
-//! records: REQ is written only by the coordinator, ACK\[s\] only by
-//! shard `s`, REL only by the performer shard — a torn read of a
-//! monotone counter is impossible on aligned atomic words.
+//! lives in the control page beside the lease table ([`crate::control`]
+//! holds the layout and the codec) and records where the ring and its
+//! per-slot frame workspaces sit, so any attaching process finds the
+//! queue from the machine file alone.
 //!
 //! ## The slot state word
 //!
@@ -44,26 +27,8 @@
 //! A zero word is `⟨EMPTY, epoch 0⟩`, matching the zero-initialized
 //! word array, so a fresh ring needs no formatting pass.
 
-use crate::lease::{fnv1a, MAX_SHARDS};
+use crate::control::fnv1a;
 use crate::word::Word;
-
-/// Byte offset of the service header inside the superblock page (right
-/// after the last lease slot).
-pub const SERVICE_HEADER_OFFSET: usize = 768;
-
-/// Byte offset of the first per-shard quiesce ACK word.
-pub const QUIESCE_ACK_OFFSET: usize = 832;
-
-/// Byte offset of the quiesce request word (`seq << 16 | performer`).
-pub const QUIESCE_REQ_OFFSET: usize = 960;
-
-/// Byte offset of the quiesce release word (`seq`).
-pub const QUIESCE_REL_OFFSET: usize = 968;
-
-/// `b"PPMSVC01"` as a little-endian word: the service-header magic.
-pub const SERVICE_MAGIC: u64 = u64::from_le_bytes(*b"PPMSVC01");
-
-const SERVICE_HEADER_WORDS: usize = 8;
 
 /// Control words per injector-ring slot: `state, ticket, entry,
 /// checksum` (checksum covers ticket and entry — the persist half of the
@@ -74,26 +39,6 @@ pub const SLOT_CTL_WORDS: usize = 4;
 /// plus the per-slot control words.
 pub const fn ring_words(slots: usize) -> usize {
     1 + slots * SLOT_CTL_WORDS
-}
-
-/// Byte offset of shard `s`'s quiesce ACK word.
-///
-/// # Panics
-/// Panics if `s >= MAX_SHARDS`.
-pub fn quiesce_ack_offset(s: usize) -> usize {
-    assert!(s < MAX_SHARDS, "shard {s} exceeds MAX_SHARDS {MAX_SHARDS}");
-    QUIESCE_ACK_OFFSET + s * 8
-}
-
-/// Packs a quiesce request word from a sequence number and the shard
-/// elected to perform the checkpoint.
-pub fn pack_quiesce_req(seq: u64, performer: usize) -> u64 {
-    (seq << 16) | performer as u64
-}
-
-/// Unpacks a quiesce request word into `(seq, performer)`.
-pub fn unpack_quiesce_req(w: u64) -> (u64, usize) {
-    (w >> 16, (w & 0xFFFF) as usize)
 }
 
 // ====================================================================
@@ -185,7 +130,7 @@ pub enum ServiceState {
 }
 
 impl ServiceState {
-    fn from_word(w: u64) -> Option<ServiceState> {
+    pub(crate) fn from_word(w: u64) -> Option<ServiceState> {
         match w {
             1 => Some(ServiceState::Accepting),
             2 => Some(ServiceState::Draining),
@@ -214,65 +159,9 @@ pub struct ServiceHeader {
     pub workspace_base: u64,
 }
 
-impl ServiceHeader {
-    /// Serializes into [`ServiceHeader::words`] checksummed words.
-    pub fn encode(&self) -> [u64; SERVICE_HEADER_WORDS] {
-        let mut w = [
-            SERVICE_MAGIC,
-            self.state as u64,
-            self.slots,
-            self.job_words,
-            self.ring_base,
-            self.workspace_base,
-            0, // reserved
-            0,
-        ];
-        w[SERVICE_HEADER_WORDS - 1] = fnv1a(&w[..SERVICE_HEADER_WORDS - 1]);
-        w
-    }
-
-    /// Parses checksummed words; `None` for a blank or torn header.
-    pub fn decode(words: &[u64]) -> Option<Self> {
-        if words.len() < SERVICE_HEADER_WORDS || words[0] != SERVICE_MAGIC {
-            return None;
-        }
-        if words[SERVICE_HEADER_WORDS - 1] != fnv1a(&words[..SERVICE_HEADER_WORDS - 1]) {
-            return None;
-        }
-        Some(ServiceHeader {
-            state: ServiceState::from_word(words[1])?,
-            slots: words[2],
-            job_words: words[3],
-            ring_base: words[4],
-            workspace_base: words[5],
-        })
-    }
-
-    /// Number of header words (for backends sizing their reads).
-    pub const fn words() -> usize {
-        SERVICE_HEADER_WORDS
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn header_round_trips_and_rejects_tears() {
-        let h = ServiceHeader {
-            state: ServiceState::Accepting,
-            slots: 32,
-            job_words: 64,
-            ring_base: 4096,
-            workspace_base: 8192,
-        };
-        let mut w = h.encode();
-        assert_eq!(ServiceHeader::decode(&w), Some(h));
-        w[4] ^= 1; // tear the ring base
-        assert_eq!(ServiceHeader::decode(&w), None);
-        assert_eq!(ServiceHeader::decode(&[0u64; SERVICE_HEADER_WORDS]), None);
-    }
 
     #[test]
     fn slot_state_round_trips() {
@@ -301,23 +190,6 @@ mod tests {
         let a = slot_state(SlotPhase::Claimed, 3, 1);
         let b = slot_state(SlotPhase::Claimed, 3, 2);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn service_state_fits_in_superblock_gap() {
-        const {
-            assert!(SERVICE_HEADER_OFFSET >= 768);
-            assert!(SERVICE_HEADER_OFFSET + SERVICE_HEADER_WORDS * 8 <= QUIESCE_ACK_OFFSET);
-            assert!(QUIESCE_ACK_OFFSET + MAX_SHARDS * 8 <= QUIESCE_REQ_OFFSET);
-            assert!(QUIESCE_REL_OFFSET + 8 <= 1024);
-        }
-        assert_eq!(quiesce_ack_offset(MAX_SHARDS - 1), 952);
-    }
-
-    #[test]
-    fn quiesce_req_round_trips() {
-        let w = pack_quiesce_req(99, 5);
-        assert_eq!(unpack_quiesce_req(w), (99, 5));
     }
 
     #[test]

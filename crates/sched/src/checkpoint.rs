@@ -23,7 +23,7 @@
 //!    `pm.backend.flush_dirty_us_per_page` and
 //!    `pm.backend.flush_full_ms`).
 //! 2. **A versioned checkpoint record** ([`ppm_pm::CheckpointRecord`]) in
-//!    the superblock page: sequence number, run epoch, capsule count, the
+//!    the control page: sequence number, run epoch, capsule count, the
 //!    per-processor *stable pool watermarks*, and the quiesced **deque
 //!    frontier** (every in-flight `job` handle plus every running
 //!    thread's restart pointer — exactly the §6.3 state a recovering
@@ -90,7 +90,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ppm_core::{DoneFlag, Machine, PoolRefs};
 use ppm_obs::TraceKind;
@@ -221,42 +221,6 @@ struct Barrier {
     live: usize,
 }
 
-/// Cross-process quiesce follower state for one cluster shard. The
-/// coordinator (or service handle) writes a monotone request word into
-/// the superblock page; every live shard parks its processors at the
-/// in-process barrier, writes its ACK word, and the elected *performer*
-/// shard runs the whole-machine checkpoint once every alive-leased shard
-/// has acked — then releases everyone with the REL word. Timeouts on
-/// every wait keep a died-mid-round sibling from wedging the cluster:
-/// a timed-out round degrades to a skipped checkpoint, never a hang.
-pub(crate) struct QuiesceFollower {
-    /// This worker's shard index (owns ACK word `shard`).
-    shard: usize,
-    /// Total shards in the cluster header.
-    shards: usize,
-    /// The cluster lease validity; round deadlines are `2 × lease_ms`
-    /// so a sibling that died mid-round is certified dead (expired
-    /// lease) before the performer gives up on it.
-    lease_ms: u64,
-    /// Highest request sequence this process has served.
-    last_seq: AtomicU64,
-    /// Boundary counter: the REQ word is polled every 8th boundary so
-    /// the hot path stays one relaxed fetch_add.
-    probe: AtomicU64,
-}
-
-impl QuiesceFollower {
-    pub(crate) fn new(shard: usize, shards: usize, lease_ms: u64) -> Self {
-        QuiesceFollower {
-            shard,
-            shards,
-            lease_ms,
-            last_seq: AtomicU64::new(0),
-            probe: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Shared per-run checkpoint state: trigger counters, the quiesce
 /// barrier, and the coordinator. Created by the driver for each parallel
 /// section; processors call [`CheckpointCtl::at_boundary`] between
@@ -296,9 +260,6 @@ pub(crate) struct CheckpointCtl {
     /// Microseconds the machine spends quiesced per checkpoint attempt
     /// (including skipped ones — a busy quiesce still parks everyone).
     quiesce_us: ppm_obs::Histogram,
-    /// Cross-process quiesce follower — `Some` only on cluster workers,
-    /// which otherwise run with the local policy disabled.
-    cluster: Option<QuiesceFollower>,
 }
 
 impl CheckpointCtl {
@@ -310,38 +271,14 @@ impl CheckpointCtl {
     /// [`CheckpointCtl::new`] with an explicit count of driver threads
     /// this process will run. A cluster worker seats only its own shard's
     /// processors, so its quiesce barrier must count those — a worker can
-    /// never quiesce processors living in sibling processes (which is
-    /// also why sharded workers run with the policy disabled).
+    /// never quiesce processors living in sibling processes, which is why
+    /// sharded and service workers run with the policy disabled and do
+    /// not checkpoint.
     pub(crate) fn new_for(
         machine: &Machine,
         sched: Arc<Sched>,
         policy: CheckpointPolicy,
         live_procs: usize,
-    ) -> Arc<Self> {
-        Self::new_inner(machine, sched, policy, live_procs, None)
-    }
-
-    /// [`CheckpointCtl::new_for`] plus a cross-process quiesce follower:
-    /// a cluster worker keeps its *local* policy disabled but still
-    /// parks its seats whenever the coordinator raises the superblock
-    /// quiesce request, so sharded runs checkpoint machine-wide instead
-    /// of not at all.
-    pub(crate) fn new_for_cluster(
-        machine: &Machine,
-        sched: Arc<Sched>,
-        policy: CheckpointPolicy,
-        live_procs: usize,
-        follower: QuiesceFollower,
-    ) -> Arc<Self> {
-        Self::new_inner(machine, sched, policy, live_procs, Some(follower))
-    }
-
-    fn new_inner(
-        machine: &Machine,
-        sched: Arc<Sched>,
-        policy: CheckpointPolicy,
-        live_procs: usize,
-        cluster: Option<QuiesceFollower>,
     ) -> Arc<Self> {
         let next_seq = machine
             .latest_checkpoint_record()
@@ -421,7 +358,6 @@ impl CheckpointCtl {
             summary,
             quiesce_us,
             sched,
-            cluster,
         })
     }
 
@@ -451,21 +387,6 @@ impl CheckpointCtl {
     /// parked, runs the checkpoint on the last arriver, and resynces the
     /// processor's pool cursor from its (possibly rolled-back) watermark.
     pub(crate) fn at_boundary(&self, machine: &Machine, proc: usize, ctx: &mut ProcCtx) {
-        // Cross-process quiesce runs before (and independently of) the
-        // local policy: cluster workers keep the local policy disabled
-        // and park only on the coordinator's superblock request.
-        if let Some(cq) = &self.cluster {
-            if cq.probe.fetch_add(1, Ordering::Relaxed) & 7 == 0 {
-                let req = machine
-                    .mem()
-                    .backend()
-                    .read_quiesce_word(ppm_pm::service::QUIESCE_REQ_OFFSET);
-                let (seq, performer) = ppm_pm::service::unpack_quiesce_req(req);
-                if seq > cq.last_seq.load(Ordering::Acquire) {
-                    self.cluster_park(machine, proc, ctx, seq, performer);
-                }
-            }
-        }
         if !self.policy.is_enabled() {
             return;
         }
@@ -535,103 +456,6 @@ impl CheckpointCtl {
         // A completed checkpoint may have rolled this processor's
         // watermark back; resume allocating from it either way.
         ctx.set_pool_cursor(machine.pool_watermark(proc));
-    }
-
-    /// The cross-process quiesce barrier: parks this shard's seats at
-    /// the in-process barrier exactly like [`CheckpointCtl::park`], but
-    /// the last arriver runs one *cluster round* (ACK, performer-or-
-    /// follower wait, REL) instead of a local checkpoint. `last_seq`
-    /// is the release condition, so every seat serves each request
-    /// sequence exactly once.
-    fn cluster_park(
-        &self,
-        machine: &Machine,
-        proc: usize,
-        ctx: &mut ProcCtx,
-        seq: u64,
-        performer: usize,
-    ) {
-        let cq = self
-            .cluster
-            .as_ref()
-            .expect("cluster_park without a follower");
-        let mut bar = self.barrier.lock().expect("checkpoint barrier poisoned");
-        if cq.last_seq.load(Ordering::Acquire) >= seq {
-            return;
-        }
-        bar.parked += 1;
-        while cq.last_seq.load(Ordering::Acquire) < seq {
-            if bar.parked == bar.live {
-                self.cluster_round(machine, cq, seq, performer);
-                cq.last_seq.store(seq, Ordering::Release);
-                self.cv.notify_all();
-                break;
-            }
-            bar = self.cv.wait(bar).expect("checkpoint barrier poisoned");
-        }
-        bar.parked -= 1;
-        drop(bar);
-        // The performer may have rolled this processor's watermark back.
-        ctx.set_pool_cursor(machine.pool_watermark(proc));
-    }
-
-    /// One cluster quiesce round, run by the last-arriving seat while
-    /// every sibling seat waits on the in-process condvar. Writes this
-    /// shard's ACK, then either performs the machine-wide checkpoint
-    /// (once every alive-leased shard has acked) and releases the
-    /// cluster via REL, or — as a follower — waits for the performer's
-    /// REL. Both waits carry a `2 × lease_ms` deadline so a shard that
-    /// died mid-round costs a skipped checkpoint, not a wedged cluster.
-    fn cluster_round(&self, machine: &Machine, cq: &QuiesceFollower, seq: u64, performer: usize) {
-        use ppm_pm::service::{quiesce_ack_offset, QUIESCE_REL_OFFSET};
-        let be = machine.mem().backend();
-        be.write_quiesce_word(quiesce_ack_offset(cq.shard), seq);
-        let deadline = Instant::now() + Duration::from_millis((2 * cq.lease_ms).max(100));
-        if performer == cq.shard {
-            let quiescent = loop {
-                let now = ppm_pm::now_ms();
-                let acked = (0..cq.shards).all(|s| {
-                    if s == cq.shard {
-                        return true;
-                    }
-                    // Only shards holding a live, unexpired lease owe an
-                    // ACK; exited (Done), tombstoned, expired, or
-                    // never-started shards cannot park and must not be
-                    // waited on.
-                    match be.read_lease(s) {
-                        Some(l) if l.state == ppm_pm::LeaseState::Alive && !l.is_dead(now) => {
-                            be.read_quiesce_word(quiesce_ack_offset(s)) >= seq
-                        }
-                        _ => true,
-                    }
-                });
-                if acked {
-                    break true;
-                }
-                if Instant::now() >= deadline {
-                    break false;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            };
-            if quiescent {
-                // Another shard may have performed earlier rounds (the
-                // requester re-elects on performer death): never reuse a
-                // record sequence a sibling already wrote.
-                if let Some(r) = machine.latest_checkpoint_record() {
-                    self.next_seq.fetch_max(r.seq + 1, Ordering::Relaxed);
-                }
-                self.run_checkpoint(machine);
-            } else {
-                machine.obs().event(TraceKind::Checkpoint, None, None, || {
-                    format!("cluster quiesce {seq} skipped: sibling shards never acked")
-                });
-            }
-            be.write_quiesce_word(QUIESCE_REL_OFFSET, seq);
-        } else {
-            while be.read_quiesce_word(QUIESCE_REL_OFFSET) < seq && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
     }
 
     /// Runs one checkpoint directly, bypassing the quiesce barrier. Only

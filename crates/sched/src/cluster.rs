@@ -22,7 +22,7 @@
 //! processes. A dead worker's processors are therefore *exactly* the
 //! paper's hard-faulted processors, just observed from another process:
 //!
-//! 1. Every worker renews a [`ppm_pm::Lease`] in the superblock page (a
+//! 1. Every worker renews a [`ppm_pm::Lease`] in the control page (a
 //!    few hundred milliseconds of validity, renewed at a quarter of
 //!    that). The coordinator additionally tombstones the lease of any
 //!    worker whose exit it reaps. This is the §6.3 heartbeat
@@ -90,9 +90,20 @@
 //! `ClusterBuilder::…​.service(true).spawn(…)` skips root planting and
 //! instead writes a [`ppm_pm::ServiceHeader`]: the workers start idle
 //! and pull jobs from the durable injector queue (see [`crate::service`])
-//! for as long as the service accepts them, with live-shard stealing on
-//! and cross-process checkpoint quiesces paced by the coordinator
-//! (`checkpoint_every`).
+//! for as long as the service accepts them, with live-shard stealing on.
+//!
+//! ## No checkpoints in a cluster
+//!
+//! Sharded and service workers do **not** checkpoint: a worker can
+//! quiesce only the processors it seats, and a record is sound only if
+//! the whole machine stood still. Crash recovery does not need one —
+//! [`recover`] harvests the crash frontier or replays from the roots —
+//! so what a cluster gives up is frame-pool GC, and pools are sized for
+//! it ([`ClusterBuilder::pool_words`]). A cross-process round (request,
+//! per-shard acknowledgement, elected performer, release) shipped once
+//! without a model, a mutant or a kill test behind it and was deleted; a
+//! round proven for S shards with shard death at every step is what
+//! would bring cluster checkpoints back.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -105,7 +116,7 @@ use ppm_obs::{MetricsRegistry, MetricsServer, Obs, TraceKind};
 use ppm_pm::{Lease, LeaseState, PersistentMemory, Region, ShardMap, Word};
 
 use crate::capsules::{Sched, SchedConfig};
-use crate::checkpoint::{CheckpointCtl, CheckpointPolicy, QuiesceFollower};
+use crate::checkpoint::{CheckpointCtl, CheckpointPolicy};
 use crate::driver::{
     crash_forensics, harvest_frontier, plant_seeds, run_attached_seats, scrub_scheduler_state,
     FallbackReason, ProcOutcome, ProcSeat, RunReport, SessionMode, SessionReport,
@@ -419,7 +430,6 @@ pub struct ClusterBuilder {
     seed: u64,
     pool_words: Option<usize>,
     deadline: Duration,
-    pub(crate) checkpoint_every: Option<Duration>,
     service: bool,
     service_config: ServiceConfig,
 }
@@ -439,7 +449,6 @@ impl ClusterBuilder {
             seed: SchedConfig::default().seed,
             pool_words: None,
             deadline: Duration::from_secs(300),
-            checkpoint_every: None,
             service: false,
             service_config: ServiceConfig::default(),
         }
@@ -489,14 +498,6 @@ impl ClusterBuilder {
     /// then finish via [`recover`]).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = deadline;
-        self
-    }
-
-    /// Paces coordinator-arbitrated cross-process checkpoints: every
-    /// `every`, the coordinator requests a cluster-wide quiesce and the
-    /// elected performer shard checkpoints the machine.
-    pub fn checkpoint_every(mut self, every: Duration) -> Self {
-        self.checkpoint_every = Some(every);
         self
     }
 
@@ -559,8 +560,7 @@ impl ClusterBuilder {
     /// must end up calling [`run_worker`] for it — typically the current
     /// executable with a `worker` argument), and then *supervises*:
     /// reaping worker exits (tombstoning the leases of the dead so
-    /// survivors adopt immediately), pacing cross-process checkpoints,
-    /// and enforcing the deadline.
+    /// survivors adopt immediately) and enforcing the deadline.
     ///
     /// The returned [`SessionReport`] carries a [`ClusterSummary`]; its
     /// `run.completed` reflects the persisted completion flag. On an
@@ -629,10 +629,8 @@ fn build_session(
         deque_slots,
         seed,
         check_transitions: false,
-        // In-process checkpoint policy stays off in a cluster: sharded
-        // checkpoints go through the cross-process quiesce barrier
-        // instead ([`crate::checkpoint::QuiesceFollower`]), driven by
-        // the coordinator's `checkpoint_every` cadence.
+        // A worker cannot quiesce its siblings' processors: cluster
+        // sessions do not checkpoint (see the module docs).
         checkpoint: CheckpointPolicy::disabled(),
     };
     let sched = match domain {
@@ -735,16 +733,12 @@ fn build_session(
 
 /// The cluster header of an existing sharded machine file.
 fn read_header(machine: &Machine) -> io::Result<ppm_pm::ClusterHeader> {
-    machine
-        .mem()
-        .backend()
-        .read_cluster_header()
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "machine file has no cluster header (not a sharded run)",
-            )
-        })
+    machine.mem().control().cluster_header().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "machine file has no cluster header (not a sharded run)",
+        )
+    })
 }
 
 /// [`build_session`] as an attacher of an existing file replays it:
@@ -757,8 +751,8 @@ fn replay_session(
     domain: Option<Arc<ShardDomain>>,
     build: &ShardBuild,
 ) -> ClusterSession {
-    let backend = machine.mem().backend();
-    let service = backend.read_service_header().map(|h| ServiceConfig {
+    let service_header = machine.mem().control().service_header();
+    let service = service_header.map(|h| ServiceConfig {
         slots: h.slots as usize,
         job_words: h.job_words as usize,
     });
@@ -898,7 +892,7 @@ fn read_reports(machine: &Machine, session: &ClusterSession) -> Vec<ShardReport>
         .map(|s| {
             let base = session.reports.at(s * REPORT_WORDS);
             let state = mem.load(base);
-            let lease = machine.mem().backend().read_lease(s);
+            let lease = mem.control().lease(s);
             // Worker heartbeats count from 1; the coordinator's seed
             // lease is seq 0 and a bare tombstone is seq u64::MAX, so
             // any other seq proves the worker renewed at least once.
@@ -976,12 +970,12 @@ pub(crate) fn cluster_report(
 /// heartbeated (seed lease `seq == 0`, or no readable lease) gets the
 /// bare tombstone and reports `last_seen: None`.
 fn tombstone_lease(machine: &Machine, shard: usize) {
-    let backend = machine.mem().backend();
-    let (seq, deadline_ms) = match backend.read_lease(shard) {
+    let page = machine.mem().control();
+    let (seq, deadline_ms) = match page.lease(shard) {
         Some(l) if l.state == LeaseState::Alive && l.seq >= 1 => (l.seq, l.deadline_ms),
         _ => (u64::MAX, 0),
     };
-    let _ = backend.write_lease(
+    let _ = page.write_lease(
         shard,
         &Lease {
             state: LeaseState::Dead,
@@ -996,14 +990,14 @@ fn tombstone_lease(machine: &Machine, shard: usize) {
 // ====================================================================
 
 /// Renders live lease telemetry for every shard, read from the shared
-/// superblock at scrape time: `ppm_lease_up` (1 while the lease is alive
+/// control page at scrape time: `ppm_lease_up` (1 while the lease is alive
 /// and unexpired), `ppm_lease_seq` (renewal counter), and
 /// `ppm_lease_age_ms` (milliseconds since the last accepted renewal —
 /// which keeps growing after the worker dies, which is the point).
 fn lease_metrics_text(mem: &PersistentMemory, shards: usize, lease_ms: u64) -> String {
     use std::fmt::Write as _;
     let now = ppm_pm::now_ms();
-    let leases: Vec<Option<Lease>> = (0..shards).map(|s| mem.backend().read_lease(s)).collect();
+    let leases: Vec<Option<Lease>> = (0..shards).map(|s| mem.control().lease(s)).collect();
     let mut out = String::new();
     out.push_str("# HELP ppm_lease_up whether the shard's lease is alive and unexpired\n");
     out.push_str("# TYPE ppm_lease_up gauge\n");
@@ -1043,7 +1037,7 @@ fn lease_metrics_text(mem: &PersistentMemory, shards: usize, lease_ms: u64) -> S
 
 /// Starts the coordinator's aggregated Prometheus endpoint on `port`.
 /// Each scrape merges (a) the coordinator machine's own registry, (b)
-/// live lease telemetry from the shared superblock, and (c) every
+/// live lease telemetry from the shared control page, and (c) every
 /// worker's scrape, fetched from `port + 1 + shard` at scrape time and
 /// labeled `shard="<s>"`. A worker that stops answering keeps
 /// contributing its **last-seen** scrape, so a dead shard's counters
@@ -1140,7 +1134,7 @@ pub fn run_worker_with_clock(
     // process never came up.
     let _ = machine
         .mem()
-        .backend()
+        .control()
         .write_lease(shard, &Lease::alive_at(1, header.lease_ms, clock.now_ms()));
     let session = replay_session(&machine, &header, map, Some(domain.clone()), build);
     if let Some(q) = &session.service {
@@ -1151,8 +1145,8 @@ pub fn run_worker_with_clock(
             q.header(ppm_pm::ServiceState::Accepting).ring_base,
             machine
                 .mem()
-                .backend()
-                .read_service_header()
+                .control()
+                .service_header()
                 .map(|h| h.ring_base)
                 .unwrap_or(0),
             "service ring landed at a different address than the header records"
@@ -1180,7 +1174,7 @@ pub fn run_worker_with_clock(
     // Worker scrape endpoint on `PPM_METRICS_PORT + 1 + shard`; the
     // coordinator aggregates these under `shard` labels. Held to the end
     // of the session so a scraper can watch the shard's whole life.
-    let _metrics = Obs::metrics_port_from_env()
+    let metrics = Obs::metrics_port_from_env()
         .and_then(|p| p.checked_add(1 + shard as u16))
         .and_then(|p| obs.serve(p).ok());
 
@@ -1201,18 +1195,17 @@ pub fn run_worker_with_clock(
                 cursor: 0,
             })
             .collect();
-        // Workers always carry the cross-process quiesce follower: it is
-        // inert until a coordinator writes a request word, so batch runs
-        // pay only the periodic probe.
-        let ctl = CheckpointCtl::new_for_cluster(
+        let ctl = CheckpointCtl::new_for(
             &machine,
             session.sched.clone(),
             CheckpointPolicy::disabled(),
             seats.len(),
-            QuiesceFollower::new(shard, map.shards, header.lease_ms),
         );
         let run = run_attached_seats(&machine, &session.sched, seats, session.done, &ctl);
         stop.store(true, Ordering::Release);
+        // Cut the monitor's sleep short; a wake that lands before its
+        // `stop` check costs one extra pass, never a missed stop.
+        monitor.thread().unpark();
         monitor.join().expect("lease monitor panicked");
         run
     });
@@ -1239,7 +1232,7 @@ pub fn run_worker_with_clock(
         seq: u64::MAX,
         deadline_ms: 0,
     };
-    let _ = machine.mem().backend().write_lease(shard, &final_lease);
+    let _ = machine.mem().control().write_lease(shard, &final_lease);
     machine.flush()?;
     let outcome = match completed {
         true => "global completion flag set",
@@ -1255,7 +1248,19 @@ pub fn run_worker_with_clock(
         ClusterRole::Worker(shard),
         clock.now_ms(),
     );
+    // A pull endpoint loses whatever its process counted after the last
+    // scrape, and a batch worker's adoption counters move in its final
+    // milliseconds. With an endpoint up, stay scrapeable for one more
+    // heartbeat tick, so the aggregator's next pull takes final values.
+    if metrics.is_some() {
+        std::thread::sleep(heartbeat_tick(header.lease_ms));
+    }
     Ok(cluster_report(&machine, summary, Some(run)))
+}
+
+/// How often a worker renews its lease and looks at its siblings'.
+fn heartbeat_tick(lease_ms: u64) -> Duration {
+    Duration::from_millis((lease_ms / 4).max(10))
 }
 
 /// The worker's combined heartbeat + sibling monitor: renews this
@@ -1268,12 +1273,12 @@ fn lease_monitor_loop(
     stop: &AtomicBool,
     clock: ppm_pm::SharedClock,
 ) {
-    let backend = machine.mem().backend();
-    let tick = Duration::from_millis((lease_ms / 4).max(10));
+    let page = machine.mem().control();
+    let tick = heartbeat_tick(lease_ms);
     // Seq 1 was the worker's unconditional pre-session heartbeat.
     let mut seq = 2u64;
     while !stop.load(Ordering::Acquire) {
-        let _ = backend.write_lease(
+        let _ = page.write_lease(
             domain.shard(),
             &Lease::alive_at(seq, lease_ms, clock.now_ms()),
         );
@@ -1285,7 +1290,7 @@ fn lease_monitor_loop(
             }
             // A torn read (concurrent rewrite) keeps the previous view;
             // the next tick sees a consistent record.
-            if let Some(lease) = backend.read_lease(s) {
+            if let Some(lease) = page.lease(s) {
                 if lease.is_dead(now) {
                     // Recorded before the victim set widens, so in this
                     // shard's stream the verdict precedes every adoption
@@ -1310,7 +1315,9 @@ fn lease_monitor_loop(
                 }
             }
         }
-        std::thread::sleep(tick);
+        // Parked, not asleep: `run_worker` unparks this thread when it
+        // sets `stop`. A spurious wake is one early heartbeat.
+        std::thread::park_timeout(tick);
     }
 }
 
@@ -1363,7 +1370,7 @@ impl ClusterObserver {
 
     /// Shard `s`'s current lease.
     pub fn lease(&self, shard: usize) -> Option<Lease> {
-        self.machine.mem().backend().read_lease(shard)
+        self.machine.mem().control().lease(shard)
     }
 
     /// The cluster's shard geometry.
@@ -1410,7 +1417,7 @@ impl ClusterObserver {
     /// Starts the aggregated Prometheus scrape endpoint on `port` (what
     /// [`Supervisor::launch`] does for `PPM_METRICS_PORT`): worker
     /// scrapes are fetched from `port + 1 + shard` and labeled, lease
-    /// telemetry is read live from the shared superblock, and a dead
+    /// telemetry is read live from the shared control page, and a dead
     /// worker keeps contributing its last-seen series. `None` when the
     /// port cannot be bound.
     pub fn serve_metrics(&self, port: u16) -> Option<MetricsServer> {
@@ -1476,16 +1483,10 @@ fn init_machine(
         Some(w) => Machine::create_durable_with_pool_words(pm, w, &builder.path)?,
         None => Machine::create_durable(pm, &builder.path)?,
     };
-    if !machine
+    machine
         .mem()
-        .backend()
-        .write_cluster_header(&builder.header())?
-    {
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "backend cannot store a cluster header",
-        ));
-    }
+        .control()
+        .write_cluster_header(&builder.header())?;
     let session = build_session(
         &machine,
         map,
@@ -1499,23 +1500,15 @@ fn init_machine(
         // Service mode: no planted roots — workers start idle and pull
         // from the injector. The durable header (state `Accepting`) is
         // what tells every attacher this is a service file.
-        Some(q) => {
-            if !machine
-                .mem()
-                .backend()
-                .write_service_header(&q.header(ppm_pm::ServiceState::Accepting))?
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "backend cannot store a service header",
-                ));
-            }
-        }
+        Some(q) => machine
+            .mem()
+            .control()
+            .write_service_header(&q.header(ppm_pm::ServiceState::Accepting))?,
         None => plant_roots(&machine, &session),
     }
     let seed_lease = Lease::alive_at(0, builder.lease_ms * STARTUP_LEASE_FACTOR, now_ms);
     for s in 0..map.shards {
-        machine.mem().backend().write_lease(s, &seed_lease)?;
+        machine.mem().control().write_lease(s, &seed_lease)?;
     }
     // Everything a worker needs is durable before any worker exists.
     machine.flush()?;
@@ -1729,7 +1722,7 @@ mod tests {
 
         // Shard 0 heartbeats once, then dies and is reaped.
         let hb = Lease::alive(7, 500);
-        let _ = observer.machine().mem().backend().write_lease(0, &hb);
+        let _ = observer.machine().mem().control().write_lease(0, &hb);
         observer.tombstone(0);
         // Shard 1 is reaped before ever renewing its seed lease.
         observer.tombstone(1);
@@ -1774,7 +1767,7 @@ mod tests {
         // death and left without seeing completion.
         let domain = ShardDomain::new(*observer.map(), 0);
         let reports = observer.session.reports;
-        let backend = observer.machine().mem().backend();
+        let page = observer.machine().mem().control();
         write_report(
             observer.machine(),
             reports,
@@ -1784,7 +1777,7 @@ mod tests {
             &domain,
             0,
         );
-        let _ = backend.write_lease(0, &Lease::alive_at(3, 500, observer.now_ms()));
+        let _ = page.write_lease(0, &Lease::alive_at(3, 500, observer.now_ms()));
         write_report(
             observer.machine(),
             reports,

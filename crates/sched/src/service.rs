@@ -6,7 +6,7 @@
 //! and ends when the subtree forest finishes. A **service** run keeps the
 //! worker shards alive indefinitely and feeds them jobs through a ring of
 //! persistent slots (the *injector queue*) living in the ordinary word
-//! array, described by the [`ppm_pm::ServiceHeader`] in the superblock
+//! array, described by the [`ppm_pm::ServiceHeader`] in the control
 //! page. Work distribution is pull-based: every spinning processor's
 //! steal loop consults the ring (an uncosted peek, like victim selection)
 //! before probing victim deques, so a published job is picked up by
@@ -418,16 +418,12 @@ impl InjectorQueue {
     /// construction (construction determinism — the ids stored in shared
     /// frames must agree), which the cluster session builder guarantees.
     pub fn attach(machine: &Machine) -> io::Result<Arc<Self>> {
-        let header = machine
-            .mem()
-            .backend()
-            .read_service_header()
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "machine file has no service header (not a service run)",
-                )
-            })?;
+        let header = machine.mem().control().service_header().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "machine file has no service header (not a service run)",
+            )
+        })?;
         let cfg = ServiceConfig {
             slots: header.slots as usize,
             job_words: header.job_words as usize,
@@ -1048,8 +1044,8 @@ impl ServiceHandle {
     /// attacher reads.
     fn set_state(&mut self, state: ServiceState) {
         self.state = state;
-        let backend = self.observer().machine().mem().backend();
-        let _ = backend.write_service_header(&self.queue.header(state));
+        let page = self.observer().machine().mem().control();
+        let _ = page.write_service_header(&self.queue.header(state));
     }
 
     /// Stops accepting submissions and waits (up to `timeout`) for the

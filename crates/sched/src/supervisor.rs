@@ -8,17 +8,16 @@
 //! and fault harnesses (`examples/sharded_fault.rs`) all drive this one
 //! loop, and `tools/lint_invariants.sh` rule 5 keeps it the only one.
 //!
-//! Every time-dependent decision (quiesce cadence, lease expiry, the
-//! exit grace) reads the [`ppm_pm::SharedClock`] handed to
-//! [`Supervisor::launch`], so the sweep is tickable on a
-//! [`ppm_pm::VirtualClock`]; production passes [`ppm_pm::system_clock`].
+//! Every time-dependent decision (lease expiry, the exit grace) reads
+//! the [`ppm_pm::SharedClock`] handed to [`Supervisor::launch`], so the
+//! sweep is tickable on a [`ppm_pm::VirtualClock`]; production passes
+//! [`ppm_pm::system_clock`].
 
 use std::io;
 use std::process::Child;
 use std::time::Duration;
 
 use ppm_obs::{MetricsServer, TraceKind};
-use ppm_pm::service::{pack_quiesce_req, QUIESCE_REL_OFFSET, QUIESCE_REQ_OFFSET};
 use ppm_pm::LeaseState;
 
 use crate::cluster::{cluster_report, ClusterObserver};
@@ -35,16 +34,12 @@ use {
 const POLL: Duration = Duration::from_millis(10);
 
 /// Owns a session's worker fleet: the observer on the machine file, one
-/// child slot per shard (`None` once reaped), the aggregated scrape
-/// endpoint, and the cross-process quiesce cadence.
+/// child slot per shard (`None` once reaped) and the aggregated scrape
+/// endpoint.
 pub struct Supervisor {
     observer: ClusterObserver,
     children: Vec<Option<Child>>,
     started_ms: u64,
-    /// Cross-process checkpoint cadence in clock milliseconds.
-    quiesce_every: Option<u64>,
-    last_quiesce_ms: u64,
-    quiesce_seq: u64,
     /// The aggregated scrape endpoint (`PPM_METRICS_PORT`), held so it
     /// answers for the whole session.
     _metrics: Option<MetricsServer>,
@@ -76,14 +71,10 @@ impl Supervisor {
                 )
             });
         let metrics = Obs::metrics_port_from_env().and_then(|p| observer.serve_metrics(p));
-        let now = observer.now_ms();
         let mut sup = Supervisor {
+            started_ms: observer.now_ms(),
             observer,
             children: Vec::with_capacity(map.shards),
-            started_ms: now,
-            quiesce_every: builder.checkpoint_every.map(|d| d.as_millis() as u64),
-            last_quiesce_ms: now,
-            quiesce_seq: 0,
             _metrics: metrics,
         };
         for s in 0..map.shards {
@@ -110,9 +101,9 @@ impl Supervisor {
 
     /// One sweep: reap exited workers — tombstoning the lease of any that
     /// left without a `Done` lease, so survivors adopt immediately
-    /// instead of waiting out the expiry — then pace the cross-process
-    /// checkpoint quiesce. A `try_wait` error counts as an exit (the
-    /// child is unobservable; lease expiry would catch it anyway).
+    /// instead of waiting out the expiry. A `try_wait` error counts as an
+    /// exit (the child is unobservable; lease expiry would catch it
+    /// anyway).
     pub fn tick(&mut self) {
         for shard in 0..self.children.len() {
             let exited = self.children[shard]
@@ -123,7 +114,6 @@ impl Supervisor {
                 self.bury(shard);
             }
         }
-        self.pace_quiesce();
     }
 
     /// Kills worker `shard` (SIGKILL), reaps it and tombstones its lease
@@ -202,74 +192,33 @@ impl Supervisor {
             let _ = self.kill_worker(shard);
         }
     }
-
-    /// Raises the superblock quiesce request when the cadence is due and
-    /// the previous round has released (or timed out — a performer that
-    /// died mid-round must not wedge the cadence forever). The performer
-    /// is the lowest shard holding a live, unexpired lease; every live
-    /// shard acks, only the performer checkpoints.
-    fn pace_quiesce(&mut self) {
-        let Some(every) = self.quiesce_every else {
-            return;
-        };
-        let now = self.observer.now_ms();
-        let waited = now.saturating_sub(self.last_quiesce_ms);
-        if waited < every {
-            return;
-        }
-        let backend = self.observer.machine().mem().backend();
-        let released = backend.read_quiesce_word(QUIESCE_REL_OFFSET) >= self.quiesce_seq;
-        if !released && waited < every.saturating_mul(3) {
-            return;
-        }
-        self.last_quiesce_ms = now;
-        let performer = (0..self.observer.map().shards).find(|s| {
-            matches!(self.observer.lease(*s),
-                     Some(l) if l.state == LeaseState::Alive && !l.is_dead(now))
-        });
-        let Some(performer) = performer else {
-            return;
-        };
-        self.quiesce_seq += 1;
-        let seq = self.quiesce_seq;
-        backend.write_quiesce_word(QUIESCE_REQ_OFFSET, pack_quiesce_req(seq, performer));
-        self.observer
-            .machine()
-            .obs()
-            .event(TraceKind::Checkpoint, None, None, || {
-                format!("cluster quiesce {seq} requested (performer shard {performer})")
-            });
-    }
 }
 
 // `/proc/<pid>` is how the tests see that a killed worker was also reaped.
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use ppm_pm::service::unpack_quiesce_req;
     use ppm_pm::{Lease, PmConfig, TempMachineFile, VirtualClock};
     use std::sync::Arc;
 
     const T0: u64 = 10_000;
-    const EVERY: u64 = 100;
 
     /// A supervisor over `workers` single-processor shards on a virtual
-    /// clock reading `T0`, checkpoint cadence `EVERY`.
+    /// clock reading `T0`.
     fn launch(
         tag: &str,
         workers: usize,
         spawn_worker: impl FnMut(usize) -> Command,
-    ) -> (TempMachineFile, Arc<VirtualClock>, io::Result<Supervisor>) {
+    ) -> (TempMachineFile, io::Result<Supervisor>) {
         let file = TempMachineFile::new(tag);
         let clock = Arc::new(VirtualClock::starting_at(T0));
         let build: ShardBuild = Arc::new(|_machine, _shard, arrive| arrive);
         let builder = ClusterBuilder::new(file.path())
             .machine(PmConfig::parallel(workers, 1 << 20))
             .workers(workers)
-            .lease_ms(500)
-            .checkpoint_every(Duration::from_millis(EVERY));
-        let sup = Supervisor::launch(&builder, &build, spawn_worker, clock.clone());
-        (file, clock, sup)
+            .lease_ms(500);
+        let sup = Supervisor::launch(&builder, &build, spawn_worker, clock);
+        (file, sup)
     }
 
     /// Blocks until every worker has exited, leaving the reap to `tick`
@@ -281,13 +230,8 @@ mod tests {
     }
 
     fn write_lease(sup: &Supervisor, shard: usize, lease: Lease) {
-        let backend = sup.observer.machine().mem().backend();
-        backend.write_lease(shard, &lease).expect("write lease");
-    }
-
-    fn requested(sup: &Supervisor) -> (u64, usize) {
-        let backend = sup.observer.machine().mem().backend();
-        unpack_quiesce_req(backend.read_quiesce_word(QUIESCE_REQ_OFFSET))
+        let page = sup.observer.machine().mem().control();
+        page.write_lease(shard, &lease).expect("write lease");
     }
 
     fn process_gone(pid: u32) -> bool {
@@ -302,7 +246,7 @@ mod tests {
 
     #[test]
     fn tick_tombstones_an_exited_worker_unless_it_left_done() {
-        let (_file, _clock, sup) = launch("sup-reap", 2, |_| Command::new("true"));
+        let (_file, sup) = launch("sup-reap", 2, |_| Command::new("true"));
         let mut sup = sup.expect("launch");
         let heartbeat = Lease::alive_at(7, 500, T0);
         write_lease(&sup, 0, heartbeat);
@@ -329,72 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn quiesce_requests_follow_the_clock_and_the_lease_table() {
-        let (_file, clock, sup) = launch("sup-quiesce", 3, |_| Command::new("true"));
-        let mut sup = sup.expect("launch");
-        await_exits(&mut sup);
-        sup.tick();
-        // The fleet is reaped; from here the lease table is the test's.
-        let alive = |now| Lease::alive_at(2, 1_000_000, now);
-        write_lease(&sup, 0, Lease::alive_at(2, 10, T0)); // expires at T0 + 10
-        write_lease(&sup, 1, alive(T0));
-        write_lease(&sup, 2, alive(T0));
-
-        clock.set(T0 + EVERY - 1);
-        sup.tick();
-        assert_eq!(requested(&sup), (0, 0), "nothing requested before `every`");
-
-        clock.set(T0 + EVERY);
-        sup.tick();
-        assert_eq!(
-            requested(&sup),
-            (1, 1),
-            "seq 1, lowest shard whose lease is alive and unexpired"
-        );
-
-        // The performer dies mid-round and REL is never written: the next
-        // request waits out 3 x every, then re-elects past the tombstone.
-        sup.observer.tombstone(1);
-        let t1 = T0 + EVERY;
-        clock.set(t1 + 3 * EVERY - 1);
-        sup.tick();
-        assert_eq!(
-            requested(&sup),
-            (1, 1),
-            "unreleased round not yet timed out"
-        );
-        clock.set(t1 + 3 * EVERY);
-        sup.tick();
-        assert_eq!(
-            requested(&sup),
-            (2, 2),
-            "timed out: seq bumped, performer re-elected"
-        );
-
-        // Round 2 releases, then nobody holds a live lease: nothing is
-        // written, and the cadence re-arms instead of retrying every tick.
-        let backend = sup.observer.machine().mem().backend();
-        backend.write_quiesce_word(QUIESCE_REL_OFFSET, 2);
-        sup.observer.tombstone(2);
-        let t2 = t1 + 3 * EVERY;
-        clock.set(t2 + EVERY);
-        sup.tick();
-        assert_eq!(requested(&sup), (2, 2), "no live lease: nothing written");
-        write_lease(&sup, 0, alive(t2 + EVERY));
-        sup.tick();
-        assert_eq!(
-            requested(&sup),
-            (2, 2),
-            "cadence re-armed at the empty round"
-        );
-        clock.set(t2 + 2 * EVERY);
-        sup.tick();
-        assert_eq!(requested(&sup), (3, 0));
-    }
-
-    #[test]
     fn wait_exit_kills_and_reaps_a_straggler() {
-        let (_file, _clock, sup) = launch("sup-straggler", 2, |shard| {
+        let (_file, sup) = launch("sup-straggler", 2, |shard| {
             let mut cmd = Command::new(["true", "sleep"][shard]);
             cmd.args(["60"]);
             cmd
@@ -428,7 +308,7 @@ mod tests {
         let (ours, theirs) = UnixStream::pair().expect("socketpair");
         let mut theirs = Some(theirs);
         let mut first_pid = None;
-        let (_file, _clock, sup) = launch("sup-partial", 2, |shard| {
+        let (_file, sup) = launch("sup-partial", 2, |shard| {
             if shard == 0 {
                 let mut cmd = Command::new("sh");
                 cmd.args(["-c", "echo $$; exec sleep 60"])

@@ -3,7 +3,7 @@
 //! A worker process runs a checkpointed prefix sum on a durable machine
 //! file: every few hundred capsules it quiesces, flushes only its dirty
 //! pages, garbage-collects dead frame-pool words, and writes a
-//! [`ppm::pm::CheckpointRecord`] into the superblock page. The parent
+//! [`ppm::pm::CheckpointRecord`] into the control page. The parent
 //! watches the record slots, SIGKILLs the worker *between* checkpoints,
 //! then smashes the persisted restart pointer — simulating the narrow
 //! crash windows in which the exact crash frontier is unresumable — and
@@ -40,8 +40,7 @@ mod scenario {
     use std::time::{Duration, Instant};
 
     use ppm::algs::{prefix_sum_seq, PrefixSum};
-    use ppm::pm::backend::superblock::{CheckpointRecord, CKPT_SLOT_BYTES, CKPT_SLOT_OFFSETS};
-    use ppm::pm::{PmConfig, Word};
+    use ppm::pm::{CheckpointRecord, PageView, PmConfig, Word};
     use ppm::sched::{CheckpointPolicy, Runtime, RuntimeConfig, SessionMode};
 
     /// One model processor: the capsule schedule is deterministic, so the
@@ -78,15 +77,7 @@ mod scenario {
 
     /// Reads the newest valid checkpoint record straight off the file.
     fn newest_record(path: &Path) -> Option<CheckpointRecord> {
-        let bytes = std::fs::read(path).ok()?;
-        CKPT_SLOT_OFFSETS
-            .iter()
-            .filter_map(|off| {
-                CheckpointRecord::decode(bytes.get(*off..*off + CKPT_SLOT_BYTES)?)
-                    .ok()
-                    .flatten()
-            })
-            .max_by_key(|r| r.seq)
+        PageView::read_file(path).ok()?.latest_checkpoint().cloned()
     }
 
     /// Capsules a complete from-root run completes (the replay cost a

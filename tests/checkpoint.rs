@@ -138,7 +138,7 @@ fn unresumable_crash_frontier_resumes_from_checkpoint_with_bounded_replay() {
 #[cfg(unix)]
 #[test]
 fn torn_newest_record_falls_back_to_the_previous_checkpoint() {
-    use ppm::pm::backend::superblock::{CheckpointRecord, CKPT_SLOT_BYTES, CKPT_SLOT_OFFSETS};
+    use ppm::pm::control::{PageView, CHECKPOINTS};
     let path = tmp("torn");
     let _ = std::fs::remove_file(&path);
     {
@@ -152,14 +152,8 @@ fn torn_newest_record_falls_back_to_the_previous_checkpoint() {
 
     // Read both record slots straight off the file and tear the newest —
     // the mid-write machine-failure scenario.
-    let bytes = std::fs::read(&path).unwrap();
-    let slot_rec = |s: usize| {
-        CheckpointRecord::decode(
-            &bytes[CKPT_SLOT_OFFSETS[s]..CKPT_SLOT_OFFSETS[s] + CKPT_SLOT_BYTES],
-        )
-        .ok()
-        .flatten()
-    };
+    let view = PageView::read_file(&path).unwrap();
+    let slot_rec = |s: usize| view.checkpoints[s].as_ref().ok().and_then(Option::as_ref);
     let (a, b) = (slot_rec(0), slot_rec(1));
     let newest = match (&a, &b) {
         (Some(a), Some(b)) => {
@@ -178,7 +172,7 @@ fn torn_newest_record_falls_back_to_the_previous_checkpoint() {
         use std::os::unix::fs::FileExt;
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         // Flip a byte in the middle of the newest record's payload.
-        f.write_at(&[0xFF], (CKPT_SLOT_OFFSETS[newest] + 64) as u64)
+        f.write_at(&[0xFF], (CHECKPOINTS.slot_offset(newest) + 64) as u64)
             .unwrap();
     }
 

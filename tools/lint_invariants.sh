@@ -17,10 +17,12 @@
 #      carry a `host-CAS:` justification within the six lines above it;
 #      capsule-side code (the pull/done chains) stays CAM-only.
 #
-#   2. Cross-process superblock slots are SeqCst. Lease, tombstone and
+#   2. Cross-process control-page slots are SeqCst. Lease, tombstone and
 #      cluster-header words are written by one process and read by its
 #      siblings; a Relaxed ordering on that path would let a stale lease
 #      resurrect a tombstoned shard (see model/lease.rs TombstoneSticky).
+#      The one store loop and the one load loop live in
+#      crates/pm/src/control.rs, which names no other ordering.
 #
 #   3. Unsafe stays quarantined in `crates/pm`. Every other crate is
 #      #![forbid]-clean by policy; the mmap/word-IO surface in pm is the
@@ -50,13 +52,11 @@
 #      absent stream costs one load, and the detail text is built by the
 #      caller's closure only once a stream is there to take it.
 #
-#   5. One supervisor. Reaping a dead worker, tombstoning its lease and
-#      pacing the cross-process quiesce is one job (the paper's §6
-#      asynchrony requirement at OS scale) and crates/sched/src/
-#      supervisor.rs does it once. Under crates/, `try_wait(` (the reap)
-#      and a `write_quiesce_word(` of QUIESCE_REQ_OFFSET (the quiesce
-#      request) may each appear in exactly one source file, and no
-#      `#[deprecated` shim or `allow(deprecated)` caller ships: an old
+#   5. One supervisor. Reaping a dead worker and tombstoning its lease
+#      is one job (the paper's §6 asynchrony requirement at OS scale) and
+#      crates/sched/src/supervisor.rs does it once. Under crates/,
+#      `try_wait(` (the reap) may appear in exactly one source file, and
+#      no `#[deprecated` shim or `allow(deprecated)` caller ships: an old
 #      entry point is deleted, not kept beside the new one.
 #
 #   6. One algorithm form, one session entry. The §7 theorems are
@@ -88,6 +88,22 @@
 #      examples/ tests/ (`CapsuleTracer`, the checkpoint GC's frame
 #      tracer, is a different thing). `ppm_trace_dropped_total` is named
 #      by no dashboard or recording rule.
+#
+#   9. One control-page codec. The first page of a machine file is laid
+#      out, encoded and checksummed in crates/pm/src/control.rs and
+#      nowhere else: under crates/, `fn fnv1a` is defined in exactly one
+#      file; `from_raw_parts_mut` appears nowhere (no `&mut [u8]` view of
+#      a page other processes read through atomics); crates/pm/src/
+#      backend/ names no `Mutex` or `RwLock` (one writer per record
+#      replaces the lock, see control.rs) and holds at most seven
+#      `unsafe` sites; `MemBackend` declares at most seven methods (words
+#      + one control page + three flushes, nothing naming a record); and
+#      `.backend()` is called nowhere outside crates/pm — sched and core
+#      reach the page through `PersistentMemory::control()` and the
+#      `Machine` methods. The unproven cross-process checkpoint quiesce
+#      stays deleted: `quiesce_word`, `QUIESCE_`, `QuiesceFollower`,
+#      `cluster_round`, `cluster_park`, `checkpoint_every` appear nowhere
+#      under crates/ src/ tests/ examples/.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -120,14 +136,13 @@ if [ -n "$unjustified" ]; then
 fi
 
 # --- 2. SeqCst on cross-process slots --------------------------------------
-# The sb_word/write_sb_words/read_sb_words surface in the mmap backend is
-# the only path to lease/tombstone/cluster-header words; it must never
-# relax. Scope the check to that file so observability counters elsewhere
-# can stay Relaxed.
-hits=$(grep -n "Ordering::Relaxed\|Ordering::Acquire\|Ordering::Release" \
-    crates/pm/src/backend/mmap.rs || true)
+# store_words/read_record in control.rs are the only path to
+# lease/tombstone/cluster-header words; they must never relax. Scope the
+# check to that file so observability counters elsewhere can stay Relaxed.
+hits=$(grep -n "Ordering::Relaxed\|Ordering::Acquire\|Ordering::Release\|Ordering::AcqRel" \
+    crates/pm/src/control.rs || true)
 if [ -n "$hits" ]; then
-    err "non-SeqCst ordering in the mmap superblock-slot surface (lease/tombstone slots must be SeqCst):" "$hits"
+    err "non-SeqCst ordering in the control-page codec (lease/tombstone slots must be SeqCst):" "$hits"
 fi
 hits=$(grep -n "Ordering::Relaxed" crates/pm/src/lease.rs crates/sched/src/cluster.rs 2>/dev/null \
     | grep -i "lease\|tombstone" || true)
@@ -215,11 +230,6 @@ exactly_one_file() { # what, newline-separated file list
 }
 exactly_one_file "the worker reap (try_wait)" \
     "$(grep -rl "try_wait(" --include="*.rs" crates/ || true)"
-# The request word and its offset may sit on different lines of one call.
-exactly_one_file "the quiesce request (write_quiesce_word of QUIESCE_REQ_OFFSET)" \
-    "$(grep -rl "write_quiesce_word(" --include="*.rs" crates/ | while read -r f; do
-        grep -A2 "write_quiesce_word(" "$f" | grep -q "QUIESCE_REQ_OFFSET" && echo "$f"
-    done)"
 hits=$(grep -rn "#\[deprecated\|allow(deprecated)" --include="*.rs" crates/ || true)
 if [ -n "$hits" ]; then
     err "deprecated shim or allow(deprecated) caller under crates/ (delete the old path, do not keep it beside the new one):" "$hits"
@@ -252,8 +262,40 @@ if [ -n "$hits" ]; then
     err "ppm_trace_dropped_total is gone with the event ring; a dashboard or rule still names it:" "$hits"
 fi
 
+# --- 9. one control-page codec -------------------------------------------------
+defs=$(grep -rl "fn fnv1a" --include="*.rs" crates/ || true)
+if [ "$defs" != "crates/pm/src/control.rs" ]; then
+    err "fn fnv1a must be defined once, in crates/pm/src/control.rs; found in:" "${defs:-<none>}"
+fi
+hits=$(grep -rn "from_raw_parts_mut" --include="*.rs" crates/ || true)
+if [ -n "$hits" ]; then
+    err "from_raw_parts_mut under crates/ (the control page is atomic words, never a &mut byte view):" "$hits"
+fi
+hits=$(grep -rn "Mutex\|RwLock" --include="*.rs" crates/pm/src/backend/ || true)
+if [ -n "$hits" ]; then
+    err "lock in crates/pm/src/backend/ (one writer per control-page record replaces it; see control.rs):" "$hits"
+fi
+sites=$(grep -rn "^[^/]*unsafe" --include="*.rs" crates/pm/src/backend/ || true)
+if [ "$(echo "$sites" | grep -c .)" -gt 7 ]; then
+    err "more than 7 unsafe sites in crates/pm/src/backend/ (two marker impls, mmap, msync, munmap, words(), control()):" "$sites"
+fi
+methods=$(awk '/^pub trait MemBackend/ { on = 1 } on && /^}/ { on = 0 } on && /^    fn / { print FILENAME ":" FNR ": " $0 }' \
+    crates/pm/src/backend/mod.rs)
+if [ "$(echo "$methods" | grep -c .)" -gt 7 ]; then
+    err "MemBackend declares more than 7 methods (a backend is words + one control page + three flushes):" "$methods"
+fi
+hits=$(grep -rn "\.backend()" --include="*.rs" crates src tests examples | grep -v "^crates/pm/" || true)
+if [ -n "$hits" ]; then
+    err ".backend() outside crates/pm (use PersistentMemory::control() or the Machine methods):" "$hits"
+fi
+hits=$(grep -rn "quiesce_word\|QUIESCE_\|QuiesceFollower\|cluster_round\|cluster_park\|checkpoint_every" \
+    --include="*.rs" crates src tests examples || true)
+if [ -n "$hits" ]; then
+    err "the deleted cross-process checkpoint quiesce is back (prove an S-shard round first; see cluster.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec)"
