@@ -33,7 +33,7 @@ fn run_protocol(trials: usize, f: f64, seed: u64, use_cas: bool) -> (u64, u64, S
     }));
     let slots = machine.alloc_region(2 * trials);
     let mut ctx = machine.ctx(0);
-    let mut install = InstallCtx::new(machine.proc_meta(0));
+    let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(0));
 
     for t in 0..trials {
         let x = slots.at(2 * t);

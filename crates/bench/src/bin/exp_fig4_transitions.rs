@@ -6,17 +6,18 @@
 //! row/column layout. Every observed transition must be a ✓ cell of
 //! Figure 4; `Taken` must be terminal.
 //!
-//! The table is only evidence if the run exercised it: whether a thief
-//! wins a `Job -> Taken` steal is up to the OS scheduler, so the run is
-//! repeated (accumulating one matrix) until a steal has been observed,
-//! and the experiment fails outright if [`MAX_ATTEMPTS`] runs see none.
+//! The table is only evidence if the run exercised it, so the run is
+//! driven by [`SimSched::run_seeded`]: one capsule at a time on a
+//! seed-chosen processor, which makes "a thief wins a `Job -> Taken`
+//! steal" a property of the seed instead of a favour of the OS scheduler
+//! — on any host, at any core count.
 
 use std::sync::{Arc, Mutex};
 
 use ppm_bench::{banner, BenchReport};
-use ppm_core::{comp_step, par_all, DoneFlag, Machine};
+use ppm_core::{comp_step, par_all, Machine};
 use ppm_pm::{FaultConfig, PmConfig, ProcCtx};
-use ppm_sched::{kind_of, run_root_on, EntryKind, Sched, SchedConfig};
+use ppm_sched::{kind_of, EntryKind, SchedConfig, SimSched};
 
 fn kind_index(k: EntryKind) -> usize {
     match k {
@@ -27,15 +28,19 @@ fn kind_index(k: EntryKind) -> usize {
     }
 }
 
-/// Runs at most this many times waiting for a steal before failing.
-const MAX_ATTEMPTS: usize = 20;
+/// The schedule's seed.
+const SEED: u64 = 4;
+/// Capsule-steps the schedule may take.
+const MAX_STEPS: usize = 1 << 20;
 
-type Matrix = Arc<Mutex<[[u64; 4]; 4]>>;
+fn main() {
+    let cli = ppm_bench::cli::Cli::from_env();
+    banner(
+        "E11 (Figure 4)",
+        "WS-deque entry state transitions",
+        "entries move only along: Empty->Local; Local->Empty/Job/Taken; Job->Local/Taken",
+    );
 
-/// One faulty run with the counting observer attached; transitions add
-/// into `matrix`. Returns the machine (for its metrics) and the run's
-/// soft-fault count.
-fn observed_run(cli: &ppm_bench::cli::Cli, matrix: &Matrix) -> (Machine, u64) {
     let machine = Machine::new(
         PmConfig::parallel(cli.procs(4), 1 << 22)
             .with_fault(FaultConfig::soft(0.01, 4).with_scheduled_hard_fault(2, 900)),
@@ -47,17 +52,17 @@ fn observed_run(cli: &ppm_bench::cli::Cli, matrix: &Matrix) -> (Machine, u64) {
             .map(|i| comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
             .collect(),
     );
-    let done = DoneFlag::new(&machine);
-    let root = comp(done.finale());
 
-    // Build the scheduler first so the deque regions are known, then
-    // attach the counting observer, then run on that same scheduler.
-    let sched = Sched::new(&machine, done, &SchedConfig::with_slots(1 << 12));
-    let ranges: Vec<(usize, usize)> = sched
+    // Seat the computation first so the deque regions are known, then
+    // attach the counting observer, then run the schedule.
+    let mut sim = SimSched::new_closure(&machine, &comp, &SchedConfig::with_slots(1 << 12));
+    let ranges: Vec<(usize, usize)> = sim
+        .sched()
         .deques()
         .iter()
         .map(|d| (d.stack.start, d.stack.end()))
         .collect();
+    let matrix = Arc::new(Mutex::new([[0u64; 4]; 4]));
     {
         let matrix = matrix.clone();
         machine
@@ -69,42 +74,23 @@ fn observed_run(cli: &ppm_bench::cli::Cli, matrix: &Matrix) -> (Machine, u64) {
                 }
             })));
     }
-
-    let report = run_root_on(&machine, &sched, root, done);
-    assert!(report.completed);
+    sim.run_seeded(SEED, MAX_STEPS);
+    machine.mem().set_observer(None);
+    let steps = sim.finish().steps;
     for i in 0..n {
         assert_eq!(machine.mem().load(r.at(i)), 1, "task {i}");
     }
-    let soft_faults = report.stats.soft_faults;
-    (machine, soft_faults)
-}
+    let soft_faults = machine.snapshot().soft_faults;
 
-fn main() {
-    let cli = ppm_bench::cli::Cli::from_env();
-    banner(
-        "E11 (Figure 4)",
-        "WS-deque entry state transitions",
-        "entries move only along: Empty->Local; Local->Empty/Job/Taken; Job->Local/Taken",
-    );
-
-    let matrix: Matrix = Arc::new(Mutex::new([[0; 4]; 4]));
-    let mut attempts = 0;
-    let (machine, soft_faults) = loop {
-        attempts += 1;
-        let run = observed_run(&cli, &matrix);
-        if matrix.lock().unwrap()[2][3] >= 1 {
-            break run;
-        }
-        assert!(
-            attempts < MAX_ATTEMPTS,
-            "no Job -> Taken steal in {attempts} runs: the experiment observed nothing"
-        );
-    };
     let m = matrix.lock().unwrap();
     let names = ["Empty", "Local", "Job", "Taken"];
+    assert!(
+        m[2][3] >= 1,
+        "seed {SEED} schedules no Job -> Taken steal: the experiment observed nothing"
+    );
     println!(
-        "run: P=4, f=0.01 soft + proc 2 hard-faulted; {soft_faults} soft faults in the last of \
-         {attempts} run(s), {} steals-ish\n",
+        "run: P=4, f=0.01 soft + proc 2 hard-faulted; {soft_faults} soft faults in {steps} \
+         scheduled steps (seed {SEED}), {} steals-ish\n",
         m[2][3]
     );
     println!("observed transitions (rows: old state, columns: new state):\n");
@@ -144,7 +130,7 @@ fn main() {
     report
         .metric("illegal_transitions", illegal as f64)
         .note("observed_steals", m[2][3])
-        .note("attempts", attempts);
+        .note("steps", steps);
     report.embed_obs(machine.obs().registry());
     report.emit();
     println!("matches Figure 4: Empty->Local, Local->{{Empty,Job,Taken}}, Job->{{Local,Taken}},");

@@ -17,9 +17,13 @@
 //! Handle `0` is reserved as the null handle; machine layout guarantees
 //! address 0 is never allocated.
 //!
-//! There are two kinds of handle, and [`ContArena::resolve`] treats the
-//! persistent words as the authority on which is which:
+//! There are three kinds of handle, and [`ContArena::try_resolve`] treats
+//! the persistent words as the authority on which is which:
 //!
+//! * **Journal pointers**: the address of some processor's restart-pointer
+//!   word (see [`crate::machine::PROC_META_WORDS`]). The capsule is a
+//!   scheduler record — words — and the live one of that processor's
+//!   journal is read back; any attachment to the machine does this alike.
 //! * **Frame handles**: the words at the handle parse as a
 //!   [`ppm_pm::frame`] frame fully describing the closure. These are
 //!   rehydrated through the machine's
@@ -35,11 +39,11 @@
 //!   [`ContArena::register_at`]): the closure content is a process-local
 //!   Rust object; the persistent word is only a marker (never
 //!   frame-shaped). These resolve through the map and die with the
-//!   process. They back the model-level closure machine
-//!   ([`crate::comp`] — the Figure 3/4 protocol tests and the ABP
-//!   comparison, always fresh in-process runs) and the scheduler's own
-//!   restart pointers; no session accepts a closure computation, and no
-//!   recovery path ever resolves one.
+//!   process. They are a closure-machine facility: they back
+//!   [`crate::comp`] DAGs (the Figure 3/4 protocol tests and the ABP
+//!   comparison, always fresh in-process runs) and the `crates/sim`
+//!   chains. No session accepts a closure computation, no session mints
+//!   a closure handle, and no recovery path ever resolves one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,8 +51,10 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use ppm_pm::{Addr, PersistentMemory, PmResult, ProcCtx, Word};
 
-use crate::capsule::Cont;
+use crate::capsule::{Active, Cont};
+use crate::machine::MetaMap;
 use crate::registry::{CapsuleRegistry, RehydrateError};
+use crate::runner::live_record;
 
 /// The reserved null handle: "no continuation".
 pub const NULL_HANDLE: Word = 0;
@@ -58,17 +64,15 @@ pub const NULL_HANDLE: Word = 0;
 /// enough to account for them (the Rust object carries the rest).
 pub const CLOSURE_WORDS: usize = 1;
 
-const SHARDS: usize = 16;
-
-/// Shared registry of continuations keyed by persistent address.
-///
-/// Sharded to keep registration (owner-local) from contending with lookups
-/// (thieves resolving stolen handles).
+/// Shared registry of continuations keyed by persistent address. One
+/// map behind one lock: only the closure machine writes it, and nothing
+/// a session runs reads it.
 pub struct ContArena {
-    shards: Vec<RwLock<HashMap<Addr, Cont>>>,
-    /// Frame-rehydration backing (memory + registry); absent for
-    /// standalone arenas, always present on machine-owned arenas.
-    rehydrate: Option<(Arc<PersistentMemory>, Arc<CapsuleRegistry>)>,
+    map: RwLock<HashMap<Addr, Cont>>,
+    /// What resolves a handle from persistent words (memory, the frame
+    /// registry, where the journals lie); absent for standalone arenas,
+    /// always present on machine-owned arenas.
+    rehydrate: Option<(Arc<PersistentMemory>, Arc<CapsuleRegistry>, MetaMap)>,
 }
 
 impl std::fmt::Debug for ContArena {
@@ -87,23 +91,23 @@ impl ContArena {
     /// Creates an empty arena without frame rehydration.
     pub fn new() -> Self {
         ContArena {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            map: RwLock::default(),
             rehydrate: None,
         }
     }
 
     /// Creates an empty arena that can rehydrate frame handles from
-    /// `mem` through `registry` (machine construction path).
-    pub fn with_rehydration(mem: Arc<PersistentMemory>, registry: Arc<CapsuleRegistry>) -> Self {
+    /// `mem` through `registry` and read scheduler records out of the
+    /// journals at `metas` (machine construction path).
+    pub fn with_rehydration(
+        mem: Arc<PersistentMemory>,
+        registry: Arc<CapsuleRegistry>,
+        metas: MetaMap,
+    ) -> Self {
         ContArena {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            rehydrate: Some((mem, registry)),
+            map: RwLock::default(),
+            rehydrate: Some((mem, registry, metas)),
         }
-    }
-
-    #[inline]
-    fn shard(&self, addr: Addr) -> &RwLock<HashMap<Addr, Cont>> {
-        &self.shards[(addr / CLOSURE_WORDS) % SHARDS]
     }
 
     /// Registers `cont` at a fresh persistent address drawn from the
@@ -114,7 +118,7 @@ impl ContArena {
         // Insert before the costed write: if the write faults, the entry is
         // unreachable (the handle is not yet published anywhere) and the
         // re-run will overwrite it with an equivalent closure.
-        self.shard(addr).write().insert(addr, cont);
+        self.map.write().insert(addr, cont);
         ctx.pwrite(addr, 1)?; // closure content marker
         Ok(addr as Word)
     }
@@ -129,7 +133,7 @@ impl ContArena {
         cont: Cont,
         gen: Word,
     ) -> PmResult<()> {
-        self.shard(slot).write().insert(slot, cont);
+        self.map.write().insert(slot, cont);
         ctx.pwrite(slot, gen)?;
         Ok(())
     }
@@ -139,7 +143,7 @@ impl ContArena {
     /// processors start); runtime code must use the costed paths.
     pub fn preregister(&self, addr: Addr, cont: Cont) {
         assert_ne!(addr, 0, "address 0 is the null handle");
-        self.shard(addr).write().insert(addr, cont);
+        self.map.write().insert(addr, cont);
     }
 
     /// Resolves a handle from the in-process map only. `None` for the
@@ -149,24 +153,25 @@ impl ContArena {
             return None;
         }
         let addr = handle as Addr;
-        self.shard(addr).read().get(&addr).cloned()
+        self.map.read().get(&addr).cloned()
     }
 
-    /// Resolves a handle: if the persistent words at it parse as a
-    /// capsule frame, rehydrate through the registry (the words are
-    /// authoritative — frame addresses can be reused across runs, so
-    /// rehydrations are never cached); otherwise fall back to the
-    /// in-process map. `None` when the handle is null, unregistered, and
-    /// not a well-formed registered frame.
+    /// Resolves a handle to a user capsule: a frame rehydrates through
+    /// the registry (the words are authoritative — frame addresses can be
+    /// reused across runs, so rehydrations are never cached), anything
+    /// else comes from the in-process map. `None` when the handle is
+    /// null, unregistered and not a well-formed registered frame — or a
+    /// journal pointer, which denotes no user capsule.
     pub fn resolve(&self, handle: Word) -> Option<Cont> {
-        self.try_resolve(handle).ok()
+        match self.try_resolve(handle) {
+            Ok(Active::Capsule(c)) => Some(c),
+            _ => None,
+        }
     }
 
-    /// [`ContArena::resolve`] with the rehydration failure preserved, for
-    /// recovery code that must distinguish "process-local closure" from
-    /// "malformed frame". The null handle and map misses report as frame
-    /// errors.
-    pub fn try_resolve(&self, handle: Word) -> Result<Cont, RehydrateError> {
+    /// What `handle` denotes, with the rehydration failure preserved. The
+    /// null handle and map misses report as frame errors.
+    pub fn try_resolve(&self, handle: Word) -> Result<Active, RehydrateError> {
         self.resolve_with(handle, CapsuleRegistry::instantiate_parts)
     }
 
@@ -177,16 +182,21 @@ impl ContArena {
         &self,
         handle: Word,
         instantiate: impl FnOnce(&CapsuleRegistry, Addr, Word, &[Word]) -> Result<Cont, RehydrateError>,
-    ) -> Result<Cont, RehydrateError> {
-        if let Some((mem, registry)) = self.rehydrate.as_ref() {
+    ) -> Result<Active, RehydrateError> {
+        if let Some((mem, registry, metas)) = self.rehydrate.as_ref() {
+            if let Some(base) = metas.journal_of(handle) {
+                return Ok(Active::Sched(live_record(|off| mem.load(base + off))));
+            }
             if ppm_pm::is_frame_at(mem, handle as Addr) {
                 let mut args = [0; ppm_pm::MAX_FRAME_ARGS];
                 let (capsule_id, _, argc) =
                     ppm_pm::read_frame_into(mem, handle as Addr, &mut args)?;
-                return instantiate(registry, handle as Addr, capsule_id, &args[..argc]);
+                return instantiate(registry, handle as Addr, capsule_id, &args[..argc])
+                    .map(Active::Capsule);
             }
         }
         self.get(handle)
+            .map(Active::Capsule)
             .ok_or(RehydrateError::Frame(ppm_pm::FrameError::NotAFrame {
                 addr: handle as Addr,
                 word: 0,
@@ -195,7 +205,7 @@ impl ContArena {
 
     /// Number of live registrations (diagnostics).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.map.read().len()
     }
 
     /// Whether the arena is empty.

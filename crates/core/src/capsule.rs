@@ -21,6 +21,8 @@ use std::sync::Arc;
 
 use ppm_pm::{PmResult, ProcCtx, Word};
 
+use crate::arena::ContArena;
+
 /// What a completed capsule does next. Returning `Next` is the paper's
 /// "installing" step: the engine writes the new restart pointer (a constant
 /// number of external writes) before the successor runs.
@@ -55,6 +57,11 @@ pub enum Next {
         /// Frame handle of the current thread's continuation.
         cont: Word,
     },
+    /// Continue with a scheduler capsule, denoted by its record (see
+    /// [`SchedRecord`]). The engine journals the record in the executing
+    /// processor's metadata block and the scheduler passed to
+    /// [`crate::runner::run_capsule`] runs it.
+    Sched(SchedRecord),
     /// The thread is finished; control returns to the scheduler (§6.1:
     /// "when a thread finishes it jumps to the scheduler").
     End,
@@ -75,10 +82,90 @@ impl fmt::Debug for Next {
             Next::ForkHandle { child, cont } => {
                 write!(f, "ForkHandle{{child: {child}, cont: {cont}}}")
             }
+            Next::Sched(r) => write!(f, "Sched({:#x})", r.kind),
             Next::End => write!(f, "End"),
             Next::Halt => write!(f, "Halt"),
         }
     }
+}
+
+/// Argument words of a [`SchedRecord`].
+pub const SCHED_ARG_WORDS: usize = 5;
+
+/// A scheduler capsule as words: the paper keeps *every* closure in
+/// persistent memory (§4.1), the scheduler's own included. A record is
+/// one head word plus [`SCHED_ARG_WORDS`] argument words. The scheduler
+/// owns the low [`SchedRecord::KIND_BITS`] bits of the head (its capsule
+/// kind and whatever small fields it packs beside it) and every argument
+/// word; the engine owns the bits above — the generation it stamps when
+/// it journals the record (see [`crate::runner::InstallCtx::install_sched`]).
+/// What the words mean is the [`Scheduler`]'s business: the engine only
+/// stores them, finds the live one again, and hands it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchedRecord {
+    /// The scheduler's bits of the head word.
+    pub kind: u16,
+    /// The argument words.
+    pub args: [Word; SCHED_ARG_WORDS],
+}
+
+impl SchedRecord {
+    /// Words a journaled record occupies: the arguments, then the head.
+    pub const WORDS: usize = SCHED_ARG_WORDS + 1;
+    /// Head-word bits below the generation.
+    pub const KIND_BITS: u32 = 16;
+
+    /// The record's journal image at generation `gen`: the argument
+    /// words, then the head.
+    #[inline]
+    pub fn words(&self, gen: Word) -> [Word; Self::WORDS] {
+        let [a, b, c, d, e] = self.args;
+        [a, b, c, d, e, (gen << Self::KIND_BITS) | self.kind as Word]
+    }
+
+    /// The record a journal image holds (its generation dropped).
+    #[inline]
+    pub fn from_words([a, b, c, d, e, head]: [Word; Self::WORDS]) -> Self {
+        SchedRecord {
+            kind: head as u16,
+            args: [a, b, c, d, e],
+        }
+    }
+
+    /// The generation a head word was journaled at.
+    #[inline]
+    pub fn generation(head: Word) -> Word {
+        head >> Self::KIND_BITS
+    }
+}
+
+/// The scheduler a processor's engine loop runs under: what a fork and a
+/// thread end turn into, and how a [`SchedRecord`] runs. One object
+/// replaces the two closure hooks (`fork_wrap`, `on_end`) the engine took
+/// before scheduler capsules were records.
+pub trait Scheduler {
+    /// Runs the scheduler capsule `rec` denotes. `handles` is the
+    /// engine's own resolver, lent for the one question a scheduler asks
+    /// of a handle it did not write: does a dead processor's restart
+    /// pointer still decode?
+    fn run(&self, rec: &SchedRecord, ctx: &mut ProcCtx, handles: &ContArena) -> PmResult<Next>;
+
+    /// The capsule a fork installs: push `child`, then continue the
+    /// thread at `cont` (both handles).
+    fn on_fork(&self, child: Word, cont: Word) -> SchedRecord;
+
+    /// The capsule a finished thread installs.
+    fn on_end(&self) -> SchedRecord;
+
+    /// Diagnostic name of the capsule `rec` denotes.
+    fn name(&self, rec: &SchedRecord) -> &'static str;
+
+    /// Whether the dynamic write-after-read validator checks `rec`'s
+    /// capsule. The Figure 3 capsules that read an entry and rewrite it
+    /// in the same capsule (`pushBottom`'s conditional push,
+    /// `clearBottom`) answer no: their idempotence is the paper's tag
+    /// argument (Lemmas A.6/A.12), not Theorem 3.1.
+    fn war_checked(&self, rec: &SchedRecord) -> bool;
 }
 
 /// A restartable unit of computation.
@@ -96,30 +183,6 @@ pub trait Capsule: Send + Sync {
     fn name(&self) -> &str {
         "capsule"
     }
-
-    /// Whether the dynamic write-after-read validator should check this
-    /// capsule (default: yes). The few Figure 3 scheduler capsules that
-    /// deliberately read an entry and then CAM it in the same capsule
-    /// (pushBottom's conditional push, clearBottom) override this: their
-    /// idempotence is the paper's tag argument (Lemmas A.6/A.12), not
-    /// Theorem 3.1.
-    fn war_checked(&self) -> bool {
-        true
-    }
-
-    /// Whether this capsule's executions appear as spans in the causal
-    /// trace (default: yes). Scheduler-internal capsules (the Figure 3
-    /// deque steps, steal attempts, push/pop sequences) override this to
-    /// `false`: they are machinery *between* computation capsules, and
-    /// excluding them is what makes a scheduler-mediated transfer break
-    /// the same-thread parent chain — so a stolen or adopted capsule
-    /// takes its parent from the persistent frame word (the true causal
-    /// edge) instead of from the thief's scheduling loop. Join capsules
-    /// stay traced: the slower arrival's join-check is genuinely on the
-    /// critical path of the continuation it releases.
-    fn traced(&self) -> bool {
-        true
-    }
 }
 
 /// A continuation: a shared handle to a capsule ("closure") that can be
@@ -127,14 +190,33 @@ pub trait Capsule: Send + Sync {
 /// arena for cross-processor stealing.
 pub type Cont = Arc<dyn Capsule>;
 
+/// What a processor runs next, and what a handle denotes: a user capsule
+/// (a closure object, possibly rehydrated from a frame) or a scheduler
+/// capsule (a record, run by the [`Scheduler`]).
+#[derive(Clone)]
+pub enum Active {
+    /// A user capsule.
+    Capsule(Cont),
+    /// A scheduler capsule.
+    Sched(SchedRecord),
+}
+
+impl Active {
+    /// Diagnostic name; `sched` names the records.
+    pub fn name<'a>(&'a self, sched: Option<&'a dyn Scheduler>) -> &'a str {
+        match self {
+            Active::Capsule(c) => c.name(),
+            Active::Sched(rec) => sched.map_or("sched/?", |s| s.name(rec)),
+        }
+    }
+}
+
 /// A capsule built from a closure. The closure's captured environment is
 /// the capsule's persistent "closure" state; the `Fn` bound (not `FnOnce`)
 /// enforces re-runnability.
 pub struct FnCapsule<F> {
     name: &'static str,
     body: F,
-    war_checked: bool,
-    traced: bool,
 }
 
 impl<F> Capsule for FnCapsule<F>
@@ -147,14 +229,6 @@ where
 
     fn name(&self) -> &str {
         self.name
-    }
-
-    fn war_checked(&self) -> bool {
-        self.war_checked
-    }
-
-    fn traced(&self) -> bool {
-        self.traced
     }
 }
 
@@ -170,40 +244,7 @@ pub fn capsule<F>(name: &'static str, body: F) -> Cont
 where
     F: Fn(&mut ProcCtx) -> PmResult<Next> + Send + Sync + 'static,
 {
-    Arc::new(FnCapsule {
-        name,
-        body,
-        war_checked: true,
-        traced: true,
-    })
-}
-
-/// Creates a capsule exempt from dynamic write-after-read checking. For
-/// scheduler internals only — see [`Capsule::war_checked`].
-pub fn capsule_unchecked<F>(name: &'static str, body: F) -> Cont
-where
-    F: Fn(&mut ProcCtx) -> PmResult<Next> + Send + Sync + 'static,
-{
-    Arc::new(FnCapsule {
-        name,
-        body,
-        war_checked: false,
-        traced: false,
-    })
-}
-
-/// Creates a scheduler-internal capsule: WAR-checked but excluded from
-/// causal span tracing — see [`Capsule::traced`].
-pub fn sched_capsule<F>(name: &'static str, body: F) -> Cont
-where
-    F: Fn(&mut ProcCtx) -> PmResult<Next> + Send + Sync + 'static,
-{
-    Arc::new(FnCapsule {
-        name,
-        body,
-        war_checked: true,
-        traced: false,
-    })
+    Arc::new(FnCapsule { name, body })
 }
 
 /// A capsule that runs a side-effecting body and then jumps to a fixed

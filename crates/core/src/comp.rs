@@ -159,7 +159,7 @@ mod tests {
         let finale = final_capsule("finale", move |ctx| ctx.pwrite(done.at(0), 1));
         let rootc = root(&comp, finale);
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         run_chain(&mut ctx, m.arena(), &mut install, rootc).unwrap();
         assert_eq!(m.mem().load(done.at(0)), 1, "finale must run");
     }

@@ -645,7 +645,9 @@ mod tests {
                     Next::JumpHandle(h) => {
                         cur = machine.arena().resolve(h).expect("jump target");
                     }
-                    Next::Fork { .. } => panic!("dsl capsules fork by handle"),
+                    Next::Fork { .. } | Next::Sched(_) => {
+                        panic!("dsl capsules fork by handle and install no records")
+                    }
                     Next::ForkHandle { child, cont } => {
                         stack.push(child);
                         cur = machine.arena().resolve(cont).expect("fork cont");

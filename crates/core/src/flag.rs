@@ -70,7 +70,7 @@ mod tests {
         let flag = DoneFlag::new(&m);
         assert!(!flag.is_set(m.mem()));
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         run_chain(&mut ctx, m.arena(), &mut install, flag.finale()).unwrap();
         assert!(flag.is_set(m.mem()));
     }

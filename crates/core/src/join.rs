@@ -150,7 +150,7 @@ mod tests {
     fn run_both_arrivals(m: &Machine, order: [Word; 2]) -> u64 {
         let out = m.alloc_region(8);
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
 
         // Allocate the cell in a setup capsule.
         let cell_slot = m.alloc_region(8);
@@ -200,7 +200,7 @@ mod tests {
     fn first_arriver_ends_thread() {
         let m = machine(FaultConfig::none());
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         let cell_slot = m.alloc_region(8);
         let setup = final_capsule("setup", move |ctx| {
             let cell = JoinCell::init(ctx)?;

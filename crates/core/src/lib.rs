@@ -46,14 +46,14 @@ pub mod runner;
 
 pub use arena::{ContArena, CLOSURE_WORDS, NULL_HANDLE};
 pub use capsule::{
-    capsule, capsule_unchecked, end_capsule, final_capsule, sched_capsule, step_capsule, Capsule,
-    Cont, Next,
+    capsule, end_capsule, final_capsule, step_capsule, Active, Capsule, Cont, Next, SchedRecord,
+    Scheduler, SCHED_ARG_WORDS,
 };
 pub use comp::{comp_dyn, comp_fork2, comp_nop, comp_seq, comp_step, par_all, root, seq_all, Comp};
 pub use dsl::{fork2, fork_many, jump_to, seq, CapsuleDef, CapsuleSet, Fold, Span, K};
 pub use flag::DoneFlag;
 pub use join::{fork_join_frames, JoinCell, TOKEN_LEFT, TOKEN_RIGHT, UNSET};
-pub use machine::{Machine, ProcMeta, DEFAULT_POOL_WORDS, PROC_META_WORDS};
+pub use machine::{Machine, MetaMap, ProcMeta, DEFAULT_POOL_WORDS, PROC_META_WORDS};
 pub use persist::{
     decode_args, encode_args, FrameDecodeError, FrameDecodeKind, Persist, PoolRefs, ValueError,
     WordReader,
@@ -63,4 +63,4 @@ pub use registry::{
     RehydrateError, CORE_ID_END, CORE_ID_FINALE, CORE_ID_FORK_PAIR, CORE_ID_JOIN_CAM,
     CORE_ID_JOIN_CHECK, FIRST_USER_CAPSULE_ID,
 };
-pub use runner::{run_capsule, run_chain, ForkWrap, InstallCtx, Step};
+pub use runner::{journal_image, live_record, run_capsule, run_chain, InstallCtx};

@@ -17,49 +17,132 @@ use ppm_pm::{
 use crate::arena::ContArena;
 use crate::registry::{register_core_capsules, CapsuleId, CapsuleRegistry};
 
-/// Persistent words of per-processor metadata.
+/// Persistent words of per-processor metadata: a two-record journal of
+/// scheduler capsules, the restart pointer, and the pool watermark.
 ///
-/// Layout per processor: `[slot_a, active_capsule, slot_b, watermark]`.
-/// * `active_capsule` — the restart-pointer location (§2): the handle of
-///   the capsule the processor is currently executing. Read by thieves via
-///   `getActiveCapsule` when recovering from a hard fault.
-/// * `slot_a`/`slot_b` — the two-closure swap area of §4.1 used for thread
-///   continuations, so running a long thread does not consume pool space.
-///   Each slot sits *adjacent* to the restart pointer so an install —
-///   fill the free slot, swing the pointer to it — writes one contiguous
-///   word pair (`[slot_a, active]` or `[active, slot_b]`) and coalesces
-///   into a single block transfer (see `InstallCtx::install_jump`).
+/// ```text
+///   offset  0..5   record A, argument words
+///           5      record A, head word   (= closure swap slot A)
+///           6      active: the restart pointer (§2)
+///           7      closure swap slot B
+///           8..13  record B, argument words
+///          13      record B, head word
+///          14      watermark
+///          15      unused
+/// ```
+///
+/// * `active` — the handle of the capsule the processor is executing,
+///   read by thieves via `getActiveCapsule` when it hard-faults. It holds
+///   a frame address (a user capsule: the frame's words are the closure),
+///   a closure handle (closure machine only), or **its own address** —
+///   the journal pointer: "my capsule is the live record of this block".
+///   A word that holds its own small address can never carry
+///   [`ppm_pm::frame::FRAME_MAGIC`], so code that only knows frames reads
+///   a journal pointer as "not a frame".
+/// * records A and B — the scheduler's own capsules, as words
+///   ([`crate::capsule::SchedRecord`]): the **live** record is the one whose head carries
+///   the higher generation. Any attachment to the machine resolves a
+///   journal pointer from these words alone
+///   ([`crate::runner::live_record`]), which is what lets a survivor
+///   adopt a processor killed *inside* scheduler code.
+/// * closure swap slots — the two-closure swap of §4.1 for the closure
+///   machine's thread continuations, each adjacent to `active` so an
+///   install is one contiguous pair. Slot A shares a word with record A's
+///   head: a closure install and a record install are never both current
+///   (each ends by making `active` its own), the arena is keyed by the
+///   slot's *address*, and both write generations from one counter.
 /// * `watermark` — mirror of the processor's committed pool-allocation
 ///   cursor, refreshed (uncosted) at every capsule boundary. A recovering
 ///   process reads it to resume allocation *above* the dead run's live
-///   closure frames and join cells instead of overwriting them.
-pub const PROC_META_WORDS: usize = 4;
+///   frames and join cells instead of overwriting them.
+///
+/// ## Store order (why a SIGKILL between any two stores is safe)
+///
+/// An install is one ascending run of stores
+/// ([`crate::runner::InstallCtx::install_sched`]):
+///
+/// * record → record: the five argument words, then the head, into the
+///   slot that is *not* live. Until the head lands the slot's old, lower
+///   generation keeps it dead, whatever its arguments hold; once it
+///   lands the slot is complete and live. `active` is not touched.
+/// * anything else → record: record A's arguments, its head, then
+///   `active` — seven adjacent words. Until `active` lands it denotes the
+///   old capsule; the head before it already outranks record B.
+///
+/// At B ≥ 8 either run lies inside one block — one `write_block`, the
+/// cost an install always had. At B = 4 a six-word record cannot, and
+/// the run is two block writes.
+pub const PROC_META_WORDS: usize = 16;
 
-/// Offsets within a processor's metadata area.
+/// Offsets within a processor's metadata block.
 pub mod meta {
-    /// First swap slot for thread-continuation closures.
-    pub const SLOT_A: usize = 0;
-    /// Restart-pointer location: handle of the active capsule. Placed
-    /// between the swap slots so either `(slot, active)` install pair is
-    /// contiguous.
-    pub const ACTIVE: usize = 1;
-    /// Second swap slot.
-    pub const SLOT_B: usize = 2;
+    use crate::capsule::SCHED_ARG_WORDS;
+
+    /// Journal record A: argument words, then its head at [`HEAD_A`].
+    pub const REC_A: usize = 0;
+    /// Head word of record A.
+    pub const HEAD_A: usize = REC_A + SCHED_ARG_WORDS;
+    /// Closure swap slot A (shares record A's head word).
+    pub const SLOT_A: usize = HEAD_A;
+    /// Restart-pointer location, between the swap slots so either
+    /// `(slot, active)` pair is contiguous, and right behind record A so
+    /// `(record, head, active)` is.
+    pub const ACTIVE: usize = HEAD_A + 1;
+    /// Closure swap slot B.
+    pub const SLOT_B: usize = ACTIVE + 1;
+    /// Journal record B.
+    pub const REC_B: usize = 8;
+    /// Head word of record B.
+    pub const HEAD_B: usize = REC_B + SCHED_ARG_WORDS;
     /// Committed pool-allocation cursor mirror.
-    pub const WATERMARK: usize = 3;
+    pub const WATERMARK: usize = HEAD_B + 1;
 }
+
+// Record A and its pointer swing end before record B starts, and the
+// block holds both.
+const _: () = assert!(meta::SLOT_B < meta::REC_B && meta::WATERMARK < PROC_META_WORDS);
 
 /// Addresses of one processor's metadata words.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcMeta {
-    /// Address of the restart-pointer word.
+    /// Address of the block (record A's first argument word).
+    pub base: Addr,
+    /// Address of the restart-pointer word; the closure swap slots are
+    /// the words on either side of it.
     pub active: Addr,
-    /// Address of swap slot A.
-    pub slot_a: Addr,
-    /// Address of swap slot B.
-    pub slot_b: Addr,
     /// Address of the pool-cursor watermark word.
     pub watermark: Addr,
+}
+
+/// Where the processors' metadata blocks lie: maps a processor to its
+/// block and a journal pointer back to the block it points into.
+#[derive(Debug, Clone, Copy)]
+pub struct MetaMap {
+    start: Addr,
+    stride: usize,
+    procs: usize,
+}
+
+impl MetaMap {
+    /// Metadata addresses of processor `proc`.
+    pub fn of(&self, proc: usize) -> ProcMeta {
+        assert!(proc < self.procs);
+        let base = self.start + proc * self.stride;
+        ProcMeta {
+            base,
+            active: base + meta::ACTIVE,
+            watermark: base + meta::WATERMARK,
+        }
+    }
+
+    /// The block `handle` points into, if `handle` is a journal pointer
+    /// (the address of some processor's `active` word).
+    #[inline]
+    pub fn journal_of(&self, handle: Word) -> Option<Addr> {
+        let off = (handle as Addr).checked_sub(self.start + meta::ACTIVE)?;
+        (off % self.stride == 0 && off / self.stride < self.procs)
+            .then(|| handle as Addr - meta::ACTIVE)
+    }
 }
 
 /// One Parallel-PM machine: shared state plus address-space layout.
@@ -73,7 +156,7 @@ pub struct Machine {
     arena: Arc<ContArena>,
     registry: Arc<CapsuleRegistry>,
     layout: Mutex<LayoutBuilder>,
-    proc_meta: Region,
+    metas: MetaMap,
     pools: Vec<Region>,
     pool_words: usize,
     /// Durable-backend run epoch (1 for the creating run, +1 per reopen);
@@ -81,9 +164,10 @@ pub struct Machine {
     epoch: u64,
 }
 
-/// Default per-processor allocation pool size in words. Each fork consumes
-/// `CLOSURE_WORDS + 1` (child closure + join cell), so this supports on the
-/// order of 10^5 forks per processor; construct with
+/// Default per-processor allocation pool size in words. A closure-machine
+/// fork consumes `2 * CLOSURE_WORDS + 1` (child and continuation
+/// closures, and the join cell), so this supports on the order of 10^5
+/// forks per processor; construct with
 /// [`Machine::with_pool_words`] for larger workloads.
 pub const DEFAULT_POOL_WORDS: usize = 1 << 18;
 
@@ -116,7 +200,14 @@ impl Machine {
         // Reserve the first block so that address 0 is never a valid handle
         // (the arena's null handle).
         let _null_guard = layout.region(1);
-        let proc_meta = layout.region(cfg.procs * PROC_META_WORDS.max(cfg.block_size));
+        // Blocks are block-separated so installs by one processor never
+        // share a block with another's restart pointer.
+        let stride = PROC_META_WORDS.max(cfg.block_size);
+        let metas = MetaMap {
+            start: layout.region(cfg.procs * stride).start,
+            stride,
+            procs: cfg.procs,
+        };
         let pools = (0..cfg.procs).map(|_| layout.region(pool_words)).collect();
         let registry = Arc::new(CapsuleRegistry::new());
         register_core_capsules(&registry);
@@ -141,10 +232,14 @@ impl Machine {
             stats,
             obs,
             liveness: Arc::new(Liveness::new(cfg.procs)),
-            arena: Arc::new(ContArena::with_rehydration(mem.clone(), registry.clone())),
+            arena: Arc::new(ContArena::with_rehydration(
+                mem.clone(),
+                registry.clone(),
+                metas,
+            )),
             registry,
             layout: Mutex::new(layout),
-            proc_meta,
+            metas,
             pools,
             pool_words,
             epoch,
@@ -374,17 +469,7 @@ impl Machine {
 
     /// Metadata addresses for processor `proc`.
     pub fn proc_meta(&self, proc: usize) -> ProcMeta {
-        assert!(proc < self.cfg.procs);
-        // Metadata areas are block-separated so installs by one processor
-        // never share a block with another's restart pointer.
-        let stride = PROC_META_WORDS.max(self.cfg.block_size);
-        let base = self.proc_meta.start + proc * stride;
-        ProcMeta {
-            active: base + meta::ACTIVE,
-            slot_a: base + meta::SLOT_A,
-            slot_b: base + meta::SLOT_B,
-            watermark: base + meta::WATERMARK,
-        }
+        self.metas.of(proc)
     }
 
     /// The allocation pool of processor `proc`.

@@ -7,63 +7,100 @@
 //! sequence; a hard fault stops the processor, leaving its restart pointer
 //! in persistent memory for thieves to pick up (`getActiveCapsule`).
 //!
-//! Thread continuations are installed into the processor's two-slot swap
-//! area (the §4.1 optimization: "the implementation could use just two
-//! closures and swap back and forth"), so long-running threads consume no
-//! pool space; forked children are registered at fresh pool addresses since
-//! their handles sit in deques for arbitrarily long.
+//! There are three installs, one per capsule form, and each is a single
+//! block write at B ≥ 8:
 //!
-//! Capsules denoted by *persistent frames* ([`Next::JumpHandle`] /
-//! [`Next::ForkHandle`]) bypass the swap area: the frame address itself
-//! becomes the restart pointer (one external write instead of two), and —
-//! because the frame's words fully describe the closure — a fresh process
-//! can rehydrate the pointed-to capsule after a crash instead of replaying
-//! the computation from its root.
+//! * **Frames** ([`Next::JumpHandle`] / [`Next::ForkHandle`]): the closure
+//!   was persisted when the frame was written, so the frame address itself
+//!   becomes the restart pointer — one word.
+//! * **Scheduler records** ([`Next::Sched`], and what a [`Scheduler`]
+//!   makes of a fork or a thread end): the record's six words go into the
+//!   processor's two-record journal, head word last, and the restart
+//!   pointer — when it does not already say so — becomes the journal
+//!   pointer behind them ([`InstallCtx::install_sched`]). The layout and
+//!   the argument that a kill between any two stores leaves a complete
+//!   capsule are on [`crate::machine::PROC_META_WORDS`];
+//!   [`live_record`] is the read side, and every attachment to the
+//!   machine reads alike.
+//! * **Closures** ([`Next::Jump`], closure machine and `crates/sim`
+//!   chains only): the closure object goes into the in-process arena
+//!   under the free swap slot's address (the §4.1 optimization: "the
+//!   implementation could use just two closures and swap back and
+//!   forth") and the restart pointer swings to the slot
+//!   ([`InstallCtx::install_jump`]).
+//!
+//! A frame or a record is fully described by shared words, so a fresh
+//! process can pick the pointed-to capsule up after a crash; a closure
+//! dies with its process, which is why no session mints one.
 
-use ppm_pm::{Addr, Fault, PmResult, ProcCtx, Word};
+use ppm_pm::{Addr, Fault, PersistentMemory, PmResult, ProcCtx, Word};
 
 use crate::arena::{ContArena, NULL_HANDLE};
-use crate::capsule::{Cont, Next};
-use crate::machine::ProcMeta;
+use crate::capsule::{Active, Cont, Next, SchedRecord, Scheduler};
+use crate::machine::{meta, ProcMeta};
 use crate::registry::CtorCache;
 
-/// Per-processor installation state: where the restart pointer lives,
-/// which swap slot receives the next thread-continuation closure, and the
-/// rehydration constructors this processor has already looked up.
+/// Per-processor installation state: where the restart pointer and the
+/// journal live, which slot the next install goes to, the generation it
+/// will carry, and the rehydration constructors this processor has
+/// already looked up.
 #[derive(Debug)]
 pub struct InstallCtx {
-    active: Addr,
-    slot_a: Addr,
-    slot_b: Addr,
+    meta: ProcMeta,
+    /// Closure swap: which slot receives the next closure.
     use_a: bool,
+    /// `Some` while the restart pointer is this processor's journal
+    /// pointer (the last install was a record): whether the newest record
+    /// sits in slot A.
+    live_a: Option<bool>,
     gen: Word,
     ctors: CtorCache,
 }
 
+/// The words one record install stores, in store order, and the metadata
+/// offset of the first: the arguments, the head at generation `gen`, and
+/// — used only when the restart pointer must change — the journal
+/// pointer. Slot A's image runs straight into the `active` word; slot B's
+/// stops at its head.
+pub fn journal_image(
+    rec: &SchedRecord,
+    gen: Word,
+    to_a: bool,
+    journal_ptr: Word,
+) -> (usize, [Word; SchedRecord::WORDS + 1]) {
+    let mut image = [journal_ptr; SchedRecord::WORDS + 1];
+    image[..SchedRecord::WORDS].copy_from_slice(&rec.words(gen));
+    (if to_a { meta::REC_A } else { meta::REC_B }, image)
+}
+
+/// The live record of a metadata block, `load` reading the block's words
+/// by offset: the one whose head carries the higher generation. Pure in
+/// the words, so every process attached to the machine agrees on it. A
+/// block that never held a record yields kind 0, which no scheduler
+/// decodes.
+pub fn live_record(load: impl Fn(usize) -> Word) -> SchedRecord {
+    let gen = |head| SchedRecord::generation(load(head));
+    let at = if gen(meta::HEAD_A) >= gen(meta::HEAD_B) {
+        meta::REC_A
+    } else {
+        meta::REC_B
+    };
+    SchedRecord::from_words(std::array::from_fn(|i| load(at + i)))
+}
+
 impl InstallCtx {
-    /// Creates installation state over processor metadata.
-    pub fn new(meta: ProcMeta) -> Self {
+    /// Creates installation state over processor metadata. Generations
+    /// continue above whatever the block's two heads already carry
+    /// (uncosted setup reads), so records an earlier run left there can
+    /// never outrank this run's.
+    pub fn new(mem: &PersistentMemory, meta: ProcMeta) -> Self {
+        let stale = |off| SchedRecord::generation(mem.load(meta.base + off));
         InstallCtx {
-            active: meta.active,
-            slot_a: meta.slot_a,
-            slot_b: meta.slot_b,
+            meta,
             use_a: true,
-            gen: 1,
+            live_a: None,
+            gen: stale(meta::HEAD_A).max(stale(meta::HEAD_B)) + 1,
             ctors: CtorCache::default(),
-        }
-    }
-
-    /// Address of the restart-pointer word this context writes.
-    pub fn active_addr(&self) -> Addr {
-        self.active
-    }
-
-    #[inline]
-    fn next_slot(&self) -> Addr {
-        if self.use_a {
-            self.slot_a
-        } else {
-            self.slot_b
         }
     }
 
@@ -71,40 +108,71 @@ impl InstallCtx {
     /// swap slot and swings the restart pointer to it.
     ///
     /// The metadata layout places each swap slot adjacent to the restart
-    /// pointer (`[slot_a, active, slot_b, watermark]`, block-aligned), so
-    /// filling the closure and swinging the pointer is **one** contiguous
-    /// block transfer — the §4.1 "swap back and forth" pair lives in a
-    /// single block. The write may fault, in which case the *current*
-    /// capsule restarts and the (idempotent) install is re-attempted.
-    /// Machines whose block size cannot hold the pair fall back to the
-    /// two-write install.
+    /// pointer, so filling the closure and swinging the pointer is **one**
+    /// contiguous block transfer — the §4.1 "swap back and forth" pair
+    /// lives in a single block. The write may fault, in which case the
+    /// *current* capsule restarts and the (idempotent) install is
+    /// re-attempted. Machines whose block size cannot hold the pair fall
+    /// back to the two-write install.
     pub fn install_jump(&mut self, ctx: &mut ProcCtx, arena: &ContArena, c: &Cont) -> PmResult<()> {
-        let slot = self.next_slot();
-        let adjacent = self.slot_a + 1 == self.active && self.active + 1 == self.slot_b;
-        let (lo, pair) = if self.use_a {
-            (self.slot_a, [self.gen, self.slot_a as Word])
+        let ProcMeta { base, active, .. } = self.meta;
+        let (slot_a, slot_b) = (base + meta::SLOT_A, base + meta::SLOT_B);
+        // The slot's content word: a head at this generation whose kind
+        // names no record.
+        let filled = self.gen << SchedRecord::KIND_BITS;
+        let (slot, lo, pair) = if self.use_a {
+            (slot_a, slot_a, [filled, slot_a as Word])
         } else {
-            (self.active, [self.slot_b as Word, self.gen])
+            (slot_b, active, [slot_b as Word, filled])
         };
         let b = ctx.block_size();
         // The arena's map entry is what lets a thief resolve a dead
-        // processor's restart pointer; it takes its shard's lock (ROADMAP
-        // item 2, "Scheduler capsules per fork").
+        // processor's closure; it takes the map's lock — the closure
+        // machine's cost, which no session pays.
         // hot-path-ok: `c` is a closure capsule this processor minted for
         // this one install, so its refcount is on no shared line.
         let held = c.clone();
-        if adjacent && lo / b == (lo + 1) / b {
+        if lo / b == (lo + 1) / b {
             // The in-process map entry is uncosted bookkeeping; the costed
             // closure content is the block write below.
             arena.preregister(slot, held);
             ctx.write_block(lo, &pair)?;
         } else {
-            arena.register_at(ctx, slot, held, self.gen)?;
-            ctx.pwrite(self.active, slot as Word)?;
+            arena.register_at(ctx, slot, held, filled)?;
+            ctx.pwrite(active, slot as Word)?;
         }
         // Flip only after the install succeeded: a re-run must target the
         // same slot.
         self.use_a = !self.use_a;
+        self.live_a = None;
+        self.gen += 1;
+        Ok(())
+    }
+
+    /// Installs a scheduler capsule: journals `rec` and makes the restart
+    /// pointer the journal pointer.
+    ///
+    /// A record that follows a record goes to the slot that is not live
+    /// and leaves the pointer alone; a record that follows anything else
+    /// goes to slot A with the pointer swing right behind it. Either way
+    /// the stores are one ascending run with the head after its arguments
+    /// (see [`crate::machine::PROC_META_WORDS`] for why that is
+    /// kill-safe), and at B ≥ 8 the run is one block write. A fault
+    /// restarts the *current* capsule, whose re-run repeats the identical
+    /// install: slot and generation move only on success.
+    pub fn install_sched(&mut self, ctx: &mut ProcCtx, rec: &SchedRecord) -> PmResult<()> {
+        let to_a = self.live_a != Some(true);
+        let (off, image) = journal_image(rec, self.gen, to_a, self.meta.active as Word);
+        let len = SchedRecord::WORDS + usize::from(self.live_a.is_none());
+        let (mut at, mut rest) = (self.meta.base + off, &image[..len]);
+        let b = ctx.block_size();
+        while !rest.is_empty() {
+            let n = (b - at % b).min(rest.len());
+            ctx.write_block(at, &rest[..n])?;
+            at += n;
+            rest = &rest[n..];
+        }
+        self.live_a = Some(to_a);
         self.gen += 1;
         Ok(())
     }
@@ -112,62 +180,54 @@ impl InstallCtx {
     /// Clears the restart pointer (the processor is leaving threaded user
     /// code, or halting). One external write.
     pub fn install_null(&mut self, ctx: &mut ProcCtx) -> PmResult<()> {
-        ctx.pwrite(self.active, NULL_HANDLE)
+        self.install_handle(ctx, NULL_HANDLE)
     }
 
-    /// Installs a frame-denoted capsule: swings the restart pointer to the
-    /// frame address itself. One external write — the closure was already
-    /// persisted when the frame was written, so there is nothing to copy
-    /// into a swap slot, and the restart pointer becomes meaningful to
-    /// *any* process that can read persistent memory.
+    /// Installs a handle-denoted capsule: swings the restart pointer to
+    /// the handle itself. One external write — a frame's closure was
+    /// persisted when the frame was written, so there is nothing to copy,
+    /// and the restart pointer is meaningful to *any* process that can
+    /// read persistent memory.
     pub fn install_handle(&mut self, ctx: &mut ProcCtx, handle: Word) -> PmResult<()> {
-        ctx.pwrite(self.active, handle)
+        ctx.pwrite(self.meta.active, handle)?;
+        self.live_a = None;
+        Ok(())
     }
 }
-
-/// Result of driving one capsule to completion.
-pub enum Step {
-    /// The installed successor; keep driving.
-    Next(Cont),
-    /// The chain is finished on this processor.
-    Done,
-}
-
-/// Hook invoked when a capsule forks: given the freshly registered child
-/// handle, the thread's continuation, and — when the continuation is a
-/// persistent frame — its frame handle, produce the capsule to install
-/// next (a scheduler wraps the continuation in its `pushBottom` sequence,
-/// threading the frame handle through so the post-push jump keeps the
-/// restart pointer frame-backed).
-pub type ForkWrap<'a> = &'a (dyn Fn(Word, Cont, Option<Word>) -> Cont + 'a);
 
 /// Runs `cur` to completion, restarting on soft faults, and installs its
-/// successor. `fork_wrap` handles [`Next::Fork`] (absent ⇒ forking
-/// panics: the caller is a non-forking chain). `on_end` converts
-/// [`Next::End`] (thread finished) into a jump — the scheduler passes its
-/// own entry capsule; absent ⇒ `End` finishes the chain.
+/// successor. `sched` runs scheduler records and says what a fork and a
+/// thread end install; without one, forking panics (the caller is a
+/// non-forking chain) and [`Next::End`] finishes the chain.
 ///
-/// Returns `Err(Fault::Hard)` only if the processor dies; soft faults never
-/// escape.
+/// Returns the installed successor — `None` when the chain is finished on
+/// this processor — and `Err(Fault::Hard)` only if the processor dies;
+/// soft faults never escape.
 pub fn run_capsule(
     ctx: &mut ProcCtx,
     arena: &ContArena,
     install: &mut InstallCtx,
-    cur: &Cont,
-    fork_wrap: Option<ForkWrap<'_>>,
-    on_end: Option<&Cont>,
-) -> Result<Step, Fault> {
-    ctx.begin_capsule(cur.name());
-    ctx.set_war_exempt(!cur.war_checked());
+    cur: &Active,
+    sched: Option<&dyn Scheduler>,
+) -> Result<Option<Active>, Fault> {
+    let name = cur.name(sched);
+    let war_checked = match (cur, sched) {
+        (Active::Sched(rec), Some(s)) => s.war_checked(rec),
+        _ => true,
+    };
+    ctx.begin_capsule(name);
+    ctx.set_war_exempt(!war_checked);
     // Open the causal span before the retry loop: the span id is
     // restart-stable (one execution = one span, however many soft-fault
     // re-runs it takes), and the frames the body writes carry it as
     // their parent-span word. An untraced (scheduler) capsule instead
-    // breaks the same-thread parent chain here — see `ProcCtx::span_begin`.
-    ctx.span_begin(cur.name(), cur.traced());
+    // breaks the same-thread parent chain here — see `ProcCtx::span_begin`
+    // — so a stolen or adopted capsule takes its parent from the
+    // persistent frame word, the true causal edge, not from the thief's
+    // scheduling loop.
+    ctx.span_begin(name, matches!(cur, Active::Capsule(_)));
     loop {
-        let attempt: PmResult<Step> =
-            run_body_and_install(ctx, arena, install, cur, fork_wrap, on_end);
+        let attempt = run_body_and_install(ctx, arena, install, cur, sched);
         match attempt {
             Ok(step) => {
                 ctx.complete_capsule();
@@ -175,7 +235,7 @@ pub fn run_capsule(
                 return Ok(step);
             }
             Err(Fault::Soft) => {
-                ctx.restart_capsule(cur.name());
+                ctx.restart_capsule(name);
                 // The restart sequence itself performs external transfers
                 // and can fault; retry until it completes or the processor
                 // dies.
@@ -196,11 +256,14 @@ fn run_body_and_install(
     ctx: &mut ProcCtx,
     arena: &ContArena,
     install: &mut InstallCtx,
-    cur: &Cont,
-    fork_wrap: Option<ForkWrap<'_>>,
-    on_end: Option<&Cont>,
-) -> PmResult<Step> {
-    let next = cur.run(ctx)?;
+    cur: &Active,
+    sched: Option<&dyn Scheduler>,
+) -> PmResult<Option<Active>> {
+    let next = match (cur, sched) {
+        (Active::Capsule(c), _) => c.run(ctx)?,
+        (Active::Sched(rec), Some(s)) => s.run(rec, ctx, arena)?,
+        (Active::Sched(_), None) => panic_no_scheduler(cur.name(None)),
+    };
     // Charge the frames the body staged as coalesced block persists
     // *before* anything can publish their handles: after this point the
     // staged words are paid for, so an install or a successor's deque
@@ -212,54 +275,48 @@ fn run_body_and_install(
     // watermark cover them first, so a crash after the publication still
     // lets a resuming process allocate strictly above every live frame.
     ctx.publish_watermark();
+    let installed = |install: &mut InstallCtx, ctx: &mut ProcCtx, rec: SchedRecord| {
+        install.install_sched(ctx, &rec)?;
+        Ok(Some(Active::Sched(rec)))
+    };
     match next {
         Next::Jump(c) => {
             install.install_jump(ctx, arena, &c)?;
-            Ok(Step::Next(c))
+            Ok(Some(Active::Capsule(c)))
         }
         Next::JumpHandle(h) => {
-            let c = resolve_handle(arena, install, h, cur.name());
+            let target = resolve_handle(arena, install, h, cur.name(sched));
             note_frame_provenance(ctx, h);
             install.install_handle(ctx, h)?;
-            Ok(Step::Next(c))
+            Ok(Some(target))
         }
-        Next::End => match on_end {
-            Some(sched) => {
-                install.install_jump(ctx, arena, sched)?;
-                // hot-path-ok: the scheduler entry capsule is minted per
-                // processor (`Sched::scheduler_entry` in the driver loop).
-                Ok(Step::Next(sched.clone()))
-            }
+        Next::Sched(rec) => installed(install, ctx, rec),
+        Next::End => match sched {
+            Some(s) => installed(install, ctx, s.on_end()),
             None => {
                 install.install_null(ctx)?;
-                Ok(Step::Done)
+                Ok(None)
             }
         },
         Next::Halt => {
             install.install_null(ctx)?;
-            Ok(Step::Done)
+            Ok(None)
         }
         Next::Fork { child, cont } => {
-            let handle = arena.register(ctx, child)?;
-            let target = match fork_wrap {
-                Some(w) => w(handle, cont, None),
-                None => panic_no_scheduler(cur.name()),
-            };
-            install.install_jump(ctx, arena, &target)?;
-            Ok(Step::Next(target))
+            // The closure machine's fork: both sides become closure
+            // handles in the pool, and the scheduler is handed two
+            // handles, exactly as for frames.
+            let s = sched.unwrap_or_else(|| panic_no_scheduler(cur.name(None)));
+            let child = arena.register(ctx, child)?;
+            let cont = arena.register(ctx, cont)?;
+            installed(install, ctx, s.on_fork(child, cont))
         }
         Next::ForkHandle { child, cont } => {
-            // Both sides were persisted by the capsule body; the child
-            // frame handle goes straight into the deque and the
-            // continuation resolves through the arena (rehydrating from
-            // its frame on first touch).
-            let cont_c = resolve_handle(arena, install, cont, cur.name());
-            let target = match fork_wrap {
-                Some(w) => w(child, cont_c, Some(cont)),
-                None => panic_no_scheduler(cur.name()),
-            };
-            install.install_jump(ctx, arena, &target)?;
-            Ok(Step::Next(target))
+            // Both sides were persisted by the capsule body: the child
+            // handle goes straight into the deque and the continuation is
+            // resolved when the push jumps back to it.
+            let s = sched.unwrap_or_else(|| panic_no_scheduler(cur.name(None)));
+            installed(install, ctx, s.on_fork(child, cont))
         }
     }
 }
@@ -278,7 +335,7 @@ pub fn note_frame_provenance(ctx: &mut ProcCtx, handle: Word) {
     }
 }
 
-fn resolve_handle(arena: &ContArena, install: &mut InstallCtx, handle: Word, from: &str) -> Cont {
+fn resolve_handle(arena: &ContArena, install: &mut InstallCtx, handle: Word, from: &str) -> Active {
     let ctors = &mut install.ctors;
     let resolved = arena.resolve_with(handle, |registry, addr, id, args| {
         ctors.instantiate(registry, addr, id, args)
@@ -290,7 +347,7 @@ fn resolve_handle(arena: &ContArena, install: &mut InstallCtx, handle: Word, fro
 
 fn panic_no_scheduler(name: &str) -> ! {
     panic!(
-        "capsule `{name}` forked but this engine has no scheduler; \
+        "capsule `{name}` needs a scheduler but this engine has no scheduler; \
          run fork-join computations on ppm-sched"
     )
 }
@@ -303,11 +360,11 @@ pub fn run_chain(
     install: &mut InstallCtx,
     first: Cont,
 ) -> Result<(), Fault> {
-    let mut cur = first;
+    let mut cur = Active::Capsule(first);
     loop {
-        match run_capsule(ctx, arena, install, &cur, None, None)? {
-            Step::Next(c) => cur = c,
-            Step::Done => return Ok(()),
+        match run_capsule(ctx, arena, install, &cur, None)? {
+            Some(c) => cur = c,
+            None => return Ok(()),
         }
     }
 }
@@ -331,7 +388,7 @@ mod tests {
         let c2 = step_capsule("c2", move |ctx| ctx.pwrite(r.at(1), 2), c3);
         let c1 = step_capsule("c1", move |ctx| ctx.pwrite(r.at(0), 1), c2);
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         run_chain(&mut ctx, m.arena(), &mut install, c1).unwrap();
         assert_eq!(m.mem().to_vec(r.start, 3), vec![1, 2, 3]);
         // The restart pointer is cleared at the end.
@@ -344,15 +401,22 @@ mod tests {
         let c2 = final_capsule("c2", |_| Ok(()));
         let c1 = step_capsule("c1", |_| Ok(()), c2);
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
-        let step = run_capsule(&mut ctx, m.arena(), &mut install, &c1, None, None).unwrap();
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
+        let step = run_capsule(
+            &mut ctx,
+            m.arena(),
+            &mut install,
+            &Active::Capsule(c1),
+            None,
+        )
+        .unwrap();
         // After c1 completes, the active handle resolves to c2's closure.
         let h = m.active_handle(0);
         assert_ne!(h, NULL_HANDLE);
         assert_eq!(m.arena().get(h).unwrap().name(), "c2");
         match step {
-            Step::Next(c) => assert_eq!(c.name(), "c2"),
-            Step::Done => panic!("expected Next"),
+            Some(c) => assert_eq!(c.name(None), "c2"),
+            None => panic!("expected a successor"),
         }
     }
 
@@ -367,7 +431,7 @@ mod tests {
             cur = step_capsule("step", move |ctx| ctx.pwrite(r.at(i), i as u64 + 1), prev);
         }
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         run_chain(&mut ctx, m.arena(), &mut install, cur).unwrap();
         for i in 0..8 {
             assert_eq!(m.mem().load(r.at(i)), i as u64 + 1);
@@ -386,7 +450,7 @@ mod tests {
         let c2 = step_capsule("c2", move |ctx| ctx.pwrite(r.at(1), 2), c3);
         let c1 = step_capsule("c1", move |ctx| ctx.pwrite(r.at(0), 1), c2);
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         let err = run_chain(&mut ctx, m.arena(), &mut install, c1).unwrap_err();
         assert_eq!(err, Fault::Hard);
         assert!(!m.liveness().is_live(0));
@@ -415,7 +479,7 @@ mod tests {
             let m = machine_with(FaultConfig::none());
             let r = m.alloc_region(64);
             let mut ctx = m.ctx(0);
-            let mut install = InstallCtx::new(m.proc_meta(0));
+            let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
             run_chain(&mut ctx, m.arena(), &mut install, build(&m, r)).unwrap();
             m.snapshot().total_work()
         };
@@ -423,7 +487,7 @@ mod tests {
             let m = machine_with(FaultConfig::soft(0.05, 77));
             let r = m.alloc_region(64);
             let mut ctx = m.ctx(0);
-            let mut install = InstallCtx::new(m.proc_meta(0));
+            let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
             run_chain(&mut ctx, m.arena(), &mut install, build(&m, r)).unwrap();
             m.snapshot().total_work()
         };
@@ -445,7 +509,219 @@ mod tests {
             })
         });
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         let _ = run_chain(&mut ctx, m.arena(), &mut install, forker);
+    }
+
+    // ----------------------------------------------------------------
+    // The scheduler-record journal
+    // ----------------------------------------------------------------
+
+    use crate::capsule::{Scheduler, SCHED_ARG_WORDS};
+    use crate::machine::{meta, PROC_META_WORDS};
+
+    /// A scheduler whose records count down: `args[0]` capsules to go,
+    /// each writing its count to `args[1]`.
+    struct Countdown;
+
+    fn countdown(n: Word, at: Word) -> SchedRecord {
+        SchedRecord {
+            kind: 1 + (n % 3) as u16,
+            args: [n, at, !n, n << 40, 7],
+        }
+    }
+
+    impl Scheduler for Countdown {
+        fn run(&self, rec: &SchedRecord, ctx: &mut ProcCtx, _: &ContArena) -> PmResult<Next> {
+            let [n, at, ..] = rec.args;
+            ctx.pwrite(at as Addr, n)?;
+            Ok(match n {
+                0 => Next::Halt,
+                _ => Next::Sched(countdown(n - 1, at)),
+            })
+        }
+        fn on_fork(&self, _: Word, _: Word) -> SchedRecord {
+            unreachable!("nothing forks here")
+        }
+        fn on_end(&self) -> SchedRecord {
+            unreachable!("nothing ends here")
+        }
+        fn name(&self, _: &SchedRecord) -> &'static str {
+            "countdown"
+        }
+        fn war_checked(&self, _: &SchedRecord) -> bool {
+            true
+        }
+    }
+
+    /// Drives a user capsule into a five-record countdown on a machine of
+    /// block size `b`; returns the writes each install cost, and checks
+    /// at every boundary that the restart pointer resolves — from words
+    /// alone — to the capsule about to run.
+    fn install_costs(b: usize) -> Vec<u64> {
+        let m = Machine::new(PmConfig::parallel(1, 1 << 16).with_block_size(b));
+        let r = m.alloc_region(8);
+        let first = capsule("first", move |_| {
+            Ok(Next::Sched(countdown(4, r.start as Word)))
+        });
+        let mut ctx = m.ctx(0);
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
+        let mut cur = Active::Capsule(first);
+        let mut costs = Vec::new();
+        loop {
+            let before = m.snapshot().total_writes;
+            let body_writes = matches!(cur, Active::Sched(_)) as u64;
+            match run_capsule(&mut ctx, m.arena(), &mut install, &cur, Some(&Countdown)).unwrap() {
+                Some(next) => {
+                    costs.push(m.snapshot().total_writes - before - body_writes);
+                    let Active::Sched(want) = &next else {
+                        panic!("countdown installs records")
+                    };
+                    let h = m.active_handle(0);
+                    assert_eq!(h, m.proc_meta(0).active as Word, "journal pointer");
+                    match m.arena().try_resolve(h) {
+                        Ok(Active::Sched(found)) => assert_eq!(&found, want),
+                        _ => panic!("a journal pointer resolves to a record"),
+                    }
+                    cur = next;
+                }
+                None => return costs,
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_install_is_one_block_write_from_b8_up() {
+        for b in [8, 16, 64] {
+            assert_eq!(install_costs(b), [1; 5], "B = {b}");
+        }
+    }
+
+    #[test]
+    fn a_six_word_record_is_two_block_writes_at_b4() {
+        assert_eq!(install_costs(4), [2; 5]);
+    }
+
+    #[test]
+    fn generations_continue_above_what_the_block_already_holds() {
+        let m = machine_with(FaultConfig::none());
+        let meta = m.proc_meta(0);
+        m.mem()
+            .store(meta.base + meta::HEAD_B, countdown(9, 0).words(41)[5]);
+        let mut ctx = m.ctx(0);
+        let mut install = InstallCtx::new(m.mem(), meta);
+        ctx.begin_capsule("t");
+        install.install_sched(&mut ctx, &countdown(1, 0)).unwrap();
+        let found = live_record(|off| m.mem().load(meta.base + off));
+        assert_eq!(found, countdown(1, 0), "the stale record must not outrank");
+    }
+
+    /// What a metadata block's restart pointer denotes.
+    #[derive(Debug, PartialEq)]
+    enum Denotes {
+        Handle(Word),
+        Record(SchedRecord),
+    }
+
+    const JOURNAL_PTR: Word = 0x1006;
+
+    fn denotes(block: &[Word; PROC_META_WORDS]) -> Denotes {
+        match block[meta::ACTIVE] {
+            JOURNAL_PTR => Denotes::Record(live_record(|off| block[off])),
+            h => Denotes::Handle(h),
+        }
+    }
+
+    /// A block whose slots hold `a` and `b` at the given generations.
+    fn block_with(
+        active: Word,
+        a: (&SchedRecord, Word),
+        b: (&SchedRecord, Word),
+    ) -> [Word; PROC_META_WORDS] {
+        let mut block = [0; PROC_META_WORDS];
+        for (to_a, (rec, gen)) in [(true, a), (false, b)] {
+            let (off, image) = journal_image(rec, gen, to_a, 0);
+            block[off..off + SchedRecord::WORDS].copy_from_slice(&image[..SchedRecord::WORDS]);
+        }
+        block[meta::ACTIVE] = active;
+        block
+    }
+
+    /// Kills the install of `new` after every prefix of its stores and
+    /// resolves what is left: always `old` or `new`, complete. `order`
+    /// permutes the store sequence (identity is what the engine does).
+    fn kill_sweep(
+        block: [Word; PROC_META_WORDS],
+        new: &SchedRecord,
+        gen: Word,
+        to_a: bool,
+        swing: bool,
+        order: impl Fn(usize) -> usize,
+    ) {
+        let old = denotes(&block);
+        let (off, image) = journal_image(new, gen, to_a, JOURNAL_PTR);
+        let len = SchedRecord::WORDS + usize::from(swing);
+        for killed_after in 0..=len {
+            let mut left = block;
+            for k in (0..killed_after).map(&order) {
+                left[off + k] = image[k];
+            }
+            let found = denotes(&left);
+            assert!(
+                found == old || found == Denotes::Record(*new),
+                "kill after {killed_after} stores leaves {found:?}: neither {old:?} nor {new:?}"
+            );
+            if killed_after == len {
+                assert_eq!(found, Denotes::Record(*new), "the finished install");
+            }
+        }
+    }
+
+    /// The three installs there are: anything → record (slot A, pointer
+    /// swing), record → record into B, record → record into A.
+    fn kill_sweeps(order: impl Fn(usize) -> usize + Copy) {
+        let (stale, live, new) = (countdown(2, 0x20), countdown(5, 0x50), countdown(8, 0x80));
+        let frame = 0x4000;
+        kill_sweep(
+            block_with(frame, (&stale, 3), (&live, 4)),
+            &new,
+            5,
+            true,
+            true,
+            order,
+        );
+        kill_sweep(
+            block_with(JOURNAL_PTR, (&live, 5), (&stale, 4)),
+            &new,
+            6,
+            false,
+            false,
+            order,
+        );
+        kill_sweep(
+            block_with(JOURNAL_PTR, (&stale, 5), (&live, 6)),
+            &new,
+            7,
+            true,
+            false,
+            order,
+        );
+    }
+
+    #[test]
+    fn a_kill_between_any_two_stores_leaves_a_complete_capsule() {
+        kill_sweeps(|k| k);
+    }
+
+    /// The head word is the commit point: stored before its arguments, a
+    /// kill in between resolves to the new kind over the old arguments.
+    #[test]
+    #[should_panic(expected = "neither")]
+    fn storing_the_generation_word_first_tears_the_record() {
+        kill_sweeps(|k| match k {
+            0 => SCHED_ARG_WORDS,
+            k if k <= SCHED_ARG_WORDS => k - 1,
+            k => k,
+        });
     }
 }

@@ -17,10 +17,19 @@ pub struct VolatileBackend {
     control: Box<[AtomicU64]>,
 }
 
+// What the cast below relies on besides size and bit validity, which
+// `AtomicU64` documents.
+const _: () = assert!(std::mem::align_of::<u64>() == std::mem::align_of::<AtomicU64>());
+
+/// `len` zero words the allocator hands over without touching them
+/// (`vec![0; len]` is `alloc_zeroed`: fresh pages arrive zero on demand),
+/// so a machine pays for the memory it uses, not for the heap it could.
 fn zeroed(len: usize) -> Box<[AtomicU64]> {
-    let mut v = Vec::with_capacity(len);
-    v.resize_with(len, || AtomicU64::new(0));
-    v.into_boxed_slice()
+    let words = Box::into_raw(vec![0u64; len].into_boxed_slice());
+    // SAFETY: `AtomicU64` has the size, alignment (asserted above) and bit
+    // validity of `u64`, so the allocation's layout is unchanged and every
+    // word is a valid value; the box just released is the only owner.
+    unsafe { Box::from_raw(words as *mut [AtomicU64]) }
 }
 
 impl VolatileBackend {

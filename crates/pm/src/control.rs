@@ -73,7 +73,7 @@ pub const SUPERBLOCK_BYTES: usize = 4096;
 pub const CONTROL_WORDS: usize = SUPERBLOCK_BYTES / 8;
 
 /// Current format version of the page (the superblock's version field).
-pub const VERSION: u64 = 1;
+pub const VERSION: u64 = 2;
 
 /// One line of the page map: `slots` consecutive records of `words`
 /// words each, starting at byte `offset`.
@@ -754,7 +754,7 @@ mod tests {
 
     #[test]
     fn page_offsets_are_the_format() {
-        assert_eq!(VERSION, 1);
+        assert_eq!(VERSION, 2);
         assert_eq!(SUPERBLOCK.slot_offset(0), 0);
         assert_eq!(CLUSTER_HEADER.slot_offset(0), 128);
         assert_eq!(LEASES.slot_offset(0), 256);

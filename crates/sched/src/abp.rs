@@ -14,7 +14,8 @@
 use std::sync::Arc;
 
 use ppm_core::{
-    capsule_unchecked, run_capsule, Comp, Cont, DoneFlag, InstallCtx, Machine, Next, Step,
+    run_capsule, Active, Comp, ContArena, DoneFlag, InstallCtx, Machine, Next, SchedRecord,
+    Scheduler, SCHED_ARG_WORDS,
 };
 use ppm_pm::{Addr, PmResult, ProcCtx, Region, StatsSnapshot, Word};
 
@@ -123,45 +124,69 @@ impl AbpScheduler {
             .collect();
         Arc::new(AbpScheduler { deques, done, seed })
     }
+}
 
-    /// The scheduler capsule: find work (own deque, then random steals)
-    /// or halt when done. Runs as one unchecked capsule — legitimate only
-    /// because the machine is fault-free.
-    fn find_work(self: &Arc<Self>, machine: &Machine) -> Cont {
-        let s = self.clone();
-        let arena = machine.arena().clone();
+/// Record kind of the ABP scheduler capsule.
+const FIND_WORK: u16 = 1;
+/// Record kind of the ABP fork wrapper; args are `[child, cont]`.
+const PUSH: u16 = 2;
+
+fn record(kind: u16, child: Word, cont: Word) -> SchedRecord {
+    let mut args = [0; SCHED_ARG_WORDS];
+    args[..2].copy_from_slice(&[child, cont]);
+    SchedRecord { kind, args }
+}
+
+impl Scheduler for AbpScheduler {
+    fn run(&self, rec: &SchedRecord, ctx: &mut ProcCtx, _: &ContArena) -> PmResult<Next> {
+        let s = self;
+        let me = ctx.proc();
+        if rec.kind == PUSH {
+            // The fork wrapper: push the child, continue the thread.
+            s.deques[me].push_bottom(ctx, rec.args[0])?;
+            return Ok(Next::JumpHandle(rec.args[1]));
+        }
+        // The scheduler capsule: find work (own deque, then random
+        // steals) or halt when done. Runs as one unchecked capsule —
+        // legitimate only because the machine is fault-free.
         let p = s.deques.len();
-        capsule_unchecked("abp/findWork", move |ctx| {
-            let me = ctx.proc();
-            if let Some(h) = s.deques[me].pop_bottom(ctx)? {
-                return Ok(Next::Jump(arena.get(h).expect("dangling ABP handle")));
+        if let Some(h) = s.deques[me].pop_bottom(ctx)? {
+            return Ok(Next::JumpHandle(h));
+        }
+        let mut n = 0u64;
+        loop {
+            if s.done.read(ctx)? {
+                return Ok(Next::Halt);
             }
-            let mut n = 0u64;
-            loop {
-                if s.done.read(ctx)? {
-                    return Ok(Next::Halt);
+            if p > 1 {
+                let r = (s.seed ^ ((me as u64) << 32) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let v = (r >> 33) as usize % (p - 1);
+                let victim = if v >= me { v + 1 } else { v };
+                if let Some(h) = s.deques[victim].pop_top(ctx)? {
+                    return Ok(Next::JumpHandle(h));
                 }
-                if p > 1 {
-                    let r = (s.seed ^ ((me as u64) << 32) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let v = (r >> 33) as usize % (p - 1);
-                    let victim = if v >= me { v + 1 } else { v };
-                    if let Some(h) = s.deques[victim].pop_top(ctx)? {
-                        return Ok(Next::Jump(arena.get(h).expect("dangling ABP handle")));
-                    }
-                }
-                n += 1;
             }
-        })
+            n += 1;
+        }
     }
 
-    /// The fork wrapper: push the child, continue the thread.
-    fn push_wrap(self: &Arc<Self>, handle: Word, cont: Cont) -> Cont {
-        let s = self.clone();
-        capsule_unchecked("abp/push", move |ctx| {
-            let me = ctx.proc();
-            s.deques[me].push_bottom(ctx, handle)?;
-            Ok(Next::Jump(cont.clone()))
-        })
+    fn on_fork(&self, child: Word, cont: Word) -> SchedRecord {
+        record(PUSH, child, cont)
+    }
+
+    fn on_end(&self) -> SchedRecord {
+        record(FIND_WORK, 0, 0)
+    }
+
+    fn name(&self, rec: &SchedRecord) -> &'static str {
+        match rec.kind {
+            PUSH => "abp/push",
+            _ => "abp/findWork",
+        }
+    }
+
+    fn war_checked(&self, _: &SchedRecord) -> bool {
+        false
     }
 }
 
@@ -189,24 +214,16 @@ pub fn run_computation_abp(machine: &Machine, comp: &Comp, slots: usize, seed: u
             let root = root.clone();
             s.spawn(move || {
                 let mut ctx = machine.ctx(p);
-                let mut install = InstallCtx::new(machine.proc_meta(p));
-                let on_end = sched.find_work(machine);
-                let sched_for_fork = sched.clone();
-                let fork_wrap = move |handle: Word, cont: Cont, _cont_handle: Option<Word>| {
-                    sched_for_fork.push_wrap(handle, cont)
+                let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(p));
+                let mut cur = match p {
+                    0 => Active::Capsule(root),
+                    _ => Active::Sched(sched.on_end()),
                 };
-                let mut cur: Cont = if p == 0 { root } else { on_end.clone() };
                 loop {
-                    match run_capsule(
-                        &mut ctx,
-                        machine.arena(),
-                        &mut install,
-                        &cur,
-                        Some(&fork_wrap),
-                        Some(&on_end),
-                    ) {
-                        Ok(Step::Next(c)) => cur = c,
-                        Ok(Step::Done) => return,
+                    match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(&*sched))
+                    {
+                        Ok(Some(c)) => cur = c,
+                        Ok(None) => return,
                         Err(f) => unreachable!("fault {f} on the fault-free ABP baseline"),
                     }
                 }

@@ -2,23 +2,36 @@
 //!
 //! Every scheduler operation is decomposed into capsules exactly at the
 //! paper's `commit` boundaries, with "all CAM instructions ... in separate
-//! capsules" (Figure 3's caption). Locals that cross a boundary are carried
-//! in the next capsule's closure, which is how the paper persists them.
-//! Each capsule is one of §5's atomically idempotent forms — racy-read,
-//! racy-write, or CAM capsules — except `pushBottom`'s conditional push and
-//! `clearBottom`, which the paper deliberately keeps as single capsules and
-//! proves idempotent via the entry tags (Lemmas A.6, A.12); those two are
-//! built with [`capsule_unchecked`].
+//! capsules" (Figure 3's caption). Each capsule is one of §5's atomically
+//! idempotent forms — racy-read, racy-write, or CAM capsules — except
+//! `pushBottom`'s conditional push and `clearBottom` (and the service
+//! mode's `pull/seat`, which is `clearBottom`'s mirror image), which the
+//! paper deliberately keeps as single capsules and proves idempotent via
+//! the entry tags (Lemmas A.6, A.12); those three are exempt from the
+//! dynamic write-after-read check.
+//!
+//! ## What a step is
+//!
+//! A scheduler capsule is a **step**: a kind plus the locals that crossed
+//! the last boundary ([`crate::step`] has the enum, the word layout and
+//! the codec). Installing a successor writes the step's record — one head
+//! word, five argument words — into the processor's metadata block, which
+//! is how the paper persists a closure; `Sched::run` is the one `match`
+//! that runs a step, and its arms are Figure 3's bodies. Nothing is
+//! allocated, locked or reference-counted per capsule, and nothing about
+//! a step lives in the process that wrote it: a survivor in another OS
+//! process decodes a dead processor's restart pointer from the same
+//! words and carries on, exactly as Lemma A.10 has it.
 //!
 //! Processor identity is *dynamic*, exactly like Figure 3's `getProcNum()`:
-//! a capsule body evaluates `ctx.proc()` when it runs, so a capsule resumed
-//! by an adopting thief (after the original processor hard-faulted) pushes
-//! to and pops from the *thief's* deque, while in-progress operations keep
-//! targeting the deque captured in their closure — the paper's semantics
-//! for `states[getProcNum()]` versus a method already executing on a
+//! a step evaluates `ctx.proc()` when it runs, so one resumed by an
+//! adopting thief (after the original processor hard-faulted) pushes to
+//! and pops from the *thief's* deque, while in-progress operations keep
+//! targeting the deque named in their record — the paper's semantics for
+//! `states[getProcNum()]` versus a method already executing on a
 //! `procState`.
 //!
-//! ## One deviation from Figure 3 as written (documented in DESIGN.md)
+//! ## One deviation from Figure 3 as written
 //!
 //! In `popBottom`, if the owner hard-faults between the successful CAM
 //! (job → local) and the jump to the claimed thread, the local entry is
@@ -30,19 +43,24 @@
 //! also jump to the claimed thread when the entry is observed `taken`; only
 //! the uniquely-successful adopting thief can observe that state (gated by
 //! `popTop`'s `stack[i] == new` check), so the thread still runs exactly
-//! once.
+//! once. (`model/steal.rs` carries the same arm, and
+//! `dropping_the_lemma_a10_adoption_arm_loses_a_task` pins it.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ppm_core::{capsule_unchecked, sched_capsule, Cont, DoneFlag, Machine, Next, ProcMeta};
+use ppm_core::{
+    Active, ContArena, DoneFlag, Machine, Next, ProcMeta, SchedRecord, Scheduler, NULL_HANDLE,
+};
 use ppm_obs::{Counter, Histogram, Obs, TraceKind};
-use ppm_pm::{PersistentMemory, Word};
+use ppm_pm::service::{slot_checksum, slot_epoch, slot_phase, slot_state};
+use ppm_pm::{is_frame_at, PersistentMemory, PmResult, ProcCtx, SlotPhase, Word};
 
 use crate::cluster::ShardDomain;
 use crate::deque::{build_deques, DequeAddrs};
 use crate::entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal, MAX_PROCS};
+use crate::step::{seat, SchedStep, SchedStep::*, Then};
 
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
@@ -95,15 +113,13 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Shared scheduler state: deque addresses, processor metadata, the
-/// continuation arena, and the computation's completion flag.
+/// Shared scheduler state: deque addresses, processor metadata, and the
+/// computation's completion flag.
 pub struct Sched {
     p: usize,
     deques: Vec<DequeAddrs>,
     metas: Vec<ProcMeta>,
-    arena: Arc<ppm_core::ContArena>,
     mem: Arc<PersistentMemory>,
-    registry: Arc<ppm_core::CapsuleRegistry>,
     done: DoneFlag,
     seed: u64,
     /// Per-processor steal-attempt epochs (victim-selection stream state;
@@ -111,11 +127,9 @@ pub struct Sched {
     epochs: Vec<AtomicU64>,
     /// Sharded-mode steal domain (see [`crate::cluster`]): restricts
     /// victim selection to this process's own shard plus the shards the
-    /// cross-process liveness oracle has declared dead, and hardens the
-    /// dead-owner adoption path for remote processors (whose ephemeral
-    /// closures died with their process). `None` for ordinary
-    /// single-process schedulers — every path below behaves exactly as
-    /// before.
+    /// cross-process liveness oracle has declared dead, and counts what
+    /// crosses a shard boundary. `None` for ordinary single-process
+    /// schedulers.
     domain: Option<Arc<ShardDomain>>,
     /// The machine's observability handle (steal and adoption events
     /// flow here).
@@ -219,9 +233,7 @@ impl Sched {
         Arc::new(Sched {
             p,
             metas: (0..p).map(|i| machine.proc_meta(i)).collect(),
-            arena: machine.arena().clone(),
             mem: machine.mem().clone(),
-            registry: machine.registry().clone(),
             done,
             seed: cfg.seed,
             epochs: (0..p).map(|_| AtomicU64::new(0)).collect(),
@@ -251,11 +263,6 @@ impl Sched {
     /// The installed injector queue, if this is a service-mode scheduler.
     pub(crate) fn injector(&self) -> Option<&Arc<crate::service::InjectorQueue>> {
         self.injector.get()
-    }
-
-    /// The persistent word store this scheduler drives.
-    pub(crate) fn mem(&self) -> &Arc<PersistentMemory> {
-        &self.mem
     }
 
     /// Marks `me` as inside the steal loop (first attempt only), so a
@@ -295,12 +302,6 @@ impl Sched {
             .event(TraceKind::Adoption, shard, Some(me as u32), || {
                 format!("{what} entry of dead proc {owner}")
             });
-    }
-
-    /// The sharded-mode steal domain, if this scheduler drives one shard
-    /// of a cluster.
-    pub fn domain(&self) -> Option<&Arc<ShardDomain>> {
-        self.domain.as_ref()
     }
 
     /// The deque addresses (read-only; used by the driver and tests).
@@ -374,111 +375,44 @@ impl Sched {
         self.note_calm(me);
     }
 
-    /// Whether `handle` (the restart pointer of dead processor `owner`)
-    /// can actually be resumed by *this* process. In-process adoption
-    /// accepts anything the arena resolves — including closures in the
-    /// shared swap slots. Cross-shard adoption must be stricter: a remote
-    /// processor's closures died with its process, and only persistent
-    /// *frames* (fully described by shared words) are meaningful here.
-    fn adoptable_handle(&self, owner: usize, handle: Word) -> bool {
-        match &self.domain {
-            Some(d) if d.is_remote(owner) => {
-                handle != 0
-                    && ppm_pm::is_frame_at(&self.mem, handle as usize)
-                    && self.registry.rehydrate(&self.mem, handle).is_ok()
-            }
-            _ => self.resolvable(handle),
-        }
-    }
-
-    /// Pre-steal guard for `local` entries of dead *remote* processors:
-    /// committing the steal (the CAM sequence of lines 54-60) is only
-    /// safe when the frozen restart pointer will rehydrate, because a
+    /// Pre-steal guard for `local` entries of dead processors, one rule
+    /// for every owner: committing the steal (the CAM sequence of lines
+    /// 54-60) is only safe when the frozen restart pointer still denotes a
+    /// capsule — a frame the registry rehydrates, a record this codec
+    /// decodes, a closure the closure machine's arena holds — because a
     /// taken local entry whose thread cannot be resumed is a lost thread.
-    /// A dead remote owner's words are frozen, so the verdict is stable;
-    /// a blocked window is recorded (the cluster degrades to
-    /// process-level recovery rather than hanging silently). In-process
-    /// owners always pass — their swap-slot closures are in the shared
-    /// arena, which is exactly the Lemma A.10 situation.
-    fn remote_local_adoptable(&self, owner: usize) -> bool {
-        match &self.domain {
-            Some(d) if d.is_remote(owner) => {
-                let handle = self.mem.load(self.metas[owner].active);
-                if self.adoptable_handle(owner, handle) {
-                    true
-                } else {
-                    d.note_blocked_adoption(owner);
-                    self.obs.event(
-                        TraceKind::BlockedAdoption,
-                        Some(d.shard_of(owner) as u32),
-                        None,
-                        || format!("unresumable local entry of dead proc {owner}"),
-                    );
-                    false
-                }
-            }
-            _ => true,
+    /// A dead owner's words are frozen, so the verdict is stable. What is
+    /// being validated is bytes another process may have written: in a
+    /// healthy run this never refuses, and a refusal (a corrupt restart
+    /// pointer) is recorded rather than silently spun on.
+    fn restart_pointer_decodes(&self, owner: usize, handles: &ContArena) -> bool {
+        let handle = self.mem.load(self.metas[owner].active);
+        let decodes = match handles.try_resolve(handle) {
+            Ok(Active::Sched(rec)) => self.decode(&rec).is_some(),
+            denoted => denoted.is_ok(),
+        };
+        if !decodes {
+            let shard = self.domain.as_ref().map(|d| {
+                d.note_blocked_adoption(owner);
+                d.shard_of(owner) as u32
+            });
+            self.obs.event(TraceKind::BlockedAdoption, shard, None, || {
+                format!("corrupt restart pointer {handle:#x} of dead proc {owner}")
+            });
         }
+        decodes
     }
 
-    // ==================================================================
-    // scheduler() — entry after a thread finishes (Figure 3 lines 117-122)
-    // ==================================================================
-
-    /// The capsule installed when a thread ends: `clearBottom` on the
-    /// executing processor's deque, then `findWork`. Unchecked: clearBottom
-    /// reads the bottom entry's tag and rewrites it (Lemma A.12's
-    /// idempotence argument).
-    pub fn scheduler_entry(self: &Arc<Self>) -> Cont {
-        let s = self.clone();
-        capsule_unchecked("sched/clearBottom", move |ctx| {
-            let me = ctx.proc();
-            let d = s.d(me);
-            let b = ctx.pread(d.bot)? as usize;
-            let cur = ctx.pread(d.entry(b))?;
-            ctx.pwrite(
-                d.entry(b),
-                pack(tag_of(cur).wrapping_add(1), EntryVal::Empty),
-            )?;
-            Ok(Next::Jump(s.find_work()))
-        })
+    /// The step `rec` denotes, if its words are a step of *this* machine:
+    /// the codec accepts them and the deque they name exists.
+    fn decode(&self, rec: &SchedRecord) -> Option<SchedStep> {
+        SchedStep::decode(rec).filter(|_| crate::step::proc_of(rec) < self.p)
     }
 
-    // ==================================================================
-    // findWork / popBottom (Figure 3 lines 81-93, 95-98)
-    // ==================================================================
-
-    /// `findWork`: try `popBottom`, then steal. Shared across processors
-    /// (processor identity is dynamic). This is also the initial capsule of
-    /// every non-root processor.
-    pub fn find_work(self: &Arc<Self>) -> Cont {
-        let s = self.clone();
-        // popBottom capsule 1 (lines 82-84): read bot and the entry below
-        // it, then commit.
-        sched_capsule("sched/popBottom/read", move |ctx| {
-            let me = ctx.proc();
-            let d = s.d(me);
-            let b = ctx.pread(d.bot)? as usize;
-            if b == 0 {
-                // Deque empty (nothing was ever pushed, or everything below
-                // was consumed): no local work.
-                return Ok(Next::Jump(s.steal_attempt(s.next_epoch(me))));
-            }
-            let old = ctx.pread(d.entry(b - 1))?;
-            match unpack(old) {
-                (_, EntryVal::Job { handle }) => {
-                    Ok(Next::Jump(s.pop_bottom_cam(d, b, old, handle)))
-                }
-                _ => Ok(Next::Jump(s.steal_attempt(s.next_epoch(me)))),
-            }
-        })
-    }
-
-    /// Resolvability probe used by recovery and the adoption path: whether
-    /// `handle` denotes a capsule this process can run (cached closure or
-    /// rehydratable frame).
-    pub(crate) fn resolvable(&self, handle: Word) -> bool {
-        self.arena.resolve(handle).is_some()
+    /// `findWork`, the first capsule of every processor that starts
+    /// without a thread (§6.3) — try `popBottom`, then steal.
+    pub fn find_work(&self) -> SchedRecord {
+        PopBottomRead().encode()
     }
 
     fn next_epoch(&self, me: usize) -> u64 {
@@ -488,442 +422,508 @@ impl Sched {
         self.epochs[me].fetch_add(1 << 32, Ordering::Relaxed)
     }
 
-    /// popBottom capsule 2 (line 86): the CAM, alone in its capsule.
-    fn pop_bottom_cam(self: &Arc<Self>, d: DequeAddrs, b: usize, old: Word, f: Word) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/popBottom/cam", move |ctx| {
-            let new = pack(tag_of(old).wrapping_add(1), EntryVal::Local);
-            ctx.pcam(d.entry(b - 1), old, new)?;
-            Ok(Next::Jump(s.pop_bottom_check(d, b, new, f)))
-        })
+    /// Leaves `popBottom` empty-handed: into the steal loop on a fresh
+    /// victim-selection stream.
+    fn steal_afresh(&self, me: usize) -> Next {
+        go(Steal(self.next_epoch(me)))
     }
 
-    /// popBottom capsule 3 (lines 87-92): observe the CAM, take the job or
-    /// give up. Includes the Lemma A.10 adoption case (module docs).
-    fn pop_bottom_check(self: &Arc<Self>, d: DequeAddrs, b: usize, new: Word, f: Word) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/popBottom/check", move |ctx| {
-            let cur = ctx.pread(d.entry(b - 1))?;
-            if cur == new {
-                ctx.pwrite(d.bot, (b - 1) as Word)?;
-                // Jump by handle: the engine resolves `f` through the
-                // arena (rehydrating a frame on first touch) and installs
-                // the handle itself as the restart pointer.
-                return Ok(Next::JumpHandle(f));
-            }
-            if kind_of(cur) == EntryKind::Taken && tag_of(cur) == tag_of(new).wrapping_add(1) {
-                // Our CAM succeeded, the owner died, and we (the uniquely
-                // successful adopting thief) already turned the local entry
-                // into taken. Run the claimed thread (Lemma A.10).
-                return Ok(Next::JumpHandle(f));
-            }
-            let me = ctx.proc();
-            Ok(Next::Jump(s.steal_attempt(s.next_epoch(me))))
-        })
-    }
-
-    // ==================================================================
-    // Steal loop (findWork lines 100-107)
-    // ==================================================================
-
-    /// One steal attempt: check for termination, pick a victim, read our
-    /// own bottom entry reference, and enter the victim's `popTop`.
-    /// `pub(crate)` so the service-mode pull capsules can fall back into
-    /// the steal loop when a claim CAM loses.
-    pub(crate) fn steal_attempt(self: &Arc<Self>, n: u64) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/steal", move |ctx| {
-            if s.done.read(ctx)? {
-                return Ok(Next::Halt);
-            }
-            let me = ctx.proc();
-            s.note_steal_enter(me);
-            // Service mode: published injector jobs are root work — drain
-            // the durable queue before probing victim deques. The scan is
-            // an uncosted ephemeral peek (like victim selection); the
-            // claim itself is the costed read/CAM/check capsule chain in
-            // `crate::service`.
-            if let Some(inj) = s.injector.get() {
-                if let Some(slot) = inj.scan_published(me, n) {
-                    return Ok(Next::Jump(crate::service::pull_read(&s, slot, n)));
-                }
-            }
-            s.backoff(me, n);
-            let victim = match s.pick_victim(me, n) {
-                Some(v) => v,
-                None => {
-                    // P = 1: nothing to steal; keep polling the flag.
-                    return Ok(Next::Jump(s.steal_attempt(n + 1)));
-                }
-            };
-            // yield (Figure 3 line 101): give processors holding work the
-            // processor before probing. ABP's yield-to-all keeps steal
-            // attempts from starving workers in multiprogrammed settings —
-            // essential when model processors outnumber cores.
-            std::thread::yield_now();
-            let my = s.d(me);
-            let b = ctx.pread(my.bot)? as usize;
-            let c = tag_of(ctx.pread(my.entry(b))?);
-            // popTop begins with helpPopTop (line 33).
-            let t1 = s.pop_top_read(s.d(victim), me, b, c, n);
-            Ok(Next::Jump(s.help_pop_top(s.d(victim), t1)))
-        })
-    }
-
-    // ==================================================================
-    // helpPopTop (Figure 3 lines 20-27) — three capsules
-    // ==================================================================
-
-    /// `helpPopTop` on deque `d`, then continue with `then`. Capsule 1:
-    /// read `top` and the entry there.
-    fn help_pop_top(self: &Arc<Self>, d: DequeAddrs, then: Cont) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/help/read", move |ctx| {
-            let t = ctx.pread(d.top)? as usize;
-            let w = ctx.pread(d.entry(t))?;
-            match unpack(w) {
-                (_, EntryVal::Taken { proc, slot, tag }) => {
-                    let ps = s.d(proc).entry(slot);
-                    Ok(Next::Jump(s.help_cam_thief(d, t, ps, tag, then.clone())))
-                }
-                _ => Ok(Next::Jump(then.clone())),
-            }
-        })
-    }
-
-    /// helpPopTop capsule 2 (line 25): set the thief's entry to local.
-    fn help_cam_thief(
-        self: &Arc<Self>,
-        d: DequeAddrs,
-        t: usize,
-        ps: ppm_pm::Addr,
-        i: u16,
-        then: Cont,
-    ) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/help/camThief", move |ctx| {
-            ctx.pcam(
-                ps,
-                pack(i, EntryVal::Empty),
-                pack(i.wrapping_add(1), EntryVal::Local),
-            )?;
-            Ok(Next::Jump(s.help_cam_top(d, t, then.clone())))
-        })
-    }
-
-    /// helpPopTop capsule 3 (line 26): advance `top`.
-    fn help_cam_top(self: &Arc<Self>, d: DequeAddrs, t: usize, then: Cont) -> Cont {
-        let _ = self;
-        sched_capsule("sched/help/camTop", move |ctx| {
-            ctx.pcam(d.top, t as Word, (t + 1) as Word)?;
-            Ok(Next::Jump(then.clone()))
-        })
-    }
-
-    // ==================================================================
-    // popTop (Figure 3 lines 32-64)
-    // ==================================================================
-
-    /// popTop capsule 1 (lines 34-36): read `top` and the entry, commit,
-    /// then branch. `(thief, e_slot, c)` identify where the stolen thread's
-    /// local entry will live — the thief's bottom entry and its tag.
-    fn pop_top_read(
-        self: &Arc<Self>,
-        v: DequeAddrs,
-        thief: usize,
-        e_slot: usize,
-        c: u16,
-        n: u64,
-    ) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/popTop/read", move |ctx| {
-            let i = ctx.pread(v.top)? as usize;
-            let old = ctx.pread(v.entry(i))?;
-            match unpack(old) {
-                // Line 39: nothing to steal — an uncontended outcome, so
-                // any backoff window collapses.
-                (_, EntryVal::Empty) => {
-                    s.note_calm(ctx.proc());
-                    Ok(Next::Jump(s.steal_attempt(n + 1)))
-                }
-                // Lines 41-42: a steal is in progress; help it, then give up.
-                (_, EntryVal::Taken { .. }) => {
-                    Ok(Next::Jump(s.help_pop_top(v, s.steal_attempt(n + 1))))
-                }
-                // Lines 44-49: a job; try to take it. A remote owner's
-                // job must be a rehydratable frame — its closures (live
-                // or dead) belong to another process — so the steal is
-                // gated exactly like local-entry adoption.
-                (tag, EntryVal::Job { handle }) => {
-                    if matches!(&s.domain, Some(d) if d.is_remote(v.owner))
-                        && !s.adoptable_handle(v.owner, handle)
-                    {
-                        return Ok(Next::Jump(s.steal_attempt(n + 1)));
-                    }
-                    let new = pack(
-                        tag.wrapping_add(1),
-                        EntryVal::Taken {
-                            proc: thief,
-                            slot: e_slot,
-                            tag: c,
-                        },
-                    );
-                    Ok(Next::Jump(s.pop_top_cam(v, i, old, new, handle, n)))
-                }
-                // Lines 51-63: local work; steal it only from a dead owner.
-                (tag, EntryVal::Local) => {
-                    if !ctx.is_live(v.owner) && s.remote_local_adoptable(v.owner) {
-                        let recheck = ctx.pread(v.entry(i))?;
-                        if recheck == old {
-                            // commit (line 54), then lines 55-60.
-                            let new = pack(
-                                tag.wrapping_add(1),
-                                EntryVal::Taken {
-                                    proc: thief,
-                                    slot: e_slot,
-                                    tag: c,
-                                },
-                            );
-                            return Ok(Next::Jump(s.pop_top_clear_above_read(v, i, old, new, n)));
-                        }
-                    }
-                    Ok(Next::Jump(s.steal_attempt(n + 1)))
-                }
-            }
-        })
-    }
-
-    /// popTop job-steal CAM (line 46), alone in its capsule; then help,
-    /// then check.
-    fn pop_top_cam(
-        self: &Arc<Self>,
-        v: DequeAddrs,
-        i: usize,
-        old: Word,
-        new: Word,
-        f: Word,
-        n: u64,
-    ) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/popTop/cam", move |ctx| {
-            ctx.pcam(v.entry(i), old, new)?;
-            let check = s.pop_top_check_job(v, i, new, f, n);
-            Ok(Next::Jump(s.help_pop_top(v, check)))
-        })
-    }
-
-    /// popTop job-steal check (lines 48-49): did our CAM win?
-    fn pop_top_check_job(
-        self: &Arc<Self>,
-        v: DequeAddrs,
-        i: usize,
-        new: Word,
-        f: Word,
-        n: u64,
-    ) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/popTop/check", move |ctx| {
-            let cur = ctx.pread(v.entry(i))?;
-            if cur == new {
+    /// Runs one scheduler capsule. The arms are Figure 3's bodies — the
+    /// reads, writes and CAMs of each, in the paper's order — and every
+    /// arm ends by naming its successor step (or a thread handle, or
+    /// `Halt`). `handles` is the engine's resolver, asked one question by
+    /// one arm: whether a dead owner's restart pointer decodes.
+    pub(crate) fn run(
+        &self,
+        step: SchedStep,
+        ctx: &mut ProcCtx,
+        handles: &ContArena,
+    ) -> PmResult<Next> {
+        let s = self;
+        match step {
+            // ==========================================================
+            // scheduler() — entry after a thread finishes (lines 117-122):
+            // `clearBottom` on the executing processor's deque, then
+            // `findWork`. Unchecked: reads the bottom entry's tag and
+            // rewrites it (Lemma A.12's idempotence argument).
+            // ==========================================================
+            ClearBottom() => {
                 let me = ctx.proc();
-                s.note_steal_win(me, v.owner, "job");
-                if let Some(d) = &s.domain {
-                    if d.is_remote(v.owner) {
-                        if d.is_adoptable(d.shard_of(v.owner)) {
-                            // The owner's shard is dead: this is adoption
-                            // of an orphaned entry, the recovery path.
-                            d.note_adopted_job();
-                            s.note_adoption_event(me, v.owner, "job");
-                        } else {
-                            // The owner's shard is alive: a live-shard
-                            // steal — ordinary load balancing that
-                            // happens to cross a process boundary.
-                            d.note_live_steal();
-                        }
-                    }
-                }
-                Ok(Next::JumpHandle(f))
-            } else {
-                // Our CAM lost to another thief: contention — widen the
-                // backoff window for the next attempt.
-                s.note_contention(ctx.proc());
-                Ok(Next::Jump(s.steal_attempt(n + 1)))
-            }
-        })
-    }
-
-    /// Local steal, step 1 of line 56: read the tag of the entry *above*
-    /// the local entry (it will be cleared so it can never be stolen).
-    fn pop_top_clear_above_read(
-        self: &Arc<Self>,
-        v: DequeAddrs,
-        i: usize,
-        old: Word,
-        new: Word,
-        n: u64,
-    ) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/popTop/clearAboveRead", move |ctx| {
-            let above = ctx.pread(v.entry(i + 1))?;
-            Ok(Next::Jump(s.pop_top_clear_above_write(
-                v,
-                i,
-                old,
-                new,
-                tag_of(above),
-                n,
-            )))
-        })
-    }
-
-    /// Local steal, step 2 of line 56: clear the entry above (erases a
-    /// transient second local left by an interrupted pushBottom).
-    fn pop_top_clear_above_write(
-        self: &Arc<Self>,
-        v: DequeAddrs,
-        i: usize,
-        old: Word,
-        new: Word,
-        above_tag: u16,
-        n: u64,
-    ) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/popTop/clearAboveWrite", move |ctx| {
-            ctx.pwrite(
-                v.entry(i + 1),
-                pack(above_tag.wrapping_add(1), EntryVal::Empty),
-            )?;
-            Ok(Next::Jump(s.pop_top_cam_local(v, i, old, new, n)))
-        })
-    }
-
-    /// Local steal CAM (line 57), then help, then check-and-adopt.
-    fn pop_top_cam_local(
-        self: &Arc<Self>,
-        v: DequeAddrs,
-        i: usize,
-        old: Word,
-        new: Word,
-        n: u64,
-    ) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/popTop/camLocal", move |ctx| {
-            ctx.pcam(v.entry(i), old, new)?;
-            let check = s.pop_top_check_local(v, i, new, n);
-            Ok(Next::Jump(s.help_pop_top(v, check)))
-        })
-    }
-
-    /// Local steal check (lines 59-60): on success, adopt the dead owner's
-    /// active capsule (`getActiveCapsule`).
-    fn pop_top_check_local(self: &Arc<Self>, v: DequeAddrs, i: usize, new: Word, n: u64) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/popTop/checkLocal", move |ctx| {
-            let cur = ctx.pread(v.entry(i))?;
-            if cur != new {
-                // Lost the adoption CAM to a competing thief.
-                s.note_contention(ctx.proc());
-                return Ok(Next::Jump(s.steal_attempt(n + 1)));
-            }
-            let handle = ctx.pread(s.metas[v.owner].active)?;
-            if s.adoptable_handle(v.owner, handle) {
-                let me = ctx.proc();
-                s.note_steal_win(me, v.owner, "local");
-                if let Some(d) = &s.domain {
-                    if d.is_remote(v.owner) {
-                        d.note_adopted_local();
-                        s.note_adoption_event(me, v.owner, "local");
-                    }
-                }
-                Ok(Next::JumpHandle(handle))
-            } else {
-                // The owner died outside threaded code with a cleared
-                // restart pointer; nothing to resume.
-                Ok(Next::Jump(s.steal_attempt(n + 1)))
-            }
-        })
-    }
-
-    // ==================================================================
-    // pushBottom (Figure 3 lines 66-79) — the fork path
-    // ==================================================================
-
-    /// The fork wrapper: after the engine registers the forked child
-    /// (handle `f`), run `pushBottom(f)` and then continue the thread with
-    /// `cont`. When the continuation is itself a persistent frame,
-    /// `cont_handle` carries its handle so the post-push jump re-installs
-    /// a frame-backed restart pointer. Capsule 1 (lines 67-70): read
-    /// `bot` and the two tags, commit.
-    pub fn push_bottom(self: &Arc<Self>, f: Word, cont: Cont, cont_handle: Option<Word>) -> Cont {
-        let s = self.clone();
-        sched_capsule("sched/pushBottom/read", move |ctx| {
-            let me = ctx.proc();
-            let d = s.d(me);
-            let b = ctx.pread(d.bot)? as usize;
-            let t1 = tag_of(ctx.pread(d.entry(b + 1))?);
-            let t2 = tag_of(ctx.pread(d.entry(b))?);
-            Ok(Next::Jump(s.push_bottom_commit(
-                d,
-                b,
-                t1,
-                t2,
-                f,
-                cont.clone(),
-                cont_handle,
-            )))
-        })
-    }
-
-    /// pushBottom capsule 2 (lines 71-78). Kept as a single capsule like
-    /// the paper (the re-evaluated condition is what makes the re-run and
-    /// the adopting-thief cases work — Lemma A.6); unchecked because it
-    /// reads the bottom entry and then CAMs it.
-    #[allow(clippy::too_many_arguments)]
-    fn push_bottom_commit(
-        self: &Arc<Self>,
-        d: DequeAddrs,
-        b: usize,
-        t1: u16,
-        t2: u16,
-        f: Word,
-        cont: Cont,
-        cont_handle: Option<Word>,
-    ) -> Cont {
-        let s = self.clone();
-        // Return to the thread: by frame handle when the continuation is
-        // persistent (keeping the restart pointer frame-backed), by
-        // closure otherwise.
-        let back = move |cont: &Cont| match cont_handle {
-            Some(h) => Next::JumpHandle(h),
-            None => Next::Jump(cont.clone()),
-        };
-        capsule_unchecked("sched/pushBottom/commit", move |ctx| {
-            let local_b = pack(t2, EntryVal::Local);
-            let cur = ctx.pread(d.entry(b))?;
-            if cur == local_b {
-                // Lines 72-74: move our local up, then turn the old local
-                // into the forked job.
-                ctx.pwrite(d.entry(b + 1), pack(t1.wrapping_add(1), EntryVal::Local))?;
-                ctx.pwrite(d.bot, (b + 1) as Word)?;
-                ctx.pcam(
+                let d = s.d(me);
+                let b = ctx.pread(d.bot)? as usize;
+                let cur = ctx.pread(d.entry(b))?;
+                ctx.pwrite(
                     d.entry(b),
-                    local_b,
-                    pack(t2.wrapping_add(1), EntryVal::Job { handle: f }),
+                    pack(tag_of(cur).wrapping_add(1), EntryVal::Empty),
                 )?;
-                return Ok(back(&cont));
+                Ok(go(PopBottomRead()))
             }
-            let above = ctx.pread(d.entry(b + 1))?;
-            if kind_of(above) == EntryKind::Empty {
-                // Lines 75-76: we are an adopting thief — the original
-                // owner died before the CAM and its local entry was stolen
-                // (which also cleared the entry above). Re-push the fork on
-                // the executing processor's own deque.
-                return Ok(Next::Jump(s.push_bottom(f, cont.clone(), cont_handle)));
+
+            // ==========================================================
+            // findWork / popBottom (lines 81-93, 95-98)
+            // ==========================================================
+
+            // popBottom capsule 1 (lines 82-84): read bot and the entry
+            // below it, then commit. Shared across processors (processor
+            // identity is dynamic).
+            PopBottomRead() => {
+                let me = ctx.proc();
+                let d = s.d(me);
+                let b = ctx.pread(d.bot)? as usize;
+                if b == 0 {
+                    // Deque empty (nothing was ever pushed, or everything
+                    // below was consumed): no local work.
+                    return Ok(s.steal_afresh(me));
+                }
+                let old = ctx.pread(d.entry(b - 1))?;
+                match unpack(old) {
+                    (_, EntryVal::Job { handle }) => Ok(go(PopBottomCam(me, b, old, handle))),
+                    _ => Ok(s.steal_afresh(me)),
+                }
             }
-            // The CAM already happened (a re-run after the push completed):
-            // just return to the thread.
-            Ok(back(&cont))
-        })
+            // popBottom capsule 2 (line 86): the CAM, alone in its capsule.
+            PopBottomCam(owner, b, old, f) => {
+                let d = s.d(owner);
+                let new = pack(tag_of(old).wrapping_add(1), EntryVal::Local);
+                ctx.pcam(d.entry(b - 1), old, new)?;
+                Ok(go(PopBottomCheck(owner, b, new, f)))
+            }
+            // popBottom capsule 3 (lines 87-92): observe the CAM, take the
+            // job or give up. Includes the Lemma A.10 adoption case
+            // (module docs).
+            PopBottomCheck(owner, b, new, f) => {
+                let d = s.d(owner);
+                let cur = ctx.pread(d.entry(b - 1))?;
+                if cur == new {
+                    ctx.pwrite(d.bot, (b - 1) as Word)?;
+                    // Jump by handle: the engine resolves `f` (rehydrating
+                    // a frame) and installs the handle itself as the
+                    // restart pointer.
+                    return Ok(Next::JumpHandle(f));
+                }
+                if kind_of(cur) == EntryKind::Taken && tag_of(cur) == tag_of(new).wrapping_add(1) {
+                    // Our CAM succeeded, the owner died, and we (the
+                    // uniquely successful adopting thief) already turned
+                    // the local entry into taken. Run the claimed thread
+                    // (Lemma A.10).
+                    return Ok(Next::JumpHandle(f));
+                }
+                Ok(s.steal_afresh(ctx.proc()))
+            }
+
+            // ==========================================================
+            // Steal loop (findWork lines 100-107): check for termination,
+            // pick a victim, read our own bottom entry reference, and
+            // enter the victim's `popTop`.
+            // ==========================================================
+            Steal(n) => {
+                if s.done.read(ctx)? {
+                    return Ok(Next::Halt);
+                }
+                let me = ctx.proc();
+                s.note_steal_enter(me);
+                // Service mode: published injector jobs are root work —
+                // drain the durable queue before probing victim deques.
+                // The scan is an uncosted ephemeral peek (like victim
+                // selection); the claim itself is the costed
+                // read/CAM/check chain below.
+                if let Some(inj) = s.injector.get() {
+                    if let Some(slot) = inj.scan_published(me, n) {
+                        return Ok(go(PullRead(slot, n)));
+                    }
+                }
+                s.backoff(me, n);
+                let victim = match s.pick_victim(me, n) {
+                    Some(v) => v,
+                    None => {
+                        // P = 1: nothing to steal; keep polling the flag.
+                        return Ok(go(Steal(n + 1)));
+                    }
+                };
+                // yield (Figure 3 line 101): give processors holding work
+                // the processor before probing. ABP's yield-to-all keeps
+                // steal attempts from starving workers in multiprogrammed
+                // settings — essential when model processors outnumber
+                // cores.
+                std::thread::yield_now();
+                let my = s.d(me);
+                let b = ctx.pread(my.bot)? as usize;
+                let c = tag_of(ctx.pread(my.entry(b))?);
+                // popTop begins with helpPopTop (line 33); `(me, b, c)`
+                // identify where the stolen thread's local entry will
+                // live — our bottom entry and its tag.
+                Ok(go(HelpRead(
+                    victim,
+                    Then::PopTopRead,
+                    0,
+                    seat(me, b, c),
+                    0,
+                    n,
+                )))
+            }
+
+            // ==========================================================
+            // helpPopTop (lines 20-27) on deque `v`, then continue with
+            // `then` (and the locals `i`, `new`, `f`, `n` it will need)
+            // — three capsules.
+            // ==========================================================
+
+            // Capsule 1: read `top` and the entry there.
+            HelpRead(v, then, i, new, f, n) => {
+                let d = s.d(v);
+                let t = ctx.pread(d.top)? as usize;
+                let w = ctx.pread(d.entry(t))?;
+                match unpack(w) {
+                    (_, EntryVal::Taken { .. }) => {
+                        Ok(go(HelpCamThief(v, t, w, then, i, new, f, n)))
+                    }
+                    _ => Ok(go(then.step(v, i, new, f, n))),
+                }
+            }
+            // Capsule 2 (line 25): set the thief's entry — the one the
+            // `taken` entry `w` names — to local.
+            HelpCamThief(v, t, w, then, i, new, f, n) => {
+                if let (_, EntryVal::Taken { proc, slot, tag }) = unpack(w) {
+                    let ps = s.d(proc).entry(slot);
+                    ctx.pcam(
+                        ps,
+                        pack(tag, EntryVal::Empty),
+                        pack(tag.wrapping_add(1), EntryVal::Local),
+                    )?;
+                }
+                Ok(go(HelpCamTop(v, t, then, i, new, f, n)))
+            }
+            // Capsule 3 (line 26): advance `top`.
+            HelpCamTop(v, t, then, i, new, f, n) => {
+                ctx.pcam(s.d(v).top, t as Word, (t + 1) as Word)?;
+                Ok(go(then.step(v, i, new, f, n)))
+            }
+
+            // ==========================================================
+            // popTop (lines 32-64)
+            // ==========================================================
+
+            // popTop capsule 1 (lines 34-36): read `top` and the entry,
+            // commit, then branch. `(thief, e_slot, c)` identify where the
+            // stolen thread's local entry will live — the thief's bottom
+            // entry and its tag.
+            PopTopRead(v, thief, e_slot, c, n) => {
+                let d = s.d(v);
+                let i = ctx.pread(d.top)? as usize;
+                let old = ctx.pread(d.entry(i))?;
+                let taken = EntryVal::Taken {
+                    proc: thief,
+                    slot: e_slot,
+                    tag: c,
+                };
+                match unpack(old) {
+                    // Line 39: nothing to steal — an uncontended outcome,
+                    // so any backoff window collapses.
+                    (_, EntryVal::Empty) => {
+                        s.note_calm(ctx.proc());
+                        Ok(go(Steal(n + 1)))
+                    }
+                    // Lines 41-42: a steal is in progress; help it, then
+                    // give up.
+                    (_, EntryVal::Taken { .. }) => Ok(go(HelpRead(v, Then::Steal, 0, 0, 0, n + 1))),
+                    // Lines 44-49: a job; try to take it.
+                    (tag, EntryVal::Job { handle }) => {
+                        let new = pack(tag.wrapping_add(1), taken);
+                        Ok(go(PopTopCam(v, i, old, new, handle, n)))
+                    }
+                    // Lines 51-63: local work; steal it only from a dead
+                    // owner.
+                    (tag, EntryVal::Local) => {
+                        if !ctx.is_live(v) && s.restart_pointer_decodes(v, handles) {
+                            let recheck = ctx.pread(d.entry(i))?;
+                            if recheck == old {
+                                // commit (line 54), then lines 55-60.
+                                let new = pack(tag.wrapping_add(1), taken);
+                                return Ok(go(ClearAboveRead(v, i, old, new, n)));
+                            }
+                        }
+                        Ok(go(Steal(n + 1)))
+                    }
+                }
+            }
+            // popTop job-steal CAM (line 46), alone in its capsule; then
+            // help, then check.
+            PopTopCam(v, i, old, new, f, n) => {
+                ctx.pcam(s.d(v).entry(i), old, new)?;
+                Ok(go(HelpRead(v, Then::CheckJob, i, new, f, n)))
+            }
+            // popTop job-steal check (lines 48-49): did our CAM win?
+            PopTopCheck(v, i, new, f, n) => {
+                let cur = ctx.pread(s.d(v).entry(i))?;
+                if cur == new {
+                    let me = ctx.proc();
+                    s.note_steal_win(me, v, "job");
+                    if let Some(d) = &s.domain {
+                        if d.is_remote(v) {
+                            if d.is_adoptable(d.shard_of(v)) {
+                                // The owner's shard is dead: this is
+                                // adoption of an orphaned entry, the
+                                // recovery path.
+                                d.note_adopted_job();
+                                s.note_adoption_event(me, v, "job");
+                            } else {
+                                // The owner's shard is alive: a live-shard
+                                // steal — ordinary load balancing that
+                                // happens to cross a process boundary.
+                                d.note_live_steal();
+                            }
+                        }
+                    }
+                    Ok(Next::JumpHandle(f))
+                } else {
+                    // Our CAM lost to another thief: contention — widen
+                    // the backoff window for the next attempt.
+                    s.note_contention(ctx.proc());
+                    Ok(go(Steal(n + 1)))
+                }
+            }
+            // Local steal, step 1 of line 56: read the tag of the entry
+            // *above* the local entry (it will be cleared so it can never
+            // be stolen).
+            ClearAboveRead(v, i, old, new, n) => {
+                let above = ctx.pread(s.d(v).entry(i + 1))?;
+                Ok(go(ClearAboveWrite(v, i, old, new, tag_of(above), n)))
+            }
+            // Local steal, step 2 of line 56: clear the entry above
+            // (erases a transient second local left by an interrupted
+            // pushBottom).
+            ClearAboveWrite(v, i, old, new, above_tag, n) => {
+                ctx.pwrite(
+                    s.d(v).entry(i + 1),
+                    pack(above_tag.wrapping_add(1), EntryVal::Empty),
+                )?;
+                Ok(go(PopTopCamLocal(v, i, old, new, n)))
+            }
+            // Local steal CAM (line 57), then help, then check-and-adopt.
+            PopTopCamLocal(v, i, old, new, n) => {
+                ctx.pcam(s.d(v).entry(i), old, new)?;
+                Ok(go(HelpRead(v, Then::CheckLocal, i, new, 0, n)))
+            }
+            // Local steal check (lines 59-60): on success, adopt the dead
+            // owner's active capsule (`getActiveCapsule`).
+            PopTopCheckLocal(v, i, new, n) => {
+                let cur = ctx.pread(s.d(v).entry(i))?;
+                if cur != new {
+                    // Lost the adoption CAM to a competing thief.
+                    s.note_contention(ctx.proc());
+                    return Ok(go(Steal(n + 1)));
+                }
+                // Frozen since the owner died, and checked to decode
+                // before the CAM was committed.
+                let handle = ctx.pread(s.metas[v].active)?;
+                if handle != NULL_HANDLE {
+                    let me = ctx.proc();
+                    s.note_steal_win(me, v, "local");
+                    if let Some(d) = &s.domain {
+                        if d.is_remote(v) {
+                            d.note_adopted_local();
+                            s.note_adoption_event(me, v, "local");
+                        }
+                    }
+                    Ok(Next::JumpHandle(handle))
+                } else {
+                    // The owner died outside threaded code with a cleared
+                    // restart pointer; nothing to resume.
+                    Ok(go(Steal(n + 1)))
+                }
+            }
+
+            // ==========================================================
+            // pushBottom (lines 66-79) — the fork path: push the forked
+            // child `f`, then continue the thread at `cont`.
+            // ==========================================================
+
+            // Capsule 1 (lines 67-70): read `bot` and the two tags, commit.
+            PushBottomRead(f, cont) => {
+                let me = ctx.proc();
+                let d = s.d(me);
+                let b = ctx.pread(d.bot)? as usize;
+                let t1 = tag_of(ctx.pread(d.entry(b + 1))?);
+                let t2 = tag_of(ctx.pread(d.entry(b))?);
+                Ok(go(PushBottomCommit(me, b, t1, t2, f, cont)))
+            }
+            // Capsule 2 (lines 71-78). Kept as a single capsule like the
+            // paper (the re-evaluated condition is what makes the re-run
+            // and the adopting-thief cases work — Lemma A.6); unchecked
+            // because it reads the bottom entry and then CAMs it.
+            PushBottomCommit(owner, b, t1, t2, f, cont) => {
+                let d = s.d(owner);
+                let local_b = pack(t2, EntryVal::Local);
+                let cur = ctx.pread(d.entry(b))?;
+                if cur == local_b {
+                    // Lines 72-74: move our local up, then turn the old
+                    // local into the forked job.
+                    ctx.pwrite(d.entry(b + 1), pack(t1.wrapping_add(1), EntryVal::Local))?;
+                    ctx.pwrite(d.bot, (b + 1) as Word)?;
+                    ctx.pcam(
+                        d.entry(b),
+                        local_b,
+                        pack(t2.wrapping_add(1), EntryVal::Job { handle: f }),
+                    )?;
+                    return Ok(Next::JumpHandle(cont));
+                }
+                let above = ctx.pread(d.entry(b + 1))?;
+                if kind_of(above) == EntryKind::Empty {
+                    // Lines 75-76: we are an adopting thief — the original
+                    // owner died before the CAM and its local entry was
+                    // stolen (which also cleared the entry above). Re-push
+                    // the fork on the executing processor's own deque.
+                    return Ok(go(PushBottomRead(f, cont)));
+                }
+                // The CAM already happened (a re-run after the push
+                // completed): just return to the thread.
+                Ok(Next::JumpHandle(cont))
+            }
+
+            // ==========================================================
+            // Service mode: the injector claim chain, entered from the
+            // steal loop (see `crate::service` for the slot protocol).
+            // ==========================================================
+
+            // Claim chain capsule 1: re-read the slot (the scan was an
+            // uncosted peek), verify the two-phase publish's checksum, and
+            // enter the claim CAM. Any mismatch falls back into the steal
+            // loop.
+            PullRead(slot, n) => {
+                let me = ctx.proc();
+                let q = s.injector().expect("pull without an injector queue");
+                let st = ctx.pread(q.state_addr(slot))?;
+                if slot_phase(st) != Some(SlotPhase::Published) {
+                    return Ok(go(Steal(n + 1)));
+                }
+                let ticket = ctx.pread(q.ticket_addr(slot))?;
+                let entry = ctx.pread(q.entry_addr(slot))?;
+                let check = ctx.pread(q.check_addr(slot))?;
+                if check != slot_checksum(ticket, entry) || !is_frame_at(&s.mem, entry as usize) {
+                    // A torn publish cannot happen (publish follows the
+                    // flush); this guards scavenge-worthy corruption from
+                    // spreading.
+                    return Ok(go(Steal(n + 1)));
+                }
+                Ok(go(PullCam(slot, me, st, entry, ticket, n)))
+            }
+            // Claim chain capsule 2: the claim CAM. Claimant-distinct
+            // payloads keep racing pullers' CAMs non-identical (§5's
+            // exactly-once requirement).
+            PullCam(slot, claimant, old, entry, ticket, n) => {
+                let q = s.injector().expect("pull without an injector queue");
+                let claimed = slot_state(SlotPhase::Claimed, slot_epoch(old), claimant);
+                ctx.pcam(q.state_addr(slot), old, claimed)?;
+                Ok(go(PullCheck(slot, claimed, entry, ticket, n)))
+            }
+            // Claim chain capsule 3: did our CAM win? Winning seats the
+            // puller's thread marker and enters the slot's entry frame (a
+            // registered capsule — the restart pointer any adopting
+            // process can rehydrate); losing falls back into the steal
+            // loop.
+            PullCheck(slot, claimed, entry, ticket, n) => {
+                let me = ctx.proc();
+                let q = s.injector().expect("pull without an injector queue");
+                if ctx.pread(q.state_addr(slot))? == claimed {
+                    q.note_claimed(me, slot, ticket);
+                    return Ok(go(PullSeat(entry)));
+                }
+                Ok(go(Steal(n + 1)))
+            }
+            // Claim chain capsule 4 (won claims only): seat the puller's
+            // thread marker — `Local` at the bottom of its own deque —
+            // then enter the job's entry frame.
+            //
+            // A deque steal gets this seat from the helpPopTop protocol
+            // (the `Taken` entry names the thief's slot, and helpers CAM
+            // that slot to `Local`); a queue pull has no `Taken` entry, so
+            // without this step the puller would run the job with an
+            // `Empty` bottom entry and the job's first fork would spin
+            // forever in `pushBottom`'s adopting-thief arm. Unchecked like
+            // `clearBottom`: reads its own bottom tag and rewrites it (the
+            // Lemma A.12 idempotence argument — a re-run overwrites with
+            // another `Local`, and the tag bump fences any stale helper
+            // CAM aimed at this slot from an earlier abandoned steal).
+            //
+            // Crash window: dying after the seat but before the entry
+            // frame leaves a dead processor with a seated `Local` whose
+            // restart pointer is still this record — a survivor adopts it
+            // and re-seats on its own deque. The slot is `CLAIMED` by a
+            // dead claimant either way, so the rescue sweep republishes it
+            // at epoch + 1, and the entry capsule's epoch guard fences
+            // whichever path loses the re-claim.
+            PullSeat(entry) => {
+                let me = ctx.proc();
+                let d = s.d(me);
+                let b = ctx.pread(d.bot)? as usize;
+                let cur = ctx.pread(d.entry(b))?;
+                ctx.pwrite(
+                    d.entry(b),
+                    pack(tag_of(cur).wrapping_add(1), EntryVal::Local),
+                )?;
+                Ok(Next::JumpHandle(entry))
+            }
+            // `service/entry` tail: the `CLAIMED → RUNNING` CAM and its
+            // check.
+            EntryCam(state_a, old, new, job) => {
+                ctx.pcam(state_a as ppm_pm::Addr, old, new)?;
+                Ok(go(EntryCheck(state_a, new, job)))
+            }
+            EntryCheck(state_a, new, job) => {
+                if ctx.pread(state_a as ppm_pm::Addr)? == new {
+                    return Ok(Next::JumpHandle(job));
+                }
+                // Lost to a rescue (we were declared dead) — the
+                // re-claimed run owns the job now.
+                Ok(Next::End)
+            }
+            // `service/done` tail: the exactly-once `RUNNING → DONE` CAM
+            // and its check (which counts and traces the completion).
+            DoneCam(state_a, old, done_w, ticket) => {
+                ctx.pcam(state_a as ppm_pm::Addr, old, done_w)?;
+                Ok(go(DoneCheck(state_a, done_w, ticket)))
+            }
+            DoneCheck(state_a, done_w, ticket) => {
+                let me = ctx.proc();
+                if ctx.pread(state_a as ppm_pm::Addr)? == done_w {
+                    let q = s.injector().expect("job completion without a queue");
+                    q.note_completed(me, ticket, done_w);
+                }
+                Ok(Next::End)
+            }
+        }
+    }
+}
+
+/// Names the successor step: its record is what the engine journals.
+pub(crate) fn go(step: SchedStep) -> Next {
+    Next::Sched(step.encode())
+}
+
+impl Scheduler for Sched {
+    fn run(&self, rec: &SchedRecord, ctx: &mut ProcCtx, handles: &ContArena) -> PmResult<Next> {
+        match self.decode(rec) {
+            Some(step) => Sched::run(self, step, ctx, handles),
+            None => panic!("scheduler record {rec:?} does not decode — corrupt journal"),
+        }
+    }
+
+    /// The fork path: `pushBottom(child)`, then continue at `cont`.
+    fn on_fork(&self, child: Word, cont: Word) -> SchedRecord {
+        PushBottomRead(child, cont).encode()
+    }
+
+    /// `scheduler()`: `clearBottom`, then `findWork`.
+    fn on_end(&self) -> SchedRecord {
+        ClearBottom().encode()
+    }
+
+    fn name(&self, rec: &SchedRecord) -> &'static str {
+        crate::step::name(rec)
+    }
+
+    fn war_checked(&self, rec: &SchedRecord) -> bool {
+        crate::step::war_checked(rec)
     }
 }
 
@@ -997,7 +997,7 @@ mod tests {
         let gate = std::sync::Barrier::new(2);
         let (legal, illegal) = std::thread::scope(|scope| {
             let write = |proc: usize, to: EntryVal| {
-                let (mem, entry, gate) = (s.mem(), s.deques()[proc].entry(0), &gate);
+                let (mem, entry, gate) = (&s.mem, s.deques()[proc].entry(0), &gate);
                 scope.spawn(move || {
                     gate.wait();
                     mem.store(entry, pack(1, to));

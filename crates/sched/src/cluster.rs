@@ -34,23 +34,26 @@
 //! 3. From there the *unmodified* Figure 3 machinery does the work:
 //!    `popTop` steals the dead shard's `job` entries (frame handles,
 //!    rehydratable by any process), and the dead-owner local-steal path
-//!    adopts running threads through their persisted restart pointers —
-//!    with one cross-process hardening: a remote restart pointer must be
-//!    a registered *frame* (a dead sibling's in-process closures are
-//!    gone), otherwise the steal is refused and recorded as a blocked
-//!    adoption instead of silently dropping the thread. Replay cost is
-//!    bounded by the adopted shard's in-flight capsules — the same bound
-//!    hard-fault adoption has in-process.
+//!    adopts running threads through their persisted restart pointers.
+//!    A restart pointer is always words in the file — a frame while the
+//!    thread ran user code, a scheduler record in the processor's
+//!    metadata block while it was inside a steal, a push or a pop
+//!    ([`crate::step`]) — so it makes no difference where the kill
+//!    landed. Before committing the adoption CAM a thief checks that the
+//!    frozen pointer decodes; a refusal means corrupt bytes, is counted
+//!    as a blocked adoption instead of silently dropping the thread, and
+//!    happens in no healthy run. Replay cost is bounded by the adopted
+//!    shard's in-flight capsules — the same bound hard-fault adoption
+//!    has in-process.
 //!
 //! In **batch** runs, live shards never steal from each other (victim
 //! selection stays inside the fault domain until the oracle declares a
 //! sibling dead). **Service** runs turn live-shard stealing on
 //! ([`ShardDomain::set_live_stealing`]): victim selection spans live
 //! siblings too, because the same CAM steal protocol is already safe
-//! across processes — the only extra gate is that a *remote* `job`
-//! handle must be a rehydratable frame, exactly like adoption. Steals
-//! from live remote shards are counted separately
-//! (`ppm_live_steals_total`).
+//! across processes, and every `job` a session pushes is a frame any
+//! process rehydrates. Steals from live remote shards are counted
+//! separately (`ppm_live_steals_total`).
 //!
 //! ## Entry points: [`ClusterBuilder`]
 //!
@@ -75,13 +78,11 @@
 //!
 //! ## Degraded paths
 //!
-//! * A worker killed while one of its processors was inside a
-//!   scheduler-internal capsule (a steal or push in flight) can leave a
-//!   thread only its own process could resume — the same narrow windows
-//!   process-level recovery documents. Survivors refuse those adoptions
-//!   (blocked, counted); if the run cannot finish, the coordinator's
-//!   deadline fires and [`recover`] finishes the job single-process via
-//!   the ordinary resume/replay machinery.
+//! * If every fault domain dies, nobody is left to adopt: [`recover`]
+//!   finishes the job single-process via the ordinary resume/replay
+//!   machinery. (Recovery does not yet *resume* a scheduler record: a
+//!   restart pointer parked on one sends it to the roots, the verdict a
+//!   closure handle always got.)
 //! * The coordinator is only an observer after planting: if *it* dies,
 //!   the workers keep running and complete the computation on their own.
 //!
@@ -299,7 +300,7 @@ impl ShardDomain {
         let d = self.clone();
         reg.counter_fn(
             "ppm_blocked_adoptions_total",
-            "adoptions refused because the remote restart pointer was not a rehydratable frame",
+            "adoptions refused because the dead owner's restart pointer did not decode (corrupt)",
             &[],
             move || d.blocked_adoptions(),
         );
@@ -603,11 +604,11 @@ impl ClusterBuilder {
 /// The deterministic construction every cluster process replays: done
 /// flag, scheduler deques, shard-completion flags, report blocks, the
 /// finale/check/arrive frames, and the per-shard sub-roots.
-struct ClusterSession {
+pub(crate) struct ClusterSession {
     /// The shard geometry the session was built for.
     map: ShardMap,
-    done: DoneFlag,
-    sched: Arc<Sched>,
+    pub(crate) done: DoneFlag,
+    pub(crate) sched: Arc<Sched>,
     flags: Region,
     reports: Region,
     roots: Vec<Word>,
@@ -739,6 +740,47 @@ fn read_header(machine: &Machine) -> io::Result<ppm_pm::ClusterHeader> {
             "machine file has no cluster header (not a sharded run)",
         )
     })
+}
+
+/// What whoever drives shard `shard` builds over its attachment: the
+/// cluster header, the shard's steal domain, and the replayed session
+/// whose scheduler selects victims through it. `first_heartbeat` runs
+/// once the header is known to contain the shard, *before* any session
+/// work.
+pub(crate) fn shard_session(
+    machine: &Machine,
+    shard: usize,
+    build: &ShardBuild,
+    first_heartbeat: impl FnOnce(&ppm_pm::ClusterHeader),
+) -> io::Result<(ppm_pm::ClusterHeader, Arc<ShardDomain>, ClusterSession)> {
+    let header = read_header(machine)?;
+    let map = ShardMap::new(machine.procs(), header.shards as usize);
+    if shard >= map.shards {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("shard {shard} out of range ({} shards)", map.shards),
+        ));
+    }
+    first_heartbeat(&header);
+    let domain = ShardDomain::new(map, shard);
+    let session = replay_session(machine, &header, map, Some(domain.clone()), build);
+    if let Some(q) = &session.service {
+        // Service mode: victim selection spans live siblings from the
+        // start, and the replayed construction must have landed the ring
+        // where the durable header says it is.
+        debug_assert_eq!(
+            q.header(ppm_pm::ServiceState::Accepting).ring_base,
+            machine
+                .mem()
+                .control()
+                .service_header()
+                .map(|h| h.ring_base)
+                .unwrap_or(0),
+            "service ring landed at a different address than the header records"
+        );
+        domain.set_live_stealing(true);
+    }
+    Ok((header, domain, session))
 }
 
 /// [`build_session`] as an attacher of an existing file replays it:
@@ -1117,42 +1159,16 @@ pub fn run_worker_with_clock(
         ppm_pm::FaultConfig::none(),
         ppm_pm::ValidateMode::Strict,
     )?;
-    let header = read_header(&machine)?;
-    let map = ShardMap::new(machine.procs(), header.shards as usize);
-    if shard >= map.shards {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("shard {shard} out of range ({} shards)", map.shards),
-        ));
-    }
-    let domain = ShardDomain::new(map, shard);
     // First heartbeat *before* any session work (seq 1; the monitor
     // continues from 2). Unconditional publication closes a service-mode
     // observability race: a worker killed between attach and its first
     // queue pull would otherwise still be on the coordinator's seed
     // lease, and its tombstone would report `last_seen: None` as if the
     // process never came up.
-    let _ = machine
-        .mem()
-        .control()
-        .write_lease(shard, &Lease::alive_at(1, header.lease_ms, clock.now_ms()));
-    let session = replay_session(&machine, &header, map, Some(domain.clone()), build);
-    if let Some(q) = &session.service {
-        // Service mode: victim selection spans live siblings from the
-        // start, and the replayed construction must have landed the ring
-        // where the durable header says it is.
-        debug_assert_eq!(
-            q.header(ppm_pm::ServiceState::Accepting).ring_base,
-            machine
-                .mem()
-                .control()
-                .service_header()
-                .map(|h| h.ring_base)
-                .unwrap_or(0),
-            "service ring landed at a different address than the header records"
-        );
-        domain.set_live_stealing(true);
-    }
+    let (header, domain, session) = shard_session(&machine, shard, build, |header| {
+        let first = Lease::alive_at(1, header.lease_ms, clock.now_ms());
+        let _ = machine.mem().control().write_lease(shard, &first);
+    })?;
     write_report(
         &machine,
         session.reports,
@@ -1189,11 +1205,7 @@ pub fn run_worker_with_clock(
         };
         let seats: Vec<ProcSeat> = domain
             .own_procs()
-            .map(|proc| ProcSeat {
-                proc,
-                first: session.sched.find_work(),
-                cursor: 0,
-            })
+            .map(|proc| ProcSeat::idle(&session.sched, proc, 0))
             .collect();
         let ctl = CheckpointCtl::new_for(
             &machine,
@@ -1521,8 +1533,7 @@ fn init_machine(
 
 /// Finishes a sharded run single-process: the cluster twin of
 /// `Runtime::run_or_recover`, for when the cluster itself could not
-/// complete (every fault domain died, or a blocked-adoption window
-/// stalled the run past the coordinator's deadline). Reopens the file
+/// complete (every fault domain died). Reopens the file
 /// (epoch bump — this *is* a recovery), replays the session
 /// construction, and then:
 ///
@@ -1601,14 +1612,13 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
         plant_roots(&machine, &session);
     }
     let seats: Vec<ProcSeat> = (0..machine.procs())
-        .map(|proc| ProcSeat {
-            proc,
-            first: session.sched.find_work(),
-            cursor: if resume {
+        .map(|proc| {
+            let cursor = if resume {
                 machine.pool_watermark(proc)
             } else {
                 0
-            },
+            };
+            ProcSeat::idle(&session.sched, proc, cursor)
         })
         .collect();
     let ctl = CheckpointCtl::new_for(

@@ -2,8 +2,8 @@
 //!
 //! One OS thread per model processor. Each thread drives the capsule
 //! engine: run the active capsule (restarting on soft faults), install the
-//! successor, repeat — with `fork` wrapped into the scheduler's
-//! `pushBottom` sequence and thread-`End` wrapped into `scheduler()`. A
+//! successor, repeat — under the one [`Sched`], which turns a `fork` into
+//! its `pushBottom` sequence and a thread `End` into `scheduler()`. A
 //! hard fault ends the thread; the processor's deque and restart pointer
 //! stay in persistent memory for thieves.
 //!
@@ -23,8 +23,8 @@
 //! The model-level **closure machine** — `ppm_core::comp` DAGs of
 //! process-local Rust closures, the form the paper specifies Figure 3
 //! over — is reachable only as a fresh, in-process run: [`run_closure`]
-//! (and [`run_root_thread`] / [`run_root_on`] for callers that instrument
-//! a prebuilt scheduler). It exists for the scheduler-protocol tests and
+//! (and [`run_root_on`] for callers that instrument a prebuilt
+//! scheduler). It exists for the scheduler-protocol tests and
 //! the ABP comparison; it never checkpoints, resumes or crosses a process
 //! boundary, and a `Runtime` does not accept it.
 //!
@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 use ppm_core::persist::FrameDecodeError;
 pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
-use ppm_core::{run_capsule, Comp, Cont, DoneFlag, InstallCtx, Machine, Step, CORE_ID_FINALE};
+use ppm_core::{run_capsule, Active, Comp, Cont, DoneFlag, InstallCtx, Machine, CORE_ID_FINALE};
 use ppm_pm::{StatsSnapshot, Word};
 
 use crate::capsules::{Sched, SchedConfig};
@@ -156,8 +156,8 @@ pub enum FallbackReason {
         thief_slot: usize,
     },
     /// The crash caught a steal between the victim-entry CAM and the
-    /// thief-entry CAM; the stolen thread's handle lived only in the dead
-    /// thief's ephemeral closure.
+    /// thief-entry CAM; the stolen thread's handle lives only in the dead
+    /// thief's scheduler record, which recovery does not resume yet.
     StealInFlight {
         /// Victim deque owner.
         victim: usize,
@@ -384,17 +384,6 @@ impl SessionReport {
 pub fn run_closure(machine: &Machine, comp: &Comp, cfg: &SchedConfig) -> RunReport {
     let done = DoneFlag::new(machine);
     let root = comp(done.finale());
-    run_root_thread(machine, root, done, cfg)
-}
-
-/// Runs an explicit root thread (its last capsule must set `done`, e.g. by
-/// ending with [`DoneFlag::finale`]'s chain) on a freshly built scheduler.
-pub fn run_root_thread(
-    machine: &Machine,
-    root: Cont,
-    done: DoneFlag,
-    cfg: &SchedConfig,
-) -> RunReport {
     let sched = Sched::new(machine, done, cfg);
     run_root_on(machine, &sched, root, done)
 }
@@ -468,16 +457,17 @@ fn launch_root(
         .mem()
         .store(sched.deques()[0].entry(0), pack(1, EntryVal::Local));
 
-    let first: Vec<Cont> = (0..machine.procs())
-        .map(|p| {
-            if p == 0 {
-                root.clone()
-            } else {
-                sched.find_work()
-            }
+    let seats = (0..machine.procs())
+        .map(|proc| match proc {
+            0 => ProcSeat {
+                proc,
+                first: Active::Capsule(root.clone()),
+                cursor: 0,
+            },
+            _ => ProcSeat::idle(sched, proc, 0),
         })
         .collect();
-    run_attached(machine, sched, first, done, vec![0; machine.procs()], ctl)
+    run_attached_seats(machine, sched, seats, done, ctl)
 }
 
 /// One processor's seat in a parallel section: which model processor to
@@ -486,37 +476,26 @@ pub(crate) struct ProcSeat {
     /// The model processor index this OS thread embodies.
     pub proc: usize,
     /// First capsule of the thread's driver loop.
-    pub first: Cont,
+    pub first: Active,
     /// Starting pool-allocation cursor (0 fresh, the persisted watermark
     /// on resume).
     pub cursor: usize,
 }
 
-/// The shared parallel section: spawns one OS thread per processor with
-/// the given first capsule and pool cursor, joins them, checks the deque
-/// invariant, and assembles the report.
-fn run_attached(
-    machine: &Machine,
-    sched: &Arc<Sched>,
-    first: Vec<Cont>,
-    done: DoneFlag,
-    pool_cursors: Vec<usize>,
-    ctl: &Arc<CheckpointCtl>,
-) -> RunReport {
-    let seats = first
-        .into_iter()
-        .zip(pool_cursors)
-        .enumerate()
-        .map(|(proc, (first, cursor))| ProcSeat {
+impl ProcSeat {
+    /// A seat that starts at `findWork` — every processor without a
+    /// thread of its own (§6.3).
+    pub(crate) fn idle(sched: &Sched, proc: usize, cursor: usize) -> Self {
+        ProcSeat {
             proc,
-            first,
+            first: Active::Sched(sched.find_work()),
             cursor,
-        })
-        .collect();
-    run_attached_seats(machine, sched, seats, done, ctl)
+        }
+    }
 }
 
-/// [`run_attached`] over an explicit seat list — the general form. A
+/// The shared parallel section: spawns one OS thread per seat, joins
+/// them, checks the deque invariant, and assembles the report. A
 /// single-process session seats every model processor; a cluster worker
 /// seats only its own shard's processors (its fault domain) while the
 /// sibling processors are driven by other OS processes attached to the
@@ -536,11 +515,7 @@ pub(crate) fn run_attached_seats(
         let handles: Vec<_> = seats
             .into_iter()
             .map(|seat| {
-                let sched = sched.clone();
-                let ctl = ctl.clone();
-                s.spawn(move || {
-                    proc_loop(machine, &sched, seat.proc, seat.first, seat.cursor, &ctl)
-                })
+                s.spawn(move || proc_loop(machine, sched, seat.proc, seat.first, seat.cursor, ctl))
             })
             .collect();
         handles
@@ -601,7 +576,7 @@ pub(crate) fn crash_forensics(
 }
 
 /// Scrubs scheduler state back to the §6.3 initial shape: all entries
-/// empty with tag 0, `top = bot = 0`, restart pointers and swap slots
+/// empty with tag 0, `top = bot = 0`, restart pointers and journals
 /// null. Pool watermarks are zeroed only when replaying from the root —
 /// a resumed run keeps allocating above the dead run's live frames.
 pub(crate) fn scrub_scheduler_state(machine: &Machine, sched: &Arc<Sched>, keep_watermarks: bool) {
@@ -616,11 +591,10 @@ pub(crate) fn scrub_scheduler_state(machine: &Machine, sched: &Arc<Sched>, keep_
     }
     for p in 0..machine.procs() {
         let meta = machine.proc_meta(p);
-        machine.mem().store(meta.active, 0);
-        machine.mem().store(meta.slot_a, 0);
-        machine.mem().store(meta.slot_b, 0);
-        if !keep_watermarks {
-            machine.mem().store(meta.watermark, 0);
+        for addr in meta.base..meta.base + ppm_core::PROC_META_WORDS {
+            if addr != meta.watermark || !keep_watermarks {
+                machine.mem().store(addr, 0);
+            }
         }
     }
 }
@@ -666,7 +640,8 @@ pub(crate) fn harvest_frontier(
                     // side (as a local or later state). A steal caught
                     // between the victim-entry CAM and the thief-entry CAM
                     // holds the thread's handle only in the dead thief's
-                    // ephemeral closure — unresumable.
+                    // scheduler record, which recovery does not resume
+                    // (a live thief would; see `Sched::run`).
                     if proc >= machine.procs() || slot >= sched.deques()[proc].slots {
                         return Err(FallbackReason::InvalidTakenRef {
                             victim: d.owner,
@@ -863,11 +838,10 @@ pub(crate) fn recover_persistent_impl(
     let ctl = CheckpointCtl::new(machine, sched.clone(), cfg.checkpoint.clone());
     let run = if resume {
         plant_seeds(machine, &sched, &seeds);
-        let first: Vec<Cont> = (0..machine.procs()).map(|_| sched.find_work()).collect();
-        let cursors: Vec<usize> = (0..machine.procs())
-            .map(|p| machine.pool_watermark(p))
+        let seats = (0..machine.procs())
+            .map(|p| ProcSeat::idle(&sched, p, machine.pool_watermark(p)))
             .collect();
-        run_attached(machine, &sched, first, done, cursors, &ctl)
+        run_attached_seats(machine, &sched, seats, done, &ctl)
     } else {
         run_root_handle_on(machine, &sched, root_handle, done, &ctl)
     };
@@ -895,32 +869,19 @@ pub(crate) fn recover_persistent_impl(
 
 fn proc_loop(
     machine: &Machine,
-    sched: &Arc<Sched>,
+    sched: &Sched,
     p: usize,
-    first: Cont,
+    first: Active,
     pool_cursor: usize,
-    ctl: &Arc<CheckpointCtl>,
+    ctl: &CheckpointCtl,
 ) -> ProcOutcome {
     let mut ctx = machine.ctx_with_pool_cursor(p, pool_cursor);
-    let mut install = InstallCtx::new(machine.proc_meta(p));
-    let on_end = sched.scheduler_entry();
-    let sched_for_fork = sched.clone();
-    let fork_wrap = move |handle: Word, cont: Cont, cont_handle: Option<Word>| {
-        sched_for_fork.push_bottom(handle, cont, cont_handle)
-    };
-
+    let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(p));
     let mut cur = first;
     let outcome = loop {
-        match run_capsule(
-            &mut ctx,
-            machine.arena(),
-            &mut install,
-            &cur,
-            Some(&fork_wrap),
-            Some(&on_end),
-        ) {
-            Ok(Step::Next(c)) => cur = c,
-            Ok(Step::Done) => break ProcOutcome::Halted,
+        match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(sched)) {
+            Ok(Some(c)) => cur = c,
+            Ok(None) => break ProcOutcome::Halted,
             Err(_) => break ProcOutcome::Dead,
         }
         // Capsule boundary: the committed state is self-consistent here,

@@ -12,7 +12,10 @@
 //!   §6.2 structural invariant (`taken* job* local{0,1,2} empty*`).
 //! * [`capsules`] — `popTop`, `helpPopTop`, `pushBottom`, `popBottom`,
 //!   `findWork` and `scheduler` as capsule state machines with the paper's
-//!   exact commit boundaries.
+//!   exact commit boundaries: one `match` over the steps of [`step`],
+//!   which are data — a kind and five words, journaled in the processor's
+//!   metadata block — so no scheduler capsule is a heap object and none
+//!   dies with its process.
 //! * [`driver`] — one OS thread per model processor; runs fork-join
 //!   computations to completion and reports cost statistics, including
 //!   the cross-process recovery paths (resume via the capsule registry,
@@ -60,6 +63,7 @@ pub mod model;
 pub mod runtime;
 pub mod service;
 pub mod sim;
+pub mod step;
 pub mod supervisor;
 
 pub use capsules::{Sched, SchedConfig};
@@ -70,8 +74,8 @@ pub use cluster::{
 };
 pub use deque::{build_deques, check_invariant, render, snapshot, DequeAddrs, DequeSnapshot};
 pub use driver::{
-    run_closure, run_root_on, run_root_thread, CheckpointResume, FallbackReason, PComp,
-    ProcOutcome, RunReport, SessionMode, SessionReport,
+    run_closure, run_root_on, CheckpointResume, FallbackReason, PComp, ProcOutcome, RunReport,
+    SessionMode, SessionReport,
 };
 pub use entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal};
 pub use runtime::{Runtime, RuntimeConfig};

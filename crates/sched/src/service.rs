@@ -61,7 +61,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppm_core::registry::frame_args;
-use ppm_core::{capsule, capsule_unchecked, sched_capsule, CapsuleId, Cont, Machine, Next};
+use ppm_core::{capsule, CapsuleId, Machine, Next};
 use ppm_obs::{Counter, Obs, TraceKind};
 use ppm_pm::service::{
     ring_words, slot_checksum, slot_claimant, slot_epoch, slot_phase, slot_state,
@@ -71,10 +71,10 @@ use ppm_pm::{
     SlotPhase, Word,
 };
 
-use crate::capsules::Sched;
+use crate::capsules::go;
 use crate::cluster::{ClusterObserver, ClusterSummary, ShardReport};
 use crate::driver::SessionReport;
-use crate::entry::{pack, tag_of, EntryVal};
+use crate::step::SchedStep;
 use crate::supervisor::Supervisor;
 
 /// Word offset of the entry frame inside a slot's workspace.
@@ -309,7 +309,7 @@ impl InjectorQueue {
                         // Our own claim: advance to RUNNING, then the job.
                         Some(SlotPhase::Claimed) if claimant == me => {
                             let new = slot_state(SlotPhase::Running, slot_epoch(st), me);
-                            Ok(Next::Jump(entry_cam(state_a, st, new, job)))
+                            Ok(go(SchedStep::EntryCam(state_a, st, new, job)))
                         }
                         // We already advanced it and crashed before the
                         // jump: just run the job.
@@ -322,7 +322,7 @@ impl InjectorQueue {
                             if !ctx.is_live(claimant) =>
                         {
                             let new = slot_state(SlotPhase::Running, slot_epoch(st) + 1, me);
-                            Ok(Next::Jump(entry_cam(state_a, st, new, job)))
+                            Ok(go(SchedStep::EntryCam(state_a, st, new, job)))
                         }
                         // Someone else legitimately owns (or finished)
                         // the slot: nothing for this thread.
@@ -343,15 +343,11 @@ impl InjectorQueue {
         );
 
         let done_id = registry.allocate("service/done");
-        let done_counter = jobs_completed.clone();
-        let done_obs = obs.clone();
         registry.register_traced(
             done_id,
             "service/done",
             move |args| {
                 let [state_a, ticket_a, ticket] = frame_args("service/done", args)?;
-                let completed = done_counter.clone();
-                let obs = done_obs.clone();
                 Ok(capsule("service/done", move |ctx| {
                     if ctx.pread(ticket_a as ppm_pm::Addr)? != ticket {
                         return Ok(Next::End);
@@ -361,14 +357,9 @@ impl InjectorQueue {
                         Some(SlotPhase::Running) => {
                             let done_w =
                                 slot_state(SlotPhase::Done, slot_epoch(st), slot_claimant(st));
-                            Ok(Next::Jump(done_cam(
-                                state_a,
-                                st,
-                                done_w,
-                                ticket,
-                                completed.clone(),
-                                obs.clone(),
-                            )))
+                            // The exactly-once `RUNNING → DONE` CAM, alone
+                            // in its capsule, then its check.
+                            Ok(go(SchedStep::DoneCam(state_a, st, done_w, ticket)))
                         }
                         // DONE already (benign re-run), or a rescue
                         // republished the slot out from under a
@@ -459,19 +450,19 @@ impl InjectorQueue {
         self.ring.start
     }
 
-    fn state_addr(&self, slot: usize) -> ppm_pm::Addr {
+    pub(crate) fn state_addr(&self, slot: usize) -> ppm_pm::Addr {
         self.ring.at(1 + slot * ppm_pm::service::SLOT_CTL_WORDS)
     }
 
-    fn ticket_addr(&self, slot: usize) -> ppm_pm::Addr {
+    pub(crate) fn ticket_addr(&self, slot: usize) -> ppm_pm::Addr {
         self.state_addr(slot) + 1
     }
 
-    fn entry_addr(&self, slot: usize) -> ppm_pm::Addr {
+    pub(crate) fn entry_addr(&self, slot: usize) -> ppm_pm::Addr {
         self.state_addr(slot) + 2
     }
 
-    fn check_addr(&self, slot: usize) -> ppm_pm::Addr {
+    pub(crate) fn check_addr(&self, slot: usize) -> ppm_pm::Addr {
         self.state_addr(slot) + 3
     }
 
@@ -657,9 +648,8 @@ impl InjectorQueue {
     /// Republishes every `CLAIMED` or `RUNNING` slot whose claimant
     /// `claimant_dead` certifies dead, at epoch + 1 (fencing the dead —
     /// or falsely-dead — claimant's stale CAMs). Driven by the service
-    /// handle's lease sweep; also covers jobs stuck behind a
-    /// blocked-adoption window, since a republished slot is re-claimed
-    /// from its entry frame rather than the dead processor's frozen deque
+    /// handle's lease sweep; a republished slot is re-claimed from its
+    /// entry frame, whatever became of the dead processor's frozen deque
     /// entry. Returns the number of rescued slots.
     pub fn rescue(&self, claimant_dead: impl Fn(usize) -> bool) -> usize {
         let mut rescued = 0;
@@ -735,174 +725,15 @@ impl InjectorQueue {
                 format!("ticket {ticket} claimed from slot {slot}")
             });
     }
-}
 
-// ====================================================================
-// Pull capsules (the claim chain, entered from the steal loop)
-// ====================================================================
-
-/// Claim chain capsule 1: re-read the slot (the scan was an uncosted
-/// peek), verify the two-phase publish's checksum, and enter the claim
-/// CAM. Any mismatch falls back into the steal loop.
-pub(crate) fn pull_read(s: &Arc<Sched>, slot: usize, n: u64) -> Cont {
-    let s = s.clone();
-    sched_capsule("service/pull/read", move |ctx| {
-        let me = ctx.proc();
-        let q = s.injector().expect("pull without an injector queue");
-        let st = ctx.pread(q.state_addr(slot))?;
-        if slot_phase(st) != Some(SlotPhase::Published) {
-            return Ok(Next::Jump(s.steal_attempt(n + 1)));
-        }
-        let ticket = ctx.pread(q.ticket_addr(slot))?;
-        let entry = ctx.pread(q.entry_addr(slot))?;
-        let check = ctx.pread(q.check_addr(slot))?;
-        if check != slot_checksum(ticket, entry) || !is_frame_at(s.mem(), entry as usize) {
-            // A torn publish cannot happen (publish follows the flush);
-            // this guards scavenge-worthy corruption from spreading.
-            return Ok(Next::Jump(s.steal_attempt(n + 1)));
-        }
-        let claimed = slot_state(SlotPhase::Claimed, slot_epoch(st), me);
-        Ok(Next::Jump(pull_cam(
-            &s, slot, st, claimed, entry, ticket, n,
-        )))
-    })
-}
-
-/// Claim chain capsule 2: the claim CAM. Claimant-distinct payloads keep
-/// racing pullers' CAMs non-identical (§5's exactly-once requirement).
-fn pull_cam(
-    s: &Arc<Sched>,
-    slot: usize,
-    old: Word,
-    claimed: Word,
-    entry: Word,
-    ticket: Word,
-    n: u64,
-) -> Cont {
-    let s = s.clone();
-    sched_capsule("service/pull/cam", move |ctx| {
-        let q = s.injector().expect("pull without an injector queue");
-        ctx.pcam(q.state_addr(slot), old, claimed)?;
-        Ok(Next::Jump(pull_check(&s, slot, claimed, entry, ticket, n)))
-    })
-}
-
-/// Claim chain capsule 3: did our CAM win? Winning seats the puller's
-/// thread marker and enters the slot's entry frame (a registered capsule
-/// — the restart pointer any adopting process can rehydrate); losing
-/// falls back into the steal loop.
-fn pull_check(
-    s: &Arc<Sched>,
-    slot: usize,
-    claimed: Word,
-    entry: Word,
-    ticket: Word,
-    n: u64,
-) -> Cont {
-    let s = s.clone();
-    sched_capsule("service/pull/check", move |ctx| {
-        let me = ctx.proc();
-        let q = s.injector().expect("pull without an injector queue");
-        if ctx.pread(q.state_addr(slot))? == claimed {
-            q.note_claimed(me, slot, ticket);
-            return Ok(Next::Jump(pull_seat(&s, entry)));
-        }
-        Ok(Next::Jump(s.steal_attempt(n + 1)))
-    })
-}
-
-/// Claim chain capsule 4 (won claims only): seat the puller's thread
-/// marker — `Local` at the bottom of its own deque — then enter the
-/// job's entry frame.
-///
-/// A deque steal gets this seat from the helpPopTop protocol (the
-/// `Taken` entry names the thief's slot, and helpers CAM that slot to
-/// `Local`); a queue pull has no `Taken` entry, so without this step the
-/// puller would run the job with an `Empty` bottom entry and the job's
-/// first fork would spin forever in `pushBottom`'s adopting-thief arm.
-/// Unchecked like `clearBottom`: reads its own bottom tag and rewrites
-/// it (the Lemma A.12 idempotence argument — a re-run overwrites with
-/// another `Local`, and the tag bump fences any stale helper CAM aimed
-/// at this slot from an earlier abandoned steal).
-///
-/// Crash window: dying after the seat but before the entry frame leaves
-/// a dead processor with a seated `Local` whose restart pointer does not
-/// yet name the entry frame — harmless, because the slot is `CLAIMED` by
-/// a dead claimant and the rescue sweep republishes it at epoch + 1; the
-/// entry capsule's epoch guard fences whichever path loses the re-claim.
-fn pull_seat(s: &Arc<Sched>, entry: Word) -> Cont {
-    let s = s.clone();
-    capsule_unchecked("service/pull/seat", move |ctx| {
-        let me = ctx.proc();
-        let d = s.deques()[me];
-        let b = ctx.pread(d.bot)? as usize;
-        let cur = ctx.pread(d.entry(b))?;
-        ctx.pwrite(
-            d.entry(b),
-            pack(tag_of(cur).wrapping_add(1), EntryVal::Local),
-        )?;
-        Ok(Next::JumpHandle(entry))
-    })
-}
-
-/// `service/entry` tail: the `CLAIMED → RUNNING` CAM and its check.
-fn entry_cam(state_a: Word, old: Word, new: Word, job: Word) -> Cont {
-    sched_capsule("service/entry/cam", move |ctx| {
-        ctx.pcam(state_a as ppm_pm::Addr, old, new)?;
-        Ok(Next::Jump(entry_check(state_a, new, job)))
-    })
-}
-
-fn entry_check(state_a: Word, new: Word, job: Word) -> Cont {
-    sched_capsule("service/entry/check", move |ctx| {
-        if ctx.pread(state_a as ppm_pm::Addr)? == new {
-            return Ok(Next::JumpHandle(job));
-        }
-        // Lost to a rescue (we were declared dead) — the re-claimed run
-        // owns the job now.
-        Ok(Next::End)
-    })
-}
-
-/// `service/done` tail: the exactly-once `RUNNING → DONE` CAM and its
-/// check (which counts and traces the completion).
-fn done_cam(
-    state_a: Word,
-    old: Word,
-    done_w: Word,
-    ticket: Word,
-    completed: Counter,
-    obs: Arc<Obs>,
-) -> Cont {
-    sched_capsule("service/done/cam", move |ctx| {
-        ctx.pcam(state_a as ppm_pm::Addr, old, done_w)?;
-        Ok(Next::Jump(done_check(
-            state_a,
-            done_w,
-            ticket,
-            completed.clone(),
-            obs.clone(),
-        )))
-    })
-}
-
-fn done_check(
-    state_a: Word,
-    done_w: Word,
-    ticket: Word,
-    completed: Counter,
-    obs: Arc<Obs>,
-) -> Cont {
-    sched_capsule("service/done/check", move |ctx| {
-        let me = ctx.proc();
-        if ctx.pread(state_a as ppm_pm::Addr)? == done_w {
-            completed.inc();
-            obs.event(TraceKind::JobDone, None, Some(me as u32), || {
+    /// A done CAM won on processor `me`: count and trace the completion.
+    pub(crate) fn note_completed(&self, me: usize, ticket: u64, done_w: Word) {
+        self.jobs_completed.inc();
+        self.obs
+            .event(TraceKind::JobDone, None, Some(me as u32), || {
                 format!("ticket {ticket} completed (epoch {})", slot_epoch(done_w))
             });
-        }
-        Ok(Next::End)
-    })
+    }
 }
 
 // ====================================================================

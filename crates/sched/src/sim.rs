@@ -34,7 +34,9 @@
 use std::sync::Arc;
 
 use ppm_core::registry::PComp;
-use ppm_core::{run_capsule, Comp, Cont, DoneFlag, InstallCtx, Machine, Step, CORE_ID_FINALE};
+use ppm_core::{
+    run_capsule, Active, Comp, Cont, DoneFlag, InstallCtx, Machine, Scheduler, CORE_ID_FINALE,
+};
 use ppm_pm::{ProcCtx, Word};
 
 use crate::capsules::{Sched, SchedConfig};
@@ -161,7 +163,7 @@ pub struct SimReport {
 struct SimProc {
     ctx: ProcCtx,
     install: InstallCtx,
-    cur: Option<Cont>,
+    cur: Option<Active>,
     outcome: Option<ProcOutcome>,
 }
 
@@ -171,7 +173,6 @@ pub struct SimSched<'m> {
     sched: Arc<Sched>,
     done: DoneFlag,
     ctl: Arc<CheckpointCtl>,
-    on_end: Cont,
     procs: Vec<SimProc>,
     events: Vec<SimEvent>,
     steps: usize,
@@ -235,27 +236,40 @@ impl<'m> SimSched<'m> {
             None => Sched::new(machine, done, cfg),
         };
         sched.set_injector(queue.clone());
-        let procs = (0..machine.procs())
-            .map(|p| SimProc {
-                ctx: machine.ctx(p),
-                install: InstallCtx::new(machine.proc_meta(p)),
-                cur: Some(sched.find_work()),
-                outcome: None,
-            })
-            .collect();
-        let ctl = CheckpointCtl::new(machine, sched.clone(), CheckpointPolicy::Disabled);
-        let on_end = sched.scheduler_entry();
-        let sim = SimSched {
+        (Self::seated(machine, sched, done, |_| true, None), queue)
+    }
+
+    /// A simulator over **one shard of a cluster**: `machine` is an
+    /// attachment to an initialised cluster file
+    /// ([`crate::ClusterBuilder::init`]), and the shard's processors are
+    /// seated exactly as [`crate::cluster::run_worker`] seats them — at
+    /// `findWork`, under the shard's [`ShardDomain`] — but stepped by the
+    /// script instead of by threads. Sibling shards' processors are not
+    /// seated: stepping one is a no-op. Dropping the simulator and its
+    /// machine mid-script is a SIGKILL of that worker at a chosen capsule
+    /// boundary, with no lease renewed since attach.
+    #[cfg(unix)]
+    pub fn new_worker(
+        machine: &'m Machine,
+        shard: usize,
+        build: &crate::cluster::ShardBuild,
+    ) -> std::io::Result<Self> {
+        let (_, domain, session) = crate::cluster::shard_session(machine, shard, build, |_| ())?;
+        let own = domain.own_procs();
+        let seat = |p| own.contains(&p);
+        Ok(Self::seated(
             machine,
-            sched,
-            done,
-            ctl,
-            on_end,
-            procs,
-            events: Vec::new(),
-            steps: 0,
-        };
-        (sim, queue)
+            session.sched,
+            session.done,
+            seat,
+            None,
+        ))
+    }
+
+    /// The scheduler under simulation (its deques, for observers and
+    /// assertions).
+    pub fn sched(&self) -> &Arc<Sched> {
+        &self.sched
     }
 
     /// Host-side completion signal for service-mode runs: sets the done
@@ -283,26 +297,33 @@ impl<'m> SimSched<'m> {
         machine
             .mem()
             .store(sched.deques()[0].entry(0), pack(1, EntryVal::Local));
+        Self::seated(machine, sched, done, |_| true, Some(root))
+    }
+
+    /// The stepper over `sched`: every processor `own` admits is seated
+    /// on a fresh context at `findWork` — processor 0 at `root`, when
+    /// there is one (§6.3).
+    fn seated(
+        machine: &'m Machine,
+        sched: Arc<Sched>,
+        done: DoneFlag,
+        own: impl Fn(usize) -> bool,
+        root: Option<Cont>,
+    ) -> Self {
+        let mut root = root.map(Active::Capsule);
         let procs = (0..machine.procs())
             .map(|p| SimProc {
                 ctx: machine.ctx(p),
-                install: InstallCtx::new(machine.proc_meta(p)),
-                cur: Some(if p == 0 {
-                    root.clone()
-                } else {
-                    sched.find_work()
-                }),
+                install: InstallCtx::new(machine.mem(), machine.proc_meta(p)),
+                cur: own(p).then(|| root.take().unwrap_or(Active::Sched(sched.find_work()))),
                 outcome: None,
             })
             .collect();
-        let ctl = CheckpointCtl::new(machine, sched.clone(), CheckpointPolicy::Disabled);
-        let on_end = sched.scheduler_entry();
         SimSched {
             machine,
+            ctl: CheckpointCtl::new(machine, sched.clone(), CheckpointPolicy::Disabled),
             sched,
             done,
-            ctl,
-            on_end,
             procs,
             events: Vec::new(),
             steps: 0,
@@ -317,23 +338,14 @@ impl<'m> SimSched<'m> {
         let ev = if self.procs[p].outcome.is_some() || self.procs[p].cur.is_none() {
             SimEvent::Noop { step, proc: p }
         } else {
-            let cur = self.procs[p].cur.clone().expect("checked above");
-            let capsule = cur.name().to_string();
-            let sched = self.sched.clone();
-            let fork_wrap = move |handle: Word, cont: Cont, cont_handle: Option<Word>| {
-                sched.push_bottom(handle, cont, cont_handle)
-            };
+            let sched: &dyn Scheduler = &*self.sched;
             let sp = &mut self.procs[p];
-            match run_capsule(
-                &mut sp.ctx,
-                self.machine.arena(),
-                &mut sp.install,
-                &cur,
-                Some(&fork_wrap),
-                Some(&self.on_end),
-            ) {
-                Ok(Step::Next(c)) => {
-                    let next = c.name().to_string();
+            let cur = sp.cur.take().expect("checked above");
+            let capsule = cur.name(Some(sched)).to_string();
+            let arena = self.machine.arena();
+            match run_capsule(&mut sp.ctx, arena, &mut sp.install, &cur, Some(sched)) {
+                Ok(Some(c)) => {
+                    let next = c.name(Some(sched)).to_string();
                     sp.cur = Some(c);
                     SimEvent::Ran {
                         step,
@@ -342,8 +354,7 @@ impl<'m> SimSched<'m> {
                         next,
                     }
                 }
-                Ok(Step::Done) => {
-                    sp.cur = None;
+                Ok(None) => {
                     sp.outcome = Some(ProcOutcome::Halted);
                     SimEvent::Halted {
                         step,
@@ -352,7 +363,6 @@ impl<'m> SimSched<'m> {
                     }
                 }
                 Err(_) => {
-                    sp.cur = None;
                     sp.outcome = Some(ProcOutcome::Dead);
                     SimEvent::Died {
                         step,

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use ppm_core::{
-    capsule, end_capsule, run_capsule, Cont, DoneFlag, InstallCtx, Machine, Next, Step,
+    capsule, end_capsule, run_capsule, Active, Cont, DoneFlag, InstallCtx, Machine, Next,
 };
 use ppm_pm::{PmConfig, Word};
 use ppm_sched::{
@@ -21,26 +21,16 @@ fn setup(procs: usize) -> (Machine, Arc<Sched>, DoneFlag) {
 
 /// Drives a capsule chain on `proc` until the done flag halts it or the
 /// step budget runs out; returns the number of capsules run.
-fn drive(m: &Machine, sched: &Arc<Sched>, proc: usize, first: Cont, budget: usize) -> usize {
+fn drive(m: &Machine, sched: &Sched, proc: usize, first: Active, budget: usize) -> usize {
     let mut ctx = m.ctx(proc);
-    let mut install = InstallCtx::new(m.proc_meta(proc));
-    let on_end = sched.scheduler_entry();
-    let sched2 = sched.clone();
-    let wrap = move |h: Word, cont: Cont, ch: Option<Word>| sched2.push_bottom(h, cont, ch);
+    let mut install = InstallCtx::new(m.mem(), m.proc_meta(proc));
     let mut cur = first;
     for step in 0..budget {
-        match run_capsule(
-            &mut ctx,
-            m.arena(),
-            &mut install,
-            &cur,
-            Some(&wrap),
-            Some(&on_end),
-        )
-        .expect("no hard faults configured")
+        match run_capsule(&mut ctx, m.arena(), &mut install, &cur, Some(sched))
+            .expect("no hard faults configured")
         {
-            Step::Next(c) => cur = c,
-            Step::Done => return step + 1,
+            Some(c) => cur = c,
+            None => return step + 1,
         }
     }
     budget
@@ -50,7 +40,7 @@ fn drive(m: &Machine, sched: &Arc<Sched>, proc: usize, first: Cont, budget: usiz
 fn find_work_on_empty_deques_halts_when_done_is_set() {
     let (m, sched, done) = setup(2);
     m.mem().store(done.addr(), 1); // computation already finished
-    let steps = drive(&m, &sched, 1, sched.find_work(), 100);
+    let steps = drive(&m, &sched, 1, Active::Sched(sched.find_work()), 100);
     assert!(steps < 100, "must observe the flag and halt, took {steps}");
 }
 
@@ -90,7 +80,7 @@ fn steal_takes_a_planted_job_and_runs_it() {
     });
     m.arena().preregister(slot, thread2);
 
-    let steps = drive(&m, &sched, 1, sched.find_work(), 200);
+    let steps = drive(&m, &sched, 1, Active::Sched(sched.find_work()), 200);
     assert!(steps < 200);
     assert_eq!(m.mem().load(out.at(0)), 99, "stolen thread must run");
 
@@ -125,7 +115,7 @@ fn local_entry_of_live_owner_is_never_stolen() {
     // provably made thousands of attempts — deterministically, with no
     // wall-clock handshake.
     let budget = 5_000;
-    let steps = drive(&m, &sched, 1, sched.find_work(), budget);
+    let steps = drive(&m, &sched, 1, Active::Sched(sched.find_work()), budget);
     assert_eq!(
         steps, budget,
         "thief must still be probing when the budget ends"
@@ -158,7 +148,7 @@ fn local_entry_of_dead_owner_is_stolen_and_resumed() {
     m.mem().store(d0.entry(0), pack(1, EntryVal::Local));
     m.liveness().mark_dead(0);
 
-    let steps = drive(&m, &sched, 1, sched.find_work(), 300);
+    let steps = drive(&m, &sched, 1, Active::Sched(sched.find_work()), 300);
     assert!(steps < 300);
     assert_eq!(m.mem().load(out.at(0)), 7, "dead owner's thread resumed");
     assert_eq!(kind_of(m.mem().load(d0.entry(0))), EntryKind::Taken);
@@ -215,7 +205,7 @@ fn own_jobs_are_popped_from_the_bottom_lifo() {
     m.mem().store(m.proc_meta(0).active, slot as Word);
     m.mem()
         .store(sched.deques()[0].entry(0), pack(1, EntryVal::Local));
-    let steps = drive(&m, &sched, 0, root, 400);
+    let steps = drive(&m, &sched, 0, Active::Capsule(root), 400);
     assert!(steps < 400);
     // Thread order: root forks A, forks B, runs finish(3); then pops B(2);
     // then pops A(1).

@@ -142,7 +142,7 @@ pub fn simulate_cache_on_pm(
     let pattern = Arc::new(pattern.clone());
     let first = sim_capsule(&pattern, layout, 0);
     let mut ctx = machine.ctx(0);
-    let mut install = InstallCtx::new(machine.proc_meta(0));
+    let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(0));
     run_chain(&mut ctx, machine.arena(), &mut install, first)
 }
 

@@ -324,7 +324,7 @@ pub fn simulate_em_on_pm(
     let prog = Arc::new(prog.clone());
     let first = sim_capsule(&prog, layout, 0, max_instrs);
     let mut ctx = machine.ctx(0);
-    let mut install = InstallCtx::new(machine.proc_meta(0));
+    let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(0));
     run_chain(&mut ctx, machine.arena(), &mut install, first)?;
 
     // Read the freshest copy.

@@ -178,7 +178,7 @@ pub fn simulate_ram_on_pm(
     let prog = std::sync::Arc::new(prog.clone());
     let first = step_capsule_for(&prog, layout, 0, 0, max_steps);
     let mut ctx = machine.ctx(0);
-    let mut install = InstallCtx::new(machine.proc_meta(0));
+    let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(0));
     run_chain(&mut ctx, machine.arena(), &mut install, first)?;
 
     // The final state lives in whichever copy was written last: the one

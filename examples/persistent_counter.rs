@@ -32,7 +32,7 @@ fn main() {
         );
         let x = m.alloc_region(1).start;
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         for _ in 0..INCREMENTS {
             let inc = capsule("naive-inc", move |ctx| {
                 let v = ctx.pread(x)?; // exposed read...
@@ -53,7 +53,7 @@ fn main() {
         // conflict free, so strict validation stays on.
         let cells = m.alloc_region(2);
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         for k in 0..INCREMENTS {
             let (src, dst) = (cells.at((k + 1) % 2), cells.at(k % 2));
             let first = k == 0;

@@ -12,10 +12,14 @@
 //! input slice, exactly once. An attempt demonstrates *adoption* when a
 //! survivor's report counts frontier entries taken from the dead shard
 //! and the dead shard's subtree-complete flag was set by someone else.
-//! Kills can land in narrow unresumable windows (a steal or push in
-//! flight inside the dying worker); those attempts degrade to the
-//! single-process `cluster::recover` path — still exactly-once — and the
-//! scenario retries until one attempt shows a live adoption.
+//! Wherever the kill lands — in user code or inside a steal or a push —
+//! the dead worker's restart pointers are words in the machine file (a
+//! frame, or a scheduler record in its metadata block), so adoption is
+//! the ordinary path: with a survivor left, no attempt refuses one
+//! (`blocked == 0`) and none falls back to `cluster::recover`. The
+//! scenario retries only when an attempt shows nothing: the victim
+//! finished before the kill, or — with tracing on — the kill landed
+//! where no traced work was lost.
 //!
 //! `PPM_SHARD_WORKERS` selects the worker count (default 4; `1` makes
 //! the kill leave no survivors, exercising the recover path instead —
@@ -213,11 +217,9 @@ mod scenario {
         );
 
         // Supervise the survivors (or, with one worker, nobody) until
-        // the run completes. A kill can land in one of the narrow
-        // unadoptable windows (the victim mid-steal or mid-push, its
-        // thread's restart pointer a process-local closure): survivors
-        // refuse that adoption and the run stalls — past the deadline we
-        // degrade to recovery instead.
+        // the run completes. Survivors adopt whatever the victim was
+        // doing, so the deadline is a watchdog, not a window: a fleet
+        // still running past it is a bug.
         let deadline = Instant::now() + Duration::from_secs(45);
         let mut last_scrape = String::new();
         let mut next_scrape = Instant::now();
@@ -256,6 +258,11 @@ mod scenario {
                 summary.blocked(),
                 summary.dead_shards
             );
+            assert_eq!(
+                summary.blocked(),
+                0,
+                "a refused adoption means a corrupt restart pointer"
+            );
             assert!(
                 summary.shard_reports.iter().all(|r| r.subtree_complete),
                 "every shard's subtree must arrive"
@@ -278,10 +285,13 @@ mod scenario {
                 recovered: false,
             }
         } else {
-            // No survivors (1-worker matrix leg) or a blocked-adoption
-            // stall: degrade to single-process recovery — the run must
-            // still finish exactly-once.
-            println!("survivors could not finish; degrading to cluster::recover");
+            // No survivors (the 1-worker matrix leg): single-process
+            // recovery — the run must still finish exactly-once.
+            assert_eq!(
+                shards, 1,
+                "survivors stalled: with a worker left, adoption must finish the run"
+            );
+            println!("no survivors; finishing with cluster::recover");
             let rep = cluster::recover(file.path(), &build).expect("recover");
             assert!(rep.completed(), "recovery must finish the sort");
             println!(

@@ -119,7 +119,7 @@ fn cam_capsule_exactly_one_winner_under_faults_and_racing() {
         let contender = |id: u64, proc: usize, m: Arc<Machine>| {
             std::thread::spawn(move || {
                 let mut ctx = m.ctx(proc);
-                let mut install = InstallCtx::new(m.proc_meta(proc));
+                let mut install = InstallCtx::new(m.mem(), m.proc_meta(proc));
                 let claim = final_capsule("claim", move |ctx| {
                     if ctx.pread(cell.at(0))? == id {
                         ctx.pwrite(winners.at(id as usize), 1)?;
@@ -193,7 +193,7 @@ fn persistent_counter_with_commit_is_exactly_once() {
         let m = machine(FaultConfig::soft(0.1, seed));
         let cells = m.alloc_region(64); // counter as a chain of cells
         let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.proc_meta(0));
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         // 20 increments; increment i reads cell i-1 and writes cell i
         // (the copy-instead-of-overwrite style of §4).
         for i in 0..20usize {

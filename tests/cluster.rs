@@ -9,10 +9,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use ppm::core::{dsl, Machine};
+use ppm::core::{dsl, Active, Machine, Scheduler};
 use ppm::pm::{PmConfig, Region, TempMachineFile, Word};
 use ppm::sched::cluster::{self, ClusterBuilder, ClusterRole, ShardBuild};
-use ppm::sched::SessionMode;
+use ppm::sched::{kind_of, EntryKind, SessionMode, SimEvent, SimSched};
 
 const PROCS_PER_SHARD: usize = 2;
 const SLICE: usize = 96;
@@ -160,6 +160,75 @@ fn survivor_adopts_a_shard_that_never_starts() {
         ppm::pm::ValidateMode::Strict,
     )
     .unwrap();
+    assert_slices_filled(&machine, &slices);
+}
+
+/// A worker killed *inside* scheduler code is adopted like any other: its
+/// restart pointer is a scheduler record — words in its metadata block —
+/// and a survivor in another attachment, with its own arena and its own
+/// registry, decodes the capsule from them. (While scheduler capsules
+/// were closures this restart pointer died with the worker, the survivor
+/// refused the adoption, and the run hung until a deadline degraded it
+/// to `recover`.)
+#[test]
+fn survivor_adopts_a_worker_killed_inside_pushbottom() {
+    let file = TempMachineFile::new("cluster-midpush");
+    let slices = Arc::new(Mutex::new(vec![None; 2]));
+    let build = marker_build(slices.clone());
+    // The coordinator: prepares the file, then only watches.
+    let coordinator = cluster_builder(file.path(), 2, 60).observe(&build).unwrap();
+
+    // Worker 0, stepped capsule by capsule on its own attachment until
+    // its first processor — holding the shard's root thread, a `Local`
+    // entry at the bottom of its deque — has installed a pushBottom
+    // capsule. Then the attachment is dropped: a SIGKILL at that boundary.
+    {
+        let attach = |path| {
+            let fault = ppm::pm::FaultConfig::none();
+            Machine::attach(path, fault, ppm::pm::ValidateMode::Strict).unwrap()
+        };
+        let machine = attach(file.path());
+        let mut sim = SimSched::new_worker(&machine, 0, &build).unwrap();
+        let mid_push = (0..200).any(|_| {
+            matches!(sim.step(0), SimEvent::Ran { next, .. } if next.starts_with("sched/pushBottom"))
+        });
+        assert!(mid_push, "the root thread forks:\n{}", sim.render_trace());
+        let sched = sim.sched();
+        let restart_pointer = machine.active_handle(0);
+        match machine.arena().try_resolve(restart_pointer) {
+            Ok(Active::Sched(rec)) => {
+                assert!(sched.name(&rec).starts_with("sched/pushBottom"))
+            }
+            _ => panic!("restart pointer {restart_pointer:#x} must be a scheduler record"),
+        }
+        let d0 = sched.deques()[0];
+        let locals = (0..d0.slots)
+            .filter(|i| kind_of(machine.mem().load(d0.entry(*i))) == EntryKind::Local)
+            .count();
+        assert_eq!(locals, 1, "the thread it was running");
+    }
+    // The coordinator's reap step.
+    coordinator.tombstone(0);
+
+    // Worker 1: a fresh attachment, real threads, a virtual clock that
+    // never advances — the tombstone alone makes shard 0 adoptable.
+    let clock = Arc::new(ppm::pm::VirtualClock::starting_at(ppm::pm::now_ms()));
+    let rep = cluster::run_worker_with_clock(file.path(), 1, &build, clock).unwrap();
+    assert!(rep.completed(), "the survivor finishes both subtrees");
+    let summary = rep.cluster.as_ref().unwrap();
+    assert_eq!(summary.dead_shards, vec![0]);
+    let own = &summary.shard_reports[1];
+    assert!(
+        own.adopted_locals >= 1,
+        "the thread parked in pushBottom is adopted through popTop's \
+         local-steal path (adopted_locals = {})",
+        own.adopted_locals
+    );
+    assert_eq!(own.blocked_adoptions, 0, "no restart pointer was refused");
+    assert_eq!(rep.blocked(), 0);
+    assert!(summary.shard_reports[0].subtree_complete);
+
+    let machine = Machine::reopen(file.path()).unwrap();
     assert_slices_filled(&machine, &slices);
 }
 

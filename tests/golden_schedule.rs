@@ -1,0 +1,71 @@
+//! Golden schedules: the scheduler rewrite is a refactor.
+//!
+//! A `SimSched` trace is capsule names in schedule order — no addresses,
+//! no words. Soft faults fire per costed access and the hard fault at a
+//! fixed access index, so the trace is a function of the per-processor
+//! access sequence: a scheduler that performs the same reads, writes and
+//! CAMs under the same names reproduces it byte for byte. The literals
+//! below were captured at the last commit whose scheduler capsules were
+//! closures (ac8e611).
+
+use ppm::core::{dsl, Machine};
+use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region};
+use ppm::sched::{SchedConfig, SimSched};
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// 64-leaf `map_grain` at P = 3 under soft faults and one scheduled hard
+/// fault: FNV-1a of the rendered trace, and the step count.
+fn golden(seed: u64) -> (u64, usize) {
+    let fault = FaultConfig::soft(0.02, seed).with_scheduled_hard_fault(1, 400);
+    let m = Machine::new(PmConfig::parallel(3, 1 << 21).with_fault(fault));
+    let out = m.alloc_region(64);
+    let pcomp: ppm::core::PComp = std::sync::Arc::new(move |m: &Machine, k| {
+        let mut set = dsl::CapsuleSet::new(m);
+        let leaf = set.define(
+            "golden/mark",
+            |st: &dsl::Span<Region>, k, ctx: &mut ProcCtx| {
+                for i in st.lo..st.hi {
+                    ctx.pwrite(st.env.at(i), i as u64 + 1)?;
+                }
+                Ok(dsl::Step::Jump(k))
+            },
+        );
+        let split = set.map_grain("golden/split", 1, leaf);
+        let span = dsl::Span {
+            env: out,
+            lo: 0,
+            hi: 64,
+        };
+        split.setup(m, &span, dsl::K(k)).0
+    });
+    let mut sim = SimSched::new_persistent(&m, &pcomp, &SchedConfig::with_slots(256));
+    sim.run_seeded(seed, 40_000);
+    assert!(sim.completed(), "seed {seed} must complete");
+    for i in 0..64 {
+        assert_eq!(m.mem().load(out.at(i)), i as u64 + 1, "leaf {i}");
+    }
+    let trace = sim.render_trace();
+    assert!(trace.contains("died in"), "hard fault must land");
+    assert!(
+        trace.contains("sched/popTop/checkLocal"),
+        "adoption must run"
+    );
+    (fnv1a(trace.as_bytes()), trace.lines().count())
+}
+
+#[test]
+fn seeded_traces_match_the_closure_scheduler() {
+    let captured = [
+        (0xe628f7ec6154dbbc, 901),
+        (0x5d1da7b433041dab, 914),
+        (0xdd24c1b262275dbd, 886),
+    ];
+    for (seed, want) in (1..).zip(captured) {
+        assert_eq!(golden(seed), want, "seed {seed}");
+    }
+}

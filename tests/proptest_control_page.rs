@@ -30,9 +30,12 @@ use ppm::pm::{
 /// at commit f5aea0c with `Superblock::encode_into(&mut [u8])`,
 /// `CheckpointRecord::encode_into(&mut [u8])` and the word codecs of
 /// `lease.rs` / `pm/service.rs` — the last commit that had them. Every
-/// byte not listed is zero. The values are [`fixed_page`]'s.
+/// byte not listed is zero. The values are [`fixed_page`]'s. Since then
+/// only the superblock's version word (and so its checksum) has moved:
+/// 1 → 2, when the per-processor metadata block grew a scheduler-record
+/// journal and every address behind it shifted.
 const PARENT_PAGE: &[(usize, &str)] = &[
-    (0, "50504d445552310001000000000000000300000000000000010000000000000004000000000000000000100000000000000200000000000010000000000000000010000000000000c7a2ca9680f0404d"),
+    (0, "50504d445552310002000000000000000300000000000000010000000000000004000000000000000000100000000000000200000000000010000000000000000010000000000000e8ea7f75db07fbd8"),
     (128, "50504d434c5354311000000000000000bc020000000000000010000000000000eeffc00000000000caf9d2ca1b2a5082"),
     (256, "01000000000000002900000000000000404ae7cf8b010000c15862ac7e44f1b80200000000000000ffffffffffffffff00000000000000003fe5ea57e8747d4a"),
     (736, "03000000000000000900000000000000e76be5cf8b0100008540fb74d2fecb9850504d5356433031020000000000000020000000000000004000000000000000000001000000000000010100000000000000000000000000d862698a1b5ec837"),
@@ -40,9 +43,16 @@ const PARENT_PAGE: &[(usize, &str)] = &[
     (2560, "50504d434b50543107000000000000000300000000000000581b00000000000003000000000000000500000000000000c00100000000000080030000000000004005000000000000074000000000000017400000000000002780000000000000378000000000000047c0000000000000a46eaec32c0e2036"),
 ];
 
+/// The superblock run of the page as version 1 wrote it.
+const SUPERBLOCK_V1: (usize, &str) = (0, "50504d445552310001000000000000000300000000000000010000000000000004000000000000000000100000000000000200000000000010000000000000000010000000000000c7a2ca9680f0404d");
+
 fn parent_page() -> Vec<u8> {
+    page_of(PARENT_PAGE)
+}
+
+fn page_of(runs: &[(usize, &str)]) -> Vec<u8> {
     let mut page = vec![0u8; SUPERBLOCK_BYTES];
-    for (offset, hex) in PARENT_PAGE {
+    for (offset, hex) in runs {
         for (i, pair) in hex.as_bytes().chunks_exact(2).enumerate() {
             let pair = std::str::from_utf8(pair).unwrap();
             page[offset + i] = u8::from_str_radix(pair, 16).unwrap();
@@ -149,7 +159,7 @@ fn valid<R>(found: &io::Result<Option<R>>) -> Option<&R> {
 
 #[test]
 fn the_word_codec_writes_the_bytes_the_byte_codec_wrote() {
-    assert_eq!(VERSION, 1);
+    assert_eq!(VERSION, 2);
     let offsets = [
         SUPERBLOCK.slot_offset(0),
         CLUSTER_HEADER.slot_offset(0),
@@ -228,6 +238,17 @@ fn a_file_the_parent_wrote_opens() {
     assert_eq!(page.cluster_header(), Some(fixed.cluster));
     assert_eq!(page.lease(15), Some(fixed.leases[2].1));
     assert_eq!(page.service_header(), Some(fixed.service));
+
+    // The same file as version 1 laid it out is refused, not misread:
+    // its metadata blocks are half the size this build expects.
+    let (v1, _) = parent_file("control-v1-file", &page_of(&[SUPERBLOCK_V1]));
+    let err = MmapBackend::open(v1.path()).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(
+        msg.contains("version 1") && msg.contains("reads 2"),
+        "{msg}"
+    );
 }
 
 // ====================================================================

@@ -41,12 +41,17 @@
 #      begin_capsule,complete_capsule,publish_watermark}, every WarTracker
 #      method but the cold `grow`, FrameBuf::{new,push,write} and
 #      write_frame; in crates/core: InstallCtx::{install_jump,
-#      install_handle} and run_body_and_install — may not contain
-#      `.read()`, `.write()`, `.lock()` or `.clone()` (a lock, or a
-#      refcount RMW on a line every processor shares) unless a
-#      `hot-path-ok:` justification sits within the six lines above. The
-#      expected exceptions are the observer call behind its flag check and
-#      the engine's clones of a capsule it alone holds. An event site with
+#      install_handle,install_sched}, journal_image, live_record and
+#      run_body_and_install; in crates/sched: every arm of Sched::run and
+#      the record codec of step.rs — may not contain `.read()`,
+#      `.write()`, `.lock()` or `.clone()` (a lock, or a refcount RMW on a
+#      line every processor shares) unless a `hot-path-ok:` justification
+#      sits within the six lines above. The expected exceptions are the
+#      observer call behind its flag check and the closure machine's clone
+#      of a capsule it alone holds. The scheduler bodies additionally name
+#      no `Arc::new` and no `format!` (a trace detail is built inside an
+#      `obs.event` closure, in a helper, once a stream is open). An event
+#      site with
 #      tracing off is on the same path: in crates/obs, Obs::{event,
 #      span_sink} name no `Mutex`, `RwLock`, `.lock()` or `format!` — the
 #      absent stream costs one load, and the detail text is built by the
@@ -95,7 +100,7 @@
 #      file; `from_raw_parts_mut` appears nowhere (no `&mut [u8]` view of
 #      a page other processes read through atomics); crates/pm/src/
 #      backend/ names no `Mutex` or `RwLock` (one writer per record
-#      replaces the lock, see control.rs) and holds at most seven
+#      replaces the lock, see control.rs) and holds at most eight
 #      `unsafe` sites; `MemBackend` declares at most seven methods (words
 #      + one control page + three flushes, nothing naming a record); and
 #      `.backend()` is called nowhere outside crates/pm — sched and core
@@ -104,6 +109,17 @@
 #      stays deleted: `quiesce_word`, `QUIESCE_`, `QuiesceFollower`,
 #      `cluster_round`, `cluster_park`, `checkpoint_every` appear nowhere
 #      under crates/ src/ tests/ examples/.
+#
+#  10. One scheduler-capsule form. A scheduler capsule is a step — a
+#      kind and five words, journaled in the processor's metadata block
+#      (crates/sched/src/step.rs, crates/core/src/runner.rs) — never a
+#      closure: the closure constructors it used to be built with,
+#      `sched_capsule(` and `capsule_unchecked(`, appear nowhere under
+#      crates/. Because a step is words, any attachment resolves any
+#      restart pointer, and the in-process/remote split of the adoption
+#      path stays deleted: `adoptable_handle`, `remote_local_adoptable`
+#      and `fn resolvable` appear nowhere under crates/. The record's word
+#      count, `const SCHED_ARG_WORDS`, is defined in exactly one file.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -201,7 +217,16 @@ hot_bodies() { # REGEX
     body_scan crates/pm/src/validate.rs \
         'reset|probe|insert|read|write|conflict|on_read|on_write|on_read_block|on_write_block' "$1"
     body_scan crates/pm/src/frame.rs 'new|push|write|write_frame' "$1"
-    body_scan crates/core/src/runner.rs 'install_jump|install_handle|run_body_and_install' "$1"
+    body_scan crates/core/src/runner.rs \
+        'install_jump|install_handle|install_sched|journal_image|live_record|run_body_and_install' "$1"
+    sched_bodies "$1"
+}
+# Every arm of Sched::run (and the trait shim in front of it) and the
+# step codec.
+sched_bodies() { # REGEX
+    body_scan crates/sched/src/capsules.rs 'run|go|steal_afresh|decode|find_work|on_fork|on_end' "$1"
+    body_scan crates/sched/src/step.rs \
+        'encode|decode|step|seat|un_seat|put|get|words|at|lo|mid|hi|proc_of|name|war_checked|try_from' "$1"
 }
 hits=$(hot_bodies '\.(read|write|lock|clone)\(\)')
 if [ -n "$hits" ]; then
@@ -211,7 +236,11 @@ hits=$(body_scan crates/obs/src/lib.rs 'event|span_sink' 'Mutex|RwLock|\.lock\(\
 if [ -n "$hits" ]; then
     err "lock or string formatting on an event site's tracing-off path (Obs::event / Obs::span_sink are one load when no stream is open):" "$hits"
 fi
-allocs='HashMap|Vec::new|Vec::with_capacity|vec!|\.collect\(|\.to_vec\('
+hits=$(sched_bodies 'Arc::new|format!|RwLock|Mutex')
+if [ -n "$hits" ]; then
+    err "allocation, lock or string formatting in a scheduler capsule body or the step codec (a step is words; trace details are built in obs.event closures, in helpers):" "$hits"
+fi
+allocs='HashMap|Vec::new|Vec::with_capacity|Vec<|vec!|\.collect\(|\.to_vec\('
 hits=$(
     hot_bodies "$allocs"
     body_scan crates/pm/src/frame.rs 'read_frame_into' "$allocs"
@@ -276,8 +305,8 @@ if [ -n "$hits" ]; then
     err "lock in crates/pm/src/backend/ (one writer per control-page record replaces it; see control.rs):" "$hits"
 fi
 sites=$(grep -rn "^[^/]*unsafe" --include="*.rs" crates/pm/src/backend/ || true)
-if [ "$(echo "$sites" | grep -c .)" -gt 7 ]; then
-    err "more than 7 unsafe sites in crates/pm/src/backend/ (two marker impls, mmap, msync, munmap, words(), control()):" "$sites"
+if [ "$(echo "$sites" | grep -c .)" -gt 8 ]; then
+    err "more than 8 unsafe sites in crates/pm/src/backend/ (two marker impls, mmap, msync, munmap, words(), control(), and the volatile backend's zero-on-demand u64 -> AtomicU64 box cast):" "$sites"
 fi
 methods=$(awk '/^pub trait MemBackend/ { on = 1 } on && /^}/ { on = 0 } on && /^    fn / { print FILENAME ":" FNR ": " $0 }' \
     crates/pm/src/backend/mod.rs)
@@ -294,8 +323,22 @@ if [ -n "$hits" ]; then
     err "the deleted cross-process checkpoint quiesce is back (prove an S-shard round first; see cluster.rs):" "$hits"
 fi
 
+# --- 10. one scheduler-capsule form ----------------------------------------------
+hits=$(grep -rn "sched_capsule(\|capsule_unchecked(" --include="*.rs" crates/ || true)
+if [ -n "$hits" ]; then
+    err "closure-built scheduler capsule under crates/ (a scheduler capsule is a SchedStep record; see crates/sched/src/step.rs):" "$hits"
+fi
+hits=$(grep -rn "adoptable_handle\|remote_local_adoptable\|fn resolvable" --include="*.rs" crates/ || true)
+if [ -n "$hits" ]; then
+    err "the in-process/remote adoption split is back (every restart pointer decodes from words; one rule, restart_pointer_decodes):" "$hits"
+fi
+defs=$(grep -rl "const SCHED_ARG_WORDS" --include="*.rs" crates/ || true)
+if [ "$defs" != "crates/core/src/capsule.rs" ]; then
+    err "the scheduler record's word count must be defined once, in crates/core/src/capsule.rs; found in:" "${defs:-<none>}"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form)"
