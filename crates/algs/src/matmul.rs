@@ -15,7 +15,10 @@
 //! Temporaries come from the restart-stable pool allocator; the pool is
 //! never freed (the paper's bump allocator, §4.1), so total temporary
 //! space is O(n³/√M) rather than the paper's work-stealing-stack bound of
-//! O(P^{1/3}·n²) — a space-only simplification recorded in DESIGN.md.
+//! O(P^{1/3}·n²) — a space-only simplification: the transfers Theorem 7.4
+//! counts (work, depth, capsule work) are the recursion's and do not
+//! depend on where a temporary lives; only the pool a caller must size
+//! ([`matmul_pool_words`]) is larger.
 
 use std::sync::Arc;
 

@@ -1241,7 +1241,7 @@ mod tests {
         };
         // Same asymptotic family; samplesort should not be dramatically
         // worse and the harness tracks the crossover. Allow generous slack
-        // here; EXPERIMENTS.md records the actual ratio.
+        // here; `exp_t73_sort` prints the actual ratio.
         assert!(
             (work_ss as f64) < 3.0 * work_ms as f64,
             "samplesort {work_ss} vs mergesort {work_ms}"

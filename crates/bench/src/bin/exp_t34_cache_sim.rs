@@ -122,5 +122,5 @@ fn main() {
 
     println!("\nshape check: W_f per ideal-cache miss is a small constant across");
     println!("patterns, trace lengths, geometries and fault rates — Theorem 3.4 holds.");
-    println!("(LRU at 2M stands in for OPT at M; see DESIGN.md substitution table.)");
+    println!("(misses are LRU's at M: at most twice OPT's at M/2, see ppm_sim::cache.)");
 }

@@ -1,8 +1,12 @@
 //! # `ppm-bench` — experiment harness for the Parallel-PM reproduction
 //!
-//! One binary per experiment in DESIGN.md's per-experiment index
-//! (`cargo run --release -p ppm-bench --bin exp_<id>`). This library
-//! holds the shared table-printing and measurement helpers.
+//! One binary per experiment (`cargo run --release -p ppm-bench --bin
+//! exp_<id>`), named for what it measures: `exp_t<sec><n>_*` is Theorem
+//! `<sec>.<n>` (`exp_t34_cache_sim` is Theorem 3.4, `exp_t71_prefix` 7.1),
+//! `exp_fig<n>_*` a figure, the rest a claim made in prose (CAM against
+//! CAS, ABP against the fault-tolerant scheduler, capsule granularity,
+//! hard faults); `src/bin/` is the index. This library holds the shared
+//! table-printing and measurement helpers.
 
 #![warn(missing_docs)]
 

@@ -65,37 +65,37 @@ impl DirtyTracker {
         self.pages
     }
 
-    /// Marks the page containing `addr` dirty. Out-of-range addresses are
-    /// ignored (the store they describe would have panicked first).
-    ///
-    /// Test-before-set: the `fetch_or` runs only when the bit reads clear.
-    /// Callers mark *after* their (SeqCst) write of the word, so a skipped
-    /// mark cannot lose the page: the bit read set, so the drain that
-    /// clears it does so after this read — hence after the word was
-    /// written — and that drain's flush, which follows its clear, covers
-    /// the word. Which stores a *racing* drain's runs account for is still
-    /// exact only under quiescence, as the module docs say.
+    /// Marks the page containing `addr` dirty: the one-page case of
+    /// [`DirtyTracker::mark_range`], under the same rule.
     #[inline]
     pub fn mark(&self, addr: Addr) {
-        if addr < self.len_words {
-            let page = addr / PAGE_WORDS;
+        self.mark_range(addr, 1);
+    }
+
+    /// Marks every page intersecting `[addr, addr + len)` dirty — a store
+    /// spanning a page boundary dirties both pages. The part of the range
+    /// beyond the tracked length is ignored (the store it describes would
+    /// have panicked first).
+    ///
+    /// **Word first, then the bit.** Test-before-set: the `fetch_or` runs
+    /// only when the bit reads clear. Callers mark *after* their write of
+    /// the range, whose last (or only) word is a SeqCst store, so a skipped
+    /// mark cannot lose the page: the bit read set, so the drain that
+    /// clears it does so after this read — hence after the words were
+    /// written — and that drain's flush, which follows its clear, covers
+    /// them. Which stores a *racing* drain's runs account for is still
+    /// exact only under quiescence, as the module docs say.
+    #[inline]
+    pub fn mark_range(&self, addr: Addr, len: usize) {
+        let end = (addr + len).min(self.len_words);
+        if addr >= end {
+            return;
+        }
+        for page in addr / PAGE_WORDS..=(end - 1) / PAGE_WORDS {
             let (word, bit) = (&self.bits[page / 64], 1 << (page % 64));
             if word.load(Ordering::Relaxed) & bit == 0 {
                 word.fetch_or(bit, Ordering::Relaxed);
             }
-        }
-    }
-
-    /// Marks every page intersecting `[addr, addr + len)` dirty — a store
-    /// spanning a page boundary dirties both pages.
-    pub fn mark_range(&self, addr: Addr, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr / PAGE_WORDS;
-        let last = (addr + len - 1) / PAGE_WORDS;
-        for page in first..=last.min(self.pages.saturating_sub(1)) {
-            self.bits[page / 64].fetch_or(1 << (page % 64), Ordering::Relaxed);
         }
     }
 
@@ -247,6 +247,22 @@ mod tests {
     fn zero_length_range_marks_nothing() {
         let t = DirtyTracker::new(4 * PAGE_WORDS);
         t.mark_range(100, 0);
+        assert_eq!(t.dirty_pages(), 0);
+    }
+
+    #[test]
+    fn mark_range_is_test_before_set_and_clamped_to_the_tracked_length() {
+        let t = DirtyTracker::new(3 * PAGE_WORDS + 10);
+        t.mark_range(PAGE_WORDS - 1, PAGE_WORDS + 2); // pages 0, 1, 2
+        t.mark_range(PAGE_WORDS, 5); // bit reads set: skipped
+        assert_eq!(t.dirty_pages(), 3);
+        assert_eq!(t.drain(), vec![(0, 3 * PAGE_WORDS)]);
+        t.mark_range(PAGE_WORDS, 5); // the drain cleared it: dirty again
+        assert_eq!(t.drain(), vec![(PAGE_WORDS, PAGE_WORDS)]);
+        // A range that runs off the end marks the pages it does cover.
+        t.mark_range(3 * PAGE_WORDS + 5, 1000);
+        assert_eq!(t.drain(), vec![(3 * PAGE_WORDS, 10)]);
+        t.mark_range(3 * PAGE_WORDS + 10, 1); // first word past the end
         assert_eq!(t.dirty_pages(), 0);
     }
 

@@ -1,19 +1,46 @@
 //! The shared persistent memory.
 //!
-//! A flat array of 64-bit words, grouped into blocks of `B` words. All
-//! accesses are sequentially consistent, matching the model's assumption
-//! that "all instructions involving the persistent memory are sequentially
-//! consistent". The structure itself is *uncosted and fault-free*: cost
-//! accounting and fault injection happen in [`crate::ProcCtx`], the only
-//! path the runtime uses. Direct access here is for machine setup, test
-//! oracles, and result extraction.
+//! A flat array of 64-bit words, grouped into blocks of `B` words. The
+//! structure itself is *uncosted and fault-free*: cost accounting and
+//! fault injection happen in [`crate::ProcCtx`], the only path the runtime
+//! uses. Direct access here is for machine setup, test oracles, and result
+//! extraction.
+//!
+//! **One ordering point per instruction.** The model assumes that "all
+//! instructions involving the persistent memory are sequentially
+//! consistent", and an instruction is a word access *or a block transfer*
+//! (§2). Every word instruction — [`PersistentMemory::load`], `store`,
+//! `cam`, `cas_unsafe_under_faults`, `fetch_add` — and every word a range
+//! read loads is `SeqCst`. A range write ([`PersistentMemory::write_range`],
+//! under every costed block write, frame persist and journal install) is
+//! one instruction and has one ordering point: its interior words are
+//! `Release` stores in ascending address order and its **last word is the
+//! `SeqCst` store**. That is enough for what the runtime asks of a range:
+//!
+//! * *Ascending publication.* A release store orders everything before it,
+//!   so whoever observes word `k` of the range (readers load `SeqCst`,
+//!   which acquires) also observes words `0..k`. The scheduler journal's
+//!   "arguments, then head" rule and a frame's "body, then publish by a
+//!   later costed write" rule are exactly this, and a process killed
+//!   mid-range leaves a prefix in the file, as it did when every word was
+//!   `SeqCst`.
+//! * *Program order around the range.* The tail's `SeqCst` store drains
+//!   the range before any later instruction of the same processor, and a
+//!   release store cannot be reordered before anything that precedes it.
+//!
+//! What a range write does *not* give its interior words is a place of
+//! their own in the single total order of `SeqCst` operations; nothing
+//! needs one — the words two processors race on (deque entries, `top`,
+//! `bottom`, tickets, leases) are written by word instructions only.
 //!
 //! **What a word access touches.** A `load`: the word. An applied
 //! `store`/`cam`: the word, at most one dirty-bitmap word *load* (durable
 //! backends; the `fetch_or` runs once per page per drain, see
-//! [`crate::dirty`]) and one read-mostly flag, `has_observer`. No lock is
-//! taken unless an observer is installed: the instruments must not
-//! serialize the processors they measure (`tools/lint_invariants.sh`, 4).
+//! [`crate::dirty`]) and one read-mostly flag, `has_observer`. A range
+//! write pays the bitmap load once per page it touches and the flag once.
+//! No lock is taken unless an observer is installed: the instruments must
+//! not serialize the processors they measure (`tools/lint_invariants.sh`,
+//! 4).
 //!
 //! Where the words physically live is a [`MemBackend`] decision:
 //! [`PersistentMemory::new`] keeps the original in-process atomics
@@ -260,10 +287,12 @@ impl PersistentMemory {
         self.dirty.as_ref()
     }
 
+    /// Marks the pages of `[addr, addr + len)` dirty. Called *after* the
+    /// words are written: see [`DirtyTracker::mark_range`].
     #[inline]
-    fn mark_dirty(&self, addr: Addr) {
+    fn mark_dirty(&self, addr: Addr, len: usize) {
         if let Some(d) = &self.dirty {
-            d.mark(addr);
+            d.mark_range(addr, len);
         }
     }
 
@@ -324,9 +353,7 @@ impl PersistentMemory {
     #[inline]
     pub fn store(&self, addr: Addr, value: Word) {
         let prev = self.words()[addr].swap(value, Ordering::SeqCst);
-        // Word first, then the bit: `DirtyTracker::mark` skips its RMW on
-        // a set bit, sound only because the word is already written.
-        self.mark_dirty(addr);
+        self.mark_dirty(addr, 1);
         self.observe(addr, prev, value);
     }
 
@@ -342,7 +369,7 @@ impl PersistentMemory {
             .compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            self.mark_dirty(addr);
+            self.mark_dirty(addr, 1);
             self.observe(addr, old, new);
         }
     }
@@ -357,7 +384,7 @@ impl PersistentMemory {
             .compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok();
         if ok {
-            self.mark_dirty(addr);
+            self.mark_dirty(addr, 1);
             self.observe(addr, old, new);
         }
         ok
@@ -369,26 +396,52 @@ impl PersistentMemory {
     #[inline]
     pub fn fetch_add(&self, addr: Addr, delta: Word) -> Word {
         let prev = self.words()[addr].fetch_add(delta, Ordering::SeqCst);
-        self.mark_dirty(addr);
+        self.mark_dirty(addr, 1);
         prev
     }
 
-    /// Reads `dst.len()` consecutive words starting at `addr` into `dst`.
-    /// Uncosted here: [`crate::ProcCtx::read_block_into`] charges the block
-    /// transfer and then calls this; setup code and oracles call it
-    /// directly.
+    /// Reads `dst.len()` consecutive words starting at `addr` into `dst`,
+    /// each with a sequentially-consistent load. Uncosted here:
+    /// [`crate::ProcCtx::read_block_into`] charges the block transfer and
+    /// then calls this; setup code and oracles call it directly.
     pub fn read_range(&self, addr: Addr, dst: &mut [Word]) {
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = self.load(addr + i);
+        if dst.is_empty() {
+            return;
+        }
+        let src = &self.words()[addr..addr + dst.len()];
+        for (d, w) in dst.iter_mut().zip(src) {
+            *d = w.load(Ordering::SeqCst);
         }
     }
 
-    /// Writes `src` into consecutive words starting at `addr` (setup/oracle
-    /// use; uncosted).
+    /// Writes `src` into consecutive words starting at `addr`: one
+    /// instruction, one ordering point (see the module docs). Interior
+    /// words are release stores in ascending address order, the last word
+    /// is the sequentially-consistent store, and the touched pages are
+    /// marked dirty once, after the words. Uncosted here:
+    /// [`crate::ProcCtx::write_block`] and [`crate::ProcCtx::stage_range`]
+    /// charge the transfer; setup code and oracles call it directly.
+    ///
+    /// While an observer is installed (the flag is read once per range)
+    /// the range is written word by word through
+    /// [`PersistentMemory::store`], which is what reports each word's
+    /// previous value.
     pub fn write_range(&self, addr: Addr, src: &[Word]) {
-        for (i, s) in src.iter().enumerate() {
-            self.store(addr + i, *s);
+        if self.has_observer.load(Ordering::Acquire) {
+            for (i, s) in src.iter().enumerate() {
+                self.store(addr + i, *s);
+            }
+            return;
         }
+        let Some((tail, interior)) = src.split_last() else {
+            return;
+        };
+        let words = &self.words()[addr..addr + src.len()];
+        for (w, s) in words.iter().zip(interior) {
+            w.store(*s, Ordering::Release);
+        }
+        words[interior.len()].store(*tail, Ordering::SeqCst);
+        self.mark_dirty(addr, src.len());
     }
 
     /// Extracts `len` words starting at `addr` into a `Vec` (oracle use).
@@ -627,6 +680,100 @@ mod tests {
         let m = tracked(2 * PAGE_WORDS);
         m.write_range(PAGE_WORDS - 1, &[1, 2]);
         assert_eq!(m.dirty_tracker().unwrap().dirty_pages(), 2);
+    }
+
+    #[test]
+    fn empty_and_one_word_ranges_behave_as_store() {
+        use crate::dirty::PAGE_WORDS;
+        let m = tracked(2 * PAGE_WORDS);
+        let t = m.dirty_tracker().unwrap();
+        // Nothing to write: nothing stored, nothing marked, no bounds
+        // check to fail — at the end of the array or past it.
+        m.write_range(5, &[]);
+        m.write_range(2 * PAGE_WORDS, &[]);
+        m.write_range(usize::MAX, &[]);
+        m.read_range(usize::MAX, &mut []);
+        assert_eq!(t.dirty_pages(), 0);
+        assert_eq!(m.load(5), 0);
+        // One word: the word, its page, nothing else.
+        m.write_range(PAGE_WORDS + 7, &[42]);
+        assert_eq!(m.to_vec(PAGE_WORDS + 6, 3), vec![0, 42, 0]);
+        assert!(t.is_dirty(PAGE_WORDS + 7) && !t.is_dirty(0));
+        m.flush().unwrap();
+        m.store(PAGE_WORDS + 7, 43);
+        assert!(t.is_dirty(PAGE_WORDS + 7), "the same page a store marks");
+    }
+
+    #[test]
+    fn a_range_past_the_end_panics_before_it_stores() {
+        let m = PersistentMemory::new(16, 8);
+        let run = std::panic::AssertUnwindSafe(|| m.write_range(12, &[1, 2, 3, 4, 5]));
+        assert!(std::panic::catch_unwind(run).is_err());
+        assert_eq!(m.to_vec(12, 4), vec![0; 4], "one bounds check, up front");
+    }
+
+    #[test]
+    fn observed_range_write_reports_every_word_once_with_its_previous_value() {
+        use parking_lot::Mutex;
+        let m = PersistentMemory::new(32, 8);
+        m.write_range(4, &[10, 11, 12, 13, 14]); // before the install: unobserved
+        let log: Arc<Mutex<Vec<(Addr, Word, Word)>>> = Arc::default();
+        let sink = log.clone();
+        m.set_observer(Some(Arc::new(move |a, p, n| sink.lock().push((a, p, n)))));
+        m.write_range(6, &[20, 21, 22, 23]);
+        m.write_range(9, &[30]);
+        m.write_range(9, &[]);
+        assert_eq!(
+            *log.lock(),
+            vec![
+                (6, 12, 20),
+                (7, 13, 21),
+                (8, 14, 22),
+                (9, 0, 23),
+                (9, 23, 30)
+            ],
+            "ascending, once each, true previous values"
+        );
+        m.set_observer(None);
+        m.write_range(6, &[1, 2]);
+        assert_eq!(log.lock().len(), 5);
+        assert_eq!(m.to_vec(4, 6), vec![10, 11, 1, 2, 22, 30]);
+    }
+
+    /// The journal's shape (`install_sched`: arguments, then head): a
+    /// writer rewrites a range with one generation in every word; a reader
+    /// loads the *last* word and then the interior. Whatever it catches
+    /// mid-rewrite, an interior word is never older than the last word it
+    /// was paired with — the release stores are ordered before the tail.
+    #[test]
+    fn a_reader_never_pairs_a_new_last_word_with_an_old_interior_word() {
+        use std::sync::Barrier;
+        const WORDS: usize = 7;
+        const REWRITES: Word = 100_000;
+        // Straddles a block and a cache-line boundary.
+        const AT: usize = 5;
+        let m = PersistentMemory::new(64, 8);
+        let gate = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                gate.wait();
+                for g in 1..=REWRITES {
+                    m.write_range(AT, &[g; WORDS]);
+                }
+            });
+            gate.wait();
+            let mut interior = [0; WORDS - 1];
+            loop {
+                let tail = m.load(AT + WORDS - 1);
+                m.read_range(AT, &mut interior);
+                for (i, w) in interior.iter().enumerate() {
+                    assert!(*w >= tail, "word {i} at {w} under a tail at {tail}");
+                }
+                if tail == REWRITES {
+                    break;
+                }
+            }
+        });
     }
 
     #[test]

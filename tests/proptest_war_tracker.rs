@@ -1,8 +1,9 @@
 //! The write-after-read tracker is an open-addressed, generation-stamped
-//! table; the check it implements is the one a plain first-access map
-//! states. This file drives both with the same operations and demands
-//! the same verdict at every step, in every mode: same return value, same
-//! conflict count, same `Strict` panic message.
+//! table of 64-word lines, two bit masks a line; the check it implements
+//! is the one a plain word-by-word first-access map states. This file
+//! drives both with the same operations and demands the same verdict at
+//! every step, in every mode: same return value, same conflict count, same
+//! `Strict` panic message.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -238,6 +239,39 @@ proptest! {
             check(mode, ops.iter().map(|&bits| strided(bits)));
         }
     }
+
+    /// Long ranges at arbitrary offsets: most straddle a 64-word line,
+    /// many cover a whole line and both its neighbours (`len` up to 200),
+    /// and they overlap each other and the word operations between them.
+    #[test]
+    fn random_sequences_long_ranges(ops in prop::collection::vec(any::<u64>(), 1..200)) {
+        for mode in MODES {
+            check(mode, ops.iter().map(|&bits| decode(bits, 640, 200)));
+        }
+    }
+
+    /// Blocks whose size does not divide 64 (so aligned blocks straddle
+    /// lines), at addresses of 2³² and far above.
+    #[test]
+    fn random_sequences_odd_blocks_high_addresses(
+        ops in prop::collection::vec(any::<u64>(), 1..300),
+        high in any::<u32>(),
+        pick in any::<u8>(),
+    ) {
+        let block = [3usize, 12, 24, 48, 100][pick as usize % 5];
+        let base = (1usize << 32) + ((high as usize) << 24);
+        let blocked = |bits| match decode(bits, 64, block) {
+            Op::Reset => Op::Reset,
+            Op::Read(a) => Op::Read(base + a),
+            Op::Write(a) => Op::Write(base + a),
+            // A transfer inside one block, as `ProcCtx` bounds them.
+            Op::ReadBlock(a, l) => Op::ReadBlock(base + a * block, l),
+            Op::WriteBlock(a, l) => Op::WriteBlock(base + a * block, l),
+        };
+        for mode in MODES {
+            check(mode, ops.iter().map(|&bits| blocked(bits)));
+        }
+    }
 }
 
 #[test]
@@ -257,6 +291,94 @@ fn growth_in_the_middle_of_a_capsule_keeps_every_first_access() {
         ops.push(Op::ReadBlock(40, 8));
         ops.extend((0..36).map(|i| Op::Read(1000 + i)));
         ops.push(Op::WriteBlock(24, 24));
+        check(mode, ops);
+    }
+}
+
+/// Writes, word by word, `[start, start + len)`: the step-by-step verdicts
+/// show what the tracker holds for each word of a range.
+fn probe_words(start: usize, len: usize) -> impl Iterator<Item = Op> {
+    (start..start + len).map(Op::Write)
+}
+
+#[test]
+fn a_strict_panic_mid_range_records_exactly_the_words_below_it() {
+    // Words 70 and 130 are exposed; a 100-word write over [60, 160) spans
+    // three lines and conflicts in the second and third. `Strict` panics
+    // at 70 having recorded 60..70 as written and nothing above; `Record`
+    // counts two conflicts and owns the other 98 words. The capsule then
+    // goes on: every later verdict depends on which it was.
+    for mode in MODES {
+        let mut ops = vec![Op::Read(70), Op::Read(130), Op::WriteBlock(60, 100)];
+        ops.extend([Op::Read(65), Op::Write(65)]); // below the conflict: owned
+        ops.extend([Op::Read(100), Op::Write(100)]); // above it: fresh in Strict
+        ops.push(Op::WriteBlock(60, 100)); // the same panic again
+        ops.push(Op::WriteBlock(128, 64)); // a range that starts on the line of 130
+        ops.push(Op::ReadBlock(0, 256));
+        ops.extend(probe_words(56, 112));
+        // The lowest conflict on the range's *first* line, with the range
+        // starting mid-line: nothing at all is recorded.
+        ops.extend([Op::Reset, Op::Read(3), Op::WriteBlock(3, 200)]);
+        ops.extend(probe_words(0, 210));
+        check(mode, ops);
+    }
+}
+
+#[test]
+fn ranges_that_straddle_lines_touch_only_their_own_words() {
+    for mode in MODES {
+        let mut ops = Vec::new();
+        // Every (offset, length) around one and two line boundaries,
+        // written then read back word by word on both sides.
+        for (start, len) in [
+            (63, 2),
+            (60, 8),
+            (1, 63),
+            (1, 64),
+            (0, 65),
+            (63, 130),
+            (64, 64),
+        ] {
+            ops.push(Op::Reset);
+            ops.push(Op::ReadBlock(start, len));
+            ops.extend(probe_words(start.saturating_sub(2), len + 4));
+            ops.push(Op::Reset);
+            ops.push(Op::WriteBlock(start, len));
+            ops.push(Op::ReadBlock(start.saturating_sub(2), len + 4));
+            ops.extend(probe_words(start.saturating_sub(2), len + 4));
+        }
+        // Empty ranges, also at a line boundary, record nothing.
+        ops.extend([Op::Reset, Op::ReadBlock(64, 0), Op::WriteBlock(128, 0)]);
+        ops.extend([
+            Op::Read(7),
+            Op::WriteBlock(7, 0),
+            Op::Write(64),
+            Op::Write(128),
+        ]);
+        check(mode, ops);
+    }
+}
+
+#[test]
+fn growth_while_a_multi_line_range_is_being_recorded() {
+    for mode in MODES {
+        let mut ops = Vec::new();
+        // 40 lines live (one exposed word each), then a read of 30 further
+        // lines: the 64-slot table doubles at its 48th line, a third of
+        // the way through the range.
+        ops.extend((0..40).map(|i| Op::Read(100_000 + i * 64 + i)));
+        ops.push(Op::ReadBlock(5, 30 * 64));
+        // A write over both: it doubles the table again while it runs, and
+        // in `Strict` panics at the first exposed word with growth behind it.
+        ops.push(Op::WriteBlock(30 * 64 - 10, 140 * 64));
+        ops.extend(probe_words(30 * 64 - 20, 40));
+        ops.extend((0..40).map(|i| Op::Write(100_000 + i * 64 + i)));
+        // The same with the write first, so `Strict` runs the growth too:
+        // one 6400-word write through a table of 64 slots.
+        ops.extend([Op::Reset, Op::Read(99), Op::WriteBlock(100, 6400)]);
+        ops.extend([Op::ReadBlock(0, 6600), Op::WriteBlock(6500, 200)]);
+        ops.extend(probe_words(90, 20));
+        ops.extend(probe_words(6490, 30));
         check(mode, ops);
     }
 }

@@ -35,15 +35,17 @@
 #      must at least not serialize the processors they measure. The
 #      bodies of the per-access and per-capsule functions — in crates/pm:
 #      PersistentMemory::{load,store,cam,cas_unsafe_under_faults,
-#      mark_dirty} and the `observe` helper they call, DirtyTracker::mark,
-#      MemStats::record_*, ProcCtx::{pread,pwrite,pcam,read_block_into,
-#      write_block,stage_write,stage_range,flush_staged,fault_point,
-#      begin_capsule,complete_capsule,publish_watermark}, every WarTracker
-#      method but the cold `grow`, FrameBuf::{new,push,write} and
-#      write_frame; in crates/core: InstallCtx::{install_jump,
-#      install_handle,install_sched}, journal_image, live_record and
-#      run_body_and_install; in crates/sched: every arm of Sched::run and
-#      the record codec of step.rs — may not contain `.read()`,
+#      read_range,write_range,mark_dirty} and the `observe` helper they
+#      call, DirtyTracker::{mark,mark_range}, MemStats::record_*,
+#      ProcCtx::{pread,pwrite,pcam,read_block_into,write_block,
+#      stage_write,stage_range,flush_staged,fault_point,begin_capsule,
+#      complete_capsule,publish_watermark}, every WarTracker method but
+#      the cold `grow` and the `lines`/`word_bit` helpers that feed them,
+#      FrameBuf::{new,push,write} and write_frame; in crates/core:
+#      InstallCtx::{install_jump,install_handle,install_sched},
+#      journal_image, live_record and run_body_and_install; in
+#      crates/sched: every arm of Sched::run and the record codec of
+#      step.rs — may not contain `.read()`,
 #      `.write()`, `.lock()` or `.clone()` (a lock, or a refcount RMW on a
 #      line every processor shares) unless a `hot-path-ok:` justification
 #      sits within the six lines above. The expected exceptions are the
@@ -80,7 +82,7 @@
 #      may not contain `HashMap`, `Vec::new`, `Vec::with_capacity`, `vec!`,
 #      `.collect()` or `.to_vec()` (same `hot-path-ok:` escape), and
 #      crates/pm/src/validate.rs does not name `HashMap` at all — its table
-#      is open-addressed, reset by a generation bump.
+#      is open-addressed by 64-word line, reset by a generation bump.
 #
 #   8. One trace stream. Spans and events go through `SpanSink` into one
 #      line-flushed file per process, opened by `Obs::open_trace` alone:
@@ -120,6 +122,19 @@
 #      path stays deleted: `adoptable_handle`, `remote_local_adoptable`
 #      and `fn resolvable` appear nowhere under crates/. The record's word
 #      count, `const SCHED_ARG_WORDS`, is defined in exactly one file.
+#
+#  11. One ordering point per instruction. Every access to the word array
+#      in crates/pm/src/mem.rs is SeqCst, except inside `write_range`: a
+#      range write is one model instruction, its interior words are
+#      Release stores in ascending order and its last word is the SeqCst
+#      store (the module docs say why that is enough). Outside that body
+#      (and the file's tests) the only other orderings the file may name
+#      are the Release/Acquire pair on the `has_observer` flag.
+#
+#  12. No dangling citation. A `*.md` file named in a Rust source file
+#      under crates/ src/ tests/ examples/ exists in the tree (by path
+#      from the root or by name anywhere outside target/ and vendor/): a
+#      design note lives where it is cited, or in a file that is there.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -189,16 +204,22 @@ if [ -n "$missing" ]; then
 fi
 
 # --- 4. hot path takes no lock / 7. nor hashes, nor allocates ---------------
-# body_scan FILE 'name|name|...' REGEX: prints every line matching REGEX
-# inside the bodies of the named functions (brace-matched from the `fn`
-# line) that has no hot-path-ok: marker within the six lines above it.
+# body_scan FILE 'name|name|...' REGEX [outside]: prints every line
+# matching REGEX inside the bodies of the named functions (brace-matched
+# from the `fn` line) that has no hot-path-ok: marker within the six
+# lines above it. With a fourth argument: every such line *outside* those
+# bodies instead, up to the file's `#[cfg(test)]`.
 body_scan() {
-    awk -v names="$2" -v bad="$3" '
+    awk -v names="$2" -v bad="$3" -v outside="${4:+1}" '
+        BEGIN { outside += 0; infn = 0 }
         /hot-path-ok:/ { ok = NR }
+        outside && /^#\[cfg\(test\)\]/ { exit }
         !infn && $0 ~ ("fn (" names ")[(<]") { infn = 1; depth = 0; opened = 0 }
-        infn && $0 !~ /^[ \t]*\/\// {
-            if ($0 ~ bad && (ok == 0 || NR - ok > 6))
+        $0 !~ /^[ \t]*\/\// {
+            if (infn != outside && $0 ~ bad && (ok == 0 || NR - ok > 6))
                 print FILENAME ":" NR ": " $0
+        }
+        infn && $0 !~ /^[ \t]*\/\// {
             line = $0
             depth += gsub(/\{/, "", line)
             if (depth > 0) opened = 1
@@ -209,13 +230,14 @@ body_scan() {
 }
 # The per-access and per-capsule bodies, shared by both rules.
 hot_bodies() { # REGEX
-    body_scan crates/pm/src/mem.rs 'load|store|cam|cas_unsafe_under_faults|mark_dirty|observe' "$1"
-    body_scan crates/pm/src/dirty.rs 'mark' "$1"
+    body_scan crates/pm/src/mem.rs \
+        'load|store|cam|cas_unsafe_under_faults|read_range|write_range|mark_dirty|observe' "$1"
+    body_scan crates/pm/src/dirty.rs 'mark|mark_range' "$1"
     body_scan crates/pm/src/stats.rs 'record_[a-z_]*|bump|raise' "$1"
     body_scan crates/pm/src/proc.rs \
         'pread|pwrite|pcam|read_block_into|write_block|stage_write|stage_range|flush_staged|fault_point|begin_capsule|complete_capsule|publish_watermark' "$1"
     body_scan crates/pm/src/validate.rs \
-        'reset|probe|insert|read|write|conflict|on_read|on_write|on_read_block|on_write_block' "$1"
+        'lines|next|word_bit|reset|probe|slot|claim|read|write|conflict|on_read|on_write|on_read_block|on_write_block' "$1"
     body_scan crates/pm/src/frame.rs 'new|push|write|write_frame' "$1"
     body_scan crates/core/src/runner.rs \
         'install_jump|install_handle|install_sched|journal_image|live_record|run_body_and_install' "$1"
@@ -337,8 +359,28 @@ if [ "$defs" != "crates/core/src/capsule.rs" ]; then
     err "the scheduler record's word count must be defined once, in crates/core/src/capsule.rs; found in:" "${defs:-<none>}"
 fi
 
+# --- 11. one ordering point per instruction ----------------------------------------
+hits=$(body_scan crates/pm/src/mem.rs 'write_range' 'Ordering::(Relaxed|Acquire|Release|AcqRel)' outside \
+    | grep -v "has_observer" || true)
+if [ -n "$hits" ]; then
+    err "non-SeqCst ordering on the word array outside write_range (a word instruction is SeqCst; only a range write's interior words are Release):" "$hits"
+fi
+
+# --- 12. no dangling citation ----------------------------------------------------------
+known=$(find . -name "*.md" -not -path "./target/*" -not -path "./vendor/*" -not -path "*/target/*" | sed 's|^\./||')
+hits=$(grep -rnoE "[A-Za-z0-9_./-]+\.md\b" --include="*.rs" crates src tests examples \
+    | while IFS= read -r hit; do
+        cited=${hit##*:}
+        if ! echo "$known" | grep -qE "(^|/)${cited#./}\$"; then
+            echo "$hit"
+        fi
+    done)
+if [ -n "$hits" ]; then
+    err "source comment cites a *.md file that is not in the tree (move the note to where it is cited):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation)"
