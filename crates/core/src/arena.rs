@@ -25,16 +25,16 @@
 //!   scheduler record — words — and the live one of that processor's
 //!   journal is read back; any attachment to the machine does this alike.
 //! * **Frame handles**: the words at the handle parse as a
-//!   [`ppm_pm::frame`] frame fully describing the closure. These are
-//!   rehydrated through the machine's
-//!   [`crate::registry::CapsuleRegistry`] on *every* resolution — never
-//!   cached in the map — because frame addresses come from pool
-//!   allocators whose cursors reset between runs (and on
-//!   replay-from-root recovery), so an address can denote different
-//!   frames over a machine's lifetime; the words are always current,
-//!   a cache would not be. This is also what makes frame handles
-//!   survive process death: a fresh process resolves them from
-//!   persistent words alone.
+//!   [`ppm_pm::frame`] frame fully describing the closure. One resolves
+//!   to a [`crate::registry::FrameRef`] (address, capsule id, name),
+//!   never to an object: the closure stays in persistent memory, checked
+//!   against the machine's [`crate::registry::CapsuleRegistry`] on
+//!   *every* resolution and run where it lies. Nothing about a frame is
+//!   kept in the map: frame addresses come from pool allocators whose
+//!   cursors reset between runs (and on replay-from-root recovery), so
+//!   an address can denote different frames over a machine's lifetime;
+//!   the words are always current, a cache would not be. This is also why
+//!   a fresh process resolves frame handles from words alone.
 //! * **Closure handles** ([`ContArena::register`] /
 //!   [`ContArena::register_at`]): the closure content is a process-local
 //!   Rust object; the persistent word is only a marker (never
@@ -51,9 +51,9 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use ppm_pm::{Addr, PersistentMemory, PmResult, ProcCtx, Word};
 
-use crate::capsule::{Active, Cont};
+use crate::capsule::{Active, Cont, Next};
 use crate::machine::MetaMap;
-use crate::registry::{CapsuleRegistry, RehydrateError};
+use crate::registry::{CapsuleRegistry, CodeMemo, FrameRef, RehydrateError};
 use crate::runner::live_record;
 
 /// The reserved null handle: "no continuation".
@@ -88,7 +88,7 @@ impl Default for ContArena {
 }
 
 impl ContArena {
-    /// Creates an empty arena without frame rehydration.
+    /// Creates an empty arena that resolves closure handles only.
     pub fn new() -> Self {
         ContArena {
             map: RwLock::default(),
@@ -96,9 +96,9 @@ impl ContArena {
         }
     }
 
-    /// Creates an empty arena that can rehydrate frame handles from
-    /// `mem` through `registry` and read scheduler records out of the
-    /// journals at `metas` (machine construction path).
+    /// Creates an empty arena that can resolve frame handles from `mem`
+    /// against `registry` and read scheduler records out of the journals
+    /// at `metas` (machine construction path).
     pub fn with_rehydration(
         mem: Arc<PersistentMemory>,
         registry: Arc<CapsuleRegistry>,
@@ -156,43 +156,41 @@ impl ContArena {
         self.map.read().get(&addr).cloned()
     }
 
-    /// Resolves a handle to a user capsule: a frame rehydrates through
-    /// the registry (the words are authoritative — frame addresses can be
-    /// reused across runs, so rehydrations are never cached), anything
-    /// else comes from the in-process map. `None` when the handle is
-    /// null, unregistered and not a well-formed registered frame — or a
-    /// journal pointer, which denotes no user capsule.
-    pub fn resolve(&self, handle: Word) -> Option<Cont> {
-        match self.try_resolve(handle) {
-            Ok(Active::Capsule(c)) => Some(c),
-            _ => None,
-        }
+    /// Resolves a handle to a user capsule: a frame is checked against
+    /// the registry, anything else comes from the in-process map. `None`
+    /// when the handle is null, unregistered and not a well-formed
+    /// registered frame, or a journal pointer (no user capsule).
+    pub fn resolve(&self, handle: Word) -> Option<Active> {
+        self.try_resolve(handle)
+            .ok()
+            .filter(|denoted| !matches!(denoted, Active::Sched(_)))
     }
 
-    /// What `handle` denotes, with the rehydration failure preserved. The
-    /// null handle and map misses report as frame errors.
+    /// What `handle` denotes, with the failure preserved: a frame gets
+    /// [`CapsuleRegistry::rehydrate`]'s full check. The null handle and
+    /// map misses report as frame errors.
     pub fn try_resolve(&self, handle: Word) -> Result<Active, RehydrateError> {
-        self.resolve_with(handle, CapsuleRegistry::instantiate_parts)
+        self.resolve_with(handle, |mem, reg, addr| reg.rehydrate(mem, addr as Word))
     }
 
-    /// [`ContArena::try_resolve`] with the caller choosing how a frame is
-    /// instantiated — the run path goes through its processor's own
-    /// constructor memo, so resolving a frame takes no registry lock.
+    /// [`ContArena::try_resolve`] with the caller saying what a frame
+    /// denotes: the run path asks its processor's memo, decodes later.
+    #[inline]
     pub(crate) fn resolve_with(
         &self,
         handle: Word,
-        instantiate: impl FnOnce(&CapsuleRegistry, Addr, Word, &[Word]) -> Result<Cont, RehydrateError>,
+        frame: impl FnOnce(
+            &PersistentMemory,
+            &CapsuleRegistry,
+            Addr,
+        ) -> Result<FrameRef, RehydrateError>,
     ) -> Result<Active, RehydrateError> {
         if let Some((mem, registry, metas)) = self.rehydrate.as_ref() {
             if let Some(base) = metas.journal_of(handle) {
                 return Ok(Active::Sched(live_record(|off| mem.load(base + off))));
             }
             if ppm_pm::is_frame_at(mem, handle as Addr) {
-                let mut args = [0; ppm_pm::MAX_FRAME_ARGS];
-                let (capsule_id, _, argc) =
-                    ppm_pm::read_frame_into(mem, handle as Addr, &mut args)?;
-                return instantiate(registry, handle as Addr, capsule_id, &args[..argc])
-                    .map(Active::Capsule);
+                return frame(mem, registry, handle as Addr).map(Active::Frame);
             }
         }
         self.get(handle)
@@ -201,6 +199,21 @@ impl ContArena {
                 addr: handle as Addr,
                 word: 0,
             }))
+    }
+
+    /// One attempt of the capsule `frame` denotes ([`CodeMemo::run`]). A
+    /// frame that stopped denoting one since it was installed is corrupt
+    /// memory under a running thread: there is no one to hand an error to.
+    #[inline]
+    pub(crate) fn run_frame(
+        &self,
+        codes: &mut CodeMemo,
+        frame: &FrameRef,
+        ctx: &mut ProcCtx,
+    ) -> PmResult<Next> {
+        let (mem, registry, _) = self.rehydrate.as_ref().expect("a machine's arena");
+        let attempt = codes.run(mem, registry, frame.addr, ctx);
+        attempt.unwrap_or_else(|e| panic!("capsule `{}` can no longer run: {e}", frame.name))
     }
 
     /// Number of live registrations (diagnostics).

@@ -6,10 +6,11 @@
 //! restart pointer; on a fault the processor re-runs the active capsule
 //! from its beginning.
 //!
-//! Here a capsule is an immutable object implementing [`Capsule`]: its
-//! captured state is the paper's *closure* (start instruction plus local
-//! state plus arguments plus continuation, §4.1), created once and never
-//! mutated, so a re-run observes exactly the capsule's initial state.
+//! A session's capsule is a frame: the paper's *closure* (start
+//! instruction plus local state plus arguments plus continuation, §4.1)
+//! as persistent words, read afresh by every attempt; the closure
+//! machine's is an immutable object implementing [`Capsule`] that captures
+//! the same. Either way a re-run observes exactly the initial state.
 //! Ephemeral memory and registers are the `run` invocation's local
 //! variables — dropped and rebuilt on every run, which models their loss on
 //! a fault. A capsule body must be **write-after-read conflict free**
@@ -22,6 +23,7 @@ use std::sync::Arc;
 use ppm_pm::{PmResult, ProcCtx, Word};
 
 use crate::arena::ContArena;
+use crate::registry::FrameRef;
 
 /// What a completed capsule does next. Returning `Next` is the paper's
 /// "installing" step: the engine writes the new restart pointer (a constant
@@ -31,11 +33,10 @@ pub enum Next {
     /// return, or commit — all capsule boundaries look alike here).
     Jump(Cont),
     /// Continue this thread with the capsule denoted by a persistent
-    /// frame handle (see [`ppm_pm::frame`]). The engine resolves the
-    /// handle through the continuation arena (rehydrating from persistent
-    /// words via the capsule registry on first touch) and installs the
+    /// frame handle (see [`ppm_pm::frame`]). The engine installs the
     /// frame address itself as the restart pointer — which is what makes
-    /// the thread resumable by a fresh process after a crash.
+    /// the thread resumable by a fresh process after a crash — and runs
+    /// the capsule straight off the frame's words ([`Active::Frame`]).
     JumpHandle(Word),
     /// Fork: push `child` as a new thread on the scheduler's deque and
     /// continue this thread with `cont` (§6.1's `fork` function). Under a
@@ -49,8 +50,8 @@ pub enum Next {
     },
     /// Fork where both sides are already persistent frames (written by
     /// this capsule's body, e.g. via [`crate::join::fork_join_frames`]):
-    /// the child handle goes straight into the deque, and the
-    /// continuation is resolved and installed by handle.
+    /// the child handle goes straight into the deque, the continuation is
+    /// installed by handle.
     ForkHandle {
         /// Frame handle of the newly enabled thread's first capsule.
         child: Word,
@@ -180,9 +181,7 @@ pub trait Capsule: Send + Sync {
     fn run(&self, ctx: &mut ProcCtx) -> PmResult<Next>;
 
     /// Diagnostic name, used in validator panics and traces.
-    fn name(&self) -> &str {
-        "capsule"
-    }
+    fn name(&self) -> &'static str;
 }
 
 /// A continuation: a shared handle to a capsule ("closure") that can be
@@ -190,22 +189,26 @@ pub trait Capsule: Send + Sync {
 /// arena for cross-processor stealing.
 pub type Cont = Arc<dyn Capsule>;
 
-/// What a processor runs next, and what a handle denotes: a user capsule
-/// (a closure object, possibly rehydrated from a frame) or a scheduler
-/// capsule (a record, run by the [`Scheduler`]).
+/// What a processor runs next, and what a handle denotes: a closure
+/// object (the closure machine's form), a frame (a session's form: the
+/// words *are* the closure, and the engine runs them where they lie) or
+/// a scheduler capsule (a record, run by the [`Scheduler`]).
 #[derive(Clone)]
 pub enum Active {
-    /// A user capsule.
+    /// A closure-machine capsule.
     Capsule(Cont),
+    /// A frame-denoted capsule.
+    Frame(FrameRef),
     /// A scheduler capsule.
     Sched(SchedRecord),
 }
 
 impl Active {
     /// Diagnostic name; `sched` names the records.
-    pub fn name<'a>(&'a self, sched: Option<&'a dyn Scheduler>) -> &'a str {
+    pub fn name(&self, sched: Option<&dyn Scheduler>) -> &'static str {
         match self {
             Active::Capsule(c) => c.name(),
+            Active::Frame(f) => f.name,
             Active::Sched(rec) => sched.map_or("sched/?", |s| s.name(rec)),
         }
     }
@@ -227,7 +230,7 @@ where
         (self.body)(ctx)
     }
 
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         self.name
     }
 }

@@ -5,17 +5,15 @@
 //! persistent memory as a [`ppm_pm::frame`] frame, so that a crashed run
 //! is *resumed* from its in-flight deque entries
 //! (`ppm_sched::Runtime::run_or_recover`) instead of replayed from the
-//! root. It replaces the hand-rolled plumbing the first persistent ports
-//! needed — manual capsule-id bases, raw `Word`-slice packing, explicit
-//! `write_frame`/`fork_join_frames` calls — with typed state
-//! ([`crate::persist::Persist`]) and combinators that write the frames
-//! for you.
+//! root: typed state ([`crate::persist::Persist`]), capsule ids allocated
+//! by name, and combinators that write the frames for you, over the raw
+//! surface of [`crate::registry`] and [`ppm_pm::frame`].
 //!
 //! ## Mapping to the paper's capsule model (§4.1)
 //!
 //! | DSL construct | Paper concept |
 //! |---|---|
-//! | [`CapsuleDef<T>`] | a capsule's *code*: the start instruction of §4.1's closure, named by a stable id |
+//! | [`CapsuleDef<T>`] | a capsule's *code*: the start instruction of §4.1's closure, named by a stable id — registered as `T`'s decode plus the body, which every attempt runs straight off the frame's words (no closure object is built from a frame) |
 //! | a `T: Persist` state + [`K`] | the rest of the closure: "local state, arguments and continuation" |
 //! | [`CapsuleDef::frame`] | writing a closure into persistent memory from the §4.1 restart-stable pool |
 //! | [`CapsuleDef::setup`] | writing a root closure with uncosted setup stores (before the processors start) |
@@ -27,24 +25,12 @@
 //! | [`CapsuleSet::reduce`] | a parallel reduction: leaf values combined pairwise up a join tree, scratch cells from the restart-stable pool |
 //! | [`Step::End`] | "when a thread finishes it jumps to the scheduler" (§6.1) |
 //!
-//! ## Migrating from the raw (PR 2) API
-//!
-//! | Old (hand-rolled) | New (typed DSL) |
-//! |---|---|
-//! | `pub const MY_ID_BASE: CapsuleId = FIRST_USER_CAPSULE_ID + 0x30` | ids allocated by name: [`CapsuleSet::declare`] |
-//! | `registry.register(MY_ID_BASE, "x", \|args\| { let [a, b, k] = frame_args(args)?; … })` | `set.body(def, \|st: &MyState, k, ctx\| { … })` |
-//! | geometry packed/unpacked as `[Word; N]` by hand | `persist_struct! { struct MyState { … } }` |
-//! | `write_frame(ctx, MY_ID_BASE + 1, &args)?` | `def.frame(ctx, &state, k)?` |
-//! | `fork_join_frames(ctx, k)` + two `write_frame`s + `Next::ForkHandle { … }` | `fork2(ctx, (left_def, &l), (right_def, &r), k)?` |
-//! | `Ok(Next::JumpHandle(k))` | `Ok(Step::Jump(k))` |
-//! | `run_persistent` / `recover_persistent` free functions | one `ppm_sched::Runtime` session: `run_or_recover(&pcomp)` |
-//!
 //! ## Determinism contract
 //!
 //! Everything here inherits the construction-determinism discipline of
 //! [`crate::registry`]: a recovering process re-runs the same `PComp`
 //! builder, declares the same capsule names in the same order, and
-//! therefore re-registers identical constructors under identical ids.
+//! therefore re-registers identical code under identical ids.
 //! Capsule bodies run under the §3 rules — write-after-read conflict
 //! free, deterministic in their captured state and persistent reads — and
 //! every frame written by a combinator comes from the restart-stable pool
@@ -55,10 +41,10 @@ use std::sync::Arc;
 
 use ppm_pm::{write_frame, FrameBuf, PmResult, ProcCtx, Word};
 
-use crate::capsule::{capsule, Next};
+use crate::capsule::Next;
 use crate::join::fork_join_frames;
 use crate::machine::Machine;
-use crate::persist::{decode_args, FrameDecodeError, Persist, ValueError, WordReader, WordSink};
+use crate::persist::{decode_args, Persist, ValueError, WordReader, WordSink};
 use crate::registry::{CapsuleId, CapsuleRegistry, CORE_ID_FORK_PAIR};
 
 /// A persistent continuation handle: the address of a capsule frame.
@@ -220,36 +206,27 @@ impl CapsuleSet {
         }
     }
 
-    /// Installs the body of a declared capsule: the rehydration
-    /// constructor decodes the typed state and continuation from the
-    /// frame words, and the capsule runs `body(&state, k, ctx)` under the
-    /// usual restart rules (so `body` must be write-after-read conflict
-    /// free and deterministic).
+    /// Installs the body of a declared capsule: an attempt decodes the
+    /// typed state and continuation off the frame words and runs
+    /// `body(&state, k, ctx)` on them under the usual restart rules (so
+    /// `body` must be write-after-read conflict free and deterministic).
     pub fn body<T, F>(&mut self, def: CapsuleDef<T>, body: F)
     where
         T: Persist + Send + Sync + 'static,
         F: Fn(&T, K, &mut ProcCtx) -> PmResult<Step> + Send + Sync + 'static,
     {
-        let body = Arc::new(body);
-        self.registry.register_traced(
+        self.registry.register(
             def.id,
             def.name,
-            move |args| {
-                let (state, k) = decode_state::<T>(def.name, args)?;
-                // A refcount move per rehydration on a line all processors
-                // share: the known residual (README, Performance § Scaling).
-                let body = body.clone();
-                Ok(capsule(def.name, move |ctx| {
-                    body(&state, k, ctx).map(Step::into_next)
-                }))
-            },
+            move |args| decode_args::<(T, K)>(def.name, args),
+            move |(state, k): &(T, K), ctx| body(state, *k, ctx).map(Step::into_next),
             // Checkpoint-GC tracer, derived from the typed state: the
             // state's own references plus the continuation handle. A
             // frame whose words no longer decode is reported as
             // untraceable (returning `false`) so GC refuses to reclaim —
             // silently reporting nothing would let the frame's live
             // children be collected.
-            move |args, out| match decode_state::<T>(def.name, args) {
+            move |args, out| match decode_args::<(T, K)>(def.name, args) {
                 Ok((state, k)) => {
                     state.pool_refs(out);
                     k.pool_refs(out);
@@ -390,13 +367,6 @@ impl CapsuleSet {
         });
         node
     }
-}
-
-fn decode_state<T: Persist>(
-    capsule: &'static str,
-    args: &[Word],
-) -> Result<(T, K), FrameDecodeError> {
-    decode_args::<(T, K)>(capsule, args)
 }
 
 /// Interns a derived capsule name so repeated registrations (a
@@ -627,21 +597,28 @@ mod tests {
     /// scheduler dependency inside ppm-core): repeatedly resolve and run
     /// capsules, treating forks as run-child-first.
     fn drive(machine: &Machine, root: Word) {
+        use crate::capsule::Active;
         let mut stack = vec![root];
         let mut ctx = machine.ctx(0);
+        let mut codes = crate::registry::CodeMemo::default();
         while let Some(h) = stack.pop() {
             let mut cur = machine
                 .arena()
                 .resolve(h)
                 .unwrap_or_else(|| panic!("handle {h} must rehydrate"));
             loop {
-                ctx.begin_capsule(cur.name());
-                let next = cur.run(&mut ctx).expect("faultless run");
+                ctx.begin_capsule(cur.name(None));
+                let next = match &cur {
+                    Active::Frame(f) => machine.arena().run_frame(&mut codes, f, &mut ctx),
+                    Active::Capsule(c) => c.run(&mut ctx),
+                    Active::Sched(_) => unreachable!("`resolve` yields user capsules"),
+                }
+                .expect("faultless run");
                 ctx.flush_staged().expect("faultless flush");
                 ctx.publish_watermark();
                 ctx.complete_capsule();
                 match next {
-                    Next::Jump(c) => cur = c,
+                    Next::Jump(c) => cur = Active::Capsule(c),
                     Next::JumpHandle(h) => {
                         cur = machine.arena().resolve(h).expect("jump target");
                     }

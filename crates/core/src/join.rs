@@ -21,6 +21,11 @@
 //! idiom). Exactly one thread continues, no matter how many soft faults or
 //! which hard faults occur (the stolen thread resumes at whichever of the
 //! two capsules was active).
+//!
+//! The pair exists in both capsule forms: a session's arrivals are the
+//! frames [`fork_join_frames`] writes (`[cell, token, after]` under
+//! [`CORE_ID_JOIN_CAM`] / [`CORE_ID_JOIN_CHECK`]), run on those words;
+//! [`JoinCell::arrive`] builds closure objects for the closure machine.
 
 use ppm_pm::{write_frame, Addr, PmResult, ProcCtx, Word};
 
@@ -83,33 +88,27 @@ impl JoinCell {
             Ok(Next::Jump(check.clone()))
         })
     }
+}
 
-    /// Frame-denotable arrival, CAM half: CAMs the cell with `token`,
-    /// writes a persistent frame for the check capsule, and jumps to it
-    /// *by handle*, so the restart pointer stays a frame address. `after`
-    /// is the frame handle of the post-join continuation.
-    pub fn arrive_cam_frame(self, token: Word, after: Word) -> Cont {
-        assert_ne!(token, UNSET, "a join token must be non-zero");
-        let cell = self.addr;
-        capsule("join-cam", move |ctx| {
-            ctx.pcam(cell, UNSET, token)?;
-            let check = write_frame(ctx, CORE_ID_JOIN_CHECK, &[cell as Word, token, after])?;
-            Ok(Next::JumpHandle(check as Word))
-        })
-    }
+/// Frame-denoted arrival, CAM half (the body of [`CORE_ID_JOIN_CAM`]):
+/// CAMs the cell with `token`, writes a persistent frame for the check
+/// capsule, and jumps to it *by handle*, so the restart pointer stays a
+/// frame address. `after` is the frame handle of the post-join continuation.
+pub(crate) fn arrive_cam(&[cell, token, after]: &[Word; 3], ctx: &mut ProcCtx) -> PmResult<Next> {
+    assert_ne!(token, UNSET, "a join token must be non-zero");
+    ctx.pcam(cell as Addr, UNSET, token)?;
+    let check = write_frame(ctx, CORE_ID_JOIN_CHECK, &[cell, token, after])?;
+    Ok(Next::JumpHandle(check as Word))
+}
 
-    /// Frame-denotable arrival, check half: reads the cell; the first
-    /// arriver ends its thread, the last continues with the `after` frame.
-    pub fn arrive_check_frame(self, token: Word, after: Word) -> Cont {
-        let cell = self.addr;
-        capsule("join-check", move |ctx| {
-            let v = ctx.pread(cell)?;
-            if v == token {
-                Ok(Next::End)
-            } else {
-                Ok(Next::JumpHandle(after))
-            }
-        })
+/// Frame-denoted arrival, check half (the body of
+/// [`CORE_ID_JOIN_CHECK`]): reads the cell; the first arriver ends its
+/// thread, the last continues with the `after` frame.
+pub(crate) fn arrive_check(&[cell, token, after]: &[Word; 3], ctx: &mut ProcCtx) -> PmResult<Next> {
+    if ctx.pread(cell as Addr)? == token {
+        Ok(Next::End)
+    } else {
+        Ok(Next::JumpHandle(after))
     }
 }
 

@@ -22,10 +22,9 @@
 //! * **Machines** ([`machine`]): bundling memory, statistics, liveness, the
 //!   arena and the address-space layout into one instance.
 //! * **The capsule registry** ([`registry`]): stable capsule ids mapped to
-//!   rehydration constructors, so continuations stored as persistent
-//!   frames ([`ppm_pm::frame`]) can be re-materialized from words alone —
-//!   by this process (lazily, through [`arena`]) or by a fresh process
-//!   recovering a crashed run.
+//!   a decode and a body over argument words, so continuations stored as
+//!   persistent frames ([`ppm_pm::frame`]) run from words alone — in this
+//!   process, or in a fresh process recovering a crashed run.
 //!
 //! The scheduler that maps these computations onto `P` faulty processors
 //! lives in `ppm-sched`; this crate is scheduler-agnostic.
@@ -59,7 +58,7 @@ pub use persist::{
     WordReader,
 };
 pub use registry::{
-    frame_args, register_core_capsules, CapsuleId, CapsuleRegistry, CapsuleTracer, PComp,
+    frame_args, register_core_capsules, CapsuleId, CapsuleRegistry, CapsuleTracer, FrameRef, PComp,
     RehydrateError, CORE_ID_END, CORE_ID_FINALE, CORE_ID_FORK_PAIR, CORE_ID_JOIN_CAM,
     CORE_ID_JOIN_CHECK, FIRST_USER_CAPSULE_ID,
 };

@@ -437,9 +437,9 @@ impl Machine {
         &self.arena
     }
 
-    /// The capsule registry: rehydration constructors for persistent
+    /// The capsule registry: the decode and body of persistent
     /// capsule frames, keyed by stable [`CapsuleId`]. Computations
-    /// register their constructors here at construction time (both in the
+    /// register their capsules here at construction time (both in the
     /// creating run and, identically, in a recovering run).
     pub fn registry(&self) -> &Arc<CapsuleRegistry> {
         &self.registry

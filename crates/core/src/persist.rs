@@ -2,7 +2,7 @@
 //!
 //! A persistent capsule frame ([`ppm_pm::frame`]) is untyped: a capsule id
 //! followed by raw argument [`Word`]s. Hand-packing geometry into those
-//! words — and hand-unpacking it in every rehydration constructor — was
+//! words — and hand-unpacking it in every capsule's decode — was
 //! the single largest source of friction (and arity bugs) in writing
 //! persistent algorithms. This module gives frames a typed surface:
 //!
@@ -139,7 +139,7 @@ pub enum FrameDecodeKind {
 /// and, from there, by a recovery fallback reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameDecodeError {
-    /// Name of the capsule whose constructor rejected the arguments.
+    /// Name of the capsule whose decode rejected the arguments.
     pub capsule: &'static str,
     /// What went wrong.
     pub kind: FrameDecodeKind,
@@ -221,9 +221,9 @@ pub fn encode_args<T: Persist>(value: &T) -> Vec<Word> {
 }
 
 /// Decodes a frame's argument words as a `T`, on behalf of capsule
-/// `capsule`. The strict front door of every typed rehydration
-/// constructor: wrong arity and out-of-range words both report a
-/// [`FrameDecodeError`] naming the capsule.
+/// `capsule`. The registered decode of every typed capsule: wrong arity
+/// and out-of-range words both report a [`FrameDecodeError`] naming the
+/// capsule.
 pub fn decode_args<T: Persist>(
     capsule: &'static str,
     args: &[Word],

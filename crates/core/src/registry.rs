@@ -1,21 +1,23 @@
-//! The capsule registry: rehydrating closures from persistent words.
+//! The capsule registry: the code that frame words denote.
 //!
 //! A continuation stored as a [`ppm_pm::frame`] frame is just words:
 //! `(capsule_id, args…)`. The *code* those words denote lives here. A
-//! [`CapsuleRegistry`] maps stable [`CapsuleId`]s to **rehydration
-//! constructors** — functions from argument words to a runnable
-//! [`Cont`] — registered deterministically at computation-construction
-//! time. Because a recovering process reconstructs the computation the
-//! same way the crashed one did (same instance builders, same ids, same
-//! deterministic region layout), it re-registers the identical
-//! constructors, and any frame address found in a persisted deque entry
-//! or restart pointer can be turned back into a live capsule.
+//! [`CapsuleRegistry`] maps stable [`CapsuleId`]s to a **decode** (the
+//! argument words type-checked into the capsule's state) and a **body**
+//! that runs on the decoded state, registered deterministically at
+//! computation-construction time. Nothing is built from a frame and kept:
+//! every attempt reads the frame's words onto the stack, decodes them and
+//! calls the body ([`crate::runner`]), and [`CapsuleRegistry::rehydrate`]
+//! is the same read and decode without the call. Because a recovering
+//! process reconstructs the computation the same way the crashed one did
+//! (same instance builders, same ids, same deterministic region layout),
+//! it re-registers the identical code, and any frame address found in a
+//! persisted deque entry or restart pointer runs again.
 //!
-//! Constructors are **shallow**: a continuation argument inside a frame
-//! stays a frame address (a plain word) in the rehydrated capsule, which
-//! resolves it lazily at run time by returning
+//! Decoding is **shallow**: a continuation argument inside a frame stays
+//! a frame address (a plain word), which the body hands back as
 //! [`crate::capsule::Next::JumpHandle`]. There is therefore no recursive
-//! rehydration and no cycle hazard at decode time.
+//! decode and no cycle hazard.
 //!
 //! ## Capsule-id allocation
 //!
@@ -27,21 +29,21 @@
 //! hands out the next free id for a capsule *name*, idempotently — the
 //! same name always maps to the same id on a given machine, and because
 //! computation construction is deterministic, to the same id on a
-//! machine recovering the same computation. This replaces the old
-//! manual-base scheme (`PREFIX_ID_BASE`, `MSORT_ID_BASE`, hand-spaced
-//! offsets) whose silent-collision hazard grew with every ported
-//! algorithm. Manual registration under an explicit id remains possible
-//! (the core capsules use it); colliding registrations panic, naming
-//! both capsules.
+//! machine recovering the same computation. Manual registration under an
+//! explicit id remains possible (the core capsules use it); colliding
+//! registrations panic, naming both capsules. Ids stay below
+//! [`MAX_CAPSULE_IDS`]: the registry and each processor's memo of it are
+//! tables indexed by id, so finding a frame's code hashes nothing.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
-use ppm_pm::{read_frame, Addr, Frame, FrameError, PersistentMemory, Word};
+use ppm_pm::{with_frame_args, Addr, FrameError, PersistentMemory, PmResult, ProcCtx, Word};
 
-use crate::capsule::{capsule, Cont, Next};
-use crate::join::JoinCell;
+use crate::capsule::Next;
 use crate::persist::{FrameDecodeError, FrameDecodeKind, PoolRefs};
+use RehydrateError::{BadArgs, UnknownCapsule};
 
 /// A stable capsule identifier. Equal across processes for the same
 /// computation, by the determinism discipline of machine construction.
@@ -50,6 +52,9 @@ pub type CapsuleId = Word;
 /// First id available to user computations; smaller ids are reserved for
 /// the runtime's built-in registered capsules.
 pub const FIRST_USER_CAPSULE_ID: CapsuleId = 0x100;
+
+/// Ids a registry holds: one past the largest registrable id.
+pub const MAX_CAPSULE_IDS: CapsuleId = 1 << 16;
 
 /// Built-in id: a join arrival's CAM capsule,
 /// args `[cell_addr, token, after_handle]`.
@@ -133,42 +138,90 @@ impl From<FrameError> for RehydrateError {
     }
 }
 
-/// A rehydration constructor: argument words to a runnable capsule.
-pub type CapsuleCtor =
-    std::sync::Arc<dyn Fn(&[Word]) -> Result<Cont, FrameDecodeError> + Send + Sync>;
+/// A capsule's registered decode and body, the state type erased.
+trait FrameCode: Send + Sync {
+    /// Whether `args` decode as the capsule's state.
+    fn decodes(&self, args: &[Word]) -> Result<(), FrameDecodeError>;
+    /// One attempt: decodes `args` and runs the body on them.
+    fn run(&self, args: &[Word], ctx: &mut ProcCtx) -> Result<PmResult<Next>, FrameDecodeError>;
+}
+
+impl<S, D, B> FrameCode for (D, B)
+where
+    D: Fn(&[Word]) -> Result<S, FrameDecodeError> + Send + Sync,
+    B: Fn(&S, &mut ProcCtx) -> PmResult<Next> + Send + Sync,
+{
+    fn decodes(&self, args: &[Word]) -> Result<(), FrameDecodeError> {
+        (self.0)(args).map(drop)
+    }
+    #[inline]
+    fn run(&self, args: &[Word], ctx: &mut ProcCtx) -> Result<PmResult<Next>, FrameDecodeError> {
+        Ok((self.1)(&(self.0)(args)?, ctx))
+    }
+}
 
 /// A frame tracer: reports the persistent-memory references a frame's
 /// argument words carry (continuation handles, live word extents) into a
 /// [`PoolRefs`] collector, returning whether the words were fully
 /// understood — `false` (e.g. the typed state failed to decode) makes
-/// the checkpoint subsystem refuse to reclaim anything, exactly like a
-/// missing tracer. Installed alongside the constructor by
-/// [`CapsuleRegistry::register_traced`] (the typed DSL derives it from
-/// [`crate::persist::Persist::pool_refs`]).
-pub type CapsuleTracer = std::sync::Arc<dyn Fn(&[Word], &mut PoolRefs) -> bool + Send + Sync>;
+/// the checkpoint subsystem refuse to reclaim anything. Installed
+/// alongside the code by [`CapsuleRegistry::register`] (the typed DSL
+/// derives it from [`crate::persist::Persist::pool_refs`]).
+pub type CapsuleTracer = Box<dyn Fn(&[Word], &mut PoolRefs) -> bool + Send + Sync>;
 
 /// A computation expressed as persistent capsule frames: given the
 /// machine and the frame handle of the continuation to run after the
-/// computation (typically the finale), register the needed rehydration
-/// constructors, build the root frame chain with deterministic setup
-/// writes ([`crate::machine::Machine::setup_frame`]), and return the root
-/// frame handle.
+/// computation (typically the finale), register the needed capsules,
+/// build the root frame chain with deterministic setup writes
+/// ([`crate::machine::Machine::setup_frame`]), and return the root frame
+/// handle.
 ///
 /// Determinism contract: calling a `PComp` on a machine reopened from a
 /// crashed run must perform the same allocations, register the same ids,
 /// and produce the same frame words as the creating run did — that is
 /// what lets a recovering scheduler resume the crashed run's deques.
-pub type PComp = std::sync::Arc<dyn Fn(&crate::machine::Machine, Word) -> Word + Send + Sync>;
+pub type PComp = Arc<dyn Fn(&crate::machine::Machine, Word) -> Word + Send + Sync>;
+
+/// What a frame handle resolves to; the closure stays in persistent memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRef {
+    /// The frame address (its handle).
+    pub addr: Addr,
+    /// The capsule id the frame named when it was resolved.
+    pub id: CapsuleId,
+    /// That capsule's registered name.
+    pub name: &'static str,
+}
 
 struct Entry {
     name: &'static str,
-    ctor: CapsuleCtor,
-    trace: Option<CapsuleTracer>,
+    code: Box<dyn FrameCode>,
+    trace: CapsuleTracer,
 }
 
-#[derive(Default)]
+impl std::fmt::Debug for Entry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+/// Entries by capsule id: the registry's table and each processor's memo.
+type Table = Vec<Option<Arc<Entry>>>;
+
+#[inline]
+fn slot(table: &Table, id: CapsuleId) -> Option<&Arc<Entry>> {
+    table.get(usize::try_from(id).ok()?)?.as_ref()
+}
+
+fn fill(table: &mut Table, id: CapsuleId, entry: Arc<Entry>) {
+    let at = id as usize;
+    table.resize(table.len().max(at + 1), None);
+    table[at] = Some(entry);
+}
+
+#[derive(Debug, Default)]
 struct Inner {
-    entries: HashMap<CapsuleId, Entry>,
+    entries: Table,
     /// Name → id for every id this registry has seen (allocated or
     /// manually registered); the idempotence key of [`CapsuleRegistry::allocate`].
     by_name: HashMap<&'static str, CapsuleId>,
@@ -176,31 +229,10 @@ struct Inner {
     next: CapsuleId,
 }
 
-/// Registry of rehydration constructors, keyed by stable capsule id.
+/// Registry of capsule code, keyed by stable capsule id.
+#[derive(Debug, Default)]
 pub struct CapsuleRegistry {
     inner: RwLock<Inner>,
-}
-
-impl Default for CapsuleRegistry {
-    fn default() -> Self {
-        CapsuleRegistry {
-            inner: RwLock::new(Inner {
-                entries: HashMap::new(),
-                by_name: HashMap::new(),
-                next: FIRST_USER_CAPSULE_ID,
-            }),
-        }
-    }
-}
-
-impl std::fmt::Debug for CapsuleRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CapsuleRegistry({} ids)",
-            self.inner.read().entries.len()
-        )
-    }
 }
 
 impl CapsuleRegistry {
@@ -215,7 +247,7 @@ impl CapsuleRegistry {
     /// names in the same order, and receives the same ids — which is
     /// what makes dynamically allocated ids construction-deterministic.
     ///
-    /// The returned id has no constructor yet; install one with
+    /// The returned id has no code yet; install it with
     /// [`CapsuleRegistry::register`] (or via `dsl::CapsuleSet`, which
     /// wraps both steps).
     pub fn allocate(&self, name: &'static str) -> CapsuleId {
@@ -224,7 +256,7 @@ impl CapsuleRegistry {
             return *id;
         }
         let mut id = inner.next.max(FIRST_USER_CAPSULE_ID);
-        while inner.entries.contains_key(&id) {
+        while slot(&inner.entries, id).is_some() {
             id += 1;
         }
         inner.next = id + 1;
@@ -232,47 +264,37 @@ impl CapsuleRegistry {
         id
     }
 
-    /// Registers `ctor` under `id`. Re-registering the same `(id, name)`
-    /// is idempotent (the recovering process replays the same
-    /// construction sequence the creating run performed).
+    /// Registers the capsule `name` under `id`: `decode` type-checks a
+    /// frame's argument words into the capsule's state, `body` runs one
+    /// attempt on it under the usual restart rules, `trace` is its
+    /// [`CapsuleTracer`]. Re-registering the same `(id, name)` is
+    /// idempotent and keeps the first code (the recovering process replays
+    /// the construction sequence the creating run performed).
     ///
     /// # Panics
     /// Panics if `id` is already registered under a *different* name, or
     /// `name` under a different id — a construction-determinism bug (or a
-    /// manual-id collision) that would silently rehydrate the wrong code.
-    /// The panic names both capsules.
-    pub fn register<F>(&self, id: CapsuleId, name: &'static str, ctor: F)
-    where
-        F: Fn(&[Word]) -> Result<Cont, FrameDecodeError> + Send + Sync + 'static,
-    {
-        self.register_inner(id, name, std::sync::Arc::new(ctor), None);
-    }
-
-    /// [`CapsuleRegistry::register`] plus a [`CapsuleTracer`], making
-    /// frames of this capsule traceable by checkpoint GC. Same idempotence
-    /// and collision rules.
-    pub fn register_traced<F, T>(&self, id: CapsuleId, name: &'static str, ctor: F, trace: T)
-    where
-        F: Fn(&[Word]) -> Result<Cont, FrameDecodeError> + Send + Sync + 'static,
-        T: Fn(&[Word], &mut PoolRefs) -> bool + Send + Sync + 'static,
-    {
-        self.register_inner(
-            id,
-            name,
-            std::sync::Arc::new(ctor),
-            Some(std::sync::Arc::new(trace)),
-        );
-    }
-
-    fn register_inner(
+    /// manual-id collision) that would silently run the wrong code; the
+    /// panic names both capsules — or if `id` is not below
+    /// [`MAX_CAPSULE_IDS`].
+    pub fn register<S, D, B, T>(
         &self,
         id: CapsuleId,
         name: &'static str,
-        ctor: CapsuleCtor,
-        trace: Option<CapsuleTracer>,
-    ) {
+        decode: D,
+        body: B,
+        trace: T,
+    ) where
+        D: Fn(&[Word]) -> Result<S, FrameDecodeError> + Send + Sync + 'static,
+        B: Fn(&S, &mut ProcCtx) -> PmResult<Next> + Send + Sync + 'static,
+        T: Fn(&[Word], &mut PoolRefs) -> bool + Send + Sync + 'static,
+    {
+        assert!(
+            id < MAX_CAPSULE_IDS,
+            "capsule id {id:#x} of `{name}` is out of range: ids index a table"
+        );
         let mut inner = self.inner.write();
-        if let Some(existing) = inner.entries.get(&id) {
+        if let Some(existing) = slot(&inner.entries, id) {
             assert_eq!(
                 existing.name, name,
                 "capsule id {id:#x} registered twice with different names \
@@ -293,17 +315,17 @@ impl CapsuleRegistry {
             inner.next = id + 1;
         }
         inner.by_name.insert(name, id);
-        inner.entries.insert(id, Entry { name, ctor, trace });
-    }
-
-    /// Whether `id` has a constructor.
-    pub fn contains(&self, id: CapsuleId) -> bool {
-        self.inner.read().entries.contains_key(&id)
+        let (code, trace) = (Box::new((decode, body)), Box::new(trace));
+        fill(
+            &mut inner.entries,
+            id,
+            Arc::new(Entry { name, code, trace }),
+        );
     }
 
     /// The diagnostic name registered for `id`.
     pub fn name_of(&self, id: CapsuleId) -> Option<&'static str> {
-        self.inner.read().entries.get(&id).map(|e| e.name)
+        slot(&self.inner.read().entries, id).map(|e| e.name)
     }
 
     /// The id allocated or registered for `name`, if any.
@@ -311,118 +333,108 @@ impl CapsuleRegistry {
         self.inner.read().by_name.get(name).copied()
     }
 
-    /// Number of registered ids.
-    pub fn len(&self) -> usize {
-        self.inner.read().entries.len()
-    }
-
-    /// Whether no ids are registered.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().entries.is_empty()
-    }
-
-    /// The constructor for `frame`'s capsule id: one read lock and one
-    /// `Arc` clone, which [`CtorCache`] pays once per id.
-    fn ctor_of(&self, addr: Addr, capsule_id: CapsuleId) -> Result<CapsuleCtor, RehydrateError> {
-        match self.inner.read().entries.get(&capsule_id) {
-            Some(e) => Ok(e.ctor.clone()),
-            None => Err(RehydrateError::UnknownCapsule { addr, capsule_id }),
-        }
-    }
-
-    /// Rehydrates a decoded frame into a runnable capsule.
-    pub fn instantiate(&self, frame: &Frame) -> Result<Cont, RehydrateError> {
-        self.instantiate_parts(frame.addr, frame.capsule_id, &frame.args)
-    }
-
-    /// [`CapsuleRegistry::instantiate`] over a frame's decoded parts (the
-    /// arena reads argument words into a stack buffer, not a [`Frame`]).
-    pub(crate) fn instantiate_parts(
+    /// Whether the frame at `handle` denotes a capsule this registry can
+    /// run: header and extent, a registered id, argument words that decode
+    /// — every check a dispatch makes, without the call. The verdict
+    /// recovery asks for on every persisted deque entry and restart pointer.
+    pub fn rehydrate(
         &self,
-        addr: Addr,
-        capsule_id: CapsuleId,
-        args: &[Word],
-    ) -> Result<Cont, RehydrateError> {
-        construct(&self.ctor_of(addr, capsule_id)?, addr, capsule_id, args)
-    }
-
-    /// Decodes the frame at `handle` in `mem` and rehydrates it. The
-    /// end-to-end path recovery uses on every persisted deque entry and
-    /// restart pointer.
-    pub fn rehydrate(&self, mem: &PersistentMemory, handle: Word) -> Result<Cont, RehydrateError> {
-        let frame = read_frame(mem, handle as ppm_pm::Addr)?;
-        self.instantiate(&frame)
+        mem: &PersistentMemory,
+        handle: Word,
+    ) -> Result<FrameRef, RehydrateError> {
+        let addr = handle as Addr;
+        with_frame_args(mem, addr, |capsule_id, args| {
+            let inner = self.inner.read();
+            let entry = slot(&inner.entries, capsule_id);
+            let entry = entry.ok_or(UnknownCapsule { addr, capsule_id })?;
+            let decoded = entry.code.decodes(args);
+            decoded.map_err(|error| BadArgs {
+                addr,
+                capsule_id,
+                error,
+            })?;
+            let (id, name) = (capsule_id, entry.name);
+            Ok(FrameRef { addr, id, name })
+        })?
     }
 
     /// Traces the persistent references of a frame's argument words into
-    /// `out`. Returns `false` when `capsule_id` has no tracer (an
-    /// unregistered id, or a raw registration without one) or the tracer
-    /// could not decode the words — the signal for checkpoint GC to skip
-    /// reclamation rather than guess at liveness.
+    /// `out`. Returns `false` when `capsule_id` is unregistered or its
+    /// tracer could not decode the words — the signal for checkpoint GC to
+    /// skip reclamation rather than guess at liveness.
     pub fn trace_refs(&self, capsule_id: CapsuleId, args: &[Word], out: &mut PoolRefs) -> bool {
-        let trace = {
-            let inner = self.inner.read();
-            match inner.entries.get(&capsule_id).and_then(|e| e.trace.clone()) {
-                Some(t) => t,
-                None => return false,
-            }
-        };
-        trace(args, out)
+        let entry = slot(&self.inner.read().entries, capsule_id).cloned();
+        entry.is_some_and(|e| (e.trace)(args, out))
     }
 }
 
-fn construct(
-    ctor: &CapsuleCtor,
-    addr: Addr,
-    capsule_id: CapsuleId,
-    args: &[Word],
-) -> Result<Cont, RehydrateError> {
-    ctor(args).map_err(|error| RehydrateError::BadArgs {
-        addr,
-        capsule_id,
-        error,
-    })
-}
-
-/// One processor's memo of the constructors it has rehydrated through
-/// (owned by its [`crate::runner::InstallCtx`]), so the run path takes no
-/// registry lock and moves no shared refcount per frame-denoted capsule.
+/// One processor's memo of the registry (owned by its
+/// [`crate::runner::InstallCtx`]), so a dispatch takes no lock, hashes
+/// nothing and moves no refcount: one `Arc` clone per id per processor.
 /// Never stale: registry entries are insert-only (re-registering an id
-/// keeps its first constructor), and an id registered after the run
-/// started simply misses here once.
-#[derive(Default)]
-pub(crate) struct CtorCache(HashMap<CapsuleId, CapsuleCtor>);
+/// keeps its first code), and a late registration misses here once.
+#[derive(Debug, Default)]
+pub(crate) struct CodeMemo(Table);
 
-impl std::fmt::Debug for CtorCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CtorCache({} ids)", self.0.len())
-    }
-}
-
-impl CtorCache {
-    /// [`CapsuleRegistry::instantiate_parts`], asking `registry` only on a
-    /// miss.
-    pub(crate) fn instantiate(
+impl CodeMemo {
+    /// `capsule_id`'s entry, asking `registry` only on a miss.
+    #[inline]
+    fn entry(
         &mut self,
         registry: &CapsuleRegistry,
         addr: Addr,
         capsule_id: CapsuleId,
-        args: &[Word],
-    ) -> Result<Cont, RehydrateError> {
-        use std::collections::hash_map::Entry as Slot;
-        let ctor = match self.0.entry(capsule_id) {
-            Slot::Occupied(hit) => hit.into_mut(),
-            Slot::Vacant(miss) => miss.insert(registry.ctor_of(addr, capsule_id)?),
-        };
-        construct(ctor, addr, capsule_id, args)
+    ) -> Result<&Entry, RehydrateError> {
+        if slot(&self.0, capsule_id).is_none() {
+            // hot-path-ok: once per id per processor — the lock and the
+            // refcount move every later dispatch of the id is spared.
+            let found = slot(&registry.inner.read().entries, capsule_id).cloned();
+            let entry = found.ok_or(UnknownCapsule { addr, capsule_id })?;
+            fill(&mut self.0, capsule_id, entry);
+        }
+        Ok(slot(&self.0, capsule_id).expect("filled on the miss"))
+    }
+
+    /// What the frame at `addr`, its header already probed, denotes: the
+    /// install-time half of a dispatch (the words are decoded when run).
+    #[inline]
+    pub(crate) fn frame_ref(
+        &mut self,
+        mem: &PersistentMemory,
+        registry: &CapsuleRegistry,
+        addr: Addr,
+    ) -> Result<FrameRef, RehydrateError> {
+        let id = mem.load(addr + 1);
+        let name = self.entry(registry, addr, id)?.name;
+        Ok(FrameRef { addr, id, name })
+    }
+
+    /// One attempt of the capsule the frame at `addr` denotes: header and
+    /// extent checked, the id and argument words read onto the stack
+    /// (uncosted), decoded, and the body called on them.
+    #[inline]
+    pub(crate) fn run(
+        &mut self,
+        mem: &PersistentMemory,
+        registry: &CapsuleRegistry,
+        addr: Addr,
+        ctx: &mut ProcCtx,
+    ) -> Result<PmResult<Next>, RehydrateError> {
+        with_frame_args(mem, addr, |capsule_id, args| {
+            let code = &self.entry(registry, addr, capsule_id)?.code;
+            code.run(args, ctx).map_err(|error| BadArgs {
+                addr,
+                capsule_id,
+                error,
+            })
+        })?
     }
 }
 
 /// Decodes a frame's argument words into a fixed-arity array on behalf of
 /// capsule `capsule`, reporting a structured [`FrameDecodeError`] on an
-/// arity mismatch. The shared front door of raw (untyped) rehydration
-/// constructors; typed constructors go through
-/// [`crate::persist::decode_args`] instead.
+/// arity mismatch. The decode of raw (untyped) registrations; typed ones
+/// go through [`crate::persist::decode_args`] instead.
 ///
 /// ```
 /// use ppm_core::registry::frame_args;
@@ -459,34 +471,27 @@ pub fn register_core_capsules(registry: &CapsuleRegistry) {
             false
         }
     };
-    registry.register_traced(
+    registry.register(
         CORE_ID_JOIN_CAM,
         "join-cam",
-        |args| {
-            let [cell, token, after] = frame_args("join-cam", args)?;
-            Ok(JoinCell::at(cell as ppm_pm::Addr).arrive_cam_frame(token, after))
-        },
+        |args| frame_args::<3>("join-cam", args),
+        crate::join::arrive_cam,
         join_trace,
     );
-    registry.register_traced(
+    registry.register(
         CORE_ID_JOIN_CHECK,
         "join-check",
-        |args| {
-            let [cell, token, after] = frame_args("join-check", args)?;
-            Ok(JoinCell::at(cell as ppm_pm::Addr).arrive_check_frame(token, after))
-        },
+        |args| frame_args::<3>("join-check", args),
+        crate::join::arrive_check,
         join_trace,
     );
-    registry.register_traced(
+    registry.register(
         CORE_ID_FINALE,
         "finale",
-        |args| {
-            let [flag] = frame_args("finale", args)?;
-            let flag = flag as ppm_pm::Addr;
-            Ok(capsule("finale", move |ctx| {
-                ctx.pwrite(flag, 1)?;
-                Ok(Next::End)
-            }))
+        |args| frame_args::<1>("finale", args),
+        |&[flag], ctx| {
+            ctx.pwrite(flag as Addr, 1)?;
+            Ok(Next::End)
         },
         |args, out| {
             if let [flag] = args {
@@ -497,23 +502,22 @@ pub fn register_core_capsules(registry: &CapsuleRegistry) {
             }
         },
     );
-    registry.register_traced(
+    registry.register(
         CORE_ID_END,
         "end",
-        |_args| Ok(crate::capsule::end_capsule()),
+        |_args| Ok(()),
+        |_: &(), _ctx| Ok(Next::End),
         |_args, _out| true,
     );
-    registry.register_traced(
+    registry.register(
         CORE_ID_FORK_PAIR,
         "fork-pair",
-        |args| {
-            let [left, right] = frame_args("fork-pair", args)?;
-            Ok(capsule("fork-pair", move |_ctx| {
-                Ok(Next::ForkHandle {
-                    child: right,
-                    cont: left,
-                })
-            }))
+        |args| frame_args::<2>("fork-pair", args),
+        |&[left, right], _ctx| {
+            Ok(Next::ForkHandle {
+                child: right,
+                cont: left,
+            })
         },
         |args, out| {
             for a in args {
@@ -527,32 +531,40 @@ pub fn register_core_capsules(registry: &CapsuleRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_pm::store_frame;
-    use std::sync::Arc;
+    use crate::machine::Machine;
+    use ppm_pm::{store_frame, PmConfig};
 
-    #[test]
-    fn register_and_instantiate() {
-        let reg = CapsuleRegistry::new();
-        reg.register(0x200, "probe", |args| {
-            let target = args[0] as ppm_pm::Addr;
-            Ok(capsule("probe", move |ctx| {
-                ctx.pwrite(target, 77)?;
-                Ok(Next::End)
-            }))
-        });
-        assert!(reg.contains(0x200));
-        assert_eq!(reg.name_of(0x200), Some("probe"));
-        assert_eq!(reg.id_of("probe"), Some(0x200));
-        let mem = Arc::new(PersistentMemory::new(256, 8));
-        store_frame(&mem, 16, 0x200, &[40]);
-        let c = reg.rehydrate(&mem, 16).expect("rehydrates");
-        assert_eq!(c.name(), "probe");
+    /// Registers `name` under `id` with no state and a body that ends.
+    fn register_end(reg: &CapsuleRegistry, id: CapsuleId, name: &'static str) {
+        reg.register(id, name, |_| Ok(()), |_: &(), _| Ok(Next::End), |_, _| true);
     }
 
-    fn expect_err(r: Result<Cont, RehydrateError>) -> RehydrateError {
+    #[test]
+    fn register_and_rehydrate() {
+        let reg = CapsuleRegistry::new();
+        reg.register(
+            0x200,
+            "probe",
+            |args| frame_args::<1>("probe", args),
+            |&[target], ctx| {
+                ctx.pwrite(target as Addr, 77)?;
+                Ok(Next::End)
+            },
+            |_, _| false,
+        );
+        assert_eq!(reg.name_of(0x200), Some("probe"));
+        assert_eq!(reg.id_of("probe"), Some(0x200));
+        let mem = PersistentMemory::new(256, 8);
+        store_frame(&mem, 16, 0x200, &[40]);
+        let c = reg.rehydrate(&mem, 16).expect("rehydrates");
+        assert_eq!(c.name, "probe");
+        assert_eq!((c.addr, c.id), (16, 0x200));
+    }
+
+    fn expect_err(r: Result<FrameRef, RehydrateError>) -> RehydrateError {
         match r {
             Err(e) => e,
-            Ok(c) => panic!("expected rehydration failure, got capsule `{}`", c.name()),
+            Ok(c) => panic!("expected rehydration failure, got capsule `{}`", c.name),
         }
     }
 
@@ -589,61 +601,70 @@ mod tests {
     #[test]
     fn re_registration_is_idempotent() {
         let reg = CapsuleRegistry::new();
-        reg.register(0x300, "same", |_| Ok(crate::capsule::end_capsule()));
-        reg.register(0x300, "same", |_| Ok(crate::capsule::end_capsule()));
-        assert_eq!(reg.len(), 1);
+        register_end(&reg, 0x300, "same");
+        register_end(&reg, 0x300, "same");
+        assert_eq!(reg.name_of(0x300), Some("same"));
+        assert_eq!(reg.allocate("next"), 0x301);
     }
 
-    /// What keeps a processor's `CtorCache` never stale: a miss is not
+    /// What keeps a processor's `CodeMemo` never stale: a miss is not
     /// memoised (an id registered after the run started resolves on the
-    /// next try), and re-registration keeps the first constructor (so a
-    /// cached one is the registry's one forever).
+    /// next try), and re-registration keeps the first code (so a
+    /// memoised entry is the registry's one forever).
     #[test]
-    fn ctor_cache_sees_late_registration_and_first_constructor_wins() {
-        let reg = CapsuleRegistry::new();
-        let mem = PersistentMemory::new(256, 8);
-        store_frame(&mem, 16, 0x310, &[]);
-        let frame = ppm_pm::read_frame(&mem, 16).expect("frame");
-        let mut cache = CtorCache::default();
+    fn code_memo_sees_late_registration_and_first_code_wins() {
+        let m = Machine::new(PmConfig::parallel(1, 1 << 12));
+        let (mem, reg) = (m.mem(), m.registry());
+        let out = m.alloc_region(1).start;
+        let frame = m.setup_frame(0x310, &[]) as Addr;
+        let mut ctx = m.ctx(0);
+        ctx.begin_capsule("t");
+        let mut memo = CodeMemo::default();
 
-        let err = expect_err(cache.instantiate(&reg, frame.addr, frame.capsule_id, &frame.args));
+        let err = memo.run(mem, reg, frame, &mut ctx).map(drop).unwrap_err();
         assert!(
             matches!(err, RehydrateError::UnknownCapsule { .. }),
             "{err}"
         );
-        reg.register(0x310, "late", |_| Ok(capsule("first", |_| Ok(Next::End))));
-        let name = |r: Result<Cont, RehydrateError>| r.expect("rehydrates").name().to_string();
-        assert_eq!(
-            name(cache.instantiate(&reg, frame.addr, frame.capsule_id, &frame.args)),
-            "first"
-        );
+        assert!(memo.frame_ref(mem, reg, frame).is_err());
+        let writes = |v: Word| {
+            move |_: &(), ctx: &mut ProcCtx| {
+                ctx.pwrite(out, v)?;
+                Ok(Next::End)
+            }
+        };
+        reg.register(0x310, "late", |_| Ok(()), writes(1), |_, _| true);
+        assert_eq!(memo.frame_ref(mem, reg, frame).unwrap().name, "late");
 
-        reg.register(0x310, "late", |_| Ok(capsule("second", |_| Ok(Next::End))));
-        assert_eq!(name(reg.instantiate(&frame)), "first");
-        assert_eq!(
-            name(cache.instantiate(&reg, frame.addr, frame.capsule_id, &frame.args)),
-            "first"
-        );
-        assert_eq!(
-            name(CtorCache::default().instantiate(&reg, frame.addr, frame.capsule_id, &frame.args)),
-            "first"
-        );
+        reg.register(0x310, "late", |_| Ok(()), writes(2), |_, _| true);
+        for memo in [&mut memo, &mut CodeMemo::default()] {
+            let next = memo.run(mem, reg, frame, &mut ctx).expect("decodes");
+            assert!(matches!(next, Ok(Next::End)));
+            assert_eq!(mem.load(out), 1, "the first registration's body ran");
+            mem.store(out, 0);
+        }
     }
 
     #[test]
     #[should_panic(expected = "registered twice with different names (alpha/up vs beta/down)")]
     fn conflicting_registration_panics_naming_both_capsules() {
         let reg = CapsuleRegistry::new();
-        reg.register(0x300, "alpha/up", |_| Ok(crate::capsule::end_capsule()));
-        reg.register(0x300, "beta/down", |_| Ok(crate::capsule::end_capsule()));
+        register_end(&reg, 0x300, "alpha/up");
+        register_end(&reg, 0x300, "beta/down");
     }
 
     #[test]
     #[should_panic(expected = "registered under two ids")]
     fn one_name_under_two_ids_panics() {
         let reg = CapsuleRegistry::new();
-        reg.register(0x300, "a", |_| Ok(crate::capsule::end_capsule()));
-        reg.register(0x301, "a", |_| Ok(crate::capsule::end_capsule()));
+        register_end(&reg, 0x300, "a");
+        register_end(&reg, 0x301, "a");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_id_past_the_table_is_refused() {
+        register_end(&CapsuleRegistry::new(), MAX_CAPSULE_IDS, "far");
     }
 
     #[test]
@@ -664,14 +685,15 @@ mod tests {
     #[test]
     fn allocation_skips_manually_registered_ids() {
         let reg = CapsuleRegistry::new();
-        reg.register(FIRST_USER_CAPSULE_ID, "manual", |_| {
-            Ok(crate::capsule::end_capsule())
-        });
+        register_end(&reg, FIRST_USER_CAPSULE_ID, "manual");
         let id = reg.allocate("dynamic");
         assert_ne!(id, FIRST_USER_CAPSULE_ID);
-        assert!(!reg.contains(id), "allocated but not yet registered");
-        reg.register(id, "dynamic", |_| Ok(crate::capsule::end_capsule()));
-        assert!(reg.contains(id));
+        assert!(
+            reg.name_of(id).is_none(),
+            "allocated but not yet registered"
+        );
+        register_end(&reg, id, "dynamic");
+        assert_eq!(reg.name_of(id), Some("dynamic"));
     }
 
     #[test]
@@ -685,7 +707,7 @@ mod tests {
             CORE_ID_END,
             CORE_ID_FORK_PAIR,
         ] {
-            assert!(reg.contains(id));
+            assert!(reg.name_of(id).is_some());
             assert!(id < FIRST_USER_CAPSULE_ID);
         }
         register_core_capsules(&reg); // idempotent

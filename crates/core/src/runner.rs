@@ -32,18 +32,24 @@
 //! A frame or a record is fully described by shared words, so a fresh
 //! process can pick the pointed-to capsule up after a crash; a closure
 //! dies with its process, which is why no session mints one.
+//!
+//! A frame is run where it lies (`ContArena::run_frame`): header and
+//! extent checked, id and argument words read onto the stack, decoded,
+//! the registered body called on them. **Every attempt does this again**
+//! (§2: a restart "loads the restart pointer and the start instruction"),
+//! so nothing a faulted attempt decoded survives it. The reads are
+//! uncosted: the model charges closure loading to the restart overhead.
 
-use ppm_pm::{Addr, Fault, PersistentMemory, PmResult, ProcCtx, Word};
+use ppm_pm::{Fault, PersistentMemory, PmResult, ProcCtx, Word};
 
 use crate::arena::{ContArena, NULL_HANDLE};
 use crate::capsule::{Active, Cont, Next, SchedRecord, Scheduler};
 use crate::machine::{meta, ProcMeta};
-use crate::registry::CtorCache;
+use crate::registry::CodeMemo;
 
 /// Per-processor installation state: where the restart pointer and the
 /// journal live, which slot the next install goes to, the generation it
-/// will carry, and the rehydration constructors this processor has
-/// already looked up.
+/// will carry, and this processor's memo of the capsule registry.
 #[derive(Debug)]
 pub struct InstallCtx {
     meta: ProcMeta,
@@ -54,7 +60,7 @@ pub struct InstallCtx {
     /// sits in slot A.
     live_a: Option<bool>,
     gen: Word,
-    ctors: CtorCache,
+    codes: CodeMemo,
 }
 
 /// The words one record install stores, in store order, and the metadata
@@ -100,7 +106,7 @@ impl InstallCtx {
             use_a: true,
             live_a: None,
             gen: stale(meta::HEAD_A).max(stale(meta::HEAD_B)) + 1,
-            ctors: CtorCache::default(),
+            codes: CodeMemo::default(),
         }
     }
 
@@ -225,7 +231,7 @@ pub fn run_capsule(
     // — so a stolen or adopted capsule takes its parent from the
     // persistent frame word, the true causal edge, not from the thief's
     // scheduling loop.
-    ctx.span_begin(name, matches!(cur, Active::Capsule(_)));
+    ctx.span_begin(name, !matches!(cur, Active::Sched(_)));
     loop {
         let attempt = run_body_and_install(ctx, arena, install, cur, sched);
         match attempt {
@@ -261,6 +267,7 @@ fn run_body_and_install(
 ) -> PmResult<Option<Active>> {
     let next = match (cur, sched) {
         (Active::Capsule(c), _) => c.run(ctx)?,
+        (Active::Frame(frame), _) => arena.run_frame(&mut install.codes, frame, ctx)?,
         (Active::Sched(rec), Some(s)) => s.run(rec, ctx, arena)?,
         (Active::Sched(_), None) => panic_no_scheduler(cur.name(None)),
     };
@@ -285,8 +292,7 @@ fn run_body_and_install(
             Ok(Some(Active::Capsule(c)))
         }
         Next::JumpHandle(h) => {
-            let target = resolve_handle(arena, install, h, cur.name(sched));
-            note_frame_provenance(ctx, h);
+            let target = resolve_handle(ctx, arena, install, h, cur.name(sched));
             install.install_handle(ctx, h)?;
             Ok(Some(target))
         }
@@ -321,24 +327,22 @@ fn run_body_and_install(
     }
 }
 
-/// Records the causal edge of a frame-handle install: the frame's
-/// parent-span word plus the frame address, delivered to the next traced
-/// capsule begin. Uncosted oracle read — provenance metadata, charged to
-/// nobody (the costed install is the restart-pointer write). Runs after
-/// the current (possibly untraced, chain-breaking) capsule body, so a
-/// scheduler's `popBottom`/`popTop` hand-off survives to the computation
-/// capsule it installs. Public for the scheduler driver, which performs
-/// the same hand-off when it plants recovered or adopted frames.
-pub fn note_frame_provenance(ctx: &mut ProcCtx, handle: Word) {
-    if let Some(parent) = ppm_pm::frame::frame_parent_span(ctx.raw_mem(), handle as Addr) {
-        ctx.set_pending_parent(parent, handle as Addr);
-    }
-}
-
-fn resolve_handle(arena: &ContArena, install: &mut InstallCtx, handle: Word, from: &str) -> Active {
-    let ctors = &mut install.ctors;
-    let resolved = arena.resolve_with(handle, |registry, addr, id, args| {
-        ctors.instantiate(registry, addr, id, args)
+/// What the engine is about to install for `handle`. A frame costs its
+/// header probe and a lookup in the processor's memo (the words are
+/// decoded when they run) plus, with tracing on, the causal edge for the
+/// next traced capsule begin: uncosted provenance, read after the current
+/// (possibly chain-breaking) body so a scheduler's hand-off survives it.
+fn resolve_handle(
+    ctx: &mut ProcCtx,
+    arena: &ContArena,
+    install: &mut InstallCtx,
+    handle: Word,
+    from: &str,
+) -> Active {
+    let codes = &mut install.codes;
+    let resolved = arena.resolve_with(handle, |mem, registry, addr| {
+        ctx.set_pending_parent(addr, || mem.load(addr + 2));
+        codes.frame_ref(mem, registry, addr)
     });
     resolved.unwrap_or_else(|_| {
         panic!("capsule `{from}` jumped to dangling continuation handle {handle} — scheduler bug")
@@ -374,7 +378,7 @@ mod tests {
     use super::*;
     use crate::capsule::{capsule, final_capsule, step_capsule};
     use crate::machine::Machine;
-    use ppm_pm::{FaultConfig, PmConfig};
+    use ppm_pm::{Addr, FaultConfig, PmConfig};
 
     fn machine_with(f: FaultConfig) -> Machine {
         Machine::new(PmConfig::parallel(1, 1 << 16).with_fault(f))
@@ -496,6 +500,51 @@ mod tests {
             (faulty as f64) < 2.0 * faultless as f64,
             "W_f = {faulty} should be within a small constant of W = {faultless}"
         );
+    }
+
+    /// A restart reloads the closure (§2): each attempt of a frame reads
+    /// and decodes the argument words again, so an attempt that follows a
+    /// soft fault sees the words as they are then — nothing a faulted
+    /// attempt decoded is kept.
+    #[test]
+    fn every_attempt_of_a_frame_decodes_its_words_again() {
+        use crate::registry::frame_args;
+        let mut restarted = 0;
+        for seed in 0..16 {
+            let m = machine_with(FaultConfig::soft(0.5, seed));
+            let out = m.alloc_region(1).start;
+            let id = m.registry().allocate("rerun/probe");
+            m.registry().register(
+                id,
+                "rerun/probe",
+                |args| frame_args::<2>("rerun/probe", args),
+                move |&[me, v], ctx| {
+                    // Uncosted, and before the first costed access: the
+                    // first attempt rewrites its own second argument.
+                    ctx.raw_mem()
+                        .store(me as Addr + ppm_pm::frame::FRAME_ARGS_AT + 1, 2);
+                    ctx.pwrite(out, v)?;
+                    Ok(Next::End)
+                },
+                |_, _| false,
+            );
+            let frame = m.setup_frame(id, &[0, 1]);
+            m.mem()
+                .store(frame as Addr + ppm_pm::frame::FRAME_ARGS_AT, frame);
+            let cur = m.arena().resolve(frame).expect("a registered frame");
+            let mut ctx = m.ctx(0);
+            let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
+            let next = run_capsule(&mut ctx, m.arena(), &mut install, &cur, None).unwrap();
+            assert!(next.is_none(), "the chain ends");
+            let restarts = m.snapshot().capsule_restarts();
+            assert_eq!(
+                m.mem().load(out),
+                if restarts > 0 { 2 } else { 1 },
+                "seed {seed}: {restarts} restarts"
+            );
+            restarted += u64::from(restarts > 0);
+        }
+        assert!(restarted > 0, "f = 0.5 must restart some seed's capsule");
     }
 
     #[test]

@@ -310,17 +310,31 @@ pub fn read_frame(mem: &PersistentMemory, addr: Addr) -> Result<Frame, FrameErro
     })
 }
 
-/// [`read_frame`] into the caller's buffer — the per-capsule rehydration
-/// path, which allocates nothing. Returns `(capsule id, parent span,
-/// argument count)`; the arguments are `args[..count]`.
-pub fn read_frame_into(
+/// Argument words the small stack image of [`with_frame_args`] holds: the
+/// join arrivals, a `map_grain` span and the service frames all fit.
+const SMALL_FRAME_ARGS: usize = 8;
+
+/// [`read_frame`] without the heap — what running a frame costs: checks
+/// the header and extent at `addr`, reads exactly the frame's argument
+/// words into a stack image no larger than they need, and hands `f` the
+/// capsule id and the words.
+#[inline]
+pub fn with_frame_args<R>(
     mem: &PersistentMemory,
     addr: Addr,
-    args: &mut [Word; MAX_FRAME_ARGS],
-) -> Result<(Word, Word, usize), FrameError> {
+    f: impl FnOnce(Word, &[Word]) -> R,
+) -> Result<R, FrameError> {
     let argc = frame_argc(mem, addr)?;
-    mem.read_range(addr + FRAME_ARGS_AT, &mut args[..argc]);
-    Ok((mem.load(addr + 1), mem.load(addr + 2), argc))
+    let (id, at) = (mem.load(addr + 1), addr + FRAME_ARGS_AT);
+    Ok(if argc <= SMALL_FRAME_ARGS {
+        let mut args = [0; SMALL_FRAME_ARGS];
+        mem.read_range(at, &mut args[..argc]);
+        f(id, &args[..argc])
+    } else {
+        let mut args = [0; MAX_FRAME_ARGS];
+        mem.read_range(at, &mut args[..argc]);
+        f(id, &args[..argc])
+    })
 }
 
 /// Whether the word at `addr` looks like a frame header (cheap probe used
@@ -328,14 +342,6 @@ pub fn read_frame_into(
 #[inline]
 pub fn is_frame_at(mem: &PersistentMemory, addr: Addr) -> bool {
     addr != 0 && addr < mem.len() && parse_header(mem.load(addr)).is_some()
-}
-
-/// The parent-span word of the frame at `addr`, or `None` when `addr`
-/// does not hold a frame. Uncosted oracle read (tracing provenance, not
-/// program state).
-#[inline]
-pub fn frame_parent_span(mem: &PersistentMemory, addr: Addr) -> Option<Word> {
-    is_frame_at(mem, addr).then(|| mem.load(addr + 2))
 }
 
 #[cfg(test)]
@@ -444,6 +450,19 @@ mod tests {
         let empty = read_frame(&mem, 80).unwrap();
         assert_eq!(empty.cont(), None);
         assert!(empty.state_words().is_empty());
+    }
+
+    #[test]
+    fn with_frame_args_hands_over_exactly_the_frames_words() {
+        let mem = Arc::new(PersistentMemory::new(1024, 8));
+        for argc in [0, 1, SMALL_FRAME_ARGS, SMALL_FRAME_ARGS + 1, MAX_FRAME_ARGS] {
+            let args: Vec<Word> = (0..argc as Word).map(|i| 100 + i).collect();
+            store_frame(&mem, 40, 9, &args);
+            let seen = with_frame_args(&mem, 40, |id, words| (id, words.to_vec()));
+            assert_eq!(seen, Ok((9, args)), "argc = {argc}");
+        }
+        let err = with_frame_args(&mem, 10, |_, _| ()).unwrap_err();
+        assert!(matches!(err, FrameError::NotAFrame { .. }), "{err}");
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use dirty::{DirtyTracker, PageRun, PAGE_WORDS};
 pub use error::{Fault, PmResult};
 pub use fault::{FaultInjector, HeartbeatLiveness, Liveness};
 pub use frame::{
-    frame_words, is_frame_at, read_frame, read_frame_into, store_frame, write_frame, Frame,
+    frame_words, is_frame_at, read_frame, store_frame, with_frame_args, write_frame, Frame,
     FrameBuf, FrameError, FRAME_MAGIC, MAX_FRAME_ARGS,
 };
 pub use layout::{LayoutBuilder, Region};

@@ -196,7 +196,7 @@ impl ProcCtx {
 
     /// Begins a *new* capsule: commits the allocation cursor and resets the
     /// validator and work counter. Called when a capsule is installed.
-    pub fn begin_capsule(&mut self, name: &str) {
+    pub fn begin_capsule(&mut self, name: &'static str) {
         self.capsule_start_cursor = self.alloc_cursor;
         self.capsule_work = 0;
         self.staged.clear();
@@ -208,7 +208,7 @@ impl ProcCtx {
     /// gone (the capsule body's locals are simply dropped by the engine),
     /// the allocation cursor rolls back so the rerun allocates identical
     /// addresses, and validation restarts.
-    pub fn restart_capsule(&mut self, name: &str) {
+    pub fn restart_capsule(&mut self, name: &'static str) {
         self.alloc_cursor = self.capsule_start_cursor;
         self.capsule_work = 0;
         self.staged.clear();
@@ -294,12 +294,14 @@ impl ProcCtx {
     }
 
     /// Records the causal edge for the next frame-handle install: the
-    /// `parent` span read from the frame's parent word and the frame
-    /// address itself. Consumed by the next traced [`ProcCtx::span_begin`].
-    /// Engine use (uncosted — provenance, not program state).
-    pub fn set_pending_parent(&mut self, parent: u64, frame: Addr) {
+    /// frame address and the span `parent` reads from the frame's parent
+    /// word — read only when a span sink is attached, so an untraced
+    /// install costs this check. Consumed by the next traced
+    /// [`ProcCtx::span_begin`]. Engine use (uncosted — provenance, not
+    /// program state).
+    pub fn set_pending_parent(&mut self, frame: Addr, parent: impl FnOnce() -> u64) {
         if self.span_sink.is_some() {
-            self.pending_parent = parent;
+            self.pending_parent = parent();
             self.pending_frame = frame as u64;
         }
     }

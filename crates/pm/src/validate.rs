@@ -119,7 +119,7 @@ pub struct WarTracker {
     /// Slots carrying `gen`.
     live: usize,
     /// Name of the running capsule, for diagnostics.
-    capsule_name: String,
+    capsule_name: &'static str,
 }
 
 impl WarTracker {
@@ -130,7 +130,7 @@ impl WarTracker {
             slots: vec![Slot::default(); INITIAL_SLOTS].into_boxed_slice(),
             gen: 1,
             live: 0,
-            capsule_name: String::new(),
+            capsule_name: "",
         }
     }
 
@@ -143,16 +143,13 @@ impl WarTracker {
     /// independently, which is sound because a conflict-free run re-executes
     /// identically). O(1): the old generation's slots become empty by no
     /// longer matching.
-    pub fn reset(&mut self, capsule_name: &str) {
+    pub fn reset(&mut self, capsule_name: &'static str) {
         if self.mode == ValidateMode::Off {
             return;
         }
         self.gen += 1;
         self.live = 0;
-        if self.capsule_name != capsule_name {
-            self.capsule_name.clear();
-            self.capsule_name.push_str(capsule_name);
-        }
+        self.capsule_name = capsule_name;
     }
 
     /// `Ok` of the index of `line`'s slot if the running capsule touched

@@ -496,9 +496,9 @@ impl Sched {
                 let cur = ctx.pread(d.entry(b - 1))?;
                 if cur == new {
                     ctx.pwrite(d.bot, (b - 1) as Word)?;
-                    // Jump by handle: the engine resolves `f` (rehydrating
-                    // a frame) and installs the handle itself as the
-                    // restart pointer.
+                    // Jump by handle: the engine installs the handle itself
+                    // as the restart pointer and runs `f`'s frame where it
+                    // lies.
                     return Ok(Next::JumpHandle(f));
                 }
                 if kind_of(cur) == EntryKind::Taken && tag_of(cur) == tag_of(new).wrapping_add(1) {
@@ -1013,6 +1013,38 @@ mod tests {
         let panic = illegal.expect_err("Empty -> Job must trip the checker");
         let msg = panic.downcast_ref::<String>().expect("formatted panic");
         assert!(msg.contains("illegal Figure 4 entry transition"), "{msg}");
+    }
+
+    /// The pre-steal guard reads a dead owner's frame as the dispatch
+    /// would: a registered id over words that do not decode is refused and
+    /// counted once, and accepted once the words are repaired.
+    #[test]
+    fn a_dead_owners_undecodable_frame_blocks_adoption_until_repaired() {
+        use ppm_core::dsl::{CapsuleSet, Step};
+        let machine = Machine::new(ppm_pm::PmConfig::parallel(2, 1 << 20));
+        let done = DoneFlag::new(&machine);
+        let domain = ShardDomain::new(ppm_pm::ShardMap::new(2, 2), 0);
+        let s = Sched::new_sharded(&machine, done, &SchedConfig::with_slots(64), domain.clone());
+        let flag =
+            CapsuleSet::new(&machine).define("guard/flag", |_: &bool, k, _| Ok(Step::Jump(k)));
+        // Word 5 is no `bool`: the frame names a registered capsule whose
+        // decode refuses it.
+        let frame = machine.setup_frame(flag.id(), &[5, 0]);
+        machine.mem().store(machine.proc_meta(1).active, frame);
+
+        for _ in 0..2 {
+            assert!(!s.restart_pointer_decodes(1, machine.arena()));
+        }
+        assert_eq!(
+            domain.blocked_adoptions(),
+            1,
+            "one lost thread, probed twice"
+        );
+        machine
+            .mem()
+            .store(frame as usize + ppm_pm::frame::FRAME_ARGS_AT, 1);
+        assert!(s.restart_pointer_decodes(1, machine.arena()));
+        assert_eq!(domain.blocked_adoptions(), 1);
     }
 
     #[test]

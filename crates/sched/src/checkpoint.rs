@@ -200,8 +200,8 @@ pub struct CheckpointSummary {
     /// boundary (a steal or push in flight, a closure-parked restart
     /// pointer) — retried at a later boundary.
     pub skipped_busy: u64,
-    /// Quiesces skipped because a reachable frame's capsule had no
-    /// GC tracer (raw registration without [`ppm_core::CapsuleRegistry::register_traced`]).
+    /// Quiesces skipped because a reachable frame's capsule had no GC
+    /// tracer that understood its words (see [`ppm_core::CapsuleTracer`]).
     pub skipped_untraced: u64,
     /// Checkpoint records durably written (0 on volatile machines).
     pub records_written: u64,

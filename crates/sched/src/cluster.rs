@@ -112,7 +112,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ppm_core::registry::frame_args;
-use ppm_core::{capsule, DoneFlag, Machine, Next};
+use ppm_core::{DoneFlag, Machine, Next};
 use ppm_obs::{MetricsRegistry, MetricsServer, Obs, TraceKind};
 use ppm_pm::{Lease, LeaseState, PersistentMemory, Region, ShardMap, Word};
 
@@ -139,7 +139,7 @@ pub const STARTUP_LEASE_FACTOR: u64 = 10;
 const REPORT_WORDS: usize = 8;
 
 /// Builds shard `s`'s sub-computation: given the machine and the frame
-/// handle of the shard's arrival continuation, register constructors,
+/// handle of the shard's arrival continuation, register capsules,
 /// build the subtree's root frame, and return its handle — the same
 /// contract as [`crate::PComp`], parameterized by shard. Called for
 /// *every* shard in *every* attaching process (construction determinism:
@@ -651,19 +651,16 @@ fn build_session(
 
     let registry = machine.registry();
     let arrive_id = registry.allocate("cluster/arrive");
-    registry.register_traced(
+    registry.register(
         arrive_id,
         "cluster/arrive",
-        |args| {
-            let [flag, check] = frame_args("cluster/arrive", args)?;
-            // A CAM capsule: the shard-completion flag only ever goes
-            // 0 → 1, so re-execution (including duplicate execution by an
-            // adopting survivor racing a falsely-declared-dead owner) is
-            // benign.
-            Ok(capsule("cluster/arrive", move |ctx| {
-                ctx.pcam(flag as ppm_pm::Addr, 0, 1)?;
-                Ok(Next::JumpHandle(check))
-            }))
+        |args| frame_args::<2>("cluster/arrive", args),
+        // A CAM capsule: the shard-completion flag only ever goes 0 → 1,
+        // so re-execution (including duplicate execution by an adopting
+        // survivor racing a falsely-declared-dead owner) is benign.
+        |&[flag, check], ctx| {
+            ctx.pcam(flag as ppm_pm::Addr, 0, 1)?;
+            Ok(Next::JumpHandle(check))
         },
         |args, out| {
             if let [flag, check] = args {
@@ -676,22 +673,20 @@ fn build_session(
         },
     );
     let check_id = registry.allocate("cluster/check");
-    registry.register_traced(
+    registry.register(
         check_id,
         "cluster/check",
-        |args| {
-            let [base, n, finale] = frame_args("cluster/check", args)?;
-            // Racy reads of monotone flags: if every shard has arrived,
-            // jump to the finale (itself a racy 0 → 1 write — duplicate
-            // finishers are idempotent); otherwise this thread is done.
-            Ok(capsule("cluster/check", move |ctx| {
-                for i in 0..n as usize {
-                    if ctx.pread(base as ppm_pm::Addr + i)? == 0 {
-                        return Ok(Next::End);
-                    }
+        |args| frame_args::<3>("cluster/check", args),
+        // Racy reads of monotone flags: if every shard has arrived, jump
+        // to the finale (itself a racy 0 → 1 write — duplicate finishers
+        // are idempotent); otherwise this thread is done.
+        |&[base, n, finale], ctx| {
+            for i in 0..n as usize {
+                if ctx.pread(base as ppm_pm::Addr + i)? == 0 {
+                    return Ok(Next::End);
                 }
-                Ok(Next::JumpHandle(finale))
-            }))
+            }
+            Ok(Next::JumpHandle(finale))
         },
         |args, out| {
             if let [base, n, finale] = args {

@@ -140,7 +140,7 @@ pub enum FallbackReason {
         /// pointer, with its location).
         what: String,
         /// The rehydration failure, carrying the typed decode error when
-        /// a constructor rejected the argument words.
+        /// the capsule's decode rejected the argument words.
         error: RehydrateError,
     },
     /// A `taken` entry references a thief coordinate outside the machine
@@ -177,7 +177,7 @@ pub enum FallbackReason {
 
 impl FallbackReason {
     /// The typed frame-argument decode error, when the fallback was a
-    /// constructor rejecting a frame's words.
+    /// capsule's decode rejecting a frame's words.
     pub fn decode_error(&self) -> Option<&FrameDecodeError> {
         match self {
             FallbackReason::Rehydrate { error, .. } => error.decode_error(),
@@ -416,7 +416,14 @@ pub fn run_root_on(machine: &Machine, sched: &Arc<Sched>, root: Cont, done: Done
     let root_slot = machine.alloc_region(1).start;
     machine.arena().preregister(root_slot, root.clone());
     let ctl = CheckpointCtl::disabled(machine, sched.clone());
-    launch_root(machine, sched, root, root_slot as Word, done, &ctl)
+    launch_root(
+        machine,
+        sched,
+        Active::Capsule(root),
+        root_slot as Word,
+        done,
+        &ctl,
+    )
 }
 
 /// Runs a frame-denoted root thread on a prebuilt scheduler: the restart
@@ -432,7 +439,7 @@ fn run_root_handle_on(
     let root = machine.arena().resolve(root_handle).unwrap_or_else(|| {
         panic!(
             "root frame handle {root_handle} does not rehydrate — the PComp must \
-             register its capsule constructors before returning"
+             register its capsules before returning"
         )
     });
     launch_root(machine, sched, root, root_handle, done, ctl)
@@ -445,7 +452,7 @@ fn run_root_handle_on(
 fn launch_root(
     machine: &Machine,
     sched: &Arc<Sched>,
-    root: Cont,
+    root: Active,
     root_handle: Word,
     done: DoneFlag,
     ctl: &Arc<CheckpointCtl>,
@@ -461,7 +468,7 @@ fn launch_root(
         .map(|proc| match proc {
             0 => ProcSeat {
                 proc,
-                first: Active::Capsule(root.clone()),
+                first: root.clone(),
                 cursor: 0,
             },
             _ => ProcSeat::idle(sched, proc, 0),
@@ -610,13 +617,11 @@ pub(crate) fn harvest_frontier(
     sched: &Arc<Sched>,
 ) -> Result<Vec<Word>, FallbackReason> {
     let mem = machine.mem();
-    // Validate through the registry directly, NOT through the arena: the
-    // arena would cache each rehydrated capsule under its frame address,
-    // and if this harvest later aborts into the replay-from-root path —
-    // which resets pool cursors to 0 and reuses those addresses for
-    // different frames — the stale cache entries would shadow the
-    // replay's own frames. The resumed run re-decodes the (intact,
-    // watermark-protected) frames lazily instead.
+    // Validate-only: every check a dispatch of the frame will make, and
+    // nothing kept — if this harvest later aborts into the
+    // replay-from-root path, which resets pool cursors to 0, the same
+    // addresses will hold different frames. The resumed run reads the
+    // (intact, watermark-protected) frames again when it runs them.
     let registry = machine.registry();
     let mut seeds = Vec::new();
     for d in sched.deques() {
@@ -711,8 +716,8 @@ pub(crate) fn plant_seeds(machine: &Machine, sched: &Arc<Sched>, seeds: &[Word])
 ///
 /// The caller must rebuild the machine-setup sequence of the crashed run
 /// deterministically before/within `pcomp`: the same user
-/// [`Machine::alloc_region`] calls in the same order, the same capsule
-/// constructors registered under the same ids, and the same `cfg`.
+/// [`Machine::alloc_region`] calls in the same order, the same capsules
+/// registered under the same ids, and the same `cfg`.
 ///
 /// Recovery then:
 ///

@@ -61,7 +61,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppm_core::registry::frame_args;
-use ppm_core::{capsule, CapsuleId, Machine, Next};
+use ppm_core::{CapsuleId, Machine, Next};
 use ppm_obs::{Counter, Obs, TraceKind};
 use ppm_pm::service::{
     ring_words, slot_checksum, slot_claimant, slot_epoch, slot_phase, slot_state,
@@ -291,44 +291,42 @@ impl InjectorQueue {
         );
 
         let entry_id = registry.allocate("service/entry");
-        registry.register_traced(
+        registry.register(
             entry_id,
             "service/entry",
-            move |args| {
-                let [state_a, ticket_a, ticket, job] = frame_args("service/entry", args)?;
-                Ok(capsule("service/entry", move |ctx| {
-                    let me = ctx.proc();
-                    // Ticket guard: if the slot was reclaimed and reused,
-                    // a stale resumed entry frame must do nothing.
-                    if ctx.pread(ticket_a as ppm_pm::Addr)? != ticket {
-                        return Ok(Next::End);
+            |args| frame_args::<4>("service/entry", args),
+            |&[state_a, ticket_a, ticket, job], ctx| {
+                let me = ctx.proc();
+                // Ticket guard: if the slot was reclaimed and reused, a
+                // stale resumed entry frame must do nothing.
+                if ctx.pread(ticket_a as ppm_pm::Addr)? != ticket {
+                    return Ok(Next::End);
+                }
+                let st = ctx.pread(state_a as ppm_pm::Addr)?;
+                let claimant = slot_claimant(st);
+                match slot_phase(st) {
+                    // Our own claim: advance to RUNNING, then the job.
+                    Some(SlotPhase::Claimed) if claimant == me => {
+                        let new = slot_state(SlotPhase::Running, slot_epoch(st), me);
+                        Ok(go(SchedStep::EntryCam(state_a, st, new, job)))
                     }
-                    let st = ctx.pread(state_a as ppm_pm::Addr)?;
-                    let claimant = slot_claimant(st);
-                    match slot_phase(st) {
-                        // Our own claim: advance to RUNNING, then the job.
-                        Some(SlotPhase::Claimed) if claimant == me => {
-                            let new = slot_state(SlotPhase::Running, slot_epoch(st), me);
-                            Ok(go(SchedStep::EntryCam(state_a, st, new, job)))
-                        }
-                        // We already advanced it and crashed before the
-                        // jump: just run the job.
-                        Some(SlotPhase::Running) if claimant == me => Ok(Next::JumpHandle(job)),
-                        // Adoption: the claimant hard-faulted mid-job and
-                        // we inherited its restart pointer. Re-claim at
-                        // epoch + 1 — the bump fences the dead claimant's
-                        // (or a falsely-dead survivor's) stale CAMs.
-                        Some(SlotPhase::Claimed) | Some(SlotPhase::Running)
-                            if !ctx.is_live(claimant) =>
-                        {
-                            let new = slot_state(SlotPhase::Running, slot_epoch(st) + 1, me);
-                            Ok(go(SchedStep::EntryCam(state_a, st, new, job)))
-                        }
-                        // Someone else legitimately owns (or finished)
-                        // the slot: nothing for this thread.
-                        _ => Ok(Next::End),
+                    // We already advanced it and crashed before the jump:
+                    // just run the job.
+                    Some(SlotPhase::Running) if claimant == me => Ok(Next::JumpHandle(job)),
+                    // Adoption: the claimant hard-faulted mid-job and we
+                    // inherited its restart pointer. Re-claim at epoch + 1
+                    // — the bump fences the dead claimant's (or a
+                    // falsely-dead survivor's) stale CAMs.
+                    Some(SlotPhase::Claimed) | Some(SlotPhase::Running)
+                        if !ctx.is_live(claimant) =>
+                    {
+                        let new = slot_state(SlotPhase::Running, slot_epoch(st) + 1, me);
+                        Ok(go(SchedStep::EntryCam(state_a, st, new, job)))
                     }
-                }))
+                    // Someone else legitimately owns (or finished) the
+                    // slot: nothing for this thread.
+                    _ => Ok(Next::End),
+                }
             },
             |args, out| {
                 if let [state_a, ticket_a, _ticket, job] = args {
@@ -343,31 +341,27 @@ impl InjectorQueue {
         );
 
         let done_id = registry.allocate("service/done");
-        registry.register_traced(
+        registry.register(
             done_id,
             "service/done",
-            move |args| {
-                let [state_a, ticket_a, ticket] = frame_args("service/done", args)?;
-                Ok(capsule("service/done", move |ctx| {
-                    if ctx.pread(ticket_a as ppm_pm::Addr)? != ticket {
-                        return Ok(Next::End);
+            |args| frame_args::<3>("service/done", args),
+            |&[state_a, ticket_a, ticket], ctx| {
+                if ctx.pread(ticket_a as ppm_pm::Addr)? != ticket {
+                    return Ok(Next::End);
+                }
+                let st = ctx.pread(state_a as ppm_pm::Addr)?;
+                match slot_phase(st) {
+                    Some(SlotPhase::Running) => {
+                        let done_w = slot_state(SlotPhase::Done, slot_epoch(st), slot_claimant(st));
+                        // The exactly-once `RUNNING → DONE` CAM, alone in
+                        // its capsule, then its check.
+                        Ok(go(SchedStep::DoneCam(state_a, st, done_w, ticket)))
                     }
-                    let st = ctx.pread(state_a as ppm_pm::Addr)?;
-                    match slot_phase(st) {
-                        Some(SlotPhase::Running) => {
-                            let done_w =
-                                slot_state(SlotPhase::Done, slot_epoch(st), slot_claimant(st));
-                            // The exactly-once `RUNNING → DONE` CAM, alone
-                            // in its capsule, then its check.
-                            Ok(go(SchedStep::DoneCam(state_a, st, done_w, ticket)))
-                        }
-                        // DONE already (benign re-run), or a rescue
-                        // republished the slot out from under a
-                        // falsely-dead runner — the re-claimed run
-                        // completes it.
-                        _ => Ok(Next::End),
-                    }
-                }))
+                    // DONE already (benign re-run), or a rescue
+                    // republished the slot out from under a falsely-dead
+                    // runner — the re-claimed run completes it.
+                    _ => Ok(Next::End),
+                }
             },
             |args, out| {
                 if let [state_a, ticket_a, _ticket] = args {
@@ -498,7 +492,7 @@ impl InjectorQueue {
 
     /// Submits a job: the capsule `kind`'s frame is built in the won
     /// slot's workspace with `args` plus an appended continuation handle
-    /// (the slot's done frame — `kind`'s constructor must treat its last
+    /// (the slot's done frame — `kind`'s body must treat its last
     /// argument as the frame handle to jump to on completion, the
     /// standard continuation-passing contract). Runs host-side (oracle
     /// writes + one durability flush), not as model capsules: crash
@@ -785,8 +779,8 @@ impl ServiceHandle {
 
     /// Submits a job by registered capsule name (the name must have been
     /// registered by the session's [`crate::cluster::ShardBuild`] —
-    /// construction determinism guarantees every worker can rehydrate
-    /// it). The capsule's constructor receives `args` plus an appended
+    /// construction determinism guarantees every worker can run it). The
+    /// capsule's decode receives `args` plus an appended
     /// continuation frame handle it must jump to on completion.
     pub fn submit(&mut self, kind: &'static str, args: &[Word]) -> io::Result<JobTicket> {
         self.tick();

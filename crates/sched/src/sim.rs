@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use ppm_core::registry::PComp;
 use ppm_core::{
-    run_capsule, Active, Comp, Cont, DoneFlag, InstallCtx, Machine, Scheduler, CORE_ID_FINALE,
+    run_capsule, Active, Comp, DoneFlag, InstallCtx, Machine, Scheduler, CORE_ID_FINALE,
 };
 use ppm_pm::{ProcCtx, Word};
 
@@ -188,7 +188,7 @@ impl<'m> SimSched<'m> {
         let root = comp(done.finale());
         let root_slot = machine.alloc_region(1).start;
         machine.arena().preregister(root_slot, root.clone());
-        Self::seat(machine, done, root, root_slot as Word, cfg)
+        Self::seat(machine, done, Active::Capsule(root), root_slot as Word, cfg)
     }
 
     /// A simulator over a persistent-capsule computation: the root (and
@@ -286,7 +286,7 @@ impl<'m> SimSched<'m> {
     fn seat(
         machine: &'m Machine,
         done: DoneFlag,
-        root: Cont,
+        root: Active,
         root_handle: Word,
         cfg: &SchedConfig,
     ) -> Self {
@@ -308,9 +308,8 @@ impl<'m> SimSched<'m> {
         sched: Arc<Sched>,
         done: DoneFlag,
         own: impl Fn(usize) -> bool,
-        root: Option<Cont>,
+        mut root: Option<Active>,
     ) -> Self {
-        let mut root = root.map(Active::Capsule);
         let procs = (0..machine.procs())
             .map(|p| SimProc {
                 ctx: machine.ctx(p),

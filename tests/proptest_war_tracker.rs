@@ -105,7 +105,7 @@ impl Model {
     }
 }
 
-fn apply_real(t: &mut WarTracker, stats: &MemStats, op: Op, name: &str) -> Verdict {
+fn apply_real(t: &mut WarTracker, stats: &MemStats, op: Op, name: &'static str) -> Verdict {
     let run = catch_unwind(AssertUnwindSafe(|| match op {
         Op::Reset => {
             t.reset(name);

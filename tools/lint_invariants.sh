@@ -41,16 +41,22 @@
 #      stage_write,stage_range,flush_staged,fault_point,begin_capsule,
 #      complete_capsule,publish_watermark}, every WarTracker method but
 #      the cold `grow` and the `lines`/`word_bit` helpers that feed them,
-#      FrameBuf::{new,push,write} and write_frame; in crates/core:
-#      InstallCtx::{install_jump,install_handle,install_sched},
-#      journal_image, live_record and run_body_and_install; in
-#      crates/sched: every arm of Sched::run and the record codec of
-#      step.rs — may not contain `.read()`,
+#      FrameBuf::{new,push,write}, write_frame and with_frame_args; in
+#      crates/core: InstallCtx::{install_jump,install_handle,
+#      install_sched}, journal_image, live_record, run_body_and_install,
+#      resolve_handle, ContArena::{resolve_with,run_frame} (the
+#      `Active::Frame` arm), the registry's table lookup, its type-erased
+#      decode-and-run and CodeMemo::{entry,frame_ref,run}, and
+#      CapsuleSet::body with the decode, run and trace closures it
+#      registers; in crates/sched: every arm of
+#      Sched::run and the record codec of step.rs — may not contain `.read()`,
 #      `.write()`, `.lock()` or `.clone()` (a lock, or a refcount RMW on a
 #      line every processor shares) unless a `hot-path-ok:` justification
 #      sits within the six lines above. The expected exceptions are the
-#      observer call behind its flag check and the closure machine's clone
-#      of a capsule it alone holds. The scheduler bodies additionally name
+#      observer call behind its flag check, the closure machine's clone
+#      of a capsule it alone holds and the memo's once-per-id miss. The
+#      frame-dispatch bodies name no `Arc::new` either (a frame is run,
+#      not rebuilt), and the scheduler bodies additionally name
 #      no `Arc::new` and no `format!` (a trace detail is built inside an
 #      `obs.event` closure, in a helper, once a stream is open). An event
 #      site with
@@ -78,8 +84,7 @@
 #
 #   7. No hashing or heap allocation per access. The write-after-read
 #      check and a frame persist cost a probe and a range store: the same
-#      bodies as rule 4, plus `CapsuleDef::frame` and `read_frame_into`,
-#      may not contain `HashMap`, `Vec::new`, `Vec::with_capacity`, `vec!`,
+#      bodies as rule 4, plus `CapsuleDef::frame`, may not contain `HashMap`, `Vec::new`, `Vec::with_capacity`, `vec!`,
 #      `.collect()` or `.to_vec()` (same `hot-path-ok:` escape), and
 #      crates/pm/src/validate.rs does not name `HashMap` at all — its table
 #      is open-addressed by 64-word line, reset by a generation bump.
@@ -135,6 +140,16 @@
 #      under crates/ src/ tests/ examples/ exists in the tree (by path
 #      from the root or by name anywhere outside target/ and vendor/): a
 #      design note lives where it is cited, or in a file that is there.
+#
+#  13. A frame is run, not rehydrated. A frame-denoted capsule is its
+#      words: the engine reads them onto its stack, decodes them and calls
+#      the registered body, on every attempt. The constructor machinery
+#      that turned each frame back into a heap closure first stays
+#      deleted — `CapsuleCtor`, `CtorCache`, `instantiate_parts`,
+#      `arrive_cam_frame`, `arrive_check_frame` appear nowhere under
+#      crates/ — and neither crates/core/src/dsl.rs nor
+#      crates/core/src/registry.rs builds a closure capsule: outside
+#      their `#[cfg(test)]` modules `capsule(` is not named there.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -225,6 +240,7 @@ body_scan() {
             if (depth > 0) opened = 1
             depth -= gsub(/\}/, "", line)
             if (opened && depth <= 0) infn = 0
+            if (!opened && $0 ~ /;[ \t]*$/) infn = 0
         }
     ' "$1"
 }
@@ -241,7 +257,16 @@ hot_bodies() { # REGEX
     body_scan crates/pm/src/frame.rs 'new|push|write|write_frame' "$1"
     body_scan crates/core/src/runner.rs \
         'install_jump|install_handle|install_sched|journal_image|live_record|run_body_and_install' "$1"
+    frame_bodies "$1"
     sched_bodies "$1"
+}
+# What running a frame-denoted capsule goes through, install to body.
+frame_bodies() { # REGEX
+    body_scan crates/pm/src/frame.rs 'with_frame_args' "$1"
+    body_scan crates/core/src/runner.rs 'resolve_handle' "$1"
+    body_scan crates/core/src/arena.rs 'resolve_with|run_frame' "$1"
+    body_scan crates/core/src/registry.rs 'slot|decodes|run|entry|frame_ref' "$1"
+    body_scan crates/core/src/dsl.rs 'body' "$1"
 }
 # Every arm of Sched::run (and the trait shim in front of it) and the
 # step codec.
@@ -258,6 +283,10 @@ hits=$(body_scan crates/obs/src/lib.rs 'event|span_sink' 'Mutex|RwLock|\.lock\(\
 if [ -n "$hits" ]; then
     err "lock or string formatting on an event site's tracing-off path (Obs::event / Obs::span_sink are one load when no stream is open):" "$hits"
 fi
+hits=$(frame_bodies 'Arc::new')
+if [ -n "$hits" ]; then
+    err "Arc::new on the frame-dispatch path (a frame is decoded and run on the stack, never rebuilt as a heap closure):" "$hits"
+fi
 hits=$(sched_bodies 'Arc::new|format!|RwLock|Mutex')
 if [ -n "$hits" ]; then
     err "allocation, lock or string formatting in a scheduler capsule body or the step codec (a step is words; trace details are built in obs.event closures, in helpers):" "$hits"
@@ -265,7 +294,6 @@ fi
 allocs='HashMap|Vec::new|Vec::with_capacity|Vec<|vec!|\.collect\(|\.to_vec\('
 hits=$(
     hot_bodies "$allocs"
-    body_scan crates/pm/src/frame.rs 'read_frame_into' "$allocs"
     body_scan crates/core/src/dsl.rs 'words|frame' "$allocs"
     grep -n "HashMap" crates/pm/src/validate.rs
 )
@@ -379,8 +407,22 @@ if [ -n "$hits" ]; then
     err "source comment cites a *.md file that is not in the tree (move the note to where it is cited):" "$hits"
 fi
 
+# --- 13. a frame is run, not rehydrated ---------------------------------------------------
+hits=$(grep -rn "CapsuleCtor\|CtorCache\|instantiate_parts\|arrive_cam_frame\|arrive_check_frame" \
+    --include="*.rs" crates/ || true)
+if [ -n "$hits" ]; then
+    err "the rehydration-constructor machinery is back (a registry entry is a decode and a body over the frame's words):" "$hits"
+fi
+hits=$(for f in crates/core/src/dsl.rs crates/core/src/registry.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         $0 !~ /^[ \t]*\/\// && /(^|[^A-Za-z0-9_])capsule\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$hits" ]; then
+    err "a frame is run, not rehydrated: dsl.rs / registry.rs build a closure capsule (register a decode and a body instead):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated)"
