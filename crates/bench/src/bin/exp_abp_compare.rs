@@ -9,26 +9,11 @@
 //! writes and split CAM/check capsules; ABP pays neither but dies on the
 //! first fault — see `exp_cam_vs_cas`.)
 
-use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, par_all, Comp, Machine};
-use ppm_pm::{PmConfig, ProcCtx, Region, ValidateMode};
+use ppm_bench::{banner, f2, fanout, header, model_cost_sched, row, s, BenchReport};
+use ppm_core::Machine;
+use ppm_pm::{PmConfig, ValidateMode};
 use ppm_sched::abp::run_computation_abp;
-use ppm_sched::{run_closure, SchedConfig};
-
-fn tasks(r: Region, n: usize, leaf_work: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| {
-                comp_step("leaf", move |ctx: &mut ProcCtx| {
-                    for k in 0..leaf_work {
-                        ctx.pwrite(r.at(i * leaf_work + k), 1)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect(),
-    )
-}
+use ppm_sched::Runtime;
 
 const W: [usize; 6] = [6, 6, 10, 10, 8, 10];
 
@@ -52,19 +37,16 @@ fn main() {
         let ft = {
             let m = Machine::new(cfg());
             let r = m.alloc_region(n * leaf_work);
-            let rep = run_closure(
-                &m,
-                &tasks(r, n, leaf_work),
-                &SchedConfig::with_slots(1 << 13),
-            );
-            assert!(rep.completed);
-            last_scrape = m.obs().registry().render();
-            rep.stats.total_work()
+            let rt = Runtime::new(m, model_cost_sched(1 << 13));
+            let rep = rt.run_or_recover(&fanout(r, n, leaf_work));
+            assert!(rep.completed());
+            last_scrape = rt.machine().obs().registry().render();
+            rep.stats().total_work()
         };
         let abp = {
             let m = Machine::new(cfg());
             let r = m.alloc_region(n * leaf_work);
-            let rep = run_computation_abp(&m, &tasks(r, n, leaf_work), 1 << 13, 9);
+            let rep = run_computation_abp(&m, &fanout(r, n, leaf_work), 1 << 13, 9);
             assert!(rep.completed);
             rep.stats.total_work()
         };

@@ -16,7 +16,8 @@
 //!   observed from persistent memory, so restarts are harmless.
 
 use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{capsule, run_chain, InstallCtx, Machine, Next};
+use ppm_core::dsl::{CapsuleSet, Step, K};
+use ppm_core::{run_chain, InstallCtx, Machine};
 use ppm_pm::{FaultConfig, PmConfig};
 
 /// Default trials per configuration (override with `--trials=`).
@@ -32,6 +33,26 @@ fn run_protocol(trials: usize, f: f64, seed: u64, use_cas: bool) -> (u64, u64, S
         FaultConfig::soft(f, seed)
     }));
     let slots = machine.alloc_region(2 * trials);
+    let mut set = CapsuleSet::new(&machine);
+    // One capsule: CAS then act on its (ephemeral!) result.
+    let cas = set.define("cas-protocol", |&(x, claim): &(usize, usize), _, ctx| {
+        let won = ctx.pcas_baseline(x, 0, 1)?;
+        if won {
+            ctx.pwrite(claim, 1)?;
+        }
+        Ok(Step::End)
+    });
+    // CAM capsule, then a separate check capsule.
+    let check = set.define("cam-check", |&(x, claim): &(usize, usize), _, ctx| {
+        if ctx.pread(x)? == 1 {
+            ctx.pwrite(claim, 1)?;
+        }
+        Ok(Step::End)
+    });
+    let cam = set.define("cam-protocol", |&x: &usize, check, ctx| {
+        ctx.pcam(x, 0, 1)?;
+        Ok(Step::Jump(check))
+    });
     let mut ctx = machine.ctx(0);
     let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(0));
 
@@ -39,28 +60,12 @@ fn run_protocol(trials: usize, f: f64, seed: u64, use_cas: bool) -> (u64, u64, S
         let x = slots.at(2 * t);
         let claim = slots.at(2 * t + 1);
         let chain = if use_cas {
-            // One capsule: CAS then act on its (ephemeral!) result.
-            capsule("cas-protocol", move |ctx| {
-                let won = ctx.pcas_baseline(x, 0, 1)?;
-                if won {
-                    ctx.pwrite(claim, 1)?;
-                }
-                Ok(Next::End)
-            })
+            cas.setup(&machine, &(x, claim), K(0))
         } else {
-            // CAM capsule, then a separate check capsule.
-            let check = capsule("cam-check", move |ctx| {
-                if ctx.pread(x)? == 1 {
-                    ctx.pwrite(claim, 1)?;
-                }
-                Ok(Next::End)
-            });
-            capsule("cam-protocol", move |ctx| {
-                ctx.pcam(x, 0, 1)?;
-                Ok(Next::Jump(check.clone()))
-            })
+            let k = check.setup(&machine, &(x, claim), K(0));
+            cam.setup(&machine, &x, k)
         };
-        run_chain(&mut ctx, machine.arena(), &mut install, chain)
+        run_chain(&mut ctx, machine.arena(), &mut install, chain.word())
             .expect("soft-only config cannot kill the processor");
     }
 

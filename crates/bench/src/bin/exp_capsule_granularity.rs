@@ -10,33 +10,58 @@
 //! per fault and violates `f ≤ 1/(2C)` sooner. The table exposes the
 //! U-shape and its movement with `f`.
 
-use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, seq_all, Comp, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm_sched::{run_closure, SchedConfig};
+use std::sync::Arc;
+
+use ppm_bench::{banner, f2, header, model_cost_sched, row, s, BenchReport};
+use ppm_core::dsl::{CapsuleSet, Step, K};
+use ppm_core::{Machine, PComp};
+use ppm_pm::{FaultConfig, PmConfig, Region};
+use ppm_sched::Runtime;
+
+ppm_core::persist_struct! {
+    /// One chunk of the copy: blocks `[c·k, (c+1)·k)` of `nblocks`.
+    struct Chunk {
+        src: Region,
+        dst: Region,
+        nblocks: usize,
+        b: usize,
+        k: usize,
+        c: usize,
+    }
+}
 
 /// The workload: copy `nblocks` blocks from `src` to `dst`, `k` blocks per
-/// capsule.
-fn chunked_copy(src: Region, dst: Region, nblocks: usize, b: usize, k: usize) -> Comp {
-    seq_all(
-        (0..nblocks.div_ceil(k))
-            .map(|c| {
-                comp_step("chunk", move |ctx: &mut ProcCtx| {
-                    let lo = c * k;
-                    let hi = ((c + 1) * k).min(nblocks);
-                    for blk in lo..hi {
-                        let mut buf = vec![0u64; b];
-                        ctx.read_block_into(src.at(blk * b), &mut buf)?;
-                        for w in buf.iter_mut() {
-                            *w = w.wrapping_mul(3).wrapping_add(1);
-                        }
-                        ctx.write_block(dst.at(blk * b), &buf)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect(),
-    )
+/// capsule — a sequence of chunk frames written at setup, each continuing
+/// with the next.
+fn chunked_copy(src: Region, dst: Region, nblocks: usize, b: usize, k: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let chunk = CapsuleSet::new(m).define("chunk", |st: &Chunk, next, ctx| {
+            let lo = st.c * st.k;
+            let hi = ((st.c + 1) * st.k).min(st.nblocks);
+            for blk in lo..hi {
+                let mut buf = vec![0u64; st.b];
+                ctx.read_block_into(st.src.at(blk * st.b), &mut buf)?;
+                for w in buf.iter_mut() {
+                    *w = w.wrapping_mul(3).wrapping_add(1);
+                }
+                ctx.write_block(st.dst.at(blk * st.b), &buf)?;
+            }
+            Ok(Step::Jump(next))
+        });
+        let chunks = (0..nblocks.div_ceil(k)).rev();
+        let head = chunks.fold(K(finale), |next, c| {
+            let st = Chunk {
+                src,
+                dst,
+                nblocks,
+                b,
+                k,
+                c,
+            };
+            chunk.setup(m, &st, next)
+        });
+        head.word()
+    })
 }
 
 const W: [usize; 7] = [6, 7, 8, 10, 10, 9, 9];
@@ -70,12 +95,10 @@ fn main() {
             for i in 0..nblocks * b {
                 m.mem().store(src.at(i), i as u64);
             }
-            let rep = run_closure(
-                &m,
-                &chunked_copy(src, dst, nblocks, b, k),
-                &SchedConfig::with_slots(1 << 11),
-            );
-            assert!(rep.completed, "k={k} f={f}");
+            let rt = Runtime::new(m, model_cost_sched(1 << 11));
+            let rep = rt.run_or_recover(&chunked_copy(src, dst, nblocks, b, k));
+            let m = rt.machine();
+            assert!(rep.completed(), "k={k} f={f}");
             // Verify the copy.
             for i in 0..nblocks * b {
                 assert_eq!(
@@ -83,7 +106,7 @@ fn main() {
                     (i as u64).wrapping_mul(3).wrapping_add(1)
                 );
             }
-            results.push((k, rep.stats.clone()));
+            results.push((k, rep.stats().clone()));
             last_scrape = m.obs().registry().render();
         }
         let best = results.iter().map(|(_, st)| st.total_work()).min().unwrap();

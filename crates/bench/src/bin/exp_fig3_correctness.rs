@@ -6,29 +6,37 @@
 //! task, deque structural invariants (checked by the driver), and the
 //! Figure 4 transition table (checked by a memory observer).
 
-use ppm_bench::{banner, header, row, s, BenchReport};
-use ppm_core::{comp_dyn, comp_fork2, comp_nop, comp_step, Comp, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm_sched::{run_closure, SchedConfig};
+use std::sync::Arc;
+
+use ppm_bench::{banner, header, model_cost_sched, row, s, BenchReport};
+use ppm_core::dsl::{fork2, CapsuleSet, Step, K};
+use ppm_core::{Machine, PComp};
+use ppm_pm::{FaultConfig, PmConfig, Region};
+use ppm_sched::Runtime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A random binary fork-join DAG over tasks [lo, hi): random split points
-/// give irregular shapes.
-fn random_dag(r: Region, lo: usize, hi: usize, seed: u64) -> Comp {
-    if hi - lo == 0 {
-        return comp_nop();
-    }
-    if hi - lo == 1 {
-        return comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(lo), 1));
-    }
-    comp_dyn("node", move |_ctx| {
-        let mut rng = StdRng::seed_from_u64(seed ^ ((lo as u64) << 32) ^ hi as u64);
-        let mid = rng.gen_range(lo + 1..hi);
-        Ok(comp_fork2(
-            random_dag(r, lo, mid, seed),
-            random_dag(r, mid, hi, seed),
-        ))
+/// A random binary fork-join DAG over tasks `[0, n)`: one `fork2`
+/// capsule over `(lo, hi, seed)` splits at a random point, so the shapes
+/// are irregular; a one-task span is the leaf.
+fn random_dag(r: Region, n: usize, seed: u64) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let node = set.declare::<(Region, usize, usize, u64)>("fig3/node");
+        set.body(node, move |&(r, lo, hi, seed), k, ctx| match hi - lo {
+            0 => Ok(Step::Jump(k)),
+            1 => {
+                ctx.pwrite(r.at(lo), 1)?;
+                Ok(Step::Jump(k))
+            }
+            _ => {
+                let mut rng = StdRng::seed_from_u64(seed ^ ((lo as u64) << 32) ^ hi as u64);
+                let mid = rng.gen_range(lo + 1..hi);
+                let halves = [(r, lo, mid, seed), (r, mid, hi, seed)];
+                fork2(ctx, (node, &halves[0]), (node, &halves[1]), k)
+            }
+        });
+        node.setup(m, &(r, 0, n, seed), K(finale)).word()
     })
 }
 
@@ -73,12 +81,14 @@ fn main() {
             let m = Machine::new(PmConfig::parallel(procs, 1 << 21).with_fault(fault));
             let n = 24 + (seed as usize % 24);
             let r = m.alloc_region(n);
-            let mut cfg = SchedConfig::with_slots(1 << 11);
+            let mut cfg = model_cost_sched(1 << 11);
             cfg.check_transitions = true;
             cfg.seed = seed;
-            let rep = run_closure(&m, &random_dag(r, 0, n, seed), &cfg);
+            let rt = Runtime::new(m, cfg);
+            let rep = rt.run_or_recover(&random_dag(r, n, seed));
+            let m = rt.machine();
             deaths += rep.dead_procs() as u64;
-            if rep.completed {
+            if rep.completed() {
                 completed += 1;
                 if (0..n).all(|i| m.mem().load(r.at(i)) == 1) {
                     verified += 1;

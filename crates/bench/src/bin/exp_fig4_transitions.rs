@@ -14,9 +14,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use ppm_bench::{banner, BenchReport};
-use ppm_core::{comp_step, par_all, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx};
+use ppm_bench::{banner, fanout, BenchReport};
+use ppm_core::Machine;
+use ppm_pm::{FaultConfig, PmConfig};
 use ppm_sched::{kind_of, EntryKind, SchedConfig, SimSched};
 
 fn kind_index(k: EntryKind) -> usize {
@@ -47,15 +47,11 @@ fn main() {
     );
     let n = cli.n(160);
     let r = machine.alloc_region(n);
-    let comp = par_all(
-        (0..n)
-            .map(|i| comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-            .collect(),
-    );
 
     // Seat the computation first so the deque regions are known, then
     // attach the counting observer, then run the schedule.
-    let mut sim = SimSched::new_closure(&machine, &comp, &SchedConfig::with_slots(1 << 12));
+    let cfg = SchedConfig::with_slots(1 << 12);
+    let mut sim = SimSched::new_persistent(&machine, &fanout(r, n, 1), &cfg);
     let ranges: Vec<(usize, usize)> = sim
         .sched()
         .deques()

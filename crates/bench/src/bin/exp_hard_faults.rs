@@ -7,24 +7,20 @@
 //! effectively the same as forking a thread onto the bottom of a
 //! work-queue and then finishing" — i.e. cheap.
 
-use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, par_all, Comp, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm_sched::{run_closure, SchedConfig};
+use ppm_bench::{banner, f2, fanout, header, model_cost_sched, row, s, BenchReport};
+use ppm_core::Machine;
+use ppm_pm::{FaultConfig, PmConfig};
+use ppm_sched::{Runtime, SessionReport};
 
-fn tasks(r: Region, n: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| {
-                comp_step("leaf", move |ctx: &mut ProcCtx| {
-                    for k in 0..8 {
-                        ctx.pwrite(r.at(i * 8 + k), 1)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect(),
-    )
+/// Runs the 8-word-leaf fan-out of `n` leaves on `p` processors; returns
+/// the session's report and whether every leaf's words were written.
+fn run(p: usize, n: usize, fault: FaultConfig) -> (SessionReport, bool, String) {
+    let m = Machine::new(PmConfig::parallel(p, 1 << 23).with_fault(fault));
+    let r = m.alloc_region(n * 8);
+    let rt = Runtime::new(m, model_cost_sched(1 << 12));
+    let rep = rt.run_or_recover(&fanout(r, n, 8));
+    let verified = (0..n * 8).all(|i| rt.machine().mem().load(r.at(i)) == 1);
+    (rep, verified, rt.machine().obs().registry().render())
 }
 
 const W: [usize; 6] = [4, 6, 10, 10, 10, 10];
@@ -44,22 +40,20 @@ fn main() {
 
     // Baseline.
     let w_baseline = {
-        let m = Machine::new(PmConfig::parallel(p, 1 << 23));
-        let r = m.alloc_region(n * 8);
-        let rep = run_closure(&m, &tasks(r, n), &SchedConfig::with_slots(1 << 12));
-        assert!(rep.completed);
+        let (rep, verified, _) = run(p, n, FaultConfig::none());
+        assert!(rep.completed() && verified);
         row(
             &[
                 s(p),
                 s(0),
-                s(rep.completed),
-                s(rep.stats.total_work()),
-                s(rep.stats.time()),
+                s(rep.completed()),
+                s(rep.stats().total_work()),
+                s(rep.stats().time()),
                 s(true),
             ],
             &W,
         );
-        rep.stats.total_work()
+        rep.stats().total_work()
     };
 
     // Kill 1..P-1 processors at staggered access counts.
@@ -68,22 +62,19 @@ fn main() {
         for k in 0..dead {
             cfg = cfg.with_scheduled_hard_fault(k + 1, 200 + 350 * k as u64);
         }
-        let m = Machine::new(PmConfig::parallel(p, 1 << 23).with_fault(cfg));
-        let r = m.alloc_region(n * 8);
-        let rep = run_closure(&m, &tasks(r, n), &SchedConfig::with_slots(1 << 12));
-        let verified = (0..n * 8).all(|i| m.mem().load(r.at(i)) == 1);
+        let (rep, verified, _) = run(p, n, cfg);
         row(
             &[
                 s(p),
                 s(dead),
-                s(rep.completed),
-                s(rep.stats.total_work()),
-                s(rep.stats.time()),
+                s(rep.completed()),
+                s(rep.stats().total_work()),
+                s(rep.stats().time()),
                 s(verified),
             ],
             &W,
         );
-        assert!(rep.completed && verified, "dead={dead}");
+        assert!(rep.completed() && verified, "dead={dead}");
         // A scheduled death may not fire if the run finishes first; at
         // most `dead` processors die, and correctness holds regardless.
         assert!(rep.dead_procs() <= dead);
@@ -104,15 +95,11 @@ fn main() {
     for seed in 0..cli.seeds(12) {
         let at = 100 + (seed * 997) % 2000;
         let victim = 1 + (seed as usize % (p - 1));
-        let m = Machine::new(
-            PmConfig::parallel(p, 1 << 23)
-                .with_fault(FaultConfig::none().with_scheduled_hard_fault(victim, at)),
-        );
-        let r = m.alloc_region(n * 8);
-        let rep = run_closure(&m, &tasks(r, n), &SchedConfig::with_slots(1 << 12));
-        assert!(rep.completed, "seed {seed}");
-        ratios.push(rep.stats.total_work() as f64 / w_baseline as f64);
-        last_scrape = m.obs().registry().render();
+        let fault = FaultConfig::none().with_scheduled_hard_fault(victim, at);
+        let (rep, verified, scrape) = run(p, n, fault);
+        assert!(rep.completed() && verified, "seed {seed}");
+        ratios.push(rep.stats().total_work() as f64 / w_baseline as f64);
+        last_scrape = scrape;
     }
     let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
     let max = ratios.iter().cloned().fold(0.0f64, f64::max);

@@ -7,25 +7,20 @@
 //!  3. the fault factor: max capsule re-run count vs the predicted
 //!     ⌈log_{1/(Cf)} W⌉ depth-inflation factor.
 
-use ppm_bench::{banner, f2, header, row, s, BenchReport};
-use ppm_core::{comp_step, par_all, Comp, Machine};
-use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm_sched::{run_closure, SchedConfig};
+use ppm_bench::{banner, f2, fanout, header, model_cost_sched, row, s, BenchReport};
+use ppm_core::Machine;
+use ppm_pm::{FaultConfig, PmConfig};
+use ppm_sched::{Runtime, SchedConfig, SessionReport};
 
-/// A balanced tree of `n` leaf tasks, each performing `leaf_work` writes.
-fn balanced(r: Region, n: usize, leaf_work: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| {
-                comp_step("leaf", move |ctx: &mut ProcCtx| {
-                    for k in 0..leaf_work {
-                        ctx.pwrite(r.at(i * leaf_work + k), 1)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect(),
-    )
+/// Runs a balanced tree of `n` leaf tasks, each performing `leaf_work`
+/// writes, on a fresh machine; returns the report and a metrics scrape.
+fn balanced(cfg: PmConfig, n: usize, leaf_work: usize) -> (SessionReport, String) {
+    let m = Machine::new(cfg);
+    let r = m.alloc_region(n * leaf_work);
+    let rt = Runtime::new(m, model_cost_sched(1 << 12));
+    let rep = rt.run_or_recover(&fanout(r, n, leaf_work));
+    assert!(rep.completed());
+    (rep, rt.machine().obs().registry().render())
 }
 
 const W1: [usize; 7] = [6, 7, 10, 10, 10, 9, 9];
@@ -52,15 +47,8 @@ fn main() {
     header(&["P", "f", "W_f", "T", "restarts", "C", "T(1)/T"], &W1);
     let mut t1 = 0u64;
     for p in [1usize, 2, 4, 8].into_iter().filter(|p| *p <= cli.procs(8)) {
-        let m = Machine::new(PmConfig::parallel(p, 1 << 23));
-        let r = m.alloc_region(n * leaf_work);
-        let rep = run_closure(
-            &m,
-            &balanced(r, n, leaf_work),
-            &SchedConfig::with_slots(1 << 12),
-        );
-        assert!(rep.completed);
-        let t = rep.stats.time();
+        let (rep, _) = balanced(PmConfig::parallel(p, 1 << 23), n, leaf_work);
+        let t = rep.stats().time();
         if p == 1 {
             t1 = t;
         }
@@ -68,10 +56,10 @@ fn main() {
             &[
                 s(p),
                 s(0.0),
-                s(rep.stats.total_work()),
+                s(rep.stats().total_work()),
                 s(t),
-                s(rep.stats.capsule_restarts()),
-                s(rep.stats.max_capsule_work),
+                s(rep.stats().capsule_restarts()),
+                s(rep.stats().max_capsule_work),
                 f2(t1 as f64 / t as f64),
             ],
             &W1,
@@ -90,34 +78,27 @@ fn main() {
         } else {
             FaultConfig::soft(f, 77)
         };
-        let m = Machine::new(PmConfig::parallel(4, 1 << 23).with_fault(cfg));
-        let r = m.alloc_region(n * leaf_work);
-        let rep = run_closure(
-            &m,
-            &balanced(r, n, leaf_work),
-            &SchedConfig::with_slots(1 << 12),
-        );
-        assert!(rep.completed);
-        last_scrape = m.obs().registry().render();
+        let (rep, scrape) = balanced(PmConfig::parallel(4, 1 << 23).with_fault(cfg), n, leaf_work);
+        last_scrape = scrape;
         if f == 0.0 {
-            w0 = rep.stats.total_work();
+            w0 = rep.stats().total_work();
             report.metric("work_f0_words", w0 as f64);
         }
         if f == 0.02 {
             report.metric(
                 "fault_work_overhead_x",
-                rep.stats.total_work() as f64 / w0 as f64,
+                rep.stats().total_work() as f64 / w0 as f64,
             );
         }
         row(
             &[
                 s(4),
                 s(f),
-                s(rep.stats.total_work()),
-                s(rep.stats.time()),
-                s(rep.stats.capsule_restarts()),
-                s(rep.stats.max_capsule_work),
-                f2(rep.stats.total_work() as f64 / w0 as f64),
+                s(rep.stats().total_work()),
+                s(rep.stats().time()),
+                s(rep.stats().capsule_restarts()),
+                s(rep.stats().max_capsule_work),
+                f2(rep.stats().total_work() as f64 / w0 as f64),
             ],
             &W1,
         );
@@ -160,15 +141,9 @@ fn main() {
         "f", "restart ratio", "predicted ceil factor"
     );
     for f in [0.001, 0.005, 0.01, 0.02] {
-        let m = Machine::new(PmConfig::parallel(2, 1 << 23).with_fault(FaultConfig::soft(f, 3)));
-        let r = m.alloc_region(n * leaf_work);
-        let rep = run_closure(
-            &m,
-            &balanced(r, n, leaf_work),
-            &SchedConfig::with_slots(1 << 12),
-        );
-        assert!(rep.completed);
-        let sx = &rep.stats;
+        let cfg = PmConfig::parallel(2, 1 << 23).with_fault(FaultConfig::soft(f, 3));
+        let (rep, _) = balanced(cfg, n, leaf_work);
+        let sx = rep.stats();
         let c = sx.max_capsule_work.max(1) as f64;
         let w = sx.total_work() as f64;
         let predicted = (w.ln() / (1.0 / (c * f)).ln()).ceil().max(1.0);

@@ -16,7 +16,11 @@ pub mod report;
 pub use report::BenchReport;
 
 use std::fmt::Display;
+use std::sync::Arc;
 
+use ppm_core::dsl::{CapsuleSet, Span, Step, K};
+use ppm_core::{Machine, PComp};
+use ppm_pm::Region;
 use ppm_sched::{CheckpointPolicy, SchedConfig};
 
 /// Scheduler configuration of the theorem experiments: `slots` deque
@@ -27,6 +31,27 @@ pub fn model_cost_sched(slots: usize) -> SchedConfig {
     let mut cfg = SchedConfig::with_slots(slots);
     cfg.checkpoint = CheckpointPolicy::disabled();
     cfg
+}
+
+/// The fork-join fan-out the scheduler experiments run: a `map_grain` at
+/// grain 1 over `n` leaves, leaf `i` writing 1 to the `leaf_work` words
+/// of `out` from `i · leaf_work` on. Both schedulers run this one source.
+pub fn fanout(out: Region, n: usize, leaf_work: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("bench/leaf", |st: &Span<(Region, usize)>, k, ctx| {
+            let (out, leaf_work) = st.env;
+            for w in st.lo * leaf_work..st.hi * leaf_work {
+                ctx.pwrite(out.at(w), 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let split = set.map_grain("bench/split", 1, leaf);
+        let env = (out, leaf_work);
+        split
+            .setup(m, &Span { env, lo: 0, hi: n }, K(finale))
+            .word()
+    })
 }
 
 /// Prints a fixed-width table row.

@@ -6,19 +6,16 @@
 //! restart pointer; on a fault the processor re-runs the active capsule
 //! from its beginning.
 //!
-//! A session's capsule is a frame: the paper's *closure* (start
-//! instruction plus local state plus arguments plus continuation, §4.1)
-//! as persistent words, read afresh by every attempt; the closure
-//! machine's is an immutable object implementing [`Capsule`] that captures
-//! the same. Either way a re-run observes exactly the initial state.
-//! Ephemeral memory and registers are the `run` invocation's local
-//! variables — dropped and rebuilt on every run, which models their loss on
-//! a fault. A capsule body must be **write-after-read conflict free**
-//! (checked dynamically by `ppm-pm` in strict mode) for the re-run to be
-//! idempotent (Theorem 3.1).
-
-use std::fmt;
-use std::sync::Arc;
+//! Every capsule is words in persistent memory, the paper's *closure*
+//! (start instruction plus local state plus arguments plus continuation,
+//! §4.1): a user capsule is a frame ([`ppm_pm::frame`]) run by its
+//! registered body, a scheduler capsule a [`SchedRecord`] run by the
+//! [`Scheduler`]. Every attempt reads the words afresh, so a re-run
+//! observes exactly the initial state. Ephemeral memory and registers are
+//! the body's local variables — dropped and rebuilt on every run, which
+//! models their loss on a fault. A capsule body must be **write-after-read
+//! conflict free** (checked dynamically by `ppm-pm` in strict mode) for
+//! the re-run to be idempotent (Theorem 3.1).
 
 use ppm_pm::{PmResult, ProcCtx, Word};
 
@@ -28,30 +25,19 @@ use crate::registry::FrameRef;
 /// What a completed capsule does next. Returning `Next` is the paper's
 /// "installing" step: the engine writes the new restart pointer (a constant
 /// number of external writes) before the successor runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Next {
-    /// Continue this thread with the given capsule (a persistent call,
-    /// return, or commit — all capsule boundaries look alike here).
-    Jump(Cont),
     /// Continue this thread with the capsule denoted by a persistent
     /// frame handle (see [`ppm_pm::frame`]). The engine installs the
     /// frame address itself as the restart pointer — which is what makes
     /// the thread resumable by a fresh process after a crash — and runs
     /// the capsule straight off the frame's words ([`Active::Frame`]).
     JumpHandle(Word),
-    /// Fork: push `child` as a new thread on the scheduler's deque and
-    /// continue this thread with `cont` (§6.1's `fork` function). Under a
-    /// scheduler, the push itself runs as dedicated capsules between this
-    /// capsule and `cont`.
-    Fork {
-        /// The newly enabled thread's first capsule.
-        child: Cont,
-        /// The current thread's continuation after the fork.
-        cont: Cont,
-    },
-    /// Fork where both sides are already persistent frames (written by
-    /// this capsule's body, e.g. via [`crate::join::fork_join_frames`]):
-    /// the child handle goes straight into the deque, the continuation is
-    /// installed by handle.
+    /// Fork (§6.1's `fork` function): both sides are persistent frames
+    /// (written by this capsule's body, e.g. via
+    /// [`crate::join::fork_join_frames`]). The child handle goes to the
+    /// scheduler's deque and the thread continues at `cont`; the push
+    /// itself runs as scheduler capsules between this capsule and `cont`.
     ForkHandle {
         /// Frame handle of the newly enabled thread's first capsule.
         child: Word,
@@ -70,24 +56,6 @@ pub enum Next {
     /// scheduler loop exits). Unlike [`Next::End`], this is never rewrapped
     /// by a scheduler.
     Halt,
-}
-
-impl fmt::Debug for Next {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Next::Jump(c) => write!(f, "Jump({})", c.name()),
-            Next::JumpHandle(h) => write!(f, "JumpHandle({h})"),
-            Next::Fork { child, cont } => {
-                write!(f, "Fork{{child: {}, cont: {}}}", child.name(), cont.name())
-            }
-            Next::ForkHandle { child, cont } => {
-                write!(f, "ForkHandle{{child: {child}, cont: {cont}}}")
-            }
-            Next::Sched(r) => write!(f, "Sched({:#x})", r.kind),
-            Next::End => write!(f, "End"),
-            Next::Halt => write!(f, "Halt"),
-        }
-    }
 }
 
 /// Argument words of a [`SchedRecord`].
@@ -141,9 +109,7 @@ impl SchedRecord {
 }
 
 /// The scheduler a processor's engine loop runs under: what a fork and a
-/// thread end turn into, and how a [`SchedRecord`] runs. One object
-/// replaces the two closure hooks (`fork_wrap`, `on_end`) the engine took
-/// before scheduler capsules were records.
+/// thread end turn into, and how a [`SchedRecord`] runs.
 pub trait Scheduler {
     /// Runs the scheduler capsule `rec` denotes. `handles` is the
     /// engine's own resolver, lent for the one question a scheduler asks
@@ -169,34 +135,12 @@ pub trait Scheduler {
     fn war_checked(&self, rec: &SchedRecord) -> bool;
 }
 
-/// A restartable unit of computation.
-pub trait Capsule: Send + Sync {
-    /// Executes the capsule body. All persistent-memory traffic must go
-    /// through `ctx`; a returned [`ppm_pm::Fault`] aborts the run and the
-    /// engine restarts the capsule (soft) or the processor dies (hard).
-    ///
-    /// Bodies must be deterministic functions of their captured state and
-    /// the persistent values they read (the model's determinism
-    /// assumption), and must be write-after-read conflict free.
-    fn run(&self, ctx: &mut ProcCtx) -> PmResult<Next>;
-
-    /// Diagnostic name, used in validator panics and traces.
-    fn name(&self) -> &'static str;
-}
-
-/// A continuation: a shared handle to a capsule ("closure") that can be
-/// stored, passed to the scheduler, or registered in the continuation
-/// arena for cross-processor stealing.
-pub type Cont = Arc<dyn Capsule>;
-
-/// What a processor runs next, and what a handle denotes: a closure
-/// object (the closure machine's form), a frame (a session's form: the
-/// words *are* the closure, and the engine runs them where they lie) or
-/// a scheduler capsule (a record, run by the [`Scheduler`]).
-#[derive(Clone)]
+/// What a processor runs next, and what a handle denotes: a frame (a
+/// user capsule, run where its words lie) or a scheduler capsule (a
+/// record, run by the [`Scheduler`]). Both are a few words, so a
+/// processor's position in its computation is a `Copy` value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Active {
-    /// A closure-machine capsule.
-    Capsule(Cont),
     /// A frame-denoted capsule.
     Frame(FrameRef),
     /// A scheduler capsule.
@@ -207,142 +151,80 @@ impl Active {
     /// Diagnostic name; `sched` names the records.
     pub fn name(&self, sched: Option<&dyn Scheduler>) -> &'static str {
         match self {
-            Active::Capsule(c) => c.name(),
             Active::Frame(f) => f.name,
             Active::Sched(rec) => sched.map_or("sched/?", |s| s.name(rec)),
         }
     }
 }
 
-/// A capsule built from a closure. The closure's captured environment is
-/// the capsule's persistent "closure" state; the `Fn` bound (not `FnOnce`)
-/// enforces re-runnability.
-pub struct FnCapsule<F> {
-    name: &'static str,
-    body: F,
-}
-
-impl<F> Capsule for FnCapsule<F>
-where
-    F: Fn(&mut ProcCtx) -> PmResult<Next> + Send + Sync,
-{
-    fn run(&self, ctx: &mut ProcCtx) -> PmResult<Next> {
-        (self.body)(ctx)
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// Creates a capsule from a closure.
-///
-/// ```
-/// use ppm_core::capsule::{capsule, Next};
-///
-/// let c = capsule("hello", |_ctx| Ok(Next::End));
-/// assert_eq!(c.name(), "hello");
-/// ```
-pub fn capsule<F>(name: &'static str, body: F) -> Cont
-where
-    F: Fn(&mut ProcCtx) -> PmResult<Next> + Send + Sync + 'static,
-{
-    Arc::new(FnCapsule { name, body })
-}
-
-/// A capsule that runs a side-effecting body and then jumps to a fixed
-/// continuation. The workhorse for straight-line capsule chains.
-pub fn step_capsule<F>(name: &'static str, body: F, then: Cont) -> Cont
-where
-    F: Fn(&mut ProcCtx) -> PmResult<()> + Send + Sync + 'static,
-{
-    capsule(name, move |ctx| {
-        body(ctx)?;
-        Ok(Next::Jump(then.clone()))
-    })
-}
-
-/// A capsule that runs a body and ends the thread.
-pub fn final_capsule<F>(name: &'static str, body: F) -> Cont
-where
-    F: Fn(&mut ProcCtx) -> PmResult<()> + Send + Sync + 'static,
-{
-    capsule(name, move |ctx| {
-        body(ctx)?;
-        Ok(Next::End)
-    })
-}
-
-/// The trivial capsule: ends the thread immediately.
-pub fn end_capsule() -> Cont {
-    capsule("end", |_ctx| Ok(Next::End))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_pm::{PmConfig, ProcCtx};
+    use crate::machine::Machine;
+    use crate::registry::tests::raw_frame;
+    use crate::runner::{run_capsule, InstallCtx};
+    use ppm_pm::{Addr, PmConfig};
 
-    fn test_ctx() -> ProcCtx {
-        let cfg = PmConfig::small_single();
-        let mem = std::sync::Arc::new(ppm_pm::PersistentMemory::new(
-            cfg.persistent_words,
-            cfg.block_size,
-        ));
-        let stats = std::sync::Arc::new(ppm_pm::MemStats::new(1));
-        let live = std::sync::Arc::new(ppm_pm::Liveness::new(1));
-        ProcCtx::new(&cfg, 0, mem, stats, live)
+    fn machine() -> Machine {
+        Machine::new(PmConfig::parallel(1, 1 << 16))
+    }
+
+    /// Runs the capsule `handle` denotes once, to completion.
+    fn run_once(m: &Machine, handle: Word) -> Option<Active> {
+        let cur = m.arena().resolve(handle).expect("a registered frame");
+        let mut ctx = m.ctx(0);
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
+        run_capsule(&mut ctx, m.arena(), &mut install, &cur, None).unwrap()
     }
 
     #[test]
-    fn fn_capsule_runs_body() {
-        let c = capsule("write-then-end", |ctx| {
-            ctx.pwrite(0, 99)?;
+    fn a_frame_runs_its_body() {
+        let m = machine();
+        let out = m.alloc_region(1).start;
+        let c = raw_frame(&m, "write-then-end", [out as Word], |&[at], ctx| {
+            ctx.pwrite(at as Addr, 99)?;
             Ok(Next::End)
         });
-        let mut ctx = test_ctx();
-        ctx.begin_capsule(c.name());
-        match c.run(&mut ctx).unwrap() {
-            Next::End => {}
-            other => panic!("expected End, got {other:?}"),
-        }
-        assert_eq!(ctx.raw_mem().load(0), 99);
+        assert!(run_once(&m, c).is_none(), "the body ended the chain");
+        assert_eq!(m.mem().load(out), 99);
     }
 
     #[test]
     fn capsules_are_rerunnable() {
-        // The Fn bound means a capsule can run any number of times; a
-        // conflict-free body leaves the same state each time (Theorem 3.1).
-        let c = capsule("idempotent", |ctx| {
-            ctx.pwrite(4, 7)?;
+        // A frame can run any number of times; a conflict-free body leaves
+        // the same state each time (Theorem 3.1).
+        let m = machine();
+        let out = m.alloc_region(1).start;
+        let c = raw_frame(&m, "idempotent", [out as Word], |&[at], ctx| {
+            ctx.pwrite(at as Addr, 7)?;
             Ok(Next::End)
         });
-        let mut ctx = test_ctx();
         for _ in 0..5 {
-            ctx.begin_capsule(c.name());
-            c.run(&mut ctx).unwrap();
+            run_once(&m, c);
         }
-        assert_eq!(ctx.raw_mem().load(4), 7);
+        assert_eq!(m.mem().load(out), 7);
     }
 
     #[test]
-    fn step_capsule_chains() {
-        let tail = end_capsule();
-        let head = step_capsule("head", |ctx| ctx.pwrite(1, 5), tail);
-        let mut ctx = test_ctx();
-        ctx.begin_capsule(head.name());
-        match head.run(&mut ctx).unwrap() {
-            Next::Jump(c) => assert_eq!(c.name(), "end"),
-            other => panic!("expected Jump, got {other:?}"),
+    fn a_jump_by_handle_chains() {
+        let m = machine();
+        let out = m.alloc_region(1).start;
+        let tail = raw_frame(&m, "tail", [], |_: &[Word; 0], _| Ok(Next::End));
+        let head = raw_frame(&m, "head", [out as Word, tail], |&[at, next], ctx| {
+            ctx.pwrite(at as Addr, 5)?;
+            Ok(Next::JumpHandle(next))
+        });
+        match run_once(&m, head) {
+            Some(next) => assert_eq!(next.name(None), "tail"),
+            other => panic!("expected the tail frame, got {other:?}"),
         }
-        assert_eq!(ctx.raw_mem().load(1), 5);
+        assert_eq!(m.mem().load(out), 5);
+        assert_eq!(m.active_handle(0), tail, "the restart pointer is the frame");
     }
 
     #[test]
     fn next_debug_formats() {
-        let d = format!("{:?}", Next::End);
-        assert_eq!(d, "End");
-        let j = format!("{:?}", Next::Jump(end_capsule()));
-        assert!(j.contains("end"));
+        assert_eq!(format!("{:?}", Next::End), "End");
+        assert!(format!("{:?}", Next::JumpHandle(0x4d2)).contains("1234"));
     }
 }

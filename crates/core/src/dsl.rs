@@ -597,38 +597,26 @@ mod tests {
     /// scheduler dependency inside ppm-core): repeatedly resolve and run
     /// capsules, treating forks as run-child-first.
     fn drive(machine: &Machine, root: Word) {
-        use crate::capsule::Active;
         let mut stack = vec![root];
         let mut ctx = machine.ctx(0);
         let mut codes = crate::registry::CodeMemo::default();
-        while let Some(h) = stack.pop() {
-            let mut cur = machine
-                .arena()
-                .resolve(h)
-                .unwrap_or_else(|| panic!("handle {h} must rehydrate"));
+        while let Some(mut h) = stack.pop() {
             loop {
-                ctx.begin_capsule(cur.name(None));
-                let next = match &cur {
-                    Active::Frame(f) => machine.arena().run_frame(&mut codes, f, &mut ctx),
-                    Active::Capsule(c) => c.run(&mut ctx),
-                    Active::Sched(_) => unreachable!("`resolve` yields user capsules"),
-                }
-                .expect("faultless run");
+                let Some(crate::capsule::Active::Frame(f)) = machine.arena().resolve(h) else {
+                    panic!("handle {h} must rehydrate")
+                };
+                ctx.begin_capsule(f.name);
+                let next = machine.arena().run_frame(&mut codes, &f, &mut ctx);
                 ctx.flush_staged().expect("faultless flush");
                 ctx.publish_watermark();
                 ctx.complete_capsule();
-                match next {
-                    Next::Jump(c) => cur = Active::Capsule(c),
-                    Next::JumpHandle(h) => {
-                        cur = machine.arena().resolve(h).expect("jump target");
-                    }
-                    Next::Fork { .. } | Next::Sched(_) => {
-                        panic!("dsl capsules fork by handle and install no records")
-                    }
+                match next.expect("faultless run") {
+                    Next::JumpHandle(next) => h = next,
                     Next::ForkHandle { child, cont } => {
                         stack.push(child);
-                        cur = machine.arena().resolve(cont).expect("fork cont");
+                        h = cont;
                     }
+                    Next::Sched(_) => panic!("dsl capsules install no records"),
                     Next::End | Next::Halt => break,
                 }
             }
@@ -839,5 +827,81 @@ mod tests {
         let decode = err.decode_error().expect("typed decode error");
         assert_eq!(decode.capsule, "dsl-err/flag");
         assert!(err.to_string().contains("bool"), "{err}");
+    }
+
+    /// Runs the frame chain at `first` on processor 0 with the engine
+    /// (no scheduler: a chain does not fork).
+    fn run_chain(m: &Machine, first: K) {
+        let mut ctx = m.ctx(0);
+        let mut install = crate::runner::InstallCtx::new(m.mem(), m.proc_meta(0));
+        crate::runner::run_chain(&mut ctx, m.arena(), &mut install, first.0).unwrap();
+    }
+
+    /// Steps `i` of a chain written at setup, each continuing with the
+    /// next; the last continues with `k`.
+    fn chain_of<T: Persist>(m: &Machine, def: CapsuleDef<T>, states: &[T], k: K) -> K {
+        states.iter().rev().fold(k, |k, st| def.setup(m, st, k))
+    }
+
+    fn end(m: &Machine) -> K {
+        K(m.setup_frame(crate::registry::CORE_ID_END, &[]))
+    }
+
+    #[test]
+    fn seq_runs_in_order() {
+        let m = machine();
+        let r = m.alloc_region(8);
+        // Each step writes its arrival order into its own word; order is
+        // observable because step i reads nothing and writes slot i.
+        let step = CapsuleSet::new(&m).define("seq/s", move |&i: &usize, k, ctx| {
+            let order = (0..4).filter(|j| ctx.raw_mem().load(r.at(*j)) != 0);
+            ctx.pwrite(r.at(i), order.count() as Word + 1)?;
+            Ok(Step::Jump(k))
+        });
+        run_chain(&m, chain_of(&m, step, &[0, 1, 2, 3], end(&m)));
+        assert_eq!(m.mem().to_vec(r.start, 4), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_frame_expands_the_rest_at_run_time() {
+        let m = machine();
+        let r = m.alloc_region(8);
+        // Recursive countdown: each capsule writes the frame of the next.
+        let mut set = CapsuleSet::new(&m);
+        let countdown = set.declare::<u64>("seq/countdown");
+        set.body(countdown, move |&n, k, ctx| {
+            if n == 0 {
+                return Ok(Step::Jump(k));
+            }
+            ctx.pwrite(r.at(n as usize), n)?;
+            jump_to(ctx, countdown, &(n - 1), k)
+        });
+        run_chain(&m, countdown.setup(&m, &5, end(&m)));
+        for i in 1..=5 {
+            assert_eq!(m.mem().load(r.at(i)), i as u64);
+        }
+    }
+
+    #[test]
+    fn seq_under_soft_faults_runs_each_step_effectively_once() {
+        for seed in 0..10 {
+            let m = Machine::new(
+                PmConfig::parallel(1, 1 << 16).with_fault(ppm_pm::FaultConfig::soft(0.15, seed)),
+            );
+            let r = m.alloc_region(8);
+            // Persistent counter with a commit between read and write:
+            // capsule i reads slot i-1 and writes slot i (conflict free).
+            let inc = CapsuleSet::new(&m).define("seq/inc", move |&i: &usize, k, ctx| {
+                let prev = if i == 0 { 0 } else { ctx.pread(r.at(i - 1))? };
+                ctx.pwrite(r.at(i), prev + 1)?;
+                Ok(Step::Jump(k))
+            });
+            run_chain(&m, chain_of(&m, inc, &[0, 1, 2, 3, 4], end(&m)));
+            assert_eq!(
+                m.mem().load(r.at(4)),
+                5,
+                "seed {seed}: chained increments must each apply exactly once"
+            );
+        }
     }
 }

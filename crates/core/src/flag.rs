@@ -1,14 +1,14 @@
 //! Completion flags: detecting that a computation has finished.
 //!
 //! A multithreaded computation on the Parallel-PM finishes when its final
-//! join's last arriver runs the root continuation. That continuation's last
-//! capsule sets a persistent flag; scheduler loops poll it (a racy read —
-//! atomically idempotent per §5's racy-read analysis, since the flag only
-//! ever transitions `0 → 1`).
+//! join's last arriver runs the root continuation: the `finale` frame
+//! ([`crate::registry::CORE_ID_FINALE`], args `[flag]`), whose capsule sets
+//! a persistent flag and ends the root thread. Scheduler loops poll it (a
+//! racy read — atomically idempotent per §5's racy-read analysis, since
+//! the flag only ever transitions `0 → 1`).
 
-use ppm_pm::{Addr, PersistentMemory, PmResult, ProcCtx, Word};
+use ppm_pm::{Addr, PersistentMemory, PmResult, ProcCtx};
 
-use crate::capsule::{capsule, Cont, Next};
 use crate::machine::Machine;
 
 /// A one-shot persistent completion flag.
@@ -45,33 +45,24 @@ impl DoneFlag {
     pub fn read(&self, ctx: &mut ProcCtx) -> PmResult<bool> {
         Ok(ctx.pread(self.addr)? != 0)
     }
-
-    /// The capsule that sets the flag and ends the computation's root
-    /// thread. A racy-write capsule: the only racing instruction is the
-    /// write, racing only with reads — atomically idempotent (§5).
-    pub fn finale(&self) -> Cont {
-        let addr = self.addr;
-        capsule("finale", move |ctx| {
-            ctx.pwrite(addr, 1 as Word)?;
-            Ok(Next::End)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::CORE_ID_FINALE;
     use crate::runner::{run_chain, InstallCtx};
-    use ppm_pm::PmConfig;
+    use ppm_pm::{PmConfig, Word};
 
     #[test]
     fn finale_sets_flag() {
         let m = Machine::new(PmConfig::parallel(1, 1 << 16));
         let flag = DoneFlag::new(&m);
         assert!(!flag.is_set(m.mem()));
+        let finale = m.setup_frame(CORE_ID_FINALE, &[flag.addr() as Word]);
         let mut ctx = m.ctx(0);
         let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-        run_chain(&mut ctx, m.arena(), &mut install, flag.finale()).unwrap();
+        run_chain(&mut ctx, m.arena(), &mut install, finale).unwrap();
         assert!(flag.is_set(m.mem()));
     }
 

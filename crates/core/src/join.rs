@@ -22,15 +22,16 @@
 //! which hard faults occur (the stolen thread resumes at whichever of the
 //! two capsules was active).
 //!
-//! The pair exists in both capsule forms: a session's arrivals are the
-//! frames [`fork_join_frames`] writes (`[cell, token, after]` under
-//! [`CORE_ID_JOIN_CAM`] / [`CORE_ID_JOIN_CHECK`]), run on those words;
-//! [`JoinCell::arrive`] builds closure objects for the closure machine.
+//! An arrival is a pair of frames, `[cell, token, after]` under
+//! [`CORE_ID_JOIN_CAM`] then [`CORE_ID_JOIN_CHECK`], written by
+//! [`fork_join_frames`] and run on those words. The decode refuses any
+//! token but 1 or 2, so an arrival that could not join never runs.
 
 use ppm_pm::{write_frame, Addr, PmResult, ProcCtx, Word};
 
-use crate::capsule::{capsule, Cont, Next};
-use crate::registry::{CORE_ID_JOIN_CAM, CORE_ID_JOIN_CHECK};
+use crate::capsule::Next;
+use crate::persist::{FrameDecodeError, FrameDecodeKind, ValueError};
+use crate::registry::{frame_args, CORE_ID_JOIN_CAM, CORE_ID_JOIN_CHECK};
 
 /// The unset value of a join cell.
 pub const UNSET: Word = 0;
@@ -46,12 +47,6 @@ pub struct JoinCell {
 }
 
 impl JoinCell {
-    /// Wraps an address as a join cell. The word must be `UNSET`; use
-    /// [`JoinCell::init`] inside a capsule to allocate-and-initialize.
-    pub fn at(addr: Addr) -> Self {
-        JoinCell { addr }
-    }
-
     /// Allocates a cell from the processor's pool and writes `UNSET`.
     /// Restart-stable (same address and value on a capsule re-run); one
     /// external write. The write is first-access-write, so it cannot create
@@ -66,27 +61,24 @@ impl JoinCell {
     pub fn addr(&self) -> Addr {
         self.addr
     }
+}
 
-    /// Builds the two-capsule arrival chain for one branch: CAM the cell
-    /// with `token`, then check; the last arriver jumps to `after`, the
-    /// first ends its thread.
-    pub fn arrive(self, token: Word, after: Cont) -> Cont {
-        assert_ne!(token, UNSET, "a join token must be non-zero");
-        let cell = self.addr;
-        let check = capsule("join-check", move |ctx| {
-            let v = ctx.pread(cell)?;
-            if v == token {
-                // Our CAM won: we arrived first; the peer will continue.
-                Ok(Next::End)
-            } else {
-                // Someone else's token is installed: we arrived last.
-                Ok(Next::Jump(after.clone()))
-            }
-        });
-        capsule("join-cam", move |ctx| {
-            ctx.pcam(cell, UNSET, token)?;
-            Ok(Next::Jump(check.clone()))
-        })
+/// The decode of both arrival capsules: three words whose token is
+/// [`TOKEN_LEFT`] or [`TOKEN_RIGHT`].
+pub(crate) fn decode_arrival(
+    capsule: &'static str,
+    args: &[Word],
+) -> Result<[Word; 3], FrameDecodeError> {
+    let words @ [_, token, _] = frame_args::<3>(capsule, args)?;
+    match token {
+        TOKEN_LEFT | TOKEN_RIGHT => Ok(words),
+        word => Err(FrameDecodeError {
+            capsule,
+            kind: FrameDecodeKind::Value(ValueError {
+                what: "join token (1 or 2)",
+                word,
+            }),
+        }),
     }
 }
 
@@ -95,7 +87,6 @@ impl JoinCell {
 /// capsule, and jumps to it *by handle*, so the restart pointer stays a
 /// frame address. `after` is the frame handle of the post-join continuation.
 pub(crate) fn arrive_cam(&[cell, token, after]: &[Word; 3], ctx: &mut ProcCtx) -> PmResult<Next> {
-    assert_ne!(token, UNSET, "a join token must be non-zero");
     ctx.pcam(cell as Addr, UNSET, token)?;
     let check = write_frame(ctx, CORE_ID_JOIN_CHECK, &[cell, token, after])?;
     Ok(Next::JumpHandle(check as Word))
@@ -135,8 +126,8 @@ pub fn fork_join_frames(ctx: &mut ProcCtx, after: Word) -> PmResult<(Word, Word)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capsule::final_capsule;
     use crate::machine::Machine;
+    use crate::registry::tests::raw_frame;
     use crate::runner::{run_chain, InstallCtx};
     use ppm_pm::{FaultConfig, PmConfig};
 
@@ -144,29 +135,25 @@ mod tests {
         Machine::new(PmConfig::parallel(1, 1 << 16).with_fault(f))
     }
 
-    /// Runs both arrival chains sequentially on one processor and returns
-    /// how many times `after` ran.
+    /// Runs both arrival chains on one fresh cell sequentially on one
+    /// processor, in `order`; returns how many times the code after the
+    /// join ran.
     fn run_both_arrivals(m: &Machine, order: [Word; 2]) -> u64 {
         let out = m.alloc_region(8);
+        let cell = m.alloc_region(1).start as Word;
         let mut ctx = m.ctx(0);
         let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-
-        // Allocate the cell in a setup capsule.
-        let cell_slot = m.alloc_region(8);
-        let setup = final_capsule("setup", move |ctx| {
-            let cell = JoinCell::init(ctx)?;
-            ctx.pwrite(cell_slot.at(0), cell.addr() as Word)
-        });
-        run_chain(&mut ctx, m.arena(), &mut install, setup).unwrap();
-        let cell = JoinCell::at(m.mem().load(cell_slot.at(0)) as usize);
-
         for token in order {
             // Each branch, if it continues past the join, writes its own
             // marker word (an idempotent, conflict-free record of "this
             // branch continued").
-            let after = final_capsule("after", move |ctx| ctx.pwrite(out.at(token as usize), 1));
-            let chain = cell.arrive(token, after);
-            run_chain(&mut ctx, m.arena(), &mut install, chain).unwrap();
+            let marker = out.at(token as usize) as Word;
+            let after = raw_frame(m, "after", [marker], |&[at], ctx| {
+                ctx.pwrite(at as Addr, 1)?;
+                Ok(Next::End)
+            });
+            let arrival = m.setup_frame(CORE_ID_JOIN_CAM, &[cell, token, after]);
+            run_chain(&mut ctx, m.arena(), &mut install, arrival).unwrap();
         }
         m.mem().load(out.at(1)) + m.mem().load(out.at(2))
     }
@@ -198,35 +185,19 @@ mod tests {
     #[test]
     fn first_arriver_ends_thread() {
         let m = machine(FaultConfig::none());
-        let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-        let cell_slot = m.alloc_region(8);
-        let setup = final_capsule("setup", move |ctx| {
-            let cell = JoinCell::init(ctx)?;
-            ctx.pwrite(cell_slot.at(0), cell.addr() as Word)
-        });
-        run_chain(&mut ctx, m.arena(), &mut install, setup).unwrap();
-        let cell = JoinCell::at(m.mem().load(cell_slot.at(0)) as usize);
-
+        let marker = m.alloc_region(8).start;
+        let cell = m.alloc_region(1).start;
         // Only the left branch arrives: its chain must End without running
         // the continuation.
-        let marker = m.alloc_region(8);
-        let after = final_capsule("after", move |ctx| ctx.pwrite(marker.at(0), 1));
-        run_chain(
-            &mut ctx,
-            m.arena(),
-            &mut install,
-            cell.arrive(TOKEN_LEFT, after),
-        )
-        .unwrap();
-        assert_eq!(m.mem().load(marker.at(0)), 0, "after must not have run");
-        assert_eq!(m.mem().load(cell.addr()), TOKEN_LEFT);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_token_rejected() {
-        let cell = JoinCell::at(100);
-        let _ = cell.arrive(UNSET, crate::capsule::end_capsule());
+        let after = raw_frame(&m, "after", [marker as Word], |&[at], ctx| {
+            ctx.pwrite(at as Addr, 1)?;
+            Ok(Next::End)
+        });
+        let arrival = m.setup_frame(CORE_ID_JOIN_CAM, &[cell as Word, TOKEN_LEFT, after]);
+        let mut ctx = m.ctx(0);
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
+        run_chain(&mut ctx, m.arena(), &mut install, arrival).unwrap();
+        assert_eq!(m.mem().load(marker), 0, "after must not have run");
+        assert_eq!(m.mem().load(cell), TOKEN_LEFT);
     }
 }

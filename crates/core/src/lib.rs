@@ -3,22 +3,24 @@
 //! This crate implements the programming methodology of §§2–5 of
 //! *The Parallel Persistent Memory Model* (Blelloch et al., SPAA 2018):
 //!
-//! * **Capsules and closures** (the [`mod@capsule`] module): immutable, re-runnable units
-//!   of computation whose captured state is the paper's closure; restart =
-//!   re-run with fresh ephemeral state.
-//! * **The continuation arena** ([`arena`]): closures addressed by
-//!   persistent-memory handles minted from the restart-stable per-processor
-//!   allocator of §4.1, so forked threads can be stored in deques and
-//!   stolen across processors (including from dead ones).
-//! * **The engine** ([`runner`]): installs capsules (writing the closure
-//!   and swinging the restart pointer as the capsule's last instructions),
-//!   restarts on soft faults with the model's constant restart overhead,
-//!   and surfaces hard faults to the scheduler.
+//! * **Capsules** (the [`mod@capsule`] module): immutable, re-runnable units
+//!   of computation whose state is the paper's closure, kept as words in
+//!   persistent memory — a frame or a scheduler record; restart = re-run
+//!   with fresh ephemeral state.
+//! * **The continuation arena** ([`arena`]): what a persistent handle
+//!   denotes, resolved from the words alone, so forked threads stored in
+//!   deques can be stolen across processors (including from dead ones) and
+//!   across processes.
+//! * **The engine** ([`runner`]): installs capsules (swinging the restart
+//!   pointer as the capsule's last instructions), restarts on soft faults
+//!   with the model's constant restart overhead, and surfaces hard faults
+//!   to the scheduler.
 //! * **Join cells** ([`join`]): the §5 CAM test-and-set join — no CAS, safe
 //!   under faults, exactly-once continuation.
-//! * **Fork-join combinators** ([`comp`]): continuation-passing composition
-//!   of capsules into the binary fork-join DAGs of the multithreaded model,
-//!   with dynamic expansion for recursive algorithms.
+//! * **Fork-join combinators** ([`dsl`]): typed capsule state and the
+//!   `fork2` / `seq` / `map_grain` / `reduce` combinators that write the
+//!   frames of the multithreaded model's binary fork-join DAGs, with
+//!   dynamic expansion for recursive algorithms.
 //! * **Machines** ([`machine`]): bundling memory, statistics, liveness, the
 //!   arena and the address-space layout into one instance.
 //! * **The capsule registry** ([`registry`]): stable capsule ids mapped to
@@ -34,7 +36,6 @@
 
 pub mod arena;
 pub mod capsule;
-pub mod comp;
 pub mod dsl;
 pub mod flag;
 pub mod join;
@@ -43,12 +44,8 @@ pub mod persist;
 pub mod registry;
 pub mod runner;
 
-pub use arena::{ContArena, CLOSURE_WORDS, NULL_HANDLE};
-pub use capsule::{
-    capsule, end_capsule, final_capsule, step_capsule, Active, Capsule, Cont, Next, SchedRecord,
-    Scheduler, SCHED_ARG_WORDS,
-};
-pub use comp::{comp_dyn, comp_fork2, comp_nop, comp_seq, comp_step, par_all, root, seq_all, Comp};
+pub use arena::{ContArena, NULL_HANDLE};
+pub use capsule::{Active, Next, SchedRecord, Scheduler, SCHED_ARG_WORDS};
 pub use dsl::{fork2, fork_many, jump_to, seq, CapsuleDef, CapsuleSet, Fold, Span, K};
 pub use flag::DoneFlag;
 pub use join::{fork_join_frames, JoinCell, TOKEN_LEFT, TOKEN_RIGHT, UNSET};

@@ -22,39 +22,36 @@ use crate::registry::{register_core_capsules, CapsuleId, CapsuleRegistry};
 ///
 /// ```text
 ///   offset  0..5   record A, argument words
-///           5      record A, head word   (= closure swap slot A)
+///           5      record A, head word
 ///           6      active: the restart pointer (§2)
-///           7      closure swap slot B
+///           7      reserved (zero)
 ///           8..13  record B, argument words
 ///          13      record B, head word
 ///          14      watermark
-///          15      unused
+///          15      reserved (zero)
 /// ```
 ///
 /// * `active` — the handle of the capsule the processor is executing,
 ///   read by thieves via `getActiveCapsule` when it hard-faults. It holds
-///   a frame address (a user capsule: the frame's words are the closure),
-///   a closure handle (closure machine only), or **its own address** —
-///   the journal pointer: "my capsule is the live record of this block".
-///   A word that holds its own small address can never carry
-///   [`ppm_pm::frame::FRAME_MAGIC`], so code that only knows frames reads
-///   a journal pointer as "not a frame".
+///   a frame address (a user capsule: the frame's words are the closure)
+///   or **its own address** — the journal pointer: "my capsule is the
+///   live record of this block". A word that holds its own small address
+///   can never carry [`ppm_pm::frame::FRAME_MAGIC`], so code that only
+///   knows frames reads a journal pointer as "not a frame".
 /// * records A and B — the scheduler's own capsules, as words
 ///   ([`crate::capsule::SchedRecord`]): the **live** record is the one whose head carries
 ///   the higher generation. Any attachment to the machine resolves a
 ///   journal pointer from these words alone
 ///   ([`crate::runner::live_record`]), which is what lets a survivor
 ///   adopt a processor killed *inside* scheduler code.
-/// * closure swap slots — the two-closure swap of §4.1 for the closure
-///   machine's thread continuations, each adjacent to `active` so an
-///   install is one contiguous pair. Slot A shares a word with record A's
-///   head: a closure install and a record install are never both current
-///   (each ends by making `active` its own), the arena is keyed by the
-///   slot's *address*, and both write generations from one counter.
 /// * `watermark` — mirror of the processor's committed pool-allocation
 ///   cursor, refreshed (uncosted) at every capsule boundary. A recovering
 ///   process reads it to resume allocation *above* the dead run's live
 ///   frames and join cells instead of overwriting them.
+///
+/// Fourteen words would do, but the stride that keeps processors
+/// block-separated would round them back up to sixteen at B = 4, 8 and
+/// 16, so the reserved words cost nothing and the file format stays put.
 ///
 /// ## Store order (why a SIGKILL between any two stores is safe)
 ///
@@ -82,14 +79,9 @@ pub mod meta {
     pub const REC_A: usize = 0;
     /// Head word of record A.
     pub const HEAD_A: usize = REC_A + SCHED_ARG_WORDS;
-    /// Closure swap slot A (shares record A's head word).
-    pub const SLOT_A: usize = HEAD_A;
-    /// Restart-pointer location, between the swap slots so either
-    /// `(slot, active)` pair is contiguous, and right behind record A so
-    /// `(record, head, active)` is.
+    /// Restart-pointer location, right behind record A so
+    /// `(record, head, active)` is one contiguous run.
     pub const ACTIVE: usize = HEAD_A + 1;
-    /// Closure swap slot B.
-    pub const SLOT_B: usize = ACTIVE + 1;
     /// Journal record B.
     pub const REC_B: usize = 8;
     /// Head word of record B.
@@ -100,15 +92,14 @@ pub mod meta {
 
 // Record A and its pointer swing end before record B starts, and the
 // block holds both.
-const _: () = assert!(meta::SLOT_B < meta::REC_B && meta::WATERMARK < PROC_META_WORDS);
+const _: () = assert!(meta::ACTIVE < meta::REC_B && meta::WATERMARK < PROC_META_WORDS);
 
 /// Addresses of one processor's metadata words.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcMeta {
     /// Address of the block (record A's first argument word).
     pub base: Addr,
-    /// Address of the restart-pointer word; the closure swap slots are
-    /// the words on either side of it.
+    /// Address of the restart-pointer word.
     pub active: Addr,
     /// Address of the pool-cursor watermark word.
     pub watermark: Addr,
@@ -164,11 +155,11 @@ pub struct Machine {
     epoch: u64,
 }
 
-/// Default per-processor allocation pool size in words. A closure-machine
-/// fork consumes `2 * CLOSURE_WORDS + 1` (child and continuation
-/// closures, and the join cell), so this supports on the order of 10^5
-/// forks per processor; construct with
-/// [`Machine::with_pool_words`] for larger workloads.
+/// Default per-processor allocation pool size in words. A fork consumes
+/// its join cell, two six-word arrival frames and its two branch frames —
+/// 49 words a leaf of a `map_grain` over a region — so this supports on
+/// the order of 5·10^3 forks per processor between checkpoints; construct
+/// with [`Machine::with_pool_words`] for larger workloads.
 pub const DEFAULT_POOL_WORDS: usize = 1 << 18;
 
 impl Machine {

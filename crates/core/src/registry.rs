@@ -474,14 +474,14 @@ pub fn register_core_capsules(registry: &CapsuleRegistry) {
     registry.register(
         CORE_ID_JOIN_CAM,
         "join-cam",
-        |args| frame_args::<3>("join-cam", args),
+        |args| crate::join::decode_arrival("join-cam", args),
         crate::join::arrive_cam,
         join_trace,
     );
     registry.register(
         CORE_ID_JOIN_CHECK,
         "join-check",
-        |args| frame_args::<3>("join-check", args),
+        |args| crate::join::decode_arrival("join-check", args),
         crate::join::arrive_check,
         join_trace,
     );
@@ -529,10 +529,26 @@ pub fn register_core_capsules(registry: &CapsuleRegistry) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::machine::Machine;
+    use crate::persist::ValueError;
     use ppm_pm::{store_frame, PmConfig};
+
+    /// Registers `name` as a capsule over `N` raw argument words running
+    /// `body`, and writes a setup frame of it over `args`. Re-registering
+    /// a name keeps its first body.
+    pub(crate) fn raw_frame<const N: usize>(
+        m: &Machine,
+        name: &'static str,
+        args: [Word; N],
+        body: impl Fn(&[Word; N], &mut ProcCtx) -> PmResult<Next> + Send + Sync + 'static,
+    ) -> Word {
+        let id = m.registry().allocate(name);
+        let decode = move |a: &[Word]| frame_args::<N>(name, a);
+        m.registry().register(id, name, decode, body, |_, _| true);
+        m.setup_frame(id, &args)
+    }
 
     /// Registers `name` under `id` with no state and a body that ends.
     fn register_end(reg: &CapsuleRegistry, id: CapsuleId, name: &'static str) {
@@ -732,5 +748,35 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("finale"), "{err}");
+    }
+
+    /// A join token is 1 or 2 (hostile bytes): any other word is refused
+    /// when the frame is decoded, so neither `rehydrate` nor a run ever
+    /// sees an arrival that could not join.
+    #[test]
+    fn join_frames_with_a_token_other_than_1_or_2_are_refused() {
+        let reg = CapsuleRegistry::new();
+        register_core_capsules(&reg);
+        let mem = PersistentMemory::new(256, 8);
+        for (id, name) in [
+            (CORE_ID_JOIN_CAM, "join-cam"),
+            (CORE_ID_JOIN_CHECK, "join-check"),
+        ] {
+            for token in [0, 3] {
+                store_frame(&mem, 16, id, &[64, token, 0]);
+                let err = expect_err(reg.rehydrate(&mem, 16));
+                let RehydrateError::BadArgs { error, .. } = &err else {
+                    panic!("{name} token {token}: {err}")
+                };
+                assert_eq!(error.capsule, name);
+                let want = ValueError {
+                    what: "join token (1 or 2)",
+                    word: token,
+                };
+                assert_eq!(error.kind, FrameDecodeKind::Value(want));
+            }
+            store_frame(&mem, 16, id, &[64, crate::join::TOKEN_RIGHT, 0]);
+            assert_eq!(reg.rehydrate(&mem, 16).unwrap().name, name);
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! sequence; a hard fault stops the processor, leaving its restart pointer
 //! in persistent memory for thieves to pick up (`getActiveCapsule`).
 //!
-//! There are three installs, one per capsule form, and each is a single
+//! There are two installs, one per capsule form, and each is a single
 //! block write at B ≥ 8:
 //!
 //! * **Frames** ([`Next::JumpHandle`] / [`Next::ForkHandle`]): the closure
@@ -22,16 +22,9 @@
 //!   capsule are on [`crate::machine::PROC_META_WORDS`];
 //!   [`live_record`] is the read side, and every attachment to the
 //!   machine reads alike.
-//! * **Closures** ([`Next::Jump`], closure machine and `crates/sim`
-//!   chains only): the closure object goes into the in-process arena
-//!   under the free swap slot's address (the §4.1 optimization: "the
-//!   implementation could use just two closures and swap back and
-//!   forth") and the restart pointer swings to the slot
-//!   ([`InstallCtx::install_jump`]).
 //!
-//! A frame or a record is fully described by shared words, so a fresh
-//! process can pick the pointed-to capsule up after a crash; a closure
-//! dies with its process, which is why no session mints one.
+//! Either capsule is fully described by shared words, so any process can
+//! pick the pointed-to capsule up after a crash.
 //!
 //! A frame is run where it lies (`ContArena::run_frame`): header and
 //! extent checked, id and argument words read onto the stack, decoded,
@@ -43,18 +36,16 @@
 use ppm_pm::{Fault, PersistentMemory, PmResult, ProcCtx, Word};
 
 use crate::arena::{ContArena, NULL_HANDLE};
-use crate::capsule::{Active, Cont, Next, SchedRecord, Scheduler};
+use crate::capsule::{Active, Next, SchedRecord, Scheduler};
 use crate::machine::{meta, ProcMeta};
 use crate::registry::CodeMemo;
 
 /// Per-processor installation state: where the restart pointer and the
-/// journal live, which slot the next install goes to, the generation it
+/// journal live, which slot the next record goes to, the generation it
 /// will carry, and this processor's memo of the capsule registry.
 #[derive(Debug)]
 pub struct InstallCtx {
     meta: ProcMeta,
-    /// Closure swap: which slot receives the next closure.
-    use_a: bool,
     /// `Some` while the restart pointer is this processor's journal
     /// pointer (the last install was a record): whether the newest record
     /// sits in slot A.
@@ -103,56 +94,10 @@ impl InstallCtx {
         let stale = |off| SchedRecord::generation(mem.load(meta.base + off));
         InstallCtx {
             meta,
-            use_a: true,
             live_a: None,
             gen: stale(meta::HEAD_A).max(stale(meta::HEAD_B)) + 1,
             codes: CodeMemo::default(),
         }
-    }
-
-    /// Installs `c` as the next capsule: writes its closure into the free
-    /// swap slot and swings the restart pointer to it.
-    ///
-    /// The metadata layout places each swap slot adjacent to the restart
-    /// pointer, so filling the closure and swinging the pointer is **one**
-    /// contiguous block transfer — the §4.1 "swap back and forth" pair
-    /// lives in a single block. The write may fault, in which case the
-    /// *current* capsule restarts and the (idempotent) install is
-    /// re-attempted. Machines whose block size cannot hold the pair fall
-    /// back to the two-write install.
-    pub fn install_jump(&mut self, ctx: &mut ProcCtx, arena: &ContArena, c: &Cont) -> PmResult<()> {
-        let ProcMeta { base, active, .. } = self.meta;
-        let (slot_a, slot_b) = (base + meta::SLOT_A, base + meta::SLOT_B);
-        // The slot's content word: a head at this generation whose kind
-        // names no record.
-        let filled = self.gen << SchedRecord::KIND_BITS;
-        let (slot, lo, pair) = if self.use_a {
-            (slot_a, slot_a, [filled, slot_a as Word])
-        } else {
-            (slot_b, active, [slot_b as Word, filled])
-        };
-        let b = ctx.block_size();
-        // The arena's map entry is what lets a thief resolve a dead
-        // processor's closure; it takes the map's lock — the closure
-        // machine's cost, which no session pays.
-        // hot-path-ok: `c` is a closure capsule this processor minted for
-        // this one install, so its refcount is on no shared line.
-        let held = c.clone();
-        if lo / b == (lo + 1) / b {
-            // The in-process map entry is uncosted bookkeeping; the costed
-            // closure content is the block write below.
-            arena.preregister(slot, held);
-            ctx.write_block(lo, &pair)?;
-        } else {
-            arena.register_at(ctx, slot, held, filled)?;
-            ctx.pwrite(active, slot as Word)?;
-        }
-        // Flip only after the install succeeded: a re-run must target the
-        // same slot.
-        self.use_a = !self.use_a;
-        self.live_a = None;
-        self.gen += 1;
-        Ok(())
     }
 
     /// Installs a scheduler capsule: journals `rec` and makes the restart
@@ -266,7 +211,6 @@ fn run_body_and_install(
     sched: Option<&dyn Scheduler>,
 ) -> PmResult<Option<Active>> {
     let next = match (cur, sched) {
-        (Active::Capsule(c), _) => c.run(ctx)?,
         (Active::Frame(frame), _) => arena.run_frame(&mut install.codes, frame, ctx)?,
         (Active::Sched(rec), Some(s)) => s.run(rec, ctx, arena)?,
         (Active::Sched(_), None) => panic_no_scheduler(cur.name(None)),
@@ -287,10 +231,6 @@ fn run_body_and_install(
         Ok(Some(Active::Sched(rec)))
     };
     match next {
-        Next::Jump(c) => {
-            install.install_jump(ctx, arena, &c)?;
-            Ok(Some(Active::Capsule(c)))
-        }
         Next::JumpHandle(h) => {
             let target = resolve_handle(ctx, arena, install, h, cur.name(sched));
             install.install_handle(ctx, h)?;
@@ -307,15 +247,6 @@ fn run_body_and_install(
         Next::Halt => {
             install.install_null(ctx)?;
             Ok(None)
-        }
-        Next::Fork { child, cont } => {
-            // The closure machine's fork: both sides become closure
-            // handles in the pool, and the scheduler is handed two
-            // handles, exactly as for frames.
-            let s = sched.unwrap_or_else(|| panic_no_scheduler(cur.name(None)));
-            let child = arena.register(ctx, child)?;
-            let cont = arena.register(ctx, cont)?;
-            installed(install, ctx, s.on_fork(child, cont))
         }
         Next::ForkHandle { child, cont } => {
             // Both sides were persisted by the capsule body: the child
@@ -356,44 +287,71 @@ fn panic_no_scheduler(name: &str) -> ! {
     )
 }
 
-/// Drives a non-forking capsule chain to completion on one processor.
-/// Returns `Err(Fault::Hard)` if the processor dies mid-chain.
+/// Drives a non-forking capsule chain to completion on one processor,
+/// starting at the frame `first`. Returns `Err(Fault::Hard)` if the
+/// processor dies mid-chain.
+///
+/// # Panics
+/// Panics if `first` is not a registered frame.
 pub fn run_chain(
     ctx: &mut ProcCtx,
     arena: &ContArena,
     install: &mut InstallCtx,
-    first: Cont,
+    first: Word,
 ) -> Result<(), Fault> {
-    let mut cur = Active::Capsule(first);
-    loop {
-        match run_capsule(ctx, arena, install, &cur, None)? {
-            Some(c) => cur = c,
-            None => return Ok(()),
-        }
+    let mut cur = arena
+        .resolve(first)
+        .unwrap_or_else(|| panic!("chain head {first} is not a registered frame"));
+    while let Some(next) = run_capsule(ctx, arena, install, &cur, None)? {
+        cur = next;
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capsule::{capsule, final_capsule, step_capsule};
     use crate::machine::Machine;
+    use crate::registry::tests::raw_frame;
     use ppm_pm::{Addr, FaultConfig, PmConfig};
 
     fn machine_with(f: FaultConfig) -> Machine {
         Machine::new(PmConfig::parallel(1, 1 << 16).with_fault(f))
     }
 
+    /// Frames that write `value` to `addr`, one per pair, each continuing
+    /// with the next and the last ending the chain. Returns their handles
+    /// in chain order.
+    fn chain(m: &Machine, writes: &[(Addr, Word)]) -> Vec<Word> {
+        let mut next = NULL_HANDLE;
+        let mut handles: Vec<Word> = (writes.iter().rev())
+            .map(|&(at, v)| {
+                next = raw_frame(m, "write", [at as Word, v, next], |&[at, v, next], ctx| {
+                    ctx.pwrite(at as Addr, v)?;
+                    Ok(match next {
+                        NULL_HANDLE => Next::End,
+                        _ => Next::JumpHandle(next),
+                    })
+                });
+                next
+            })
+            .collect();
+        handles.reverse();
+        handles
+    }
+
+    fn run(m: &Machine, first: Word) -> Result<(), Fault> {
+        let mut ctx = m.ctx(0);
+        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
+        run_chain(&mut ctx, m.arena(), &mut install, first)
+    }
+
     #[test]
     fn chain_runs_in_order() {
         let m = machine_with(FaultConfig::none());
         let r = m.alloc_region(8);
-        let c3 = final_capsule("c3", move |ctx| ctx.pwrite(r.at(2), 3));
-        let c2 = step_capsule("c2", move |ctx| ctx.pwrite(r.at(1), 2), c3);
-        let c1 = step_capsule("c1", move |ctx| ctx.pwrite(r.at(0), 1), c2);
-        let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-        run_chain(&mut ctx, m.arena(), &mut install, c1).unwrap();
+        let c = chain(&m, &[(r.at(0), 1), (r.at(1), 2), (r.at(2), 3)]);
+        run(&m, c[0]).unwrap();
         assert_eq!(m.mem().to_vec(r.start, 3), vec![1, 2, 3]);
         // The restart pointer is cleared at the end.
         assert_eq!(m.active_handle(0), NULL_HANDLE);
@@ -402,26 +360,20 @@ mod tests {
     #[test]
     fn installs_write_restart_pointer() {
         let m = machine_with(FaultConfig::none());
-        let c2 = final_capsule("c2", |_| Ok(()));
-        let c1 = step_capsule("c1", |_| Ok(()), c2);
+        let r = m.alloc_region(8);
+        let c = chain(&m, &[(r.at(0), 1), (r.at(1), 2)]);
         let mut ctx = m.ctx(0);
         let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-        let step = run_capsule(
-            &mut ctx,
-            m.arena(),
-            &mut install,
-            &Active::Capsule(c1),
-            None,
-        )
-        .unwrap();
-        // After c1 completes, the active handle resolves to c2's closure.
+        let first = m.arena().resolve(c[0]).expect("a registered frame");
+        let step = run_capsule(&mut ctx, m.arena(), &mut install, &first, None).unwrap();
+        // After c1 completes, the restart pointer is c2's frame, and the
+        // words there say so.
         let h = m.active_handle(0);
-        assert_ne!(h, NULL_HANDLE);
-        assert_eq!(m.arena().get(h).unwrap().name(), "c2");
-        match step {
-            Some(c) => assert_eq!(c.name(None), "c2"),
-            None => panic!("expected a successor"),
-        }
+        assert_eq!(h, c[1]);
+        let Ok(Active::Frame(f)) = m.arena().try_resolve(h) else {
+            panic!("the restart pointer resolves to a frame")
+        };
+        assert_eq!(step, Some(Active::Frame(f)), "the successor is c2");
     }
 
     #[test]
@@ -429,20 +381,15 @@ mod tests {
         let m = machine_with(FaultConfig::soft(0.2, 1234));
         let r = m.alloc_region(64);
         // A chain of 8 capsules each writing a distinct word.
-        let mut cur = final_capsule("last", move |ctx| ctx.pwrite(r.at(63), 100));
-        for i in (0..8).rev() {
-            let prev = cur;
-            cur = step_capsule("step", move |ctx| ctx.pwrite(r.at(i), i as u64 + 1), prev);
-        }
-        let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-        run_chain(&mut ctx, m.arena(), &mut install, cur).unwrap();
+        let mut writes: Vec<_> = (0..8).map(|i| (r.at(i), i as u64 + 1)).collect();
+        writes.push((r.at(63), 100));
+        run(&m, chain(&m, &writes)[0]).unwrap();
         for i in 0..8 {
             assert_eq!(m.mem().load(r.at(i)), i as u64 + 1);
         }
         assert_eq!(m.mem().load(r.at(63)), 100);
         let snap = m.snapshot();
-        assert!(snap.soft_faults > 0, "f=0.2 over ~27 writes must fault");
+        assert!(snap.soft_faults > 0, "f=0.2 over ~18 writes must fault");
         assert!(snap.capsule_restarts() > 0);
     }
 
@@ -450,51 +397,31 @@ mod tests {
     fn hard_fault_stops_chain_and_leaves_restart_pointer() {
         let m = machine_with(FaultConfig::none().with_scheduled_hard_fault(0, 4));
         let r = m.alloc_region(8);
-        let c3 = final_capsule("c3", move |ctx| ctx.pwrite(r.at(2), 3));
-        let c2 = step_capsule("c2", move |ctx| ctx.pwrite(r.at(1), 2), c3);
-        let c1 = step_capsule("c1", move |ctx| ctx.pwrite(r.at(0), 1), c2);
-        let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-        let err = run_chain(&mut ctx, m.arena(), &mut install, c1).unwrap_err();
-        assert_eq!(err, Fault::Hard);
+        let c = chain(&m, &[(r.at(0), 1), (r.at(1), 2), (r.at(2), 3)]);
+        assert_eq!(run(&m, c[0]).unwrap_err(), Fault::Hard);
         assert!(!m.liveness().is_live(0));
-        // c1 completed (write r0 = access 1, coalesced install of c2 = 2),
-        // then c2 starts: write r1 (3), and its install of c3 faults at
-        // access 4. The restart pointer still points at the last
-        // *installed* capsule, so a thief could resume from there.
+        // c1 completed (write r0 = access 1, install of c2 = 2), then c2
+        // starts: write r1 (3), and its install of c3 faults at access 4.
+        // The restart pointer still points at the last *installed*
+        // capsule, and any process can resume it from the words alone.
         let h = m.active_handle(0);
-        assert_ne!(h, NULL_HANDLE);
-        assert!(m.arena().get(h).is_some());
+        assert_eq!(h, c[1]);
+        assert!(matches!(m.arena().try_resolve(h), Ok(Active::Frame(f)) if f.addr == h as Addr));
     }
 
     #[test]
     fn total_work_under_faults_is_constant_factor_of_faultless() {
         // A long chain; compare W (f = 0) with W_f (f = 0.05) — Theorem 3.2
         // style accounting at engine level.
-        let build = |_m: &Machine, r: ppm_pm::Region| {
-            let mut cur = final_capsule("last", |_| Ok(()));
-            for i in (0..200usize).rev() {
-                let prev = cur;
-                cur = step_capsule("s", move |ctx| ctx.pwrite(r.at(i % 64), 1), prev);
-            }
-            cur
-        };
-        let faultless = {
-            let m = machine_with(FaultConfig::none());
+        let work = |f: FaultConfig| {
+            let m = machine_with(f);
             let r = m.alloc_region(64);
-            let mut ctx = m.ctx(0);
-            let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-            run_chain(&mut ctx, m.arena(), &mut install, build(&m, r)).unwrap();
+            let writes: Vec<_> = (0..200).map(|i| (r.at(i % 64), 1)).collect();
+            run(&m, chain(&m, &writes)[0]).unwrap();
             m.snapshot().total_work()
         };
-        let faulty = {
-            let m = machine_with(FaultConfig::soft(0.05, 77));
-            let r = m.alloc_region(64);
-            let mut ctx = m.ctx(0);
-            let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-            run_chain(&mut ctx, m.arena(), &mut install, build(&m, r)).unwrap();
-            m.snapshot().total_work()
-        };
+        let faultless = work(FaultConfig::none());
+        let faulty = work(FaultConfig::soft(0.05, 77));
         assert!(faulty >= faultless);
         assert!(
             (faulty as f64) < 2.0 * faultless as f64,
@@ -508,34 +435,21 @@ mod tests {
     /// attempt decoded is kept.
     #[test]
     fn every_attempt_of_a_frame_decodes_its_words_again() {
-        use crate::registry::frame_args;
         let mut restarted = 0;
         for seed in 0..16 {
             let m = machine_with(FaultConfig::soft(0.5, seed));
             let out = m.alloc_region(1).start;
-            let id = m.registry().allocate("rerun/probe");
-            m.registry().register(
-                id,
-                "rerun/probe",
-                |args| frame_args::<2>("rerun/probe", args),
-                move |&[me, v], ctx| {
-                    // Uncosted, and before the first costed access: the
-                    // first attempt rewrites its own second argument.
-                    ctx.raw_mem()
-                        .store(me as Addr + ppm_pm::frame::FRAME_ARGS_AT + 1, 2);
-                    ctx.pwrite(out, v)?;
-                    Ok(Next::End)
-                },
-                |_, _| false,
-            );
-            let frame = m.setup_frame(id, &[0, 1]);
+            let frame = raw_frame(&m, "rerun/probe", [0, 1], move |&[me, v], ctx| {
+                // Uncosted, and before the first costed access: the first
+                // attempt rewrites its own second argument.
+                ctx.raw_mem()
+                    .store(me as Addr + ppm_pm::frame::FRAME_ARGS_AT + 1, 2);
+                ctx.pwrite(out, v)?;
+                Ok(Next::End)
+            });
             m.mem()
                 .store(frame as Addr + ppm_pm::frame::FRAME_ARGS_AT, frame);
-            let cur = m.arena().resolve(frame).expect("a registered frame");
-            let mut ctx = m.ctx(0);
-            let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-            let next = run_capsule(&mut ctx, m.arena(), &mut install, &cur, None).unwrap();
-            assert!(next.is_none(), "the chain ends");
+            run(&m, frame).unwrap();
             let restarts = m.snapshot().capsule_restarts();
             assert_eq!(
                 m.mem().load(out),
@@ -551,15 +465,14 @@ mod tests {
     #[should_panic(expected = "no scheduler")]
     fn fork_without_scheduler_panics() {
         let m = machine_with(FaultConfig::none());
-        let forker = capsule("forker", |_ctx| {
-            Ok(Next::Fork {
-                child: crate::capsule::end_capsule(),
-                cont: crate::capsule::end_capsule(),
+        let end = m.setup_frame(crate::registry::CORE_ID_END, &[]);
+        let forker = raw_frame(&m, "forker", [end], |&[end], _| {
+            Ok(Next::ForkHandle {
+                child: end,
+                cont: end,
             })
         });
-        let mut ctx = m.ctx(0);
-        let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-        let _ = run_chain(&mut ctx, m.arena(), &mut install, forker);
+        let _ = run(&m, forker);
     }
 
     // ----------------------------------------------------------------
@@ -610,12 +523,12 @@ mod tests {
     fn install_costs(b: usize) -> Vec<u64> {
         let m = Machine::new(PmConfig::parallel(1, 1 << 16).with_block_size(b));
         let r = m.alloc_region(8);
-        let first = capsule("first", move |_| {
-            Ok(Next::Sched(countdown(4, r.start as Word)))
+        let first = raw_frame(&m, "first", [r.start as Word], |&[at], _| {
+            Ok(Next::Sched(countdown(4, at)))
         });
         let mut ctx = m.ctx(0);
         let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
-        let mut cur = Active::Capsule(first);
+        let mut cur = m.arena().resolve(first).expect("a registered frame");
         let mut costs = Vec::new();
         loop {
             let before = m.snapshot().total_writes;

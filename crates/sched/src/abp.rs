@@ -11,11 +11,9 @@
 //! ABP01: Arora, Blumofe, Plaxton, "Thread scheduling for multiprogrammed
 //! multiprocessors", Theory of Computing Systems 34(2).
 
-use std::sync::Arc;
-
 use ppm_core::{
-    run_capsule, Active, Comp, ContArena, DoneFlag, InstallCtx, Machine, Next, SchedRecord,
-    Scheduler, SCHED_ARG_WORDS,
+    run_capsule, Active, ContArena, DoneFlag, InstallCtx, Machine, Next, PComp, SchedRecord,
+    Scheduler, CORE_ID_FINALE, SCHED_ARG_WORDS,
 };
 use ppm_pm::{Addr, PmResult, ProcCtx, Region, StatsSnapshot, Word};
 
@@ -104,7 +102,7 @@ pub struct AbpScheduler {
 
 impl AbpScheduler {
     /// Carves per-processor deques with `slots` entries each.
-    pub fn new(machine: &Machine, done: DoneFlag, slots: usize, seed: u64) -> Arc<Self> {
+    pub fn new(machine: &Machine, done: DoneFlag, slots: usize, seed: u64) -> Self {
         assert_eq!(
             machine.cfg().fault.fault_prob,
             0.0,
@@ -122,7 +120,7 @@ impl AbpScheduler {
                 slots,
             })
             .collect();
-        Arc::new(AbpScheduler { deques, done, seed })
+        AbpScheduler { deques, done, seed }
     }
 }
 
@@ -201,27 +199,31 @@ pub struct AbpReport {
     pub elapsed: std::time::Duration,
 }
 
-/// Runs a fork-join computation under the ABP baseline (fault-free).
-pub fn run_computation_abp(machine: &Machine, comp: &Comp, slots: usize, seed: u64) -> AbpReport {
+/// Runs a registered persistent computation under the ABP baseline
+/// (fault-free): the same DAG `Runtime::run_or_recover` runs on the
+/// fault-tolerant scheduler, so the two are compared on one source.
+pub fn run_computation_abp(machine: &Machine, pcomp: &PComp, slots: usize, seed: u64) -> AbpReport {
     let done = DoneFlag::new(machine);
-    let root = comp(done.finale());
     let sched = AbpScheduler::new(machine, done, slots, seed);
+    let finale = machine.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
+    let root = machine
+        .arena()
+        .resolve(pcomp(machine, finale))
+        .expect("root frame handle must rehydrate through the registry");
 
     let start = std::time::Instant::now();
     std::thread::scope(|s| {
         for p in 0..machine.procs() {
-            let sched = sched.clone();
-            let root = root.clone();
+            let sched = &sched;
             s.spawn(move || {
                 let mut ctx = machine.ctx(p);
                 let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(p));
                 let mut cur = match p {
-                    0 => Active::Capsule(root),
+                    0 => root,
                     _ => Active::Sched(sched.on_end()),
                 };
                 loop {
-                    match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(&*sched))
-                    {
+                    match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(sched)) {
                         Ok(Some(c)) => cur = c,
                         Ok(None) => return,
                         Err(f) => unreachable!("fault {f} on the fault-free ABP baseline"),
@@ -240,22 +242,15 @@ pub fn run_computation_abp(machine: &Machine, comp: &Comp, slots: usize, seed: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_core::{comp_step, par_all, Comp};
-    use ppm_pm::{PmConfig, Region};
-
-    fn write_marker(r: Region, i: usize) -> Comp {
-        comp_step("mark", move |ctx: &mut ProcCtx| {
-            ctx.pwrite(r.at(i), i as u64 + 1)
-        })
-    }
+    use crate::runtime::tests::marker_comp;
+    use ppm_pm::PmConfig;
 
     #[test]
     fn abp_runs_fanout_on_four_procs() {
         let m = Machine::new(PmConfig::parallel(4, 1 << 21));
         let n = 64;
         let r = m.alloc_region(n);
-        let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_abp(&m, &comp, 1024, 7);
+        let rep = run_computation_abp(&m, &marker_comp(r, n), 1024, 7);
         assert!(rep.completed);
         for i in 0..n {
             assert_eq!(m.mem().load(r.at(i)), i as u64 + 1, "task {i}");
@@ -266,8 +261,7 @@ mod tests {
     fn abp_single_proc() {
         let m = Machine::new(PmConfig::parallel(1, 1 << 20));
         let r = m.alloc_region(16);
-        let comp = par_all((0..8).map(|i| write_marker(r, i)).collect());
-        let rep = run_computation_abp(&m, &comp, 256, 7);
+        let rep = run_computation_abp(&m, &marker_comp(r, 8), 256, 7);
         assert!(rep.completed);
         for i in 0..8 {
             assert_eq!(m.mem().load(r.at(i)), i as u64 + 1);

@@ -79,8 +79,7 @@ pub struct SchedConfig {
     /// dirty pages, write a resume record (durable machines), and reclaim
     /// dead frame-pool words. Defaults to every
     /// [`crate::checkpoint::DEFAULT_CHECKPOINT_CAPSULES`] capsules;
-    /// ignored by closure-machine runs ([`crate::run_closure`]), whose
-    /// continuations cannot be traced or re-planted.
+    /// ignored by [`crate::run_root_on`], whose caller owns the scheduler.
     pub checkpoint: crate::checkpoint::CheckpointPolicy,
 }
 
@@ -378,9 +377,9 @@ impl Sched {
     /// Pre-steal guard for `local` entries of dead processors, one rule
     /// for every owner: committing the steal (the CAM sequence of lines
     /// 54-60) is only safe when the frozen restart pointer still denotes a
-    /// capsule — a frame the registry rehydrates, a record this codec
-    /// decodes, a closure the closure machine's arena holds — because a
-    /// taken local entry whose thread cannot be resumed is a lost thread.
+    /// capsule — a frame the registry rehydrates or a record this codec
+    /// decodes — because a taken local entry whose thread cannot be
+    /// resumed is a lost thread.
     /// A dead owner's words are frozen, so the verdict is stable. What is
     /// being validated is bytes another process may have written: in a
     /// healthy run this never refuses, and a refusal (a corrupt restart

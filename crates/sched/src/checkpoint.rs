@@ -197,8 +197,8 @@ pub struct CheckpointSummary {
     /// Checkpoints fully taken (GC + flush + record when durable).
     pub completed: u64,
     /// Quiesces skipped because the frontier was not harvestable at this
-    /// boundary (a steal or push in flight, a closure-parked restart
-    /// pointer) — retried at a later boundary.
+    /// boundary (a steal or push in flight, a restart pointer parked on a
+    /// scheduler record) — retried at a later boundary.
     pub skipped_busy: u64,
     /// Quiesces skipped because a reachable frame's capsule had no GC
     /// tracer that understood its words (see [`ppm_core::CapsuleTracer`]).
@@ -359,12 +359,6 @@ impl CheckpointCtl {
             quiesce_us,
             sched,
         })
-    }
-
-    /// A control that never checkpoints (closure-machine runs, plain
-    /// chains).
-    pub(crate) fn disabled(machine: &Machine, sched: Arc<Sched>) -> Arc<Self> {
-        Self::new(machine, sched, CheckpointPolicy::Disabled)
     }
 
     /// Snapshot of the run's checkpoint accounting.

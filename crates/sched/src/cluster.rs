@@ -81,8 +81,7 @@
 //! * If every fault domain dies, nobody is left to adopt: [`recover`]
 //!   finishes the job single-process via the ordinary resume/replay
 //!   machinery. (Recovery does not yet *resume* a scheduler record: a
-//!   restart pointer parked on one sends it to the roots, the verdict a
-//!   closure handle always got.)
+//!   restart pointer parked on one sends it to the roots.)
 //! * The coordinator is only an observer after planting: if *it* dies,
 //!   the workers keep running and complete the computation on their own.
 //!

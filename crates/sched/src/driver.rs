@@ -18,15 +18,8 @@
 //! sessions: `Runtime::run_or_recover` takes a registered persistent
 //! computation and dispatches to the fresh-run, persistent-resume,
 //! checkpoint-resume, or replay-fallback paths in this module, returning
-//! a unified [`SessionReport`].
-//!
-//! The model-level **closure machine** — `ppm_core::comp` DAGs of
-//! process-local Rust closures, the form the paper specifies Figure 3
-//! over — is reachable only as a fresh, in-process run: [`run_closure`]
-//! (and [`run_root_on`] for callers that instrument a prebuilt
-//! scheduler). It exists for the scheduler-protocol tests and
-//! the ABP comparison; it never checkpoints, resumes or crosses a process
-//! boundary, and a `Runtime` does not accept it.
+//! a unified [`SessionReport`]. [`run_root_on`] runs a root frame on a
+//! prebuilt scheduler, for callers that instrument its deques.
 //!
 //! ## Crash recovery across process lifetimes
 //!
@@ -60,11 +53,11 @@ use std::time::{Duration, Instant};
 use ppm_core::persist::FrameDecodeError;
 pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
-use ppm_core::{run_capsule, Active, Comp, Cont, DoneFlag, InstallCtx, Machine, CORE_ID_FINALE};
+use ppm_core::{run_capsule, Active, DoneFlag, InstallCtx, Machine, CORE_ID_FINALE};
 use ppm_pm::{StatsSnapshot, Word};
 
 use crate::capsules::{Sched, SchedConfig};
-use crate::checkpoint::{checkpoint_seeds, CheckpointCtl, CheckpointSummary};
+use crate::checkpoint::{checkpoint_seeds, CheckpointCtl, CheckpointPolicy, CheckpointSummary};
 use crate::deque::check_invariant;
 use crate::entry::{kind_of, pack, unpack, EntryKind, EntryVal};
 
@@ -94,7 +87,7 @@ pub struct RunReport {
     /// (compact form: `T` taken, `J` job, `L` local, `.` empty).
     pub deque_dump: Vec<String>,
     /// What the run's checkpointing did (all zeros when the policy is
-    /// disabled or the run is a closure-machine run).
+    /// disabled).
     pub checkpoints: CheckpointSummary,
 }
 
@@ -374,20 +367,6 @@ impl SessionReport {
 // Fresh runs
 // ====================================================================
 
-/// Fresh in-process run of a closure-machine computation (a
-/// `ppm_core::comp` DAG): allocates a completion flag, plants the root
-/// thread on processor 0, and drives all processors until the flag is set
-/// (or everyone is dead). The reference machine of the Figure 3/4
-/// protocol tests and the ABP comparison — closure capsules die with the
-/// process, so there is no checkpointing and no recovery here; sessions
-/// go through [`crate::Runtime::run_or_recover`].
-pub fn run_closure(machine: &Machine, comp: &Comp, cfg: &SchedConfig) -> RunReport {
-    let done = DoneFlag::new(machine);
-    let root = comp(done.finale());
-    let sched = Sched::new(machine, done, cfg);
-    run_root_on(machine, &sched, root, done)
-}
-
 /// Fresh run of a persistent-capsule computation: the root thread — and
 /// every continuation it forks — is denoted by persistent frame
 /// addresses, so a crash of the whole process leaves a machine file that
@@ -403,33 +382,28 @@ pub(crate) fn run_persistent_impl(
     let finale = machine.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
     let root_handle = pcomp(machine, finale);
     let ctl = CheckpointCtl::new(machine, sched.clone(), cfg.checkpoint.clone());
-    run_root_handle_on(machine, &sched, root_handle, done, &ctl)
+    launch_root(machine, &sched, root_handle, done, &ctl)
 }
 
-/// Runs a root thread on a *prebuilt* scheduler (so callers can inspect or
-/// instrument its deques — e.g. the Figure 4 transition experiment).
-/// Closure roots cannot checkpoint (their continuations are untraceable),
-/// so no checkpoint policy applies here.
-pub fn run_root_on(machine: &Machine, sched: &Arc<Sched>, root: Cont, done: DoneFlag) -> RunReport {
-    // Closure root: park it at a fresh address so the restart
-    // pointer resolves (in this process only).
-    let root_slot = machine.alloc_region(1).start;
-    machine.arena().preregister(root_slot, root.clone());
-    let ctl = CheckpointCtl::disabled(machine, sched.clone());
-    launch_root(
-        machine,
-        sched,
-        Active::Capsule(root),
-        root_slot as Word,
-        done,
-        &ctl,
-    )
+/// Runs the root frame `root_handle` on a *prebuilt* scheduler (so
+/// callers can inspect or instrument its deques) until `done` is set.
+/// No checkpoint policy applies here.
+pub fn run_root_on(
+    machine: &Machine,
+    sched: &Arc<Sched>,
+    root_handle: Word,
+    done: DoneFlag,
+) -> RunReport {
+    let ctl = CheckpointCtl::new(machine, sched.clone(), CheckpointPolicy::Disabled);
+    launch_root(machine, sched, root_handle, done, &ctl)
 }
 
-/// Runs a frame-denoted root thread on a prebuilt scheduler: the restart
-/// pointer of processor 0 is the root *frame address* itself, meaningful
-/// to any future process.
-fn run_root_handle_on(
+/// §6.3 initialization: the root processor's first deque entry is local
+/// (it is running the root thread) and its restart pointer is the root
+/// *frame address*, meaningful to any future process, so the thread
+/// survives an immediate hard fault; all other processors start at
+/// `findWork`.
+fn launch_root(
     machine: &Machine,
     sched: &Arc<Sched>,
     root_handle: Word,
@@ -442,21 +416,6 @@ fn run_root_handle_on(
              register its capsules before returning"
         )
     });
-    launch_root(machine, sched, root, root_handle, done, ctl)
-}
-
-/// §6.3 initialization shared by both root forms: the root processor's
-/// first deque entry is local (it is running the root thread) and its
-/// restart pointer is `root_handle`, so the thread survives an immediate
-/// hard fault; all other processors start at `findWork`.
-fn launch_root(
-    machine: &Machine,
-    sched: &Arc<Sched>,
-    root: Active,
-    root_handle: Word,
-    done: DoneFlag,
-    ctl: &Arc<CheckpointCtl>,
-) -> RunReport {
     machine
         .mem()
         .store(machine.proc_meta(0).active, root_handle);
@@ -468,7 +427,7 @@ fn launch_root(
         .map(|proc| match proc {
             0 => ProcSeat {
                 proc,
-                first: root.clone(),
+                first: root,
                 cursor: 0,
             },
             _ => ProcSeat::idle(sched, proc, 0),
@@ -848,7 +807,7 @@ pub(crate) fn recover_persistent_impl(
             .collect();
         run_attached_seats(machine, &sched, seats, done, &ctl)
     } else {
-        run_root_handle_on(machine, &sched, root_handle, done, &ctl)
+        launch_root(machine, &sched, root_handle, done, &ctl)
     };
     machine
         .flush()
@@ -900,105 +859,92 @@ fn proc_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_core::{comp_fork2, comp_step, par_all, Comp};
-    use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
+    use crate::runtime::tests::marker_comp;
+    use crate::{Runtime, RuntimeConfig};
+    use ppm_pm::{FaultConfig, PmConfig};
 
-    fn write_marker(r: Region, i: usize) -> Comp {
-        comp_step("mark", move |ctx: &mut ProcCtx| {
-            ctx.pwrite(r.at(i), i as u64 + 1)
-        })
+    /// A volatile session on `p` processors, checkpoints off.
+    fn session(p: usize, f: FaultConfig, slots: usize) -> Runtime {
+        Runtime::volatile(
+            RuntimeConfig::new(PmConfig::parallel(p, 1 << 21).with_fault(f))
+                .with_slots(slots)
+                .with_checkpoint(CheckpointPolicy::disabled()),
+        )
     }
 
-    fn machine(p: usize, f: FaultConfig) -> Machine {
-        Machine::new(PmConfig::parallel(p, 1 << 21).with_fault(f))
+    /// Runs `n` markers on `rt`; returns the report and whether every
+    /// marker was written exactly once.
+    fn run_markers(rt: &Runtime, n: usize) -> (SessionReport, bool) {
+        let r = rt.machine().alloc_region(n);
+        let rep = rt.run_or_recover(&marker_comp(r, n));
+        let mem = rt.machine().mem();
+        (rep, (0..n).all(|i| mem.load(r.at(i)) == i as u64 + 1))
     }
 
     #[test]
     fn single_proc_runs_flat_computation() {
-        let m = machine(1, FaultConfig::none());
-        let r = m.alloc_region(64);
-        let comp = par_all((0..8).map(|i| write_marker(r, i)).collect());
-        let rep = run_closure(&m, &comp, &SchedConfig::with_slots(256));
-        assert!(rep.completed);
-        assert_eq!(rep.outcomes, vec![ProcOutcome::Halted]);
-        for i in 0..8 {
-            assert_eq!(m.mem().load(r.at(i)), i as u64 + 1);
-        }
+        let (rep, marked) = run_markers(&session(1, FaultConfig::none(), 256), 8);
+        assert!(rep.completed() && marked);
+        assert_eq!(rep.run_report().outcomes, vec![ProcOutcome::Halted]);
     }
 
     #[test]
     fn two_procs_share_forked_work() {
-        let m = machine(2, FaultConfig::none());
-        let r = m.alloc_region(64);
-        let comp = comp_fork2(write_marker(r, 0), write_marker(r, 1));
-        let rep = run_closure(&m, &comp, &SchedConfig::with_slots(256));
-        assert!(rep.completed);
-        assert_eq!(m.mem().load(r.at(0)), 1);
-        assert_eq!(m.mem().load(r.at(1)), 2);
+        let (rep, marked) = run_markers(&session(2, FaultConfig::none(), 256), 2);
+        assert!(rep.completed() && marked);
     }
 
     #[test]
     fn wide_fanout_on_four_procs_all_tasks_run_exactly_once() {
-        let m = machine(4, FaultConfig::none());
-        let n = 64;
-        let r = m.alloc_region(n);
-        let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
         let mut cfg = SchedConfig::with_slots(1024);
         cfg.check_transitions = true;
-        let rep = run_closure(&m, &comp, &cfg);
-        assert!(rep.completed);
-        for i in 0..n {
-            assert_eq!(m.mem().load(r.at(i)), i as u64 + 1, "task {i}");
-        }
+        cfg.checkpoint = CheckpointPolicy::disabled();
+        let m = Machine::new(PmConfig::parallel(4, 1 << 21));
+        let (rep, marked) = run_markers(&Runtime::new(m, cfg), 64);
+        assert!(rep.completed() && marked);
     }
 
     #[test]
     fn soft_faults_do_not_lose_or_duplicate_work() {
         for seed in 0..5 {
-            let m = machine(4, FaultConfig::soft(0.02, seed));
-            let n = 48;
-            let r = m.alloc_region(n);
-            let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
-            let rep = run_closure(&m, &comp, &SchedConfig::with_slots(1024));
-            assert!(rep.completed, "seed {seed}");
-            assert!(rep.stats.soft_faults > 0, "seed {seed} should see faults");
-            for i in 0..n {
-                assert_eq!(m.mem().load(r.at(i)), i as u64 + 1, "seed {seed} task {i}");
-            }
+            let rt = session(4, FaultConfig::soft(0.02, seed), 1024);
+            let (rep, marked) = run_markers(&rt, 48);
+            assert!(rep.completed() && marked, "seed {seed}");
+            assert!(rep.stats().soft_faults > 0, "seed {seed} should see faults");
         }
     }
 
     #[test]
     fn hard_fault_on_root_proc_is_recovered_by_thieves() {
         // Proc 0 dies early; the root thread must be stolen and finished.
-        let m = machine(4, FaultConfig::none().with_scheduled_hard_fault(0, 40));
-        let n = 32;
-        let r = m.alloc_region(n);
-        let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
-        let rep = run_closure(&m, &comp, &SchedConfig::with_slots(1024));
-        assert!(rep.completed);
+        let rt = session(
+            4,
+            FaultConfig::none().with_scheduled_hard_fault(0, 40),
+            1024,
+        );
+        let (rep, marked) = run_markers(&rt, 32);
+        assert!(rep.completed() && marked);
         assert_eq!(rep.dead_procs(), 1);
-        assert_eq!(rep.outcomes[0], ProcOutcome::Dead);
-        for i in 0..n {
-            assert_eq!(m.mem().load(r.at(i)), i as u64 + 1, "task {i}");
-        }
+        assert_eq!(rep.run_report().outcomes[0], ProcOutcome::Dead);
     }
 
     #[test]
     fn all_but_one_proc_dying_still_completes() {
-        let m = machine(4, {
-            FaultConfig::none()
-                .with_scheduled_hard_fault(0, 60)
-                .with_scheduled_hard_fault(1, 45)
-                .with_scheduled_hard_fault(2, 80)
-        });
+        let m = Machine::new(
+            PmConfig::parallel(4, 1 << 21).with_fault(
+                FaultConfig::none()
+                    .with_scheduled_hard_fault(0, 60)
+                    .with_scheduled_hard_fault(1, 45)
+                    .with_scheduled_hard_fault(2, 80),
+            ),
+        );
         let n = 32;
         let r = m.alloc_region(n);
-        let comp = par_all((0..n).map(|i| write_marker(r, i)).collect());
         // Lockstep on the single-threaded stepper: on OS threads the
         // survivor can finish the work before a doomed processor reaches
         // its scheduled access, and the death count becomes a race.
-        let mut sim = crate::sim::SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(1024));
+        let cfg = SchedConfig::with_slots(1024);
+        let mut sim = crate::sim::SimSched::new_persistent(&m, &marker_comp(r, n), &cfg);
         sim.run_to_completion(1 << 20);
         let rep = sim.finish();
         assert!(rep.completed);
@@ -1015,15 +961,11 @@ mod tests {
 
     #[test]
     fn all_procs_dying_reports_incomplete() {
-        let m = machine(2, {
-            FaultConfig::none()
-                .with_scheduled_hard_fault(0, 10)
-                .with_scheduled_hard_fault(1, 10)
-        });
-        let r = m.alloc_region(64);
-        let comp = par_all((0..16).map(|i| write_marker(r, i)).collect());
-        let rep = run_closure(&m, &comp, &SchedConfig::with_slots(512));
-        assert!(!rep.completed);
+        let f = FaultConfig::none()
+            .with_scheduled_hard_fault(0, 10)
+            .with_scheduled_hard_fault(1, 10);
+        let (rep, _) = run_markers(&session(2, f, 512), 16);
+        assert!(!rep.completed());
         assert_eq!(rep.dead_procs(), 2);
     }
 

@@ -19,9 +19,7 @@
 //! * [`driver`] — one OS thread per model processor; runs fork-join
 //!   computations to completion and reports cost statistics, including
 //!   the cross-process recovery paths (resume via the capsule registry,
-//!   replay from the root). [`run_closure`] runs the model-level closure
-//!   machine (`ppm_core::comp` DAGs) fresh and in-process, for the
-//!   Figure 3/4 protocol tests and the ABP comparison.
+//!   replay from the root).
 //! * [`runtime`] — the user-facing session object: [`Runtime`] wraps a
 //!   machine and dispatches [`Runtime::run_or_recover`] to fresh-run,
 //!   persistent-resume, checkpoint-resume, or replay-fallback internally,
@@ -47,7 +45,8 @@
 //!   [`ServiceHandle`] submit/await/drain/shutdown API
 //!   ([`cluster::ClusterBuilder::spawn`]).
 //! * [`abp`] — the CAS-based Arora–Blumofe–Plaxton baseline (not
-//!   fault-tolerant), for the comparison benchmarks.
+//!   fault-tolerant), running the same registered computations, for the
+//!   comparison benchmarks.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -74,8 +73,8 @@ pub use cluster::{
 };
 pub use deque::{build_deques, check_invariant, render, snapshot, DequeAddrs, DequeSnapshot};
 pub use driver::{
-    run_closure, run_root_on, CheckpointResume, FallbackReason, PComp, ProcOutcome, RunReport,
-    SessionMode, SessionReport,
+    run_root_on, CheckpointResume, FallbackReason, PComp, ProcOutcome, RunReport, SessionMode,
+    SessionReport,
 };
 pub use entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal};
 pub use runtime::{Runtime, RuntimeConfig};

@@ -16,10 +16,6 @@
 //!
 //! and always returns the same unified [`SessionReport`].
 //!
-//! A session accepts only registered persistent computations. The
-//! model-level closure machine (`ppm_core::comp`) runs fresh and
-//! in-process through [`crate::run_closure`], outside any session.
-//!
 //! ## Sessions and determinism
 //!
 //! A `Runtime` stands for one *session* against one machine. The
@@ -281,7 +277,7 @@ impl Runtime {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::SessionMode;
     use ppm_core::dsl;
@@ -289,7 +285,7 @@ mod tests {
     use std::sync::Arc;
 
     /// Task `i` CAMs marker `i` from unset to `i + 1`: a once-only effect.
-    fn marker_comp(r: Region, n: usize) -> PComp {
+    pub(crate) fn marker_comp(r: Region, n: usize) -> PComp {
         Arc::new(move |m: &Machine, finale| {
             let mut set = dsl::CapsuleSet::new(m);
             let leaf = set.define("mark", |st: &dsl::Span<Region>, k, ctx| {

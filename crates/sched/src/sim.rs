@@ -34,9 +34,7 @@
 use std::sync::Arc;
 
 use ppm_core::registry::PComp;
-use ppm_core::{
-    run_capsule, Active, Comp, DoneFlag, InstallCtx, Machine, Scheduler, CORE_ID_FINALE,
-};
+use ppm_core::{run_capsule, Active, DoneFlag, InstallCtx, Machine, Scheduler, CORE_ID_FINALE};
 use ppm_pm::{ProcCtx, Word};
 
 use crate::capsules::{Sched, SchedConfig};
@@ -179,21 +177,12 @@ pub struct SimSched<'m> {
 }
 
 impl<'m> SimSched<'m> {
-    /// A simulator over a closure-machine computation (the `comp` is the
-    /// same shape [`crate::run_closure`] takes). The root
-    /// thread seats on processor 0; every other processor starts at
-    /// `findWork`, per §6.3.
-    pub fn new_closure(machine: &'m Machine, comp: &Comp, cfg: &SchedConfig) -> Self {
-        let done = DoneFlag::new(machine);
-        let root = comp(done.finale());
-        let root_slot = machine.alloc_region(1).start;
-        machine.arena().preregister(root_slot, root.clone());
-        Self::seat(machine, done, Active::Capsule(root), root_slot as Word, cfg)
-    }
-
     /// A simulator over a persistent-capsule computation: the root (and
     /// every fork) is frame-denoted, so scripted checkpoints can trace
-    /// and GC the frame pools, and crashes leave a resumable machine.
+    /// and GC the frame pools, and crashes leave a resumable machine. The
+    /// root thread seats on processor 0 exactly as the driver seats it
+    /// (its first entry `local`, its restart pointer the root handle);
+    /// every other processor starts at `findWork`, per §6.3.
     pub fn new_persistent(machine: &'m Machine, pcomp: &PComp, cfg: &SchedConfig) -> Self {
         let done = DoneFlag::new(machine);
         let finale = machine.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
@@ -202,7 +191,14 @@ impl<'m> SimSched<'m> {
             .arena()
             .resolve(root_handle)
             .expect("root frame handle must rehydrate through the registry");
-        Self::seat(machine, done, root, root_handle, cfg)
+        let sched = Sched::new(machine, done, cfg);
+        machine
+            .mem()
+            .store(machine.proc_meta(0).active, root_handle);
+        machine
+            .mem()
+            .store(sched.deques()[0].entry(0), pack(1, EntryVal::Local));
+        Self::seated(machine, sched, done, |_| true, Some(root))
     }
 
     /// A simulator over a **service-mode** scheduler: no root computation
@@ -278,26 +274,6 @@ impl<'m> SimSched<'m> {
     /// termination check.
     pub fn set_done(&self) {
         self.machine.mem().store(self.done.addr(), 1);
-    }
-
-    /// §6.3 seating shared by both roots (mirrors the driver's
-    /// `launch_root`): processor 0's first entry is `local`, its restart
-    /// pointer is the root handle; everyone else installs `findWork`.
-    fn seat(
-        machine: &'m Machine,
-        done: DoneFlag,
-        root: Active,
-        root_handle: Word,
-        cfg: &SchedConfig,
-    ) -> Self {
-        let sched = Sched::new(machine, done, cfg);
-        machine
-            .mem()
-            .store(machine.proc_meta(0).active, root_handle);
-        machine
-            .mem()
-            .store(sched.deques()[0].entry(0), pack(1, EntryVal::Local));
-        Self::seated(machine, sched, done, |_| true, Some(root))
     }
 
     /// The stepper over `sched`: every processor `own` admits is seated
@@ -548,23 +524,11 @@ impl<'m> SimSched<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_core::{par_all, Comp};
+    use crate::runtime::tests::marker_comp as markers;
     use ppm_pm::{FaultConfig, PmConfig, ProcCtx, Region};
 
     fn machine(p: usize, f: FaultConfig) -> Machine {
         Machine::new(PmConfig::parallel(p, 1 << 21).with_fault(f))
-    }
-
-    fn markers(r: Region, n: usize) -> Comp {
-        par_all(
-            (0..n)
-                .map(|i| {
-                    ppm_core::comp_step("sim/mark", move |ctx: &mut ProcCtx| {
-                        ctx.pwrite(r.at(i), i as u64 + 1)
-                    })
-                })
-                .collect(),
-        )
     }
 
     #[test]
@@ -572,7 +536,7 @@ mod tests {
         let m = machine(2, FaultConfig::none());
         let r = m.alloc_region(64);
         let comp = markers(r, 8);
-        let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+        let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
         sim.run_to_completion(10_000);
         let rep = sim.finish();
         assert!(rep.completed);
@@ -586,7 +550,7 @@ mod tests {
         let m = machine(2, FaultConfig::none());
         let r = m.alloc_region(64);
         let comp = markers(r, 8);
-        let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+        let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
         // Let the root processor fork a bit, then kill it; processor 1
         // must finish everything through steals and adoption.
         sim.run_script(&[SimOp::Run(0, 6), SimOp::Crash(0)]);
@@ -610,7 +574,7 @@ mod tests {
         let m = machine(2, FaultConfig::none().with_scheduled_hard_fault(0, 12));
         let r = m.alloc_region(64);
         let comp = markers(r, 8);
-        let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+        let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
         sim.run_to_completion(10_000);
         assert!(sim
             .events()
@@ -790,7 +754,7 @@ mod tests {
             let m = machine(3, FaultConfig::none());
             let r = m.alloc_region(64);
             let comp = markers(r, 12);
-            let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+            let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
             sim.run_seeded(seed, 4_000);
             (sim.render_trace(), sim.digest(), sim.completed())
         };

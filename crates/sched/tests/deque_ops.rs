@@ -5,9 +5,10 @@
 use std::sync::Arc;
 
 use ppm_core::{
-    capsule, end_capsule, run_capsule, Active, Cont, DoneFlag, InstallCtx, Machine, Next,
+    frame_args, run_capsule, Active, DoneFlag, InstallCtx, Machine, Next, CORE_ID_FINALE,
+    CORE_ID_FORK_PAIR,
 };
-use ppm_pm::{PmConfig, Word};
+use ppm_pm::{Addr, PmConfig, PmResult, ProcCtx, Word};
 use ppm_sched::{
     check_invariant, kind_of, pack, run_root_on, unpack, EntryKind, EntryVal, Sched, SchedConfig,
 };
@@ -17,6 +18,30 @@ fn setup(procs: usize) -> (Machine, Arc<Sched>, DoneFlag) {
     let done = DoneFlag::new(&m);
     let sched = Sched::new(&m, done, &SchedConfig::with_slots(64));
     (m, sched, done)
+}
+
+/// Registers `name` as a capsule over `N` raw argument words running
+/// `body`, and writes a setup frame of it over `args`.
+fn frame<const N: usize>(
+    m: &Machine,
+    name: &'static str,
+    args: [Word; N],
+    body: impl Fn(&[Word; N], &mut ProcCtx) -> PmResult<Next> + Send + Sync + 'static,
+) -> Word {
+    let id = m.registry().allocate(name);
+    let decode = move |a: &[Word]| frame_args::<N>(name, a);
+    m.registry().register(id, name, decode, body, |_, _| true);
+    m.setup_frame(id, &args)
+}
+
+/// A thread that writes `value` to `at`, sets `done` and ends.
+fn finishing_thread(m: &Machine, at: Addr, value: Word, done: DoneFlag) -> Word {
+    let args = [at as Word, value, done.addr() as Word];
+    frame(m, "write-and-finish", args, |&[at, value, done], ctx| {
+        ctx.pwrite(at as Addr, value)?;
+        ctx.pwrite(done as Addr, 1)?;
+        Ok(Next::End)
+    })
 }
 
 /// Drives a capsule chain on `proc` until the done flag halts it or the
@@ -49,37 +74,16 @@ fn steal_takes_a_planted_job_and_runs_it() {
     let (m, sched, done) = setup(2);
     let out = m.alloc_region(8);
 
-    // Plant a job on proc 0's deque: register a thread that writes a
-    // marker and sets done.
-    let thread = capsule("planted", move |ctx| {
-        ctx.pwrite(out.at(0), 99)?;
-        Ok(Next::End)
-    });
-    let slot = m.alloc_region(1).start;
-    m.arena().preregister(slot, thread);
+    // Plant a job on proc 0's deque: a thread that writes a marker and
+    // sets done, so the thief halts cleanly after running it.
+    let handle = finishing_thread(&m, out.at(0), 99, done);
     let d0 = sched.deques()[0];
-    m.mem().store(
-        d0.entry(0),
-        pack(
-            1,
-            EntryVal::Job {
-                handle: slot as Word,
-            },
-        ),
-    );
+    m.mem()
+        .store(d0.entry(0), pack(1, EntryVal::Job { handle }));
     m.mem().store(d0.bot, 1);
 
     // Proc 1 has no local work: it must steal the job, run it (which Ends,
-    // so clearBottom runs), then see `done` (set by the thread's effect
-    // below? — set it from the thread itself for a clean halt).
-    // Rebuild the thread to also set done:
-    let thread2 = capsule("planted2", move |ctx| {
-        ctx.pwrite(out.at(0), 99)?;
-        ctx.pwrite(done.addr(), 1)?;
-        Ok(Next::End)
-    });
-    m.arena().preregister(slot, thread2);
-
+    // so clearBottom runs), then see `done`.
     let steps = drive(&m, &sched, 1, Active::Sched(sched.find_work()), 200);
     assert!(steps < 200);
     assert_eq!(m.mem().load(out.at(0)), 99, "stolen thread must run");
@@ -137,14 +141,8 @@ fn local_entry_of_dead_owner_is_stolen_and_resumed() {
 
     // Proc 0 was mid-thread when it died: local entry at bottom, active
     // capsule pointing at the remainder of its thread.
-    let rest = capsule("rest-of-thread", move |ctx| {
-        ctx.pwrite(out.at(0), 7)?;
-        ctx.pwrite(done.addr(), 1)?;
-        Ok(Next::End)
-    });
-    let slot = m.alloc_region(1).start;
-    m.arena().preregister(slot, rest);
-    m.mem().store(m.proc_meta(0).active, slot as Word);
+    let rest = finishing_thread(&m, out.at(0), 7, done);
+    m.mem().store(m.proc_meta(0).active, rest);
     m.mem().store(d0.entry(0), pack(1, EntryVal::Local));
     m.liveness().mark_dead(0);
 
@@ -165,47 +163,34 @@ fn own_jobs_are_popped_from_the_bottom_lifo() {
     let (m, sched, done) = setup(1);
     let order = m.alloc_region(8);
 
-    let leaf = |i: usize| -> Cont {
-        capsule("leaf", move |ctx| {
-            // Record arrival order at the first free slot.
-            let pos = (0..4)
-                .find(|k| ctx.raw_mem().load(order.at(*k)) == 0)
-                .unwrap();
-            ctx.pwrite(order.at(pos), i as Word)?;
-            if pos == 2 {
-                ctx.pwrite(done.addr(), 1)?;
-            }
-            Ok(Next::End)
-        })
+    let args = [order.start as Word, done.addr() as Word];
+    let leaf = |i: Word| {
+        frame(
+            &m,
+            "leaf",
+            [i, args[0], args[1]],
+            |&[i, order, done], ctx| {
+                // Record arrival order at the first free slot.
+                let order = order as Addr;
+                let pos = (0..4).find(|k| ctx.raw_mem().load(order + k) == 0).unwrap();
+                ctx.pwrite(order + pos, i)?;
+                if pos == 2 {
+                    ctx.pwrite(done as Addr, 1)?;
+                }
+                Ok(Next::End)
+            },
+        )
     };
-    let root = {
-        let leaf_a = leaf(1);
-        let leaf_b = leaf(2);
-        let finish = leaf(3);
-        capsule("root", move |_ctx| {
-            let fork_b = {
-                let leaf_b = leaf_b.clone();
-                let finish = finish.clone();
-                capsule("root2", move |_ctx| {
-                    Ok(Next::Fork {
-                        child: leaf_b.clone(),
-                        cont: finish.clone(),
-                    })
-                })
-            };
-            Ok(Next::Fork {
-                child: leaf_a.clone(),
-                cont: fork_b,
-            })
-        })
-    };
+    let (leaf_a, leaf_b, finish) = (leaf(1), leaf(2), leaf(3));
+    // A fork pair `[left, right]` forks `right` and continues with `left`.
+    let root2 = m.setup_frame(CORE_ID_FORK_PAIR, &[finish, leaf_b]);
+    let root = m.setup_frame(CORE_ID_FORK_PAIR, &[root2, leaf_a]);
     // Initialize as the driver would.
-    let slot = m.alloc_region(1).start;
-    m.arena().preregister(slot, root.clone());
-    m.mem().store(m.proc_meta(0).active, slot as Word);
+    m.mem().store(m.proc_meta(0).active, root);
     m.mem()
         .store(sched.deques()[0].entry(0), pack(1, EntryVal::Local));
-    let steps = drive(&m, &sched, 0, Active::Capsule(root), 400);
+    let root = m.arena().resolve(root).expect("a registered frame");
+    let steps = drive(&m, &sched, 0, root, 400);
     assert!(steps < 400);
     // Thread order: root forks A, forks B, runs finish(3); then pops B(2);
     // then pops A(1).
@@ -216,22 +201,20 @@ fn own_jobs_are_popped_from_the_bottom_lifo() {
 fn full_run_on_prebuilt_sched_reports_and_checks() {
     let (m, sched, done) = setup(2);
     let out = m.alloc_region(8);
-    let root = capsule("root", move |ctx| {
-        ctx.pwrite(out.at(0), 5)?;
-        Ok(Next::End)
-    });
-    // run_root_on requires the root to eventually set done; wrap it.
-    let root_then_done = {
-        let finale = done.finale();
-        capsule("root+done", move |ctx| {
-            ctx.pwrite(out.at(0), 5)?;
-            Ok(Next::Jump(finale.clone()))
-        })
-    };
-    let _ = root;
-    let rep = run_root_on(&m, &sched, root_then_done, done);
+    // run_root_on requires the root to eventually set done: it jumps to
+    // the finale frame.
+    let finale = m.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
+    let root = frame(
+        &m,
+        "root",
+        [out.at(0) as Word, finale],
+        |&[at, finale], ctx| {
+            ctx.pwrite(at as Addr, 5)?;
+            Ok(Next::JumpHandle(finale))
+        },
+    );
+    let rep = run_root_on(&m, &sched, root, done);
     assert!(rep.completed);
     assert_eq!(m.mem().load(out.at(0)), 5);
     assert_eq!(rep.deque_dump.len(), 2);
-    let _ = end_capsule();
 }

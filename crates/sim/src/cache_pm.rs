@@ -11,32 +11,45 @@
 //! the dirty cache lines to their correct locations, and installs the next
 //! simulation capsule."
 //!
-//! The "registers" here are just the trace position, carried in the
-//! capsule closures. Each round's capsule work is O(M/B); each round
-//! advances the trace past at least M/B ideal-cache misses, giving the
-//! theorem's O(t) expected total work.
+//! The "registers" here are the trace position and the count of spilled
+//! lines, saved in two persistent copies that alternate between rounds.
+//! The capsules are four registered frames written once at setup — a
+//! simulation and a commit frame per copy, each naming its successor.
+//! Each round's capsule work is O(M/B); each round advances the trace
+//! past at least M/B ideal-cache misses, giving the theorem's O(t)
+//! expected total work.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use ppm_core::{capsule, run_chain, Cont, InstallCtx, Machine, Next};
+use ppm_core::dsl::{CapsuleDef, CapsuleSet, Step, K};
+use ppm_core::Machine;
 use ppm_pm::{Fault, Region, Word};
 
 use crate::cache::AccessPattern;
 
-/// Persistent layout for the cache simulation.
-#[derive(Debug, Clone, Copy)]
-pub struct CachePmLayout {
-    /// The simulated address space.
-    pub data: Region,
-    /// Dirty-line buffer: block numbers (one word per entry).
-    buf_meta: Region,
-    /// Dirty-line buffer: block contents (B words per entry).
-    buf_data: Region,
-    /// Simulated cache capacity in blocks (2M/B).
-    cap_blocks: usize,
-    b: usize,
+ppm_core::persist_struct! {
+    /// Persistent layout for the cache simulation.
+    pub struct CachePmLayout {
+        /// The simulated address space.
+        pub data: Region,
+        /// Dirty-line buffer: block numbers (one word per entry).
+        buf_meta: Region,
+        /// Dirty-line buffer: block contents (B words per entry).
+        buf_data: Region,
+        /// Two register copies: the trace position, and the lines spilled
+        /// by the round that wrote the copy.
+        regs: [Region; 2],
+        /// Simulated cache capacity in blocks (2M/B).
+        cap_blocks: usize,
+        b: usize,
+    }
 }
+
+/// The simulation capsule's name; its code is the trace being simulated.
+const SIMULATE: &str = "cache-pm/simulate";
+
+/// A round frame's state: the layout and the register copy it reads.
+type RoundState = (CachePmLayout, usize);
 
 impl CachePmLayout {
     /// Carves the layout: a simulated address space of `data_words`, and a
@@ -49,6 +62,7 @@ impl CachePmLayout {
             data: machine.alloc_region(data_words),
             buf_meta: machine.alloc_region(cap_blocks),
             buf_data: machine.alloc_region(cap_blocks * b),
+            regs: [machine.alloc_region(2), machine.alloc_region(2)],
             cap_blocks,
             b,
         }
@@ -62,88 +76,106 @@ impl CachePmLayout {
     }
 }
 
-/// One simulation round: replay accesses from `pos` with an empty
-/// no-evict cache; stop at capacity or end of trace; spill dirty lines.
-fn sim_capsule(pattern: &Arc<AccessPattern>, layout: CachePmLayout, pos: usize) -> Cont {
+/// Registers the simulation capsule of `pattern` — one round replaying
+/// accesses from the position in `regs[parity]` with an empty no-evict
+/// cache, stopping at capacity or end of trace and spilling dirty lines —
+/// and the commit capsule.
+fn register(
+    machine: &Machine,
+    pattern: &AccessPattern,
+) -> (CapsuleDef<RoundState>, CapsuleDef<RoundState>) {
     let pattern = pattern.clone();
-    capsule("cache-pm/simulate", move |ctx| {
-        let b = layout.b;
-        let len = pattern.len();
-        // block -> line contents; insertion order preserved separately for
-        // deterministic buffer layout.
-        let mut lines: HashMap<usize, Vec<Word>> = HashMap::new();
-        let mut order: Vec<usize> = Vec::new();
-        let mut dirty: HashMap<usize, bool> = HashMap::new();
-        let mut i = pos;
-        while i < len {
-            let (addr, write, value) = pattern.access(i);
-            let blk = addr / b;
-            if !lines.contains_key(&blk) {
-                if lines.len() == layout.cap_blocks {
-                    break; // cache full: close the capsule
+    let len = pattern.len();
+    let mut set = CapsuleSet::new(machine);
+    let simulate = set.define(
+        SIMULATE,
+        move |&(layout, parity): &RoundState, commit, ctx| {
+            let b = layout.b;
+            // block -> line contents; insertion order preserved separately for
+            // deterministic buffer layout.
+            let mut lines: HashMap<usize, Vec<Word>> = HashMap::new();
+            let mut order: Vec<usize> = Vec::new();
+            let mut dirty: HashMap<usize, bool> = HashMap::new();
+            let mut i = ctx.pread(layout.regs[parity].at(0))? as usize;
+            while i < len {
+                let (addr, write, value) = pattern.access(i);
+                let blk = addr / b;
+                if !lines.contains_key(&blk) {
+                    if lines.len() == layout.cap_blocks {
+                        break; // cache full: close the capsule
+                    }
+                    let mut buf = vec![0u64; b];
+                    ctx.read_block_into(layout.data.start + blk * b, &mut buf)?;
+                    lines.insert(blk, buf);
+                    order.push(blk);
+                    dirty.insert(blk, false);
                 }
+                if write {
+                    lines.get_mut(&blk).expect("resident")[addr % b] = value;
+                    dirty.insert(blk, true);
+                }
+                i += 1;
+            }
+            // Spill dirty lines (with their block numbers) to the buffer.
+            let mut n_dirty = 0usize;
+            for blk in &order {
+                if dirty[blk] {
+                    ctx.pwrite(layout.buf_meta.at(n_dirty), *blk as Word)?;
+                    ctx.write_block(layout.buf_data.start + n_dirty * b, &lines[blk])?;
+                    n_dirty += 1;
+                }
+            }
+            let next = [i as Word, n_dirty as Word];
+            ctx.write_block(layout.regs[1 - parity].start, &next)?;
+            Ok(Step::Jump(commit))
+        },
+    );
+    // The commit round: apply the lines the round that wrote
+    // `regs[parity]` spilled, then continue with that copy's simulation
+    // frame (or finish).
+    let commit = set.define(
+        "cache-pm/commit",
+        move |&(layout, parity): &RoundState, simulate, ctx| {
+            let b = layout.b;
+            let mut regs = [0; 2];
+            ctx.read_block_into(layout.regs[parity].start, &mut regs)?;
+            let [next_pos, n_dirty] = regs.map(|w| w as usize);
+            for k in 0..n_dirty {
+                let blk = ctx.pread(layout.buf_meta.at(k))? as usize;
                 let mut buf = vec![0u64; b];
-                ctx.read_block_into(layout.data.start + blk * b, &mut buf)?;
-                lines.insert(blk, buf);
-                order.push(blk);
-                dirty.insert(blk, false);
+                ctx.read_block_into(layout.buf_data.start + k * b, &mut buf)?;
+                ctx.write_block(layout.data.start + blk * b, &buf)?;
             }
-            if write {
-                lines.get_mut(&blk).expect("resident")[addr % b] = value;
-                dirty.insert(blk, true);
-            }
-            i += 1;
-        }
-        // Spill dirty lines (with their block numbers) to the buffer.
-        let mut n_dirty = 0usize;
-        for blk in &order {
-            if dirty[blk] {
-                ctx.pwrite(layout.buf_meta.at(n_dirty), *blk as Word)?;
-                ctx.write_block(layout.buf_data.start + n_dirty * b, &lines[blk])?;
-                n_dirty += 1;
-            }
-        }
-        Ok(Next::Jump(commit_capsule(&pattern, layout, i, n_dirty)))
-    })
-}
-
-/// The commit round: apply the spilled dirty lines to the simulated
-/// address space, then install the next simulation round (or finish).
-fn commit_capsule(
-    pattern: &Arc<AccessPattern>,
-    layout: CachePmLayout,
-    next_pos: usize,
-    n_dirty: usize,
-) -> Cont {
-    let pattern = pattern.clone();
-    capsule("cache-pm/commit", move |ctx| {
-        let b = layout.b;
-        for k in 0..n_dirty {
-            let blk = ctx.pread(layout.buf_meta.at(k))? as usize;
-            let mut buf = vec![0u64; b];
-            ctx.read_block_into(layout.buf_data.start + k * b, &mut buf)?;
-            ctx.write_block(layout.data.start + blk * b, &buf)?;
-        }
-        if next_pos >= pattern.len() {
-            Ok(Next::End)
-        } else {
-            Ok(Next::Jump(sim_capsule(&pattern, layout, next_pos)))
-        }
-    })
+            Ok(if next_pos >= len {
+                Step::End
+            } else {
+                Step::Jump(simulate)
+            })
+        },
+    );
+    (simulate, commit)
 }
 
 /// Simulates the trace on the PM model (processor 0), with the machine's
 /// fault configuration active. `Err` only on a hard fault.
+///
+/// # Panics
+/// Panics if `machine` already ran a cache simulation: the trace is the
+/// simulation capsule's registered code, and a registry keeps the first.
 pub fn simulate_cache_on_pm(
     machine: &Machine,
     pattern: &AccessPattern,
     layout: CachePmLayout,
 ) -> Result<(), Fault> {
-    let pattern = Arc::new(pattern.clone());
-    let first = sim_capsule(&pattern, layout, 0);
-    let mut ctx = machine.ctx(0);
-    let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(0));
-    run_chain(&mut ctx, machine.arena(), &mut install, first)
+    let registered = machine.registry().id_of(SIMULATE);
+    assert!(registered.is_none(), "one cache simulation per machine");
+    let (simulate, commit) = register(machine, pattern);
+    // simulate[0] -> commit[1] -> simulate[1] -> commit[0] -> simulate[0].
+    let sim0 = simulate.setup(machine, &(layout, 0), K(0));
+    let commit0 = commit.setup(machine, &(layout, 0), sim0);
+    let sim1 = simulate.setup(machine, &(layout, 1), commit0);
+    let commit1 = commit.setup(machine, &(layout, 1), sim1);
+    crate::run_cycle::<RoundState>(machine, sim0, commit1)
 }
 
 #[cfg(test)]

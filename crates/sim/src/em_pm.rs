@@ -15,11 +15,17 @@
 //! Each round costs O(M/B) transfers and simulates M/B source transfers,
 //! so the faultless work is O(t); with `f ≤ B/(cM)` each round faults with
 //! constant probability and the expected total work stays O(t).
+//!
+//! The capsules are four registered frames written once at setup — a
+//! simulation and a commit frame per copy, each naming its successor — so
+//! a round writes no frame. What a commit needs from the round before it
+//! (the dirty-block count, whether the program halted) is in the copy's
+//! metadata block, written with the registers.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use ppm_core::{capsule, run_chain, Cont, InstallCtx, Machine, Next};
+use ppm_core::dsl::{CapsuleDef, CapsuleSet, Step, K};
+use ppm_core::Machine;
 use ppm_pm::{Fault, ProcCtx, Region, Word};
 
 use crate::em::{em_step, BlockPort, EmInstr, EmProgram};
@@ -34,22 +40,32 @@ const INSTR_ROUND_CAP: u64 = 4096;
 const PC_SLOT: usize = 0;
 const HALT_SLOT: usize = 1;
 const INSTRS_SLOT: usize = 2;
+/// Write-buffer entries the round that wrote the copy left to commit.
+const DIRTY_SLOT: usize = 3;
 
-/// Persistent layout for the EM simulation.
-#[derive(Debug, Clone, Copy)]
-pub struct EmPmLayout {
-    /// Two copies of (metadata block + simulated ephemeral memory).
-    copies: [Region; 2],
-    /// Write-buffer block numbers.
-    buf_meta: Region,
-    /// Write-buffer block contents.
-    buf_data: Region,
-    /// The simulated external memory.
-    pub ext: Region,
-    /// Simulated M (words) and B (words).
-    m: usize,
-    b: usize,
+ppm_core::persist_struct! {
+    /// Persistent layout for the EM simulation.
+    pub struct EmPmLayout {
+        /// Two copies of (metadata block + simulated ephemeral memory).
+        copies: [Region; 2],
+        /// Write-buffer block numbers.
+        buf_meta: Region,
+        /// Write-buffer block contents.
+        buf_data: Region,
+        /// The simulated external memory.
+        pub ext: Region,
+        /// Simulated M (words) and B (words).
+        m: usize,
+        b: usize,
+    }
 }
+
+/// The simulation capsule's name; its code is the program being simulated.
+const SIMULATE: &str = "em-pm/simulate";
+
+/// A simulation frame's state: the layout, the copy it reads, the
+/// instruction limit.
+type SimState = (EmPmLayout, usize, u64);
 
 impl EmPmLayout {
     /// Carves the layout for a program with ephemeral size `m` (the
@@ -61,6 +77,7 @@ impl EmPmLayout {
             b, prog.b,
             "machine block size must match the EM program's B"
         );
+        assert!(b > DIRTY_SLOT, "a copy's metadata block holds four words");
         let m = prog.m;
         let copy_words = b + m; // one metadata block + M ephemeral words
         let buf_entries = (m / b).max(1) + 1;
@@ -172,19 +189,17 @@ fn read_copy(
     ))
 }
 
+/// Writes a copy: its metadata block (`meta` is `[pc, halted, instrs,
+/// dirty]`) and the simulated ephemeral memory.
 fn write_copy(
     ctx: &mut ProcCtx,
     copy: Region,
-    pc: usize,
-    halted: bool,
-    instrs: u64,
+    [pc, halted, instrs, dirty]: [Word; 4],
     eph: &[i64],
     b: usize,
 ) -> Result<(), Fault> {
     let mut meta = vec![0u64; b];
-    meta[PC_SLOT] = pc as Word;
-    meta[HALT_SLOT] = halted as Word;
-    meta[INSTRS_SLOT] = instrs;
+    meta[..4].copy_from_slice(&[pc, halted, instrs, dirty]);
     ctx.write_block(copy.start, &meta)?;
     let m = eph.len();
     let mut blkbuf = vec![0u64; b];
@@ -198,134 +213,138 @@ fn write_copy(
     Ok(())
 }
 
-/// One simulation round starting from `copies[parity]`.
-fn sim_capsule(prog: &Arc<EmProgram>, layout: EmPmLayout, parity: usize, max_instrs: u64) -> Cont {
+/// Registers the simulation capsule of `prog` — one round starting from
+/// `copies[parity]`, continuing with the commit frame of the other copy —
+/// and the commit capsule.
+fn register(
+    machine: &Machine,
+    prog: &EmProgram,
+) -> (CapsuleDef<SimState>, CapsuleDef<(EmPmLayout, usize)>) {
     let prog = prog.clone();
-    capsule("em-pm/simulate", move |ctx| {
-        let (m, b) = (layout.m, layout.b);
-        let round_budget = (m / b).max(1) as u64;
-        let (mut pc, _, total0, mut eph) = read_copy(ctx, layout.copies[parity], m, b)?;
+    let mut set = CapsuleSet::new(machine);
+    let simulate = set.define(
+        SIMULATE,
+        move |&(layout, parity, max_instrs): &SimState, commit, ctx| {
+            let (m, b) = (layout.m, layout.b);
+            let round_budget = (m / b).max(1) as u64;
+            let (mut pc, _, total0, mut eph) = read_copy(ctx, layout.copies[parity], m, b)?;
 
-        let mut buffer: HashMap<usize, Vec<i64>> = HashMap::new();
-        let mut order: Vec<usize> = Vec::new();
-        let mut fault: Option<Fault> = None;
-        let mut transfers = 0u64;
-        let mut executed = 0u64;
-        let mut halted = false;
+            let mut buffer: HashMap<usize, Vec<i64>> = HashMap::new();
+            let mut order: Vec<usize> = Vec::new();
+            let mut fault: Option<Fault> = None;
+            let mut transfers = 0u64;
+            let mut executed = 0u64;
+            let mut halted = false;
 
-        loop {
-            if total0 + executed >= max_instrs {
-                halted = true; // treat the limit as termination
-                break;
-            }
-            let Some(&instr) = prog.instrs.get(pc) else {
-                halted = true;
-                break;
-            };
-            let is_transfer = matches!(
-                instr,
-                EmInstr::ReadBlock { .. } | EmInstr::WriteBlock { .. }
-            );
-            if is_transfer && transfers >= round_budget {
-                break; // close the round before the next transfer
-            }
-            let cont = {
-                let mut port = BufferedPort {
-                    ctx,
-                    ext: layout.ext,
-                    b,
-                    buffer: &mut buffer,
-                    order: &mut order,
-                    fault: &mut fault,
-                    _marker: std::marker::PhantomData,
+            loop {
+                if total0 + executed >= max_instrs {
+                    halted = true; // treat the limit as termination
+                    break;
+                }
+                let Some(&instr) = prog.instrs.get(pc) else {
+                    halted = true;
+                    break;
                 };
-                em_step(instr, &mut eph, &mut pc, b, &mut port)
-            };
-            if let Some(f) = fault {
-                return Err(f);
+                let is_transfer = matches!(
+                    instr,
+                    EmInstr::ReadBlock { .. } | EmInstr::WriteBlock { .. }
+                );
+                if is_transfer && transfers >= round_budget {
+                    break; // close the round before the next transfer
+                }
+                let cont = {
+                    let mut port = BufferedPort {
+                        ctx,
+                        ext: layout.ext,
+                        b,
+                        buffer: &mut buffer,
+                        order: &mut order,
+                        fault: &mut fault,
+                        _marker: std::marker::PhantomData,
+                    };
+                    em_step(instr, &mut eph, &mut pc, b, &mut port)
+                };
+                if let Some(f) = fault {
+                    return Err(f);
+                }
+                if is_transfer {
+                    transfers += 1;
+                }
+                executed += 1;
+                if !cont {
+                    halted = true;
+                    break;
+                }
+                if executed >= INSTR_ROUND_CAP {
+                    break;
+                }
             }
-            if is_transfer {
-                transfers += 1;
-            }
-            executed += 1;
-            if !cont {
-                halted = true;
-                break;
-            }
-            if executed >= INSTR_ROUND_CAP {
-                break;
-            }
-        }
 
-        // Close the round: other copy, then the write buffer.
-        write_copy(
-            ctx,
-            layout.copies[1 - parity],
-            pc,
-            halted,
-            total0 + executed,
-            &eph,
-            b,
-        )?;
-        let mut blkbuf = vec![0u64; b];
-        for (k, blk) in order.iter().enumerate() {
-            ctx.pwrite(layout.buf_meta.at(k), *blk as Word)?;
-            for (j, v) in buffer[blk].iter().enumerate() {
-                blkbuf[j] = to_word(*v);
+            // Close the round: other copy, then the write buffer.
+            let meta = [
+                pc as Word,
+                halted as Word,
+                total0 + executed,
+                order.len() as Word,
+            ];
+            write_copy(ctx, layout.copies[1 - parity], meta, &eph, b)?;
+            let mut blkbuf = vec![0u64; b];
+            for (k, blk) in order.iter().enumerate() {
+                ctx.pwrite(layout.buf_meta.at(k), *blk as Word)?;
+                for (j, v) in buffer[blk].iter().enumerate() {
+                    blkbuf[j] = to_word(*v);
+                }
+                ctx.write_block(layout.buf_data.start + k * b, &blkbuf)?;
             }
-            ctx.write_block(layout.buf_data.start + k * b, &blkbuf)?;
-        }
-        Ok(Next::Jump(commit_capsule(
-            &prog,
-            layout,
-            1 - parity,
-            order.len(),
-            halted,
-            max_instrs,
-        )))
-    })
-}
-
-/// The commit capsule: apply the buffered external writes, then install
-/// the next simulation round (or finish).
-fn commit_capsule(
-    prog: &Arc<EmProgram>,
-    layout: EmPmLayout,
-    parity: usize,
-    n_dirty: usize,
-    halted: bool,
-    max_instrs: u64,
-) -> Cont {
-    let prog = prog.clone();
-    capsule("em-pm/commit", move |ctx| {
-        let b = layout.b;
-        let mut buf = vec![0u64; b];
-        for k in 0..n_dirty {
-            let blk = ctx.pread(layout.buf_meta.at(k))? as usize;
-            ctx.read_block_into(layout.buf_data.start + k * b, &mut buf)?;
-            ctx.write_block(layout.ext.start + blk * b, &buf)?;
-        }
-        if halted {
-            Ok(Next::End)
-        } else {
-            Ok(Next::Jump(sim_capsule(&prog, layout, parity, max_instrs)))
-        }
-    })
+            Ok(Step::Jump(commit))
+        },
+    );
+    // The commit capsule: apply the buffered external writes the round
+    // that wrote `copies[parity]` left, then continue with that copy's
+    // simulation frame (or finish).
+    let commit = set.define(
+        "em-pm/commit",
+        move |&(layout, parity): &(EmPmLayout, usize), simulate, ctx| {
+            let b = layout.b;
+            let mut buf = vec![0u64; b];
+            ctx.read_block_into(layout.copies[parity].start, &mut buf[..=DIRTY_SLOT])?;
+            let (halted, n_dirty) = (buf[HALT_SLOT] != 0, buf[DIRTY_SLOT] as usize);
+            for k in 0..n_dirty {
+                let blk = ctx.pread(layout.buf_meta.at(k))? as usize;
+                ctx.read_block_into(layout.buf_data.start + k * b, &mut buf)?;
+                ctx.write_block(layout.ext.start + blk * b, &buf)?;
+            }
+            Ok(if halted {
+                Step::End
+            } else {
+                Step::Jump(simulate)
+            })
+        },
+    );
+    (simulate, commit)
 }
 
 /// Simulates `prog` on the PM model (processor 0), with the machine's
 /// fault configuration active. `Err` only on a hard fault.
+///
+/// # Panics
+/// Panics if `machine` already ran an EM simulation: the program is the
+/// simulation capsule's registered code, and a registry keeps the first.
 pub fn simulate_em_on_pm(
     machine: &Machine,
     prog: &EmProgram,
     layout: EmPmLayout,
     max_instrs: u64,
 ) -> Result<EmPmReport, Fault> {
-    let prog = Arc::new(prog.clone());
-    let first = sim_capsule(&prog, layout, 0, max_instrs);
-    let mut ctx = machine.ctx(0);
-    let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(0));
-    run_chain(&mut ctx, machine.arena(), &mut install, first)?;
+    let registered = machine.registry().id_of(SIMULATE);
+    assert!(registered.is_none(), "one EM simulation per machine");
+    let (simulate, commit) = register(machine, prog);
+    // simulate[0] -> commit[1] -> simulate[1] -> commit[0] -> simulate[0].
+    let sim0 = simulate.setup(machine, &(layout, 0, max_instrs), K(0));
+    let commit0 = commit.setup(machine, &(layout, 0), sim0);
+    let sim1 = simulate.setup(machine, &(layout, 1, max_instrs), commit0);
+    let commit1 = commit.setup(machine, &(layout, 1), sim1);
+    crate::run_cycle::<SimState>(machine, sim0, commit1)?;
 
     // Read the freshest copy.
     let mem = machine.mem();

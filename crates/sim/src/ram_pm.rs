@@ -10,8 +10,14 @@
 //! and writes the other, so restarts are idempotent (Theorem 3.1), and the
 //! capsule work is a constant `k`, so for `f ≤ 1/(2k)` the expected total
 //! work is `O(t)`.
+//!
+//! The capsule is one registered frame per register copy, both written
+//! once at setup, each naming the other as its successor — §4.1's "two
+//! closures and swap back and forth". The step count lives with the
+//! registers, so a step writes no frame and allocates nothing.
 
-use ppm_core::{capsule, run_chain, Cont, InstallCtx, Machine, Next};
+use ppm_core::dsl::{CapsuleDef, CapsuleSet, Step, K};
+use ppm_core::Machine;
 use ppm_pm::{Fault, Region, Word};
 
 use crate::ram::{from_word, step, to_word, MemPort, RamProgram, NREGS};
@@ -56,14 +62,21 @@ const PC_SLOT: usize = NREGS;
 const HALT_SLOT: usize = NREGS + 1;
 const STEPS_SLOT: usize = NREGS + 2;
 
-/// The simulation's persistent state: two register copies and the
-/// simulated memory.
-#[derive(Debug, Clone, Copy)]
-pub struct RamPmLayout {
-    copies: [Region; 2],
-    /// The simulated RAM's memory (one simulated word per persistent word).
-    pub mem: Region,
+ppm_core::persist_struct! {
+    /// The simulation's persistent state: two register copies and the
+    /// simulated memory.
+    pub struct RamPmLayout {
+        copies: [Region; 2],
+        /// The simulated RAM's memory (one simulated word per persistent word).
+        pub mem: Region,
+    }
 }
+
+/// The step capsule's name; its code is the program being simulated.
+const STEP: &str = "ram-pm/step";
+
+/// A step's frame state: the layout, the copy it reads, the step limit.
+type StepState = (RamPmLayout, usize, u64);
 
 impl RamPmLayout {
     /// Carves the layout for a simulated memory of `mem_words` words.
@@ -104,82 +117,75 @@ pub struct RamPmReport {
     pub regs: [i64; NREGS],
 }
 
-/// Builds the capsule simulating one instruction: read registers from
-/// `copies[p]`, execute, write `copies[1-p]`.
-fn step_capsule_for(
-    prog: &std::sync::Arc<RamProgram>,
-    layout: RamPmLayout,
-    parity: usize,
-    steps_done: u64,
-    max_steps: u64,
-) -> Cont {
+/// Registers the capsule simulating one instruction of `prog`: read the
+/// registers and the step count from `copies[parity]`, execute, write
+/// `copies[1 - parity]`, continue with the other frame.
+fn register_step(machine: &Machine, prog: &RamProgram) -> CapsuleDef<StepState> {
     let prog = prog.clone();
-    capsule("ram-pm/step", move |ctx| {
-        let src = layout.copies[parity];
-        let dst = layout.copies[1 - parity];
-        // Read the current register copy (constant work).
-        let mut regs = [0i64; NREGS];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = from_word(ctx.pread(src.at(i))?);
-        }
-        let mut pc = ctx.pread(src.at(PC_SLOT))? as usize;
-
-        let instr = prog.instrs.get(pc).copied();
-        let halted = match instr {
-            None => true,
-            Some(instr) => {
-                // At most one simulated memory transfer per step.
-                let mut port = PmMem {
-                    ctx,
-                    region: layout.mem,
-                    fault: None,
-                };
-                let cont = step(instr, &mut regs, &mut pc, &mut port);
-                if let Some(f) = port.fault {
-                    return Err(f);
-                }
-                !cont
+    CapsuleSet::new(machine).define(
+        STEP,
+        move |&(layout, parity, max_steps): &StepState, other, ctx| {
+            let src = layout.copies[parity];
+            let dst = layout.copies[1 - parity];
+            // Read the current register copy (constant work).
+            let mut regs = [0i64; NREGS];
+            for (i, r) in regs.iter_mut().enumerate() {
+                *r = from_word(ctx.pread(src.at(i))?);
             }
-        };
-        let done = halted || steps_done + 1 >= max_steps;
+            let mut pc = ctx.pread(src.at(PC_SLOT))? as usize;
+            let steps_done = ctx.pread(src.at(STEPS_SLOT))?;
 
-        // Write the other copy (the swap that makes the capsule
-        // conflict free).
-        for (i, r) in regs.iter().enumerate() {
-            ctx.pwrite(dst.at(i), to_word(*r))?;
-        }
-        ctx.pwrite(dst.at(PC_SLOT), pc as Word)?;
-        ctx.pwrite(dst.at(HALT_SLOT), halted as Word)?;
-        ctx.pwrite(dst.at(STEPS_SLOT), steps_done + 1)?;
+            let instr = prog.instrs.get(pc).copied();
+            let halted = match instr {
+                None => true,
+                Some(instr) => {
+                    // At most one simulated memory transfer per step.
+                    let mut port = PmMem {
+                        ctx,
+                        region: layout.mem,
+                        fault: None,
+                    };
+                    let cont = step(instr, &mut regs, &mut pc, &mut port);
+                    if let Some(f) = port.fault {
+                        return Err(f);
+                    }
+                    !cont
+                }
+            };
+            let done = halted || steps_done + 1 >= max_steps;
 
-        if done {
-            Ok(Next::End)
-        } else {
-            Ok(Next::Jump(step_capsule_for(
-                &prog,
-                layout,
-                1 - parity,
-                steps_done + 1,
-                max_steps,
-            )))
-        }
-    })
+            // Write the other copy (the swap that makes the capsule
+            // conflict free).
+            for (i, r) in regs.iter().enumerate() {
+                ctx.pwrite(dst.at(i), to_word(*r))?;
+            }
+            ctx.pwrite(dst.at(PC_SLOT), pc as Word)?;
+            ctx.pwrite(dst.at(HALT_SLOT), halted as Word)?;
+            ctx.pwrite(dst.at(STEPS_SLOT), steps_done + 1)?;
+            Ok(if done { Step::End } else { Step::Jump(other) })
+        },
+    )
 }
 
 /// Simulates `prog` on the PM model (processor 0 of `machine`), with the
 /// machine's fault configuration active. Returns the report; `Err` only if
 /// the processor hard-faults.
+///
+/// # Panics
+/// Panics if `machine` already ran a RAM simulation: the program is the
+/// step capsule's registered code, and a registry keeps the first.
 pub fn simulate_ram_on_pm(
     machine: &Machine,
     prog: &RamProgram,
     layout: RamPmLayout,
     max_steps: u64,
 ) -> Result<RamPmReport, Fault> {
-    let prog = std::sync::Arc::new(prog.clone());
-    let first = step_capsule_for(&prog, layout, 0, 0, max_steps);
-    let mut ctx = machine.ctx(0);
-    let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(0));
-    run_chain(&mut ctx, machine.arena(), &mut install, first)?;
+    let registered = machine.registry().id_of(STEP);
+    assert!(registered.is_none(), "one RAM simulation per machine");
+    let step = register_step(machine, prog);
+    let first = step.setup(machine, &(layout, 0, max_steps), K(0));
+    let second = step.setup(machine, &(layout, 1, max_steps), first);
+    crate::run_cycle::<StepState>(machine, first, second)?;
 
     // The final state lives in whichever copy was written last: the one
     // with the larger step count.
@@ -264,7 +270,7 @@ mod tests {
         init.push(0);
         let _ = run_both(&m, &sum_array(40), &init, 1 << 20);
         let c = m.snapshot().max_capsule_work;
-        // NREGS+2 reads + 1 sim transfer + NREGS+2 writes + install ≤ 24.
+        // NREGS+2 reads + 1 sim transfer + NREGS+3 writes + install ≤ 24.
         assert!(c <= 24, "max capsule work {c} should be a small constant");
         assert!(c >= 10);
     }
@@ -296,6 +302,14 @@ mod tests {
             (wf as f64) < 1.8 * w0 as f64,
             "faulty work {wf} should be within a small factor of faultless {w0}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "one RAM simulation per machine")]
+    fn a_second_program_on_one_machine_is_refused() {
+        let m = machine(FaultConfig::none());
+        let _ = run_both(&m, &memset(4, 1), &[0; 4], 64);
+        let _ = run_both(&m, &memset(4, 2), &[0; 4], 64);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! cargo run --release --example persistent_counter
 //! ```
 
-use ppm::core::{capsule, final_capsule, run_chain, InstallCtx, Machine, Next};
+use ppm::core::dsl::{CapsuleSet, Step, K};
+use ppm::core::{run_chain, InstallCtx, Machine};
 use ppm::pm::{FaultConfig, PmConfig, ValidateMode};
 
 const INCREMENTS: usize = 200;
@@ -31,14 +32,15 @@ fn main() {
                 .with_validate(ValidateMode::Record),
         );
         let x = m.alloc_region(1).start;
+        let inc = CapsuleSet::new(&m).define("naive-inc", move |_: &(), _, ctx| {
+            let v = ctx.pread(x)?; // exposed read...
+            ctx.pwrite(x, v + 1)?; // ...then write to the same word
+            Ok(Step::End)
+        });
+        let inc = inc.setup(&m, &(), K(0)).word();
         let mut ctx = m.ctx(0);
         let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         for _ in 0..INCREMENTS {
-            let inc = capsule("naive-inc", move |ctx| {
-                let v = ctx.pread(x)?; // exposed read...
-                ctx.pwrite(x, v + 1)?; // ...then write to the same word
-                Ok(Next::End)
-            });
             run_chain(&mut ctx, m.arena(), &mut install, inc).unwrap();
         }
         let snap = m.snapshot();
@@ -52,16 +54,17 @@ fn main() {
         // cell k%2. Each capsule reads one word and writes the *other* —
         // conflict free, so strict validation stays on.
         let cells = m.alloc_region(2);
+        let inc = CapsuleSet::new(&m).define("inc", move |&k: &usize, _, ctx| {
+            let (src, dst) = (cells.at((k + 1) % 2), cells.at(k % 2));
+            let v = if k == 0 { 0 } else { ctx.pread(src)? };
+            ctx.pwrite(dst, v + 1)?;
+            Ok(Step::End)
+        });
         let mut ctx = m.ctx(0);
         let mut install = InstallCtx::new(m.mem(), m.proc_meta(0));
         for k in 0..INCREMENTS {
-            let (src, dst) = (cells.at((k + 1) % 2), cells.at(k % 2));
-            let first = k == 0;
-            let inc = final_capsule("inc", move |ctx| {
-                let v = if first { 0 } else { ctx.pread(src)? };
-                ctx.pwrite(dst, v + 1)
-            });
-            run_chain(&mut ctx, m.arena(), &mut install, inc).unwrap();
+            let frame = inc.setup(&m, &k, K(0)).word();
+            run_chain(&mut ctx, m.arena(), &mut install, frame).unwrap();
         }
         let snap = m.snapshot();
         (

@@ -13,8 +13,8 @@
 //!   memory, CAM/CAS, deterministic fault injection, cost accounting,
 //!   write-after-read validation, and the storage backends
 //!   (`pm::backend`) that decide where the words physically live.
-//! * [`core`] (`ppm-core`) — capsules, continuations, restart semantics,
-//!   join cells, fork-join combinators, machines (including durable
+//! * [`core`] (`ppm-core`) — capsules as frames and records, restart
+//!   semantics, join cells, fork-join combinators, machines (including durable
 //!   machines: `core::Machine::create_durable` / `core::Machine::reopen`).
 //! * [`sched`] (`ppm-sched`) — the fault-tolerant WS-deque and scheduler,
 //!   the ABP baseline, the `Runtime` session object with cross-process
@@ -71,11 +71,10 @@
 //!   re-driven from the root, relying on capsule idempotence for
 //!   exactly-once effects. `SessionReport::fallback_reason` says why.
 //!
-//! `run_or_recover` is the one way a session runs a computation. The
-//! model-level closure machine (`core::comp` DAGs of process-local
-//! closures — the form the paper specifies Figure 3 over) runs only
-//! fresh and in-process, through `sched::run_closure`; it backs the
-//! scheduler-protocol tests and the ABP comparison.
+//! `run_or_recover` is the one way a session runs a computation, and
+//! every capsule anything runs — user code, the scheduler's own, the
+//! Theorem 3.2–3.4 simulations, the ABP baseline — is words in persistent
+//! memory: a registered frame or a scheduler record.
 //!
 //! ## Quickstart
 //!

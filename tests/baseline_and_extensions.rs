@@ -1,26 +1,58 @@
 //! The ABP baseline comparison and the paper-flagged extensions
 //! (footnote 2's Asymmetric PM cost model).
 
-use ppm::core::{comp_step, par_all, Comp, Machine};
-use ppm::pm::{PmConfig, ProcCtx, Region};
-use ppm::sched::abp::run_computation_abp;
-use ppm::sched::{run_closure, Runtime, SchedConfig};
+use std::sync::Arc;
 
-fn tasks(r: Region, n: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-            .collect(),
-    )
+use ppm::core::dsl::{CapsuleSet, Span, Step, K};
+use ppm::core::{Machine, PComp};
+use ppm::pm::{PmConfig, Region};
+use ppm::sched::abp::run_computation_abp;
+use ppm::sched::{CheckpointPolicy, Runtime, SchedConfig, SessionReport};
+
+/// `n` tasks as a `map_grain` at grain 1: task `i` writes 1 to `r.at(i)`.
+/// Both schedulers run this one source.
+fn tasks(r: Region, n: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("leaf", |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                ctx.pwrite(st.env.at(i), 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let split = set.map_grain("leaf/split", 1, leaf);
+        split
+            .setup(
+                m,
+                &Span {
+                    env: r,
+                    lo: 0,
+                    hi: n,
+                },
+                K(finale),
+            )
+            .word()
+    })
+}
+
+/// Runs `n` tasks on the fault-tolerant scheduler, checkpoints off;
+/// returns the report and the session.
+fn run_ft(procs: usize, n: usize) -> (SessionReport, Runtime, Region) {
+    let m = Machine::new(PmConfig::parallel(procs, 1 << 21));
+    let r = m.alloc_region(n);
+    let mut cfg = SchedConfig::with_slots(1 << 11);
+    cfg.checkpoint = CheckpointPolicy::disabled();
+    let rt = Runtime::new(m, cfg);
+    (rt.run_or_recover(&tasks(r, n)), rt, r)
 }
 
 #[test]
 fn abp_and_fault_tolerant_schedulers_compute_the_same_result() {
     let n = 96;
     for procs in [1usize, 4] {
-        let m1 = Machine::new(PmConfig::parallel(procs, 1 << 21));
-        let r1 = m1.alloc_region(n);
-        assert!(run_closure(&m1, &tasks(r1, n), &SchedConfig::with_slots(1 << 11)).completed);
+        let (rep1, rt1, r1) = run_ft(procs, n);
+        assert!(rep1.completed());
+        let m1 = rt1.machine();
 
         let m2 = Machine::new(PmConfig::parallel(procs, 1 << 21));
         let r2 = m2.alloc_region(n);
@@ -43,11 +75,9 @@ fn fault_tolerance_overhead_vs_abp_is_a_constant_factor() {
     // the total cost". Compare faultless model work, P = 1 (deterministic).
     let n = 128;
     let ft = {
-        let m = Machine::new(PmConfig::parallel(1, 1 << 21));
-        let r = m.alloc_region(n);
-        let rep = run_closure(&m, &tasks(r, n), &SchedConfig::with_slots(1 << 11));
-        assert!(rep.completed);
-        rep.stats.total_work()
+        let (rep, _, _) = run_ft(1, n);
+        assert!(rep.completed());
+        rep.stats().total_work()
     };
     let abp = {
         let m = Machine::new(PmConfig::parallel(1, 1 << 21));
@@ -67,11 +97,9 @@ fn fault_tolerance_overhead_vs_abp_is_a_constant_factor() {
 fn asymmetric_pm_accounting_footnote_2() {
     // Writes cost omega times reads (NVM asymmetry). Run a computation and
     // check the weighted accounting brackets sensibly.
-    let m = Machine::new(PmConfig::parallel(2, 1 << 21));
-    let r = m.alloc_region(64);
-    let rep = run_closure(&m, &tasks(r, 64), &SchedConfig::with_slots(1 << 11));
-    assert!(rep.completed);
-    let st = &rep.stats;
+    let (rep, _, _) = run_ft(2, 64);
+    assert!(rep.completed());
+    let st = rep.stats();
     let w1 = st.asymmetric_work(1);
     let w4 = st.asymmetric_work(4);
     assert_eq!(w1, st.total_work());
@@ -86,7 +114,7 @@ fn asymmetric_pm_accounting_footnote_2() {
 
 #[test]
 fn read_write_split_is_consistent_and_install_heavy() {
-    // Capsule installation costs two writes per capsule (closure +
+    // Capsule installation costs two writes per capsule (frame +
     // restart pointer), so the machinery is write-heavy; the split should
     // be within a small constant either way and sum to the total.
     let rt = Runtime::new(

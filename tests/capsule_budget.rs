@@ -126,38 +126,3 @@ fn a_fork_costs_ten_scheduler_capsules_and_a_leaf_49_pool_words() {
     // fork: 49 words a leaf, less what the root and the last leaf skip.
     assert_eq!(st.max_pool_peak, 49 * leaves - 41);
 }
-
-/// A session's capsules are frames and scheduler records — words in the
-/// machine — never closure handles: at P = 2, through forks, joins and
-/// steals, the arena's map ends the run exactly as large as it began.
-#[test]
-fn a_session_mints_no_closure_handle() {
-    let n = 1 << 10;
-    let rt = Runtime::volatile(
-        RuntimeConfig::new(PmConfig::parallel(2, 1 << 20))
-            .with_pool_words(1 << 16)
-            .with_checkpoint(CheckpointPolicy::disabled()),
-    );
-    let out = rt.machine().alloc_region(n);
-    let pcomp: PComp = Arc::new(move |m: &Machine, finale| {
-        let mut set = CapsuleSet::new(m);
-        let leaf = set.define("handles/leaf", |st: &Span<Region>, k, ctx| {
-            for i in st.lo..st.hi {
-                ctx.pwrite(st.env.at(i), i as Word + 1)?;
-            }
-            Ok(Step::Jump(k))
-        });
-        let split = set.map_grain("handles/split", 4, leaf);
-        let all = Span {
-            env: out,
-            lo: 0,
-            hi: n,
-        };
-        split.setup(m, &all, K(finale)).word()
-    });
-    let before = rt.machine().arena().len();
-    let rep = rt.run_or_recover(&pcomp);
-    assert!(rep.completed());
-    assert!((0..n).all(|i| rt.machine().mem().load(out.at(i)) == i as Word + 1));
-    assert_eq!(rt.machine().arena().len(), before);
-}

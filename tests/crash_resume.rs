@@ -428,8 +428,9 @@ fn clean_run_trace(data: &[Word]) -> Vec<Installed> {
             if let Some(last) = trace.last_mut() {
                 last.work = at - last.at;
             }
-            // Scheduler capsules install swap slots, not frames: they
-            // delimit the capsule before them and are otherwise skipped.
+            // Scheduler capsules install the journal pointer, not a
+            // frame: they delimit the capsule before them and are
+            // otherwise skipped.
             let frame = ppm::pm::read_frame(&mem, new as usize).ok();
             let name = frame.as_ref().and_then(|f| registry.name_of(f.capsule_id));
             trace.push(Installed {

@@ -2,16 +2,34 @@
 //! fork-join computations under randomized soft- and hard-fault
 //! adversaries, with strict validation and Figure 4 transition checking.
 
-use ppm::core::{comp_dyn, comp_fork2, comp_nop, comp_step, par_all, Comp, Machine};
-use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region};
-use ppm::sched::{run_closure, ProcOutcome, SchedConfig, SimReport, SimSched};
+use std::sync::Arc;
 
-fn marker_tasks(r: Region, n: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| comp_step("mark", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-            .collect(),
-    )
+use ppm::core::dsl::{fork2, CapsuleSet, Span, Step, K};
+use ppm::core::{Machine, PComp};
+use ppm::pm::{FaultConfig, PmConfig, Region};
+use ppm::sched::{
+    CheckpointPolicy, ProcOutcome, Runtime, SchedConfig, SessionReport, SimReport, SimSched,
+};
+
+/// `n` marker tasks as a `map_grain` at grain 1: task `i` writes 1 to
+/// `r.at(i)`.
+fn marker_tasks(r: Region, n: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("mark", |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                ctx.pwrite(st.env.at(i), 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let split = set.map_grain("mark/split", 1, leaf);
+        let all = Span {
+            env: r,
+            lo: 0,
+            hi: n,
+        };
+        split.setup(m, &all, K(finale)).word()
+    })
 }
 
 fn assert_all_marked(m: &Machine, r: Region, n: usize, tag: &str) {
@@ -24,28 +42,48 @@ fn assert_all_marked(m: &Machine, r: Region, n: usize, tag: &str) {
     }
 }
 
-/// Runs a closure computation under the single-threaded [`SimSched`],
-/// every processor stepped round-robin one capsule at a time. Whether a
+/// `cfg` with checkpoints off: these runs exercise the scheduler alone.
+fn no_checkpoints(mut cfg: SchedConfig) -> SchedConfig {
+    cfg.checkpoint = CheckpointPolicy::disabled();
+    cfg
+}
+
+/// Runs `n` marker tasks as a fresh session on `m`; returns the report
+/// and the session (whose machine holds the markers).
+fn run_markers(m: Machine, n: usize, cfg: SchedConfig) -> (SessionReport, Runtime, Region) {
+    let r = m.alloc_region(n);
+    let rt = Runtime::new(m, no_checkpoints(cfg));
+    (rt.run_or_recover(&marker_tasks(r, n)), rt, r)
+}
+
+/// Runs `n` marker tasks under the single-threaded [`SimSched`], every
+/// processor stepped round-robin one capsule at a time. Whether a
 /// scheduled hard fault fires before the others finish the work is then
 /// a property of the schedule, not of the OS scheduler: a doomed
 /// processor's access count advances in lockstep with everyone else's.
-fn run_lockstep(m: &Machine, comp: &Comp, cfg: SchedConfig) -> SimReport {
-    let mut sim = SimSched::new_closure(m, comp, &cfg);
+fn run_lockstep(m: &Machine, r: Region, n: usize, cfg: SchedConfig) -> SimReport {
+    let mut sim = SimSched::new_persistent(m, &marker_tasks(r, n), &cfg);
     sim.run_to_completion(1 << 20);
     sim.finish()
 }
 
 /// An unbalanced recursive computation: a "spine" that forks a leaf at
-/// every level — the worst case for steal distribution.
-fn skewed(r: Region, i: usize, n: usize) -> Comp {
-    if i >= n {
-        return comp_nop();
-    }
-    comp_dyn("spine", move |_ctx| {
-        Ok(comp_fork2(
-            comp_step("leaf", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)),
-            skewed(r, i + 1, n),
-        ))
+/// every level — the worst case for steal distribution. One capsule over
+/// `[lo, hi)`: a one-task span is the leaf, anything longer forks its
+/// first task off the rest.
+fn skewed(r: Region, n: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let spine = set.declare::<(Region, usize, usize)>("spine");
+        set.body(spine, move |&(r, lo, hi), k, ctx| match hi - lo {
+            0 => Ok(Step::Jump(k)),
+            1 => {
+                ctx.pwrite(r.at(lo), 1)?;
+                Ok(Step::Jump(k))
+            }
+            _ => fork2(ctx, (spine, &(r, lo, lo + 1)), (spine, &(r, lo + 1, hi)), k),
+        });
+        spine.setup(m, &(r, 0, n), K(finale)).word()
     })
 }
 
@@ -54,12 +92,11 @@ fn balanced_fanout_with_transition_checking_across_proc_counts() {
     for procs in [1, 2, 3, 4, 8] {
         let m = Machine::new(PmConfig::parallel(procs, 1 << 21));
         let n = 96;
-        let r = m.alloc_region(n);
         let mut cfg = SchedConfig::with_slots(1 << 11);
         cfg.check_transitions = true;
-        let rep = run_closure(&m, &marker_tasks(r, n), &cfg);
-        assert!(rep.completed, "P={procs}");
-        assert_all_marked(&m, r, n, &format!("P={procs}"));
+        let (rep, rt, r) = run_markers(m, n, cfg);
+        assert!(rep.completed(), "P={procs}");
+        assert_all_marked(rt.machine(), r, n, &format!("P={procs}"));
     }
 }
 
@@ -68,9 +105,10 @@ fn skewed_spine_distributes_over_steals() {
     let m = Machine::new(PmConfig::parallel(4, 1 << 21));
     let n = 64;
     let r = m.alloc_region(n);
-    let rep = run_closure(&m, &skewed(r, 0, n), &SchedConfig::with_slots(1 << 11));
-    assert!(rep.completed);
-    assert_all_marked(&m, r, n, "skewed");
+    let rt = Runtime::new(m, no_checkpoints(SchedConfig::with_slots(1 << 11)));
+    let rep = rt.run_or_recover(&skewed(r, n));
+    assert!(rep.completed());
+    assert_all_marked(rt.machine(), r, n, "skewed");
 }
 
 #[test]
@@ -81,13 +119,12 @@ fn randomized_soft_fault_storm() {
         let m =
             Machine::new(PmConfig::parallel(4, 1 << 21).with_fault(FaultConfig::soft(0.03, seed)));
         let n = 40;
-        let r = m.alloc_region(n);
         let mut cfg = SchedConfig::with_slots(1 << 11);
         cfg.check_transitions = true;
-        let rep = run_closure(&m, &marker_tasks(r, n), &cfg);
-        assert!(rep.completed, "seed {seed}");
-        assert!(rep.stats.soft_faults > 0, "seed {seed} must see faults");
-        assert_all_marked(&m, r, n, &format!("seed {seed}"));
+        let (rep, rt, r) = run_markers(m, n, cfg);
+        assert!(rep.completed(), "seed {seed}");
+        assert!(rep.stats().soft_faults > 0, "seed {seed} must see faults");
+        assert_all_marked(rt.machine(), r, n, &format!("seed {seed}"));
     }
 }
 
@@ -102,10 +139,9 @@ fn mixed_hard_and_soft_faults_random_placement() {
             PmConfig::parallel(4, 1 << 21).with_fault(FaultConfig::mixed(0.01, 0.02, seed)),
         );
         let n = 48;
-        let r = m.alloc_region(n);
-        let rep = run_closure(&m, &marker_tasks(r, n), &SchedConfig::with_slots(1 << 11));
-        if rep.completed {
-            assert_all_marked(&m, r, n, &format!("seed {seed}"));
+        let (rep, rt, r) = run_markers(m, n, SchedConfig::with_slots(1 << 11));
+        if rep.completed() {
+            assert_all_marked(rt.machine(), r, n, &format!("seed {seed}"));
             if rep.dead_procs() > 0 {
                 completed_with_deaths += 1;
             }
@@ -130,7 +166,7 @@ fn adversarial_hard_fault_placements_on_root() {
         );
         let n = 32;
         let r = m.alloc_region(n);
-        let rep = run_lockstep(&m, &marker_tasks(r, n), SchedConfig::with_slots(1 << 11));
+        let rep = run_lockstep(&m, r, n, SchedConfig::with_slots(1 << 11));
         assert!(rep.completed, "death at access {at}");
         assert_eq!(rep.outcomes[0], Some(ProcOutcome::Dead), "death@{at}");
         assert_all_marked(&m, r, n, &format!("death@{at}"));
@@ -151,7 +187,7 @@ fn cascading_deaths_during_recovery() {
     );
     let n = 48;
     let r = m.alloc_region(n);
-    let rep = run_lockstep(&m, &marker_tasks(r, n), SchedConfig::with_slots(1 << 11));
+    let rep = run_lockstep(&m, r, n, SchedConfig::with_slots(1 << 11));
     assert!(rep.completed);
     let dead = rep
         .outcomes
@@ -167,22 +203,22 @@ fn deep_sequential_chain_under_faults() {
     // the install/restart path rather than stealing.
     let m = Machine::new(PmConfig::parallel(2, 1 << 21).with_fault(FaultConfig::soft(0.02, 9)));
     let r = m.alloc_region(256);
-    let chain: Vec<Comp> = (0..200)
-        .map(|i| {
-            comp_step("link", move |ctx: &mut ProcCtx| {
-                let prev = if i == 0 { 0 } else { ctx.pread(r.at(i - 1))? };
-                ctx.pwrite(r.at(i), prev + 1)
-            })
-        })
-        .collect();
-    let rep = run_closure(
-        &m,
-        &ppm::core::seq_all(chain),
-        &SchedConfig::with_slots(1 << 11),
-    );
-    assert!(rep.completed);
+    // Link i reads word i-1 and writes word i; the links are frames
+    // written at setup, each continuing with the next.
+    let chain: PComp = Arc::new(move |m: &Machine, finale| {
+        let link = CapsuleSet::new(m).define("link", move |&i: &usize, k, ctx| {
+            let prev = if i == 0 { 0 } else { ctx.pread(r.at(i - 1))? };
+            ctx.pwrite(r.at(i), prev + 1)?;
+            Ok(Step::Jump(k))
+        });
+        let links = (0..200).rev();
+        links.fold(K(finale), |k, i| link.setup(m, &i, k)).word()
+    });
+    let rt = Runtime::new(m, no_checkpoints(SchedConfig::with_slots(1 << 11)));
+    let rep = rt.run_or_recover(&chain);
+    assert!(rep.completed());
     assert_eq!(
-        m.mem().load(r.at(199)),
+        rt.machine().mem().load(r.at(199)),
         200,
         "each link applied exactly once"
     );
@@ -202,11 +238,9 @@ fn work_term_grows_mildly_with_fault_rate() {
         } else {
             FaultConfig::soft(f, seed)
         }));
-        let n = 64;
-        let r = m.alloc_region(n);
-        let rep = run_closure(&m, &marker_tasks(r, n), &SchedConfig::with_slots(1 << 11));
-        assert!(rep.completed);
-        rep.stats.total_work()
+        let (rep, _, _) = run_markers(m, 64, SchedConfig::with_slots(1 << 11));
+        assert!(rep.completed());
+        rep.stats().total_work()
     };
     let w0 = work(0.0, 0);
     let wf: u64 = (0..5).map(|s| work(0.01, s)).sum::<u64>() / 5;

@@ -32,6 +32,29 @@ fn t32_ram_simulation_is_exact_and_linear() {
     }
 }
 
+/// §4.1's "two closures and swap back and forth": the RAM simulation's
+/// two step frames are written once at setup, each naming the other, so
+/// ten thousand simulated steps allocate nothing from the processor's
+/// pool — the committed cursor never leaves 0.
+#[test]
+fn t32_two_frame_swap_allocates_nothing_per_step() {
+    let machine =
+        Machine::new(PmConfig::parallel(1, 1 << 21).with_fault(FaultConfig::soft(0.01, 5)));
+    let n = 3000;
+    let mut init: Vec<i64> = (0..n as i64).collect();
+    init.push(0);
+    let (native, report, pm_mem) = run_both(&machine, &sum_array(n), &init, 1 << 22);
+    assert!(
+        report.halted && native.steps >= 10_000,
+        "{} steps",
+        native.steps
+    );
+    assert_eq!(report.steps, native.steps);
+    assert_eq!(pm_mem[n], (0..n as i64).sum::<i64>());
+    assert_eq!(machine.pool_watermark(0), 0, "the pool cursor never moved");
+    assert_eq!(machine.snapshot().max_pool_peak, 0);
+}
+
 #[test]
 fn t32_other_programs() {
     type Check = fn(&[i64]) -> bool;
@@ -99,6 +122,45 @@ fn t33_reverse_program() {
     let mut native_ext = ext.clone();
     run_native_em(&prog, &mut native_ext, 1 << 22);
     assert_eq!(layout.read_ext(&machine, ext.len()), native_ext);
+}
+
+/// The EM and ideal-cache simulations swap four frames written at setup
+/// (a simulation and a commit frame per register copy): however many
+/// rounds run, no round writes a frame.
+#[test]
+fn t33_t34_rounds_allocate_no_frames() {
+    let (nb, m_sim, b) = (64usize, 32usize, 8usize);
+    let prog = block_sum_built(nb, m_sim, b);
+    let ext: Vec<i64> = (0..((nb + 1) * b) as i64).collect();
+    let machine = Machine::new(PmConfig::parallel(1, 1 << 21).with_block_size(b));
+    let layout = EmPmLayout::new(&machine, &prog, ext.len());
+    layout.load_ext(&machine, &ext);
+    let report = simulate_em_on_pm(&machine, &prog, layout, 1 << 22).unwrap();
+    assert!(report.halted);
+    let rounds = machine.snapshot().capsule_completions;
+    assert!(rounds >= 32, "{rounds} capsules");
+    assert_eq!(
+        machine.snapshot().max_pool_peak,
+        0,
+        "EM rounds wrote frames"
+    );
+
+    let pattern = AccessPattern::SeqScan { n: 2048 };
+    let machine = Machine::new(
+        PmConfig::parallel(1, 1 << 21)
+            .with_block_size(b)
+            .with_ephemeral_words(m_sim),
+    );
+    let range = pattern.address_range();
+    let layout = CachePmLayout::new(&machine, range.next_multiple_of(b), m_sim);
+    simulate_cache_on_pm(&machine, &pattern, layout).unwrap();
+    let rounds = machine.snapshot().capsule_completions;
+    assert!(rounds >= 32, "{rounds} capsules");
+    assert_eq!(
+        machine.snapshot().max_pool_peak,
+        0,
+        "cache rounds wrote frames"
+    );
 }
 
 #[test]

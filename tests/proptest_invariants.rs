@@ -1,10 +1,50 @@
 //! Property-based tests over the reproduction's core invariants.
 
+use std::sync::Arc;
+
 use ppm::algs::{merge_seq, prefix_sum_seq, Merge, MergeSort, PrefixSum};
-use ppm::core::{comp_step, par_all, Machine};
-use ppm::pm::{FaultConfig, PmConfig, ProcCtx};
-use ppm::sched::{pack, run_closure, unpack, EntryKind, EntryVal, Runtime, SchedConfig};
+use ppm::core::dsl::{CapsuleSet, Span, Step, K};
+use ppm::core::{Machine, PComp};
+use ppm::pm::{FaultConfig, PmConfig, Region};
+use ppm::sched::{
+    pack, unpack, CheckpointPolicy, EntryKind, EntryVal, Runtime, RuntimeConfig, SchedConfig,
+};
 use proptest::prelude::*;
+
+/// Runs `n` counter-style tasks (a `map_grain` at grain 1, task `i`
+/// writing 1 to its word) as a fresh session on `procs` processors,
+/// checkpoints off; returns whether it completed and the words.
+fn run_tasks(procs: usize, fault: FaultConfig, n: usize) -> (bool, Vec<u64>) {
+    let rt = Runtime::volatile(
+        RuntimeConfig::new(PmConfig::parallel(procs, 1 << 21).with_fault(fault))
+            .with_slots(1 << 11)
+            .with_checkpoint(CheckpointPolicy::disabled()),
+    );
+    let r = rt.machine().alloc_region(n);
+    let tasks: PComp = Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("inc", |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                ctx.pwrite(st.env.at(i), 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let split = set.map_grain("inc/split", 1, leaf);
+        split
+            .setup(
+                m,
+                &Span {
+                    env: r,
+                    lo: 0,
+                    hi: n,
+                },
+                K(finale),
+            )
+            .word()
+    });
+    let completed = rt.run_or_recover(&tasks).completed();
+    (completed, rt.machine().mem().to_vec(r.start, n))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -124,38 +164,18 @@ proptest! {
         procs in 1usize..5,
     ) {
         let fault = if f == 0.0 { FaultConfig::none() } else { FaultConfig::soft(f, seed) };
-        let m = Machine::new(PmConfig::parallel(procs, 1 << 21).with_fault(fault));
-        let r = m.alloc_region(n);
-        // Counter-style tasks: a duplicated execution would overshoot.
-        let comp = par_all(
-            (0..n)
-                .map(|i| comp_step("inc", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-                .collect(),
-        );
-        prop_assert!(run_closure(&m, &comp, &SchedConfig::with_slots(1 << 11)).completed);
-        for i in 0..n {
-            prop_assert_eq!(m.mem().load(r.at(i)), 1);
-        }
+        let (completed, words) = run_tasks(procs, fault, n);
+        prop_assert!(completed);
+        prop_assert_eq!(words, vec![1; n]);
     }
 
     /// A scheduled hard fault anywhere in the root processor's first 400
     /// accesses never loses work (P >= 2).
     #[test]
     fn scheduler_survives_arbitrary_root_death(at in 1u64..400, procs in 2usize..5) {
-        let m = Machine::new(
-            PmConfig::parallel(procs, 1 << 21)
-                .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, at)),
-        );
-        let n = 24;
-        let r = m.alloc_region(n);
-        let comp = par_all(
-            (0..n)
-                .map(|i| comp_step("inc", move |ctx: &mut ProcCtx| ctx.pwrite(r.at(i), 1)))
-                .collect(),
-        );
-        prop_assert!(run_closure(&m, &comp, &SchedConfig::with_slots(1 << 11)).completed);
-        for i in 0..n {
-            prop_assert_eq!(m.mem().load(r.at(i)), 1);
-        }
+        let fault = FaultConfig::none().with_scheduled_hard_fault(0, at);
+        let (completed, words) = run_tasks(procs, fault, 24);
+        prop_assert!(completed);
+        prop_assert_eq!(words, vec![1; 24]);
     }
 }

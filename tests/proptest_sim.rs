@@ -6,8 +6,11 @@
 //! properties pin that across 64 seeds each, including seeds whose
 //! schedules cross boundary crashes and mid-capsule hard faults.
 
-use ppm::core::{comp_step, par_all, Comp, Machine};
-use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region};
+use std::sync::Arc;
+
+use ppm::core::dsl::{CapsuleSet, Span, Step, K};
+use ppm::core::{Machine, PComp};
+use ppm::pm::{FaultConfig, PmConfig, Region};
 use ppm::sched::{SchedConfig, SimOp, SimSched};
 use proptest::prelude::*;
 
@@ -15,16 +18,29 @@ fn machine(procs: usize, fault: FaultConfig) -> Machine {
     Machine::new(PmConfig::parallel(procs, 1 << 21).with_fault(fault))
 }
 
-fn markers(r: Region, n: usize) -> Comp {
-    par_all(
-        (0..n)
-            .map(|i| {
-                comp_step("sim/mark", move |ctx: &mut ProcCtx| {
-                    ctx.pwrite(r.at(i), i as u64 + 1)
-                })
-            })
-            .collect(),
-    )
+/// `n` marker tasks as a `map_grain` at grain 1: task `i` writes `i + 1`.
+fn markers(r: Region, n: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("sim/mark", |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                ctx.pwrite(st.env.at(i), i as u64 + 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let split = set.map_grain("sim/split", 1, leaf);
+        split
+            .setup(
+                m,
+                &Span {
+                    env: r,
+                    lo: 0,
+                    hi: n,
+                },
+                K(finale),
+            )
+            .word()
+    })
 }
 
 /// One full seeded run: returns the rendered event trace, the machine
@@ -33,7 +49,7 @@ fn seeded_run(procs: usize, tasks: usize, fault: FaultConfig, seed: u64) -> (Str
     let m = machine(procs, fault);
     let r = m.alloc_region(64);
     let comp = markers(r, tasks);
-    let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+    let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
     sim.run_seeded(seed, 4_000);
     (sim.render_trace(), sim.digest(), sim.completed())
 }
@@ -81,7 +97,7 @@ proptest! {
             let m = machine(2, FaultConfig::none());
             let r = m.alloc_region(64);
             let comp = markers(r, 8);
-            let mut sim = SimSched::new_closure(&m, &comp, &SchedConfig::with_slots(256));
+            let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(256));
             sim.run_script(&[SimOp::Run(0, warmup), SimOp::Crash(0)]);
             sim.run_seeded(seed, 4_000);
             let completed = sim.completed();

@@ -42,10 +42,10 @@
 #      complete_capsule,publish_watermark}, every WarTracker method but
 #      the cold `grow` and the `lines`/`word_bit` helpers that feed them,
 #      FrameBuf::{new,push,write}, write_frame and with_frame_args; in
-#      crates/core: InstallCtx::{install_jump,install_handle,
-#      install_sched}, journal_image, live_record, run_body_and_install,
-#      resolve_handle, ContArena::{resolve_with,run_frame} (the
-#      `Active::Frame` arm), the registry's table lookup, its type-erased
+#      crates/core: InstallCtx::{install_handle,install_sched},
+#      journal_image, live_record, run_body_and_install,
+#      resolve_handle, ContArena::{resolve_with,run_frame}, the
+#      registry's table lookup, its type-erased
 #      decode-and-run and CodeMemo::{entry,frame_ref,run}, and
 #      CapsuleSet::body with the decode, run and trace closures it
 #      registers; in crates/sched: every arm of
@@ -53,8 +53,8 @@
 #      `.write()`, `.lock()` or `.clone()` (a lock, or a refcount RMW on a
 #      line every processor shares) unless a `hot-path-ok:` justification
 #      sits within the six lines above. The expected exceptions are the
-#      observer call behind its flag check, the closure machine's clone
-#      of a capsule it alone holds and the memo's once-per-id miss. The
+#      observer call behind its flag check and the memo's once-per-id
+#      miss. The
 #      frame-dispatch bodies name no `Arc::new` either (a frame is run,
 #      not rebuilt), and the scheduler bodies additionally name
 #      no `Arc::new` and no `format!` (a trace detail is built inside an
@@ -78,9 +78,8 @@
 #      no `-> Comp` there; and a `Runtime` runs a computation through
 #      `run_or_recover` alone, so `run_or_replay`, `LegacyClosures` and
 #      `recover_computation` appear nowhere under crates/ src/ tests/
-#      examples/. The model-level closure machine (`ppm_core::comp`,
-#      `ppm_sched::run_closure`) stays, for ad-hoc DAGs in the
-#      scheduler-protocol tests.
+#      examples/. Protocol tests, experiments and baselines build their
+#      DAGs the same way (see rule 14).
 #
 #   7. No hashing or heap allocation per access. The write-after-read
 #      check and a frame persist cost a probe and a range store: the same
@@ -150,6 +149,15 @@
 #      crates/ — and neither crates/core/src/dsl.rs nor
 #      crates/core/src/registry.rs builds a closure capsule: outside
 #      their `#[cfg(test)]` modules `capsule(` is not named there.
+#
+#  14. One capsule representation. Every capsule anything runs is words
+#      in persistent memory — a registered frame or a scheduler record —
+#      so a processor's position is a `Copy` value and every restart
+#      pointer decodes in any process. The closure machine stays deleted:
+#      `Comp`, `comp_step`, `comp_fork2`, `par_all`, `run_closure`,
+#      `new_closure`, `Active::Capsule`, `FnCapsule`, `install_jump`,
+#      `preregister`, `register_at` and `Next::Jump(` appear nowhere under
+#      crates/ src/ tests/ examples/.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -256,7 +264,7 @@ hot_bodies() { # REGEX
         'lines|next|word_bit|reset|probe|slot|claim|read|write|conflict|on_read|on_write|on_read_block|on_write_block' "$1"
     body_scan crates/pm/src/frame.rs 'new|push|write|write_frame' "$1"
     body_scan crates/core/src/runner.rs \
-        'install_jump|install_handle|install_sched|journal_image|live_record|run_body_and_install' "$1"
+        'install_handle|install_sched|journal_image|live_record|run_body_and_install' "$1"
     frame_bodies "$1"
     sched_bodies "$1"
 }
@@ -421,8 +429,15 @@ if [ -n "$hits" ]; then
     err "a frame is run, not rehydrated: dsl.rs / registry.rs build a closure capsule (register a decode and a body instead):" "$hits"
 fi
 
+# --- 14. one capsule representation ------------------------------------------------------
+hits=$(grep -rnE "\bComp\b|\b(comp_step|comp_fork2|par_all|run_closure|new_closure|FnCapsule|install_jump|preregister|register_at)\b|Active::Capsule|Next::Jump\(" \
+    --include="*.rs" crates src tests examples || true)
+if [ -n "$hits" ]; then
+    err "the closure machine is back (every capsule is a registered frame or a scheduler record; build DAGs with the DSL):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation)"
