@@ -1,14 +1,15 @@
 //! Service-mode persistent state: the durable injector-queue header and
 //! the ring-slot state word.
 //!
-//! A *service* run (`ppm-sched`'s `cluster::ClusterBuilder` with
-//! `.service(true)`) keeps a cluster's worker shards alive indefinitely,
-//! feeding them jobs through a durable MPMC **injector ring** in the
-//! ordinary persistent word array. The once-written [`ServiceHeader`]
-//! lives in the control page beside the lease table ([`crate::control`]
-//! holds the layout and the codec) and records where the ring and its
-//! per-slot frame workspaces sit, so any attaching process finds the
-//! queue from the machine file alone.
+//! Every cluster file (`ppm-sched`'s `cluster::ClusterBuilder`) feeds its
+//! worker shards through a durable MPMC **injector ring** in the
+//! ordinary persistent word array: a batch run publishes one job per
+//! shard and closes admission, a service run keeps submitting. The
+//! [`ServiceHeader`] lives in the control page beside the lease table
+//! ([`crate::control`] holds the layout and the codec), records where
+//! the ring and its per-slot frame workspaces sit — so any attaching
+//! process finds the queue from the machine file alone — and says
+//! whether admission is open.
 //!
 //! ## The slot state word
 //!
@@ -123,7 +124,8 @@ pub fn slot_checksum(ticket: Word, entry: Word) -> Word {
 pub enum ServiceState {
     /// Accepting submissions.
     Accepting = 1,
-    /// Draining: no new submissions; in-flight jobs run to completion.
+    /// Draining: no new submissions; in-flight jobs run to completion,
+    /// and a drained ring completes the cluster.
     Draining = 2,
     /// Stopped: workers should exit once their deques empty.
     Stopped = 3,

@@ -124,11 +124,11 @@ pub struct Sched {
     /// Per-processor steal-attempt epochs (victim-selection stream state;
     /// ephemeral, affects only which victim is probed next).
     epochs: Vec<AtomicU64>,
-    /// Sharded-mode steal domain (see [`crate::cluster`]): restricts
-    /// victim selection to this process's own shard plus the shards the
-    /// cross-process liveness oracle has declared dead, and counts what
-    /// crosses a shard boundary. `None` for ordinary single-process
-    /// schedulers.
+    /// Sharded-mode domain (see [`crate::cluster`]): names this process's
+    /// shard (where its ring scan starts) and counts what crosses a shard
+    /// boundary — adoptions from the shards the cross-process liveness
+    /// oracle has declared dead, live steals from the rest. `None` for
+    /// ordinary single-process schedulers.
     domain: Option<Arc<ShardDomain>>,
     /// The machine's observability handle (steal and adoption events
     /// flow here).
@@ -154,9 +154,10 @@ pub struct Sched {
     /// `ppm_steal_backoff_us`; p99 surfaces as
     /// `ppm_steal_backoff_p99_us`).
     steal_backoff: Histogram,
-    /// Service-mode injector queue (see [`crate::service`]): an external
-    /// durable work source the steal loop consults before probing victim
-    /// deques. `None` for batch runs — the steal loop is unchanged.
+    /// Injector queue (see [`crate::service`]): the external durable work
+    /// source of every cluster session, consulted by the steal loop
+    /// before probing victim deques. `None` for single-process
+    /// schedulers — the steal loop is unchanged.
     injector: std::sync::OnceLock<Arc<crate::service::InjectorQueue>>,
 }
 
@@ -172,9 +173,9 @@ impl Sched {
         Self::new_inner(machine, done, cfg, None)
     }
 
-    /// [`Sched::new`] for one shard of a multi-process cluster: victim
-    /// selection spans only `domain`'s own processors until the liveness
-    /// oracle marks sibling shards dead and adoptable.
+    /// [`Sched::new`] for one shard of a multi-process cluster: the ring
+    /// scan starts at `domain`'s shard slot, and steals across a shard
+    /// boundary are counted in `domain`.
     pub fn new_sharded(
         machine: &Machine,
         done: DoneFlag,
@@ -250,7 +251,7 @@ impl Sched {
         })
     }
 
-    /// Attaches a service-mode injector queue. The steal loop consults it
+    /// Attaches an injector queue. The steal loop consults it
     /// (before probing victim deques) from the next attempt on; at most
     /// one queue per scheduler, installed during session construction.
     pub(crate) fn set_injector(&self, queue: Arc<crate::service::InjectorQueue>) {
@@ -259,7 +260,7 @@ impl Sched {
             .expect("injector queue installed twice");
     }
 
-    /// The installed injector queue, if this is a service-mode scheduler.
+    /// The installed injector queue, if this is a cluster scheduler.
     pub(crate) fn injector(&self) -> Option<&Arc<crate::service::InjectorQueue>> {
         self.injector.get()
     }
@@ -317,16 +318,30 @@ impl Sched {
         self.deques[p]
     }
 
+    /// Victim selection: a uniform draw over every other processor — in a
+    /// cluster too, where live and dead shards are probed alike.
     fn pick_victim(&self, thief: usize, n: u64) -> Option<usize> {
-        let r = splitmix64(self.seed ^ ((thief as u64) << 40) ^ n);
-        if let Some(domain) = &self.domain {
-            return domain.pick_victim(thief, r);
-        }
         if self.p <= 1 {
             return None;
         }
+        let r = splitmix64(self.seed ^ ((thief as u64) << 40) ^ n);
         let v = r as usize % (self.p - 1);
         Some(if v >= thief { v + 1 } else { v })
+    }
+
+    /// Where `me`'s injector scan starts: a home slot — in a cluster its
+    /// shard's, where a batch run publishes the shard's job, else a
+    /// processor stagger — advanced by the attempt count in `n`, which
+    /// restarts with every findWork entry. A processor's first scan
+    /// prefers its own shard's job; a spinning one walks the ring rather
+    /// than rescanning from one slot, which would pull the newest job
+    /// first, beside the slots the submitter is writing.
+    fn ring_start(&self, me: usize, n: u64) -> usize {
+        let home = match &self.domain {
+            Some(d) => d.shard_of(me),
+            None => me.wrapping_mul(7),
+        };
+        home.wrapping_add(n as usize)
     }
 
     /// Exponential-backoff sleep before a steal attempt, engaged only
@@ -521,13 +536,12 @@ impl Sched {
                 }
                 let me = ctx.proc();
                 s.note_steal_enter(me);
-                // Service mode: published injector jobs are root work —
-                // drain the durable queue before probing victim deques.
-                // The scan is an uncosted ephemeral peek (like victim
-                // selection); the claim itself is the costed
-                // read/CAM/check chain below.
+                // Published injector jobs are root work — drain the
+                // durable queue before probing victim deques. The scan is
+                // an uncosted ephemeral peek (like victim selection); the
+                // claim itself is the costed read/CAM/check chain below.
                 if let Some(inj) = s.injector.get() {
-                    if let Some(slot) = inj.scan_published(me, n) {
+                    if let Some(slot) = inj.scan_published(s.ring_start(me, n)) {
                         return Ok(go(PullRead(slot, n)));
                     }
                 }

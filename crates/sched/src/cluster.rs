@@ -29,8 +29,8 @@
 //!    construction of `isLive`, made cross-process.
 //! 2. Each worker's monitor thread folds expired or tombstoned leases
 //!    into its local [`ppm_pm::Liveness`] oracle (marking the dead
-//!    shard's processors dead) and widens its [`ShardDomain`] so victim
-//!    selection starts probing the dead shard's deques.
+//!    shard's processors dead) and its [`ShardDomain`] (so steals from
+//!    the dead shard count as adoptions).
 //! 3. From there the *unmodified* Figure 3 machinery does the work:
 //!    `popTop` steals the dead shard's `job` entries (frame handles,
 //!    rehydratable by any process), and the dead-owner local-steal path
@@ -46,74 +46,54 @@
 //!    shard's in-flight capsules — the same bound hard-fault adoption
 //!    has in-process.
 //!
-//! In **batch** runs, live shards never steal from each other (victim
-//! selection stays inside the fault domain until the oracle declares a
-//! sibling dead). **Service** runs turn live-shard stealing on
-//! ([`ShardDomain::set_live_stealing`]): victim selection spans live
-//! siblings too, because the same CAM steal protocol is already safe
-//! across processes, and every `job` a session pushes is a frame any
-//! process rehydrates. Steals from live remote shards are counted
-//! separately (`ppm_live_steals_total`).
+//! Live shards steal from each other too — one uniform victim draw over
+//! every processor, since the CAM protocol is safe across processes and
+//! every pushed `job` is a frame any process rehydrates — and such steals
+//! count as `ppm_live_steals_total`, not as adoptions.
 //!
-//! ## Entry points: [`ClusterBuilder`]
+//! ## One way in, one way out: [`ClusterBuilder`]
 //!
-//! The builder *is* the configuration; its four terminals (`init`,
-//! `observe`, `run`, `spawn`) are listed on the type. `run` and `spawn`
-//! hand the worker fleet to the one [`crate::supervisor::Supervisor`].
+//! Every terminal (`init`, `observe`, `run`, `spawn`) prepares an open
+//! injector ring ([`crate::service`]), the only way work reaches a
+//! worker; `run` and `spawn` hand the fleet to the one
+//! [`crate::supervisor::Supervisor`]. A **batch** run is a service run
+//! with a fixed job set: the [`ShardBuild`] builds shard `s`'s sub-root
+//! to continue at the done frame of ring slot `s`, and
+//! [`ClusterObserver::publish_shard_jobs`] publishes it as ticket `s + 1`
+//! and closes admission; a **service** run submits as it goes. A ticket
+//! resolves exactly once, at its slot's done CAM, wherever its job
+//! finished. A processor's first ring scan of each findWork entry starts
+//! at its own shard's slot, so a shard's first pull prefers its own
+//! sub-root; later attempts walk on around the ring. The cluster is complete
+//! when the ring is closed (`Draining`) and no slot is published, claimed
+//! or running (`InjectorQueue::settle`): every worker's lease monitor
+//! checks that each tick and sets the done flag — so the fleet finishes
+//! without its coordinator, an observer after publishing — and
+//! [`recover`] checks the same rule.
 //!
-//! ## Work distribution and completion
-//!
-//! In a batch run, work reaches a shard by
-//! **planting**: the coordinator builds one sub-root per shard (the
-//! caller's [`ShardBuild`], e.g. "sort slice `s`") and plants it as a
-//! `job` entry on the shard's first deque — the same mechanism recovery
-//! uses to re-plant a harvested frontier. Each sub-root's continuation is
-//! a registered `cluster/arrive` capsule that CAMs the shard's completion
-//! flag and jumps to `cluster/check`, which reads all the flags and jumps
-//! to the finale (setting the global done flag) once every shard's
-//! subtree has finished — wherever it finished: a subtree adopted by a
-//! survivor arrives exactly the same way, because the arrive frame
-//! travels with the subtree. Every effect stays exactly-once by the §5
-//! CAM discipline.
-//!
-//! ## Degraded paths
-//!
-//! * If every fault domain dies, nobody is left to adopt: [`recover`]
-//!   finishes the job single-process via the ordinary resume/replay
-//!   machinery. (Recovery does not yet *resume* a scheduler record: a
-//!   restart pointer parked on one sends it to the roots.)
-//! * The coordinator is only an observer after planting: if *it* dies,
-//!   the workers keep running and complete the computation on their own.
-//!
-//! ## Service mode
-//!
-//! `ClusterBuilder::…​.service(true).spawn(…)` skips root planting and
-//! instead writes a [`ppm_pm::ServiceHeader`]: the workers start idle
-//! and pull jobs from the durable injector queue (see [`crate::service`])
-//! for as long as the service accepts them, with live-shard stealing on.
+//! If every fault domain dies, [`recover`] closes admission and finishes
+//! the ring single-process: it resumes the crash frontier, or normalizes
+//! the ring and replays it (a restart pointer parked on a scheduler
+//! record is not resumed yet and sends recovery to the replay).
 //!
 //! ## No checkpoints in a cluster
 //!
-//! Sharded and service workers do **not** checkpoint: a worker can
-//! quiesce only the processors it seats, and a record is sound only if
-//! the whole machine stood still. Crash recovery does not need one —
-//! [`recover`] harvests the crash frontier or replays from the roots —
-//! so what a cluster gives up is frame-pool GC, and pools are sized for
-//! it ([`ClusterBuilder::pool_words`]). A cross-process round (request,
-//! per-shard acknowledgement, elected performer, release) shipped once
-//! without a model, a mutant or a kill test behind it and was deleted; a
-//! round proven for S shards with shard death at every step is what
-//! would bring cluster checkpoints back.
+//! A worker can quiesce only the processors it seats, and a record is
+//! sound only if the whole machine stood still, so cluster workers do not
+//! checkpoint; [`recover`] never needs a record. What a cluster gives up
+//! is frame-pool GC, and pools are sized for it
+//! ([`ClusterBuilder::pool_words`]). A cross-process round shipped once
+//! without a model, a mutant or a kill test and was deleted; one proven
+//! for S shards with shard death at every step would bring it back.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ppm_core::registry::frame_args;
-use ppm_core::{DoneFlag, Machine, Next};
+use ppm_core::{DoneFlag, Machine};
 use ppm_obs::{MetricsRegistry, MetricsServer, Obs, TraceKind};
-use ppm_pm::{Lease, LeaseState, PersistentMemory, Region, ShardMap, Word};
+use ppm_pm::{Lease, LeaseState, PersistentMemory, Region, ServiceState, ShardMap, Word};
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::{CheckpointCtl, CheckpointPolicy};
@@ -121,8 +101,7 @@ use crate::driver::{
     crash_forensics, harvest_frontier, plant_seeds, run_attached_seats, scrub_scheduler_state,
     FallbackReason, ProcOutcome, ProcSeat, RunReport, SessionMode, SessionReport,
 };
-use crate::entry::{pack, EntryVal};
-use crate::service::{InjectorQueue, ServiceConfig, ServiceHandle};
+use crate::service::{InjectorQueue, JobTicket, ServiceConfig, ServiceHandle};
 use crate::supervisor::Supervisor;
 
 /// Default lease validity window for worker heartbeats.
@@ -138,22 +117,23 @@ pub const STARTUP_LEASE_FACTOR: u64 = 10;
 const REPORT_WORDS: usize = 8;
 
 /// Builds shard `s`'s sub-computation: given the machine and the frame
-/// handle of the shard's arrival continuation, register capsules,
-/// build the subtree's root frame, and return its handle — the same
-/// contract as [`crate::PComp`], parameterized by shard. Called for
-/// *every* shard in *every* attaching process (construction determinism:
-/// all processes must replay identical allocations), so builders must be
-/// pure setup: WAR-free rewrites of identical values.
+/// handle of the shard's continuation (the done frame of ring slot `s`),
+/// register capsules, build the subtree's root frame, and return its
+/// handle — the same contract as [`crate::PComp`], parameterized by
+/// shard. Called for *every* shard in *every* attaching process
+/// (construction determinism: all processes must replay identical
+/// allocations), so builders must be pure setup: WAR-free rewrites of
+/// identical values.
 pub type ShardBuild = Arc<dyn Fn(&Machine, usize, Word) -> Word + Send + Sync>;
 
 // ====================================================================
 // Steal domain
 // ====================================================================
 
-/// One worker's view of the cluster for victim selection: its own
-/// processor range, plus the set of sibling shards the liveness oracle
-/// has declared dead (and therefore adoptable). Shared between the
-/// worker's scheduler capsules and its lease-monitor thread.
+/// One worker's view of the cluster: its own processor range, the set
+/// of sibling shards the liveness oracle has declared dead (steals from
+/// them are adoptions), and what crossed a shard boundary. Shared
+/// between the worker's scheduler capsules and its lease-monitor thread.
 #[derive(Debug)]
 pub struct ShardDomain {
     map: ShardMap,
@@ -167,15 +147,11 @@ pub struct ShardDomain {
     blocked_adoptions: AtomicU64,
     /// Per-processor dedup for [`ShardDomain::note_blocked_adoption`].
     blocked_marked: Vec<AtomicBool>,
-    /// Live-shard stealing: when set, victim selection spans *live*
-    /// sibling shards too (service mode), not only dead ones.
-    live_stealing: AtomicBool,
     live_steals: AtomicU64,
 }
 
 impl ShardDomain {
-    /// A domain for `shard` of `map` with no dead siblings yet and
-    /// live-shard stealing off (batch semantics).
+    /// A domain for `shard` of `map` with no dead siblings yet.
     pub fn new(map: ShardMap, shard: usize) -> Arc<Self> {
         assert!(shard < map.shards, "shard {shard} out of range");
         Arc::new(ShardDomain {
@@ -186,21 +162,8 @@ impl ShardDomain {
             adopted_locals: AtomicU64::new(0),
             blocked_adoptions: AtomicU64::new(0),
             blocked_marked: (0..map.procs()).map(|_| AtomicBool::new(false)).collect(),
-            live_stealing: AtomicBool::new(false),
             live_steals: AtomicU64::new(0),
         })
-    }
-
-    /// Turns live-shard stealing on or off. Service runs set it before
-    /// driving any processor; batch runs leave it off, confining victim
-    /// selection to the fault domain until a sibling dies.
-    pub fn set_live_stealing(&self, on: bool) {
-        self.live_stealing.store(on, Ordering::Release);
-    }
-
-    /// Whether victim selection currently spans live sibling shards.
-    pub fn live_stealing(&self) -> bool {
-        self.live_stealing.load(Ordering::Acquire)
     }
 
     /// Successful steals of `job` entries from *live* sibling shards
@@ -238,8 +201,9 @@ impl ShardDomain {
         self.map.shard_of(proc)
     }
 
-    /// Declares sibling `shard` dead: its processors join the victim set.
-    /// Idempotent; marking the own shard is ignored.
+    /// Declares sibling `shard` dead: steals from its processors count as
+    /// adoptions from then on. Idempotent; marking the own shard is
+    /// ignored.
     pub fn mark_adoptable(&self, shard: usize) {
         if shard != self.shard {
             self.adoptable[shard].store(true, Ordering::Release);
@@ -313,7 +277,7 @@ impl ShardDomain {
         let d = self.clone();
         reg.counter_fn(
             "ppm_live_steals_total",
-            "job entries stolen from live sibling shards (service-mode load balancing)",
+            "job entries stolen from live sibling shards (cross-process load balancing)",
             &[],
             move || d.live_steals(),
         );
@@ -336,53 +300,6 @@ impl ShardDomain {
             self.blocked_adoptions.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    /// Whether sibling `shard`'s processors are currently in the victim
-    /// set: declared dead (adoption), or any live sibling when
-    /// live-shard stealing is on (service mode).
-    fn in_victim_set(&self, shard: usize, live: bool) -> bool {
-        shard != self.shard && (self.is_adoptable(shard) || live)
-    }
-
-    /// Victim selection over the domain: the own shard's other
-    /// processors, plus every processor of every shard declared dead —
-    /// plus every *live* sibling's processors when live-shard stealing
-    /// is on. Allocation-free — this runs on every steal attempt of
-    /// every spinning processor. Sound under concurrent
-    /// `mark_adoptable`/`set_live_stealing`: both flags are sticky for
-    /// the duration of a run, so a shard appearing between the count and
-    /// the walk only widens the walk, and `idx` (bounded by the counted
-    /// total) still lands on a valid candidate.
-    pub(crate) fn pick_victim(&self, thief: usize, r: u64) -> Option<usize> {
-        let own = self.own_procs();
-        let own_candidates = own.len() - 1;
-        let pps = self.map.procs_per_shard;
-        let live = self.live_stealing();
-        let mut total = own_candidates;
-        for s in 0..self.map.shards {
-            if self.in_victim_set(s, live) {
-                total += pps;
-            }
-        }
-        if total == 0 {
-            return None;
-        }
-        let mut idx = r as usize % total;
-        if idx < own_candidates {
-            let v = own.start + idx;
-            return Some(if v >= thief { v + 1 } else { v });
-        }
-        idx -= own_candidates;
-        for s in 0..self.map.shards {
-            if self.in_victim_set(s, live) {
-                if idx < pps {
-                    return Some(self.map.procs_of(s).start + idx);
-                }
-                idx -= pps;
-            }
-        }
-        None
-    }
 }
 
 // ====================================================================
@@ -393,22 +310,22 @@ impl ShardDomain {
 /// The pieces every attacher must agree on (shard count, deque slots,
 /// victim seed, lease interval) are persisted in the machine
 /// file's cluster header, so workers configure themselves from the file
-/// alone. Configure, then pick a terminal:
+/// alone. Configure, then pick a terminal; each prepares the same file,
+/// with an open injector ring (`Accepting`, nothing published):
 ///
 /// * [`ClusterBuilder::init`] — prepare the file, return nothing
 ///   (external supervisor launches the workers);
 /// * [`ClusterBuilder::observe`] — prepare the file, return a
 ///   [`ClusterObserver`] (custom coordinators, fault harnesses);
-/// * [`ClusterBuilder::run`] — batch: prepare, spawn workers, block to
-///   completion, return the [`SessionReport`];
-/// * [`ClusterBuilder::spawn`] — service: prepare with a durable
-///   injector queue, spawn workers, return a live
-///   [`crate::ServiceHandle`] to submit jobs against.
+/// * [`ClusterBuilder::run`] — batch: prepare, spawn workers, publish
+///   the shard jobs, block to completion, return the [`SessionReport`];
+/// * [`ClusterBuilder::spawn`] — service: prepare, spawn workers, return
+///   a live [`crate::ServiceHandle`] to submit jobs against.
 ///
 /// ```no_run
 /// # use ppm_sched::cluster::{ClusterBuilder, ShardBuild};
 /// # use std::sync::Arc;
-/// # let build: ShardBuild = Arc::new(|_m, _s, arrive| arrive);
+/// # let build: ShardBuild = Arc::new(|_m, _s, done| done);
 /// let report = ClusterBuilder::new("/tmp/run.ppm")
 ///     .machine(ppm_pm::PmConfig::parallel(8, 1 << 22))
 ///     .workers(4)
@@ -430,7 +347,6 @@ pub struct ClusterBuilder {
     seed: u64,
     pool_words: Option<usize>,
     deadline: Duration,
-    service: bool,
     service_config: ServiceConfig,
 }
 
@@ -449,7 +365,6 @@ impl ClusterBuilder {
             seed: SchedConfig::default().seed,
             pool_words: None,
             deadline: Duration::from_secs(300),
-            service: false,
             service_config: ServiceConfig::default(),
         }
     }
@@ -501,15 +416,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Turns service mode on or off ([`ClusterBuilder::spawn`] implies
-    /// it). A service file gets a durable injector queue instead of
-    /// planted roots, and its workers steal from live siblings.
-    pub fn service(mut self, on: bool) -> Self {
-        self.service = on;
-        self
-    }
-
-    /// Sets the injector-queue shape used when service mode is on.
+    /// Sets the injector-ring shape. A batch run needs one slot per
+    /// shard at least.
     pub fn service_config(mut self, cfg: ServiceConfig) -> Self {
         self.service_config = cfg;
         self
@@ -536,10 +444,10 @@ impl ClusterBuilder {
     }
 
     /// Creates and fully prepares the machine file — superblock, cluster
-    /// header, session frames, planted sub-roots (or the service header
-    /// and injector ring), seeded leases — without spawning anything.
-    /// For deployments whose workers are launched by an external
-    /// supervisor, and tests.
+    /// header, session frames, the open injector ring and its header,
+    /// seeded leases — without spawning or publishing anything. For
+    /// deployments whose workers are launched by an external supervisor,
+    /// and tests.
     #[cfg(unix)]
     pub fn init(&self, build: &ShardBuild) -> io::Result<()> {
         self.observe(build).map(drop)
@@ -547,9 +455,9 @@ impl ClusterBuilder {
 
     /// [`ClusterBuilder::init`] returning an observer handle: a custom
     /// coordinator (own spawn, kill, or progress logic — e.g. a
-    /// fault-injection harness) keeps it to watch the completion flag,
-    /// tombstone reaped workers, and assemble the final
-    /// [`ClusterSummary`].
+    /// fault-injection harness) keeps it to publish the shard jobs or
+    /// submit its own, watch the completion flag, tombstone reaped
+    /// workers, and assemble the final [`ClusterSummary`].
     #[cfg(unix)]
     pub fn observe(&self, build: &ShardBuild) -> io::Result<ClusterObserver> {
         observe_impl(self, build, ppm_pm::system_clock())
@@ -558,9 +466,11 @@ impl ClusterBuilder {
     /// Batch terminal: prepares the file, spawns one worker process per
     /// shard via `spawn_worker` (receives the shard index; the command
     /// must end up calling [`run_worker`] for it — typically the current
-    /// executable with a `worker` argument), and then *supervises*:
+    /// executable with a `worker` argument), publishes the shard jobs
+    /// ([`ClusterObserver::publish_shard_jobs`]), and then *supervises*:
     /// reaping worker exits (tombstoning the leases of the dead so
-    /// survivors adopt immediately) and enforcing the deadline.
+    /// survivors adopt immediately), rescuing their claims, and enforcing
+    /// the deadline.
     ///
     /// The returned [`SessionReport`] carries a [`ClusterSummary`]; its
     /// `run.completed` reflects the persisted completion flag. On an
@@ -574,12 +484,15 @@ impl ClusterBuilder {
         spawn_worker: impl FnMut(usize) -> std::process::Command,
     ) -> io::Result<SessionReport> {
         let mut sup = Supervisor::launch(self, build, spawn_worker, ppm_pm::system_clock())?;
+        if let Err(e) = sup.observer().publish_shard_jobs() {
+            sup.wait_exit(Duration::ZERO);
+            return Err(e);
+        }
         sup.wait_exit(self.deadline);
         sup.finish()
     }
 
-    /// Service terminal (implies [`ClusterBuilder::service`]): prepares
-    /// the file with a durable injector queue, spawns the workers, and
+    /// Service terminal: prepares the file, spawns the workers, and
     /// returns a live [`crate::ServiceHandle`] — submit jobs, await
     /// tickets, kill and heal workers, drain, shut down. With
     /// `PPM_METRICS_PORT` set, the handle also serves the aggregated
@@ -590,8 +503,7 @@ impl ClusterBuilder {
         build: &ShardBuild,
         spawn_worker: impl FnMut(usize) -> std::process::Command,
     ) -> io::Result<ServiceHandle> {
-        let service = self.clone().service(true);
-        Supervisor::launch(&service, build, spawn_worker, ppm_pm::system_clock())
+        Supervisor::launch(self, build, spawn_worker, ppm_pm::system_clock())
             .map(ServiceHandle::new)
     }
 }
@@ -601,33 +513,33 @@ impl ClusterBuilder {
 // ====================================================================
 
 /// The deterministic construction every cluster process replays: done
-/// flag, scheduler deques, shard-completion flags, report blocks, the
-/// finale/check/arrive frames, and the per-shard sub-roots.
+/// flag, scheduler deques, report blocks, the injector ring, and the
+/// per-shard sub-roots.
 pub(crate) struct ClusterSession {
     /// The shard geometry the session was built for.
     map: ShardMap,
     pub(crate) done: DoneFlag,
     pub(crate) sched: Arc<Sched>,
-    flags: Region,
     reports: Region,
+    /// Shard `s`'s sub-root, continuing at the done frame of ring slot
+    /// `s`.
     roots: Vec<Word>,
-    /// The durable injector queue, in service mode.
-    service: Option<Arc<InjectorQueue>>,
+    /// The durable injector queue: the one way work enters.
+    service: Arc<InjectorQueue>,
 }
 
 fn build_session(
     machine: &Machine,
-    map: ShardMap,
-    deque_slots: usize,
-    seed: u64,
+    header: &ppm_pm::ClusterHeader,
+    service: ServiceConfig,
     domain: Option<Arc<ShardDomain>>,
-    service: Option<ServiceConfig>,
     build: &ShardBuild,
 ) -> ClusterSession {
+    let map = ShardMap::new(machine.procs(), header.shards as usize);
     let done = DoneFlag::new(machine);
     let cfg = SchedConfig {
-        deque_slots,
-        seed,
+        deque_slots: header.deque_slots as usize,
+        seed: header.seed,
         check_transitions: false,
         // A worker cannot quiesce its siblings' processors: cluster
         // sessions do not checkpoint (see the module docs).
@@ -637,89 +549,23 @@ fn build_session(
         Some(d) => Sched::new_sharded(machine, done, &cfg, d),
         None => Sched::new(machine, done, &cfg),
     };
-    let flags = machine.alloc_region(map.shards);
     let reports = machine.alloc_region(map.shards * REPORT_WORDS);
-    // Service regions next (before any frame setup): every attacher
-    // replays the same alloc_region sequence, so the ring/workspace land
-    // at the same addresses in every process (construction determinism).
-    let service = service.map(|cfg| {
-        let ring = machine.alloc_region(ppm_pm::service::ring_words(cfg.slots));
-        let workspace = machine.alloc_region(cfg.slots * cfg.job_words);
-        (cfg, ring, workspace)
-    });
-
-    let registry = machine.registry();
-    let arrive_id = registry.allocate("cluster/arrive");
-    registry.register(
-        arrive_id,
-        "cluster/arrive",
-        |args| frame_args::<2>("cluster/arrive", args),
-        // A CAM capsule: the shard-completion flag only ever goes 0 → 1,
-        // so re-execution (including duplicate execution by an adopting
-        // survivor racing a falsely-declared-dead owner) is benign.
-        |&[flag, check], ctx| {
-            ctx.pcam(flag as ppm_pm::Addr, 0, 1)?;
-            Ok(Next::JumpHandle(check))
-        },
-        |args, out| {
-            if let [flag, check] = args {
-                out.extent(*flag as usize, 1);
-                out.handle(*check);
-                true
-            } else {
-                false
-            }
-        },
-    );
-    let check_id = registry.allocate("cluster/check");
-    registry.register(
-        check_id,
-        "cluster/check",
-        |args| frame_args::<3>("cluster/check", args),
-        // Racy reads of monotone flags: if every shard has arrived, jump
-        // to the finale (itself a racy 0 → 1 write — duplicate finishers
-        // are idempotent); otherwise this thread is done.
-        |&[base, n, finale], ctx| {
-            for i in 0..n as usize {
-                if ctx.pread(base as ppm_pm::Addr + i)? == 0 {
-                    return Ok(Next::End);
-                }
-            }
-            Ok(Next::JumpHandle(finale))
-        },
-        |args, out| {
-            if let [base, n, finale] = args {
-                out.extent(*base as usize, *n as usize);
-                out.handle(*finale);
-                true
-            } else {
-                false
-            }
-        },
-    );
-
-    // Injector capsules next — still before any frame setup, and in the
-    // same registry order in every attaching process.
-    let queue = service.map(|(cfg, ring, workspace)| {
-        let q = InjectorQueue::install(machine, ring, workspace, cfg);
-        sched.set_injector(q.clone());
-        q
-    });
-
-    let finale = machine.setup_frame(ppm_core::CORE_ID_FINALE, &[done.addr() as Word]);
-    let check = machine.setup_frame(check_id, &[flags.start as Word, map.shards as Word, finale]);
+    // The ring before any frame setup: every attacher replays the same
+    // alloc_region sequence and registrations, so the ring, its workspace
+    // and the capsule ids written into shared frames agree in every
+    // process (construction determinism).
+    let ring = machine.alloc_region(ppm_pm::service::ring_words(service.slots));
+    let workspace = machine.alloc_region(service.slots * service.job_words);
+    let queue = InjectorQueue::install(machine, ring, workspace, service);
+    sched.set_injector(queue.clone());
     let roots = (0..map.shards)
-        .map(|s| {
-            let arrive = machine.setup_frame(arrive_id, &[flags.at(s) as Word, check]);
-            build(machine, s, arrive)
-        })
+        .map(|s| build(machine, s, queue.done_frame(s)))
         .collect();
 
     ClusterSession {
         map,
         done,
         sched,
-        flags,
         reports,
         roots,
         service: queue,
@@ -737,10 +583,9 @@ fn read_header(machine: &Machine) -> io::Result<ppm_pm::ClusterHeader> {
 }
 
 /// What whoever drives shard `shard` builds over its attachment: the
-/// cluster header, the shard's steal domain, and the replayed session
-/// whose scheduler selects victims through it. `first_heartbeat` runs
-/// once the header is known to contain the shard, *before* any session
-/// work.
+/// cluster header, the shard's domain, and the replayed session whose
+/// scheduler counts adoptions through it. `first_heartbeat` runs once
+/// the header is known to contain the shard, *before* any session work.
 pub(crate) fn shard_session(
     machine: &Machine,
     shard: usize,
@@ -757,58 +602,36 @@ pub(crate) fn shard_session(
     }
     first_heartbeat(&header);
     let domain = ShardDomain::new(map, shard);
-    let session = replay_session(machine, &header, map, Some(domain.clone()), build);
-    if let Some(q) = &session.service {
-        // Service mode: victim selection spans live siblings from the
-        // start, and the replayed construction must have landed the ring
-        // where the durable header says it is.
-        debug_assert_eq!(
-            q.header(ppm_pm::ServiceState::Accepting).ring_base,
-            machine
-                .mem()
-                .control()
-                .service_header()
-                .map(|h| h.ring_base)
-                .unwrap_or(0),
-            "service ring landed at a different address than the header records"
-        );
-        domain.set_live_stealing(true);
-    }
+    let session = replay_session(machine, &header, Some(domain.clone()), build)?;
     Ok((header, domain, session))
 }
 
 /// [`build_session`] as an attacher of an existing file replays it:
-/// scheduler shape from the cluster header, injector shape from the
-/// service header (absent on batch files).
+/// scheduler shape from the cluster header, ring shape from the service
+/// header.
 fn replay_session(
     machine: &Machine,
     header: &ppm_pm::ClusterHeader,
-    map: ShardMap,
     domain: Option<Arc<ShardDomain>>,
     build: &ShardBuild,
-) -> ClusterSession {
-    let service_header = machine.mem().control().service_header();
-    let service = service_header.map(|h| ServiceConfig {
-        slots: h.slots as usize,
-        job_words: h.job_words as usize,
-    });
-    let (slots, seed) = (header.deque_slots as usize, header.seed);
-    build_session(machine, map, slots, seed, domain, service, build)
-}
-
-/// Plants shard `s`'s sub-root as the initial `job` entry of the shard's
-/// first deque — the same planted shape recovery uses, so every
-/// processor's ordinary `findWork` picks it up.
-fn plant_roots(machine: &Machine, session: &ClusterSession) {
-    for (s, root) in session.roots.iter().enumerate() {
-        let p = session.map.procs_of(s).start;
-        let d = session.sched.deques()[p];
-        machine
-            .mem()
-            .store(d.entry(0), pack(1, EntryVal::Job { handle: *root }));
-        machine.mem().store(d.bot, 1);
-        machine.mem().store(d.top, 0);
-    }
+) -> io::Result<ClusterSession> {
+    let ring = machine.mem().control().service_header().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "cluster file has no service header (no injector ring)",
+        )
+    })?;
+    let service = ServiceConfig {
+        slots: ring.slots as usize,
+        job_words: ring.job_words as usize,
+    };
+    let session = build_session(machine, header, service, domain, build);
+    debug_assert_eq!(
+        session.service.header(ring.state),
+        ring,
+        "the replayed ring landed somewhere other than the header records"
+    );
+    Ok(session)
 }
 
 // ====================================================================
@@ -827,10 +650,6 @@ pub struct ShardReport {
     pub exited: bool,
     /// The global completion flag was set when the worker exited.
     pub saw_completion: bool,
-    /// The shard's *subtree* has arrived (its completion flag is set) —
-    /// true for a dead shard exactly when a survivor finished the
-    /// adopted work.
-    pub subtree_complete: bool,
     /// Jobs this worker stole from dead siblings' deques.
     pub adopted_jobs: u64,
     /// Running threads this worker adopted from dead siblings.
@@ -939,7 +758,6 @@ fn read_reports(machine: &Machine, session: &ClusterSession) -> Vec<ShardReport>
                 started: state >= REPORT_STATE_RUNNING,
                 exited: state >= REPORT_STATE_EXITED,
                 saw_completion: mem.load(base + 1) != 0,
-                subtree_complete: mem.load(session.flags.at(s)) != 0,
                 adopted_jobs: mem.load(base + 2),
                 adopted_locals: mem.load(base + 3),
                 blocked_adoptions: mem.load(base + 4),
@@ -1118,10 +936,11 @@ fn serve_aggregate(
 
 /// Serves one shard of a sharded run: attaches to the machine file
 /// (shared run epoch, no superblock rewrite), replays the deterministic
-/// session construction, then drives the shard's processors while a
-/// monitor thread renews this shard's lease and folds sibling deaths
-/// into the liveness oracle. Returns when the global completion flag is
-/// set (or every own processor hard-faulted).
+/// session construction, then drives the shard's processors — idle at
+/// first, pulling from the injector ring — while a monitor thread renews
+/// this shard's lease, folds sibling deaths into the liveness oracle and
+/// evaluates the completion rule. Returns when the global completion
+/// flag is set (or every own processor hard-faulted).
 ///
 /// The worker configures itself entirely from the file: machine shape
 /// from the superblock, cluster geometry from the cluster header. `build`
@@ -1191,11 +1010,12 @@ pub fn run_worker_with_clock(
     let stop = AtomicBool::new(false);
     let run = std::thread::scope(|scope| {
         let monitor = {
-            let machine = &machine;
+            let (machine, session, stop) = (&machine, &session, &stop);
             let domain = domain.clone();
-            let stop = &stop;
             let clock = clock.clone();
-            scope.spawn(move || lease_monitor_loop(machine, &domain, header.lease_ms, stop, clock))
+            scope.spawn(move || {
+                lease_monitor_loop(machine, session, &domain, header.lease_ms, stop, clock)
+            })
         };
         let seats: Vec<ProcSeat> = domain
             .own_procs()
@@ -1269,12 +1089,15 @@ fn heartbeat_tick(lease_ms: u64) -> Duration {
     Duration::from_millis((lease_ms / 4).max(10))
 }
 
-/// The worker's combined heartbeat + sibling monitor: renews this
-/// shard's lease and folds dead siblings into the liveness oracle and
-/// the steal domain. Runs until `stop`.
+/// The worker's combined heartbeat, sibling monitor and completion
+/// check: renews this shard's lease, folds dead siblings into the
+/// liveness oracle and the domain, and sets the done flag once the
+/// cluster's completion rule holds (`InjectorQueue::settle`) — so a
+/// fleet finishes without its coordinator. Runs until `stop`.
 fn lease_monitor_loop(
     machine: &Machine,
-    domain: &Arc<ShardDomain>,
+    session: &ClusterSession,
+    domain: &ShardDomain,
     lease_ms: u64,
     stop: &AtomicBool,
     clock: ppm_pm::SharedClock,
@@ -1289,6 +1112,7 @@ fn lease_monitor_loop(
             &Lease::alive_at(seq, lease_ms, clock.now_ms()),
         );
         seq += 1;
+        session.service.settle(session.done);
         let now = clock.now_ms();
         for s in 0..domain.map().shards {
             if s == domain.shard() || domain.is_adoptable(s) {
@@ -1298,9 +1122,9 @@ fn lease_monitor_loop(
             // the next tick sees a consistent record.
             if let Some(lease) = page.lease(s) {
                 if lease.is_dead(now) {
-                    // Recorded before the victim set widens, so in this
-                    // shard's stream the verdict precedes every adoption
-                    // it enables.
+                    // Recorded before the verdict lands, so in this
+                    // shard's stream it precedes every adoption it
+                    // enables.
                     machine
                         .obs()
                         .event(TraceKind::ShardDead, Some(s as u32), None, || {
@@ -1312,8 +1136,9 @@ fn lease_monitor_loop(
                             )
                         });
                     // The oracle's verdict: fold the dead shard into the
-                    // model's isLive and widen the victim set. The Figure
-                    // 3 protocol takes it from here.
+                    // model's isLive (its locals become stealable) and
+                    // the domain. The Figure 3 protocol takes it from
+                    // here.
                     for p in domain.map().procs_of(s) {
                         machine.liveness().mark_dead(p);
                     }
@@ -1396,14 +1221,29 @@ impl ClusterObserver {
         let _ = self.machine.flush();
     }
 
-    /// The injector queue, when the observed file is a service run
-    /// (`None` for batch files). This is the submit surface for
+    /// The injector queue. This is the submit and status surface for
     /// coordinator-less deployments: an external supervisor that
     /// prepared the file with [`ClusterBuilder::observe`] publishes jobs
     /// through it while separately launched [`run_worker`] processes
     /// pull them.
-    pub fn service_queue(&self) -> Option<Arc<InjectorQueue>> {
-        self.session.service.clone()
+    pub fn service_queue(&self) -> &Arc<InjectorQueue> {
+        &self.session.service
+    }
+
+    /// The batch run's job set: publishes shard `s`'s sub-root into ring
+    /// slot `s` at ticket `s + 1` (the persist-then-publish of
+    /// [`InjectorQueue::submit`]), flushes, and closes admission — the
+    /// header reads `Draining` — so the cluster is complete once every
+    /// returned ticket is `Done`. Fails `InvalidInput`, publishing
+    /// nothing, on a ring with fewer slots than shards or one that is not
+    /// fresh.
+    pub fn publish_shard_jobs(&self) -> io::Result<Vec<JobTicket>> {
+        let q = &self.session.service;
+        let tickets = q.publish_fixed(&self.session.roots)?;
+        self.machine.flush()?;
+        let page = self.machine.mem().control();
+        page.write_service_header(&q.header(ServiceState::Draining))?;
+        Ok(tickets)
     }
 
     /// Tombstones shard `s`'s lease — the coordinator's reap step: call
@@ -1484,37 +1324,18 @@ fn init_machine(
     now_ms: u64,
 ) -> io::Result<(Machine, ClusterSession)> {
     let pm = builder.pm()?.clone();
-    let map = ShardMap::new(pm.procs, builder.shards);
     let machine = match builder.pool_words {
         Some(w) => Machine::create_durable_with_pool_words(pm, w, &builder.path)?,
         None => Machine::create_durable(pm, &builder.path)?,
     };
-    machine
-        .mem()
-        .control()
-        .write_cluster_header(&builder.header())?;
-    let session = build_session(
-        &machine,
-        map,
-        builder.deque_slots,
-        builder.seed,
-        None,
-        builder.service.then_some(builder.service_config),
-        build,
-    );
-    match &session.service {
-        // Service mode: no planted roots — workers start idle and pull
-        // from the injector. The durable header (state `Accepting`) is
-        // what tells every attacher this is a service file.
-        Some(q) => machine
-            .mem()
-            .control()
-            .write_service_header(&q.header(ppm_pm::ServiceState::Accepting))?,
-        None => plant_roots(&machine, &session),
-    }
+    let (header, page) = (builder.header(), machine.mem().control());
+    page.write_cluster_header(&header)?;
+    let session = build_session(&machine, &header, builder.service_config, None, build);
+    // An open ring, nothing published: workers start idle and pull.
+    page.write_service_header(&session.service.header(ServiceState::Accepting))?;
     let seed_lease = Lease::alive_at(0, builder.lease_ms * STARTUP_LEASE_FACTOR, now_ms);
-    for s in 0..map.shards {
-        machine.mem().control().write_lease(s, &seed_lease)?;
+    for s in 0..builder.shards {
+        page.write_lease(s, &seed_lease)?;
     }
     // Everything a worker needs is durable before any worker exists.
     machine.flush()?;
@@ -1532,23 +1353,26 @@ fn init_machine(
 /// construction, and then:
 ///
 /// * done flag already set → nothing re-runs;
-/// * the crash frontier harvests → resume it on scrubbed deques, pool
-///   cursors at the persisted watermarks (replay bounded by in-flight
-///   work);
-/// * otherwise → scrub everything and re-plant the per-shard sub-roots
-///   (replay from the roots; §5 idempotence makes completed effects
-///   stick).
+/// * otherwise admission closes (no submitter outlives the cluster) and
+///   the ring is finished under the cluster's one completion rule
+///   (`InjectorQueue::settle`):
+///   * the crash frontier harvests → resume it on scrubbed deques, pool
+///     cursors at the persisted watermarks (replay bounded by in-flight
+///     work), after republishing every claim whose job never started;
+///   * otherwise → scrub everything and normalize the ring (torn
+///     submissions dropped, interrupted claims republished), then pull
+///     what it holds (replay; §5 idempotence makes completed effects
+///     stick).
 #[cfg(unix)]
 pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Result<SessionReport> {
     let machine = Machine::reopen(&path)?;
     let header = read_header(&machine)?;
-    let map = ShardMap::new(machine.procs(), header.shards as usize);
     // Recovery appends to the coordinator's stream: the epoch bits in its
     // span ids keep them disjoint from the crashed epoch's, and
     // re-executed capsules resolve their parents from the persistent
     // frame words — the recovery-resume causal edge.
     machine.obs().open_trace(0, machine.epoch());
-    let session = replay_session(&machine, &header, map, None, build);
+    let session = replay_session(&machine, &header, None, build)?;
     let (found_jobs, found_locals, found_taken, live_restart_pointers) =
         crash_forensics(&machine, &session.sched);
     machine
@@ -1557,10 +1381,10 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
             format!(
                 "single-process recovery of a {}-shard cluster file: \
                  {found_jobs} jobs, {found_locals} locals, {live_restart_pointers} live restart pointers",
-                map.shards
+                header.shards
             )
         });
-    // Summarized once the run is over, so subtree flags reflect what
+    // Summarized once the run is over, so the shard rows reflect what
     // recovery itself finished.
     let forensics = |mode, run| {
         let now = ppm_pm::now_ms();
@@ -1579,6 +1403,8 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
         return Ok(forensics(SessionMode::AlreadyComplete, None));
     }
 
+    let (ring, page) = (&session.service, machine.mem().control());
+    page.write_service_header(&ring.header(ServiceState::Draining))?;
     let harvest = harvest_frontier(&machine, &session.sched);
     let (seeds, fallback_reason) = match harvest {
         Ok(seeds) if !seeds.is_empty() => (seeds, None),
@@ -1591,28 +1417,18 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
         let _ = machine.clear_checkpoint_records();
     }
     scrub_scheduler_state(&machine, &session.sched, resume);
-    if resume {
-        plant_seeds(&machine, &session.sched, &seeds);
-    } else if let Some(q) = &session.service {
-        // Service replay: there are no roots to plant. Normalize the ring
-        // instead — torn submissions dropped, jobs claimed by the dead
-        // cluster republished — and let the seats pull what survives
-        // through the ordinary injector path.
-        let rescued = q.scavenge();
-        machine.obs().event(TraceKind::Recovery, None, None, || {
-            format!("service ring scavenged: {rescued} slots normalized")
-        });
-    } else {
-        plant_roots(&machine, &session);
-    }
+    // Normalize the ring — torn submissions dropped, claims no surviving
+    // thread carries republished — and let the seats pull what it holds
+    // through the ordinary injector path.
+    let touched = ring.scavenge(resume);
+    machine.obs().event(TraceKind::Recovery, None, None, || {
+        format!("injector ring scavenged: {touched} slots normalized")
+    });
+    plant_seeds(&machine, &session.sched, &seeds);
     let seats: Vec<ProcSeat> = (0..machine.procs())
         .map(|proc| {
-            let cursor = if resume {
-                machine.pool_watermark(proc)
-            } else {
-                0
-            };
-            ProcSeat::idle(&session.sched, proc, cursor)
+            let cursor = resume.then(|| machine.pool_watermark(proc));
+            ProcSeat::idle(&session.sched, proc, cursor.unwrap_or(0))
         })
         .collect();
     let ctl = CheckpointCtl::new_for(
@@ -1621,38 +1437,22 @@ pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Res
         CheckpointPolicy::disabled(),
         seats.len(),
     );
-    // In service mode nothing in the computation ever sets the done flag
-    // (there is no finale root): a supervisor thread watches the ring and
-    // declares completion once every surviving job has resolved.
-    let run = match &session.service {
-        Some(q) => {
-            let stop = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                let supervisor = {
-                    let machine = &machine;
-                    let q = q.clone();
-                    let done = session.done;
-                    let stop = &stop;
-                    scope.spawn(move || {
-                        while !stop.load(Ordering::Acquire) {
-                            if q.depth() == 0 {
-                                machine.mem().store(done.addr(), 1);
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                    })
-                };
-                let run = run_attached_seats(&machine, &session.sched, seats, session.done, &ctl);
-                stop.store(true, Ordering::Release);
-                supervisor
-                    .join()
-                    .expect("service recovery supervisor panicked");
-                run
-            })
-        }
-        None => run_attached_seats(&machine, &session.sched, seats, session.done, &ctl),
-    };
+    // Nothing in a job sets the done flag: a watcher evaluates the
+    // completion rule while the seats drain the ring.
+    let stop = AtomicBool::new(false);
+    let run = std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            while !stop.load(Ordering::Acquire) && !ring.settle(session.done) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        let run = run_attached_seats(&machine, &session.sched, seats, session.done, &ctl);
+        stop.store(true, Ordering::Release);
+        watcher
+            .join()
+            .expect("recovery completion watcher panicked");
+        run
+    });
     machine.flush()?;
 
     let mode = match resume {
@@ -1672,37 +1472,12 @@ mod tests {
     use ppm_pm::PmConfig;
 
     #[test]
-    fn domain_victims_stay_in_shard_until_adoption() {
-        let map = ShardMap::new(8, 4);
-        let d = ShardDomain::new(map, 1); // owns procs 2..4
-        for r in 0..100u64 {
-            let v = d.pick_victim(2, r).unwrap();
-            assert_eq!(v, 3, "only the shard sibling before adoption");
-        }
-        d.mark_adoptable(3); // procs 6..8 join
-        let mut seen = std::collections::HashSet::new();
-        for r in 0..200u64 {
-            seen.insert(d.pick_victim(2, r).unwrap());
-        }
-        assert_eq!(
-            seen,
-            [3usize, 6, 7].into_iter().collect(),
-            "own sibling plus the dead shard's processors"
-        );
-        assert!(d.is_adoptable(3));
+    fn a_domain_declares_siblings_dead_but_never_its_own_shard() {
+        let d = ShardDomain::new(ShardMap::new(8, 4), 1);
+        d.mark_adoptable(3);
+        d.mark_adoptable(1);
+        assert!(d.is_adoptable(3) && !d.is_adoptable(1));
         assert_eq!(d.adoptable_mask(), 1 << 3);
-        // Own shard cannot be marked; death of others is sticky.
-        d.mark_adoptable(1);
-        assert!(!d.is_adoptable(1));
-    }
-
-    #[test]
-    fn single_proc_shard_has_no_victims_until_adoption() {
-        let map = ShardMap::new(2, 2);
-        let d = ShardDomain::new(map, 0);
-        assert_eq!(d.pick_victim(0, 7), None);
-        d.mark_adoptable(1);
-        assert_eq!(d.pick_victim(0, 7), Some(1));
     }
 
     /// A worker tombstoned before its first heartbeat must still get a
@@ -1714,9 +1489,9 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("ppm-cluster-tombstone-{}.ppm", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        // The sub-root IS the arrival continuation: each shard's subtree
-        // completes the moment it runs (no workers run here anyway).
-        let build: ShardBuild = Arc::new(|_machine, _s, arrive| arrive);
+        // The sub-root IS the done frame: each shard's job completes the
+        // moment it runs (no workers run here anyway).
+        let build: ShardBuild = Arc::new(|_machine, _s, done| done);
         let observer = ClusterBuilder::new(&path)
             .machine(PmConfig::parallel(2, 1 << 20))
             .workers(2)
@@ -1759,7 +1534,7 @@ mod tests {
     #[test]
     fn running_shard_with_a_live_lease_is_not_reported_dead() {
         let file = ppm_pm::TempMachineFile::new("cluster-summary-rule");
-        let build: ShardBuild = Arc::new(|_machine, _s, arrive| arrive);
+        let build: ShardBuild = Arc::new(|_machine, _s, done| done);
         let clock = Arc::new(ppm_pm::VirtualClock::starting_at(10_000));
         let builder = ClusterBuilder::new(file.path())
             .machine(PmConfig::parallel(2, 1 << 20))

@@ -38,12 +38,11 @@
 //!   ([`cluster::ClusterBuilder`] is the one entry point).
 //! * [`supervisor`] — the one clock-driven [`Supervisor`] loop behind
 //!   every multi-process session: reap exited workers, tombstone their
-//!   leases, pace cross-process checkpoints.
-//! * [`service`] — service mode over the cluster: a durable MPMC
-//!   injector queue in the machine file from which live shards pull jobs
-//!   continuously, live-shard deque stealing, and the
-//!   [`ServiceHandle`] submit/await/drain/shutdown API
-//!   ([`cluster::ClusterBuilder::spawn`]).
+//!   leases, rescue the ring slots they had claimed.
+//! * [`service`] — the durable MPMC injector queue in the machine file,
+//!   the one way work enters a cluster (a batch run publishes its shard
+//!   jobs there and closes admission), and the [`ServiceHandle`]
+//!   submit/await/drain/shutdown API ([`cluster::ClusterBuilder::spawn`]).
 //! * [`abp`] — the CAS-based Arora–Blumofe–Plaxton baseline (not
 //!   fault-tolerant), running the same registered computations, for the
 //!   comparison benchmarks.

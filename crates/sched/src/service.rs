@@ -1,18 +1,18 @@
-//! Service mode: a durable MPMC **injector queue** feeding live shards,
-//! plus the [`ServiceHandle`] API (`submit` / `await_job` / `drain` /
-//! `shutdown`) over it.
+//! The durable MPMC **injector queue** — the one way work enters a
+//! cluster — plus the [`ServiceHandle`] API (`submit` / `await_job` /
+//! `drain` / `shutdown`) over it.
 //!
-//! A batch cluster run ([`crate::cluster`]) plants one sub-root per shard
-//! and ends when the subtree forest finishes. A **service** run keeps the
-//! worker shards alive indefinitely and feeds them jobs through a ring of
-//! persistent slots (the *injector queue*) living in the ordinary word
-//! array, described by the [`ppm_pm::ServiceHeader`] in the control
-//! page. Work distribution is pull-based: every spinning processor's
-//! steal loop consults the ring (an uncosted peek, like victim selection)
-//! before probing victim deques, so a published job is picked up by
-//! whichever shard is idle — and from there fans out across *live* shards
-//! through ordinary deque stealing
-//! ([`crate::cluster::ShardDomain::set_live_stealing`]).
+//! Every cluster file ([`crate::cluster`]) carries this ring of
+//! persistent slots in the ordinary word array, described by the
+//! [`ppm_pm::ServiceHeader`] in the control page. A batch run publishes
+//! one job per shard and closes admission at once; a **service** run
+//! keeps admission open. Every spinning processor's steal loop consults
+//! the ring (an uncosted peek, like victim selection) before probing
+//! victim deques, so a published job is pulled by whichever shard is idle
+//! and fans out across live shards through ordinary deque stealing. A
+//! cluster is complete when admission is closed (the header says
+//! `Draining`) and no slot is published, claimed or running
+//! (`InjectorQueue::settle`).
 //!
 //! ## The two-phase submit
 //!
@@ -51,9 +51,9 @@
 //!
 //! * Submitter dies before publish → invisible staging slot, scavenged.
 //! * Claimant dies in `CLAIMED`/`RUNNING` → [`InjectorQueue::rescue`]
-//!   (driven from [`ServiceHandle::tick`] by the lease table) republishes
+//!   (driven from [`Supervisor::tick`] by the lease table) republishes
 //!   the slot at epoch + 1; any survivor re-claims and re-runs it.
-//! * Whole cluster dies → [`crate::cluster::recover`] scavenges the ring
+//! * Whole cluster dies → [`crate::cluster::recover`] closes admission
 //!   and finishes the queued jobs single-process.
 
 use std::io;
@@ -61,14 +61,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppm_core::registry::frame_args;
-use ppm_core::{CapsuleId, Machine, Next};
+use ppm_core::{CapsuleId, DoneFlag, Machine, Next};
 use ppm_obs::{Counter, Obs, TraceKind};
 use ppm_pm::service::{
     ring_words, slot_checksum, slot_claimant, slot_epoch, slot_phase, slot_state,
 };
 use ppm_pm::{
-    is_frame_at, store_frame, LeaseState, PersistentMemory, Region, ServiceHeader, ServiceState,
-    SlotPhase, Word,
+    is_frame_at, store_frame, PersistentMemory, Region, ServiceHeader, ServiceState, SlotPhase,
+    Word,
 };
 
 use crate::capsules::go;
@@ -225,7 +225,7 @@ impl JobReport {
 /// persist-then-publish) and pull-side (capsules, §5 CAM discipline)
 /// views of the same persistent slots.
 ///
-/// Constructed by the cluster session builder (service mode) or
+/// Constructed by the cluster session builder or
 /// [`InjectorQueue::attach`]; installed into the scheduler so the steal
 /// loop scans for published slots before probing victim deques.
 pub struct InjectorQueue {
@@ -464,6 +464,12 @@ impl InjectorQueue {
         self.workspace.at(slot * self.job_words)
     }
 
+    /// The handle of slot `slot`'s done frame, every job's continuation
+    /// there (plain arithmetic: a slot past the ring is never published).
+    pub(crate) fn done_frame(&self, slot: usize) -> Word {
+        (self.workspace.start + slot * self.job_words + WS_DONE_OFF) as Word
+    }
+
     /// Job completions this process's processors have won (exactly-once
     /// done CAMs; cluster-wide totals come from the aggregated scrape).
     pub fn completed_total(&self) -> u64 {
@@ -513,39 +519,83 @@ impl InjectorQueue {
             ));
         }
         let ticket = self.mem.fetch_add(self.counter_addr(), 1) + 1;
-        // host-CAS: submitters are host threads outside the capsule
-        // re-execution regime — a crashed submitter never re-runs this
-        // CAS, and a torn staging slot is scavenged on recovery; the
-        // two-phase publish below is what makes the crash harmless. The
-        // epoch bump on the staging transition fences any stale CAM
-        // aimed at the slot's previous life.
-        let (slot, epoch) = 'won: {
-            for i in 0..self.slots {
-                let s = (ticket as usize + i) % self.slots;
-                let w = self.mem.load(self.state_addr(s));
-                if slot_phase(w) == Some(SlotPhase::Empty) {
-                    let staging = slot_state(SlotPhase::Staging, slot_epoch(w) + 1, 0);
-                    // host-CAS: see the block comment above.
-                    if self
-                        .mem
-                        .cas_unsafe_under_faults(self.state_addr(s), w, staging)
-                    {
-                        break 'won (s, slot_epoch(staging));
-                    }
-                }
-            }
+        let Some((slot, epoch)) =
+            (0..self.slots).find_map(|i| self.stage((ticket as usize + i) % self.slots))
+        else {
             return Err(io::Error::new(
                 io::ErrorKind::WouldBlock,
                 "injector ring full (await completed jobs to free slots)",
             ));
         };
+        let ws = self.ws_addr(slot);
+        let mut job_args = Vec::with_capacity(args.len() + 1);
+        job_args.extend_from_slice(args);
+        job_args.push(self.done_frame(slot));
+        store_frame(&self.mem, ws + WS_JOB_OFF, kind, &job_args);
+        self.persist(slot, ticket, (ws + WS_JOB_OFF) as Word);
+        self.mem.flush_dirty()?;
+        Ok(self.publish(slot, epoch, ticket))
+    }
 
-        // Phase 1 — persist: frames and control words, then flush.
+    /// Publishes a fixed job set into a fresh ring: `jobs[s]` — a frame
+    /// handle whose continuation is [`InjectorQueue::done_frame`]`(s)` —
+    /// goes into slot `s` at ticket `s + 1`, through the same two phases
+    /// as [`InjectorQueue::submit`]: every slot persisted, one flush,
+    /// then every slot published back to back, so each shard's first
+    /// scan finds its own job already there. Fails `InvalidInput`,
+    /// publishing nothing, when the ring has fewer slots than jobs or is
+    /// not fresh (a ticket was issued).
+    pub(crate) fn publish_fixed(&self, jobs: &[Word]) -> io::Result<Vec<JobTicket>> {
+        let n = jobs.len();
+        // host-CAS: the coordinator publishes once, before any submitter
+        // can exist; a counter still at 0 proves no slot was ever staged.
+        let counter = self.counter_addr();
+        if n > self.slots || !self.mem.cas_unsafe_under_faults(counter, 0, n as Word) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{n} jobs need a fresh ring of at least {n} slots"),
+            ));
+        }
+        let epochs: Vec<u64> = (0..n)
+            .map(|s| {
+                let (_, epoch) = self.stage(s).expect("a fresh slot stages");
+                self.persist(s, s as u64 + 1, jobs[s]);
+                epoch
+            })
+            .collect();
+        self.mem.flush_dirty()?;
+        Ok(epochs
+            .into_iter()
+            .enumerate()
+            .map(|(s, epoch)| self.publish(s, epoch, s as u64 + 1))
+            .collect())
+    }
+
+    /// Moves slot `s` from `EMPTY` to `STAGING`, bumping its epoch (which
+    /// fences any stale CAM aimed at the slot's previous life). Returns
+    /// the slot and its new epoch when this call won it.
+    fn stage(&self, s: usize) -> Option<(usize, u64)> {
+        let w = self.mem.load(self.state_addr(s));
+        if slot_phase(w) != Some(SlotPhase::Empty) {
+            return None;
+        }
+        let staging = slot_state(SlotPhase::Staging, slot_epoch(w) + 1, 0);
+        // host-CAS: submitters are host threads outside the capsule
+        // re-execution regime — a crashed submitter never re-runs this
+        // CAS, and a torn staging slot is scavenged on recovery; the
+        // two-phase publish is what makes the crash harmless.
+        self.mem
+            .cas_unsafe_under_faults(self.state_addr(s), w, staging)
+            .then_some((s, slot_epoch(staging)))
+    }
+
+    /// Phase 1 of every publication into staged slot `slot`: the done and
+    /// entry frames (the entry frame runs `job`) and the control words a
+    /// puller reads. The caller flushes before [`InjectorQueue::publish`].
+    fn persist(&self, slot: usize, ticket: u64, job: Word) {
         let ws = self.ws_addr(slot);
         let state_a = self.state_addr(slot) as Word;
         let ticket_a = self.ticket_addr(slot) as Word;
-        let done_at = (ws + WS_DONE_OFF) as Word;
-        let job_at = (ws + WS_JOB_OFF) as Word;
         let entry_at = (ws + WS_ENTRY_OFF) as Word;
         store_frame(
             &self.mem,
@@ -553,23 +603,21 @@ impl InjectorQueue {
             self.done_id,
             &[state_a, ticket_a, ticket],
         );
-        let mut job_args = Vec::with_capacity(args.len() + 1);
-        job_args.extend_from_slice(args);
-        job_args.push(done_at);
-        store_frame(&self.mem, ws + WS_JOB_OFF, kind, &job_args);
         store_frame(
             &self.mem,
             ws + WS_ENTRY_OFF,
             self.entry_id,
-            &[state_a, ticket_a, ticket, job_at],
+            &[state_a, ticket_a, ticket, job],
         );
         self.mem.store(self.ticket_addr(slot), ticket);
         self.mem.store(self.entry_addr(slot), entry_at);
         self.mem
             .store(self.check_addr(slot), slot_checksum(ticket, entry_at));
-        self.mem.flush_dirty()?;
+    }
 
-        // Phase 2 — publish: the single visibility point.
+    /// Phase 2 of every publication, once phase 1 is flushed: the
+    /// `PUBLISHED` state word, the single visibility point.
+    fn publish(&self, slot: usize, epoch: u64, ticket: u64) -> JobTicket {
         self.mem.store(
             self.state_addr(slot),
             slot_state(SlotPhase::Published, epoch, 0),
@@ -578,19 +626,17 @@ impl InjectorQueue {
         self.obs.event(TraceKind::JobSubmitted, None, None, || {
             format!("ticket {ticket} published in slot {slot} (epoch {epoch})")
         });
-        Ok(JobTicket {
+        JobTicket {
             slot,
             ticket,
             epoch,
-        })
+        }
     }
 
-    /// Ephemeral puller peek: the first `PUBLISHED` slot, scanning from a
-    /// processor- and attempt-staggered start so spinning processors
-    /// don't all hammer slot 0. Uncosted, like victim selection — the
-    /// costed claim is the capsule chain entered on the result.
-    pub(crate) fn scan_published(&self, me: usize, n: u64) -> Option<usize> {
-        let start = me.wrapping_mul(7).wrapping_add(n as usize);
+    /// Ephemeral puller peek: the first `PUBLISHED` slot at or after
+    /// `start` (wrapping). Uncosted, like victim selection — the costed
+    /// claim is the capsule chain entered on the result.
+    pub(crate) fn scan_published(&self, start: usize) -> Option<usize> {
         (0..self.slots)
             .map(|i| (start + i) % self.slots)
             .find(|s| slot_phase(self.mem.load(self.state_addr(*s))) == Some(SlotPhase::Published))
@@ -641,8 +687,8 @@ impl InjectorQueue {
 
     /// Republishes every `CLAIMED` or `RUNNING` slot whose claimant
     /// `claimant_dead` certifies dead, at epoch + 1 (fencing the dead —
-    /// or falsely-dead — claimant's stale CAMs). Driven by the service
-    /// handle's lease sweep; a republished slot is re-claimed from its
+    /// or falsely-dead — claimant's stale CAMs). Driven by the
+    /// supervisor's lease sweep; a republished slot is re-claimed from its
     /// entry frame, whatever became of the dead processor's frozen deque
     /// entry. Returns the number of rescued slots.
     pub fn rescue(&self, claimant_dead: impl Fn(usize) -> bool) -> usize {
@@ -680,14 +726,21 @@ impl InjectorQueue {
     /// Quiescent recovery sweep (no live pullers or submitters): torn
     /// staging slots are reclaimed, interrupted claims are republished
     /// (epoch + 1), and a published slot whose control words fail their
-    /// checksum is reclaimed rather than served. Plain stores — the
-    /// caller owns the machine exclusively.
-    pub fn scavenge(&self) -> usize {
+    /// checksum is reclaimed rather than served. With `threads_survive`
+    /// (a resumed crash frontier) `RUNNING` slots stay with their
+    /// harvested threads, but `CLAIMED` ones are still republished: a
+    /// claim whose job never started belongs to no thread the frontier
+    /// can finish — after a reopen every processor is live, so its
+    /// `service/entry` frame, run by anyone but the original claimant,
+    /// ends without advancing the slot. Plain stores — the caller owns
+    /// the machine exclusively.
+    pub fn scavenge(&self, threads_survive: bool) -> usize {
         let mut touched = 0;
         for s in 0..self.slots {
             let w = self.mem.load(self.state_addr(s));
             let next = match slot_phase(w) {
                 Some(SlotPhase::Staging) => Some(slot_state(SlotPhase::Empty, slot_epoch(w), 0)),
+                Some(SlotPhase::Running) if threads_survive => None,
                 Some(SlotPhase::Claimed) | Some(SlotPhase::Running) => {
                     Some(slot_state(SlotPhase::Published, slot_epoch(w) + 1, 0))
                 }
@@ -710,6 +763,19 @@ impl InjectorQueue {
             }
         }
         touched
+    }
+
+    /// The one completion rule of a cluster: admission is closed (the
+    /// header says `Draining`) and no slot is published, claimed or
+    /// running. When it holds, sets `done` (idempotently) and returns true.
+    pub(crate) fn settle(&self, done: DoneFlag) -> bool {
+        let header = self.mem.control().service_header();
+        let drained =
+            header.is_some_and(|h| h.state == ServiceState::Draining) && self.depth() == 0;
+        if drained {
+            self.mem.store(done.addr(), 1);
+        }
+        drained
     }
 
     pub(crate) fn note_claimed(&self, me: usize, slot: usize, ticket: u64) {
@@ -744,19 +810,13 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 /// Created by [`crate::cluster::ClusterBuilder::spawn`].
 pub struct ServiceHandle {
     sup: Supervisor,
-    queue: Arc<InjectorQueue>,
     state: ServiceState,
 }
 
 impl ServiceHandle {
     pub(crate) fn new(sup: Supervisor) -> Self {
-        let queue = sup
-            .observer()
-            .service_queue()
-            .expect("service session always installs an injector queue");
         ServiceHandle {
             sup,
-            queue,
             state: ServiceState::Accepting,
         }
     }
@@ -769,12 +829,12 @@ impl ServiceHandle {
     /// The injector queue (direct submit/status access for tests and
     /// embedders that manage their own tickets).
     pub fn queue(&self) -> &Arc<InjectorQueue> {
-        &self.queue
+        self.observer().service_queue()
     }
 
     /// Jobs currently in flight.
     pub fn depth(&self) -> usize {
-        self.queue.depth()
+        self.queue().depth()
     }
 
     /// Submits a job by registered capsule name (the name must have been
@@ -801,7 +861,7 @@ impl ServiceHandle {
                     format!("no registered capsule named {kind:?}"),
                 )
             })?;
-        self.queue.submit(id, args)
+        self.queue().submit(id, args)
     }
 
     /// Blocks until `ticket` resolves (completing the exactly-once
@@ -813,12 +873,12 @@ impl ServiceHandle {
         let start = Instant::now();
         loop {
             self.tick();
-            match self.queue.status(ticket) {
+            match self.queue().status(ticket) {
                 JobStatus::Done {
                     claimant,
                     claim_epoch,
                 } => {
-                    self.queue.reclaim(ticket);
+                    self.queue().reclaim(ticket);
                     return Ok(JobReport {
                         ticket,
                         claimant,
@@ -850,19 +910,10 @@ impl ServiceHandle {
     }
 
     /// One health sweep: the [`Supervisor::tick`] (reap exited workers,
-    /// tombstone their leases, pace the cross-process checkpoint
-    /// quiesce), then rescue injector slots claimed by dead shards.
+    /// tombstone their leases, rescue injector slots claimed by dead
+    /// shards).
     pub fn tick(&mut self) {
         self.sup.tick();
-        let observer = self.sup.observer();
-        let (map, now) = (*observer.map(), observer.now_ms());
-        let shard_dead = |shard: usize| {
-            observer
-                .lease(shard)
-                .is_some_and(|l| l.is_dead(now) || l.state == LeaseState::Done)
-        };
-        self.queue
-            .rescue(|claimant| claimant < map.procs() && shard_dead(map.shard_of(claimant)));
     }
 
     /// Moves the service to `state`, here and in the durable header every
@@ -870,22 +921,25 @@ impl ServiceHandle {
     fn set_state(&mut self, state: ServiceState) {
         self.state = state;
         let page = self.observer().machine().mem().control();
-        let _ = page.write_service_header(&self.queue.header(state));
+        let _ = page.write_service_header(&self.queue().header(state));
     }
 
     /// Stops accepting submissions and waits (up to `timeout`) for the
-    /// in-flight jobs to finish. Workers keep running — a drained service
-    /// still accepts [`ServiceHandle::shutdown`] or a return to service
-    /// by a fresh handle.
+    /// in-flight jobs to finish. A closed, empty ring is the cluster's
+    /// completion rule (`InjectorQueue::settle`), so the workers end
+    /// too: each one's lease monitor sets the done flag at its next tick
+    /// and the worker exits with a `Done` lease. Scrape or inspect
+    /// anything the workers serve *before* draining;
+    /// [`ServiceHandle::shutdown`] then reaps them and reports.
     pub fn drain(&mut self, timeout: Duration) -> io::Result<()> {
         self.set_state(ServiceState::Draining);
         let start = Instant::now();
-        while self.queue.depth() > 0 {
+        while self.queue().depth() > 0 {
             self.tick();
             if start.elapsed() > timeout {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("{} jobs still in flight", self.queue.depth()),
+                    format!("{} jobs still in flight", self.queue().depth()),
                 ));
             }
             std::thread::sleep(Duration::from_millis(5));

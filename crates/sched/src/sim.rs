@@ -209,14 +209,15 @@ impl<'m> SimSched<'m> {
     /// ring before probing victim deques, so a script can place a claim
     /// race or a live-shard steal between any two capsules.
     ///
-    /// Pass a [`ShardDomain`] (with live stealing enabled) to route
-    /// victim selection across shard boundaries through the real
-    /// `pick_victim` path; `None` simulates a plain single-shard service
-    /// process.
+    /// Pass a [`ShardDomain`] to run the scheduler as a cluster shard's
+    /// (ring scans start at the shard's slot, steals across a shard
+    /// boundary are counted); `None` simulates a plain single-shard
+    /// service process.
     ///
     /// The run has no root thread to set the completion flag — call
-    /// [`SimSched::set_done`] once the ring drains (what the service
-    /// supervisor does at shutdown) so the steal loops halt.
+    /// [`SimSched::set_done`] once the ring drains (what a worker's
+    /// completion rule does once admission is closed) so the steal loops
+    /// halt.
     pub fn new_service(
         machine: &'m Machine,
         cfg: &SchedConfig,
@@ -269,9 +270,9 @@ impl<'m> SimSched<'m> {
     }
 
     /// Host-side completion signal for service-mode runs: sets the done
-    /// flag the way the service supervisor does once the injector ring
-    /// drains, releasing every steal loop to halt at its next
-    /// termination check.
+    /// flag the way a worker's completion rule does once the closed
+    /// injector ring drains, releasing every steal loop to halt at its
+    /// next termination check.
     pub fn set_done(&self) {
         self.machine.mem().store(self.done.addr(), 1);
     }
@@ -602,9 +603,8 @@ mod tests {
 
         let m = machine(2, FaultConfig::none());
         // Two processors in two one-processor shards; the domain is shard
-        // 0's view, with cross-shard victim selection switched on.
+        // 0's view.
         let domain = ShardDomain::new(ShardMap::new(2, 2), 0);
-        domain.set_live_stealing(true);
 
         let out = m.alloc_region(16);
         let split = {
@@ -697,6 +697,68 @@ mod tests {
         assert!(rep.outcomes.iter().all(|o| *o == Some(ProcOutcome::Halted)));
     }
 
+    /// The cluster's one completion rule at both ends: with admission
+    /// open (`Accepting`) a ring whose only job is done — depth 0 — never
+    /// sets the done flag, however long the processors spin; once the
+    /// header says `Draining` the same ring does, and every steal loop
+    /// halts.
+    #[test]
+    fn only_a_closed_drained_ring_completes() {
+        use crate::service::{JobStatus, ServiceConfig};
+        use ppm_core::{dsl, Persist};
+        use ppm_pm::ServiceState;
+
+        let m = machine(2, FaultConfig::none());
+        let out = m.alloc_region(8);
+        let split = {
+            let mut set = dsl::CapsuleSet::new(&m);
+            let leaf = set.define(
+                "simsvc/mark",
+                |st: &dsl::Span<Region>, k, ctx: &mut ProcCtx| {
+                    for i in st.lo..st.hi {
+                        ctx.pwrite(st.env.at(i), i as u64 + 1)?;
+                    }
+                    Ok(dsl::Step::Jump(k))
+                },
+            );
+            set.map_grain("simsvc/split", 2, leaf)
+        };
+        let (mut sim, queue) = SimSched::new_service(
+            &m,
+            &SchedConfig::with_slots(256),
+            ServiceConfig::default().with_slots(4),
+            None,
+        );
+        let page = m.mem().control();
+        page.write_service_header(&queue.header(ServiceState::Accepting))
+            .unwrap();
+        let mut args = Vec::new();
+        dsl::Span {
+            env: out,
+            lo: 0usize,
+            hi: 8usize,
+        }
+        .encode(&mut args);
+        let ticket = queue.submit(split.id(), &args).expect("submit");
+
+        for _ in 0..400 {
+            sim.step(0);
+            sim.step(1);
+            assert!(!queue.settle(sim.done), "an open ring never completes");
+        }
+        assert!(matches!(queue.status(ticket), JobStatus::Done { .. }));
+        assert_eq!(queue.depth(), 0);
+        assert!(!sim.completed());
+
+        page.write_service_header(&queue.header(ServiceState::Draining))
+            .unwrap();
+        assert!(queue.settle(sim.done), "a closed, drained ring completes");
+        assert!(sim.completed());
+        sim.run_to_completion(1_000);
+        let rep = sim.finish();
+        assert!(rep.outcomes.iter().all(|o| *o == Some(ProcOutcome::Halted)));
+    }
+
     /// Same service script, same submission: the trace and final machine
     /// digest are bit-identical across runs — service mode keeps the
     /// simulator's determinism witness.
@@ -710,7 +772,6 @@ mod tests {
         let run = || {
             let m = machine(2, FaultConfig::none());
             let domain = ShardDomain::new(ShardMap::new(2, 2), 0);
-            domain.set_live_stealing(true);
             let out = m.alloc_region(16);
             let mut set = dsl::CapsuleSet::new(&m);
             let leaf = set.define(

@@ -14,7 +14,8 @@
 //! crossing shard boundaries through the ordinary steal protocol — and,
 //! when `PPM_METRICS_PORT` is set, prove it from the aggregated scrape
 //! alone: some shard's `ppm_live_steals_total` is nonzero and every
-//! `ppm_service_queue_depth` series reads 0 after the drain.
+//! `ppm_service_queue_depth` series reads 0 once every ticket resolved
+//! (scraped before the drain, which ends the workers).
 //!
 //! `PPM_SHARD_WORKERS` selects the worker count (default 4). With `1`
 //! the kill leaves no pullers at all: the parent heals the service by
@@ -76,7 +77,7 @@ mod scenario {
 
     /// The deterministic construction every process replays: one shared
     /// output region plus the job kind — `job/split` fans a span into
-    /// `job/mark` leaves writing `i + 1`. Service mode never plants the
+    /// `job/mark` leaves writing `i + 1`. A service never publishes the
     /// returned root; the registrations and the region are the point.
     fn build(out_slot: Arc<Mutex<Option<Region>>>) -> ShardBuild {
         Arc::new(move |m: &Machine, shard: usize, k: Word| {
@@ -242,6 +243,16 @@ mod scenario {
         nums.dedup();
         assert_eq!(nums.len(), TOTAL_JOBS, "ticket numbers are unique");
         let rescued = reports.iter().filter(|r| r.rescues() > 0).count();
+
+        // Final scrape while the workers still serve — every ticket is
+        // resolved, so the ring is already empty: the queue depth and the
+        // cross-shard steal counters. The drain closes admission, and a
+        // closed, empty ring ends the workers.
+        if let Some(port) = metrics_port {
+            if let Ok(text) = scrape(port) {
+                last_scrape = text;
+            }
+        }
         handle
             .drain(Duration::from_secs(30))
             .expect("drain an already-empty ring");
@@ -249,14 +260,6 @@ mod scenario {
             "attempt {attempt}: {TOTAL_JOBS} tickets resolved exactly-once \
              ({rescued} via rescue at a bumped claim epoch)"
         );
-
-        // Final scrape while the workers still serve: the post-drain
-        // queue depth and the cross-shard steal counters.
-        if let Some(port) = metrics_port {
-            if let Ok(text) = scrape(port) {
-                last_scrape = text;
-            }
-        }
 
         let report = handle.shutdown().expect("service shutdown");
         if let Some(child) = healer.as_mut() {
@@ -331,8 +334,9 @@ mod scenario {
             .sum()
     }
 
-    /// After the drain every `ppm_service_queue_depth` series must read
-    /// zero — except the killed worker's, whose post-mortem series is
+    /// With every ticket resolved every `ppm_service_queue_depth` series
+    /// must read zero — except the killed worker's, whose post-mortem
+    /// series is
     /// the aggregate's cache of its last scrape before the SIGKILL and
     /// legitimately freezes at whatever depth it last saw.
     fn assert_depth_drained(scrape: &str, victim: usize) {

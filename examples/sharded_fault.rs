@@ -1,17 +1,23 @@
 //! The paper's actual fault model at OS scale: N worker *processes*
 //! attach to one `MAP_SHARED` machine file as independent fault domains,
 //! each samplesorting its own slice of the keys. The parent SIGKILLs one
-//! worker at ~50% of that worker's output, tombstones its lease (the
+//! worker once that worker's slice is ~25% written and one of its
+//! processors is running a thread, tombstones its lease (the
 //! coordinator's reap step — lease expiry covers coordinator-less
 //! deployments), and the survivors **adopt** the dead shard's deque
 //! frontier through the ordinary steal protocol: the run keeps going
-//! instead of restarting, replay cost bounded by the dead shard's
-//! in-flight work.
+//! instead of restarting. (The supervisor's sweep also republishes the
+//! dead worker's ring claims, so its job may run again beside the
+//! adopted threads; the first done CAM resolves the ticket.)
 //!
-//! Verified on every attempt: every shard's output equals the sorted
-//! input slice, exactly once. An attempt demonstrates *adoption* when a
-//! survivor's report counts frontier entries taken from the dead shard
-//! and the dead shard's subtree-complete flag was set by someone else.
+//! Work enters the way it enters every cluster: the parent publishes one
+//! job per shard on the machine file's injector ring and closes
+//! admission, each worker's first pull prefers its own shard's job, and
+//! live shards steal from each other. Verified on every attempt: every
+//! shard's output equals the sorted input slice, exactly once, and every
+//! shard's ticket resolved `Done`. An attempt demonstrates *adoption*
+//! when a survivor's report counts frontier entries taken from the dead
+//! shard and the victim's ticket still resolved.
 //! Wherever the kill lands — in user code or inside a steal or a push —
 //! the dead worker's restart pointers are words in the machine file (a
 //! frame, or a scheduler record in its metadata block), so adoption is
@@ -29,8 +35,8 @@
 //! aggregated `/metrics` (per-worker scrapes merged under `shard`
 //! labels, plus live lease telemetry) and, on a successful adoption
 //! run, asserts the scrape shows it: the dead shard stays visible
-//! (stale-labeled, `ppm_lease_up 0`) and a survivor's
-//! `ppm_adopted_jobs_total` is nonzero.
+//! (stale-labeled, `ppm_lease_up 0`) and a survivor's adoption counters
+//! (`ppm_adopted_jobs_total` + `ppm_adopted_locals_total`) are nonzero.
 //!
 //! Run with `cargo run --release --example sharded_fault`.
 
@@ -55,10 +61,10 @@ mod scenario {
     use std::time::{Duration, Instant};
 
     use ppm::algs::{samplesort_pool_words, SampleSort};
-    use ppm::core::Machine;
+    use ppm::core::{Active, Machine};
     use ppm::pm::{PmConfig, Region, TempMachineFile, Word};
     use ppm::sched::cluster::{self, ClusterBuilder, ShardBuild};
-    use ppm::sched::{SessionMode, Supervisor};
+    use ppm::sched::{JobStatus, SessionMode, Supervisor};
 
     const PROCS_PER_SHARD: usize = 2;
     const WORDS: usize = 1 << 23;
@@ -69,9 +75,10 @@ mod scenario {
     const M_EPH: usize = 256;
     const SLOTS: usize = 1 << 14;
     const LEASE_MS: u64 = 600;
-    /// Kill the victim once this many of its output words are in place.
-    const KILL_AT: usize = N / 2;
-    const MAX_ATTEMPTS: usize = 8;
+    /// Kill the victim once this many of its output words are in place
+    /// (and it runs a thread).
+    const KILL_AT: usize = N / 4;
+    const MAX_ATTEMPTS: usize = 12;
 
     fn workers() -> usize {
         std::env::var("PPM_SHARD_WORKERS")
@@ -107,8 +114,9 @@ mod scenario {
     }
 
     /// The deterministic construction every process replays: shard `s`
-    /// samplesorts its own slice, arriving at `k` when done. Output
-    /// regions are recorded for the parent's progress gate.
+    /// samplesorts its own slice, continuing at `k` (its ring slot's done
+    /// frame) when done. Output regions are recorded for the parent's
+    /// progress gate.
     fn build(outputs: Arc<Mutex<Vec<Option<Region>>>>) -> ShardBuild {
         Arc::new(move |m: &Machine, s: usize, k: Word| {
             let ss = SampleSort::new(m, N);
@@ -201,9 +209,14 @@ mod scenario {
             ppm::pm::system_clock(),
         )
         .expect("launch");
+        let tickets = sup
+            .observer()
+            .publish_shard_jobs()
+            .expect("publish the shard jobs");
         let metrics_port = ppm::obs::Obs::metrics_port_from_env();
 
-        // Kill the last shard's worker once its own output is half full.
+        // Kill the last shard's worker once its own output is a quarter
+        // full and it runs a thread.
         let victim = shards - 1;
         let victim_out = outputs.lock().unwrap()[victim].expect("builder ran");
         let killed = wait_and_kill(&mut sup, victim, victim_out);
@@ -247,6 +260,15 @@ mod scenario {
         // Survivors halt as soon as they read the completion flag; let
         // them write their exit reports. A stalled fleet is killed now.
         sup.wait_exit(Duration::from_secs(if done { 10 } else { 0 }));
+        // The processor whose done CAM resolved each shard's ticket (None:
+        // still in flight).
+        let claimants: Vec<Option<usize>> = tickets
+            .iter()
+            .map(|t| match sup.observer().service_queue().status(*t) {
+                JobStatus::Done { claimant, .. } => Some(claimant),
+                _ => None,
+            })
+            .collect();
         let report = sup.finish().expect("flush + mark clean");
 
         let mut outcome = if report.completed() {
@@ -264,9 +286,13 @@ mod scenario {
                 "a refused adoption means a corrupt restart pointer"
             );
             assert!(
-                summary.shard_reports.iter().all(|r| r.subtree_complete),
-                "every shard's subtree must arrive"
+                claimants.iter().all(Option::is_some),
+                "every shard's ticket must resolve Done"
             );
+            let local = (0..shards)
+                .filter(|s| claimants[*s].is_some_and(|p| p / PROCS_PER_SHARD == *s))
+                .count();
+            println!("shard jobs run on their own shard: {local} of {shards}");
             if killed {
                 assert!(
                     summary.dead_shards.contains(&victim),
@@ -274,9 +300,8 @@ mod scenario {
                 );
             }
             // Survivors adopted: the run never restarted, so any progress
-            // on the dead shard's subtree after the kill is adoption.
-            let adoption_shown =
-                killed && adopted > 0 && summary.shard_reports[victim].subtree_complete;
+            // on the dead worker's threads after the kill is adoption.
+            let adoption_shown = killed && adopted > 0 && claimants[victim].is_some();
             if adoption_shown && metrics_port.is_some() {
                 assert_adoption_scraped(&last_scrape, victim);
             }
@@ -446,7 +471,12 @@ mod scenario {
 
     /// A live adoption must be legible from the scrape alone: the dead
     /// shard's lease gauge reads down (its series stayed visible after
-    /// the kill), and some survivor's adopted-jobs counter is nonzero.
+    /// the kill), and some survivor's adoption counters — jobs plus
+    /// running threads, what `ClusterSummary::adopted` sums — are
+    /// nonzero. (Queued jobs alone rarely show: live shards steal from
+    /// each other, so a dead worker's queued jobs mostly go as live
+    /// steals before the survivors' liveness verdict; its running
+    /// threads can only be adopted after it.)
     fn assert_adoption_scraped(scrape: &str, victim: usize) {
         assert!(!scrape.is_empty(), "aggregate exporter never answered");
         assert!(
@@ -455,30 +485,46 @@ mod scenario {
         );
         let survivor_adopted: u64 = scrape
             .lines()
-            .filter(|l| l.starts_with("ppm_adopted_jobs_total{"))
+            .filter(|l| {
+                l.starts_with("ppm_adopted_jobs_total{")
+                    || l.starts_with("ppm_adopted_locals_total{")
+            })
             .filter(|l| !l.contains(&format!("shard=\"{victim}\"")))
             .filter_map(|l| l.rsplit_once(' ').and_then(|(_, v)| v.parse::<u64>().ok()))
             .sum();
         assert!(
             survivor_adopted > 0,
-            "some survivor's ppm_adopted_jobs_total must be nonzero; scrape:\n{scrape}"
+            "some survivor's ppm_adopted_{{jobs,locals}}_total must be nonzero; scrape:\n{scrape}"
         );
         println!(
             "metrics scrape confirms adoption: shard {victim} lease down, \
-             survivors adopted {survivor_adopted} jobs"
+             survivors adopted {survivor_adopted} entries"
         );
     }
 
-    /// Waits until the victim's output region is ~half written, then
-    /// SIGKILLs it. Returns false if the victim exits first.
+    /// Waits until the victim's output region is ~¼ written and the
+    /// victim runs a thread, then SIGKILLs it. Returns false if the run
+    /// completes first.
     fn wait_and_kill(sup: &mut Supervisor, victim: usize, out: Region) -> bool {
         let deadline = Instant::now() + Duration::from_secs(60);
-        let fleet = sup.live();
         loop {
             assert!(Instant::now() < deadline, "victim made no progress in 60s");
             sup.tick();
-            // A reaped victim leaves no one for `kill_worker` to find.
-            if sup.live() < fleet || count_written(sup.observer().machine(), out) >= KILL_AT {
+            let (observer, m) = (sup.observer(), sup.observer().machine());
+            if observer.is_done() {
+                return false;
+            }
+            // Live shards steal from each other, so progress on the
+            // victim's slice says nothing about what the victim worker
+            // holds: also wait until one of its processors runs a thread
+            // (its restart pointer is a frame, not a scheduler record).
+            let busy = observer.map().procs_of(victim).any(|p| {
+                matches!(
+                    m.arena().try_resolve(m.active_handle(p)),
+                    Ok(Active::Frame(_))
+                )
+            });
+            if busy && count_written(m, out) >= KILL_AT {
                 return sup.kill_worker(victim).is_ok();
             }
             std::thread::sleep(Duration::from_micros(300));

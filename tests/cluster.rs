@@ -8,11 +8,14 @@
 #![cfg(unix)]
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use ppm::core::{dsl, Active, Machine, Scheduler};
-use ppm::pm::{PmConfig, Region, TempMachineFile, Word};
+use ppm::core::{dsl, Active, Machine, Persist, Scheduler};
+use ppm::pm::{LeaseState, PmConfig, Region, ShardMap, TempMachineFile, Word};
 use ppm::sched::cluster::{self, ClusterBuilder, ClusterRole, ShardBuild};
-use ppm::sched::{kind_of, EntryKind, SessionMode, SimEvent, SimSched};
+use ppm::sched::{
+    kind_of, EntryKind, InjectorQueue, JobStatus, JobTicket, SessionMode, SimEvent, SimSched,
+};
 
 const PROCS_PER_SHARD: usize = 2;
 const SLICE: usize = 96;
@@ -69,12 +72,42 @@ fn assert_slices_filled(machine: &Machine, slices: &Mutex<Vec<Option<Region>>>) 
     }
 }
 
+/// Shard `s`'s job as `publish_shard_jobs` publishes it: slot `s`,
+/// ticket `s + 1`, the first life of a fresh slot.
+fn shard_ticket(s: usize) -> JobTicket {
+    JobTicket {
+        slot: s,
+        ticket: s as u64 + 1,
+        epoch: 1,
+    }
+}
+
+/// Every shard's ticket resolved `Done`, read through a bare attach of
+/// the ring (status reads decode only slot words). Returns how many shard
+/// jobs ran on their own shard, which the caller prints: locality is
+/// measured, not asserted.
+fn assert_shard_tickets_done(machine: &Machine, shards: usize) -> usize {
+    let queue = InjectorQueue::attach(machine).unwrap();
+    let map = ShardMap::new(machine.procs(), shards);
+    (0..shards)
+        .filter(|&s| match queue.status(shard_ticket(s)) {
+            JobStatus::Done { claimant, .. } => map.shard_of(claimant) == s,
+            other => panic!("shard {s}'s ticket must resolve Done, got {other:?}"),
+        })
+        .count()
+}
+
 #[test]
 fn workers_complete_their_shards_independently() {
     let file = TempMachineFile::new("cluster-basic");
     let slices = Arc::new(Mutex::new(vec![None; 2]));
     let build = marker_build(slices.clone());
-    cluster_builder(file.path(), 2, 1000).init(&build).unwrap();
+    let builder = cluster_builder(file.path(), 2, 1000);
+    builder
+        .observe(&build)
+        .unwrap()
+        .publish_shard_jobs()
+        .unwrap();
 
     // Two "workers" as threads, each with its own attachment — the same
     // memory semantics as separate processes over the shared mapping.
@@ -109,23 +142,26 @@ fn workers_complete_their_shards_independently() {
     )
     .unwrap();
     assert_slices_filled(&machine, &slices);
+    let local = assert_shard_tickets_done(&machine, 2);
+    println!("shard jobs run on their own shard: {local} of 2");
 }
 
 #[test]
-fn survivor_adopts_a_shard_that_never_starts() {
+fn survivor_serves_a_shard_that_never_starts() {
     let file = TempMachineFile::new("cluster-adopt");
     let slices = Arc::new(Mutex::new(vec![None; 2]));
     let build = marker_build(slices.clone());
     // Shard 1 never attaches, standing in for a worker that was spawned
     // and immediately SIGKILLed. Its seed lease (10x the window, written
-    // by init on the system clock) must expire before worker 0 adopts;
-    // instead of sleeping those milliseconds away, hand worker 0 a
-    // virtual clock already past every possible seed deadline, so the
+    // by init on the system clock) must expire before worker 0 declares
+    // it dead; instead of sleeping those milliseconds away, hand worker 0
+    // a virtual clock already past every possible seed deadline, so the
     // first monitor tick judges shard 1 dead deterministically.
     let lease_ms = 60;
-    cluster_builder(file.path(), 2, lease_ms)
-        .init(&build)
+    let observer = cluster_builder(file.path(), 2, lease_ms)
+        .observe(&build)
         .unwrap();
+    let tickets = observer.publish_shard_jobs().unwrap();
     let clock = Arc::new(ppm::pm::VirtualClock::starting_at(
         ppm::pm::now_ms() + lease_ms * cluster::STARTUP_LEASE_FACTOR + 1,
     ));
@@ -137,18 +173,18 @@ fn survivor_adopts_a_shard_that_never_starts() {
     );
     let summary = rep.cluster.as_ref().unwrap();
     assert_eq!(summary.dead_shards, vec![1], "shard 1's lease expired");
-    let own = &summary.shard_reports[0];
+    let queue = observer.service_queue();
     assert!(
-        own.adopted_jobs >= 1,
-        "the dead shard's planted sub-root must be stolen via popTop \
-         (adopted_jobs = {})",
-        own.adopted_jobs
+        matches!(queue.status(tickets[0]), JobStatus::Done { .. }),
+        "survivor's own job resolved"
     );
-    assert!(own.subtree_complete, "survivor's own subtree arrived");
-    assert!(
-        summary.shard_reports[1].subtree_complete,
-        "the dead shard's subtree arrived through adoption"
-    );
+    match queue.status(tickets[1]) {
+        JobStatus::Done { claimant, .. } => assert!(
+            observer.map().procs_of(0).contains(&claimant),
+            "the dead shard's job was served by shard 0 (claimant {claimant})"
+        ),
+        other => panic!("the dead shard's ticket must resolve Done, got {other:?}"),
+    }
     assert!(
         !summary.shard_reports[1].started,
         "shard 1 never wrote its running marker"
@@ -163,6 +199,45 @@ fn survivor_adopts_a_shard_that_never_starts() {
     assert_slices_filled(&machine, &slices);
 }
 
+/// The completion rule from a worker's side: on an open ring (nothing
+/// published, admission open) a worker keeps serving through heartbeat
+/// after heartbeat; once the coordinator publishes the shard jobs and
+/// closes admission, the worker finishes them, sets the done flag itself
+/// and leaves a `Done` lease.
+#[test]
+fn a_worker_on_an_open_ring_runs_until_its_jobs_are_published_and_done() {
+    let file = TempMachineFile::new("cluster-open-ring");
+    let slices = Arc::new(Mutex::new(vec![None; 1]));
+    let build = marker_build(slices.clone());
+    // A 40 ms lease is a 10 ms heartbeat tick.
+    let observer = cluster_builder(file.path(), 1, 40).observe(&build).unwrap();
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| cluster::run_worker(file.path(), 0, &build).unwrap());
+        // Seq 1 is the pre-session heartbeat and seq 2 the monitor's
+        // first; seq 4 means two more ticks have passed.
+        let start = std::time::Instant::now();
+        while !matches!(observer.lease(0), Some(l) if (4..u64::MAX).contains(&l.seq)) {
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "no heartbeats from the worker"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!worker.is_finished(), "an open ring never completes");
+        assert!(!observer.is_done());
+
+        let tickets = observer.publish_shard_jobs().unwrap();
+        let rep = worker.join().unwrap();
+        assert!(rep.completed(), "a closed, drained ring completes");
+        assert_eq!(observer.lease(0).map(|l| l.state), Some(LeaseState::Done));
+        for t in tickets {
+            let status = observer.service_queue().status(t);
+            assert!(matches!(status, JobStatus::Done { .. }), "{status:?}");
+        }
+    });
+    assert_slices_filled(observer.machine(), &slices);
+}
+
 /// A worker killed *inside* scheduler code is adopted like any other: its
 /// restart pointer is a scheduler record — words in its metadata block —
 /// and a survivor in another attachment, with its own arena and its own
@@ -175,13 +250,16 @@ fn survivor_adopts_a_worker_killed_inside_pushbottom() {
     let file = TempMachineFile::new("cluster-midpush");
     let slices = Arc::new(Mutex::new(vec![None; 2]));
     let build = marker_build(slices.clone());
-    // The coordinator: prepares the file, then only watches.
+    // The coordinator: prepares the file and publishes the shard jobs,
+    // then only watches.
     let coordinator = cluster_builder(file.path(), 2, 60).observe(&build).unwrap();
+    let tickets = coordinator.publish_shard_jobs().unwrap();
 
     // Worker 0, stepped capsule by capsule on its own attachment until
-    // its first processor — holding the shard's root thread, a `Local`
-    // entry at the bottom of its deque — has installed a pushBottom
-    // capsule. Then the attachment is dropped: a SIGKILL at that boundary.
+    // its first processor — holding the shard's root thread (pulled from
+    // the ring), a `Local` entry at the bottom of its deque — has
+    // installed a pushBottom capsule. Then the attachment is dropped: a
+    // SIGKILL at that boundary.
     {
         let attach = |path| {
             let fault = ppm::pm::FaultConfig::none();
@@ -226,7 +304,8 @@ fn survivor_adopts_a_worker_killed_inside_pushbottom() {
     );
     assert_eq!(own.blocked_adoptions, 0, "no restart pointer was refused");
     assert_eq!(rep.blocked(), 0);
-    assert!(summary.shard_reports[0].subtree_complete);
+    let status = coordinator.service_queue().status(tickets[0]);
+    assert!(matches!(status, JobStatus::Done { .. }), "{status:?}");
 
     let machine = Machine::reopen(file.path()).unwrap();
     assert_slices_filled(&machine, &slices);
@@ -237,33 +316,101 @@ fn recover_finishes_an_abandoned_cluster_file() {
     let file = TempMachineFile::new("cluster-recover");
     let slices = Arc::new(Mutex::new(vec![None; 3]));
     let build = marker_build(slices.clone());
-    // Init plants three sub-roots; no worker ever runs (the "every fault
-    // domain died at once" outcome).
-    cluster_builder(file.path(), 3, 500).init(&build).unwrap();
+    // Three sub-roots published on the ring; no worker ever runs (the
+    // "every fault domain died at once" outcome).
+    let builder = cluster_builder(file.path(), 3, 500);
+    builder
+        .observe(&build)
+        .unwrap()
+        .publish_shard_jobs()
+        .unwrap();
 
     let rep = cluster::recover(file.path(), &build).unwrap();
     assert!(rep.completed(), "recovery must finish the computation");
     assert_eq!(
         rep.mode,
-        SessionMode::Resumed,
-        "the planted sub-roots are a harvestable frontier"
+        SessionMode::Replayed,
+        "no worker ran, so there is no frontier: recovery pulls the published jobs"
     );
-    assert_eq!(rep.found_jobs, 3, "one planted sub-root per shard");
-    assert_eq!(rep.resumed, 3);
     assert_eq!(rep.epoch, 2, "recovery is a real reopen: epoch bumps");
     let summary = rep.cluster.as_ref().unwrap();
     assert_eq!(summary.role, ClusterRole::Recovery);
-    assert!(summary
-        .shard_reports
-        .iter()
-        .all(|r| r.subtree_complete && !r.started));
+    assert!(summary.shard_reports.iter().all(|r| !r.started));
 
     let machine = Machine::reopen(file.path()).unwrap();
     assert_slices_filled(&machine, &slices);
+    assert_shard_tickets_done(&machine, 3);
 
     // A second recover on the finished file is a no-op.
     let again = cluster::recover(file.path(), &build).unwrap();
     assert_eq!(again.mode, SessionMode::AlreadyComplete);
+}
+
+/// A whole-cluster kill between a won claim and its job's start: the
+/// puller has seated its `Local` entry and its restart pointer is the
+/// slot's `service/entry` frame, with the slot still `CLAIMED`. After
+/// the reopen every processor is live, so whichever processor runs the
+/// harvested entry frame other than the claimant ends it without
+/// advancing the slot; recovery republishes the claim instead, and the
+/// ring drains.
+#[test]
+fn recover_republishes_a_claim_whose_job_never_started() {
+    let file = TempMachineFile::new("cluster-recover-claim");
+    let slices = Arc::new(Mutex::new(vec![None; 1]));
+    let build = marker_build(slices.clone());
+    let ticket = {
+        let observer = cluster_builder(file.path(), 1, 500)
+            .observe(&build)
+            .unwrap();
+        let out = slices.lock().unwrap()[0].expect("builder ran");
+        let split = observer.machine().registry().id_of("clt/split").unwrap();
+        let mut args = Vec::new();
+        dsl::Span {
+            env: out,
+            lo: 0,
+            hi: SLICE,
+        }
+        .encode(&mut args);
+        observer.service_queue().submit(split, &args).unwrap()
+    };
+
+    // Processor 1 pulls the job and stops on the entry frame; the
+    // harvested restart pointer is then planted on deque 0, where
+    // processor 0 — not the claimant — pops it first.
+    {
+        let attach = |path| {
+            let fault = ppm::pm::FaultConfig::none();
+            Machine::attach(path, fault, ppm::pm::ValidateMode::Strict).unwrap()
+        };
+        let machine = attach(file.path());
+        let mut sim = SimSched::new_worker(&machine, 0, &build).unwrap();
+        let at_entry = (0..200)
+            .any(|_| matches!(sim.step(1), SimEvent::Ran { next, .. } if next == "service/entry"));
+        assert!(
+            at_entry,
+            "the puller enters the job:\n{}",
+            sim.render_trace()
+        );
+    }
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (path, recovery_build) = (file.path().to_path_buf(), build.clone());
+    std::thread::spawn(move || {
+        let _ = tx.send(cluster::recover(&path, &recovery_build).unwrap());
+    });
+    let rep = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("recovery drains the ring within 30 s");
+    assert!(rep.completed());
+    assert_eq!(rep.mode, SessionMode::Resumed, "the entry frame harvests");
+
+    let machine = Machine::reopen(file.path()).unwrap();
+    let status = InjectorQueue::attach(&machine).unwrap().status(ticket);
+    assert!(
+        matches!(status, JobStatus::Done { claim_epoch, .. } if claim_epoch == ticket.epoch + 1),
+        "the republished claim resolves once, one epoch on: {status:?}"
+    );
+    assert_slices_filled(&machine, &slices);
 }
 
 /// Prefix of the extra argument (`worker=<machine file>:<shard>`) that
@@ -312,7 +459,7 @@ fn builder_run_supervises_worker_processes_to_completion() {
     assert_eq!(summary.role, ClusterRole::Coordinator);
     assert!(summary.dead_shards.is_empty(), "nobody died");
     for r in &summary.shard_reports {
-        assert!(r.started && r.exited && r.saw_completion && r.subtree_complete);
+        assert!(r.started && r.exited && r.saw_completion);
         assert_eq!(
             r.lease.map(|l| l.state),
             Some(ppm::pm::LeaseState::Done),
@@ -325,4 +472,6 @@ fn builder_run_supervises_worker_processes_to_completion() {
     assert_eq!(again.mode, SessionMode::AlreadyComplete);
     let machine = Machine::reopen(file.path()).unwrap();
     assert_slices_filled(&machine, &slices);
+    let local = assert_shard_tickets_done(&machine, 2);
+    println!("shard jobs run on their own shard: {local} of 2");
 }

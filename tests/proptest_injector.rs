@@ -40,9 +40,9 @@ struct JobKind {
 
 /// Registers the job computation: `inj/split` fans a span out into
 /// `inj/mark` leaves that fill `out[lo..hi]` with `i + 1`. The returned
-/// root (required by the `ShardBuild` contract) is never planted in
-/// service mode — the registrations and the region allocation are the
-/// point — so it gets an empty span.
+/// root (required by the `ShardBuild` contract) is never published here
+/// — the registrations and the region allocation are the point — so it
+/// gets an empty span.
 fn job_build(shared: Arc<Mutex<JobKind>>) -> ShardBuild {
     Arc::new(move |m: &Machine, _shard: usize, k: Word| {
         let out = m.alloc_region(MAX_JOBS * JOB_SLICE);
@@ -89,7 +89,6 @@ fn service_builder(path: &std::path::Path, slots: usize) -> ClusterBuilder {
         .workers(1)
         .lease_ms(200)
         .deque_slots(1 << 10)
-        .service(true)
         .service_config(ServiceConfig::default().with_slots(slots))
 }
 
@@ -132,7 +131,7 @@ proptest! {
 
         let tickets = {
             let observer = builder.observe(&build).unwrap();
-            let queue = observer.service_queue().expect("service file has a queue");
+            let queue = observer.service_queue();
             let kind = *shared.lock().unwrap();
             let (out, split) = (kind.out.unwrap(), kind.split.unwrap());
             let tickets: Vec<JobTicket> = (0..n_jobs)
@@ -179,7 +178,7 @@ proptest! {
 
         let tickets = {
             let observer = builder.observe(&build).unwrap();
-            let queue = observer.service_queue().unwrap();
+            let queue = observer.service_queue();
             let kind = *shared.lock().unwrap();
             let (out, split) = (kind.out.unwrap(), kind.split.unwrap());
             let tickets: Vec<JobTicket> = (0..slots)
@@ -217,7 +216,7 @@ proptest! {
 
         let tickets = {
             let observer = builder.observe(&build).unwrap();
-            let queue = observer.service_queue().unwrap();
+            let queue = observer.service_queue();
             let kind = *shared.lock().unwrap();
             let (out, split) = (kind.out.unwrap(), kind.split.unwrap());
             let tickets: Vec<JobTicket> = std::thread::scope(|scope| {

@@ -158,6 +158,17 @@
 #      `new_closure`, `Active::Capsule`, `FnCapsule`, `install_jump`,
 #      `preregister`, `register_at` and `Next::Jump(` appear nowhere under
 #      crates/ src/ tests/ examples/.
+#
+#  15. One way work enters a cluster. Every cluster file carries the
+#      injector ring, and a batch run is a service run with a fixed job
+#      set: it publishes one ticket per shard and closes admission, and a
+#      closed, drained ring is the one completion rule
+#      (crates/sched/src/cluster.rs, crates/sched/src/service.rs). The
+#      planting protocol, its arrival join and the batch/service switch
+#      stay deleted: `plant_roots`, `"cluster/arrive"`, `"cluster/check"`,
+#      `set_live_stealing`, `in_victim_set` and `subtree_complete` appear
+#      nowhere under crates/ src/ tests/ examples/, and no `fn service(`
+#      is defined in crates/sched/src/cluster.rs (ClusterBuilder's home).
 
 set -u
 cd "$(dirname "$0")/.."
@@ -436,8 +447,18 @@ if [ -n "$hits" ]; then
     err "the closure machine is back (every capsule is a registered frame or a scheduler record; build DAGs with the DSL):" "$hits"
 fi
 
+# --- 15. one way work enters a cluster ---------------------------------------------------
+hits=$({
+    grep -rnE "plant_roots|\"cluster/(arrive|check)\"|set_live_stealing|in_victim_set|subtree_complete" \
+        --include="*.rs" crates src tests examples
+    grep -HnE "fn service\(" crates/sched/src/cluster.rs
+} || true)
+if [ -n "$hits" ]; then
+    err "a second way into a cluster is back (a batch run publishes its shard jobs on the injector ring; see cluster.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster)"
