@@ -102,10 +102,11 @@ fn crash_free_dag_is_complete_exact_and_waste_free() {
 
 #[test]
 fn kill_point_run_attributes_wasted_work_exactly_once() {
-    // Processor 0 hard-faults mid-capsule at its 40th costed access;
+    // Processor 0 hard-faults mid-capsule at its 48th costed access,
+    // inside a frame capsule (the root's pull from the ring comes first);
     // processor 1 adopts its frame and re-executes. The schedule and the
     // fault point are both deterministic, so this run is replayable.
-    let fault = FaultConfig::none().with_scheduled_hard_fault(0, 40);
+    let fault = FaultConfig::none().with_scheduled_hard_fault(0, 48);
     let (a, out) = traced_run("killed", 2, fault);
 
     // Exactly-once commits: the survivor's output equals the oracle —

@@ -144,6 +144,12 @@ fn main() {
                 &args,
                 true,
             );
+            ok &= check(
+                "steal-done-early",
+                &StealModel::mutated(StealMutation::DoneEarly),
+                &args,
+                true,
+            );
         }
         if run_lease {
             ok &= check("lease-drop-tombstone", &LeaseModel::mutated(), &args, true);

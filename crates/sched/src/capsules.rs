@@ -60,6 +60,7 @@ use ppm_pm::{is_frame_at, PersistentMemory, PmResult, ProcCtx, SlotPhase, Word};
 use crate::cluster::ShardDomain;
 use crate::deque::{build_deques, DequeAddrs};
 use crate::entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal, MAX_PROCS};
+use crate::service::claimable;
 use crate::step::{seat, SchedStep, SchedStep::*, Then};
 
 /// Scheduler configuration.
@@ -78,8 +79,9 @@ pub struct SchedConfig {
     /// [`crate::checkpoint`]): periodic quiesced boundaries that flush
     /// dirty pages, write a resume record (durable machines), and reclaim
     /// dead frame-pool words. Defaults to every
-    /// [`crate::checkpoint::DEFAULT_CHECKPOINT_CAPSULES`] capsules;
-    /// ignored by [`crate::run_root_on`], whose caller owns the scheduler.
+    /// [`crate::checkpoint::DEFAULT_CHECKPOINT_CAPSULES`] capsules. It
+    /// applies only to a run whose seats cover every processor (see
+    /// [`crate::cluster`]).
     pub checkpoint: crate::checkpoint::CheckpointPolicy,
 }
 
@@ -154,10 +156,9 @@ pub struct Sched {
     /// `ppm_steal_backoff_us`; p99 surfaces as
     /// `ppm_steal_backoff_p99_us`).
     steal_backoff: Histogram,
-    /// Injector queue (see [`crate::service`]): the external durable work
-    /// source of every cluster session, consulted by the steal loop
-    /// before probing victim deques. `None` for single-process
-    /// schedulers — the steal loop is unchanged.
+    /// Injector queue ([`crate::service`]): every session's durable work
+    /// source, consulted by the steal loop before probing victim deques.
+    /// Unset only for bare schedulers (protocol tests, baselines).
     injector: std::sync::OnceLock<Arc<crate::service::InjectorQueue>>,
 }
 
@@ -170,33 +171,26 @@ impl Sched {
     /// Builds scheduler state on a machine: carves the deques and captures
     /// the shared handles.
     pub fn new(machine: &Machine, done: DoneFlag, cfg: &SchedConfig) -> Arc<Self> {
-        Self::new_inner(machine, done, cfg, None)
+        Self::with_domain(machine, done, cfg, None)
     }
 
-    /// [`Sched::new`] for one shard of a multi-process cluster: the ring
-    /// scan starts at `domain`'s shard slot, and steals across a shard
-    /// boundary are counted in `domain`.
-    pub fn new_sharded(
-        machine: &Machine,
-        done: DoneFlag,
-        cfg: &SchedConfig,
-        domain: Arc<ShardDomain>,
-    ) -> Arc<Self> {
-        assert_eq!(
-            domain.map().procs(),
-            machine.procs(),
-            "shard map must partition exactly the machine's processors"
-        );
-        Self::new_inner(machine, done, cfg, Some(domain))
-    }
-
-    fn new_inner(
+    /// [`Sched::new`], for one shard of a multi-process cluster when
+    /// `domain` names it: the ring scan starts at the shard's slot, and
+    /// steals across a shard boundary are counted in `domain`.
+    pub(crate) fn with_domain(
         machine: &Machine,
         done: DoneFlag,
         cfg: &SchedConfig,
         domain: Option<Arc<ShardDomain>>,
     ) -> Arc<Self> {
         let p = machine.procs();
+        if let Some(d) = &domain {
+            assert_eq!(
+                d.map().procs(),
+                p,
+                "shard map must partition the processors"
+            );
+        }
         assert!((1..=MAX_PROCS).contains(&p), "P must be in 1..={MAX_PROCS}");
         assert!(
             cfg.deque_slots < crate::entry::MAX_SLOTS,
@@ -541,7 +535,7 @@ impl Sched {
                 // an uncosted ephemeral peek (like victim selection); the
                 // claim itself is the costed read/CAM/check chain below.
                 if let Some(inj) = s.injector.get() {
-                    if let Some(slot) = inj.scan_published(s.ring_start(me, n)) {
+                    if let Some(slot) = inj.scan(s.ring_start(me, n), |p| ctx.is_live(p)) {
                         return Ok(go(PullRead(slot, n)));
                     }
                 }
@@ -801,12 +795,12 @@ impl Sched {
             // Claim chain capsule 1: re-read the slot (the scan was an
             // uncosted peek), verify the two-phase publish's checksum, and
             // enter the claim CAM. Any mismatch falls back into the steal
-            // loop.
+            // loop. A dead puller's claim is claimable too.
             PullRead(slot, n) => {
                 let me = ctx.proc();
                 let q = s.injector().expect("pull without an injector queue");
                 let st = ctx.pread(q.state_addr(slot))?;
-                if slot_phase(st) != Some(SlotPhase::Published) {
+                if !claimable(st, |p| ctx.is_live(p)) {
                     return Ok(go(Steal(n + 1)));
                 }
                 let ticket = ctx.pread(q.ticket_addr(slot))?;
@@ -825,7 +819,9 @@ impl Sched {
             // exactly-once requirement).
             PullCam(slot, claimant, old, entry, ticket, n) => {
                 let q = s.injector().expect("pull without an injector queue");
-                let claimed = slot_state(SlotPhase::Claimed, slot_epoch(old), claimant);
+                // A dead puller's claim is taken over one epoch on.
+                let bump = (slot_phase(old) == Some(SlotPhase::Claimed)) as u64;
+                let claimed = slot_state(SlotPhase::Claimed, slot_epoch(old) + bump, claimant);
                 ctx.pcam(q.state_addr(slot), old, claimed)?;
                 Ok(go(PullCheck(slot, claimed, entry, ticket, n)))
             }
@@ -862,9 +858,9 @@ impl Sched {
             // frame leaves a dead processor with a seated `Local` whose
             // restart pointer is still this record — a survivor adopts it
             // and re-seats on its own deque. The slot is `CLAIMED` by a
-            // dead claimant either way, so the rescue sweep republishes it
-            // at epoch + 1, and the entry capsule's epoch guard fences
-            // whichever path loses the re-claim.
+            // dead claimant either way, so a pull (or the rescue sweep)
+            // takes it over at epoch + 1, and the entry capsule's epoch
+            // guard fences whichever path loses the re-claim.
             PullSeat(entry) => {
                 let me = ctx.proc();
                 let d = s.d(me);
@@ -891,7 +887,8 @@ impl Sched {
                 Ok(Next::End)
             }
             // `service/done` tail: the exactly-once `RUNNING → DONE` CAM
-            // and its check (which counts and traces the completion).
+            // and its check, which counts and traces the completion and
+            // runs the drain rule: draining a closed ring sets the flag.
             DoneCam(state_a, old, done_w, ticket) => {
                 ctx.pcam(state_a as ppm_pm::Addr, old, done_w)?;
                 Ok(go(DoneCheck(state_a, done_w, ticket)))
@@ -901,6 +898,7 @@ impl Sched {
                 if ctx.pread(state_a as ppm_pm::Addr)? == done_w {
                     let q = s.injector().expect("job completion without a queue");
                     q.note_completed(me, ticket, done_w);
+                    q.settle(s.done);
                 }
                 Ok(Next::End)
             }
@@ -1037,7 +1035,8 @@ mod tests {
         let machine = Machine::new(ppm_pm::PmConfig::parallel(2, 1 << 20));
         let done = DoneFlag::new(&machine);
         let domain = ShardDomain::new(ppm_pm::ShardMap::new(2, 2), 0);
-        let s = Sched::new_sharded(&machine, done, &SchedConfig::with_slots(64), domain.clone());
+        let cfg = SchedConfig::with_slots(64);
+        let s = Sched::with_domain(&machine, done, &cfg, Some(domain.clone()));
         let flag =
             CapsuleSet::new(&machine).define("guard/flag", |_: &bool, k, _| Ok(Step::Jump(k)));
         // Word 5 is no `bool`: the frame names a registered capsule whose

@@ -64,17 +64,16 @@
 //!
 //! ## Recovery
 //!
-//! [`crate::Runtime::run_or_recover`] prefers resuming the *crash*
-//! frontier (replay distance ≈ 0). When that frontier is unharvestable —
-//! a torn steal, a mid-push window, a smashed restart pointer — it now
-//! falls back to the newest valid checkpoint record instead of the root:
-//! the record's frontier is planted on scrubbed deques, pool cursors
-//! resume from the recorded watermarks, and idempotence (the §5 CAM
-//! discipline) makes re-running the span between checkpoint and crash
-//! safe. Replay distance is bounded by one checkpoint epoch. Only when no
-//! valid record exists does recovery degrade to replay-from-root (and
-//! then it clears any stale records, since a root replay resets the pool
-//! cursors the records' frontiers live above).
+//! Recovery ([`crate::driver`]) prefers the *crash* frontier (replay
+//! distance ≈ 0). When that is unharvestable — a torn steal, a mid-push
+//! window, a smashed restart pointer — it plants the newest valid
+//! record's frontier with pool cursors at its watermarks; the §5 CAM
+//! discipline makes re-running the span after the checkpoint safe, and
+//! replay distance is bounded by one epoch. With no valid record it
+//! replays from the root and clears the stale records (a root replay
+//! resets the pool cursors their frontiers live above). Records need
+//! every processor quiesced, so only a section seating them all takes
+//! checkpoints.
 //!
 //! ## Quiescing
 //!
@@ -263,18 +262,12 @@ pub(crate) struct CheckpointCtl {
 }
 
 impl CheckpointCtl {
-    pub(crate) fn new(machine: &Machine, sched: Arc<Sched>, policy: CheckpointPolicy) -> Arc<Self> {
-        let procs = machine.procs();
-        Self::new_for(machine, sched, policy, procs)
-    }
-
-    /// [`CheckpointCtl::new`] with an explicit count of driver threads
-    /// this process will run. A cluster worker seats only its own shard's
-    /// processors, so its quiesce barrier must count those — a worker can
-    /// never quiesce processors living in sibling processes, which is why
-    /// sharded and service workers run with the policy disabled and do
-    /// not checkpoint.
-    pub(crate) fn new_for(
+    /// The control of a parallel section whose quiesce barrier counts
+    /// `live_procs` driver threads. Only a section that seats every
+    /// processor runs an enabled policy (see
+    /// `driver::run_attached_seats`): a process can never quiesce
+    /// processors living in sibling processes.
+    pub(crate) fn new(
         machine: &Machine,
         sched: Arc<Sched>,
         policy: CheckpointPolicy,

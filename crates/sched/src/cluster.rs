@@ -66,22 +66,27 @@
 //! at its own shard's slot, so a shard's first pull prefers its own
 //! sub-root; later attempts walk on around the ring. The cluster is complete
 //! when the ring is closed (`Draining`) and no slot is published, claimed
-//! or running (`InjectorQueue::settle`): every worker's lease monitor
-//! checks that each tick and sets the done flag — so the fleet finishes
-//! without its coordinator, an observer after publishing — and
-//! [`recover`] checks the same rule.
+//! or running (`InjectorQueue::settle`): the done check of the job that
+//! drains a closed ring sets the done flag, so a batch cluster finishes
+//! when its last job does, coordinator or not ([`crate::service`]). A
+//! [`crate::Runtime`] session is this construction with one shard and a
+//! one-slot ring.
 //!
-//! If every fault domain dies, [`recover`] closes admission and finishes
-//! the ring single-process: it resumes the crash frontier, or normalizes
-//! the ring and replays it (a restart pointer parked on a scheduler
-//! record is not resumed yet and sends recovery to the replay).
+//! If every fault domain dies, [`recover`] runs the one recovery
+//! `Runtime::run_or_recover` runs ([`crate::driver`]): it closes
+//! admission and finishes the ring single-process, resuming the crash
+//! frontier or normalizing the ring and replaying it (a restart pointer
+//! parked on a scheduler record is not resumed yet and sends recovery to
+//! the replay).
 //!
-//! ## No checkpoints in a cluster
+//! ## Checkpoints need every seat
 //!
-//! A worker can quiesce only the processors it seats, and a record is
-//! sound only if the whole machine stood still, so cluster workers do not
-//! checkpoint; [`recover`] never needs a record. What a cluster gives up
-//! is frame-pool GC, and pools are sized for it
+//! A process can quiesce only the processors it seats, and a record is
+//! sound only if the whole machine stood still, so the configured policy
+//! applies iff the seats cover every processor. A worker seats only its
+//! shard, and a cluster file configures no policy, so workers never
+//! checkpoint and [`recover`] never finds a record. A cluster gives up
+//! frame-pool GC, and pools are sized for it
 //! ([`ClusterBuilder::pool_words`]). A cross-process round shipped once
 //! without a model, a mutant or a kill test and was deleted; one proven
 //! for S shards with shard death at every step would bring it back.
@@ -96,11 +101,8 @@ use ppm_obs::{MetricsRegistry, MetricsServer, Obs, TraceKind};
 use ppm_pm::{Lease, LeaseState, PersistentMemory, Region, ServiceState, ShardMap, Word};
 
 use crate::capsules::{Sched, SchedConfig};
-use crate::checkpoint::{CheckpointCtl, CheckpointPolicy};
-use crate::driver::{
-    crash_forensics, harvest_frontier, plant_seeds, run_attached_seats, scrub_scheduler_state,
-    FallbackReason, ProcOutcome, ProcSeat, RunReport, SessionMode, SessionReport,
-};
+use crate::checkpoint::CheckpointPolicy;
+use crate::driver::{run_attached_seats, ProcOutcome, RunReport, SessionMode, SessionReport};
 use crate::service::{InjectorQueue, JobTicket, ServiceConfig, ServiceHandle};
 use crate::supervisor::Supervisor;
 
@@ -512,9 +514,9 @@ impl ClusterBuilder {
 // Session construction (identical in every attaching process)
 // ====================================================================
 
-/// The deterministic construction every cluster process replays: done
-/// flag, scheduler deques, report blocks, the injector ring, and the
-/// per-shard sub-roots.
+/// The deterministic construction every session (cluster process or
+/// [`crate::Runtime`]) replays: done flag, scheduler deques, report
+/// blocks, the injector ring, and the per-shard sub-roots.
 pub(crate) struct ClusterSession {
     /// The shard geometry the session was built for.
     map: ShardMap,
@@ -525,35 +527,52 @@ pub(crate) struct ClusterSession {
     /// `s`.
     roots: Vec<Word>,
     /// The durable injector queue: the one way work enters.
-    service: Arc<InjectorQueue>,
+    pub(crate) service: Arc<InjectorQueue>,
 }
 
-fn build_session(
+impl ClusterSession {
+    /// Publishes the fixed job set of a batch run or a `Runtime` session —
+    /// shard `s`'s sub-root as ticket `s + 1` in slot `s` — flushes, and
+    /// closes admission (`Draining`). Fails `InvalidInput`, publishing
+    /// nothing, on a ring with fewer slots than shards or not fresh.
+    pub(crate) fn publish(&self, machine: &Machine) -> io::Result<Vec<JobTicket>> {
+        let q = &self.service;
+        let tickets = q.publish_fixed(&self.roots)?;
+        machine.flush_dirty()?;
+        let page = machine.mem().control();
+        page.write_service_header(&q.header(ServiceState::Draining))?;
+        Ok(tickets)
+    }
+}
+
+/// The scheduler shape a cluster file's header gives every attacher; a
+/// cluster file configures no checkpoint policy (see the module docs).
+fn header_config(header: &ppm_pm::ClusterHeader) -> SchedConfig {
+    SchedConfig {
+        deque_slots: header.deque_slots as usize,
+        seed: header.seed,
+        check_transitions: false,
+        checkpoint: CheckpointPolicy::disabled(),
+    }
+}
+
+/// Builds (or, attaching or recovering, replays) the session of `shards`
+/// shards over a ring shaped `service`. The ring comes before any frame
+/// setup: every attacher replays the same `alloc_region` sequence and
+/// registrations, so the ring, its workspace and the capsule ids written
+/// into shared frames agree in every process (construction determinism).
+pub(crate) fn build_session(
     machine: &Machine,
-    header: &ppm_pm::ClusterHeader,
+    shards: usize,
+    cfg: &SchedConfig,
     service: ServiceConfig,
     domain: Option<Arc<ShardDomain>>,
     build: &ShardBuild,
 ) -> ClusterSession {
-    let map = ShardMap::new(machine.procs(), header.shards as usize);
+    let map = ShardMap::new(machine.procs(), shards);
     let done = DoneFlag::new(machine);
-    let cfg = SchedConfig {
-        deque_slots: header.deque_slots as usize,
-        seed: header.seed,
-        check_transitions: false,
-        // A worker cannot quiesce its siblings' processors: cluster
-        // sessions do not checkpoint (see the module docs).
-        checkpoint: CheckpointPolicy::disabled(),
-    };
-    let sched = match domain {
-        Some(d) => Sched::new_sharded(machine, done, &cfg, d),
-        None => Sched::new(machine, done, &cfg),
-    };
+    let sched = Sched::with_domain(machine, done, cfg, domain);
     let reports = machine.alloc_region(map.shards * REPORT_WORDS);
-    // The ring before any frame setup: every attacher replays the same
-    // alloc_region sequence and registrations, so the ring, its workspace
-    // and the capsule ids written into shared frames agree in every
-    // process (construction determinism).
     let ring = machine.alloc_region(ppm_pm::service::ring_words(service.slots));
     let workspace = machine.alloc_region(service.slots * service.job_words);
     let queue = InjectorQueue::install(machine, ring, workspace, service);
@@ -602,36 +621,23 @@ pub(crate) fn shard_session(
     }
     first_heartbeat(&header);
     let domain = ShardDomain::new(map, shard);
-    let session = replay_session(machine, &header, Some(domain.clone()), build)?;
+    let (ring, cfg) = (ring_config(machine)?, header_config(&header));
+    let session = build_session(machine, map.shards, &cfg, ring, Some(domain.clone()), build);
     Ok((header, domain, session))
 }
 
-/// [`build_session`] as an attacher of an existing file replays it:
-/// scheduler shape from the cluster header, ring shape from the service
-/// header.
-fn replay_session(
-    machine: &Machine,
-    header: &ppm_pm::ClusterHeader,
-    domain: Option<Arc<ShardDomain>>,
-    build: &ShardBuild,
-) -> io::Result<ClusterSession> {
+/// The ring shape of an existing cluster file, from its service header.
+fn ring_config(machine: &Machine) -> io::Result<ServiceConfig> {
     let ring = machine.mem().control().service_header().ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             "cluster file has no service header (no injector ring)",
         )
     })?;
-    let service = ServiceConfig {
+    Ok(ServiceConfig {
         slots: ring.slots as usize,
         job_words: ring.job_words as usize,
-    };
-    let session = build_session(machine, header, service, domain, build);
-    debug_assert_eq!(
-        session.service.header(ring.state),
-        ring,
-        "the replayed ring landed somewhere other than the header records"
-    );
-    Ok(session)
+    })
 }
 
 // ====================================================================
@@ -793,28 +799,6 @@ fn summarize(
         role,
         shard_reports,
         dead_shards,
-    }
-}
-
-/// The [`SessionReport`] of a cluster participant that drove (or
-/// watched) a fresh run; [`recover`] overrides the forensics fields.
-pub(crate) fn cluster_report(
-    machine: &Machine,
-    summary: ClusterSummary,
-    run: Option<RunReport>,
-) -> SessionReport {
-    SessionReport {
-        epoch: machine.epoch(),
-        mode: SessionMode::FreshRun,
-        found_jobs: 0,
-        found_locals: 0,
-        found_taken: 0,
-        live_restart_pointers: 0,
-        resumed: 0,
-        fallback_reason: None,
-        checkpoint_resume: None,
-        cluster: Some(summary),
-        run,
     }
 }
 
@@ -1017,17 +1001,8 @@ pub fn run_worker_with_clock(
                 lease_monitor_loop(machine, session, &domain, header.lease_ms, stop, clock)
             })
         };
-        let seats: Vec<ProcSeat> = domain
-            .own_procs()
-            .map(|proc| ProcSeat::idle(&session.sched, proc, 0))
-            .collect();
-        let ctl = CheckpointCtl::new_for(
-            &machine,
-            session.sched.clone(),
-            CheckpointPolicy::disabled(),
-            seats.len(),
-        );
-        let run = run_attached_seats(&machine, &session.sched, seats, session.done, &ctl);
+        let policy = header_config(&header).checkpoint;
+        let run = run_attached_seats(&machine, &session, domain.own_procs(), false, &policy);
         stop.store(true, Ordering::Release);
         // Cut the monitor's sleep short; a wake that lands before its
         // `stop` check costs one extra pass, never a missed stop.
@@ -1081,7 +1056,8 @@ pub fn run_worker_with_clock(
     if metrics.is_some() {
         std::thread::sleep(heartbeat_tick(header.lease_ms));
     }
-    Ok(cluster_report(&machine, summary, Some(run)))
+    let (epoch, mode) = (machine.epoch(), SessionMode::FreshRun);
+    Ok(SessionReport::new(epoch, mode, Some(summary), Some(run)))
 }
 
 /// How often a worker renews its lease and looks at its siblings'.
@@ -1090,10 +1066,10 @@ fn heartbeat_tick(lease_ms: u64) -> Duration {
 }
 
 /// The worker's combined heartbeat, sibling monitor and completion
-/// check: renews this shard's lease, folds dead siblings into the
-/// liveness oracle and the domain, and sets the done flag once the
-/// cluster's completion rule holds (`InjectorQueue::settle`) — so a
-/// fleet finishes without its coordinator. Runs until `stop`.
+/// backstop: renews this shard's lease, folds dead siblings into the
+/// liveness oracle and the domain, and evaluates the completion rule
+/// (`InjectorQueue::settle`) for a ring that closed after it drained —
+/// the done path cannot see that one. Runs until `stop`.
 fn lease_monitor_loop(
     machine: &Machine,
     session: &ClusterSession,
@@ -1238,12 +1214,7 @@ impl ClusterObserver {
     /// nothing, on a ring with fewer slots than shards or one that is not
     /// fresh.
     pub fn publish_shard_jobs(&self) -> io::Result<Vec<JobTicket>> {
-        let q = &self.session.service;
-        let tickets = q.publish_fixed(&self.session.roots)?;
-        self.machine.flush()?;
-        let page = self.machine.mem().control();
-        page.write_service_header(&q.header(ServiceState::Draining))?;
-        Ok(tickets)
+        self.session.publish(&self.machine)
     }
 
     /// Tombstones shard `s`'s lease — the coordinator's reap step: call
@@ -1330,7 +1301,8 @@ fn init_machine(
     };
     let (header, page) = (builder.header(), machine.mem().control());
     page.write_cluster_header(&header)?;
-    let session = build_session(&machine, &header, builder.service_config, None, build);
+    let (shards, cfg) = (builder.shards, header_config(&header));
+    let session = build_session(&machine, shards, &cfg, builder.service_config, None, build);
     // An open ring, nothing published: workers start idle and pull.
     page.write_service_header(&session.service.header(ServiceState::Accepting))?;
     let seed_lease = Lease::alive_at(0, builder.lease_ms * STARTUP_LEASE_FACTOR, now_ms);
@@ -1346,123 +1318,31 @@ fn init_machine(
 // Single-process recovery of a cluster file
 // ====================================================================
 
-/// Finishes a sharded run single-process: the cluster twin of
-/// `Runtime::run_or_recover`, for when the cluster itself could not
-/// complete (every fault domain died). Reopens the file
-/// (epoch bump — this *is* a recovery), replays the session
-/// construction, and then:
-///
-/// * done flag already set → nothing re-runs;
-/// * otherwise admission closes (no submitter outlives the cluster) and
-///   the ring is finished under the cluster's one completion rule
-///   (`InjectorQueue::settle`):
-///   * the crash frontier harvests → resume it on scrubbed deques, pool
-///     cursors at the persisted watermarks (replay bounded by in-flight
-///     work), after republishing every claim whose job never started;
-///   * otherwise → scrub everything and normalize the ring (torn
-///     submissions dropped, interrupted claims republished), then pull
-///     what it holds (replay; §5 idempotence makes completed effects
-///     stick).
+/// Finishes a sharded run single-process, for when the cluster itself
+/// could not complete (every fault domain died): reopens the file (epoch
+/// bump — this *is* a recovery) and runs the one recovery
+/// `Runtime::run_or_recover` runs ([`crate::driver`]'s `recover`), with
+/// the scheduler shape from the cluster header and the ring shape from
+/// the service header. Admission closes (no submitter outlives the
+/// cluster) and the ring is finished under its one completion rule. The
+/// report carries a [`ClusterRole::Recovery`] summary, taken once the run
+/// is over so the shard rows reflect what recovery itself finished.
 #[cfg(unix)]
 pub fn recover(path: impl AsRef<std::path::Path>, build: &ShardBuild) -> io::Result<SessionReport> {
     let machine = Machine::reopen(&path)?;
     let header = read_header(&machine)?;
+    let ring = ring_config(&machine)?;
     // Recovery appends to the coordinator's stream: the epoch bits in its
     // span ids keep them disjoint from the crashed epoch's, and
     // re-executed capsules resolve their parents from the persistent
     // frame words — the recovery-resume causal edge.
     machine.obs().open_trace(0, machine.epoch());
-    let session = replay_session(&machine, &header, None, build)?;
-    let (found_jobs, found_locals, found_taken, live_restart_pointers) =
-        crash_forensics(&machine, &session.sched);
-    machine
-        .obs()
-        .event(TraceKind::Recovery, None, None, || {
-            format!(
-                "single-process recovery of a {}-shard cluster file: \
-                 {found_jobs} jobs, {found_locals} locals, {live_restart_pointers} live restart pointers",
-                header.shards
-            )
-        });
-    // Summarized once the run is over, so the shard rows reflect what
-    // recovery itself finished.
-    let forensics = |mode, run| {
-        let now = ppm_pm::now_ms();
-        let summary = summarize(&machine, &session, ClusterRole::Recovery, now);
-        SessionReport {
-            mode,
-            found_jobs,
-            found_locals,
-            found_taken,
-            live_restart_pointers,
-            ..cluster_report(&machine, summary, run)
-        }
-    };
-
-    if session.done.is_set(machine.mem()) {
-        return Ok(forensics(SessionMode::AlreadyComplete, None));
-    }
-
-    let (ring, page) = (&session.service, machine.mem().control());
-    page.write_service_header(&ring.header(ServiceState::Draining))?;
-    let harvest = harvest_frontier(&machine, &session.sched);
-    let (seeds, fallback_reason) = match harvest {
-        Ok(seeds) if !seeds.is_empty() => (seeds, None),
-        Ok(_) => (Vec::new(), Some(FallbackReason::NoFrontier)),
-        Err(reason) => (Vec::new(), Some(reason)),
-    };
-    let resume = fallback_reason.is_none();
-    if !resume {
-        // Replay resets the pool cursors any stale records live above.
-        let _ = machine.clear_checkpoint_records();
-    }
-    scrub_scheduler_state(&machine, &session.sched, resume);
-    // Normalize the ring — torn submissions dropped, claims no surviving
-    // thread carries republished — and let the seats pull what it holds
-    // through the ordinary injector path.
-    let touched = ring.scavenge(resume);
-    machine.obs().event(TraceKind::Recovery, None, None, || {
-        format!("injector ring scavenged: {touched} slots normalized")
-    });
-    plant_seeds(&machine, &session.sched, &seeds);
-    let seats: Vec<ProcSeat> = (0..machine.procs())
-        .map(|proc| {
-            let cursor = resume.then(|| machine.pool_watermark(proc));
-            ProcSeat::idle(&session.sched, proc, cursor.unwrap_or(0))
-        })
-        .collect();
-    let ctl = CheckpointCtl::new_for(
-        &machine,
-        session.sched.clone(),
-        CheckpointPolicy::disabled(),
-        seats.len(),
-    );
-    // Nothing in a job sets the done flag: a watcher evaluates the
-    // completion rule while the seats drain the ring.
-    let stop = AtomicBool::new(false);
-    let run = std::thread::scope(|scope| {
-        let watcher = scope.spawn(|| {
-            while !stop.load(Ordering::Acquire) && !ring.settle(session.done) {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        });
-        let run = run_attached_seats(&machine, &session.sched, seats, session.done, &ctl);
-        stop.store(true, Ordering::Release);
-        watcher
-            .join()
-            .expect("recovery completion watcher panicked");
-        run
-    });
-    machine.flush()?;
-
-    let mode = match resume {
-        true => SessionMode::Resumed,
-        false => SessionMode::Replayed,
-    };
+    let (shards, cfg) = (header.shards as usize, header_config(&header));
+    let (session, report) = crate::driver::recover(&machine, shards, &cfg, ring, build)?;
+    let summary = summarize(&machine, &session, ClusterRole::Recovery, ppm_pm::now_ms());
     Ok(SessionReport {
-        resumed: if resume { seeds.len() } else { 0 },
-        fallback_reason,
-        ..forensics(mode, Some(run))
+        cluster: Some(summary),
+        ..report
     })
 }
 

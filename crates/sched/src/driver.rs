@@ -7,59 +7,70 @@
 //! hard fault ends the thread; the processor's deque and restart pointer
 //! stay in persistent memory for thieves.
 //!
-//! Setup follows §6.3: "Each process is initialized with an empty WS-Deque
-//! ... One process is assigned the root thread. This process installs the
-//! first capsule of this thread, and sets its first entry to local. All
-//! other processes install the findWork capsule."
-//!
 //! ## Entry points
 //!
-//! The session object [`crate::Runtime`] is the one entry point for
-//! sessions: `Runtime::run_or_recover` takes a registered persistent
-//! computation and dispatches to the fresh-run, persistent-resume,
-//! checkpoint-resume, or replay-fallback paths in this module, returning
-//! a unified [`SessionReport`]. [`run_root_on`] runs a root frame on a
-//! prebuilt scheduler, for callers that instrument its deques.
+//! A [`crate::Runtime`] session is a one-worker cluster
+//! ([`crate::cluster`]) over a one-slot injector ring, seating every
+//! processor. `Runtime::run_or_recover` either runs its computation fresh
+//! — session build, the root published as ticket 1 with admission
+//! closed, every processor seated at `findWork` — or hands the machine to
+//! `recover`, the one function that recovers a machine, which
+//! `cluster::recover` calls too. A run completes by the drain rule: the
+//! `service/done/check` that wins the last done CAM of a closed ring sets
+//! the done flag ([`crate::service`]); nothing polls for completion.
+//!
+//! ## One deviation from §6.3
+//!
+//! §6.3: "One process is assigned the root thread. This process installs
+//! the first capsule of this thread, and sets its first entry to local.
+//! All other processes install the findWork capsule." Here *every*
+//! processor installs `findWork`, and the root is pulled from the ring:
+//! whichever processor wins its claim CAM seats its own `Local` entry and
+//! enters the slot's entry frame, one chain of capsules later than §6.3's
+//! start. So a run starts, finishes and recovers the same way however
+//! many workers it has.
 //!
 //! ## Crash recovery across process lifetimes
 //!
 //! Recovery extends the paper's hard-fault story to the death of the
-//! *whole process*: a machine whose words live in a durable backend is
-//! reopened by a fresh process, and fresh OS threads re-attach to the
-//! persisted WS-deques and restart pointers.
+//! *whole process*: a durable machine is reopened by a fresh process,
+//! whose threads re-attach to the persisted deques, restart pointers and
+//! ring. An unfinished run takes one of three routes:
 //!
-//! Recovery takes one of two routes:
+//! * **Resume the crash frontier**: every persisted `job` entry and every
+//!   running thread's restart pointer is a frame address
+//!   ([`ppm_pm::frame`]), rehydrated through the machine's
+//!   [`ppm_core::CapsuleRegistry`] and re-planted as a job. Recovery cost
+//!   is bounded by the work in flight, not by total work.
+//! * **Resume a checkpoint** when the crash frontier is unharvestable:
+//!   the newest valid record's frontier is planted instead
+//!   ([`crate::checkpoint`]); replay is bounded by one checkpoint epoch.
+//! * **Replay** (see [`FallbackReason`]): the deques are scrubbed, the
+//!   ring is normalized and its jobs are pulled again from their roots.
+//!   The §5 discipline (write-after-read conflict freedom, CAM
+//!   test-and-set for once-only effects) keeps applied effects from
+//!   applying twice; replay costs work, never correctness.
 //!
-//! * **Resume**: every persisted `job` entry and every running thread's
-//!   restart pointer is a frame address ([`ppm_pm::frame`]), so the
-//!   recovering process rehydrates each one through the machine's
-//!   [`ppm_core::CapsuleRegistry`] and re-plants them as jobs on fresh
-//!   deques. Only in-flight work is re-driven; recovery cost is bounded
-//!   by what was lost, not by total work.
-//! * **Replay** (the fallback whenever the persisted state is not fully
-//!   rehydratable — see [`FallbackReason`]): the deques are scrubbed back
-//!   to the §6.3 initial state and the computation re-runs from its root.
-//!   Idempotence (write-after-read conflict freedom plus CAM test-and-set
-//!   for once-only effects — the §5 discipline) guarantees effects
-//!   already applied by the dead run are not applied again; replay costs
-//!   work, never correctness.
-//!
-//! Either way the machine is flushed before recovery returns, so a second
-//! crash during recovery recovers the same way.
+//! The machine is flushed before recovery returns, so a second crash
+//! during recovery recovers the same way.
 
+use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppm_core::persist::FrameDecodeError;
 pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
-use ppm_core::{run_capsule, Active, DoneFlag, InstallCtx, Machine, CORE_ID_FINALE};
-use ppm_pm::{StatsSnapshot, Word};
+use ppm_core::{run_capsule, Active, InstallCtx, Machine};
+use ppm_obs::TraceKind;
+use ppm_pm::{ServiceState, StatsSnapshot, Word};
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::{checkpoint_seeds, CheckpointCtl, CheckpointPolicy, CheckpointSummary};
+use crate::cluster::{build_session, ClusterSession, ShardBuild};
 use crate::deque::check_invariant;
 use crate::entry::{kind_of, pack, unpack, EntryKind, EntryVal};
+use crate::service::ServiceConfig;
 
 /// How one processor's loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,10 +224,8 @@ impl std::fmt::Display for FallbackReason {
     }
 }
 
-/// The unified report of a [`crate::Runtime`] session: what the session
-/// found on the machine, how it drove the computation, and the inner
-/// run's statistics. Subsumes the pre-session `RunReport`-plus-
-/// `RecoveryReport` pair.
+/// The unified report of every session: what it found on the machine,
+/// how it drove the computation, and the inner run's statistics.
 #[derive(Debug, Clone)]
 pub struct SessionReport {
     /// Durable run epoch of the machine (0 volatile, 1 creating run,
@@ -271,10 +280,17 @@ pub struct CheckpointResume {
 }
 
 impl SessionReport {
-    pub(crate) fn fresh_run(epoch: u64, run: RunReport) -> Self {
+    /// A report with nothing found on the machine; recovery fills in what
+    /// it found.
+    pub(crate) fn new(
+        epoch: u64,
+        mode: SessionMode,
+        cluster: Option<crate::cluster::ClusterSummary>,
+        run: Option<RunReport>,
+    ) -> Self {
         SessionReport {
             epoch,
-            mode: SessionMode::FreshRun,
+            mode,
             found_jobs: 0,
             found_locals: 0,
             found_taken: 0,
@@ -282,8 +298,8 @@ impl SessionReport {
             resumed: 0,
             fallback_reason: None,
             checkpoint_resume: None,
-            cluster: None,
-            run: Some(run),
+            cluster,
+            run,
         }
     }
 
@@ -364,124 +380,60 @@ impl SessionReport {
 }
 
 // ====================================================================
-// Fresh runs
+// Sessions
 // ====================================================================
 
-/// Fresh run of a persistent-capsule computation: the root thread — and
-/// every continuation it forks — is denoted by persistent frame
-/// addresses, so a crash of the whole process leaves a machine file that
-/// a recovering session can *resume* instead of replaying from the root.
-/// Checkpoints per `cfg.checkpoint`.
-pub(crate) fn run_persistent_impl(
-    machine: &Machine,
-    pcomp: &PComp,
-    cfg: &SchedConfig,
-) -> RunReport {
-    let done = DoneFlag::new(machine);
-    let sched = Sched::new(machine, done, cfg);
-    let finale = machine.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
-    let root_handle = pcomp(machine, finale);
-    let ctl = CheckpointCtl::new(machine, sched.clone(), cfg.checkpoint.clone());
-    launch_root(machine, &sched, root_handle, done, &ctl)
+/// A fresh [`crate::Runtime`] session: a one-shard cluster session over
+/// a one-slot ring ([`ServiceConfig::SESSION`]), with no shard domain,
+/// its root published as ticket 1 and admission closed. The `finale`
+/// `pcomp` receives is slot 0's done frame.
+pub(crate) fn fresh_session(machine: &Machine, pcomp: &PComp, cfg: &SchedConfig) -> ClusterSession {
+    let build = runtime_build(pcomp);
+    let session = build_session(machine, 1, cfg, ServiceConfig::SESSION, None, &build);
+    session.publish(machine).expect("publishing the root");
+    session
 }
 
-/// Runs the root frame `root_handle` on a *prebuilt* scheduler (so
-/// callers can inspect or instrument its deques) until `done` is set.
-/// No checkpoint policy applies here.
-pub fn run_root_on(
-    machine: &Machine,
-    sched: &Arc<Sched>,
-    root_handle: Word,
-    done: DoneFlag,
-) -> RunReport {
-    let ctl = CheckpointCtl::new(machine, sched.clone(), CheckpointPolicy::Disabled);
-    launch_root(machine, sched, root_handle, done, &ctl)
+/// `pcomp` as the [`ShardBuild`] of a one-shard session.
+pub(crate) fn runtime_build(pcomp: &PComp) -> ShardBuild {
+    let pcomp = pcomp.clone();
+    Arc::new(move |m, _, k| pcomp(m, k))
 }
 
-/// §6.3 initialization: the root processor's first deque entry is local
-/// (it is running the root thread) and its restart pointer is the root
-/// *frame address*, meaningful to any future process, so the thread
-/// survives an immediate hard fault; all other processors start at
-/// `findWork`.
-fn launch_root(
-    machine: &Machine,
-    sched: &Arc<Sched>,
-    root_handle: Word,
-    done: DoneFlag,
-    ctl: &Arc<CheckpointCtl>,
-) -> RunReport {
-    let root = machine.arena().resolve(root_handle).unwrap_or_else(|| {
-        panic!(
-            "root frame handle {root_handle} does not rehydrate — the PComp must \
-             register its capsules before returning"
-        )
-    });
-    machine
-        .mem()
-        .store(machine.proc_meta(0).active, root_handle);
-    machine
-        .mem()
-        .store(sched.deques()[0].entry(0), pack(1, EntryVal::Local));
-
-    let seats = (0..machine.procs())
-        .map(|proc| match proc {
-            0 => ProcSeat {
-                proc,
-                first: root,
-                cursor: 0,
-            },
-            _ => ProcSeat::idle(sched, proc, 0),
-        })
-        .collect();
-    run_attached_seats(machine, sched, seats, done, ctl)
-}
-
-/// One processor's seat in a parallel section: which model processor to
-/// drive, its first capsule, and its starting pool cursor.
-pub(crate) struct ProcSeat {
-    /// The model processor index this OS thread embodies.
-    pub proc: usize,
-    /// First capsule of the thread's driver loop.
-    pub first: Active,
-    /// Starting pool-allocation cursor (0 fresh, the persisted watermark
-    /// on resume).
-    pub cursor: usize,
-}
-
-impl ProcSeat {
-    /// A seat that starts at `findWork` — every processor without a
-    /// thread of its own (§6.3).
-    pub(crate) fn idle(sched: &Sched, proc: usize, cursor: usize) -> Self {
-        ProcSeat {
-            proc,
-            first: Active::Sched(sched.find_work()),
-            cursor,
-        }
-    }
-}
-
-/// The shared parallel section: spawns one OS thread per seat, joins
-/// them, checks the deque invariant, and assembles the report. A
-/// single-process session seats every model processor; a cluster worker
-/// seats only its own shard's processors (its fault domain) while the
-/// sibling processors are driven by other OS processes attached to the
-/// same machine file. Only the seated processors' deques are
-/// invariant-checked and rendered: remote deques are live in other
-/// processes, so reading them here would race their owners.
+/// The shared parallel section: spawns one OS thread per seated
+/// processor, each starting at `findWork` with its pool cursor at the
+/// persisted watermark when `resume`, else at 0; joins them, checks the
+/// deque invariant, and assembles the report. A single-process session
+/// seats every model processor; a cluster worker seats only its own
+/// shard's processors (its fault domain) while the sibling processors are
+/// driven by other OS processes attached to the same machine file. Only
+/// the seated processors' deques are invariant-checked and rendered:
+/// remote deques are live in other processes, so reading them here
+/// would race their owners.
+///
+/// Checkpoints need every seat: `policy` applies iff the seats cover
+/// every processor, since a process can quiesce only the processors it
+/// runs. Otherwise checkpoints are off.
 pub(crate) fn run_attached_seats(
     machine: &Machine,
-    sched: &Arc<Sched>,
-    seats: Vec<ProcSeat>,
-    done: DoneFlag,
-    ctl: &Arc<CheckpointCtl>,
+    session: &ClusterSession,
+    seats: std::ops::Range<usize>,
+    resume: bool,
+    policy: &CheckpointPolicy,
 ) -> RunReport {
-    let seated: Vec<usize> = seats.iter().map(|s| s.proc).collect();
+    let (sched, done) = (&session.sched, session.done);
+    let policy = match seats.len() == machine.procs() {
+        true => policy.clone(),
+        false => CheckpointPolicy::disabled(),
+    };
+    let ctl = &CheckpointCtl::new(machine, sched.clone(), policy, seats.len());
     let start = Instant::now();
     let outcomes: Vec<ProcOutcome> = std::thread::scope(|s| {
         let handles: Vec<_> = seats
-            .into_iter()
-            .map(|seat| {
-                s.spawn(move || proc_loop(machine, sched, seat.proc, seat.first, seat.cursor, ctl))
+            .clone()
+            .map(|p| {
+                let cursor = if resume { machine.pool_watermark(p) } else { 0 };
+                s.spawn(move || proc_loop(machine, sched, p, cursor, ctl))
             })
             .collect();
         handles
@@ -493,9 +445,9 @@ pub(crate) fn run_attached_seats(
 
     // Post-run structural check (quiescent among the seated processors,
     // so exact for their deques).
-    let mut deque_dump = Vec::with_capacity(seated.len());
-    for p in &seated {
-        let d = &sched.deques()[*p];
+    let mut deque_dump = Vec::with_capacity(seats.len());
+    for p in seats {
+        let d = &sched.deques()[p];
         if let Err(e) = check_invariant(machine.mem(), d) {
             panic!("WS-deque invariant violated after run: {e}");
         }
@@ -519,26 +471,23 @@ pub(crate) fn run_attached_seats(
 // Recovery
 // ====================================================================
 
-/// Entry counts found in the persisted deques, plus live restart pointers.
-pub(crate) fn crash_forensics(
-    machine: &Machine,
-    sched: &Arc<Sched>,
-) -> (usize, usize, usize, usize) {
-    let (mut jobs, mut locals, mut taken) = (0usize, 0usize, 0usize);
+/// A report of what the crash left in the deques and restart pointers.
+fn crash_forensics(machine: &Machine, sched: &Sched) -> SessionReport {
+    let mut found = SessionReport::new(machine.epoch(), SessionMode::FreshRun, None, None);
     for d in sched.deques() {
         for i in 0..d.slots {
             match kind_of(machine.mem().load(d.entry(i))) {
-                EntryKind::Job => jobs += 1,
-                EntryKind::Local => locals += 1,
-                EntryKind::Taken => taken += 1,
+                EntryKind::Job => found.found_jobs += 1,
+                EntryKind::Local => found.found_locals += 1,
+                EntryKind::Taken => found.found_taken += 1,
                 EntryKind::Empty => {}
             }
         }
     }
-    let live = (0..machine.procs())
+    found.live_restart_pointers = (0..machine.procs())
         .filter(|p| machine.active_handle(*p) != 0)
         .count();
-    (jobs, locals, taken, live)
+    found
 }
 
 /// Scrubs scheduler state back to the §6.3 initial shape: all entries
@@ -670,101 +619,70 @@ pub(crate) fn plant_seeds(machine: &Machine, sched: &Arc<Sched>, seeds: &[Word])
     }
 }
 
-/// Resumes a crashed run of a persistent-capsule computation from a
-/// machine that came back from [`Machine::reopen`].
+/// Recovers a machine that came back from [`Machine::reopen`], a
+/// `Runtime` file or a cluster file alike. `shards`, `cfg`, `ring` and
+/// `build` must replay the crashed session's construction exactly (same
+/// `alloc_region` calls in the same order, same capsules under the same
+/// ids). In order:
 ///
-/// The caller must rebuild the machine-setup sequence of the crashed run
-/// deterministically before/within `pcomp`: the same user
-/// [`Machine::alloc_region`] calls in the same order, the same capsules
-/// registered under the same ids, and the same `cfg`.
-///
-/// Recovery then:
-///
-/// 1. Returns immediately if the persisted completion flag is set.
-/// 2. Otherwise harvests the crash frontier — every persisted `job` entry
-///    and every running thread's restart pointer — rehydrating each
-///    handle through the capsule registry, and re-plants the frontier as
-///    jobs on freshly scrubbed deques. Processor pool cursors resume from
-///    the persisted watermarks, above the dead run's live frames. The
-///    resumed run executes only the threads that were in flight (plus
-///    their joins up the spine), so recovery cost is proportional to
-///    lost work, not total work.
-/// 3. When the crash frontier is *not* fully resumable — a handle that
-///    does not rehydrate, or one of the narrow ambiguous windows (a steal
-///    mid-transfer, a fork mid-push, a restart pointer parked on a
-///    scheduler-internal capsule) — resumes instead from the newest valid
-///    **checkpoint record** (see [`crate::checkpoint`]): the record's
-///    frontier is planted, pool cursors return to the recorded
-///    watermarks, and replay distance is bounded by one checkpoint epoch.
-///    [`SessionReport::checkpoint_resume`] carries the record identity
-///    and the structured reason the crash frontier was rejected.
-/// 4. Falls back to scrub-and-replay from the root only when no valid
-///    checkpoint exists either (and then invalidates any stale records,
-///    since the replay resets the pool cursors their frontiers live
-///    above). [`SessionReport::fallback_reason`] says why, as a
-///    structured [`FallbackReason`].
-///
-/// Either way every effect is applied exactly once: rehydrated capsules
-/// are the same idempotent bodies, and replay relies on the §5 CAM
-/// discipline. The machine is flushed before this returns.
-pub(crate) fn recover_persistent_impl(
+/// 1. Replay the session construction.
+/// 2. Count what the crash left (`found_*`). A ring with no header was
+///    never handed to a processor: clear it and publish its job set.
+/// 3. Done flag set, or the drain rule holds (a crash after the last done
+///    CAM, before the flag) → [`SessionMode::AlreadyComplete`].
+/// 4. Close admission (`Draining`).
+/// 5. Harvest the crash frontier;
+/// 6. if that fails, take the newest valid checkpoint record
+///    ([`SessionReport::checkpoint_resume`]; a cluster file has none);
+/// 7. otherwise clear the stale records and replay
+///    ([`SessionReport::fallback_reason`]).
+/// 8. Scrub the deques, normalize the ring (`InjectorQueue::scavenge`),
+///    plant the seeds, seat every processor at `findWork` and run.
+pub(crate) fn recover(
     machine: &Machine,
-    pcomp: &PComp,
+    shards: usize,
     cfg: &SchedConfig,
-) -> SessionReport {
-    // Replay the construction order of a fresh persistent run: completion
-    // flag, scheduler deques, finale frame, then the computation's own
-    // frames (all deterministic, all rewriting identical words).
-    let done = DoneFlag::new(machine);
-    let sched = Sched::new(
-        machine,
-        done,
-        &SchedConfig {
-            check_transitions: false,
-            ..cfg.clone()
-        },
-    );
-    let (found_jobs, found_locals, found_taken, live_restart_pointers) =
-        crash_forensics(machine, &sched);
-    machine
-        .obs()
-        .event(ppm_obs::TraceKind::Recovery, None, None, || {
-            format!(
-                "persistent recovery, epoch {}: {found_jobs} jobs, {found_locals} locals, \
-                 {found_taken} taken, {live_restart_pointers} live restart pointers",
-                machine.epoch()
-            )
-        });
-    let finale = machine.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
-    let root_handle = pcomp(machine, finale);
-
-    if done.is_set(machine.mem()) {
-        return SessionReport {
-            epoch: machine.epoch(),
-            mode: SessionMode::AlreadyComplete,
-            found_jobs,
-            found_locals,
-            found_taken,
-            live_restart_pointers,
-            resumed: 0,
-            fallback_reason: None,
-            checkpoint_resume: None,
-            cluster: None,
-            run: None,
-        };
+    ring: ServiceConfig,
+    build: &ShardBuild,
+) -> io::Result<(ClusterSession, SessionReport)> {
+    // The transition checker is installed after the scrub: scrub stores
+    // are machine maintenance, not Figure 4 transitions.
+    let quiet = SchedConfig {
+        check_transitions: false,
+        ..cfg.clone()
+    };
+    let session = build_session(machine, shards, &quiet, ring, None, build);
+    let found = crash_forensics(machine, &session.sched);
+    machine.obs().event(TraceKind::Recovery, None, None, || {
+        format!(
+            "recovery of a {shards}-shard session, epoch {}: {} in-flight entries, \
+             {} live restart pointers",
+            found.epoch,
+            found.found_in_flight(),
+            found.live_restart_pointers
+        )
+    });
+    let report = |mode, run| SessionReport {
+        mode,
+        run,
+        ..found.clone()
+    };
+    let (q, page) = (&session.service, machine.mem().control());
+    if page.service_header().is_none() {
+        q.clear();
+        session.publish(machine)?;
     }
+    if session.done.is_set(machine.mem()) || q.settle(session.done) {
+        machine.flush()?;
+        return Ok((session, report(SessionMode::AlreadyComplete, None)));
+    }
+    page.write_service_header(&q.header(ServiceState::Draining))?;
 
-    let harvest = harvest_frontier(machine, &sched);
     let mut checkpoint_resume = None;
-    let (seeds, fallback_reason) = match harvest {
+    let (seeds, fallback_reason) = match harvest_frontier(machine, &session.sched) {
         Ok(seeds) if !seeds.is_empty() => (seeds, None),
         other => {
-            let reason = match other {
-                Ok(_) => FallbackReason::NoFrontier,
-                Err(r) => r,
-            };
-            // The crash frontier is unresumable; try the newest durable
-            // checkpoint before degrading to replay-from-root.
+            let reason = other.err().unwrap_or(FallbackReason::NoFrontier);
             match machine
                 .latest_checkpoint_record()
                 .and_then(|rec| checkpoint_seeds(machine, &rec).map(|s| (rec, s)))
@@ -789,59 +707,49 @@ pub(crate) fn recover_persistent_impl(
     };
     let resume = fallback_reason.is_none();
     if !resume {
-        // A root replay resets pool cursors to 0, so any stored
-        // checkpoint frontier would dangle above reused words.
         let _ = machine.clear_checkpoint_records();
     }
 
-    scrub_scheduler_state(machine, &sched, resume);
+    scrub_scheduler_state(machine, &session.sched, resume);
+    let touched = q.scavenge(resume);
+    machine.obs().event(TraceKind::Recovery, None, None, || {
+        format!("injector ring scavenged: {touched} slots normalized")
+    });
+    // A ring the normalization left with nothing in flight (an open ring
+    // whose jobs had all finished, a torn submission dropped) has no done
+    // CAM left to run the drain rule: evaluate it here, once.
+    q.settle(session.done);
+    plant_seeds(machine, &session.sched, &seeds);
     if cfg.check_transitions {
-        crate::capsules::install_transition_checker(machine, sched.deques());
+        crate::capsules::install_transition_checker(machine, session.sched.deques());
     }
-
-    let ctl = CheckpointCtl::new(machine, sched.clone(), cfg.checkpoint.clone());
-    let run = if resume {
-        plant_seeds(machine, &sched, &seeds);
-        let seats = (0..machine.procs())
-            .map(|p| ProcSeat::idle(&sched, p, machine.pool_watermark(p)))
-            .collect();
-        run_attached_seats(machine, &sched, seats, done, &ctl)
+    let every = 0..machine.procs();
+    let run = run_attached_seats(machine, &session, every, resume, &cfg.checkpoint);
+    machine.flush()?;
+    let mode = if resume {
+        SessionMode::Resumed
     } else {
-        launch_root(machine, &sched, root_handle, done, &ctl)
+        SessionMode::Replayed
     };
-    machine
-        .flush()
-        .expect("flushing recovered machine to stable storage");
-    SessionReport {
-        epoch: machine.epoch(),
-        mode: if resume {
-            SessionMode::Resumed
-        } else {
-            SessionMode::Replayed
-        },
-        found_jobs,
-        found_locals,
-        found_taken,
-        live_restart_pointers,
+    let report = SessionReport {
         resumed: if resume { seeds.len() } else { 0 },
         fallback_reason,
         checkpoint_resume,
-        cluster: None,
-        run: Some(run),
-    }
+        ..report(mode, Some(run))
+    };
+    Ok((session, report))
 }
 
 fn proc_loop(
     machine: &Machine,
     sched: &Sched,
     p: usize,
-    first: Active,
     pool_cursor: usize,
     ctl: &CheckpointCtl,
 ) -> ProcOutcome {
     let mut ctx = machine.ctx_with_pool_cursor(p, pool_cursor);
     let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(p));
-    let mut cur = first;
+    let mut cur = Active::Sched(sched.find_work());
     let outcome = loop {
         match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(sched)) {
             Ok(Some(c)) => cur = c,
@@ -916,16 +824,29 @@ mod tests {
 
     #[test]
     fn hard_fault_on_root_proc_is_recovered_by_thieves() {
-        // Proc 0 dies early; the root thread must be stolen and finished.
-        let rt = session(
-            4,
-            FaultConfig::none().with_scheduled_hard_fault(0, 40),
-            1024,
+        // Proc 0 pulls the root and dies early; the root thread must be
+        // stolen and finished. Lockstep, so proc 0 is the one that pulls
+        // it and reaches its scheduled access.
+        let m = Machine::new(
+            PmConfig::parallel(4, 1 << 21)
+                .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, 40)),
         );
-        let (rep, marked) = run_markers(&rt, 32);
-        assert!(rep.completed() && marked);
-        assert_eq!(rep.dead_procs(), 1);
-        assert_eq!(rep.run_report().outcomes[0], ProcOutcome::Dead);
+        let n = 32;
+        let r = m.alloc_region(n);
+        let cfg = SchedConfig::with_slots(1024);
+        let mut sim = crate::sim::SimSched::new_persistent(&m, &marker_comp(r, n), &cfg);
+        sim.run_to_completion(1 << 20);
+        let rep = sim.finish();
+        assert!(rep.completed);
+        assert_eq!(rep.outcomes[0], Some(ProcOutcome::Dead));
+        let dead = rep
+            .outcomes
+            .iter()
+            .filter(|o| **o == Some(ProcOutcome::Dead));
+        assert_eq!(dead.count(), 1);
+        for i in 0..n {
+            assert_eq!(m.mem().load(r.at(i)), i as u64 + 1, "task {i}");
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   metadata block — so no scheduler capsule is a heap object and none
 //!   dies with its process.
 //! * [`driver`] — one OS thread per model processor; runs fork-join
-//!   computations to completion and reports cost statistics, including
-//!   the cross-process recovery paths (resume via the capsule registry,
-//!   replay from the root).
+//!   computations to completion and reports cost statistics, and holds
+//!   the one recovery every session runs (resume via the capsule
+//!   registry, resume a checkpoint, replay from the root).
 //! * [`runtime`] — the user-facing session object: [`Runtime`] wraps a
 //!   machine and dispatches [`Runtime::run_or_recover`] to fresh-run,
 //!   persistent-resume, checkpoint-resume, or replay-fallback internally,
@@ -72,8 +72,7 @@ pub use cluster::{
 };
 pub use deque::{build_deques, check_invariant, render, snapshot, DequeAddrs, DequeSnapshot};
 pub use driver::{
-    run_root_on, CheckpointResume, FallbackReason, PComp, ProcOutcome, RunReport, SessionMode,
-    SessionReport,
+    CheckpointResume, FallbackReason, PComp, ProcOutcome, RunReport, SessionMode, SessionReport,
 };
 pub use entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal};
 pub use runtime::{Runtime, RuntimeConfig};

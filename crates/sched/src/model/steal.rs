@@ -27,10 +27,13 @@
 //! `CLAIMED → RUNNING` CAM with its dead-claimant re-claim arm, and the
 //! exactly-once `RUNNING → DONE` completion CAM are each one [`Pc`]
 //! capsule; [`StealAction::Rescue`] models the service handle's lease
-//! sweep republishing a dead claimant's slot at epoch + 1. The checksum
-//! verification and ticket guards of the real capsules are elided: the
-//! model's single job is published in the initial state (no torn
-//! two-phase submit) and its slot is never reclaimed for reuse.
+//! sweep republishing a dead claimant's slot at epoch + 1 (a pull takes
+//! over a dead claimant's claim the same way). The checksum verification
+//! and ticket guards of the real capsules are elided: the model's single
+//! job is published in the initial state with admission closed (no torn
+//! two-phase submit) and its slot is never reclaimed — a `Runtime`
+//! session's one-slot ring, whose done flag is a state bit set only by
+//! the `service/done/check` whose CAM won.
 //!
 //! Invariants (TLA+ twins in `specs/tla/FrontierAdoption.tla`):
 //!
@@ -366,9 +369,12 @@ pub enum Pc {
         /// Intended `DONE` word.
         new: Inj,
     },
-    /// `service/done/check`: telemetry only (counts the completion in
-    /// the real code); ends the thread either way.
-    InjDoneCheck,
+    /// `service/done/check`: our CAM won → the closed one-slot ring is
+    /// drained (`settle`), so set the done flag; ends the thread.
+    InjDoneCheck {
+        /// The CAM's intended word.
+        new: Inj,
+    },
     /// `sched/clearBottom` after a thread ends.
     ClearBottom,
     /// Saw the done flag in `steal`; this processor is finished.
@@ -402,13 +408,15 @@ pub struct StealSt {
     pub inj: Inj,
     /// Completion count for the injector job — done CAMs won.
     pub inj_runs: u8,
+    /// The ring's persistent done flag.
+    pub flag: bool,
     /// Hard faults injected so far.
     pub crashes: u8,
 }
 
 impl StealSt {
     fn done(&self) -> bool {
-        self.runs.iter().all(|r| *r >= 1) && matches!(self.inj, Inj::Absent | Inj::Done { .. })
+        self.runs.iter().all(|r| *r >= 1) && (self.inj == Inj::Absent || self.flag)
     }
 }
 
@@ -450,6 +458,9 @@ pub enum StealMutation {
     /// republished as if its claimant had died mid-job, and the
     /// completed job runs — and resolves — a second time.
     RescueCompleted,
+    /// Set the done flag in `service/done`, before the done CAM: if the
+    /// claimant dies in between, the survivors halt on a lost job.
+    DoneEarly,
 }
 
 /// The model: configuration plus the [`Model`] implementation.
@@ -501,7 +512,9 @@ impl StealModel {
             mutation,
             injector: matches!(
                 mutation,
-                StealMutation::DropRescue | StealMutation::RescueCompleted
+                StealMutation::DropRescue
+                    | StealMutation::RescueCompleted
+                    | StealMutation::DoneEarly
             ),
         }
     }
@@ -526,17 +539,17 @@ impl StealModel {
         }
     }
 
-    /// The W1 conservation law for the injector job: `PUBLISHED` is
-    /// claimable by anyone; a claimed/running slot is driven by its
-    /// live claimant (a live claimant never abandons a won claim — every
-    /// check in the chain re-routes to `Steal` only when the slot word
-    /// moved, which requires the claimant to be dead) or recoverable by
-    /// the rescue sweep once the claimant dies.
+    /// The W1 conservation law for the injector job: a [`claimable`]
+    /// slot is taken by any puller; a claimed/running slot is
+    /// driven by its live claimant (a live claimant never abandons a won
+    /// claim — every check in the chain re-routes to `Steal` only when
+    /// the slot word moved, which requires the claimant to be dead) or
+    /// recoverable by the rescue sweep once the claimant dies.
     fn inj_referenced(&self, s: &StealSt) -> bool {
         match s.inj {
             Inj::Absent | Inj::Published { .. } | Inj::Done { .. } => true,
             Inj::Claimed { proc, .. } | Inj::Running { proc, .. } => {
-                s.alive[proc as usize] || self.rescue_target(s).is_some()
+                claimable(s) || s.alive[proc as usize] || self.rescue_target(s).is_some()
             }
         }
     }
@@ -709,8 +722,8 @@ impl StealModel {
             Pc::Steal => {
                 if s.done() {
                     n.pc[p] = Pc::Halted;
-                } else if matches!(s.inj, Inj::Published { .. }) {
-                    // steal_attempt consults the injector's published-
+                } else if claimable(s) {
+                    // steal_attempt consults the injector's claimable-
                     // slot scan before the deque probe; the scan is an
                     // uncosted peek, so the chain re-reads in pull/read.
                     n.pc[p] = Pc::InjPullRead;
@@ -869,14 +882,17 @@ impl StealModel {
                 n.pc[p] = Pc::ClearBottom;
             }
             Pc::InjPullRead => {
-                if let Inj::Published { epoch } = s.inj {
-                    n.pc[p] = Pc::InjPullCam {
-                        old: s.inj,
-                        new: Inj::Claimed { proc: me, epoch },
-                    };
-                } else {
-                    n.pc[p] = Pc::Steal;
-                }
+                n.pc[p] = match s.inj {
+                    Inj::Published { epoch } | Inj::Claimed { epoch, .. } if claimable(s) => {
+                        // A dead claimant's claim is taken over one epoch
+                        // on, fencing its stale CAMs.
+                        let bump = matches!(s.inj, Inj::Claimed { .. }) as u8;
+                        let (proc, epoch) = (me, epoch.wrapping_add(bump));
+                        let new = Inj::Claimed { proc, epoch };
+                        Pc::InjPullCam { old: s.inj, new }
+                    }
+                    _ => Pc::Steal,
+                };
             }
             Pc::InjPullCam { old, new } => {
                 if n.inj == old {
@@ -940,6 +956,9 @@ impl StealModel {
                 n.pc[p] = Pc::InjDoneRead;
             }
             Pc::InjDoneRead => {
+                if self.mutation == StealMutation::DoneEarly {
+                    n.flag = true;
+                }
                 n.pc[p] = match s.inj {
                     Inj::Running { proc, epoch } => Pc::InjDoneCam {
                         old: s.inj,
@@ -957,10 +976,14 @@ impl StealModel {
                     // job's exactly-once resolution.
                     n.inj_runs = n.inj_runs.saturating_add(1);
                 }
-                n.pc[p] = Pc::InjDoneCheck;
+                n.pc[p] = Pc::InjDoneCheck { new };
             }
-            Pc::InjDoneCheck => {
-                // Counts and traces in the real code; no protocol state.
+            Pc::InjDoneCheck { new } => {
+                // Our CAM won: the one slot is `DONE` and admission is
+                // closed, so the drain rule holds and the flag is set.
+                if s.inj == new {
+                    n.flag = true;
+                }
                 n.pc[p] = Pc::Steal;
             }
             Pc::ClearBottom => {
@@ -972,6 +995,16 @@ impl StealModel {
             Pc::Halted => {}
         }
         n
+    }
+}
+
+/// `service::claimable` on the model's slot: `PUBLISHED`, or `CLAIMED`
+/// by a dead claimant (a puller that died before seating its thread).
+fn claimable(s: &StealSt) -> bool {
+    match s.inj {
+        Inj::Published { .. } => true,
+        Inj::Claimed { proc, .. } => !s.alive[proc as usize],
+        _ => false,
     }
 }
 
@@ -1006,6 +1039,7 @@ impl Model for StealModel {
                 Inj::Absent
             },
             inj_runs: 0,
+            flag: false,
             crashes: 0,
         }]
     }
@@ -1078,6 +1112,12 @@ impl Model for StealModel {
             if s.inj_runs == 0 && !self.inj_referenced(s) {
                 return Err("NoLostTask: the service job is no longer referenced".to_string());
             }
+        }
+        // NoLostTask (W1) at the halt: a processor halts only on the done
+        // flag, and the flag promises that every task ran.
+        let unfinished = s.runs.contains(&0) || (self.injector && s.inj_runs == 0);
+        if unfinished && s.pc.contains(&Pc::Halted) {
+            return Err("NoLostTask: a processor halted with work unfinished".to_string());
         }
         Ok(())
     }

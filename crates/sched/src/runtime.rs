@@ -6,15 +6,15 @@
 //! and dispatches internally to
 //!
 //! * a **fresh run** when the machine has no crashed predecessor
-//!   (volatile machines, or the creating run of a durable file),
-//! * a **persistent resume** of the crash frontier when the machine was
-//!   reopened from a crashed run and every in-flight handle rehydrates,
-//! * the **replay-from-root fallback** otherwise (with a structured
-//!   [`crate::FallbackReason`] saying why), or
-//! * nothing at all when the persisted completion flag shows the
-//!   previous run already finished,
+//!   (volatile machines, or the creating run of a durable file), or
+//! * the one **recovery** cluster files get too: nothing when the
+//!   previous run finished, else resume its crash frontier or newest
+//!   checkpoint, else replay from the root ([`crate::FallbackReason`]
+//!   says why),
 //!
-//! and always returns the same unified [`SessionReport`].
+//! and always returns the same unified [`SessionReport`]. A session is a
+//! one-worker cluster ([`crate::cluster`]): its root is the one job of a
+//! one-slot injector ring, and every processor starts at `findWork`.
 //!
 //! ## Sessions and determinism
 //!
@@ -55,7 +55,10 @@ use ppm_core::Machine;
 use ppm_pm::PmConfig;
 
 use crate::capsules::SchedConfig;
-use crate::driver::{recover_persistent_impl, run_persistent_impl, PComp, SessionReport};
+use crate::driver::{
+    fresh_session, recover, run_attached_seats, runtime_build, PComp, SessionMode, SessionReport,
+};
+use crate::service::ServiceConfig;
 
 /// Configuration for a [`Runtime`] session: the machine shape plus the
 /// scheduler shape.
@@ -211,9 +214,10 @@ impl Runtime {
     /// Runs a registered persistent computation — **the** entry point of
     /// the typed API. Dispatches internally:
     ///
-    /// * fresh session → fresh run (continuations persisted as frames);
-    /// * recovering session, completion flag set → nothing re-runs
-    ///   ([`crate::SessionMode::AlreadyComplete`]);
+    /// * fresh session → fresh run: the root published as ticket 1 of a
+    ///   one-slot ring, every processor at `findWork`;
+    /// * recovering session, completion flag set or the ring drained →
+    ///   nothing re-runs ([`crate::SessionMode::AlreadyComplete`]);
     /// * recovering session, frontier rehydrates → resume from the crash
     ///   frontier ([`crate::SessionMode::Resumed`]);
     /// * recovering session, frontier unresumable but a durable
@@ -242,14 +246,19 @@ impl Runtime {
                 }
             )
         });
-        let report = if self.is_recovery() {
-            recover_persistent_impl(&self.machine, pcomp, &self.sched)
-        } else {
-            let epoch = self.machine.epoch();
-            SessionReport::fresh_run(
-                epoch,
-                run_persistent_impl(&self.machine, pcomp, &self.sched),
-            )
+        let (machine, cfg) = (&self.machine, &self.sched);
+        let report = match self.is_recovery() {
+            true => {
+                let build = runtime_build(pcomp);
+                let recovered = recover(machine, 1, cfg, ServiceConfig::SESSION, &build);
+                recovered.expect("recovering the session machine").1
+            }
+            false => {
+                let session = fresh_session(machine, pcomp, cfg);
+                let every = 0..machine.procs();
+                let run = run_attached_seats(machine, &session, every, false, &cfg.checkpoint);
+                SessionReport::new(machine.epoch(), SessionMode::FreshRun, None, Some(run))
+            }
         };
         let outcome = match report.completed() {
             true => "session complete",
@@ -317,9 +326,27 @@ pub(crate) mod tests {
         assert!(rep.completed());
         assert_eq!(rep.epoch, 0);
         assert!(rep.fallback_reason.is_none());
+        assert_eq!(
+            rep.run_report().deque_dump.len(),
+            2,
+            "every processor is seated"
+        );
         for i in 0..16 {
             assert_eq!(rt.machine().mem().load(r.at(i)), i as u64 + 1);
         }
+    }
+
+    /// A finished session leaves nothing holding its machine: the ring's
+    /// scrape gauge must not keep the queue, the `Obs` and the memory
+    /// alive in a cycle.
+    #[test]
+    fn a_finished_session_releases_its_machine() {
+        let rt = Runtime::volatile(RuntimeConfig::new(PmConfig::parallel(2, 1 << 18)));
+        let r = rt.machine().alloc_region(8);
+        assert!(rt.run_or_recover(&marker_comp(r, 8)).completed());
+        let mem = Arc::downgrade(rt.machine().mem());
+        drop(rt);
+        assert!(mem.upgrade().is_none(), "the machine's memory outlived it");
     }
 
     #[cfg(unix)]
@@ -367,6 +394,27 @@ pub(crate) mod tests {
             assert_eq!(rt.machine().mem().load(r.at(i)), i as u64 + 1);
         }
         rt.mark_clean().unwrap();
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A process that dies before its session publishes the root leaves
+    /// a ring with no header: recovery publishes it and runs the whole
+    /// computation, rather than finding a "drained" ring complete.
+    #[cfg(unix)]
+    #[test]
+    fn a_session_killed_before_its_publish_runs_from_the_root() {
+        let path = tmp("unpublished");
+        let _ = std::fs::remove_file(&path);
+        let cfg = || RuntimeConfig::new(PmConfig::parallel(2, 1 << 18)).with_slots(512);
+        drop(Runtime::create(&path, cfg()).unwrap());
+        let rt = Runtime::open(&path, cfg()).unwrap();
+        let r = rt.machine().alloc_region(16);
+        let rep = rt.run_or_recover(&marker_comp(r, 16));
+        assert!(rep.completed());
+        assert_eq!(rep.mode, SessionMode::Replayed);
+        for i in 0..16 {
+            assert_eq!(rt.machine().mem().load(r.at(i)), i as u64 + 1);
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

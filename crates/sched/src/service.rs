@@ -10,9 +10,17 @@
 //! the ring (an uncosted peek, like victim selection) before probing
 //! victim deques, so a published job is pulled by whichever shard is idle
 //! and fans out across live shards through ordinary deque stealing. A
-//! cluster is complete when admission is closed (the header says
-//! `Draining`) and no slot is published, claimed or running
-//! (`InjectorQueue::settle`).
+//! [`crate::Runtime`] session is the same with one slot, its root.
+//!
+//! ## Completion on the done path
+//!
+//! A ring is complete when admission is closed (`Draining`) and no slot
+//! is published, claimed or running (`InjectorQueue::settle`), evaluated
+//! by the `service/done/check` whose done CAM won: draining a closed ring
+//! sets the done flag. Two last finishers cannot both miss (each CAM
+//! precedes its own scan, all `SeqCst`), and a processor dying in between
+//! leaves the check as its restart pointer. A lease monitor's tick is the
+//! backstop for a ring closed after it drained ([`ServiceHandle::drain`]).
 //!
 //! ## The two-phase submit
 //!
@@ -54,7 +62,8 @@
 //!   (driven from [`Supervisor::tick`] by the lease table) republishes
 //!   the slot at epoch + 1; any survivor re-claims and re-runs it.
 //! * Whole cluster dies → [`crate::cluster::recover`] closes admission
-//!   and finishes the queued jobs single-process.
+//!   and finishes the queued jobs single-process, through the same
+//!   recovery a [`crate::Runtime`] session uses.
 
 use std::io;
 use std::sync::Arc;
@@ -113,6 +122,13 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
+    /// The ring of a [`crate::Runtime`] session: one slot, for the root,
+    /// with the smallest workspace [`ServiceConfig::validate`] accepts.
+    pub(crate) const SESSION: ServiceConfig = ServiceConfig {
+        slots: 1,
+        job_words: WS_JOB_OFF + JOB_FRAME_OVERHEAD,
+    };
+
     /// Sets the ring slot count.
     pub fn with_slots(mut self, slots: usize) -> Self {
         self.slots = slots;
@@ -129,9 +145,9 @@ impl ServiceConfig {
         assert!(self.slots >= 1, "service ring needs at least one slot");
         assert!(self.slots <= 0x1000, "service ring slot count exceeds 4096");
         assert!(
-            self.job_words >= WS_JOB_OFF + JOB_FRAME_OVERHEAD,
+            self.job_words >= Self::SESSION.job_words,
             "job_words must be at least {}",
-            WS_JOB_OFF + JOB_FRAME_OVERHEAD
+            Self::SESSION.job_words
         );
     }
 }
@@ -387,12 +403,14 @@ impl InjectorQueue {
             jobs_claimed,
             jobs_completed,
         });
-        let depth_q = q.clone();
+        // Weak: the queue holds the `Obs` owning this registry, so a strong
+        // handle would keep both, and the mapping, alive past the session.
+        let depth_q = Arc::downgrade(&q);
         q.obs.registry().gauge_fn(
             "ppm_service_queue_depth",
             "injector-ring slots currently published, claimed, or running",
             &[],
-            move || depth_q.depth() as f64,
+            move || depth_q.upgrade().map_or(0.0, |q| q.depth() as f64),
         );
         q
     }
@@ -633,13 +651,13 @@ impl InjectorQueue {
         }
     }
 
-    /// Ephemeral puller peek: the first `PUBLISHED` slot at or after
+    /// Ephemeral puller peek: the first [`claimable`] slot at or after
     /// `start` (wrapping). Uncosted, like victim selection — the costed
     /// claim is the capsule chain entered on the result.
-    pub(crate) fn scan_published(&self, start: usize) -> Option<usize> {
+    pub(crate) fn scan(&self, start: usize, live: impl Fn(usize) -> bool) -> Option<usize> {
         (0..self.slots)
             .map(|i| (start + i) % self.slots)
-            .find(|s| slot_phase(self.mem.load(self.state_addr(*s))) == Some(SlotPhase::Published))
+            .find(|s| claimable(self.mem.load(self.state_addr(*s)), &live))
     }
 
     /// Where `ticket` currently stands. An oracle read, safe from any
@@ -765,9 +783,18 @@ impl InjectorQueue {
         touched
     }
 
-    /// The one completion rule of a cluster: admission is closed (the
-    /// header says `Draining`) and no slot is published, claimed or
-    /// running. When it holds, sets `done` (idempotently) and returns true.
+    /// Zeroes the ticket counter and every slot control word of a ring no
+    /// processor has seen, so its job set can be published (again).
+    pub(crate) fn clear(&self) {
+        for a in self.ring.start..self.ring.end() {
+            self.mem.store(a, 0);
+        }
+    }
+
+    /// The one completion rule of a ring: admission is closed (the header
+    /// says `Draining`) and no slot is published, claimed or running.
+    /// When it holds, sets `done` (idempotently) and returns true. The
+    /// header is read first, so an open ring skips the depth scan.
     pub(crate) fn settle(&self, done: DoneFlag) -> bool {
         let header = self.mem.control().service_header();
         let drained =
@@ -793,6 +820,17 @@ impl InjectorQueue {
             .event(TraceKind::JobDone, None, Some(me as u32), || {
                 format!("ticket {ticket} completed (epoch {})", slot_epoch(done_w))
             });
+    }
+}
+
+/// Whether a puller may claim a slot whose state word is `w`: `PUBLISHED`,
+/// or `CLAIMED` by a processor `live` reports dead (a puller that died
+/// before seating its thread left nothing a thief could adopt).
+pub(crate) fn claimable(w: Word, live: impl Fn(usize) -> bool) -> bool {
+    match slot_phase(w) {
+        Some(SlotPhase::Published) => true,
+        Some(SlotPhase::Claimed) => !live(slot_claimant(w)),
+        _ => false,
     }
 }
 
@@ -927,10 +965,11 @@ impl ServiceHandle {
     /// Stops accepting submissions and waits (up to `timeout`) for the
     /// in-flight jobs to finish. A closed, empty ring is the cluster's
     /// completion rule (`InjectorQueue::settle`), so the workers end
-    /// too: each one's lease monitor sets the done flag at its next tick
-    /// and the worker exits with a `Done` lease. Scrape or inspect
-    /// anything the workers serve *before* draining;
-    /// [`ServiceHandle::shutdown`] then reaps them and reports.
+    /// too: the last job's done check (or, for a ring already empty, a
+    /// lease monitor's tick) sets the done flag and every worker exits
+    /// with a `Done` lease. Scrape or inspect anything the workers serve
+    /// *before* draining; [`ServiceHandle::shutdown`] then reaps them and
+    /// reports.
     pub fn drain(&mut self, timeout: Duration) -> io::Result<()> {
         self.set_state(ServiceState::Draining);
         let start = Instant::now();

@@ -34,15 +34,14 @@
 use std::sync::Arc;
 
 use ppm_core::registry::PComp;
-use ppm_core::{run_capsule, Active, DoneFlag, InstallCtx, Machine, Scheduler, CORE_ID_FINALE};
-use ppm_pm::{ProcCtx, Word};
+use ppm_core::{run_capsule, Active, DoneFlag, InstallCtx, Machine, Scheduler};
+use ppm_pm::ProcCtx;
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::{CheckpointCtl, CheckpointPolicy};
 use crate::cluster::ShardDomain;
 use crate::deque::check_invariant;
-use crate::driver::ProcOutcome;
-use crate::entry::{pack, EntryVal};
+use crate::driver::{fresh_session, ProcOutcome};
 use crate::service::{InjectorQueue, ServiceConfig};
 
 /// One scripted operation of a simulated schedule.
@@ -177,35 +176,23 @@ pub struct SimSched<'m> {
 }
 
 impl<'m> SimSched<'m> {
-    /// A simulator over a persistent-capsule computation: the root (and
-    /// every fork) is frame-denoted, so scripted checkpoints can trace
-    /// and GC the frame pools, and crashes leave a resumable machine. The
-    /// root thread seats on processor 0 exactly as the driver seats it
-    /// (its first entry `local`, its restart pointer the root handle);
-    /// every other processor starts at `findWork`, per §6.3.
+    /// A simulator over a persistent-capsule computation, started the
+    /// way a threaded [`crate::Runtime`] session starts: the same
+    /// one-slot-ring session build and publish, then every processor at
+    /// `findWork`, the root pulled from the ring by whichever processor
+    /// claims it first. The root (and every fork) is frame-denoted, so
+    /// scripted checkpoints can trace and GC the frame pools, and crashes
+    /// leave a resumable machine.
     pub fn new_persistent(machine: &'m Machine, pcomp: &PComp, cfg: &SchedConfig) -> Self {
-        let done = DoneFlag::new(machine);
-        let finale = machine.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
-        let root_handle = pcomp(machine, finale);
-        let root = machine
-            .arena()
-            .resolve(root_handle)
-            .expect("root frame handle must rehydrate through the registry");
-        let sched = Sched::new(machine, done, cfg);
-        machine
-            .mem()
-            .store(machine.proc_meta(0).active, root_handle);
-        machine
-            .mem()
-            .store(sched.deques()[0].entry(0), pack(1, EntryVal::Local));
-        Self::seated(machine, sched, done, |_| true, Some(root))
+        let session = fresh_session(machine, pcomp, cfg);
+        Self::seated(machine, session.sched, session.done, |_| true)
     }
 
-    /// A simulator over a **service-mode** scheduler: no root computation
-    /// is seated — every processor starts at `findWork` and work arrives
-    /// through a durable injector ring allocated here (the in-process
-    /// twin of a service session's queue). Submit host-side through the
-    /// returned [`InjectorQueue`] handle; the steal loop consults the
+    /// A simulator over a **service-mode** scheduler: every processor
+    /// starts at `findWork` and work arrives through a durable injector
+    /// ring allocated here (the in-process twin of a service session's
+    /// queue), open until the script closes it. Submit host-side through
+    /// the returned [`InjectorQueue`] handle; the steal loop consults the
     /// ring before probing victim deques, so a script can place a claim
     /// race or a live-shard steal between any two capsules.
     ///
@@ -214,26 +201,23 @@ impl<'m> SimSched<'m> {
     /// boundary are counted); `None` simulates a plain single-shard
     /// service process.
     ///
-    /// The run has no root thread to set the completion flag — call
-    /// [`SimSched::set_done`] once the ring drains (what a worker's
-    /// completion rule does once admission is closed) so the steal loops
-    /// halt.
+    /// The run completes the way every session does: once the script
+    /// writes a `Draining` service header (admission closed), the done
+    /// check of the job that drains the ring sets the completion flag and
+    /// the steal loops halt.
     pub fn new_service(
         machine: &'m Machine,
         cfg: &SchedConfig,
         service: ServiceConfig,
         domain: Option<Arc<ShardDomain>>,
     ) -> (Self, Arc<InjectorQueue>) {
-        let done = DoneFlag::new(machine);
-        let ring = machine.alloc_region(ppm_pm::service::ring_words(service.slots));
-        let workspace = machine.alloc_region(service.slots * service.job_words);
-        let queue = InjectorQueue::install(machine, ring, workspace, service);
-        let sched = match domain {
-            Some(d) => Sched::new_sharded(machine, done, cfg, d),
-            None => Sched::new(machine, done, cfg),
-        };
-        sched.set_injector(queue.clone());
-        (Self::seated(machine, sched, done, |_| true, None), queue)
+        let build: crate::cluster::ShardBuild = Arc::new(|_, _, done| done);
+        let session = crate::cluster::build_session(machine, 1, cfg, service, domain, &build);
+        let queue = session.service.clone();
+        (
+            Self::seated(machine, session.sched, session.done, |_| true),
+            queue,
+        )
     }
 
     /// A simulator over **one shard of a cluster**: `machine` is an
@@ -254,13 +238,7 @@ impl<'m> SimSched<'m> {
         let (_, domain, session) = crate::cluster::shard_session(machine, shard, build, |_| ())?;
         let own = domain.own_procs();
         let seat = |p| own.contains(&p);
-        Ok(Self::seated(
-            machine,
-            session.sched,
-            session.done,
-            seat,
-            None,
-        ))
+        Ok(Self::seated(machine, session.sched, session.done, seat))
     }
 
     /// The scheduler under simulation (its deques, for observers and
@@ -269,35 +247,30 @@ impl<'m> SimSched<'m> {
         &self.sched
     }
 
-    /// Host-side completion signal for service-mode runs: sets the done
-    /// flag the way a worker's completion rule does once the closed
-    /// injector ring drains, releasing every steal loop to halt at its
-    /// next termination check.
-    pub fn set_done(&self) {
-        self.machine.mem().store(self.done.addr(), 1);
-    }
-
     /// The stepper over `sched`: every processor `own` admits is seated
-    /// on a fresh context at `findWork` — processor 0 at `root`, when
-    /// there is one (§6.3).
+    /// on a fresh context at `findWork`.
     fn seated(
         machine: &'m Machine,
         sched: Arc<Sched>,
         done: DoneFlag,
         own: impl Fn(usize) -> bool,
-        mut root: Option<Active>,
     ) -> Self {
         let procs = (0..machine.procs())
             .map(|p| SimProc {
                 ctx: machine.ctx(p),
                 install: InstallCtx::new(machine.mem(), machine.proc_meta(p)),
-                cur: own(p).then(|| root.take().unwrap_or(Active::Sched(sched.find_work()))),
+                cur: own(p).then(|| Active::Sched(sched.find_work())),
                 outcome: None,
             })
             .collect();
         SimSched {
             machine,
-            ctl: CheckpointCtl::new(machine, sched.clone(), CheckpointPolicy::Disabled),
+            ctl: CheckpointCtl::new(
+                machine,
+                sched.clone(),
+                CheckpointPolicy::Disabled,
+                machine.procs(),
+            ),
             sched,
             done,
             procs,
@@ -581,8 +554,9 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e, SimEvent::Died { proc: 0, .. })));
+        let trace = sim.render_trace();
         let rep = sim.finish();
-        assert!(rep.completed, "processor 1 must finish alone");
+        assert!(rep.completed, "processor 1 must finish alone:\n{trace}");
         for i in 0..8 {
             assert_eq!(m.mem().load(r.at(i)), i as u64 + 1);
         }
@@ -636,6 +610,12 @@ mod tests {
         .encode(&mut args);
         let ticket = queue.submit(split.id(), &args).expect("submit");
         assert_eq!(queue.depth(), 1, "published slot visible before any pull");
+        // Admission closes at once: the job's own done check completes
+        // the run.
+        m.mem()
+            .control()
+            .write_service_header(&queue.header(ppm_pm::ServiceState::Draining))
+            .unwrap();
 
         // Strict alternation, one capsule at a time: both pullers scan the
         // ring, both enter the pull chain, exactly one claim CAM wins; the
@@ -656,10 +636,8 @@ mod tests {
             sim.render_trace()
         );
 
-        // Drain complete: signal done the way the supervisor does and let
-        // the trailing capsules (the winner's done/check, the loser's
-        // steal loop) observe it and halt cleanly.
-        sim.set_done();
+        // The trailing capsules: the winner's done check drains the
+        // closed ring and sets the flag, and both steal loops halt.
         sim.run_to_completion(1_000);
 
         assert_eq!(queue.completed_total(), 1, "exactly-once resolution");
@@ -697,66 +675,78 @@ mod tests {
         assert!(rep.outcomes.iter().all(|o| *o == Some(ProcOutcome::Halted)));
     }
 
-    /// The cluster's one completion rule at both ends: with admission
-    /// open (`Accepting`) a ring whose only job is done — depth 0 — never
-    /// sets the done flag, however long the processors spin; once the
-    /// header says `Draining` the same ring does, and every steal loop
-    /// halts.
+    /// The one completion rule at both ends, and on the done path. With
+    /// admission open (`Accepting`) a ring whose only job is done — depth
+    /// 0 — never sets the done flag, however long the processors spin;
+    /// once the header says `Draining` the same ring does, and every
+    /// steal loop halts. When the ring closes *before* the job finishes,
+    /// the job's own `service/done/check` sets the flag: nothing else
+    /// evaluates the rule.
     #[test]
     fn only_a_closed_drained_ring_completes() {
         use crate::service::{JobStatus, ServiceConfig};
         use ppm_core::{dsl, Persist};
         use ppm_pm::ServiceState;
 
-        let m = machine(2, FaultConfig::none());
-        let out = m.alloc_region(8);
-        let split = {
-            let mut set = dsl::CapsuleSet::new(&m);
-            let leaf = set.define(
-                "simsvc/mark",
-                |st: &dsl::Span<Region>, k, ctx: &mut ProcCtx| {
-                    for i in st.lo..st.hi {
-                        ctx.pwrite(st.env.at(i), i as u64 + 1)?;
-                    }
-                    Ok(dsl::Step::Jump(k))
-                },
+        for close_first in [false, true] {
+            let m = machine(2, FaultConfig::none());
+            let out = m.alloc_region(8);
+            let split = {
+                let mut set = dsl::CapsuleSet::new(&m);
+                let leaf = set.define(
+                    "simsvc/mark",
+                    |st: &dsl::Span<Region>, k, ctx: &mut ProcCtx| {
+                        for i in st.lo..st.hi {
+                            ctx.pwrite(st.env.at(i), i as u64 + 1)?;
+                        }
+                        Ok(dsl::Step::Jump(k))
+                    },
+                );
+                set.map_grain("simsvc/split", 2, leaf)
+            };
+            let (mut sim, queue) = SimSched::new_service(
+                &m,
+                &SchedConfig::with_slots(256),
+                ServiceConfig::default().with_slots(4),
+                None,
             );
-            set.map_grain("simsvc/split", 2, leaf)
-        };
-        let (mut sim, queue) = SimSched::new_service(
-            &m,
-            &SchedConfig::with_slots(256),
-            ServiceConfig::default().with_slots(4),
-            None,
-        );
-        let page = m.mem().control();
-        page.write_service_header(&queue.header(ServiceState::Accepting))
-            .unwrap();
-        let mut args = Vec::new();
-        dsl::Span {
-            env: out,
-            lo: 0usize,
-            hi: 8usize,
-        }
-        .encode(&mut args);
-        let ticket = queue.submit(split.id(), &args).expect("submit");
+            let page = m.mem().control();
+            let close = || {
+                page.write_service_header(&queue.header(ServiceState::Draining))
+                    .unwrap()
+            };
+            page.write_service_header(&queue.header(ServiceState::Accepting))
+                .unwrap();
+            let mut args = Vec::new();
+            dsl::Span {
+                env: out,
+                lo: 0usize,
+                hi: 8usize,
+            }
+            .encode(&mut args);
+            let ticket = queue.submit(split.id(), &args).expect("submit");
 
-        for _ in 0..400 {
-            sim.step(0);
-            sim.step(1);
-            assert!(!queue.settle(sim.done), "an open ring never completes");
+            if close_first {
+                close();
+                sim.run_to_completion(10_000);
+                assert!(sim.completed(), "the job's done check drains the ring");
+            } else {
+                for _ in 0..400 {
+                    sim.step(0);
+                    sim.step(1);
+                    assert!(!queue.settle(sim.done), "an open ring never completes");
+                }
+                assert_eq!(queue.depth(), 0);
+                assert!(!sim.completed());
+                close();
+                assert!(queue.settle(sim.done), "a closed, drained ring completes");
+                assert!(sim.completed());
+                sim.run_to_completion(1_000);
+            }
+            assert!(matches!(queue.status(ticket), JobStatus::Done { .. }));
+            let rep = sim.finish();
+            assert!(rep.outcomes.iter().all(|o| *o == Some(ProcOutcome::Halted)));
         }
-        assert!(matches!(queue.status(ticket), JobStatus::Done { .. }));
-        assert_eq!(queue.depth(), 0);
-        assert!(!sim.completed());
-
-        page.write_service_header(&queue.header(ServiceState::Draining))
-            .unwrap();
-        assert!(queue.settle(sim.done), "a closed, drained ring completes");
-        assert!(sim.completed());
-        sim.run_to_completion(1_000);
-        let rep = sim.finish();
-        assert!(rep.outcomes.iter().all(|o| *o == Some(ProcOutcome::Halted)));
     }
 
     /// Same service script, same submission: the trace and final machine
@@ -798,8 +788,11 @@ mod tests {
             }
             .encode(&mut args);
             queue.submit(split.id(), &args).expect("submit");
+            m.mem()
+                .control()
+                .write_service_header(&queue.header(ppm_pm::ServiceState::Draining))
+                .unwrap();
             sim.run_seeded(7, 2_000);
-            sim.set_done();
             sim.run_to_completion(1_000);
             (sim.render_trace(), sim.digest())
         };

@@ -23,8 +23,8 @@ use std::time::Duration;
 use ppm_obs::{MetricsServer, TraceKind};
 use ppm_pm::{Lease, LeaseState};
 
-use crate::cluster::{cluster_report, ClusterObserver};
-use crate::driver::SessionReport;
+use crate::cluster::ClusterObserver;
+use crate::driver::{SessionMode, SessionReport};
 #[cfg(unix)]
 use {
     crate::cluster::{observe_impl, ClusterBuilder, ShardBuild},
@@ -179,7 +179,8 @@ impl Supervisor {
         let summary = observer.summary();
         let elapsed = Duration::from_millis(observer.now_ms().saturating_sub(self.started_ms));
         let run = observer.run_report(&summary, elapsed);
-        Ok(cluster_report(observer.machine(), summary, Some(run)))
+        let (epoch, mode) = (observer.machine().epoch(), SessionMode::FreshRun);
+        Ok(SessionReport::new(epoch, mode, Some(summary), Some(run)))
     }
 
     /// Tombstones a reaped worker's lease unless it left `Done` behind

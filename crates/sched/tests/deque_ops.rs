@@ -5,13 +5,10 @@
 use std::sync::Arc;
 
 use ppm_core::{
-    frame_args, run_capsule, Active, DoneFlag, InstallCtx, Machine, Next, CORE_ID_FINALE,
-    CORE_ID_FORK_PAIR,
+    frame_args, run_capsule, Active, DoneFlag, InstallCtx, Machine, Next, CORE_ID_FORK_PAIR,
 };
 use ppm_pm::{Addr, PmConfig, PmResult, ProcCtx, Word};
-use ppm_sched::{
-    check_invariant, kind_of, pack, run_root_on, unpack, EntryKind, EntryVal, Sched, SchedConfig,
-};
+use ppm_sched::{check_invariant, kind_of, pack, unpack, EntryKind, EntryVal, Sched, SchedConfig};
 
 fn setup(procs: usize) -> (Machine, Arc<Sched>, DoneFlag) {
     let m = Machine::new(PmConfig::parallel(procs, 1 << 20));
@@ -195,26 +192,4 @@ fn own_jobs_are_popped_from_the_bottom_lifo() {
     // Thread order: root forks A, forks B, runs finish(3); then pops B(2);
     // then pops A(1).
     assert_eq!(m.mem().to_vec(order.start, 3), vec![3, 2, 1], "LIFO pops");
-}
-
-#[test]
-fn full_run_on_prebuilt_sched_reports_and_checks() {
-    let (m, sched, done) = setup(2);
-    let out = m.alloc_region(8);
-    // run_root_on requires the root to eventually set done: it jumps to
-    // the finale frame.
-    let finale = m.setup_frame(CORE_ID_FINALE, &[done.addr() as Word]);
-    let root = frame(
-        &m,
-        "root",
-        [out.at(0) as Word, finale],
-        |&[at, finale], ctx| {
-            ctx.pwrite(at as Addr, 5)?;
-            Ok(Next::JumpHandle(finale))
-        },
-    );
-    let rep = run_root_on(&m, &sched, root, done);
-    assert!(rep.completed);
-    assert_eq!(m.mem().load(out.at(0)), 5);
-    assert_eq!(rep.deque_dump.len(), 2);
 }

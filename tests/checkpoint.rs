@@ -52,9 +52,11 @@ fn full_run_profile() -> (u64, u64) {
 
 /// A scheduled-fault access index ~60% through the measured from-root
 /// run: deterministically past the first checkpoint epochs and short of
-/// completion.
+/// completion, and inside a user capsule (a kill inside a pushBottom
+/// commit would be rejected as mid-push before any restart pointer is
+/// looked at).
 fn mid_run_kill_access() -> u64 {
-    full_run_profile().1 * 3 / 5
+    full_run_profile().1 * 3 / 5 + 5
 }
 
 #[cfg(unix)]

@@ -346,6 +346,56 @@ fn recover_finishes_an_abandoned_cluster_file() {
     assert_eq!(again.mode, SessionMode::AlreadyComplete);
 }
 
+/// A whole-cluster kill between the last done CAM and its check: the
+/// ring is closed and its one job `DONE`, but the done flag — set by
+/// that check — is not. `cluster::recover` finds the drain rule holding
+/// and runs nothing.
+#[test]
+fn recover_completes_a_drained_ring_whose_flag_was_never_set() {
+    let file = TempMachineFile::new("cluster-recover-drained");
+    let slices = Arc::new(Mutex::new(vec![None; 1]));
+    let build = marker_build(slices.clone());
+    let tickets = cluster_builder(file.path(), 1, 500)
+        .observe(&build)
+        .unwrap()
+        .publish_shard_jobs()
+        .unwrap();
+    {
+        let attach = |path| {
+            let fault = ppm::pm::FaultConfig::none();
+            Machine::attach(path, fault, ppm::pm::ValidateMode::Strict).unwrap()
+        };
+        let machine = attach(file.path());
+        let mut sim = SimSched::new_worker(&machine, 0, &build).unwrap();
+        let cam_won = (0..5_000).any(
+            |_| matches!(sim.step(0), SimEvent::Ran { next, .. } if next == "service/done/check"),
+        );
+        assert!(
+            cam_won,
+            "the job reaches its done CAM:\n{}",
+            sim.render_trace()
+        );
+        assert!(!sim.completed(), "the check has not run");
+        let status = InjectorQueue::attach(&machine).unwrap().status(tickets[0]);
+        assert!(matches!(status, JobStatus::Done { .. }), "{status:?}");
+    }
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (path, recovery_build) = (file.path().to_path_buf(), build.clone());
+    std::thread::spawn(move || {
+        let _ = tx.send(cluster::recover(&path, &recovery_build).unwrap());
+    });
+    let rep = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("recovery returns within 30 s");
+    assert_eq!(rep.mode, SessionMode::AlreadyComplete);
+    assert!(rep.completed() && rep.run.is_none(), "nothing ran");
+    let machine = Machine::reopen(file.path()).unwrap();
+    assert_slices_filled(&machine, &slices);
+    let again = cluster::recover(file.path(), &build).unwrap();
+    assert_eq!(again.mode, SessionMode::AlreadyComplete, "the flag stuck");
+}
+
 /// A whole-cluster kill between a won claim and its job's start: the
 /// puller has seated its `Local` entry and its restart pointer is the
 /// slot's `service/entry` frame, with the slot still `CLAIMED`. After

@@ -147,8 +147,10 @@ fn corrupted_frame_falls_back_to_root_replay() {
     let path = tmp("fallback");
     let _ = std::fs::remove_file(&path);
     {
+        // Access 2405 lands inside a user capsule: the restart pointer is
+        // a frame.
         let pm = PmConfig::parallel(1, WORDS)
-            .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, 2400));
+            .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, 2405));
         let rt = Runtime::create(&path, no_ckpt(pm)).expect("create durable session");
         let ps = PrefixSum::new(rt.machine(), N);
         ps.load_input(rt.machine(), &input());
@@ -230,6 +232,94 @@ fn recovering_a_clean_run_reports_already_complete() {
     assert!(rec.run.is_none());
     assert_eq!(ps.read_output(rt.machine()), prefix_sum_seq(&input()));
     let _ = std::fs::remove_file(&path);
+}
+
+/// A durable session killed while its puller's restart pointer is a
+/// `service/pull/*` record: the root's claim CAM has landed, nothing is
+/// seated and the root's entry frame has not run. The reopened session
+/// finds no frontier, republishes the claim one epoch on, and the replay
+/// writes every marker exactly once.
+#[test]
+fn a_kill_inside_the_root_pull_republishes_the_claim() {
+    use ppm::core::dsl::{CapsuleSet, Span, Step, K};
+    use ppm::core::{Active, Machine, PComp, Scheduler};
+    use ppm::pm::Region;
+    use ppm::sched::{InjectorQueue, JobStatus, JobTicket, SchedConfig, SimEvent, SimSched};
+
+    const MARKS: usize = 32;
+    // Task `i` CAMs its marker from unset to `i + 1`: a once-only effect.
+    fn markers(rt: &Runtime) -> (Region, PComp) {
+        let out = rt.machine().alloc_region(MARKS);
+        let pcomp: PComp = std::sync::Arc::new(move |m: &Machine, k| {
+            let mut set = CapsuleSet::new(m);
+            let mark = set.define("pull/mark", |st: &Span<Region>, k, ctx| {
+                for i in st.lo..st.hi {
+                    ctx.pcam(st.env.at(i), 0, i as Word + 1)?;
+                }
+                Ok(Step::Jump(k))
+            });
+            let all = Span {
+                env: out,
+                lo: 0,
+                hi: MARKS,
+            };
+            set.map_grain("pull/split", 2, mark).setup(m, &all, K(k)).0
+        });
+        (out, pcomp)
+    }
+    let path = tmp("pull");
+    let cfg = || cfg_with(PmConfig::parallel(2, WORDS));
+    {
+        let rt = Runtime::create(&path, cfg()).unwrap();
+        let (_, pcomp) = markers(&rt);
+        let sched = SchedConfig::with_slots(SLOTS);
+        let mut sim = SimSched::new_persistent(rt.machine(), &pcomp, &sched);
+        let parked = (0..50).any(
+            |_| matches!(sim.step(0), SimEvent::Ran { next, .. } if next == "service/pull/check"),
+        );
+        assert!(parked, "the claim CAM lands:\n{}", sim.render_trace());
+        match rt
+            .machine()
+            .arena()
+            .try_resolve(rt.machine().active_handle(0))
+        {
+            Ok(Active::Sched(rec)) => assert_eq!(sim.sched().name(&rec), "service/pull/check"),
+            other => panic!("the restart pointer must be the pull record, got {other:?}"),
+        }
+    } // Dropped without a flush or a clean mark: the kill.
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reopen = path.path().to_path_buf();
+    std::thread::spawn(move || {
+        let rt = Runtime::open(&reopen, cfg()).unwrap();
+        let (out, pcomp) = markers(&rt);
+        let rep = rt.run_or_recover(&pcomp);
+        let marks: Vec<Word> = (0..MARKS)
+            .map(|i| rt.machine().mem().load(out.at(i)))
+            .collect();
+        let _ = tx.send((rep, marks));
+    });
+    let (rep, marks) = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("recovery completes within 30 s");
+    assert!(rep.completed());
+    assert_eq!(rep.mode, SessionMode::Replayed, "nothing was seated");
+    assert_eq!(
+        rep.fallback_reason,
+        Some(ppm::sched::FallbackReason::NoFrontier)
+    );
+    assert_eq!(marks, (1..=MARKS as Word).collect::<Vec<_>>());
+    let machine = Machine::reopen(path.path()).unwrap();
+    let root = JobTicket {
+        slot: 0,
+        ticket: 1,
+        epoch: 1,
+    };
+    let status = InjectorQueue::attach(&machine).unwrap().status(root);
+    assert!(
+        matches!(status, JobStatus::Done { claim_epoch: 2, .. }),
+        "the republished claim resolves once, one epoch on: {status:?}"
+    );
 }
 
 // ====================================================================

@@ -5,8 +5,11 @@
 //! fixed access index, so the trace is a function of the per-processor
 //! access sequence: a scheduler that performs the same reads, writes and
 //! CAMs under the same names reproduces it byte for byte. The literals
-//! below were captured at the last commit whose scheduler capsules were
-//! closures (ac8e611).
+//! were captured at the last commit whose scheduler capsules were
+//! closures (ac8e611), and re-pinned once when a session began pulling
+//! its root from a one-slot injector ring instead of planting it on
+//! processor 0 (every processor now starts at `findWork`, and the root's
+//! pull, entry and done chains join every trace).
 
 use ppm::core::{dsl, Machine};
 use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region};
@@ -61,9 +64,9 @@ fn golden(seed: u64) -> (u64, usize) {
 #[test]
 fn seeded_traces_match_the_closure_scheduler() {
     let captured = [
-        (0xe628f7ec6154dbbc, 901),
-        (0x5d1da7b433041dab, 914),
-        (0xdd24c1b262275dbd, 886),
+        (0x76be15a7d2ce16f4, 911),
+        (0x5cb517b0745c45ff, 945),
+        (0x64c56a67c707848a, 961),
     ];
     for (seed, want) in (1..).zip(captured) {
         assert_eq!(golden(seed), want, "seed {seed}");

@@ -97,6 +97,12 @@ fn dropping_the_rescue_sweep_loses_the_service_job() {
 }
 
 #[test]
+#[should_panic(expected = "NoLostTask")]
+fn setting_the_done_flag_before_the_done_cam_loses_the_service_job() {
+    explore(&StealModel::mutated(StealMutation::DoneEarly), CI_DEPTH).assert_ok();
+}
+
+#[test]
 #[should_panic(expected = "NoDoubleExecution")]
 fn rescuing_a_completed_slot_double_resolves_the_job() {
     explore(
@@ -170,7 +176,15 @@ fn corpus_steal_adopt_live_local_replays() {
 
 #[test]
 fn corpus_steal_drop_rescue_replays() {
-    corpus_roundtrip(&StealModel::mutated(StealMutation::DropRescue), 4);
+    // 7, not 4: a claim whose claimant dies before its job starts is
+    // taken over by the other processor's pull, so only a claimant that
+    // dies with its job running still needs the sweep.
+    corpus_roundtrip(&StealModel::mutated(StealMutation::DropRescue), 7);
+}
+
+#[test]
+fn corpus_steal_done_early_replays() {
+    corpus_roundtrip(&StealModel::mutated(StealMutation::DoneEarly), 21);
 }
 
 #[test]

@@ -169,6 +169,18 @@
 #      `set_live_stealing`, `in_victim_set` and `subtree_complete` appear
 #      nowhere under crates/ src/ tests/ examples/, and no `fn service(`
 #      is defined in crates/sched/src/cluster.rs (ClusterBuilder's home).
+#
+#  16. One session entry, one recover. A `Runtime` session is a one-worker
+#      cluster: its root is ticket 1 of a one-slot injector ring, every
+#      processor starts at `findWork`, the done check that drains the ring
+#      sets the done flag, and one function in crates/sched/src/driver.rs
+#      recovers every machine, `Runtime` and cluster file alike. The
+#      second entry and the second recovery stay deleted:
+#      `run_persistent_impl`, `recover_persistent_impl`, `launch_root`,
+#      `run_root_on` and `fn fresh_run` appear nowhere under crates/ src/
+#      tests/ examples/, and crates/sched/src/sim.rs names no `set_done`
+#      (a simulated run completes on the done path too;
+#      `ClusterObserver::set_done`, the service shutdown, stays).
 
 set -u
 cd "$(dirname "$0")/.."
@@ -457,8 +469,18 @@ if [ -n "$hits" ]; then
     err "a second way into a cluster is back (a batch run publishes its shard jobs on the injector ring; see cluster.rs):" "$hits"
 fi
 
+# --- 16. one session entry, one recover ---------------------------------------------
+hits=$({
+    grep -rnE "run_persistent_impl|recover_persistent_impl|launch_root|run_root_on|fn fresh_run" \
+        --include="*.rs" crates src tests examples
+    grep -HnE "set_done" crates/sched/src/sim.rs
+} || true)
+if [ -n "$hits" ]; then
+    err "a second session entry or a second recovery is back (a Runtime is a one-worker cluster; see driver.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover)"
