@@ -19,7 +19,7 @@
 //! ```text
 //!   bits 61..64  phase (EMPTY → STAGING → PUBLISHED → CLAIMED →
 //!                RUNNING → DONE → EMPTY)
-//!   bits 32..48  claim epoch (bumped by every rescue/reclaim, so every
+//!   bits 32..48  claim epoch (bumped by every re-claim/reclaim, so every
 //!                transition CAM has a distinct expected value — the
 //!                ABA guard of the claim protocol)
 //!   bits  0..32  claimant processor (meaningful in CLAIMED/RUNNING)

@@ -133,14 +133,8 @@ fn main() {
                 true,
             );
             ok &= check(
-                "steal-drop-rescue",
-                &StealModel::mutated(StealMutation::DropRescue),
-                &args,
-                true,
-            );
-            ok &= check(
-                "steal-rescue-completed",
-                &StealModel::mutated(StealMutation::RescueCompleted),
+                "steal-claim-before-seat",
+                &StealModel::mutated(StealMutation::ClaimBeforeSeat),
                 &args,
                 true,
             );

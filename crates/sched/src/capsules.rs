@@ -54,7 +54,7 @@ use ppm_core::{
     Active, ContArena, DoneFlag, Machine, Next, ProcMeta, SchedRecord, Scheduler, NULL_HANDLE,
 };
 use ppm_obs::{Counter, Histogram, Obs, TraceKind};
-use ppm_pm::service::{slot_checksum, slot_epoch, slot_phase, slot_state};
+use ppm_pm::service::{slot_checksum, slot_epoch, slot_state};
 use ppm_pm::{is_frame_at, PersistentMemory, PmResult, ProcCtx, SlotPhase, Word};
 
 use crate::cluster::ShardDomain;
@@ -394,12 +394,9 @@ impl Sched {
     /// healthy run this never refuses, and a refusal (a corrupt restart
     /// pointer) is recorded rather than silently spun on.
     fn restart_pointer_decodes(&self, owner: usize, handles: &ContArena) -> bool {
-        let handle = self.mem.load(self.metas[owner].active);
-        let decodes = match handles.try_resolve(handle) {
-            Ok(Active::Sched(rec)) => self.decode(&rec).is_some(),
-            denoted => denoted.is_ok(),
-        };
+        let decodes = self.restart_point(owner, handles).is_some();
         if !decodes {
+            let handle = self.mem.load(self.metas[owner].active);
             let shard = self.domain.as_ref().map(|d| {
                 d.note_blocked_adoption(owner);
                 d.shard_of(owner) as u32
@@ -409,6 +406,16 @@ impl Sched {
             });
         }
         decodes
+    }
+
+    /// The capsule processor `p`'s restart pointer denotes, if it is one
+    /// this scheduler can run: a frame the registry rehydrates or a
+    /// record this codec decodes.
+    pub(crate) fn restart_point(&self, p: usize, handles: &ContArena) -> Option<Active> {
+        match handles.try_resolve(self.mem.load(self.metas[p].active)) {
+            Ok(Active::Sched(rec)) => self.decode(&rec).map(|_| Active::Sched(rec)),
+            denoted => denoted.ok(),
+        }
     }
 
     /// The step `rec` denotes, if its words are a step of *this* machine:
@@ -535,7 +542,7 @@ impl Sched {
                 // an uncosted ephemeral peek (like victim selection); the
                 // claim itself is the costed read/CAM/check chain below.
                 if let Some(inj) = s.injector.get() {
-                    if let Some(slot) = inj.scan(s.ring_start(me, n), |p| ctx.is_live(p)) {
+                    if let Some(slot) = inj.scan(s.ring_start(me, n)) {
                         return Ok(go(PullRead(slot, n)));
                     }
                 }
@@ -794,13 +801,14 @@ impl Sched {
 
             // Claim chain capsule 1: re-read the slot (the scan was an
             // uncosted peek), verify the two-phase publish's checksum, and
-            // enter the claim CAM. Any mismatch falls back into the steal
-            // loop. A dead puller's claim is claimable too.
+            // enter the seat. Any mismatch falls back into the steal loop.
+            // The puller is latched here as the claimant, so whoever
+            // finishes this chain issues the same CAM.
             PullRead(slot, n) => {
                 let me = ctx.proc();
                 let q = s.injector().expect("pull without an injector queue");
                 let st = ctx.pread(q.state_addr(slot))?;
-                if !claimable(st, |p| ctx.is_live(p)) {
+                if !claimable(st) {
                     return Ok(go(Steal(n + 1)));
                 }
                 let ticket = ctx.pread(q.ticket_addr(slot))?;
@@ -812,36 +820,13 @@ impl Sched {
                     // spreading.
                     return Ok(go(Steal(n + 1)));
                 }
-                Ok(go(PullCam(slot, me, st, entry, ticket, n)))
+                Ok(go(PullSeat(slot, me, st, entry, ticket)))
             }
-            // Claim chain capsule 2: the claim CAM. Claimant-distinct
-            // payloads keep racing pullers' CAMs non-identical (§5's
-            // exactly-once requirement).
-            PullCam(slot, claimant, old, entry, ticket, n) => {
-                let q = s.injector().expect("pull without an injector queue");
-                // A dead puller's claim is taken over one epoch on.
-                let bump = (slot_phase(old) == Some(SlotPhase::Claimed)) as u64;
-                let claimed = slot_state(SlotPhase::Claimed, slot_epoch(old) + bump, claimant);
-                ctx.pcam(q.state_addr(slot), old, claimed)?;
-                Ok(go(PullCheck(slot, claimed, entry, ticket, n)))
-            }
-            // Claim chain capsule 3: did our CAM win? Winning seats the
-            // puller's thread marker and enters the slot's entry frame (a
-            // registered capsule — the restart pointer any adopting
-            // process can rehydrate); losing falls back into the steal
-            // loop.
-            PullCheck(slot, claimed, entry, ticket, n) => {
-                let me = ctx.proc();
-                let q = s.injector().expect("pull without an injector queue");
-                if ctx.pread(q.state_addr(slot))? == claimed {
-                    q.note_claimed(me, slot, ticket);
-                    return Ok(go(PullSeat(entry)));
-                }
-                Ok(go(Steal(n + 1)))
-            }
-            // Claim chain capsule 4 (won claims only): seat the puller's
-            // thread marker — `Local` at the bottom of its own deque —
-            // then enter the job's entry frame.
+            // Claim chain capsule 2, before the claim: seat the puller's
+            // thread marker — `Local` at the bottom of the executing
+            // processor's own deque — so that from the claim CAM on, the
+            // chain is a thread a thief can adopt (`crate::service`'s
+            // crash coverage).
             //
             // A deque steal gets this seat from the helpPopTop protocol
             // (the `Taken` entry names the thief's slot, and helpers CAM
@@ -853,15 +838,7 @@ impl Sched {
             // Lemma A.12 idempotence argument — a re-run overwrites with
             // another `Local`, and the tag bump fences any stale helper
             // CAM aimed at this slot from an earlier abandoned steal).
-            //
-            // Crash window: dying after the seat but before the entry
-            // frame leaves a dead processor with a seated `Local` whose
-            // restart pointer is still this record — a survivor adopts it
-            // and re-seats on its own deque. The slot is `CLAIMED` by a
-            // dead claimant either way, so a pull (or the rescue sweep)
-            // takes it over at epoch + 1, and the entry capsule's epoch
-            // guard fences whichever path loses the re-claim.
-            PullSeat(entry) => {
+            PullSeat(slot, claimant, old, entry, ticket) => {
                 let me = ctx.proc();
                 let d = s.d(me);
                 let b = ctx.pread(d.bot)? as usize;
@@ -870,7 +847,32 @@ impl Sched {
                     d.entry(b),
                     pack(tag_of(cur).wrapping_add(1), EntryVal::Local),
                 )?;
-                Ok(Next::JumpHandle(entry))
+                Ok(go(PullCam(slot, claimant, old, entry, ticket)))
+            }
+            // Claim chain capsule 3: the claim CAM. Claimant-distinct
+            // payloads keep racing pullers' CAMs non-identical (§5's
+            // exactly-once requirement).
+            PullCam(slot, claimant, old, entry, ticket) => {
+                let q = s.injector().expect("pull without an injector queue");
+                let claimed = slot_state(SlotPhase::Claimed, slot_epoch(old), claimant);
+                ctx.pcam(q.state_addr(slot), old, claimed)?;
+                Ok(go(PullCheck(slot, claimed, entry, ticket)))
+            }
+            // Claim chain capsule 4: did our CAM win? Winning enters the
+            // slot's entry frame (a registered capsule — the restart
+            // pointer any adopting process can rehydrate). Losing ends
+            // the seated thread: `clearBottom` clears the seat on the
+            // executing processor's deque, and its `popBottom/read`
+            // re-enters the steal loop on a fresh victim-selection stream
+            // (a new findWork epoch: the attempt count restarts).
+            PullCheck(slot, claimed, entry, ticket) => {
+                let me = ctx.proc();
+                let q = s.injector().expect("pull without an injector queue");
+                if ctx.pread(q.state_addr(slot))? == claimed {
+                    q.note_claimed(me, slot, ticket);
+                    return Ok(Next::JumpHandle(entry));
+                }
+                Ok(go(ClearBottom()))
             }
             // `service/entry` tail: the `CLAIMED → RUNNING` CAM and its
             // check.
@@ -882,8 +884,9 @@ impl Sched {
                 if ctx.pread(state_a as ppm_pm::Addr)? == new {
                     return Ok(Next::JumpHandle(job));
                 }
-                // Lost to a rescue (we were declared dead) — the
-                // re-claimed run owns the job now.
+                // Lost: only a claimant declared dead while still running
+                // and its adopter can race here (the lease fence's case);
+                // safety code — whoever won the slot runs the job.
                 Ok(Next::End)
             }
             // `service/done` tail: the exactly-once `RUNNING → DONE` CAM

@@ -539,8 +539,7 @@ impl ClusterSession {
         let q = &self.service;
         let tickets = q.publish_fixed(&self.roots)?;
         machine.flush_dirty()?;
-        let page = machine.mem().control();
-        page.write_service_header(&q.header(ServiceState::Draining))?;
+        q.close(self.done)?;
         Ok(tickets)
     }
 }
@@ -961,10 +960,16 @@ pub fn run_worker_with_clock(
     // observability race: a worker killed between attach and its first
     // queue pull would otherwise still be on the coordinator's seed
     // lease, and its tombstone would report `last_seen: None` as if the
-    // process never came up.
+    // process never came up. The lease it overwrites may be a dead
+    // incarnation's: the lone shard's replacement — no sibling exists to
+    // adopt from the dead one — restarts its processors from their
+    // restart pointers (§6), finishing their threads where they stopped.
+    let mut restart = false;
     let (header, domain, session) = shard_session(&machine, shard, build, |header| {
-        let first = Lease::alive_at(1, header.lease_ms, clock.now_ms());
-        let _ = machine.mem().control().write_lease(shard, &first);
+        let (page, now) = (machine.mem().control(), clock.now_ms());
+        let dead = page.lease(shard).is_some_and(|l| l.is_dead(now));
+        restart = header.shards == 1 && dead;
+        let _ = page.write_lease(shard, &Lease::alive_at(1, header.lease_ms, now));
     })?;
     write_report(
         &machine,
@@ -994,15 +999,13 @@ pub fn run_worker_with_clock(
     let stop = AtomicBool::new(false);
     let run = std::thread::scope(|scope| {
         let monitor = {
-            let (machine, session, stop) = (&machine, &session, &stop);
+            let (machine, stop) = (&machine, &stop);
             let domain = domain.clone();
             let clock = clock.clone();
-            scope.spawn(move || {
-                lease_monitor_loop(machine, session, &domain, header.lease_ms, stop, clock)
-            })
+            scope.spawn(move || lease_monitor_loop(machine, &domain, header.lease_ms, stop, clock))
         };
         let policy = header_config(&header).checkpoint;
-        let run = run_attached_seats(&machine, &session, domain.own_procs(), false, &policy);
+        let run = run_attached_seats(&machine, &session, domain.own_procs(), restart, &policy);
         stop.store(true, Ordering::Release);
         // Cut the monitor's sleep short; a wake that lands before its
         // `stop` check costs one extra pass, never a missed stop.
@@ -1065,14 +1068,12 @@ fn heartbeat_tick(lease_ms: u64) -> Duration {
     Duration::from_millis((lease_ms / 4).max(10))
 }
 
-/// The worker's combined heartbeat, sibling monitor and completion
-/// backstop: renews this shard's lease, folds dead siblings into the
-/// liveness oracle and the domain, and evaluates the completion rule
-/// (`InjectorQueue::settle`) for a ring that closed after it drained —
-/// the done path cannot see that one. Runs until `stop`.
+/// The worker's combined heartbeat and sibling monitor: renews this
+/// shard's lease and folds dead siblings into the liveness oracle and the
+/// domain. It never reads the ring: completion is decided by the done
+/// check and by the close ([`InjectorQueue::settle`]). Runs until `stop`.
 fn lease_monitor_loop(
     machine: &Machine,
-    session: &ClusterSession,
     domain: &ShardDomain,
     lease_ms: u64,
     stop: &AtomicBool,
@@ -1088,7 +1089,6 @@ fn lease_monitor_loop(
             &Lease::alive_at(seq, lease_ms, clock.now_ms()),
         );
         seq += 1;
-        session.service.settle(session.done);
         let now = clock.now_ms();
         for s in 0..domain.map().shards {
             if s == domain.shard() || domain.is_adoptable(s) {
@@ -1188,6 +1188,12 @@ impl ClusterObserver {
     /// The coordinator clock's current reading.
     pub(crate) fn now_ms(&self) -> u64 {
         self.clock.now_ms()
+    }
+
+    /// Closes the ring's admission ([`InjectorQueue::close`]): a ring
+    /// with nothing in flight completes at once.
+    pub(crate) fn close_ring(&self) -> io::Result<bool> {
+        self.session.service.close(self.session.done)
     }
 
     /// Sets the global completion flag (service shutdown: workers notice

@@ -63,7 +63,7 @@ pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
 use ppm_core::{run_capsule, Active, InstallCtx, Machine};
 use ppm_obs::TraceKind;
-use ppm_pm::{ServiceState, StatsSnapshot, Word};
+use ppm_pm::{StatsSnapshot, Word};
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::{checkpoint_seeds, CheckpointCtl, CheckpointPolicy, CheckpointSummary};
@@ -401,15 +401,16 @@ pub(crate) fn runtime_build(pcomp: &PComp) -> ShardBuild {
 }
 
 /// The shared parallel section: spawns one OS thread per seated
-/// processor, each starting at `findWork` with its pool cursor at the
-/// persisted watermark when `resume`, else at 0; joins them, checks the
-/// deque invariant, and assembles the report. A single-process session
-/// seats every model processor; a cluster worker seats only its own
-/// shard's processors (its fault domain) while the sibling processors are
-/// driven by other OS processes attached to the same machine file. Only
-/// the seated processors' deques are invariant-checked and rendered:
-/// remote deques are live in other processes, so reading them here
-/// would race their owners.
+/// processor at `findWork` with its pool cursor at 0 or, when `resume`,
+/// at its persisted watermark and at its own restart pointer if that
+/// denotes a capsule (§6's restart; recovery scrubs them first); joins
+/// them, checks the deque invariant, and assembles the report. A
+/// single-process session seats every model processor; a cluster worker
+/// seats only its own shard's processors (its fault domain) while the
+/// sibling processors are driven by other OS processes attached to the
+/// same machine file. Only the seated processors' deques are
+/// invariant-checked and rendered: remote deques are live in other
+/// processes, so reading them here would race their owners.
 ///
 /// Checkpoints need every seat: `policy` applies iff the seats cover
 /// every processor, since a process can quiesce only the processors it
@@ -431,10 +432,7 @@ pub(crate) fn run_attached_seats(
     let outcomes: Vec<ProcOutcome> = std::thread::scope(|s| {
         let handles: Vec<_> = seats
             .clone()
-            .map(|p| {
-                let cursor = if resume { machine.pool_watermark(p) } else { 0 };
-                s.spawn(move || proc_loop(machine, sched, p, cursor, ctl))
-            })
+            .map(|p| s.spawn(move || proc_loop(machine, sched, p, resume, ctl)))
             .collect();
         handles
             .into_iter()
@@ -628,9 +626,10 @@ pub(crate) fn plant_seeds(machine: &Machine, sched: &Arc<Sched>, seeds: &[Word])
 /// 1. Replay the session construction.
 /// 2. Count what the crash left (`found_*`). A ring with no header was
 ///    never handed to a processor: clear it and publish its job set.
-/// 3. Done flag set, or the drain rule holds (a crash after the last done
-///    CAM, before the flag) → [`SessionMode::AlreadyComplete`].
-/// 4. Close admission (`Draining`).
+/// 3. Done flag set → [`SessionMode::AlreadyComplete`].
+/// 4. Close admission (`InjectorQueue::close`); a ring the close finds
+///    drained (a crash after the last done CAM, before the flag, or an
+///    open ring whose jobs had all finished) → the same.
 /// 5. Harvest the crash frontier;
 /// 6. if that fails, take the newest valid checkpoint record
 ///    ([`SessionReport::checkpoint_resume`]; a cluster file has none);
@@ -672,11 +671,10 @@ pub(crate) fn recover(
         q.clear();
         session.publish(machine)?;
     }
-    if session.done.is_set(machine.mem()) || q.settle(session.done) {
+    if session.done.is_set(machine.mem()) || q.close(session.done)? {
         machine.flush()?;
         return Ok((session, report(SessionMode::AlreadyComplete, None)));
     }
-    page.write_service_header(&q.header(ServiceState::Draining))?;
 
     let mut checkpoint_resume = None;
     let (seeds, fallback_reason) = match harvest_frontier(machine, &session.sched) {
@@ -715,9 +713,9 @@ pub(crate) fn recover(
     machine.obs().event(TraceKind::Recovery, None, None, || {
         format!("injector ring scavenged: {touched} slots normalized")
     });
-    // A ring the normalization left with nothing in flight (an open ring
-    // whose jobs had all finished, a torn submission dropped) has no done
-    // CAM left to run the drain rule: evaluate it here, once.
+    // A ring the normalization emptied (its last published slot failed
+    // its checksum and was dropped) has no done CAM left to run the drain
+    // rule: evaluate it here, once.
     q.settle(session.done);
     plant_seeds(machine, &session.sched, &seeds);
     if cfg.check_transitions {
@@ -744,12 +742,16 @@ fn proc_loop(
     machine: &Machine,
     sched: &Sched,
     p: usize,
-    pool_cursor: usize,
+    resume: bool,
     ctl: &CheckpointCtl,
 ) -> ProcOutcome {
-    let mut ctx = machine.ctx_with_pool_cursor(p, pool_cursor);
+    let cursor = if resume { machine.pool_watermark(p) } else { 0 };
+    let mut ctx = machine.ctx_with_pool_cursor(p, cursor);
     let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(p));
-    let mut cur = Active::Sched(sched.find_work());
+    let restart = resume.then(|| sched.restart_point(p, machine.arena()));
+    let mut cur = restart
+        .flatten()
+        .unwrap_or(Active::Sched(sched.find_work()));
     let outcome = loop {
         match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(sched)) {
             Ok(Some(c)) => cur = c,

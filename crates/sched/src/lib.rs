@@ -37,8 +37,9 @@
 //!   dead-shard adoption through the ordinary steal protocol
 //!   ([`cluster::ClusterBuilder`] is the one entry point).
 //! * [`supervisor`] — the one clock-driven [`Supervisor`] loop behind
-//!   every multi-process session: reap exited workers, tombstone their
-//!   leases, rescue the ring slots they had claimed.
+//!   every multi-process session: reap exited workers and tombstone
+//!   their leases; survivors adopt their threads, claimed ring jobs
+//!   included.
 //! * [`service`] — the durable MPMC injector queue in the machine file,
 //!   the one way work enters a cluster (a batch run publishes its shard
 //!   jobs there and closes admission), and the [`ServiceHandle`]

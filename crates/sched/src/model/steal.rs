@@ -22,18 +22,20 @@
 //! **Injector extension** ([`StealModel::with_injector`]): a third task
 //! lives in a one-slot durable injector ring ([`Inj`], mirroring
 //! `ppm_pm::service::SlotPhase`), and `Steal` consults it before the
-//! deque probe, exactly like `steal_attempt`'s published-slot scan. The
-//! claim chain (`service/pull/read → cam → check`), the entry frame's
-//! `CLAIMED → RUNNING` CAM with its dead-claimant re-claim arm, and the
-//! exactly-once `RUNNING → DONE` completion CAM are each one [`Pc`]
-//! capsule; [`StealAction::Rescue`] models the service handle's lease
-//! sweep republishing a dead claimant's slot at epoch + 1 (a pull takes
-//! over a dead claimant's claim the same way). The checksum verification
-//! and ticket guards of the real capsules are elided: the model's single
-//! job is published in the initial state with admission closed (no torn
+//! deque probe, exactly like the steal loop's published-slot scan. The
+//! claim chain (`service/pull/read → seat → cam → check`), the entry
+//! frame's `CLAIMED → RUNNING` CAM with its dead-claimant re-claim arm,
+//! and the exactly-once `RUNNING → DONE` completion CAM are each one
+//! [`Pc`] capsule. The seat puts `Local` at the puller's `bot` before the
+//! claim CAM and a lost claim clears it (`clearBottom`), so a dead
+//! puller's chain is adopted like any thread, with its frozen `Inj*` pc:
+//! adoption is the only rescuer. The checksum verification and ticket
+//! guards of the real capsules are elided: the model's single job is
+//! published in the initial state with admission closed (no torn
 //! two-phase submit) and its slot is never reclaimed — a `Runtime`
 //! session's one-slot ring, whose done flag is a state bit set only by
-//! the `service/done/check` whose CAM won.
+//! the `service/done/check` whose CAM won. A thread's end — the body's,
+//! or a chain capsule's `End` — is `clearBottom`, as the engine has it.
 //!
 //! Invariants (TLA+ twins in `specs/tla/FrontierAdoption.tla`):
 //!
@@ -119,7 +121,7 @@ pub enum Inj {
     Absent,
     /// Published and claimable at `epoch`.
     Published {
-        /// Claim epoch (bumped by every rescue).
+        /// Claim epoch.
         epoch: u8,
     },
     /// The claim CAM won: `proc` owns the slot at `epoch`.
@@ -324,8 +326,17 @@ pub enum Pc {
         f: u8,
     },
     /// `service/pull/read`: re-read the injector slot (the scan in
-    /// `Steal` was an uncosted peek) and enter the claim CAM.
+    /// `Steal` was an uncosted peek), latch the puller as the claimant
+    /// and enter the seat.
     InjPullRead,
+    /// `service/pull/seat`: `Local` at the executing processor's `bot`,
+    /// so the chain from here on is an adoptable thread.
+    InjPullSeat {
+        /// Expected slot word.
+        old: Inj,
+        /// Intended `CLAIMED` word.
+        new: Inj,
+    },
     /// `service/pull/cam`: the claim CAM. The claimant-distinct payload
     /// keeps racing pullers' CAMs non-identical (§5 exactly-once).
     InjPullCam {
@@ -334,7 +345,8 @@ pub enum Pc {
         /// Intended `CLAIMED` word.
         new: Inj,
     },
-    /// `service/pull/check`: won → the slot's entry frame; lost → steal.
+    /// `service/pull/check`: won → the slot's entry frame; lost →
+    /// `clearBottom` (the seat is cleared).
     InjPullCheck {
         /// The CAM's intended word.
         new: Inj,
@@ -350,8 +362,8 @@ pub enum Pc {
         /// Intended `RUNNING` word.
         new: Inj,
     },
-    /// `service/entry/check`: won → the job frame; lost to a rescue
-    /// (we were declared dead) → back to the steal loop.
+    /// `service/entry/check`: won → the job frame; lost → the thread
+    /// ends (unreachable here: only a falsely-dead twin could race it).
     InjEntryCheck {
         /// The CAM's intended word.
         new: Inj,
@@ -428,11 +440,6 @@ pub enum StealAction {
     Step(u8),
     /// Hard-fault processor `p` (its pc freezes as the restart pointer).
     Crash(u8),
-    /// The service handle's lease sweep republishes the injector slot
-    /// at epoch + 1 (`InjectorQueue::rescue`). Enabled while the slot's
-    /// claimant is dead (or, under [`StealMutation::RescueCompleted`],
-    /// whenever the slot is `DONE`).
-    Rescue,
 }
 
 /// Deliberate protocol bugs, reintroduced one at a time so the test
@@ -450,14 +457,11 @@ pub enum StealMutation {
     /// entry of a *live* owner — the owner and the adopter both run the
     /// thread, a double execution.
     AdoptLiveLocal,
-    /// Drop the rescue sweep entirely: a claimant that hard-faults
-    /// mid-job leaves the injector slot `CLAIMED`/`RUNNING` forever —
-    /// a lost job (no surviving reference can reach it).
-    DropRescue,
-    /// Drop the rescue sweep's phase guard: a `DONE` slot is
-    /// republished as if its claimant had died mid-job, and the
-    /// completed job runs — and resolves — a second time.
-    RescueCompleted,
+    /// Claim before seating (the old pull order, without a takeover):
+    /// `pull/read → cam → check`, and only a won claim seats. A puller
+    /// that dies between its won CAM and the seat leaves a `CLAIMED`
+    /// slot with no adoptable thread — a lost job.
+    ClaimBeforeSeat,
     /// Set the done flag in `service/done`, before the done CAM: if the
     /// claimant dies in between, the survivors halt on a lost job.
     DoneEarly,
@@ -496,7 +500,7 @@ impl StealModel {
     }
 
     /// The faithful protocol with the injector ring seeded (the
-    /// service-mode pull/claim/rescue protocol joins the race space).
+    /// service-mode pull/claim/adopt protocol joins the race space).
     pub fn with_injector() -> Self {
         StealModel {
             injector: true,
@@ -512,45 +516,45 @@ impl StealModel {
             mutation,
             injector: matches!(
                 mutation,
-                StealMutation::DropRescue
-                    | StealMutation::RescueCompleted
-                    | StealMutation::DoneEarly
+                StealMutation::ClaimBeforeSeat | StealMutation::DoneEarly
             ),
         }
     }
 
-    /// The rescue sweep's verdict on the current slot: the republished
-    /// word, if the sweep would fire.
-    fn rescue_target(&self, s: &StealSt) -> Option<Inj> {
-        match s.inj {
-            Inj::Claimed { proc, epoch } | Inj::Running { proc, epoch }
-                if !s.alive[proc as usize] && self.mutation != StealMutation::DropRescue =>
-            {
-                Some(Inj::Published {
-                    epoch: epoch.wrapping_add(1),
-                })
-            }
-            Inj::Done { epoch, .. } if self.mutation == StealMutation::RescueCompleted => {
-                Some(Inj::Published {
-                    epoch: epoch.wrapping_add(1),
-                })
-            }
-            _ => None,
+    /// The W1 conservation law for the injector job: a `PUBLISHED` slot
+    /// is taken by any puller; a claimed or running slot is carried by
+    /// the thread of the pull that claimed it — on a live processor, in
+    /// a dead one's restart pointer that is still adoptable, or in the
+    /// one a live adopter is taking over. No other rescuer exists.
+    fn inj_referenced(s: &StealSt) -> bool {
+        if !matches!(s.inj, Inj::Claimed { .. } | Inj::Running { .. }) {
+            return true;
         }
+        let carries = |q: usize| Self::carries_inj(&s.pc[q], s.inj);
+        (0..NPROCS).any(|p| {
+            if s.alive[p] {
+                carries(p)
+                    || Self::adoption_target(&s.pc[p])
+                        .is_some_and(|v| !s.alive[v as usize] && carries(v as usize))
+            } else {
+                carries(p) && Self::adoptable(s, p)
+            }
+        })
     }
 
-    /// The W1 conservation law for the injector job: a [`claimable`]
-    /// slot is taken by any puller; a claimed/running slot is
-    /// driven by its live claimant (a live claimant never abandons a won
-    /// claim — every check in the chain re-routes to `Steal` only when
-    /// the slot word moved, which requires the claimant to be dead) or
-    /// recoverable by the rescue sweep once the claimant dies.
-    fn inj_referenced(&self, s: &StealSt) -> bool {
-        match s.inj {
-            Inj::Absent | Inj::Published { .. } | Inj::Done { .. } => true,
-            Inj::Claimed { proc, .. } | Inj::Running { proc, .. } => {
-                claimable(s) || s.alive[proc as usize] || self.rescue_target(s).is_some()
+    /// Whether this pc, re-run, carries the claimed or running slot word
+    /// `inj` to completion: a chain capsule whose latched words still
+    /// match the slot.
+    fn carries_inj(pc: &Pc, inj: Inj) -> bool {
+        match *pc {
+            Pc::InjPullSeat { new, .. } | Pc::InjPullCheck { new } | Pc::InjEntryCheck { new } => {
+                inj == new
             }
+            Pc::InjPullCam { old, new } | Pc::InjEntryCam { old, new } => inj == old || inj == new,
+            Pc::InjEntry => true,
+            Pc::InjBody | Pc::InjDoneRead => matches!(inj, Inj::Running { .. }),
+            Pc::InjDoneCam { old, .. } => inj == old,
+            _ => false,
         }
     }
 
@@ -722,8 +726,8 @@ impl StealModel {
             Pc::Steal => {
                 if s.done() {
                     n.pc[p] = Pc::Halted;
-                } else if claimable(s) {
-                    // steal_attempt consults the injector's claimable-
+                } else if matches!(s.inj, Inj::Published { .. }) {
+                    // The steal loop consults the injector's published-
                     // slot scan before the deque probe; the scan is an
                     // uncosted peek, so the chain re-reads in pull/read.
                     n.pc[p] = Pc::InjPullRead;
@@ -882,16 +886,29 @@ impl StealModel {
                 n.pc[p] = Pc::ClearBottom;
             }
             Pc::InjPullRead => {
+                let claim_first = self.mutation == StealMutation::ClaimBeforeSeat;
                 n.pc[p] = match s.inj {
-                    Inj::Published { epoch } | Inj::Claimed { epoch, .. } if claimable(s) => {
-                        // A dead claimant's claim is taken over one epoch
-                        // on, fencing its stale CAMs.
-                        let bump = matches!(s.inj, Inj::Claimed { .. }) as u8;
-                        let (proc, epoch) = (me, epoch.wrapping_add(bump));
-                        let new = Inj::Claimed { proc, epoch };
-                        Pc::InjPullCam { old: s.inj, new }
+                    Inj::Published { epoch } => {
+                        let (old, new) = (s.inj, Inj::Claimed { proc: me, epoch });
+                        if claim_first {
+                            Pc::InjPullCam { old, new }
+                        } else {
+                            Pc::InjPullSeat { old, new }
+                        }
                     }
                     _ => Pc::Steal,
+                };
+            }
+            Pc::InjPullSeat { old, new } => {
+                // Unchecked like clearBottom: rewrite our own bottom entry
+                // as `Local`, one tag on.
+                let b = s.deq[p].bot as usize;
+                let cur = s.deq[p].entries[b];
+                n.deq[p].entries[b] = Entry::new(cur.tag.wrapping_add(1), Val::Local);
+                n.pc[p] = if self.mutation == StealMutation::ClaimBeforeSeat {
+                    Pc::InjEntry
+                } else {
+                    Pc::InjPullCam { old, new }
                 };
             }
             Pc::InjPullCam { old, new } => {
@@ -901,10 +918,12 @@ impl StealModel {
                 n.pc[p] = Pc::InjPullCheck { new };
             }
             Pc::InjPullCheck { new } => {
-                n.pc[p] = if s.inj == new {
-                    Pc::InjEntry
-                } else {
-                    Pc::Steal
+                n.pc[p] = match (s.inj == new, self.mutation) {
+                    (true, StealMutation::ClaimBeforeSeat) => Pc::InjPullSeat { old: new, new },
+                    (true, _) => Pc::InjEntry,
+                    (false, StealMutation::ClaimBeforeSeat) => Pc::Steal,
+                    // The seated thread ends: clear the seat.
+                    (false, _) => Pc::ClearBottom,
                 };
             }
             Pc::InjEntry => {
@@ -917,11 +936,9 @@ impl StealModel {
                     // We already advanced it and crashed before the
                     // jump: just run the job.
                     Inj::Running { proc, .. } if proc == me => Pc::InjBody,
-                    // Adoption: re-claim a dead claimant's slot at
-                    // epoch + 1, fencing its stale CAMs. (Unreachable
-                    // here — a puller holds no adoptable deque entry —
-                    // but mirrored from the entry frame, which any
-                    // process with the restart pointer can rehydrate.)
+                    // Adoption: we inherited a dead claimant's thread;
+                    // re-claim its slot at epoch + 1, fencing its stale
+                    // CAMs.
                     Inj::Claimed { proc, epoch } | Inj::Running { proc, epoch }
                         if !s.alive[proc as usize] =>
                     {
@@ -935,7 +952,7 @@ impl StealModel {
                     }
                     // Someone else legitimately owns (or finished) the
                     // slot: nothing for this thread.
-                    _ => Pc::Steal,
+                    _ => Pc::ClearBottom,
                 };
             }
             Pc::InjEntryCam { old, new } => {
@@ -945,10 +962,11 @@ impl StealModel {
                 n.pc[p] = Pc::InjEntryCheck { new };
             }
             Pc::InjEntryCheck { new } => {
-                // Losing means a rescue republished the slot out from
-                // under us (we were declared dead) — the re-claimed run
-                // owns the job now.
-                n.pc[p] = if s.inj == new { Pc::InjBody } else { Pc::Steal };
+                n.pc[p] = if s.inj == new {
+                    Pc::InjBody
+                } else {
+                    Pc::ClearBottom
+                };
             }
             Pc::InjBody => {
                 // The job frame's effects are idempotent capsules; its
@@ -964,9 +982,8 @@ impl StealModel {
                         old: s.inj,
                         new: Inj::Done { proc, epoch },
                     },
-                    // DONE already (benign re-run) or republished out
-                    // from under us: the re-claimed run completes it.
-                    _ => Pc::Steal,
+                    // DONE already: a benign re-run.
+                    _ => Pc::ClearBottom,
                 };
             }
             Pc::InjDoneCam { old, new } => {
@@ -984,7 +1001,7 @@ impl StealModel {
                 if s.inj == new {
                     n.flag = true;
                 }
-                n.pc[p] = Pc::Steal;
+                n.pc[p] = Pc::ClearBottom;
             }
             Pc::ClearBottom => {
                 let b = s.deq[p].bot as usize;
@@ -995,16 +1012,6 @@ impl StealModel {
             Pc::Halted => {}
         }
         n
-    }
-}
-
-/// `service::claimable` on the model's slot: `PUBLISHED`, or `CLAIMED`
-/// by a dead claimant (a puller that died before seating its thread).
-fn claimable(s: &StealSt) -> bool {
-    match s.inj {
-        Inj::Published { .. } => true,
-        Inj::Claimed { proc, .. } => !s.alive[proc as usize],
-        _ => false,
     }
 }
 
@@ -1054,9 +1061,6 @@ impl Model for StealModel {
                 }
             }
         }
-        if self.rescue_target(s).is_some() {
-            acts.push(StealAction::Rescue);
-        }
         acts
     }
 
@@ -1067,13 +1071,6 @@ impl Model for StealModel {
                 let mut n = *s;
                 n.alive[*p as usize] = false;
                 n.crashes += 1;
-                n
-            }
-            StealAction::Rescue => {
-                let mut n = *s;
-                n.inj = self
-                    .rescue_target(s)
-                    .expect("Rescue only enabled when the sweep fires");
                 n
             }
         }
@@ -1102,6 +1099,14 @@ impl Model for StealModel {
                 s.inj_runs
             ));
         }
+        let live_bodies = (0..NPROCS)
+            .filter(|&p| s.alive[p] && s.pc[p] == Pc::InjBody)
+            .count();
+        if live_bodies > 1 {
+            return Err(format!(
+                "NoDoubleExecution: {live_bodies} live processors running the service job"
+            ));
+        }
         // NoLostTask (W1) conservation, in the single-fault regime.
         if s.crashes <= 1 {
             for t in 0..NTASKS as u8 {
@@ -1109,7 +1114,7 @@ impl Model for StealModel {
                     return Err(format!("NoLostTask: task {t} is no longer referenced"));
                 }
             }
-            if s.inj_runs == 0 && !self.inj_referenced(s) {
+            if s.inj_runs == 0 && !Self::inj_referenced(s) {
                 return Err("NoLostTask: the service job is no longer referenced".to_string());
             }
         }
@@ -1200,10 +1205,9 @@ mod tests {
 
     #[test]
     fn injector_protocol_is_clean_and_exhaustible() {
-        // The service-mode pull/claim/rescue chain joins the race space:
+        // The service-mode pull/claim/adopt chain joins the race space:
         // every interleaving of two deque tasks plus one injected job,
-        // with up to one hard fault and the rescue sweep interleaved at
-        // every boundary.
+        // with up to one hard fault at every boundary.
         let report = Explorer::new(ExplorerConfig::depth(60)).run(&StealModel::with_injector());
         assert!(
             report.violation.is_none(),
@@ -1215,24 +1219,12 @@ mod tests {
     }
 
     #[test]
-    fn dropping_the_rescue_sweep_loses_the_service_job() {
+    fn claiming_before_seating_loses_the_service_job() {
         let report = Explorer::new(ExplorerConfig::depth(20))
-            .run(&StealModel::mutated(StealMutation::DropRescue));
+            .run(&StealModel::mutated(StealMutation::ClaimBeforeSeat));
         let cex = report.violation.expect("mutation must be caught");
         assert!(
             cex.reason.contains("NoLostTask"),
-            "unexpected reason: {}",
-            cex.reason
-        );
-    }
-
-    #[test]
-    fn rescuing_a_completed_slot_double_resolves() {
-        let report = Explorer::new(ExplorerConfig::depth(30))
-            .run(&StealModel::mutated(StealMutation::RescueCompleted));
-        let cex = report.violation.expect("mutation must be caught");
-        assert!(
-            cex.reason.contains("NoDoubleExecution"),
             "unexpected reason: {}",
             cex.reason
         );

@@ -12,15 +12,16 @@
 //! and fans out across live shards through ordinary deque stealing. A
 //! [`crate::Runtime`] session is the same with one slot, its root.
 //!
-//! ## Completion on the done path
+//! ## Completion is decided where it becomes true
 //!
 //! A ring is complete when admission is closed (`Draining`) and no slot
-//! is published, claimed or running (`InjectorQueue::settle`), evaluated
-//! by the `service/done/check` whose done CAM won: draining a closed ring
-//! sets the done flag. Two last finishers cannot both miss (each CAM
-//! precedes its own scan, all `SeqCst`), and a processor dying in between
-//! leaves the check as its restart pointer. A lease monitor's tick is the
-//! backstop for a ring closed after it drained ([`ServiceHandle::drain`]).
+//! is published, claimed or running (`InjectorQueue::settle`). The rule
+//! is evaluated by the two events that can make it true: the
+//! `service/done/check` whose done CAM won, and `InjectorQueue::close`.
+//! Two last finishers cannot both miss (each CAM precedes its own scan,
+//! all `SeqCst`), nor can a close and the last done CAM (see `close`); a
+//! processor dying in between leaves the check as its restart pointer.
+//! No timer reads the ring.
 //!
 //! ## The two-phase submit
 //!
@@ -37,17 +38,17 @@
 //!
 //! ## The claim protocol (exactly-once completion)
 //!
-//! Pulling is the §5 CAM discipline, one CAM per capsule:
-//! read (`PUBLISHED`, verify checksum) → claim CAM
-//! (`PUBLISHED → CLAIMED⟨epoch, me⟩` — claimant-distinct payloads, so
-//! racing pullers never issue identical CAMs) → check (won: seat the
-//! puller's `Local` deque marker, then jump to the slot's **entry
-//! frame**). The registered `service/entry` capsule moves
-//! the slot to `RUNNING` and jumps to the job frame; the job's final
-//! continuation is the slot's **done frame**, whose single winning
-//! `RUNNING → DONE` CAM is the job's exactly-once completion point. Every
-//! rescue or reclaim bumps the slot's 16-bit claim epoch, so a fenced-off
-//! claimant (falsely declared dead) can never replay a stale transition.
+//! Pulling is the §5 CAM discipline, one CAM per capsule: read
+//! (`PUBLISHED`, verify checksum, latch the puller as claimant) → seat
+//! (`Local` at the bottom of the puller's deque) → claim CAM
+//! (`PUBLISHED → CLAIMED⟨epoch, claimant⟩` — claimant-distinct payloads,
+//! so racing pullers never issue identical CAMs) → check (won: the slot's
+//! **entry frame**; lost: `sched/clearBottom` clears the seat). The
+//! registered `service/entry` capsule moves the slot to `RUNNING` and
+//! jumps to the job frame; the job's final continuation is the slot's
+//! **done frame**, whose single winning `RUNNING → DONE` CAM is the job's
+//! exactly-once completion point. Every adoption re-claim or reclaim
+//! bumps the slot's 16-bit claim epoch.
 //!
 //! Job bodies follow the same rule every persistent computation here
 //! follows: effects must be §5 atomically idempotent (racy-read /
@@ -55,15 +56,26 @@
 //! body's capsules more than once even though its *completion* (the done
 //! CAM) is exactly-once.
 //!
-//! ## Crash coverage
+//! ## Crash coverage: one rescuer
 //!
 //! * Submitter dies before publish → invisible staging slot, scavenged.
-//! * Claimant dies in `CLAIMED`/`RUNNING` → [`InjectorQueue::rescue`]
-//!   (driven from [`Supervisor::tick`] by the lease table) republishes
-//!   the slot at epoch + 1; any survivor re-claims and re-runs it.
+//! * Puller dies before its seat → the slot is still `PUBLISHED`.
+//! * Claimant dies at or after its seat → a survivor adopts its thread
+//!   (Figure 3) and resumes the restart pointer: the pull's CAM or check
+//!   (the record latches the claimant, so the adopter issues the same
+//!   CAM and compare), the entry frame — whose dead-claimant arm
+//!   re-claims the slot at epoch + 1 — or the job itself.
 //! * Whole cluster dies → [`crate::cluster::recover`] closes admission
-//!   and finishes the queued jobs single-process, through the same
-//!   recovery a [`crate::Runtime`] session uses.
+//!   and finishes the queued jobs single-process; its quiescent
+//!   [`InjectorQueue::scavenge`] republishes claims no harvested thread
+//!   holds, as there is no claimant left to adopt from.
+//!
+//! Nothing else republishes a claimed slot. Exactly-once resolution is
+//! the done CAM on the `RUNNING` word; a republish would fence nothing
+//! from a claimant declared dead while still running (it keeps running
+//! beside its adopter), only add a copy. That live twin is the lease
+//! fence's problem (ROADMAP item 3); `service/entry/check` keeps its
+//! losing arm as safety code for it.
 
 use std::io;
 use std::sync::Arc;
@@ -163,9 +175,9 @@ pub struct JobTicket {
     /// (ABA): every status read verifies the slot still carries it.
     pub ticket: u64,
     /// The slot epoch this job was published at (each slot life bumps
-    /// it). Rescue and adoption re-claims bump the slot epoch further;
-    /// the gap between a resolution's epoch and this one counts the
-    /// re-claims the job survived ([`JobReport::rescues`]).
+    /// it). Adoption re-claims bump the slot epoch further; the gap
+    /// between a resolution's epoch and this one counts the re-claims the
+    /// job survived ([`JobReport::rescues`]).
     pub epoch: u64,
 }
 
@@ -179,8 +191,8 @@ pub enum JobStatus {
         /// Processor whose done CAM completed the job.
         claimant: usize,
         /// Slot epoch at completion. Exceeds the ticket's publish epoch
-        /// ([`JobTicket::epoch`]) by the number of rescue or adoption
-        /// re-claims the job survived.
+        /// ([`JobTicket::epoch`]) by the number of adoption re-claims the
+        /// job survived.
         claim_epoch: u64,
     },
     /// The slot no longer carries this ticket — the job was completed,
@@ -207,9 +219,9 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// Rescue or adoption re-claims this job survived: how many times
-    /// the slot epoch was bumped past the publish epoch because a
-    /// claimant was declared dead (0 = first claimant finished it).
+    /// Re-claims this job survived: how many times the slot epoch was
+    /// bumped past the publish epoch because an adopter took over a dead
+    /// claimant's thread (0 = first claimant finished it).
     pub fn rescues(&self) -> u64 {
         self.claim_epoch.saturating_sub(self.ticket.epoch)
     }
@@ -329,10 +341,10 @@ impl InjectorQueue {
                     // We already advanced it and crashed before the jump:
                     // just run the job.
                     Some(SlotPhase::Running) if claimant == me => Ok(Next::JumpHandle(job)),
-                    // Adoption: the claimant hard-faulted mid-job and we
-                    // inherited its restart pointer. Re-claim at epoch + 1
-                    // — the bump fences the dead claimant's (or a
-                    // falsely-dead survivor's) stale CAMs.
+                    // Adoption: the claimant hard-faulted anywhere from its
+                    // seat on and we inherited its thread. Re-claim at
+                    // epoch + 1 (the bump counts the re-claim); the word
+                    // names us, so the dead claimant's latched CAMs miss.
                     Some(SlotPhase::Claimed) | Some(SlotPhase::Running)
                         if !ctx.is_live(claimant) =>
                     {
@@ -373,9 +385,8 @@ impl InjectorQueue {
                         // its capsule, then its check.
                         Ok(go(SchedStep::DoneCam(state_a, st, done_w, ticket)))
                     }
-                    // DONE already (benign re-run), or a rescue
-                    // republished the slot out from under a falsely-dead
-                    // runner — the re-claimed run completes it.
+                    // DONE already (a benign re-run), or the slot moved on
+                    // (reclaimed and reused): nothing to complete.
                     _ => Ok(Next::End),
                 }
             },
@@ -654,10 +665,10 @@ impl InjectorQueue {
     /// Ephemeral puller peek: the first [`claimable`] slot at or after
     /// `start` (wrapping). Uncosted, like victim selection — the costed
     /// claim is the capsule chain entered on the result.
-    pub(crate) fn scan(&self, start: usize, live: impl Fn(usize) -> bool) -> Option<usize> {
+    pub(crate) fn scan(&self, start: usize) -> Option<usize> {
         (0..self.slots)
             .map(|i| (start + i) % self.slots)
-            .find(|s| claimable(self.mem.load(self.state_addr(*s)), &live))
+            .find(|s| claimable(self.mem.load(self.state_addr(*s))))
     }
 
     /// Where `ticket` currently stands. An oracle read, safe from any
@@ -701,44 +712,6 @@ impl InjectorQueue {
         // reclaimer (or none) freed the slot.
         self.mem
             .cas_unsafe_under_faults(self.state_addr(t.slot), st, empty)
-    }
-
-    /// Republishes every `CLAIMED` or `RUNNING` slot whose claimant
-    /// `claimant_dead` certifies dead, at epoch + 1 (fencing the dead —
-    /// or falsely-dead — claimant's stale CAMs). Driven by the
-    /// supervisor's lease sweep; a republished slot is re-claimed from its
-    /// entry frame, whatever became of the dead processor's frozen deque
-    /// entry. Returns the number of rescued slots.
-    pub fn rescue(&self, claimant_dead: impl Fn(usize) -> bool) -> usize {
-        let mut rescued = 0;
-        for s in 0..self.slots {
-            let w = self.mem.load(self.state_addr(s));
-            let phase = slot_phase(w);
-            if !matches!(phase, Some(SlotPhase::Claimed) | Some(SlotPhase::Running)) {
-                continue;
-            }
-            if !claimant_dead(slot_claimant(w)) {
-                continue;
-            }
-            let republished = slot_state(SlotPhase::Published, slot_epoch(w) + 1, 0);
-            // host-CAS: the rescue sweep runs on the supervisor host
-            // thread; a lost race means a sibling sweep (or the claimant
-            // itself, alive after all) moved the slot first.
-            if self
-                .mem
-                .cas_unsafe_under_faults(self.state_addr(s), w, republished)
-            {
-                rescued += 1;
-                self.obs.event(TraceKind::JobSubmitted, None, None, || {
-                    format!(
-                        "slot {s} republished at epoch {} (claimant {} dead)",
-                        slot_epoch(republished),
-                        slot_claimant(w)
-                    )
-                });
-            }
-        }
-        rescued
     }
 
     /// Quiescent recovery sweep (no live pullers or submitters): torn
@@ -791,6 +764,19 @@ impl InjectorQueue {
         }
     }
 
+    /// Closes admission (the `Draining` header) and evaluates the
+    /// completion rule ([`InjectorQueue::settle`]), so a ring that drained
+    /// before it closed completes here. Returns whether it did. Racing the
+    /// last done CAM is safe: close stores the header then scans, the
+    /// done check CAMs then reads the header, all `SeqCst`, so at least
+    /// one sees the other (a header torn by the store was read before it,
+    /// so the scan comes later still and sees `DONE`).
+    pub(crate) fn close(&self, done: DoneFlag) -> io::Result<bool> {
+        let page = self.mem.control();
+        page.write_service_header(&self.header(ServiceState::Draining))?;
+        Ok(self.settle(done))
+    }
+
     /// The one completion rule of a ring: admission is closed (the header
     /// says `Draining`) and no slot is published, claimed or running.
     /// When it holds, sets `done` (idempotently) and returns true. The
@@ -823,15 +809,10 @@ impl InjectorQueue {
     }
 }
 
-/// Whether a puller may claim a slot whose state word is `w`: `PUBLISHED`,
-/// or `CLAIMED` by a processor `live` reports dead (a puller that died
-/// before seating its thread left nothing a thief could adopt).
-pub(crate) fn claimable(w: Word, live: impl Fn(usize) -> bool) -> bool {
-    match slot_phase(w) {
-        Some(SlotPhase::Published) => true,
-        Some(SlotPhase::Claimed) => !live(slot_claimant(w)),
-        _ => false,
-    }
+/// Whether a puller may claim a slot whose state word is `w`: it is
+/// `PUBLISHED`. A claimed slot always has a seated thread to finish it.
+pub(crate) fn claimable(w: Word) -> bool {
+    slot_phase(w) == Some(SlotPhase::Published)
 }
 
 // ====================================================================
@@ -843,8 +824,9 @@ pub(crate) fn claimable(w: Word, live: impl Fn(usize) -> bool) -> bool {
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 
 /// The coordinator's handle on a running job service: submit jobs, await
-/// their tickets, watch worker health (the [`Supervisor`] sweep plus the
-/// rescue of jobs claimed by dead shards), and wind the service down.
+/// their tickets, watch worker health (the [`Supervisor`] sweep, which
+/// reaps and tombstones dead workers; survivors adopt their claimed
+/// jobs), and wind the service down.
 /// Created by [`crate::cluster::ClusterBuilder::spawn`].
 pub struct ServiceHandle {
     sup: Supervisor,
@@ -904,9 +886,9 @@ impl ServiceHandle {
 
     /// Blocks until `ticket` resolves (completing the exactly-once
     /// contract by reclaiming its slot) or `timeout` passes. Worker
-    /// health is swept while waiting, so a ticket claimed by a
-    /// killed worker is rescued and completed by a survivor rather than
-    /// timing out.
+    /// health is swept while waiting, so a killed worker is tombstoned at
+    /// once and a survivor adopts and completes the ticket's job rather
+    /// than waiting out the lease.
     pub fn await_job(&mut self, ticket: JobTicket, timeout: Duration) -> io::Result<JobReport> {
         let start = Instant::now();
         loop {
@@ -948,30 +930,22 @@ impl ServiceHandle {
     }
 
     /// One health sweep: the [`Supervisor::tick`] (reap exited workers,
-    /// tombstone their leases, rescue injector slots claimed by dead
-    /// shards).
+    /// tombstone their leases). It writes no ring word.
     pub fn tick(&mut self) {
         self.sup.tick();
-    }
-
-    /// Moves the service to `state`, here and in the durable header every
-    /// attacher reads.
-    fn set_state(&mut self, state: ServiceState) {
-        self.state = state;
-        let page = self.observer().machine().mem().control();
-        let _ = page.write_service_header(&self.queue().header(state));
     }
 
     /// Stops accepting submissions and waits (up to `timeout`) for the
     /// in-flight jobs to finish. A closed, empty ring is the cluster's
     /// completion rule (`InjectorQueue::settle`), so the workers end
-    /// too: the last job's done check (or, for a ring already empty, a
-    /// lease monitor's tick) sets the done flag and every worker exits
-    /// with a `Done` lease. Scrape or inspect anything the workers serve
-    /// *before* draining; [`ServiceHandle::shutdown`] then reaps them and
-    /// reports.
+    /// too: the last job's done check (or, for a ring already empty, the
+    /// close itself — `InjectorQueue::close`) sets the done flag and
+    /// every worker exits with a `Done` lease. Scrape or inspect anything
+    /// the workers serve *before* draining; [`ServiceHandle::shutdown`]
+    /// then reaps them and reports.
     pub fn drain(&mut self, timeout: Duration) -> io::Result<()> {
-        self.set_state(ServiceState::Draining);
+        self.state = ServiceState::Draining;
+        self.observer().close_ring()?;
         let start = Instant::now();
         while self.queue().depth() > 0 {
             self.tick();
@@ -987,8 +961,8 @@ impl ServiceHandle {
     }
 
     /// Kills worker `shard` (SIGKILL) and tombstones its lease — the
-    /// fault-injection hook service examples and tests use. Jobs the
-    /// shard had claimed are rescued on the next sweep.
+    /// fault-injection hook service examples and tests use. Survivors
+    /// adopt the jobs the shard had claimed.
     pub fn kill_worker(&mut self, shard: usize) -> io::Result<()> {
         self.sup.kill_worker(shard)
     }
@@ -998,7 +972,8 @@ impl ServiceHandle {
     /// worker exits (killing stragglers after a grace period), and
     /// returns the final session report.
     pub fn shutdown(mut self) -> io::Result<SessionReport> {
-        self.set_state(ServiceState::Stopped);
+        let page = self.observer().machine().mem().control();
+        let _ = page.write_service_header(&self.queue().header(ServiceState::Stopped));
         self.observer().set_done();
         self.sup.wait_exit(SHUTDOWN_GRACE);
         self.sup.finish()

@@ -675,13 +675,13 @@ mod tests {
         assert!(rep.outcomes.iter().all(|o| *o == Some(ProcOutcome::Halted)));
     }
 
-    /// The one completion rule at both ends, and on the done path. With
+    /// The one completion rule, decided where it becomes true. With
     /// admission open (`Accepting`) a ring whose only job is done — depth
     /// 0 — never sets the done flag, however long the processors spin;
-    /// once the header says `Draining` the same ring does, and every
-    /// steal loop halts. When the ring closes *before* the job finishes,
-    /// the job's own `service/done/check` sets the flag: nothing else
-    /// evaluates the rule.
+    /// closing that drained ring (`InjectorQueue::close`) sets it, and
+    /// every steal loop halts. When the ring closes *before* the job
+    /// finishes, the close does not complete it and the job's own
+    /// `service/done/check` sets the flag.
     #[test]
     fn only_a_closed_drained_ring_completes() {
         use crate::service::{JobStatus, ServiceConfig};
@@ -711,10 +711,6 @@ mod tests {
                 None,
             );
             let page = m.mem().control();
-            let close = || {
-                page.write_service_header(&queue.header(ServiceState::Draining))
-                    .unwrap()
-            };
             page.write_service_header(&queue.header(ServiceState::Accepting))
                 .unwrap();
             let mut args = Vec::new();
@@ -727,25 +723,191 @@ mod tests {
             let ticket = queue.submit(split.id(), &args).expect("submit");
 
             if close_first {
-                close();
+                assert!(!queue.close(sim.done).unwrap(), "a job is in flight");
                 sim.run_to_completion(10_000);
                 assert!(sim.completed(), "the job's done check drains the ring");
             } else {
                 for _ in 0..400 {
                     sim.step(0);
                     sim.step(1);
-                    assert!(!queue.settle(sim.done), "an open ring never completes");
+                    assert!(!sim.completed(), "an open ring never completes");
                 }
                 assert_eq!(queue.depth(), 0);
-                assert!(!sim.completed());
-                close();
-                assert!(queue.settle(sim.done), "a closed, drained ring completes");
+                assert!(
+                    queue.close(sim.done).unwrap(),
+                    "closing a drained ring completes it"
+                );
                 assert!(sim.completed());
                 sim.run_to_completion(1_000);
             }
             assert!(matches!(queue.status(ticket), JobStatus::Done { .. }));
             let rep = sim.finish();
             assert!(rep.outcomes.iter().all(|o| *o == Some(ProcOutcome::Halted)));
+        }
+    }
+
+    /// A pull's crash windows, scripted through the real capsules at
+    /// P = 2. The victim dies at a boundary of its pull chain; the
+    /// survivor adopts its seated thread (the ring stays open, so the
+    /// survivor keeps stealing after the job), the ticket resolves `Done`
+    /// once — re-claimed at epoch + 1 only when the dead claim had won —
+    /// every marker is written by one leaf run, and `finish` checks the
+    /// deque invariant. Each window is bounded by a 30 s watchdog.
+    #[test]
+    fn a_killed_pullers_seated_thread_is_adopted() {
+        use crate::service::{JobStatus, ServiceConfig};
+        use ppm_core::{dsl, Persist};
+        use ppm_pm::ServiceState;
+
+        // (window, the victim's successor when it dies, whether the other
+        // processor reads the slot first so the victim's claim loses, the
+        // re-claims the ticket resolves with)
+        const WINDOWS: [(&str, &str, bool, u64); 3] = [
+            (
+                "after its seat, before its CAM",
+                "service/pull/cam",
+                false,
+                0,
+            ),
+            (
+                "after its CAM, before its check",
+                "service/pull/check",
+                false,
+                1,
+            ),
+            (
+                "a losing puller after its seat",
+                "service/pull/cam",
+                true,
+                0,
+            ),
+        ];
+        const LEAVES: usize = 8;
+
+        let run =
+            |(window, dies_before, loses, reclaims): (&'static str, &'static str, bool, u64)| {
+                let m = machine(2, FaultConfig::none());
+                let out = m.alloc_region(LEAVES);
+                let split = {
+                    let mut set = dsl::CapsuleSet::new(&m);
+                    let leaf = set.define(
+                        "simsvc/mark",
+                        |st: &dsl::Span<Region>, k, ctx: &mut ProcCtx| {
+                            for i in st.lo..st.hi {
+                                ctx.pwrite(st.env.at(i), i as u64 + 1)?;
+                            }
+                            Ok(dsl::Step::Jump(k))
+                        },
+                    );
+                    set.map_grain("simsvc/split", 1, leaf)
+                };
+                let (mut sim, queue) = SimSched::new_service(
+                    &m,
+                    &SchedConfig::with_slots(256),
+                    ServiceConfig::default().with_slots(4),
+                    None,
+                );
+                m.mem()
+                    .control()
+                    .write_service_header(&queue.header(ServiceState::Accepting))
+                    .unwrap();
+                let mut args = Vec::new();
+                dsl::Span {
+                    env: out,
+                    lo: 0usize,
+                    hi: LEAVES,
+                }
+                .encode(&mut args);
+                let ticket = queue.submit(split.id(), &args).expect("submit");
+
+                let step_until = |sim: &mut SimSched<'_>, p: usize, next_is: &str| {
+                    let reached = (0..200).any(
+                        |_| matches!(sim.step(p), SimEvent::Ran { next, .. } if next == next_is),
+                    );
+                    assert!(
+                        reached,
+                        "{window}: p{p} reaches {next_is}\n{}",
+                        sim.render_trace()
+                    );
+                };
+                let victim = usize::from(loses);
+                let survivor = 1 - victim;
+                if loses {
+                    step_until(&mut sim, victim, "service/pull/seat");
+                    step_until(&mut sim, survivor, "service/pull/check");
+                }
+                step_until(&mut sim, victim, dies_before);
+                sim.crash(victim);
+
+                let adopted_pull = |sim: &SimSched<'_>| {
+                    sim.events().iter().any(|e| {
+                        matches!(e, SimEvent::Ran { proc, capsule, next, .. }
+                        if *proc == survivor
+                            && capsule == "sched/popTop/checkLocal"
+                            && next == dies_before)
+                    })
+                };
+                let settled = (0..20_000).any(|_| {
+                    sim.step(survivor);
+                    adopted_pull(&sim) && matches!(queue.status(ticket), JobStatus::Done { .. })
+                });
+                assert!(
+                    settled,
+                    "{window}: the survivor adopts the pull and the ticket resolves\n{}",
+                    sim.render_trace()
+                );
+                assert!(
+                    queue.close(sim.done).unwrap(),
+                    "{window}: the drained ring completes"
+                );
+                sim.run_to_completion(1_000);
+
+                match queue.status(ticket) {
+                    JobStatus::Done { claim_epoch, .. } => {
+                        assert_eq!(claim_epoch - ticket.epoch, reclaims, "{window}")
+                    }
+                    other => panic!("{window}: {other:?}"),
+                }
+                assert_eq!(queue.completed_total(), 1, "{window}: one done CAM won");
+                let leaf_runs = sim
+                    .events()
+                    .iter()
+                    .filter(
+                        |e| matches!(e, SimEvent::Ran { capsule, .. } if capsule == "simsvc/mark"),
+                    )
+                    .count();
+                assert_eq!(
+                    leaf_runs, LEAVES,
+                    "{window}: each marker written by one leaf run"
+                );
+                for i in 0..LEAVES {
+                    assert_eq!(
+                        m.mem().load(out.at(i)),
+                        i as u64 + 1,
+                        "{window}: marker {i}"
+                    );
+                }
+                let rep = sim.finish();
+                assert!(rep.completed);
+                assert_eq!(rep.outcomes[victim], Some(ProcOutcome::Dead));
+                assert_eq!(rep.outcomes[survivor], Some(ProcOutcome::Halted));
+            };
+
+        for case in WINDOWS {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                run(case);
+                let _ = tx.send(());
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+                Ok(()) => worker.join().unwrap(),
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                    std::panic::resume_unwind(worker.join().unwrap_err())
+                }
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("window {:?} still running after 30 s", case.0)
+                }
+            }
         }
     }
 

@@ -214,9 +214,9 @@ steps! {
     16 PushBottomRead   "sched/pushBottom/read"        CHECKED   (f: Word = at(0), cont: Word = at(1))
     17 PushBottomCommit "sched/pushBottom/commit"      UNCHECKED (owner: usize = PROC, b: usize = lo(2), t1: u16 = hi(2), t2: u16 = hi(3), f: Word = at(0), cont: Word = at(1))
     18 PullRead         "service/pull/read"            CHECKED   (slot: usize = lo(1), n: u64 = at(0))
-    19 PullCam          "service/pull/cam"             CHECKED   (slot: usize = lo(4), claimant: usize = PROC, old: Word = at(0), entry: Word = at(1), ticket: Word = at(2), n: u64 = at(3))
-    20 PullCheck        "service/pull/check"           CHECKED   (slot: usize = lo(4), claimed: Word = at(0), entry: Word = at(1), ticket: Word = at(2), n: u64 = at(3))
-    21 PullSeat         "service/pull/seat"            UNCHECKED (entry: Word = at(0))
+    19 PullCam          "service/pull/cam"             CHECKED   (slot: usize = lo(3), claimant: usize = PROC, old: Word = at(0), entry: Word = at(1), ticket: Word = at(2))
+    20 PullCheck        "service/pull/check"           CHECKED   (slot: usize = lo(3), claimed: Word = at(0), entry: Word = at(1), ticket: Word = at(2))
+    21 PullSeat         "service/pull/seat"            UNCHECKED (slot: usize = lo(3), claimant: usize = PROC, old: Word = at(0), entry: Word = at(1), ticket: Word = at(2))
     22 EntryCam         "service/entry/cam"            CHECKED   (state_a: Word = at(0), old: Word = at(1), new: Word = at(2), job: Word = at(3))
     23 EntryCheck       "service/entry/check"          CHECKED   (state_a: Word = at(0), new: Word = at(1), job: Word = at(2))
     24 DoneCam          "service/done/cam"             CHECKED   (state_a: Word = at(0), old: Word = at(1), done_w: Word = at(2), ticket: Word = at(3))
@@ -256,9 +256,9 @@ mod tests {
             PushBottomRead(h, x),
             PushBottomCommit(p, s, tag, tag.wrapping_add(1), h, x),
             PullRead(s, n),
-            PullCam(s, q, old, h, x, n),
-            PullCheck(s, new, h, x, n),
-            PullSeat(h),
+            PullCam(s, q, old, h, x),
+            PullCheck(s, new, h, x),
+            PullSeat(s, q, old, h, x),
             EntryCam(x, old, new, h),
             EntryCheck(x, new, h),
             DoneCam(x, old, new, n),

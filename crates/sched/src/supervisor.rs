@@ -3,13 +3,14 @@
 //! The paper's asynchrony requirement (§6: a processor that faults must
 //! never block the others) is, at OS scale, exactly one job: *reap the
 //! dead worker, tombstone its lease, let the survivors adopt through
-//! Figure 3* — and hand back to the injector ring any job the dead
-//! worker had claimed ([`crate::InjectorQueue::rescue`]), since a claim
-//! caught before its puller seated a `Local` entry leaves nothing to
-//! adopt. [`Supervisor`] is the only code that does it — batch runs
-//! ([`ClusterBuilder::run`]), the job service ([`crate::ServiceHandle`])
-//! and fault harnesses (`examples/sharded_fault.rs`) all drive this one
-//! loop, and `tools/lint_invariants.sh` rule 5 keeps it the only one.
+//! Figure 3*. Adoption alone finishes the jobs the dead worker had
+//! claimed from the injector ring: a puller seats its `Local` entry
+//! before its claim CAM, so every claim has a thread to adopt, and the
+//! supervisor writes no ring word. [`Supervisor`] is the only code that
+//! does it — batch runs ([`ClusterBuilder::run`]), the job service
+//! ([`crate::ServiceHandle`]) and fault harnesses
+//! (`examples/sharded_fault.rs`) all drive this one loop, and
+//! `tools/lint_invariants.sh` rule 5 keeps it the only one.
 //!
 //! Every time-dependent decision (lease expiry, the exit grace) reads
 //! the [`ppm_pm::SharedClock`] handed to [`Supervisor::launch`], so the
@@ -21,7 +22,7 @@ use std::process::Child;
 use std::time::Duration;
 
 use ppm_obs::{MetricsServer, TraceKind};
-use ppm_pm::{Lease, LeaseState};
+use ppm_pm::LeaseState;
 
 use crate::cluster::ClusterObserver;
 use crate::driver::{SessionMode, SessionReport};
@@ -102,11 +103,10 @@ impl Supervisor {
         self.children.iter().flatten().count()
     }
 
-    /// One sweep: reap exited workers — tombstoning the lease of any that
+    /// One sweep: reap exited workers, tombstoning the lease of any that
     /// left without a `Done` lease, so survivors adopt immediately
-    /// instead of waiting out the expiry — then republish every ring slot
-    /// whose claimant's shard is dead or done. A `try_wait` error counts
-    /// as an exit (the child is unobservable; lease expiry would catch it
+    /// instead of waiting out the expiry. A `try_wait` error counts as an
+    /// exit (the child is unobservable; lease expiry would catch it
     /// anyway).
     pub fn tick(&mut self) {
         for shard in 0..self.children.len() {
@@ -118,16 +118,11 @@ impl Supervisor {
                 self.bury(shard);
             }
         }
-        let (o, now) = (&self.observer, self.observer.now_ms());
-        let gone = |l: Lease| l.is_dead(now) || l.state == LeaseState::Done;
-        let map = *o.map();
-        o.service_queue()
-            .rescue(|p| p < map.procs() && o.lease(map.shard_of(p)).is_some_and(gone));
     }
 
     /// Kills worker `shard` (SIGKILL), reaps it and tombstones its lease
-    /// — the fault-injection hook. Jobs the shard had claimed are rescued
-    /// on the next sweep.
+    /// — the fault-injection hook. Survivors adopt the shard's threads,
+    /// the jobs it had claimed among them.
     pub fn kill_worker(&mut self, shard: usize) -> io::Result<()> {
         let mut child = self
             .children

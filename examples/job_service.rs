@@ -3,9 +3,10 @@
 //! durable injector ring while the parent submits a continuous stream
 //! through [`ppm::sched::ServiceHandle`]. The parent SIGKILLs one
 //! worker mid-stream; the stream keeps flowing — survivors pull what
-//! the dead worker would have, jobs the victim had claimed are rescued
-//! at a bumped claim epoch, and every ticket still resolves `Done`
-//! exactly once (the §5 done-CAM guarantee).
+//! the dead worker would have, adopt the threads of the jobs it had
+//! claimed (re-claiming a job whose entry had not run at a bumped claim
+//! epoch), and every ticket still resolves `Done` exactly once (the §5
+//! done-CAM guarantee).
 //!
 //! Verified on every attempt: all tickets resolve with unique ticket
 //! numbers, every job's output slice is written, and the ring drains to
@@ -242,7 +243,7 @@ mod scenario {
         nums.sort_unstable();
         nums.dedup();
         assert_eq!(nums.len(), TOTAL_JOBS, "ticket numbers are unique");
-        let rescued = reports.iter().filter(|r| r.rescues() > 0).count();
+        let reclaimed = reports.iter().filter(|r| r.rescues() > 0).count();
 
         // Final scrape while the workers still serve — every ticket is
         // resolved, so the ring is already empty: the queue depth and the
@@ -258,7 +259,7 @@ mod scenario {
             .expect("drain an already-empty ring");
         println!(
             "attempt {attempt}: {TOTAL_JOBS} tickets resolved exactly-once \
-             ({rescued} via rescue at a bumped claim epoch)"
+             ({reclaimed} re-claimed by adoption)"
         );
 
         let report = handle.shutdown().expect("service shutdown");

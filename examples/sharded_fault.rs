@@ -6,9 +6,7 @@
 //! coordinator's reap step — lease expiry covers coordinator-less
 //! deployments), and the survivors **adopt** the dead shard's deque
 //! frontier through the ordinary steal protocol: the run keeps going
-//! instead of restarting. (The supervisor's sweep also republishes the
-//! dead worker's ring claims, so its job may run again beside the
-//! adopted threads; the first done CAM resolves the ticket.)
+//! instead of restarting.
 //!
 //! Work enters the way it enters every cluster: the parent publishes one
 //! job per shard on the machine file's injector ring and closes

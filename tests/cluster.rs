@@ -311,6 +311,76 @@ fn survivor_adopts_a_worker_killed_inside_pushbottom() {
     assert_slices_filled(&machine, &slices);
 }
 
+/// A worker killed while its shard job is `RUNNING` — the window where a
+/// supervisor sweep used to republish the job beside its adopted thread —
+/// is finished by adoption alone: no `Supervisor` runs, only the
+/// coordinator's tombstone, and the surviving worker resumes the dead
+/// claimant's own thread, so the ticket resolves under the dead
+/// claimant's claim at its publish epoch (nothing re-claimed or re-ran
+/// it).
+#[test]
+fn a_running_job_of_a_killed_worker_is_finished_by_adoption() {
+    let file = TempMachineFile::new("cluster-running-adopt");
+    let slices = Arc::new(Mutex::new(vec![None; 2]));
+    let build = marker_build(slices.clone());
+    let coordinator = cluster_builder(file.path(), 2, 60).observe(&build).unwrap();
+    let tickets = coordinator.publish_shard_jobs().unwrap();
+
+    // Worker 0's first processor pulls its shard's job and advances the
+    // slot to `RUNNING`; then the attachment is dropped — a SIGKILL at
+    // that boundary.
+    {
+        let attach = |path| {
+            let fault = ppm::pm::FaultConfig::none();
+            Machine::attach(path, fault, ppm::pm::ValidateMode::Strict).unwrap()
+        };
+        let machine = attach(file.path());
+        let mut sim = SimSched::new_worker(&machine, 0, &build).unwrap();
+        let running = (0..200).any(
+            |_| matches!(sim.step(0), SimEvent::Ran { next, .. } if next == "service/entry/check"),
+        );
+        assert!(running, "the job reaches RUNNING:\n{}", sim.render_trace());
+        let status = InjectorQueue::attach(&machine).unwrap().status(tickets[0]);
+        assert!(
+            matches!(status, JobStatus::InFlight(ppm::pm::SlotPhase::Running)),
+            "{status:?}"
+        );
+    }
+    coordinator.tombstone(0);
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (path, survivor_build) = (file.path().to_path_buf(), build.clone());
+    std::thread::spawn(move || {
+        let clock = Arc::new(ppm::pm::VirtualClock::starting_at(ppm::pm::now_ms()));
+        let _ = tx.send(cluster::run_worker_with_clock(&path, 1, &survivor_build, clock).unwrap());
+    });
+    let rep = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the survivor finishes within 30 s");
+    assert!(rep.completed(), "the survivor finishes both shard jobs");
+    let summary = rep.cluster.as_ref().unwrap();
+    assert_eq!(summary.dead_shards, vec![0]);
+    let own = &summary.shard_reports[1];
+    assert!(
+        own.adopted_locals >= 1,
+        "the dead claimant's thread is adopted (adopted_locals = {})",
+        own.adopted_locals
+    );
+    assert_eq!(rep.blocked(), 0);
+    match coordinator.service_queue().status(tickets[0]) {
+        JobStatus::Done {
+            claimant,
+            claim_epoch,
+        } => {
+            assert_eq!(claimant, 0, "the dead claimant's own claim completes");
+            assert_eq!(claim_epoch, tickets[0].epoch, "nothing re-claimed the job");
+        }
+        other => panic!("shard 0's ticket must resolve Done, got {other:?}"),
+    }
+    let machine = Machine::reopen(file.path()).unwrap();
+    assert_slices_filled(&machine, &slices);
+}
+
 #[test]
 fn recover_finishes_an_abandoned_cluster_file() {
     let file = TempMachineFile::new("cluster-recover");

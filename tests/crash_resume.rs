@@ -235,9 +235,11 @@ fn recovering_a_clean_run_reports_already_complete() {
 }
 
 /// A durable session killed while its puller's restart pointer is a
-/// `service/pull/*` record: the root's claim CAM has landed, nothing is
-/// seated and the root's entry frame has not run. The reopened session
-/// finds no frontier, republishes the claim one epoch on, and the replay
+/// `service/pull/*` record: the root's claim CAM has landed, the puller's
+/// `Local` entry is seated (the seat precedes the claim) and the root's
+/// entry frame has not run. Recovery does not resume a restart pointer
+/// parked on a scheduler record yet, so the seated thread sends it to
+/// the replay; it republishes the claim one epoch on, and the replay
 /// writes every marker exactly once.
 #[test]
 fn a_kill_inside_the_root_pull_republishes_the_claim() {
@@ -303,10 +305,15 @@ fn a_kill_inside_the_root_pull_republishes_the_claim() {
         .recv_timeout(std::time::Duration::from_secs(30))
         .expect("recovery completes within 30 s");
     assert!(rep.completed());
-    assert_eq!(rep.mode, SessionMode::Replayed, "nothing was seated");
-    assert_eq!(
-        rep.fallback_reason,
-        Some(ppm::sched::FallbackReason::NoFrontier)
+    assert_eq!(rep.mode, SessionMode::Replayed, "a record is not resumed");
+    assert!(
+        matches!(
+            &rep.fallback_reason,
+            Some(ppm::sched::FallbackReason::Rehydrate { what, .. })
+                if what.starts_with("local entry of deque 0")
+        ),
+        "the seated puller's restart pointer is the pull record: {:?}",
+        rep.fallback_reason
     );
     assert_eq!(marks, (1..=MARKS as Word).collect::<Vec<_>>());
     let machine = Machine::reopen(path.path()).unwrap();

@@ -12,7 +12,7 @@ use ppm_check::{replay, Explorer, ExplorerConfig, Model, Report};
 
 /// The depth the CI `verify` job pins (`ppm-check --depth 60`). The
 /// deque-only steal space has diameter 35 and the injector-seeded
-/// space diameter 46, so depth 60 exhausts both; the lease and quiesce
+/// space diameter 49, so depth 60 exhausts both; the lease and quiesce
 /// models bottom out earlier on their own tick budgets.
 const CI_DEPTH: usize = 60;
 
@@ -92,24 +92,18 @@ fn adopting_a_live_processors_local_double_executes() {
 
 #[test]
 #[should_panic(expected = "NoLostTask")]
-fn dropping_the_rescue_sweep_loses_the_service_job() {
-    explore(&StealModel::mutated(StealMutation::DropRescue), CI_DEPTH).assert_ok();
+fn claiming_before_seating_loses_the_service_job() {
+    explore(
+        &StealModel::mutated(StealMutation::ClaimBeforeSeat),
+        CI_DEPTH,
+    )
+    .assert_ok();
 }
 
 #[test]
 #[should_panic(expected = "NoLostTask")]
 fn setting_the_done_flag_before_the_done_cam_loses_the_service_job() {
     explore(&StealModel::mutated(StealMutation::DoneEarly), CI_DEPTH).assert_ok();
-}
-
-#[test]
-#[should_panic(expected = "NoDoubleExecution")]
-fn rescuing_a_completed_slot_double_resolves_the_job() {
-    explore(
-        &StealModel::mutated(StealMutation::RescueCompleted),
-        CI_DEPTH,
-    )
-    .assert_ok();
 }
 
 #[test]
@@ -175,21 +169,17 @@ fn corpus_steal_adopt_live_local_replays() {
 }
 
 #[test]
-fn corpus_steal_drop_rescue_replays() {
-    // 7, not 4: a claim whose claimant dies before its job starts is
-    // taken over by the other processor's pull, so only a claimant that
-    // dies with its job running still needs the sweep.
-    corpus_roundtrip(&StealModel::mutated(StealMutation::DropRescue), 7);
+fn corpus_steal_claim_before_seat_replays() {
+    // The thief pulls (read, cam, check) and dies holding a won claim
+    // it never seated: nothing adoptable carries the job.
+    corpus_roundtrip(&StealModel::mutated(StealMutation::ClaimBeforeSeat), 4);
 }
 
 #[test]
 fn corpus_steal_done_early_replays() {
-    corpus_roundtrip(&StealModel::mutated(StealMutation::DoneEarly), 21);
-}
-
-#[test]
-fn corpus_steal_rescue_completed_replays() {
-    corpus_roundtrip(&StealModel::mutated(StealMutation::RescueCompleted), 22);
+    // 22, not 21: the pull seats before its claim CAM, one capsule
+    // more before the early flag.
+    corpus_roundtrip(&StealModel::mutated(StealMutation::DoneEarly), 22);
 }
 
 #[test]

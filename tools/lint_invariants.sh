@@ -9,8 +9,8 @@
 #      baseline and may only be referenced inside `crates/pm` (its
 #      definition and the costed ProcHandle wrapper) — with one scoped
 #      exception: the injector queue's HOST-side surface in
-#      crates/sched/src/service.rs (submit staging, reclaim, rescue).
-#      Those run on client/supervisor threads outside the capsule
+#      crates/sched/src/service.rs (submit staging, publish, reclaim).
+#      Those run on client/coordinator threads outside the capsule
 #      re-execution regime — a crashed host thread never re-runs its
 #      CAS, and a torn staging slot is scavenged on recovery — so the
 #      §3 idempotency argument does not apply. Each such site must
@@ -181,6 +181,15 @@
 #      tests/ examples/, and crates/sched/src/sim.rs names no `set_done`
 #      (a simulated run completes on the done path too;
 #      `ClusterObserver::set_done`, the service shutdown, stays).
+#
+#  17. One rescuer. A puller seats its `Local` entry before its claim
+#      CAM, so every claimed ring job has a thread to adopt, and Figure 3
+#      adoption alone finishes a dead claimant's job. The second and
+#      third rescuers stay deleted: `fn rescue(`, `.rescue(`,
+#      `StealAction::Rescue`, `DropRescue` and `RescueCompleted` appear
+#      nowhere under crates/ src/ tests/ examples/, and
+#      crates/sched/src/supervisor.rs names no `service_queue` (the
+#      supervisor reaps and buries; it writes no ring word).
 
 set -u
 cd "$(dirname "$0")/.."
@@ -479,8 +488,18 @@ if [ -n "$hits" ]; then
     err "a second session entry or a second recovery is back (a Runtime is a one-worker cluster; see driver.rs):" "$hits"
 fi
 
+# --- 17. one rescuer ------------------------------------------------------------
+hits=$({
+    grep -rnE "fn rescue\(|\.rescue\(|StealAction::Rescue|DropRescue|RescueCompleted" \
+        --include="*.rs" crates src tests examples
+    grep -HnE "service_queue" crates/sched/src/supervisor.rs
+} || true)
+if [ -n "$hits" ]; then
+    err "a second rescuer for a dead claimant is back (a puller seats before it claims; adoption finishes every claimed job, see service.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer)"
