@@ -11,12 +11,20 @@
 //! **minimal counterexample trace** on violation (BFS order makes the
 //! first violation found a shortest one).
 //!
+//! Beyond safety, the explorer checks **progress** (W5 of the
+//! work-stealing spec): a model names its goal states ([`Model::goal`]),
+//! the explorer records every edge, and after an exhausted run one
+//! backward pass from the goals finds any state that can never reach one
+//! — a livelock or a lost task — reported with its shortest trace. A run
+//! cut short by a bound reports progress unchecked.
+//!
 //! The concrete models live in `ppm-sched::model` (this crate stays
 //! dependency-free so the scheduler crate can depend on it without a
-//! cycle); `specs/tla/` holds TLA+ twins of the same state machines, and
-//! the invariant names used here (`NoLostTask`, `NoDoubleExecution`,
-//! `TombstoneSticky`, `NoLiveFrameReclaim`) match the TLA+ properties
-//! one-to-one so a violation can be cross-checked in either framework.
+//! cycle): one over the real scheduler engine, stepped capsule by capsule
+//! through its simulator, and abstract models of the lease and quiesce
+//! protocols. `specs/tla/` holds TLA+ statements of the same protocols,
+//! and the property names used here (`NoDoubleExecution`,
+//! `TombstoneSticky`, `NoLiveFrameReclaim`, Progress) match them.
 //!
 //! ```
 //! use ppm_check::{Explorer, ExplorerConfig, Model};
@@ -45,18 +53,20 @@
 #![warn(rust_2018_idioms)]
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 /// A protocol state machine the [`Explorer`] can enumerate.
 ///
-/// Implementations are *abstract* models: small value-type states with
-/// explicit transition enums, not the real runtime structures. Crash
-/// transitions are ordinary actions — a model that wants crash coverage
-/// at persist boundaries returns `Crash(p)` actions from
-/// [`Model::actions`] wherever the real protocol has a boundary.
+/// A state is either a small value (an abstract model with an explicit
+/// transition enum) or a handle on something larger — say, an action
+/// prefix that a model replays on a real engine — keyed for the visited
+/// set by [`Model::fingerprint`]. Crash transitions are ordinary actions
+/// — a model that wants crash coverage at persist boundaries returns
+/// `Crash(p)` actions from [`Model::actions`] wherever the real protocol
+/// has a boundary.
 pub trait Model {
     /// Global protocol state. Keep it small: the explorer clones it per
     /// transition and hashes it for the visited set.
@@ -83,6 +93,13 @@ pub trait Model {
     /// for liveness-at-quiescence obligations like "every task executed".
     fn on_terminal(&self, _state: &Self::State) -> Result<(), String> {
         Ok(())
+    }
+
+    /// Whether `state` is a goal of the progress check (W5): after an
+    /// exhausted run, every explored state must reach a goal state. The
+    /// default makes every state a goal, which checks nothing.
+    fn goal(&self, _state: &Self::State) -> bool {
+        true
     }
 
     /// The visited-set key of `state`. Override to fold out symmetries
@@ -130,6 +147,18 @@ impl ExplorerConfig {
     }
 }
 
+/// Which check a [`Counterexample`] violates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Violation {
+    /// A safety invariant ([`Model::invariant`]).
+    Invariant,
+    /// A terminal-state obligation ([`Model::on_terminal`]).
+    Terminal,
+    /// Progress ([`Model::goal`]): no goal state is reachable from the
+    /// trace's last state.
+    Progress,
+}
+
 /// A shortest-known trace from an initial state to a violating state.
 #[derive(Debug, Clone)]
 pub struct Counterexample<M: Model> {
@@ -138,11 +167,10 @@ pub struct Counterexample<M: Model> {
     /// Every state along the trace, `states[0]` initial and
     /// `states[trace.len()]` the violating one.
     pub states: Vec<M::State>,
-    /// The invariant's error message.
+    /// The check's error message.
     pub reason: String,
-    /// Whether the violation fired in a terminal state
-    /// ([`Model::on_terminal`]) rather than a safety invariant.
-    pub terminal: bool,
+    /// Which check failed.
+    pub kind: Violation,
 }
 
 impl<M: Model> Counterexample<M> {
@@ -151,10 +179,10 @@ impl<M: Model> Counterexample<M> {
     /// corpus.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let kind = if self.terminal {
-            "terminal"
-        } else {
-            "invariant"
+        let kind = match self.kind {
+            Violation::Invariant => "invariant",
+            Violation::Terminal => "terminal",
+            Violation::Progress => "progress",
         };
         out.push_str(&format!(
             "{} violation after {} step(s): {}\n",
@@ -185,6 +213,7 @@ pub struct Report<M: Model> {
     /// Deepest trace reached.
     pub max_depth_reached: usize,
     /// Whether any bound (depth, states, clock) truncated the search.
+    /// A truncated run has not checked progress.
     pub truncated: bool,
     /// The first — and therefore minimal-depth — violation found.
     pub violation: Option<Counterexample<M>>,
@@ -201,19 +230,24 @@ impl<M: Model> Report<M> {
         }
     }
 
+    /// Whether the run exhausted the space without a violation, progress
+    /// included.
+    pub fn clean(&self) -> bool {
+        !self.truncated && self.violation.is_none()
+    }
+
     /// One-line summary for logs and the CLI.
     pub fn summary(&self) -> String {
         format!(
-            "{} states, {} transitions, depth {} reached in {:?}{}{}",
+            "{} states, {} transitions, depth {} reached in {:?}{}",
             self.states,
             self.transitions,
             self.max_depth_reached,
             self.elapsed,
-            if self.truncated { " (truncated)" } else { "" },
-            if self.violation.is_some() {
-                " — VIOLATION"
-            } else {
-                ""
+            match (&self.violation, self.truncated) {
+                (Some(_), _) => " — VIOLATION",
+                (None, true) => " (truncated: progress unchecked)",
+                (None, false) => " — clean",
             }
         )
     }
@@ -222,6 +256,12 @@ impl<M: Model> Report<M> {
 /// Breadth-first bounded explorer. BFS (rather than DFS) so that the
 /// first violation encountered is at minimal depth — counterexamples
 /// come out shortest-first without a separate minimization pass.
+///
+/// The explorer records every edge it takes. When a run exhausts the
+/// space without a safety or terminal violation, one backward pass from
+/// the [`Model::goal`] states checks progress: an explored state with no
+/// path to a goal is a [`Violation::Progress`], reported with its
+/// BFS-shortest trace.
 pub struct Explorer {
     config: ExplorerConfig,
 }
@@ -246,33 +286,36 @@ impl Explorer {
     pub fn run<M: Model>(&self, model: &M) -> Report<M> {
         let start = Instant::now();
         let mut nodes: Vec<Node<M>> = Vec::new();
-        let mut visited: HashSet<u64> = HashSet::new();
+        // fingerprint → node index
+        let mut visited: HashMap<u64, usize> = HashMap::new();
+        // node index → the nodes with an edge into it
+        let mut preds: Vec<Vec<usize>> = Vec::new();
         let mut frontier: VecDeque<usize> = VecDeque::new();
         let mut transitions = 0usize;
         let mut max_depth_reached = 0usize;
         let mut truncated = false;
 
         let mut violation = None;
-        'seed: for s in model.initial() {
-            if let Err(reason) = model.invariant(&s) {
-                nodes.push(Node {
-                    state: s,
-                    parent: usize::MAX,
-                    action: None,
-                    depth: 0,
-                });
-                violation = Some(self.rebuild(model, &nodes, nodes.len() - 1, reason, false));
-                break 'seed;
+        for s in model.initial() {
+            let bad = model.invariant(&s).err();
+            let fp = model.fingerprint(&s);
+            if bad.is_none() && visited.contains_key(&fp) {
+                continue;
             }
-            if visited.insert(model.fingerprint(&s)) {
-                nodes.push(Node {
-                    state: s,
-                    parent: usize::MAX,
-                    action: None,
-                    depth: 0,
-                });
-                frontier.push_back(nodes.len() - 1);
+            nodes.push(Node {
+                state: s,
+                parent: usize::MAX,
+                action: None,
+                depth: 0,
+            });
+            preds.push(Vec::new());
+            let idx = nodes.len() - 1;
+            if let Some(reason) = bad {
+                violation = Some(self.rebuild(&nodes, idx, reason, Violation::Invariant));
+                break;
             }
+            visited.insert(fp, idx);
+            frontier.push_back(idx);
         }
 
         'bfs: while let Some(idx) = frontier.pop_front() {
@@ -290,7 +333,7 @@ impl Explorer {
             let actions = model.actions(&nodes[idx].state);
             if actions.is_empty() {
                 if let Err(reason) = model.on_terminal(&nodes[idx].state) {
-                    violation = Some(self.rebuild(model, &nodes, idx, reason, true));
+                    violation = Some(self.rebuild(&nodes, idx, reason, Violation::Terminal));
                     break;
                 }
                 continue;
@@ -302,32 +345,38 @@ impl Explorer {
             for action in actions {
                 transitions += 1;
                 let next = model.step(&nodes[idx].state, &action);
-                if let Err(reason) = model.invariant(&next) {
-                    nodes.push(Node {
-                        state: next,
-                        parent: idx,
-                        action: Some(action),
-                        depth: depth + 1,
-                    });
-                    violation = Some(self.rebuild(model, &nodes, nodes.len() - 1, reason, false));
+                let bad = model.invariant(&next).err();
+                let fp = model.fingerprint(&next);
+                if bad.is_none() {
+                    if let Some(&seen) = visited.get(&fp) {
+                        preds[seen].push(idx);
+                        continue;
+                    }
+                }
+                nodes.push(Node {
+                    state: next,
+                    parent: idx,
+                    action: Some(action),
+                    depth: depth + 1,
+                });
+                preds.push(vec![idx]);
+                let child = nodes.len() - 1;
+                if let Some(reason) = bad {
+                    violation = Some(self.rebuild(&nodes, child, reason, Violation::Invariant));
                     break 'bfs;
                 }
-                if visited.insert(model.fingerprint(&next)) {
-                    if visited.len() > self.config.max_states {
-                        truncated = true;
-                        break 'bfs;
-                    }
-                    nodes.push(Node {
-                        state: next,
-                        parent: idx,
-                        action: Some(action),
-                        depth: depth + 1,
-                    });
-                    frontier.push_back(nodes.len() - 1);
+                visited.insert(fp, child);
+                if visited.len() > self.config.max_states {
+                    truncated = true;
+                    break 'bfs;
                 }
+                frontier.push_back(child);
             }
         }
 
+        if violation.is_none() && !truncated {
+            violation = self.progress(model, &nodes, &preds);
+        }
         Report {
             states: visited.len(),
             transitions,
@@ -338,15 +387,48 @@ impl Explorer {
         }
     }
 
+    /// The progress check of an exhausted run: one backward pass from
+    /// the goal states over the recorded edges. The first node in BFS
+    /// order that no goal is reachable from is the violation — its trace
+    /// is a shortest one to a stuck state.
+    fn progress<M: Model>(
+        &self,
+        model: &M,
+        nodes: &[Node<M>],
+        preds: &[Vec<usize>],
+    ) -> Option<Counterexample<M>> {
+        let mut reaches = vec![false; nodes.len()];
+        let mut work: Vec<usize> = (0..nodes.len())
+            .filter(|&i| model.goal(&nodes[i].state))
+            .collect();
+        for &i in &work {
+            reaches[i] = true;
+        }
+        while let Some(i) = work.pop() {
+            for &p in &preds[i] {
+                if !reaches[p] {
+                    reaches[p] = true;
+                    work.push(p);
+                }
+            }
+        }
+        let stuck = reaches.iter().position(|r| !r)?;
+        let reason = format!(
+            "no goal state is reachable from here ({} of {} states are stuck)",
+            reaches.iter().filter(|r| !**r).count(),
+            nodes.len()
+        );
+        Some(self.rebuild(nodes, stuck, reason, Violation::Progress))
+    }
+
     /// Walks parent pointers from `idx` back to the root to materialize
     /// the counterexample trace.
     fn rebuild<M: Model>(
         &self,
-        _model: &M,
         nodes: &[Node<M>],
         idx: usize,
         reason: String,
-        terminal: bool,
+        kind: Violation,
     ) -> Counterexample<M> {
         let mut states = Vec::new();
         let mut trace = Vec::new();
@@ -367,7 +449,7 @@ impl Explorer {
             trace,
             states,
             reason,
-            terminal,
+            kind,
         }
     }
 }
@@ -516,7 +598,87 @@ mod tests {
             .assert_ok();
         let r = Explorer::new(ExplorerConfig::depth(10)).run(&Count(1));
         let cex = r.violation.expect("terminal at 1 violates");
-        assert!(cex.terminal);
+        assert_eq!(cex.kind, Violation::Terminal);
+    }
+
+    /// From 0 a token goes to the goal 2 by way of 1, or into 3, which
+    /// only loops back to itself: a livelock no safety or terminal check
+    /// sees.
+    struct Trap;
+    impl Model for Trap {
+        type State = u8;
+        type Action = u8;
+        fn initial(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn actions(&self, s: &u8) -> Vec<u8> {
+            match s {
+                0 => vec![1, 3],
+                1 => vec![2],
+                3 => vec![3],
+                _ => vec![],
+            }
+        }
+        fn step(&self, _s: &u8, a: &u8) -> u8 {
+            *a
+        }
+        fn invariant(&self, _s: &u8) -> Result<(), String> {
+            Ok(())
+        }
+        fn goal(&self, s: &u8) -> bool {
+            *s == 2
+        }
+    }
+
+    #[test]
+    fn progress_check_reports_the_shortest_trace_to_a_stuck_state() {
+        let r = Explorer::new(ExplorerConfig::depth(10)).run(&Trap);
+        assert!(!r.clean());
+        let cex = r.violation.expect("3 never reaches the goal");
+        assert_eq!(cex.kind, Violation::Progress);
+        assert_eq!(cex.trace, vec![3]);
+        assert!(cex
+            .render()
+            .starts_with("progress violation after 1 step(s)"));
+    }
+
+    #[test]
+    fn a_truncated_run_leaves_progress_unchecked() {
+        let r = Explorer::new(ExplorerConfig::depth(1)).run(&Trap);
+        assert!(r.truncated);
+        assert!(r.violation.is_none(), "progress needs an exhausted run");
+        assert!(!r.clean());
+        assert!(r.summary().contains("progress unchecked"));
+    }
+
+    #[test]
+    fn the_default_goal_checks_nothing() {
+        let r = Explorer::new(ExplorerConfig::depth(10)).run(&Bump2);
+        assert!(r.clean(), "{}", r.summary());
+        assert!(r.summary().ends_with("clean"));
+    }
+
+    /// Counts to 2 and stops; every state is a goal by default.
+    struct Bump2;
+    impl Model for Bump2 {
+        type State = u8;
+        type Action = ();
+        fn initial(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn actions(&self, s: &u8) -> Vec<()> {
+            if *s < 2 {
+                vec![()]
+            } else {
+                vec![]
+            }
+        }
+        fn step(&self, s: &u8, _a: &()) -> u8 {
+            s + 1
+        }
+        fn invariant(&self, _s: &u8) -> Result<(), String> {
+            Ok(())
+        }
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! `ppm-check` — exhaustive interleaving explorer for the PPM protocol
-//! models.
+//! `ppm-check` — exhaustive interleaving explorer for the PPM protocols.
 //!
-//! Runs the bounded BFS explorer over the abstract state machines in
-//! `ppm_sched::model` (Figure 3 steal/adoption, the cross-process lease
-//! oracle, the checkpoint quiesce barrier) and exits nonzero on any
-//! invariant violation, writing the minimal counterexample trace to a
-//! `.trace` file for CI artifact upload.
+//! Runs the bounded BFS explorer over the models in `ppm_sched::model`:
+//! the real Figure 3 scheduler stepped through its simulator (`engine`:
+//! the `engine-fork` scope, a `Runtime` session whose root forks three
+//! leaves, and the `engine-service` scope, two published jobs on a
+//! 2-slot ring), the cross-process lease oracle and the checkpoint
+//! quiesce barrier. It exits nonzero on any violation — safety, terminal
+//! or progress — and on a faithful run truncated by a bound (its progress
+//! is unchecked), writing the minimal counterexample trace to a `.trace`
+//! file for CI artifact upload.
 //!
 //! ```text
-//! ppm-check [--model steal|lease|quiesce|all] [--depth N]
+//! ppm-check [--model engine|lease|quiesce|all] [--depth N]
 //!           [--max-states N] [--budget-secs S] [--out DIR] [--mutate]
 //! ```
 //!
@@ -20,7 +23,10 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ppm_check::{Explorer, ExplorerConfig, Model, Report};
-use ppm_sched::model::{LeaseModel, QuiesceModel, StealModel, StealMutation};
+use ppm_sched::model::{EngineModel, LeaseModel, Mutant, QuiesceModel};
+
+/// Leaves of the `engine-fork` scope's root.
+const FORK_LEAVES: usize = 3;
 
 struct Args {
     model: String,
@@ -34,7 +40,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         model: "all".to_string(),
-        depth: 40,
+        depth: 100,
         max_states: 10_000_000,
         budget_secs: None,
         out: PathBuf::from("check_out"),
@@ -59,7 +65,7 @@ fn parse_args() -> Args {
             "--mutate" => args.mutate = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "ppm-check [--model steal|lease|quiesce|all] [--depth N] \
+                    "ppm-check [--model engine|lease|quiesce|all] [--depth N] \
                      [--max-states N] [--budget-secs S] [--out DIR] [--mutate]"
                 );
                 std::process::exit(0);
@@ -81,6 +87,10 @@ fn check<M: Model>(name: &str, model: &M, args: &Args, expect_violation: bool) -
     let report: Report<M> = Explorer::new(cfg).run(model);
     println!("[{name}] {}", report.summary());
     match (&report.violation, expect_violation) {
+        (None, false) if report.truncated => {
+            eprintln!("[{name}] TRUNCATED: raise --depth or --max-states to check progress");
+            false
+        }
         (None, false) => true,
         (Some(cex), true) => {
             println!(
@@ -92,7 +102,7 @@ fn check<M: Model>(name: &str, model: &M, args: &Args, expect_violation: bool) -
         }
         (Some(cex), false) => {
             let rendered = cex.render();
-            eprintln!("[{name}] INVARIANT VIOLATION\n{rendered}");
+            eprintln!("[{name}] VIOLATION\n{rendered}");
             std::fs::create_dir_all(&args.out).ok();
             let path = args.out.join(format!("{name}.trace"));
             if std::fs::write(&path, &rendered).is_ok() {
@@ -109,41 +119,22 @@ fn check<M: Model>(name: &str, model: &M, args: &Args, expect_violation: bool) -
 
 fn main() {
     let args = parse_args();
-    let run_steal = args.model == "steal" || args.model == "all";
+    let run_engine = args.model == "engine" || args.model == "all";
     let run_lease = args.model == "lease" || args.model == "all";
     let run_quiesce = args.model == "quiesce" || args.model == "all";
-    if !(run_steal || run_lease || run_quiesce) {
-        eprintln!("unknown --model {} (steal|lease|quiesce|all)", args.model);
+    if !(run_engine || run_lease || run_quiesce) {
+        eprintln!("unknown --model {} (engine|lease|quiesce|all)", args.model);
         std::process::exit(2);
     }
 
+    let fork = EngineModel::fork(FORK_LEAVES);
     let mut ok = true;
     if args.mutate {
-        if run_steal {
-            ok &= check(
-                "steal-drop-lemma-a10",
-                &StealModel::mutated(StealMutation::DropLemmaA10),
-                &args,
-                true,
-            );
-            ok &= check(
-                "steal-adopt-live-local",
-                &StealModel::mutated(StealMutation::AdoptLiveLocal),
-                &args,
-                true,
-            );
-            ok &= check(
-                "steal-claim-before-seat",
-                &StealModel::mutated(StealMutation::ClaimBeforeSeat),
-                &args,
-                true,
-            );
-            ok &= check(
-                "steal-done-early",
-                &StealModel::mutated(StealMutation::DoneEarly),
-                &args,
-                true,
-            );
+        if run_engine {
+            for mutant in Mutant::ALL {
+                let name = format!("engine-{}", mutant.name());
+                ok &= check(&name, &fork.mutated(mutant), &args, true);
+            }
         }
         if run_lease {
             ok &= check("lease-drop-tombstone", &LeaseModel::mutated(), &args, true);
@@ -152,9 +143,9 @@ fn main() {
             ok &= check("quiesce-skip-busy", &QuiesceModel::mutated(), &args, true);
         }
     } else {
-        if run_steal {
-            ok &= check("steal", &StealModel::default(), &args, false);
-            ok &= check("steal-injector", &StealModel::with_injector(), &args, false);
+        if run_engine {
+            ok &= check("engine-fork", &fork, &args, false);
+            ok &= check("engine-service", &EngineModel::service(), &args, false);
         }
         if run_lease {
             ok &= check("lease", &LeaseModel::default(), &args, false);

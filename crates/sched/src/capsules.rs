@@ -31,20 +31,37 @@
 //! `states[getProcNum()]` versus a method already executing on a
 //! `procState`.
 //!
-//! ## One deviation from Figure 3 as written
+//! ## Two deviations from Figure 3 as written
 //!
-//! In `popBottom`, if the owner hard-faults between the successful CAM
-//! (job → local) and the jump to the claimed thread, the local entry is
-//! stolen and the adopting thief resumes the check capsule — which then
-//! finds the entry `taken` (the thief's own steal) rather than `local`,
-//! and Figure 3 as written would return NULL, dropping the thread. Lemma
-//! A.10's prose states the intent: the resumed capsule's closure still
-//! holds the continuation, "which will then be jumped to". We therefore
-//! also jump to the claimed thread when the entry is observed `taken`; only
-//! the uniquely-successful adopting thief can observe that state (gated by
-//! `popTop`'s `stack[i] == new` check), so the thread still runs exactly
-//! once. (`model/steal.rs` carries the same arm, and
-//! `dropping_the_lemma_a10_adoption_arm_loses_a_task` pins it.)
+//! **The Lemma A.10 arm.** In `popBottom`, if the owner hard-faults
+//! between the successful CAM (job → local) and the jump to the claimed
+//! thread, the local entry is stolen and the adopting thief resumes the
+//! check capsule — which then finds the entry `taken` (the thief's own
+//! steal) rather than `local`, and Figure 3 as written would return NULL,
+//! dropping the thread. Lemma A.10's prose states the intent: the resumed
+//! capsule's closure still holds the continuation, "which will then be
+//! jumped to". We therefore also jump to the claimed thread when the entry
+//! is observed `taken` one tag on; only the uniquely-successful adopting
+//! thief can observe that state (gated by `popTop`'s `stack[i] == new`
+//! check), so the thread still runs exactly once. The engine explorer's
+//! `drop-lemma-a10` mutant ([`crate::model::engine`]) pins it: without
+//! the arm the adopted thread is lost and no completion is reachable.
+//!
+//! **A `popBottom` that misses on `taken` helps.** In Figure 3 only a
+//! thief *of* deque `v` runs `helpPopTop(v)`. When a thief wins `popTop`'s
+//! CAM on the owner's last job and dies before its help capsules, its own
+//! seat never turns `local`, so nothing of it is adoptable; the owner
+//! then misses in `popBottom` (the entry at `bot − 1` reads `taken`, or
+//! its CAM loses to the `taken`), and at P = 2 no other thief exists to
+//! help — the survivor spun `steal → help/read → popTop/read` forever.
+//! So a `popBottom` that sees `taken` — at `popBottom/read`, or losing
+//! `popBottom/check` to it — runs the same three help capsules a thief
+//! would (`helpPopTop` on that deque, then the steal loop); the dead
+//! thief's seat turns `local` and the survivor adopts it. The Figure 4
+//! transitions are unchanged (the help capsules are the thief's), and an
+//! `empty` miss costs nothing extra. The explorer's progress check found
+//! the livelock (`victim-never-helps` is that mutant); `sim.rs` pins its
+//! two shortest schedules.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -443,6 +460,13 @@ impl Sched {
         go(Steal(self.next_epoch(me)))
     }
 
+    /// Leaves `popBottom` on a `Taken` miss: `helpPopTop` on deque `v`,
+    /// whose top holds the steal in flight, then the steal loop as
+    /// [`Sched::steal_afresh`] enters it.
+    pub(crate) fn help_then_steal(&self, me: usize, v: usize) -> Next {
+        go(HelpRead(v, Then::Steal, 0, 0, 0, self.next_epoch(me)))
+    }
+
     /// Runs one scheduler capsule. The arms are Figure 3's bodies — the
     /// reads, writes and CAMs of each, in the paper's order — and every
     /// arm ends by naming its successor step (or a thread handle, or
@@ -493,6 +517,9 @@ impl Sched {
                 let old = ctx.pread(d.entry(b - 1))?;
                 match unpack(old) {
                     (_, EntryVal::Job { handle }) => Ok(go(PopBottomCam(me, b, old, handle))),
+                    // A thief took our last job: land its steal before
+                    // stealing (module docs, second deviation).
+                    (_, EntryVal::Taken { .. }) => Ok(s.help_then_steal(me, me)),
                     _ => Ok(s.steal_afresh(me)),
                 }
             }
@@ -522,6 +549,10 @@ impl Sched {
                     // the local entry into taken. Run the claimed thread
                     // (Lemma A.10).
                     return Ok(Next::JumpHandle(f));
+                }
+                if kind_of(cur) == EntryKind::Taken {
+                    // Our CAM lost to a thief: land its steal first.
+                    return Ok(s.help_then_steal(ctx.proc(), owner));
                 }
                 Ok(s.steal_afresh(ctx.proc()))
             }

@@ -1,0 +1,508 @@
+//! The Figure 3 scheduler, checked as it runs: a [`ppm_check::Model`]
+//! whose transitions are capsules of the real engine.
+//!
+//! A state is an action prefix over [`SimSched`]: [`EngineAction::Step`]
+//! runs one capsule of the production code (`Sched::run`, the frames,
+//! the service chain) on a processor, and [`EngineAction::Crash`] kills
+//! one at a capsule boundary. A state is restored by replaying its prefix
+//! on a fresh, small, volatile machine — nothing is snapshotted, so pool
+//! cursors, the write-after-read tracker, contention counters and the
+//! liveness oracle need no capture. Its visited-set key is
+//! [`SimSched::fingerprint`] (the engine's own words, each processor's
+//! next capsule and outcome) folded with the leaves' run counts. Each
+//! state caches what its replay saw — the runnable processors, the crash
+//! count, the invariant verdict and whether it is a goal — so an edge
+//! costs one replay.
+//!
+//! ## Scopes
+//!
+//! Fixed here, like the crash budget (one boundary crash, P = 2):
+//!
+//! * [`EngineModel::fork`]`(k)` — [`SimSched::new_persistent`], a
+//!   `Runtime` session whose root is `map_grain` over `k` leaves at grain
+//!   1: the ring pull race, fork, steal, join, local adoption, the Lemma
+//!   A.10 window and the done chain.
+//! * [`EngineModel::service`] — [`SimSched::new_service`] with a 2-slot
+//!   ring, two published one-leaf jobs and admission closed: two claim
+//!   chains, their adoption, and the drain rule.
+//!
+//! The attempt counter `n` is folded modulo the ring's slot count (see
+//! [`SimSched::fingerprint`]); without the fold a spinning thief makes
+//! the space infinite. The fold is exact only because at P = 2
+//! `pick_victim` is forced and `backoff` only sleeps: a P = 3 scope would
+//! need the victim draw as an action, and none is defined.
+//!
+//! ## Properties
+//!
+//! * **W2 NoDoubleExecution** — each leaf's body runs at most once.
+//!   Leaves count their runs; with boundary crashes only, a second run is
+//!   a double execution.
+//! * **Every step is checked** — the Figure 4 transition checker is on
+//!   (`check_transitions`) and the WS-deque invariant
+//!   ([`crate::deque::check_invariant`]) holds on every deque after every
+//!   step. A panic inside a replayed step — a Figure 4 or strict
+//!   write-after-read violation — is caught and becomes a violation with
+//!   its trace.
+//! * **Completion at quiescence** ([`Model::on_terminal`]) — when no
+//!   processor can run, the done flag is set, every leaf ran exactly
+//!   once and every ticket is `DONE`.
+//! * **W5 Progress** ([`Model::goal`]) — from every reachable state a
+//!   complete one (the three facts above) is reachable. The explorer
+//!   checks it after an exhausted run; a truncated run reports progress
+//!   unchecked.
+//!
+//! ## Mutants
+//!
+//! A [`Mutant`] swaps one step's arm through a [`Scheduler`] wrapper that
+//! delegates every other step to `Sched::run`; the production code is
+//! not edited for them. Each reintroduces one bug the faithful engine
+//! guards against, and `tests/model_check.rs` pins the counterexample
+//! the explorer finds for each.
+//!
+//! `specs/tla/FrontierAdoption.tla` states the same protocol abstractly.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
+use ppm_check::Model;
+use ppm_core::dsl::{self, CapsuleDef, CapsuleSet, Span};
+use ppm_core::registry::PComp;
+use ppm_core::{ContArena, Machine, Next, Persist, SchedRecord, Scheduler};
+use ppm_pm::service::slot_phase;
+use ppm_pm::{PersistentMemory, PmConfig, PmResult, ProcCtx, ServiceState, SlotPhase, Word};
+
+use crate::capsules::{go, Sched, SchedConfig};
+use crate::checkpoint::CheckpointPolicy;
+use crate::deque::check_invariant;
+use crate::entry::{kind_of, pack, tag_of, EntryKind, EntryVal};
+use crate::service::ServiceConfig;
+use crate::sim::SimSched;
+use crate::step::{SchedStep, SchedStep::*, Then};
+
+/// Processors in every scope.
+const PROCS: usize = 2;
+/// Boundary crashes the explorer may inject.
+const CRASH_BUDGET: u8 = 1;
+/// Persistent words of the replay machine (everything is fingerprinted).
+const WORDS: usize = 1 << 10;
+/// Frame-pool words per processor.
+const POOL_WORDS: usize = 192;
+/// Deque slots per processor: the forks of three leaves, their steals
+/// and the clear-above slot.
+const DEQUE_SLOTS: usize = 8;
+
+/// One transition of the engine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum EngineAction {
+    /// Run one capsule on processor `p` ([`SimSched::step`]).
+    Step(usize),
+    /// Kill processor `p` at its capsule boundary ([`SimSched::crash`]).
+    Crash(usize),
+}
+
+/// What the explorer runs: a `Runtime` session whose root is
+/// `map_grain` over `leaves` leaves, or two one-leaf service jobs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Scope {
+    Fork { leaves: usize },
+    Service,
+}
+
+/// A deliberately broken step arm.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mutant {
+    /// `popBottom/check` without the Lemma A.10 arm: an adopter that
+    /// finds its own `Taken` one tag on abandons the claimed thread.
+    DropLemmaA10,
+    /// `popTop/read` ignores `isLive`: a thief adopts a live owner's
+    /// `Local`, and both run the thread.
+    AdoptLiveLocal,
+    /// The pull chain claims before it seats (`pull/read → pull/cam`, a
+    /// won `pull/check` seats, then jumps): a puller dead between its won
+    /// CAM and the seat leaves a claimed job nothing can adopt.
+    ClaimBeforeSeat,
+    /// `service/done/cam` stores the done flag first and re-installs
+    /// itself: a crash between the store and the CAM halts the survivors
+    /// on an unfinished ticket.
+    DoneEarly,
+    /// `popBottom` as Figure 3 has it: a miss on `Taken` steals without
+    /// helping, so a thief dead before its help capsules leaves the
+    /// survivor spinning.
+    VictimNeverHelps,
+}
+
+impl Mutant {
+    /// Every mutant.
+    pub const ALL: [Mutant; 5] = [
+        Mutant::DropLemmaA10,
+        Mutant::AdoptLiveLocal,
+        Mutant::ClaimBeforeSeat,
+        Mutant::DoneEarly,
+        Mutant::VictimNeverHelps,
+    ];
+
+    /// The mutant's name in `ppm-check` output.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mutant::DropLemmaA10 => "drop-lemma-a10",
+            Mutant::AdoptLiveLocal => "adopt-live-local",
+            Mutant::ClaimBeforeSeat => "claim-before-seat",
+            Mutant::DoneEarly => "done-early",
+            Mutant::VictimNeverHelps => "victim-never-helps",
+        }
+    }
+}
+
+/// A state: the prefix that reaches it and what its replay saw.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct EngineSt {
+    prefix: Vec<EngineAction>,
+    runnable: Vec<usize>,
+    crashes: u8,
+    verdict: Result<(), String>,
+    complete: Result<(), String>,
+    fingerprint: u64,
+    at: Vec<&'static str>,
+    runs: Vec<u32>,
+}
+
+impl EngineSt {
+    /// Whether the computation is complete here (the explorer's goal).
+    pub fn is_complete(&self) -> bool {
+        self.complete.is_ok()
+    }
+}
+
+impl std::fmt::Debug for EngineSt {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (p, at) in self.at.iter().enumerate() {
+            write!(f, "p{p} {at}, ")?;
+        }
+        write!(f, "runs {:?}", self.runs)
+    }
+}
+
+/// The engine under one scope, optionally with one mutant.
+#[derive(Clone, Copy, Debug)]
+pub struct EngineModel {
+    scope: Scope,
+    mutant: Option<Mutant>,
+}
+
+impl EngineModel {
+    /// The `engine-fork` scope over `leaves` leaves.
+    pub fn fork(leaves: usize) -> Self {
+        EngineModel {
+            scope: Scope::Fork { leaves },
+            mutant: None,
+        }
+    }
+
+    /// The `engine-service` scope.
+    pub fn service() -> Self {
+        EngineModel {
+            scope: Scope::Service,
+            mutant: None,
+        }
+    }
+
+    /// This scope with `mutant`'s arm swapped in.
+    pub fn mutated(self, mutant: Mutant) -> Self {
+        EngineModel {
+            mutant: Some(mutant),
+            ..self
+        }
+    }
+
+    fn leaves(&self) -> usize {
+        match self.scope {
+            Scope::Fork { leaves } => leaves,
+            Scope::Service => 2,
+        }
+    }
+
+    /// The simulator of this scope on `machine`, its leaves counting into
+    /// `runs`.
+    fn build<'m>(&self, machine: &'m Machine, runs: &Arc<Vec<AtomicU32>>) -> SimSched<'m> {
+        let cfg = SchedConfig {
+            deque_slots: DEQUE_SLOTS,
+            check_transitions: true,
+            checkpoint: CheckpointPolicy::Disabled,
+            ..SchedConfig::default()
+        };
+        let sim = match self.scope {
+            Scope::Fork { leaves } => {
+                let runs = runs.clone();
+                let root: PComp = Arc::new(move |m, finale| {
+                    let mut set = CapsuleSet::new(m);
+                    let leaf = counting_leaf(&mut set, runs.clone());
+                    let split = set.map_grain("engine/split", 1, leaf);
+                    let all = Span {
+                        env: 0u64,
+                        lo: 0,
+                        hi: leaves,
+                    };
+                    split.setup(m, &all, dsl::K(finale)).0
+                });
+                SimSched::new_persistent(machine, &root, &cfg)
+            }
+            Scope::Service => {
+                let ring = ServiceConfig::default().with_slots(2).with_job_words(24);
+                let (sim, queue) = SimSched::new_service(machine, &cfg, ring, None);
+                let leaf = counting_leaf(&mut CapsuleSet::new(machine), runs.clone());
+                for j in 0..2 {
+                    let mut args = Vec::new();
+                    Span {
+                        env: 0u64,
+                        lo: j,
+                        hi: j + 1,
+                    }
+                    .encode(&mut args);
+                    queue.submit(leaf.id(), &args).expect("a free slot");
+                }
+                machine
+                    .mem()
+                    .control()
+                    .write_service_header(&queue.header(ServiceState::Draining))
+                    .expect("closing admission");
+                sim
+            }
+        };
+        match self.mutant {
+            None => sim,
+            Some(mutant) => sim.with_runner(|sched| Arc::new(MutantSched { sched, mutant })),
+        }
+    }
+
+    /// Replays `prefix` on a fresh machine and records what it reaches.
+    fn replay(&self, prefix: Vec<EngineAction>) -> EngineSt {
+        let machine = Machine::with_pool_words(PmConfig::parallel(PROCS, WORDS), POOL_WORDS);
+        let runs: Arc<Vec<AtomicU32>> =
+            Arc::new((0..self.leaves()).map(|_| AtomicU32::new(0)).collect());
+        let mut st = EngineSt {
+            crashes: prefix
+                .iter()
+                .filter(|a| matches!(a, EngineAction::Crash(_)))
+                .count() as u8,
+            prefix,
+            runnable: Vec::new(),
+            verdict: Ok(()),
+            complete: Ok(()),
+            fingerprint: 0,
+            at: vec!["panicked"; PROCS],
+            runs: Vec::new(),
+        };
+        let seen = catch_unwind(AssertUnwindSafe(|| {
+            let mut sim = self.build(&machine, &runs);
+            for a in &st.prefix {
+                match *a {
+                    EngineAction::Step(p) => drop(sim.step(p)),
+                    EngineAction::Crash(p) => sim.crash(p),
+                }
+            }
+            let counts: Vec<u32> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+            st.verdict = safety(&sim, machine.mem(), &counts);
+            st.complete = completion(&sim, machine.mem(), &counts);
+            st.fingerprint = counts.iter().fold(sim.fingerprint(), |h, &r| {
+                (h ^ r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            });
+            st.at = (0..PROCS).map(|p| sim.at(p)).collect();
+            st.runnable = sim.runnable();
+        }));
+        if let Err(panic) = seen {
+            let why = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("a non-string panic");
+            st.verdict = Err(format!("a step panicked: {why}"));
+            st.complete = Err("a step panicked".into());
+            st.runnable.clear();
+        }
+        st.runs = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+        st
+    }
+}
+
+/// The leaf every scope runs: it counts its runs host-side, outside the
+/// machine, so a second run of one leaf is visible whatever it wrote.
+fn counting_leaf(set: &mut CapsuleSet, runs: Arc<Vec<AtomicU32>>) -> CapsuleDef<Span<Word>> {
+    set.define("engine/leaf", move |st: &Span<Word>, k, _| {
+        runs[st.lo].fetch_add(1, Ordering::Relaxed);
+        Ok(dsl::Step::Jump(k))
+    })
+}
+
+/// W2 and the WS-deque invariant, in the state `sim` reached.
+fn safety(sim: &SimSched<'_>, mem: &PersistentMemory, runs: &[u32]) -> Result<(), String> {
+    if let Some((leaf, n)) = runs.iter().enumerate().find(|(_, &n)| n > 1) {
+        return Err(format!("NoDoubleExecution: leaf {leaf} ran {n} times"));
+    }
+    for (p, d) in sim.sched().deques().iter().enumerate() {
+        check_invariant(mem, d).map_err(|e| format!("WS-deque invariant of deque {p}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Whether the computation is complete: every leaf ran once, every
+/// ticket is `DONE` and the done flag is set.
+fn completion(sim: &SimSched<'_>, mem: &PersistentMemory, runs: &[u32]) -> Result<(), String> {
+    if let Some((leaf, n)) = runs.iter().enumerate().find(|(_, &n)| n != 1) {
+        return Err(format!("leaf {leaf} ran {n} times"));
+    }
+    let q = sim.sched().injector().expect("every session has a ring");
+    for slot in 0..q.slots() {
+        match slot_phase(mem.load(q.state_addr(slot))) {
+            Some(SlotPhase::Done) => {}
+            phase => return Err(format!("ticket of slot {slot} is {phase:?}, not Done")),
+        }
+    }
+    if !sim.completed() {
+        return Err("the done flag is unset".into());
+    }
+    Ok(())
+}
+
+impl Model for EngineModel {
+    type State = EngineSt;
+    type Action = EngineAction;
+
+    fn initial(&self) -> Vec<EngineSt> {
+        vec![self.replay(Vec::new())]
+    }
+
+    fn actions(&self, s: &EngineSt) -> Vec<EngineAction> {
+        let steps = s.runnable.iter().map(|&p| EngineAction::Step(p));
+        let crashes = s.runnable.iter().map(|&p| EngineAction::Crash(p));
+        let crashes = crashes.take(if s.crashes < CRASH_BUDGET { PROCS } else { 0 });
+        steps.chain(crashes).collect()
+    }
+
+    fn step(&self, s: &EngineSt, a: &EngineAction) -> EngineSt {
+        let mut prefix = Vec::with_capacity(s.prefix.len() + 1);
+        prefix.extend_from_slice(&s.prefix);
+        prefix.push(*a);
+        self.replay(prefix)
+    }
+
+    fn invariant(&self, s: &EngineSt) -> Result<(), String> {
+        s.verdict.clone()
+    }
+
+    fn on_terminal(&self, s: &EngineSt) -> Result<(), String> {
+        s.complete
+            .clone()
+            .map_err(|why| format!("no processor can run, but {why}"))
+    }
+
+    fn goal(&self, s: &EngineSt) -> bool {
+        s.is_complete()
+    }
+
+    fn fingerprint(&self, s: &EngineSt) -> u64 {
+        s.fingerprint
+    }
+}
+
+/// The scheduler a mutated scope runs: `sched`, with one step's arm
+/// swapped for `mutant`'s.
+struct MutantSched {
+    sched: Arc<Sched>,
+    mutant: Mutant,
+}
+
+/// The step a `Next` installs, if it is a scheduler step.
+fn successor(next: &Next) -> Option<SchedStep> {
+    match next {
+        Next::Sched(rec) => SchedStep::decode(rec),
+        _ => None,
+    }
+}
+
+impl Scheduler for MutantSched {
+    fn run(&self, rec: &SchedRecord, ctx: &mut ProcCtx, handles: &ContArena) -> PmResult<Next> {
+        let s = &*self.sched;
+        let Some(step) = SchedStep::decode(rec) else {
+            return Scheduler::run(s, rec, ctx, handles);
+        };
+        match (self.mutant, step) {
+            (Mutant::DropLemmaA10, PopBottomCheck(owner, b, new, _)) => {
+                let next = s.run(step, ctx, handles)?;
+                let entry = ctx.raw_mem().load(s.deques()[owner].entry(b - 1));
+                if matches!(next, Next::JumpHandle(_)) && entry != new {
+                    // The Lemma A.10 arm fired: treat it as any miss.
+                    return Ok(s.help_then_steal(ctx.proc(), owner));
+                }
+                Ok(next)
+            }
+            (Mutant::AdoptLiveLocal, PopTopRead(v, thief, e_slot, c, n)) => {
+                let d = s.deques()[v];
+                let i = ctx.raw_mem().load(d.top) as usize;
+                let old = ctx.raw_mem().load(d.entry(i));
+                if kind_of(old) != EntryKind::Local || !ctx.is_live(v) {
+                    return s.run(step, ctx, handles);
+                }
+                // Lines 51-63 with the `isLive` gate dropped.
+                ctx.pread(d.top)?;
+                ctx.pread(d.entry(i))?;
+                let taken = EntryVal::Taken {
+                    proc: thief,
+                    slot: e_slot,
+                    tag: c,
+                };
+                let new = pack(tag_of(old).wrapping_add(1), taken);
+                Ok(go(ClearAboveRead(v, i, old, new, n)))
+            }
+            (Mutant::ClaimBeforeSeat, PullRead(..)) => {
+                let next = s.run(step, ctx, handles)?;
+                match successor(&next) {
+                    Some(PullSeat(slot, claimant, old, entry, ticket)) => {
+                        Ok(go(PullCam(slot, claimant, old, entry, ticket)))
+                    }
+                    _ => Ok(next),
+                }
+            }
+            (Mutant::ClaimBeforeSeat, PullCheck(slot, claimed, _, ticket)) => {
+                match s.run(step, ctx, handles)? {
+                    Next::JumpHandle(entry) => {
+                        Ok(go(PullSeat(slot, ctx.proc(), claimed, entry, ticket)))
+                    }
+                    next => Ok(next),
+                }
+            }
+            (Mutant::ClaimBeforeSeat, PullSeat(_, _, _, entry, _)) => {
+                s.run(step, ctx, handles)?;
+                Ok(Next::JumpHandle(entry))
+            }
+            (Mutant::DoneEarly, DoneCam(..)) if !s.done().is_set(ctx.raw_mem()) => {
+                ctx.raw_mem().store(s.done().addr(), 1);
+                Ok(go(step))
+            }
+            (Mutant::VictimNeverHelps, PopBottomRead() | PopBottomCheck(..)) => {
+                let next = s.run(step, ctx, handles)?;
+                match successor(&next) {
+                    Some(HelpRead(_, Then::Steal, _, _, _, n)) => Ok(go(Steal(n))),
+                    _ => Ok(next),
+                }
+            }
+            _ => s.run(step, ctx, handles),
+        }
+    }
+
+    fn on_fork(&self, child: Word, cont: Word) -> SchedRecord {
+        self.sched.on_fork(child, cont)
+    }
+
+    fn on_end(&self) -> SchedRecord {
+        self.sched.on_end()
+    }
+
+    fn name(&self, rec: &SchedRecord) -> &'static str {
+        Scheduler::name(&*self.sched, rec)
+    }
+
+    fn war_checked(&self, rec: &SchedRecord) -> bool {
+        self.sched.war_checked(rec)
+    }
+}

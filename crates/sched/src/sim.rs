@@ -1,7 +1,6 @@
 //! Deterministic fault-injection simulator over the **real** capsule
 //! engine.
 //!
-//! Where the `model` module checks abstract twins of the protocols,
 //! [`SimSched`] drives the actual production code — `run_capsule`,
 //! `InstallCtx`, the scheduler's `pushBottom`/`findWork`/`popTop`
 //! capsules, persistent frames, checkpoint GC — through **scripted
@@ -11,6 +10,12 @@
 //! replay the schedule forever: the same seed and script produce a
 //! byte-identical event trace and a bit-identical final machine state
 //! ([`SimSched::digest`]).
+//!
+//! The same stepper is the scheduler's model checker: `crate::model::engine`
+//! enumerates *every* schedule of a small scope — each state an action
+//! prefix replayed here, keyed by [`SimSched::fingerprint`] — so what is
+//! checked is the engine itself, not a restatement of it. The scripted
+//! tests below pin schedules that explorer found.
 //!
 //! Faults compose from both layers:
 //!
@@ -43,6 +48,7 @@ use crate::cluster::ShardDomain;
 use crate::deque::check_invariant;
 use crate::driver::{fresh_session, ProcOutcome};
 use crate::service::{InjectorQueue, ServiceConfig};
+use crate::step::SchedStep;
 
 /// One scripted operation of a simulated schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,6 +174,9 @@ struct SimProc {
 pub struct SimSched<'m> {
     machine: &'m Machine,
     sched: Arc<Sched>,
+    /// What runs the scheduler records: `sched` itself, or a wrapper
+    /// around it ([`SimSched::with_runner`]).
+    runner: Arc<dyn Scheduler + Send + Sync>,
     done: DoneFlag,
     ctl: Arc<CheckpointCtl>,
     procs: Vec<SimProc>,
@@ -247,6 +256,17 @@ impl<'m> SimSched<'m> {
         &self.sched
     }
 
+    /// Runs every scheduler record through `wrap(sched)` instead of the
+    /// scheduler itself — how the engine explorer's mutants swap one
+    /// step's arm without touching [`Sched`].
+    pub(crate) fn with_runner(
+        mut self,
+        wrap: impl FnOnce(Arc<Sched>) -> Arc<dyn Scheduler + Send + Sync>,
+    ) -> Self {
+        self.runner = wrap(self.sched.clone());
+        self
+    }
+
     /// The stepper over `sched`: every processor `own` admits is seated
     /// on a fresh context at `findWork`.
     fn seated(
@@ -271,6 +291,7 @@ impl<'m> SimSched<'m> {
                 CheckpointPolicy::Disabled,
                 machine.procs(),
             ),
+            runner: sched.clone(),
             sched,
             done,
             procs,
@@ -287,7 +308,7 @@ impl<'m> SimSched<'m> {
         let ev = if self.procs[p].outcome.is_some() || self.procs[p].cur.is_none() {
             SimEvent::Noop { step, proc: p }
         } else {
-            let sched: &dyn Scheduler = &*self.sched;
+            let sched: &dyn Scheduler = &*self.runner;
             let sp = &mut self.procs[p];
             let cur = sp.cur.take().expect("checked above");
             let capsule = cur.name(Some(sched)).to_string();
@@ -390,13 +411,7 @@ impl<'m> SimSched<'m> {
             if self.done.is_set(self.machine.mem()) {
                 break;
             }
-            let runnable: Vec<usize> = self
-                .procs
-                .iter()
-                .enumerate()
-                .filter(|(_, sp)| sp.outcome.is_none())
-                .map(|(p, _)| p)
-                .collect();
+            let runnable = self.runnable();
             if runnable.is_empty() {
                 break;
             }
@@ -427,6 +442,25 @@ impl<'m> SimSched<'m> {
             if !progressed {
                 break;
             }
+        }
+    }
+
+    /// The processors a [`SimSched::step`] would run a capsule on: seated,
+    /// neither halted nor dead.
+    pub fn runnable(&self) -> Vec<usize> {
+        (0..self.procs.len())
+            .filter(|&p| self.procs[p].outcome.is_none() && self.procs[p].cur.is_some())
+            .collect()
+    }
+
+    /// Where processor `p` stands: the capsule it runs next, or `halted`,
+    /// `dead` or `unseated`.
+    pub fn at(&self, p: usize) -> &'static str {
+        match (&self.procs[p].outcome, &self.procs[p].cur) {
+            (Some(ProcOutcome::Halted), _) => "halted",
+            (Some(ProcOutcome::Dead), _) => "dead",
+            (None, Some(cur)) => cur.name(Some(&*self.runner)),
+            (None, None) => "unseated",
         }
     }
 
@@ -461,6 +495,55 @@ impl<'m> SimSched<'m> {
         let mem = self.machine.mem();
         for w in mem.to_vec(0, mem.len()) {
             eat(&w.to_le_bytes());
+        }
+        h
+    }
+
+    /// A digest of the simulated machine's *state*, not of the path to
+    /// it: every word outside the processors' metadata blocks, then per
+    /// processor its outcome, its pool cursor and the capsule it runs
+    /// next — a dead one's restart point — with a scheduler record's
+    /// generation dropped (the engine's journal slot and generation count
+    /// installs, which differ between paths to one state). The attempt
+    /// counter `n` a scheduler step carries is kept modulo the injector
+    /// ring's slot count: that residue is all `ring_start` observes,
+    /// since `n`'s epoch part is a multiple of 2³². Victim selection and
+    /// backoff read `n` too; at P = 2 the victim is forced and backoff
+    /// only sleeps, so the fold is exact there and the explorer
+    /// (`crate::model::engine`) uses it only there.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3).rotate_left(29);
+        let mem = self.machine.mem();
+        let mut words = mem.to_vec(0, mem.len());
+        for p in 0..self.procs.len() {
+            let base = self.machine.proc_meta(p).base;
+            words[base..base + ppm_core::PROC_META_WORDS].fill(0);
+        }
+        words.into_iter().for_each(&mut eat);
+        let slots = self.sched.injector().map_or(1, |q| q.slots()) as u64;
+        for (p, sp) in self.procs.iter().enumerate() {
+            eat(match sp.outcome {
+                None => 0,
+                Some(ProcOutcome::Halted) => 1,
+                Some(ProcOutcome::Dead) => 2,
+            });
+            eat(sp.ctx.alloc_cursor() as u64);
+            let next = match sp.outcome {
+                Some(ProcOutcome::Dead) => self.sched.restart_point(p, self.machine.arena()),
+                _ => sp.cur,
+            };
+            match next {
+                None => eat(0),
+                Some(Active::Frame(f)) => eat(f.addr as u64),
+                Some(Active::Sched(rec)) => {
+                    let rec = match SchedStep::decode(&rec) {
+                        Some(step) => step.with_attempts(|n| n % slots).encode(),
+                        None => rec,
+                    };
+                    rec.words(0).into_iter().for_each(&mut eat);
+                }
+            }
         }
         h
     }
@@ -538,6 +621,48 @@ mod tests {
         }
     }
 
+    /// The two shortest livelocks the engine explorer's progress check
+    /// found before `popBottom` helped on a `Taken` miss. p0 pulls the
+    /// root and forks; p1 wins `popTop/cam` on the forked job — p0's
+    /// last — and dies before its help capsules, so its seat never turns
+    /// `Local` and nothing of it is adoptable. p0 then misses on the
+    /// `Taken` entry: at `popBottom/read` once its own leaf is done (p1
+    /// stole after p0's 12th capsule), or at `popBottom/check`, its CAM
+    /// having lost to p1's (after p0's 18th). Figure 3 has only thieves
+    /// of p0 help p0's deque, so the survivor spun `steal → help/read →
+    /// popTop/read` forever; now its own miss helps, p1's seat turns
+    /// `Local`, and p0 adopts p1's thread and finishes within a budget.
+    #[test]
+    fn a_survivor_whose_thief_died_mid_steal_finishes() {
+        const CASES: [(usize, &str, &str); 2] = [
+            (12, "mark/split", "sched/popBottom/read"),
+            (18, "sched/popBottom/cam", "sched/popBottom/check"),
+        ];
+        for (owner_steps, owner_at, misses_in) in CASES {
+            let m = machine(2, FaultConfig::none());
+            let r = m.alloc_region(2);
+            let comp = markers(r, 2);
+            let mut sim = SimSched::new_persistent(&m, &comp, &SchedConfig::with_slots(8));
+            sim.run_script(&[SimOp::Run(0, owner_steps), SimOp::Run(1, 5)]);
+            assert_eq!(sim.at(0), owner_at);
+            assert_eq!(sim.at(1), "sched/help/read", "p1 won the CAM");
+            sim.crash(1);
+            sim.run_to_completion(100);
+            let trace = sim.render_trace();
+            assert!(sim.completed(), "the survivor finishes:\n{trace}");
+            for line in [
+                format!("p0 run  {misses_in} -> sched/help/read"),
+                "p0 run  sched/popTop/checkLocal -> sched/help/read".to_string(),
+            ] {
+                assert!(trace.contains(&line), "{line}:\n{trace}");
+            }
+            for i in 0..2 {
+                assert_eq!(m.mem().load(r.at(i)), i as u64 + 1, "marker {i}");
+            }
+            sim.finish();
+        }
+    }
+
     // finish() consumes the sim; re-render for assertion messages.
     fn sim_trace(_m: &Machine) -> &'static str {
         "(trace consumed)"
@@ -562,8 +687,7 @@ mod tests {
         }
     }
 
-    /// The service-mode interleaving the model's injector extension
-    /// abstracts, driven through the real capsules: both processors race
+    /// A service-mode interleaving, scripted: both processors race
     /// the published slot's claim CAM step-by-step, the loser falls back
     /// to the deque-steal path and harvests the winner's forked subtasks
     /// across the shard boundary (live-shard stealing), and the ticket

@@ -131,6 +131,17 @@ fn un_seat(seat: Word) -> (usize, usize, u16) {
     )
 }
 
+/// A field of a step, passed through `steps!`'s `with_attempts`: the
+/// attempt counter `n` is mapped, every other field kept.
+macro_rules! attempts {
+    (n $v:ident, $map:ident) => {
+        $map($v)
+    };
+    ($other:ident $v:ident, $map:ident) => {
+        $v
+    };
+}
+
 /// From one table: the step enum (a tuple variant per kind, fields in
 /// table order), its codec, and the per-kind name and validator policy.
 macro_rules! steps {
@@ -169,6 +180,15 @@ macro_rules! steps {
                     _ => return None,
                 };
                 (step.encode() == *rec).then_some(step)
+            }
+
+            /// This step with its steal-attempt counter `n`, if it
+            /// carries one, mapped through `map_n`.
+            pub(crate) fn with_attempts(self, map_n: impl Fn(u64) -> u64) -> SchedStep {
+                match self {
+                    $( SchedStep::$name($($field),*) =>
+                        SchedStep::$name($( attempts!($field $field, map_n) ),*), )*
+                }
             }
         }
 
@@ -332,6 +352,34 @@ mod tests {
                 "service/pull/seat"
             ]
         );
+    }
+
+    /// `with_attempts` maps the attempt counter and nothing else: the
+    /// steal loop's kinds carry `n`, every other kind is kept whole.
+    #[test]
+    fn with_attempts_maps_only_the_attempt_counter() {
+        use SchedStep::*;
+        let n = (1 << 32) + 5;
+        for step in all_kinds(1, 3, 9, 11, [12, 13, n, 14]) {
+            let carries_n = matches!(
+                step,
+                Steal(..)
+                    | HelpRead(..)
+                    | HelpCamThief(..)
+                    | HelpCamTop(..)
+                    | PopTopRead(..)
+                    | PopTopCam(..)
+                    | PopTopCheck(..)
+                    | ClearAboveRead(..)
+                    | ClearAboveWrite(..)
+                    | PopTopCamLocal(..)
+                    | PopTopCheckLocal(..)
+                    | PullRead(..)
+            );
+            assert_eq!(step.with_attempts(|n| n % 4) != step, carries_n, "{step:?}");
+            assert_eq!(step.with_attempts(|n| n), step, "{step:?}");
+        }
+        assert_eq!(Steal(n).with_attempts(|n| n % 4), Steal(1));
     }
 
     proptest! {

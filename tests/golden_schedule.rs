@@ -15,6 +15,12 @@
 //! and `popBottom/read` — seven more accesses on that processor — so the
 //! hard fault moved from access 400 to 407, where seed 3's thief, which
 //! lost the root's pull, dies inside a thread and is adopted, as before.
+//! Re-pinned a third time when `popBottom` began helping on a `Taken`
+//! miss: an owner whose last job a thief took now runs `help/read` (and,
+//! while the steal is still in flight, `help/camThief` and `help/camTop`)
+//! before its steal loop, so every trace where an owner popped after a
+//! steal changed. The hard fault still lands at access 407 and the
+//! adoption still runs in all three.
 
 use ppm::core::{dsl, Machine};
 use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region};
@@ -69,9 +75,9 @@ fn golden(seed: u64) -> (u64, usize) {
 #[test]
 fn seeded_traces_match_the_closure_scheduler() {
     let captured = [
-        (0x2a119d819b24a00b, 925),
-        (0x24c9c81239bce4ed, 919),
-        (0x558395d0507c911d, 944),
+        (0xe804441c6b7aa949, 904),
+        (0x972e88ff638c6e10, 922),
+        (0x590251afe69fbabf, 936),
     ];
     for (seed, want) in (1..).zip(captured) {
         assert_eq!(golden(seed), want, "seed {seed}");

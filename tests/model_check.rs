@@ -1,56 +1,66 @@
-//! Model-checking gates: the faithful protocol models explore clean at
-//! the CI depth, every seeded mutation is caught with a minimal
-//! counterexample, and the counterexample traces replay as a regression
-//! corpus (`ppm_check::replay`).
+//! Model-checking gates: the real scheduler engine and the abstract
+//! lease and quiesce models explore clean, every seeded mutant is caught
+//! with a minimal counterexample, and the counterexample traces replay
+//! as a regression corpus (`ppm_check::replay`).
 //!
 //! The CI `verify` job runs the same checks through the `ppm-check`
-//! binary; these tests pin the behavior into `cargo test` so a local run
+//! binary at a larger engine scope (`engine-fork` over three leaves);
+//! these tests pin the two-leaf scope into `cargo test` so a local run
 //! cannot drift from the workflow.
 
-use ppm::sched::model::{LeaseModel, QuiesceModel, StealModel, StealMutation};
-use ppm_check::{replay, Explorer, ExplorerConfig, Model, Report};
+use std::sync::OnceLock;
 
-/// The depth the CI `verify` job pins (`ppm-check --depth 60`). The
-/// deque-only steal space has diameter 35 and the injector-seeded
-/// space diameter 49, so depth 60 exhausts both; the lease and quiesce
-/// models bottom out earlier on their own tick budgets.
+use ppm::sched::model::{EngineAction, EngineModel, LeaseModel, Mutant, QuiesceModel};
+use ppm_check::{replay, Explorer, ExplorerConfig, Model, Report, Violation};
+
+/// The depth the lease and quiesce gates pin (CI runs them at its own,
+/// larger depth); both models bottom out earlier on their tick budgets.
 const CI_DEPTH: usize = 60;
+
+/// A depth past every engine scope's diameter here: `engine-fork` over
+/// two leaves has diameter 59 and `engine-service` 49. An engine run
+/// must exhaust its space, or its progress is unchecked.
+const ENGINE_DEPTH: usize = 100;
+
+/// Leaves of the tier-1 `engine-fork` scope.
+const LEAVES: usize = 2;
 
 fn explore<M: Model>(model: &M, depth: usize) -> Report<M> {
     Explorer::new(ExplorerConfig::depth(depth)).run(model)
 }
 
+/// Each engine mutant's exploration, shared by the tests that ask for it.
+fn mutant_report(mutant: Mutant) -> &'static Report<EngineModel> {
+    static REPORTS: [OnceLock<Report<EngineModel>>; 5] = [const { OnceLock::new() }; 5];
+    let i = Mutant::ALL.iter().position(|m| *m == mutant).unwrap();
+    REPORTS[i].get_or_init(|| explore(&EngineModel::fork(LEAVES).mutated(mutant), ENGINE_DEPTH))
+}
+
 // ---------------------------------------------------------------------
-// Faithful protocols: zero violations at the pinned CI depth.
+// Faithful protocols: zero violations, the engine's progress included.
 // ---------------------------------------------------------------------
 
 #[test]
 fn steal_protocol_is_clean_and_exhausted_at_ci_depth() {
-    let report = explore(&StealModel::default(), CI_DEPTH);
+    let report = explore(&EngineModel::fork(LEAVES), ENGINE_DEPTH);
     report.assert_ok();
+    assert!(report.clean(), "{}", report.summary());
     assert!(
-        !report.truncated,
-        "depth {CI_DEPTH} must exhaust the steal model's reachable space"
-    );
-    assert!(
-        report.states > 800,
-        "steal state space shrank suspiciously: {} states",
-        report.states
+        report.states > 5_000,
+        "engine-fork state space shrank suspiciously: {}",
+        report.summary()
     );
 }
 
 #[test]
 fn injector_steal_protocol_is_clean_and_exhausted_at_ci_depth() {
-    let report = explore(&StealModel::with_injector(), CI_DEPTH);
+    let report = explore(&EngineModel::service(), ENGINE_DEPTH);
     report.assert_ok();
+    assert!(report.clean(), "{}", report.summary());
     assert!(
-        !report.truncated,
-        "depth {CI_DEPTH} must exhaust the injector-seeded steal space"
-    );
-    assert!(
-        report.states > 1_500,
-        "injector state space shrank suspiciously: {} states",
-        report.states
+        report.states > 3_000,
+        "engine-service state space shrank suspiciously: {}",
+        report.summary()
     );
 }
 
@@ -70,40 +80,32 @@ fn quiesce_protocol_is_clean_at_ci_depth() {
 
 // ---------------------------------------------------------------------
 // Seeded mutations: each deliberately broken variant must be caught,
-// and `Report::assert_ok` must panic with the violated invariant's
-// name — the `#[should_panic]` hook CI's mutation self-test relies on.
+// and `Report::assert_ok` must panic with the violated property — the
+// `#[should_panic]` hook CI's mutation self-test relies on.
 // ---------------------------------------------------------------------
 
 #[test]
-#[should_panic(expected = "NoLostTask")]
+#[should_panic(expected = "progress violation")]
 fn dropping_the_lemma_a10_adoption_arm_loses_a_task() {
-    explore(&StealModel::mutated(StealMutation::DropLemmaA10), CI_DEPTH).assert_ok();
+    mutant_report(Mutant::DropLemmaA10).assert_ok();
 }
 
 #[test]
 #[should_panic(expected = "NoDoubleExecution")]
 fn adopting_a_live_processors_local_double_executes() {
-    explore(
-        &StealModel::mutated(StealMutation::AdoptLiveLocal),
-        CI_DEPTH,
-    )
-    .assert_ok();
+    mutant_report(Mutant::AdoptLiveLocal).assert_ok();
 }
 
 #[test]
-#[should_panic(expected = "NoLostTask")]
+#[should_panic(expected = "progress violation")]
 fn claiming_before_seating_loses_the_service_job() {
-    explore(
-        &StealModel::mutated(StealMutation::ClaimBeforeSeat),
-        CI_DEPTH,
-    )
-    .assert_ok();
+    mutant_report(Mutant::ClaimBeforeSeat).assert_ok();
 }
 
 #[test]
-#[should_panic(expected = "NoLostTask")]
+#[should_panic(expected = "not Done")]
 fn setting_the_done_flag_before_the_done_cam_loses_the_service_job() {
-    explore(&StealModel::mutated(StealMutation::DoneEarly), CI_DEPTH).assert_ok();
+    mutant_report(Mutant::DoneEarly).assert_ok();
 }
 
 #[test]
@@ -120,18 +122,19 @@ fn skipping_the_busy_check_reclaims_a_live_frame() {
 
 // ---------------------------------------------------------------------
 // Regression corpus: the minimal counterexample each mutant produces is
-// replayed step-by-step through a fresh model instance, asserting the
-// invariant holds along the prefix and fails exactly at the last step.
-// The pinned lengths are the BFS-minimal trace depths; a protocol or
-// explorer change that lengthens (or loses) a counterexample fails
-// here before it reaches CI.
+// replayed step by step through a fresh model instance. The pinned
+// lengths are the BFS-minimal trace depths; a protocol or explorer
+// change that lengthens (or loses) a counterexample fails here before
+// it reaches CI.
 // ---------------------------------------------------------------------
 
-fn corpus_roundtrip<M: Model>(model: &M, expected_steps: usize)
+/// Replays `report`'s counterexample: every action is enabled, the
+/// invariant holds along the prefix (and, for a safety violation, fails
+/// exactly at the last step), and the replay lands in the recorded state.
+fn corpus_roundtrip<M: Model>(model: &M, report: &Report<M>, expected_steps: usize) -> M::State
 where
     M::Action: PartialEq,
 {
-    let report = explore(model, CI_DEPTH);
     let cex = report
         .violation
         .as_ref()
@@ -150,46 +153,79 @@ where
         .iter()
         .position(|s| *s == cex.states[0])
         .expect("counterexample must start in an initial state");
-    let end = replay(model, init, &cex.trace, true);
+    let end = replay(model, init, &cex.trace, cex.kind == Violation::Invariant);
     assert_eq!(
         end,
         *cex.states.last().unwrap(),
         "replay must land in the recorded violating state"
     );
+    end
+}
+
+/// An engine mutant's corpus entry: its violation kind, its pinned
+/// length, and its replay.
+fn engine_corpus(mutant: Mutant, kind: Violation, expected_steps: usize) -> Vec<EngineAction> {
+    let model = EngineModel::fork(LEAVES).mutated(mutant);
+    let report = mutant_report(mutant);
+    let end = corpus_roundtrip(&model, report, expected_steps);
+    let cex = report.violation.as_ref().unwrap();
+    assert_eq!(cex.kind, kind, "{}", cex.render());
+    match kind {
+        Violation::Terminal => assert!(model.on_terminal(&end).is_err()),
+        Violation::Progress => assert!(!end.is_complete() && !model.actions(&end).is_empty()),
+        Violation::Invariant => {}
+    }
+    cex.trace.clone()
 }
 
 #[test]
 fn corpus_steal_drop_lemma_a10_replays() {
-    corpus_roundtrip(&StealModel::mutated(StealMutation::DropLemmaA10), 19);
+    // The owner's popBottom CAM wins and the owner dies; the adopter's
+    // re-run of its check finds its own `Taken` and, without the arm,
+    // abandons the claimed leaf.
+    engine_corpus(Mutant::DropLemmaA10, Violation::Progress, 20);
 }
 
 #[test]
 fn corpus_steal_adopt_live_local_replays() {
-    corpus_roundtrip(&StealModel::mutated(StealMutation::AdoptLiveLocal), 18);
+    engine_corpus(Mutant::AdoptLiveLocal, Violation::Invariant, 34);
 }
 
 #[test]
 fn corpus_steal_claim_before_seat_replays() {
-    // The thief pulls (read, cam, check) and dies holding a won claim
-    // it never seated: nothing adoptable carries the job.
-    corpus_roundtrip(&StealModel::mutated(StealMutation::ClaimBeforeSeat), 4);
+    // The puller reads and claims, then dies holding a won claim it never
+    // seated: nothing adoptable carries the root.
+    let trace = engine_corpus(Mutant::ClaimBeforeSeat, Violation::Progress, 5);
+    assert_eq!(trace.last(), Some(&EngineAction::Crash(0)), "{trace:?}");
 }
 
 #[test]
 fn corpus_steal_done_early_replays() {
-    // 22, not 21: the pull seats before its claim CAM, one capsule
-    // more before the early flag.
-    corpus_roundtrip(&StealModel::mutated(StealMutation::DoneEarly), 22);
+    engine_corpus(Mutant::DoneEarly, Violation::Terminal, 29);
+}
+
+#[test]
+fn corpus_engine_victim_never_helps_replays() {
+    // p0 forks both leaves and runs the first; p1 wins `popTop/cam` on
+    // the second and dies before its help capsules. Nothing adoptable of
+    // p1's exists, and without help p0 spins forever.
+    let trace = engine_corpus(Mutant::VictimNeverHelps, Violation::Progress, 18);
+    let mut expected = vec![EngineAction::Step(0); 12];
+    expected.extend([EngineAction::Step(1); 5]);
+    expected.push(EngineAction::Crash(1));
+    assert_eq!(trace, expected);
 }
 
 #[test]
 fn corpus_lease_drop_tombstone_replays() {
-    corpus_roundtrip(&LeaseModel::mutated(), 2);
+    let model = LeaseModel::mutated();
+    corpus_roundtrip(&model, &explore(&model, CI_DEPTH), 2);
 }
 
 #[test]
 fn corpus_quiesce_skip_busy_replays() {
-    corpus_roundtrip(&QuiesceModel::mutated(), 6);
+    let model = QuiesceModel::mutated();
+    corpus_roundtrip(&model, &explore(&model, CI_DEPTH), 6);
 }
 
 // ---------------------------------------------------------------------

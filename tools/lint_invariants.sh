@@ -190,6 +190,14 @@
 #      nowhere under crates/ src/ tests/ examples/, and
 #      crates/sched/src/supervisor.rs names no `service_queue` (the
 #      supervisor reaps and buries; it writes no ring word).
+#
+#  18. One Figure 3. The scheduler is model-checked as it runs: the
+#      explorer steps the real capsules through the simulator
+#      (crates/sched/src/model/engine.rs), so no hand-written twin of
+#      `capsules.rs` can drift from the code it claims to check. The twin
+#      stays deleted: `StealModel`, `StealMutation`, `StealAction`,
+#      `StealSt` and `model::steal` appear nowhere under crates/ src/
+#      tests/ examples/.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -498,8 +506,15 @@ if [ -n "$hits" ]; then
     err "a second rescuer for a dead claimant is back (a puller seats before it claims; adoption finishes every claimed job, see service.rs):" "$hits"
 fi
 
+# --- 18. one Figure 3 ------------------------------------------------------------
+hits=$(grep -rnE "StealModel|StealMutation|StealAction|StealSt|model::steal" \
+    --include="*.rs" crates src tests examples || true)
+if [ -n "$hits" ]; then
+    err "a twin of the Figure 3 scheduler is back (the explorer checks the engine itself; see model/engine.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3)"
