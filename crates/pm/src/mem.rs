@@ -235,6 +235,11 @@ impl PersistentMemory {
     /// state. On an `msync` error the bitmap is re-marked in full so the
     /// next attempt cannot under-sync.
     ///
+    /// Finding the runs costs what was dirtied, not the file: the drain
+    /// ([`DirtyTracker::drain`]) loads each 64-page bitmap word once and
+    /// swaps only the dirty ones, so a flush after a one-page submit
+    /// tests `pages / 64` words plus that page.
+    ///
     /// Each synced run is one `msync` syscall, whose fixed cost dwarfs
     /// the per-clean-page cost of a larger range — so nearby runs are
     /// coalesced across small gaps, and a pathologically scattered

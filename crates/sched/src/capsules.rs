@@ -63,7 +63,7 @@
 //! the livelock (`victim-never-helps` is that mutant); `sim.rs` pins its
 //! two shortest schedules.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -177,6 +177,11 @@ pub struct Sched {
     /// source, consulted by the steal loop before probing victim deques.
     /// Unset only for bare schedulers (protocol tests, baselines).
     injector: std::sync::OnceLock<Arc<crate::service::InjectorQueue>>,
+    /// Raised when a processor thread of this process panics
+    /// ([`Sched::abort`]). Process-local and never set in a healthy run:
+    /// the steal loop halts on it as on the done flag, so siblings stop
+    /// spinning for work the dead thread held.
+    aborted: AtomicBool,
 }
 
 /// Longest single backoff sleep, µs. Small enough that a saturated
@@ -259,6 +264,7 @@ impl Sched {
             contention: (0..p).map(|_| AtomicU64::new(0)).collect(),
             steal_backoff,
             injector: std::sync::OnceLock::new(),
+            aborted: AtomicBool::new(false),
         })
     }
 
@@ -269,6 +275,13 @@ impl Sched {
         self.injector
             .set(queue)
             .expect("injector queue installed twice");
+    }
+
+    /// Stops this process's steal loops: every processor halts at its
+    /// next `sched/steal`, as when the done flag is set. Raised by a
+    /// processor thread that is unwinding from a panic.
+    pub(crate) fn abort(&self) {
+        self.aborted.store(true, Ordering::Relaxed);
     }
 
     /// The installed injector queue, if this is a cluster scheduler.
@@ -563,7 +576,7 @@ impl Sched {
             // enter the victim's `popTop`.
             // ==========================================================
             Steal(n) => {
-                if s.done.read(ctx)? {
+                if s.done.read(ctx)? || s.aborted.load(Ordering::Relaxed) {
                     return Ok(Next::Halt);
                 }
                 let me = ctx.proc();

@@ -88,7 +88,7 @@
 //! unchanged by enabling it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use ppm_core::{DoneFlag, Machine, PoolRefs};
@@ -360,10 +360,13 @@ impl CheckpointCtl {
     }
 
     /// Called once by each processor thread when it leaves the driver
-    /// loop (halt or hard fault), so the quiesce barrier stops waiting
-    /// for it.
+    /// loop (halt, hard fault or panic), so the quiesce barrier stops
+    /// waiting for it. It runs during unwinding too, so it takes the lock
+    /// even when a panicking coordinator poisoned it (a second panic there
+    /// would abort the process); the barrier's two counters are each
+    /// updated in one step, so the recovered guard holds valid counts.
     pub(crate) fn proc_exit(&self) {
-        let mut bar = self.barrier.lock().expect("checkpoint barrier poisoned");
+        let mut bar = self.barrier.lock().unwrap_or_else(PoisonError::into_inner);
         bar.live -= 1;
         drop(bar);
         self.cv.notify_all();

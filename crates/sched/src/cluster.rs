@@ -1005,13 +1005,18 @@ pub fn run_worker_with_clock(
             scope.spawn(move || lease_monitor_loop(machine, &domain, header.lease_ms, stop, clock))
         };
         let policy = header_config(&header).checkpoint;
-        let run = run_attached_seats(&machine, &session, domain.own_procs(), restart, &policy);
+        // A processor's panic is re-raised only after the monitor stops,
+        // so the worker dies (and its siblings adopt) instead of renewing
+        // its lease forever from a scope that waits for the monitor.
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_attached_seats(&machine, &session, domain.own_procs(), restart, &policy)
+        }));
         stop.store(true, Ordering::Release);
         // Cut the monitor's sleep short; a wake that lands before its
         // `stop` check costs one extra pass, never a missed stop.
         monitor.thread().unpark();
         monitor.join().expect("lease monitor panicked");
-        run
+        run.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     });
 
     let completed = session.done.is_set(machine.mem());

@@ -405,6 +405,7 @@ pub(crate) fn runtime_build(pcomp: &PComp) -> ShardBuild {
 /// at its persisted watermark and at its own restart pointer if that
 /// denotes a capsule (§6's restart; recovery scrubs them first); joins
 /// them, checks the deque invariant, and assembles the report. A
+/// processor's panic is re-raised once every thread has been joined. A
 /// single-process session seats every model processor; a cluster worker
 /// seats only its own shard's processors (its fault domain) while the
 /// sibling processors are driven by other OS processes attached to the
@@ -429,16 +430,20 @@ pub(crate) fn run_attached_seats(
     };
     let ctl = &CheckpointCtl::new(machine, sched.clone(), policy, seats.len());
     let start = Instant::now();
-    let outcomes: Vec<ProcOutcome> = std::thread::scope(|s| {
+    // Every thread is joined before the first panic is re-raised: a
+    // panicking processor releases the barrier and stops its siblings
+    // (`ExitGuard`), so the joins return.
+    let joined: Vec<std::thread::Result<ProcOutcome>> = std::thread::scope(|s| {
         let handles: Vec<_> = seats
             .clone()
             .map(|p| s.spawn(move || proc_loop(machine, sched, p, resume, ctl)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("processor thread panicked"))
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
+    let outcomes: Vec<ProcOutcome> = joined
+        .into_iter()
+        .collect::<std::thread::Result<_>>()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     let elapsed = start.elapsed();
 
     // Post-run structural check (quiescent among the seated processors,
@@ -738,6 +743,25 @@ pub(crate) fn recover(
     Ok((session, report))
 }
 
+/// Leaves the quiesce barrier when a processor thread ends, by halt, by
+/// hard fault or by panic. On a panic it also aborts the process's steal
+/// loops, so a sibling waiting for the dead thread's work halts instead
+/// of spinning, and a sibling parked at a quiesce is not left waiting for
+/// a processor that will never park.
+struct ExitGuard<'a> {
+    sched: &'a Sched,
+    ctl: &'a CheckpointCtl,
+}
+
+impl Drop for ExitGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.sched.abort();
+        }
+        self.ctl.proc_exit();
+    }
+}
+
 fn proc_loop(
     machine: &Machine,
     sched: &Sched,
@@ -745,6 +769,7 @@ fn proc_loop(
     resume: bool,
     ctl: &CheckpointCtl,
 ) -> ProcOutcome {
+    let _exit = ExitGuard { sched, ctl };
     let cursor = if resume { machine.pool_watermark(p) } else { 0 };
     let mut ctx = machine.ctx_with_pool_cursor(p, cursor);
     let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(p));
@@ -762,7 +787,6 @@ fn proc_loop(
         // so this is where checkpoint quiesces park.
         ctl.at_boundary(machine, p, &mut ctx);
     };
-    ctl.proc_exit();
     outcome
 }
 

@@ -433,6 +433,45 @@ fn tightened_samplesort_budget_survives_hard_fault_adoption() {
     assert_eq!(ss.read_output(rt.machine()), expect);
 }
 
+/// A processor that panics releases the quiesce barrier: with a pool an
+/// eighth of the sort's budget, some processor thread runs its pool dry
+/// mid-capsule, and its sibling — parked at a checkpoint quiesce or
+/// spinning for work the dead thread held — must stop too, so the
+/// session re-raises the exhaustion panic instead of hanging.
+#[test]
+fn a_pool_exhaustion_panic_ends_a_checkpointed_p2_session() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let n = 900;
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let rt = Runtime::volatile(
+            RuntimeConfig::new(PmConfig::parallel(2, WORDS).with_ephemeral_words(64))
+                .with_slots(SLOTS)
+                .with_pool_words(samplesort_pool_words(n) / 8)
+                .with_checkpoint(CheckpointPolicy::every_capsules(64)),
+        );
+        let ss = SampleSort::new(rt.machine(), n);
+        ss.load_input(rt.machine(), &input(n));
+        let outcome = catch_unwind(AssertUnwindSafe(|| rt.run_or_recover(&ss.pcomp())));
+        let _ = tx.send(outcome.map(|rep| rep.completed()).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        }));
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(Err(msg)) => assert!(msg.contains("allocation pool exhausted"), "{msg}"),
+        Ok(Ok(completed)) => {
+            panic!("the run returned (completed: {completed}) from a pool that cannot hold it")
+        }
+        Err(_) => panic!("the session hung after a processor panicked"),
+    }
+}
+
 // ====================================================================
 // Policies
 // ====================================================================

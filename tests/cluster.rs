@@ -533,6 +533,50 @@ fn recover_republishes_a_claim_whose_job_never_started() {
     assert_slices_filled(&machine, &slices);
 }
 
+/// A worker whose processor panics dies with that panic: its siblings
+/// halt, the lease monitor stops, and the panic leaves `run_worker`
+/// instead of a worker that renews its lease forever.
+#[test]
+fn a_panicking_processor_ends_its_worker() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let file = TempMachineFile::new("cluster-panic");
+    let build: ShardBuild = Arc::new(|m: &Machine, _, k: Word| {
+        let out = m.alloc_region(SLICE);
+        let mut set = dsl::CapsuleSet::new(m);
+        let leaf = set.define("clt/boom", |_: &dsl::Span<Region>, _, _| {
+            panic!("a leaf panicked")
+        });
+        let split = set.map_grain("clt/split", GRAIN, leaf);
+        let all = dsl::Span {
+            env: out,
+            lo: 0,
+            hi: SLICE,
+        };
+        split.setup(m, &all, dsl::K(k)).0
+    });
+    cluster_builder(file.path(), 1, 1000)
+        .observe(&build)
+        .unwrap()
+        .publish_shard_jobs()
+        .unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let path = file.path().to_path_buf();
+    std::thread::spawn(move || {
+        let outcome = catch_unwind(AssertUnwindSafe(|| cluster::run_worker(&path, 0, &build)));
+        let _ = tx.send(outcome.map(|_| ()).map_err(|payload| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .unwrap_or_default()
+        }));
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(Err(msg)) => assert_eq!(msg, "a leaf panicked"),
+        Ok(Ok(())) => panic!("a worker whose every leaf panics returned"),
+        Err(_) => panic!("the worker hung after a processor panicked"),
+    }
+}
+
 /// Prefix of the extra argument (`worker=<machine file>:<shard>`) that
 /// [`builder_run_supervises_worker_processes_to_completion`] hands the
 /// worker processes it spawns. To the test harness it is one more name

@@ -513,8 +513,16 @@ if [ -n "$hits" ]; then
     err "a twin of the Figure 3 scheduler is back (the explorer checks the engine itself; see model/engine.rs):" "$hits"
 fi
 
+# --- 19. a flush pays for its dirty pages ---------------------------------------------
+hits=$(awk '/pub fn drain\(/ { body = 1 }
+            body && /0\.\.self\.pages/ { print FILENAME ":" FNR ": " $0 }
+            body && /^    }$/ { exit }' crates/pm/src/dirty.rs)
+if [ -n "$hits" ]; then
+    err "a flush pays for its dirty pages: DirtyTracker::drain walks the file page by page (walk the bitmap a word at a time, swapping only dirty words):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages)"
