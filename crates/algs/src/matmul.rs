@@ -63,6 +63,30 @@ fn read_view(ctx: &mut ProcCtx, v: MView, size: usize) -> ppm_pm::PmResult<Vec<W
     Ok(out)
 }
 
+/// Stores the row-major rows of `data`, `cols` words each, into `region`
+/// at row stride `stride`: one bulk write per row (uncosted setup).
+fn store_rows(machine: &Machine, region: Region, stride: usize, data: &[Word], cols: usize) {
+    for (i, row) in data.chunks(cols).enumerate() {
+        machine.mem().write_range(region.at(i * stride), row);
+    }
+}
+
+/// Reads `rows × cols` row-major words out of `region` at row stride
+/// `stride` (oracle).
+fn load_rows(
+    machine: &Machine,
+    region: Region,
+    stride: usize,
+    rows: usize,
+    cols: usize,
+) -> Vec<Word> {
+    let mut out = vec![0; rows * cols];
+    for (i, row) in out.chunks_mut(cols).enumerate() {
+        machine.mem().read_range(region.at(i * stride), row);
+    }
+    out
+}
+
 /// Writes a `size × size` view.
 fn write_view(ctx: &mut ProcCtx, v: MView, size: usize, data: &[Word]) -> ppm_pm::PmResult<()> {
     for i in 0..size {
@@ -294,27 +318,13 @@ impl MatMul {
     pub fn load_inputs(&self, machine: &Machine, a: &[Word], b: &[Word]) {
         assert_eq!(a.len(), self.n * self.n);
         assert_eq!(b.len(), self.n * self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                machine
-                    .mem()
-                    .store(self.a.at(i * self.n_pad + j), a[i * self.n + j]);
-                machine
-                    .mem()
-                    .store(self.b.at(i * self.n_pad + j), b[i * self.n + j]);
-            }
-        }
+        store_rows(machine, self.a, self.n_pad, a, self.n);
+        store_rows(machine, self.b, self.n_pad, b, self.n);
     }
 
     /// Reads the product (row-major, `n × n`; oracle).
     pub fn read_output(&self, machine: &Machine) -> Vec<Word> {
-        let mut out = Vec::with_capacity(self.n * self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                out.push(machine.mem().load(self.c.at(i * self.n_pad + j)));
-            }
-        }
-        out
+        load_rows(machine, self.c, self.n_pad, self.n, self.n)
     }
 
     /// The multiplication computation as registered persistent capsules,
@@ -387,32 +397,14 @@ impl MatMulRect {
         assert_eq!(a.len(), self.m_rows * self.k_inner);
         assert_eq!(b.len(), self.k_inner * self.n_cols);
         let np = self.inner.n_pad;
-        for i in 0..self.m_rows {
-            for j in 0..self.k_inner {
-                machine
-                    .mem()
-                    .store(self.inner.a.at(i * np + j), a[i * self.k_inner + j]);
-            }
-        }
-        for i in 0..self.k_inner {
-            for j in 0..self.n_cols {
-                machine
-                    .mem()
-                    .store(self.inner.b.at(i * np + j), b[i * self.n_cols + j]);
-            }
-        }
+        store_rows(machine, self.inner.a, np, a, self.k_inner);
+        store_rows(machine, self.inner.b, np, b, self.n_cols);
     }
 
     /// Reads the `m×n` product (oracle).
     pub fn read_output(&self, machine: &Machine) -> Vec<Word> {
         let np = self.inner.n_pad;
-        let mut out = Vec::with_capacity(self.m_rows * self.n_cols);
-        for i in 0..self.m_rows {
-            for j in 0..self.n_cols {
-                out.push(machine.mem().load(self.inner.c.at(i * np + j)));
-            }
-        }
-        out
+        load_rows(machine, self.inner.c, np, self.m_rows, self.n_cols)
     }
 
     /// The multiplication computation (the enclosing square's

@@ -127,19 +127,13 @@ impl Merge {
         assert_eq!((a.len(), b.len()), (self.la, self.lb));
         debug_assert!(a.windows(2).all(|w| w[0] <= w[1]), "input a must be sorted");
         debug_assert!(b.windows(2).all(|w| w[0] <= w[1]), "input b must be sorted");
-        for (i, v) in a.iter().enumerate() {
-            machine.mem().store(self.a.at(i), *v);
-        }
-        for (i, v) in b.iter().enumerate() {
-            machine.mem().store(self.b.at(i), *v);
-        }
+        machine.mem().write_range(self.a.start, a);
+        machine.mem().write_range(self.b.start, b);
     }
 
     /// Reads the merged output (oracle).
     pub fn read_output(&self, machine: &Machine) -> Vec<Word> {
-        (0..self.la + self.lb)
-            .map(|i| machine.mem().load(self.out.at(i)))
-            .collect()
+        machine.mem().to_vec(self.out.start, self.la + self.lb)
     }
 
     /// The merging computation as registered persistent capsules, for

@@ -103,16 +103,12 @@ impl MergeSort {
     /// Loads the input (uncosted setup).
     pub fn load_input(&self, machine: &Machine, data: &[Word]) {
         assert_eq!(data.len(), self.n);
-        for (i, v) in data.iter().enumerate() {
-            machine.mem().store(self.input.at(i), *v);
-        }
+        machine.mem().write_range(self.input.start, data);
     }
 
     /// Reads the sorted output (oracle).
     pub fn read_output(&self, machine: &Machine) -> Vec<Word> {
-        (0..self.n)
-            .map(|i| machine.mem().load(self.output.at(i)))
-            .collect()
+        machine.mem().to_vec(self.output.start, self.n)
     }
 
     /// The sorting computation as registered persistent capsules, for
@@ -1007,16 +1003,12 @@ impl SampleSort {
     /// Loads the input (uncosted setup).
     pub fn load_input(&self, machine: &Machine, data: &[Word]) {
         assert_eq!(data.len(), self.n);
-        for (i, v) in data.iter().enumerate() {
-            machine.mem().store(self.input.at(i), *v);
-        }
+        machine.mem().write_range(self.input.start, data);
     }
 
     /// Reads the sorted output (oracle).
     pub fn read_output(&self, machine: &Machine) -> Vec<Word> {
-        (0..self.n)
-            .map(|i| machine.mem().load(self.output.at(i)))
-            .collect()
+        machine.mem().to_vec(self.output.start, self.n)
     }
 
     /// The sorting computation as registered persistent capsules, for

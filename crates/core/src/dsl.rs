@@ -251,9 +251,15 @@ impl CapsuleSet {
     }
 
     /// A typed parallel loop: recursively splits `[lo, hi)` in half until
-    /// at most `grain` indices remain, then jumps to `leaf` with the
-    /// final sub-span. Returns the *split* capsule; enter the loop by
-    /// framing it over the full span.
+    /// at most `grain` indices remain, then runs `leaf` on the final
+    /// sub-span. Returns the *split* capsule; enter the loop by framing it
+    /// over the full span.
+    ///
+    /// A forking split frames each half as `leaf` when the half is at most
+    /// `grain` indices and as `split` otherwise, so a leaf is framed by its
+    /// parent split and no split capsule runs only to jump to its leaf
+    /// (the same frame words, written one capsule earlier). A root span
+    /// already at most `grain` wide jumps to `leaf` from its one split.
     ///
     /// The environment `T` rides along in every frame, so the loop works
     /// for any number of coexisting instances.
@@ -268,6 +274,7 @@ impl CapsuleSet {
     {
         let split = self.declare::<Span<T>>(name);
         let grain = grain.max(1);
+        let run = move |lo: usize, hi: usize| if hi - lo <= grain { leaf } else { split };
         self.body(split, move |st, k, ctx| {
             if st.hi - st.lo <= grain {
                 return jump_to(ctx, leaf, st, k);
@@ -276,7 +283,7 @@ impl CapsuleSet {
             fork2(
                 ctx,
                 (
-                    split,
+                    run(st.lo, mid),
                     &Span {
                         env: st.env.clone(),
                         lo: st.lo,
@@ -284,7 +291,7 @@ impl CapsuleSet {
                     },
                 ),
                 (
-                    split,
+                    run(mid, st.hi),
                     &Span {
                         env: st.env.clone(),
                         lo: mid,

@@ -6,32 +6,50 @@
 //! unset was unsuccessful) and hence needs to run the code after the join."
 //!
 //! A [`JoinCell`] is one persistent word, initially `UNSET` (0). Each of
-//! the two arriving threads runs two capsules:
+//! the two arriving threads runs one capsule, the **arrival**: it CAMs the
+//! cell from `UNSET` to the thread's token (1 for the left branch, 2 for
+//! the right) — a non-reverting CAM, so the capsule is atomically
+//! idempotent (Theorem 5.2) — then reads the cell. If the cell holds the
+//! thread's own token the thread arrived *first* and ends (jumps to the
+//! scheduler); otherwise it arrived last and continues with the code after
+//! the join.
 //!
-//! 1. a **CAM capsule** that CAMs the cell from `UNSET` to the thread's
-//!    token (1 for the left branch, 2 for the right) — a non-reverting CAM,
-//!    so the capsule is atomically idempotent (Theorem 5.2); and
-//! 2. a **check capsule** that reads the cell: if it holds the thread's own
-//!    token the thread arrived *first* and ends (jumps to the scheduler);
-//!    otherwise it arrived last and continues with the code after the join.
+//! The CAM and the read can share a capsule because the cell is set
+//! once. A CAM's local result cannot survive a fault, so the arrival never
+//! uses it; it reads the location instead (the paper's test-and-set idiom).
+//! Once this arrival's own CAM has executed, the cell holds the first
+//! arriver's token and can never change again, so the read is not racy and
+//! every run of the capsule past its CAM reads the same word and decides
+//! the same way. That covers a soft-fault restart (a re-run CAM cannot
+//! change a set cell, and the read repeats) and a thief that adopts the
+//! capsule after a hard fault between the CAM and the read (it re-runs
+//! both). The
+//! capsule's first access to the cell is the CAM, a write, so the read
+//! that follows is not a write-after-read conflict (Theorem 3.1's check
+//! passes). Exactly one thread continues, no matter how many soft faults
+//! or which hard faults occur.
 //!
-//! The capsule boundary between the CAM and the check is essential: a CAM's
-//! local result cannot survive a fault, so success is observed only by
-//! reading the location in a later capsule (the paper's test-and-set
-//! idiom). Exactly one thread continues, no matter how many soft faults or
-//! which hard faults occur (the stolen thread resumes at whichever of the
-//! two capsules was active).
+//! The order is what makes it sound. An arrival that read the cell
+//! *before* its CAM and ended when it saw `UNSET` would be right when
+//! nothing faults, but a soft fault after its CAM re-runs the read, which
+//! now sees the thread's own token, so the thread continues — and the
+//! other branch, seeing that token too, continues as well: the code after
+//! the join runs twice. The engine explorer (`ppm_sched::model::engine`)
+//! crashes processors only at capsule boundaries, so it cannot tell the
+//! two orders apart; the soft-fault tests in `tests/capsule_forms.rs` do.
 //!
-//! An arrival is a pair of frames, `[cell, token, after]` under
-//! [`CORE_ID_JOIN_CAM`] then [`CORE_ID_JOIN_CHECK`], written by
-//! [`fork_join_frames`] and run on those words. The decode refuses any
-//! token but 1 or 2, so an arrival that could not join never runs.
+//! An arrival is one frame, `[cell, token, after]` under
+//! [`CORE_ID_JOIN_CAM`], written by [`fork_join_frames`] and run on those
+//! words. The decode refuses any token but 1 or 2, so an arrival that
+//! could not join never runs. Id `0x02` once named a separate check
+//! capsule; it stays reserved and unregistered, so a frame that names it
+//! is an unknown capsule (see [`crate::registry`]).
 
 use ppm_pm::{write_frame, Addr, PmResult, ProcCtx, Word};
 
 use crate::capsule::Next;
 use crate::persist::{FrameDecodeError, FrameDecodeKind, ValueError};
-use crate::registry::{frame_args, CORE_ID_JOIN_CAM, CORE_ID_JOIN_CHECK};
+use crate::registry::{frame_args, CORE_ID_JOIN_CAM};
 
 /// The unset value of a join cell.
 pub const UNSET: Word = 0;
@@ -63,12 +81,10 @@ impl JoinCell {
     }
 }
 
-/// The decode of both arrival capsules: three words whose token is
+/// The decode of an arrival capsule: three words whose token is
 /// [`TOKEN_LEFT`] or [`TOKEN_RIGHT`].
-pub(crate) fn decode_arrival(
-    capsule: &'static str,
-    args: &[Word],
-) -> Result<[Word; 3], FrameDecodeError> {
+pub(crate) fn decode_arrival(args: &[Word]) -> Result<[Word; 3], FrameDecodeError> {
+    let capsule = "join-cam";
     let words @ [_, token, _] = frame_args::<3>(capsule, args)?;
     match token {
         TOKEN_LEFT | TOKEN_RIGHT => Ok(words),
@@ -82,20 +98,12 @@ pub(crate) fn decode_arrival(
     }
 }
 
-/// Frame-denoted arrival, CAM half (the body of [`CORE_ID_JOIN_CAM`]):
-/// CAMs the cell with `token`, writes a persistent frame for the check
-/// capsule, and jumps to it *by handle*, so the restart pointer stays a
-/// frame address. `after` is the frame handle of the post-join continuation.
+/// A join arrival (the body of [`CORE_ID_JOIN_CAM`]): CAMs the cell
+/// with `token`, then reads it; the first arriver ends its thread, the last
+/// continues with the `after` frame. See the module docs for why the read
+/// may follow the CAM in the same capsule.
 pub(crate) fn arrive_cam(&[cell, token, after]: &[Word; 3], ctx: &mut ProcCtx) -> PmResult<Next> {
     ctx.pcam(cell as Addr, UNSET, token)?;
-    let check = write_frame(ctx, CORE_ID_JOIN_CHECK, &[cell, token, after])?;
-    Ok(Next::JumpHandle(check as Word))
-}
-
-/// Frame-denoted arrival, check half (the body of
-/// [`CORE_ID_JOIN_CHECK`]): reads the cell; the first arriver ends its
-/// thread, the last continues with the `after` frame.
-pub(crate) fn arrive_check(&[cell, token, after]: &[Word; 3], ctx: &mut ProcCtx) -> PmResult<Next> {
     if ctx.pread(cell as Addr)? == token {
         Ok(Next::End)
     } else {

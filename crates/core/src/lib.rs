@@ -57,6 +57,6 @@ pub use persist::{
 pub use registry::{
     frame_args, register_core_capsules, CapsuleId, CapsuleRegistry, CapsuleTracer, FrameRef, PComp,
     RehydrateError, CORE_ID_END, CORE_ID_FINALE, CORE_ID_FORK_PAIR, CORE_ID_JOIN_CAM,
-    CORE_ID_JOIN_CHECK, FIRST_USER_CAPSULE_ID,
+    FIRST_USER_CAPSULE_ID,
 };
 pub use runner::{journal_image, live_record, run_capsule, run_chain, InstallCtx};

@@ -157,8 +157,8 @@ pub struct Machine {
 
 /// Default per-processor allocation pool size in words. A fork consumes
 /// its join cell, two six-word arrival frames and its two branch frames —
-/// 49 words a leaf of a `map_grain` over a region — so this supports on
-/// the order of 5·10^3 forks per processor between checkpoints; construct
+/// 29 words a leaf of a `map_grain` over a region — so this supports on
+/// the order of 9·10^3 forks per processor between checkpoints; construct
 /// with [`Machine::with_pool_words`] for larger workloads.
 pub const DEFAULT_POOL_WORDS: usize = 1 << 18;
 

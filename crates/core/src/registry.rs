@@ -56,11 +56,11 @@ pub const FIRST_USER_CAPSULE_ID: CapsuleId = 0x100;
 /// Ids a registry holds: one past the largest registrable id.
 pub const MAX_CAPSULE_IDS: CapsuleId = 1 << 16;
 
-/// Built-in id: a join arrival's CAM capsule,
-/// args `[cell_addr, token, after_handle]`.
+/// Built-in id: a join arrival (CAM, then read of the cell, in one
+/// capsule), args `[cell_addr, token, after_handle]`. Id `0x02` once named
+/// a separate join check capsule; it is reserved and never registered, so
+/// a frame that still names it is an unknown capsule, never a join.
 pub const CORE_ID_JOIN_CAM: CapsuleId = 0x01;
-/// Built-in id: a join arrival's check capsule, same args as the CAM.
-pub const CORE_ID_JOIN_CHECK: CapsuleId = 0x02;
 /// Built-in id: the computation finale, args `[flag_addr]` — sets the
 /// completion flag and ends the root thread.
 pub const CORE_ID_FINALE: CapsuleId = 0x03;
@@ -462,28 +462,20 @@ pub fn frame_args<const N: usize>(
 pub fn register_core_capsules(registry: &CapsuleRegistry) {
     // A join arrival keeps its cell word and its post-join continuation
     // frame alive; the tracer reports both (and refuses malformed args).
-    let join_trace = |args: &[Word], out: &mut PoolRefs| {
-        if let [cell, _token, after] = args {
-            out.extent(*cell as usize, 1);
-            out.handle(*after);
-            true
-        } else {
-            false
-        }
-    };
     registry.register(
         CORE_ID_JOIN_CAM,
         "join-cam",
-        |args| crate::join::decode_arrival("join-cam", args),
+        crate::join::decode_arrival,
         crate::join::arrive_cam,
-        join_trace,
-    );
-    registry.register(
-        CORE_ID_JOIN_CHECK,
-        "join-check",
-        |args| crate::join::decode_arrival("join-check", args),
-        crate::join::arrive_check,
-        join_trace,
+        |args: &[Word], out: &mut PoolRefs| {
+            if let [cell, _token, after] = args {
+                out.extent(*cell as usize, 1);
+                out.handle(*after);
+                true
+            } else {
+                false
+            }
+        },
     );
     registry.register(
         CORE_ID_FINALE,
@@ -718,7 +710,6 @@ pub(crate) mod tests {
         register_core_capsules(&reg);
         for id in [
             CORE_ID_JOIN_CAM,
-            CORE_ID_JOIN_CHECK,
             CORE_ID_FINALE,
             CORE_ID_END,
             CORE_ID_FORK_PAIR,
@@ -758,25 +749,44 @@ pub(crate) mod tests {
         let reg = CapsuleRegistry::new();
         register_core_capsules(&reg);
         let mem = PersistentMemory::new(256, 8);
-        for (id, name) in [
-            (CORE_ID_JOIN_CAM, "join-cam"),
-            (CORE_ID_JOIN_CHECK, "join-check"),
-        ] {
-            for token in [0, 3] {
-                store_frame(&mem, 16, id, &[64, token, 0]);
-                let err = expect_err(reg.rehydrate(&mem, 16));
-                let RehydrateError::BadArgs { error, .. } = &err else {
-                    panic!("{name} token {token}: {err}")
-                };
-                assert_eq!(error.capsule, name);
-                let want = ValueError {
-                    what: "join token (1 or 2)",
-                    word: token,
-                };
-                assert_eq!(error.kind, FrameDecodeKind::Value(want));
-            }
-            store_frame(&mem, 16, id, &[64, crate::join::TOKEN_RIGHT, 0]);
-            assert_eq!(reg.rehydrate(&mem, 16).unwrap().name, name);
+        for token in [0, 3] {
+            store_frame(&mem, 16, CORE_ID_JOIN_CAM, &[64, token, 0]);
+            let err = expect_err(reg.rehydrate(&mem, 16));
+            let RehydrateError::BadArgs { error, .. } = &err else {
+                panic!("token {token}: {err}")
+            };
+            assert_eq!(error.capsule, "join-cam");
+            let want = ValueError {
+                what: "join token (1 or 2)",
+                word: token,
+            };
+            assert_eq!(error.kind, FrameDecodeKind::Value(want));
         }
+        store_frame(
+            &mem,
+            16,
+            CORE_ID_JOIN_CAM,
+            &[64, crate::join::TOKEN_RIGHT, 0],
+        );
+        assert_eq!(reg.rehydrate(&mem, 16).unwrap().name, "join-cam");
+    }
+
+    /// Id 0x02, the retired join check capsule, stays unregistered: a
+    /// frame an older build left under it is an unknown capsule (which
+    /// recovery reports as a structured fallback), never a join.
+    #[test]
+    fn the_retired_join_check_id_is_an_unknown_capsule() {
+        let reg = CapsuleRegistry::new();
+        register_core_capsules(&reg);
+        assert_eq!(reg.name_of(0x02), None);
+        let mem = PersistentMemory::new(256, 8);
+        store_frame(&mem, 16, 0x02, &[64, crate::join::TOKEN_LEFT, 0]);
+        assert!(matches!(
+            expect_err(reg.rehydrate(&mem, 16)),
+            UnknownCapsule {
+                capsule_id: 0x02,
+                ..
+            }
+        ));
     }
 }

@@ -101,10 +101,22 @@ use crate::capsules::Sched;
 /// explicitly configured.
 pub const DEFAULT_CHECKPOINT_CAPSULES: u64 = 1024;
 
-/// Capsules to wait before re-quiescing after a checkpoint (or a busy
-/// skip): long enough that an in-flight scheduler operation has
-/// completed, short enough that a due policy is delayed, not starved.
+/// Capsules to wait before re-quiescing after a checkpoint, and after
+/// the first busy skip: long enough that an in-flight scheduler
+/// operation has completed, short enough that a due policy is delayed,
+/// not starved. Each further consecutive busy skip doubles the wait, up
+/// to the policy's interval (`CheckpointPolicy::interval_capsules`); a
+/// completed checkpoint resets it.
 const BUSY_RETRY_CAPSULES: u64 = 8;
+
+/// Capsules a due checkpoint waits for a join boundary before it takes
+/// any boundary. Right after a join's last arrival continues, everything
+/// the forking capsule allocated above the join's `after` frame is dead,
+/// so a checkpoint there reclaims it; elsewhere the top of the pool is
+/// usually a live frame just written. The wait is bounded so a stretch
+/// of work with no join (one long chain, a fan-out still forking) still
+/// checkpoints.
+const JOIN_WAIT_CAPSULES: u64 = 64;
 
 /// Backoff after a quiesce found an untraceable frame: the offending
 /// capsule is usually still reachable at the next boundary, so hammering
@@ -174,6 +186,17 @@ impl CheckpointPolicy {
     /// Whether this policy can ever request a checkpoint.
     pub fn is_enabled(&self) -> bool {
         !matches!(self, CheckpointPolicy::Disabled)
+    }
+
+    /// The longest busy-skip backoff, in capsules: the interval of
+    /// [`CheckpointPolicy::EveryCapsules`], and
+    /// [`DEFAULT_CHECKPOINT_CAPSULES`] for the policies that do not count
+    /// capsules.
+    fn interval_capsules(&self) -> u64 {
+        match self {
+            CheckpointPolicy::EveryCapsules(k) => *k,
+            _ => DEFAULT_CHECKPOINT_CAPSULES,
+        }
     }
 }
 
@@ -247,6 +270,12 @@ pub(crate) struct CheckpointCtl {
     /// Earliest capsule count at which a due-but-busy policy may
     /// re-request (quiesces retry at this backoff, not every boundary).
     retry_at: AtomicU64,
+    /// The backoff the next busy skip waits out: [`BUSY_RETRY_CAPSULES`],
+    /// doubled by each consecutive busy skip up to the policy interval.
+    busy_backoff: AtomicU64,
+    /// Capsule count from which a due policy takes any boundary, not
+    /// only a join boundary (`u64::MAX` while the policy is not due).
+    any_boundary_at: AtomicU64,
     /// Last seen pool cursor per processor (delta base for `words_since`).
     last_cursor: Vec<AtomicU64>,
     /// Sequence number the next record will carry.
@@ -341,6 +370,8 @@ impl CheckpointCtl {
             words_since: AtomicU64::new(0),
             manual_pending: AtomicBool::new(false),
             retry_at: AtomicU64::new(0),
+            busy_backoff: AtomicU64::new(BUSY_RETRY_CAPSULES),
+            any_boundary_at: AtomicU64::new(u64::MAX),
             last_cursor: (0..machine.procs()).map(|_| AtomicU64::new(0)).collect(),
             next_seq: AtomicU64::new(next_seq),
             barrier: Mutex::new(Barrier {
@@ -376,7 +407,16 @@ impl CheckpointCtl {
     /// checkpoint is requested — parks until every live processor is
     /// parked, runs the checkpoint on the last arriver, and resynces the
     /// processor's pool cursor from its (possibly rolled-back) watermark.
-    pub(crate) fn at_boundary(&self, machine: &Machine, proc: usize, ctx: &mut ProcCtx) {
+    /// `joined` says that the capsule just run was a join's last arrival
+    /// and its thread now continues after the join: a due policy prefers
+    /// that boundary for `JOIN_WAIT_CAPSULES` capsules.
+    pub(crate) fn at_boundary(
+        &self,
+        machine: &Machine,
+        proc: usize,
+        ctx: &mut ProcCtx,
+        joined: bool,
+    ) {
         if !self.policy.is_enabled() {
             return;
         }
@@ -403,9 +443,16 @@ impl CheckpointCtl {
         // A due policy re-requests only past the busy-skip backoff — the
         // frequent case is a fork boundary (allocations happen in forking
         // capsules), which is exactly a mid-push window where the quiesce
-        // must skip; a few capsules later the push has completed.
+        // must skip; a few capsules later the push has completed. Past the
+        // backoff it waits for a join boundary, where the forking
+        // capsule's frames are dead, for a bounded number of capsules.
         if due && capsules >= self.retry_at.load(Ordering::Relaxed) {
-            self.requested.store(true, Ordering::Release);
+            let wait_from = self
+                .any_boundary_at
+                .fetch_min(capsules + JOIN_WAIT_CAPSULES, Ordering::Relaxed);
+            if joined || capsules >= wait_from {
+                self.requested.store(true, Ordering::Release);
+            }
         }
         // Pool-pressure failsafe, independent of the configured cadence:
         // when this processor's pool is ⅞ full, request a checkpoint. The
@@ -492,9 +539,13 @@ impl CheckpointCtl {
         let seeds = match crate::driver::harvest_frontier(machine, &self.sched) {
             Ok(seeds) if !seeds.is_empty() => seeds,
             _ => {
-                self.rearm(false, BUSY_RETRY_CAPSULES);
+                let backoff = self.busy_backoff.load(Ordering::Relaxed);
+                let next = (backoff * 2).min(self.policy.interval_capsules());
+                self.busy_backoff
+                    .store(next.max(BUSY_RETRY_CAPSULES), Ordering::Relaxed);
+                self.rearm(false, backoff);
                 summary.skipped_busy += 1;
-                return "skipped: busy boundary".into();
+                return format!("skipped: busy boundary (next retry in {backoff} capsules)");
             }
         };
         // Frame-pool GC: highest live word per pool, traced from the
@@ -569,11 +620,12 @@ impl CheckpointCtl {
     }
 
     /// Re-arms the trigger state after a quiesce: a completed checkpoint
-    /// resets the policy counters for a full interval, a skipped one
-    /// leaves the policy due; either way the next quiesce request
-    /// (including the pool-pressure failsafe) waits out `backoff`
-    /// capsules, so futile quiesces are paced, and reclamation is delayed
-    /// a little, never lost.
+    /// resets the policy counters for a full interval and the busy
+    /// backoff to its start, a skipped one leaves the policy due; either
+    /// way the next quiesce request (including the pool-pressure
+    /// failsafe) waits out `backoff` capsules, and a due policy then
+    /// prefers a join boundary again, so futile quiesces are paced, and
+    /// reclamation is delayed a little, never lost.
     fn rearm(&self, completed: bool, backoff: u64) {
         let capsules = self.capsules.load(Ordering::Relaxed);
         if completed {
@@ -582,7 +634,10 @@ impl CheckpointCtl {
             }
             self.words_since.store(0, Ordering::Relaxed);
             self.manual_pending.store(false, Ordering::Release);
+            self.busy_backoff
+                .store(BUSY_RETRY_CAPSULES, Ordering::Relaxed);
         }
+        self.any_boundary_at.store(u64::MAX, Ordering::Relaxed);
         self.retry_at.store(capsules + backoff, Ordering::Relaxed);
     }
 }
@@ -743,6 +798,47 @@ mod tests {
         store_frame(m.mem(), good, def.id(), &[1, 0]);
         let maxima = trace_live_maxima(&m, &[good as Word]).expect("decodes");
         assert_eq!(maxima[0], 200 + frame_words(2));
+    }
+
+    /// A boundary held busy (an empty frontier: nothing to harvest)
+    /// re-quiesces after 8, 16, 32, … capsules, so the attempts over `k`
+    /// capsules grow as log₂ k, not as k / 8; the first completed
+    /// checkpoint resets the backoff.
+    #[test]
+    fn consecutive_busy_skips_back_off_exponentially() {
+        use ppm_core::{Machine, CORE_ID_END};
+        use ppm_pm::PmConfig;
+        let attempts_over = |k: u64| {
+            let m = Machine::new(PmConfig::parallel(1, 1 << 16));
+            let sched = Sched::new(&m, DoneFlag::new(&m), &crate::SchedConfig::with_slots(8));
+            let (policy, trigger) = CheckpointPolicy::manual();
+            let ctl = CheckpointCtl::new(&m, sched.clone(), policy, 1);
+            let mut ctx = m.ctx(0);
+            trigger.request();
+            // Every boundary is a join boundary: only the backoff paces.
+            for _ in 0..k {
+                ctl.at_boundary(&m, 0, &mut ctx, true);
+            }
+            let held = ctl.summary();
+            assert_eq!(held.completed, 0);
+            assert_eq!(held.attempted, held.skipped_busy);
+            // Something to harvest: the next quiesce completes.
+            crate::driver::plant_seeds(&m, &sched, &[m.setup_frame(CORE_ID_END, &[])]);
+            for _ in 0..DEFAULT_CHECKPOINT_CAPSULES + JOIN_WAIT_CAPSULES {
+                ctl.at_boundary(&m, 0, &mut ctx, true);
+            }
+            assert_eq!(ctl.summary().completed, 1);
+            assert_eq!(
+                ctl.busy_backoff.load(Ordering::Relaxed),
+                BUSY_RETRY_CAPSULES
+            );
+            held.attempted
+        };
+        // Quiesces at capsules 1, 9, 25, 57, …: 2^(i+3) − 7.
+        assert_eq!(attempts_over(256), 6);
+        assert_eq!(attempts_over(1024), 8);
+        // Past the policy interval the backoff stops growing.
+        assert_eq!(attempts_over(4 * 1024), 8 + 3);
     }
 
     #[test]

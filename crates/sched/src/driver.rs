@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 use ppm_core::persist::FrameDecodeError;
 pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
-use ppm_core::{run_capsule, Active, InstallCtx, Machine};
+use ppm_core::{run_capsule, Active, InstallCtx, Machine, CORE_ID_JOIN_CAM};
 use ppm_obs::TraceKind;
 use ppm_pm::{StatsSnapshot, Word};
 
@@ -778,14 +778,18 @@ fn proc_loop(
         .flatten()
         .unwrap_or(Active::Sched(sched.find_work()));
     let outcome = loop {
-        match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(sched)) {
-            Ok(Some(c)) => cur = c,
+        let next = match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(sched)) {
+            Ok(Some(c)) => c,
             Ok(None) => break ProcOutcome::Halted,
             Err(_) => break ProcOutcome::Dead,
-        }
+        };
+        // A join arrival that continues to a frame (not to the scheduler)
+        // was the join's last: the forking capsule's frames are dead.
+        let joined = matches!((&cur, &next), (Active::Frame(f), Active::Frame(_)) if f.id == CORE_ID_JOIN_CAM);
+        cur = next;
         // Capsule boundary: the committed state is self-consistent here,
         // so this is where checkpoint quiesces park.
-        ctl.at_boundary(machine, p, &mut ctx);
+        ctl.at_boundary(machine, p, &mut ctx, joined);
     };
     outcome
 }

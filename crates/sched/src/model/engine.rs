@@ -59,6 +59,12 @@
 //! guards against, and `tests/model_check.rs` pins the counterexample
 //! the explorer finds for each.
 //!
+//! A bug inside one capsule is out of reach: crashes land only at
+//! capsule boundaries and a step runs a capsule whole, so, e.g., a join
+//! arrival that reads its cell before its CAM explores exactly like the
+//! faithful one. `tests/capsule_forms.rs` catches that mutant with soft
+//! faults instead (see `ppm_core::join`).
+//!
 //! `specs/tla/FrontierAdoption.tla` states the same protocol abstractly.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -628,15 +628,15 @@ mod tests {
     /// `Local` and nothing of it is adoptable. p0 then misses on the
     /// `Taken` entry: at `popBottom/read` once its own leaf is done (p1
     /// stole after p0's 12th capsule), or at `popBottom/check`, its CAM
-    /// having lost to p1's (after p0's 18th). Figure 3 has only thieves
+    /// having lost to p1's (after p0's 16th). Figure 3 has only thieves
     /// of p0 help p0's deque, so the survivor spun `steal → help/read →
     /// popTop/read` forever; now its own miss helps, p1's seat turns
     /// `Local`, and p0 adopts p1's thread and finishes within a budget.
     #[test]
     fn a_survivor_whose_thief_died_mid_steal_finishes() {
         const CASES: [(usize, &str, &str); 2] = [
-            (12, "mark/split", "sched/popBottom/read"),
-            (18, "sched/popBottom/cam", "sched/popBottom/check"),
+            (12, "mark", "sched/popBottom/read"),
+            (16, "sched/popBottom/cam", "sched/popBottom/check"),
         ];
         for (owner_steps, owner_at, misses_in) in CASES {
             let m = machine(2, FaultConfig::none());

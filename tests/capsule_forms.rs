@@ -6,9 +6,10 @@
 
 use std::sync::Arc;
 
-use ppm::core::dsl::{CapsuleDef, CapsuleSet, Step, K};
-use ppm::core::{run_chain, InstallCtx, Machine, Persist};
-use ppm::pm::{FaultConfig, PmConfig, PmResult, ProcCtx, Word};
+use ppm::core::dsl::{self, CapsuleDef, CapsuleSet, Step, K};
+use ppm::core::{run_chain, InstallCtx, Machine, PComp, Persist, CORE_ID_JOIN_CAM};
+use ppm::pm::{FaultConfig, PmConfig, PmResult, ProcCtx, Region, ValidateMode, Word};
+use ppm::sched::{SchedConfig, SimSched};
 
 fn machine(f: FaultConfig) -> Machine {
     Machine::new(PmConfig::parallel(2, 1 << 18).with_fault(f))
@@ -225,4 +226,217 @@ fn persistent_counter_with_commit_is_exactly_once() {
         }
         assert_eq!(m.mem().load(cells.at(19)), 20, "seed {seed}");
     }
+}
+
+// ---------------------------------------------------------------------
+// The §5 join: one arrival capsule CAMs the set-once cell, then reads it
+// ---------------------------------------------------------------------
+
+/// How an arrival frame is built: the runtime's one-capsule arrival, or
+/// a deliberately broken one.
+#[derive(Clone, Copy)]
+enum Arrival {
+    /// `join-cam`: CAM the cell, then read it, in one capsule.
+    Fused,
+    /// The mutant: read the cell *before* the CAM, and claim "first" when
+    /// it was unset. Correct when nothing faults and nothing races, but a
+    /// soft fault after its CAM re-runs the read, which then sees the
+    /// thread's own token and continues; the other branch continues too.
+    ReadBeforeCam,
+}
+
+/// The arrival frame of `token` on `cell`, continuing with `after`.
+fn arrival(m: &Machine, how: Arrival, cell: Word, token: Word, after: Word) -> Word {
+    match how {
+        Arrival::Fused => m.setup_frame(CORE_ID_JOIN_CAM, &[cell, token, after]),
+        Arrival::ReadBeforeCam => {
+            let def = CapsuleSet::new(m).define(
+                "join-read-before-cam",
+                |&(cell, token, after): &(Word, Word, Word), _, ctx| {
+                    let seen = ctx.pread(cell as usize)?;
+                    ctx.pcam(cell as usize, 0, token)?;
+                    Ok(if seen == 0 {
+                        Step::End
+                    } else {
+                        Step::Jump(K(after))
+                    })
+                },
+            );
+            frame(m, def, &(cell, token, after))
+        }
+    }
+}
+
+/// One fork's join on a fresh cell: the left (token 1) and right (token
+/// 2) arrivals, each continuing past the join into a frame that marks
+/// its own word. Returns the cell, the two arrival frames and the marker
+/// region; the code after the join ran once iff exactly one marker is 1.
+fn join_fixture(m: &Machine, how: Arrival) -> (Word, [Word; 2], Region) {
+    let cell = m.alloc_region(1).start as Word;
+    let marks = m.alloc_region(2);
+    let after = define(m, "after-join", |&at: &usize, ctx| ctx.pwrite(at, 1));
+    let arrivals = [1, 2].map(|token| {
+        let k = frame(m, after, &marks.at(token as usize - 1));
+        arrival(m, how, cell, token, k)
+    });
+    (cell, arrivals, marks)
+}
+
+fn continued(m: &Machine, marks: Region) -> Word {
+    m.mem().load(marks.at(0)) + m.mem().load(marks.at(1))
+}
+
+/// Both arrival orders under soft faults at `f`, `seeds` seeds each: the
+/// code after the join must run exactly once every time.
+fn join_under_soft_faults(how: Arrival, validate: ValidateMode, f: f64, seeds: u64) {
+    for seed in 0..seeds {
+        for order in [[0, 1], [1, 0]] {
+            let m = Machine::new(
+                PmConfig::parallel(2, 1 << 18)
+                    .with_fault(FaultConfig::soft(f, seed))
+                    .with_validate(validate),
+            );
+            let (_, arrivals, marks) = join_fixture(&m, how);
+            for i in order {
+                run_once(&m, arrivals[i]);
+            }
+            assert_eq!(
+                continued(&m, marks),
+                1,
+                "f = {f}, seed {seed}, order {order:?}: the code after the join runs exactly once"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_join_continues_exactly_once_in_either_arrival_order() {
+    join_under_soft_faults(Arrival::Fused, ValidateMode::Strict, 0.0, 1);
+}
+
+#[test]
+fn a_join_continues_exactly_once_under_soft_faults() {
+    for f in [0.05, 0.2] {
+        join_under_soft_faults(Arrival::Fused, ValidateMode::Strict, f, 32);
+    }
+}
+
+/// The soft-fault case catches an arrival that reads before its CAM.
+/// Strict validation would refuse it sooner, at its first run (the CAM
+/// writes a word the capsule already read: a write-after-read conflict),
+/// so this runs it under `Record` to show the exactly-once check itself
+/// failing.
+#[test]
+#[should_panic(expected = "runs exactly once")]
+fn an_arrival_that_reads_before_its_cam_is_caught_by_soft_faults() {
+    for f in [0.05, 0.2] {
+        join_under_soft_faults(Arrival::ReadBeforeCam, ValidateMode::Record, f, 32);
+    }
+}
+
+/// Both arrivals racing on two processors, under soft faults.
+#[test]
+fn racing_arrivals_continue_exactly_once() {
+    for seed in 0..32 {
+        let m = Arc::new(machine(FaultConfig::soft(0.05, seed)));
+        let (_, arrivals, marks) = join_fixture(&m, Arrival::Fused);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let threads = [0, 1].map(|p| {
+            let (m, start) = (m.clone(), start.clone());
+            std::thread::spawn(move || {
+                let mut ctx = m.ctx(p);
+                let mut install = InstallCtx::new(m.mem(), m.proc_meta(p));
+                start.wait();
+                run_chain(&mut ctx, m.arena(), &mut install, arrivals[p]).unwrap();
+            })
+        });
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(continued(&m, marks), 1, "seed {seed}");
+    }
+}
+
+/// A processor killed inside its arrival, after the CAM and before the
+/// read, is adopted at P = 2: the survivor re-runs the whole arrival (its
+/// CAM fails harmlessly on the set-once cell, its read decides as the
+/// dead one's would have), and the code after the join runs exactly once.
+/// Every arrival of a two-leaf fork is killed this way in turn; the kill
+/// point is the arrival's second access, found on an unfaulted dry run of
+/// the same deterministic schedule.
+#[test]
+fn a_hard_fault_between_the_cam_and_the_read_is_adopted_exactly_once() {
+    // (proc, that processor's accesses before the arrival) per arrival.
+    let arrivals = {
+        let m = Machine::new(PmConfig::parallel(2, 1 << 18));
+        let (mut sim, _, _) = fork_of_two(&m);
+        let mut seen = Vec::new();
+        while !sim.completed() {
+            let p = alternate(&sim);
+            if sim.at(p) == "join-cam" {
+                let st = &m.snapshot().per_proc[p];
+                seen.push((p, st.reads + st.writes));
+            }
+            sim.step(p);
+        }
+        seen
+    };
+    assert_eq!(arrivals.len(), 2, "{arrivals:?}");
+    let mut adopted = 0;
+    for (p, before) in arrivals {
+        // Access `before + 1` is the CAM; the processor dies at its read.
+        let fault = FaultConfig::none().with_scheduled_hard_fault(p, before + 2);
+        let m = Machine::new(PmConfig::parallel(2, 1 << 18).with_fault(fault));
+        let (mut sim, out, after_runs) = fork_of_two(&m);
+        while !sim.completed() && !sim.runnable().is_empty() {
+            sim.step(alternate(&sim));
+        }
+        let trace = sim.render_trace();
+        assert!(
+            trace.contains(&format!("p{p} died in join-cam")),
+            "p{p} dies in its arrival:\n{trace}"
+        );
+        assert!(sim.completed(), "the survivor finishes:\n{trace}");
+        assert_eq!(m.mem().to_vec(out.start, 2), vec![1, 2]);
+        let runs = after_runs.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(runs, 1, "p{p}: the code after the join runs once:\n{trace}");
+        adopted += usize::from(trace.contains("sched/popTop/checkLocal"));
+    }
+    assert!(adopted > 0, "some killed arrival is adopted");
+}
+
+/// The next processor of a fixed round-robin schedule: the lower id on
+/// even steps, the higher on odd, among the runnable ones.
+fn alternate(sim: &SimSched<'_>) -> usize {
+    let runnable = sim.runnable();
+    let turn = sim.events().len() % runnable.len();
+    runnable[turn]
+}
+
+/// A `Runtime`-style session whose root forks two leaves (each marking
+/// its word) and joins into a frame that counts its runs host-side, then
+/// ends the computation.
+fn fork_of_two(m: &Machine) -> (SimSched<'_>, Region, Arc<std::sync::atomic::AtomicU32>) {
+    let out = m.alloc_region(2);
+    let runs = Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let counted = runs.clone();
+    let pcomp: PComp = Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("fork2/leaf", |&(at, v): &(usize, Word), k, ctx| {
+            ctx.pwrite(at, v)?;
+            Ok(Step::Jump(k))
+        });
+        let counted = counted.clone();
+        let after = set.define("fork2/after", move |_: &(), k, _| {
+            counted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(Step::Jump(k))
+        });
+        let root = set.define("fork2/root", move |_: &(), k, ctx| {
+            let k = after.frame(ctx, &(), k)?;
+            dsl::fork2(ctx, (leaf, &(out.at(0), 1)), (leaf, &(out.at(1), 2)), k)
+        });
+        root.setup(m, &(), K(finale)).word()
+    });
+    let sim = SimSched::new_persistent(m, &pcomp, &SchedConfig::with_slots(64));
+    (sim, out, runs)
 }

@@ -8,6 +8,7 @@
 //! probabilistic observations.
 
 use ppm::algs::{prefix_sum_seq, samplesort_pool_words, MergeSort, PrefixSum, SampleSort};
+use ppm::core::Active;
 use ppm::pm::{FaultConfig, PmConfig, Word};
 use ppm::sched::{CheckpointPolicy, Runtime, RuntimeConfig, SessionMode};
 
@@ -50,13 +51,30 @@ fn full_run_profile() -> (u64, u64) {
     (rep.stats().capsule_completions, rep.stats().total_work())
 }
 
-/// A scheduled-fault access index ~60% through the measured from-root
-/// run: deterministically past the first checkpoint epochs and short of
-/// completion, and inside a user capsule (a kill inside a pushBottom
-/// commit would be rejected as mid-push before any restart pointer is
-/// looked at).
+/// A scheduled-fault access index inside a named user capsule ~60%
+/// through the from-root run: the first kill point past three fifths of
+/// the run's accesses whose dead processor's restart pointer is a
+/// `prefix/down` frame. Deterministically past the first checkpoint
+/// epochs, short of completion, and inside a user capsule — never inside
+/// a `pushBottom` commit, which recovery would reject as mid-push before
+/// any restart pointer is looked at — however the per-capsule costs
+/// move. Found by killing volatile twins of the run (a durable run
+/// performs the same accesses; checkpoints cost none).
 fn mid_run_kill_access() -> u64 {
-    full_run_profile().1 * 3 / 5 + 5
+    let past = full_run_profile().1 * 3 / 5;
+    (past..past + 200)
+        .find(|&at| {
+            let pm = PmConfig::parallel(1, WORDS)
+                .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, at));
+            let rt = Runtime::volatile(prefix_cfg(pm));
+            let ps = PrefixSum::new(rt.machine(), N);
+            ps.load_input(rt.machine(), &input(N));
+            assert!(!rt.run_or_recover(&ps.pcomp()).completed());
+            let m = rt.machine();
+            matches!(m.arena().resolve(m.active_handle(0)),
+                Some(Active::Frame(f)) if f.name == "prefix/down")
+        })
+        .expect("a kill inside `prefix/down` past three fifths of the run")
 }
 
 #[cfg(unix)]
@@ -520,7 +538,7 @@ fn manual_policy_checkpoints_only_on_request() {
     );
     let ps = PrefixSum::new(rt.machine(), N);
     ps.load_input(rt.machine(), &input(N));
-    // Request before the run: the first capsule boundary takes it.
+    // Request before the run: a boundary soon after takes it.
     trigger.request();
     let rep = rt.run_or_recover(&ps.pcomp());
     assert!(rep.completed());
@@ -599,6 +617,60 @@ fn replay_from_root_clears_stale_checkpoint_records() {
     assert!(
         rt.machine().latest_checkpoint_record().is_none(),
         "replay-from-root must clear stale checkpoint records"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A file whose restart pointer sits on a `join-check` frame — id 0x02,
+/// the separate check capsule of older builds, which this build never
+/// registers — opens to a structured fallback naming the unknown
+/// capsule, never a panic, and the run still completes.
+#[cfg(unix)]
+#[test]
+fn a_restart_pointer_on_a_retired_join_check_frame_falls_back() {
+    use ppm::core::{RehydrateError, TOKEN_LEFT};
+    use ppm::sched::FallbackReason;
+    let path = tmp("retired-check");
+    let _ = std::fs::remove_file(&path);
+    {
+        let pm = PmConfig::parallel(1, WORDS)
+            .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, mid_run_kill_access()));
+        let rt = Runtime::create(&path, prefix_cfg(pm)).unwrap();
+        let ps = PrefixSum::new(rt.machine(), N);
+        ps.load_input(rt.machine(), &input(N));
+        assert!(!rt.run_or_recover(&ps.pcomp()).completed());
+    }
+    let rt = Runtime::open(&path, prefix_cfg(PmConfig::parallel(1, WORDS))).unwrap();
+    let m = rt.machine();
+    let ps = PrefixSum::new(m, N);
+    ps.load_input(m, &input(N));
+    // The arrival as the older build wrote it, `[cell, token, after]`, at
+    // the far end of the pool: nothing live is there, and construction
+    // must carve the same regions the dying run carved.
+    let top = m.pool(0).end() - 16;
+    let after = m.active_handle(0);
+    ppm::pm::store_frame(m.mem(), top, 0x02, &[top as Word + 15, TOKEN_LEFT, after]);
+    m.mem().store(m.proc_meta(0).active, top as Word);
+    let rep = rt.run_or_recover(&ps.pcomp());
+    assert!(rep.completed());
+    assert_eq!(ps.read_output(m), prefix_sum_seq(&input(N)));
+    let reason = (rep.fallback_reason.clone()).or_else(|| {
+        rep.checkpoint_resume
+            .as_ref()
+            .map(|c| c.crash_frontier.clone())
+    });
+    assert!(
+        matches!(
+            &reason,
+            Some(FallbackReason::Rehydrate {
+                error: RehydrateError::UnknownCapsule {
+                    capsule_id: 0x02,
+                    ..
+                },
+                ..
+            })
+        ),
+        "{reason:?}"
     );
     let _ = std::fs::remove_file(&path);
 }

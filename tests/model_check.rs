@@ -18,7 +18,7 @@ use ppm_check::{replay, Explorer, ExplorerConfig, Model, Report, Violation};
 const CI_DEPTH: usize = 60;
 
 /// A depth past every engine scope's diameter here: `engine-fork` over
-/// two leaves has diameter 59 and `engine-service` 49. An engine run
+/// two leaves has diameter 55 and `engine-service` 49. An engine run
 /// must exhaust its space, or its progress is unchecked.
 const ENGINE_DEPTH: usize = 100;
 
@@ -90,10 +90,36 @@ fn dropping_the_lemma_a10_adoption_arm_loses_a_task() {
     mutant_report(Mutant::DropLemmaA10).assert_ok();
 }
 
+/// The thief adopts p0's `Local` while p0 runs the second leaf, and both
+/// run it. The explorer is not asked for this trace: at the same minimal
+/// depth, 31 steps, the mutant also lets a thief take p0's `Local` after
+/// p0's thread has ended, and p0's `clearBottom` then writes `Empty` over
+/// the thief's `Taken` — the Figure 4 violation the explorer happens to
+/// reach first (see `corpus_steal_adopt_live_local_replays`). Both come
+/// from the one dropped `isLive` gate; this test replays the double
+/// execution, clean along its prefix, so the bug the mutant names stays
+/// pinned.
 #[test]
 #[should_panic(expected = "NoDoubleExecution")]
 fn adopting_a_live_processors_local_double_executes() {
-    mutant_report(Mutant::AdoptLiveLocal).assert_ok();
+    use EngineAction::Step;
+    let model = EngineModel::fork(LEAVES).mutated(Mutant::AdoptLiveLocal);
+    // p0 pulls the root, forks both leaves, runs the first and pops the
+    // second; p1 steals, adopts p0's live `Local` and runs the second
+    // leaf too.
+    let mut trace = vec![Step(0); 18];
+    trace.extend([Step(1); 11]);
+    trace.extend([Step(0), Step(1)]);
+    let cex = mutant_report(Mutant::AdoptLiveLocal).violation.as_ref();
+    assert_eq!(
+        cex.map(|c| c.trace.len()),
+        Some(trace.len()),
+        "as short as the explorer's"
+    );
+    let end = replay(&model, 0, &trace, true);
+    if let Err(why) = model.invariant(&end) {
+        panic!("{why}");
+    }
 }
 
 #[test]
@@ -183,12 +209,20 @@ fn corpus_steal_drop_lemma_a10_replays() {
     // The owner's popBottom CAM wins and the owner dies; the adopter's
     // re-run of its check finds its own `Taken` and, without the arm,
     // abandons the claimed leaf.
-    engine_corpus(Mutant::DropLemmaA10, Violation::Progress, 20);
+    engine_corpus(Mutant::DropLemmaA10, Violation::Progress, 18);
 }
 
 #[test]
 fn corpus_steal_adopt_live_local_replays() {
-    engine_corpus(Mutant::AdoptLiveLocal, Violation::Invariant, 34);
+    // p1 takes p0's `Local` once p0's thread has run the done chain; p0's
+    // `clearBottom` then meets `Taken` (see the double-execution test for
+    // the other trace of this depth).
+    engine_corpus(Mutant::AdoptLiveLocal, Violation::Invariant, 31);
+    let cex = mutant_report(Mutant::AdoptLiveLocal)
+        .violation
+        .as_ref()
+        .unwrap();
+    assert!(cex.render().contains("Taken -> Empty"), "{}", cex.render());
 }
 
 #[test]
@@ -201,7 +235,7 @@ fn corpus_steal_claim_before_seat_replays() {
 
 #[test]
 fn corpus_steal_done_early_replays() {
-    engine_corpus(Mutant::DoneEarly, Violation::Terminal, 29);
+    engine_corpus(Mutant::DoneEarly, Violation::Terminal, 25);
 }
 
 #[test]

@@ -198,6 +198,16 @@
 #      stays deleted: `StealModel`, `StealMutation`, `StealAction`,
 #      `StealSt` and `model::steal` appear nowhere under crates/ src/
 #      tests/ examples/.
+#
+#  19. A flush pays for its dirty pages. `DirtyTracker::drain` walks the
+#      bitmap a word at a time, never page by page over the file.
+#
+#  20. One join capsule. A §5 join arrival is one capsule — its CAM, then
+#      its read of the set-once cell (crates/core/src/join.rs) — so no
+#      second join capsule is registered: `arrive_check`,
+#      `CORE_ID_JOIN_CHECK` and a `"join-check"` capsule name appear
+#      nowhere under crates/ src/ tests/ examples/, and id 0x02 stays
+#      reserved.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -521,8 +531,15 @@ if [ -n "$hits" ]; then
     err "a flush pays for its dirty pages: DirtyTracker::drain walks the file page by page (walk the bitmap a word at a time, swapping only dirty words):" "$hits"
 fi
 
+# --- 20. one join capsule --------------------------------------------------------
+hits=$(grep -rnE "arrive_check|CORE_ID_JOIN_CHECK|\"join-check\"" \
+    --include="*.rs" crates src tests examples || true)
+if [ -n "$hits" ]; then
+    err "a second join capsule is back (an arrival CAMs and reads the set-once cell in one capsule; see join.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule)"
