@@ -460,7 +460,9 @@ mod tests {
             rep.stats().max_capsule_work
         };
         let (c1, c2) = (max_work(1 << 10), max_work(1 << 16));
-        assert!(c1 <= 12, "C = {c1} should be O(1)");
+        // The largest capsule is a forking one: 10 accesses, and since a
+        // fork's `pushBottom` reads end the forking capsule, 3 more.
+        assert!(c1 <= 13, "C = {c1} should be O(1)");
         assert_eq!(c1, c2, "C must not grow with n (64x the data)");
     }
 

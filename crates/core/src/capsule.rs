@@ -118,8 +118,10 @@ pub trait Scheduler {
     fn run(&self, rec: &SchedRecord, ctx: &mut ProcCtx, handles: &ContArena) -> PmResult<Next>;
 
     /// The capsule a fork installs: push `child`, then continue the
-    /// thread at `cont` (both handles).
-    fn on_fork(&self, child: Word, cont: Word) -> SchedRecord;
+    /// thread at `cont` (both handles). Runs at the end of the forking
+    /// capsule, on its context, so the scheduler may read what the push
+    /// needs there (a fault restarts the forking capsule).
+    fn on_fork(&self, ctx: &mut ProcCtx, child: Word, cont: Word) -> PmResult<SchedRecord>;
 
     /// The capsule a finished thread installs.
     fn on_end(&self) -> SchedRecord;
@@ -128,10 +130,12 @@ pub trait Scheduler {
     fn name(&self, rec: &SchedRecord) -> &'static str;
 
     /// Whether the dynamic write-after-read validator checks `rec`'s
-    /// capsule. The Figure 3 capsules that read an entry and rewrite it
-    /// in the same capsule (`pushBottom`'s conditional push,
-    /// `clearBottom`) answer no: their idempotence is the paper's tag
-    /// argument (Lemmas A.6/A.12), not Theorem 3.1.
+    /// capsule. A Figure 3 capsule that reads an entry and rewrites it
+    /// in the same capsule (`pushBottom`'s conditional push) answers no:
+    /// its idempotence is the paper's tag argument (Lemma A.6), not
+    /// Theorem 3.1. A capsule whose unchecked part is only a prefix
+    /// answers yes and scopes the exemption itself
+    /// ([`ProcCtx::set_war_exempt`]).
     fn war_checked(&self, rec: &SchedRecord) -> bool;
 }
 

@@ -453,6 +453,14 @@ impl Machine {
         self.layout.lock().region(len)
     }
 
+    /// The region-allocation cursor: the end of the last region
+    /// [`Machine::alloc_region`] carved. Construction replayed exactly
+    /// (same regions, same order) reproduces it, which is what a
+    /// checkpoint record pins.
+    pub fn region_cursor(&self) -> usize {
+        self.layout.lock().cursor()
+    }
+
     /// Words still unallocated in the address space.
     pub fn remaining_words(&self) -> usize {
         self.layout.lock().remaining()

@@ -253,7 +253,8 @@ fn run_body_and_install(
             // handle goes straight into the deque and the continuation is
             // resolved when the push jumps back to it.
             let s = sched.unwrap_or_else(|| panic_no_scheduler(cur.name(None)));
-            installed(install, ctx, s.on_fork(child, cont))
+            let rec = s.on_fork(ctx, child, cont)?;
+            installed(install, ctx, rec)
         }
     }
 }
@@ -502,7 +503,7 @@ mod tests {
                 _ => Next::Sched(countdown(n - 1, at)),
             })
         }
-        fn on_fork(&self, _: Word, _: Word) -> SchedRecord {
+        fn on_fork(&self, _: &mut ProcCtx, _: Word, _: Word) -> PmResult<SchedRecord> {
             unreachable!("nothing forks here")
         }
         fn on_end(&self) -> SchedRecord {

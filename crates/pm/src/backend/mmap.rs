@@ -353,6 +353,7 @@ mod tests {
             seq,
             epoch: 1,
             capsules: 40 * seq,
+            region_cursor: 2048,
             watermarks: vec![64 * seq],
             frontier: vec![0x100 + seq],
         };

@@ -110,6 +110,9 @@ impl Superblock {
 /// the computation's remaining work. A recovering session that cannot
 /// rehydrate the crash frontier falls back to the newest valid record,
 /// bounding replay distance to the work done since this checkpoint.
+/// `region_cursor` pins the setup layout both arrays are relative to: a
+/// recovering process whose construction carved its regions differently
+/// refuses the record instead of resuming frames that are not there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointRecord {
     /// Monotone checkpoint sequence number (1 for the first checkpoint of
@@ -120,6 +123,10 @@ pub struct CheckpointRecord {
     /// Capsules the writing run had completed at the checkpoint (for
     /// replay-distance accounting).
     pub capsules: u64,
+    /// The machine's region-allocation cursor after the writing run's
+    /// construction: where its last setup region (deques, ring, root
+    /// frames, user data) ended.
+    pub region_cursor: u64,
     /// Stable pool-cursor watermark per processor.
     pub watermarks: Vec<u64>,
     /// Frame handles of the checkpoint frontier.
@@ -162,6 +169,7 @@ mod tests {
             seq,
             epoch: 3,
             capsules: 12_345,
+            region_cursor: 4096,
             watermarks: vec![100, 200, 300],
             frontier: vec![0x4000, 0x4010, 0x8020],
         };

@@ -364,21 +364,25 @@ impl Record for ServiceHeader {
 }
 
 /// Fixed field words of a checkpoint record ahead of its two arrays:
-/// `seq, epoch, capsules, watermarks.len(), frontier.len()`.
-const CKPT_FIXED_FIELDS: usize = 5;
+/// `seq, epoch, capsules, region_cursor, watermarks.len(),
+/// frontier.len()`.
+const CKPT_FIXED_FIELDS: usize = 6;
 
 /// Largest `watermarks.len() + frontier.len()` a checkpoint slot holds.
 pub const CKPT_MAX_PAYLOAD_WORDS: usize = CHECKPOINTS.words - 2 - CKPT_FIXED_FIELDS;
 
 impl Record for CheckpointRecord {
     const AT: MapEntry = CHECKPOINTS;
-    const MAGIC: Option<u64> = Some(u64::from_le_bytes(*b"PPMCKPT1"));
+    /// `PPMCKPT1` records carried no `region_cursor`; their magic no
+    /// longer matches, so such a slot reads as absent, never misparsed.
+    const MAGIC: Option<u64> = Some(u64::from_le_bytes(*b"PPMCKPT2"));
 
     fn fields(&self, out: &mut Vec<u64>) {
         out.extend([
             self.seq,
             self.epoch,
             self.capsules,
+            self.region_cursor,
             self.watermarks.len() as u64,
             self.frontier.len() as u64,
         ]);
@@ -388,7 +392,7 @@ impl Record for CheckpointRecord {
 
     fn field_count(fields: &[u64]) -> io::Result<usize> {
         let payload = match fields {
-            [_, _, _, procs, frontier, ..] => procs.saturating_add(*frontier),
+            [_, _, _, _, procs, frontier, ..] => procs.saturating_add(*frontier),
             _ => u64::MAX,
         };
         if payload > CKPT_MAX_PAYLOAD_WORDS as u64 {
@@ -398,11 +402,12 @@ impl Record for CheckpointRecord {
     }
 
     fn from_fields(f: &[u64]) -> io::Result<Self> {
-        let (watermarks, frontier) = f[CKPT_FIXED_FIELDS..].split_at(f[3] as usize);
+        let (watermarks, frontier) = f[CKPT_FIXED_FIELDS..].split_at(f[4] as usize);
         Ok(CheckpointRecord {
             seq: f[0],
             epoch: f[1],
             capsules: f[2],
+            region_cursor: f[3],
             watermarks: watermarks.to_vec(),
             frontier: frontier.to_vec(),
         })
@@ -633,6 +638,7 @@ mod tests {
             seq,
             epoch: 3,
             capsules: 12_345,
+            region_cursor: 4096,
             watermarks: vec![100, 200, 300],
             frontier: vec![0x4000, 0x4010, 0x8020],
         }
@@ -685,6 +691,33 @@ mod tests {
             workspace_base: 8192,
         });
         round_trips_and_rejects_tears(checkpoint(7));
+    }
+
+    /// A slot holding a record as the previous format wrote it — magic
+    /// `PPMCKPT1`, no `region_cursor`, a valid checksum — reads as absent:
+    /// its words are never taken for a record of this format.
+    #[test]
+    fn a_record_without_a_region_cursor_reads_as_absent() {
+        let old = checkpoint(7);
+        let mut words = vec![u64::from_le_bytes(*b"PPMCKPT1")];
+        words.extend([old.seq, old.epoch, old.capsules, 3, 3]);
+        words.extend(&old.watermarks);
+        words.extend(&old.frontier);
+        words.push(fnv1a(&words));
+        words.resize(CHECKPOINTS.words, 0);
+        assert!(decode::<CheckpointRecord>(&words).is_err());
+
+        let backend = VolatileBackend::new(4);
+        let page = ControlPage::of(&backend);
+        for (cell, w) in backend.control()[CHECKPOINTS.slot_words(1)]
+            .iter()
+            .zip(&words)
+        {
+            cell.store(*w, Ordering::SeqCst);
+        }
+        assert!(page.latest_checkpoint().is_none());
+        assert!(page.write_checkpoint(&checkpoint(6)).unwrap());
+        assert_eq!(page.latest_checkpoint(), Some(checkpoint(6)));
     }
 
     #[test]

@@ -113,6 +113,12 @@ impl LayoutBuilder {
         }
     }
 
+    /// Where the next region would start, before block alignment: the
+    /// end of the last one handed out.
+    pub fn cursor(&self) -> Addr {
+        self.next
+    }
+
     /// Words not yet handed out.
     pub fn remaining(&self) -> usize {
         self.capacity

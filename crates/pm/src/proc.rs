@@ -184,7 +184,10 @@ impl ProcCtx {
     /// accesses. The engine sets this per capsule from the capsule trait's
     /// `war_checked` hook (see `ppm-core`): the handful of Figure 3
     /// capsules that intentionally read-then-CAM the same entry are
-    /// exempt, their idempotence being Lemma A.6/A.12's tag argument.
+    /// exempt, their idempotence being Lemma A.6/A.12's tag argument. A
+    /// body may also scope an exemption around a prefix of its own
+    /// accesses; it must then set it on every attempt, since a soft-fault
+    /// re-run starts with whatever the faulted attempt left.
     #[inline]
     pub fn set_war_exempt(&mut self, exempt: bool) {
         self.war_exempt = exempt;

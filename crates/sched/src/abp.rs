@@ -168,8 +168,8 @@ impl Scheduler for AbpScheduler {
         }
     }
 
-    fn on_fork(&self, child: Word, cont: Word) -> SchedRecord {
-        record(PUSH, child, cont)
+    fn on_fork(&self, _: &mut ProcCtx, child: Word, cont: Word) -> PmResult<SchedRecord> {
+        Ok(record(PUSH, child, cont))
     }
 
     fn on_end(&self) -> SchedRecord {

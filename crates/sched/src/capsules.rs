@@ -1,14 +1,16 @@
 //! The fault-tolerant work-stealing scheduler of Figure 3, as capsules.
 //!
-//! Every scheduler operation is decomposed into capsules exactly at the
-//! paper's `commit` boundaries, with "all CAM instructions ... in separate
-//! capsules" (Figure 3's caption). Each capsule is one of §5's atomically
-//! idempotent forms — racy-read, racy-write, or CAM capsules — except
-//! `pushBottom`'s conditional push and `clearBottom` (and the service
-//! mode's `pull/seat`, which is `clearBottom`'s mirror image), which the
-//! paper deliberately keeps as single capsules and proves idempotent via
-//! the entry tags (Lemmas A.6, A.12); those three are exempt from the
-//! dynamic write-after-read check.
+//! Every scheduler operation is decomposed into capsules at the paper's
+//! `commit` boundaries, with "all CAM instructions ... in separate
+//! capsules" (Figure 3's caption), except where §5 does not demand the
+//! boundary (the third deviation below). Each capsule is one of §5's
+//! atomically idempotent forms — racy-read, racy-write, or CAM capsules —
+//! except `pushBottom`'s conditional push and `clearBottom` (and the
+//! service mode's `pull/seat`, which is `clearBottom`'s mirror image),
+//! which the paper deliberately keeps as single capsules and proves
+//! idempotent via the entry tags (Lemmas A.6, A.12); those three are
+//! exempt from the dynamic write-after-read check (`clearBottom` only
+//! for its own three accesses).
 //!
 //! ## What a step is
 //!
@@ -31,12 +33,13 @@
 //! `states[getProcNum()]` versus a method already executing on a
 //! `procState`.
 //!
-//! ## Two deviations from Figure 3 as written
+//! ## Three deviations from Figure 3 as written
 //!
 //! **The Lemma A.10 arm.** In `popBottom`, if the owner hard-faults
 //! between the successful CAM (job → local) and the jump to the claimed
 //! thread, the local entry is stolen and the adopting thief resumes the
-//! check capsule — which then finds the entry `taken` (the thief's own
+//! capsule that checks the CAM (`popBottom/cam` itself here, see the
+//! third deviation) — which then finds the entry `taken` (the thief's own
 //! steal) rather than `local`, and Figure 3 as written would return NULL,
 //! dropping the thread. Lemma A.10's prose states the intent: the resumed
 //! capsule's closure still holds the continuation, "which will then be
@@ -54,14 +57,58 @@
 //! then misses in `popBottom` (the entry at `bot − 1` reads `taken`, or
 //! its CAM loses to the `taken`), and at P = 2 no other thief exists to
 //! help — the survivor spun `steal → help/read → popTop/read` forever.
-//! So a `popBottom` that sees `taken` — at `popBottom/read`, or losing
-//! `popBottom/check` to it — runs the same three help capsules a thief
-//! would (`helpPopTop` on that deque, then the steal loop); the dead
-//! thief's seat turns `local` and the survivor adopts it. The Figure 4
-//! transitions are unchanged (the help capsules are the thief's), and an
-//! `empty` miss costs nothing extra. The explorer's progress check found
-//! the livelock (`victim-never-helps` is that mutant); `sim.rs` pins its
-//! two shortest schedules.
+//! So a `popBottom` that sees `taken` — at its read (in `clearBottom` or
+//! `popBottom/read`), or losing its CAM to it — runs the same three help
+//! capsules a thief would (`helpPopTop` on that deque, then the steal
+//! loop); the dead thief's seat turns `local` and the survivor adopts
+//! it. The Figure 4 transitions are unchanged (the help capsules are the
+//! thief's), and an `empty` miss costs nothing extra. The explorer's
+//! progress check found the livelock (`victim-never-helps` is that
+//! mutant); `sim.rs` pins its two shortest schedules.
+//!
+//! **Boundaries §5 does not demand are not drawn.** §5 asks two things of
+//! a capsule boundary: a capsule holds at most one racy instruction, and
+//! a CAM's outcome is learnt by reading the word, never from a local.
+//! Figure 3 draws three boundaries more than that, and a fork pays each
+//! as a journal install; here a fork pays three scheduler records
+//! (`pushBottom/commit`, `clearBottom`, `popBottom/cam`) where Figure 3
+//! has six. The retired kinds stay reserved in [`crate::step`].
+//!
+//! * *`pushBottom`'s reads end the forking capsule.* `bot` and the tags
+//!   of `entry(b)` and `entry(b + 1)` of the executing processor's own
+//!   deque change only by that processor's steps while it runs a thread
+//!   (thieves CAM a `job` at `top`, helpers only a seat that is still
+//!   `empty`, and a `local` entry only once its owner is dead), so the
+//!   three reads are not racy, and the forking capsule — a frame, re-run
+//!   whole on a fault — ends by installing `pushBottom/commit` with what
+//!   they saw (`Sched`'s [`ppm_core::Scheduler::on_fork`]). A death
+//!   before that install leaves the forking frame as the restart pointer,
+//!   which an adopter re-runs whole on its own deque; a death after it
+//!   leaves the commit, whose restart is Lemma A.6's. The commit's
+//!   adopting-thief arm (lines 75-76) re-pushes on the adopter's own
+//!   deque through the same reads.
+//! * *`clearBottom` runs `popBottom/read`'s body.* `clearBottom` touches
+//!   only the executing processor's own `bot` and bottom entry, and its
+//!   three accesses keep Lemma A.12's write-after-read exemption, set on
+//!   every attempt. Then `popBottom/read`'s reads run checked: the read
+//!   of `entry(b − 1)` is the capsule's one racy access, and nothing but
+//!   the successor's install follows it, so a re-run re-clears (another
+//!   tag bump, as Lemma A.12 allows) and re-reads, last read wins.
+//!   `popBottom/read` stays as `findWork`'s first capsule, for a
+//!   processor that has no thread to end.
+//! * *`popBottom`'s check joins its CAM.* The CAM (`job → local`, tag + 1)
+//!   is the capsule's first access to `entry(b − 1)`, so the read after
+//!   it is no exposed read. From that CAM on the entry changes only by
+//!   the owner's own later steps — which run after this capsule has
+//!   installed its successor — or by an adopter once the owner is dead
+//!   (`local → taken` at tag + 2). The check's arms decide both: the
+//!   read sees `local` at tag + 1, or the adopter's `taken` one tag on
+//!   (the Lemma A.10 arm), and a re-run's CAM is a no-op that leaves the
+//!   read's verdict as it was. The Lemma A.10 window is now the access
+//!   between the CAM and the read, so only a mid-capsule hard fault
+//!   reaches that arm; `tests/capsule_forms.rs` pins it with a scheduled
+//!   one, and `drop-lemma-a10` ([`crate::model::engine`]) opens the
+//!   window as a boundary for the explorer.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -494,33 +541,37 @@ impl Sched {
         let s = self;
         match step {
             // ==========================================================
-            // scheduler() — entry after a thread finishes (lines 117-122):
-            // `clearBottom` on the executing processor's deque, then
-            // `findWork`. Unchecked: reads the bottom entry's tag and
-            // rewrites it (Lemma A.12's idempotence argument).
+            // scheduler() — entry after a thread finishes (lines 117-122)
+            // — and findWork / popBottom (lines 81-93, 95-98).
+            //
+            // `clearBottom` clears the executing processor's bottom
+            // entry, then runs `findWork`'s first capsule, `popBottom`'s
+            // reads (lines 82-84), in the same capsule (module docs, third
+            // deviation); a processor with no thread to end starts at the
+            // reads alone. The clear reads the bottom entry's tag and
+            // rewrites it, so exactly those three accesses run unchecked
+            // (Lemma A.12's idempotence argument); the exemption is set
+            // on every attempt, since a soft-fault re-run starts with
+            // whatever the faulted attempt left. The read of `entry(b −
+            // 1)` is the one racy access, and the last.
             // ==========================================================
-            ClearBottom() => {
+            ClearBottom() | PopBottomRead() => {
                 let me = ctx.proc();
                 let d = s.d(me);
-                let b = ctx.pread(d.bot)? as usize;
-                let cur = ctx.pread(d.entry(b))?;
-                ctx.pwrite(
-                    d.entry(b),
-                    pack(tag_of(cur).wrapping_add(1), EntryVal::Empty),
-                )?;
-                Ok(go(PopBottomRead()))
-            }
-
-            // ==========================================================
-            // findWork / popBottom (lines 81-93, 95-98)
-            // ==========================================================
-
-            // popBottom capsule 1 (lines 82-84): read bot and the entry
-            // below it, then commit. Shared across processors (processor
-            // identity is dynamic).
-            PopBottomRead() => {
-                let me = ctx.proc();
-                let d = s.d(me);
+                if step == ClearBottom() {
+                    ctx.set_war_exempt(true);
+                    let b = ctx.pread(d.bot)? as usize;
+                    let cur = ctx.pread(d.entry(b))?;
+                    ctx.pwrite(
+                        d.entry(b),
+                        pack(tag_of(cur).wrapping_add(1), EntryVal::Empty),
+                    )?;
+                    ctx.set_war_exempt(false);
+                }
+                // `popBottom`'s reads, one body for both kinds: a
+                // `clearBottom` re-reads `bot` (which it did not move), so a
+                // fork reads the words it read with a separate
+                // `popBottom/read`.
                 let b = ctx.pread(d.bot)? as usize;
                 if b == 0 {
                     // Deque empty (nothing was ever pushed, or everything
@@ -536,18 +587,16 @@ impl Sched {
                     _ => Ok(s.steal_afresh(me)),
                 }
             }
-            // popBottom capsule 2 (line 86): the CAM, alone in its capsule.
+            // popBottom capsule 2 (lines 86-92): the CAM, then observe it
+            // — take the job or give up. The CAM is the capsule's first
+            // access to the entry, so the read after it is no exposed
+            // read (module docs, third deviation); a re-run's CAM is a
+            // no-op and its read decides alike. Includes the Lemma A.10
+            // adoption case (module docs).
             PopBottomCam(owner, b, old, f) => {
                 let d = s.d(owner);
                 let new = pack(tag_of(old).wrapping_add(1), EntryVal::Local);
                 ctx.pcam(d.entry(b - 1), old, new)?;
-                Ok(go(PopBottomCheck(owner, b, new, f)))
-            }
-            // popBottom capsule 3 (lines 87-92): observe the CAM, take the
-            // job or give up. Includes the Lemma A.10 adoption case
-            // (module docs).
-            PopBottomCheck(owner, b, new, f) => {
-                let d = s.d(owner);
                 let cur = ctx.pread(d.entry(b - 1))?;
                 if cur == new {
                     ctx.pwrite(d.bot, (b - 1) as Word)?;
@@ -557,10 +606,10 @@ impl Sched {
                     return Ok(Next::JumpHandle(f));
                 }
                 if kind_of(cur) == EntryKind::Taken && tag_of(cur) == tag_of(new).wrapping_add(1) {
-                    // Our CAM succeeded, the owner died, and we (the
-                    // uniquely successful adopting thief) already turned
-                    // the local entry into taken. Run the claimed thread
-                    // (Lemma A.10).
+                    // Our CAM succeeded, the owner died before this
+                    // capsule ended, and we (the uniquely successful
+                    // adopting thief) already turned the local entry into
+                    // taken. Run the claimed thread (Lemma A.10).
                     return Ok(Next::JumpHandle(f));
                 }
                 if kind_of(cur) == EntryKind::Taken {
@@ -796,19 +845,11 @@ impl Sched {
             // child `f`, then continue the thread at `cont`.
             // ==========================================================
 
-            // Capsule 1 (lines 67-70): read `bot` and the two tags, commit.
-            PushBottomRead(f, cont) => {
-                let me = ctx.proc();
-                let d = s.d(me);
-                let b = ctx.pread(d.bot)? as usize;
-                let t1 = tag_of(ctx.pread(d.entry(b + 1))?);
-                let t2 = tag_of(ctx.pread(d.entry(b))?);
-                Ok(go(PushBottomCommit(me, b, t1, t2, f, cont)))
-            }
-            // Capsule 2 (lines 71-78). Kept as a single capsule like the
-            // paper (the re-evaluated condition is what makes the re-run
-            // and the adopting-thief cases work — Lemma A.6); unchecked
-            // because it reads the bottom entry and then CAMs it.
+            // Capsule 1 (lines 67-70) ends the forking capsule (`on_fork`
+            // below); this is capsule 2 (lines 71-78). Kept as a single capsule like the paper (the
+            // re-evaluated condition is what makes the re-run and the
+            // adopting-thief cases work — Lemma A.6); unchecked because it
+            // reads the bottom entry and then CAMs it.
             PushBottomCommit(owner, b, t1, t2, f, cont) => {
                 let d = s.d(owner);
                 let local_b = pack(t2, EntryVal::Local);
@@ -831,7 +872,7 @@ impl Sched {
                     // owner died before the CAM and its local entry was
                     // stolen (which also cleared the entry above). Re-push
                     // the fork on the executing processor's own deque.
-                    return Ok(go(PushBottomRead(f, cont)));
+                    return Ok(Next::Sched(s.on_fork(ctx, f, cont)?));
                 }
                 // The CAM already happened (a re-run after the push
                 // completed): just return to the thread.
@@ -914,6 +955,9 @@ impl Sched {
                 let q = s.injector().expect("pull without an injector queue");
                 if ctx.pread(q.state_addr(slot))? == claimed {
                     q.note_claimed(me, slot, ticket);
+                    // Out of the steal loop, though by no steal: no
+                    // latency to report, but the stamp must go.
+                    s.steal_since[me].store(0, Ordering::Relaxed);
                     return Ok(Next::JumpHandle(entry));
                 }
                 Ok(go(ClearBottom()))
@@ -967,8 +1011,18 @@ impl Scheduler for Sched {
     }
 
     /// The fork path: `pushBottom(child)`, then continue at `cont`.
-    fn on_fork(&self, child: Word, cont: Word) -> SchedRecord {
-        PushBottomRead(child, cont).encode()
+    /// `pushBottom`'s reads (lines 67-70) of the executing processor's
+    /// own deque — `bot` and the tags at and above it, none racy while it
+    /// lives — end the forking capsule, and its commit is the record
+    /// (module docs, third deviation). The commit's adopting-thief arm
+    /// re-pushes through here too.
+    fn on_fork(&self, ctx: &mut ProcCtx, child: Word, cont: Word) -> PmResult<SchedRecord> {
+        let me = ctx.proc();
+        let d = self.d(me);
+        let b = ctx.pread(d.bot)? as usize;
+        let t1 = tag_of(ctx.pread(d.entry(b + 1))?);
+        let t2 = tag_of(ctx.pread(d.entry(b))?);
+        Ok(PushBottomCommit(me, b, t1, t2, child, cont).encode())
     }
 
     /// `scheduler()`: `clearBottom`, then `findWork`.
@@ -1104,6 +1158,74 @@ mod tests {
             .store(frame as usize + ppm_pm::frame::FRAME_ARGS_AT, 1);
         assert!(s.restart_pointer_decodes(1, machine.arena()));
         assert_eq!(domain.blocked_adoptions(), 1);
+    }
+
+    /// `popBottom/cam` fused with its check must CAM before it reads: a
+    /// mutant that reads `entry(b − 1)` first and then runs the faithful
+    /// step writes a word it already read, which the strict
+    /// write-after-read check refuses at the first pop (a re-run would
+    /// see its own CAM and could claim a thread twice).
+    #[test]
+    #[should_panic(expected = "write-after-read conflict in capsule `sched/popBottom/cam`")]
+    fn a_pop_bottom_that_reads_before_its_cam_is_refused() {
+        use crate::sim::SimSched;
+        use ppm_core::SchedRecord;
+
+        struct ReadBeforeCam(Arc<Sched>);
+        impl Scheduler for ReadBeforeCam {
+            fn run(
+                &self,
+                rec: &SchedRecord,
+                ctx: &mut ProcCtx,
+                handles: &ContArena,
+            ) -> PmResult<Next> {
+                let step = self.0.decode(rec).expect("a step");
+                if let PopBottomCam(owner, b, _, _) = step {
+                    ctx.pread(self.0.d(owner).entry(b - 1))?;
+                }
+                self.0.run(step, ctx, handles)
+            }
+            fn on_fork(&self, ctx: &mut ProcCtx, child: Word, cont: Word) -> PmResult<SchedRecord> {
+                self.0.on_fork(ctx, child, cont)
+            }
+            fn on_end(&self) -> SchedRecord {
+                self.0.on_end()
+            }
+            fn name(&self, rec: &SchedRecord) -> &'static str {
+                Scheduler::name(&*self.0, rec)
+            }
+            fn war_checked(&self, rec: &SchedRecord) -> bool {
+                self.0.war_checked(rec)
+            }
+        }
+
+        let machine = Machine::new(ppm_pm::PmConfig::parallel(1, 1 << 20));
+        let r = machine.alloc_region(4);
+        let comp = crate::runtime::tests::marker_comp(r, 4);
+        let mut sim = SimSched::new_persistent(&machine, &comp, &SchedConfig::with_slots(64))
+            .with_runner(|sched| Arc::new(ReadBeforeCam(sched)));
+        sim.run_to_completion(10_000);
+    }
+
+    /// A won injector pull leaves the steal loop: it clears the
+    /// loop-entry stamp, so the puller's next won steal reports the time
+    /// since *that* loop entry, not since it first went looking for the
+    /// root.
+    #[test]
+    fn a_won_pull_clears_the_steal_latency_stamp() {
+        use crate::sim::SimSched;
+        let machine = Machine::new(ppm_pm::PmConfig::parallel(1, 1 << 20));
+        let r = machine.alloc_region(4);
+        let comp = crate::runtime::tests::marker_comp(r, 4);
+        let mut sim = SimSched::new_persistent(&machine, &comp, &SchedConfig::with_slots(64));
+        let stamp = |sim: &SimSched<'_>| sim.sched().steal_since[0].load(Ordering::Relaxed);
+        while sim.at(0) != "service/pull/check" {
+            sim.step(0);
+        }
+        assert_ne!(stamp(&sim), 0, "the steal loop stamped its entry");
+        sim.step(0);
+        assert_eq!(sim.at(0), "service/entry", "the pull won");
+        assert_eq!(stamp(&sim), 0);
     }
 
     #[test]

@@ -96,6 +96,7 @@ use ppm_obs::TraceKind;
 use ppm_pm::{frame_words, read_frame, CheckpointRecord, ProcCtx, Region, Word};
 
 use crate::capsules::Sched;
+use crate::driver::FallbackReason;
 
 /// Default capsule interval between checkpoints when a policy is not
 /// explicitly configured.
@@ -589,6 +590,7 @@ impl CheckpointCtl {
                     seq: self.next_seq.load(Ordering::Relaxed),
                     epoch: machine.epoch(),
                     capsules: self.capsules.load(Ordering::Relaxed),
+                    region_cursor: machine.region_cursor() as u64,
                     watermarks,
                     frontier: seeds,
                 };
@@ -702,11 +704,25 @@ pub(crate) fn trace_live_maxima(machine: &Machine, roots: &[Word]) -> Option<Vec
     )
 }
 
+/// [`FallbackReason::CheckpointLayout`] when `record` was taken over
+/// another setup layout than the one `machine`'s construction carved:
+/// then its frontier and watermarks name words carved for other things.
+pub(crate) fn layout_moved(machine: &Machine, record: &CheckpointRecord) -> Option<FallbackReason> {
+    let found = machine.region_cursor() as u64;
+    (record.region_cursor != found).then_some(FallbackReason::CheckpointLayout {
+        seq: record.seq,
+        recorded: record.region_cursor,
+        found,
+    })
+}
+
 /// Validates `record` against `machine` and rehydrates its frontier.
 /// Returns the planted-ready seeds on success; `None` when the record
-/// does not match the machine shape or any handle fails to rehydrate.
+/// was taken over another layout ([`layout_moved`]), does not match the
+/// machine shape, or any handle fails to rehydrate.
 pub(crate) fn checkpoint_seeds(machine: &Machine, record: &CheckpointRecord) -> Option<Vec<Word>> {
-    if record.watermarks.len() != machine.procs() || record.frontier.is_empty() {
+    let shape = record.watermarks.len() == machine.procs() && !record.frontier.is_empty();
+    if !shape || layout_moved(machine, record).is_some() {
         return None;
     }
     for (p, wm) in record.watermarks.iter().enumerate() {
@@ -852,6 +868,7 @@ mod tests {
             seq: 1,
             epoch: 1,
             capsules: 10,
+            region_cursor: m.region_cursor() as u64,
             watermarks: vec![128, 0],
             frontier: vec![f as Word],
         };
@@ -871,8 +888,22 @@ mod tests {
 
         let dangling = CheckpointRecord {
             frontier: vec![3],
-            ..good
+            ..good.clone()
         };
         assert_eq!(checkpoint_seeds(&m, &dangling), None);
+
+        // One region more carved before the run: the record names
+        // another layout, and is refused though every word of it fits.
+        assert_eq!(layout_moved(&m, &good), None);
+        m.alloc_region(1);
+        assert_eq!(checkpoint_seeds(&m, &good), None);
+        assert_eq!(
+            layout_moved(&m, &good),
+            Some(FallbackReason::CheckpointLayout {
+                seq: 1,
+                recorded: good.region_cursor,
+                found: m.region_cursor() as u64,
+            })
+        );
     }
 }

@@ -66,7 +66,9 @@ use ppm_obs::TraceKind;
 use ppm_pm::{StatsSnapshot, Word};
 
 use crate::capsules::{Sched, SchedConfig};
-use crate::checkpoint::{checkpoint_seeds, CheckpointCtl, CheckpointPolicy, CheckpointSummary};
+use crate::checkpoint::{
+    checkpoint_seeds, layout_moved, CheckpointCtl, CheckpointPolicy, CheckpointSummary,
+};
 use crate::cluster::{build_session, ClusterSession, ShardBuild};
 use crate::deque::check_invariant;
 use crate::entry::{kind_of, pack, unpack, EntryKind, EntryVal};
@@ -177,6 +179,18 @@ pub enum FallbackReason {
         /// The deque's owner.
         deque: usize,
     },
+    /// The newest checkpoint record was taken over another setup layout:
+    /// this process's construction left the region-allocation cursor
+    /// elsewhere than the run that wrote the record, so the record's
+    /// frontier and watermarks name other words.
+    CheckpointLayout {
+        /// Sequence number of the refused record.
+        seq: u64,
+        /// The region cursor the record was taken over.
+        recorded: u64,
+        /// This construction's region cursor.
+        found: u64,
+    },
 }
 
 impl FallbackReason {
@@ -220,6 +234,15 @@ impl std::fmt::Display for FallbackReason {
             FallbackReason::MidPush { deque } => {
                 write!(f, "deque {deque} was mid-pushBottom (two local entries)")
             }
+            FallbackReason::CheckpointLayout {
+                seq,
+                recorded,
+                found,
+            } => write!(
+                f,
+                "checkpoint record {seq} was taken over another setup layout \
+                 (region cursor {recorded}, this construction's {found})"
+            ),
         }
     }
 }
@@ -630,7 +653,11 @@ pub(crate) fn plant_seeds(machine: &Machine, sched: &Arc<Sched>, seeds: &[Word])
 ///
 /// 1. Replay the session construction.
 /// 2. Count what the crash left (`found_*`). A ring with no header was
-///    never handed to a processor: clear it and publish its job set.
+///    never handed to a processor: clear it and publish its job set. A
+///    newest checkpoint record taken over another setup layout
+///    ([`FallbackReason::CheckpointLayout`]) means nothing the dead run
+///    wrote is where this construction looks: clear the flag and the
+///    ring, publish afresh, and replay from the root (step 7).
 /// 3. Done flag set → [`SessionMode::AlreadyComplete`].
 /// 4. Close admission (`InjectorQueue::close`); a ring the close finds
 ///    drained (a crash after the last done CAM, before the flag, or an
@@ -672,7 +699,16 @@ pub(crate) fn recover(
         ..found.clone()
     };
     let (q, page) = (&session.service, machine.mem().control());
-    if page.service_header().is_none() {
+    // A checkpoint record pins the layout its run's construction carved.
+    // A construction that carved differently finds none of that run's
+    // words where it looks — not its ring, flag or deques — so, like a
+    // ring never handed out, the file starts over: a clear flag, a fresh
+    // ring, and (below) a replay from the root.
+    let moved = machine
+        .latest_checkpoint_record()
+        .and_then(|rec| layout_moved(machine, &rec));
+    if moved.is_some() || page.service_header().is_none() {
+        machine.mem().store(session.done.addr(), 0);
         q.clear();
         session.publish(machine)?;
     }
@@ -682,7 +718,8 @@ pub(crate) fn recover(
     }
 
     let mut checkpoint_resume = None;
-    let (seeds, fallback_reason) = match harvest_frontier(machine, &session.sched) {
+    let harvest = moved.map_or_else(|| harvest_frontier(machine, &session.sched), Err);
+    let (seeds, fallback_reason) = match harvest {
         Ok(seeds) if !seeds.is_empty() => (seeds, None),
         other => {
             let reason = other.err().unwrap_or(FallbackReason::NoFrontier);

@@ -20,8 +20,9 @@
 //!
 //! * [`EngineModel::fork`]`(k)` — [`SimSched::new_persistent`], a
 //!   `Runtime` session whose root is `map_grain` over `k` leaves at grain
-//!   1: the ring pull race, fork, steal, join, local adoption, the Lemma
-//!   A.10 window and the done chain.
+//!   1: the ring pull race, fork, steal, join, local adoption and the
+//!   done chain (the Lemma A.10 window lies inside one capsule; see
+//!   Mutants).
 //! * [`EngineModel::service`] — [`SimSched::new_service`] with a 2-slot
 //!   ring, two published one-leaf jobs and admission closed: two claim
 //!   chains, their adoption, and the drain rule.
@@ -63,7 +64,18 @@
 //! capsule boundaries and a step runs a capsule whole, so, e.g., a join
 //! arrival that reads its cell before its CAM explores exactly like the
 //! faithful one. `tests/capsule_forms.rs` catches that mutant with soft
-//! faults instead (see `ppm_core::join`).
+//! faults instead (see `ppm_core::join`), and a `popBottom/cam` that
+//! reads before its CAM is refused by the write-after-read check
+//! (`crate::capsules`' tests).
+//!
+//! The Lemma A.10 window is such a case since `popBottom`'s check joined
+//! its CAM: the owner must die between the two, inside the capsule. The
+//! faithful engine is checked there by the named `SimSched` test
+//! `tests/capsule_forms.rs::a_hard_fault_between_pop_bottoms_cam_and_its_read_runs_the_thread_once`,
+//! a scheduled mid-capsule hard fault. `drop-lemma-a10` keeps the
+//! explorer's reach by turning that window into a boundary: its
+//! `popBottom/cam` ends a capsule after the CAM and re-runs itself, as a
+//! restart would, and only then drops the arm.
 //!
 //! `specs/tla/FrontierAdoption.tla` states the same protocol abstractly.
 
@@ -118,8 +130,11 @@ enum Scope {
 /// A deliberately broken step arm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutant {
-    /// `popBottom/check` without the Lemma A.10 arm: an adopter that
-    /// finds its own `Taken` one tag on abandons the claimed thread.
+    /// `popBottom/cam` without the Lemma A.10 arm: an adopter that
+    /// finds its own `Taken` one tag on abandons the claimed thread. The
+    /// faithful capsule opens that window only between its CAM and its
+    /// read, where no boundary crash lands, so the mutant also ends a
+    /// capsule after its CAM (see the module docs).
     DropLemmaA10,
     /// `popTop/read` ignores `isLive`: a thief adopts a live owner's
     /// `Local`, and both run the thread.
@@ -132,9 +147,10 @@ pub enum Mutant {
     /// itself: a crash between the store and the CAM halts the survivors
     /// on an unfinished ticket.
     DoneEarly,
-    /// `popBottom` as Figure 3 has it: a miss on `Taken` steals without
-    /// helping, so a thief dead before its help capsules leaves the
-    /// survivor spinning.
+    /// `popBottom` as Figure 3 has it: a miss on `Taken` — at
+    /// `clearBottom`'s or `popBottom/read`'s read, or at `popBottom/cam` —
+    /// steals without helping, so a thief dead before its help capsules
+    /// leaves the survivor spinning.
     VictimNeverHelps,
 }
 
@@ -433,10 +449,18 @@ impl Scheduler for MutantSched {
             return Scheduler::run(s, rec, ctx, handles);
         };
         match (self.mutant, step) {
-            (Mutant::DropLemmaA10, PopBottomCheck(owner, b, new, _)) => {
+            (Mutant::DropLemmaA10, PopBottomCam(owner, b, old, _)) => {
+                let entry = s.deques()[owner].entry(b - 1);
+                let new = pack(tag_of(old).wrapping_add(1), EntryVal::Local);
+                if ctx.raw_mem().load(entry) == old {
+                    // The CAM alone, then the step again: a boundary where
+                    // the faithful capsule has only the access between its
+                    // CAM and its read. The re-run's CAM is a no-op.
+                    ctx.pcam(entry, old, new)?;
+                    return Ok(go(step));
+                }
                 let next = s.run(step, ctx, handles)?;
-                let entry = ctx.raw_mem().load(s.deques()[owner].entry(b - 1));
-                if matches!(next, Next::JumpHandle(_)) && entry != new {
+                if matches!(next, Next::JumpHandle(_)) && ctx.raw_mem().load(entry) != new {
                     // The Lemma A.10 arm fired: treat it as any miss.
                     return Ok(s.help_then_steal(ctx.proc(), owner));
                 }
@@ -485,7 +509,7 @@ impl Scheduler for MutantSched {
                 ctx.raw_mem().store(s.done().addr(), 1);
                 Ok(go(step))
             }
-            (Mutant::VictimNeverHelps, PopBottomRead() | PopBottomCheck(..)) => {
+            (Mutant::VictimNeverHelps, ClearBottom() | PopBottomRead() | PopBottomCam(..)) => {
                 let next = s.run(step, ctx, handles)?;
                 match successor(&next) {
                     Some(HelpRead(_, Then::Steal, _, _, _, n)) => Ok(go(Steal(n))),
@@ -496,8 +520,8 @@ impl Scheduler for MutantSched {
         }
     }
 
-    fn on_fork(&self, child: Word, cont: Word) -> SchedRecord {
-        self.sched.on_fork(child, cont)
+    fn on_fork(&self, ctx: &mut ProcCtx, child: Word, cont: Word) -> PmResult<SchedRecord> {
+        self.sched.on_fork(ctx, child, cont)
     }
 
     fn on_end(&self) -> SchedRecord {

@@ -626,17 +626,17 @@ mod tests {
     /// root and forks; p1 wins `popTop/cam` on the forked job — p0's
     /// last — and dies before its help capsules, so its seat never turns
     /// `Local` and nothing of it is adoptable. p0 then misses on the
-    /// `Taken` entry: at `popBottom/read` once its own leaf is done (p1
-    /// stole after p0's 12th capsule), or at `popBottom/check`, its CAM
-    /// having lost to p1's (after p0's 16th). Figure 3 has only thieves
+    /// `Taken` entry: at `clearBottom`'s read once its own leaf is done
+    /// (p1 stole after p0's 11th capsule), or at `popBottom/cam`, its CAM
+    /// having lost to p1's (after p0's 14th). Figure 3 has only thieves
     /// of p0 help p0's deque, so the survivor spun `steal → help/read →
     /// popTop/read` forever; now its own miss helps, p1's seat turns
     /// `Local`, and p0 adopts p1's thread and finishes within a budget.
     #[test]
     fn a_survivor_whose_thief_died_mid_steal_finishes() {
         const CASES: [(usize, &str, &str); 2] = [
-            (12, "mark", "sched/popBottom/read"),
-            (16, "sched/popBottom/cam", "sched/popBottom/check"),
+            (11, "mark", "sched/clearBottom"),
+            (14, "sched/popBottom/cam", "sched/popBottom/cam"),
         ];
         for (owner_steps, owner_at, misses_in) in CASES {
             let m = machine(2, FaultConfig::none());

@@ -13,7 +13,7 @@
 //! ## The record
 //!
 //! ```text
-//!   head   bits 0..5    kind (1..=25; 0 is "no record")
+//!   head   bits 0..5    kind (1..=25, but 4 and 16; 0 is "no record")
 //!          bits 5..7    `then`: where a help capsule continues
 //!          bits 7..15   `proc`: a processor — the deque owner / victim
 //!          bit  15      zero
@@ -201,9 +201,10 @@ macro_rules! steps {
         }
 
         /// Whether the write-after-read validator checks `rec`'s capsule.
-        /// The three `unchecked` capsules read a deque entry and rewrite
-        /// it in one capsule; their idempotence is the tag argument of
-        /// Lemmas A.6/A.12, not Theorem 3.1.
+        /// The two `unchecked` capsules read a deque entry and rewrite it
+        /// in one capsule; their idempotence is the tag argument of
+        /// Lemmas A.6/A.12, not Theorem 3.1. (`clearBottom` does too,
+        /// but only in a prefix it exempts itself.)
         pub(crate) fn war_checked(rec: &SchedRecord) -> bool {
             const CHECKED: bool = true;
             const UNCHECKED: bool = false;
@@ -215,11 +216,16 @@ macro_rules! steps {
     };
 }
 
+// Kinds 4 (`popBottom/check`, now the tail of `popBottom/cam`) and 16
+// (`pushBottom/read`, now the tail of the forking capsule) are retired:
+// a record of either decodes to nothing, and neither number is reused,
+// so a file written before the fusion can never be misread as another
+// step. `clearBottom` runs `popBottom/read`'s body and scopes its own
+// write-after-read exemption (see `crate::capsules`).
 steps! {
-    1  ClearBottom      "sched/clearBottom"            UNCHECKED ()
+    1  ClearBottom      "sched/clearBottom"            CHECKED   ()
     2  PopBottomRead    "sched/popBottom/read"         CHECKED   ()
     3  PopBottomCam     "sched/popBottom/cam"          CHECKED   (owner: usize = PROC, b: usize = lo(2), old: Word = at(0), f: Word = at(1))
-    4  PopBottomCheck   "sched/popBottom/check"        CHECKED   (owner: usize = PROC, b: usize = lo(2), new: Word = at(0), f: Word = at(1))
     5  Steal            "sched/steal"                  CHECKED   (n: u64 = at(0))
     6  HelpRead         "sched/help/read"              CHECKED   (v: usize = PROC, then: Then = THEN, i: usize = mid(4), new: Word = at(1), f: Word = at(2), n: u64 = at(3))
     7  HelpCamThief     "sched/help/camThief"          CHECKED   (v: usize = PROC, t: usize = lo(4), w: Word = at(0), then: Then = THEN, i: usize = mid(4), new: Word = at(1), f: Word = at(2), n: u64 = at(3))
@@ -231,7 +237,6 @@ steps! {
     13 ClearAboveWrite  "sched/popTop/clearAboveWrite" CHECKED   (v: usize = PROC, i: usize = lo(3), old: Word = at(0), new: Word = at(1), above_tag: u16 = hi(3), n: u64 = at(2))
     14 PopTopCamLocal   "sched/popTop/camLocal"        CHECKED   (v: usize = PROC, i: usize = lo(3), old: Word = at(0), new: Word = at(1), n: u64 = at(2))
     15 PopTopCheckLocal "sched/popTop/checkLocal"      CHECKED   (v: usize = PROC, i: usize = lo(2), new: Word = at(0), n: u64 = at(1))
-    16 PushBottomRead   "sched/pushBottom/read"        CHECKED   (f: Word = at(0), cont: Word = at(1))
     17 PushBottomCommit "sched/pushBottom/commit"      UNCHECKED (owner: usize = PROC, b: usize = lo(2), t1: u16 = hi(2), t2: u16 = hi(3), f: Word = at(0), cont: Word = at(1))
     18 PullRead         "service/pull/read"            CHECKED   (slot: usize = lo(1), n: u64 = at(0))
     19 PullCam          "service/pull/cam"             CHECKED   (slot: usize = lo(3), claimant: usize = PROC, old: Word = at(0), entry: Word = at(1), ticket: Word = at(2))
@@ -264,7 +269,6 @@ mod tests {
             ClearBottom(),
             PopBottomRead(),
             PopBottomCam(p, s, old, h),
-            PopBottomCheck(p, s, new, h),
             Steal(n),
             PopTopRead(p, q, s, tag, n),
             PopTopCam(p, s, old, new, h, n),
@@ -273,7 +277,6 @@ mod tests {
             ClearAboveWrite(p, s, old, new, tag, n),
             PopTopCamLocal(p, s, old, new, n),
             PopTopCheckLocal(p, s, new, n),
-            PushBottomRead(h, x),
             PushBottomCommit(p, s, tag, tag.wrapping_add(1), h, x),
             PullRead(s, n),
             PullCam(s, q, old, h, x),
@@ -305,7 +308,7 @@ mod tests {
             assert_ne!(name(&rec), "sched/?");
             seen.insert(rec.kind & 0x1F);
         }
-        assert_eq!(seen.len(), 25, "every kind exercised");
+        assert_eq!(seen.len(), 23, "every kind exercised");
     }
 
     #[test]
@@ -337,21 +340,27 @@ mod tests {
         );
     }
 
+    /// The retired kinds decode to nothing, whatever their arguments:
+    /// `popBottom/check`'s and `pushBottom/read`'s old field words included.
     #[test]
-    fn the_three_tag_rewriting_capsules_are_the_unchecked_ones() {
+    fn the_retired_kinds_decode_to_nothing() {
+        for kind in [4, 16] {
+            for args in [[0; SCHED_ARG_WORDS], [7, 9, 3, 0, 0]] {
+                let rec = SchedRecord { kind, args };
+                assert_eq!(SchedStep::decode(&rec), None, "kind {kind}");
+                assert_eq!(name(&rec), "sched/?");
+            }
+        }
+    }
+
+    #[test]
+    fn the_two_tag_rewriting_capsules_are_the_unchecked_ones() {
         let unchecked: Vec<&str> = (0..32)
             .map(|kind| SchedRecord { kind, args: [0; 5] })
             .filter(|rec| !war_checked(rec))
             .map(|rec| name(&rec))
             .collect();
-        assert_eq!(
-            unchecked,
-            [
-                "sched/clearBottom",
-                "sched/pushBottom/commit",
-                "service/pull/seat"
-            ]
-        );
+        assert_eq!(unchecked, ["sched/pushBottom/commit", "service/pull/seat"]);
     }
 
     /// `with_attempts` maps the attempt counter and nothing else: the

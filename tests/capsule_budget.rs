@@ -89,7 +89,7 @@ fn mergesort_runs_a_twentieth_of_a_capsule_per_key() {
 }
 
 #[test]
-fn a_fork_costs_eight_scheduler_capsules_and_a_leaf_29_pool_words() {
+fn a_fork_costs_five_scheduler_capsules_and_a_leaf_29_pool_words() {
     // Two sizes, one per-run constant: the count is linear in the forks.
     for n in [1 << 12, 1 << 10] {
         fork_budget(n);
@@ -125,15 +125,17 @@ fn fork_budget(n: usize) {
     // The workload's own capsules: a split per fork and the leaves, which
     // their parent split frames directly.
     let own = 2 * leaves - 1;
-    // Figure 3 per fork: pushBottom, the two one-capsule join arrivals and
-    // the popBottom that finds the sibling — eight capsules. Fifteen more start
-    // and end the run (four did while the root was planted on processor
-    // 0): popBottom/read and steal find the ring's one job; ten ring
-    // capsules pull it (pull read, cam, check and seat), enter it (entry,
-    // its cam and check) and complete it (done, its cam, and the check
-    // that drains the ring and sets the done flag, the finale's old job);
-    // then clearBottom, popBottom/read and the steal that sees the flag.
-    assert_eq!(st.capsule_completions - own, 8 * forks + 15, "n = {n}");
+    // Per fork: pushBottom's commit (its reads end the forking split),
+    // clearBottom (which runs popBottom's read) and popBottom's CAM (which
+    // checks itself) find the sibling, and the two one-capsule join
+    // arrivals — five capsules, where Figure 3 as drawn has eight.
+    // Fourteen more start and end the run: popBottom/read and steal find
+    // the ring's one job; ten ring capsules pull it (pull read, cam,
+    // check and seat), enter it (entry, its cam and check) and complete it
+    // (done, its cam, and the check that drains the ring and sets the
+    // done flag, the finale's old job); then clearBottom and the steal
+    // that sees the flag.
+    assert_eq!(st.capsule_completions - own, 5 * forks + 14, "n = {n}");
     // Per fork: two 8-word span frames (a leaf's is written by its
     // parent split), the join cell and its two 6-word arrival frames —
     // 29 words, and a fork per leaf but one.

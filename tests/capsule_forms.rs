@@ -440,3 +440,181 @@ fn fork_of_two(m: &Machine) -> (SimSched<'_>, Region, Arc<std::sync::atomic::Ato
     let sim = SimSched::new_persistent(m, &pcomp, &SchedConfig::with_slots(64));
     (sim, out, runs)
 }
+
+// ---------------------------------------------------------------------
+// The fused scheduler capsules: a fork pays `pushBottom/commit` (its
+// reads end the forking capsule), `clearBottom` (which runs
+// `popBottom/read`'s body) and `popBottom/cam` (which checks its own
+// CAM). Soft faults re-run each; a hard fault inside each is adopted.
+// ---------------------------------------------------------------------
+
+/// Completed runs of `capsule` in a rendered `SimSched` trace.
+fn completions(trace: &str, capsule: &str) -> usize {
+    trace.matches(&format!("run  {capsule} -> ")).count()
+}
+
+/// A `map_grain` session over `leaves` one-word leaves, each marking its
+/// word with its index plus one.
+fn marking_fanout(m: &Machine, leaves: usize) -> (SimSched<'_>, Region) {
+    let out = m.alloc_region(leaves);
+    let pcomp: PComp = Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("fuse/leaf", |st: &dsl::Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                ctx.pwrite(st.env.at(i), i as Word + 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let split = set.map_grain("fuse/split", 1, leaf);
+        let all = dsl::Span {
+            env: out,
+            lo: 0,
+            hi: leaves,
+        };
+        split.setup(m, &all, K(finale)).word()
+    });
+    let sim = SimSched::new_persistent(m, &pcomp, &SchedConfig::with_slots(64));
+    (sim, out)
+}
+
+/// Soft faults through the fused `clearBottom` and `popBottom/cam`, with
+/// strict write-after-read checking: every leaf thread completes exactly
+/// once (each word is marked, and the leaf capsule completes once per
+/// leaf — a soft fault re-runs a capsule inside one completion). A
+/// `clearBottom` that armed its exemption only on its first attempt
+/// would panic here, in the check, on a re-run.
+#[test]
+fn a_fork_runs_every_thread_once_under_soft_faults_through_the_fused_capsules() {
+    const LEAVES: usize = 8;
+    for f in [0.05, 0.2] {
+        for seed in 0..32 {
+            let m = Machine::new(
+                PmConfig::parallel(2, 1 << 18)
+                    .with_fault(FaultConfig::soft(f, seed))
+                    .with_validate(ValidateMode::Strict),
+            );
+            let (mut sim, out) = marking_fanout(&m, LEAVES);
+            sim.run_seeded(seed, 20_000);
+            let trace = sim.render_trace();
+            assert!(sim.completed(), "f = {f}, seed {seed}:\n{trace}");
+            let marks: Vec<Word> = (1..=LEAVES as Word).collect();
+            assert_eq!(
+                m.mem().to_vec(out.start, LEAVES),
+                marks,
+                "f = {f}, seed {seed}"
+            );
+            assert_eq!(
+                completions(&trace, "fuse/leaf"),
+                LEAVES,
+                "f = {f}, seed {seed}: every leaf thread runs exactly once:\n{trace}"
+            );
+            for fused in ["sched/clearBottom", "sched/popBottom/cam"] {
+                assert!(completions(&trace, fused) > 0, "{fused} ran:\n{trace}");
+            }
+        }
+    }
+}
+
+/// Steps processor 0 alone until it stands at `capsule` (or is `dead`);
+/// false if it halts or runs out of a step budget first.
+fn step_until(sim: &mut SimSched<'_>, capsule: &str) -> bool {
+    for _ in 0..2_000 {
+        match sim.at(0) {
+            at if at == capsule => return true,
+            "halted" | "dead" => return false,
+            _ => drop(sim.step(0)),
+        }
+    }
+    false
+}
+
+/// Runs processor 0 of `fork_of_two` alone — it pulls the root, forks,
+/// runs one leaf and pops the other — until it stands at `capsule`, and
+/// returns its reads and writes so far.
+fn accesses_before(capsule: &str) -> (u64, u64) {
+    let m = Machine::new(PmConfig::parallel(2, 1 << 18));
+    let (mut sim, _, _) = fork_of_two(&m);
+    assert!(
+        step_until(&mut sim, capsule),
+        "processor 0 never reached {capsule}"
+    );
+    let st = &m.snapshot().per_proc[0];
+    (st.reads, st.writes)
+}
+
+/// `fork_of_two` with processor 0 killed at its `at`-th access: p0 runs
+/// alone until it dies, then p1 finishes alone (within a step budget: a
+/// survivor that lost the thread spins). Returns the trace, after
+/// checking that p0 died in `capsule` and that the survivor completed
+/// the computation with each leaf and the code after the join run once.
+fn killed_and_adopted(at: u64, capsule: &str) -> String {
+    let fault = FaultConfig::none().with_scheduled_hard_fault(0, at);
+    let m = Machine::new(PmConfig::parallel(2, 1 << 18).with_fault(fault));
+    let (mut sim, out, after_runs) = fork_of_two(&m);
+    assert!(step_until(&mut sim, "dead"), "p0 outlived access {at}");
+    for _ in 0..2_000 {
+        if sim.completed() || sim.runnable().is_empty() {
+            break;
+        }
+        sim.step(1);
+    }
+    let trace = sim.render_trace();
+    assert!(
+        trace.contains(&format!("p0 died in {capsule}")),
+        "p0 dies in {capsule}:\n{trace}"
+    );
+    assert!(sim.completed(), "the survivor finishes:\n{trace}");
+    assert_eq!(m.mem().to_vec(out.start, 2), vec![1, 2]);
+    assert_eq!(completions(&trace, "fork2/leaf"), 2, "{trace}");
+    let runs = after_runs.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(runs, 1, "the code after the join runs once:\n{trace}");
+    trace
+}
+
+/// Lemma A.10's window, now inside one capsule: the owner's
+/// `popBottom/cam` wins its CAM (`job → local`) and the owner dies at the
+/// read that follows. The survivor steals the dead owner's `local` entry
+/// (`taken`, one tag on), adopts the `popBottom/cam` record, and its
+/// re-run — a no-op CAM, then the read — finds its own `taken` and runs
+/// the claimed leaf. A boundary crash cannot reach this arm any more.
+#[test]
+fn a_hard_fault_between_pop_bottoms_cam_and_its_read_runs_the_thread_once() {
+    let (reads, writes) = accesses_before("sched/popBottom/cam");
+    // Access `reads + writes + 1` is the CAM; the owner dies at its read.
+    let trace = killed_and_adopted(reads + writes + 2, "sched/popBottom/cam");
+    for line in [
+        "p1 run  sched/popTop/checkLocal -> sched/popBottom/cam",
+        "p1 run  sched/popBottom/cam -> fork2/leaf",
+    ] {
+        assert!(trace.contains(line), "{line}:\n{trace}");
+    }
+}
+
+/// `pushBottom`'s reads end the forking capsule: the owner dies at the
+/// first access after them (the commit record's install), so its restart
+/// pointer is still the forking frame. The survivor adopts the owner's
+/// `local` seat, re-runs the forking capsule on its own deque, and the
+/// computation completes with every thread run once.
+#[test]
+fn a_hard_fault_after_the_forks_push_bottom_reads_runs_every_thread_once() {
+    let (reads, writes) = accesses_before("fork2/root");
+    let (reads_after, writes_after) = accesses_before("sched/pushBottom/commit");
+    let capsule_reads = reads_after - reads;
+    assert!(capsule_reads >= 3, "pushBottom's reads are the fork's");
+    // The forking capsule's last reads are pushBottom's three; the access
+    // right after them is the first fault index at which the dying
+    // capsule has done all its reads.
+    let at = (reads + writes + 1..=reads_after + writes_after)
+        .find(|&at| {
+            let fault = FaultConfig::none().with_scheduled_hard_fault(0, at);
+            let m = Machine::new(PmConfig::parallel(2, 1 << 18).with_fault(fault));
+            let (mut sim, _, _) = fork_of_two(&m);
+            step_until(&mut sim, "dead") && m.snapshot().per_proc[0].reads - reads == capsule_reads
+        })
+        .expect("some access follows the reads");
+    let trace = killed_and_adopted(at, "fork2/root");
+    assert!(
+        trace.contains("p1 run  sched/popTop/checkLocal -> fork2/root"),
+        "the survivor adopts the forking capsule:\n{trace}"
+    );
+}

@@ -675,6 +675,115 @@ fn a_restart_pointer_on_a_retired_join_check_frame_falls_back() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A reopening process that carves one setup region more before the
+/// computation's own than the dying run did: every region after it —
+/// the prefix sum's arrays, the done flag, deques, ring, root frames —
+/// lies one block higher. The newest checkpoint record pins the region
+/// cursor it was taken over, so recovery refuses it with a structured
+/// reason instead of reading the dying run's words where they no longer
+/// are (the moved ring read as drained, and the session reported
+/// complete with the output still zero), and the run replays from the
+/// root.
+#[cfg(unix)]
+#[test]
+fn a_checkpoint_taken_over_another_layout_is_refused() {
+    use ppm::sched::FallbackReason;
+    let path = tmp("layout");
+    let _ = std::fs::remove_file(&path);
+    {
+        let pm = PmConfig::parallel(1, WORDS)
+            .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, mid_run_kill_access()));
+        let rt = Runtime::create(&path, prefix_cfg(pm)).unwrap();
+        let ps = PrefixSum::new(rt.machine(), N);
+        ps.load_input(rt.machine(), &input(N));
+        let rep = rt.run_or_recover(&ps.pcomp());
+        assert!(!rep.completed());
+        assert!(rep.run.unwrap().checkpoints.records_written > 0);
+    }
+    let rt = Runtime::open(&path, prefix_cfg(PmConfig::parallel(1, WORDS))).unwrap();
+    let m = rt.machine();
+    let recorded = m
+        .latest_checkpoint_record()
+        .expect("the dying run left a record behind");
+    m.alloc_region(1);
+    let ps = PrefixSum::new(m, N);
+    ps.load_input(m, &input(N));
+    let rep = rt.run_or_recover(&ps.pcomp());
+    assert!(rep.completed());
+    assert_eq!(ps.read_output(m), prefix_sum_seq(&input(N)));
+    assert_eq!(rep.mode, SessionMode::Replayed);
+    assert!(rep.checkpoint_resume.is_none());
+    match rep.fallback_reason {
+        Some(FallbackReason::CheckpointLayout {
+            seq,
+            recorded: at,
+            found,
+        }) => {
+            assert_eq!((seq, at), (recorded.seq, recorded.region_cursor));
+            assert!(found > at, "the extra region moved the cursor up");
+        }
+        other => panic!("expected the layout refusal, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A file whose restart pointer denotes a scheduler record of a retired
+/// kind — 4 (`popBottom/check`) or 16 (`pushBottom/read`), which the
+/// fork paid before their bodies moved into neighbouring capsules — opens
+/// to a structured fallback, never a panic, and the run still completes.
+#[cfg(unix)]
+#[test]
+fn a_restart_pointer_on_a_retired_scheduler_kind_falls_back() {
+    use ppm::core::machine::meta;
+    use ppm::core::{journal_image, SchedRecord};
+    use ppm::sched::FallbackReason;
+    let kill = mid_run_kill_access();
+    for kind in [4u16, 16] {
+        let path = tmp(&format!("retired-kind-{kind}"));
+        let _ = std::fs::remove_file(&path);
+        {
+            let pm = PmConfig::parallel(1, WORDS)
+                .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, kill));
+            let rt = Runtime::create(&path, prefix_cfg(pm)).unwrap();
+            let ps = PrefixSum::new(rt.machine(), N);
+            ps.load_input(rt.machine(), &input(N));
+            assert!(!rt.run_or_recover(&ps.pcomp()).completed());
+        }
+        let rt = Runtime::open(&path, prefix_cfg(PmConfig::parallel(1, WORDS))).unwrap();
+        let m = rt.machine();
+        // The record as the older build journaled it, live in slot A
+        // (a generation above both heads), behind the journal pointer.
+        let block = m.proc_meta(0);
+        let head = |at: usize| SchedRecord::generation(m.mem().load(block.base + at));
+        let gen = head(meta::HEAD_A).max(head(meta::HEAD_B));
+        let rec = SchedRecord {
+            kind,
+            args: [0x4000, 0x4010, 1, 0, 0],
+        };
+        let (off, image) = journal_image(&rec, gen + 1, true, block.active as Word);
+        for (i, w) in image.iter().enumerate() {
+            m.mem().store(block.base + off + i, *w);
+        }
+        assert_eq!(m.active_handle(0), block.active as Word);
+        let ps = PrefixSum::new(m, N);
+        ps.load_input(m, &input(N));
+        let rep = rt.run_or_recover(&ps.pcomp());
+        assert!(rep.completed(), "kind {kind}");
+        assert_eq!(ps.read_output(m), prefix_sum_seq(&input(N)), "kind {kind}");
+        let reason = (rep.fallback_reason.clone()).or_else(|| {
+            rep.checkpoint_resume
+                .as_ref()
+                .map(|c| c.crash_frontier.clone())
+        });
+        assert!(
+            matches!(&reason, Some(FallbackReason::Rehydrate { what, .. })
+                if what.contains("restart pointer")),
+            "kind {kind}: {reason:?}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 // ====================================================================
 // Skip-and-retry under contention (the ROADMAP "measure skip rates at
 // high P" follow-on)

@@ -26,6 +26,14 @@
 //! `join-check` capsules and no grain-level split, so every trace is
 //! shorter (904, 922, 936 lines before; 768, 786, 763 after); the hard
 //! fault at access 407 still lands and an adoption still runs in each.
+//! Re-pinned a fifth time when a fork began paying three scheduler
+//! records instead of six (`pushBottom`'s reads end the forking capsule,
+//! `clearBottom` runs `popBottom/read`'s body, `popBottom`'s check joins
+//! its CAM): every trace is shorter again (560, 565, 553 lines) and each
+//! processor makes fewer installs, so access 407 now fell where no
+//! adoption follows in seeds 1 and 2. The hard fault moved to access
+//! 411, where seeds 1 and 2 die inside `popBottom/cam` and the survivor
+//! adopts that very capsule, and seed 3 dies in a split and is adopted.
 
 use ppm::core::{dsl, Machine};
 use ppm::pm::{FaultConfig, PmConfig, ProcCtx, Region};
@@ -40,7 +48,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// 64-leaf `map_grain` at P = 3 under soft faults and one scheduled hard
 /// fault: FNV-1a of the rendered trace, and the step count.
 fn golden(seed: u64) -> (u64, usize) {
-    let fault = FaultConfig::soft(0.02, seed).with_scheduled_hard_fault(1, 407);
+    let fault = FaultConfig::soft(0.02, seed).with_scheduled_hard_fault(1, 411);
     let m = Machine::new(PmConfig::parallel(3, 1 << 21).with_fault(fault));
     let out = m.alloc_region(64);
     let pcomp: ppm::core::PComp = std::sync::Arc::new(move |m: &Machine, k| {
@@ -80,9 +88,9 @@ fn golden(seed: u64) -> (u64, usize) {
 #[test]
 fn seeded_traces_match_the_closure_scheduler() {
     let captured = [
-        (0x7282fcd719255697, 768),
-        (0x2203d1b097ce1633, 786),
-        (0x321fbbb9fbbf9e18, 763),
+        (0x75b2563c5997fb6c, 560),
+        (0x2b0a7ad5e0ba5144, 565),
+        (0x29177db3b411bc7d, 553),
     ];
     for (seed, want) in (1..).zip(captured) {
         assert_eq!(golden(seed), want, "seed {seed}");

@@ -18,7 +18,7 @@ use ppm_check::{replay, Explorer, ExplorerConfig, Model, Report, Violation};
 const CI_DEPTH: usize = 60;
 
 /// A depth past every engine scope's diameter here: `engine-fork` over
-/// two leaves has diameter 55 and `engine-service` 49. An engine run
+/// two leaves has diameter 51 and `engine-service` 46. An engine run
 /// must exhaust its space, or its progress is unchecked.
 const ENGINE_DEPTH: usize = 100;
 
@@ -92,7 +92,7 @@ fn dropping_the_lemma_a10_adoption_arm_loses_a_task() {
 
 /// The thief adopts p0's `Local` while p0 runs the second leaf, and both
 /// run it. The explorer is not asked for this trace: at the same minimal
-/// depth, 31 steps, the mutant also lets a thief take p0's `Local` after
+/// depth, 28 steps, the mutant also lets a thief take p0's `Local` after
 /// p0's thread has ended, and p0's `clearBottom` then writes `Empty` over
 /// the thief's `Taken` — the Figure 4 violation the explorer happens to
 /// reach first (see `corpus_steal_adopt_live_local_replays`). Both come
@@ -107,7 +107,7 @@ fn adopting_a_live_processors_local_double_executes() {
     // p0 pulls the root, forks both leaves, runs the first and pops the
     // second; p1 steals, adopts p0's live `Local` and runs the second
     // leaf too.
-    let mut trace = vec![Step(0); 18];
+    let mut trace = vec![Step(0); 15];
     trace.extend([Step(1); 11]);
     trace.extend([Step(0), Step(1)]);
     let cex = mutant_report(Mutant::AdoptLiveLocal).violation.as_ref();
@@ -206,10 +206,13 @@ fn engine_corpus(mutant: Mutant, kind: Violation, expected_steps: usize) -> Vec<
 
 #[test]
 fn corpus_steal_drop_lemma_a10_replays() {
-    // The owner's popBottom CAM wins and the owner dies; the adopter's
-    // re-run of its check finds its own `Taken` and, without the arm,
-    // abandons the claimed leaf.
-    engine_corpus(Mutant::DropLemmaA10, Violation::Progress, 18);
+    // The owner's `popBottom/cam`, which the mutant ends after its CAM,
+    // wins and the owner dies there; the adopter's re-run finds its own
+    // `Taken` and, without the arm, abandons the claimed leaf.
+    let trace = engine_corpus(Mutant::DropLemmaA10, Violation::Progress, 16);
+    let mut expected = vec![EngineAction::Step(0); 15];
+    expected.push(EngineAction::Crash(0));
+    assert_eq!(trace, expected);
 }
 
 #[test]
@@ -217,7 +220,7 @@ fn corpus_steal_adopt_live_local_replays() {
     // p1 takes p0's `Local` once p0's thread has run the done chain; p0's
     // `clearBottom` then meets `Taken` (see the double-execution test for
     // the other trace of this depth).
-    engine_corpus(Mutant::AdoptLiveLocal, Violation::Invariant, 31);
+    engine_corpus(Mutant::AdoptLiveLocal, Violation::Invariant, 28);
     let cex = mutant_report(Mutant::AdoptLiveLocal)
         .violation
         .as_ref()
@@ -235,7 +238,7 @@ fn corpus_steal_claim_before_seat_replays() {
 
 #[test]
 fn corpus_steal_done_early_replays() {
-    engine_corpus(Mutant::DoneEarly, Violation::Terminal, 25);
+    engine_corpus(Mutant::DoneEarly, Violation::Terminal, 22);
 }
 
 #[test]
@@ -243,8 +246,8 @@ fn corpus_engine_victim_never_helps_replays() {
     // p0 forks both leaves and runs the first; p1 wins `popTop/cam` on
     // the second and dies before its help capsules. Nothing adoptable of
     // p1's exists, and without help p0 spins forever.
-    let trace = engine_corpus(Mutant::VictimNeverHelps, Violation::Progress, 18);
-    let mut expected = vec![EngineAction::Step(0); 12];
+    let trace = engine_corpus(Mutant::VictimNeverHelps, Violation::Progress, 17);
+    let mut expected = vec![EngineAction::Step(0); 11];
     expected.extend([EngineAction::Step(1); 5]);
     expected.push(EngineAction::Crash(1));
     assert_eq!(trace, expected);

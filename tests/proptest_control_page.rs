@@ -1,6 +1,7 @@
 //! What one control-page codec buys (`ppm::pm::control`): the format is
 //! pinned byte for byte against a page the previous, byte-slicing codec
-//! wrote; hostile bytes in the page yield a structured error or a sound
+//! wrote (its checkpoint slots against this format's own capture, since
+//! the record grew a field); hostile bytes in the page yield a structured error or a sound
 //! fallback, never a panic or a record whose checksum covers less than
 //! it trusts; and no reader ever sees a mix of two writes, for any
 //! record — checkpoint slots included, which used to be a byte copy
@@ -31,9 +32,11 @@ use ppm::pm::{
 /// `CheckpointRecord::encode_into(&mut [u8])` and the word codecs of
 /// `lease.rs` / `pm/service.rs` — the last commit that had them. Every
 /// byte not listed is zero. The values are [`fixed_page`]'s. Since then
-/// only the superblock's version word (and so its checksum) has moved:
-/// 1 → 2, when the per-processor metadata block grew a scheduler-record
-/// journal and every address behind it shifted.
+/// the superblock's version word (and so its checksum) has moved: 1 → 2,
+/// when the per-processor metadata block grew a scheduler-record journal
+/// and every address behind it shifted. And the checkpoint record grew a
+/// `region_cursor` field under a new magic ([`CHECKPOINTS_V2`]): the two
+/// checkpoint runs below are the old format, which now reads as absent.
 const PARENT_PAGE: &[(usize, &str)] = &[
     (0, "50504d445552310002000000000000000300000000000000010000000000000004000000000000000000100000000000000200000000000010000000000000000010000000000000e8ea7f75db07fbd8"),
     (128, "50504d434c5354311000000000000000bc020000000000000010000000000000eeffc00000000000caf9d2ca1b2a5082"),
@@ -43,11 +46,27 @@ const PARENT_PAGE: &[(usize, &str)] = &[
     (2560, "50504d434b50543107000000000000000300000000000000581b00000000000003000000000000000500000000000000c00100000000000080030000000000004005000000000000074000000000000017400000000000002780000000000000378000000000000047c0000000000000a46eaec32c0e2036"),
 ];
 
+/// The two checkpoint slots as this format writes [`fixed_page`]'s
+/// records: magic `PPMCKPT2`, and `region_cursor` (0x2000) after
+/// `capsules`. Everything else on the page is [`PARENT_PAGE`]'s.
+const CHECKPOINTS_V2: [(usize, &str); 2] = [
+    (1024, "50504d434b505432060000000000000003000000000000007017000000000000002000000000000003000000000000000500000000000000800100000000000000030000000000008004000000000000064000000000000016400000000000002680000000000000368000000000000046c000000000000002efb984337a058e"),
+    (2560, "50504d434b50543207000000000000000300000000000000581b000000000000002000000000000003000000000000000500000000000000c00100000000000080030000000000004005000000000000074000000000000017400000000000002780000000000000378000000000000047c00000000000007d532678dbe79d9b"),
+];
+
 /// The superblock run of the page as version 1 wrote it.
 const SUPERBLOCK_V1: (usize, &str) = (0, "50504d445552310001000000000000000300000000000000010000000000000004000000000000000000100000000000000200000000000010000000000000000010000000000000c7a2ca9680f0404d");
 
 fn parent_page() -> Vec<u8> {
     page_of(PARENT_PAGE)
+}
+
+/// The page this codec writes for [`fixed_page`]: the parent's, but for
+/// the checkpoint slots.
+fn current_page() -> Vec<u8> {
+    let slots = CHECKPOINTS_V2.map(|(at, _)| at);
+    let kept = PARENT_PAGE.iter().filter(|(at, _)| !slots.contains(at));
+    page_of(&kept.chain(&CHECKPOINTS_V2).copied().collect::<Vec<_>>())
 }
 
 fn page_of(runs: &[(usize, &str)]) -> Vec<u8> {
@@ -75,6 +94,7 @@ fn checkpoint(seq: u64, epoch: u64) -> CheckpointRecord {
         seq,
         epoch,
         capsules: 1000 * seq,
+        region_cursor: 0x2000,
         watermarks: vec![64 * seq, 128 * seq, 192 * seq],
         frontier: [0x4000, 0x4010, 0x8020, 0x8030, 0xC040]
             .iter()
@@ -180,10 +200,11 @@ fn the_word_codec_writes_the_bytes_the_byte_codec_wrote() {
         .iter()
         .flat_map(|w| w.load(Ordering::SeqCst).to_le_bytes())
         .collect();
-    let parent = parent_page();
+    // Every byte outside the checkpoint slots is still the parent's.
+    let pinned = current_page();
     assert_eq!(written.len(), SUPERBLOCK_BYTES);
-    if let Some(at) = (0..SUPERBLOCK_BYTES).find(|i| written[*i] != parent[*i]) {
-        panic!("control page differs from the parent's at byte {at}");
+    if let Some(at) = (0..SUPERBLOCK_BYTES).find(|i| written[*i] != pinned[*i]) {
+        panic!("control page differs from the pinned one at byte {at}");
     }
 }
 
@@ -194,10 +215,17 @@ fn a_page_the_parent_wrote_decodes_to_the_values_that_went_in() {
     assert_eq!(valid(&view.superblock), Some(&fixed.superblock));
     assert_eq!(valid(&view.cluster), Some(&fixed.cluster));
     assert_eq!(valid(&view.service), Some(&fixed.service));
-    for (slot, rec) in fixed.checkpoints.iter().enumerate() {
-        assert_eq!(valid(&view.checkpoints[slot]), Some(rec));
+    // The parent's checkpoint records carry no region cursor: refused
+    // by their magic, never read as records of this format.
+    for found in &view.checkpoints {
+        assert!(found.is_err(), "{found:?}");
     }
-    assert_eq!(view.latest_checkpoint(), Some(&fixed.checkpoints[1]));
+    assert_eq!(view.latest_checkpoint(), None);
+    let current = PageView::decode(&words_of(&current_page()));
+    for (slot, rec) in fixed.checkpoints.iter().enumerate() {
+        assert_eq!(valid(&current.checkpoints[slot]), Some(rec));
+    }
+    assert_eq!(current.latest_checkpoint(), Some(&fixed.checkpoints[1]));
     for (shard, found) in view.leases.iter().enumerate() {
         let expected = fixed.leases.iter().find(|(s, _)| *s == shard);
         assert_eq!(valid(found), expected.map(|(_, l)| l), "lease {shard}");
@@ -232,8 +260,9 @@ fn a_file_the_parent_wrote_opens() {
     let page = ControlPage::of(&backend);
     assert_eq!(page.superblock().unwrap().epoch, fixed.superblock.epoch + 1);
     assert_eq!(
-        page.latest_checkpoint().as_ref(),
-        Some(&fixed.checkpoints[1])
+        page.latest_checkpoint(),
+        None,
+        "the parent's records read as absent"
     );
     assert_eq!(page.cluster_header(), Some(fixed.cluster));
     assert_eq!(page.lease(15), Some(fixed.leases[2].1));
@@ -284,7 +313,7 @@ proptest! {
         splice in any::<u64>(),
     ) {
         let fixed = fixed_page();
-        let mut bytes = parent_page();
+        let mut bytes = current_page();
         if splice & 1 == 1 {
             // Same file, later life: records 8 and 9 of epoch 9.
             let other = VolatileBackend::new(0);

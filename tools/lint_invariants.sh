@@ -538,8 +538,19 @@ if [ -n "$hits" ]; then
     err "a second join capsule is back (an arrival CAMs and reads the set-once cell in one capsule; see join.rs):" "$hits"
 fi
 
+# --- 21. a fork pays three records ------------------------------------------------
+hits=$({
+    grep -rnE "\b(PushBottomRead|PopBottomCheck)\b" --include="*.rs" crates src tests examples
+    awk '/^            ClearBottom\(\)( \| PopBottomRead\(\))? => \{/ { arm = 1 }
+         arm && /go\(PopBottomRead\(/ { print FILENAME ":" FNR ": " $0 }
+         arm && /^            }$/ { arm = 0 }' crates/sched/src/capsules.rs
+} || true)
+if [ -n "$hits" ]; then
+    err "a fork pays three scheduler records: pushBottom's reads end the forking capsule, clearBottom runs popBottom/read's body and popBottom/cam checks its own CAM (see capsules.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule, a fork pays three records)"
