@@ -213,8 +213,8 @@ impl MmCapsules {
                 col0: 0,
                 stride: size,
             };
-            let t1 = view(ctx.palloc(size * size));
-            let t2 = view(ctx.palloc(size * size));
+            let t1 = view(ctx.palloc(size * size)?);
+            let t2 = view(ctx.palloc(size * size)?);
             let add_entry = add_map.frame(
                 ctx,
                 &Span {

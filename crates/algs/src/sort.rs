@@ -50,7 +50,7 @@ use std::sync::Arc;
 
 use ppm_core::dsl::{fork2, jump_to, CapsuleDef, CapsuleSet, Span, Step, K};
 use ppm_core::{persist_struct, Machine, PComp};
-use ppm_pm::{ProcCtx, Region, Word};
+use ppm_pm::{PmResult, ProcCtx, Region, Word};
 
 use crate::merge::{base_size, split_rank, Run};
 use crate::prefix::{PrefixCapsules, PrefixSum};
@@ -420,27 +420,27 @@ persist_struct! {
 }
 
 impl Scratch {
-    fn alloc(ctx: &mut ProcCtx, g: &Geometry, leaf_words: usize) -> Scratch {
+    fn alloc(ctx: &mut ProcCtx, g: &Geometry, leaf_words: usize) -> PmResult<Scratch> {
         let cm = g.rows * g.buckets;
-        Scratch {
-            subsorted: region_at(ctx.palloc(g.n), g.n),
-            row_aux: region_at(ctx.palloc(g.n), g.n),
-            samples: region_at(ctx.palloc(g.total_samples.max(1)), g.total_samples.max(1)),
-            samples_sorted: region_at(ctx.palloc(g.total_samples.max(1)), g.total_samples.max(1)),
-            samples_aux: region_at(ctx.palloc(g.total_samples.max(1)), g.total_samples.max(1)),
-            pivots: region_at(ctx.palloc(g.buckets.max(2) - 1), g.buckets.max(2) - 1),
+        Ok(Scratch {
+            subsorted: region_at(ctx.palloc(g.n)?, g.n),
+            row_aux: region_at(ctx.palloc(g.n)?, g.n),
+            samples: region_at(ctx.palloc(g.total_samples.max(1))?, g.total_samples.max(1)),
+            samples_sorted: region_at(ctx.palloc(g.total_samples.max(1))?, g.total_samples.max(1)),
+            samples_aux: region_at(ctx.palloc(g.total_samples.max(1))?, g.total_samples.max(1)),
+            pivots: region_at(ctx.palloc(g.buckets.max(2) - 1)?, g.buckets.max(2) - 1),
             bounds: region_at(
-                ctx.palloc(g.rows * (g.buckets + 1)),
+                ctx.palloc(g.rows * (g.buckets + 1))?,
                 g.rows * (g.buckets + 1),
             ),
-            counts_cm: region_at(ctx.palloc(cm), cm),
-            sums: region_at(ctx.palloc(cm), cm),
+            counts_cm: region_at(ctx.palloc(cm)?, cm),
+            sums: region_at(ctx.palloc(cm)?, cm),
             sums_tree: region_at(
-                ctx.palloc(PrefixSum::sums_words(cm, leaf_words)),
+                ctx.palloc(PrefixSum::sums_words(cm, leaf_words))?,
                 PrefixSum::sums_words(cm, leaf_words),
             ),
-            bucketed: region_at(ctx.palloc(g.n), g.n),
-        }
+            bucketed: region_at(ctx.palloc(g.n)?, g.n),
+        })
     }
 }
 
@@ -860,7 +860,7 @@ impl SsCapsules {
             }
             if !st.progress {
                 // Degenerate partition (e.g. all-equal keys): mergesort.
-                let aux = region_at(ctx.palloc(n), n);
+                let aux = region_at(ctx.palloc(n)?, n);
                 return jump_to(
                     ctx,
                     msort.node,
@@ -878,7 +878,7 @@ impl SsCapsules {
             // The embedded prefix sum and the merges run at this node's
             // theorem: Θ(M)-word capsules (Theorem 7.3).
             let leaf_words = capsule_words(ctx);
-            let s = Scratch::alloc(ctx, &g, leaf_words);
+            let s = Scratch::alloc(ctx, &g, leaf_words)?;
             let env = SsEnv {
                 src: st.src,
                 dst: st.dst,

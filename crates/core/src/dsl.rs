@@ -36,13 +36,28 @@
 //! every frame written by a combinator comes from the restart-stable pool
 //! allocator, so a re-run after a soft fault rewrites identical words at
 //! identical addresses.
+//!
+//! ## Words a subtree allocates die at its fork's join
+//!
+//! [`fork2`] and [`fork_many`]'s top level mark their fork: when the
+//! pushed branch's join arrival continues on the forking processor with
+//! no steal, pull, adoption or `popBottom` miss on `taken` in between,
+//! the pool rolls back to the fork's join cell (see `ppm_pm::proc` and
+//! [`crate::join`]), and the next allocation reuses those words. So a
+//! subtree's results must reach the code after its join through cells
+//! allocated **before** the fork — by an earlier capsule, or by the
+//! forking capsule ahead of the combinator, as [`CapsuleSet::reduce`]
+//! does with its two value cells and its combine frame. A word a subtree
+//! allocates for itself (its frames, its join cells, its scratch) is
+//! dead once its fork has joined and must not be read after it. Every
+//! combinator here and every algorithm in `ppm-algs` keeps to this.
 
 use std::sync::Arc;
 
 use ppm_pm::{write_frame, FrameBuf, PmResult, ProcCtx, Word};
 
 use crate::capsule::Next;
-use crate::join::fork_join_frames;
+use crate::join::{fork_join_frames, forking_join_frames};
 use crate::machine::Machine;
 use crate::persist::{decode_args, Persist, ValueError, WordReader, WordSink};
 use crate::registry::{CapsuleId, CapsuleRegistry, CORE_ID_FORK_PAIR};
@@ -152,7 +167,7 @@ impl<T: Persist> CapsuleDef<T> {
         let mut frame = FrameBuf::new(ctx, self.id);
         state.encode(&mut frame);
         k.encode(&mut frame);
-        Ok(K(frame.write(ctx) as Word))
+        Ok(K(frame.write(ctx)? as Word))
     }
 
     /// Writes a root frame with uncosted setup stores (machine
@@ -339,7 +354,7 @@ impl CapsuleSet {
                 return Ok(Step::Jump(k));
             }
             let mid = st.lo + (st.hi - st.lo) / 2;
-            let cells = ctx.palloc(2);
+            let cells = ctx.palloc(2)?;
             let after = join.frame(
                 ctx,
                 &FoldJoin {
@@ -519,14 +534,16 @@ pub fn seq<A: Persist, B: Persist>(
 /// Parallel composition: fork `right` as a new thread, continue with
 /// `left`, and join — the last arriver continues with `k`. Allocates the
 /// §5 CAM join cell and both arrival frames (restart-stable), then the
-/// two branch frames.
+/// two branch frames, and marks the fork at its cell: everything the two
+/// branches allocate is dead after the join (module docs), while `k`,
+/// written before, survives it.
 pub fn fork2<L: Persist, R: Persist>(
     ctx: &mut ProcCtx,
     left: (CapsuleDef<L>, &L),
     right: (CapsuleDef<R>, &R),
     k: K,
 ) -> PmResult<Step> {
-    let (la, ra) = fork_join_frames(ctx, k.0)?;
+    let (la, ra) = forking_join_frames(ctx, k.0)?;
     let lf = left.0.frame(ctx, left.1, K(la))?;
     let rf = right.0.frame(ctx, right.1, K(ra))?;
     Ok(Step::Fork {
@@ -538,6 +555,11 @@ pub fn fork2<L: Persist, R: Persist>(
 /// N-ary parallel composition over homogeneous states: forks a balanced
 /// binary tree of `fork-pair` capsules whose leaves are `def` frames, all
 /// joining down to `k`. Empty input jumps straight to `k`.
+///
+/// Only the top-level fork is marked. The inner `fork-pair` capsules
+/// fork frames this capsule planted, and the words above an inner cell
+/// hold sibling subtrees that have not run yet when its join completes,
+/// so their joins reclaim nothing; the top-level join frees the tree.
 pub fn fork_many<T: Persist>(
     ctx: &mut ProcCtx,
     def: CapsuleDef<T>,
@@ -549,7 +571,7 @@ pub fn fork_many<T: Persist>(
         1 => jump_to(ctx, def, &states[0], k),
         _ => {
             let mid = states.len() / 2;
-            let (la, ra) = fork_join_frames(ctx, k.0)?;
+            let (la, ra) = forking_join_frames(ctx, k.0)?;
             let lf = plant_tree(ctx, def, &states[..mid], K(la))?;
             let rf = plant_tree(ctx, def, &states[mid..], K(ra))?;
             Ok(Step::Fork {

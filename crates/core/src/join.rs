@@ -38,6 +38,20 @@
 //! crashes processors only at capsule boundaries, so it cannot tell the
 //! two orders apart; the soft-fault tests in `tests/capsule_forms.rs` do.
 //!
+//! ## The last arrival frees the subtree
+//!
+//! A last arrival that continues with [`TOKEN_RIGHT`] asks its processor
+//! to roll the pool back to the fork's mark ([`ProcCtx::join_reclaim`]):
+//! when the fork was registered on this processor and nothing foreign
+//! happened since, the whole subtree — the cell, both arrivals, both
+//! branches and everything below them — ran here and is dead. A last
+//! arrival with [`TOKEN_LEFT`] is a foreign event
+//! ([`ProcCtx::note_foreign`]): the pushed branch arrived first somewhere
+//! else, and that arriver may still sit between its CAM and its read of
+//! the cell, or be dead there with its arrival frame as its restart
+//! pointer, so no word of this fork may be handed out again before a
+//! checkpoint has traced it dead.
+//!
 //! An arrival is one frame, `[cell, token, after]` under
 //! [`CORE_ID_JOIN_CAM`], written by [`fork_join_frames`] and run on those
 //! words. The decode refuses any token but 1 or 2, so an arrival that
@@ -70,7 +84,7 @@ impl JoinCell {
     /// external write. The write is first-access-write, so it cannot create
     /// a write-after-read conflict.
     pub fn init(ctx: &mut ProcCtx) -> PmResult<Self> {
-        let addr = ctx.palloc(1);
+        let addr = ctx.palloc(1)?;
         ctx.pwrite(addr, UNSET)?;
         Ok(JoinCell { addr })
     }
@@ -105,10 +119,13 @@ pub(crate) fn decode_arrival(args: &[Word]) -> Result<[Word; 3], FrameDecodeErro
 pub(crate) fn arrive_cam(&[cell, token, after]: &[Word; 3], ctx: &mut ProcCtx) -> PmResult<Next> {
     ctx.pcam(cell as Addr, UNSET, token)?;
     if ctx.pread(cell as Addr)? == token {
-        Ok(Next::End)
-    } else {
-        Ok(Next::JumpHandle(after))
+        return Ok(Next::End);
     }
+    match token {
+        TOKEN_RIGHT => ctx.join_reclaim(cell as Addr),
+        _ => ctx.note_foreign(),
+    }
+    Ok(Next::JumpHandle(after))
 }
 
 /// Initializes a join cell and writes the two arrival-CAM frames for a
@@ -117,6 +134,19 @@ pub(crate) fn arrive_cam(&[cell, token, after]: &[Word; 3], ctx: &mut ProcCtx) -
 /// fork's two branches. One external write for the cell plus two frames;
 /// restart-stable.
 pub fn fork_join_frames(ctx: &mut ProcCtx, after: Word) -> PmResult<(Word, Word)> {
+    join_frames(ctx, after).map(|(_, l, r)| (l, r))
+}
+
+/// [`fork_join_frames`] for the capsule that executes the fork it
+/// allocates: the cell, its first word, becomes the fork's mark
+/// ([`ProcCtx::mark_fork`]), so the join can free the subtree.
+pub(crate) fn forking_join_frames(ctx: &mut ProcCtx, after: Word) -> PmResult<(Word, Word)> {
+    let (cell, l, r) = join_frames(ctx, after)?;
+    ctx.mark_fork(cell);
+    Ok((l, r))
+}
+
+fn join_frames(ctx: &mut ProcCtx, after: Word) -> PmResult<(Addr, Word, Word)> {
     let cell = JoinCell::init(ctx)?;
     let l = write_frame(
         ctx,
@@ -128,7 +158,7 @@ pub fn fork_join_frames(ctx: &mut ProcCtx, after: Word) -> PmResult<(Word, Word)
         CORE_ID_JOIN_CAM,
         &[cell.addr() as Word, TOKEN_RIGHT, after],
     )?;
-    Ok((l as Word, r as Word))
+    Ok((cell.addr(), l as Word, r as Word))
 }
 
 #[cfg(test)]

@@ -157,9 +157,11 @@ pub struct Machine {
 
 /// Default per-processor allocation pool size in words. A fork consumes
 /// its join cell, two six-word arrival frames and its two branch frames —
-/// 29 words a leaf of a `map_grain` over a region — so this supports on
-/// the order of 9·10^3 forks per processor between checkpoints; construct
-/// with [`Machine::with_pool_words`] for larger workloads.
+/// 29 words a leaf of a `map_grain` over a region — so this holds on the
+/// order of 9·10^3 forks per processor that neither their joins (which
+/// free a subtree that ran on its processor) nor a checkpoint have
+/// handed back; construct with [`Machine::with_pool_words`] for larger
+/// workloads.
 pub const DEFAULT_POOL_WORDS: usize = 1 << 18;
 
 impl Machine {
@@ -332,6 +334,22 @@ impl Machine {
         let (backend, found) = ppm_pm::MmapBackend::attach(path)?;
         let epoch = found.epoch; // shared with the creating run
         Ok(Self::from_backend(backend, found, fault, validate, epoch))
+    }
+
+    /// The machine the next process finds after a kill of every processor
+    /// of this one: the same words and control page, the layout replayed,
+    /// fault adversary `fault`, and the run epoch of a reopen (at least
+    /// 2, so a session over it recovers). [`Machine::reopen`] without the
+    /// file: a volatile machine's memory plays the persistent memory, so
+    /// a test can kill a run anywhere and recover it in one process.
+    pub fn restarted(&self, fault: ppm_pm::FaultConfig) -> Machine {
+        let cfg = self.cfg.clone().with_fault(fault);
+        Self::from_mem(
+            cfg,
+            self.pool_words,
+            self.mem.clone(),
+            self.epoch.max(1) + 1,
+        )
     }
 
     /// Forces all stored words to stable storage (the backend's durability
@@ -568,7 +586,7 @@ mod tests {
         let m = Machine::new(PmConfig::parallel(2, 1 << 20));
         let mut ctx = m.ctx(1);
         ctx.begin_capsule("t");
-        let a = ctx.palloc(4);
+        let a = ctx.palloc(4).unwrap();
         assert!(m.pool(1).contains(a));
     }
 

@@ -152,8 +152,9 @@ impl InstallCtx {
 /// non-forking chain) and [`Next::End`] finishes the chain.
 ///
 /// Returns the installed successor — `None` when the chain is finished on
-/// this processor — and `Err(Fault::Hard)` only if the processor dies;
-/// soft faults never escape.
+/// this processor — `Err(Fault::Hard)` if the processor dies and
+/// `Err(Fault::Exhausted)` if its pool cannot hold the capsule's
+/// allocations ([`ProcCtx::error`] says why); soft faults never escape.
 pub fn run_capsule(
     ctx: &mut ProcCtx,
     arena: &ContArena,
@@ -194,11 +195,11 @@ pub fn run_capsule(
                     match ctx.charge_restart() {
                         Ok(()) => break,
                         Err(Fault::Soft) => continue,
-                        Err(Fault::Hard) => return Err(Fault::Hard),
+                        Err(stop) => return Err(stop),
                     }
                 }
             }
-            Err(Fault::Hard) => return Err(Fault::Hard),
+            Err(stop) => return Err(stop),
         }
     }
 }

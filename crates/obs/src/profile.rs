@@ -37,6 +37,9 @@ pub struct SpanExec {
     pub parent: u64,
     /// Persistent frame address the capsule ran from (0 = volatile).
     pub frame: u64,
+    /// Span that wrote that frame (0 = unknown, as in traces that
+    /// predate the field).
+    pub writer: u64,
     /// Capsule name (the DSL `alg/phase` convention).
     pub name: String,
     /// Executing processor within its process.
@@ -115,6 +118,7 @@ impl TraceSet {
                         id,
                         parent: field_u64(line, "p").unwrap_or(0),
                         frame: field_u64(line, "f").unwrap_or(0),
+                        writer: field_u64(line, "fw").unwrap_or(0),
                         name: name.to_string(),
                         proc: field_u64(line, "pr").unwrap_or(0) as usize,
                         origin,
@@ -315,20 +319,24 @@ impl Analysis {
         // processes); earlier completed duplicates are wasted outright,
         // and each interrupted execution wastes ~one canonical-work's
         // worth (its own work counter died with the process). Frame
-        // addresses recycle after checkpoint GC — keying by capsule
-        // name too disambiguates most reuse; residual imprecision is
-        // accepted and documented.
-        let mut groups: HashMap<(u64, &str), Vec<usize>> = HashMap::new();
+        // addresses recycle — a join frees its subtree's words, and
+        // checkpoint GC rolls pools back — so executions also key by the
+        // span that wrote the frame: a recycled address holds a frame
+        // another execution wrote, and a replay runs the frame it finds.
+        // Executions installed without a known writer (a restart at
+        // process start) key with 0, and capsule names separate most of
+        // those.
+        let mut groups: HashMap<(u64, u64, &str), Vec<usize>> = HashMap::new();
         for (at, s) in spans.iter().enumerate() {
             if s.frame != 0 {
                 groups
-                    .entry((s.frame, s.name.as_str()))
+                    .entry((s.frame, s.writer, s.name.as_str()))
                     .or_default()
                     .push(at);
             }
         }
         let mut useful = 0u64;
-        for ((_, _), execs) in &groups {
+        for execs in groups.values() {
             let canon = execs
                 .iter()
                 .copied()

@@ -182,15 +182,17 @@ impl SpanSink {
 
     /// Emits a span-start record. `parent` is 0 for a root span,
     /// `frame` the persistent frame address the capsule was installed
-    /// from (0 when volatile), `name` the capsule name, `proc` the
-    /// executing processor.
-    pub fn start(&self, id: u64, parent: u64, frame: u64, name: &str, proc: usize) {
+    /// from (0 when volatile), `writer` the span that wrote that frame
+    /// (its parent-span word; 0 when unknown), `name` the capsule name,
+    /// `proc` the executing processor.
+    pub fn start(&self, id: u64, parent: u64, frame: u64, writer: u64, name: &str, proc: usize) {
         let line = format!(
-            "{{\"k\":\"s\",\"t\":{},\"id\":{},\"p\":{},\"f\":{},\"c\":\"{}\",\"pr\":{}}}\n",
+            "{{\"k\":\"s\",\"t\":{},\"id\":{},\"p\":{},\"f\":{},\"fw\":{},\"c\":\"{}\",\"pr\":{}}}\n",
             Self::now_us(),
             id,
             parent,
             frame,
+            writer,
             name,
             proc
         );
@@ -303,7 +305,7 @@ mod tests {
         let path = tmp("stream.jsonl");
         let sink = SpanSink::create(&path, 0, 1, false).unwrap();
         let id = sink.mint();
-        sink.start(id, 0, 4096, "alg/test", 2);
+        sink.start(id, 0, 4096, 0, "alg/test", 2);
         sink.end(id, 37, 16);
         // No explicit flush/drop ordering needed: every record was
         // write_all'd straight to the fd, as a SIGKILL would see it.
@@ -322,7 +324,7 @@ mod tests {
         let sink = SpanSink::create(&path, 2, 1, false).unwrap();
         let detail = "lease \"Dead\" at C:\\run\nnext\tline\u{1}";
         let id = sink.mint();
-        sink.start(id, 0, 64, "alg/before", 0);
+        sink.start(id, 0, 64, 0, "alg/before", 0);
         sink.event(TraceKind::ShardDead, Some(3), None, detail);
         sink.end(id, 5, 1);
         // Read while the sink is alive: the record is on disk already.
@@ -349,11 +351,11 @@ mod tests {
         let path = tmp("append.jsonl");
         let a = SpanSink::create(&path, 0, 1, false).unwrap();
         let id = a.mint();
-        a.start(id, 0, 0, "x", 0);
+        a.start(id, 0, 0, 0, "x", 0);
         drop(a);
         let b = SpanSink::create(&path, 0, 2, true).unwrap();
         let id2 = b.mint();
-        b.start(id2, 0, 0, "y", 0);
+        b.start(id2, 0, 0, 0, "y", 0);
         drop(b);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(

@@ -249,11 +249,11 @@ impl FrameBuf {
     /// through a costed install or deque write, and the engine flushes
     /// the staging buffer before performing any install.
     #[inline]
-    pub fn write(mut self, ctx: &mut ProcCtx) -> Addr {
+    pub fn write(mut self, ctx: &mut ProcCtx) -> PmResult<Addr> {
         self.words[0] = frame_header(self.len - FRAME_ARGS_AT);
-        let addr = ctx.palloc(self.len);
+        let addr = ctx.palloc(self.len)?;
         ctx.stage_range(addr, &self.words[..self.len]);
-        addr
+        Ok(addr)
     }
 }
 
@@ -266,7 +266,7 @@ pub fn write_frame(ctx: &mut ProcCtx, capsule_id: Word, args: &[Word]) -> PmResu
     for a in args {
         frame.push(*a);
     }
-    Ok(frame.write(ctx))
+    frame.write(ctx)
 }
 
 /// Stores a frame at a fixed address with uncosted setup writes (machine

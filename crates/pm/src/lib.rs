@@ -73,7 +73,7 @@ pub use clock::{system_clock, Clock, SharedClock, SystemClock, VirtualClock};
 pub use config::{FaultConfig, PmConfig, ValidateMode};
 pub use control::{ControlPage, PageView};
 pub use dirty::{DirtyTracker, PageRun, PAGE_WORDS};
-pub use error::{Fault, PmResult};
+pub use error::{Fault, PmError, PmResult};
 pub use fault::{FaultInjector, HeartbeatLiveness, Liveness};
 pub use frame::{
     frame_words, is_frame_at, read_frame, store_frame, with_frame_args, write_frame, Frame,

@@ -11,11 +11,34 @@
 //! [`ProcCtx::pcam`], [`ProcCtx::read_block_into`], ...). A returned
 //! [`Fault`] must be propagated out of the capsule (the `?` operator does
 //! this naturally); the capsule engine then performs the model's restart.
+//!
+//! ## Frames die at their join
+//!
+//! The §4.1 pool only bumps, but the words a fork's subtree allocates are
+//! dead once its join's last arrival continues: results leave a subtree
+//! only through cells allocated before the fork (`ppm_core::dsl`'s
+//! contract). So a capsule that executes a fork records a **mark** — the
+//! address of the join cell it allocated first — with a **stamp**, the
+//! processor's count of foreign events so far ([`ProcCtx::note_foreign`]:
+//! a steal, pull or adoption, a `popBottom` miss on `taken`, a join
+//! arrival that continues with the left token). When the pushed branch's
+//! arrival continues on this processor and the innermost mark is that
+//! cell under an unchanged stamp, every thread of the subtree ran here,
+//! one after another, and every capsule of it has committed: the cursor
+//! becomes `min(cursor, mark)` ([`ProcCtx::join_reclaim`]), but never
+//! less than its floor ([`ProcCtx::pin_floor`]): on a durable machine its
+//! value at the last checkpoint quiesce, whose record's frontier may
+//! still need the words below it. In every other case nothing is
+//! reclaimed; checkpoint GC is the backstop. Marks and reclaims take
+//! effect when their capsule commits ([`ProcCtx::complete_capsule`]), so
+//! a soft-fault re-run neither registers a fork twice nor reclaims twice,
+//! and all of it is ephemeral: a restarted or replacement processor
+//! starts with no marks.
 
 use std::sync::Arc;
 
 use crate::config::{PmConfig, ValidateMode};
-use crate::error::{Fault, PmResult};
+use crate::error::{Fault, PmError, PmResult};
 use crate::fault::{FaultInjector, Liveness};
 use crate::layout::Region;
 use crate::mem::PersistentMemory;
@@ -41,6 +64,24 @@ pub struct ProcCtx {
     /// Cursor value at the start of the active capsule; restarts roll back
     /// to this, so re-running a capsule re-allocates the same addresses.
     capsule_start_cursor: usize,
+    /// Forks whose joins may still roll the pool back, innermost last:
+    /// each its mark (the fork's first join-cell address) and the
+    /// [`ProcCtx::foreign`] count when its capsule committed.
+    marks: Vec<(Addr, u64)>,
+    /// Foreign events so far (module docs). Only its changes matter.
+    foreign: u64,
+    /// No join rolls the pool back below this cursor: set when the pool
+    /// is installed and at each durable checkpoint quiesce
+    /// ([`ProcCtx::pin_floor`]), so the frames a checkpoint record's
+    /// frontier reaches stay as they were until the next checkpoint.
+    floor: usize,
+    /// The mark the running capsule's fork registers when it commits.
+    pending_mark: Option<Addr>,
+    /// The join cell whose last arrival the running capsule is, when it
+    /// continues with the pushed branch's token; matched at commit.
+    pending_join: Option<Addr>,
+    /// Why this processor stopped, when it was not a fault.
+    error: Option<PmError>,
     /// Persistent word mirroring the committed allocation cursor, when
     /// configured. Written (uncosted) at every capsule completion so a
     /// recovering process knows how much of the pool holds live closure
@@ -112,6 +153,12 @@ impl ProcCtx {
             alloc_pool: None,
             alloc_cursor: 0,
             capsule_start_cursor: 0,
+            marks: Vec::new(),
+            foreign: 0,
+            floor: 0,
+            pending_mark: None,
+            pending_join: None,
+            error: None,
             watermark_addr: None,
             ephemeral_words: cfg.ephemeral_words,
             war_exempt: false,
@@ -201,6 +248,8 @@ impl ProcCtx {
     /// validator and work counter. Called when a capsule is installed.
     pub fn begin_capsule(&mut self, name: &'static str) {
         self.capsule_start_cursor = self.alloc_cursor;
+        self.pending_mark = None;
+        self.pending_join = None;
         self.capsule_work = 0;
         self.staged.clear();
         self.war.reset(name);
@@ -213,6 +262,8 @@ impl ProcCtx {
     /// addresses, and validation restarts.
     pub fn restart_capsule(&mut self, name: &'static str) {
         self.alloc_cursor = self.capsule_start_cursor;
+        self.pending_mark = None;
+        self.pending_join = None;
         self.capsule_work = 0;
         self.staged.clear();
         self.war.reset(name);
@@ -221,6 +272,10 @@ impl ProcCtx {
 
     /// Completes the active capsule, recording its capsule work. Returns
     /// that work (the quantity whose maximum is the paper's `C`).
+    ///
+    /// A fork the capsule executed registers its mark here, and a join it
+    /// ended rolls the cursor back here (module docs): both only once the
+    /// capsule's successor is installed.
     ///
     /// If a watermark word is configured, the committed allocation cursor
     /// is mirrored there with an uncosted store (machine bookkeeping, like
@@ -232,6 +287,7 @@ impl ProcCtx {
     pub fn complete_capsule(&mut self) -> u64 {
         let w = self.capsule_work;
         self.stats.record_capsule_completion(self.proc, w);
+        self.commit_marks();
         self.publish_watermark();
         if self.cur_span != 0 {
             if let Some(sink) = &self.span_sink {
@@ -286,11 +342,11 @@ impl ProcCtx {
         } else {
             self.pending_parent
         };
-        let frame = self.pending_frame;
+        let (frame, writer) = (self.pending_frame, self.pending_parent);
         self.pending_parent = 0;
         self.pending_frame = 0;
         let id = sink.mint();
-        sink.start(id, parent, frame, name, self.proc);
+        sink.start(id, parent, frame, writer, name, self.proc);
         self.cur_span = id;
         self.chain_span = id;
         self.span_started = Some(std::time::Instant::now());
@@ -329,6 +385,74 @@ impl ProcCtx {
     }
 
     // ------------------------------------------------------------------
+    // Join-time reclamation (module docs)
+    // ------------------------------------------------------------------
+
+    /// Records that the running capsule executes a fork whose first
+    /// allocated join cell is `cell`: a capsule that allocates the fork's
+    /// frames and forks in one body. A capsule that forks frames an
+    /// earlier capsule planted (an inner node of `fork_many`'s tree) must
+    /// not call this: words above its cell hold sibling subtrees that
+    /// have not run yet.
+    pub fn mark_fork(&mut self, cell: Addr) {
+        self.pending_mark = Some(cell);
+    }
+
+    /// Records that the running capsule is the last arrival at the join
+    /// cell `cell` and continues with the pushed branch's token. At commit
+    /// the cursor rolls back to the cell if it is the innermost mark and
+    /// no foreign event happened since its fork committed.
+    pub fn join_reclaim(&mut self, cell: Addr) {
+        self.pending_join = Some(cell);
+    }
+
+    /// Counts a foreign event: from here on no join of a fork registered
+    /// before it rolls the pool back.
+    #[inline]
+    pub fn note_foreign(&mut self) {
+        self.foreign += 1;
+    }
+
+    /// The registered fork marks, innermost last, each with whether its
+    /// stamp is still current — whether its join could still reclaim
+    /// (diagnostics, tests and the engine explorer's state key).
+    pub fn fork_marks(&self) -> impl Iterator<Item = (Addr, bool)> + '_ {
+        self.marks
+            .iter()
+            .map(|&(mark, stamp)| (mark, stamp == self.foreign))
+    }
+
+    /// Applies the committed capsule's fork mark and join reclaim.
+    fn commit_marks(&mut self) {
+        if let Some(cell) = self.pending_join.take() {
+            if self.marks.last() == Some(&(cell, self.foreign)) {
+                self.marks.pop();
+                if let Some(pool) = self.alloc_pool {
+                    let mark = (cell - pool.start).max(self.floor);
+                    self.alloc_cursor = self.alloc_cursor.min(mark);
+                }
+            }
+        }
+        if let Some(cell) = self.pending_mark.take() {
+            // Marks under an older stamp can never match again.
+            if self
+                .marks
+                .last()
+                .is_some_and(|&(_, stamp)| stamp != self.foreign)
+            {
+                self.marks.clear();
+            }
+            self.marks.push((cell, self.foreign));
+        }
+    }
+
+    /// Why this processor stopped, when it was not a fault: set when an
+    /// access returned [`Fault::Exhausted`].
+    pub fn error(&self) -> Option<PmError> {
+        self.error
+    }
+
+    // ------------------------------------------------------------------
     // Fault plumbing
     // ------------------------------------------------------------------
 
@@ -347,6 +471,7 @@ impl ProcCtx {
                 self.liveness.mark_dead(self.proc);
                 Err(Fault::Hard)
             }
+            Some(Fault::Exhausted) => unreachable!("the adversary injects only faults"),
         }
     }
 
@@ -544,10 +669,15 @@ impl ProcCtx {
     // ------------------------------------------------------------------
 
     /// Installs this processor's allocation pool and cursor (engine use).
+    /// Any fork marks are dropped: they belong to the old cursor. No join
+    /// rolls the pool back below `cursor` (a resumed run's checkpoint
+    /// record may still need those words).
     pub fn set_alloc_pool(&mut self, pool: Region, cursor: usize) {
         self.alloc_pool = Some(pool);
         self.alloc_cursor = cursor;
         self.capsule_start_cursor = cursor;
+        self.floor = cursor;
+        self.marks.clear();
     }
 
     /// Current allocation cursor (persisted at capsule boundaries by the
@@ -561,9 +691,33 @@ impl ProcCtx {
     /// persisted watermark back below the old cursor: subsequent
     /// allocations reuse the pool words whose frames are dead. Must only
     /// be called between capsules (the committed cursor moves too).
+    ///
+    /// A mark at or above the new cursor goes: its cell was dead at the
+    /// quiesce and may be handed out again as another capsule's word,
+    /// which must not match a later join. A mark below it stays: the
+    /// quiesce traced its open subtree live, so the rollback freed none
+    /// of it, and its join still frees all of it.
     pub fn set_pool_cursor(&mut self, cursor: usize) {
+        if let Some(pool) = self.alloc_pool {
+            while self
+                .marks
+                .last()
+                .is_some_and(|&(m, _)| m >= pool.start + cursor)
+            {
+                self.marks.pop();
+            }
+        }
         self.alloc_cursor = cursor;
         self.capsule_start_cursor = cursor;
+    }
+
+    /// From here on no join rolls the pool back below the current cursor.
+    /// A durable machine's checkpoint quiesce calls this after resyncing
+    /// the cursor: the record it may have written reaches frames under
+    /// the cursor, and recovery can fall back to that record until a
+    /// newer one replaces it.
+    pub fn pin_floor(&mut self) {
+        self.floor = self.alloc_cursor;
     }
 
     /// Configures the persistent word that mirrors the committed
@@ -583,7 +737,7 @@ impl ProcCtx {
     /// only wastes pool words on resume, never corrupts live frames.
     ///
     /// The store is skipped when the word already holds the cursor (most
-    /// capsules allocate nothing — none of the ten scheduler capsules of a
+    /// capsules allocate nothing — none of the scheduler capsules of a
     /// fork does). That keeps the ordering argument intact: a skipped
     /// store would have written the value the word has, so after this
     /// call the persisted watermark equals the cursor either way, and
@@ -608,23 +762,27 @@ impl ProcCtx {
     /// write as part of installing the capsule). Because the cursor rolls
     /// back on restart, a re-run allocates exactly the same addresses —
     /// allocation is idempotent.
-    pub fn palloc(&mut self, words: usize) -> Addr {
-        let pool = self
-            .alloc_pool
-            .expect("processor has no allocation pool configured");
-        assert!(
-            self.alloc_cursor + words <= pool.len,
-            "processor {} allocation pool exhausted ({} + {} > {})",
-            self.proc,
-            self.alloc_cursor,
-            words,
-            pool.len
-        );
+    ///
+    /// A pool too small for the allocation (or no pool at all) returns
+    /// [`Fault::Exhausted`] and keeps the [`PmError::PoolExhausted`] for
+    /// [`ProcCtx::error`]: the session ends with it instead of unwinding.
+    pub fn palloc(&mut self, words: usize) -> PmResult<Addr> {
+        // A processor without a pool has a pool of no words.
+        let pool = self.alloc_pool.unwrap_or(Region { start: 0, len: 0 });
+        if self.alloc_cursor + words > pool.len {
+            self.error = Some(PmError::PoolExhausted {
+                proc: self.proc,
+                cursor: self.alloc_cursor,
+                words,
+                pool: pool.len,
+            });
+            return Err(Fault::Exhausted);
+        }
         let addr = pool.start + self.alloc_cursor;
         self.alloc_cursor += words;
         self.stats
             .record_pool_cursor(self.proc, self.alloc_cursor as u64);
-        addr
+        Ok(addr)
     }
 }
 
@@ -716,7 +874,7 @@ mod tests {
                     faults += 1;
                     c.restart_capsule("t");
                 }
-                Err(Fault::Hard) => unreachable!("soft-only config"),
+                Err(stop) => unreachable!("soft-only config, got {stop}"),
             }
         }
         assert!(faults > 0, "with f=0.5 faults must occur");
@@ -754,19 +912,156 @@ mod tests {
         );
 
         c.begin_capsule("alloc");
-        let a1 = c.palloc(4);
-        let a2 = c.palloc(2);
+        let a1 = c.palloc(4).unwrap();
+        let a2 = c.palloc(2).unwrap();
         // Soft fault: rerun must yield identical addresses.
         c.restart_capsule("alloc");
-        let b1 = c.palloc(4);
-        let b2 = c.palloc(2);
+        let b1 = c.palloc(4).unwrap();
+        let b2 = c.palloc(2).unwrap();
         assert_eq!((a1, a2), (b1, b2));
         c.complete_capsule();
 
         // Next capsule continues from the committed cursor.
         c.begin_capsule("next");
-        let a3 = c.palloc(1);
+        let a3 = c.palloc(1).unwrap();
         assert_eq!(a3, 106);
+    }
+
+    fn pooled(len: usize) -> ProcCtx {
+        let mut c = ctx(&PmConfig::small_single());
+        c.set_alloc_pool(Region { start: 100, len }, 0);
+        c
+    }
+
+    #[test]
+    fn an_exhausted_pool_is_an_error_not_a_panic() {
+        let mut c = pooled(8);
+        c.begin_capsule("alloc");
+        assert_eq!(c.palloc(6), Ok(100));
+        assert_eq!(c.error(), None);
+        assert_eq!(c.palloc(3), Err(Fault::Exhausted));
+        assert_eq!(
+            c.error(),
+            Some(PmError::PoolExhausted {
+                proc: 0,
+                cursor: 6,
+                words: 3,
+                pool: 8
+            })
+        );
+        assert_eq!(c.alloc_cursor(), 6, "a refused allocation moves nothing");
+    }
+
+    /// One forking capsule: the fork's cell and `frames` more words;
+    /// returns the cell.
+    fn fork(c: &mut ProcCtx, frames: usize) -> Addr {
+        c.begin_capsule("fork");
+        let cell = c.palloc(1).unwrap();
+        c.palloc(frames).unwrap();
+        c.mark_fork(cell);
+        c.complete_capsule();
+        cell
+    }
+
+    fn arrive_right(c: &mut ProcCtx, cell: Addr) {
+        c.begin_capsule("arrive");
+        c.join_reclaim(cell);
+        c.complete_capsule();
+    }
+
+    #[test]
+    fn a_join_rolls_the_cursor_back_to_its_mark_at_commit() {
+        let mut c = pooled(64);
+        c.begin_capsule("before");
+        c.palloc(3).unwrap();
+        c.complete_capsule();
+        let outer = fork(&mut c, 4);
+        let inner = fork(&mut c, 4);
+        assert_eq!((outer, inner, c.alloc_cursor()), (103, 108, 13));
+        c.begin_capsule("arrive");
+        c.join_reclaim(inner);
+        assert_eq!(c.alloc_cursor(), 13, "nothing moves before the commit");
+        // A soft fault drops the pending reclaim; the re-run asks again.
+        c.restart_capsule("arrive");
+        c.join_reclaim(inner);
+        c.complete_capsule();
+        assert_eq!(c.alloc_cursor(), 8);
+        arrive_right(&mut c, outer);
+        assert_eq!((c.alloc_cursor(), c.fork_marks().count()), (3, 0));
+        // A second commit of the same join finds no mark: no reclaim twice.
+        c.begin_capsule("more");
+        c.palloc(5).unwrap();
+        c.complete_capsule();
+        arrive_right(&mut c, outer);
+        assert_eq!(c.alloc_cursor(), 8);
+    }
+
+    #[test]
+    fn a_foreign_event_or_another_cell_keeps_every_word() {
+        let mut c = pooled(64);
+        let outer = fork(&mut c, 4);
+        let inner = fork(&mut c, 4);
+        arrive_right(&mut c, outer);
+        assert_eq!(c.alloc_cursor(), 10, "only the innermost mark matches");
+        c.note_foreign();
+        arrive_right(&mut c, inner);
+        assert_eq!(c.alloc_cursor(), 10, "the stamp changed");
+        // A fork after the foreign event drops the stale marks and
+        // reclaims on its own.
+        let next = fork(&mut c, 4);
+        assert_eq!(c.fork_marks().count(), 1);
+        arrive_right(&mut c, next);
+        assert_eq!(c.alloc_cursor(), 10);
+    }
+
+    #[test]
+    fn a_pending_mark_dies_with_a_soft_fault_and_a_gc_rollback_drops_dead_marks() {
+        let mut c = pooled(64);
+        c.begin_capsule("fork");
+        let cell = c.palloc(1).unwrap();
+        c.mark_fork(cell);
+        c.restart_capsule("fork");
+        let again = c.palloc(1).unwrap();
+        assert_eq!(cell, again);
+        c.complete_capsule();
+        assert_eq!(c.fork_marks().count(), 0, "the re-run did not mark");
+        let outer = fork(&mut c, 4);
+        let inner = fork(&mut c, 4);
+        // A rollback into the inner fork's words: its cell was dead.
+        c.set_pool_cursor(inner - 100);
+        assert_eq!(c.fork_marks().collect::<Vec<_>>(), vec![(outer, true)]);
+        c.begin_capsule("reuse");
+        assert_eq!(c.palloc(1), Ok(inner), "the dead cell is handed out again");
+        c.complete_capsule();
+        arrive_right(&mut c, inner);
+        assert_eq!(c.alloc_cursor(), 7, "an unmarked cell reclaims nothing");
+        arrive_right(&mut c, outer);
+        assert_eq!(
+            c.alloc_cursor(),
+            1,
+            "the open fork below the rollback still frees"
+        );
+    }
+
+    #[test]
+    fn no_join_reclaims_below_the_last_quiesce() {
+        let mut c = pooled(64);
+        let outer = fork(&mut c, 4);
+        let inner = fork(&mut c, 4);
+        arrive_right(&mut c, inner);
+        // A durable quiesce that moves nothing pins the cursor as a floor.
+        c.set_pool_cursor(5);
+        c.pin_floor();
+        let next = fork(&mut c, 4);
+        arrive_right(&mut c, next);
+        assert_eq!(
+            c.alloc_cursor(),
+            5,
+            "a fork after the quiesce frees its words"
+        );
+        arrive_right(&mut c, outer);
+        assert_eq!(c.alloc_cursor(), 5, "but not the words under the floor");
+        assert_eq!(c.fork_marks().count(), 0);
     }
 
     #[test]

@@ -151,6 +151,9 @@ impl Scheduler for AbpScheduler {
         if let Some(h) = s.deques[me].pop_bottom(ctx)? {
             return Ok(Next::JumpHandle(h));
         }
+        // A miss, then whatever is stolen: no join this processor has
+        // open may free its subtree (`ProcCtx::note_foreign`).
+        ctx.note_foreign();
         let mut n = 0u64;
         loop {
             if s.done.read(ctx)? {

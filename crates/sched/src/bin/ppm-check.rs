@@ -25,8 +25,10 @@ use std::time::Duration;
 use ppm_check::{Explorer, ExplorerConfig, Model, Report};
 use ppm_sched::model::{EngineModel, LeaseModel, Mutant, QuiesceModel};
 
-/// Leaves of the `engine-fork` scope's root.
-const FORK_LEAVES: usize = 3;
+/// Leaves of the `engine-fork` scope's root: four, so that its three
+/// forks need more pool words than a processor has unless joins free
+/// their subtrees (see `ppm_sched::model::engine`'s scopes).
+const FORK_LEAVES: usize = 4;
 
 struct Args {
     model: String,

@@ -109,6 +109,19 @@
 //!   reaches that arm; `tests/capsule_forms.rs` pins it with a scheduled
 //!   one, and `drop-lemma-a10` ([`crate::model::engine`]) opens the
 //!   window as a boundary for the explorer.
+//!
+//! ## Foreign events
+//!
+//! A join frees its subtree's pool words only if the subtree ran on the
+//! forking processor alone (`ppm_pm::proc`'s join-time reclamation). The
+//! steps that bring another processor's work here, or find that a branch
+//! pushed here runs elsewhere, count a foreign event on the executing
+//! processor ([`ProcCtx::note_foreign`]): a won steal (`popTop/check`), a
+//! won adoption (`popTop/checkLocal`), a won pull (`pull/check`), and a
+//! `popBottom` miss on `taken` (`help_then_steal`). A miss on `empty`
+//! counts nothing: it only enters the steal loop, which leaves by one of
+//! the three wins or by halting. A re-run may count again, which only
+//! loses a reclaim.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -522,9 +535,19 @@ impl Sched {
 
     /// Leaves `popBottom` on a `Taken` miss: `helpPopTop` on deque `v`,
     /// whose top holds the steal in flight, then the steal loop as
-    /// [`Sched::steal_afresh`] enters it.
-    pub(crate) fn help_then_steal(&self, me: usize, v: usize) -> Next {
-        go(HelpRead(v, Then::Steal, 0, 0, 0, self.next_epoch(me)))
+    /// [`Sched::steal_afresh`] enters it. The miss is a foreign event
+    /// ([`ProcCtx::note_foreign`]): a branch this processor pushed runs
+    /// elsewhere, so no join it has open may free its subtree.
+    pub(crate) fn help_then_steal(&self, ctx: &mut ProcCtx, v: usize) -> Next {
+        ctx.note_foreign();
+        go(HelpRead(
+            v,
+            Then::Steal,
+            0,
+            0,
+            0,
+            self.next_epoch(ctx.proc()),
+        ))
     }
 
     /// Runs one scheduler capsule. The arms are Figure 3's bodies — the
@@ -583,7 +606,7 @@ impl Sched {
                     (_, EntryVal::Job { handle }) => Ok(go(PopBottomCam(me, b, old, handle))),
                     // A thief took our last job: land its steal before
                     // stealing (module docs, second deviation).
-                    (_, EntryVal::Taken { .. }) => Ok(s.help_then_steal(me, me)),
+                    (_, EntryVal::Taken { .. }) => Ok(s.help_then_steal(ctx, me)),
                     _ => Ok(s.steal_afresh(me)),
                 }
             }
@@ -614,7 +637,7 @@ impl Sched {
                 }
                 if kind_of(cur) == EntryKind::Taken {
                     // Our CAM lost to a thief: land its steal first.
-                    return Ok(s.help_then_steal(ctx.proc(), owner));
+                    return Ok(s.help_then_steal(ctx, owner));
                 }
                 Ok(s.steal_afresh(ctx.proc()))
             }
@@ -764,6 +787,7 @@ impl Sched {
                 let cur = ctx.pread(s.d(v).entry(i))?;
                 if cur == new {
                     let me = ctx.proc();
+                    ctx.note_foreign();
                     s.note_steal_win(me, v, "job");
                     if let Some(d) = &s.domain {
                         if d.is_remote(v) {
@@ -825,6 +849,7 @@ impl Sched {
                 let handle = ctx.pread(s.metas[v].active)?;
                 if handle != NULL_HANDLE {
                     let me = ctx.proc();
+                    ctx.note_foreign();
                     s.note_steal_win(me, v, "local");
                     if let Some(d) = &s.domain {
                         if d.is_remote(v) {
@@ -954,6 +979,7 @@ impl Sched {
                 let me = ctx.proc();
                 let q = s.injector().expect("pull without an injector queue");
                 if ctx.pread(q.state_addr(slot))? == claimed {
+                    ctx.note_foreign();
                     q.note_claimed(me, slot, ticket);
                     // Out of the steal loop, though by no steal: no
                     // latency to report, but the stamp must go.

@@ -32,11 +32,17 @@
 //!    intact; and because records are only written under quiescence,
 //!    *before* any post-checkpoint pool allocation, the surviving older
 //!    record's frames are always still unclobbered when it is needed.
-//! 3. **Frame-pool GC.** The §4.1 pool allocator only ever bumps, so the
-//!    registered form retains every frame, join cell and scratch word it
-//!    ever allocated — O(total work) pool footprint (samplesort's old
-//!    sizing carried a 72·n frame term for exactly this reason). At a
-//!    quiesced boundary the *live* pool contents are precisely what is
+//! 3. **Frame-pool GC, the backstop for joins that cannot reclaim.** A
+//!    join frees its subtree's pool words when the subtree ran on the
+//!    forking processor alone (`ppm_pm::proc`'s join-time reclamation),
+//!    so at P = 1 the pool stays at O(depth) and a quiesce finds nothing
+//!    dead above the live words. A subtree a steal split, an inner
+//!    `fork_many` join, a chain's dead scratch and the words a resumed
+//!    run re-allocates are left to the checkpoint: without it the §4.1
+//!    allocator only bumps past them — O(total work) pool footprint in
+//!    the worst case (samplesort's old sizing carried a 72·n frame term
+//!    for exactly this reason). At a quiesced boundary the *live* pool
+//!    contents are precisely what is
 //!    reachable from the frontier: the checkpoint traces frame handles
 //!    and typed state extents ([`ppm_core::Persist::pool_refs`], via
 //!    [`ppm_core::CapsuleRegistry::trace_refs`]) transitively from the
@@ -61,6 +67,13 @@
 //! frontier harvest succeeds — the same condition crash recovery needs —
 //! so quiesces that catch a steal mid-transfer or a fork mid-push are
 //! skipped and retried at a later boundary.
+//!
+//! A rollback drops the processor's fork marks at or above its new
+//! cursor (their cells were dead and may be handed out again), and on a
+//! durable machine the resynced cursor becomes a floor no join reclaims
+//! below until the next quiesce: the record just written reaches frames
+//! under it, and recovery may fall back to that record
+//! (`resync_pool`).
 //!
 //! ## Recovery
 //!
@@ -493,7 +506,7 @@ impl CheckpointCtl {
         drop(bar);
         // A completed checkpoint may have rolled this processor's
         // watermark back; resume allocating from it either way.
-        ctx.set_pool_cursor(machine.pool_watermark(proc));
+        resync_pool(machine, proc, ctx);
     }
 
     /// Runs one checkpoint directly, bypassing the quiesce barrier. Only
@@ -641,6 +654,16 @@ impl CheckpointCtl {
         }
         self.any_boundary_at.store(u64::MAX, Ordering::Relaxed);
         self.retry_at.store(capsules + backoff, Ordering::Relaxed);
+    }
+}
+
+/// Resumes processor `proc` after a quiesce: its cursor returns to its
+/// (possibly rolled-back) watermark, and on a durable machine — where
+/// the quiesce may have written a record — no join reclaims below it.
+pub(crate) fn resync_pool(machine: &Machine, proc: usize, ctx: &mut ProcCtx) {
+    ctx.set_pool_cursor(machine.pool_watermark(proc));
+    if machine.epoch() > 0 {
+        ctx.pin_floor();
     }
 }
 

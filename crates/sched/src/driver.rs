@@ -63,7 +63,7 @@ pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
 use ppm_core::{run_capsule, Active, InstallCtx, Machine, CORE_ID_JOIN_CAM};
 use ppm_obs::TraceKind;
-use ppm_pm::{StatsSnapshot, Word};
+use ppm_pm::{Fault, PmError, StatsSnapshot, Word};
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::{
@@ -81,6 +81,9 @@ pub enum ProcOutcome {
     Halted,
     /// Hard-faulted.
     Dead,
+    /// Stopped by an error no restart would change: its pool ran out.
+    /// The session's other processors stop at their next steal attempt.
+    Failed(PmError),
 }
 
 /// The result of one parallel section (the inner run of a session).
@@ -105,6 +108,14 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The error that ended the run early, if a processor stopped on one.
+    pub fn error(&self) -> Option<PmError> {
+        self.outcomes.iter().find_map(|o| match o {
+            ProcOutcome::Failed(e) => Some(*e),
+            _ => None,
+        })
+    }
+
     /// Processors that hard-faulted.
     pub fn dead_procs(&self) -> usize {
         self.outcomes
@@ -399,6 +410,12 @@ impl SessionReport {
     /// Processors that hard-faulted during the inner run.
     pub fn dead_procs(&self) -> usize {
         self.run.as_ref().map(|r| r.dead_procs()).unwrap_or(0)
+    }
+
+    /// The error that ended the driven run early (a processor's pool ran
+    /// out): the session returns it instead of unwinding.
+    pub fn error(&self) -> Option<PmError> {
+        self.run.as_ref().and_then(RunReport::error)
     }
 }
 
@@ -818,6 +835,10 @@ fn proc_loop(
         let next = match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(sched)) {
             Ok(Some(c)) => c,
             Ok(None) => break ProcOutcome::Halted,
+            Err(Fault::Exhausted) => {
+                sched.abort();
+                break ProcOutcome::Failed(ctx.error().expect("an exhausted pool says why"));
+            }
             Err(_) => break ProcOutcome::Dead,
         };
         // A join arrival that continues to a frame (not to the scheduler)

@@ -22,7 +22,13 @@
 //!   `Runtime` session whose root is `map_grain` over `k` leaves at grain
 //!   1: the ring pull race, fork, steal, join, local adoption and the
 //!   done chain (the Lemma A.10 window lies inside one capsule; see
-//!   Mutants).
+//!   Mutants). Each processor's pool holds two nested forks, not three:
+//!   over four leaves (`ppm-check`'s scope) a processor that runs the
+//!   root's two subtrees one after the other completes only because the
+//!   first one's join freed its words (`ppm_pm::proc`), so every
+//!   explored schedule runs on reused pool words — a thief in flight
+//!   meets a recycled handle, an adopter a recycled frame — and one that
+//!   exhausts a pool stops its processor and fails progress.
 //! * [`EngineModel::service`] — [`SimSched::new_service`] with a 2-slot
 //!   ring, two published one-leaf jobs and admission closed: two claim
 //!   chains, their adoption, and the drain rule.
@@ -63,7 +69,14 @@
 //! A bug inside one capsule is out of reach: crashes land only at
 //! capsule boundaries and a step runs a capsule whole, so, e.g., a join
 //! arrival that reads its cell before its CAM explores exactly like the
-//! faithful one. `tests/capsule_forms.rs` catches that mutant with soft
+//! faithful one. So does most of join-time reclamation's rule: a join
+//! whose first arriver has committed leaves nothing of the subtree in
+//! use, so reclaiming on a left-token continue, or past a changed stamp,
+//! is harmful only while the first arriver sits between its CAM and its
+//! read (or died there), and an inner `fork_many` cell registered as a
+//! mark needs a `fork_many` whose leaves allocate. `tests/join_reclaim.rs`
+//! pins those three mutants with scheduled mid-capsule hard faults and a
+//! P = 1 `fork_many`. `tests/capsule_forms.rs` catches that mutant with soft
 //! faults instead (see `ppm_core::join`), and a `popBottom/cam` that
 //! reads before its CAM is refused by the write-after-read check
 //! (`crate::capsules`' tests).
@@ -104,8 +117,10 @@ const PROCS: usize = 2;
 const CRASH_BUDGET: u8 = 1;
 /// Persistent words of the replay machine (everything is fingerprinted).
 const WORDS: usize = 1 << 10;
-/// Frame-pool words per processor.
-const POOL_WORDS: usize = 192;
+/// Frame-pool words per processor: two nested forks' worth (27 words a
+/// fork over these leaves) and change. The third fork of a four-leaf
+/// root fits only in words a join freed.
+const POOL_WORDS: usize = 64;
 /// Deque slots per processor: the forks of three leaves, their steals
 /// and the clear-above slot.
 const DEQUE_SLOTS: usize = 8;
@@ -462,7 +477,7 @@ impl Scheduler for MutantSched {
                 let next = s.run(step, ctx, handles)?;
                 if matches!(next, Next::JumpHandle(_)) && ctx.raw_mem().load(entry) != new {
                     // The Lemma A.10 arm fired: treat it as any miss.
-                    return Ok(s.help_then_steal(ctx.proc(), owner));
+                    return Ok(s.help_then_steal(ctx, owner));
                 }
                 Ok(next)
             }

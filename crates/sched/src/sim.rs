@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use ppm_core::registry::PComp;
 use ppm_core::{run_capsule, Active, DoneFlag, InstallCtx, Machine, Scheduler};
-use ppm_pm::ProcCtx;
+use ppm_pm::{Fault, ProcCtx};
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::{CheckpointCtl, CheckpointPolicy};
@@ -101,6 +101,18 @@ pub enum SimEvent {
         /// Capsule it died in.
         capsule: String,
     },
+    /// Processor `proc` stopped inside `capsule` on `error` (its pool ran
+    /// out).
+    Failed {
+        /// Global step index.
+        step: usize,
+        /// Which processor.
+        proc: usize,
+        /// Capsule it stopped in.
+        capsule: String,
+        /// Why.
+        error: ppm_pm::PmError,
+    },
     /// Processor `proc` was killed by a scripted [`SimOp::Crash`].
     Crashed {
         /// Global step index.
@@ -141,6 +153,12 @@ impl std::fmt::Display for SimEvent {
                 proc,
                 capsule,
             } => write!(f, "{step:5} p{proc} died in {capsule}"),
+            SimEvent::Failed {
+                step,
+                proc,
+                capsule,
+                error,
+            } => write!(f, "{step:5} p{proc} stopped in {capsule}: {error}"),
             SimEvent::Crashed { step, proc } => write!(f, "{step:5} p{proc} crash (scripted)"),
             SimEvent::Checkpoint { step } => write!(f, "{step:5} -- checkpoint"),
             SimEvent::Noop { step, proc } => write!(f, "{step:5} p{proc} noop (not running)"),
@@ -258,8 +276,9 @@ impl<'m> SimSched<'m> {
 
     /// Runs every scheduler record through `wrap(sched)` instead of the
     /// scheduler itself — how the engine explorer's mutants swap one
-    /// step's arm without touching [`Sched`].
-    pub(crate) fn with_runner(
+    /// step's arm without touching [`Sched`], and how a test puts a
+    /// foreign event where no real schedule at its P would.
+    pub fn with_runner(
         mut self,
         wrap: impl FnOnce(Arc<Sched>) -> Arc<dyn Scheduler + Send + Sync>,
     ) -> Self {
@@ -332,6 +351,16 @@ impl<'m> SimSched<'m> {
                         capsule,
                     }
                 }
+                Err(Fault::Exhausted) => {
+                    let error = sp.ctx.error().expect("an exhausted pool says why");
+                    sp.outcome = Some(ProcOutcome::Failed(error));
+                    SimEvent::Failed {
+                        step,
+                        proc: p,
+                        capsule,
+                        error,
+                    }
+                }
                 Err(_) => {
                     sp.outcome = Some(ProcOutcome::Dead);
                     SimEvent::Died {
@@ -368,7 +397,7 @@ impl<'m> SimSched<'m> {
         self.ctl.quiesced_checkpoint(self.machine);
         for (p, sp) in self.procs.iter_mut().enumerate() {
             if sp.outcome.is_none() {
-                sp.ctx.set_pool_cursor(self.machine.pool_watermark(p));
+                crate::checkpoint::resync_pool(self.machine, p, &mut sp.ctx);
             }
         }
         self.events.push(SimEvent::Checkpoint { step });
@@ -459,6 +488,7 @@ impl<'m> SimSched<'m> {
         match (&self.procs[p].outcome, &self.procs[p].cur) {
             (Some(ProcOutcome::Halted), _) => "halted",
             (Some(ProcOutcome::Dead), _) => "dead",
+            (Some(ProcOutcome::Failed(_)), _) => "failed",
             (None, Some(cur)) => cur.name(Some(&*self.runner)),
             (None, None) => "unseated",
         }
@@ -527,8 +557,15 @@ impl<'m> SimSched<'m> {
                 None => 0,
                 Some(ProcOutcome::Halted) => 1,
                 Some(ProcOutcome::Dead) => 2,
+                Some(ProcOutcome::Failed(_)) => 3,
             });
             eat(sp.ctx.alloc_cursor() as u64);
+            // The fork marks steer later reclaims: each mark and whether
+            // its stamp is still the processor's.
+            for (mark, fresh) in sp.ctx.fork_marks() {
+                eat(mark as u64);
+                eat(u64::from(fresh));
+            }
             let next = match sp.outcome {
                 Some(ProcOutcome::Dead) => self.sched.restart_point(p, self.machine.arena()),
                 _ => sp.cur,
@@ -546,6 +583,11 @@ impl<'m> SimSched<'m> {
             }
         }
         h
+    }
+
+    /// What the scripted checkpoints did so far.
+    pub fn checkpoints(&self) -> crate::CheckpointSummary {
+        self.ctl.summary()
     }
 
     /// Whether the computation's completion flag is set.

@@ -89,20 +89,19 @@ fn mergesort_runs_a_twentieth_of_a_capsule_per_key() {
 }
 
 #[test]
-fn a_fork_costs_five_scheduler_capsules_and_a_leaf_29_pool_words() {
+fn a_fork_costs_five_scheduler_capsules_and_its_joins_free_its_29_pool_words() {
     // Two sizes, one per-run constant: the count is linear in the forks.
     for n in [1 << 12, 1 << 10] {
         fork_budget(n);
     }
 }
 
-fn fork_budget(n: usize) {
-    const GRAIN: usize = 4;
-    let leaves = (n / GRAIN) as u64;
-    let forks = leaves - 1;
-    let rt = runtime(1 << 20, 1 << 17);
-    let out = rt.machine().alloc_region(n);
-    let pcomp: PComp = Arc::new(move |m: &Machine, finale| {
+const GRAIN: usize = 4;
+
+/// `map_grain` at [`GRAIN`] over `out`, each index writing its own
+/// number plus one.
+fn fanout(out: Region, n: usize) -> PComp {
+    Arc::new(move |m: &Machine, finale| {
         let mut set = CapsuleSet::new(m);
         let leaf = set.define("budget/leaf", |st: &Span<Region>, k, ctx| {
             for i in st.lo..st.hi {
@@ -117,8 +116,20 @@ fn fork_budget(n: usize) {
             hi: n,
         };
         split.setup(m, &all, K(finale)).word()
-    });
-    let rep = rt.run_or_recover(&pcomp);
+    })
+}
+
+/// Per fork: two 8-word span frames (a leaf's is written by its parent
+/// split), the join cell and its two 6-word arrival frames.
+const FORK_WORDS: u64 = 29;
+
+fn fork_budget(n: usize) {
+    let leaves = (n / GRAIN) as u64;
+    let forks = leaves - 1;
+    let depth = leaves.ilog2() as u64;
+    let rt = runtime(1 << 20, 1 << 17);
+    let out = rt.machine().alloc_region(n);
+    let rep = rt.run_or_recover(&fanout(out, n));
     assert!(rep.completed());
     assert!((0..n).all(|i| rt.machine().mem().load(out.at(i)) == i as Word + 1));
     let st = rep.stats();
@@ -136,8 +147,48 @@ fn fork_budget(n: usize) {
     // done flag, the finale's old job); then clearBottom and the steal
     // that sees the flag.
     assert_eq!(st.capsule_completions - own, 5 * forks + 14, "n = {n}");
-    // Per fork: two 8-word span frames (a leaf's is written by its
-    // parent split), the join cell and its two 6-word arrival frames —
-    // 29 words, and a fork per leaf but one.
-    assert_eq!(st.max_pool_peak, 29 * forks, "n = {n}");
+    // A fork writes 29 pool words, and its join, on the one processor,
+    // rolls the pool back to its cell: only the forks open on one
+    // root-to-leaf path hold words, so the peak is 29 words per level of
+    // the balanced tree — log2(leaves) levels — not 29 per fork.
+    assert_eq!(st.max_pool_peak, FORK_WORDS * depth, "n = {n}");
+}
+
+/// At P = 2 a subtree a steal splits keeps its words until checkpoint GC
+/// (checkpoints are off here), so the pool is no longer `29 · depth` per
+/// processor: each seeded schedule reports its per-processor peaks
+/// against `P · S_1`, Blumofe and Leiserson's space bound with `S_1` the
+/// P = 1 peak above, and against what the same run would hold with no
+/// join freeing anything (29 words per fork it ran).
+#[test]
+fn at_p2_each_processors_peak_is_reported_against_p_times_depth() {
+    use ppm::sched::{SchedConfig, SimSched};
+    let n = 1 << 10;
+    let leaves = (n / GRAIN) as u64;
+    let s1 = FORK_WORDS * leaves.ilog2() as u64;
+    for seed in 1..=4 {
+        let machine = Machine::with_pool_words(PmConfig::parallel(2, 1 << 18), 1 << 14);
+        let out = machine.alloc_region(n);
+        let cfg = SchedConfig {
+            checkpoint: CheckpointPolicy::disabled(),
+            ..SchedConfig::with_slots(1 << 10)
+        };
+        let mut sim = SimSched::new_persistent(&machine, &fanout(out, n), &cfg);
+        sim.run_seeded(seed, 1 << 20);
+        assert!(sim.finish().completed, "seed {seed}");
+        assert!((0..n).all(|i| machine.mem().load(out.at(i)) == i as Word + 1));
+        let stats = machine.stats().snapshot();
+        let peaks: Vec<u64> = stats.per_proc.iter().map(|p| p.pool_peak).collect();
+        let steals = (machine.obs().registry())
+            .counter("ppm_steals_total", "steals that won their CAM")
+            .get();
+        println!(
+            "seed {seed}: pool peaks {peaks:?} words, P·S_1 = {} words, {steals} steals",
+            2 * s1
+        );
+        assert!(
+            peaks.iter().sum::<u64>() < FORK_WORDS * (leaves - 1),
+            "seed {seed}: the joins on each processor free nothing ({peaks:?})"
+        );
+    }
 }

@@ -7,10 +7,15 @@
 //! replay-distance assertions are inequalities over measured counts, not
 //! probabilistic observations.
 
+use std::sync::Arc;
+
 use ppm::algs::{prefix_sum_seq, samplesort_pool_words, MergeSort, PrefixSum, SampleSort};
-use ppm::core::Active;
-use ppm::pm::{FaultConfig, PmConfig, Word};
-use ppm::sched::{CheckpointPolicy, Runtime, RuntimeConfig, SessionMode};
+use ppm::core::{Active, ContArena, Machine, Next, PComp, SchedRecord, Scheduler};
+use ppm::pm::{FaultConfig, PmConfig, PmError, PmResult, ProcCtx, Word};
+use ppm::sched::{
+    CheckpointPolicy, CheckpointSummary, Runtime, RuntimeConfig, Sched, SchedConfig, SessionMode,
+    SimSched,
+};
 
 const WORDS: usize = 1 << 21;
 const SLOTS: usize = 1 << 12;
@@ -96,7 +101,10 @@ fn unresumable_crash_frontier_resumes_from_checkpoint_with_bounded_replay() {
             ck.records_written >= 2,
             "the dying run must have written checkpoint records, got {ck:?}"
         );
-        assert!(ck.words_reclaimed > 0, "GC must have reclaimed churn");
+        // At P = 1 every join frees its subtree at once, so a quiesce
+        // finds no dead words above the live ones: the churn GC used to
+        // reclaim here never builds up.
+        assert_eq!(ck.words_reclaimed, 0, "the joins left GC no churn: {ck:?}");
     }
 
     let rt = Runtime::open(&path, prefix_cfg(PmConfig::parallel(1, WORDS))).unwrap();
@@ -306,38 +314,72 @@ fn ss_data(n: usize) -> Vec<Word> {
 // Frame-pool GC: peak pool usage drops
 // ====================================================================
 
-/// Runs a pcomp workload twice — checkpointing off and on — and returns
-/// `(peak_without_gc, peak_with_gc, gc_summary)`.
-fn peaks<F: Fn(&Runtime) -> ppm::core::PComp>(
-    build: F,
-    pool_words: usize,
-) -> (u64, u64, ppm::sched::CheckpointSummary) {
-    let run = |policy: CheckpointPolicy| {
+/// The scheduler as the join rule sees a run in which a thief struck
+/// inside every subtree: each scheduler capsule counts a foreign event,
+/// so no join frees its subtree's words and only checkpoint GC hands
+/// pool words back — the regime GC is the backstop for. (At P = 1 every
+/// join frees its subtree and leaves GC nothing; at P = 2 steals split
+/// only a few subtrees, however the processors are interleaved.)
+struct StolenEverywhere(Arc<Sched>);
+
+impl Scheduler for StolenEverywhere {
+    fn run(&self, rec: &SchedRecord, ctx: &mut ProcCtx, handles: &ContArena) -> PmResult<Next> {
+        ctx.note_foreign();
+        Scheduler::run(&*self.0, rec, ctx, handles)
+    }
+    fn on_fork(&self, ctx: &mut ProcCtx, child: Word, cont: Word) -> PmResult<SchedRecord> {
+        self.0.on_fork(ctx, child, cont)
+    }
+    fn on_end(&self) -> SchedRecord {
+        self.0.on_end()
+    }
+    fn name(&self, rec: &SchedRecord) -> &'static str {
+        Scheduler::name(&*self.0, rec)
+    }
+    fn war_checked(&self, rec: &SchedRecord) -> bool {
+        self.0.war_checked(rec)
+    }
+}
+
+/// Runs a pcomp workload on one processor whose joins free nothing
+/// ([`StolenEverywhere`]) twice — with no checkpoint, and with a quiesced
+/// checkpoint every 150 capsules — and returns `(peak_without_gc,
+/// peak_with_gc, gc_summary)`.
+fn peaks<F: Fn(&Machine) -> PComp>(build: F, pool_words: usize) -> (u64, u64, CheckpointSummary) {
+    let run = |gc: bool| {
         // Small ephemeral memory forces deep recursion (many frames), the
         // regime the pool GC exists for.
-        let rt = Runtime::volatile(
-            RuntimeConfig::new(PmConfig::parallel(1, WORDS).with_ephemeral_words(64))
-                .with_slots(SLOTS)
-                .with_pool_words(pool_words)
-                .with_checkpoint(policy),
-        );
-        let pcomp = build(&rt);
-        let rep = rt.run_or_recover(&pcomp);
-        assert!(rep.completed());
-        let r = rep.run.unwrap();
-        (r.stats.max_pool_peak, r.checkpoints)
+        let pm = PmConfig::parallel(1, WORDS).with_ephemeral_words(64);
+        let machine = Machine::with_pool_words(pm, pool_words);
+        let pcomp = build(&machine);
+        let cfg = SchedConfig {
+            checkpoint: CheckpointPolicy::disabled(),
+            ..SchedConfig::with_slots(SLOTS)
+        };
+        let mut sim = SimSched::new_persistent(&machine, &pcomp, &cfg)
+            .with_runner(|sched| Arc::new(StolenEverywhere(sched)));
+        let mut capsules = 0u64;
+        while !sim.completed() {
+            assert!(capsules < 1 << 24, "the run must complete");
+            sim.step(0);
+            capsules += 1;
+            if gc && capsules.is_multiple_of(150) {
+                sim.checkpoint();
+            }
+        }
+        (machine.stats().snapshot().max_pool_peak, sim.checkpoints())
     };
-    let (peak_off, _) = run(CheckpointPolicy::disabled());
-    let (peak_on, ck) = run(CheckpointPolicy::every_capsules(150));
+    let (peak_off, _) = run(false);
+    let (peak_on, ck) = run(true);
     (peak_off, peak_on, ck)
 }
 
 #[test]
 fn gc_shrinks_prefix_sum_peak_pool_usage() {
     let (off, on, ck) = peaks(
-        |rt| {
-            let ps = PrefixSum::new(rt.machine(), 2048);
-            ps.load_input(rt.machine(), &input(2048));
+        |m| {
+            let ps = PrefixSum::new(m, 2048);
+            ps.load_input(m, &input(2048));
             ps.pcomp()
         },
         1 << 17,
@@ -352,9 +394,9 @@ fn gc_shrinks_prefix_sum_peak_pool_usage() {
 #[test]
 fn gc_shrinks_mergesort_peak_pool_usage() {
     let (off, on, ck) = peaks(
-        |rt| {
-            let ms = MergeSort::new(rt.machine(), 1500);
-            ms.load_input(rt.machine(), &input(1500));
+        |m| {
+            let ms = MergeSort::new(m, 1500);
+            ms.load_input(m, &input(1500));
             ms.pcomp()
         },
         1 << 17,
@@ -373,9 +415,9 @@ fn gc_shrinks_samplesort_peak_pool_usage_below_the_pr3_formula() {
     // resume-rebuild worst case; GC makes the retained footprint obsolete.
     let pr3_frame_term = 72 * n;
     let (off, on, ck) = peaks(
-        |rt| {
-            let ss = SampleSort::new(rt.machine(), n);
-            ss.load_input(rt.machine(), &input(n));
+        |m| {
+            let ss = SampleSort::new(m, n);
+            ss.load_input(m, &input(n));
             ss.pcomp()
         },
         samplesort_pool_words(n) + pr3_frame_term,
@@ -421,10 +463,19 @@ fn tightened_samplesort_budget_completes_under_gc() {
 /// Satellite regression: the pre-checkpoint hard-fault exhaustion case.
 /// A hard-faulted processor's threads are adopted and re-driven by the
 /// survivor, whose pool absorbs the re-allocation — under the PR-3
-/// formulas this was the case that doubled the budget. With checkpoint
-/// GC on (the default) the tightened formula must still complete it.
+/// formulas this was the case that doubled the budget. The tightened
+/// formula must still complete it, with a quiesced checkpoint every
+/// [`DEFAULT_CHECKPOINT_CAPSULES`] steps as a session's default policy
+/// takes them.
+///
+/// The schedule is a seeded `SimSched` interleaving, not OS threads:
+/// with threads, processor 0 sometimes finished the sort before
+/// processor 1 reached its scheduled access, and no processor died.
+/// Here processor 1 dies at access 2000 in every run.
 #[test]
 fn tightened_samplesort_budget_survives_hard_fault_adoption() {
+    use ppm::sched::checkpoint::DEFAULT_CHECKPOINT_CAPSULES;
+    use ppm::sched::{ProcOutcome, SimEvent};
     let n = 600;
     let data: Vec<Word> = (0..n as u64)
         .map(|i| {
@@ -434,60 +485,141 @@ fn tightened_samplesort_budget_survives_hard_fault_adoption() {
         .collect();
     let mut expect = data.clone();
     expect.sort_unstable();
-    let rt = Runtime::volatile(
-        RuntimeConfig::new(
-            PmConfig::parallel(2, 1 << 22)
-                .with_ephemeral_words(64)
-                .with_fault(FaultConfig::none().with_scheduled_hard_fault(1, 2000)),
-        )
-        .with_pool_words(samplesort_pool_words(n))
-        .with_slots(1 << 13),
-    );
-    let ss = SampleSort::new(rt.machine(), n);
-    ss.load_input(rt.machine(), &data);
-    let rep = rt.run_or_recover(&ss.pcomp());
-    assert!(rep.completed(), "survivor must finish the adopted work");
-    assert_eq!(rep.dead_procs(), 1);
-    assert_eq!(ss.read_output(rt.machine()), expect);
+    let pm = PmConfig::parallel(2, 1 << 22)
+        .with_ephemeral_words(64)
+        .with_fault(FaultConfig::none().with_scheduled_hard_fault(1, 2000));
+    let machine = Machine::with_pool_words(pm, samplesort_pool_words(n));
+    let ss = SampleSort::new(&machine, n);
+    ss.load_input(&machine, &data);
+    let mut sim =
+        SimSched::new_persistent(&machine, &ss.pcomp(), &SchedConfig::with_slots(1 << 13));
+    // xorshift64* over the runnable processors, as `run_seeded` draws.
+    let mut x = 0x5EED_0001u64;
+    let mut steps = 0u64;
+    while !sim.completed() {
+        let runnable = sim.runnable();
+        assert!(!runnable.is_empty() && steps < 1 << 24, "the run stalled");
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        let pick = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % runnable.len();
+        sim.step(runnable[pick]);
+        steps += 1;
+        if steps.is_multiple_of(DEFAULT_CHECKPOINT_CAPSULES) {
+            sim.checkpoint();
+        }
+    }
+    let died = (sim.events().iter())
+        .filter(|e| matches!(e, SimEvent::Died { proc: 1, .. }))
+        .count();
+    assert_eq!(died, 1, "processor 1 dies at its scheduled access");
+    let rep = sim.finish();
+    assert!(rep.completed, "survivor must finish the adopted work");
+    let dead = rep
+        .outcomes
+        .iter()
+        .filter(|o| **o == Some(ProcOutcome::Dead));
+    assert_eq!(dead.count(), 1);
+    assert_eq!(ss.read_output(&machine), expect);
 }
 
-/// A processor that panics releases the quiesce barrier: with a pool an
-/// eighth of the sort's budget, some processor thread runs its pool dry
-/// mid-capsule, and its sibling — parked at a checkpoint quiesce or
-/// spinning for work the dead thread held — must stop too, so the
-/// session re-raises the exhaustion panic instead of hanging.
+/// A processor whose pool runs dry stops the session with the error: with
+/// a pool smaller than the root node's scratch (three words a key), the
+/// processor that runs the root runs out mid-capsule, and its sibling —
+/// spinning for work the stopped thread holds, or parked at a
+/// checkpoint quiesce — must stop too, so the session returns
+/// `PoolExhausted` instead of hanging or unwinding. (An eighth of the
+/// sort's budget no longer always runs dry: joins hand words back.)
 #[test]
-fn a_pool_exhaustion_panic_ends_a_checkpointed_p2_session() {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+fn a_pool_exhaustion_ends_a_checkpointed_p2_session_with_its_error() {
     use std::sync::mpsc;
     use std::time::Duration;
     let n = 900;
+    let pool = samplesort_pool_words(n) / 64;
+    assert!(pool < 3 * n, "the root's scratch alone must not fit");
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let rt = Runtime::volatile(
             RuntimeConfig::new(PmConfig::parallel(2, WORDS).with_ephemeral_words(64))
                 .with_slots(SLOTS)
-                .with_pool_words(samplesort_pool_words(n) / 8)
+                .with_pool_words(pool)
                 .with_checkpoint(CheckpointPolicy::every_capsules(64)),
         );
         let ss = SampleSort::new(rt.machine(), n);
         ss.load_input(rt.machine(), &input(n));
-        let outcome = catch_unwind(AssertUnwindSafe(|| rt.run_or_recover(&ss.pcomp())));
-        let _ = tx.send(outcome.map(|rep| rep.completed()).map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default()
-        }));
+        let rep = rt.run_or_recover(&ss.pcomp());
+        let _ = tx.send((rep.completed(), rep.error()));
     });
     match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(Err(msg)) => assert!(msg.contains("allocation pool exhausted"), "{msg}"),
-        Ok(Ok(completed)) => {
-            panic!("the run returned (completed: {completed}) from a pool that cannot hold it")
+        Ok((completed, error)) => {
+            assert!(!completed, "a pool that cannot hold the sort completed it");
+            match error {
+                Some(PmError::PoolExhausted {
+                    proc,
+                    cursor,
+                    words,
+                    pool: len,
+                }) => assert!(proc < 2 && cursor + words > len, "{error:?}"),
+                None => panic!("the session stopped without saying why"),
+            }
         }
-        Err(_) => panic!("the session hung after a processor panicked"),
+        Err(_) => panic!("the session hung after a processor ran out of pool"),
     }
+}
+
+/// The same error on one processor, exactly: a `map_grain` whose forks
+/// nest eight deep needs 8 · 29 pool words, and a 40-word pool runs out
+/// in the second fork's frames.
+#[test]
+fn a_pool_too_small_for_its_run_returns_pool_exhausted() {
+    use ppm::core::dsl::{CapsuleSet, Span, Step, K};
+    use ppm::pm::Region;
+    let n = 1024;
+    let rt = Runtime::volatile(
+        RuntimeConfig::new(PmConfig::parallel(1, WORDS))
+            .with_slots(SLOTS)
+            .with_pool_words(40)
+            .with_checkpoint(CheckpointPolicy::disabled()),
+    );
+    let out = rt.machine().alloc_region(n);
+    let pcomp: PComp = Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("tiny/leaf", |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                ctx.pwrite(st.env.at(i), 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        let split = set.map_grain("tiny/split", 4, leaf);
+        split
+            .setup(
+                m,
+                &Span {
+                    env: out,
+                    lo: 0,
+                    hi: n,
+                },
+                K(finale),
+            )
+            .word()
+    });
+    let rep = rt.run_or_recover(&pcomp);
+    assert!(!rep.completed());
+    // The second fork: its cell (word 29) and left arrival frame fit,
+    // its right arrival frame (6 words at 36) does not.
+    assert_eq!(
+        rep.error(),
+        Some(PmError::PoolExhausted {
+            proc: 0,
+            cursor: 36,
+            words: 6,
+            pool: 40
+        })
+    );
+    assert_eq!(
+        rep.error().unwrap().to_string(),
+        "processor 0 allocation pool exhausted (36 + 6 > 40)"
+    );
 }
 
 // ====================================================================
@@ -511,18 +643,40 @@ fn disabled_policy_never_checkpoints() {
     );
 }
 
+/// The pool-word policy fires on allocation and its GC reclaims: each
+/// capsule of a chain frames its successor, then stages a value in a
+/// pool word of scratch. The chain joins nothing, and the scratch is the
+/// top word and dead at every boundary, so each quiesce rolls it back.
+/// (At P = 1 a fork-join workload's joins free every word before a
+/// quiesce could.)
 #[test]
 fn every_pool_words_policy_reclaims() {
+    use ppm::core::dsl::{CapsuleSet, Step, K};
     let rt = Runtime::volatile(
         RuntimeConfig::new(PmConfig::parallel(1, WORDS))
             .with_slots(SLOTS)
             .with_pool_words(1 << 17)
             .with_checkpoint(CheckpointPolicy::every_pool_words(1 << 12)),
     );
-    let ps = PrefixSum::new(rt.machine(), 2048);
-    ps.load_input(rt.machine(), &input(2048));
-    let rep = rt.run_or_recover(&ps.pcomp());
+    let out = rt.machine().alloc_region(1);
+    let pcomp: PComp = Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let countdown = set.declare::<u64>("policy/countdown");
+        set.body(countdown, move |&n, k, ctx| {
+            if n == 0 {
+                return Ok(Step::Jump(k));
+            }
+            let next = countdown.frame(ctx, &(n - 1), k)?;
+            let scratch = ctx.palloc(1)?;
+            ctx.pwrite(scratch, n)?;
+            ctx.pwrite(out.start, n)?;
+            Ok(Step::Jump(next))
+        });
+        countdown.setup(m, &4096, K(finale)).word()
+    });
+    let rep = rt.run_or_recover(&pcomp);
     assert!(rep.completed());
+    assert_eq!(rt.machine().mem().load(out.start), 1);
     let ck = rep.run.unwrap().checkpoints;
     assert!(ck.completed >= 1, "{ck:?}");
     assert!(ck.words_reclaimed > 0, "{ck:?}");

@@ -4,9 +4,10 @@
 //! as a regression corpus (`ppm_check::replay`).
 //!
 //! The CI `verify` job runs the same checks through the `ppm-check`
-//! binary at a larger engine scope (`engine-fork` over three leaves);
-//! these tests pin the two-leaf scope into `cargo test` so a local run
-//! cannot drift from the workflow.
+//! binary at a larger engine scope (`engine-fork` over four leaves, on
+//! pools that hold only two nested forks); these tests pin the two-leaf
+//! scope into `cargo test` so a local run cannot drift from the
+//! workflow.
 
 use std::sync::OnceLock;
 

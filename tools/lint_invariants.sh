@@ -208,6 +208,15 @@
 #      `CORE_ID_JOIN_CHECK` and a `"join-check"` capsule name appear
 #      nowhere under crates/ src/ tests/ examples/, and id 0x02 stays
 #      reserved.
+#
+#  21. A fork pays three scheduler records (crates/sched/src/capsules.rs):
+#      kinds 4 and 16 stay retired, and `clearBottom` runs
+#      `popBottom/read`'s body instead of installing it.
+#
+#  22. An exhausted pool is an error, not a panic. `ProcCtx::palloc`
+#      (crates/pm/src/proc.rs) returns `Fault::Exhausted` and keeps the
+#      structured `PmError` for the session to return; its body names no
+#      `panic!`, `assert`, `unreachable!`, `.expect(` or `.unwrap(`.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -549,8 +558,19 @@ if [ -n "$hits" ]; then
     err "a fork pays three scheduler records: pushBottom's reads end the forking capsule, clearBottom runs popBottom/read's body and popBottom/cam checks its own CAM (see capsules.rs):" "$hits"
 fi
 
+# --- 22. an exhausted pool is an error ---------------------------------------------
+hits=$(awk '/pub fn palloc\(/ { body = 1 }
+            body && /panic!|assert|unreachable!|\.expect\(|\.unwrap\(/ { print FILENAME ":" FNR ": " $0 }
+            body && /^    }$/ { exit }' crates/pm/src/proc.rs)
+if [ -z "$(grep -n 'pub fn palloc(' crates/pm/src/proc.rs)" ]; then
+    hits="crates/pm/src/proc.rs: ProcCtx::palloc not found"
+fi
+if [ -n "$hits" ]; then
+    err "an exhausted pool is an error, not a panic: ProcCtx::palloc returns Fault::Exhausted and keeps the PmError (see proc.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule, a fork pays three records)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule, a fork pays three records, an exhausted pool is an error)"
