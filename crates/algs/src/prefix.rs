@@ -461,10 +461,8 @@ mod tests {
         };
         let (c1, c2) = (max_work(1 << 10), max_work(1 << 16));
         // The largest capsule is a forking one: 10 accesses, and since a
-        // fork's `pushBottom` reads end the forking capsule, 3 more. One
-        // more when its frames straddle one more block: a join frees its
-        // subtree's words, so a later fork's frames sit at other offsets.
-        assert!(c1 <= 14, "C = {c1} should be O(1)");
+        // fork's `pushBottom` reads end the forking capsule, 3 more.
+        assert!(c1 <= 13, "C = {c1} should be O(1)");
         assert_eq!(c1, c2, "C must not grow with n (64x the data)");
     }
 

@@ -93,7 +93,10 @@ fn crash_free_dag_is_complete_exact_and_waste_free() {
     // Single-processor run: the seating changes which arriver runs each
     // join-check (so W may shift by a few join capsules), but the DAG
     // stays complete and waste-free, and the critical path can only
-    // shrink when nothing ever waits on a fork.
+    // shrink when nothing ever waits on a fork. Every join frees its
+    // subtree here, so later leaves run from recycled frame addresses:
+    // waste-free means the analyzer tells them apart by the span that
+    // wrote each frame, not by address and name.
     let (c, _) = traced_run("clean-p1", 1, FaultConfig::none());
     assert_eq!(c.unresolved_parents, 0);
     assert_eq!(c.wasted_work, 0);

@@ -689,6 +689,25 @@ mod tests {
     }
 
     #[test]
+    fn a_recycled_frame_address_is_not_a_replay() {
+        // A join freed frame 64 after span 2 ran from it (written by
+        // span 1); span 3 wrote a new `x` frame there and span 4 ran it.
+        // Two executions, two frames: nothing is wasted.
+        let text = "\
+{\"k\":\"s\",\"t\":1,\"id\":1,\"p\":0,\"f\":0,\"c\":\"r\",\"pr\":0}\n\
+{\"k\":\"e\",\"t\":2,\"id\":1,\"w\":2,\"d\":1}\n\
+{\"k\":\"s\",\"t\":2,\"id\":2,\"p\":1,\"f\":64,\"fw\":1,\"c\":\"x\",\"pr\":0}\n\
+{\"k\":\"e\",\"t\":3,\"id\":2,\"w\":8,\"d\":1}\n\
+{\"k\":\"s\",\"t\":3,\"id\":3,\"p\":2,\"f\":80,\"fw\":2,\"c\":\"r\",\"pr\":0}\n\
+{\"k\":\"e\",\"t\":4,\"id\":3,\"w\":2,\"d\":1}\n\
+{\"k\":\"s\",\"t\":4,\"id\":4,\"p\":3,\"f\":64,\"fw\":3,\"c\":\"x\",\"pr\":0}\n\
+{\"k\":\"e\",\"t\":5,\"id\":4,\"w\":8,\"d\":1}\n";
+        let a = set(text).analyze();
+        assert_eq!(a.wasted_work, 0);
+        assert_eq!(a.useful_work, a.work);
+    }
+
+    #[test]
     fn cross_file_parents_resolve() {
         let mut s = TraceSet::default();
         s.ingest_str(

@@ -25,8 +25,11 @@
 //! arrival continues on this processor and the innermost mark is that
 //! cell under an unchanged stamp, every thread of the subtree ran here,
 //! one after another, and every capsule of it has committed: the cursor
-//! becomes `min(cursor, mark)` ([`ProcCtx::join_reclaim`]), but never
-//! less than its floor ([`ProcCtx::pin_floor`]): on a durable machine its
+//! rolls back to the first word at or above the mark that has the
+//! cursor's offset within its block ([`ProcCtx::join_reclaim`]), so the
+//! frames allocated next cost the block transfers they would have cost
+//! without the rollback; never below its floor
+//! ([`ProcCtx::pin_floor`]): on a durable machine its
 //! value at the last checkpoint quiesce, whose record's frontier may
 //! still need the words below it. In every other case nothing is
 //! reclaimed; checkpoint GC is the backstop. Marks and reclaims take
@@ -400,8 +403,9 @@ impl ProcCtx {
 
     /// Records that the running capsule is the last arrival at the join
     /// cell `cell` and continues with the pushed branch's token. At commit
-    /// the cursor rolls back to the cell if it is the innermost mark and
-    /// no foreign event happened since its fork committed.
+    /// the cursor rolls back to the cell, up to the cursor's offset within
+    /// its block, if it is the innermost mark and no foreign event happened
+    /// since its fork committed.
     pub fn join_reclaim(&mut self, cell: Addr) {
         self.pending_join = Some(cell);
     }
@@ -429,7 +433,15 @@ impl ProcCtx {
                 self.marks.pop();
                 if let Some(pool) = self.alloc_pool {
                     let mark = (cell - pool.start).max(self.floor);
-                    self.alloc_cursor = self.alloc_cursor.min(mark);
+                    if mark < self.alloc_cursor {
+                        // Keep the cursor's offset within its block: the
+                        // frames allocated next straddle exactly the
+                        // blocks they would have without the rollback,
+                        // so every staged persist, and with it every
+                        // capsule's work, is what it was.
+                        let b = self.mem.block_size();
+                        self.alloc_cursor = mark + (self.alloc_cursor - mark) % b;
+                    }
                 }
             }
         }
@@ -975,17 +987,18 @@ mod tests {
         c.begin_capsule("before");
         c.palloc(3).unwrap();
         c.complete_capsule();
-        let outer = fork(&mut c, 4);
-        let inner = fork(&mut c, 4);
-        assert_eq!((outer, inner, c.alloc_cursor()), (103, 108, 13));
+        // Forks of one block each (B = 8), so a rollback lands on the mark.
+        let outer = fork(&mut c, 7);
+        let inner = fork(&mut c, 7);
+        assert_eq!((outer, inner, c.alloc_cursor()), (103, 111, 19));
         c.begin_capsule("arrive");
         c.join_reclaim(inner);
-        assert_eq!(c.alloc_cursor(), 13, "nothing moves before the commit");
+        assert_eq!(c.alloc_cursor(), 19, "nothing moves before the commit");
         // A soft fault drops the pending reclaim; the re-run asks again.
         c.restart_capsule("arrive");
         c.join_reclaim(inner);
         c.complete_capsule();
-        assert_eq!(c.alloc_cursor(), 8);
+        assert_eq!(c.alloc_cursor(), 11);
         arrive_right(&mut c, outer);
         assert_eq!((c.alloc_cursor(), c.fork_marks().count()), (3, 0));
         // A second commit of the same join finds no mark: no reclaim twice.
@@ -997,21 +1010,39 @@ mod tests {
     }
 
     #[test]
+    fn a_rollback_keeps_the_cursors_offset_within_its_block() {
+        let mut c = pooled(64);
+        let cell = fork(&mut c, 4);
+        c.begin_capsule("subtree");
+        c.palloc(14).unwrap();
+        c.complete_capsule();
+        assert_eq!(c.alloc_cursor(), 19);
+        arrive_right(&mut c, cell);
+        // Not 0: the next frame must start 3 words into its block, as it
+        // would at 19, so it touches the blocks it would have touched.
+        assert_eq!(c.alloc_cursor(), 3);
+        // A subtree shorter than a block frees nothing.
+        let cell = fork(&mut c, 4);
+        arrive_right(&mut c, cell);
+        assert_eq!(c.alloc_cursor(), 8);
+    }
+
+    #[test]
     fn a_foreign_event_or_another_cell_keeps_every_word() {
         let mut c = pooled(64);
-        let outer = fork(&mut c, 4);
-        let inner = fork(&mut c, 4);
+        let outer = fork(&mut c, 7);
+        let inner = fork(&mut c, 7);
         arrive_right(&mut c, outer);
-        assert_eq!(c.alloc_cursor(), 10, "only the innermost mark matches");
+        assert_eq!(c.alloc_cursor(), 16, "only the innermost mark matches");
         c.note_foreign();
         arrive_right(&mut c, inner);
-        assert_eq!(c.alloc_cursor(), 10, "the stamp changed");
+        assert_eq!(c.alloc_cursor(), 16, "the stamp changed");
         // A fork after the foreign event drops the stale marks and
         // reclaims on its own.
-        let next = fork(&mut c, 4);
+        let next = fork(&mut c, 7);
         assert_eq!(c.fork_marks().count(), 1);
         arrive_right(&mut c, next);
-        assert_eq!(c.alloc_cursor(), 10);
+        assert_eq!(c.alloc_cursor(), 16);
     }
 
     #[test]
@@ -1025,16 +1056,16 @@ mod tests {
         assert_eq!(cell, again);
         c.complete_capsule();
         assert_eq!(c.fork_marks().count(), 0, "the re-run did not mark");
-        let outer = fork(&mut c, 4);
-        let inner = fork(&mut c, 4);
+        let outer = fork(&mut c, 7);
+        let inner = fork(&mut c, 7);
         // A rollback into the inner fork's words: its cell was dead.
         c.set_pool_cursor(inner - 100);
         assert_eq!(c.fork_marks().collect::<Vec<_>>(), vec![(outer, true)]);
         c.begin_capsule("reuse");
-        assert_eq!(c.palloc(1), Ok(inner), "the dead cell is handed out again");
+        assert_eq!(c.palloc(8), Ok(inner), "the dead cell is handed out again");
         c.complete_capsule();
         arrive_right(&mut c, inner);
-        assert_eq!(c.alloc_cursor(), 7, "an unmarked cell reclaims nothing");
+        assert_eq!(c.alloc_cursor(), 17, "an unmarked cell reclaims nothing");
         arrive_right(&mut c, outer);
         assert_eq!(
             c.alloc_cursor(),
@@ -1046,13 +1077,13 @@ mod tests {
     #[test]
     fn no_join_reclaims_below_the_last_quiesce() {
         let mut c = pooled(64);
-        let outer = fork(&mut c, 4);
-        let inner = fork(&mut c, 4);
+        let outer = fork(&mut c, 7);
+        let inner = fork(&mut c, 7);
         arrive_right(&mut c, inner);
         // A durable quiesce that moves nothing pins the cursor as a floor.
         c.set_pool_cursor(5);
         c.pin_floor();
-        let next = fork(&mut c, 4);
+        let next = fork(&mut c, 7);
         arrive_right(&mut c, next);
         assert_eq!(
             c.alloc_cursor(),

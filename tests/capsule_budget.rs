@@ -123,6 +123,19 @@ fn fanout(out: Region, n: usize) -> PComp {
 /// split), the join cell and its two 6-word arrival frames.
 const FORK_WORDS: u64 = 29;
 
+/// The P = 1 pool peak of a balanced fork tree `depth >= 3` levels deep.
+/// Only the forks open on one root-to-leaf path hold words, 29 a level,
+/// plus what the joins of their finished left subtrees could not roll
+/// back: a join keeps the cursor's offset within its 8-word block, so a
+/// finished subtree of `2^k - 1` forks leaves `(2^k - 1) · 29 mod 8`
+/// words above its mark — 3 when `k >= 3`, 7 when `k = 2`, 5 when
+/// `k = 1`, none for a leaf. Down the rightmost path that is
+/// `29 · depth + 3 · (depth - 3) + 7 + 5`.
+fn p1_peak(depth: u64) -> u64 {
+    assert!(depth >= 3);
+    32 * depth + 3
+}
+
 fn fork_budget(n: usize) {
     let leaves = (n / GRAIN) as u64;
     let forks = leaves - 1;
@@ -148,15 +161,15 @@ fn fork_budget(n: usize) {
     // that sees the flag.
     assert_eq!(st.capsule_completions - own, 5 * forks + 14, "n = {n}");
     // A fork writes 29 pool words, and its join, on the one processor,
-    // rolls the pool back to its cell: only the forks open on one
-    // root-to-leaf path hold words, so the peak is 29 words per level of
-    // the balanced tree — log2(leaves) levels — not 29 per fork.
-    assert_eq!(st.max_pool_peak, FORK_WORDS * depth, "n = {n}");
+    // rolls the pool back to its cell's block offset: the peak is about
+    // 32 words per level of the balanced tree — log2(leaves) levels —
+    // not 29 per fork.
+    assert_eq!(st.max_pool_peak, p1_peak(depth), "n = {n}");
 }
 
 /// At P = 2 a subtree a steal splits keeps its words until checkpoint GC
-/// (checkpoints are off here), so the pool is no longer `29 · depth` per
-/// processor: each seeded schedule reports its per-processor peaks
+/// (checkpoints are off here), so the pool is no longer the P = 1 peak
+/// per processor: each seeded schedule reports its per-processor peaks
 /// against `P · S_1`, Blumofe and Leiserson's space bound with `S_1` the
 /// P = 1 peak above, and against what the same run would hold with no
 /// join freeing anything (29 words per fork it ran).
@@ -165,7 +178,7 @@ fn at_p2_each_processors_peak_is_reported_against_p_times_depth() {
     use ppm::sched::{SchedConfig, SimSched};
     let n = 1 << 10;
     let leaves = (n / GRAIN) as u64;
-    let s1 = FORK_WORDS * leaves.ilog2() as u64;
+    let s1 = p1_peak(leaves.ilog2() as u64);
     for seed in 1..=4 {
         let machine = Machine::with_pool_words(PmConfig::parallel(2, 1 << 18), 1 << 14);
         let out = machine.alloc_region(n);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use ppm::algs::{prefix_sum_seq, samplesort_pool_words, MergeSort, PrefixSum, SampleSort};
 use ppm::core::{Active, ContArena, Machine, Next, PComp, SchedRecord, Scheduler};
-use ppm::pm::{FaultConfig, PmConfig, PmError, PmResult, ProcCtx, Word};
+use ppm::pm::{FaultConfig, PmConfig, PmError, PmResult, ProcCtx, Region, Word};
 use ppm::sched::{
     CheckpointPolicy, CheckpointSummary, Runtime, RuntimeConfig, Sched, SchedConfig, SessionMode,
     SimSched,
@@ -101,10 +101,10 @@ fn unresumable_crash_frontier_resumes_from_checkpoint_with_bounded_replay() {
             ck.records_written >= 2,
             "the dying run must have written checkpoint records, got {ck:?}"
         );
-        // At P = 1 every join frees its subtree at once, so a quiesce
-        // finds no dead words above the live ones: the churn GC used to
-        // reclaim here never builds up.
-        assert_eq!(ck.words_reclaimed, 0, "the joins left GC no churn: {ck:?}");
+        // A join frees its subtree down to the cursor's block offset,
+        // so the words between its mark and the cursor are churn that
+        // only GC reclaims.
+        assert!(ck.words_reclaimed > 0, "GC must have reclaimed churn");
     }
 
     let rt = Runtime::open(&path, prefix_cfg(PmConfig::parallel(1, WORDS))).unwrap();
@@ -160,6 +160,90 @@ fn unresumable_crash_frontier_resumes_from_checkpoint_with_bounded_replay() {
         recovered < full,
         "checkpoint resume ({recovered}) must beat a from-root replay ({full})"
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Steps of [`churn_chain`].
+const CHURN_STEPS: u64 = 128;
+
+/// A chain of [`CHURN_STEPS`] capsules, each of which frames its
+/// successor, stages a value in a scratch pool word and then forks two
+/// leaves that join into the successor: leaf `i` writes `i + 1` to
+/// `out[i]`. The fork's join frees its subtree, but the scratch word sits
+/// below its mark, so every step leaves churn that only a checkpoint's
+/// GC reclaims, with fork marks open and closing around it.
+fn churn_chain(out: Region) -> PComp {
+    use ppm::core::dsl::{fork2, CapsuleSet, Step, K};
+    Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let leaf = set.define("churn/leaf", move |&i: &u64, k, ctx| {
+            ctx.pwrite(out.at(i as usize), i + 1)?;
+            Ok(Step::Jump(k))
+        });
+        let step = set.declare::<u64>("churn/step");
+        set.body(step, move |&n, k, ctx| {
+            if n == 0 {
+                return Ok(Step::Jump(k));
+            }
+            let next = step.frame(ctx, &(n - 1), k)?;
+            let scratch = ctx.palloc(1)?;
+            ctx.pwrite(scratch, n)?;
+            fork2(ctx, (leaf, &(2 * n - 2)), (leaf, &(2 * n - 1)), next)
+        });
+        step.setup(m, &CHURN_STEPS, K(finale)).word()
+    })
+}
+
+#[cfg(unix)]
+#[test]
+fn a_crash_after_gc_rollbacks_resumes_from_a_checkpoint_record() {
+    let words = 2 * CHURN_STEPS as usize;
+    let full_work = {
+        let rt = Runtime::volatile(prefix_cfg(PmConfig::parallel(1, WORDS)));
+        let out = rt.machine().alloc_region(words);
+        let rep = rt.run_or_recover(&churn_chain(out));
+        assert!(rep.completed());
+        rep.stats().total_work()
+    };
+    let path = tmp("churn");
+    let _ = std::fs::remove_file(&path);
+    {
+        let pm = PmConfig::parallel(1, WORDS)
+            .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, full_work * 13 / 20));
+        let rt = Runtime::create(&path, prefix_cfg(pm)).unwrap();
+        let out = rt.machine().alloc_region(words);
+        let rep = rt.run_or_recover(&churn_chain(out));
+        assert!(!rep.completed(), "the scheduled kill must land mid-run");
+        let ck = &rep.run.as_ref().unwrap().checkpoints;
+        assert!(ck.records_written >= 2, "{ck:?}");
+        assert!(
+            ck.words_reclaimed >= ck.completed,
+            "every quiesce reclaims a step's scratch: {ck:?}"
+        );
+    }
+
+    let rt = Runtime::open(&path, prefix_cfg(PmConfig::parallel(1, WORDS))).unwrap();
+    // As above: a garbage restart pointer sends recovery to the record.
+    rt.machine()
+        .mem()
+        .store(rt.machine().proc_meta(0).active, 0xBAAD_F00D);
+    let out = rt.machine().alloc_region(words);
+    let rec = rt.run_or_recover(&churn_chain(out));
+    assert!(rec.completed());
+    assert_eq!(rec.mode, SessionMode::Resumed, "{rec:?}");
+    let ckpt = rec
+        .checkpoint_resume
+        .as_ref()
+        .expect("resume must credit the checkpoint record");
+    assert!(ckpt.capsules_at_checkpoint > 0);
+    for i in 0..words {
+        assert_eq!(
+            rt.machine().mem().load(out.at(i)),
+            i as Word + 1,
+            "out[{i}]"
+        );
+    }
+    drop(rt);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -573,7 +657,6 @@ fn a_pool_exhaustion_ends_a_checkpointed_p2_session_with_its_error() {
 #[test]
 fn a_pool_too_small_for_its_run_returns_pool_exhausted() {
     use ppm::core::dsl::{CapsuleSet, Span, Step, K};
-    use ppm::pm::Region;
     let n = 1024;
     let rt = Runtime::volatile(
         RuntimeConfig::new(PmConfig::parallel(1, WORDS))

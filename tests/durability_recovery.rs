@@ -211,20 +211,18 @@ fn recovery_survives_repeated_crashes() {
     }
     {
         // Second lifetime also dies mid-recovery. A resumed crash frontier
-        // can finish in about 700 accesses when the first lifetime got
-        // far (measured with optimized tests, before and after joins
-        // began freeing pool words; a replay from the root needs more
-        // than 1,500), so faults 375 accesses in all cut it short
+        // still needs about 1,060–1,380 accesses (a replay from the root
+        // more than 1,500), so faults 750 accesses in all cut it short
         // whichever way the recovery goes.
         let rt = Runtime::open(
             &path,
             rt_cfg(
                 cfg().with_fault(
                     FaultConfig::none()
-                        .with_scheduled_hard_fault(0, 100)
-                        .with_scheduled_hard_fault(1, 75)
-                        .with_scheduled_hard_fault(2, 112)
-                        .with_scheduled_hard_fault(3, 88),
+                        .with_scheduled_hard_fault(0, 200)
+                        .with_scheduled_hard_fault(1, 150)
+                        .with_scheduled_hard_fault(2, 225)
+                        .with_scheduled_hard_fault(3, 175),
                 ),
             ),
         )

@@ -109,11 +109,15 @@ fn a_fork_many_frees_its_planted_tree_only_at_the_top_join() {
     // The planted tree: the top cell and its two arrival frames, then per
     // inner node a cell, two arrival frames and a `fork-pair` frame, and
     // a frame per leaf. Above it each leaf's 8-word `jump_to` frame, which
-    // no fork of the leaf's own frees, and at the last leaf its two
-    // nested forks: 13 + 6 · 18 + 8 · 5 + 8 · 8 + 2 · 29 words.
+    // no fork of the leaf's own frees; the 7 words (3 · 29 mod 8) the
+    // join of each of the first seven leaves' three forks leaves above
+    // its mark, since a join keeps the cursor's offset within its 8-word
+    // block; and at the last leaf its two nested forks, with the 5 words
+    // (29 mod 8) its first finished child left: 13 + 6 · 18 + 8 · 5 +
+    // 8 · 8 + 7 · 7 + 2 · 29 + 5 words.
     assert_eq!(
         m.stats().snapshot().max_pool_peak,
-        13 + 6 * 18 + 8 * 5 + 8 * 8 + 2 * 29
+        13 + 6 * 18 + 8 * 5 + 8 * 8 + 7 * 7 + 2 * 29 + 5
     );
 }
 
@@ -252,11 +256,13 @@ fn a_stale_stamp_frees_nothing_of_a_tree_a_dead_thief_arrived_in() {
 /// later fork pushes a frame at the same address into the same slot: the
 /// entry holds the same handle again. The thief's CAM still names the
 /// old tag, so it fails, the check sees the loss, and every leaf runs
-/// once.
+/// once. The machine's blocks are one word, so the join rolls the cursor
+/// back to its mark exactly (it keeps the cursor's offset within its
+/// block) and the second fork's frames land on the first one's words.
 #[test]
 fn a_thief_in_flight_on_a_recycled_handle_is_refused_by_the_entry_tag() {
     use ppm::sched::{unpack, EntryVal};
-    let m = Machine::new(PmConfig::parallel(2, 1 << 18));
+    let m = Machine::new(PmConfig::parallel(2, 1 << 18).with_block_size(1));
     let (pcomp, out, leaf_runs) = two_phase(&m, 2, 2);
     let mut sim = sim(&m, &pcomp);
     step_to(&mut sim, 0, "phase/leaf");

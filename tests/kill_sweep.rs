@@ -6,12 +6,19 @@
 //! A kill at `k` is a scheduled hard fault at the processor's `k`-th
 //! costed access, so it lands wherever that access is: inside a user
 //! capsule, a join arrival, a scheduler record or the ring chain, before
-//! or after a join has freed its subtree's pool words. The killed
-//! machine's memory plays the persistent memory of the next process
-//! ([`Machine::restarted`]), which replays the construction and runs
-//! `Runtime::run_or_recover`. Every recovery must reproduce the oracle's
-//! output; the sweep prints how the kills were recovered (resumed from
-//! the crash frontier, from a checkpoint record, or replayed and why).
+//! or after a join has freed its subtree's pool words. The killed run is
+//! stepped on one thread by [`SimSched`], which starts a session the way
+//! a threaded `Runtime` does (no thread to spawn per kill point). The
+//! killed machine's memory plays the persistent memory of the next
+//! process ([`Machine::restarted`]), which replays the construction and
+//! runs `Runtime::run_or_recover`. Every recovery must reproduce the
+//! oracle's output; the sweep prints how the kills were recovered
+//! (resumed from the crash frontier, from a checkpoint record, or
+//! replayed and why).
+//!
+//! The sweep is quadratic in the run's length, so each workload's kill
+//! points are split over two tests, the even and the odd ones, which the
+//! test harness runs on parallel threads.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,7 +27,7 @@ use ppm::algs::{prefix_sum_seq, PrefixSum};
 use ppm::core::dsl::{CapsuleSet, Span, Step, K};
 use ppm::core::{Machine, PComp};
 use ppm::pm::{FaultConfig, PmConfig, Region, Word};
-use ppm::sched::{Runtime, SchedConfig, SessionMode, SessionReport};
+use ppm::sched::{Runtime, SchedConfig, SessionMode, SessionReport, SimSched};
 
 /// Whether a machine holds a workload's correct output.
 type Oracle = Box<dyn Fn(&Machine) -> bool>;
@@ -31,11 +38,11 @@ type Oracle = Box<dyn Fn(&Machine) -> bool>;
 type Build = fn(&Machine) -> (PComp, Oracle);
 
 fn machine(fault: FaultConfig) -> Machine {
-    Machine::with_pool_words(PmConfig::parallel(1, 1 << 15).with_fault(fault), 1 << 12)
+    Machine::with_pool_words(PmConfig::parallel(1, 1 << 13).with_fault(fault), 1 << 12)
 }
 
-fn runtime(machine: Machine) -> Runtime {
-    Runtime::new(machine, SchedConfig::with_slots(256))
+fn sched() -> SchedConfig {
+    SchedConfig::with_slots(64)
 }
 
 /// How a recovery went, as the histogram counts it.
@@ -47,34 +54,34 @@ fn outcome(rep: &SessionReport) -> String {
     }
 }
 
-/// Kills a run of `build` at each of its accesses and recovers it;
-/// returns the histogram of outcomes.
-fn sweep(name: &str, build: Build) -> BTreeMap<String, usize> {
+/// Kills a run of `build` at each of its accesses `k` with
+/// `k % 2 == parity` and recovers it; returns the histogram of outcomes.
+fn sweep(name: &str, build: Build, parity: u64) -> BTreeMap<String, usize> {
     let total = {
         let m = machine(FaultConfig::none());
         let (pcomp, oracle) = build(&m);
-        let rt = runtime(m);
-        let rep = rt.run_or_recover(&pcomp);
+        let mut sim = SimSched::new_persistent(&m, &pcomp, &sched());
+        sim.run_to_completion(usize::MAX);
         assert!(
-            rep.completed() && oracle(rt.machine()),
+            sim.finish().completed && oracle(&m),
             "{name}: the faultless run"
         );
-        rep.stats().total_work()
+        m.stats().snapshot().total_work()
     };
     let mut histogram = BTreeMap::new();
-    for k in 1..=total {
+    for k in (1..=total).filter(|k| k % 2 == parity) {
         let killed = machine(FaultConfig::none().with_scheduled_hard_fault(0, k));
         let (pcomp, _) = build(&killed);
-        let rt = runtime(killed);
-        let rep = rt.run_or_recover(&pcomp);
-        assert_eq!(
-            rep.dead_procs(),
-            1,
+        let mut sim = SimSched::new_persistent(&killed, &pcomp, &sched());
+        sim.run_to_completion(usize::MAX);
+        drop(sim);
+        assert!(
+            !killed.liveness().is_live(0),
             "{name}: the kill at access {k} of {total} lands"
         );
-        let next = rt.machine().restarted(FaultConfig::none());
+        let next = killed.restarted(FaultConfig::none());
         let (pcomp, oracle) = build(&next);
-        let rt = runtime(next);
+        let rt = Runtime::new(next, sched());
         let rep = rt.run_or_recover(&pcomp);
         assert!(
             rep.completed(),
@@ -87,7 +94,7 @@ fn sweep(name: &str, build: Build) -> BTreeMap<String, usize> {
         );
         *histogram.entry(outcome(&rep)).or_insert(0) += 1;
     }
-    println!("{name}: {total} kill points: {histogram:?}");
+    println!("{name}: kill points {parity} mod 2 of {total}: {histogram:?}");
     histogram
 }
 
@@ -131,13 +138,25 @@ fn prefix(m: &Machine) -> (PComp, Oracle) {
 }
 
 #[test]
-fn every_kill_of_a_64_leaf_fanout_recovers_its_output() {
-    let histogram = sweep("fanout", fanout);
+fn every_even_kill_of_a_64_leaf_fanout_recovers_its_output() {
+    let histogram = sweep("fanout", fanout, 0);
     assert!(histogram.contains_key("Resumed"), "{histogram:?}");
 }
 
 #[test]
-fn every_kill_of_a_512_word_prefix_sum_recovers_its_output() {
-    let histogram = sweep("prefix", prefix);
+fn every_odd_kill_of_a_64_leaf_fanout_recovers_its_output() {
+    let histogram = sweep("fanout", fanout, 1);
+    assert!(histogram.contains_key("Resumed"), "{histogram:?}");
+}
+
+#[test]
+fn every_even_kill_of_a_512_word_prefix_sum_recovers_its_output() {
+    let histogram = sweep("prefix", prefix, 0);
+    assert!(histogram.contains_key("Resumed"), "{histogram:?}");
+}
+
+#[test]
+fn every_odd_kill_of_a_512_word_prefix_sum_recovers_its_output() {
+    let histogram = sweep("prefix", prefix, 1);
     assert!(histogram.contains_key("Resumed"), "{histogram:?}");
 }
