@@ -64,9 +64,8 @@
 //! bound on live addresses, not an exact live set. Tracing is refused
 //! (and the checkpoint skipped, never wrong) whenever a reachable frame's
 //! capsule id has no tracer, and reclamation only happens when the
-//! frontier harvest succeeds — the same condition crash recovery needs —
-//! so quiesces that catch a steal mid-transfer or a fork mid-push are
-//! skipped and retried at a later boundary.
+//! frontier capture succeeds, so quiesces that catch a steal
+//! mid-transfer or a fork mid-push are skipped and retried later.
 //!
 //! A rollback drops the processor's fork marks at or above its new
 //! cursor (their cells were dead and may be handed out again), and on a
@@ -77,16 +76,15 @@
 //!
 //! ## Recovery
 //!
-//! Recovery ([`crate::driver`]) prefers the *crash* frontier (replay
-//! distance ≈ 0). When that is unharvestable — a torn steal, a mid-push
-//! window, a smashed restart pointer — it plants the newest valid
-//! record's frontier with pool cursors at its watermarks; the §5 CAM
-//! discipline makes re-running the span after the checkpoint safe, and
-//! replay distance is bounded by one epoch. With no valid record it
-//! replays from the root and clears the stale records (a root replay
-//! resets the pool cursors their frontiers live above). Records need
-//! every processor quiesced, so only a section seating them all takes
-//! checkpoints.
+//! Recovery ([`crate::driver`]) restarts every processor where the crash
+//! left it (replay distance ≈ 0). When a deque entry or restart pointer
+//! does not decode, it plants the newest valid record's frontier with
+//! pool cursors at its watermarks; the §5 CAM discipline makes re-running
+//! the span after the checkpoint safe, and replay distance is bounded by
+//! one epoch. With no valid record it replays from the root and clears
+//! the stale records (a root replay resets the pool cursors their
+//! frontiers live above). Records need every processor quiesced, so only
+//! a section seating them all takes checkpoints.
 //!
 //! ## Quiescing
 //!
@@ -110,6 +108,8 @@ use ppm_pm::{frame_words, read_frame, CheckpointRecord, ProcCtx, Region, Word};
 
 use crate::capsules::Sched;
 use crate::driver::FallbackReason;
+use crate::entry::{pack, unpack, EntryVal};
+use crate::service::InjectorQueue;
 
 /// Default capsule interval between checkpoints when a policy is not
 /// explicitly configured.
@@ -546,13 +546,13 @@ impl CheckpointCtl {
             summary.skipped_busy += 1;
             return "skipped: run already complete".into();
         }
-        // The frontier, exactly as crash recovery would harvest it. An
-        // unharvestable boundary (steal/push in flight somewhere) skips
-        // this checkpoint; a near boundary retries (short re-arm), so a
-        // busy quiesce delays reclamation instead of losing it.
-        let seeds = match crate::driver::harvest_frontier(machine, &self.sched) {
-            Ok(seeds) if !seeds.is_empty() => seeds,
-            _ => {
+        // The frontier a fallback would plant. A boundary with none to
+        // capture (steal/push in flight somewhere) skips this
+        // checkpoint; a near boundary retries (short re-arm), so a busy
+        // quiesce delays reclamation instead of losing it.
+        let seeds = match capture_frontier(machine, &self.sched) {
+            Some(seeds) => seeds,
+            None => {
                 let backoff = self.busy_backoff.load(Ordering::Relaxed);
                 let next = (backoff * 2).min(self.policy.interval_capsules());
                 self.busy_backoff
@@ -727,14 +727,67 @@ pub(crate) fn trace_live_maxima(machine: &Machine, roots: &[Word]) -> Option<Vec
     )
 }
 
-/// [`FallbackReason::CheckpointLayout`] when `record` was taken over
-/// another setup layout than the one `machine`'s construction carved:
-/// then its frontier and watermarks name words carved for other things.
-pub(crate) fn layout_moved(machine: &Machine, record: &CheckpointRecord) -> Option<FallbackReason> {
+/// The quiesced frontier a checkpoint record stores: every `job`
+/// entry's handle, plus the restart pointer of every processor whose
+/// deque holds its thread's one `local` entry. `None` — skip this
+/// boundary — when there is none, a handle does not rehydrate, a steal
+/// is between its victim-entry CAM and its thief-entry CAM (the handle
+/// is only in the thief's record), or a `pushBottom` is mid-commit.
+fn capture_frontier(machine: &Machine, sched: &Sched) -> Option<Vec<Word>> {
+    let mem = machine.mem();
+    let mut seeds = Vec::new();
+    for d in sched.deques() {
+        let mut locals = 0;
+        for i in 0..d.slots {
+            match unpack(mem.load(d.entry(i))) {
+                (_, EntryVal::Job { handle }) => seeds.push(handle),
+                (_, EntryVal::Local) => locals += 1,
+                (_, EntryVal::Taken { proc, slot, tag }) => {
+                    let thief = sched.deques().get(proc).filter(|t| slot < t.slots)?;
+                    if mem.load(thief.entry(slot)) == pack(tag, EntryVal::Empty) {
+                        return None;
+                    }
+                }
+                (_, EntryVal::Empty) => {}
+            }
+        }
+        match locals {
+            0 => {}
+            1 => seeds.push(machine.active_handle(d.owner)),
+            _ => return None,
+        }
+    }
+    let registry = machine.registry();
+    let rehydrates = seeds.iter().all(|h| registry.rehydrate(mem, *h).is_ok());
+    (rehydrates && !seeds.is_empty()).then_some(seeds)
+}
+
+/// [`FallbackReason::LayoutMoved`] when the dead run's words were laid
+/// out by another construction than `machine`'s: checkpoint `record`'s
+/// region cursor, or the service header's ring base against this
+/// construction's `ring`, disagrees. Then every setup word — ring, flag,
+/// deques, a record's frontier and watermarks — names other words.
+pub(crate) fn layout_moved(
+    machine: &Machine,
+    ring: Option<&InjectorQueue>,
+    record: Option<&CheckpointRecord>,
+) -> Option<FallbackReason> {
     let found = machine.region_cursor() as u64;
-    (record.region_cursor != found).then_some(FallbackReason::CheckpointLayout {
-        seq: record.seq,
-        recorded: record.region_cursor,
+    if let Some(rec) = record.filter(|r| r.region_cursor != found) {
+        let (seq, recorded) = (Some(rec.seq), rec.region_cursor);
+        return Some(FallbackReason::LayoutMoved {
+            seq,
+            recorded,
+            found,
+        });
+    }
+    let (h, q) = machine.mem().control().service_header().zip(ring)?;
+    let ours = q.header(h.state);
+    let moved = (h.ring_base, h.workspace_base) != (ours.ring_base, ours.workspace_base);
+    let (seq, recorded, found) = (None, h.ring_base, ours.ring_base);
+    moved.then_some(FallbackReason::LayoutMoved {
+        seq,
+        recorded,
         found,
     })
 }
@@ -745,7 +798,7 @@ pub(crate) fn layout_moved(machine: &Machine, record: &CheckpointRecord) -> Opti
 /// machine shape, or any handle fails to rehydrate.
 pub(crate) fn checkpoint_seeds(machine: &Machine, record: &CheckpointRecord) -> Option<Vec<Word>> {
     let shape = record.watermarks.len() == machine.procs() && !record.frontier.is_empty();
-    if !shape || layout_moved(machine, record).is_some() {
+    if !shape || layout_moved(machine, None, Some(record)).is_some() {
         return None;
     }
     for (p, wm) in record.watermarks.iter().enumerate() {
@@ -917,13 +970,13 @@ mod tests {
 
         // One region more carved before the run: the record names
         // another layout, and is refused though every word of it fits.
-        assert_eq!(layout_moved(&m, &good), None);
+        assert_eq!(layout_moved(&m, None, Some(&good)), None);
         m.alloc_region(1);
         assert_eq!(checkpoint_seeds(&m, &good), None);
         assert_eq!(
-            layout_moved(&m, &good),
-            Some(FallbackReason::CheckpointLayout {
-                seq: 1,
+            layout_moved(&m, None, Some(&good)),
+            Some(FallbackReason::LayoutMoved {
+                seq: Some(1),
                 recorded: good.region_cursor,
                 found: m.region_cursor() as u64,
             })

@@ -74,10 +74,10 @@
 //!
 //! If every fault domain dies, [`recover`] runs the one recovery
 //! `Runtime::run_or_recover` runs ([`crate::driver`]): it closes
-//! admission and finishes the ring single-process, resuming the crash
-//! frontier or normalizing the ring and replaying it (a restart pointer
-//! parked on a scheduler record is not resumed yet and sends recovery to
-//! the replay).
+//! admission and finishes the ring single-process, every processor
+//! restarting at its own restart pointer (§6) — the deques and the ring
+//! as the crash left them — or, when those words do not decode,
+//! normalizing the ring and replaying it.
 //!
 //! ## Checkpoints need every seat
 //!
@@ -96,13 +96,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ppm_core::{DoneFlag, Machine};
+use ppm_core::{Active, DoneFlag, Machine};
 use ppm_obs::{MetricsRegistry, MetricsServer, Obs, TraceKind};
 use ppm_pm::{Lease, LeaseState, PersistentMemory, Region, ServiceState, ShardMap, Word};
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::CheckpointPolicy;
-use crate::driver::{run_attached_seats, ProcOutcome, RunReport, SessionMode, SessionReport};
+use crate::driver::{
+    restart_seats, run_attached_seats, ProcOutcome, RunReport, Seat, SessionMode, SessionReport,
+};
 use crate::service::{InjectorQueue, JobTicket, ServiceConfig, ServiceHandle};
 use crate::supervisor::Supervisor;
 
@@ -1009,7 +1011,18 @@ pub fn run_worker_with_clock(
         // so the worker dies (and its siblings adopt) instead of renewing
         // its lease forever from a scope that waits for the monitor.
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_attached_seats(&machine, &session, domain.own_procs(), restart, &policy)
+            let seats = match restart {
+                true => restart_seats(&machine, &session.sched),
+                false => Vec::new(),
+            };
+            // A restart pointer that does not decode restarts at
+            // `findWork`: a lone worker has no fallback to take.
+            let find_work = Seat::Resume(Active::Sched(session.sched.find_work()));
+            let seat = |p: usize| match seats.get(p) {
+                Some(seat) => *seat.as_ref().unwrap_or(&find_work),
+                None => Seat::Fresh,
+            };
+            run_attached_seats(&machine, &session, domain.own_procs(), seat, &policy)
         }));
         stop.store(true, Ordering::Release);
         // Cut the monitor's sleep short; a wake that lands before its

@@ -32,19 +32,21 @@
 //!
 //! ## Crash recovery across process lifetimes
 //!
-//! Recovery extends the paper's hard-fault story to the death of the
-//! *whole process*: a durable machine is reopened by a fresh process,
-//! whose threads re-attach to the persisted deques, restart pointers and
-//! ring. An unfinished run takes one of three routes:
+//! A whole-process kill on persistent memory is §6's fault of every
+//! processor at once, and recovery is §6's restart: a fresh process
+//! reopens the machine, and each processor resumes at its own persisted
+//! restart pointer, its pool cursor at its watermark, over the deques and
+//! the ring as the crash left them. A capsule is atomically idempotent
+//! (§5), so re-running the one each processor was in is a soft fault's
+//! restart; recovery costs the capsules in flight, not the work done.
+//! `restart_seats` carries the argument, including the one processor a
+//! soft fault never meets — one whose thread a survivor took over before
+//! the crash, which stays down. Words that do not decode take one of two
+//! fallbacks:
 //!
-//! * **Resume the crash frontier**: every persisted `job` entry and every
-//!   running thread's restart pointer is a frame address
-//!   ([`ppm_pm::frame`]), rehydrated through the machine's
-//!   [`ppm_core::CapsuleRegistry`] and re-planted as a job. Recovery cost
-//!   is bounded by the work in flight, not by total work.
-//! * **Resume a checkpoint** when the crash frontier is unharvestable:
-//!   the newest valid record's frontier is planted instead
-//!   ([`crate::checkpoint`]); replay is bounded by one checkpoint epoch.
+//! * **Resume a checkpoint**: the newest valid record's frontier is
+//!   planted instead ([`crate::checkpoint`]); replay is bounded by one
+//!   checkpoint epoch.
 //! * **Replay** (see [`FallbackReason`]): the deques are scrubbed, the
 //!   ring is normalized and its jobs are pulled again from their roots.
 //!   The §5 discipline (write-after-read conflict freedom, CAM
@@ -61,9 +63,9 @@ use std::time::{Duration, Instant};
 use ppm_core::persist::FrameDecodeError;
 pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
-use ppm_core::{run_capsule, Active, InstallCtx, Machine, CORE_ID_JOIN_CAM};
+use ppm_core::{run_capsule, Active, InstallCtx, Machine, CORE_ID_JOIN_CAM, NULL_HANDLE};
 use ppm_obs::TraceKind;
-use ppm_pm::{Fault, PmError, StatsSnapshot, Word};
+use ppm_pm::{Fault, FrameError, PmError, StatsSnapshot, Word};
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::{
@@ -71,8 +73,9 @@ use crate::checkpoint::{
 };
 use crate::cluster::{build_session, ClusterSession, ShardBuild};
 use crate::deque::check_invariant;
-use crate::entry::{kind_of, pack, unpack, EntryKind, EntryVal};
-use crate::service::ServiceConfig;
+use crate::entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal};
+use crate::service::{HeldClaims, ServiceConfig};
+use crate::step::{SchedStep, Then};
 
 /// How one processor's loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,74 +135,46 @@ pub enum SessionMode {
     FreshRun,
     /// The persisted completion flag was already set; nothing re-ran.
     AlreadyComplete,
-    /// Persisted deque entries and restart pointers were rehydrated
-    /// through the capsule registry and re-planted: the run resumed from
-    /// the crash frontier.
+    /// Every processor restarted at its own persisted restart pointer
+    /// (§6), over the deques as the crash left them — or, when those did
+    /// not decode, at a checkpoint record's frontier
+    /// ([`SessionReport::checkpoint_resume`]).
     Resumed,
     /// State was scrubbed and the computation replayed from its root
-    /// (an unrehydratable frontier or an ambiguous crash window, with no
-    /// checkpoint to fall back to — see
-    /// [`SessionReport::fallback_reason`]).
+    /// (words that did not decode, or a moved layout, with no checkpoint
+    /// to fall back to — see [`SessionReport::fallback_reason`]).
     Replayed,
 }
 
-/// Why a recovery could not resume the crash frontier and fell back to
-/// replay-from-root. Carries the structured rehydration failure — down to
-/// the typed [`FrameDecodeError`] — when decoding is what failed.
+/// Why a recovery could not restart the processors where the crash left
+/// them and fell back to a checkpoint or to replay-from-root. Carries the
+/// structured rehydration failure — down to the typed
+/// [`FrameDecodeError`] — when decoding is what failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FallbackReason {
-    /// No in-flight entries were found; the computation restarts from the
-    /// root (it had barely begun, or its frontier died with its thieves).
-    NoFrontier,
-    /// A persisted handle did not rehydrate through the capsule registry.
+    /// A persisted handle — a deque entry or a restart pointer — did not
+    /// decode: a frame the capsule registry does not rehydrate, a
+    /// scheduler record this codec refuses, or a `taken` entry naming no
+    /// deque slot.
     Rehydrate {
-        /// Which persisted handle failed (deque entry or restart
-        /// pointer, with its location).
+        /// Which persisted word failed, with its location.
         what: String,
         /// The rehydration failure, carrying the typed decode error when
         /// the capsule's decode rejected the argument words.
         error: RehydrateError,
     },
-    /// A `taken` entry references a thief coordinate outside the machine
-    /// (corrupt state).
-    InvalidTakenRef {
-        /// Victim deque owner.
-        victim: usize,
-        /// Victim slot index.
-        slot: usize,
-        /// Referenced thief processor.
-        thief: usize,
-        /// Referenced thief slot.
-        thief_slot: usize,
-    },
-    /// The crash caught a steal between the victim-entry CAM and the
-    /// thief-entry CAM; the stolen thread's handle lives only in the dead
-    /// thief's scheduler record, which recovery does not resume yet.
-    StealInFlight {
-        /// Victim deque owner.
-        victim: usize,
-        /// Victim slot index.
-        slot: usize,
-        /// Thief processor.
-        thief: usize,
-        /// Thief slot the steal was transferring into.
-        thief_slot: usize,
-    },
-    /// A deque held two `local` entries: the crash landed mid-`pushBottom`.
-    MidPush {
-        /// The deque's owner.
-        deque: usize,
-    },
-    /// The newest checkpoint record was taken over another setup layout:
-    /// this process's construction left the region-allocation cursor
-    /// elsewhere than the run that wrote the record, so the record's
-    /// frontier and watermarks name other words.
-    CheckpointLayout {
-        /// Sequence number of the refused record.
-        seq: u64,
-        /// The region cursor the record was taken over.
+    /// The dead run's construction carved its setup regions elsewhere
+    /// than this one, so its ring, flag, deques and checkpoint frontier
+    /// name other words ([`crate::checkpoint`]'s `layout_moved`).
+    LayoutMoved {
+        /// `None` when the service header's ring base disagrees
+        /// (`recorded` and `found` are ring bases); the sequence number
+        /// of the newest checkpoint record when its region cursor does
+        /// (`recorded` and `found` are region cursors).
+        seq: Option<u64>,
+        /// What the dead run persisted.
         recorded: u64,
-        /// This construction's region cursor.
+        /// What this construction carved.
         found: u64,
     },
 }
@@ -218,35 +193,18 @@ impl FallbackReason {
 impl std::fmt::Display for FallbackReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FallbackReason::NoFrontier => {
-                write!(f, "no in-flight entries found; restarting from the root")
-            }
             FallbackReason::Rehydrate { what, error } => write!(f, "{what}: {error}"),
-            FallbackReason::InvalidTakenRef {
-                victim,
-                slot,
-                thief,
-                thief_slot,
+            FallbackReason::LayoutMoved {
+                seq: None,
+                recorded,
+                found,
             } => write!(
                 f,
-                "taken entry {slot} of deque {victim} references invalid thief \
-                 ({thief}, {thief_slot})"
+                "the service header's ring lies at word {recorded}, this \
+                 construction's at {found}: the setup layout moved"
             ),
-            FallbackReason::StealInFlight {
-                victim,
-                slot,
-                thief,
-                thief_slot,
-            } => write!(
-                f,
-                "steal of entry {slot} of deque {victim} was in flight (thief {thief} \
-                 slot {thief_slot} not yet claimed)"
-            ),
-            FallbackReason::MidPush { deque } => {
-                write!(f, "deque {deque} was mid-pushBottom (two local entries)")
-            }
-            FallbackReason::CheckpointLayout {
-                seq,
+            FallbackReason::LayoutMoved {
+                seq: Some(seq),
                 recorded,
                 found,
             } => write!(
@@ -276,14 +234,15 @@ pub struct SessionReport {
     pub found_taken: usize,
     /// Processors whose persisted restart pointer was non-null.
     pub live_restart_pointers: usize,
-    /// Continuations rehydrated from persistent frames and re-planted as
-    /// jobs (0 unless [`SessionMode::Resumed`]); the resumed run executes
-    /// only these threads' remaining work plus their joins.
+    /// What a [`SessionMode::Resumed`] run picked up where the crash left
+    /// it (0 otherwise): the processors seated at a non-null restart
+    /// pointer plus the `job` entries found — or, resuming a checkpoint,
+    /// the record's frontier handles planted as jobs.
     pub resumed: usize,
     /// Why resume was not possible, when `mode` is
     /// [`SessionMode::Replayed`].
     pub fallback_reason: Option<FallbackReason>,
-    /// Present when the crash frontier was unharvestable but the session
+    /// Present when the crash state did not decode but the session
     /// resumed from a durable checkpoint record instead of replaying from
     /// the root (`mode` is [`SessionMode::Resumed`]). Replay distance is
     /// bounded by the work done after that checkpoint.
@@ -299,8 +258,8 @@ pub struct SessionReport {
 
 /// How a session resumed from an epoch checkpoint (see
 /// [`crate::checkpoint`]): which record, how far the dead run had
-/// progressed when it was written, and why the crash frontier itself was
-/// not resumable.
+/// progressed when it was written, and why the crash state itself could
+/// not be restarted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointResume {
     /// Sequence number of the checkpoint record resumed from.
@@ -309,7 +268,7 @@ pub struct CheckpointResume {
     /// (replay-distance accounting: the resumed run re-drives everything
     /// after this point).
     pub capsules_at_checkpoint: u64,
-    /// Why the crash frontier could not be resumed directly.
+    /// Why the processors could not restart where the crash left them.
     pub crash_frontier: FallbackReason,
 }
 
@@ -371,8 +330,8 @@ impl SessionReport {
         self.mode == SessionMode::AlreadyComplete
     }
 
-    /// Whether this session resumed a crash frontier instead of running
-    /// or replaying from the root.
+    /// Whether this session resumed where the crash left off (or from a
+    /// checkpoint) instead of running or replaying from the root.
     pub fn resumed_run(&self) -> bool {
         self.mode == SessionMode::Resumed
     }
@@ -441,11 +400,10 @@ pub(crate) fn runtime_build(pcomp: &PComp) -> ShardBuild {
 }
 
 /// The shared parallel section: spawns one OS thread per seated
-/// processor at `findWork` with its pool cursor at 0 or, when `resume`,
-/// at its persisted watermark and at its own restart pointer if that
-/// denotes a capsule (§6's restart; recovery scrubs them first); joins
-/// them, checks the deque invariant, and assembles the report. A
-/// processor's panic is re-raised once every thread has been joined. A
+/// processor `p`, where `seat(p)` puts it ([`Seat`]); joins them, checks
+/// the deque invariant, and assembles the report. A processor that stays
+/// down is marked dead first, so no sibling waits on it. A processor's
+/// panic is re-raised once every thread has been joined. A
 /// single-process session seats every model processor; a cluster worker
 /// seats only its own shard's processors (its fault domain) while the
 /// sibling processors are driven by other OS processes attached to the
@@ -460,7 +418,7 @@ pub(crate) fn run_attached_seats(
     machine: &Machine,
     session: &ClusterSession,
     seats: std::ops::Range<usize>,
-    resume: bool,
+    seat: impl Fn(usize) -> Seat,
     policy: &CheckpointPolicy,
 ) -> RunReport {
     let (sched, done) = (&session.sched, session.done);
@@ -469,14 +427,18 @@ pub(crate) fn run_attached_seats(
         false => CheckpointPolicy::disabled(),
     };
     let ctl = &CheckpointCtl::new(machine, sched.clone(), policy, seats.len());
+    let starts: Vec<(usize, Seat)> = seats.clone().map(|p| (p, seat(p))).collect();
+    for (p, _) in starts.iter().filter(|(_, s)| matches!(s, Seat::Down)) {
+        machine.liveness().mark_dead(*p);
+    }
     let start = Instant::now();
     // Every thread is joined before the first panic is re-raised: a
     // panicking processor releases the barrier and stops its siblings
     // (`ExitGuard`), so the joins return.
     let joined: Vec<std::thread::Result<ProcOutcome>> = std::thread::scope(|s| {
-        let handles: Vec<_> = seats
-            .clone()
-            .map(|p| s.spawn(move || proc_loop(machine, sched, p, resume, ctl)))
+        let handles: Vec<_> = starts
+            .into_iter()
+            .map(|(p, seat)| s.spawn(move || proc_loop(machine, sched, p, seat, ctl)))
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
@@ -514,6 +476,21 @@ pub(crate) fn run_attached_seats(
 // Recovery
 // ====================================================================
 
+/// Where a processor starts a session's run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Seat {
+    /// `findWork` on an empty pool: a fresh run, or a replay from the root.
+    Fresh,
+    /// `at`, with the pool cursor at the processor's persisted watermark:
+    /// §6's restart at the restart point, or `findWork` over a planted
+    /// checkpoint frontier.
+    Resume(Active),
+    /// Not seated: its thread was taken over before the crash
+    /// ([`restart_seats`]). It counts as dead, as §6's hard-faulted
+    /// processor does.
+    Down,
+}
+
 /// A report of what the crash left in the deques and restart pointers.
 fn crash_forensics(machine: &Machine, sched: &Sched) -> SessionReport {
     let mut found = SessionReport::new(machine.epoch(), SessionMode::FreshRun, None, None);
@@ -528,7 +505,7 @@ fn crash_forensics(machine: &Machine, sched: &Sched) -> SessionReport {
         }
     }
     found.live_restart_pointers = (0..machine.procs())
-        .filter(|p| machine.active_handle(*p) != 0)
+        .filter(|p| machine.active_handle(*p) != NULL_HANDLE)
         .count();
     found
 }
@@ -536,7 +513,8 @@ fn crash_forensics(machine: &Machine, sched: &Sched) -> SessionReport {
 /// Scrubs scheduler state back to the §6.3 initial shape: all entries
 /// empty with tag 0, `top = bot = 0`, restart pointers and journals
 /// null. Pool watermarks are zeroed only when replaying from the root —
-/// a resumed run keeps allocating above the dead run's live frames.
+/// a run resumed from a checkpoint keeps allocating above its live
+/// frames.
 pub(crate) fn scrub_scheduler_state(machine: &Machine, sched: &Arc<Sched>, keep_watermarks: bool) {
     for d in sched.deques() {
         for i in 0..d.slots {
@@ -557,91 +535,7 @@ pub(crate) fn scrub_scheduler_state(machine: &Machine, sched: &Arc<Sched>, keep_
     }
 }
 
-/// Harvests the crash frontier for resume: every persisted `job` entry's
-/// handle, plus — for every deque holding a `local` entry — the owning
-/// processor's restart pointer. Errors with a structured
-/// [`FallbackReason`] if any handle does not rehydrate through the
-/// registry or if the crash caught a steal mid-transfer, in which case
-/// the caller falls back to root replay.
-pub(crate) fn harvest_frontier(
-    machine: &Machine,
-    sched: &Arc<Sched>,
-) -> Result<Vec<Word>, FallbackReason> {
-    let mem = machine.mem();
-    // Validate-only: every check a dispatch of the frame will make, and
-    // nothing kept — if this harvest later aborts into the
-    // replay-from-root path, which resets pool cursors to 0, the same
-    // addresses will hold different frames. The resumed run reads the
-    // (intact, watermark-protected) frames again when it runs them.
-    let registry = machine.registry();
-    let mut seeds = Vec::new();
-    for d in sched.deques() {
-        let mut locals = 0usize;
-        for i in 0..d.slots {
-            let word = mem.load(d.entry(i));
-            match unpack(word) {
-                (_, EntryVal::Empty) => {}
-                (_, EntryVal::Job { handle }) => {
-                    registry
-                        .rehydrate(mem, handle)
-                        .map_err(|error| FallbackReason::Rehydrate {
-                            what: format!("job entry {i} of deque {}", d.owner),
-                            error,
-                        })?;
-                    seeds.push(handle);
-                }
-                (_, EntryVal::Local) => locals += 1,
-                (_, EntryVal::Taken { proc, slot, tag }) => {
-                    // A completed steal's thread is accounted at the thief
-                    // side (as a local or later state). A steal caught
-                    // between the victim-entry CAM and the thief-entry CAM
-                    // holds the thread's handle only in the dead thief's
-                    // scheduler record, which recovery does not resume
-                    // (a live thief would; see `Sched::run`).
-                    if proc >= machine.procs() || slot >= sched.deques()[proc].slots {
-                        return Err(FallbackReason::InvalidTakenRef {
-                            victim: d.owner,
-                            slot: i,
-                            thief: proc,
-                            thief_slot: slot,
-                        });
-                    }
-                    let thief_word = mem.load(sched.deques()[proc].entry(slot));
-                    if thief_word == pack(tag, EntryVal::Empty) {
-                        return Err(FallbackReason::StealInFlight {
-                            victim: d.owner,
-                            slot: i,
-                            thief: proc,
-                            thief_slot: slot,
-                        });
-                    }
-                }
-            }
-        }
-        match locals {
-            0 => {}
-            1 => {
-                // The thread running on this deque's processor at crash
-                // time; its state is the persisted restart pointer.
-                let handle = machine.active_handle(d.owner);
-                registry
-                    .rehydrate(mem, handle)
-                    .map_err(|error| FallbackReason::Rehydrate {
-                        what: format!(
-                            "local entry of deque {} (restart pointer {handle})",
-                            d.owner
-                        ),
-                        error,
-                    })?;
-                seeds.push(handle);
-            }
-            _ => return Err(FallbackReason::MidPush { deque: d.owner }),
-        }
-    }
-    Ok(seeds)
-}
-
-/// Plants rehydrated frontier handles as `job` entries, round-robin
+/// Plants checkpoint frontier handles as `job` entries, round-robin
 /// across the (scrubbed) deques, so every processor's ordinary `findWork`
 /// picks them up.
 pub(crate) fn plant_seeds(machine: &Machine, sched: &Arc<Sched>, seeds: &[Word]) {
@@ -662,39 +556,196 @@ pub(crate) fn plant_seeds(machine: &Machine, sched: &Arc<Sched>, seeds: &[Word])
     }
 }
 
+/// Checks that every `job` entry's handle rehydrates and every `taken`
+/// entry names a deque slot this machine has (a helper CAMs it).
+fn entries_decode(machine: &Machine, sched: &Sched) -> Result<(), FallbackReason> {
+    let mem = machine.mem();
+    for d in sched.deques() {
+        for i in 0..d.slots {
+            let word = mem.load(d.entry(i));
+            let (what, error) = match unpack(word) {
+                (_, EntryVal::Job { handle }) => match machine.registry().rehydrate(mem, handle) {
+                    Ok(_) => continue,
+                    Err(error) => ("job", error),
+                },
+                (_, EntryVal::Taken { proc, slot, .. })
+                    if sched.deques().get(proc).is_none_or(|t| slot >= t.slots) =>
+                {
+                    let addr = d.entry(i);
+                    ("taken", FrameError::NotAFrame { addr, word }.into())
+                }
+                _ => continue,
+            };
+            let what = format!("{what} entry {i} of deque {}", d.owner);
+            return Err(FallbackReason::Rehydrate { what, error });
+        }
+    }
+    Ok(())
+}
+
+/// The victim of the local steal (lines 54-60) `step` is in, from
+/// `clearAbove` to its check.
+fn adopting(step: SchedStep) -> Option<usize> {
+    use SchedStep::*;
+    match step {
+        ClearAboveRead(v, ..)
+        | ClearAboveWrite(v, ..)
+        | PopTopCamLocal(v, ..)
+        | PopTopCheckLocal(v, ..)
+        | HelpRead(v, Then::CheckLocal, ..)
+        | HelpCamThief(v, _, _, Then::CheckLocal, ..)
+        | HelpCamTop(v, _, Then::CheckLocal, ..) => Some(v),
+        _ => None,
+    }
+}
+
+/// Whether processor `p`'s thread was taken over before the crash, read
+/// off its deque and restart point `at` ([`restart_seats`]).
+fn taken_over(machine: &Machine, sched: &Sched, p: usize, at: Option<&Active>) -> bool {
+    let (mem, d) = (machine.mem(), sched.deques()[p]);
+    let kind = |i: usize| kind_of(mem.load(d.entry(i)));
+    if (0..d.slots).any(|i| kind(i) == EntryKind::Local) {
+        return false;
+    }
+    let bot = mem.load(d.bot) as usize;
+    if bot < d.slots && kind(bot) == EntryKind::Taken {
+        return true;
+    }
+    use SchedStep::*;
+    match at {
+        None => false,
+        Some(Active::Frame(_)) => true,
+        Some(Active::Sched(rec)) => match SchedStep::decode(rec) {
+            Some(
+                PushBottomCommit(..) | EntryCam(..) | EntryCheck(..) | DoneCam(..) | DoneCheck(..),
+            ) => true,
+            Some(PopBottomCam(owner, b, old, _)) => {
+                let d = sched.deques()[owner];
+                let w = (1..=d.slots).contains(&b).then(|| mem.load(d.entry(b - 1)));
+                w.is_some_and(|w| {
+                    kind_of(w) == EntryKind::Taken && tag_of(w) == tag_of(old).wrapping_add(2)
+                })
+            }
+            _ => false,
+        },
+    }
+}
+
+/// §6's restart of every processor after a whole-machine crash: each
+/// one's seat, or why its restart pointer does not decode.
+///
+/// A capsule is atomically idempotent (§5), so resuming at the restart
+/// pointer re-runs one capsule from its start — a soft fault's restart,
+/// every processor at once — with the pool cursor at the watermark,
+/// above every frame the processor installed (a null pointer restarts at
+/// `findWork`). The deques stay as the crash left them: a steal whose
+/// victim entry reads `taken` while its seat is `empty` finishes when
+/// its thief restarts (the handle is in the thief's record), and a
+/// `pushBottom` mid-commit re-runs its commit (Lemma A.6).
+///
+/// The one state a soft fault never meets is a processor that
+/// hard-faulted *before* the crash and whose thread a survivor took
+/// over: the adopter turned its `local` entry into `taken` at tag + 2,
+/// jumped to its restart pointer (for a record, a handle into the dead
+/// processor's journal) and reads that pointer again at its check.
+/// Restarted at its stale pointer the dead processor runs the thread
+/// twice, and restarted anywhere it rewrites a journal its adopter may
+/// still read, so it stays down ([`Seat::Down`]); its deque holds only
+/// `taken` and `empty` entries. Its words show the takeover — no `local`
+/// entry is left (an adoption takes the only one, or the lower of a
+/// commit's two and clears the upper) — and its bottom entry is `taken`
+/// (a running thread's, or a won steal's or pull's seat), or its restart
+/// point holds a thread (a frame, `pushBottom/commit`, the service's
+/// entry or done steps, installed only under a `local`), or it is
+/// `popBottom/cam` whose entry reads `taken` at tag + 2 (Lemma A.10's
+/// adoption before the owner moved `bot`). Any other pointer without a
+/// `local` has no thread to lose and restarts. An adoption in flight —
+/// some processor's restart point is a local steal's step on victim `v`,
+/// from `clearAbove` to its check — keeps `v` down too: the adopter
+/// finishes against `v`'s frozen words.
+pub(crate) fn restart_seats(machine: &Machine, sched: &Sched) -> Vec<Result<Seat, FallbackReason>> {
+    let arena = machine.arena();
+    let points: Vec<Result<Option<Active>, FallbackReason>> = (0..machine.procs())
+        .map(|p| match machine.active_handle(p) {
+            NULL_HANDLE => Ok(None),
+            handle => sched.restart_point(p, arena).map(Some).ok_or_else(|| {
+                // A journal pointer whose record the codec refuses.
+                let addr = handle as usize;
+                let error = (arena.try_resolve(handle).err())
+                    .unwrap_or(FrameError::NotAFrame { addr, word: 0 }.into());
+                let what = format!("restart pointer {handle:#x} of processor {p}");
+                FallbackReason::Rehydrate { what, error }
+            }),
+        })
+        .collect();
+    let victims: Vec<usize> = points
+        .iter()
+        .filter_map(|at| match at {
+            Ok(Some(Active::Sched(rec))) => SchedStep::decode(rec).and_then(adopting),
+            _ => None,
+        })
+        .collect();
+    points
+        .into_iter()
+        .enumerate()
+        .map(|(p, at)| {
+            let at = at?;
+            if victims.contains(&p) || taken_over(machine, sched, p, at.as_ref()) {
+                return Ok(Seat::Down);
+            }
+            Ok(Seat::Resume(at.unwrap_or(Active::Sched(sched.find_work()))))
+        })
+        .collect()
+}
+
 /// Recovers a machine that came back from [`Machine::reopen`], a
-/// `Runtime` file or a cluster file alike. `shards`, `cfg`, `ring` and
-/// `build` must replay the crashed session's construction exactly (same
+/// `Runtime` file or a cluster file alike, up to its run: the session,
+/// the report so far, and every processor's seat — `None` when the
+/// computation is already complete. `shards`, `cfg`, `ring` and `build`
+/// must replay the crashed session's construction exactly (same
 /// `alloc_region` calls in the same order, same capsules under the same
 /// ids). In order:
 ///
-/// 1. Replay the session construction.
-/// 2. Count what the crash left (`found_*`). A ring with no header was
-///    never handed to a processor: clear it and publish its job set. A
-///    newest checkpoint record taken over another setup layout
-///    ([`FallbackReason::CheckpointLayout`]) means nothing the dead run
-///    wrote is where this construction looks: clear the flag and the
-///    ring, publish afresh, and replay from the root (step 7).
-/// 3. Done flag set → [`SessionMode::AlreadyComplete`].
-/// 4. Close admission (`InjectorQueue::close`); a ring the close finds
-///    drained (a crash after the last done CAM, before the flag, or an
-///    open ring whose jobs had all finished) → the same.
-/// 5. Harvest the crash frontier;
-/// 6. if that fails, take the newest valid checkpoint record
-///    ([`SessionReport::checkpoint_resume`]; a cluster file has none);
-/// 7. otherwise clear the stale records and replay
+/// 1. Replay the session construction; count what the crash left
+///    (`found_*`). A ring with no header was never handed to a
+///    processor: publish its job set. A moved layout ([`layout_moved`]:
+///    the newest checkpoint record's region cursor, or the service
+///    header's ring base, is not this construction's) means nothing the
+///    dead run wrote is where this construction looks: clear the flag,
+///    publish a fresh ring and replay from the root (step 4).
+/// 2. Done flag set, or a ring that closing admission finds drained (a
+///    crash after the last done CAM, before the flag) →
+///    [`SessionMode::AlreadyComplete`].
+/// 3. §6's restart ([`restart_seats`]): if every deque entry and restart
+///    pointer decodes, each processor is seated at its own restart point,
+///    or stays down if its thread was taken over.
+/// 4. Otherwise plant the newest valid checkpoint record's frontier on
+///    scrubbed deques ([`SessionReport::checkpoint_resume`]; a cluster
+///    file has none), or replay from the root
 ///    ([`SessionReport::fallback_reason`]).
-/// 8. Scrub the deques, normalize the ring (`InjectorQueue::scavenge`),
-///    plant the seeds, seat every processor at `findWork` and run.
-pub(crate) fn recover(
+///
+/// * **The ring.** `InjectorQueue::scavenge` still reclaims torn staging
+///   slots and published slots whose checksum fails, but a restart keeps
+///   every `CLAIMED` and `RUNNING` slot: its claimant, or its thread's
+///   adopter, restarts at its own pull record, entry frame or job, and a
+///   republish would hand the job to a second puller.
+/// * **Shards.** A cluster file needs no shard-level step: a seat is read
+///   from the processor's own deque and restart pointer, the same in
+///   every shard, and recovery seats every processor in one process. A
+///   shard adopted before the crash has its processors taken over, so
+///   they stay down; leases steer only adoption between live workers.
+/// * **Figure 4's checker** may stay on across the restart: the restart
+///   stores no deque word, so every transition it sees is a capsule's,
+///   and a restarted capsule repeats its first attempt's stores — the
+///   soft-fault re-run the checker admits. It is installed after the
+///   fallbacks' scrub, whose stores are maintenance.
+pub(crate) fn prepare_recovery(
     machine: &Machine,
     shards: usize,
     cfg: &SchedConfig,
     ring: ServiceConfig,
     build: &ShardBuild,
-) -> io::Result<(ClusterSession, SessionReport)> {
-    // The transition checker is installed after the scrub: scrub stores
-    // are machine maintenance, not Figure 4 transitions.
+) -> io::Result<(ClusterSession, SessionReport, Option<Vec<Seat>>)> {
     let quiet = SchedConfig {
         check_transitions: false,
         ..cfg.clone()
@@ -710,20 +761,9 @@ pub(crate) fn recover(
             found.live_restart_pointers
         )
     });
-    let report = |mode, run| SessionReport {
-        mode,
-        run,
-        ..found.clone()
-    };
     let (q, page) = (&session.service, machine.mem().control());
-    // A checkpoint record pins the layout its run's construction carved.
-    // A construction that carved differently finds none of that run's
-    // words where it looks — not its ring, flag or deques — so, like a
-    // ring never handed out, the file starts over: a clear flag, a fresh
-    // ring, and (below) a replay from the root.
-    let moved = machine
-        .latest_checkpoint_record()
-        .and_then(|rec| layout_moved(machine, &rec));
+    let latest = machine.latest_checkpoint_record();
+    let moved = layout_moved(machine, Some(q.as_ref()), latest.as_ref());
     if moved.is_some() || page.service_header().is_none() {
         machine.mem().store(session.done.addr(), 0);
         q.clear();
@@ -731,44 +771,33 @@ pub(crate) fn recover(
     }
     if session.done.is_set(machine.mem()) || q.close(session.done)? {
         machine.flush()?;
-        return Ok((session, report(SessionMode::AlreadyComplete, None)));
+        let report = SessionReport {
+            mode: SessionMode::AlreadyComplete,
+            ..found
+        };
+        return Ok((session, report, None));
     }
 
-    let mut checkpoint_resume = None;
-    let harvest = moved.map_or_else(|| harvest_frontier(machine, &session.sched), Err);
-    let (seeds, fallback_reason) = match harvest {
-        Ok(seeds) if !seeds.is_empty() => (seeds, None),
-        other => {
-            let reason = other.err().unwrap_or(FallbackReason::NoFrontier);
-            match machine
-                .latest_checkpoint_record()
-                .and_then(|rec| checkpoint_seeds(machine, &rec).map(|s| (rec, s)))
-            {
-                Some((rec, seeds)) => {
-                    // Pool cursors return to the checkpoint's stable
-                    // watermarks; the resumed run re-allocates (and
-                    // re-drives) only the span after the checkpoint.
-                    for (p, wm) in rec.watermarks.iter().enumerate() {
-                        machine.mem().store(machine.proc_meta(p).watermark, *wm);
-                    }
-                    checkpoint_resume = Some(CheckpointResume {
-                        seq: rec.seq,
-                        capsules_at_checkpoint: rec.capsules,
-                        crash_frontier: reason,
-                    });
-                    (seeds, None)
-                }
-                None => (Vec::new(), Some(reason)),
-            }
+    let sched = &session.sched;
+    let restart: Result<Vec<Seat>, _> = moved.map_or(Ok(()), Err).and_then(|()| {
+        entries_decode(machine, sched)?;
+        restart_seats(machine, sched).into_iter().collect()
+    });
+    let (seats, report, held) = match restart {
+        Ok(seats) => {
+            let at_pointer = |&p: &usize| {
+                matches!(seats[p], Seat::Resume(_)) && machine.active_handle(p) != NULL_HANDLE
+            };
+            let report = SessionReport {
+                mode: SessionMode::Resumed,
+                resumed: (0..machine.procs()).filter(at_pointer).count() + found.found_jobs,
+                ..found
+            };
+            (seats, report, HeldClaims::All)
         }
+        Err(reason) => fall_back(machine, &session, reason, found),
     };
-    let resume = fallback_reason.is_none();
-    if !resume {
-        let _ = machine.clear_checkpoint_records();
-    }
-
-    scrub_scheduler_state(machine, &session.sched, resume);
-    let touched = q.scavenge(resume);
+    let touched = q.scavenge(held);
     machine.obs().event(TraceKind::Recovery, None, None, || {
         format!("injector ring scavenged: {touched} slots normalized")
     });
@@ -776,23 +805,77 @@ pub(crate) fn recover(
     // its checksum and was dropped) has no done CAM left to run the drain
     // rule: evaluate it here, once.
     q.settle(session.done);
-    plant_seeds(machine, &session.sched, &seeds);
     if cfg.check_transitions {
         crate::capsules::install_transition_checker(machine, session.sched.deques());
     }
-    let every = 0..machine.procs();
-    let run = run_attached_seats(machine, &session, every, resume, &cfg.checkpoint);
-    machine.flush()?;
-    let mode = if resume {
-        SessionMode::Resumed
-    } else {
-        SessionMode::Replayed
+    Ok((session, report, Some(seats)))
+}
+
+/// Step 6 of [`prepare_recovery`]: the newest valid checkpoint record's
+/// frontier, planted on scrubbed deques, or a replay from the root.
+fn fall_back(
+    machine: &Machine,
+    session: &ClusterSession,
+    reason: FallbackReason,
+    found: SessionReport,
+) -> (Vec<Seat>, SessionReport, HeldClaims) {
+    let record = machine
+        .latest_checkpoint_record()
+        .and_then(|rec| checkpoint_seeds(machine, &rec).map(|s| (rec, s)));
+    let procs = machine.procs();
+    let Some((rec, seeds)) = record else {
+        let _ = machine.clear_checkpoint_records();
+        scrub_scheduler_state(machine, &session.sched, false);
+        let report = SessionReport {
+            mode: SessionMode::Replayed,
+            fallback_reason: Some(reason),
+            ..found
+        };
+        return (vec![Seat::Fresh; procs], report, HeldClaims::Nothing);
     };
+    // Pool cursors return to the checkpoint's stable watermarks; the
+    // resumed run re-allocates (and re-drives) only the span after the
+    // checkpoint.
+    for (p, wm) in rec.watermarks.iter().enumerate() {
+        machine.mem().store(machine.proc_meta(p).watermark, *wm);
+    }
+    scrub_scheduler_state(machine, &session.sched, true);
+    plant_seeds(machine, &session.sched, &seeds);
     let report = SessionReport {
-        resumed: if resume { seeds.len() } else { 0 },
-        fallback_reason,
-        checkpoint_resume,
-        ..report(mode, Some(run))
+        mode: SessionMode::Resumed,
+        resumed: seeds.len(),
+        checkpoint_resume: Some(CheckpointResume {
+            seq: rec.seq,
+            capsules_at_checkpoint: rec.capsules,
+            crash_frontier: reason,
+        }),
+        ..found
+    };
+    let find_work = Seat::Resume(Active::Sched(session.sched.find_work()));
+    (vec![find_work; procs], report, HeldClaims::Running)
+}
+
+/// Recovers a machine ([`prepare_recovery`]) and runs it to completion
+/// on every processor the recovery seats. The machine is flushed before
+/// this returns, so a second crash during recovery recovers the same
+/// way.
+pub(crate) fn recover(
+    machine: &Machine,
+    shards: usize,
+    cfg: &SchedConfig,
+    ring: ServiceConfig,
+    build: &ShardBuild,
+) -> io::Result<(ClusterSession, SessionReport)> {
+    let (session, report, seats) = prepare_recovery(machine, shards, cfg, ring, build)?;
+    let Some(seats) = seats else {
+        return Ok((session, report));
+    };
+    let every = 0..machine.procs();
+    let run = run_attached_seats(machine, &session, every, |p| seats[p], &cfg.checkpoint);
+    machine.flush()?;
+    let report = SessionReport {
+        run: Some(run),
+        ..report
     };
     Ok((session, report))
 }
@@ -820,17 +903,17 @@ fn proc_loop(
     machine: &Machine,
     sched: &Sched,
     p: usize,
-    resume: bool,
+    seat: Seat,
     ctl: &CheckpointCtl,
 ) -> ProcOutcome {
     let _exit = ExitGuard { sched, ctl };
-    let cursor = if resume { machine.pool_watermark(p) } else { 0 };
+    let (cursor, mut cur) = match seat {
+        Seat::Fresh => (0, Active::Sched(sched.find_work())),
+        Seat::Resume(at) => (machine.pool_watermark(p), at),
+        Seat::Down => return ProcOutcome::Dead,
+    };
     let mut ctx = machine.ctx_with_pool_cursor(p, cursor);
     let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(p));
-    let restart = resume.then(|| sched.restart_point(p, machine.arena()));
-    let mut cur = restart
-        .flatten()
-        .unwrap_or(Active::Sched(sched.find_work()));
     let outcome = loop {
         let next = match run_capsule(&mut ctx, machine.arena(), &mut install, &cur, Some(sched)) {
             Ok(Some(c)) => c,
@@ -981,20 +1064,16 @@ mod tests {
     #[test]
     fn fallback_reasons_render_and_expose_decode_errors() {
         let reasons = [
-            FallbackReason::NoFrontier,
-            FallbackReason::StealInFlight {
-                victim: 0,
-                slot: 3,
-                thief: 1,
-                thief_slot: 2,
+            FallbackReason::LayoutMoved {
+                seq: None,
+                recorded: 4096,
+                found: 4160,
             },
-            FallbackReason::InvalidTakenRef {
-                victim: 1,
-                slot: 0,
-                thief: 9,
-                thief_slot: 9,
+            FallbackReason::LayoutMoved {
+                seq: Some(3),
+                recorded: 5000,
+                found: 5064,
             },
-            FallbackReason::MidPush { deque: 2 },
         ];
         for r in &reasons {
             assert!(!r.to_string().is_empty());

@@ -77,6 +77,8 @@ pub use driver::{
 };
 pub use entry::{kind_of, pack, tag_of, unpack, EntryKind, EntryVal};
 pub use runtime::{Runtime, RuntimeConfig};
-pub use service::{InjectorQueue, JobReport, JobStatus, JobTicket, ServiceConfig, ServiceHandle};
+pub use service::{
+    HeldClaims, InjectorQueue, JobReport, JobStatus, JobTicket, ServiceConfig, ServiceHandle,
+};
 pub use sim::{SimEvent, SimOp, SimReport, SimSched};
 pub use supervisor::Supervisor;

@@ -3,20 +3,25 @@
 //!
 //! A state is an action prefix over [`SimSched`]: [`EngineAction::Step`]
 //! runs one capsule of the production code (`Sched::run`, the frames,
-//! the service chain) on a processor, and [`EngineAction::Crash`] kills
-//! one at a capsule boundary. A state is restored by replaying its prefix
-//! on a fresh, small, volatile machine — nothing is snapshotted, so pool
-//! cursors, the write-after-read tracker, contention counters and the
-//! liveness oracle need no capture. Its visited-set key is
-//! [`SimSched::fingerprint`] (the engine's own words, each processor's
-//! next capsule and outcome) folded with the leaves' run counts. Each
-//! state caches what its replay saw — the runnable processors, the crash
-//! count, the invariant verdict and whether it is a goal — so an edge
-//! costs one replay.
+//! the service chain) on a processor, [`EngineAction::Crash`] kills one
+//! at a capsule boundary, and [`EngineAction::Restart`] kills every
+//! processor at its boundary and recovers the machine the way a reopening
+//! process does — the same words ([`Machine::restarted`]) re-seated
+//! through `driver`'s recovery, each processor at its restart point or
+//! down. A state is restored by replaying its prefix on a fresh, small,
+//! volatile machine — nothing is snapshotted, so pool cursors, the
+//! write-after-read tracker, contention counters and the liveness oracle
+//! need no capture. Its visited-set key is [`SimSched::fingerprint`] (the
+//! engine's own words, each processor's next capsule and outcome) folded
+//! with the leaves' run counts and the faults spent. Each state caches
+//! what its replay saw — the runnable processors, the fault count, the
+//! invariant verdict and whether it is a goal — so an edge costs one
+//! replay.
 //!
 //! ## Scopes
 //!
-//! Fixed here, like the crash budget (one boundary crash, P = 2):
+//! Fixed here, like the fault budget (P = 2; two faults, of which at most
+//! one boundary crash, so a processor always survives the crashes):
 //!
 //! * [`EngineModel::fork`]`(k)` — [`SimSched::new_persistent`], a
 //!   `Runtime` session whose root is `map_grain` over `k` leaves at grain
@@ -42,8 +47,8 @@
 //! ## Properties
 //!
 //! * **W2 NoDoubleExecution** — each leaf's body runs at most once.
-//!   Leaves count their runs; with boundary crashes only, a second run is
-//!   a double execution.
+//!   Leaves count their runs, across a restart too; with boundary faults
+//!   only, a second run is a double execution.
 //! * **Every step is checked** — the Figure 4 transition checker is on
 //!   (`check_transitions`) and the WS-deque invariant
 //!   ([`crate::deque::check_invariant`]) holds on every deque after every
@@ -90,6 +95,14 @@
 //! `popBottom/cam` ends a capsule after the CAM and re-runs itself, as a
 //! restart would, and only then drops the arm.
 //!
+//! Two mutants break the restart rather than a step, and only they are
+//! explored with restarts (the step mutants' pinned counterexamples lie
+//! where they were): `restart-at-find-work` seats a processor whose
+//! restart point is a scheduler record at `findWork`, as recovery did
+//! before it restarted records, so the record's effects are lost;
+//! `restart-adopted` restarts a processor whose thread was taken over at
+//! its stale pointer, so the adopted thread runs twice.
+//!
 //! `specs/tla/FrontierAdoption.tla` states the same protocol abstractly.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,13 +112,17 @@ use std::sync::Arc;
 use ppm_check::Model;
 use ppm_core::dsl::{self, CapsuleDef, CapsuleSet, Span};
 use ppm_core::registry::PComp;
-use ppm_core::{ContArena, Machine, Next, Persist, SchedRecord, Scheduler};
+use ppm_core::{Active, ContArena, Machine, Next, Persist, SchedRecord, Scheduler};
 use ppm_pm::service::slot_phase;
-use ppm_pm::{PersistentMemory, PmConfig, PmResult, ProcCtx, ServiceState, SlotPhase, Word};
+use ppm_pm::{
+    FaultConfig, PersistentMemory, PmConfig, PmResult, ProcCtx, ServiceState, SlotPhase, Word,
+};
 
 use crate::capsules::{go, Sched, SchedConfig};
 use crate::checkpoint::CheckpointPolicy;
+use crate::cluster::ShardBuild;
 use crate::deque::check_invariant;
+use crate::driver::{runtime_build, Seat};
 use crate::entry::{kind_of, pack, tag_of, EntryKind, EntryVal};
 use crate::service::ServiceConfig;
 use crate::sim::SimSched;
@@ -113,7 +130,10 @@ use crate::step::{SchedStep, SchedStep::*, Then};
 
 /// Processors in every scope.
 const PROCS: usize = 2;
-/// Boundary crashes the explorer may inject.
+/// Faults the explorer may inject: boundary crashes and restarts.
+const FAULT_BUDGET: u8 = 2;
+/// Boundary crashes among them: fewer than `PROCS`, so one processor
+/// always survives until a restart.
 const CRASH_BUDGET: u8 = 1;
 /// Persistent words of the replay machine (everything is fingerprinted).
 const WORDS: usize = 1 << 10;
@@ -121,6 +141,11 @@ const WORDS: usize = 1 << 10;
 /// fork over these leaves) and change. The third fork of a four-leaf
 /// root fits only in words a join freed.
 const POOL_WORDS: usize = 64;
+/// Frame-pool words per processor when the prefix restarts: a restart
+/// forfeits the join-time reclaims of the forks open at the crash (the
+/// marks are the processor's, not the machine's), so the pools hold two
+/// nested forks more.
+const RESTART_POOL_WORDS: usize = 2 * POOL_WORDS;
 /// Deque slots per processor: the forks of three leaves, their steals
 /// and the clear-above slot.
 const DEQUE_SLOTS: usize = 8;
@@ -132,6 +157,9 @@ pub enum EngineAction {
     Step(usize),
     /// Kill processor `p` at its capsule boundary ([`SimSched::crash`]).
     Crash(usize),
+    /// Kill every processor at its boundary and recover the machine on
+    /// the same words, as a reopening process does.
+    Restart,
 }
 
 /// What the explorer runs: a `Runtime` session whose root is
@@ -167,16 +195,25 @@ pub enum Mutant {
     /// steals without helping, so a thief dead before its help capsules
     /// leaves the survivor spinning.
     VictimNeverHelps,
+    /// A restart seats a processor whose restart point is a scheduler
+    /// record at `findWork`: the record's effects are lost — a skipped
+    /// `clearBottom` leaves its ended thread's `Local` in the deque.
+    RestartAtFindWork,
+    /// A restart re-seats a processor whose thread was taken over at its
+    /// stale restart pointer: it runs the thread its adopter runs.
+    RestartAdopted,
 }
 
 impl Mutant {
     /// Every mutant.
-    pub const ALL: [Mutant; 5] = [
+    pub const ALL: [Mutant; 7] = [
         Mutant::DropLemmaA10,
         Mutant::AdoptLiveLocal,
         Mutant::ClaimBeforeSeat,
         Mutant::DoneEarly,
         Mutant::VictimNeverHelps,
+        Mutant::RestartAtFindWork,
+        Mutant::RestartAdopted,
     ];
 
     /// The mutant's name in `ppm-check` output.
@@ -187,6 +224,8 @@ impl Mutant {
             Mutant::ClaimBeforeSeat => "claim-before-seat",
             Mutant::DoneEarly => "done-early",
             Mutant::VictimNeverHelps => "victim-never-helps",
+            Mutant::RestartAtFindWork => "restart-at-find-work",
+            Mutant::RestartAdopted => "restart-adopted",
         }
     }
 }
@@ -197,6 +236,7 @@ pub struct EngineSt {
     prefix: Vec<EngineAction>,
     runnable: Vec<usize>,
     crashes: u8,
+    faults: u8,
     verdict: Result<(), String>,
     complete: Result<(), String>,
     fingerprint: u64,
@@ -225,6 +265,7 @@ impl std::fmt::Debug for EngineSt {
 pub struct EngineModel {
     scope: Scope,
     mutant: Option<Mutant>,
+    restarts: bool,
 }
 
 impl EngineModel {
@@ -233,6 +274,7 @@ impl EngineModel {
         EngineModel {
             scope: Scope::Fork { leaves },
             mutant: None,
+            restarts: true,
         }
     }
 
@@ -241,13 +283,16 @@ impl EngineModel {
         EngineModel {
             scope: Scope::Service,
             mutant: None,
+            restarts: true,
         }
     }
 
-    /// This scope with `mutant`'s arm swapped in.
+    /// This scope with `mutant`'s arm swapped in, explored with restarts
+    /// only for a restart mutant.
     pub fn mutated(self, mutant: Mutant) -> Self {
         EngineModel {
             mutant: Some(mutant),
+            restarts: matches!(mutant, Mutant::RestartAtFindWork | Mutant::RestartAdopted),
             ..self
         }
     }
@@ -259,34 +304,47 @@ impl EngineModel {
         }
     }
 
-    /// The simulator of this scope on `machine`, its leaves counting into
-    /// `runs`.
-    fn build<'m>(&self, machine: &'m Machine, runs: &Arc<Vec<AtomicU32>>) -> SimSched<'m> {
-        let cfg = SchedConfig {
+    fn cfg() -> SchedConfig {
+        SchedConfig {
             deque_slots: DEQUE_SLOTS,
             check_transitions: true,
             checkpoint: CheckpointPolicy::Disabled,
             ..SchedConfig::default()
-        };
+        }
+    }
+
+    /// The root of the `engine-fork` scope: `map_grain` over `leaves`
+    /// counting leaves.
+    fn fork_root(leaves: usize, runs: &Arc<Vec<AtomicU32>>) -> PComp {
+        let runs = runs.clone();
+        Arc::new(move |m, finale| {
+            let mut set = CapsuleSet::new(m);
+            let leaf = counting_leaf(&mut set, runs.clone());
+            let split = set.map_grain("engine/split", 1, leaf);
+            let all = Span {
+                env: 0u64,
+                lo: 0,
+                hi: leaves,
+            };
+            split.setup(m, &all, dsl::K(finale)).0
+        })
+    }
+
+    /// The service scope's ring.
+    fn ring() -> ServiceConfig {
+        ServiceConfig::default().with_slots(2).with_job_words(24)
+    }
+
+    /// The simulator of this scope on `machine`, its leaves counting into
+    /// `runs`.
+    fn build<'m>(&self, machine: &'m Machine, runs: &Arc<Vec<AtomicU32>>) -> SimSched<'m> {
+        let cfg = Self::cfg();
         let sim = match self.scope {
             Scope::Fork { leaves } => {
-                let runs = runs.clone();
-                let root: PComp = Arc::new(move |m, finale| {
-                    let mut set = CapsuleSet::new(m);
-                    let leaf = counting_leaf(&mut set, runs.clone());
-                    let split = set.map_grain("engine/split", 1, leaf);
-                    let all = Span {
-                        env: 0u64,
-                        lo: 0,
-                        hi: leaves,
-                    };
-                    split.setup(m, &all, dsl::K(finale)).0
-                });
-                SimSched::new_persistent(machine, &root, &cfg)
+                SimSched::new_persistent(machine, &Self::fork_root(leaves, runs), &cfg)
             }
             Scope::Service => {
-                let ring = ServiceConfig::default().with_slots(2).with_job_words(24);
-                let (sim, queue) = SimSched::new_service(machine, &cfg, ring, None);
+                let (sim, queue) = SimSched::new_service(machine, &cfg, Self::ring(), None);
                 let leaf = counting_leaf(&mut CapsuleSet::new(machine), runs.clone());
                 for j in 0..2 {
                     let mut args = Vec::new();
@@ -306,6 +364,47 @@ impl EngineModel {
                 sim
             }
         };
+        self.runner(sim)
+    }
+
+    /// The simulator over `machine` recovered after a restart: the
+    /// crashed words re-seated through the recovery path, with this
+    /// scope's restart mutant, if any, bending the seats.
+    fn recover<'m>(&self, machine: &'m Machine, runs: &Arc<Vec<AtomicU32>>) -> SimSched<'m> {
+        // The construction `build` replays: the same regions, and the
+        // same capsules under the same ids (the service scope registers
+        // its leaf right after the session's, as `build` did).
+        let (ring, build) = match self.scope {
+            Scope::Fork { leaves } => (
+                ServiceConfig::SESSION,
+                runtime_build(&Self::fork_root(leaves, runs)),
+            ),
+            Scope::Service => {
+                let runs = runs.clone();
+                let build: ShardBuild = Arc::new(move |m, _, done| {
+                    counting_leaf(&mut CapsuleSet::new(m), runs.clone());
+                    done
+                });
+                (Self::ring(), build)
+            }
+        };
+        let mutant = self.mutant;
+        let reseat = |sched: &Sched, p: usize, seat: Seat| match (mutant, seat) {
+            (Some(Mutant::RestartAtFindWork), Seat::Resume(Active::Sched(_))) => {
+                Seat::Resume(Active::Sched(sched.find_work()))
+            }
+            (Some(Mutant::RestartAdopted), Seat::Down) => sched
+                .restart_point(p, machine.arena())
+                .map_or(Seat::Down, Seat::Resume),
+            _ => seat,
+        };
+        let sim = SimSched::recovered(machine, &Self::cfg(), ring, &build, reseat)
+            .expect("a volatile recovery does no I/O");
+        self.runner(sim)
+    }
+
+    /// `sim` running this scope's mutant arm, if any.
+    fn runner<'m>(&self, sim: SimSched<'m>) -> SimSched<'m> {
         match self.mutant {
             None => sim,
             Some(mutant) => sim.with_runner(|sched| Arc::new(MutantSched { sched, mutant })),
@@ -314,14 +413,18 @@ impl EngineModel {
 
     /// Replays `prefix` on a fresh machine and records what it reaches.
     fn replay(&self, prefix: Vec<EngineAction>) -> EngineSt {
-        let machine = Machine::with_pool_words(PmConfig::parallel(PROCS, WORDS), POOL_WORDS);
+        let pool = match prefix.contains(&EngineAction::Restart) {
+            true => RESTART_POOL_WORDS,
+            false => POOL_WORDS,
+        };
+        let machine = Machine::with_pool_words(PmConfig::parallel(PROCS, WORDS), pool);
         let runs: Arc<Vec<AtomicU32>> =
             Arc::new((0..self.leaves()).map(|_| AtomicU32::new(0)).collect());
+        let count =
+            |fault: fn(&EngineAction) -> bool| prefix.iter().filter(|a| fault(a)).count() as u8;
         let mut st = EngineSt {
-            crashes: prefix
-                .iter()
-                .filter(|a| matches!(a, EngineAction::Crash(_)))
-                .count() as u8,
+            crashes: count(|a| matches!(a, EngineAction::Crash(_))),
+            faults: count(|a| !matches!(a, EngineAction::Step(_))),
             prefix,
             runnable: Vec::new(),
             verdict: Ok(()),
@@ -331,21 +434,9 @@ impl EngineModel {
             runs: Vec::new(),
         };
         let seen = catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = self.build(&machine, &runs);
-            for a in &st.prefix {
-                match *a {
-                    EngineAction::Step(p) => drop(sim.step(p)),
-                    EngineAction::Crash(p) => sim.crash(p),
-                }
-            }
-            let counts: Vec<u32> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
-            st.verdict = safety(&sim, machine.mem(), &counts);
-            st.complete = completion(&sim, machine.mem(), &counts);
-            st.fingerprint = counts.iter().fold(sim.fingerprint(), |h, &r| {
-                (h ^ r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            });
-            st.at = (0..PROCS).map(|p| sim.at(p)).collect();
-            st.runnable = sim.runnable();
+            let prefix = std::mem::take(&mut st.prefix);
+            self.play(&machine, &runs, false, &prefix, &mut st);
+            st.prefix = prefix;
         }));
         if let Err(panic) = seen {
             let why = panic
@@ -359,6 +450,48 @@ impl EngineModel {
         }
         st.runs = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
         st
+    }
+
+    /// Runs `actions` on this scope over `machine` — built fresh, or
+    /// `recovering` a restarted machine — and records what the state
+    /// after the last one holds in `st`. A restart drops the simulator
+    /// (every processor stops at its boundary) and goes on over the same
+    /// words in a new one.
+    fn play(
+        &self,
+        machine: &Machine,
+        runs: &Arc<Vec<AtomicU32>>,
+        recovering: bool,
+        actions: &[EngineAction],
+        st: &mut EngineSt,
+    ) {
+        let mut sim = match recovering {
+            true => self.recover(machine, runs),
+            false => self.build(machine, runs),
+        };
+        let restart = actions.iter().position(|a| *a == EngineAction::Restart);
+        let (now, later) = actions.split_at(restart.unwrap_or(actions.len()));
+        for a in now {
+            match *a {
+                EngineAction::Step(p) => drop(sim.step(p)),
+                EngineAction::Crash(p) => sim.crash(p),
+                EngineAction::Restart => unreachable!("split off above"),
+            }
+        }
+        if let Some((_, later)) = later.split_first() {
+            drop(sim);
+            let next = machine.restarted(FaultConfig::none());
+            return self.play(&next, runs, true, later, st);
+        }
+        let counts: Vec<u32> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+        st.verdict = safety(&sim, machine.mem(), &counts);
+        st.complete = completion(&sim, machine.mem(), &counts);
+        let seen = counts.iter().fold(sim.fingerprint(), |h, &r| {
+            (h ^ r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        st.fingerprint = (seen ^ st.faults as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        st.at = (0..PROCS).map(|p| sim.at(p)).collect();
+        st.runnable = sim.runnable();
     }
 }
 
@@ -411,9 +544,16 @@ impl Model for EngineModel {
 
     fn actions(&self, s: &EngineSt) -> Vec<EngineAction> {
         let steps = s.runnable.iter().map(|&p| EngineAction::Step(p));
+        let budget = s.faults < FAULT_BUDGET;
         let crashes = s.runnable.iter().map(|&p| EngineAction::Crash(p));
-        let crashes = crashes.take(if s.crashes < CRASH_BUDGET { PROCS } else { 0 });
-        steps.chain(crashes).collect()
+        let crashes = crashes.take(if budget && s.crashes < CRASH_BUDGET {
+            PROCS
+        } else {
+            0
+        });
+        let restart = self.restarts && budget && !s.runnable.is_empty();
+        let restart = restart.then_some(EngineAction::Restart);
+        steps.chain(crashes).chain(restart).collect()
     }
 
     fn step(&self, s: &EngineSt, a: &EngineAction) -> EngineSt {

@@ -184,7 +184,7 @@ impl Model for QuiesceModel {
             QuiesceAction::RunCheckpoint => {
                 let busy = s.procs.iter().any(|p| p.frame == Frame::InFlight);
                 if busy && !self.skip_busy_check {
-                    // harvest_frontier failed: skip the epoch, rearm.
+                    // The frontier capture failed: skip the epoch, rearm.
                     n.skipped += 1;
                 } else {
                     // Trace reaches every Live frame; the watermark roll

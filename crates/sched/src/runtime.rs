@@ -8,9 +8,9 @@
 //! * a **fresh run** when the machine has no crashed predecessor
 //!   (volatile machines, or the creating run of a durable file), or
 //! * the one **recovery** cluster files get too: nothing when the
-//!   previous run finished, else resume its crash frontier or newest
-//!   checkpoint, else replay from the root ([`crate::FallbackReason`]
-//!   says why),
+//!   previous run finished, else §6's restart of every processor at its
+//!   own restart pointer, else its newest checkpoint, else replay from
+//!   the root ([`crate::FallbackReason`] says why),
 //!
 //! and always returns the same unified [`SessionReport`]. A session is a
 //! one-worker cluster ([`crate::cluster`]): its root is the one job of a
@@ -56,7 +56,8 @@ use ppm_pm::PmConfig;
 
 use crate::capsules::SchedConfig;
 use crate::driver::{
-    fresh_session, recover, run_attached_seats, runtime_build, PComp, SessionMode, SessionReport,
+    fresh_session, recover, run_attached_seats, runtime_build, PComp, Seat, SessionMode,
+    SessionReport,
 };
 use crate::service::ServiceConfig;
 
@@ -218,10 +219,12 @@ impl Runtime {
     ///   one-slot ring, every processor at `findWork`;
     /// * recovering session, completion flag set or the ring drained →
     ///   nothing re-runs ([`crate::SessionMode::AlreadyComplete`]);
-    /// * recovering session, frontier rehydrates → resume from the crash
-    ///   frontier ([`crate::SessionMode::Resumed`]);
-    /// * recovering session, frontier unresumable but a durable
-    ///   checkpoint record exists → resume from the newest checkpoint
+    /// * recovering session whose deque entries and restart pointers
+    ///   decode → every processor restarts at its own restart pointer
+    ///   (§6; [`crate::SessionMode::Resumed`]);
+    /// * recovering session whose crash state does not decode, but a
+    ///   durable checkpoint record exists → resume from the newest
+    ///   checkpoint
     ///   (still [`crate::SessionMode::Resumed`], with
     ///   [`crate::SessionReport::checkpoint_resume`] set; replay distance
     ///   is bounded by one checkpoint epoch — see [`crate::checkpoint`]);
@@ -256,7 +259,8 @@ impl Runtime {
             false => {
                 let session = fresh_session(machine, pcomp, cfg);
                 let every = 0..machine.procs();
-                let run = run_attached_seats(machine, &session, every, false, &cfg.checkpoint);
+                let run =
+                    run_attached_seats(machine, &session, every, |_| Seat::Fresh, &cfg.checkpoint);
                 SessionReport::new(machine.epoch(), SessionMode::FreshRun, None, Some(run))
             }
         };

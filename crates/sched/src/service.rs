@@ -66,9 +66,10 @@
 //!   CAM and compare), the entry frame — whose dead-claimant arm
 //!   re-claims the slot at epoch + 1 — or the job itself.
 //! * Whole cluster dies → [`crate::cluster::recover`] closes admission
-//!   and finishes the queued jobs single-process; its quiescent
-//!   [`InjectorQueue::scavenge`] republishes claims no harvested thread
-//!   holds, as there is no claimant left to adopt from.
+//!   and finishes the queued jobs single-process, every processor
+//!   restarting at its own restart pointer (§6): a claim stays with its
+//!   claimant's restarted thread, or its adopter's. Only a fallback that
+//!   scrubs the deques has [`InjectorQueue::scavenge`] republish claims.
 //!
 //! Nothing else republishes a claimed slot. Exactly-once resolution is
 //! the done CAM on the `RUNNING` word; a republish would fence nothing
@@ -715,23 +716,18 @@ impl InjectorQueue {
     }
 
     /// Quiescent recovery sweep (no live pullers or submitters): torn
-    /// staging slots are reclaimed, interrupted claims are republished
-    /// (epoch + 1), and a published slot whose control words fail their
-    /// checksum is reclaimed rather than served. With `threads_survive`
-    /// (a resumed crash frontier) `RUNNING` slots stay with their
-    /// harvested threads, but `CLAIMED` ones are still republished: a
-    /// claim whose job never started belongs to no thread the frontier
-    /// can finish — after a reopen every processor is live, so its
-    /// `service/entry` frame, run by anyone but the original claimant,
-    /// ends without advancing the slot. Plain stores — the caller owns
-    /// the machine exclusively.
-    pub fn scavenge(&self, threads_survive: bool) -> usize {
+    /// staging slots are reclaimed, a published slot whose control words
+    /// fail their checksum is reclaimed rather than served, and claims no
+    /// recovered thread holds (`held`) are republished at epoch + 1.
+    /// Plain stores — the caller owns the machine exclusively.
+    pub fn scavenge(&self, held: HeldClaims) -> usize {
         let mut touched = 0;
         for s in 0..self.slots {
             let w = self.mem.load(self.state_addr(s));
             let next = match slot_phase(w) {
                 Some(SlotPhase::Staging) => Some(slot_state(SlotPhase::Empty, slot_epoch(w), 0)),
-                Some(SlotPhase::Running) if threads_survive => None,
+                Some(SlotPhase::Claimed) if held == HeldClaims::All => None,
+                Some(SlotPhase::Running) if held != HeldClaims::Nothing => None,
                 Some(SlotPhase::Claimed) | Some(SlotPhase::Running) => {
                     Some(slot_state(SlotPhase::Published, slot_epoch(w) + 1, 0))
                 }
@@ -807,6 +803,22 @@ impl InjectorQueue {
                 format!("ticket {ticket} completed (epoch {})", slot_epoch(done_w))
             });
     }
+}
+
+/// Which of a ring's claims the threads a recovery seats still hold
+/// ([`InjectorQueue::scavenge`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeldClaims {
+    /// Every `CLAIMED` and `RUNNING` slot: §6's restart, where each
+    /// claimant or its adopter resumes at its own pull record, entry
+    /// frame or job.
+    All,
+    /// `RUNNING` slots: a planted checkpoint frontier. A planted
+    /// `service/entry` frame run by anyone but its claimant — all live
+    /// after a reopen — ends without advancing a `CLAIMED` slot.
+    Running,
+    /// None: a replay from the root pulls every unfinished job again.
+    Nothing,
 }
 
 /// Whether a puller may claim a slot whose state word is `w`: it is

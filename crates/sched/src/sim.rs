@@ -46,7 +46,7 @@ use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::{CheckpointCtl, CheckpointPolicy};
 use crate::cluster::ShardDomain;
 use crate::deque::check_invariant;
-use crate::driver::{fresh_session, ProcOutcome};
+use crate::driver::{fresh_session, prepare_recovery, runtime_build, ProcOutcome, Seat};
 use crate::service::{InjectorQueue, ServiceConfig};
 use crate::step::SchedStep;
 
@@ -212,7 +212,42 @@ impl<'m> SimSched<'m> {
     /// leave a resumable machine.
     pub fn new_persistent(machine: &'m Machine, pcomp: &PComp, cfg: &SchedConfig) -> Self {
         let session = fresh_session(machine, pcomp, cfg);
-        Self::seated(machine, session.sched, session.done, |_| true)
+        Self::seated(machine, session.sched, session.done, |_| Some(Seat::Fresh))
+    }
+
+    /// A simulator over a recovering [`crate::Runtime`] session:
+    /// `machine` holds a crashed session's words (a reopened file or a
+    /// [`Machine::restarted`] twin) and `pcomp` replays its construction.
+    /// The session is recovered as `Runtime::run_or_recover` recovers it,
+    /// but stepped by the script.
+    pub fn recover(
+        machine: &'m Machine,
+        pcomp: &PComp,
+        cfg: &SchedConfig,
+    ) -> std::io::Result<Self> {
+        let build = runtime_build(pcomp);
+        Self::recovered(machine, cfg, ServiceConfig::SESSION, &build, |_, _, s| s)
+    }
+
+    /// A simulator over a session recovered by `driver`'s recovery —
+    /// construction replayed through `build` over a ring shaped `ring`,
+    /// each processor seated where the recovery seats it as `reseat`
+    /// bends it (the explorer's restart mutants). A complete computation
+    /// seats nobody.
+    pub(crate) fn recovered(
+        machine: &'m Machine,
+        cfg: &SchedConfig,
+        ring: ServiceConfig,
+        build: &crate::cluster::ShardBuild,
+        reseat: impl Fn(&Sched, usize, Seat) -> Seat,
+    ) -> std::io::Result<Self> {
+        let (session, _, seats) = prepare_recovery(machine, 1, cfg, ring, build)?;
+        let seats: Vec<_> = (0..machine.procs())
+            .map(|p| seats.as_ref().map(|s| reseat(&session.sched, p, s[p])))
+            .collect();
+        Ok(Self::seated(machine, session.sched, session.done, |p| {
+            seats[p]
+        }))
     }
 
     /// A simulator over a **service-mode** scheduler: every processor
@@ -242,7 +277,7 @@ impl<'m> SimSched<'m> {
         let session = crate::cluster::build_session(machine, 1, cfg, service, domain, &build);
         let queue = session.service.clone();
         (
-            Self::seated(machine, session.sched, session.done, |_| true),
+            Self::seated(machine, session.sched, session.done, |_| Some(Seat::Fresh)),
             queue,
         )
     }
@@ -264,7 +299,7 @@ impl<'m> SimSched<'m> {
     ) -> std::io::Result<Self> {
         let (_, domain, session) = crate::cluster::shard_session(machine, shard, build, |_| ())?;
         let own = domain.own_procs();
-        let seat = |p| own.contains(&p);
+        let seat = |p| own.contains(&p).then_some(Seat::Fresh);
         Ok(Self::seated(machine, session.sched, session.done, seat))
     }
 
@@ -286,20 +321,32 @@ impl<'m> SimSched<'m> {
         self
     }
 
-    /// The stepper over `sched`: every processor `own` admits is seated
-    /// on a fresh context at `findWork`.
+    /// The stepper over `sched`: processor `p` is seated where `seat(p)`
+    /// puts it ([`Seat`]), or not at all when it is `None`; one that
+    /// stays down starts dead.
     fn seated(
         machine: &'m Machine,
         sched: Arc<Sched>,
         done: DoneFlag,
-        own: impl Fn(usize) -> bool,
+        seat: impl Fn(usize) -> Option<Seat>,
     ) -> Self {
         let procs = (0..machine.procs())
-            .map(|p| SimProc {
-                ctx: machine.ctx(p),
-                install: InstallCtx::new(machine.mem(), machine.proc_meta(p)),
-                cur: own(p).then(|| Active::Sched(sched.find_work())),
-                outcome: None,
+            .map(|p| {
+                let (cursor, cur, outcome) = match seat(p) {
+                    Some(Seat::Fresh) => (0, Some(Active::Sched(sched.find_work())), None),
+                    Some(Seat::Resume(at)) => (machine.pool_watermark(p), Some(at), None),
+                    Some(Seat::Down) => {
+                        machine.liveness().mark_dead(p);
+                        (0, None, Some(ProcOutcome::Dead))
+                    }
+                    None => (0, None, None),
+                };
+                SimProc {
+                    ctx: machine.ctx_with_pool_cursor(p, cursor),
+                    install: InstallCtx::new(machine.mem(), machine.proc_meta(p)),
+                    cur,
+                    outcome,
+                }
             })
             .collect();
         SimSched {

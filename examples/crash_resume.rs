@@ -17,7 +17,8 @@
 //! 3. opens a fresh session on the file, rebuilds the computation
 //!    deterministically, and calls `run_or_recover`;
 //! 4. verifies the run **resumed**: the report says
-//!    `mode == Resumed` with `resumed > 0` re-planted frontier entries,
+//!    `mode == Resumed` with `resumed > 0` (processors restarted at their
+//!    restart pointers, plus the jobs found in the deques),
 //!    the recovery executed strictly fewer *task* capsules than the dead
 //!    run's total and strictly less write-work than a from-root replay of
 //!    the workload, and every marker holds its exactly-once value (cells
@@ -246,7 +247,7 @@ mod scenario {
         };
         assert!(run.completed, "recovery must finish the computation");
         println!(
-            "session mode: {:?} — {} frontier entries re-planted vs {} in-flight found \
+            "session mode: {:?} — {} resumed (restart points + jobs) vs {} in-flight found \
              ({} jobs, {} locals, {} taken); ran {} capsules in {:?}",
             rec.mode,
             rec.resumed,

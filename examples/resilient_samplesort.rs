@@ -149,7 +149,7 @@ mod scenario {
         let rec = rt.run_or_recover(&ss.pcomp());
         assert!(rec.completed(), "recovery must finish the sort");
         println!(
-            "session mode: {:?} — {} frontier entries re-planted ({} jobs, {} locals, \
+            "session mode: {:?} — {} resumed, restart points + jobs ({} jobs, {} locals, \
              {} taken found)",
             rec.mode, rec.resumed, rec.found_jobs, rec.found_locals, rec.found_taken,
         );

@@ -318,7 +318,7 @@ mod scenario {
             let rep = cluster::recover(file.path(), &build).expect("recover");
             assert!(rep.completed(), "recovery must finish the sort");
             println!(
-                "recover mode: {:?} ({} frontier entries resumed)",
+                "recover mode: {:?} ({} resumed: restart points + jobs)",
                 rep.mode, rep.resumed
             );
             assert_ne!(rep.mode, SessionMode::FreshRun);

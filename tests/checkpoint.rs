@@ -60,10 +60,8 @@ fn full_run_profile() -> (u64, u64) {
 /// through the from-root run: the first kill point past three fifths of
 /// the run's accesses whose dead processor's restart pointer is a
 /// `prefix/down` frame. Deterministically past the first checkpoint
-/// epochs, short of completion, and inside a user capsule — never inside
-/// a `pushBottom` commit, which recovery would reject as mid-push before
-/// any restart pointer is looked at — however the per-capsule costs
-/// move. Found by killing volatile twins of the run (a durable run
+/// epochs, short of completion, and inside a user capsule — so the
+/// restart pointer is a frame — however the per-capsule costs move. Found by killing volatile twins of the run (a durable run
 /// performs the same accesses; checkpoints cost none).
 fn mid_run_kill_access() -> u64 {
     let past = full_run_profile().1 * 3 / 5;
@@ -951,15 +949,58 @@ fn a_checkpoint_taken_over_another_layout_is_refused() {
     assert_eq!(rep.mode, SessionMode::Replayed);
     assert!(rep.checkpoint_resume.is_none());
     match rep.fallback_reason {
-        Some(FallbackReason::CheckpointLayout {
+        Some(FallbackReason::LayoutMoved {
             seq,
             recorded: at,
             found,
         }) => {
-            assert_eq!((seq, at), (recorded.seq, recorded.region_cursor));
+            assert_eq!((seq, at), (Some(recorded.seq), recorded.region_cursor));
             assert!(found > at, "the extra region moved the cursor up");
         }
         other => panic!("expected the layout refusal, got {other:?}"),
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The same reopen over a file with no checkpoint record: the service
+/// header still pins the ring the dying run carved, and this
+/// construction's ring lies one block higher. Recovery reads the moved
+/// layout off the header, republishes the ring where this construction
+/// looks, and replays from the root — never reporting the run complete
+/// from a drained-looking ring at the wrong words.
+#[cfg(unix)]
+#[test]
+fn a_reopen_over_another_layout_without_a_checkpoint_replays() {
+    use ppm::sched::FallbackReason;
+    let path = tmp("layout-no-ckpt");
+    let _ = std::fs::remove_file(&path);
+    let no_ckpt = |pm| prefix_cfg(pm).with_checkpoint(CheckpointPolicy::disabled());
+    {
+        let kill = full_run_profile().1 * 3 / 5;
+        let pm = PmConfig::parallel(1, WORDS)
+            .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, kill));
+        let rt = Runtime::create(&path, no_ckpt(pm)).unwrap();
+        let ps = PrefixSum::new(rt.machine(), N);
+        ps.load_input(rt.machine(), &input(N));
+        assert!(!rt.run_or_recover(&ps.pcomp()).completed());
+    }
+    let rt = Runtime::open(&path, no_ckpt(PmConfig::parallel(1, WORDS))).unwrap();
+    let m = rt.machine();
+    assert!(m.latest_checkpoint_record().is_none());
+    m.alloc_region(1);
+    let ps = PrefixSum::new(m, N);
+    ps.load_input(m, &input(N));
+    let rep = rt.run_or_recover(&ps.pcomp());
+    assert!(rep.completed());
+    assert_eq!(rep.mode, SessionMode::Replayed);
+    assert_eq!(ps.read_output(m), prefix_sum_seq(&input(N)));
+    match rep.fallback_reason {
+        Some(FallbackReason::LayoutMoved {
+            seq: None,
+            recorded,
+            found,
+        }) => assert!(found > recorded, "the extra region moved the ring up"),
+        other => panic!("expected the header's layout refusal, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
 }

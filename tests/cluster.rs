@@ -399,8 +399,8 @@ fn recover_finishes_an_abandoned_cluster_file() {
     assert!(rep.completed(), "recovery must finish the computation");
     assert_eq!(
         rep.mode,
-        SessionMode::Replayed,
-        "no worker ran, so there is no frontier: recovery pulls the published jobs"
+        SessionMode::Resumed,
+        "no worker ran: every processor restarts at findWork and pulls the published jobs"
     );
     assert_eq!(rep.epoch, 2, "recovery is a real reopen: epoch bumps");
     let summary = rep.cluster.as_ref().unwrap();
@@ -468,13 +468,12 @@ fn recover_completes_a_drained_ring_whose_flag_was_never_set() {
 
 /// A whole-cluster kill between a won claim and its job's start: the
 /// puller has seated its `Local` entry and its restart pointer is the
-/// slot's `service/entry` frame, with the slot still `CLAIMED`. After
-/// the reopen every processor is live, so whichever processor runs the
-/// harvested entry frame other than the claimant ends it without
-/// advancing the slot; recovery republishes the claim instead, and the
-/// ring drains.
+/// slot's `service/entry` frame, with the slot still `CLAIMED`. Recovery
+/// restarts the claimant at that entry frame (§6) and keeps its claim:
+/// the frame finds its own claim, moves the slot to `RUNNING` and runs
+/// the job, which resolves once at the claim's own epoch.
 #[test]
-fn recover_republishes_a_claim_whose_job_never_started() {
+fn recover_restarts_a_claimant_at_its_entry_frame() {
     let file = TempMachineFile::new("cluster-recover-claim");
     let slices = Arc::new(Mutex::new(vec![None; 1]));
     let build = marker_build(slices.clone());
@@ -494,9 +493,7 @@ fn recover_republishes_a_claim_whose_job_never_started() {
         observer.service_queue().submit(split, &args).unwrap()
     };
 
-    // Processor 1 pulls the job and stops on the entry frame; the
-    // harvested restart pointer is then planted on deque 0, where
-    // processor 0 — not the claimant — pops it first.
+    // Processor 1 pulls the job and stops on the entry frame.
     {
         let attach = |path| {
             let fault = ppm::pm::FaultConfig::none();
@@ -522,13 +519,13 @@ fn recover_republishes_a_claim_whose_job_never_started() {
         .recv_timeout(Duration::from_secs(30))
         .expect("recovery drains the ring within 30 s");
     assert!(rep.completed());
-    assert_eq!(rep.mode, SessionMode::Resumed, "the entry frame harvests");
+    assert_eq!(rep.mode, SessionMode::Resumed, "the claimant restarts");
 
     let machine = Machine::reopen(file.path()).unwrap();
     let status = InjectorQueue::attach(&machine).unwrap().status(ticket);
     assert!(
-        matches!(status, JobStatus::Done { claim_epoch, .. } if claim_epoch == ticket.epoch + 1),
-        "the republished claim resolves once, one epoch on: {status:?}"
+        matches!(status, JobStatus::Done { claimant: 1, claim_epoch, .. } if claim_epoch == ticket.epoch),
+        "the claim resolves once, by its claimant, at its own epoch: {status:?}"
     );
     assert_slices_filled(&machine, &slices);
 }

@@ -237,12 +237,12 @@ fn recovering_a_clean_run_reports_already_complete() {
 /// A durable session killed while its puller's restart pointer is a
 /// `service/pull/*` record: the root's claim CAM has landed, the puller's
 /// `Local` entry is seated (the seat precedes the claim) and the root's
-/// entry frame has not run. Recovery does not resume a restart pointer
-/// parked on a scheduler record yet, so the seated thread sends it to
-/// the replay; it republishes the claim one epoch on, and the replay
-/// writes every marker exactly once.
+/// entry frame has not run. Recovery restarts the puller at its pull
+/// record (§6), which finds its claim won and enters the root: the claim
+/// resolves once, at the epoch it was made, and every marker is written
+/// exactly once.
 #[test]
-fn a_kill_inside_the_root_pull_republishes_the_claim() {
+fn a_kill_inside_the_root_pull_restarts_at_the_pull_record() {
     use ppm::core::dsl::{CapsuleSet, Span, Step, K};
     use ppm::core::{Active, Machine, PComp, Scheduler};
     use ppm::pm::Region;
@@ -305,16 +305,8 @@ fn a_kill_inside_the_root_pull_republishes_the_claim() {
         .recv_timeout(std::time::Duration::from_secs(30))
         .expect("recovery completes within 30 s");
     assert!(rep.completed());
-    assert_eq!(rep.mode, SessionMode::Replayed, "a record is not resumed");
-    assert!(
-        matches!(
-            &rep.fallback_reason,
-            Some(ppm::sched::FallbackReason::Rehydrate { what, .. })
-                if what.starts_with("local entry of deque 0")
-        ),
-        "the seated puller's restart pointer is the pull record: {:?}",
-        rep.fallback_reason
-    );
+    assert_eq!(rep.mode, SessionMode::Resumed, "a record restarts");
+    assert!(rep.fallback_reason.is_none(), "{:?}", rep.fallback_reason);
     assert_eq!(marks, (1..=MARKS as Word).collect::<Vec<_>>());
     let machine = Machine::reopen(path.path()).unwrap();
     let root = JobTicket {
@@ -324,8 +316,8 @@ fn a_kill_inside_the_root_pull_republishes_the_claim() {
     };
     let status = InjectorQueue::attach(&machine).unwrap().status(root);
     assert!(
-        matches!(status, JobStatus::Done { claim_epoch: 2, .. }),
-        "the republished claim resolves once, one epoch on: {status:?}"
+        matches!(status, JobStatus::Done { claim_epoch: 1, .. }),
+        "the claim resolves once, at its own epoch: {status:?}"
     );
 }
 

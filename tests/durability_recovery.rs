@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ppm::core::dsl::{CapsuleSet, Span, Step, K};
 use ppm::core::{Machine, PComp};
 use ppm::pm::{FaultConfig, PmConfig, Region, Word};
-use ppm::sched::{Runtime, RuntimeConfig, SchedConfig, SessionMode, SessionReport};
+use ppm::sched::{Runtime, RuntimeConfig, SchedConfig, SessionMode, SessionReport, SimSched};
 
 // Guarded temp paths: removed on drop, so failing assertions clean up too.
 fn tmp(tag: &str) -> ppm::pm::TempMachineFile {
@@ -49,12 +49,16 @@ fn build_comp(markers: Region) -> PComp {
     })
 }
 
-/// A crashed session either resumed its frontier or replayed from the
-/// root for a structured reason; nothing else is a recovery.
+/// A crashed session either restarted where the crash left it or
+/// replayed from the root for a structured reason; nothing else is a
+/// recovery.
 fn assert_recovered(rec: &SessionReport) {
     match rec.mode {
         SessionMode::Resumed => {
-            assert!(rec.resumed > 0, "a resume re-plants frontier entries");
+            assert!(
+                rec.resumed > 0,
+                "a restart seats a processor at its restart pointer, or finds a job"
+            );
             assert!(rec.fallback_reason.is_none());
         }
         SessionMode::Replayed => assert!(
@@ -210,26 +214,26 @@ fn recovery_survives_repeated_crashes() {
         assert!(!rt.run_or_recover(&build_comp(markers)).completed());
     }
     {
-        // Second lifetime also dies mid-recovery. A resumed crash frontier
-        // still needs about 1,060–1,380 accesses (a replay from the root
-        // more than 1,500), so faults 750 accesses in all cut it short
-        // whichever way the recovery goes.
-        let rt = Runtime::open(
-            &path,
-            rt_cfg(
-                cfg().with_fault(
-                    FaultConfig::none()
-                        .with_scheduled_hard_fault(0, 200)
-                        .with_scheduled_hard_fault(1, 150)
-                        .with_scheduled_hard_fault(2, 225)
-                        .with_scheduled_hard_fault(3, 175),
-                ),
-            ),
-        )
-        .unwrap();
-        let markers = rt.machine().alloc_region(N);
-        let rec = rt.run_or_recover(&build_comp(markers));
-        assert!(!rec.completed(), "this recovery was itself cut short");
+        // Second lifetime also dies mid-recovery, at half of its own
+        // progress: a faultless recovery of a copy of the same words,
+        // stepped round-robin on the simulator, runs `steps` capsules, and
+        // the same schedule over the file itself is killed after half of
+        // them. However far the first lifetime got, the cut lands inside
+        // the recovery.
+        let copy = tmp("repeated-copy");
+        std::fs::copy(path.path(), copy.path()).unwrap();
+        let recover = |file: &ppm::pm::TempMachineFile, steps: usize| {
+            let rt = Runtime::open(file, rt_cfg(cfg())).unwrap();
+            let markers = rt.machine().alloc_region(N);
+            let cfg = rt.sched_config().clone();
+            let mut sim = SimSched::recover(rt.machine(), &build_comp(markers), &cfg).unwrap();
+            sim.run_to_completion(steps);
+            (sim.completed(), sim.events().len())
+        };
+        let (completed, steps) = recover(&copy, usize::MAX);
+        assert!(completed, "the faultless recovery of the copy completes");
+        let (completed, _) = recover(&path, steps / 2);
+        assert!(!completed, "this recovery was itself cut short");
     }
     let rt = Runtime::open(&path, rt_cfg(cfg())).unwrap();
     assert_eq!(rt.machine().epoch(), 3);

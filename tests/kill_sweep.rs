@@ -12,15 +12,20 @@
 //! killed machine's memory plays the persistent memory of the next
 //! process ([`Machine::restarted`]), which replays the construction and
 //! runs `Runtime::run_or_recover`. Every recovery must reproduce the
-//! oracle's output; the sweep prints how the kills were recovered
-//! (resumed from the crash frontier, from a checkpoint record, or
-//! replayed and why).
+//! oracle's output, and every one must restart where the kill left the
+//! processors (`Resumed`) or find the run complete: recovery is §6's
+//! restart, so no kill point replays from the root. The sweep prints
+//! the histogram of outcomes.
 //!
 //! The sweep is quadratic in the run's length, so each workload's kill
 //! points are split over two tests, the even and the odd ones, which the
-//! test harness runs on parallel threads.
+//! test harness runs on parallel threads. A last test kills a P = 2 run
+//! twice — one processor mid-capsule, then, once the other has had the
+//! chance to adopt its thread, the other — for the one state a single
+//! processor never reaches: a processor whose thread was taken over.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use ppm::algs::{prefix_sum_seq, PrefixSum};
@@ -54,8 +59,15 @@ fn outcome(rep: &SessionReport) -> String {
     }
 }
 
+/// Whether a recovery restarted the run or found it complete — the two
+/// outcomes a kill may have.
+fn restarted(outcome: &str) -> bool {
+    matches!(outcome, "Resumed" | "AlreadyComplete")
+}
+
 /// Kills a run of `build` at each of its accesses `k` with
-/// `k % 2 == parity` and recovers it; returns the histogram of outcomes.
+/// `k % 2 == parity` and recovers it; returns the histogram of outcomes,
+/// every one of which restarted.
 fn sweep(name: &str, build: Build, parity: u64) -> BTreeMap<String, usize> {
     let total = {
         let m = machine(FaultConfig::none());
@@ -95,6 +107,10 @@ fn sweep(name: &str, build: Build, parity: u64) -> BTreeMap<String, usize> {
         *histogram.entry(outcome(&rep)).or_insert(0) += 1;
     }
     println!("{name}: kill points {parity} mod 2 of {total}: {histogram:?}");
+    assert!(
+        histogram.keys().all(|o| restarted(o)),
+        "{name}: every kill restarts: {histogram:?}"
+    );
     histogram
 }
 
@@ -159,4 +175,111 @@ fn every_even_kill_of_a_512_word_prefix_sum_recovers_its_output() {
 fn every_odd_kill_of_a_512_word_prefix_sum_recovers_its_output() {
     let histogram = sweep("prefix", prefix, 1);
     assert!(histogram.contains_key("Resumed"), "{histogram:?}");
+}
+
+/// The 16-leaf fanout of the P = 2 case: leaf `i` counts its runs in
+/// `runs` (host-side, across lifetimes) and CAMs its marker to `i + 1`.
+fn counted_fanout(m: &Machine, runs: &Arc<Vec<AtomicU32>>) -> (PComp, Region) {
+    let out = m.alloc_region(runs.len());
+    let runs = runs.clone();
+    let pcomp: PComp = Arc::new(move |m: &Machine, finale| {
+        let mut set = CapsuleSet::new(m);
+        let all = Span {
+            env: out,
+            lo: 0,
+            hi: runs.len(),
+        };
+        let runs = runs.clone();
+        let leaf = set.define("adopt/leaf", move |st: &Span<Region>, k, ctx| {
+            for i in st.lo..st.hi {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                ctx.pcam(st.env.at(i), 0, i as Word + 1)?;
+            }
+            Ok(Step::Jump(k))
+        });
+        set.map_grain("adopt/split", 1, leaf)
+            .setup(m, &all, K(finale))
+            .word()
+    });
+    (pcomp, out)
+}
+
+/// The adoption hazard at P = 2. Processor 0 dies at its access `k` of a
+/// seeded schedule over a 16-leaf fanout; processor 1 runs on for a few
+/// capsules — long enough to adopt processor 0's thread, or to be caught
+/// mid-adoption — and is killed at a capsule boundary. Recovery restarts
+/// the machine through `Machine::restarted` and `run_or_recover`. A
+/// processor whose thread was taken over must stay down: restarted at its
+/// stale pointer, it would run the adopted thread a second time (or
+/// spin). Leaves count their runs host-side, across both lifetimes: only
+/// the capsule processor 0 died inside may run twice (its adopter's or
+/// its restart's re-run), and every marker is written once.
+#[test]
+fn every_kill_of_a_2_processor_fanout_after_an_adoption_runs_each_leaf_once() {
+    const LEAVES: usize = 16;
+    let runs: Arc<Vec<AtomicU32>> = Arc::new((0..LEAVES).map(|_| AtomicU32::new(0)).collect());
+    let machine = |fault| {
+        let pm = PmConfig::parallel(2, 1 << 14).with_fault(fault);
+        Machine::with_pool_words(pm, 1 << 12)
+    };
+    let mut histogram = BTreeMap::new();
+    for k in 1..=600u64 {
+        runs.iter().for_each(|r| r.store(0, Ordering::Relaxed));
+        let killed = machine(FaultConfig::none().with_scheduled_hard_fault(0, k));
+        let (pcomp, _) = counted_fanout(&killed, &runs);
+        let mut sim = SimSched::new_persistent(&killed, &pcomp, &sched());
+        let mut step = 0;
+        while sim.at(0) != "dead" && !sim.completed() {
+            sim.run_seeded(k << 20 | step, 1);
+            step += 1;
+        }
+        if sim.completed() {
+            // This schedule finished before processor 0's `k`-th access.
+            continue;
+        }
+        for _ in 0..k % 48 {
+            sim.step(1);
+        }
+        sim.crash(1);
+        drop(sim);
+        let next = killed.restarted(FaultConfig::none());
+        // On its own thread, so a recovery that never finishes fails the
+        // test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let recovery_runs = runs.clone();
+        std::thread::spawn(move || {
+            let (pcomp, out) = counted_fanout(&next, &recovery_runs);
+            let rt = Runtime::new(next, sched());
+            let rep = rt.run_or_recover(&pcomp);
+            let mem = rt.machine().mem();
+            let marks: Vec<Word> = (0..LEAVES).map(|i| mem.load(out.at(i))).collect();
+            let _ = tx.send((rep, marks));
+        });
+        let (rep, marks) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("the recovery of the kills at {k} finishes within 30 s"));
+        assert!(rep.completed(), "recovery of the kills at {k}: {rep:?}");
+        let want: Vec<Word> = (1..=LEAVES as Word).collect();
+        assert_eq!(marks, want, "markers, kill at {k}");
+        let counts: Vec<u32> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+        let reruns: u32 = counts.iter().map(|&n| n.saturating_sub(1)).sum();
+        assert!(
+            counts.iter().all(|&n| n >= 1) && reruns <= 1,
+            "kill at {k} ({}): leaf runs {counts:?}",
+            outcome(&rep)
+        );
+        let down = format!("{}, {} down", outcome(&rep), rep.dead_procs());
+        *histogram.entry(down).or_insert(0) += 1;
+    }
+    println!("P = 2 adoption kills: {histogram:?}");
+    assert!(
+        histogram
+            .keys()
+            .all(|o| o.starts_with("Resumed") || o.starts_with("AlreadyComplete")),
+        "{histogram:?}"
+    );
+    assert!(
+        histogram.contains_key("Resumed, 1 down"),
+        "some kill lands after an adoption: {histogram:?}"
+    );
 }

@@ -32,7 +32,7 @@ fn explore<M: Model>(model: &M, depth: usize) -> Report<M> {
 
 /// Each engine mutant's exploration, shared by the tests that ask for it.
 fn mutant_report(mutant: Mutant) -> &'static Report<EngineModel> {
-    static REPORTS: [OnceLock<Report<EngineModel>>; 5] = [const { OnceLock::new() }; 5];
+    static REPORTS: [OnceLock<Report<EngineModel>>; 7] = [const { OnceLock::new() }; 7];
     let i = Mutant::ALL.iter().position(|m| *m == mutant).unwrap();
     REPORTS[i].get_or_init(|| explore(&EngineModel::fork(LEAVES).mutated(mutant), ENGINE_DEPTH))
 }
@@ -117,6 +117,47 @@ fn adopting_a_live_processors_local_double_executes() {
         Some(trace.len()),
         "as short as the explorer's"
     );
+    let end = replay(&model, 0, &trace, true);
+    if let Err(why) = model.invariant(&end) {
+        panic!("{why}");
+    }
+}
+
+/// A restart that seats a processor parked on a scheduler record at
+/// `findWork` skips the record: here the owner's `clearBottom`, so its
+/// ended thread's `Local` outlives it under a later push.
+#[test]
+#[should_panic(expected = "WS-deque invariant")]
+fn restarting_a_record_at_find_work_breaks_the_deque() {
+    mutant_report(Mutant::RestartAtFindWork).assert_ok();
+}
+
+/// p0 dies about to run the first leaf; p1 steals the second, then
+/// adopts p0's `Local` and runs the first; a restart re-seats p0 at its
+/// stale pointer, the first leaf, which runs again. The explorer's
+/// shortest trace ends earlier, on the Figure 4 check (p0 restarted at a
+/// `service/entry` its adopter re-claimed clears its `Taken` bottom
+/// entry); this one pins the double execution the mutant names.
+#[test]
+#[should_panic(expected = "NoDoubleExecution")]
+fn restarting_an_adopted_processor_at_its_pointer_double_executes() {
+    use EngineAction::{Crash, Restart, Step};
+    let model = EngineModel::fork(LEAVES).mutated(Mutant::RestartAdopted);
+    let mut st = model.initial().remove(0);
+    let mut trace = Vec::new();
+    let mut go = |a, st: &mut _| {
+        trace.push(a);
+        *st = model.step(st, &a);
+    };
+    while !format!("{st:?}").starts_with("p0 engine/leaf") {
+        go(Step(0), &mut st);
+    }
+    go(Crash(0), &mut st);
+    while !format!("{st:?}").ends_with("runs [1, 1]") {
+        go(Step(1), &mut st);
+    }
+    go(Restart, &mut st);
+    go(Step(0), &mut st);
     let end = replay(&model, 0, &trace, true);
     if let Err(why) = model.invariant(&end) {
         panic!("{why}");
@@ -252,6 +293,23 @@ fn corpus_engine_victim_never_helps_replays() {
     expected.extend([EngineAction::Step(1); 5]);
     expected.push(EngineAction::Crash(1));
     assert_eq!(trace, expected);
+}
+
+#[test]
+fn corpus_engine_restart_at_find_work_replays() {
+    // p0 runs the first leaf and ends its thread; the restart lands on
+    // its `clearBottom`, which the mutant skips.
+    let trace = engine_corpus(Mutant::RestartAtFindWork, Violation::Invariant, 22);
+    assert_eq!(trace[13], EngineAction::Restart, "{trace:?}");
+}
+
+#[test]
+fn corpus_engine_restart_adopted_replays() {
+    // p1 adopts p0's pulled root at `service/entry` and re-claims it; the
+    // restart re-seats p0 there.
+    let trace = engine_corpus(Mutant::RestartAdopted, Violation::Invariant, 23);
+    assert_eq!(trace[9], EngineAction::Crash(0), "{trace:?}");
+    assert_eq!(trace[20], EngineAction::Restart, "{trace:?}");
 }
 
 #[test]

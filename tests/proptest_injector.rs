@@ -153,8 +153,8 @@ proptest! {
         prop_assert!(rep.completed(), "recovery must drain the ring");
         prop_assert_eq!(
             rep.mode,
-            SessionMode::Replayed,
-            "no frontier exists before any worker ran: service replay scavenges"
+            SessionMode::Resumed,
+            "no worker ran: every processor restarts at findWork and pulls the ring"
         );
 
         let again = cluster::recover(file.path(), &build).unwrap();

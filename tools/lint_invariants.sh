@@ -217,6 +217,14 @@
 #      (crates/pm/src/proc.rs) returns `Fault::Exhausted` and keeps the
 #      structured `PmError` for the session to return; its body names no
 #      `panic!`, `assert`, `unreachable!`, `.expect(` or `.unwrap(`.
+#
+#  23. One restart. Recovery is §6's restart — each processor resumes at
+#      its own restart pointer (crates/sched/src/driver.rs) — so the
+#      harvest-and-replant path's refusals are gone: `StealInFlight`,
+#      `MidPush` and `InvalidTakenRef` appear nowhere under crates/ src/
+#      tests/ examples/, and driver.rs calls no `harvest_frontier` or
+#      `capture_frontier` (the checkpoint quiesce's capture, its one
+#      caller, lives in checkpoint.rs).
 
 set -u
 cd "$(dirname "$0")/.."
@@ -569,8 +577,17 @@ if [ -n "$hits" ]; then
     err "an exhausted pool is an error, not a panic: ProcCtx::palloc returns Fault::Exhausted and keeps the PmError (see proc.rs):" "$hits"
 fi
 
+# --- 23. one restart --------------------------------------------------------------
+hits=$({
+    grep -rnE "\b(StealInFlight|MidPush|InvalidTakenRef)\b" --include="*.rs" crates src tests examples
+    grep -nHE "\b(harvest_frontier|capture_frontier)\b" crates/sched/src/driver.rs
+} || true)
+if [ -n "$hits" ]; then
+    err "one restart: recovery seats each processor at its own restart pointer, with no harvest beside it (see driver.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule, a fork pays three records, an exhausted pool is an error)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule, a fork pays three records, an exhausted pool is an error, one restart)"
