@@ -89,15 +89,32 @@ impl InstallCtx {
     /// Creates installation state over processor metadata. Generations
     /// continue above whatever the block's two heads already carry
     /// (uncosted setup reads), so records an earlier run left there can
-    /// never outrank this run's.
+    /// never outrank this run's. A restart pointer that is already the
+    /// journal pointer (a processor restarted at its record) keeps its
+    /// live record: the next install goes to the other slot.
     pub fn new(mem: &PersistentMemory, meta: ProcMeta) -> Self {
         let stale = |off| SchedRecord::generation(mem.load(meta.base + off));
+        let (a, b) = (stale(meta::HEAD_A), stale(meta::HEAD_B));
         InstallCtx {
             meta,
-            live_a: None,
-            gen: stale(meta::HEAD_A).max(stale(meta::HEAD_B)) + 1,
+            live_a: (mem.load(meta.active) == meta.active as Word).then_some(a >= b),
+            gen: a.max(b) + 1,
             codes: CodeMemo::default(),
         }
+    }
+
+    /// [`InstallCtx::install_sched`] outside any capsule, with plain
+    /// stores in the same order: how a recovering process journals a
+    /// processor's restart point before seating it.
+    pub fn install_sched_uncosted(&mut self, mem: &PersistentMemory, rec: &SchedRecord) {
+        let to_a = self.live_a != Some(true);
+        let (off, image) = journal_image(rec, self.gen, to_a, self.meta.active as Word);
+        let len = SchedRecord::WORDS + usize::from(self.live_a.is_none());
+        for (i, word) in image[..len].iter().enumerate() {
+            mem.store(self.meta.base + off + i, *word);
+        }
+        self.live_a = Some(to_a);
+        self.gen += 1;
     }
 
     /// Installs a scheduler capsule: journals `rec` and makes the restart

@@ -96,14 +96,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ppm_core::{Active, DoneFlag, Machine};
+use ppm_core::{DoneFlag, Machine};
 use ppm_obs::{MetricsRegistry, MetricsServer, Obs, TraceKind};
 use ppm_pm::{Lease, LeaseState, PersistentMemory, Region, ServiceState, ShardMap, Word};
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::CheckpointPolicy;
 use crate::driver::{
-    restart_seats, run_attached_seats, ProcOutcome, RunReport, Seat, SessionMode, SessionReport,
+    restart_seats_or_find_work, run_attached_seats, ProcOutcome, RunReport, Seat, SessionMode,
+    SessionReport,
 };
 use crate::service::{InjectorQueue, JobTicket, ServiceConfig, ServiceHandle};
 use crate::supervisor::Supervisor;
@@ -1012,16 +1013,10 @@ pub fn run_worker_with_clock(
         // its lease forever from a scope that waits for the monitor.
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let seats = match restart {
-                true => restart_seats(&machine, &session.sched),
+                true => restart_seats_or_find_work(&machine, &session.sched),
                 false => Vec::new(),
             };
-            // A restart pointer that does not decode restarts at
-            // `findWork`: a lone worker has no fallback to take.
-            let find_work = Seat::Resume(Active::Sched(session.sched.find_work()));
-            let seat = |p: usize| match seats.get(p) {
-                Some(seat) => *seat.as_ref().unwrap_or(&find_work),
-                None => Seat::Fresh,
-            };
+            let seat = |p: usize| seats.get(p).copied().unwrap_or(Seat::Fresh);
             run_attached_seats(&machine, &session, domain.own_procs(), seat, &policy)
         }));
         stop.store(true, Ordering::Release);

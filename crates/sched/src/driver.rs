@@ -41,8 +41,9 @@
 //! restart; recovery costs the capsules in flight, not the work done.
 //! `restart_seats` carries the argument, including the one processor a
 //! soft fault never meets — one whose thread a survivor took over before
-//! the crash, which stays down. Words that do not decode take one of two
-//! fallbacks:
+//! the crash, which restarts at `findWork`, or stays down while its
+//! adopter still reads its words. Words that do not decode take one of
+//! two fallbacks:
 //!
 //! * **Resume a checkpoint**: the newest valid record's frontier is
 //!   planted instead ([`crate::checkpoint`]); replay is bounded by one
@@ -65,7 +66,8 @@ pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
 use ppm_core::{run_capsule, Active, InstallCtx, Machine, CORE_ID_JOIN_CAM, NULL_HANDLE};
 use ppm_obs::TraceKind;
-use ppm_pm::{Fault, FrameError, PmError, StatsSnapshot, Word};
+use ppm_pm::service::{slot_claimant, slot_phase};
+use ppm_pm::{Fault, FrameError, PmError, SlotPhase, StatsSnapshot, Word};
 
 use crate::capsules::{Sched, SchedConfig};
 use crate::checkpoint::{
@@ -235,9 +237,9 @@ pub struct SessionReport {
     /// Processors whose persisted restart pointer was non-null.
     pub live_restart_pointers: usize,
     /// What a [`SessionMode::Resumed`] run picked up where the crash left
-    /// it (0 otherwise): the processors seated at a non-null restart
-    /// pointer plus the `job` entries found — or, resuming a checkpoint,
-    /// the record's frontier handles planted as jobs.
+    /// it (0 otherwise): the processors seated at a restart point other
+    /// than `findWork` plus the `job` entries found — or, resuming a
+    /// checkpoint, the record's frontier handles planted as jobs.
     pub resumed: usize,
     /// Why resume was not possible, when `mode` is
     /// [`SessionMode::Replayed`].
@@ -427,10 +429,9 @@ pub(crate) fn run_attached_seats(
         false => CheckpointPolicy::disabled(),
     };
     let ctl = &CheckpointCtl::new(machine, sched.clone(), policy, seats.len());
-    let starts: Vec<(usize, Seat)> = seats.clone().map(|p| (p, seat(p))).collect();
-    for (p, _) in starts.iter().filter(|(_, s)| matches!(s, Seat::Down)) {
-        machine.liveness().mark_dead(*p);
-    }
+    let starts: Vec<_> = (seats.clone())
+        .map(|p| (p, seat(p).start(machine, sched, p)))
+        .collect();
     let start = Instant::now();
     // Every thread is joined before the first panic is re-raised: a
     // panicking processor releases the barrier and stops its siblings
@@ -438,7 +439,7 @@ pub(crate) fn run_attached_seats(
     let joined: Vec<std::thread::Result<ProcOutcome>> = std::thread::scope(|s| {
         let handles: Vec<_> = starts
             .into_iter()
-            .map(|(p, seat)| s.spawn(move || proc_loop(machine, sched, p, seat, ctl)))
+            .map(|(p, start)| s.spawn(move || proc_loop(machine, sched, p, start, ctl)))
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
@@ -485,10 +486,31 @@ pub(crate) enum Seat {
     /// §6's restart at the restart point, or `findWork` over a planted
     /// checkpoint frontier.
     Resume(Active),
-    /// Not seated: its thread was taken over before the crash
-    /// ([`restart_seats`]). It counts as dead, as §6's hard-faulted
-    /// processor does.
+    /// Not seated: its thread was taken over before the crash and its
+    /// journal is still read ([`restart_seats`]). It counts as dead, as
+    /// §6's hard-faulted processor does.
     Down,
+}
+
+impl Seat {
+    /// Where processor `p` starts: its pool cursor and first capsule, or
+    /// `None` when it stays down — marked dead here, before any sibling
+    /// runs, so none waits on it.
+    pub(crate) fn start(
+        self,
+        machine: &Machine,
+        sched: &Sched,
+        p: usize,
+    ) -> Option<(usize, Active)> {
+        match self {
+            Seat::Fresh => Some((0, Active::Sched(sched.find_work()))),
+            Seat::Resume(at) => Some((machine.pool_watermark(p), at)),
+            Seat::Down => {
+                machine.liveness().mark_dead(p);
+                None
+            }
+        }
+    }
 }
 
 /// A report of what the crash left in the deques and restart pointers.
@@ -648,35 +670,58 @@ fn taken_over(machine: &Machine, sched: &Sched, p: usize, at: Option<&Active>) -
 /// over: the adopter turned its `local` entry into `taken` at tag + 2,
 /// jumped to its restart pointer (for a record, a handle into the dead
 /// processor's journal) and reads that pointer again at its check.
-/// Restarted at its stale pointer the dead processor runs the thread
-/// twice, and restarted anywhere it rewrites a journal its adopter may
-/// still read, so it stays down ([`Seat::Down`]); its deque holds only
-/// `taken` and `empty` entries. Its words show the takeover — no `local`
-/// entry is left (an adoption takes the only one, or the lower of a
-/// commit's two and clears the upper) — and its bottom entry is `taken`
-/// (a running thread's, or a won steal's or pull's seat), or its restart
-/// point holds a thread (a frame, `pushBottom/commit`, the service's
-/// entry or done steps, installed only under a `local`), or it is
-/// `popBottom/cam` whose entry reads `taken` at tag + 2 (Lemma A.10's
-/// adoption before the owner moved `bot`). Any other pointer without a
-/// `local` has no thread to lose and restarts. An adoption in flight —
-/// some processor's restart point is a local steal's step on victim `v`,
-/// from `clearAbove` to its check — keeps `v` down too: the adopter
-/// finishes against `v`'s frozen words.
+/// Restarted at its stale pointer the dead processor would run the
+/// thread twice, so it restarts at `findWork` instead (§6.3: a
+/// processor with no thread), its `bot` moved off the `taken` entry
+/// ([`reseat_bottom`]). It stays down ([`Seat::Down`]) only while its
+/// adopter still reads its words or its death: some restarting
+/// processor's pointer is its journal pointer (the adopter runs the
+/// record there, and installs its next one in its own journal); an
+/// adoption of it is in flight — some restart point is a local steal's
+/// step on it, from `clearAbove` to its check, and the adopter finishes
+/// against its frozen words; or a ring slot is still `CLAIMED` in its
+/// name (the adopter's `service/entry` re-claims a slot only from a dead
+/// claimant). A recovery after the adopter moved on revives it.
+///
+/// Its words show the takeover — no `local` entry is left (an adoption
+/// takes the only one, or the lower of a commit's two and clears the
+/// upper) — and its bottom entry is `taken` (a running thread's, or a
+/// won steal's or pull's seat), or its restart point holds a thread (a
+/// frame, `pushBottom/commit`, the service's entry or done steps,
+/// installed only under a `local`), or it is `popBottom/cam` whose entry
+/// reads `taken` at tag + 2 (Lemma A.10's adoption before the owner
+/// moved `bot`). Any other pointer without a `local` has no thread to
+/// lose and restarts. A taken-over processor's own pointer is never run
+/// again (its adopter runs a copy), so it names no journal.
 pub(crate) fn restart_seats(machine: &Machine, sched: &Sched) -> Vec<Result<Seat, FallbackReason>> {
-    let arena = machine.arena();
-    let points: Vec<Result<Option<Active>, FallbackReason>> = (0..machine.procs())
+    let (arena, procs) = (machine.arena(), machine.procs());
+    let points: Vec<Result<Option<Active>, FallbackReason>> = (0..procs)
         .map(|p| match machine.active_handle(p) {
             NULL_HANDLE => Ok(None),
             handle => sched.restart_point(p, arena).map(Some).ok_or_else(|| {
-                // A journal pointer whose record the codec refuses.
-                let addr = handle as usize;
-                let error = (arena.try_resolve(handle).err())
-                    .unwrap_or(FrameError::NotAFrame { addr, word: 0 }.into());
-                let what = format!("restart pointer {handle:#x} of processor {p}");
+                let at = format!("restart pointer {handle:#x} of processor {p}");
+                let (what, error) = match arena.try_resolve(handle) {
+                    Err(error) => (at, error),
+                    // A journal pointer — the word holds its own address
+                    // — whose live record no step of this machine decodes.
+                    Ok(rec) => {
+                        let (addr, what) = (handle as usize, format!("{rec:?} behind {at}"));
+                        (
+                            what,
+                            FrameError::NotAFrame {
+                                addr,
+                                word: machine.mem().load(addr),
+                            }
+                            .into(),
+                        )
+                    }
+                };
                 FallbackReason::Rehydrate { what, error }
             }),
         })
+        .collect();
+    let taken: Vec<bool> = (points.iter().enumerate())
+        .map(|(p, at)| matches!(at, Ok(at) if taken_over(machine, sched, p, at.as_ref())))
         .collect();
     let victims: Vec<usize> = points
         .iter()
@@ -685,17 +730,71 @@ pub(crate) fn restart_seats(machine: &Machine, sched: &Sched) -> Vec<Result<Seat
             _ => None,
         })
         .collect();
+    let read: Vec<Word> = (0..procs)
+        .filter(|&q| !taken[q])
+        .map(|q| machine.active_handle(q))
+        .collect();
+    let claims: Vec<usize> = sched.injector().map_or(Vec::new(), |q| {
+        (0..q.slots())
+            .map(|i| machine.mem().load(q.state_addr(i)))
+            .filter(|&w| slot_phase(w) == Some(SlotPhase::Claimed))
+            .map(slot_claimant)
+            .collect()
+    });
+    let find_work = Seat::Resume(Active::Sched(sched.find_work()));
     points
         .into_iter()
         .enumerate()
         .map(|(p, at)| {
             let at = at?;
-            if victims.contains(&p) || taken_over(machine, sched, p, at.as_ref()) {
+            if victims.contains(&p) {
                 return Ok(Seat::Down);
             }
-            Ok(Seat::Resume(at.unwrap_or(Active::Sched(sched.find_work()))))
+            if !taken[p] {
+                return Ok(at.map_or(find_work, Seat::Resume));
+            }
+            let journal = machine.proc_meta(p).active as Word;
+            let held = read.contains(&journal) || claims.contains(&p);
+            match !held && reseat_bottom(machine, sched, p) {
+                true => Ok(find_work),
+                false => Ok(Seat::Down),
+            }
         })
         .collect()
+}
+
+/// [`restart_seats`] for a process with no fallback to take (a lone
+/// cluster worker): a restart pointer that does not decode restarts at
+/// `findWork`.
+pub(crate) fn restart_seats_or_find_work(machine: &Machine, sched: &Sched) -> Vec<Seat> {
+    let find_work = Seat::Resume(Active::Sched(sched.find_work()));
+    (restart_seats(machine, sched).into_iter())
+        .map(|seat| seat.unwrap_or(find_work))
+        .collect()
+}
+
+/// Restarts taken-over processor `p` at `findWork` on an empty bottom
+/// entry, as a processor with no thread sits, or says it cannot (no
+/// empty entry to sit on). First `findWork` is journaled as its restart
+/// point, so a crash from here on never finds the stale pointer again;
+/// then its `bot` moves off the `taken` entry its adopter left there onto
+/// the entry above, which the adoption's `clearAbove` emptied (a crash
+/// between the two repeats the move). The stolen entries stay `taken` and
+/// `top` stays put, so no CAM a helper or thief read earlier can succeed
+/// twice.
+fn reseat_bottom(machine: &Machine, sched: &Sched, p: usize) -> bool {
+    let (mem, d) = (machine.mem(), sched.deques()[p]);
+    let kind = |i: usize| (i < d.slots).then(|| kind_of(mem.load(d.entry(i))));
+    let bot = mem.load(d.bot) as usize;
+    let seat = bot + usize::from(kind(bot) == Some(EntryKind::Taken));
+    if kind(seat) != Some(EntryKind::Empty) {
+        return false;
+    }
+    InstallCtx::new(mem, machine.proc_meta(p)).install_sched_uncosted(mem, &sched.find_work());
+    if seat != bot {
+        mem.store(d.bot, seat as Word);
+    }
+    true
 }
 
 /// Recovers a machine that came back from [`Machine::reopen`], a
@@ -717,8 +816,9 @@ pub(crate) fn restart_seats(machine: &Machine, sched: &Sched) -> Vec<Result<Seat
 ///    crash after the last done CAM, before the flag) →
 ///    [`SessionMode::AlreadyComplete`].
 /// 3. §6's restart ([`restart_seats`]): if every deque entry and restart
-///    pointer decodes, each processor is seated at its own restart point,
-///    or stays down if its thread was taken over.
+///    pointer decodes, each processor is seated at its own restart point;
+///    one whose thread was taken over restarts at `findWork`, or stays
+///    down while its adopter still reads its words.
 /// 4. Otherwise plant the newest valid checkpoint record's frontier on
 ///    scrubbed deques ([`SessionReport::checkpoint_resume`]; a cluster
 ///    file has none), or replay from the root
@@ -733,12 +833,14 @@ pub(crate) fn restart_seats(machine: &Machine, sched: &Sched) -> Vec<Result<Seat
 ///   from the processor's own deque and restart pointer, the same in
 ///   every shard, and recovery seats every processor in one process. A
 ///   shard adopted before the crash has its processors taken over, so
-///   they stay down; leases steer only adoption between live workers.
+///   they restart at `findWork`; leases steer only adoption between live
+///   workers.
 /// * **Figure 4's checker** may stay on across the restart: the restart
-///   stores no deque word, so every transition it sees is a capsule's,
+///   stores no deque entry, so every transition it sees is a capsule's,
 ///   and a restarted capsule repeats its first attempt's stores — the
 ///   soft-fault re-run the checker admits. It is installed after the
-///   fallbacks' scrub, whose stores are maintenance.
+///   fallbacks' scrub and after a taken-over processor's `bot` moved,
+///   stores that are maintenance.
 pub(crate) fn prepare_recovery(
     machine: &Machine,
     shards: usize,
@@ -785,12 +887,11 @@ pub(crate) fn prepare_recovery(
     });
     let (seats, report, held) = match restart {
         Ok(seats) => {
-            let at_pointer = |&p: &usize| {
-                matches!(seats[p], Seat::Resume(_)) && machine.active_handle(p) != NULL_HANDLE
-            };
+            let find_work = Active::Sched(sched.find_work());
+            let in_flight = |seat: &&Seat| matches!(seat, Seat::Resume(at) if *at != find_work);
             let report = SessionReport {
                 mode: SessionMode::Resumed,
-                resumed: (0..machine.procs()).filter(at_pointer).count() + found.found_jobs,
+                resumed: seats.iter().filter(in_flight).count() + found.found_jobs,
                 ..found
             };
             (seats, report, HeldClaims::All)
@@ -903,14 +1004,12 @@ fn proc_loop(
     machine: &Machine,
     sched: &Sched,
     p: usize,
-    seat: Seat,
+    start: Option<(usize, Active)>,
     ctl: &CheckpointCtl,
 ) -> ProcOutcome {
     let _exit = ExitGuard { sched, ctl };
-    let (cursor, mut cur) = match seat {
-        Seat::Fresh => (0, Active::Sched(sched.find_work())),
-        Seat::Resume(at) => (machine.pool_watermark(p), at),
-        Seat::Down => return ProcOutcome::Dead,
+    let Some((cursor, mut cur)) = start else {
+        return ProcOutcome::Dead;
     };
     let mut ctx = machine.ctx_with_pool_cursor(p, cursor);
     let mut install = InstallCtx::new(machine.mem(), machine.proc_meta(p));

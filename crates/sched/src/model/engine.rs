@@ -95,13 +95,12 @@
 //! `popBottom/cam` ends a capsule after the CAM and re-runs itself, as a
 //! restart would, and only then drops the arm.
 //!
-//! Two mutants break the restart rather than a step, and only they are
-//! explored with restarts (the step mutants' pinned counterexamples lie
-//! where they were): `restart-at-find-work` seats a processor whose
-//! restart point is a scheduler record at `findWork`, as recovery did
-//! before it restarted records, so the record's effects are lost;
-//! `restart-adopted` restarts a processor whose thread was taken over at
-//! its stale pointer, so the adopted thread runs twice.
+//! Two mutants break the restart rather than a step:
+//! `restart-at-find-work` seats a processor whose restart point is a
+//! scheduler record at `findWork`, as recovery did before it restarted
+//! records, so the record's effects are lost; `restart-adopted` restarts
+//! every processor at the pointer the crash left, a taken-over one too,
+//! so the adopted thread runs twice.
 //!
 //! `specs/tla/FrontierAdoption.tla` states the same protocol abstractly.
 
@@ -199,8 +198,9 @@ pub enum Mutant {
     /// record at `findWork`: the record's effects are lost — a skipped
     /// `clearBottom` leaves its ended thread's `Local` in the deque.
     RestartAtFindWork,
-    /// A restart re-seats a processor whose thread was taken over at its
-    /// stale restart pointer: it runs the thread its adopter runs.
+    /// A restart re-seats every processor at the pointer the crash left,
+    /// one whose thread was taken over too: it runs the thread its
+    /// adopter runs.
     RestartAdopted,
 }
 
@@ -265,7 +265,6 @@ impl std::fmt::Debug for EngineSt {
 pub struct EngineModel {
     scope: Scope,
     mutant: Option<Mutant>,
-    restarts: bool,
 }
 
 impl EngineModel {
@@ -274,7 +273,6 @@ impl EngineModel {
         EngineModel {
             scope: Scope::Fork { leaves },
             mutant: None,
-            restarts: true,
         }
     }
 
@@ -283,16 +281,13 @@ impl EngineModel {
         EngineModel {
             scope: Scope::Service,
             mutant: None,
-            restarts: true,
         }
     }
 
-    /// This scope with `mutant`'s arm swapped in, explored with restarts
-    /// only for a restart mutant.
+    /// This scope with `mutant`'s arm swapped in.
     pub fn mutated(self, mutant: Mutant) -> Self {
         EngineModel {
             mutant: Some(mutant),
-            restarts: matches!(mutant, Mutant::RestartAtFindWork | Mutant::RestartAdopted),
             ..self
         }
     }
@@ -389,13 +384,19 @@ impl EngineModel {
             }
         };
         let mutant = self.mutant;
+        // The pointers the crash left: a journal record is read now,
+        // before recovery journals `findWork` over it, a frame once the
+        // replayed construction has registered its capsule.
+        let handles: Vec<Word> = (0..PROCS).map(|p| machine.active_handle(p)).collect();
+        let resolve = |h| machine.arena().try_resolve(h).ok();
+        let records: Vec<Option<Active>> = handles.iter().map(|&h| resolve(h)).collect();
         let reseat = |sched: &Sched, p: usize, seat: Seat| match (mutant, seat) {
             (Some(Mutant::RestartAtFindWork), Seat::Resume(Active::Sched(_))) => {
                 Seat::Resume(Active::Sched(sched.find_work()))
             }
-            (Some(Mutant::RestartAdopted), Seat::Down) => sched
-                .restart_point(p, machine.arena())
-                .map_or(Seat::Down, Seat::Resume),
+            (Some(Mutant::RestartAdopted), _) => {
+                (records[p].or_else(|| resolve(handles[p]))).map_or(seat, Seat::Resume)
+            }
             _ => seat,
         };
         let sim = SimSched::recovered(machine, &Self::cfg(), ring, &build, reseat)
@@ -551,7 +552,7 @@ impl Model for EngineModel {
         } else {
             0
         });
-        let restart = self.restarts && budget && !s.runnable.is_empty();
+        let restart = budget && !s.runnable.is_empty();
         let restart = restart.then_some(EngineAction::Restart);
         steps.chain(crashes).chain(restart).collect()
     }

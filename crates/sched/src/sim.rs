@@ -332,13 +332,9 @@ impl<'m> SimSched<'m> {
     ) -> Self {
         let procs = (0..machine.procs())
             .map(|p| {
-                let (cursor, cur, outcome) = match seat(p) {
-                    Some(Seat::Fresh) => (0, Some(Active::Sched(sched.find_work())), None),
-                    Some(Seat::Resume(at)) => (machine.pool_watermark(p), Some(at), None),
-                    Some(Seat::Down) => {
-                        machine.liveness().mark_dead(p);
-                        (0, None, Some(ProcOutcome::Dead))
-                    }
+                let (cursor, cur, outcome) = match seat(p).map(|s| s.start(machine, &sched, p)) {
+                    Some(Some((cursor, at))) => (cursor, Some(at), None),
+                    Some(None) => (0, None, Some(ProcOutcome::Dead)),
                     None => (0, None, None),
                 };
                 SimProc {

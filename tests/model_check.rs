@@ -92,14 +92,12 @@ fn dropping_the_lemma_a10_adoption_arm_loses_a_task() {
 }
 
 /// The thief adopts p0's `Local` while p0 runs the second leaf, and both
-/// run it. The explorer is not asked for this trace: at the same minimal
-/// depth, 28 steps, the mutant also lets a thief take p0's `Local` after
-/// p0's thread has ended, and p0's `clearBottom` then writes `Empty` over
-/// the thief's `Taken` — the Figure 4 violation the explorer happens to
-/// reach first (see `corpus_steal_adopt_live_local_replays`). Both come
-/// from the one dropped `isLive` gate; this test replays the double
-/// execution, clean along its prefix, so the bug the mutant names stays
-/// pinned.
+/// run it. The explorer is not asked for this trace: its shortest one
+/// goes through a restart instead (see
+/// `corpus_steal_adopt_live_local_replays`). Both come from the one
+/// dropped `isLive` gate; this test replays the double execution, with
+/// no fault at all and clean along its prefix, so the bug the mutant
+/// names stays pinned.
 #[test]
 #[should_panic(expected = "NoDoubleExecution")]
 fn adopting_a_live_processors_local_double_executes() {
@@ -111,12 +109,6 @@ fn adopting_a_live_processors_local_double_executes() {
     let mut trace = vec![Step(0); 15];
     trace.extend([Step(1); 11]);
     trace.extend([Step(0), Step(1)]);
-    let cex = mutant_report(Mutant::AdoptLiveLocal).violation.as_ref();
-    assert_eq!(
-        cex.map(|c| c.trace.len()),
-        Some(trace.len()),
-        "as short as the explorer's"
-    );
     let end = replay(&model, 0, &trace, true);
     if let Err(why) = model.invariant(&end) {
         panic!("{why}");
@@ -134,10 +126,11 @@ fn restarting_a_record_at_find_work_breaks_the_deque() {
 
 /// p0 dies about to run the first leaf; p1 steals the second, then
 /// adopts p0's `Local` and runs the first; a restart re-seats p0 at its
-/// stale pointer, the first leaf, which runs again. The explorer's
-/// shortest trace ends earlier, on the Figure 4 check (p0 restarted at a
-/// `service/entry` its adopter re-claimed clears its `Taken` bottom
-/// entry); this one pins the double execution the mutant names.
+/// stale pointer, the first leaf, which runs again (the faithful restart
+/// seats it at `findWork`). The explorer's shortest trace ends earlier,
+/// on the Figure 4 check (p0 restarted at a `service/entry` its adopter
+/// re-claimed clears its `Taken` bottom entry); this one pins the double
+/// execution the mutant names.
 #[test]
 #[should_panic(expected = "NoDoubleExecution")]
 fn restarting_an_adopted_processor_at_its_pointer_double_executes() {
@@ -193,7 +186,10 @@ fn skipping_the_busy_check_reclaims_a_live_frame() {
 // replayed step by step through a fresh model instance. The pinned
 // lengths are the BFS-minimal trace depths; a protocol or explorer
 // change that lengthens (or loses) a counterexample fails here before
-// it reaches CI.
+// it reaches CI. Every mutant is explored with restarts, and a state
+// from which a restart still reaches the goal is not stuck, so the
+// step mutants' progress and terminal traces spend the fault budget on
+// a restart first: the crash after it strands the run for good.
 // ---------------------------------------------------------------------
 
 /// Replays `report`'s counterexample: every action is enabled, the
@@ -249,38 +245,40 @@ fn engine_corpus(mutant: Mutant, kind: Violation, expected_steps: usize) -> Vec<
 #[test]
 fn corpus_steal_drop_lemma_a10_replays() {
     // The owner's `popBottom/cam`, which the mutant ends after its CAM,
-    // wins and the owner dies there; the adopter's re-run finds its own
-    // `Taken` and, without the arm, abandons the claimed leaf.
-    let trace = engine_corpus(Mutant::DropLemmaA10, Violation::Progress, 16);
+    // wins; the owner restarts there and dies; the adopter's re-run finds
+    // its own `Taken` and, without the arm, abandons the claimed leaf.
+    let trace = engine_corpus(Mutant::DropLemmaA10, Violation::Progress, 17);
     let mut expected = vec![EngineAction::Step(0); 15];
-    expected.push(EngineAction::Crash(0));
+    expected.extend([EngineAction::Restart, EngineAction::Crash(0)]);
     assert_eq!(trace, expected);
 }
 
 #[test]
 fn corpus_steal_adopt_live_local_replays() {
-    // p1 takes p0's `Local` once p0's thread has run the done chain; p0's
-    // `clearBottom` then meets `Taken` (see the double-execution test for
-    // the other trace of this depth).
-    engine_corpus(Mutant::AdoptLiveLocal, Violation::Invariant, 28);
-    let cex = mutant_report(Mutant::AdoptLiveLocal)
-        .violation
-        .as_ref()
-        .unwrap();
-    assert!(cex.render().contains("Taken -> Empty"), "{}", cex.render());
+    // p1 starts a local steal of live p0's pull seat; the restart keeps
+    // p0 down for the adoption in flight, and p1 dies: nobody is left to
+    // run the root.
+    let trace = engine_corpus(Mutant::AdoptLiveLocal, Violation::Terminal, 11);
+    let mut expected = vec![EngineAction::Step(0); 5];
+    expected.extend([EngineAction::Step(1); 4]);
+    expected.extend([EngineAction::Restart, EngineAction::Crash(1)]);
+    assert_eq!(trace, expected);
 }
 
 #[test]
 fn corpus_steal_claim_before_seat_replays() {
     // The puller reads and claims, then dies holding a won claim it never
     // seated: nothing adoptable carries the root.
-    let trace = engine_corpus(Mutant::ClaimBeforeSeat, Violation::Progress, 5);
+    let trace = engine_corpus(Mutant::ClaimBeforeSeat, Violation::Progress, 6);
     assert_eq!(trace.last(), Some(&EngineAction::Crash(0)), "{trace:?}");
 }
 
 #[test]
 fn corpus_steal_done_early_replays() {
-    engine_corpus(Mutant::DoneEarly, Violation::Terminal, 22);
+    // The early flag makes a restart find the run complete while its job
+    // is still running: recovery seats nobody.
+    let trace = engine_corpus(Mutant::DoneEarly, Violation::Terminal, 20);
+    assert_eq!(trace.last(), Some(&EngineAction::Restart), "{trace:?}");
 }
 
 #[test]
@@ -288,10 +286,10 @@ fn corpus_engine_victim_never_helps_replays() {
     // p0 forks both leaves and runs the first; p1 wins `popTop/cam` on
     // the second and dies before its help capsules. Nothing adoptable of
     // p1's exists, and without help p0 spins forever.
-    let trace = engine_corpus(Mutant::VictimNeverHelps, Violation::Progress, 17);
+    let trace = engine_corpus(Mutant::VictimNeverHelps, Violation::Progress, 18);
     let mut expected = vec![EngineAction::Step(0); 11];
     expected.extend([EngineAction::Step(1); 5]);
-    expected.push(EngineAction::Crash(1));
+    expected.extend([EngineAction::Restart, EngineAction::Crash(1)]);
     assert_eq!(trace, expected);
 }
 
@@ -309,7 +307,7 @@ fn corpus_engine_restart_adopted_replays() {
     // restart re-seats p0 there.
     let trace = engine_corpus(Mutant::RestartAdopted, Violation::Invariant, 23);
     assert_eq!(trace[9], EngineAction::Crash(0), "{trace:?}");
-    assert_eq!(trace[20], EngineAction::Restart, "{trace:?}");
+    assert_eq!(trace[19], EngineAction::Restart, "{trace:?}");
 }
 
 #[test]
