@@ -32,7 +32,7 @@ use ppm::algs::{prefix_sum_seq, PrefixSum};
 use ppm::core::dsl::{CapsuleSet, Span, Step, K};
 use ppm::core::{Machine, PComp};
 use ppm::pm::{FaultConfig, PmConfig, Region, Word};
-use ppm::sched::{Runtime, SchedConfig, SessionMode, SessionReport, SimSched};
+use ppm::sched::{Runtime, SchedConfig, SessionMode, SessionReport, SimEvent, SimSched};
 
 /// Whether a machine holds a workload's correct output.
 type Oracle = Box<dyn Fn(&Machine) -> bool>;
@@ -211,8 +211,10 @@ fn machine2(fault: FaultConfig) -> Machine {
 
 /// The words the two kills of the adoption case at `k` leave, as the
 /// next process's memory, or `None` when the schedule finishes before
-/// processor 0's `k`-th access. Deterministic in `k`.
-fn adoption_kills(k: u64, runs: &Arc<Vec<AtomicU32>>) -> Option<Machine> {
+/// processor 0's `k`-th access. Processor 1 is killed `k % 48` capsules
+/// after processor 0 died or, `at_adoption`, right after its adoption
+/// check won (`None` if it does not within 48). Deterministic in `k`.
+fn adoption_kills(k: u64, runs: &Arc<Vec<AtomicU32>>, at_adoption: bool) -> Option<Machine> {
     let killed = machine2(FaultConfig::none().with_scheduled_hard_fault(0, k));
     let (pcomp, _) = counted_fanout(&killed, runs);
     let mut sim = SimSched::new_persistent(&killed, &pcomp, &sched());
@@ -224,8 +226,21 @@ fn adoption_kills(k: u64, runs: &Arc<Vec<AtomicU32>>) -> Option<Machine> {
     if sim.completed() {
         return None;
     }
-    for _ in 0..k % 48 {
+    let adopted = |sim: &SimSched| match sim.events().last() {
+        Some(SimEvent::Ran { capsule, next, .. }) => {
+            capsule == "sched/popTop/checkLocal" && next != "sched/steal"
+        }
+        _ => false,
+    };
+    let steps = if at_adoption { 48 } else { k % 48 };
+    for _ in 0..steps {
         sim.step(1);
+        if at_adoption && adopted(&sim) {
+            break;
+        }
+    }
+    if at_adoption && !adopted(&sim) {
+        return None;
     }
     sim.crash(1);
     drop(sim);
@@ -278,9 +293,15 @@ fn recover_adoption(next: Machine, runs: &Arc<Vec<AtomicU32>>, what: &str) -> Se
 /// inside may run twice (its adopter's or its restart's re-run), and
 /// every marker is written once.
 ///
-/// A kill whose recovery kept processor 0 down is replayed with one
-/// lifetime more: the recovery is stepped until the adopter has moved
-/// on, killed, and recovered again, which must seat both processors.
+/// Each `k` is run twice, processor 1 killed `k % 48` capsules on or
+/// right after it adopted. Every kill is replayed with a third lifetime
+/// too: the recovery,
+/// stepped by `SimSched`, is itself killed after 0, 2 or 12 capsules and
+/// recovered again. A kill at 0 lands before an adopter restarted inside
+/// processor 0's journal has installed anything of its own, so reviving
+/// processor 0 then would overwrite the record the adopter's pointer
+/// still names. A recovery that kept processor 0 down and ran 12
+/// capsules lets the adopter move on: the third lifetime seats both.
 #[test]
 fn every_kill_of_a_2_processor_fanout_after_an_adoption_runs_each_leaf_once() {
     const LEAVES: usize = 16;
@@ -288,39 +309,38 @@ fn every_kill_of_a_2_processor_fanout_after_an_adoption_runs_each_leaf_once() {
     let reset = || runs.iter().for_each(|r| r.store(0, Ordering::Relaxed));
     let mut histogram = BTreeMap::new();
     let mut revived = 0;
-    for k in 1..=600u64 {
+    for (k, at_adoption) in (1..=600u64).flat_map(|k| [(k, false), (k, true)]) {
         reset();
-        let Some(next) = adoption_kills(k, &runs) else {
+        let Some(next) = adoption_kills(k, &runs, at_adoption) else {
             continue;
         };
-        let rep = recover_adoption(next, &runs, &format!("the kills at {k}"));
+        let kills = format!("the kills at {k} (at the adoption: {at_adoption})");
+        let rep = recover_adoption(next, &runs, &kills);
         let down = format!("{}, {} down", outcome(&rep), rep.dead_procs());
         *histogram.entry(down).or_insert(0) += 1;
-        if rep.dead_procs() == 0 {
-            continue;
-        }
-        reset();
-        let next = adoption_kills(k, &runs).expect("the same schedule");
-        let (pcomp, _) = counted_fanout(&next, &runs);
-        let mut sim = SimSched::recover(&next, &pcomp, &sched()).expect("recovery");
-        assert_eq!(sim.at(0), "dead", "kill at {k}: processor 0 stays down");
-        for _ in 0..12 {
-            if !sim.completed() {
-                sim.step(1);
+        for cut in [0, 2, 12] {
+            reset();
+            let next = adoption_kills(k, &runs, at_adoption).expect("the same schedule");
+            let (pcomp, _) = counted_fanout(&next, &runs);
+            let mut sim = SimSched::recover(&next, &pcomp, &sched()).expect("recovery");
+            let down = sim.at(0) == "dead";
+            for step in 0..cut {
+                sim.run_seeded(k << 8 | step, 1);
+            }
+            drop(sim);
+            let what = format!("{kills}, and its recovery's at {cut}");
+            let again = recover_adoption(next.restarted(FaultConfig::none()), &runs, &what);
+            if down && cut == 12 {
+                assert!(
+                    again.already_complete() || again.dead_procs() == 0,
+                    "{what}: {} down",
+                    again.dead_procs()
+                );
+                revived += 1;
             }
         }
-        sim.crash(1);
-        drop(sim);
-        let what = format!("the kills at {k}, after its adopter moved on");
-        let again = recover_adoption(next.restarted(FaultConfig::none()), &runs, &what);
-        assert!(
-            again.already_complete() || again.dead_procs() == 0,
-            "{what}: {} down",
-            again.dead_procs()
-        );
-        revived += 1;
     }
-    println!("P = 2 adoption kills: {histogram:?}; {revived} second recoveries seat both");
+    println!("P = 2 adoption kills: {histogram:?}; {revived} third lifetimes seat both");
     assert!(
         histogram
             .keys()
