@@ -9,35 +9,18 @@
 
 use ppm_pm::{Addr, PmResult, ProcCtx, Word};
 
-/// Reads `len` words starting at `start` (block-aligned transfers;
+/// Reads `len` words starting at `start` (one unit per block touched;
 /// `O(len/B + 1)` cost).
 pub fn pread_range(ctx: &mut ProcCtx, start: Addr, len: usize) -> PmResult<Vec<Word>> {
-    let b = ctx.block_size();
     let mut out = vec![0u64; len];
-    let mut pos = 0usize;
-    while pos < len {
-        let addr = start + pos;
-        let in_block = b - (addr % b);
-        let take = in_block.min(len - pos);
-        ctx.read_block_into(addr, &mut out[pos..pos + take])?;
-        pos += take;
-    }
+    ctx.read_range(start, &mut out)?;
     Ok(out)
 }
 
-/// Writes `src` starting at `start` (block-aligned transfers;
+/// Writes `src` starting at `start` (one unit per block touched;
 /// `O(len/B + 1)` cost).
 pub fn pwrite_range(ctx: &mut ProcCtx, start: Addr, src: &[Word]) -> PmResult<()> {
-    let b = ctx.block_size();
-    let mut pos = 0usize;
-    while pos < src.len() {
-        let addr = start + pos;
-        let in_block = b - (addr % b);
-        let take = in_block.min(src.len() - pos);
-        ctx.write_block(addr, &src[pos..pos + take])?;
-        pos += take;
-    }
-    Ok(())
+    ctx.write_range(start, src)
 }
 
 /// Propagation-blocking scatter: per-bucket staging bins of one block

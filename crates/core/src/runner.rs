@@ -125,21 +125,14 @@ impl InstallCtx {
     /// goes to slot A with the pointer swing right behind it. Either way
     /// the stores are one ascending run with the head after its arguments
     /// (see [`crate::machine::PROC_META_WORDS`] for why that is
-    /// kill-safe), and at B ≥ 8 the run is one block write. A fault
+    /// kill-safe), written as one costed range (one block at B ≥ 8). A fault
     /// restarts the *current* capsule, whose re-run repeats the identical
     /// install: slot and generation move only on success.
     pub fn install_sched(&mut self, ctx: &mut ProcCtx, rec: &SchedRecord) -> PmResult<()> {
         let to_a = self.live_a != Some(true);
         let (off, image) = journal_image(rec, self.gen, to_a, self.meta.active as Word);
         let len = SchedRecord::WORDS + usize::from(self.live_a.is_none());
-        let (mut at, mut rest) = (self.meta.base + off, &image[..len]);
-        let b = ctx.block_size();
-        while !rest.is_empty() {
-            let n = (b - at % b).min(rest.len());
-            ctx.write_block(at, &rest[..n])?;
-            at += n;
-            rest = &rest[n..];
-        }
+        ctx.write_range(self.meta.base + off, &image[..len])?;
         self.live_a = Some(to_a);
         self.gen += 1;
         Ok(())

@@ -31,6 +31,12 @@ use crate::error::Fault;
 
 /// Per-processor fault source. Owned by the processor's [`crate::ProcCtx`];
 /// not shared between threads.
+///
+/// An access that cannot fault costs one add and one compare: `watch` is
+/// the first access count at which one can — the scheduled death, or
+/// never — while the processor is live and `fault_prob` is 0. With
+/// `fault_prob > 0`, or once dead, `watch` is 0 and every access draws as
+/// it always did, so the streams of faults replay bit for bit.
 #[derive(Debug)]
 pub struct FaultInjector {
     proc: usize,
@@ -41,6 +47,8 @@ pub struct FaultInjector {
     accesses: u64,
     /// If set, die at exactly this access count.
     scheduled_death: Option<u64>,
+    /// The lowest access count that may fault (struct docs).
+    watch: u64,
     /// Once dead, the injector reports `Hard` forever.
     dead: bool,
 }
@@ -63,6 +71,10 @@ impl FaultInjector {
             .filter(|(p, _)| *p == proc)
             .map(|(_, at)| *at)
             .min();
+        let watch = match cfg.fault_prob > 0.0 {
+            true => 0,
+            false => scheduled_death.unwrap_or(u64::MAX),
+        };
         FaultInjector {
             proc,
             rng: StdRng::seed_from_u64(seed),
@@ -70,6 +82,7 @@ impl FaultInjector {
             hard_ratio: cfg.hard_fault_ratio,
             accesses: 0,
             scheduled_death,
+            watch,
             dead: false,
         }
     }
@@ -93,25 +106,60 @@ impl FaultInjector {
     /// Consults the adversary at one persistent-memory access. Returns
     /// `Some(fault)` if the processor faults *before* performing the access,
     /// `None` if the access proceeds.
+    #[inline]
     pub fn check(&mut self) -> Option<Fault> {
+        self.check_run(1).1
+    }
+
+    /// Consults the adversary at `n` consecutive accesses, in order,
+    /// stopping at the first that faults: the accesses that proceed and
+    /// the fault, if any, that pre-empted the next one. The same draws,
+    /// in the same order, as `n` calls of [`FaultInjector::check`].
+    #[inline]
+    pub fn check_run(&mut self, n: u64) -> (u64, Option<Fault>) {
+        if self.accesses + n < self.watch {
+            self.accesses += n;
+            return (n, None);
+        }
+        self.check_each(n)
+    }
+
+    /// [`FaultInjector::check_run`] one access at a time.
+    #[cold]
+    fn check_each(&mut self, n: u64) -> (u64, Option<Fault>) {
+        for done in 0..n {
+            if let Some(fault) = self.draw() {
+                return (done, Some(fault));
+            }
+        }
+        (n, None)
+    }
+
+    /// One access's consultation.
+    fn draw(&mut self) -> Option<Fault> {
         if self.dead {
             return Some(Fault::Hard);
         }
         self.accesses += 1;
         if let Some(at) = self.scheduled_death {
             if self.accesses >= at {
-                self.dead = true;
-                return Some(Fault::Hard);
+                return Some(self.die());
             }
         }
         if self.fault_prob > 0.0 && self.rng.gen_bool(self.fault_prob) {
             if self.hard_ratio > 0.0 && self.rng.gen_bool(self.hard_ratio) {
-                self.dead = true;
-                return Some(Fault::Hard);
+                return Some(self.die());
             }
             return Some(Fault::Soft);
         }
         None
+    }
+
+    /// Marks the processor dead: every later access faults `Hard`.
+    fn die(&mut self) -> Fault {
+        self.dead = true;
+        self.watch = 0;
+        Fault::Hard
     }
 }
 
@@ -279,6 +327,67 @@ mod tests {
         assert!(inj.is_dead());
         // Dead forever after.
         assert_eq!(inj.check(), Some(Fault::Hard));
+    }
+
+    /// FNV-1a over every fault of `procs` injectors' first `n` accesses:
+    /// its access index, its processor and its kind.
+    fn fault_positions_hash(cfg: &FaultConfig, procs: usize, n: u64) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for proc in 0..procs {
+            let mut inj = FaultInjector::new(cfg, proc);
+            for i in 0..n {
+                let kind = match inj.check() {
+                    None => continue,
+                    Some(Fault::Soft) => 1,
+                    Some(_) => 2,
+                };
+                for x in [i, proc as u64, kind] {
+                    h = (h ^ x).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn random_faults_land_where_they_always_did() {
+        // Pinned before the no-fault fast path existed: with
+        // `fault_prob > 0` every access still draws, in the same order.
+        // The mixed stream's processors die at accesses 627 to 1373.
+        let soft = FaultConfig::soft(0.02, 2024);
+        let mixed = FaultConfig::mixed(0.01, 0.05, 2024);
+        assert_eq!(
+            fault_positions_hash(&soft, 4, 10_000),
+            0xa75c_62e4_0fbc_6288
+        );
+        assert_eq!(
+            fault_positions_hash(&mixed, 4, 10_000),
+            0xfdc6_d5db_1421_2c29
+        );
+    }
+
+    #[test]
+    fn a_run_draws_what_single_checks_draw() {
+        for cfg in [
+            FaultConfig::mixed(0.05, 0.1, 9),
+            FaultConfig::none().with_scheduled_hard_fault(0, 700),
+        ] {
+            let mut single = FaultInjector::new(&cfg, 0);
+            let mut runs = FaultInjector::new(&cfg, 0);
+            for n in (0..400).map(|i| i % 7) {
+                let (mut passed, mut fault) = (0, None);
+                while passed < n && fault.is_none() {
+                    fault = single.check();
+                    passed += u64::from(fault.is_none());
+                }
+                assert_eq!(runs.check_run(n), (passed, fault));
+                assert_eq!(runs.accesses(), single.accesses());
+            }
+            assert!(
+                runs.is_dead(),
+                "both configurations kill within 1200 accesses"
+            );
+        }
     }
 
     #[test]

@@ -12,10 +12,15 @@
 //! (§2). Every word instruction — [`PersistentMemory::load`], `store`,
 //! `cam`, `cas_unsafe_under_faults`, `fetch_add` — and every word a range
 //! read loads is `SeqCst`. A range write ([`PersistentMemory::write_range`],
-//! under every costed block write, frame persist and journal install) is
-//! one instruction and has one ordering point: its interior words are
-//! `Release` stores in ascending address order and its **last word is the
-//! `SeqCst` store**. That is enough for what the runtime asks of a range:
+//! under every costed range and block write, frame persist and journal
+//! install) is one instruction and has one ordering point: its interior
+//! words are `Release` stores in ascending address order and its **last
+//! word is the `SeqCst` store**. That holds for the `k` block transfers of
+//! one costed range ([`crate::ProcCtx::write_range`]) as for one block:
+//! the model charges each block, and the machine performs the blocks that
+//! passed the fault adversary as one range, so a `k`-block range pays one
+//! `SeqCst` tail, not `k`. That is enough for what the runtime asks of a
+//! range:
 //!
 //! * *Ascending publication.* A release store orders everything before it,
 //!   so whoever observes word `k` of the range (readers load `SeqCst`,
@@ -23,7 +28,9 @@
 //!   "arguments, then head" rule and a frame's "body, then publish by a
 //!   later costed write" rule are exactly this, and a process killed
 //!   mid-range leaves a prefix in the file, as it did when every word was
-//!   `SeqCst`.
+//!   `SeqCst`. The blocks of one costed range publish in the order `k`
+//!   separate block writes did, so a kill between them leaves the same
+//!   prefix of blocks.
 //! * *Program order around the range.* The tail's `SeqCst` store drains
 //!   the range before any later instruction of the same processor, and a
 //!   release store cannot be reordered before anything that precedes it.
@@ -424,7 +431,7 @@ impl PersistentMemory {
     /// words are release stores in ascending address order, the last word
     /// is the sequentially-consistent store, and the touched pages are
     /// marked dirty once, after the words. Uncosted here:
-    /// [`crate::ProcCtx::write_block`] and [`crate::ProcCtx::stage_range`]
+    /// [`crate::ProcCtx::write_range`] and [`crate::ProcCtx::stage_range`]
     /// charge the transfer; setup code and oracles call it directly.
     ///
     /// While an observer is installed (the flag is read once per range)

@@ -8,9 +8,36 @@
 //!
 //! Capsule bodies receive `&mut ProcCtx` and perform all persistent-memory
 //! traffic with the fallible methods ([`ProcCtx::pread`], [`ProcCtx::pwrite`],
-//! [`ProcCtx::pcam`], [`ProcCtx::read_block_into`], ...). A returned
+//! [`ProcCtx::pcam`], [`ProcCtx::read_range`], ...). A returned
 //! [`Fault`] must be propagated out of the capsule (the `?` operator does
 //! this naturally); the capsule engine then performs the model's restart.
+//!
+//! ## A range is one instruction
+//!
+//! [`ProcCtx::write_range`] and [`ProcCtx::read_range`] move any run of
+//! words and cost what the per-block loop over it cost: one unit per
+//! block touched, one fault-adversary consultation per block in block
+//! order, and every word checked for write-after-read conflicts. A call
+//! does four things, in this order:
+//!
+//! 1. it consults the adversary for every block before touching memory;
+//!    the blocks before the first fault pass;
+//! 2. it charges `capsule_work` and the counters once per passed block and
+//!    runs the WAR check once over their words (one probe per 64-word
+//!    line, as for a block);
+//! 3. it performs the passed blocks as one [`PersistentMemory`] range;
+//! 4. only then does it take the fault: it records it and, for a hard
+//!    fault, marks the processor dead.
+//!
+//! So a kill at block `j` leaves exactly blocks `< j` moved, as `j`
+//! block transfers would, and no survivor can see the processor dead while
+//! that prefix is still being written. A `k`-block write is one ordering
+//! point ([`crate::mem`]): ascending release stores keep the
+//! blocks' publication order, the `SeqCst` tail drains the range before
+//! the processor's next instruction, and no word two processors race on is
+//! ever written by a range. [`ProcCtx::write_block`] and
+//! [`ProcCtx::read_block_into`] are the one-block case, with a bounds
+//! check.
 //!
 //! ## Frames die at their join
 //!
@@ -222,6 +249,13 @@ impl ProcCtx {
     #[inline]
     pub fn is_dead(&self) -> bool {
         self.injector.is_dead()
+    }
+
+    /// Fault-adversary consultations so far: one per word access and one
+    /// per block of a range (including the one a fault pre-empted).
+    #[inline]
+    pub fn accesses(&self) -> u64 {
+        self.injector.accesses()
     }
 
     /// The validation mode this context runs under.
@@ -472,7 +506,41 @@ impl ProcCtx {
     /// liveness oracle for hard faults, and returns `Err`.
     #[inline]
     fn fault_point(&mut self) -> PmResult<()> {
-        match self.injector.check() {
+        let fault = self.injector.check();
+        self.take_fault(fault)
+    }
+
+    /// Consults the adversary once per block of `addr..addr + len`, in
+    /// block order, stopping at the first fault: the blocks that proceed,
+    /// the words of the range they hold, and the fault, not yet taken.
+    #[inline]
+    fn consult_range(&mut self, addr: Addr, len: usize) -> (u64, usize, Option<Fault>) {
+        if len == 0 {
+            return (0, 0, None);
+        }
+        // One division for a range inside a block, the common case (a
+        // block transfer, a journal install): a 64-bit `div` is among the
+        // dearest instructions of a one-block call.
+        let b = self.mem.block_size();
+        let off = addr % b;
+        let blocks = match off + len <= b {
+            true => 1,
+            false => (off + len).div_ceil(b) as u64,
+        };
+        let (passed, fault) = self.injector.check_run(blocks);
+        let words = match fault {
+            None => len,
+            Some(_) => (passed as usize * b).saturating_sub(off),
+        };
+        (passed, words, fault)
+    }
+
+    /// Takes a fault the adversary reported: records it and, for a hard
+    /// fault, updates the liveness oracle. A range calls this only after
+    /// it has performed the blocks before the fault (module docs).
+    #[inline]
+    fn take_fault(&mut self, fault: Option<Fault>) -> PmResult<()> {
+        match fault {
             None => Ok(()),
             Some(Fault::Soft) => {
                 self.stats.record_soft_fault(self.proc);
@@ -561,33 +629,49 @@ impl ProcCtx {
     // Costed block operations
     // ------------------------------------------------------------------
 
+    /// External read of the words `addr..addr + dst.len()` into `dst`:
+    /// one unit per block the range touches, and one instruction (module
+    /// docs). A fault at its `j`-th block leaves the words of blocks
+    /// before it read and the rest of `dst` as it was.
+    pub fn read_range(&mut self, addr: Addr, dst: &mut [Word]) -> PmResult<()> {
+        let (blocks, words, fault) = self.consult_range(addr, dst.len());
+        self.capsule_work += blocks;
+        self.stats.record_reads(self.proc, blocks);
+        if !self.war_exempt {
+            self.war.on_read_block(addr, words);
+        }
+        self.mem.read_range(addr, &mut dst[..words]);
+        self.take_fault(fault)
+    }
+
+    /// External write of `src` to the words `addr..addr + src.len()`: one
+    /// unit per block the range touches, and one instruction (module
+    /// docs). A fault at its `j`-th block leaves exactly the blocks before
+    /// it written.
+    pub fn write_range(&mut self, addr: Addr, src: &[Word]) -> PmResult<()> {
+        let (blocks, words, fault) = self.consult_range(addr, src.len());
+        self.capsule_work += blocks;
+        self.stats.record_writes(self.proc, blocks);
+        if !self.war_exempt {
+            self.war.on_write_block(addr, words, &self.stats);
+        }
+        self.mem.write_range(addr, &src[..words]);
+        self.take_fault(fault)
+    }
+
     /// External read of one block into `dst` (unit cost; may fault).
     /// `dst.len()` must not exceed the block size, and the range must not
     /// cross a block boundary.
     pub fn read_block_into(&mut self, addr: Addr, dst: &mut [Word]) -> PmResult<()> {
         self.check_block_bounds(addr, dst.len());
-        self.fault_point()?;
-        self.capsule_work += 1;
-        self.stats.record_read(self.proc);
-        if !self.war_exempt {
-            self.war.on_read_block(addr, dst.len());
-        }
-        self.mem.read_range(addr, dst);
-        Ok(())
+        self.read_range(addr, dst)
     }
 
     /// External write of one block from `src` (unit cost; may fault).
     /// Same bounds rules as [`ProcCtx::read_block_into`].
     pub fn write_block(&mut self, addr: Addr, src: &[Word]) -> PmResult<()> {
         self.check_block_bounds(addr, src.len());
-        self.fault_point()?;
-        self.capsule_work += 1;
-        self.stats.record_write(self.proc);
-        if !self.war_exempt {
-            self.war.on_write_block(addr, src.len(), &self.stats);
-        }
-        self.mem.write_range(addr, src);
-        Ok(())
+        self.write_range(addr, src)
     }
 
     // ------------------------------------------------------------------
@@ -643,17 +727,13 @@ impl ProcCtx {
         if self.staged.is_empty() {
             return Ok(());
         }
-        let b = self.mem.block_size();
         let mut ranges = std::mem::take(&mut self.staged);
         for (start, len) in ranges.drain(..) {
-            let first = start / b;
-            let last = (start + len - 1) / b;
-            for _ in first..=last {
-                self.fault_point()?;
-                self.capsule_work += 1;
-                self.stats.record_write(self.proc);
-                self.stats.record_staged_persist(self.proc);
-            }
+            let (blocks, _, fault) = self.consult_range(start, len);
+            self.capsule_work += blocks;
+            self.stats.record_writes(self.proc, blocks);
+            self.stats.record_staged_persists(self.proc, blocks);
+            self.take_fault(fault)?;
         }
         self.staged = ranges; // keep the (now empty) allocation
         Ok(())
@@ -669,9 +749,8 @@ impl ProcCtx {
     fn check_block_bounds(&self, addr: Addr, len: usize) {
         let b = self.mem.block_size();
         assert!(len <= b, "transfer of {len} words exceeds block size {b}");
-        assert_eq!(
-            addr / b,
-            (addr + len.max(1) - 1) / b,
+        assert!(
+            addr % b + len <= b,
             "block transfer at {addr} len {len} crosses a block boundary"
         );
     }
@@ -839,6 +918,146 @@ mod tests {
         c.read_block_into(8, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(c.capsule_work(), 2);
+    }
+
+    /// 37 words at offset 3 with B = 8: words 3..40, blocks 0..=4.
+    const RANGE: (Addr, usize) = (3, 37);
+
+    fn range_words() -> Vec<Word> {
+        (100..100 + RANGE.1 as Word).collect()
+    }
+
+    #[test]
+    fn an_unaligned_range_costs_its_blocks() {
+        let cfg = PmConfig::small_single(); // B = 8
+        let mut c = ctx(&cfg);
+        c.begin_capsule("t");
+        c.write_range(RANGE.0, &range_words()).unwrap();
+        let mut back = vec![0; RANGE.1];
+        c.read_range(RANGE.0, &mut back).unwrap();
+        assert_eq!(back, range_words());
+        assert_eq!((c.capsule_work(), c.accesses()), (10, 10));
+        let snap = c.stats().snapshot();
+        assert_eq!((snap.total_reads, snap.total_writes), (5, 5));
+        assert_eq!(c.raw_mem().load(2), 0);
+        assert_eq!(c.raw_mem().load(40), 0);
+    }
+
+    #[test]
+    fn an_empty_range_costs_nothing() {
+        let cfg = PmConfig::small_single();
+        let mut c = ctx(&cfg);
+        c.begin_capsule("t");
+        c.write_range(5, &[]).unwrap();
+        c.read_range(5, &mut []).unwrap();
+        assert_eq!((c.capsule_work(), c.accesses()), (0, 0));
+    }
+
+    #[test]
+    fn a_hard_fault_at_block_j_leaves_the_blocks_before_it_written() {
+        for j in 0..5u64 {
+            let cfg = PmConfig::small_single()
+                .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, j + 1));
+            let (m, s, l) = machine(&cfg);
+            // Every word the range stores must land while the processor is
+            // still live: the oracle flips only after the prefix.
+            let live = l.clone();
+            m.set_observer(Some(Arc::new(move |_, _, _| assert!(live.is_live(0)))));
+            let mut c = ProcCtx::new(&cfg, 0, m, s, l.clone());
+            c.begin_capsule("t");
+            assert_eq!(c.write_range(RANGE.0, &range_words()), Err(Fault::Hard));
+            assert!(!l.is_live(0) && c.is_dead());
+            assert_eq!((c.capsule_work(), c.accesses()), (j, j + 1));
+            let end = (8 * j as usize).max(RANGE.0);
+            for a in 0..48 {
+                let want = match (RANGE.0..end).contains(&a) {
+                    true => 100 + (a - RANGE.0) as Word,
+                    false => 0,
+                };
+                assert_eq!(c.raw_mem().load(a), want, "word {a}, death at block {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_scheduled_death_lands_at_its_access_through_words_and_ranges() {
+        let cfg = PmConfig::small_single()
+            .with_fault(FaultConfig::none().with_scheduled_hard_fault(0, 7));
+        let mut c = ctx(&cfg);
+        c.begin_capsule("t");
+        for a in 0..6 {
+            c.pwrite(a, 1).unwrap();
+        }
+        assert_eq!(c.pread(0), Err(Fault::Hard));
+        assert_eq!(c.accesses(), 7);
+        // Through a range: three word writes, then blocks 0..=2 pass at
+        // accesses 4..=6 and block 3 dies at access 7.
+        let mut c = ctx(&cfg);
+        c.begin_capsule("t");
+        for a in 0..3 {
+            c.pwrite(a, 1).unwrap();
+        }
+        assert_eq!(c.write_range(RANGE.0, &range_words()), Err(Fault::Hard));
+        assert_eq!((c.accesses(), c.capsule_work()), (7, 6));
+        assert_eq!(c.raw_mem().load(23), 120);
+        assert_eq!(c.raw_mem().load(24), 0);
+    }
+
+    #[test]
+    fn a_soft_fault_rerun_writes_the_identical_image() {
+        let cfg = PmConfig::small_single().with_fault(FaultConfig::soft(0.3, 5));
+        let mut c = ctx(&cfg);
+        c.begin_capsule("t");
+        let mut faults = 0;
+        while let Err(fault) = c.write_range(RANGE.0, &range_words()) {
+            assert_eq!(fault, Fault::Soft);
+            faults += 1;
+            c.restart_capsule("t");
+        }
+        assert!(faults > 0, "f = 0.3 over five blocks faults on this seed");
+        assert_eq!(c.capsule_work(), 5);
+        let clean = ctx(&PmConfig::small_single());
+        clean.raw_mem().write_range(RANGE.0, &range_words());
+        assert_eq!(c.raw_mem().to_vec(0, 48), clean.raw_mem().to_vec(0, 48));
+    }
+
+    #[test]
+    #[should_panic(expected = "write-after-read conflict in capsule `war` at word 20")]
+    fn strict_panics_on_a_conflict_inside_a_multi_block_range() {
+        let cfg = PmConfig::small_single();
+        let mut c = ctx(&cfg);
+        c.begin_capsule("war");
+        let _ = c.pread(20).unwrap();
+        let _ = c.write_range(RANGE.0, &range_words());
+    }
+
+    #[test]
+    fn record_counts_the_conflicts_the_per_block_loop_counts() {
+        let cfg = PmConfig::small_single().with_validate(ValidateMode::Record);
+        let conflicts = |per_block: bool| {
+            let mut c = ctx(&cfg);
+            c.begin_capsule("war");
+            let mut exposed = [0; 6];
+            c.read_range(14, &mut exposed).unwrap();
+            c.pread(30).unwrap();
+            c.pwrite(15, 0).unwrap(); // exposed: conflicts on its own
+            let words = range_words();
+            match per_block {
+                false => c.write_range(RANGE.0, &words).unwrap(),
+                true => {
+                    let (mut at, mut rest) = RANGE;
+                    while rest > 0 {
+                        let n = (8 - at % 8).min(rest);
+                        let i = at - RANGE.0;
+                        c.write_block(at, &words[i..i + n]).unwrap();
+                        (at, rest) = (at + n, rest - n);
+                    }
+                }
+            }
+            (c.stats().snapshot().war_conflicts, c.capsule_work())
+        };
+        assert_eq!(conflicts(false), (8, 9));
+        assert_eq!(conflicts(true), conflicts(false));
     }
 
     #[test]

@@ -114,13 +114,25 @@ impl MemStats {
     /// Records one external read by `proc`.
     #[inline]
     pub fn record_read(&self, proc: usize) {
-        bump(&self.per_proc[proc].reads, 1);
+        self.record_reads(proc, 1);
+    }
+
+    /// Records `n` external reads by `proc` (the blocks of one range).
+    #[inline]
+    pub fn record_reads(&self, proc: usize, n: u64) {
+        bump(&self.per_proc[proc].reads, n);
     }
 
     /// Records one external write by `proc`.
     #[inline]
     pub fn record_write(&self, proc: usize) {
-        bump(&self.per_proc[proc].writes, 1);
+        self.record_writes(proc, 1);
+    }
+
+    /// Records `n` external writes by `proc` (the blocks of one range).
+    #[inline]
+    pub fn record_writes(&self, proc: usize, n: u64) {
+        bump(&self.per_proc[proc].writes, n);
     }
 
     /// Records a soft fault on `proc`.
@@ -179,10 +191,10 @@ impl MemStats {
         bump(&self.per_proc[proc].staged_words, words);
     }
 
-    /// Records one coalesced block persist charged for staged words.
+    /// Records `n` coalesced block persists charged for staged words.
     #[inline]
-    pub fn record_staged_persist(&self, proc: usize) {
-        bump(&self.per_proc[proc].staged_persists, 1);
+    pub fn record_staged_persists(&self, proc: usize, n: u64) {
+        bump(&self.per_proc[proc].staged_persists, n);
     }
 
     /// Records a write-after-read conflict (Record mode only).

@@ -133,26 +133,30 @@ pub fn check_invariant(mem: &PersistentMemory, d: &DequeAddrs) -> Result<(), Str
     Ok(())
 }
 
-/// Renders a deque snapshot compactly for diagnostics, e.g.
-/// `top=2 bot=3 [T T J L . .]`.
+/// Renders a deque compactly for diagnostics, e.g.
+/// `proc 0 top=2 bot=3 [T T J L]`: one pass over its slots that ends at
+/// the first empty one, after which §6.2's invariant leaves every slot
+/// empty (a dump after every run costs the occupied slots, not the
+/// array; [`check_invariant`] is what reads every slot).
 pub fn render(mem: &PersistentMemory, d: &DequeAddrs) -> String {
-    let snap = snapshot(mem, d);
-    let body: String = snap
-        .entries
-        .iter()
-        .map(|(_, v)| match v.kind() {
-            EntryKind::Empty => ". ",
-            EntryKind::Local => "L ",
-            EntryKind::Job => "J ",
-            EntryKind::Taken => "T ",
-        })
-        .collect();
+    let mut body = String::new();
+    for i in 0..d.slots {
+        let tag = match kind_of(mem.load(d.entry(i))) {
+            EntryKind::Empty => break,
+            EntryKind::Local => "L",
+            EntryKind::Job => "J",
+            EntryKind::Taken => "T",
+        };
+        if !body.is_empty() {
+            body.push(' ');
+        }
+        body.push_str(tag);
+    }
     format!(
-        "proc {} top={} bot={} [{}]",
+        "proc {} top={} bot={} [{body}]",
         d.owner,
-        snap.top,
-        snap.bot,
-        body.trim_end()
+        mem.load(d.top),
+        mem.load(d.bot)
     )
 }
 
@@ -268,8 +272,10 @@ mod tests {
         let d = &ds[0];
         m.mem()
             .store(d.entry(0), pack(1, EntryVal::Job { handle: 64 }));
-        let s = render(m.mem(), d);
-        assert!(s.starts_with("proc 0 top=0 bot=0 [J ."), "{s}");
+        assert_eq!(render(m.mem(), d), "proc 0 top=0 bot=0 [J]");
+        m.mem().store(d.entry(1), pack(1, EntryVal::Local));
+        assert_eq!(render(m.mem(), d), "proc 0 top=0 bot=0 [J L]");
+        assert_eq!(render(m.mem(), &ds[1]), "proc 1 top=0 bot=0 []");
     }
 
     #[test]

@@ -105,7 +105,8 @@ pub struct RunReport {
     /// Wall-clock duration of the parallel section.
     pub elapsed: Duration,
     /// A rendered snapshot of every WS-deque at the end of the run
-    /// (compact form: `T` taken, `J` job, `L` local, `.` empty).
+    /// (compact form: `T` taken, `J` job, `L` local; the empty slots
+    /// after them are left out).
     pub deque_dump: Vec<String>,
     /// What the run's checkpointing did (all zeros when the policy is
     /// disabled).

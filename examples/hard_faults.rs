@@ -64,11 +64,12 @@ fn main() {
         );
     }
 
-    println!("\nfinal WS-deques (T taken, J job, L local, . empty):");
+    println!("\nfinal WS-deques (T taken, J job, L local; empty slots omitted):");
     for line in &report.run_report().deque_dump {
-        // Truncate the long empty tail for readability.
-        let cut = line.find(". . . .").unwrap_or(line.len().min(120));
-        println!("  {}...", &line[..cut.min(line.len())]);
+        match line.get(..120) {
+            Some(head) if line.len() > 120 => println!("  {head}..."),
+            _ => println!("  {line}"),
+        }
     }
     println!("\nthe `T` runs on the dead processors' deques are the steals that");
     println!("rescued their threads — including local entries resumed from the");

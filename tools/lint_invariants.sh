@@ -37,9 +37,10 @@
 #      PersistentMemory::{load,store,cam,cas_unsafe_under_faults,
 #      read_range,write_range,mark_dirty} and the `observe` helper they
 #      call, DirtyTracker::{mark,mark_range}, MemStats::record_*,
-#      ProcCtx::{pread,pwrite,pcam,read_block_into,write_block,
-#      stage_write,stage_range,flush_staged,fault_point,begin_capsule,
-#      complete_capsule,publish_watermark}, every WarTracker method but
+#      ProcCtx::{pread,pwrite,pcam,read_range,write_range,read_block_into,
+#      write_block,consult_range,take_fault,stage_write,stage_range,
+#      flush_staged,fault_point,begin_capsule,complete_capsule,
+#      publish_watermark}, every WarTracker method but
 #      the cold `grow` and the `lines`/`word_bit` helpers that feed them,
 #      FrameBuf::{new,push,write}, write_frame and with_frame_args; in
 #      crates/core: InstallCtx::{install_handle,install_sched},
@@ -225,6 +226,15 @@
 #      tests/ examples/, and driver.rs calls no `harvest_frontier` or
 #      `capture_frontier` (the checkpoint quiesce's capture, its one
 #      caller, lives in checkpoint.rs).
+#
+#  24. A costed range is one call. `ProcCtx::write_range` / `read_range`
+#      (crates/pm/src/proc.rs) consult, charge, check and move a range of
+#      blocks in one instruction, so nothing loops over block transfers:
+#      crates/algs/src (outside tests) and crates/core/src/runner.rs name
+#      no `write_block(` or `read_block_into(` call at all, and the bodies
+#      of `ProcCtx::write_block` / `read_block_into` delegate to the range
+#      call (they name `self.write_range(` / `self.read_range(` and no
+#      `fault_point`, `capsule_work` or `self.mem.`).
 
 set -u
 cd "$(dirname "$0")/.."
@@ -326,7 +336,7 @@ hot_bodies() { # REGEX
     body_scan crates/pm/src/dirty.rs 'mark|mark_range' "$1"
     body_scan crates/pm/src/stats.rs 'record_[a-z_]*|bump|raise' "$1"
     body_scan crates/pm/src/proc.rs \
-        'pread|pwrite|pcam|read_block_into|write_block|stage_write|stage_range|flush_staged|fault_point|begin_capsule|complete_capsule|publish_watermark' "$1"
+        'pread|pwrite|pcam|read_range|write_range|read_block_into|write_block|consult_range|take_fault|stage_write|stage_range|flush_staged|fault_point|begin_capsule|complete_capsule|publish_watermark' "$1"
     body_scan crates/pm/src/validate.rs \
         'lines|next|word_bit|reset|probe|slot|claim|read|write|conflict|on_read|on_write|on_read_block|on_write_block' "$1"
     body_scan crates/pm/src/frame.rs 'new|push|write|write_frame' "$1"
@@ -586,8 +596,39 @@ if [ -n "$hits" ]; then
     err "one restart: recovery seats each processor at its own restart pointer, with no harvest beside it (see driver.rs):" "$hits"
 fi
 
+# --- 24. a costed range is one call -----------------------------------------------
+hits=$(for f in $(find crates/algs/src -name "*.rs") crates/core/src/runner.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         $0 !~ /^[ \t]*\/\// && /\.(write_block|read_block_into)\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+done)
+# block_body NAME: the body of `pub fn NAME(` in proc.rs, brace-matched.
+block_body() {
+    awk -v name="$1" '
+        $0 ~ ("pub fn " name "\\(") { infn = 1; depth = 0 }
+        infn {
+            print FILENAME ":" FNR ": " $0
+            line = $0
+            depth += gsub(/\{/, "", line)
+            depth -= gsub(/\}/, "", line)
+            if (depth <= 0 && $0 ~ /\}/) exit
+        }' crates/pm/src/proc.rs
+}
+for pair in write_block:write_range read_block_into:read_range; do
+    body=$(block_body "${pair%%:*}")
+    if [ -z "$body" ] || ! echo "$body" | grep -q "self\.${pair##*:}("; then
+        hits="$hits
+crates/pm/src/proc.rs: ProcCtx::${pair%%:*} does not delegate to ProcCtx::${pair##*:}"
+    fi
+    hits="$hits
+$(echo "$body" | grep -E "fault_point|capsule_work|self\.mem\." || true)"
+done
+hits=$(echo "$hits" | sed '/^$/d')
+if [ -n "$hits" ]; then
+    err "a costed range is one call: move block runs with ProcCtx::write_range / read_range, and keep write_block / read_block_into its one-block case (see proc.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule, a fork pays three records, an exhausted pool is an error, one restart)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule, a fork pays three records, an exhausted pool is an error, one restart, a costed range is one call)"
