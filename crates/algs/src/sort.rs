@@ -7,7 +7,7 @@
 //! **Samplesort** follows the paper (after BGS10, "Low depth
 //! cache-oblivious algorithms"): split into ~√n subarrays and sort each;
 //! sample every ⌈log n⌉-th element of each sorted subarray; sort the
-//! samples (with mergesort) and pick ~√n pivots by fixed stride; compute
+//! samples (with mergesort) and pick pivots by fixed stride; compute
 //! each subarray's bucket boundaries; use **prefix sums and matrix
 //! transposes** to compute destination offsets; move keys with a
 //! divide-and-conquer **propagation-blocked bucket transpose**: each base
@@ -19,18 +19,53 @@
 //! work O(M/B + √n/B) (= O(M/B) whenever n ≤ M², which the constructor
 //! asserts).
 //!
+//! **Buckets are sized to M, not √n.** BGS10 takes √n buckets. Theorem
+//! 7.3 needs less: each bucket must fit a capsule, so that one level
+//! reaches the base case. A node of `n` keys on a machine with `M`
+//! ephemeral words takes `b = min(rows, samples, ⌈2n/M⌉)` buckets, an
+//! expected `M/2` keys each; that is BGS10's √n once `n ≥ M²/4`. At the
+//! default `M = 4096` and `n = 2¹⁷` it is 64 buckets, not 362, and the
+//! three rows × buckets matrices (boundaries, counts, sums) shrink from
+//! 131 k words each to 23.5 k. Under Theorem 7.3:
+//!
+//! * **Work stays O((n/B)·log_M n).** Every phase of a level moves
+//!   O(n/B) blocks: the matrices hold `rows·b ≤ √n·2n/M ≤ 2n` words for
+//!   `n ≤ M²`, and the scatter's tiles each move about `2M` words (next
+//!   point) and flush at most `M/(2B)` partial bins, O(n/B) over the
+//!   O(n/M) tiles. Fewer buckets only shrink the matrix terms.
+//! * **C stays O(M/B).** Row sorts, row groups and the transpose's
+//!   `M/4`-cell tiles are unchanged, and a boundary capsule reads fewer
+//!   pivots. The scatter's area cap of `2M` cells is divided by the
+//!   keys a row puts in a bucket, `⌈rows/b⌉` (√n/b rounded up; exactly
+//!   1 when `b = rows`), so a tile still moves about `2M` words of keys
+//!   rather than `2M` cells.
+//! * **Bucket sizes.** Row `i` samples ranks `phase(i) + k·s`, with
+//!   stride `s = ⌈log₂(n+1)⌉` and `phase(i) = ⌊i·s/rows⌋`. A row's keys
+//!   in one pivot interval number fewer than `s` per sample of that row
+//!   in it, plus `s`, so a bucket holds at most `n/b + rows·s` keys
+//!   (distinct keys): `M/2 + √n·log n`, which can exceed `M`, as BGS10's
+//!   `√n + √n·log n` can. A bucket over `M` recurses as before. The
+//!   phases keep the expected case at one level. Were every row to
+//!   sample ranks `0, s, 2s, …`, random keys would give pooled samples
+//!   bunched around the same `√n/s` quantiles of every row; 64 pivots
+//!   drawn from 21 bunches leave some gap between bunches to one bucket,
+//!   4.6 k keys on two uniform inputs at `n = 2¹⁷` (above `M`). With the
+//!   phases the rows' grids tile the stride, and the largest bucket of
+//!   the same inputs holds 2.5 k keys
+//!   (`uniform_keys_at_the_benchmark_size_need_one_level`).
+//!
 //! All scratch comes from the §4.1 restart-stable pool allocator, so every
 //! capsule writes fresh locations: write-after-read conflict free.
 //!
 //! **Capsule size.** Theorem 7.3 lets sorting run at `C = O(M/B)`, and
 //! both entry points here do, in every phase: row sorts and mergesort
-//! base cases take `M` words, scatter tiles `2M`, and the phases that
+//! base cases take `M` words, scatter tiles about `2M`, and the phases that
 //! would otherwise run one block per capsule — the embedded prefix sum
 //! over the rows × buckets counts matrix, the base case of every merge,
 //! the per-row sampling and boundary passes — take
 //! `util::sort_capsule_words(M, B)` ≈ `M/4` words. That is
 //! what keeps the capsule count at a fraction of a capsule per key
-//! (0.16 at n = 2¹⁷ with the default `(M, B)`, against 3.4 with one-block
+//! (0.053 at n = 2¹⁷ with the default `(M, B)`, against 3.4 with one-block
 //! leaves) while `C` stays where the row sorts already had it. The same
 //! prefix sum and merge run at their own theorems' `C` — O(1) and
 //! O(log n) — through [`crate::prefix::PrefixSum::pcomp`] and
@@ -350,7 +385,8 @@ pub(crate) fn declare_merge(
 /// capsule's work bound).
 const PIVOT_CHUNK: usize = 256;
 
-/// Per-node samplesort geometry, derived deterministically from `n`.
+/// Per-node samplesort geometry, derived deterministically from `n` and
+/// the machine's `M`: every phase of a node rebuilds the same one.
 #[derive(Debug, Clone, Copy)]
 struct Geometry {
     n: usize,
@@ -362,38 +398,60 @@ struct Geometry {
     stride: usize,
     /// Total samples.
     total_samples: usize,
-    /// Number of buckets (≈ √n, ≤ total_samples).
+    /// Number of buckets: ⌈2n/M⌉, an expected `M/2` keys each, and at
+    /// most `rows` and `total_samples`.
     buckets: usize,
 }
 
 impl Geometry {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, m: usize) -> Self {
         let sub = (n as f64).sqrt().ceil() as usize;
-        let rows = ceil_div(n, sub);
-        let stride = (usize::BITS - n.leading_zeros()) as usize; // ~log2 n
-        let row_len = |i: usize| (n - i * sub).min(sub);
-        let total_samples: usize = (0..rows).map(|i| ceil_div(row_len(i), stride)).sum();
-        let buckets = rows.min(total_samples).max(1);
-        Geometry {
+        let mut g = Geometry {
             n,
             sub,
-            rows,
-            stride,
-            total_samples,
-            buckets,
-        }
+            rows: ceil_div(n, sub),
+            stride: (usize::BITS - n.leading_zeros()) as usize, // ~log2 n
+            total_samples: 0,
+            buckets: 0,
+        };
+        g.total_samples = (0..g.rows).map(|i| g.samples_in_row(i)).sum();
+        g.buckets = g
+            .rows
+            .min(g.total_samples)
+            .min(ceil_div(2 * n, m.max(1)))
+            .max(1);
+        g
+    }
+
+    /// The geometry of an `n`-key node on the machine `ctx` runs on.
+    fn of(ctx: &ProcCtx, n: usize) -> Self {
+        Geometry::new(n, ctx.ephemeral_words())
     }
 
     fn row_len(&self, i: usize) -> usize {
         (self.n - i * self.sub).min(self.sub)
     }
 
-    fn sample_offset(&self, i: usize) -> usize {
-        (0..i).map(|r| ceil_div(self.row_len(r), self.stride)).sum()
+    /// The rank of row `i`'s first sample: row `i` samples ranks
+    /// `phase(i) + k·stride`, the phases spread evenly over one stride.
+    fn phase(&self, i: usize) -> usize {
+        i * self.stride / self.rows
     }
 
+    /// Samples of row `i`: none when the row is shorter than its phase.
     fn samples_in_row(&self, i: usize) -> usize {
-        ceil_div(self.row_len(i), self.stride)
+        ceil_div(self.row_len(i).saturating_sub(self.phase(i)), self.stride)
+    }
+
+    fn sample_offset(&self, i: usize) -> usize {
+        (0..i).map(|r| self.samples_in_row(r)).sum()
+    }
+
+    /// Key words a row puts in one bucket, rounded up: ≈ √n keys over
+    /// the buckets (`rows` is √n within one), and exactly 1 when
+    /// `buckets = rows`.
+    fn words_per_cell(&self) -> usize {
+        ceil_div(self.rows, self.buckets)
     }
 }
 
@@ -445,16 +503,20 @@ impl Scratch {
 }
 
 /// Pool words one samplesort node of size `n` allocates, on any machine
-/// that can run it (for sizing machine pools). Only the sums tree depends
-/// on `(M, B)`; it is largest where the prefix leaves are smallest, and
-/// `n ≤ M²` ([`SampleSort::new`]) puts [`sort_capsule_words`] — the size
-/// [`Scratch::alloc`] allocates with — above `√n / 8` for every `B`.
+/// that can run it (for sizing machine pools). The bucket count and the
+/// sums tree depend on `(M, B)`. The matrices are largest with the most
+/// buckets, √n, which `M = 1` asks for here; every row sampled from rank
+/// 0 counts at least `total_samples`; and the sums tree is largest where
+/// the prefix leaves are smallest: `n ≤ M²` ([`SampleSort::new`]) puts
+/// [`sort_capsule_words`] — the size [`Scratch::alloc`] allocates with —
+/// above `√n / 8` for every `B`.
 fn node_scratch_words(n: usize) -> usize {
-    let g = Geometry::new(n);
+    let g = Geometry::new(n, 1);
+    let samples: usize = (0..g.rows).map(|i| ceil_div(g.row_len(i), g.stride)).sum();
     let cm = g.rows * g.buckets;
     let min_leaf_words = (g.sub / 8).max(1);
     3 * n
-        + 3 * g.total_samples
+        + 3 * samples
         + g.buckets
         + g.rows * (g.buckets + 1)
         + 2 * cm
@@ -467,15 +529,15 @@ fn node_scratch_words(n: usize) -> usize {
 /// Every phase forks over Θ(M)-word capsules, so a recursion level
 /// writes `O(n/M + √n)` frames — not the `O(n/B)` the embedded prefix sum
 /// wrote while its leaves were single blocks (≈ 12 frame words per counts
-/// element then). Measured retain-everything footprints, P = 1, uniform
-/// keys, scratch included: 8.4·n words at n = 2¹⁵ and 7.7·n at n = 2¹⁷
-/// with the default `(M, B)` = (4096, 8) — about 2·n of it frames — but
-/// 74·n at (64, 8), n = 900, and 76·n at n = M² = 4096, because `n/M`
-/// approaches `√n` and a frame is ≈ 40 words. The term is sized for that
-/// smallest legal memory, where the run relies on the epoch GC: with it
-/// every `(n, M, B, P)` of the test matrix finishes below 97 % of the
-/// budget (below 25 % at the default geometry); with 8 the skewed
-/// n = 900 and n = 4096 runs at M = 64 exhaust the pool.
+/// element then). Measured retain-everything footprints — P = 1, every
+/// join foreign so none frees a word, checkpoints off, uniform keys,
+/// scratch included: 4.3·n words at n = 2¹⁵ and 2¹⁷ with the default
+/// `(M, B)` = (4096, 8), about n of it frames; 29·n at (64, 8), n = 900,
+/// and 42·n at n = M² = 4096, because `n/M` approaches `√n` and a frame is
+/// ≈ 40 words. (With √n buckets they were 7.7·n, 7.2·n, 56·n and 57·n.)
+/// The term is sized for that smallest legal memory, where those runs
+/// take 36–61 % of [`samplesort_pool_words`]; the slack is kept because
+/// callers size their pools with it.
 const FRAME_WORDS_PER_KEY: usize = 40;
 
 /// Recommended per-processor pool words for samplesorting `n` elements:
@@ -484,25 +546,45 @@ const FRAME_WORDS_PER_KEY: usize = 40;
 /// for the typed frames and join cells every phase writes, and a constant
 /// tail for one checkpoint epoch of churn.
 ///
-/// **Assumes checkpoint GC** (`ppm_sched::checkpoint`, on by default):
-/// the sizing budgets the live set plus one epoch of churn, relying on
-/// the epoch GC — and its pool-pressure failsafe — to reclaim dead
-/// frames. A run configured with `CheckpointPolicy::disabled()` that
-/// must survive crash resume or hard-fault adoption re-allocates the
-/// replayed span on top of the dead run's watermark and should budget
-/// roughly an extra `40 * n` words.
+/// **It holds without reclamation.** Joins free a finished fork's words
+/// (`ppm_pm::proc`), and the checkpoint GC (`ppm_sched::checkpoint`, on by
+/// default) reclaims what joins cannot; but with neither — every join
+/// foreign, checkpoints off, P = 1 — a run on uniform keys peaks at 7 %
+/// of this budget with the default `(M, B)` at n = 2¹⁵ and 2¹⁷, and at
+/// 36–61 % with `M = 64` at n = 900 and 4096 (40–65 % on
+/// `tests/checkpoint.rs`'s keys at n = 700–4096). A run configured with
+/// `CheckpointPolicy::disabled()` that must survive crash resume or
+/// hard-fault adoption re-allocates the replayed span on top of the dead
+/// run's watermark and should budget roughly an extra `40 * n` words.
 pub fn samplesort_pool_words(n: usize) -> usize {
     4 * node_scratch_words(n.max(16)) + FRAME_WORDS_PER_KEY * n + (1 << 13)
 }
 
 // ---- Phase bodies ---------------------------------------------------
 
-/// Phase 2 body: sample every ⌈log n⌉-th element of sorted row `i`.
-fn sample_row_body(ctx: &mut ProcCtx, g: &Geometry, s: &Scratch, i: usize) -> ppm_pm::PmResult<()> {
-    let row = pread_range(ctx, s.subsorted.at(i * g.sub), g.row_len(i))?;
-    let picks: Vec<Word> = row.iter().step_by(g.stride).copied().collect();
-    debug_assert_eq!(picks.len(), g.samples_in_row(i));
-    pwrite_range(ctx, s.samples.at(g.sample_offset(i)), &picks)
+/// Phase 2 body: sample sorted rows `[r0, r1)`, every ⌈log n⌉-th element
+/// of row `i` from rank `phase(i)` on.
+fn sample_rows_body(
+    ctx: &mut ProcCtx,
+    g: &Geometry,
+    s: &Scratch,
+    r0: usize,
+    r1: usize,
+) -> ppm_pm::PmResult<()> {
+    let mut offset = g.sample_offset(r0);
+    for i in r0..r1 {
+        let count = g.samples_in_row(i);
+        if count == 0 {
+            continue;
+        }
+        let phase = g.phase(i);
+        let row = pread_range(ctx, s.subsorted.at(i * g.sub + phase), g.row_len(i) - phase)?;
+        let picks: Vec<Word> = row.iter().step_by(g.stride).copied().collect();
+        debug_assert_eq!(picks.len(), count);
+        pwrite_range(ctx, s.samples.at(offset), &picks)?;
+        offset += count;
+    }
+    Ok(())
 }
 
 /// Phase 4 body: pick pivots by fixed stride, chunk `c`.
@@ -651,13 +733,17 @@ fn grid_cap(ctx: &ProcCtx) -> usize {
 /// The transpose buffers its whole submatrix ephemerally, so its area is
 /// capped at `M/4` and its width unconstrained. The propagation-blocked
 /// scatter only keeps one staging bin per bucket column plus one data
-/// row, so its tiles run `2M` in area — as long as the bin footprint
-/// `(j1−j0)·B` stays under `M/2`.
-fn tile_caps(ctx: &ProcCtx, scatter: bool) -> (usize, usize) {
+/// row, so its tiles run `2M` words of keys — `2M` cells divided by the
+/// expected words per cell — as long as the bin footprint `(j1−j0)·B`
+/// stays under `M/2`.
+fn tile_caps(ctx: &ProcCtx, g: &Geometry, scatter: bool) -> (usize, usize) {
     if scatter {
         let m = ctx.ephemeral_words();
         let b = ctx.block_size();
-        ((2 * m).max(64), (m / (2 * b)).max(1))
+        (
+            ((2 * m).max(64) / g.words_per_cell()).max(1),
+            (m / (2 * b)).max(1),
+        )
     } else {
         (grid_cap(ctx), usize::MAX)
     }
@@ -754,7 +840,7 @@ impl SsCapsules {
         // family over its row.
         let sortrow_leaf = set.define("ssort/sortrow", move |st: &Span<SsEnv>, k, ctx| {
             let env = st.env;
-            let g = Geometry::new(env.n);
+            let g = Geometry::of(ctx, env.n);
             debug_assert_eq!(st.hi, st.lo + 1, "grain-1 map leaf");
             let i = st.lo;
             let row = Run {
@@ -779,18 +865,16 @@ impl SsCapsules {
 
         // Phase 2: sample each sorted row (span indices are row groups).
         let sample_leaf = set.define("ssort/sample", |st: &Span<SsEnv>, k, ctx| {
-            let g = Geometry::new(st.env.n);
+            let g = Geometry::of(ctx, st.env.n);
             let rg = row_group(ctx, &g);
-            for i in st.lo * rg..(st.hi * rg).min(g.rows) {
-                sample_row_body(ctx, &g, &st.env.s, i)?;
-            }
+            sample_rows_body(ctx, &g, &st.env.s, st.lo * rg, (st.hi * rg).min(g.rows))?;
             Ok(Step::Jump(k))
         });
         let samples = set.map_grain("ssort/samples", 1, sample_leaf);
 
         // Phase 4: pivots by chunk.
         let pivot_leaf = set.define("ssort/pivot-chunk", |st: &Span<SsEnv>, k, ctx| {
-            let g = Geometry::new(st.env.n);
+            let g = Geometry::of(ctx, st.env.n);
             for c in st.lo..st.hi {
                 pivot_chunk_body(ctx, &g, &st.env.s, c)?;
             }
@@ -800,7 +884,7 @@ impl SsCapsules {
 
         // Phase 5: per-row bucket boundaries (span indices are row groups).
         let bounds_leaf = set.define("ssort/bounds-row", |st: &Span<SsEnv>, k, ctx| {
-            let g = Geometry::new(st.env.n);
+            let g = Geometry::of(ctx, st.env.n);
             let rg = row_group(ctx, &g);
             bounds_rows_body(ctx, &g, &st.env.s, st.lo * rg, (st.hi * rg).min(g.rows))?;
             Ok(Step::Jump(k))
@@ -811,7 +895,7 @@ impl SsCapsules {
         // offsets and jumps back into the node capsule.
         let recurse_leaf = set.define("ssort/recurse", move |st: &Span<SsEnv>, k, ctx| {
             let env = st.env;
-            let g = Geometry::new(env.n);
+            let g = Geometry::of(ctx, env.n);
             debug_assert_eq!(st.hi, st.lo + 1, "grain-1 map leaf");
             let j = st.lo;
             let start = if j == 0 {
@@ -874,7 +958,7 @@ impl SsCapsules {
                     k,
                 );
             }
-            let g = Geometry::new(n);
+            let g = Geometry::of(ctx, n);
             // The embedded prefix sum and the merges run at this node's
             // theorem: Θ(M)-word capsules (Theorem 7.3).
             let leaf_words = capsule_words(ctx);
@@ -940,7 +1024,7 @@ fn grid_body(
     scatter: bool,
     base: fn(&mut ProcCtx, &Geometry, &Scratch, usize, usize, usize, usize) -> ppm_pm::PmResult<()>,
 ) -> ppm_pm::PmResult<Step> {
-    let g = Geometry::new(st.env.n);
+    let g = Geometry::of(ctx, st.env.n);
     let (r0, r1, j0, j1) = (st.r0, st.r1, st.j0, st.j1);
     let sub = |r0, r1, j0, j1| SsGrid {
         env: st.env,
@@ -949,7 +1033,7 @@ fn grid_body(
         j0,
         j1,
     };
-    match tile_plan(r0, r1, j0, j1, tile_caps(ctx, scatter)) {
+    match tile_plan(r0, r1, j0, j1, tile_caps(ctx, &g, scatter)) {
         Tile::Base => {
             base(ctx, &g, &st.env.s, r0, r1, j0, j1)?;
             Ok(Step::Jump(k))
@@ -1207,6 +1291,131 @@ mod tests {
         let mut expect = input;
         expect.sort_unstable();
         assert_eq!(ss.read_output(rt.machine()), expect);
+    }
+
+    #[test]
+    fn buckets_follow_m_below_m_squared_over_four() {
+        // The benchmark's geometry: 362 rows of 363 keys, 64 buckets of
+        // an expected M/2 keys (BGS10's √n would be 362).
+        let g = Geometry::new(1 << 17, 4096);
+        assert_eq!((g.sub, g.rows, g.stride, g.buckets), (363, 362, 18, 64));
+        assert_eq!(g.words_per_cell(), 6);
+    }
+
+    #[test]
+    fn buckets_stay_sqrt_n_from_m_squared_over_four() {
+        for m in [64usize, 256, 4096] {
+            for n in [m * m / 4, m * m / 4 + 1, m * m / 2 + 7, m * m] {
+                let g = Geometry::new(n, m);
+                assert_eq!(g.buckets, g.rows, "n = {n}, M = {m}");
+                assert_eq!(g.words_per_cell(), 1, "n = {n}, M = {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn total_samples_is_the_sum_of_every_rows_samples() {
+        let mut short_last_rows = 0;
+        for n in 1..6000 {
+            let g = Geometry::new(n, 64);
+            let per_row: Vec<usize> = (0..g.rows).map(|i| g.samples_in_row(i)).collect();
+            assert_eq!(g.total_samples, per_row.iter().sum::<usize>(), "n = {n}");
+            for (i, &c) in per_row.iter().enumerate() {
+                assert_eq!(g.sample_offset(i), per_row[..i].iter().sum::<usize>());
+                let ranks = (g.phase(i)..g.row_len(i)).step_by(g.stride);
+                assert_eq!(c, ranks.count(), "n = {n}, row {i}");
+            }
+            let last = g.rows - 1;
+            if g.row_len(last) <= g.phase(last) {
+                short_last_rows += 1;
+            }
+        }
+        assert!(
+            short_last_rows > 0,
+            "some last row must be shorter than its phase"
+        );
+    }
+
+    #[test]
+    fn a_last_row_shorter_than_its_phase_samples_nothing_and_sorts() {
+        // n = 901: 30 rows of 31 keys, the last one 2 keys long against
+        // its phase of 9 ranks.
+        let g = Geometry::new(901, 64);
+        assert_eq!((g.rows, g.row_len(29), g.phase(29)), (30, 2, 9));
+        assert_eq!(g.samples_in_row(29), 0);
+        check_registered_samplesort(901, 1, 64, FaultConfig::none());
+        check_registered_samplesort(901, 2, 64, FaultConfig::none());
+    }
+
+    /// Seeded uniform 64-bit keys (SplitMix64, as `bench/e2e` draws them).
+    fn uniform_keys(seed: u64, n: usize) -> Vec<Word> {
+        let mut s = seed;
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+            .collect()
+    }
+
+    /// The bucket sizes of the top node over `keys` on an `M = m`
+    /// machine: the sampling, pivot and boundary phase bodies run on the
+    /// machine's memory, with the row sorts and the sample sort done
+    /// uncosted in between.
+    fn top_level_buckets(keys: &[Word], m: usize) -> Vec<usize> {
+        let n = keys.len();
+        let machine = Machine::with_pool_words(
+            PmConfig::parallel(1, 1 << 21).with_ephemeral_words(m),
+            node_scratch_words(n),
+        );
+        let mut ctx = machine.ctx(0);
+        let g = Geometry::of(&ctx, n);
+        ctx.begin_capsule("test/partition");
+        let leaf_words = capsule_words(&ctx);
+        let s = Scratch::alloc(&mut ctx, &g, leaf_words).unwrap();
+        let mem = machine.mem();
+        for i in 0..g.rows {
+            let mut row = keys[i * g.sub..i * g.sub + g.row_len(i)].to_vec();
+            row.sort_unstable();
+            mem.write_range(s.subsorted.at(i * g.sub), &row);
+        }
+        sample_rows_body(&mut ctx, &g, &s, 0, g.rows).unwrap();
+        let mut samples = mem.to_vec(s.samples.start, g.total_samples);
+        samples.sort_unstable();
+        mem.write_range(s.samples_sorted.start, &samples);
+        for c in 0..ceil_div((g.buckets - 1).max(1), PIVOT_CHUNK) {
+            pivot_chunk_body(&mut ctx, &g, &s, c).unwrap();
+        }
+        bounds_rows_body(&mut ctx, &g, &s, 0, g.rows).unwrap();
+        ctx.complete_capsule();
+        let bounds = mem.to_vec(s.bounds.start, g.rows * (g.buckets + 1));
+        let mut sizes = vec![0usize; g.buckets];
+        for row in bounds.chunks(g.buckets + 1) {
+            for (j, w) in row.windows(2).enumerate() {
+                sizes[j] += (w[1] - w[0]) as usize;
+            }
+        }
+        assert_eq!(sizes.iter().sum::<usize>(), n);
+        sizes
+    }
+
+    #[test]
+    fn uniform_keys_at_the_benchmark_size_need_one_level() {
+        // n = 2¹⁷, M = 4096: 64 buckets of an expected 2048 keys. Every
+        // bucket fits a capsule, so each recursion leaf is a base sort.
+        let (n, m) = (1 << 17, 4096);
+        for seed in [7, 23] {
+            let sizes = top_level_buckets(&uniform_keys(seed, n), m);
+            assert_eq!(sizes.len(), 64);
+            let largest = *sizes.iter().max().unwrap();
+            assert!(
+                largest <= m,
+                "seed {seed}: a bucket of {largest} keys exceeds M"
+            );
+        }
     }
 
     #[test]

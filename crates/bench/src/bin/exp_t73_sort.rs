@@ -3,8 +3,9 @@
 //!
 //! Sweeps `n` at fixed (M, B), reporting both sorts' I/O counts, the
 //! normalized constants against their respective analytic factors, and
-//! the ratio — which should grow in mergesort's disfavour as n/M grows,
-//! since log(n/M) grows while log_M n barely moves.
+//! the ratio. Asymptotically the ratio grows in mergesort's disfavour as
+//! n/M grows, since log(n/M) grows while log_M n barely moves; the closing
+//! note says what this table's range of n shows.
 
 use ppm_algs::sort::samplesort_pool_words;
 use ppm_algs::util::{scatter_naive, BlockScatter};
@@ -249,8 +250,9 @@ fn main() {
     report.embed_scrape(&last_scrape);
     report.emit();
 
-    println!("\nshape check: each normalized per-level constant is flat in n for its");
-    println!("own model (columns 5-6), and the ms/ss ratio drifts upward with n —");
-    println!("the log(n/M) vs log_M n separation of Theorem 7.3. Crossover position");
-    println!("depends on constants; the trend direction is the reproducible claim.");
+    println!("\nshape check: mergesort's per-level constant (column 5) is flat in n.");
+    println!("Samplesort's buckets hold about M/2 keys while n < M^2/4, so one partition");
+    println!("level sorts them, and ms/ss rises with n through n = M^2/4 = 4096. At");
+    println!("n = 8192 its sqrt(n) = 91 buckets average 90 keys against M = 128, 8 of them");
+    println!("recurse, and the ratio falls: this range of n shows no trend past M^2/4.");
 }

@@ -143,9 +143,11 @@ pub enum SessionMode {
     /// not decode, at a checkpoint record's frontier
     /// ([`SessionReport::checkpoint_resume`]).
     Resumed,
-    /// State was scrubbed and the computation replayed from its root
-    /// (words that did not decode, or a moved layout, with no checkpoint
-    /// to fall back to — see [`SessionReport::fallback_reason`]).
+    /// The computation ran from its root: state was scrubbed because
+    /// words did not decode, or the layout moved, with no checkpoint to
+    /// fall back to ([`SessionReport::fallback_reason`]), or the dead
+    /// process never published the root and recovery published it
+    /// (`fallback_reason` is `None`).
     Replayed,
 }
 
@@ -243,7 +245,8 @@ pub struct SessionReport {
     /// checkpoint, the record's frontier handles planted as jobs.
     pub resumed: usize,
     /// Why resume was not possible, when `mode` is
-    /// [`SessionMode::Replayed`].
+    /// [`SessionMode::Replayed`] (`None` when the dead process never
+    /// published the root).
     pub fallback_reason: Option<FallbackReason>,
     /// Present when the crash state did not decode but the session
     /// resumed from a durable checkpoint record instead of replaying from
@@ -808,7 +811,8 @@ fn reseat_bottom(machine: &Machine, sched: &Sched, p: usize) -> bool {
 ///
 /// 1. Replay the session construction; count what the crash left
 ///    (`found_*`). A ring with no header was never handed to a
-///    processor: publish its job set. A moved layout ([`layout_moved`]:
+///    processor: publish its job set, and report the run
+///    [`SessionMode::Replayed`]. A moved layout ([`layout_moved`]:
 ///    the newest checkpoint record's region cursor, or the service
 ///    header's ring base, is not this construction's) means nothing the
 ///    dead run wrote is where this construction looks: clear the flag,
@@ -867,7 +871,8 @@ pub(crate) fn prepare_recovery(
     let (q, page) = (&session.service, machine.mem().control());
     let latest = machine.latest_checkpoint_record();
     let moved = layout_moved(machine, Some(q.as_ref()), latest.as_ref());
-    if moved.is_some() || page.service_header().is_none() {
+    let unpublished = page.service_header().is_none();
+    if moved.is_some() || unpublished {
         machine.mem().store(session.done.addr(), 0);
         q.clear();
         session.publish(machine)?;
@@ -890,8 +895,14 @@ pub(crate) fn prepare_recovery(
         Ok(seats) => {
             let find_work = Active::Sched(sched.find_work());
             let in_flight = |seat: &&Seat| matches!(seat, Seat::Resume(at) if *at != find_work);
+            // A root this recovery published has run nothing yet: every
+            // processor starts at `findWork` and the run is a replay.
+            let mode = match unpublished {
+                true => SessionMode::Replayed,
+                false => SessionMode::Resumed,
+            };
             let report = SessionReport {
-                mode: SessionMode::Resumed,
+                mode,
                 resumed: seats.iter().filter(in_flight).count() + found.found_jobs,
                 ..found
             };
