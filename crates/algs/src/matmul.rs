@@ -258,10 +258,11 @@ impl MmCapsules {
 /// `n_pad` with ephemeral memory `m_eph` (worst case: one processor
 /// expands every node: 2·n³/base_dim temporary words, plus slack).
 ///
-/// **Assumes checkpoint GC** (`ppm_sched::checkpoint`, on by default) —
-/// see [`crate::sort::samplesort_pool_words`] for the caveat; a run with
-/// checkpointing disabled that must survive crash resume or hard-fault
-/// adoption should roughly double this budget (the pre-GC sizing).
+/// **It holds without reclamation**, crash resume and hard-fault
+/// adoption included: at n = 16 with `M` = 64, a P = 1 run whose every
+/// join is foreign (nothing freed) peaks at 17 % of it, a seeded P = 2
+/// run at 4 %, and a run killed half-way and restarted at 5 %
+/// (`tests/checkpoint.rs`'s pool-bound test).
 pub fn matmul_pool_words(n: usize, m_eph: usize) -> usize {
     let np = next_pow2(n);
     let bd = base_dim(m_eph);
@@ -274,12 +275,10 @@ pub fn matmul_pool_words(n: usize, m_eph: usize) -> usize {
         // the eight products, the fork-pair tree and the per-row add map
         // — ≈ 52·size words per node (frames grew a parent-span
         // provenance word), which sums to ≈ 52·n³/bd² and dominates at
-        // small base dimensions. The pre-checkpoint sizing (PR 3)
-        // doubled both terms because a
-        // crash-resumed (or hard-fault-adopted) run re-allocated above
-        // the dead run's watermark; checkpoint GC (`ppm_sched::checkpoint`,
-        // on by default) now caps that re-allocation at one epoch's
-        // churn, so the doubling is gone.
+        // small base dimensions. A crash-resumed (or hard-fault-adopted)
+        // run re-allocates above the dead run's watermark; even a run
+        // whose joins free nothing peaks far below both terms, so they
+        // cover that re-allocation too.
         let cube = np * np * (np / bd).max(1);
         3 * cube + 52 * cube / bd.max(1) + (1 << 15)
     }

@@ -26,16 +26,17 @@
 use std::sync::Arc;
 
 use ppm_core::dsl::{CapsuleSet, K};
-use ppm_core::persist::{Persist, ValueError, WordReader, WordSink};
 use ppm_core::{Machine, PComp};
 use ppm_pm::{Addr, PmResult, ProcCtx, Region, Word};
 
-/// A range of a persistent region holding a sorted run of words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Run {
-    pub region: Region,
-    pub lo: usize,
-    pub hi: usize,
+ppm_core::persist_struct! {
+    /// A range of a persistent region holding a sorted run of words; runs
+    /// ride inside mergesort/samplesort frame states.
+    pub(crate) struct Run {
+        pub region: Region,
+        pub lo: usize,
+        pub hi: usize,
+    }
 }
 
 impl Run {
@@ -44,27 +45,6 @@ impl Run {
     }
     fn at(&self, i: usize) -> Addr {
         self.region.at(self.lo + i)
-    }
-}
-
-/// Runs ride inside mergesort/samplesort frame states.
-impl Persist for Run {
-    const WORDS: usize = Region::WORDS + 2;
-    fn encode(&self, out: &mut impl WordSink) {
-        self.region.encode(out);
-        self.lo.encode(out);
-        self.hi.encode(out);
-    }
-    fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
-        Ok(Run {
-            region: Region::decode(r)?,
-            lo: usize::decode(r)?,
-            hi: usize::decode(r)?,
-        })
-    }
-
-    fn pool_refs(&self, out: &mut ppm_core::PoolRefs) {
-        self.region.pool_refs(out);
     }
 }
 

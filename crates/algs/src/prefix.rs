@@ -81,12 +81,6 @@ impl Persist for PrefixSum {
             leaf_words,
         })
     }
-
-    fn pool_refs(&self, out: &mut ppm_core::PoolRefs) {
-        self.input.pool_refs(out);
-        self.output.pool_refs(out);
-        self.sums.pool_refs(out);
-    }
 }
 
 impl PrefixSum {

@@ -544,18 +544,19 @@ const FRAME_WORDS_PER_KEY: usize = 40;
 /// the scratch of four recursion levels (depth is `log_M n`; the worst
 /// case is one processor expanding every node), 40 words per key
 /// for the typed frames and join cells every phase writes, and a constant
-/// tail for one checkpoint epoch of churn.
+/// tail of 2¹³ words.
 ///
 /// **It holds without reclamation.** Joins free a finished fork's words
-/// (`ppm_pm::proc`), and the checkpoint GC (`ppm_sched::checkpoint`, on by
-/// default) reclaims what joins cannot; but with neither — every join
-/// foreign, checkpoints off, P = 1 — a run on uniform keys peaks at 7 %
-/// of this budget with the default `(M, B)` at n = 2¹⁵ and 2¹⁷, and at
-/// 36–61 % with `M = 64` at n = 900 and 4096 (40–65 % on
-/// `tests/checkpoint.rs`'s keys at n = 700–4096). A run configured with
-/// `CheckpointPolicy::disabled()` that must survive crash resume or
-/// hard-fault adoption re-allocates the replayed span on top of the dead
-/// run's watermark and should budget roughly an extra `40 * n` words.
+/// (`ppm_pm::proc`) and are the only reclaimer; the words a steal
+/// splits off, and a restarted run's pre-crash words, stay until the run
+/// ends. With no join freeing anything — every join foreign, P = 1 — a
+/// run on uniform keys peaks at 7 % of this budget with the default
+/// `(M, B)` at n = 2¹⁵ and 2¹⁷, and at 36–61 % with `M = 64` at n = 900
+/// and 4096 (40 % on `tests/checkpoint.rs`'s keys at n = 900). There, a
+/// seeded P = 2 run peaks at 10 % and a run killed half-way and
+/// restarted at 12 % (the pool-bound test): a restart re-allocates the
+/// replayed span above the dead run's watermark, which the
+/// retain-everything margin covers.
 pub fn samplesort_pool_words(n: usize) -> usize {
     4 * node_scratch_words(n.max(16)) + FRAME_WORDS_PER_KEY * n + (1 << 13)
 }

@@ -149,9 +149,9 @@ pub fn ceil_div(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
-/// A P = 1 faultless session for the §7 theorem-shape tests: checkpoints
-/// off (frame-pool GC shifts block alignment, and a model cost must
-/// repeat to the digit), so `pool_words` must hold every frame of the run.
+/// A P = 1 faultless volatile session for the §7 theorem-shape tests,
+/// checkpoints off: a model cost must repeat to the digit, and
+/// `pool_words` must hold every frame the run's joins do not free.
 #[cfg(test)]
 pub(crate) fn theorem_runtime(pm: ppm_pm::PmConfig, pool_words: usize) -> ppm_sched::Runtime {
     ppm_sched::Runtime::volatile(

@@ -13,9 +13,9 @@ use ppm_sched::Runtime;
 
 const W: [usize; 7] = [8, 4, 7, 10, 9, 5, 8];
 
-/// Per-processor pool: with checkpoint GC off (`model_cost_sched`) every
-/// frame of the run stays allocated — about 125 words per input block,
-/// 4.1M words at n = 2^18.
+/// Per-processor pool: sized to hold every frame of the run as if no
+/// join freed any — about 125 words per input block, 4.1M words at
+/// n = 2^18.
 const POOL_WORDS: usize = 1 << 23;
 
 fn run_case(n: usize, b: usize, f: f64, scrape: &mut String) -> (f64, u64) {

@@ -13,9 +13,9 @@ use ppm_sched::Runtime;
 
 const W: [usize; 8] = [8, 4, 7, 10, 9, 5, 8, 8];
 
-/// Per-processor pool: with checkpoint GC off (`model_cost_sched`) every
-/// frame of the run stays allocated — about 55 words per input block,
-/// 450k words at the largest case.
+/// Per-processor pool: sized to hold every frame of the run as if no
+/// join freed any — about 55 words per input block, 450k words at the
+/// largest case.
 const POOL_WORDS: usize = 1 << 20;
 
 fn sorted(seed: u64, n: usize) -> Vec<u64> {

@@ -17,8 +17,8 @@ use ppm_sched::{Runtime, SchedConfig};
 
 const W: [usize; 8] = [8, 11, 11, 9, 10, 10, 9, 9];
 
-/// Mergesort's per-processor pool: with checkpoint GC off
-/// (`model_cost_sched`) every frame of the run stays allocated — about 41 words per key, 340k words at
+/// Mergesort's per-processor pool: sized to hold every frame of the run
+/// as if no join freed any — about 41 words per key, 340k words at
 /// n = 2^13.
 const MERGESORT_POOL_WORDS: usize = 1 << 19;
 
@@ -80,8 +80,9 @@ fn main() {
                 PmConfig::parallel(1, 1 << 25)
                     .with_block_size(b)
                     .with_ephemeral_words(m_eph),
-                // The formula budgets for checkpoint GC; without it, add
-                // the un-reclaimed frames (see `samplesort_pool_words`).
+                // The formula plus one more frame term: a pool size
+                // moves the regions after it, so it stays as the pinned
+                // model costs were measured with.
                 samplesort_pool_words(n) + 40 * n,
             );
             let ss = SampleSort::new(&m, n);

@@ -24,9 +24,9 @@ use ppm_pm::Region;
 use ppm_sched::{CheckpointPolicy, SchedConfig};
 
 /// Scheduler configuration of the theorem experiments: `slots` deque
-/// slots and checkpoints off — frame-pool GC shifts block alignment
-/// (moving W by fractions of a percent), and a model-cost number must
-/// repeat to the digit. Pools must hold every frame of the run.
+/// slots and checkpoints off, so a durable run's floor pins never change
+/// which words a join frees and a model-cost number repeats to the
+/// digit. Pools must hold every frame the run's joins do not free.
 pub fn model_cost_sched(slots: usize) -> SchedConfig {
     let mut cfg = SchedConfig::with_slots(slots);
     cfg.checkpoint = CheckpointPolicy::disabled();

@@ -86,9 +86,6 @@ impl Persist for K {
     fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
         Ok(K(r.word()))
     }
-    fn pool_refs(&self, out: &mut crate::persist::PoolRefs) {
-        out.handle(self.0);
-    }
 }
 
 /// What a DSL capsule body does next — the typed, frame-handle-only
@@ -235,20 +232,6 @@ impl CapsuleSet {
             def.name,
             move |args| decode_args::<(T, K)>(def.name, args),
             move |(state, k): &(T, K), ctx| body(state, *k, ctx).map(Step::into_next),
-            // Checkpoint-GC tracer, derived from the typed state: the
-            // state's own references plus the continuation handle. A
-            // frame whose words no longer decode is reported as
-            // untraceable (returning `false`) so GC refuses to reclaim —
-            // silently reporting nothing would let the frame's live
-            // children be collected.
-            move |args, out| match decode_args::<(T, K)>(def.name, args) {
-                Ok((state, k)) => {
-                    state.pool_refs(out);
-                    k.pool_refs(out);
-                    true
-                }
-                Err(_) => false,
-            },
         );
     }
 
@@ -435,9 +418,6 @@ impl<T: Persist> Persist for Span<T> {
             hi: usize::decode(r)?,
         })
     }
-    fn pool_refs(&self, out: &mut crate::persist::PoolRefs) {
-        self.env.pool_refs(out);
-    }
 }
 
 /// The state of one [`CapsuleSet::reduce`] subtree: environment, index
@@ -470,41 +450,15 @@ impl<T: Persist> Persist for Fold<T> {
             dst: usize::decode(r)?,
         })
     }
-    fn pool_refs(&self, out: &mut crate::persist::PoolRefs) {
-        self.env.pool_refs(out);
-        // `dst` is a raw cell address (often a pool scratch cell).
-        out.extent(self.dst, 1);
-    }
 }
 
-/// Internal state of a reduction's combine capsule. Hand-implemented
-/// (not `persist_struct!`) because all three fields are raw cell
-/// addresses that must surface as live extents for checkpoint GC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FoldJoin {
-    left: usize,
-    right: usize,
-    dst: usize,
-}
-
-impl Persist for FoldJoin {
-    const WORDS: usize = 3;
-    fn encode(&self, out: &mut impl WordSink) {
-        self.left.encode(out);
-        self.right.encode(out);
-        self.dst.encode(out);
-    }
-    fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
-        Ok(FoldJoin {
-            left: usize::decode(r)?,
-            right: usize::decode(r)?,
-            dst: usize::decode(r)?,
-        })
-    }
-    fn pool_refs(&self, out: &mut crate::persist::PoolRefs) {
-        out.extent(self.left, 1);
-        out.extent(self.right, 1);
-        out.extent(self.dst, 1);
+crate::persist_struct! {
+    /// Internal state of a reduction's combine capsule: the two child
+    /// value cells and the cell receiving their combination.
+    struct FoldJoin {
+        left: usize,
+        right: usize,
+        dst: usize,
     }
 }
 

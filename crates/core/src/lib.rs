@@ -51,11 +51,10 @@ pub use flag::DoneFlag;
 pub use join::{fork_join_frames, JoinCell, TOKEN_LEFT, TOKEN_RIGHT, UNSET};
 pub use machine::{Machine, MetaMap, ProcMeta, DEFAULT_POOL_WORDS, PROC_META_WORDS};
 pub use persist::{
-    decode_args, encode_args, FrameDecodeError, FrameDecodeKind, Persist, PoolRefs, ValueError,
-    WordReader,
+    decode_args, encode_args, FrameDecodeError, FrameDecodeKind, Persist, ValueError, WordReader,
 };
 pub use registry::{
-    frame_args, register_core_capsules, CapsuleId, CapsuleRegistry, CapsuleTracer, FrameRef, PComp,
+    frame_args, register_core_capsules, CapsuleId, CapsuleRegistry, FrameRef, PComp,
     RehydrateError, CORE_ID_END, CORE_ID_FINALE, CORE_ID_FORK_PAIR, CORE_ID_JOIN_CAM,
     FIRST_USER_CAPSULE_ID,
 };

@@ -158,10 +158,9 @@ pub struct Machine {
 /// Default per-processor allocation pool size in words. A fork consumes
 /// its join cell, two six-word arrival frames and its two branch frames —
 /// 29 words a leaf of a `map_grain` over a region — so this holds on the
-/// order of 9·10^3 forks per processor that neither their joins (which
-/// free a subtree that ran on its processor) nor a checkpoint have
-/// handed back; construct with [`Machine::with_pool_words`] for larger
-/// workloads.
+/// order of 9·10^3 forks per processor that their joins (which free a
+/// subtree that ran on its processor) have not handed back; construct
+/// with [`Machine::with_pool_words`] for larger workloads.
 pub const DEFAULT_POOL_WORDS: usize = 1 << 18;
 
 impl Machine {

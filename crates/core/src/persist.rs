@@ -62,51 +62,6 @@ pub trait Persist: Sized {
     /// Decodes the value, consuming exactly [`Persist::WORDS`] words from
     /// the reader.
     fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError>;
-
-    /// Reports every persistent-memory reference this value carries: frame
-    /// handles ([`PoolRefs::handle`]) and word extents the capsule may
-    /// still read or write ([`PoolRefs::extent`]). The checkpoint
-    /// subsystem traces these from the quiesced frontier to find the
-    /// highest live pool word before reclaiming everything above it, so an
-    /// impl that *under-reports* lets live frames be reclaimed.
-    /// [`ppm_pm::Region`] reports its full extent and
-    /// [`crate::persist_struct!`] composes fields automatically; plain
-    /// integers (indices, lengths, tokens) correctly report nothing. A
-    /// hand-written impl holding raw addresses must override this.
-    fn pool_refs(&self, out: &mut PoolRefs) {
-        let _ = out;
-    }
-}
-
-/// Collector for the persistent-memory references of a capsule state
-/// (see [`Persist::pool_refs`]).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct PoolRefs {
-    /// Frame handles the state points at (continuations, children).
-    pub handles: Vec<Word>,
-    /// `(start, len)` word extents the state may still touch.
-    pub extents: Vec<(usize, usize)>,
-}
-
-impl PoolRefs {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a frame handle (traced transitively).
-    pub fn handle(&mut self, h: Word) {
-        if h != 0 {
-            self.handles.push(h);
-        }
-    }
-
-    /// Records a word extent `[start, start + len)`.
-    pub fn extent(&mut self, start: usize, len: usize) {
-        if len > 0 {
-            self.extents.push((start, len));
-        }
-    }
 }
 
 /// A field-level decode failure: the word does not denote a value of the
@@ -317,9 +272,6 @@ impl Persist for ppm_pm::Region {
         let len = usize::decode(r)?;
         Ok(ppm_pm::Region { start, len })
     }
-    fn pool_refs(&self, out: &mut PoolRefs) {
-        out.extent(self.start, self.len);
-    }
 }
 
 // ====================================================================
@@ -346,11 +298,6 @@ macro_rules! tuple_persist {
             fn decode(r: &mut WordReader<'_>) -> Result<Self, ValueError> {
                 Ok(($($name::decode(r)?,)+))
             }
-            fn pool_refs(&self, out: &mut PoolRefs) {
-                #[allow(non_snake_case)]
-                let ($($name,)+) = self;
-                $($name.pool_refs(out);)+
-            }
         }
     };
 }
@@ -375,11 +322,6 @@ impl<T: Persist, const N: usize> Persist for [T; N] {
         match items.try_into() {
             Ok(arr) => Ok(arr),
             Err(_) => unreachable!("exactly N items were pushed"),
-        }
-    }
-    fn pool_refs(&self, out: &mut PoolRefs) {
-        for v in self {
-            v.pool_refs(out);
         }
     }
 }
@@ -434,10 +376,6 @@ macro_rules! persist_struct {
                 Ok(Self {
                     $($field: <$ty as $crate::persist::Persist>::decode(r)?,)*
                 })
-            }
-            fn pool_refs(&self, out: &mut $crate::persist::PoolRefs) {
-                $($crate::persist::Persist::pool_refs(&self.$field, out);)*
-                let _ = out;
             }
         }
     };
@@ -527,32 +465,6 @@ mod tests {
     fn unit_and_nested_tuples_have_zero_and_summed_arity() {
         assert_eq!(<() as Persist>::WORDS, 0);
         assert_eq!(<(Region, (usize, bool)) as Persist>::WORDS, 4);
-    }
-
-    #[test]
-    fn pool_refs_compose_through_structs_tuples_and_arrays() {
-        let g = Geometry {
-            input: Region { start: 10, len: 20 },
-            n: 17,
-            flagged: false,
-        };
-        let mut refs = PoolRefs::new();
-        g.pool_refs(&mut refs);
-        assert_eq!(refs.extents, vec![(10, 20)]);
-        assert!(refs.handles.is_empty(), "plain ints report nothing");
-
-        let mut refs = PoolRefs::new();
-        (
-            Region { start: 1, len: 2 },
-            [Region { start: 5, len: 1 }, Region { start: 9, len: 3 }],
-        )
-            .pool_refs(&mut refs);
-        assert_eq!(refs.extents, vec![(1, 2), (5, 1), (9, 3)]);
-        // Empty extents and null handles are dropped at the collector.
-        let mut refs = PoolRefs::new();
-        refs.extent(7, 0);
-        refs.handle(0);
-        assert_eq!(refs, PoolRefs::new());
     }
 
     #[test]

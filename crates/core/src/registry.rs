@@ -42,7 +42,7 @@ use parking_lot::RwLock;
 use ppm_pm::{with_frame_args, Addr, FrameError, PersistentMemory, PmResult, ProcCtx, Word};
 
 use crate::capsule::Next;
-use crate::persist::{FrameDecodeError, FrameDecodeKind, PoolRefs};
+use crate::persist::{FrameDecodeError, FrameDecodeKind};
 use RehydrateError::{BadArgs, UnknownCapsule};
 
 /// A stable capsule identifier. Equal across processes for the same
@@ -160,15 +160,6 @@ where
     }
 }
 
-/// A frame tracer: reports the persistent-memory references a frame's
-/// argument words carry (continuation handles, live word extents) into a
-/// [`PoolRefs`] collector, returning whether the words were fully
-/// understood — `false` (e.g. the typed state failed to decode) makes
-/// the checkpoint subsystem refuse to reclaim anything. Installed
-/// alongside the code by [`CapsuleRegistry::register`] (the typed DSL
-/// derives it from [`crate::persist::Persist::pool_refs`]).
-pub type CapsuleTracer = Box<dyn Fn(&[Word], &mut PoolRefs) -> bool + Send + Sync>;
-
 /// A computation expressed as persistent capsule frames: given the
 /// machine and the frame handle of the continuation to run after the
 /// computation (typically the finale), register the needed capsules,
@@ -196,7 +187,6 @@ pub struct FrameRef {
 struct Entry {
     name: &'static str,
     code: Box<dyn FrameCode>,
-    trace: CapsuleTracer,
 }
 
 impl std::fmt::Debug for Entry {
@@ -266,10 +256,10 @@ impl CapsuleRegistry {
 
     /// Registers the capsule `name` under `id`: `decode` type-checks a
     /// frame's argument words into the capsule's state, `body` runs one
-    /// attempt on it under the usual restart rules, `trace` is its
-    /// [`CapsuleTracer`]. Re-registering the same `(id, name)` is
-    /// idempotent and keeps the first code (the recovering process replays
-    /// the construction sequence the creating run performed).
+    /// attempt on it under the usual restart rules. Re-registering the
+    /// same `(id, name)` is idempotent and keeps the first code (the
+    /// recovering process replays the construction sequence the creating
+    /// run performed).
     ///
     /// # Panics
     /// Panics if `id` is already registered under a *different* name, or
@@ -277,17 +267,10 @@ impl CapsuleRegistry {
     /// manual-id collision) that would silently run the wrong code; the
     /// panic names both capsules — or if `id` is not below
     /// [`MAX_CAPSULE_IDS`].
-    pub fn register<S, D, B, T>(
-        &self,
-        id: CapsuleId,
-        name: &'static str,
-        decode: D,
-        body: B,
-        trace: T,
-    ) where
+    pub fn register<S, D, B>(&self, id: CapsuleId, name: &'static str, decode: D, body: B)
+    where
         D: Fn(&[Word]) -> Result<S, FrameDecodeError> + Send + Sync + 'static,
         B: Fn(&S, &mut ProcCtx) -> PmResult<Next> + Send + Sync + 'static,
-        T: Fn(&[Word], &mut PoolRefs) -> bool + Send + Sync + 'static,
     {
         assert!(
             id < MAX_CAPSULE_IDS,
@@ -315,12 +298,8 @@ impl CapsuleRegistry {
             inner.next = id + 1;
         }
         inner.by_name.insert(name, id);
-        let (code, trace) = (Box::new((decode, body)), Box::new(trace));
-        fill(
-            &mut inner.entries,
-            id,
-            Arc::new(Entry { name, code, trace }),
-        );
+        let code = Box::new((decode, body));
+        fill(&mut inner.entries, id, Arc::new(Entry { name, code }));
     }
 
     /// The diagnostic name registered for `id`.
@@ -356,15 +335,6 @@ impl CapsuleRegistry {
             let (id, name) = (capsule_id, entry.name);
             Ok(FrameRef { addr, id, name })
         })?
-    }
-
-    /// Traces the persistent references of a frame's argument words into
-    /// `out`. Returns `false` when `capsule_id` is unregistered or its
-    /// tracer could not decode the words — the signal for checkpoint GC to
-    /// skip reclamation rather than guess at liveness.
-    pub fn trace_refs(&self, capsule_id: CapsuleId, args: &[Word], out: &mut PoolRefs) -> bool {
-        let entry = slot(&self.inner.read().entries, capsule_id).cloned();
-        entry.is_some_and(|e| (e.trace)(args, out))
     }
 }
 
@@ -460,22 +430,11 @@ pub fn frame_args<const N: usize>(
 /// the trivial end, the fork pair) on `registry`. Called by machine
 /// construction; idempotent.
 pub fn register_core_capsules(registry: &CapsuleRegistry) {
-    // A join arrival keeps its cell word and its post-join continuation
-    // frame alive; the tracer reports both (and refuses malformed args).
     registry.register(
         CORE_ID_JOIN_CAM,
         "join-cam",
         crate::join::decode_arrival,
         crate::join::arrive_cam,
-        |args: &[Word], out: &mut PoolRefs| {
-            if let [cell, _token, after] = args {
-                out.extent(*cell as usize, 1);
-                out.handle(*after);
-                true
-            } else {
-                false
-            }
-        },
     );
     registry.register(
         CORE_ID_FINALE,
@@ -485,21 +444,12 @@ pub fn register_core_capsules(registry: &CapsuleRegistry) {
             ctx.pwrite(flag as Addr, 1)?;
             Ok(Next::End)
         },
-        |args, out| {
-            if let [flag] = args {
-                out.extent(*flag as usize, 1);
-                true
-            } else {
-                false
-            }
-        },
     );
     registry.register(
         CORE_ID_END,
         "end",
         |_args| Ok(()),
         |_: &(), _ctx| Ok(Next::End),
-        |_args, _out| true,
     );
     registry.register(
         CORE_ID_FORK_PAIR,
@@ -510,12 +460,6 @@ pub fn register_core_capsules(registry: &CapsuleRegistry) {
                 child: right,
                 cont: left,
             })
-        },
-        |args, out| {
-            for a in args {
-                out.handle(*a);
-            }
-            args.len() == 2
         },
     );
 }
@@ -538,13 +482,13 @@ pub(crate) mod tests {
     ) -> Word {
         let id = m.registry().allocate(name);
         let decode = move |a: &[Word]| frame_args::<N>(name, a);
-        m.registry().register(id, name, decode, body, |_, _| true);
+        m.registry().register(id, name, decode, body);
         m.setup_frame(id, &args)
     }
 
     /// Registers `name` under `id` with no state and a body that ends.
     fn register_end(reg: &CapsuleRegistry, id: CapsuleId, name: &'static str) {
-        reg.register(id, name, |_| Ok(()), |_: &(), _| Ok(Next::End), |_, _| true);
+        reg.register(id, name, |_| Ok(()), |_: &(), _| Ok(Next::End));
     }
 
     #[test]
@@ -558,7 +502,6 @@ pub(crate) mod tests {
                 ctx.pwrite(target as Addr, 77)?;
                 Ok(Next::End)
             },
-            |_, _| false,
         );
         assert_eq!(reg.name_of(0x200), Some("probe"));
         assert_eq!(reg.id_of("probe"), Some(0x200));
@@ -641,10 +584,10 @@ pub(crate) mod tests {
                 Ok(Next::End)
             }
         };
-        reg.register(0x310, "late", |_| Ok(()), writes(1), |_, _| true);
+        reg.register(0x310, "late", |_| Ok(()), writes(1));
         assert_eq!(memo.frame_ref(mem, reg, frame).unwrap().name, "late");
 
-        reg.register(0x310, "late", |_| Ok(()), writes(2), |_, _| true);
+        reg.register(0x310, "late", |_| Ok(()), writes(2));
         for memo in [&mut memo, &mut CodeMemo::default()] {
             let next = memo.run(mem, reg, frame, &mut ctx).expect("decodes");
             assert!(matches!(next, Ok(Next::End)));

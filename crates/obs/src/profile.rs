@@ -319,10 +319,10 @@ impl Analysis {
         // processes); earlier completed duplicates are wasted outright,
         // and each interrupted execution wastes ~one canonical-work's
         // worth (its own work counter died with the process). Frame
-        // addresses recycle — a join frees its subtree's words, and
-        // checkpoint GC rolls pools back — so executions also key by the
-        // span that wrote the frame: a recycled address holds a frame
-        // another execution wrote, and a replay runs the frame it finds.
+        // addresses recycle — a join frees its subtree's words — so
+        // executions also key by the span that wrote the frame: a
+        // recycled address holds a frame another execution wrote, and a
+        // replay runs the frame it finds.
         // Executions installed without a known writer (a restart at
         // process start) key with 0, and capsule names separate most of
         // those.

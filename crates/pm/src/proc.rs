@@ -59,11 +59,12 @@
 //! ([`ProcCtx::pin_floor`]): on a durable machine its
 //! value at the last checkpoint quiesce, whose record's frontier may
 //! still need the words below it. In every other case nothing is
-//! reclaimed; checkpoint GC is the backstop. Marks and reclaims take
-//! effect when their capsule commits ([`ProcCtx::complete_capsule`]), so
-//! a soft-fault re-run neither registers a fork twice nor reclaims twice,
-//! and all of it is ephemeral: a restarted or replacement processor
-//! starts with no marks.
+//! reclaimed until the run ends, and the pool budgets carry those words
+//! (`ppm-algs`'s sizing). Marks and reclaims take effect when their
+//! capsule commits ([`ProcCtx::complete_capsule`]), so a soft-fault
+//! re-run neither registers a fork twice nor reclaims twice, and all of
+//! it is ephemeral: a restarted or replacement processor starts with no
+//! marks.
 
 use std::sync::Arc;
 
@@ -103,7 +104,7 @@ pub struct ProcCtx {
     /// No join rolls the pool back below this cursor: set when the pool
     /// is installed and at each durable checkpoint quiesce
     /// ([`ProcCtx::pin_floor`]), so the frames a checkpoint record's
-    /// frontier reaches stay as they were until the next checkpoint.
+    /// frontier reaches stay as they were (the floor only rises).
     floor: usize,
     /// The mark the running capsule's fork registers when it commits.
     pending_mark: Option<Addr>,
@@ -777,36 +778,10 @@ impl ProcCtx {
         self.alloc_cursor
     }
 
-    /// Moves the allocation cursor to `cursor` at a capsule boundary.
-    /// Checkpoint GC uses this after a quiesced reclamation rolled the
-    /// persisted watermark back below the old cursor: subsequent
-    /// allocations reuse the pool words whose frames are dead. Must only
-    /// be called between capsules (the committed cursor moves too).
-    ///
-    /// A mark at or above the new cursor goes: its cell was dead at the
-    /// quiesce and may be handed out again as another capsule's word,
-    /// which must not match a later join. A mark below it stays: the
-    /// quiesce traced its open subtree live, so the rollback freed none
-    /// of it, and its join still frees all of it.
-    pub fn set_pool_cursor(&mut self, cursor: usize) {
-        if let Some(pool) = self.alloc_pool {
-            while self
-                .marks
-                .last()
-                .is_some_and(|&(m, _)| m >= pool.start + cursor)
-            {
-                self.marks.pop();
-            }
-        }
-        self.alloc_cursor = cursor;
-        self.capsule_start_cursor = cursor;
-    }
-
     /// From here on no join rolls the pool back below the current cursor.
-    /// A durable machine's checkpoint quiesce calls this after resyncing
-    /// the cursor: the record it may have written reaches frames under
-    /// the cursor, and recovery can fall back to that record until a
-    /// newer one replaces it.
+    /// A durable machine's checkpoint quiesce calls this: the record it
+    /// may have written reaches frames under the cursor, and recovery can
+    /// fall back to that record until a newer one replaces it.
     pub fn pin_floor(&mut self) {
         self.floor = self.alloc_cursor;
     }
@@ -833,9 +808,9 @@ impl ProcCtx {
     /// store would have written the value the word has, so after this
     /// call the persisted watermark equals the cursor either way, and
     /// therefore still covers every frame an install can publish. The
-    /// comparison reads the word itself, not a cached copy, so the one
-    /// other writer — checkpoint GC rolling the watermark back while this
-    /// processor is parked — cannot make it stale.
+    /// comparison reads the word itself, not a cached copy, so a recovery
+    /// that rewrote the word before this context was minted cannot make
+    /// it stale.
     pub fn publish_watermark(&mut self) {
         if let Some(wm) = self.watermark_addr {
             let cursor = self.alloc_cursor as Word;
@@ -1265,7 +1240,7 @@ mod tests {
     }
 
     #[test]
-    fn a_pending_mark_dies_with_a_soft_fault_and_a_gc_rollback_drops_dead_marks() {
+    fn a_pending_mark_dies_with_a_soft_fault() {
         let mut c = pooled(64);
         c.begin_capsule("fork");
         let cell = c.palloc(1).unwrap();
@@ -1275,22 +1250,6 @@ mod tests {
         assert_eq!(cell, again);
         c.complete_capsule();
         assert_eq!(c.fork_marks().count(), 0, "the re-run did not mark");
-        let outer = fork(&mut c, 7);
-        let inner = fork(&mut c, 7);
-        // A rollback into the inner fork's words: its cell was dead.
-        c.set_pool_cursor(inner - 100);
-        assert_eq!(c.fork_marks().collect::<Vec<_>>(), vec![(outer, true)]);
-        c.begin_capsule("reuse");
-        assert_eq!(c.palloc(8), Ok(inner), "the dead cell is handed out again");
-        c.complete_capsule();
-        arrive_right(&mut c, inner);
-        assert_eq!(c.alloc_cursor(), 17, "an unmarked cell reclaims nothing");
-        arrive_right(&mut c, outer);
-        assert_eq!(
-            c.alloc_cursor(),
-            1,
-            "the open fork below the rollback still frees"
-        );
     }
 
     #[test]
@@ -1299,18 +1258,17 @@ mod tests {
         let outer = fork(&mut c, 7);
         let inner = fork(&mut c, 7);
         arrive_right(&mut c, inner);
-        // A durable quiesce that moves nothing pins the cursor as a floor.
-        c.set_pool_cursor(5);
+        // A durable quiesce pins the cursor as a floor.
         c.pin_floor();
         let next = fork(&mut c, 7);
         arrive_right(&mut c, next);
         assert_eq!(
             c.alloc_cursor(),
-            5,
+            8,
             "a fork after the quiesce frees its words"
         );
         arrive_right(&mut c, outer);
-        assert_eq!(c.alloc_cursor(), 5, "but not the words under the floor");
+        assert_eq!(c.alloc_cursor(), 8, "but not the words under the floor");
         assert_eq!(c.fork_marks().count(), 0);
     }
 

@@ -50,8 +50,8 @@ pub struct ProcStats {
     /// Capsule executions that completed (installed a successor).
     pub capsule_completions: AtomicU64,
     /// Highest pool-allocation cursor this processor ever reached — the
-    /// peak pool-word footprint (checkpoint GC rolls the *cursor* back,
-    /// so the peak is what pool-sizing formulas must cover).
+    /// peak pool-word footprint (joins roll the *cursor* back, so the
+    /// peak is what pool-sizing formulas must cover).
     pub pool_peak: AtomicU64,
     /// Words stored through the write-combining staging path
     /// (`ProcCtx::stage_write`) — the raw side of the coalescing ratio.

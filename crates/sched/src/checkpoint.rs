@@ -1,4 +1,4 @@
-//! Epoch checkpoints: incremental persist boundaries with frame-pool GC.
+//! Epoch checkpoints: incremental persist boundaries.
 //!
 //! # Design, mapped to the paper's persist-boundary semantics
 //!
@@ -6,13 +6,13 @@
 //! most the work since the last point at which the computation's state
 //! was *persistently consistent*: capsule boundaries bound the cost of a
 //! processor fault, and the explicit flush boundary bounds the cost of a
-//! machine failure. Before this module the runtime had exactly two
+//! machine failure. Without checkpoints the runtime has exactly two
 //! machine-level persist boundaries — the initial state and the final
 //! [`crate::Runtime::flush`] — so a machine failure (or any crash whose
-//! frontier falls in one of the narrow unresumable windows) replayed the
+//! frontier falls in one of the narrow unresumable windows) replays the
 //! *whole* run. A **checkpoint** inserts periodic machine-level persist
-//! boundaries, each one doing three things at a quiesced capsule
-//! boundary:
+//! boundaries on a durable machine, each one doing two things at a
+//! quiesced capsule boundary:
 //!
 //! 1. **Dirty-block incremental flush.** Instead of `msync`ing the whole
 //!    mapping, [`ppm_pm::PersistentMemory::flush_dirty`] syncs only the
@@ -24,55 +24,41 @@
 //!    `pm.backend.flush_full_ms`).
 //! 2. **A versioned checkpoint record** ([`ppm_pm::CheckpointRecord`]) in
 //!    the control page: sequence number, run epoch, capsule count, the
-//!    per-processor *stable pool watermarks*, and the quiesced **deque
-//!    frontier** (every in-flight `job` handle plus every running
-//!    thread's restart pointer — exactly the §6.3 state a recovering
-//!    process needs). Records alternate between two checksummed slots, so
-//!    a write torn by a machine failure leaves the previous record
-//!    intact; and because records are only written under quiescence,
-//!    *before* any post-checkpoint pool allocation, the surviving older
-//!    record's frames are always still unclobbered when it is needed.
-//! 3. **Frame-pool GC, the backstop for joins that cannot reclaim.** A
-//!    join frees its subtree's pool words when the subtree ran on the
-//!    forking processor alone (`ppm_pm::proc`'s join-time reclamation),
-//!    so at P = 1 the pool stays at O(depth) and a quiesce finds nothing
-//!    dead above the live words. A subtree a steal split, an inner
-//!    `fork_many` join, a chain's dead scratch and the words a resumed
-//!    run re-allocates are left to the checkpoint: without it the §4.1
-//!    allocator only bumps past them — O(total work) pool footprint in
-//!    the worst case (samplesort's old sizing carried a 72·n frame term
-//!    for exactly this reason). At a quiesced boundary the *live* pool
-//!    contents are precisely what is
-//!    reachable from the frontier: the checkpoint traces frame handles
-//!    and typed state extents ([`ppm_core::Persist::pool_refs`], via
-//!    [`ppm_core::CapsuleRegistry::trace_refs`]) transitively from the
-//!    frontier, finds the highest live word of each processor's pool, and
-//!    rolls the pool cursors (and their persisted watermark mirrors) back
-//!    to it. Everything above — completed continuations, dead join
-//!    cells, abandoned scratch — is reused by later allocations, turning
-//!    the retained footprint into O(live frontier + one epoch's churn)
-//!    and capping a resumed run's re-allocation at one epoch's worth.
+//!    per-processor pool watermarks, and the quiesced **deque frontier**
+//!    (every in-flight `job` handle plus every running thread's restart
+//!    pointer — exactly the §6.3 state a recovering process needs).
+//!    Records alternate between two checksummed slots, so a write torn by
+//!    a machine failure leaves the previous record intact.
 //!
-//! ## Why the rollback is sound
+//! Then each processor pins its **floor** ([`ProcCtx::pin_floor`]) at its
+//! pool cursor: no join reclaims below it, so the frames the record's
+//! frontier reaches stay as they were. A volatile machine has no persist
+//! boundary to insert: there a checkpoint does nothing, and a volatile
+//! session never quiesces.
 //!
-//! The bump discipline gives the key invariant: a frame's words are
-//! written when it is created, so every pool address a frame carries was
-//! allocated *no later than* the frame itself. Any live object is
-//! therefore at or below some frame that references it in the same pool,
-//! and keeping every traced frame/extent keeps everything below the
-//! per-pool maximum automatically — suffix reclamation needs an upper
-//! bound on live addresses, not an exact live set. Tracing is refused
-//! (and the checkpoint skipped, never wrong) whenever a reachable frame's
-//! capsule id has no tracer, and reclamation only happens when the
-//! frontier capture succeeds, so quiesces that catch a steal
-//! mid-transfer or a fork mid-push are skipped and retried later.
+//! ## Why the pool needs no collector here
 //!
-//! A rollback drops the processor's fork marks at or above its new
-//! cursor (their cells were dead and may be handed out again), and on a
-//! durable machine the resynced cursor becomes a floor no join reclaims
-//! below until the next quiesce: the record just written reaches frames
-//! under it, and recovery may fall back to that record
-//! (`resync_pool`).
+//! The §4.1 pool only bumps, and its words die at joins: a join whose
+//! subtree ran on the forking processor alone rolls the cursor back
+//! (`ppm_pm::proc`'s join-time reclamation). The words a steal split, a
+//! `fork_many`'s inner cells, a chain's scratch and a restarted run's
+//! pre-crash words stay until the run ends; the pool budgets in
+//! `ppm-algs` carry them as stated terms.
+//!
+//! A checkpoint moves no cursor, so nothing a stored record reaches is
+//! ever handed out again:
+//!
+//! - **The cursor and the watermark agree at a quiesce.** Every parked
+//!   processor has just completed a capsule, and
+//!   [`ProcCtx::complete_capsule`] mirrors its cursor to the watermark
+//!   word; nothing else writes that word during a run. So a record's
+//!   watermarks are its processors' cursors, and resuming a processor
+//!   after the quiesce needs no resync, only the floor pin.
+//! - **The floor only rises.** A cursor never drops below its floor, so
+//!   the next quiesce pins a floor at or above the last one. A record's
+//!   frontier lies below the floor pinned with it, hence below every
+//!   later floor: an older record stays resumable when a newer one could
+//!   not be written (an oversized frontier, a flush or write error).
 //!
 //! ## Recovery
 //!
@@ -91,7 +77,9 @@
 //! Processors check the checkpoint request at every capsule boundary (the
 //! driver loop runs one capsule per iteration, and every scheduler
 //! operation is itself capsules, so no processor can be more than one
-//! capsule away from parking). The last processor to park performs the
+//! capsule away from parking). A due checkpoint is requested at a
+//! boundary where the requesting processor's restart pointer is a frame,
+//! which a record can name. The last processor to park performs the
 //! checkpoint while the others wait; processors that hard-fault or halt
 //! deregister so the barrier never deadlocks. The checkpoint itself
 //! performs only uncosted machine maintenance — no costed transfers, no
@@ -102,9 +90,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use ppm_core::{DoneFlag, Machine, PoolRefs};
+use ppm_core::{DoneFlag, Machine};
 use ppm_obs::TraceKind;
-use ppm_pm::{frame_words, read_frame, CheckpointRecord, ProcCtx, Region, Word};
+use ppm_pm::{CheckpointRecord, ProcCtx, Word};
 
 use crate::capsules::Sched;
 use crate::driver::FallbackReason;
@@ -123,34 +111,18 @@ pub const DEFAULT_CHECKPOINT_CAPSULES: u64 = 1024;
 /// completed checkpoint resets it.
 const BUSY_RETRY_CAPSULES: u64 = 8;
 
-/// Capsules a due checkpoint waits for a join boundary before it takes
-/// any boundary. Right after a join's last arrival continues, everything
-/// the forking capsule allocated above the join's `after` frame is dead,
-/// so a checkpoint there reclaims it; elsewhere the top of the pool is
-/// usually a live frame just written. The wait is bounded so a stretch
-/// of work with no join (one long chain, a fan-out still forking) still
-/// checkpoints.
-const JOIN_WAIT_CAPSULES: u64 = 64;
-
-/// Backoff after a quiesce found an untraceable frame: the offending
-/// capsule is usually still reachable at the next boundary, so hammering
-/// the barrier would quiesce every few capsules with zero reclamation.
-const UNTRACED_RETRY_CAPSULES: u64 = 256;
-
 /// When a session writes checkpoints.
 ///
 /// Construct with [`CheckpointPolicy::every_capsules`],
-/// [`CheckpointPolicy::every_pool_words`], [`CheckpointPolicy::manual`]
-/// or [`CheckpointPolicy::disabled`]. The default checkpoints every
-/// [`DEFAULT_CHECKPOINT_CAPSULES`] capsules.
+/// [`CheckpointPolicy::manual`] or [`CheckpointPolicy::disabled`]. The
+/// default checkpoints every [`DEFAULT_CHECKPOINT_CAPSULES`] capsules. A
+/// volatile machine takes no checkpoints under any policy.
 #[derive(Debug, Clone)]
 pub enum CheckpointPolicy {
     /// Never checkpoint.
     Disabled,
     /// Checkpoint after every `k` completed capsules (machine-wide).
     EveryCapsules(u64),
-    /// Checkpoint after every `d` pool words allocated (machine-wide).
-    EveryPoolWords(u64),
     /// Checkpoint only when the paired [`CheckpointTrigger`] is fired.
     Manual(Arc<AtomicBool>),
 }
@@ -169,15 +141,6 @@ impl CheckpointPolicy {
     pub fn every_capsules(k: u64) -> Self {
         assert!(k > 0, "checkpoint interval must be positive");
         CheckpointPolicy::EveryCapsules(k)
-    }
-
-    /// Checkpoint after every `d` pool words allocated.
-    ///
-    /// # Panics
-    /// Panics if `d` is zero.
-    pub fn every_pool_words(d: u64) -> Self {
-        assert!(d > 0, "checkpoint pool-word budget must be positive");
-        CheckpointPolicy::EveryPoolWords(d)
     }
 
     /// No automatic checkpoints.
@@ -204,8 +167,7 @@ impl CheckpointPolicy {
 
     /// The longest busy-skip backoff, in capsules: the interval of
     /// [`CheckpointPolicy::EveryCapsules`], and
-    /// [`DEFAULT_CHECKPOINT_CAPSULES`] for the policies that do not count
-    /// capsules.
+    /// [`DEFAULT_CHECKPOINT_CAPSULES`] for a manual policy.
     fn interval_capsules(&self) -> u64 {
         match self {
             CheckpointPolicy::EveryCapsules(k) => *k,
@@ -225,28 +187,26 @@ impl CheckpointTrigger {
     }
 }
 
-/// What a run's checkpointing did (part of [`crate::RunReport`]).
+/// What a run's checkpointing did (part of [`crate::RunReport`]); all
+/// zeros on a volatile machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointSummary {
     /// Quiesces that reached the coordinator.
     pub attempted: u64,
-    /// Checkpoints fully taken (GC + flush + record when durable).
+    /// Checkpoints fully taken (flush + record).
     pub completed: u64,
     /// Quiesces skipped because the frontier was not harvestable at this
     /// boundary (a steal or push in flight, a restart pointer parked on a
     /// scheduler record) — retried at a later boundary.
     pub skipped_busy: u64,
-    /// Quiesces skipped because a reachable frame's capsule had no GC
-    /// tracer that understood its words (see [`ppm_core::CapsuleTracer`]).
-    pub skipped_untraced: u64,
-    /// Checkpoint records durably written (0 on volatile machines).
+    /// Checkpoint records durably written.
     pub records_written: u64,
     /// Records skipped because the frontier outgrew a record slot.
     pub records_oversized: u64,
     /// Pages synced by incremental flushes.
     pub pages_flushed: u64,
-    /// Pool words reclaimed by frame-pool GC, summed over processors and
-    /// checkpoints.
+    /// Always 0: a checkpoint reclaims no pool words (module docs). Kept
+    /// while the end-to-end benchmark still reports it.
     pub words_reclaimed: u64,
 }
 
@@ -273,11 +233,8 @@ pub(crate) struct CheckpointCtl {
     /// fires. Only advances when a checkpoint *completes*: a quiesce that
     /// lands in a busy window (steal or push in flight) leaves the policy
     /// due, and the short `retry_at` backoff re-quiesces a few capsules
-    /// later — reclamation is delayed, never lost.
+    /// later — the persist boundary is delayed, never lost.
     next_due: AtomicU64,
-    /// Pool words allocated since the last *completed* checkpoint
-    /// ([`CheckpointPolicy::EveryPoolWords`]).
-    words_since: AtomicU64,
     /// A manual request that has been taken from the trigger but not yet
     /// served by a completed checkpoint.
     manual_pending: AtomicBool,
@@ -287,11 +244,6 @@ pub(crate) struct CheckpointCtl {
     /// The backoff the next busy skip waits out: [`BUSY_RETRY_CAPSULES`],
     /// doubled by each consecutive busy skip up to the policy interval.
     busy_backoff: AtomicU64,
-    /// Capsule count from which a due policy takes any boundary, not
-    /// only a join boundary (`u64::MAX` while the policy is not due).
-    any_boundary_at: AtomicU64,
-    /// Last seen pool cursor per processor (delta base for `words_since`).
-    last_cursor: Vec<AtomicU64>,
     /// Sequence number the next record will carry.
     next_seq: AtomicU64,
     barrier: Mutex<Barrier>,
@@ -307,15 +259,20 @@ pub(crate) struct CheckpointCtl {
 impl CheckpointCtl {
     /// The control of a parallel section whose quiesce barrier counts
     /// `live_procs` driver threads. Only a section that seats every
-    /// processor runs an enabled policy (see
+    /// processor of a durable machine runs an enabled policy (see
     /// `driver::run_attached_seats`): a process can never quiesce
-    /// processors living in sibling processes.
+    /// processors living in sibling processes, and a volatile machine has
+    /// no persist boundary to take.
     pub(crate) fn new(
         machine: &Machine,
         sched: Arc<Sched>,
         policy: CheckpointPolicy,
         live_procs: usize,
     ) -> Arc<Self> {
+        let policy = match machine.epoch() {
+            0 => CheckpointPolicy::Disabled,
+            _ => policy,
+        };
         let next_seq = machine
             .latest_checkpoint_record()
             .map(|r| r.seq + 1)
@@ -347,18 +304,13 @@ impl CheckpointCtl {
         );
         register(
             "ppm_checkpoints_completed_total",
-            "checkpoints fully taken (GC + flush + record when durable)",
+            "checkpoints fully taken (flush + record)",
             |s| s.completed,
         );
         register(
             "ppm_checkpoint_skips_busy_total",
             "quiesces skipped on an unharvestable boundary, retried later",
             |s| s.skipped_busy,
-        );
-        register(
-            "ppm_checkpoint_skips_untraced_total",
-            "quiesces skipped because a reachable frame had no GC tracer",
-            |s| s.skipped_untraced,
         );
         register(
             "ppm_checkpoint_records_written_total",
@@ -370,23 +322,15 @@ impl CheckpointCtl {
             "pages synced by incremental checkpoint flushes",
             |s| s.pages_flushed,
         );
-        register(
-            "ppm_checkpoint_words_reclaimed_total",
-            "pool words reclaimed by frame-pool GC",
-            |s| s.words_reclaimed,
-        );
         Arc::new(CheckpointCtl {
             policy,
             done,
             requested: AtomicBool::new(false),
             capsules: AtomicU64::new(0),
             next_due: AtomicU64::new(first_due),
-            words_since: AtomicU64::new(0),
             manual_pending: AtomicBool::new(false),
             retry_at: AtomicU64::new(0),
             busy_backoff: AtomicU64::new(BUSY_RETRY_CAPSULES),
-            any_boundary_at: AtomicU64::new(u64::MAX),
-            last_cursor: (0..machine.procs()).map(|_| AtomicU64::new(0)).collect(),
             next_seq: AtomicU64::new(next_seq),
             barrier: Mutex::new(Barrier {
                 parked: 0,
@@ -419,33 +363,21 @@ impl CheckpointCtl {
 
     /// Capsule-boundary hook: updates the trigger counters, and — when a
     /// checkpoint is requested — parks until every live processor is
-    /// parked, runs the checkpoint on the last arriver, and resynces the
-    /// processor's pool cursor from its (possibly rolled-back) watermark.
-    /// `joined` says that the capsule just run was a join's last arrival
-    /// and its thread now continues after the join: a due policy prefers
-    /// that boundary for `JOIN_WAIT_CAPSULES` capsules.
-    pub(crate) fn at_boundary(
-        &self,
-        machine: &Machine,
-        proc: usize,
-        ctx: &mut ProcCtx,
-        joined: bool,
-    ) {
+    /// parked, runs the checkpoint on the last arriver, and pins the
+    /// processor's floor.
+    ///
+    /// `at_frame` says the processor's restart pointer is a frame. Only
+    /// such a boundary requests a quiesce: a restart pointer on a
+    /// scheduler record does not rehydrate, so a record's frontier
+    /// cannot name it, and a quiesce requested there skips (about two
+    /// in five of a `sort_durable` run's quiesces did).
+    pub(crate) fn at_boundary(&self, machine: &Machine, ctx: &mut ProcCtx, at_frame: bool) {
         if !self.policy.is_enabled() {
             return;
         }
         let capsules = self.capsules.fetch_add(1, Ordering::Relaxed) + 1;
         let due = match &self.policy {
             CheckpointPolicy::EveryCapsules(_) => capsules >= self.next_due.load(Ordering::Relaxed),
-            CheckpointPolicy::EveryPoolWords(d) => {
-                let cursor = ctx.alloc_cursor() as u64;
-                let last = self.last_cursor[proc].swap(cursor, Ordering::Relaxed);
-                let delta = cursor.saturating_sub(last);
-                if delta > 0 {
-                    self.words_since.fetch_add(delta, Ordering::Relaxed);
-                }
-                self.words_since.load(Ordering::Relaxed) >= *d
-            }
             CheckpointPolicy::Manual(flag) => {
                 if flag.swap(false, Ordering::AcqRel) {
                     self.manual_pending.store(true, Ordering::Release);
@@ -454,41 +386,19 @@ impl CheckpointCtl {
             }
             CheckpointPolicy::Disabled => unreachable!("early-returned above"),
         };
-        // A due policy re-requests only past the busy-skip backoff — the
-        // frequent case is a fork boundary (allocations happen in forking
-        // capsules), which is exactly a mid-push window where the quiesce
-        // must skip; a few capsules later the push has completed. Past the
-        // backoff it waits for a join boundary, where the forking
-        // capsule's frames are dead, for a bounded number of capsules.
-        if due && capsules >= self.retry_at.load(Ordering::Relaxed) {
-            let wait_from = self
-                .any_boundary_at
-                .fetch_min(capsules + JOIN_WAIT_CAPSULES, Ordering::Relaxed);
-            if joined || capsules >= wait_from {
-                self.requested.store(true, Ordering::Release);
-            }
-        }
-        // Pool-pressure failsafe, independent of the configured cadence:
-        // when this processor's pool is ⅞ full, request a checkpoint. The
-        // tightened pool-sizing formulas in `ppm-algs` budget the live
-        // set plus one epoch of churn; under a burst (e.g. a resumed run
-        // re-driving a big span) this collects the dead churn before the
-        // bump allocator can run off the end. The retry backoff applies
-        // here too, so a pool whose *live* set is what crossed the
-        // threshold (nothing to reclaim) costs one quiesce per backoff
-        // window, not one per capsule.
-        if ctx.alloc_cursor() * 8 >= machine.pool(proc).len * 7
-            && capsules >= self.retry_at.load(Ordering::Relaxed)
-        {
+        // A due policy re-requests only past the busy-skip backoff: a
+        // quiesce that skipped on another processor's push or steal in
+        // flight finds it completed a few capsules later.
+        if due && at_frame && capsules >= self.retry_at.load(Ordering::Relaxed) {
             self.requested.store(true, Ordering::Release);
         }
         if self.requested.load(Ordering::Acquire) {
-            self.park(machine, proc, ctx);
+            self.park(machine, ctx);
         }
     }
 
     /// The quiesce barrier. The last processor to park coordinates.
-    fn park(&self, machine: &Machine, proc: usize, ctx: &mut ProcCtx) {
+    fn park(&self, machine: &Machine, ctx: &mut ProcCtx) {
         let mut bar = self.barrier.lock().expect("checkpoint barrier poisoned");
         bar.parked += 1;
         while self.requested.load(Ordering::Acquire) {
@@ -504,20 +414,25 @@ impl CheckpointCtl {
         }
         bar.parked -= 1;
         drop(bar);
-        // A completed checkpoint may have rolled this processor's
-        // watermark back; resume allocating from it either way.
-        resync_pool(machine, proc, ctx);
+        ctx.pin_floor();
     }
 
-    /// Runs one checkpoint directly, bypassing the quiesce barrier. Only
-    /// sound when the caller guarantees every seated processor is parked
-    /// at a capsule boundary — the single-threaded [`crate::sim`]
-    /// stepper, which holds every processor between capsules by
-    /// construction. The caller must resync each processor's pool cursor
-    /// from its (possibly rolled-back) watermark afterwards, as
-    /// [`CheckpointCtl::at_boundary`]'s park path does.
-    pub(crate) fn quiesced_checkpoint(&self, machine: &Machine) {
+    /// Runs one checkpoint directly, bypassing the quiesce barrier, and
+    /// pins the floor of each of `ctxs`, as [`CheckpointCtl::at_boundary`]'s
+    /// park path does. Only sound when the caller guarantees every seated
+    /// processor is parked at a capsule boundary — the single-threaded
+    /// [`crate::sim`] stepper, which holds every processor between
+    /// capsules by construction. Does nothing on a volatile machine.
+    pub(crate) fn quiesced_checkpoint<'a>(
+        &self,
+        machine: &Machine,
+        ctxs: impl Iterator<Item = &'a mut ProcCtx>,
+    ) {
+        if machine.epoch() == 0 {
+            return;
+        }
         self.run_checkpoint(machine);
+        ctxs.for_each(ProcCtx::pin_floor);
     }
 
     /// The checkpoint itself, timed and traced: the quiesce-time
@@ -549,182 +464,64 @@ impl CheckpointCtl {
         // The frontier a fallback would plant. A boundary with none to
         // capture (steal/push in flight somewhere) skips this
         // checkpoint; a near boundary retries (short re-arm), so a busy
-        // quiesce delays reclamation instead of losing it.
-        let seeds = match capture_frontier(machine, &self.sched) {
-            Some(seeds) => seeds,
-            None => {
-                let backoff = self.busy_backoff.load(Ordering::Relaxed);
-                let next = (backoff * 2).min(self.policy.interval_capsules());
-                self.busy_backoff
-                    .store(next.max(BUSY_RETRY_CAPSULES), Ordering::Relaxed);
-                self.rearm(false, backoff);
-                summary.skipped_busy += 1;
-                return format!("skipped: busy boundary (next retry in {backoff} capsules)");
-            }
-        };
-        // Frame-pool GC: highest live word per pool, traced from the
-        // frontier. Refused (conservatively) if any reachable frame is
-        // untraceable — and retried only after a long backoff, since the
-        // untraceable capsule is usually still reachable at the next
-        // boundary too.
-        let Some(maxima) = trace_live_maxima(machine, &seeds) else {
-            self.rearm(false, UNTRACED_RETRY_CAPSULES);
-            summary.skipped_untraced += 1;
-            return "skipped: untraced frame".into();
+        // quiesce delays the persist boundary instead of losing it.
+        let Some(frontier) = capture_frontier(machine, &self.sched) else {
+            let backoff = self.busy_backoff.load(Ordering::Relaxed);
+            let next = (backoff * 2).min(self.policy.interval_capsules());
+            self.busy_backoff
+                .store(next.max(BUSY_RETRY_CAPSULES), Ordering::Relaxed);
+            self.rearm(false, backoff);
+            summary.skipped_busy += 1;
+            return format!("skipped: busy boundary (next retry in {backoff} capsules)");
         };
         self.rearm(true, BUSY_RETRY_CAPSULES);
-        let mut reclaimed_now = 0u64;
-        let mut watermarks = Vec::with_capacity(machine.procs());
-        for (p, live_words) in maxima.iter().enumerate() {
-            let old = machine.pool_watermark(p);
-            let new = (*live_words).min(old);
-            if new < old {
-                reclaimed_now += (old - new) as u64;
-                machine
-                    .mem()
-                    .store(machine.proc_meta(p).watermark, new as Word);
-            }
-            watermarks.push(new as u64);
-        }
-        summary.words_reclaimed += reclaimed_now;
         // Persist boundary: sync the epoch's dirty pages, then the record
-        // describing the now-durable state. Volatile machines keep the GC
-        // but skip the durability work.
-        if machine.epoch() > 0 {
-            let mut record_written = false;
-            // On a flush error, durability stays best-effort mid-run
-            // (MAP_SHARED words already survive process death) and no
-            // record is written, so a record can never describe
-            // unflushed state.
-            let flushed = machine.flush_dirty();
-            if let Ok(flush) = &flushed {
-                summary.pages_flushed += flush.pages as u64;
-                let record = CheckpointRecord {
-                    seq: self.next_seq.load(Ordering::Relaxed),
-                    epoch: machine.epoch(),
-                    capsules: self.capsules.load(Ordering::Relaxed),
-                    region_cursor: machine.region_cursor() as u64,
-                    watermarks,
-                    frontier: seeds,
-                };
-                if record.fits() {
-                    if machine.write_checkpoint_record(&record).is_ok() {
-                        self.next_seq.fetch_add(1, Ordering::Relaxed);
-                        summary.records_written += 1;
-                        record_written = true;
-                    }
-                } else {
-                    summary.records_oversized += 1;
-                }
-            }
-            // Stored records stay resumable only while every reclaiming
-            // checkpoint pairs with a *fresh* record: the rollback lets
-            // the run overwrite pool words an older record's frontier
-            // still reaches. If this reclaim produced no durable record
-            // (oversized frontier, flush or write error), invalidate the
-            // stale ones rather than leave a trap for recovery.
-            if reclaimed_now > 0 && !record_written {
-                let _ = machine.clear_checkpoint_records();
+        // describing the now-durable state. On a flush error, durability
+        // stays best-effort mid-run (MAP_SHARED words already survive
+        // process death) and no record is written, so a record can never
+        // describe unflushed state; the older record stays valid (module
+        // docs: the floor only rises).
+        if let Ok(flush) = machine.flush_dirty() {
+            summary.pages_flushed += flush.pages as u64;
+            let record = CheckpointRecord {
+                seq: self.next_seq.load(Ordering::Relaxed),
+                epoch: machine.epoch(),
+                capsules: self.capsules.load(Ordering::Relaxed),
+                region_cursor: machine.region_cursor() as u64,
+                watermarks: (0..machine.procs())
+                    .map(|p| machine.pool_watermark(p) as u64)
+                    .collect(),
+                frontier,
+            };
+            if !record.fits() {
+                summary.records_oversized += 1;
+            } else if machine.write_checkpoint_record(&record).is_ok() {
+                self.next_seq.fetch_add(1, Ordering::Relaxed);
+                summary.records_written += 1;
             }
         }
         summary.completed += 1;
-        format!(
-            "completed ({reclaimed_now} words reclaimed, {} pages flushed so far)",
-            summary.pages_flushed
-        )
+        format!("completed ({} pages flushed so far)", summary.pages_flushed)
     }
 
     /// Re-arms the trigger state after a quiesce: a completed checkpoint
     /// resets the policy counters for a full interval and the busy
     /// backoff to its start, a skipped one leaves the policy due; either
-    /// way the next quiesce request (including the pool-pressure
-    /// failsafe) waits out `backoff` capsules, and a due policy then
-    /// prefers a join boundary again, so futile quiesces are paced, and
-    /// reclamation is delayed a little, never lost.
+    /// way the next quiesce request waits out `backoff` capsules, so
+    /// futile quiesces are paced, and a persist boundary is delayed a
+    /// little, never lost.
     fn rearm(&self, completed: bool, backoff: u64) {
         let capsules = self.capsules.load(Ordering::Relaxed);
         if completed {
             if let CheckpointPolicy::EveryCapsules(k) = &self.policy {
                 self.next_due.store(capsules + k, Ordering::Relaxed);
             }
-            self.words_since.store(0, Ordering::Relaxed);
             self.manual_pending.store(false, Ordering::Release);
             self.busy_backoff
                 .store(BUSY_RETRY_CAPSULES, Ordering::Relaxed);
         }
-        self.any_boundary_at.store(u64::MAX, Ordering::Relaxed);
         self.retry_at.store(capsules + backoff, Ordering::Relaxed);
     }
-}
-
-/// Resumes processor `proc` after a quiesce: its cursor returns to its
-/// (possibly rolled-back) watermark, and on a durable machine — where
-/// the quiesce may have written a record — no join reclaims below it.
-pub(crate) fn resync_pool(machine: &Machine, proc: usize, ctx: &mut ProcCtx) {
-    ctx.set_pool_cursor(machine.pool_watermark(proc));
-    if machine.epoch() > 0 {
-        ctx.pin_floor();
-    }
-}
-
-/// Traces the transitive closure of the frontier and returns, per
-/// processor, the pool-relative end of its highest live word (0 when the
-/// pool holds nothing live). `None` when any reachable frame's capsule
-/// has no registered tracer — the caller must then skip reclamation.
-///
-/// Soundness (see the module docs): the §4.1 bump allocator means every
-/// pool address a frame carries was allocated no later than the frame,
-/// so keeping everything below the per-pool maximum of the traced
-/// frames/extents keeps every live object.
-pub(crate) fn trace_live_maxima(machine: &Machine, roots: &[Word]) -> Option<Vec<usize>> {
-    let mem = machine.mem();
-    let registry = machine.registry();
-    let pools: Vec<Region> = (0..machine.procs()).map(|p| machine.pool(p)).collect();
-    let mut max_end = vec![0usize; pools.len()];
-    let keep = |max_end: &mut [usize], start: usize, len: usize| {
-        for (p, pool) in pools.iter().enumerate() {
-            if start < pool.end() && start.saturating_add(len) > pool.start {
-                max_end[p] = max_end[p].max(start.saturating_add(len).min(pool.end()));
-            }
-        }
-    };
-    let mut visited = std::collections::HashSet::new();
-    let mut stack: Vec<Word> = roots.to_vec();
-    while let Some(handle) = stack.pop() {
-        if handle == 0 || !visited.insert(handle) {
-            continue;
-        }
-        // A typed handle that no longer parses would mean a live frame
-        // was corrupted; refuse to reclaim anything.
-        let frame = read_frame(mem, handle as usize).ok()?;
-        keep(&mut max_end, frame.addr, frame_words(frame.args.len()));
-        let mut refs = PoolRefs::new();
-        if !registry.trace_refs(frame.capsule_id, &frame.args, &mut refs) {
-            return None;
-        }
-        for h in refs.handles {
-            stack.push(h);
-        }
-        for (start, len) in refs.extents {
-            keep(&mut max_end, start, len);
-        }
-        // Belt and suspenders: any raw argument word that happens to land
-        // in a pool keeps its word — covers hand-written states that
-        // carry a bare cell address without a pool_refs override.
-        for &w in &frame.args {
-            let a = w as usize;
-            if pools.iter().any(|pool| pool.contains(a)) {
-                keep(&mut max_end, a, 1);
-            }
-        }
-    }
-    Some(
-        max_end
-            .iter()
-            .zip(&pools)
-            .map(|(end, pool)| end.saturating_sub(pool.start))
-            .collect(),
-    )
 }
 
 /// The quiesced frontier a checkpoint record stores: every `job`
@@ -825,7 +622,6 @@ mod tests {
         ));
         assert!(!CheckpointPolicy::disabled().is_enabled());
         assert!(CheckpointPolicy::every_capsules(8).is_enabled());
-        assert!(CheckpointPolicy::every_pool_words(1 << 12).is_enabled());
         let (policy, trigger) = CheckpointPolicy::manual();
         assert!(policy.is_enabled());
         trigger.request();
@@ -841,83 +637,33 @@ mod tests {
         let _ = CheckpointPolicy::every_capsules(0);
     }
 
-    #[test]
-    fn trace_refuses_untraced_capsules_and_accepts_core_frames() {
-        use ppm_core::{Machine, CORE_ID_FORK_PAIR};
-        use ppm_pm::{store_frame, PmConfig};
-        let m = Machine::with_pool_words(PmConfig::parallel(1, 1 << 16), 1 << 10);
-        let pool = m.pool(0);
-
-        // A fork-pair frame in the pool referencing two end frames above.
-        let end_a = pool.start + 100;
-        let end_b = pool.start + 200;
-        store_frame(m.mem(), end_a, ppm_core::CORE_ID_END, &[]);
-        store_frame(m.mem(), end_b, ppm_core::CORE_ID_END, &[]);
-        let pair = pool.start + 300;
-        store_frame(
-            m.mem(),
-            pair,
-            CORE_ID_FORK_PAIR,
-            &[end_a as Word, end_b as Word],
-        );
-        let maxima = trace_live_maxima(&m, &[pair as Word]).expect("core frames are traceable");
-        // Highest live: the pair frame itself at offset 300.
-        assert_eq!(maxima[0], 300 + frame_words(2));
-
-        // An unregistered capsule id makes tracing refuse.
-        let rogue = pool.start + 400;
-        store_frame(m.mem(), rogue, 0xDEAD_BEEF, &[]);
-        assert_eq!(trace_live_maxima(&m, &[rogue as Word]), None);
-    }
-
-    #[test]
-    fn undecodable_typed_frame_refuses_the_trace() {
-        use ppm_core::dsl::{CapsuleSet, Step};
-        use ppm_core::Machine;
-        use ppm_pm::{store_frame, PmConfig};
-        let m = Machine::with_pool_words(PmConfig::parallel(1, 1 << 16), 1 << 10);
-        let mut set = CapsuleSet::new(&m);
-        let def = set.define("ckpt-test/flagged", |_st: &bool, k, _ctx| Ok(Step::Jump(k)));
-        let pool = m.pool(0);
-        // Word 5 is not a bool: the derived tracer must report the frame
-        // as untraceable (None), not silently trace zero references —
-        // its live children would otherwise be reclaimed.
-        let bad = pool.start + 100;
-        store_frame(m.mem(), bad, def.id(), &[5, 0]);
-        assert_eq!(trace_live_maxima(&m, &[bad as Word]), None);
-        // The well-formed twin traces fine.
-        let good = pool.start + 200;
-        store_frame(m.mem(), good, def.id(), &[1, 0]);
-        let maxima = trace_live_maxima(&m, &[good as Word]).expect("decodes");
-        assert_eq!(maxima[0], 200 + frame_words(2));
-    }
-
     /// A boundary held busy (an empty frontier: nothing to harvest)
     /// re-quiesces after 8, 16, 32, … capsules, so the attempts over `k`
     /// capsules grow as log₂ k, not as k / 8; the first completed
     /// checkpoint resets the backoff.
+    #[cfg(unix)]
     #[test]
     fn consecutive_busy_skips_back_off_exponentially() {
         use ppm_core::{Machine, CORE_ID_END};
-        use ppm_pm::PmConfig;
+        use ppm_pm::{PmConfig, TempMachineFile};
         let attempts_over = |k: u64| {
-            let m = Machine::new(PmConfig::parallel(1, 1 << 16));
+            let file = TempMachineFile::new("ckpt-backoff");
+            let m = Machine::create_durable(PmConfig::parallel(1, 1 << 16), &file).unwrap();
             let sched = Sched::new(&m, DoneFlag::new(&m), &crate::SchedConfig::with_slots(8));
             let (policy, trigger) = CheckpointPolicy::manual();
             let ctl = CheckpointCtl::new(&m, sched.clone(), policy, 1);
             let mut ctx = m.ctx(0);
             trigger.request();
-            // Every boundary is a join boundary: only the backoff paces.
             for _ in 0..k {
-                ctl.at_boundary(&m, 0, &mut ctx, true);
+                ctl.at_boundary(&m, &mut ctx, true);
             }
             let held = ctl.summary();
             assert_eq!(held.completed, 0);
             assert_eq!(held.attempted, held.skipped_busy);
             // Something to harvest: the next quiesce completes.
             crate::driver::plant_seeds(&m, &sched, &[m.setup_frame(CORE_ID_END, &[])]);
-            for _ in 0..DEFAULT_CHECKPOINT_CAPSULES + JOIN_WAIT_CAPSULES {
-                ctl.at_boundary(&m, 0, &mut ctx, true);
+            for _ in 0..DEFAULT_CHECKPOINT_CAPSULES {
+                ctl.at_boundary(&m, &mut ctx, true);
             }
             assert_eq!(ctl.summary().completed, 1);
             assert_eq!(

@@ -85,11 +85,11 @@
 //! sound only if the whole machine stood still, so the configured policy
 //! applies iff the seats cover every processor. A worker seats only its
 //! shard, and a cluster file configures no policy, so workers never
-//! checkpoint and [`recover`] never finds a record. A cluster gives up
-//! frame-pool GC, and pools are sized for it
-//! ([`ClusterBuilder::pool_words`]). A cross-process round shipped once
-//! without a model, a mutant or a kill test and was deleted; one proven
-//! for S shards with shard death at every step would bring it back.
+//! checkpoint and [`recover`] never finds a record; pools are sized as
+//! for any session ([`ClusterBuilder::pool_words`]). A cross-process
+//! round shipped once without a model, a mutant or a kill test and was
+//! deleted; one proven for S shards with shard death at every step would
+//! bring it back.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 use ppm_core::persist::FrameDecodeError;
 pub use ppm_core::registry::PComp;
 use ppm_core::registry::RehydrateError;
-use ppm_core::{run_capsule, Active, InstallCtx, Machine, CORE_ID_JOIN_CAM, NULL_HANDLE};
+use ppm_core::{run_capsule, Active, InstallCtx, Machine, NULL_HANDLE};
 use ppm_obs::TraceKind;
 use ppm_pm::service::{slot_claimant, slot_phase};
 use ppm_pm::{Fault, FrameError, PmError, SlotPhase, StatsSnapshot, Word};
@@ -1035,13 +1035,10 @@ fn proc_loop(
             }
             Err(_) => break ProcOutcome::Dead,
         };
-        // A join arrival that continues to a frame (not to the scheduler)
-        // was the join's last: the forking capsule's frames are dead.
-        let joined = matches!((&cur, &next), (Active::Frame(f), Active::Frame(_)) if f.id == CORE_ID_JOIN_CAM);
         cur = next;
         // Capsule boundary: the committed state is self-consistent here,
         // so this is where checkpoint quiesces park.
-        ctl.at_boundary(machine, p, &mut ctx, joined);
+        ctl.at_boundary(machine, &mut ctx, matches!(cur, Active::Frame(_)));
     };
     outcome
 }

@@ -28,9 +28,9 @@
 //!   file and drives the computation to completion with exactly-once
 //!   effects.
 //! * [`checkpoint`] — epoch checkpoints for registered persistent runs:
-//!   periodic quiesced persist boundaries that flush only dirty pages,
-//!   write a durable resume record, and garbage-collect dead frame-pool
-//!   words (see [`CheckpointPolicy`]).
+//!   periodic quiesced persist boundaries on a durable machine that
+//!   flush only dirty pages and write a durable resume record (see
+//!   [`CheckpointPolicy`]).
 //! * [`cluster`] — the multi-process sharded runtime: `N` worker OS
 //!   processes attach to one `MAP_SHARED` machine file as independent
 //!   fault domains, with a lease-based cross-process liveness oracle and

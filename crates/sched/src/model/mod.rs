@@ -18,9 +18,9 @@
 //!   `NoDoubleClaim`, `NoDoneAdoption`.
 //! * [`quiesce`] — the checkpoint quiesce/skip-and-retry barrier
 //!   (`checkpoint` module), as an abstract state machine: park at capsule
-//!   boundaries, skip the epoch when a transfer is in flight, trace live
-//!   frames, reclaim the rest. Invariant: `NoLiveFrameReclaim`
-//!   (checkpoint GC never reclaims a frame a processor still needs).
+//!   boundaries, skip the epoch when a transfer is in flight, record
+//!   the live frames. Invariant: `NoLiveFrameReclaim` (a record's
+//!   frontier names every frame a processor still uses).
 //!
 //! Every model has deliberate **mutants** that reintroduce one protocol
 //! bug — the engine's swap one step's arm through a scheduler wrapper,

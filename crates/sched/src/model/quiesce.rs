@@ -4,28 +4,28 @@
 //! Mirrors the `checkpoint` module's protocol: processors run capsules
 //! and visit persist boundaries; once a checkpoint is requested, each
 //! processor parks at its next boundary; the last arriver runs the
-//! checkpoint. The checkpoint harvests the frontier and **skips the
+//! checkpoint. The checkpoint captures the frontier and **skips the
 //! epoch** (rearming a retry) when any deque transfer is still in
 //! flight — a steal caught between its CAM and its check, or a
 //! `pushBottom` between its commit arms — because a frame in transfer is
-//! referenced by no harvestable frontier entry, and tracing would miss
-//! it. Only after a clean harvest does the checkpoint roll the pool
-//! watermarks, which is what garbage-collects dead frames.
+//! referenced by no frontier entry, and a record written then would not
+//! name it. Only after a clean capture does the checkpoint write its
+//! record.
 //!
 //! The model gives each processor one live frame and a two-phase
 //! operation (`StartOp`/`EndOp`) that detaches the frame into an
 //! in-flight limbo between boundaries — the abstraction of a frame
 //! handle riding a `Taken` entry or an uncommitted fork transfer.
 //!
-//! Invariant (mirrored by the `GCSafety` property sketched alongside the
-//! TLA+ lease spec):
+//! Invariant:
 //!
-//! * **NoLiveFrameReclaim** — watermark-rolling GC never reclaims a
-//!   frame that a processor still dereferences after the checkpoint.
-//!   The [`QuiesceModel::skip_busy_check`] mutation lets the checkpoint
-//!   proceed over an in-flight transfer, and the explorer produces the
-//!   minimal trace: start an op, park everyone, checkpoint, finish the
-//!   op into a reclaimed frame.
+//! * **NoLiveFrameReclaim** — a record's frontier names every frame a
+//!   processor still uses: no processor completes a transfer into a
+//!   frame the checkpoint left out of its record (a recovery from that
+//!   record would lose it). The [`QuiesceModel::skip_busy_check`]
+//!   mutation lets the checkpoint proceed over an in-flight transfer,
+//!   and the explorer produces the minimal trace: start an op, park
+//!   everyone, checkpoint, finish the op into an unrecorded frame.
 
 use ppm_check::Model;
 
@@ -42,7 +42,7 @@ pub enum Frame {
     /// Detached mid-transfer (riding a steal/fork window) — referenced
     /// by no frontier entry until the op completes.
     InFlight,
-    /// Reclaimed by a checkpoint's watermark roll.
+    /// Left out of a checkpoint record's frontier while still in use.
     Reclaimed,
 }
 
@@ -57,8 +57,8 @@ pub struct ProcSt {
     pub exited: bool,
     /// The processor's frame.
     pub frame: Frame,
-    /// The processor dereferenced its frame after it was reclaimed —
-    /// the disaster `NoLiveFrameReclaim` rules out.
+    /// The processor used its frame after a record left it out — the
+    /// disaster `NoLiveFrameReclaim` rules out.
     pub used_reclaimed: bool,
 }
 
@@ -164,7 +164,7 @@ impl Model for QuiesceModel {
             QuiesceAction::EndOp(i) => {
                 let p = &mut n.procs[i as usize];
                 if p.frame == Frame::Reclaimed {
-                    // The op completes into a frame GC already took.
+                    // The op completes into a frame the record left out.
                     p.used_reclaimed = true;
                 }
                 p.frame = Frame::Live;
@@ -187,9 +187,9 @@ impl Model for QuiesceModel {
                     // The frontier capture failed: skip the epoch, rearm.
                     n.skipped += 1;
                 } else {
-                    // Trace reaches every Live frame; the watermark roll
-                    // reclaims everything else — including any InFlight
-                    // frame if the busy check was skipped.
+                    // The record names every Live frame and nothing
+                    // else — it leaves out any InFlight frame if the busy
+                    // check was skipped.
                     for p in n.procs.iter_mut() {
                         if p.frame == Frame::InFlight {
                             p.frame = Frame::Reclaimed;
@@ -211,7 +211,7 @@ impl Model for QuiesceModel {
             if p.used_reclaimed {
                 return Err(format!(
                     "NoLiveFrameReclaim: processor {i} completed a transfer into a frame \
-                     the checkpoint GC had reclaimed"
+                     the checkpoint record left out"
                 ));
             }
         }

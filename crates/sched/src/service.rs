@@ -357,16 +357,6 @@ impl InjectorQueue {
                     _ => Ok(Next::End),
                 }
             },
-            |args, out| {
-                if let [state_a, ticket_a, _ticket, job] = args {
-                    out.extent(*state_a as usize, 1);
-                    out.extent(*ticket_a as usize, 1);
-                    out.handle(*job);
-                    true
-                } else {
-                    false
-                }
-            },
         );
 
         let done_id = registry.allocate("service/done");
@@ -389,15 +379,6 @@ impl InjectorQueue {
                     // DONE already (a benign re-run), or the slot moved on
                     // (reclaimed and reused): nothing to complete.
                     _ => Ok(Next::End),
-                }
-            },
-            |args, out| {
-                if let [state_a, ticket_a, _ticket] = args {
-                    out.extent(*state_a as usize, 1);
-                    out.extent(*ticket_a as usize, 1);
-                    true
-                } else {
-                    false
                 }
             },
         );

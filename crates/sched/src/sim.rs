@@ -3,7 +3,7 @@
 //!
 //! [`SimSched`] drives the actual production code — `run_capsule`,
 //! `InstallCtx`, the scheduler's `pushBottom`/`findWork`/`popTop`
-//! capsules, persistent frames, checkpoint GC — through **scripted
+//! capsules, persistent frames, checkpoints — through **scripted
 //! interleavings** on a single OS thread. Each [`SimSched::step`] runs
 //! exactly one capsule on one chosen processor, so a test can place a
 //! crash or a checkpoint between any two capsules of any processor and
@@ -29,8 +29,8 @@
 //!   step reports the processor dead.
 //! * **Checkpoints** — [`SimSched::checkpoint`] runs a quiesced
 //!   checkpoint directly (the single-threaded stepper holds every
-//!   processor at a boundary by construction), including frame-pool GC
-//!   and watermark rollback.
+//!   processor at a boundary by construction): on a durable machine the
+//!   flush, the record and the floor pins.
 //!
 //! The seeded driver [`SimSched::run_seeded`] generates the schedule
 //! from a xorshift stream, which is what the determinism property tests
@@ -62,8 +62,8 @@ pub enum SimOp {
     /// liveness oracle marks it dead, its restart pointer and deque stay
     /// in persistent memory for thieves.
     Crash(usize),
-    /// Take a quiesced checkpoint (harvest, GC, watermark roll) with
-    /// every processor parked between capsules.
+    /// Take a quiesced checkpoint (frontier capture, flush, record,
+    /// floor pins) with every processor parked between capsules.
     Checkpoint,
 }
 
@@ -208,7 +208,7 @@ impl<'m> SimSched<'m> {
     /// one-slot-ring session build and publish, then every processor at
     /// `findWork`, the root pulled from the ring by whichever processor
     /// claims it first. The root (and every fork) is frame-denoted, so
-    /// scripted checkpoints can trace and GC the frame pools, and crashes
+    /// scripted checkpoints record a resumable frontier, and crashes
     /// leave a resumable machine.
     pub fn new_persistent(machine: &'m Machine, pcomp: &PComp, cfg: &SchedConfig) -> Self {
         let session = fresh_session(machine, pcomp, cfg);
@@ -432,17 +432,15 @@ impl<'m> SimSched<'m> {
 
     /// Scripted quiesced checkpoint. Sound here without the barrier: the
     /// stepper is single-threaded, so every processor *is* parked at a
-    /// capsule boundary right now. Pool cursors resync from the (possibly
-    /// rolled-back) watermarks, as the real barrier's unpark path does.
+    /// capsule boundary right now. Each running processor pins its floor,
+    /// as the real barrier's unpark path does. A no-op event on a volatile
+    /// machine.
     pub fn checkpoint(&mut self) {
         let step = self.steps;
         self.steps += 1;
-        self.ctl.quiesced_checkpoint(self.machine);
-        for (p, sp) in self.procs.iter_mut().enumerate() {
-            if sp.outcome.is_none() {
-                crate::checkpoint::resync_pool(self.machine, p, &mut sp.ctx);
-            }
-        }
+        let running = self.procs.iter_mut().filter(|sp| sp.outcome.is_none());
+        self.ctl
+            .quiesced_checkpoint(self.machine, running.map(|sp| &mut sp.ctx));
         self.events.push(SimEvent::Checkpoint { step });
     }
 

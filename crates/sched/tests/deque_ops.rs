@@ -27,7 +27,7 @@ fn frame<const N: usize>(
 ) -> Word {
     let id = m.registry().allocate(name);
     let decode = move |a: &[Word]| frame_args::<N>(name, a);
-    m.registry().register(id, name, decode, body, |_, _| true);
+    m.registry().register(id, name, decode, body);
     m.setup_frame(id, &args)
 }
 

@@ -2,12 +2,11 @@
 //!
 //! A worker process runs a checkpointed prefix sum on a durable machine
 //! file: every few hundred capsules it quiesces, flushes only its dirty
-//! pages, garbage-collects dead frame-pool words, and writes a
-//! [`ppm::pm::CheckpointRecord`] into the control page. The parent
-//! watches the record slots, SIGKILLs the worker *between* checkpoints,
-//! then smashes the persisted restart pointer — simulating the narrow
-//! crash windows in which the exact crash frontier is unresumable — and
-//! recovers in a fresh session.
+//! pages, and writes a [`ppm::pm::CheckpointRecord`] into the control
+//! page. The parent watches the record slots, SIGKILLs the worker
+//! *between* checkpoints, then smashes the persisted restart pointer —
+//! simulating the narrow crash windows in which the exact crash frontier
+//! is unresumable — and recovers in a fresh session.
 //!
 //! Verified on a successful attempt:
 //!

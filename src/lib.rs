@@ -59,12 +59,11 @@
 //!   `examples/crash_resume.rs` SIGKILLs a worker and verifies the
 //!   resumed run beats a from-root replay.
 //! * **Checkpoint resume** (`sched::checkpoint`): persistent runs
-//!   periodically quiesce to flush only their dirty pages, write a
-//!   durable checkpoint record, and garbage-collect dead frame-pool
-//!   words. When a crash frontier is not directly resumable, recovery
-//!   re-plants the newest checkpoint's frontier instead of replaying
-//!   from the root — replay distance is bounded by one checkpoint
-//!   epoch (`examples/checkpointed_run.rs`).
+//!   periodically quiesce to flush only their dirty pages and write a
+//!   durable checkpoint record. When a crash frontier is not directly
+//!   resumable, recovery re-plants the newest checkpoint's frontier
+//!   instead of replaying from the root — replay distance is bounded by
+//!   one checkpoint epoch (`examples/checkpointed_run.rs`).
 //! * **Replay** (the last-resort fallback of `run_or_recover`, taken
 //!   only when neither the crash frontier nor a checkpoint record
 //!   rehydrates): scheduler state is scrubbed and the computation is

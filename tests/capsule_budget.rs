@@ -169,8 +169,8 @@ fn fork_budget(n: usize) {
     assert_eq!(st.max_pool_peak, p1_peak(depth), "n = {n}");
 }
 
-/// At P = 2 a subtree a steal splits keeps its words until checkpoint GC
-/// (checkpoints are off here), so the pool is no longer the P = 1 peak
+/// At P = 2 a subtree a steal splits keeps its words until the run ends
+/// (no join frees them), so the pool is no longer the P = 1 peak
 /// per processor: each seeded schedule reports its per-processor peaks
 /// against `P · S_1`, Blumofe and Leiserson's space bound with `S_1` the
 /// P = 1 peak above, and against what the same run would hold with no

@@ -351,25 +351,34 @@ fn killed_samplesort_resumes_mid_pipeline() {
     let mut expect = data.clone();
     expect.sort_unstable();
     // Kill points spread across the nine-phase pipeline (row sorts,
-    // sampling, pivots, scatter, bucket recursion). Every recovery must
-    // sort correctly; at least one must take the Resumed path.
+    // sampling, pivots, scatter, bucket recursion), each a fraction of a
+    // faultless reference run's accesses, so every kill lands mid-run
+    // however the per-capsule costs move. Every recovery must sort
+    // correctly; at least one must take the Resumed path.
+    let work = {
+        let rt = Runtime::volatile(samplesort_cfg(n, FaultConfig::none()));
+        let ss = SampleSort::new(rt.machine(), n);
+        ss.load_input(rt.machine(), &data);
+        let rep = rt.run_or_recover(&ss.pcomp());
+        assert!(rep.completed());
+        rep.stats().total_work()
+    };
     let mut resumed_runs = 0usize;
-    let mut died_runs = 0usize;
-    for (i, kill_at) in [600u64, 2000, 6000, 12_000, 20_000].into_iter().enumerate() {
+    for (i, percent) in [3u64, 10, 30, 60, 90].into_iter().enumerate() {
+        let kill_at = work * percent / 100;
         let path = tmp(&format!("ss{i}"));
         let _ = std::fs::remove_file(&path);
-        let died = {
+        {
             let fault = FaultConfig::none().with_scheduled_hard_fault(0, kill_at);
             let rt = Runtime::create(&path, samplesort_cfg(n, fault)).unwrap();
             let ss = SampleSort::new(rt.machine(), n);
             ss.load_input(rt.machine(), &data);
-            !rt.run_or_recover(&ss.pcomp()).completed()
-        };
-        if !died {
-            let _ = std::fs::remove_file(&path);
-            continue;
+            let died = !rt.run_or_recover(&ss.pcomp()).completed();
+            assert!(
+                died,
+                "the kill at {percent} % ({kill_at} of {work}) must land mid-run"
+            );
         }
-        died_runs += 1;
         let rt = Runtime::open(&path, samplesort_cfg(n, FaultConfig::none())).unwrap();
         let ss = SampleSort::new(rt.machine(), n);
         ss.load_input(rt.machine(), &data);
@@ -386,10 +395,6 @@ fn killed_samplesort_resumes_mid_pipeline() {
         }
         let _ = std::fs::remove_file(&path);
     }
-    assert!(
-        died_runs >= 3,
-        "kill schedule must catch samplesort mid-run"
-    );
     assert!(
         resumed_runs >= 1,
         "at least one samplesort kill must resume with Resumed mode"

@@ -97,9 +97,8 @@
 #      `.tracer()`, `TraceSummary`, `flush_jsonl`, `PPM_TRACE_SAMPLE` —
 #      and so do the victim strategies and baseline slack nothing ran —
 #      `VictimStrategy`, `WALL_SLACK`: none appears under crates/ src/
-#      examples/ tests/ (`CapsuleTracer`, the checkpoint GC's frame
-#      tracer, is a different thing). `ppm_trace_dropped_total` is named
-#      by no dashboard or recording rule.
+#      examples/ tests/. `ppm_trace_dropped_total` is named by no
+#      dashboard or recording rule.
 #
 #   9. One control-page codec. The first page of a machine file is laid
 #      out, encoded and checksummed in crates/pm/src/control.rs and
@@ -235,6 +234,15 @@
 #      of `ProcCtx::write_block` / `read_block_into` delegate to the range
 #      call (they name `self.write_range(` / `self.read_range(` and no
 #      `fault_point`, `capsule_work` or `self.mem.`).
+#
+#  25. A checkpoint collects nothing. It is a persist boundary — quiesce,
+#      capture the frontier, flush, write the record, pin each floor —
+#      and joins are the pool's only reclaimer (crates/sched/src/
+#      checkpoint.rs), so the collector and what only it needed stay
+#      gone: `trace_live_maxima`, `PoolRefs`, `pool_refs`,
+#      `CapsuleTracer`, `trace_refs`, `EveryPoolWords`,
+#      `every_pool_words`, `skipped_untraced` and `JOIN_WAIT_CAPSULES`
+#      appear nowhere under crates/ src/ examples/ tests/.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -627,8 +635,15 @@ if [ -n "$hits" ]; then
     err "a costed range is one call: move block runs with ProcCtx::write_range / read_range, and keep write_block / read_block_into its one-block case (see proc.rs):" "$hits"
 fi
 
+# --- 25. a checkpoint collects nothing ---------------------------------------------
+hits=$(grep -rnE "\b(trace_live_maxima|PoolRefs|pool_refs|CapsuleTracer|trace_refs|EveryPoolWords|every_pool_words|skipped_untraced|JOIN_WAIT_CAPSULES)\b" \
+    --include="*.rs" crates src examples tests || true)
+if [ -n "$hits" ]; then
+    err "a checkpoint collects nothing: it is a persist boundary, and joins are the pool's only reclaimer (see checkpoint.rs):" "$hits"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint_invariants: FAILED" >&2
     exit 1
 fi
-echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule, a fork pays three records, an exhausted pool is an error, one restart, a costed range is one call)"
+echo "lint_invariants: ok (CAS quarantined, slot orderings SeqCst, unsafe documented, hot path lock-free and allocation-free, one supervisor, one algorithm form, one trace stream, one control-page codec, one scheduler-capsule form, one ordering point per range write, no dangling citation, a frame is run not rehydrated, one capsule representation, one way work enters a cluster, one session entry and one recover, one rescuer, one Figure 3, a flush pays for its dirty pages, one join capsule, a fork pays three records, an exhausted pool is an error, one restart, a costed range is one call, a checkpoint collects nothing)"
