@@ -1,6 +1,7 @@
 //! The checkpoint subsystem end to end: bounded replay from epoch
-//! checkpoints, torn-record fallback, the pool budgets that hold with no
-//! reclamation beyond joins, and the checkpoint policies.
+//! checkpoints, torn-record fallback, joins shrinking peak pool
+//! footprints, the pool budgets that hold with no reclamation beyond
+//! joins, and the checkpoint policies.
 //!
 //! Deterministic where it matters: single-processor machines with
 //! scheduled hard faults give exact capsule schedules, so the
@@ -489,6 +490,56 @@ fn peak_killed_and_restarted(w: &Budgeted) -> u64 {
     killed.max(rep.stats().max_pool_peak)
 }
 
+const SS_N: usize = 900;
+
+fn samplesort_900() -> Budgeted {
+    Budgeted {
+        name: "samplesort",
+        budget: samplesort_pool_words(SS_N),
+        build: |m| {
+            let ss = SampleSort::new(m, SS_N);
+            ss.load_input(m, &ss_data(SS_N));
+            ss.pcomp()
+        },
+    }
+}
+
+fn matmul_16() -> Budgeted {
+    Budgeted {
+        name: "matmul",
+        budget: ppm::algs::matmul_pool_words(16, 64),
+        build: |m| {
+            let mm = MatMul::new(m, 16);
+            mm.load_inputs(m, &input(256), &input(256));
+            mm.pcomp()
+        },
+    }
+}
+
+fn prefix_2048() -> Budgeted {
+    Budgeted {
+        name: "prefix",
+        budget: ppm::core::DEFAULT_POOL_WORDS,
+        build: |m| {
+            let ps = PrefixSum::new(m, 2048);
+            ps.load_input(m, &input(2048));
+            ps.pcomp()
+        },
+    }
+}
+
+fn mergesort_1500() -> Budgeted {
+    Budgeted {
+        name: "mergesort",
+        budget: ppm::core::DEFAULT_POOL_WORDS,
+        build: |m| {
+            let ms = MergeSort::new(m, 1500);
+            ms.load_input(m, &input(1500));
+            ms.pcomp()
+        },
+    }
+}
+
 /// Every pool budget holds with joins as the only reclaimer, in the three
 /// regimes that leave words behind: P = 1 with every join foreign, a
 /// seeded P = 2 schedule, and one kill plus restart. Samplesort and
@@ -498,47 +549,12 @@ fn peak_killed_and_restarted(w: &Budgeted) -> u64 {
 #[cfg(unix)]
 #[test]
 fn every_pool_peak_fits_its_budget_without_reclamation() {
-    use ppm::algs::matmul_pool_words;
-    use ppm::core::DEFAULT_POOL_WORDS;
-    let workloads = [
-        Budgeted {
-            name: "samplesort",
-            budget: samplesort_pool_words(900),
-            build: |m| {
-                let ss = SampleSort::new(m, 900);
-                ss.load_input(m, &ss_data(900));
-                ss.pcomp()
-            },
-        },
-        Budgeted {
-            name: "matmul",
-            budget: matmul_pool_words(16, 64),
-            build: |m| {
-                let mm = MatMul::new(m, 16);
-                mm.load_inputs(m, &input(256), &input(256));
-                mm.pcomp()
-            },
-        },
-        Budgeted {
-            name: "prefix",
-            budget: DEFAULT_POOL_WORDS,
-            build: |m| {
-                let ps = PrefixSum::new(m, 2048);
-                ps.load_input(m, &input(2048));
-                ps.pcomp()
-            },
-        },
-        Budgeted {
-            name: "mergesort",
-            budget: DEFAULT_POOL_WORDS,
-            build: |m| {
-                let ms = MergeSort::new(m, 1500);
-                ms.load_input(m, &input(1500));
-                ms.pcomp()
-            },
-        },
-    ];
-    for w in &workloads {
+    for w in &[
+        samplesort_900(),
+        matmul_16(),
+        prefix_2048(),
+        mergesort_1500(),
+    ] {
         let peaks = [
             ("P = 1, joins foreign", peak_retaining_everything(w)),
             ("P = 2, seed 7", peak_seeded_p2(w, 7)),
@@ -560,6 +576,89 @@ fn every_pool_peak_fits_its_budget_without_reclamation() {
             );
         }
     }
+}
+
+// ====================================================================
+// Pool collection: a join frees its subtree's words
+// ====================================================================
+
+/// Peak pool words of `w` at P = 1 under the plain scheduler: every join
+/// is local, so each frees its subtree's words down to the fork's mark.
+fn peak_freeing_at_joins(w: &Budgeted) -> u64 {
+    let machine = Machine::with_pool_words(budget_pm(1), 2 * w.budget);
+    let pcomp = (w.build)(&machine);
+    let mut sim = SimSched::new_persistent(&machine, &pcomp, &SchedConfig::with_slots(SLOTS));
+    sim.run_to_completion(1 << 24);
+    assert!(sim.completed(), "{}: the joins-free run", w.name);
+    machine.stats().snapshot().max_pool_peak
+}
+
+/// The pool's one collector, the join, shrinks `w`'s peak: the P = 1 run
+/// whose joins free their subtrees peaks strictly below the run whose
+/// joins are all foreign. Returns `(peak_collected, peak_retained)`.
+fn joins_shrink_peak(w: &Budgeted) -> (u64, u64) {
+    let collected = peak_freeing_at_joins(w);
+    let retained = peak_retaining_everything(w);
+    assert!(
+        collected < retained,
+        "{} peak with joins freeing ({collected}) must drop below the \
+         retain-everything peak ({retained})",
+        w.name
+    );
+    (collected, retained)
+}
+
+#[test]
+fn gc_shrinks_prefix_sum_peak_pool_usage() {
+    joins_shrink_peak(&prefix_2048());
+}
+
+#[test]
+fn gc_shrinks_mergesort_peak_pool_usage() {
+    joins_shrink_peak(&mergesort_1500());
+}
+
+/// The old sizing formula carried a doubled `72·n` frame term for the
+/// resume-rebuild worst case. Samplesort's peak drops below the retained
+/// one at its joins, and even the retained peak fits the tightened
+/// budget, itself below the old formula.
+#[test]
+fn gc_shrinks_samplesort_peak_pool_usage_below_the_pr3_formula() {
+    let w = samplesort_900();
+    let old_formula = samplesort_pool_words(SS_N) + 72 * SS_N;
+    let (_, retained) = joins_shrink_peak(&w);
+    assert!(
+        (retained as usize) <= w.budget && w.budget < old_formula,
+        "the retain-everything peak ({retained}) must fit the tightened budget ({}), \
+         below the old formula ({old_formula})",
+        w.budget
+    );
+}
+
+/// The tightened budget itself is sufficient: a default session with the
+/// pool sized by `samplesort_pool_words`, joins its only collector,
+/// completes, sorts, and peaks within the budget.
+#[test]
+fn tightened_samplesort_budget_completes_under_gc() {
+    let data = ss_data(SS_N);
+    let mut expect = data.clone();
+    expect.sort_unstable();
+    let rt = Runtime::volatile(
+        RuntimeConfig::new(budget_pm(1))
+            .with_slots(SLOTS)
+            .with_pool_words(samplesort_pool_words(SS_N)),
+    );
+    let ss = SampleSort::new(rt.machine(), SS_N);
+    ss.load_input(rt.machine(), &data);
+    let rep = rt.run_or_recover(&ss.pcomp());
+    assert!(rep.completed());
+    assert_eq!(ss.read_output(rt.machine()), expect);
+    let peak = rep.stats().max_pool_peak;
+    assert!(
+        peak as usize <= samplesort_pool_words(SS_N),
+        "peak {peak} exceeds the budget {}",
+        samplesort_pool_words(SS_N)
+    );
 }
 
 /// The hard-fault exhaustion case: a hard-faulted processor's threads
